@@ -11,15 +11,6 @@ use std::path::PathBuf;
 use serde::Serialize;
 
 pub mod mc;
-pub mod trajectory;
-
-/// `LR_BENCH_SMOKE=1` — the CI one-sample mode shared by the vendored
-/// criterion stub, the throughput experiment, and the trajectory
-/// records: run every measurement once with shrunken sizes so the code
-/// paths stay exercised without paying for real measurement windows.
-pub fn smoke_mode() -> bool {
-    std::env::var("LR_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
 
 /// Prints a row of fixed-width columns.
 pub fn print_row(widths: &[usize], cells: &[String]) {

@@ -1,50 +1,19 @@
-//! The model-check battery: runs [`CheckKind`] sweeps at a given size,
-//! times them, and turns the results into [`ModelCheckRecord`] trajectory
-//! rows. Shared by the `exp_model_check` binary, the `lr modelcheck` CLI
-//! subcommand, and the scale tests, so every consumer produces the same
-//! row shape.
+//! The model-check battery behind `lr modelcheck`: runs [`CheckKind`]
+//! sweeps at a given size and times each one.
 
 use std::time::Instant;
 
 use lr_simrel::model_check::{CheckKind, McOptions, ModelCheckSummary};
-
-use crate::trajectory::{BenchRecord, ModelCheckRecord};
 
 /// One timed battery entry: a check, its summary, and its wall-clock.
 #[derive(Debug, Clone)]
 pub struct BatteryRow {
     /// Which check ran.
     pub kind: CheckKind,
-    /// Instance size it ran at.
-    pub n: usize,
-    /// Sampling stride over the enumeration (1 = exhaustive).
-    pub sampled_stride: usize,
     /// The sweep's summary.
     pub summary: ModelCheckSummary,
     /// Wall-clock time of the sweep, nanoseconds.
     pub elapsed_ns: u64,
-}
-
-impl BatteryRow {
-    /// Converts the row into a persisted trajectory record, stamping the
-    /// producing harness and the thread configuration it ran under.
-    pub fn to_record(&self, bench: &str, opts: &McOptions) -> ModelCheckRecord {
-        ModelCheckRecord {
-            bench: bench.to_string(),
-            check: self.kind.key().to_string(),
-            n: self.n,
-            sampled_stride: self.sampled_stride,
-            instances: self.summary.instances,
-            states: self.summary.states_visited,
-            transitions: self.summary.transitions,
-            elapsed_ns: self.elapsed_ns,
-            threads: opts.threads,
-            explore_threads: opts.explore_threads,
-            cpus: BenchRecord::available_cpus(),
-            verified: self.summary.verified(),
-            smoke: crate::smoke_mode(),
-        }
-    }
 }
 
 /// Runs `checks` at size `n` with the given options, timing each sweep.
@@ -69,8 +38,6 @@ pub fn run_battery(n: usize, checks: &[CheckKind], opts: &McOptions) -> Vec<Batt
             }
             BatteryRow {
                 kind,
-                n,
-                sampled_stride: 1,
                 summary,
                 elapsed_ns: start.elapsed().as_nanos() as u64,
             }
@@ -103,33 +70,20 @@ pub fn battery_metrics(rows: &[BatteryRow]) -> lr_obs::MetricsShard {
     m
 }
 
-/// Converts battery rows into trajectory records.
-pub fn battery_records(
-    rows: &[BatteryRow],
-    bench: &str,
-    opts: &McOptions,
-) -> Vec<ModelCheckRecord> {
-    rows.iter().map(|r| r.to_record(bench, opts)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn battery_rows_convert_to_verified_records() {
+    fn battery_rows_verify_every_instance_in_check_order() {
         let opts = McOptions::default().with_threads(2);
-        let rows = run_battery(3, &[CheckKind::NewPr, CheckKind::Termination], &opts);
+        let checks = [CheckKind::NewPr, CheckKind::Termination];
+        let rows = run_battery(3, &checks, &opts);
         assert_eq!(rows.len(), 2);
-        let records = battery_records(&rows, "unit-test", &opts);
-        for (row, rec) in rows.iter().zip(&records) {
+        for (row, kind) in rows.iter().zip(checks) {
             assert!(row.summary.verified(), "{:?}", row.summary);
-            assert!(rec.verified);
-            assert_eq!(rec.check, row.kind.key());
-            assert_eq!(rec.n, 3);
-            assert_eq!(rec.threads, 2);
-            assert_eq!(rec.instances, 54);
-            assert_eq!(rec.bench, "unit-test");
+            assert_eq!(row.kind, kind);
+            assert_eq!(row.summary.instances, 54);
         }
     }
 

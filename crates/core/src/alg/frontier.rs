@@ -65,7 +65,7 @@ pub trait FrontierEngine: ReversalEngine {
 
     /// Total resident bytes of the engine's steady state — the shared
     /// CSR arrays plus every per-node/per-slot array the engine owns.
-    /// This is the number the `BENCH_pr7`/`BENCH_pr8` memory rows
+    /// This is the number the benchmark's bytes-per-half-edge metrics
     /// report.
     fn resident_bytes(&self) -> usize;
 }
@@ -288,8 +288,7 @@ impl FrontierPrEngine {
 
     /// Total resident bytes of the engine's steady state: the shared CSR
     /// arrays, the direction and list bitsets, the retained initial
-    /// bitset, and the tracker's per-node out-counts. This is the number
-    /// the `BENCH_pr7` memory rows report.
+    /// bitset, and the tracker's per-node out-counts.
     pub fn resident_bytes(&self) -> usize {
         let csr = self.init.csr();
         csr.resident_bytes()

@@ -72,7 +72,7 @@ use crate::{PlanAux, ReversalStep, StepOutcome, StepScratch};
 /// Because the sinks of one greedy round are pairwise non-adjacent, a
 /// plan computed against the pre-round state equals the plan a
 /// sequential schedule would compute mid-round — which is what lets
-/// [`crate::engine::run_engine_parallel`] fan the plan phase out across
+/// [`crate::engine::run_engine_frontier_sharded`] fan the plan phase out across
 /// worker threads and still produce bit-identical executions.
 ///
 /// `Sync` is a supertrait so `&dyn ReversalEngine` can be shared with

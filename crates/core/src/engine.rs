@@ -16,13 +16,12 @@
 //! * [`run_engine_frontier`] — the same driver configuration, named for
 //!   the frontier engines it was built for; kept as the documented
 //!   entry point of the flat fast path.
-//! * [`run_engine_parallel`] — greedy rounds with the **plan phase
-//!   fanned out** across worker threads over snapshot chunks;
-//!   bit-identical to the sequential greedy run.
 //! * [`run_engine_frontier_sharded`] — greedy rounds with the plan
-//!   phase sharded by **contiguous node ranges** (each worker owns a
-//!   fixed slice of the id space and plans the enabled nodes that fall
-//!   in it); also bit-identical at every thread count.
+//!   phase **fanned out** across worker threads, sharded by contiguous
+//!   node ranges (each worker owns a fixed slice of the id space and
+//!   plans the enabled nodes that fall in it); bit-identical to the
+//!   sequential greedy run at every thread count, on map-backed and
+//!   flat engines alike.
 //! * [`run_engine_scan`] — retained naive-rescan reference (pre-PR-2
 //!   behavior).
 //! * [`run_engine_alloc`] — retained allocating-step reference
@@ -268,25 +267,6 @@ fn greedy_round_zero_alloc(
     engine.end_round();
 }
 
-/// How a parallel greedy round partitions its plan phase across workers.
-/// Both shardings hand each worker a **consecutive subslice** of the
-/// ascending round snapshot, so the sequential apply phase always runs
-/// in snapshot order — which is what keeps every thread count
-/// bit-identical to the sequential schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Sharding {
-    /// Equal-length chunks of the round snapshot (PR 3's
-    /// [`run_engine_parallel`]): perfect load balance in node count,
-    /// but a worker's nodes wander the whole id space.
-    SnapshotChunks,
-    /// Contiguous node-index ranges (PR 8's
-    /// [`run_engine_frontier_sharded`]): worker `k` owns dense indices
-    /// `[k·⌈n/threads⌉, (k+1)·⌈n/threads⌉)` and plans the enabled nodes
-    /// falling in its range — a stable per-worker sub-worklist whose
-    /// CSR reads stay within one slice of the id space.
-    NodeRanges,
-}
-
 /// Obs handles for one `drive` invocation, resolved once at run start
 /// and only when a session is recording. When no session records the
 /// `Option` is `None` and each scheduling iteration pays one
@@ -315,7 +295,7 @@ fn drive(
     max_steps: usize,
     source: EnabledSource,
     mode: StepMode,
-    parallel: Option<(ParallelConfig, Sharding)>,
+    parallel: Option<ParallelConfig>,
 ) -> RunStats {
     let algorithm = engine.algorithm_name();
     let mut obs = lr_obs::enabled().then(|| DriveObs::resolve(algorithm));
@@ -335,7 +315,7 @@ fn drive(
     // Per-worker plan shards, reused across rounds (empty when the run
     // is sequential).
     let mut shards: Vec<PlanShard> = match parallel {
-        Some((cfg, _)) => (0..cfg.threads.max(1))
+        Some(cfg) => (0..cfg.threads.max(1))
             .map(|_| PlanShard::default())
             .collect(),
         None => Vec::new(),
@@ -386,7 +366,7 @@ fn drive(
                 rounds += 1;
                 match mode {
                     StepMode::ZeroAlloc => match parallel {
-                        Some((cfg, sharding)) => planned_parallel_round(
+                        Some(cfg) => planned_parallel_round(
                             engine,
                             &csr,
                             &snapshot,
@@ -394,7 +374,6 @@ fn drive(
                             &mut scratch,
                             &mut shards,
                             cfg,
-                            sharding,
                             max_steps,
                         ),
                         None => greedy_round_zero_alloc(
@@ -508,9 +487,8 @@ pub fn run_engine_scan(
 /// per-step sorted enabled-vector edits instead of the PR 3 batched
 /// round merge.
 ///
-/// Exists as the measurement baseline for the zero-allocation pipeline
-/// (`exp_throughput`, `bench_throughput`) and as a differential
-/// reference for `step` vs `step_into` equivalence.
+/// Exists as the differential reference for `step` vs `step_into`
+/// equivalence (`tests/csr_differential.rs`).
 pub fn run_engine_alloc(
     engine: &mut dyn ReversalEngine,
     policy: SchedulePolicy,
@@ -560,7 +538,7 @@ pub fn run_engine_frontier(
     )
 }
 
-/// Tuning for [`run_engine_parallel_with`].
+/// Tuning for [`run_engine_frontier_sharded_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Worker-thread count for the plan phase (clamped to ≥ 1; 1 means
@@ -617,8 +595,8 @@ fn plan_shard(planner: &dyn ReversalEngine, shard: &mut PlanShard, nodes: &[Node
 /// pre-round state** (read-only borrow; a round's sinks are pairwise
 /// non-adjacent, so pre-round plans equal mid-round sequential plans).
 /// The apply phase then replays all planned steps on the caller thread
-/// in snapshot order — both shardings hand workers consecutive
-/// subslices of the ascending snapshot — reconciling every boundary
+/// in snapshot order — each worker's node range is a consecutive
+/// subslice of the ascending snapshot — reconciling every boundary
 /// half-edge and tracker delta in the deterministic sequential order.
 /// Rounds smaller than `cfg.min_parallel_round` (and everything when
 /// `cfg.threads == 1`) take the sequential fast path, which is exactly
@@ -632,7 +610,6 @@ fn planned_parallel_round(
     scratch: &mut StepScratch,
     shards: &mut [PlanShard],
     cfg: ParallelConfig,
-    sharding: Sharding,
     max_steps: usize,
 ) {
     let threads = cfg.threads.max(1);
@@ -646,32 +623,25 @@ fn planned_parallel_round(
         shard.recs.clear();
         shard.targets.clear();
     }
+    // Worker `k` owns dense indices `[k·⌈n/threads⌉, (k+1)·⌈n/threads⌉)`.
+    // The snapshot is ascending by id, and dense CSR indices are
+    // ascending by id too, so each worker's sub-worklist is the
+    // consecutive run of snapshot entries inside its index range.
     let mut slices: Vec<&[NodeId]> = Vec::with_capacity(threads);
-    match sharding {
-        Sharding::SnapshotChunks => {
-            let chunk = snapshot.len().div_ceil(threads);
-            slices.extend(snapshot.chunks(chunk));
+    let chunk = csr.node_count().div_ceil(threads);
+    let mut lo = 0usize;
+    for k in 0..threads {
+        let hi = if k + 1 == threads {
+            snapshot.len()
+        } else {
+            let bound = (k + 1) * chunk;
+            lo + snapshot[lo..]
+                .partition_point(|&u| csr.index_of(u).expect("enabled node exists") < bound)
+        };
+        if hi > lo {
+            slices.push(&snapshot[lo..hi]);
         }
-        Sharding::NodeRanges => {
-            // The snapshot is ascending by id, and dense CSR indices are
-            // ascending by id too, so each worker's sub-worklist is the
-            // consecutive run of snapshot entries inside its index range.
-            let chunk = csr.node_count().div_ceil(threads);
-            let mut lo = 0usize;
-            for k in 0..threads {
-                let hi = if k + 1 == threads {
-                    snapshot.len()
-                } else {
-                    let bound = (k + 1) * chunk;
-                    lo + snapshot[lo..]
-                        .partition_point(|&u| csr.index_of(u).expect("enabled node exists") < bound)
-                };
-                if hi > lo {
-                    slices.push(&snapshot[lo..hi]);
-                }
-                lo = hi;
-            }
-        }
+        lo = hi;
     }
     let planner: &dyn ReversalEngine = engine;
     crossbeam::thread::scope(|s| {
@@ -704,47 +674,6 @@ fn planned_parallel_round(
     engine.end_round();
 }
 
-/// [`run_engine`] for [`SchedulePolicy::GreedyRounds`] with the **plan
-/// phase of each round fanned out across worker threads**, default
-/// tuning. See [`run_engine_parallel_with`].
-pub fn run_engine_parallel(
-    engine: &mut dyn ReversalEngine,
-    threads: usize,
-    max_steps: usize,
-) -> RunStats {
-    run_engine_parallel_with(engine, ParallelConfig::new(threads), max_steps)
-}
-
-/// Greedy-rounds execution with parallel planning, explicit tuning.
-///
-/// Each round snapshots the enabled slice, partitions it across
-/// `cfg.threads` crossbeam-scoped workers that **plan** their shard's
-/// steps against the shared pre-round state (read-only, one scratch per
-/// shard), then applies every planned step on the caller thread in
-/// snapshot order. Because a round's sinks are pairwise non-adjacent,
-/// plans computed against the pre-round state equal the plans a
-/// sequential schedule would compute mid-round, and the sequential apply
-/// merges the out-count deltas deterministically — so the resulting
-/// [`RunStats`], final state, and enabled sets are **bit-identical** to
-/// [`run_engine`] under [`SchedulePolicy::GreedyRounds`].
-///
-/// Rounds smaller than `cfg.min_parallel_round` (and everything when
-/// `cfg.threads == 1`) take the sequential fast path.
-pub fn run_engine_parallel_with(
-    engine: &mut dyn ReversalEngine,
-    cfg: ParallelConfig,
-    max_steps: usize,
-) -> RunStats {
-    drive(
-        engine,
-        SchedulePolicy::GreedyRounds,
-        max_steps,
-        EnabledSource::Incremental,
-        StepMode::ZeroAlloc,
-        Some((cfg, Sharding::SnapshotChunks)),
-    )
-}
-
 /// [`run_engine_frontier`] for [`SchedulePolicy::GreedyRounds`] with the
 /// plan phase **sharded by contiguous node ranges** across worker
 /// threads, default tuning. See [`run_engine_frontier_sharded_with`].
@@ -771,14 +700,17 @@ pub fn run_engine_frontier_sharded(
 /// freeze/shard/fold discipline is PRs 3/5/6's; the resulting
 /// [`RunStats`], final state, and enabled sets are **bit-identical** to
 /// [`run_engine`] / [`run_engine_frontier`] under
-/// [`SchedulePolicy::GreedyRounds`] at every thread count
-/// (`tests/frontier_differential.rs`).
+/// [`SchedulePolicy::GreedyRounds`] at every thread count, for map-backed
+/// and flat engines alike (`tests/csr_differential.rs`,
+/// `tests/frontier_differential.rs`).
 ///
-/// Compared to [`run_engine_parallel_with`]'s snapshot chunking, range
-/// sharding gives each worker a stable slice of the id space across
-/// rounds — its CSR and direction-bit reads for planning stay within
-/// that slice, which is the layout a future multi-process split of the
-/// arrays would inherit.
+/// Range sharding gives each worker a stable slice of the id space
+/// across rounds — its CSR and direction-bit reads for planning stay
+/// within that slice, which is the layout a future multi-process split
+/// of the arrays would inherit.
+///
+/// Rounds smaller than `cfg.min_parallel_round` (and everything when
+/// `cfg.threads == 1`) take the sequential fast path.
 pub fn run_engine_frontier_sharded_with(
     engine: &mut dyn ReversalEngine,
     cfg: ParallelConfig,
@@ -790,7 +722,7 @@ pub fn run_engine_frontier_sharded_with(
         max_steps,
         EnabledSource::Incremental,
         StepMode::ZeroAlloc,
-        Some((cfg, Sharding::NodeRanges)),
+        Some(cfg),
     )
 }
 
@@ -1028,7 +960,8 @@ mod tests {
                     threads,
                     min_parallel_round: 0,
                 };
-                let par_stats = run_engine_parallel_with(par.as_mut(), cfg, DEFAULT_MAX_STEPS);
+                let par_stats =
+                    run_engine_frontier_sharded_with(par.as_mut(), cfg, DEFAULT_MAX_STEPS);
                 assert_eq!(par_stats, seq_stats, "{} × {threads} threads", kind.name());
                 assert_eq!(par.orientation(), seq.orientation());
                 assert_eq!(par.enabled(), seq.enabled());
@@ -1046,7 +979,7 @@ mod tests {
             threads: 4,
             min_parallel_round: 0,
         };
-        let par_stats = run_engine_parallel_with(&mut par, cfg, 100);
+        let par_stats = run_engine_frontier_sharded_with(&mut par, cfg, 100);
         assert!(!par_stats.terminated);
         assert_eq!(par_stats, seq_stats);
     }

@@ -34,11 +34,10 @@
 //!   incremental enabled view through the zero-allocation step pipeline;
 //!   [`engine::run_engine_frontier`] is the same driver configuration
 //!   named for the flat CSR-native engines that run million-node
-//!   instances through it; [`engine::run_engine_parallel`] fans the
-//!   plan phase of greedy rounds out across worker threads over
-//!   snapshot chunks, and [`engine::run_engine_frontier_sharded`]
-//!   shards it by contiguous node ranges instead — both bit-identical
-//!   to the sequential run at every thread count;
+//!   instances through it; [`engine::run_engine_frontier_sharded`]
+//!   fans the plan phase of greedy rounds out across worker threads,
+//!   sharded by contiguous node ranges — bit-identical to the
+//!   sequential run at every thread count;
 //!   [`engine::run_engine_scan`] (naive rescans) and
 //!   [`engine::run_engine_alloc`] (per-step allocation) are the
 //!   retained reference loops they are differentially tested against.

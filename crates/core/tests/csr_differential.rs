@@ -12,8 +12,8 @@
 
 use lr_core::alg::{AlgorithmKind, BllEngine, BllLabeling, PrEngine, ReversalEngine};
 use lr_core::engine::{
-    run_engine, run_engine_alloc, run_engine_parallel_with, run_engine_scan, ParallelConfig,
-    RunStats, SchedulePolicy, DEFAULT_MAX_STEPS,
+    run_engine, run_engine_alloc, run_engine_frontier_sharded_with, run_engine_scan,
+    ParallelConfig, RunStats, SchedulePolicy, DEFAULT_MAX_STEPS,
 };
 use lr_core::invariants::{check_acyclic, check_inv_3_1};
 use lr_core::StepScratch;
@@ -205,7 +205,7 @@ proptest! {
         }
     }
 
-    /// `run_engine_parallel` is bit-identical to sequential
+    /// `run_engine_frontier_sharded` is bit-identical to sequential
     /// `GreedyRounds`: same `RunStats` (work vectors included), final
     /// orientations, and enabled sets across thread counts {1, 2, 4, 8}
     /// — with the round-size cutoff forced to 0 so the parallel
@@ -221,7 +221,7 @@ proptest! {
             for threads in [1usize, 2, 4, 8] {
                 let cfg = ParallelConfig { threads, min_parallel_round: 0 };
                 let mut par = factory();
-                let par_stats = run_engine_parallel_with(par.as_mut(), cfg, DEFAULT_MAX_STEPS);
+                let par_stats = run_engine_frontier_sharded_with(par.as_mut(), cfg, DEFAULT_MAX_STEPS);
                 prop_assert_eq!(&par_stats, &seq_stats, "{} × {} threads", name, threads);
                 prop_assert_eq!(par.orientation(), seq.orientation(), "{}", name);
                 prop_assert_eq!(par.enabled(), seq.enabled(), "{}", name);

@@ -23,8 +23,8 @@ use lr_core::alg::{
     AlgorithmKind, BllLabeling, FrontierFamily, FrontierPrEngine, PrEngine, ReversalEngine,
 };
 use lr_core::engine::{
-    run_engine, run_engine_frontier, run_engine_frontier_sharded_with, run_engine_parallel_with,
-    ParallelConfig, SchedulePolicy, DEFAULT_MAX_STEPS,
+    run_engine, run_engine_frontier, run_engine_frontier_sharded_with, ParallelConfig,
+    SchedulePolicy, DEFAULT_MAX_STEPS,
 };
 use lr_core::MirroredDirs;
 use lr_graph::{generate, stream, CsrInstance, EdgeDir, NodeId, ReversalInstance};
@@ -237,7 +237,7 @@ proptest! {
         for threads in [1usize, 2, 4, 8] {
             let cfg = ParallelConfig { threads, min_parallel_round: 0 };
             let mut par = FrontierPrEngine::new(flat.clone());
-            let par_stats = run_engine_parallel_with(&mut par, cfg, DEFAULT_MAX_STEPS);
+            let par_stats = run_engine_frontier_sharded_with(&mut par, cfg, DEFAULT_MAX_STEPS);
             prop_assert_eq!(&par_stats, &seq_stats, "{} threads", threads);
             prop_assert_eq!(par.orientation(), seq.orientation());
             prop_assert_eq!(par.enabled(), seq.enabled());

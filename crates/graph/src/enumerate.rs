@@ -86,9 +86,9 @@ pub fn acyclic_orientations(graph: &UndirectedGraph) -> Vec<Orientation> {
 /// graphs × all acyclic orientations × all destinations.
 ///
 /// This is the full input space of the paper's model for size `n`. The
-/// counts grow quickly: `n = 3` yields 66 instances, `n = 4` yields
-/// 4,608... use `n ≤ 4` for per-state model checking and `n = 5` only for
-/// spot checks.
+/// counts grow quickly: `n = 3` yields 54 instances, `n = 4` yields
+/// 1,784 and `n = 5` yields 132,150 (checked against the independent
+/// [`acyclic_orientation_count`]).
 pub fn all_instances(n: usize) -> Vec<ReversalInstance> {
     let mut out = Vec::new();
     for g in connected_graphs(n) {
@@ -102,6 +102,62 @@ pub fn all_instances(n: usize) -> Vec<ReversalInstance> {
         }
     }
     out
+}
+
+/// Counts the acyclic orientations of `graph` without enumerating any.
+///
+/// By Stanley's theorem the count is `|χ_G(−1)|`, the Tutte evaluation
+/// `T_G(2, 0) = Σ_{A ⊆ E} (−1)^{|A| − r(A)}` (Whitney's subset
+/// expansion), where `r(A)` is the number of edges of a spanning forest
+/// of `(V, A)`. It shares no code with [`acyclic_orientations`], which
+/// makes it the oracle for the model checker's claim to cover every
+/// instance.
+///
+/// # Panics
+///
+/// Panics if the graph has more than 24 edges.
+///
+/// ```
+/// use lr_graph::enumerate::acyclic_orientation_count;
+/// use lr_graph::UndirectedGraph;
+/// // K4: one acyclic orientation per ordering of its 4 nodes.
+/// let k4 =
+///     UndirectedGraph::from_edges(&[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]).unwrap();
+/// assert_eq!(acyclic_orientation_count(&k4), 24);
+/// ```
+pub fn acyclic_orientation_count(graph: &UndirectedGraph) -> u64 {
+    let nodes: Vec<NodeId> = graph.nodes().collect();
+    let index = |u: NodeId| nodes.binary_search(&u).expect("edge endpoints are nodes");
+    let edges: Vec<(usize, usize)> = graph.edges().map(|(u, v)| (index(u), index(v))).collect();
+    let m = edges.len();
+    assert!(m <= 24, "too many edges for the subset expansion");
+    fn root(parent: &mut [usize], mut u: usize) -> usize {
+        while parent[u] != u {
+            parent[u] = parent[parent[u]];
+            u = parent[u];
+        }
+        u
+    }
+    let mut parent: Vec<usize> = Vec::with_capacity(nodes.len());
+    let mut total = 0i64;
+    for mask in 0..(1u64 << m) {
+        parent.clear();
+        parent.extend(0..nodes.len());
+        let mut rank = 0u32;
+        for (bit, &(u, v)) in edges.iter().enumerate() {
+            if mask >> bit & 1 == 1 {
+                let (ru, rv) = (root(&mut parent, u), root(&mut parent, v));
+                if ru != rv {
+                    parent[ru] = rv;
+                    rank += 1;
+                }
+            }
+        }
+        // (−1)^{|A| − r(A)}: the parity of A's cycle-space dimension.
+        let nullity = mask.count_ones() - rank;
+        total += if nullity.is_multiple_of(2) { 1 } else { -1 };
+    }
+    u64::try_from(total).expect("T_G(2, 0) is a count")
 }
 
 /// Like [`all_instances`] but with a caller-supplied filter on the graph,
@@ -170,6 +226,43 @@ mod tests {
             assert!(inst.view().is_acyclic());
             assert!(inst.graph.is_connected());
         }
+    }
+
+    #[test]
+    fn subset_expansion_counts_every_acyclic_orientation() {
+        for n in 1..=5 {
+            for g in connected_graphs(n) {
+                assert_eq!(
+                    acyclic_orientation_count(&g),
+                    acyclic_orientations(&g).len() as u64,
+                    "{g:?}"
+                );
+            }
+        }
+    }
+
+    /// Σ_G AO(G) · n over the connected graphs on `n` nodes: one
+    /// instance per graph, acyclic orientation, and destination.
+    fn independent_instance_count(n: usize) -> u64 {
+        connected_graphs(n)
+            .iter()
+            .map(|g| acyclic_orientation_count(g) * n as u64)
+            .sum()
+    }
+
+    #[test]
+    fn all_instances_matches_the_independent_count() {
+        for (n, count) in [(3, 54), (4, 1_784)] {
+            assert_eq!(independent_instance_count(n), count);
+            assert_eq!(all_instances(n).len() as u64, count);
+        }
+    }
+
+    #[test]
+    #[ignore = "all_instances(5) takes seconds in a debug build; run with --ignored"]
+    fn all_instances_matches_the_independent_count_at_n5() {
+        assert_eq!(independent_instance_count(5), 132_150);
+        assert_eq!(all_instances(5).len(), 132_150);
     }
 
     #[test]

@@ -308,7 +308,7 @@ pub fn random_connected(n: usize, extra_edges: usize, seed: u64) -> ReversalInst
     }
     // Extra edges, skipping duplicates; cap attempts to stay total.
     let max_edges = n * (n - 1) / 2;
-    let target = (n - 1 + extra_edges).min(max_edges);
+    let target = (n - 1).saturating_add(extra_edges).min(max_edges);
     let mut attempts = 0;
     while g.edge_count() < target && attempts < 50 * target {
         attempts += 1;

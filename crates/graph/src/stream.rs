@@ -476,7 +476,7 @@ pub fn random_connected(n: usize, extra_edges: usize, seed: u64) -> CsrInstance 
     assert!(n >= 2, "graph needs at least 2 nodes");
     let mut rng = SmallRng::seed_from_u64(seed);
     let max_edges = n * (n - 1) / 2;
-    let target = (n - 1 + extra_edges).min(max_edges);
+    let target = (n - 1).saturating_add(extra_edges).min(max_edges);
     assert_capacity(2 * target);
     let mut edges: Vec<(u32, u32)> = Vec::with_capacity(target);
     let mut seen: HashSet<(u32, u32)> = HashSet::with_capacity(target);

@@ -20,7 +20,6 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use lr_bench::trajectory::ScenarioRecord;
 use lr_core::alg::TripleHeight;
 use lr_graph::{DirectedView, NodeId, ReversalInstance, UndirectedGraph};
 use lr_net::election::ElectionHarness;
@@ -31,6 +30,7 @@ use lr_net::sim::{EventSim, LinkConfig, Protocol, SimStats};
 use lr_net::tora::{ToraHarness, ToraMsg};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use serde::Serialize;
 
 use crate::spec::{
     derive_churn_seed, derive_run_seed, ChurnKind, LinkSpec, ProtocolKind, ScenarioSpec, Sources,
@@ -58,9 +58,91 @@ impl From<SpecError> for ScenarioError {
     }
 }
 
-/// The result of one `(seed, trial)` run: the structured rows for the
-/// trajectory plus the raw simulator stats (the determinism tests
-/// compare these bit-for-bit).
+/// One structured result row from a scenario run: the sweep runner
+/// emits one row per churn event plus one `"summary"` row per
+/// `(seed, trial)` run. `lr scenario run` renders the rows as a table;
+/// the determinism suite compares them as JSON.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct ScenarioRecord {
+    /// Scenario name from the spec.
+    pub scenario: String,
+    /// Protocol driven ("routing", "reversal", "tora", "mutex",
+    /// "election").
+    pub protocol: String,
+    /// Topology family ("random", "grid", "inline", …).
+    pub family: String,
+    /// Node count of the instance.
+    pub n: usize,
+    /// Undirected edge count of the instance.
+    pub edges: usize,
+    /// Base seed of the run (from the spec's seed list).
+    pub seed: u64,
+    /// Trial index within the seed.
+    pub trial: usize,
+    /// Row kind: `"event"` for per-churn-event rows, `"summary"` for
+    /// the end-of-run roll-up.
+    pub row: String,
+    /// Index of the churn event (for `"summary"` rows: the number of
+    /// churn events executed).
+    pub event_index: usize,
+    /// Human-readable event description (`"fail 2 link(s)"`,
+    /// `"summary"`, …).
+    pub event: String,
+    /// Virtual time the event fired (for summaries: end-of-run time).
+    pub at: u64,
+    /// Ticks from the event until the network re-quiesced (convergence
+    /// time; for summaries: total virtual duration of the run). When
+    /// `quiesced` is false this is the settle window — a censored
+    /// measurement.
+    pub convergence_ticks: u64,
+    /// Whether the network actually went quiescent within the settle
+    /// window. `false` marks livelock — e.g. Partial Reversal in a
+    /// component cut off from the destination reverses forever (the
+    /// partition problem TORA exists to solve).
+    pub quiesced: bool,
+    /// Packets/queries injected so far (for tora: distinct queried
+    /// sources).
+    pub injected: u64,
+    /// Packets/queries delivered so far. Cumulative for most
+    /// protocols; for tora it is the number of queried sources
+    /// currently routed, which partition detection can *decrease*
+    /// between rows (heights are erased on a detected partition).
+    pub delivered: u64,
+    /// Packets dropped (hop limit) so far.
+    pub dropped: u64,
+    /// Packets buffered somewhere, still undelivered.
+    pub stranded: u64,
+    /// `delivered / injected` (1.0 when nothing was injected).
+    pub delivery_rate: f64,
+    /// Mean hops over delivered packets.
+    pub mean_hops: f64,
+    /// Mean route stretch over delivered packets: hops divided by the
+    /// shortest live path at injection time (0 when no packet was
+    /// delivered).
+    pub stretch: f64,
+    /// Total packet revisits (transient routing loops) so far.
+    pub revisits: u64,
+    /// Total protocol messages handed to the network so far.
+    pub messages: u64,
+    /// Total reversals across nodes so far.
+    pub total_reversals: u64,
+    /// Largest per-node reversal count (work skew).
+    pub max_node_reversals: u64,
+    /// Mean per-node reversal count.
+    pub mean_node_reversals: f64,
+    /// Whether the protocol's structural invariant held when the row
+    /// was taken (height orientation acyclic over live links / token
+    /// tree oriented toward the holder) — the paper's
+    /// acyclicity-under-perturbation observable.
+    pub acyclic: bool,
+    /// Whether the row was produced in smoke mode (first seed and trial
+    /// only).
+    pub smoke: bool,
+}
+
+/// The result of one `(seed, trial)` run: the structured rows plus the
+/// raw simulator stats (the determinism tests compare these
+/// bit-for-bit).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOutcome {
     /// One `"event"` row per churn event (plus the index-0 `"start"`

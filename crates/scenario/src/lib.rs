@@ -23,8 +23,7 @@
 //! stretch, per-node work distribution, and whether the height-implied
 //! orientation stayed acyclic (the paper's theorem, observed under
 //! perturbation). The [`sweep`] runner executes the full sweep and
-//! emits [`lr_bench::trajectory::ScenarioRecord`] rows for the
-//! persisted `BENCH_pr4.json` trajectory.
+//! emits one [`ScenarioRecord`] row per churn event and run.
 //!
 //! Specs may also declare a `matrix` section — a grid over protocols,
 //! topologies, link configurations, and churn intensities
@@ -32,16 +31,15 @@
 //! into independent cells (`points × seeds × trials`), fans them out
 //! over crossbeam-scoped worker threads, and folds results through the
 //! mergeable [`stats`] accumulators in canonical order, so a parallel
-//! sweep is bit-identical to a serial one. Summaries persist to
-//! `BENCH_pr5.json` as [`lr_bench::trajectory::SweepRecord`] rows.
+//! sweep is bit-identical to a serial one. Each point, and the whole
+//! sweep, is summarized in one [`SweepRecord`] row.
 //!
 //! The [`serve`] module is the resident complement to the batch
 //! engine: `lr serve` keeps one protocol instance live and feeds it a
 //! streaming open-loop workload (seeded generator and/or newline-JSON
 //! feed) through a bounded admission queue, reporting steady-state
 //! latency/hops/stretch percentiles that are bit-identical for a fixed
-//! seed across runs and thread counts. Rows persist to
-//! `BENCH_pr10.json` as [`lr_bench::trajectory::ServeRecord`].
+//! seed across runs and thread counts.
 //!
 //! ```
 //! use lr_scenario::spec::ScenarioSpec;
@@ -72,12 +70,12 @@ pub mod stats;
 pub mod sweep;
 pub mod topology;
 
-pub use engine::{run_scenario, RunOutcome, ScenarioError};
+pub use engine::{run_scenario, RunOutcome, ScenarioError, ScenarioRecord};
 pub use serve::{
     parse_feed, run_serve, FeedAction, FeedEvent, ServeError, ServeOptions, ServeReport,
 };
 pub use spec::{MatrixPoint, MatrixSpec, ScenarioSpec, SpecError};
 pub use sweep::{
     render_matrix_table, render_table, run_matrix_sweep, run_sweep, MatrixOptions, MatrixOutcome,
-    SweepOptions, SweepOutcome,
+    SweepOptions, SweepOutcome, SweepRecord,
 };

@@ -37,15 +37,12 @@
 //! live BFS distance at answer time. Probes are fanned out over worker
 //! threads but **folded in admission order**, so the report — and its
 //! rendering — is byte-identical for a fixed `(spec, seed, flags)`
-//! across runs *and across `--threads` values*. Wall-clock throughput
-//! (`requests_per_sec`) lives only in the persisted
-//! [`ServeRecord`](lr_bench::trajectory::ServeRecord) row, which
-//! records how fast, never what.
+//! across runs *and across `--threads` values*. Wall-clock time lives
+//! only in [`ServeReport::elapsed_ns`], which the rendering leaves out.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
 
-use lr_bench::trajectory::{BenchRecord, ServeRecord};
 use lr_graph::{NodeId, UndirectedGraph};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -95,8 +92,6 @@ pub struct ServeOptions {
     pub queue: usize,
     /// Overrides the spec's first seed when set.
     pub seed: Option<u64>,
-    /// Marks the emitted record as a smoke row.
-    pub smoke: bool,
 }
 
 impl Default for ServeOptions {
@@ -108,7 +103,6 @@ impl Default for ServeOptions {
             batch: 256,
             queue: 1024,
             seed: None,
-            smoke: false,
         }
     }
 }
@@ -278,10 +272,8 @@ pub struct ServeReport {
     /// Per-request stretch vs the live BFS distance (empty for
     /// protocols without a fixed destination sink).
     pub stretch: MetricSketch,
-    /// Wall-clock nanoseconds of the serve loop (record only).
+    /// Wall-clock nanoseconds of the serve loop (never rendered).
     pub elapsed_ns: u64,
-    /// Whether this was a smoke run.
-    pub smoke: bool,
 }
 
 fn sketch_line(name: &str, s: &MetricSketch) -> String {
@@ -342,48 +334,6 @@ impl ServeReport {
         out.push_str(&sketch_line("stretch", &self.stretch));
         out.push('\n');
         out
-    }
-
-    /// The persisted trajectory row for this run.
-    pub fn to_record(&self) -> ServeRecord {
-        ServeRecord {
-            bench: "lr serve".into(),
-            scenario: self.scenario.clone(),
-            protocol: self.protocol.clone(),
-            family: self.family.clone(),
-            n: self.n,
-            edges: self.edges,
-            seed: self.seed,
-            rate: self.rate,
-            duration_ticks: self.duration,
-            batch: self.batch,
-            queue: self.queue,
-            threads: self.threads,
-            cpus: BenchRecord::available_cpus(),
-            offered: self.offered_generator + self.offered_feed,
-            admitted: self.admitted,
-            answered: self.answered,
-            unroutable: self.unroutable,
-            dropped: self.dropped,
-            link_events: self.link_events,
-            latency_p50: self.latency.quantile(0.50),
-            latency_p90: self.latency.quantile(0.90),
-            latency_p99: self.latency.quantile(0.99),
-            latency_mean: self.latency.moments.mean(),
-            latency_max: self.latency.moments.max(),
-            hops_p50: self.hops.quantile(0.50),
-            hops_p99: self.hops.quantile(0.99),
-            hops_mean: self.hops.moments.mean(),
-            stretch_p50: self.stretch.quantile(0.50),
-            stretch_p99: self.stretch.quantile(0.99),
-            elapsed_ns: self.elapsed_ns,
-            requests_per_sec: if self.elapsed_ns == 0 {
-                0.0
-            } else {
-                self.answered as f64 * 1e9 / self.elapsed_ns as f64
-            },
-            smoke: self.smoke,
-        }
     }
 }
 
@@ -803,7 +753,6 @@ pub fn run_serve(
         hops,
         stretch,
         elapsed_ns,
-        smoke: options.smoke,
     })
 }
 
@@ -996,19 +945,5 @@ mod tests {
             );
             assert_eq!(report.answered + report.unroutable, report.admitted);
         }
-    }
-
-    #[test]
-    fn serve_record_round_trips_and_carries_wall_clock_only_fields() {
-        let spec = grid_spec();
-        let report = run_serve(&spec, &opts(4, 10), &[]).unwrap();
-        let record = report.to_record();
-        assert_eq!(record.bench, "lr serve");
-        assert_eq!(record.offered, report.offered_generator);
-        assert!(record.latency_p50 <= record.latency_p99 + 1e-9);
-        assert!(record.hops_p50 <= record.hops_p99 + 1e-9);
-        let json = serde_json::to_string_pretty(&vec![record.clone()]).unwrap();
-        let back: Vec<lr_bench::trajectory::ServeRecord> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, vec![record]);
     }
 }

@@ -20,6 +20,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
+use lr_graph::check_slot_capacity;
 use serde_json::{Map, Value};
 
 /// A spec-level error: the JSON path that failed plus a description.
@@ -351,7 +352,50 @@ impl TopologySpec {
         }
     }
 
+    /// Half-edge slots the family's instance needs, or `None` when the
+    /// count overflows `usize`. For `layered`, whose edges are drawn at
+    /// build time, this is the worst case: every pair of adjacent-layer
+    /// nodes linked.
+    fn half_edges(&self) -> Option<usize> {
+        let edges = match *self {
+            TopologySpec::ChainAway { n }
+            | TopologySpec::ChainToward { n }
+            | TopologySpec::Alternating { n } => n.checked_sub(1)?,
+            TopologySpec::Star { leaves } => leaves,
+            TopologySpec::Tree { depth } => {
+                // 2^(depth + 2) - 1 nodes, one edge fewer.
+                let levels = u32::try_from(depth.checked_add(2)?).ok()?;
+                1usize.checked_shl(levels)?.checked_sub(2)?
+            }
+            TopologySpec::Grid { rows, cols } => rows
+                .checked_mul(cols.checked_sub(1)?)?
+                .checked_add(rows.checked_sub(1)?.checked_mul(cols)?)?,
+            TopologySpec::Complete { n } => n.checked_mul(n.checked_sub(1)?)? / 2,
+            TopologySpec::Random { n, extra_edges, .. } => {
+                // The generator stops at the complete graph.
+                let complete = n
+                    .checked_mul(n.checked_sub(1)?)
+                    .map_or(usize::MAX, |m| m / 2);
+                n.checked_sub(1)?.saturating_add(extra_edges).min(complete)
+            }
+            TopologySpec::Bipartite { width, degree, .. } => width.checked_mul(degree)?,
+            TopologySpec::Layered { width, depth, .. } => width
+                .checked_mul(width)?
+                .checked_mul(depth.checked_sub(1)?)?
+                .checked_add(width)?,
+            TopologySpec::Inline { ref edges, .. } => edges.len(),
+        };
+        edges.checked_mul(2)
+    }
+
     fn parse(v: &Value, path: &str) -> Result<Self, SpecError> {
+        let spec = Self::parse_family(v, path)?;
+        check_slot_capacity(spec.half_edges().unwrap_or(usize::MAX))
+            .map_err(|e| SpecError::new(path, format!("{} is too large: {e}", spec.describe())))?;
+        Ok(spec)
+    }
+
+    fn parse_family(v: &Value, path: &str) -> Result<Self, SpecError> {
         let obj = want_object(v, path)?;
         let family = match obj.get("family") {
             Some(f) => want_str(f, &format!("{path}.family"))?,
@@ -418,7 +462,7 @@ impl TopologySpec {
                 allow(&["family", "rows", "cols"])?;
                 let rows = req_usize("rows", 1)?;
                 let cols = req_usize("cols", 1)?;
-                if rows * cols < 2 {
+                if rows == 1 && cols == 1 {
                     return Err(SpecError::new(path, "grid needs at least 2 nodes"));
                 }
                 Ok(TopologySpec::Grid { rows, cols })
@@ -1800,7 +1844,7 @@ impl ScenarioSpec {
 /// Together with [`derive_churn_seed`] this is the single source of
 /// truth for `(spec, seed, trial)` → RNG derivation; a pinned-value
 /// regression test keeps the mapping stable across refactors (changing
-/// it would silently re-randomize every persisted trajectory row).
+/// it would silently re-randomize every recorded scenario row).
 pub fn derive_run_seed(seed: u64, trial: usize) -> u64 {
     seed ^ (trial as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
@@ -1817,7 +1861,7 @@ mod derivation_tests {
     use super::*;
 
     /// Golden values: the `(seed, trial)` → RNG derivation is part of
-    /// the persisted-trajectory contract. If this test fails, a
+    /// the scenario-row contract. If this test fails, a
     /// refactor changed which runs a spec names — fix the refactor, do
     /// not re-pin the constants.
     #[test]
@@ -1842,5 +1886,51 @@ mod derivation_tests {
         assert_eq!(spec.sweep_runs(true), vec![(9, 0)], "smoke = first cell");
         spec.trials = 1;
         assert_eq!(spec.sweep_runs(false), vec![(9, 0), (4, 0)]);
+    }
+}
+
+#[cfg(test)]
+mod capacity_tests {
+    use super::*;
+
+    fn topology(json: &str) -> Result<TopologySpec, SpecError> {
+        TopologySpec::parse(&serde_json::from_str(json).expect("valid JSON"), "topology")
+    }
+
+    #[test]
+    fn topologies_over_the_slot_capacity_are_spec_errors() {
+        for json in [
+            r#"{"family": "grid", "rows": 100000, "cols": 100000}"#,
+            r#"{"family": "star", "leaves": 5000000000}"#,
+            r#"{"family": "tree", "depth": 100}"#,
+            r#"{"family": "tree", "depth": 18446744073709551615}"#,
+            r#"{"family": "chain-away", "n": 5000000000}"#,
+            r#"{"family": "complete", "n": 100000}"#,
+            r#"{"family": "complete", "n": 18446744073709551615}"#,
+            r#"{"family": "random", "n": 4000000000, "extra_edges": 0}"#,
+            r#"{"family": "random", "n": 100000, "extra_edges": 18446744073709551615}"#,
+            r#"{"family": "bipartite", "width": 100000, "degree": 30000}"#,
+            r#"{"family": "layered", "width": 100000, "depth": 2}"#,
+        ] {
+            let e = topology(json).unwrap_err();
+            assert_eq!(e.path, "topology", "{json}: {e}");
+            assert!(e.msg.contains("slot-index capacity"), "{json}: {e}");
+        }
+    }
+
+    #[test]
+    fn topologies_at_the_slot_capacity_parse() {
+        // A star of 2^31 - 1 leaves needs 2^32 - 2 slots and a depth-29
+        // tree 2^32 - 4, both within the u32::MAX cap.
+        for json in [
+            r#"{"family": "star", "leaves": 2147483647}"#,
+            r#"{"family": "tree", "depth": 29}"#,
+            r#"{"family": "random", "n": 1000, "extra_edges": 18446744073709551615}"#,
+            r#"{"family": "grid", "rows": 1, "cols": 2}"#,
+        ] {
+            assert!(topology(json).is_ok(), "{json}");
+        }
+        let e = topology(r#"{"family": "grid", "rows": 1, "cols": 1}"#).unwrap_err();
+        assert!(e.msg.contains("at least 2 nodes"), "{e}");
     }
 }

@@ -19,7 +19,7 @@
 //! `tests/proptest_stats.rs` (shuffled folds vs a single pass, plus
 //! empty/singleton identities).
 
-use lr_bench::trajectory::ScenarioRecord;
+use crate::engine::ScenarioRecord;
 
 /// Streaming count/mean/M2 moments with min/max, mergeable à la
 /// Chan et al. (the parallel Welford update).

@@ -37,10 +37,10 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
-use lr_bench::trajectory::{ScenarioRecord, SweepRecord};
 use lr_obs::MetricsShard;
+use serde::Serialize;
 
-use crate::engine::{run_scenario, RunOutcome, ScenarioError};
+use crate::engine::{run_scenario, RunOutcome, ScenarioError, ScenarioRecord};
 use crate::spec::{MatrixPoint, ScenarioSpec};
 use crate::stats::PointStats;
 
@@ -86,9 +86,9 @@ pub fn run_sweep(
                 .into(),
         ));
     }
-    // Smoke is an explicit caller decision (the CLI's --smoke flag);
-    // the library deliberately ignores LR_BENCH_SMOKE so sweeps never
-    // shrink because of ambient environment.
+    // Smoke is an explicit caller decision (the CLI's --smoke flag),
+    // never read from the environment, so sweeps never shrink because
+    // of ambient state.
     let smoke = options.smoke;
     let mut records = Vec::new();
     let mut runs = Vec::new();
@@ -137,7 +137,7 @@ pub struct MatrixOutcome {
     /// Cells executed (`points × seeds × trials`, smoke-shrunk).
     pub cells: usize,
     /// One streaming-summary row per matrix point plus the final
-    /// whole-sweep roll-up row — the `BENCH_pr5.json` payload.
+    /// whole-sweep roll-up row.
     pub records: Vec<SweepRecord>,
     /// The folded deterministic metrics shard: per-cell shards merged
     /// strictly in canonical cell order by the reorder-buffer folder,
@@ -425,6 +425,84 @@ fn run_and_fold(
         Some(e) => Err(e),
         None => Ok((folder.points, folder.metrics)),
     }
+}
+
+/// One streaming summary row from the matrix-sweep executor: either one
+/// matrix point's aggregate over its `seeds × trials` cells
+/// (`row = "point"`) or the whole sweep's roll-up (`row = "sweep"`).
+///
+/// Deliberately **no thread-count field**: the executor's contract is
+/// that a sweep's merged rows are bit-identical at every `--threads`
+/// value, and the rows are what the equivalence suite compares
+/// byte-for-byte.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct SweepRecord {
+    /// Sweep name (the base spec's `name`).
+    pub sweep: String,
+    /// Row kind: `"point"` per matrix point, `"sweep"` for the roll-up.
+    pub row: String,
+    /// Canonical matrix index of the point (row-major over the axes;
+    /// the point count for the `"sweep"` row).
+    pub point_index: usize,
+    /// Human-readable point label
+    /// (`routing|random(n=16,extra=10)|d1j0l0.05|x2`; `"sweep"` for the
+    /// roll-up).
+    pub label: String,
+    /// Protocol of the point (`"*"` for the roll-up).
+    pub protocol: String,
+    /// Topology family of the point (`"*"` for the roll-up).
+    pub family: String,
+    /// Global default link delay of the point (0 for the roll-up).
+    pub delay: u64,
+    /// Global default link jitter of the point (0 for the roll-up).
+    pub jitter: u64,
+    /// Global default link loss of the point (0 for the roll-up).
+    pub loss: f64,
+    /// Random-churn intensity multiplier of the point (0 for the
+    /// roll-up).
+    pub churn_scale: u64,
+    /// Cells folded into this row (`seeds × trials` per point).
+    pub cells: usize,
+    /// Seeds swept (after smoke shrinking).
+    pub seeds: usize,
+    /// Trials per seed (after smoke shrinking).
+    pub trials: usize,
+    /// Convergence observations (one per event row of every cell).
+    pub conv_count: u64,
+    /// Mean convergence ticks.
+    pub conv_mean: f64,
+    /// Population std-dev of convergence ticks.
+    pub conv_std: f64,
+    /// Median convergence ticks (fixed-grid sketch estimate).
+    pub conv_p50: f64,
+    /// 90th-percentile convergence ticks (sketch estimate).
+    pub conv_p90: f64,
+    /// Largest convergence observation.
+    pub conv_max: f64,
+    /// Mean route stretch over cells that delivered at least one
+    /// priced packet (0 when none did — the sentinel `stretch = 0.0`
+    /// of empty or trafficless cells is excluded, since real stretch
+    /// is never below 1).
+    pub stretch_mean: f64,
+    /// 90th-percentile route stretch (sketch estimate, same gating).
+    pub stretch_p90: f64,
+    /// Mean delivery rate over *traffic-carrying* cells
+    /// (`injected > 0`; 0 when the point carries no traffic —
+    /// convergence-only cells' sentinel rate of 1.0 is excluded).
+    pub delivery_mean: f64,
+    /// Worst traffic-carrying cell's delivery rate (same gating).
+    pub delivery_min: f64,
+    /// Total protocol messages across cells.
+    pub messages: u64,
+    /// Total reversals across cells.
+    pub total_reversals: u64,
+    /// Whether every settle phase of every cell quiesced.
+    pub quiesced_all: bool,
+    /// Whether the structural acyclicity invariant held on every row of
+    /// every cell.
+    pub acyclic_all: bool,
+    /// Whether the rows were produced in smoke mode.
+    pub smoke: bool,
 }
 
 /// Identification half of a summary row (the stats half comes from

@@ -218,6 +218,19 @@ mod tests {
     }
 
     #[test]
+    fn random_extra_edges_saturate_at_the_complete_graph() {
+        let spec = TopologySpec::Random {
+            n: 6,
+            extra_edges: usize::MAX,
+            seed: Some(1),
+        };
+        let map = build_instance(&spec, 0).unwrap();
+        assert_eq!(map.graph.edge_count(), 15, "K6");
+        let flat = build_csr_instance(&spec, 0).unwrap();
+        assert_eq!(flat, CsrInstance::from_instance(&map));
+    }
+
+    #[test]
     fn seedless_random_families_follow_the_run_seed() {
         let spec = TopologySpec::Random {
             n: 10,

@@ -1,9 +1,9 @@
 //! Serial/parallel equivalence: the matrix-sweep executor's contract is
 //! that worker count never changes the result. For every protocol, the
 //! sweep at threads ∈ {2, 4, 8} must produce **bit-identical** merged
-//! rows — and byte-identical serialized JSON, the `BENCH_pr5.json`
-//! payload — to the serial sweep at threads = 1. This extends the
-//! PR 3 (`run_engine_parallel`) and PR 4 (scenario determinism)
+//! rows — and byte-identical serialized JSON — to the serial sweep at
+//! threads = 1. This extends the sharded greedy rounds'
+//! (`run_engine_frontier_sharded`) and the scenario determinism
 //! patterns to the new executor.
 
 use lr_scenario::spec::ScenarioSpec;
@@ -45,7 +45,7 @@ fn assert_serial_parallel_equivalent(json: &str) {
         let parallel_json = serde_json::to_string_pretty(&parallel.records).unwrap();
         assert_eq!(
             parallel_json, serial_json,
-            "{threads} threads: serialized BENCH_pr5.json rows must be byte-identical"
+            "{threads} threads: serialized rows must be byte-identical"
         );
         assert_eq!(
             parallel.metrics.render(),

@@ -499,7 +499,7 @@ pub fn model_check_rev_r_prime_opts(n: usize, opts: &McOptions) -> ModelCheckSum
 // ───────────────────── the check battery ─────────────────────
 
 /// One of the eight model checks, for battery-style consumers (the
-/// `lr modelcheck` CLI, `exp_model_check`, CI smoke steps).
+/// `lr modelcheck` CLI, the benchmark, CI smoke steps).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckKind {
     /// [`model_check_newpr`] — E1/E2 invariants + Theorem 4.3.
@@ -533,7 +533,7 @@ impl CheckKind {
         CheckKind::Termination,
     ];
 
-    /// Stable machine-readable key (CLI `--checks`, trajectory records).
+    /// Stable machine-readable key (CLI `--checks`, span names).
     pub fn key(self) -> &'static str {
         match self {
             CheckKind::NewPr => "newpr",

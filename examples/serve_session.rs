@@ -8,8 +8,8 @@
 //!
 //! The same loop backs `lr serve <spec.json>`; this example builds the
 //! spec and feed in code to show the library surface. The rendered
-//! report is bit-identical across runs and `threads` values — only the
-//! `ServeRecord` (not printed here) carries wall-clock fields.
+//! report is bit-identical across runs and `threads` values — only
+//! `ServeReport::elapsed_ns` (not printed here) carries wall-clock time.
 
 use lr_scenario::{parse_feed, run_serve, ScenarioSpec, ServeOptions};
 

@@ -16,10 +16,9 @@
 
 use std::fmt::Write as _;
 
-use lr_core::alg::AlgorithmKind;
+use lr_core::alg::{AlgorithmKind, ReversalEngine};
 use lr_core::engine::{
-    run_engine, run_engine_frontier, run_engine_frontier_sharded, run_engine_parallel,
-    SchedulePolicy, DEFAULT_MAX_STEPS,
+    run_engine_frontier, run_engine_frontier_sharded, SchedulePolicy, DEFAULT_MAX_STEPS,
 };
 use lr_core::invariants::{
     check_acyclic, check_cor_3_3, check_cor_3_4, check_inv_3_1, check_inv_3_2, check_inv_4_1,
@@ -85,23 +84,18 @@ USAGE:
                                       PR and NewPR executions on the instance
     lr dot                            Graphviz DOT of the initial orientation
     lr scenario validate <spec>...    parse + validate scenario spec files
-    lr scenario run <spec>...         run scenario sweeps; rows append to
-                                      BENCH_pr4.json (--smoke: first seed/trial
-                                      only; --no-append: skip the trajectory)
+    lr scenario run <spec>...         run scenario sweeps (--smoke: first
+                                      seed/trial only)
     lr scenario sweep <spec>...       expand the spec's matrix grid and run
                                       every point x seeds x trials cell
                                       (--threads N: parallel workers, merged
-                                      rows bit-identical at any N; --smoke;
-                                      --no-append); summaries append to
-                                      BENCH_pr5.json
+                                      rows bit-identical at any N; --smoke)
     lr modelcheck <n>                 exhaustively model-check the paper's
                                       theorems on every instance of size n
                                       (--threads N: instance fan-out, summaries
                                       bit-identical at any N, LR_MC_THREADS
                                       honored when the flag is absent;
-                                      --checks a,b,..: subset by key;
-                                      --no-append); rows append to
-                                      BENCH_pr6.json
+                                      --checks a,b,..: subset by key)
     lr serve <spec>                   resident service mode: settle the spec's
                                       instance once, keep it live, and serve an
                                       open-loop request stream against it
@@ -115,9 +109,7 @@ USAGE:
                                       override the spec's first seed;
                                       --feed <path|->: newline-JSON events
                                       {\"at\":T, route|fail|heal|crash|restore|
-                                      crash_leader: ...}, `-` reads stdin;
-                                      --smoke marks the row; --no-append);
-                                      rows append to BENCH_pr10.json
+                                      crash_leader: ...}, `-` reads stdin)
     lr obs validate <trace>...        check files are valid Chrome trace_events
                                       JSON (the CI gate over exported traces)
 
@@ -348,24 +340,27 @@ fn cmd_generate(args: &[&str]) -> Result<String, CliError> {
     let (family, rest) = args
         .split_first()
         .ok_or_else(|| err(format!("generate needs a family\n\n{USAGE}")))?;
-    let parse_n = |s: Option<&&str>| -> Result<usize, CliError> {
-        parse_flag_usize("size", s.ok_or_else(|| err("missing size argument"))?, 1)
+    // Every family but the star needs two nodes (a grid of side 1 has
+    // one); the generators assert it.
+    let size = |min: usize| -> Result<usize, CliError> {
+        let value = rest.first().ok_or_else(|| err("missing size argument"))?;
+        parse_flag_usize("size", value, min)
     };
     let seed = rest
         .get(1)
         .map_or(Ok(0u64), |s| parse_flag_u64("seed", s, 0))?;
     let inst = match *family {
-        "chain-away" => generate::chain_away(parse_n(rest.first())?),
-        "chain-toward" => generate::chain_toward(parse_n(rest.first())?),
-        "alternating" => generate::alternating_chain(parse_n(rest.first())?),
-        "star" => generate::star_away(parse_n(rest.first())?),
+        "chain-away" => generate::chain_away(size(2)?),
+        "chain-toward" => generate::chain_toward(size(2)?),
+        "alternating" => generate::alternating_chain(size(2)?),
+        "star" => generate::star_away(size(1)?),
         "grid" => {
-            let n = parse_n(rest.first())?;
+            let n = size(2)?;
             generate::grid_away(n, n)
         }
-        "complete" => generate::complete_away(parse_n(rest.first())?),
+        "complete" => generate::complete_away(size(2)?),
         "random" => {
-            let n = parse_n(rest.first())?;
+            let n = size(2)?;
             generate::random_connected(n, n, seed)
         }
         other => return Err(err(format!("unknown family {other:?}"))),
@@ -445,24 +440,21 @@ fn cmd_run(args: &[&str], stdin: &str) -> Result<String, CliError> {
         ));
     }
     let inst = parse_stdin_instance(stdin)?;
+    let run = |engine: &mut dyn ReversalEngine| {
+        if threads > 1 {
+            run_engine_frontier_sharded(engine, threads, DEFAULT_MAX_STEPS)
+        } else {
+            run_engine_frontier(engine, policy, DEFAULT_MAX_STEPS)
+        }
+    };
     let (stats, orientation) = match engine_choice {
         EngineChoice::Map => {
             let mut engine = kind.engine(&inst);
-            let stats = if threads > 1 {
-                run_engine_parallel(engine.as_mut(), threads, DEFAULT_MAX_STEPS)
-            } else {
-                run_engine(engine.as_mut(), policy, DEFAULT_MAX_STEPS)
-            };
-            (stats, engine.orientation())
+            (run(engine.as_mut()), engine.orientation())
         }
         EngineChoice::Frontier => {
             let mut engine = kind.frontier_engine(CsrInstance::from_instance(&inst));
-            let stats = if threads > 1 {
-                run_engine_frontier_sharded(engine.as_mut(), threads, DEFAULT_MAX_STEPS)
-            } else {
-                run_engine_frontier(engine.as_mut(), policy, DEFAULT_MAX_STEPS)
-            };
-            (stats, engine.orientation())
+            (run(engine.as_mut()), engine.orientation())
         }
     };
     if !stats.terminated {
@@ -555,7 +547,6 @@ fn cmd_check(stdin: &str) -> Result<String, CliError> {
 /// Parsed flags of a `lr scenario <sub>` invocation.
 struct ScenarioFlags {
     smoke: bool,
-    append: bool,
     threads: usize,
     paths: Vec<String>,
 }
@@ -570,7 +561,6 @@ fn parse_scenario_flags(
 ) -> Result<ScenarioFlags, CliError> {
     let mut flags = ScenarioFlags {
         smoke: false,
-        append: true,
         threads: 1,
         paths: Vec::new(),
     };
@@ -590,10 +580,6 @@ fn parse_scenario_flags(
             "--smoke" => {
                 reject("--smoke")?;
                 flags.smoke = true;
-            }
-            "--no-append" => {
-                reject("--no-append")?;
-                flags.append = false;
             }
             "--threads" => {
                 reject("--threads")?;
@@ -624,10 +610,6 @@ fn parse_scenario_flags(
 }
 
 fn cmd_scenario(args: &[&str]) -> Result<String, CliError> {
-    use lr_bench::trajectory::{
-        append_records_to, load_records_from, trajectory_path_named, ScenarioRecord, SweepRecord,
-        SCENARIO_TRAJECTORY, SWEEP_TRAJECTORY,
-    };
     use lr_scenario::spec::ScenarioSpec;
     use lr_scenario::sweep::{
         render_matrix_table, render_table, run_matrix_sweep, run_sweep, MatrixOptions, SweepOptions,
@@ -639,8 +621,8 @@ fn cmd_scenario(args: &[&str]) -> Result<String, CliError> {
         ))
     })?;
     let allowed_flags: &[&str] = match *sub {
-        "run" => &["--smoke", "--no-append"],
-        "sweep" => &["--smoke", "--no-append", "--threads"],
+        "run" => &["--smoke"],
+        "sweep" => &["--smoke", "--threads"],
         "validate" => &[],
         other => {
             return Err(err(format!(
@@ -662,33 +644,6 @@ fn cmd_scenario(args: &[&str]) -> Result<String, CliError> {
         }
         Ok(spec)
     };
-    // Shared tail of `run` and `sweep`: the re-parse gate the CI smoke
-    // steps rely on — whatever was just appended must still read back.
-    // `reparse` supplies the record-type-specific load (serde is not a
-    // direct dependency of this crate, so the type stays at the call
-    // site).
-    fn report_trajectory(
-        out: &mut String,
-        trajectory: &std::path::Path,
-        all_rows: usize,
-        append: bool,
-        noun: &str,
-        reparse: impl Fn(&std::path::Path) -> Result<usize, String>,
-    ) -> Result<(), CliError> {
-        if append {
-            let total =
-                reparse(trajectory).map_err(|e| err(format!("trajectory re-parse failed: {e}")))?;
-            let _ = writeln!(
-                out,
-                "{all_rows} {noun}(s) appended to {} ({total} total, re-parsed OK)",
-                trajectory.display()
-            );
-        } else {
-            let _ = writeln!(out, "{all_rows} {noun}(s) (append skipped)");
-        }
-        Ok(())
-    }
-
     let mut out = String::new();
     match *sub {
         "validate" => {
@@ -713,8 +668,6 @@ fn cmd_scenario(args: &[&str]) -> Result<String, CliError> {
         }
         "run" => {
             let options = SweepOptions { smoke: flags.smoke };
-            let trajectory = trajectory_path_named(SCENARIO_TRAJECTORY);
-            let mut all_rows = 0usize;
             for path in &paths {
                 let spec = load(path, false)?;
                 if spec.matrix.is_some() {
@@ -726,23 +679,13 @@ fn cmd_scenario(args: &[&str]) -> Result<String, CliError> {
                 let _ = writeln!(out, "scenario {:?} ({path})", spec.name);
                 out.push_str(&render_table(&outcome.records));
                 out.push('\n');
-                all_rows += outcome.records.len();
-                if flags.append {
-                    append_records_to(&trajectory, &outcome.records)
-                        .map_err(|e| err(format!("{path}: {e}")))?;
-                }
             }
-            report_trajectory(&mut out, &trajectory, all_rows, flags.append, "row", |p| {
-                load_records_from::<ScenarioRecord>(p).map(|v| v.len())
-            })?;
         }
         "sweep" => {
             let options = MatrixOptions {
                 threads: flags.threads,
                 smoke: flags.smoke,
             };
-            let trajectory = trajectory_path_named(SWEEP_TRAJECTORY);
-            let mut all_rows = 0usize;
             for path in &paths {
                 let spec = load(path, false)?;
                 let outcome =
@@ -758,20 +701,7 @@ fn cmd_scenario(args: &[&str]) -> Result<String, CliError> {
                 );
                 out.push_str(&render_matrix_table(&outcome.records));
                 out.push('\n');
-                all_rows += outcome.records.len();
-                if flags.append {
-                    append_records_to(&trajectory, &outcome.records)
-                        .map_err(|e| err(format!("{path}: {e}")))?;
-                }
             }
-            report_trajectory(
-                &mut out,
-                &trajectory,
-                all_rows,
-                flags.append,
-                "summary row",
-                |p| load_records_from::<SweepRecord>(p).map(|v| v.len()),
-            )?;
         }
         _ => unreachable!("subcommand checked above"),
     }
@@ -781,76 +711,59 @@ fn cmd_scenario(args: &[&str]) -> Result<String, CliError> {
 /// `lr serve <spec>`: the resident service mode. Loads a (non-matrix)
 /// scenario spec, settles its instance, and serves the open-loop
 /// workload — seeded generator plus optional `--feed` newline-JSON
-/// events (`-` reads stdin). One [`ServeRecord`] row appends to the
-/// `BENCH_pr10.json` trajectory unless `--no-append`.
-///
-/// [`ServeRecord`]: lr_bench::trajectory::ServeRecord
+/// events (`-` reads stdin).
 fn cmd_serve(args: &[&str], stdin: &str) -> Result<String, CliError> {
-    use lr_bench::trajectory::{
-        append_records_to, load_records_from, trajectory_path_named, ServeRecord, SERVE_TRAJECTORY,
-    };
     use lr_scenario::serve::{parse_feed, run_serve, ServeOptions};
     use lr_scenario::spec::ScenarioSpec;
 
     let mut options = ServeOptions::default();
-    let mut append = true;
     let mut feed_arg: Option<String> = None;
     let mut path: Option<&str> = None;
     let mut it = args.iter();
     while let Some(&arg) = it.next() {
-        match arg {
-            "--smoke" => options.smoke = true,
-            "--no-append" => append = false,
-            _ => {
-                // Valued flags, `--flag value` or `--flag=value`.
-                let (flag, inline) = match arg.split_once('=') {
-                    Some((f, v)) if f.starts_with("--") => (f, Some(v)),
-                    _ => (arg, None),
-                };
-                let mut value = |what: &str| -> Result<&str, CliError> {
-                    match inline {
-                        Some(v) => Ok(v),
-                        None => it
-                            .next()
-                            .copied()
-                            .ok_or_else(|| err(format!("{flag} needs a value ({what})"))),
-                    }
-                };
-                match flag {
-                    "--rate" => {
-                        options.rate = parse_flag_u64("--rate", value("requests per tick")?, 0)?;
-                    }
-                    "--duration" => {
-                        options.duration = parse_flag_u64("--duration", value("served ticks")?, 1)?;
-                    }
-                    "--threads" => {
-                        options.threads =
-                            parse_flag_usize("--threads", value("worker thread count")?, 1)?;
-                    }
-                    "--batch" => {
-                        options.batch =
-                            parse_flag_usize("--batch", value("admission batch cap")?, 1)?;
-                    }
-                    "--queue" => {
-                        options.queue =
-                            parse_flag_usize("--queue", value("bounded queue capacity")?, 1)?;
-                    }
-                    "--seed" => {
-                        options.seed = Some(parse_flag_u64("--seed", value("base seed")?, 0)?);
-                    }
-                    "--feed" => {
-                        feed_arg =
-                            Some(value("newline-JSON events path, or - for stdin")?.to_string());
-                    }
-                    other if other.starts_with("--") => {
-                        return Err(err(format!("unknown flag {arg:?} for `lr serve`")));
-                    }
-                    _ if path.is_some() => {
-                        return Err(err(format!("unexpected argument {arg:?}")));
-                    }
-                    _ => path = Some(arg),
-                }
+        // Valued flags, `--flag value` or `--flag=value`.
+        let (flag, inline) = match arg.split_once('=') {
+            Some((f, v)) if f.starts_with("--") => (f, Some(v)),
+            _ => (arg, None),
+        };
+        let mut value = |what: &str| -> Result<&str, CliError> {
+            match inline {
+                Some(v) => Ok(v),
+                None => it
+                    .next()
+                    .copied()
+                    .ok_or_else(|| err(format!("{flag} needs a value ({what})"))),
             }
+        };
+        match flag {
+            "--rate" => {
+                options.rate = parse_flag_u64("--rate", value("requests per tick")?, 0)?;
+            }
+            "--duration" => {
+                options.duration = parse_flag_u64("--duration", value("served ticks")?, 1)?;
+            }
+            "--threads" => {
+                options.threads = parse_flag_usize("--threads", value("worker thread count")?, 1)?;
+            }
+            "--batch" => {
+                options.batch = parse_flag_usize("--batch", value("admission batch cap")?, 1)?;
+            }
+            "--queue" => {
+                options.queue = parse_flag_usize("--queue", value("bounded queue capacity")?, 1)?;
+            }
+            "--seed" => {
+                options.seed = Some(parse_flag_u64("--seed", value("base seed")?, 0)?);
+            }
+            "--feed" => {
+                feed_arg = Some(value("newline-JSON events path, or - for stdin")?.to_string());
+            }
+            other if other.starts_with("--") => {
+                return Err(err(format!("unknown flag {arg:?} for `lr serve`")));
+            }
+            _ if path.is_some() => {
+                return Err(err(format!("unexpected argument {arg:?}")));
+            }
+            _ => path = Some(arg),
         }
     }
     let path = path.ok_or_else(|| err(format!("serve needs a scenario spec file\n\n{USAGE}")))?;
@@ -871,23 +784,7 @@ fn cmd_serve(args: &[&str], stdin: &str) -> Result<String, CliError> {
         }
     };
     let report = run_serve(&spec, &options, &feed).map_err(|e| err(format!("{path}: {e}")))?;
-    let mut out = report.render();
-    if append {
-        let trajectory = trajectory_path_named(SERVE_TRAJECTORY);
-        append_records_to(&trajectory, &[report.to_record()])
-            .map_err(|e| err(format!("{path}: {e}")))?;
-        let total = load_records_from::<ServeRecord>(&trajectory)
-            .map_err(|e| err(format!("trajectory re-parse failed: {e}")))?
-            .len();
-        let _ = writeln!(
-            out,
-            "1 row appended to {} ({total} total, re-parsed OK)",
-            trajectory.display()
-        );
-    } else {
-        let _ = writeln!(out, "1 row (append skipped)");
-    }
-    Ok(out)
+    Ok(report.render())
 }
 
 /// Resolves the outer thread count for `lr modelcheck`: the `--threads`
@@ -897,17 +794,12 @@ fn resolve_mc_threads(flag: Option<usize>, env: Option<&str>) -> usize {
 }
 
 fn cmd_modelcheck(args: &[&str]) -> Result<String, CliError> {
-    use lr_bench::mc::{battery_records, run_battery};
-    use lr_bench::trajectory::{
-        append_records_to, load_records_from, trajectory_path_named, ModelCheckRecord,
-        MODEL_CHECK_TRAJECTORY,
-    };
+    use lr_bench::mc::run_battery;
     use lr_simrel::model_check::{CheckKind, McOptions};
 
     let mut n: Option<usize> = None;
     let mut threads_flag: Option<usize> = None;
     let mut checks: Vec<CheckKind> = CheckKind::ALL.to_vec();
-    let mut append = true;
     let parse_threads = |value: &str| parse_flag_usize("--threads", value, 1);
     let parse_checks = |value: &str| -> Result<Vec<CheckKind>, CliError> {
         let kinds: Vec<CheckKind> = value
@@ -931,7 +823,6 @@ fn cmd_modelcheck(args: &[&str]) -> Result<String, CliError> {
     let mut it = args.iter();
     while let Some(&arg) = it.next() {
         match arg {
-            "--no-append" => append = false,
             "--threads" => {
                 let value = it
                     .next()
@@ -1016,23 +907,6 @@ fn cmd_modelcheck(args: &[&str]) -> Result<String, CliError> {
         let _ = writeln!(out, "{}", line.trim_end());
     }
     let _ = writeln!(out);
-
-    let records = battery_records(&battery, "lr-modelcheck", &opts);
-    let trajectory = trajectory_path_named(MODEL_CHECK_TRAJECTORY);
-    if append {
-        append_records_to(&trajectory, &records).map_err(err)?;
-        let total = load_records_from::<ModelCheckRecord>(&trajectory)
-            .map_err(|e| err(format!("trajectory re-parse failed: {e}")))?
-            .len();
-        let _ = writeln!(
-            out,
-            "{} row(s) appended to {} ({total} total, re-parsed OK)",
-            records.len(),
-            trajectory.display()
-        );
-    } else {
-        let _ = writeln!(out, "{} row(s) (append skipped)", records.len());
-    }
 
     if let Some(bad) = battery.iter().find(|r| !r.summary.verified()) {
         return Err(err(format!(
@@ -1152,7 +1026,7 @@ mod tests {
                 seq
             );
         }
-        // Sharding also works on the map substrate (snapshot chunks).
+        // Sharding also works on the map substrate (node ranges).
         let map_par = run_cli(
             &["run", "NewPR", "--engine", "map", "--threads", "2"],
             &inst,
@@ -1226,11 +1100,14 @@ mod tests {
     #[test]
     fn scenario_run_smoke_produces_rows_without_appending() {
         let path = example_spec("partition_heal.json");
-        let out = run_cli(&["scenario", "run", "--smoke", "--no-append", &path], "").unwrap();
+        let out = run_cli(&["scenario", "run", "--smoke", &path], "").unwrap();
         assert!(out.contains("partition-heal"), "{out}");
         assert!(out.contains("[0] start"), "{out}");
         assert!(out.contains("summary"), "{out}");
-        assert!(out.contains("append skipped"), "{out}");
+        assert!(
+            !out.contains("BENCH_"),
+            "rows are printed, never persisted: {out}"
+        );
     }
 
     #[test]
@@ -1239,6 +1116,10 @@ mod tests {
         assert!(run_cli(&["scenario", "frobnicate", "x.json"], "").is_err());
         assert!(run_cli(&["scenario", "validate"], "").is_err());
         assert!(run_cli(&["scenario", "validate", "--smoke", "x.json"], "").is_err());
+        for sub in ["run", "sweep"] {
+            let e = run_cli(&["scenario", sub, "--no-append", "x.json"], "").unwrap_err();
+            assert!(e.0.contains("unknown flag \"--no-append\""), "{e}");
+        }
         let e = run_cli(&["scenario", "run", "/nonexistent/spec.json"], "").unwrap_err();
         assert!(e.0.contains("cannot read"), "{e}");
     }
@@ -1247,7 +1128,7 @@ mod tests {
     fn scenario_sweep_smoke_runs_the_matrix_example() {
         let path = example_spec("matrix_sweep.json");
         for threads_args in [&["--threads", "2"][..], &["--threads=2"][..]] {
-            let mut args = vec!["scenario", "sweep", "--smoke", "--no-append"];
+            let mut args = vec!["scenario", "sweep", "--smoke"];
             args.extend_from_slice(threads_args);
             args.push(&path);
             let out = run_cli(&args, "").unwrap();
@@ -1256,7 +1137,6 @@ mod tests {
                 "{out}"
             );
             assert!(out.contains("2 thread(s)"), "{out}");
-            assert!(out.contains("append skipped"), "{out}");
             // One (right-aligned, hence indented) table row per point
             // plus the whole-sweep roll-up.
             let data_rows = out
@@ -1296,7 +1176,7 @@ mod tests {
     #[test]
     fn scenario_run_redirects_matrix_specs_to_sweep() {
         let path = example_spec("matrix_sweep.json");
-        let e = run_cli(&["scenario", "run", "--smoke", "--no-append", &path], "").unwrap_err();
+        let e = run_cli(&["scenario", "run", "--smoke", &path], "").unwrap_err();
         assert!(e.0.contains("use `lr scenario sweep`"), "{e}");
     }
 
@@ -1320,20 +1200,19 @@ mod tests {
 
     #[test]
     fn modelcheck_verifies_all_3_node_instances() {
-        let out = run_cli(&["modelcheck", "3", "--no-append"], "").unwrap();
+        let out = run_cli(&["modelcheck", "3"], "").unwrap();
         assert!(out.contains("n = 3"), "{out}");
         assert!(out.contains("54"), "all 54 instances: {out}");
         assert!(out.contains("NewPR invariants"), "{out}");
         assert!(out.contains("termination"), "{out}");
         assert!(out.contains("yes"), "{out}");
         assert!(!out.contains(" NO"), "{out}");
-        assert!(out.contains("append skipped"), "{out}");
     }
 
     #[test]
     fn modelcheck_threads_and_checks_flags() {
         for threads_args in [&["--threads", "2"][..], &["--threads=2"][..]] {
-            let mut args = vec!["modelcheck", "3", "--no-append", "--checks", "newpr,r"];
+            let mut args = vec!["modelcheck", "3", "--checks", "newpr,r"];
             args.extend_from_slice(threads_args);
             let out = run_cli(&args, "").unwrap();
             assert!(out.contains("2 thread(s)"), "{out}");
@@ -1341,7 +1220,7 @@ mod tests {
             assert!(out.contains("R simulation"), "{out}");
             assert!(!out.contains("termination"), "--checks subset: {out}");
         }
-        let out = run_cli(&["modelcheck", "3", "--no-append", "--checks=prset"], "").unwrap();
+        let out = run_cli(&["modelcheck", "3", "--checks=prset"], "").unwrap();
         assert!(out.contains("set actions"), "{out}");
     }
 
@@ -1362,8 +1241,10 @@ mod tests {
         assert!(e.0.contains("needs a value"), "{e}");
         let e = run_cli(&["modelcheck", "3", "--checks", "bogus"], "").unwrap_err();
         assert!(e.0.contains("unknown check"), "{e}");
-        let e = run_cli(&["modelcheck", "3", "--frob"], "").unwrap_err();
-        assert!(e.0.contains("unknown flag"), "{e}");
+        for flag in ["--frob", "--no-append"] {
+            let e = run_cli(&["modelcheck", "3", flag], "").unwrap_err();
+            assert!(e.0.contains("unknown flag"), "{e}");
+        }
     }
 
     #[test]
@@ -1452,7 +1333,7 @@ mod tests {
 
     #[test]
     fn modelcheck_with_obs_summary_reports_check_spans() {
-        let out = run_cli(&["modelcheck", "3", "--no-append", "--obs", "summary"], "").unwrap();
+        let out = run_cli(&["modelcheck", "3", "--obs", "summary"], "").unwrap();
         assert!(
             out.contains("all checks passed") || out.contains("n = 3"),
             "{out}"
@@ -1481,13 +1362,12 @@ mod tests {
     fn serve_output_is_deterministic_across_runs_and_threads() {
         let path = serve_spec("det");
         let p = path.to_str().unwrap();
-        let base_args = ["serve", p, "--rate", "5", "--duration", "20", "--no-append"];
+        let base_args = ["serve", p, "--rate", "5", "--duration", "20"];
         let a = run_cli(&base_args, "").unwrap();
         let b = run_cli(&base_args, "").unwrap();
         assert_eq!(a, b, "fixed seed, byte-identical output");
         assert!(a.contains("serve cli-serve:"), "{a}");
         assert!(a.contains("latency (ticks): p50"), "{a}");
-        assert!(a.contains("append skipped"), "{a}");
         for threads in ["2", "4"] {
             let mut args = base_args.to_vec();
             args.extend_from_slice(&["--threads", threads]);
@@ -1503,23 +1383,13 @@ mod tests {
         let p = path.to_str().unwrap();
         let feed = "{\"at\": 2, \"fail\": [0, 1]}\n{\"at\": 6, \"route\": 3}\n";
         let out = run_cli(
-            &[
-                "serve",
-                p,
-                "--rate",
-                "0",
-                "--duration",
-                "8",
-                "--feed",
-                "-",
-                "--no-append",
-            ],
+            &["serve", p, "--rate", "0", "--duration", "8", "--feed", "-"],
             feed,
         )
         .unwrap();
         assert!(out.contains("feed 1"), "one feed route offered: {out}");
         assert!(out.contains("churn events applied 1"), "{out}");
-        let bad = run_cli(&["serve", p, "--feed", "-", "--no-append"], "not json").unwrap_err();
+        let bad = run_cli(&["serve", p, "--feed", "-"], "not json").unwrap_err();
         assert!(bad.0.contains("feed line 1"), "{bad}");
         let _ = std::fs::remove_file(&path);
     }
@@ -1539,8 +1409,10 @@ mod tests {
         );
         let e = run_cli(&["serve", p, "--duration=0"], "").unwrap_err();
         assert!(e.0.contains("--duration must be at least 1"), "{e}");
-        let e = run_cli(&["serve", p, "--frob"], "").unwrap_err();
-        assert!(e.0.contains("unknown flag"), "{e}");
+        for flag in ["--frob", "--smoke", "--no-append"] {
+            let e = run_cli(&["serve", p, flag], "").unwrap_err();
+            assert!(e.0.contains("unknown flag"), "{flag}: {e}");
+        }
         let e = run_cli(&["serve", p, p], "").unwrap_err();
         assert!(e.0.contains("unexpected argument"), "{e}");
         let e = run_cli(&["serve", "/nonexistent/spec.json"], "").unwrap_err();
@@ -1560,7 +1432,6 @@ mod tests {
                 "3",
                 "--duration",
                 "10",
-                "--no-append",
                 "--obs",
                 "summary",
             ],

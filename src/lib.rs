@@ -62,8 +62,8 @@ pub mod prelude {
         ReversalEngine, TripleHeightsEngine,
     };
     pub use lr_core::engine::{
-        run_engine, run_engine_frontier, run_engine_frontier_sharded, run_engine_parallel,
-        run_to_destination_oriented, RunStats, SchedulePolicy, DEFAULT_MAX_STEPS,
+        run_engine, run_engine_frontier, run_engine_frontier_sharded, run_to_destination_oriented,
+        RunStats, SchedulePolicy, DEFAULT_MAX_STEPS,
     };
     pub use lr_core::invariants;
     pub use lr_core::{StepOutcome, StepScratch};

@@ -205,9 +205,8 @@ fn scenario_validate_and_smoke_run_the_shipped_examples() {
     assert!(ok, "validate failed: {stderr}");
     assert_eq!(out.matches(": OK").count(), specs.len(), "{out}");
 
-    // Smoke run without touching the committed trajectory. Specs with
-    // a matrix section go through `scenario sweep` instead (and `run`
-    // refuses them, tested elsewhere). Classified structurally —
+    // Smoke run. Specs with a matrix section go through `scenario
+    // sweep` instead (and `run` refuses them, tested elsewhere). Classified structurally —
     // parsed, not substring-matched — so a spec merely *named*
     // "matrix" would still be routed to `run`.
     let (matrix_specs, run_specs): (Vec<&String>, Vec<&String>) = specs.iter().partition(|p| {
@@ -219,7 +218,7 @@ fn scenario_validate_and_smoke_run_the_shipped_examples() {
     });
     assert!(!run_specs.is_empty(), "plain example scenarios shipped");
     assert!(!matrix_specs.is_empty(), "a matrix example is shipped");
-    let mut args = vec!["scenario", "run", "--smoke", "--no-append"];
+    let mut args = vec!["scenario", "run", "--smoke"];
     args.extend(run_specs.iter().map(|s| s.as_str()));
     let (out, stderr, ok) = run_with_stdin(&args, "");
     assert!(ok, "smoke run failed: {stderr}");
@@ -230,7 +229,6 @@ fn scenario_validate_and_smoke_run_the_shipped_examples() {
         );
     }
     assert!(out.contains("summary"));
-    assert!(out.contains("append skipped"));
 }
 
 #[test]
@@ -243,15 +241,7 @@ fn scenario_sweep_expands_the_matrix_example_to_the_expected_cells() {
     // churn_scale×2 = 24 points; smoke mode runs one cell per point.
     let expected_points = 2 * 3 * 2 * 2;
     let (out, stderr, ok) = run_with_stdin(
-        &[
-            "scenario",
-            "sweep",
-            "--smoke",
-            "--no-append",
-            "--threads",
-            "2",
-            &spec_path,
-        ],
+        &["scenario", "sweep", "--smoke", "--threads", "2", &spec_path],
         "",
     );
     assert!(ok, "sweep failed: {stderr}");
@@ -275,7 +265,6 @@ fn scenario_sweep_expands_the_matrix_example_to_the_expected_cells() {
         expected_points,
         "smoke = one cell per point: {summary}"
     );
-    assert!(out.contains("summary row(s) (append skipped)"), "{out}");
 }
 
 #[test]
@@ -294,6 +283,43 @@ fn scenario_rejects_malformed_spec_files_with_path_errors() {
     let _ = std::fs::remove_file(&bad);
 }
 
+/// A topology whose half-edges overflow the u32 slot index is a spec
+/// error at `topology`, exit 1 — never a generator panic (exit 101) or
+/// an attempt to allocate the graph.
+#[test]
+fn scenario_rejects_topologies_over_the_slot_capacity() {
+    for (tag, topology) in [
+        (
+            "grid",
+            r#"{"family": "grid", "rows": 100000, "cols": 100000}"#,
+        ),
+        ("star", r#"{"family": "star", "leaves": 5000000000}"#),
+        ("tree", r#"{"family": "tree", "depth": 100}"#),
+    ] {
+        let spec =
+            std::env::temp_dir().join(format!("lr_bin_capacity_{tag}_{}.json", std::process::id()));
+        std::fs::write(
+            &spec,
+            format!(r#"{{"name": "too-big", "topology": {topology}}}"#),
+        )
+        .unwrap();
+        let spec_s = spec.to_str().unwrap();
+        for args in [
+            &["scenario", "validate", spec_s][..],
+            &["scenario", "run", spec_s][..],
+            &["serve", spec_s][..],
+        ] {
+            let out = lr().args(args).output().expect("binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(stderr.starts_with("error:"), "{args:?}: {stderr}");
+            assert!(stderr.contains("topology: "), "{args:?}: {stderr}");
+            assert!(stderr.contains("slot-index capacity"), "{args:?}: {stderr}");
+        }
+        let _ = std::fs::remove_file(&spec);
+    }
+}
+
 #[test]
 fn bad_input_fails_with_message_and_nonzero_exit() {
     let (_, stderr, ok) = run_with_stdin(&["run", "PR"], "garbage input");
@@ -307,6 +333,43 @@ fn bad_input_fails_with_message_and_nonzero_exit() {
     let (_, stderr, ok) = run_with_stdin(&["run", "NOPE"], "dest 0\n0 > 1\n");
     assert!(!ok);
     assert!(stderr.contains("unknown algorithm"));
+}
+
+/// Sizes a generator cannot build are a clean `error:` with exit 1, not
+/// a generator assert (exit 101); the star alone is valid at size 1.
+#[test]
+fn generate_rejects_sizes_below_the_family_minimum() {
+    for family in [
+        "chain-away",
+        "chain-toward",
+        "alternating",
+        "grid",
+        "complete",
+        "random",
+    ] {
+        for size in ["0", "1"] {
+            let out = lr()
+                .args(["generate", family, size])
+                .output()
+                .expect("binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{family} {size}: {stderr}");
+            assert_eq!(
+                stderr.trim_end(),
+                format!("error: size must be at least 2, got \"{size}\""),
+                "{family} {size}"
+            );
+        }
+        let (instance, stderr, ok) = run_with_stdin(&["generate", family, "2"], "");
+        assert!(ok, "{family} 2: {stderr}");
+        assert!(instance.starts_with("dest 0"), "{family} 2: {instance}");
+    }
+    let (instance, stderr, ok) = run_with_stdin(&["generate", "star", "1"], "");
+    assert!(ok, "star 1: {stderr}");
+    assert!(instance.starts_with("dest 0"), "{instance}");
+    let out = lr().args(["generate", "star", "0"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("size must be at least 1"));
 }
 
 /// Satellite contract of the shared numeric-flag parser, end-to-end:
@@ -364,7 +427,6 @@ fn serve_is_byte_identical_across_runs_and_thread_counts() {
             "30",
             "--threads",
             threads,
-            "--no-append",
         ]
     };
     let (base, stderr, ok) = run_with_stdin(&args("1"), "");
@@ -382,7 +444,7 @@ fn serve_is_byte_identical_across_runs_and_thread_counts() {
     let _ = std::fs::remove_file(&spec);
 }
 
-/// The CI serve-smoke pipeline end-to-end: a feed-driven smoke run with
+/// The CI serve-smoke pipeline end-to-end: a feed-driven run with
 /// `--obs chrome` exports a trace that `lr obs validate` accepts.
 #[test]
 fn serve_smoke_with_chrome_trace_round_trips_through_validate() {
@@ -402,8 +464,6 @@ fn serve_smoke_with_chrome_trace_round_trips_through_validate() {
             "20",
             "--feed",
             "-",
-            "--smoke",
-            "--no-append",
             "--obs",
             "chrome",
             "--obs-out",
@@ -430,18 +490,16 @@ fn serve_smoke_with_chrome_trace_round_trips_through_validate() {
 /// the flag is absent (both paths must report the same instance totals).
 #[test]
 fn modelcheck_battery_verifies_through_the_binary() {
-    let (stdout, stderr, ok) =
-        run_with_stdin(&["modelcheck", "3", "--threads", "2", "--no-append"], "");
+    let (stdout, stderr, ok) = run_with_stdin(&["modelcheck", "3", "--threads", "2"], "");
     assert!(ok, "modelcheck failed: {stderr}");
     assert!(stdout.contains("n = 3"), "{stdout}");
     assert!(stdout.contains("2 thread(s)"), "{stdout}");
-    assert!(stdout.contains("append skipped"), "{stdout}");
     assert!(!stdout.contains(" NO"), "{stdout}");
 
     let mut child = lr();
     child.env("LR_MC_THREADS", "2");
     let out = child
-        .args(["modelcheck", "3", "--checks", "newpr", "--no-append"])
+        .args(["modelcheck", "3", "--checks", "newpr"])
         .output()
         .expect("binary runs");
     assert!(out.status.success());
