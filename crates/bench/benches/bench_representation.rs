@@ -3,10 +3,10 @@
 //! Two groups:
 //!
 //! * `ablation/representation` — the paper's mirrored `dir[u,v]` slots +
-//!   neighbor lists (PrEngine) versus the compact Gafni–Bertsekas triple
-//!   heights (TripleHeightsEngine) versus labeled links (BllEngine), all
-//!   computing the same executions through the incremental run loop, at
-//!   n ∈ {64, 256, 1024, 4096}.
+//!   neighbor lists (FrontierPrEngine) versus the compact Gafni–Bertsekas
+//!   triple heights (FrontierTripleHeightsEngine) versus labeled links
+//!   (FrontierBllEngine), all computing the same executions through the
+//!   incremental run loop, at n ∈ {64, 256, 1024, 4096}.
 //! * `representation/scan_vs_incremental` — the retained pre-refactor
 //!   naive-scan loop ([`run_engine_scan`], O(n·Δ) per step) against the
 //!   incremental enabled-set loop ([`run_engine`], O(Δ + s) per
@@ -15,9 +15,11 @@
 //!   seconds per run there, which is the point.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lr_core::alg::{BllEngine, BllLabeling, PrEngine, ReversalEngine, TripleHeightsEngine};
+use lr_core::alg::{
+    BllLabeling, FrontierBllEngine, FrontierPrEngine, FrontierTripleHeightsEngine, ReversalEngine,
+};
 use lr_core::engine::{run_engine, run_engine_scan, SchedulePolicy, DEFAULT_MAX_STEPS};
-use lr_graph::generate;
+use lr_graph::stream;
 
 fn run_all(engine: &mut dyn ReversalEngine) -> usize {
     let stats = run_engine(engine, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
@@ -28,20 +30,20 @@ fn run_all(engine: &mut dyn ReversalEngine) -> usize {
 fn bench_representations(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/representation");
     for n in [64usize, 256, 1024, 4096] {
-        let inst = generate::alternating_chain(n + 1);
+        let inst = stream::alternating_chain(n + 1);
         group.bench_with_input(
             BenchmarkId::new("mirrored_dirs_lists", n),
             &inst,
             |b, inst| {
                 b.iter(|| {
-                    let mut e = PrEngine::new(inst);
+                    let mut e = FrontierPrEngine::new(inst.clone());
                     run_all(&mut e)
                 })
             },
         );
         group.bench_with_input(BenchmarkId::new("triple_heights", n), &inst, |b, inst| {
             b.iter(|| {
-                let mut e = TripleHeightsEngine::new(inst);
+                let mut e = FrontierTripleHeightsEngine::new(inst.clone());
                 run_all(&mut e)
             })
         });
@@ -50,7 +52,7 @@ fn bench_representations(c: &mut Criterion) {
             &inst,
             |b, inst| {
                 b.iter(|| {
-                    let mut e = BllEngine::new(inst, BllLabeling::PartialReversal);
+                    let mut e = FrontierBllEngine::new(inst.clone(), BllLabeling::PartialReversal);
                     run_all(&mut e)
                 })
             },
@@ -62,10 +64,10 @@ fn bench_representations(c: &mut Criterion) {
 fn bench_scan_vs_incremental(c: &mut Criterion) {
     let mut group = c.benchmark_group("representation/scan_vs_incremental");
     for n in [64usize, 256, 1024, 4096] {
-        let inst = generate::alternating_chain(n + 1);
+        let inst = stream::alternating_chain(n + 1);
         group.bench_with_input(BenchmarkId::new("incremental", n), &inst, |b, inst| {
             b.iter(|| {
-                let mut e = PrEngine::new(inst);
+                let mut e = FrontierPrEngine::new(inst.clone());
                 let stats = run_engine(&mut e, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
                 assert!(stats.terminated);
                 stats.steps
@@ -74,7 +76,7 @@ fn bench_scan_vs_incremental(c: &mut Criterion) {
         if n <= 1024 {
             group.bench_with_input(BenchmarkId::new("scan", n), &inst, |b, inst| {
                 b.iter(|| {
-                    let mut e = PrEngine::new(inst);
+                    let mut e = FrontierPrEngine::new(inst.clone());
                     let stats =
                         run_engine_scan(&mut e, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
                     assert!(stats.terminated);

@@ -9,11 +9,8 @@
 //! cargo run --release -p lr-bench --bin exp_equivalence
 //! ```
 
-use lr_core::alg::{
-    BllEngine, BllLabeling, FullReversalEngine, PairHeightsEngine, PrEngine, ReversalEngine,
-    TripleHeightsEngine,
-};
-use lr_graph::generate;
+use lr_core::alg::{BllLabeling, FrontierFamily};
+use lr_graph::{stream, CsrInstance};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -24,7 +21,8 @@ struct Row {
     verdict: &'static str,
 }
 
-fn lockstep(mut engines: Vec<Box<dyn ReversalEngine + '_>>, pick_last: bool) -> usize {
+fn lockstep(inst: &CsrInstance, families: [FrontierFamily; 3], pick_last: bool) -> usize {
+    let mut engines = families.map(|family| family.engine(inst.clone()));
     let mut steps = 0;
     loop {
         let enabled = engines[0].enabled().to_vec();
@@ -58,20 +56,22 @@ fn main() {
     let mut fr_steps = 0usize;
     for seed in 0..trials as u64 {
         let n = 10 + (seed % 30) as usize;
-        let inst = generate::random_connected(n, n + seed as usize % 20, 40_000 + seed);
+        let inst = stream::random_connected(n, n + seed as usize % 20, 40_000 + seed);
         pr_steps += lockstep(
-            vec![
-                Box::new(PrEngine::new(&inst)),
-                Box::new(TripleHeightsEngine::new(&inst)),
-                Box::new(BllEngine::new(&inst, BllLabeling::PartialReversal)),
+            &inst,
+            [
+                FrontierFamily::PartialReversal,
+                FrontierFamily::TripleHeights,
+                FrontierFamily::Bll(BllLabeling::PartialReversal),
             ],
             seed % 2 == 0,
         );
         fr_steps += lockstep(
-            vec![
-                Box::new(FullReversalEngine::new(&inst)),
-                Box::new(PairHeightsEngine::new(&inst)),
-                Box::new(BllEngine::new(&inst, BllLabeling::FullReversal)),
+            &inst,
+            [
+                FrontierFamily::FullReversal,
+                FrontierFamily::PairHeights,
+                FrontierFamily::Bll(BllLabeling::FullReversal),
             ],
             seed % 2 == 1,
         );

@@ -10,19 +10,19 @@
 //! description: each node holds one bit per incident link, a stepping sink
 //! reverses exactly its 1-labeled links (all links if none is labeled 1),
 //! and a [`BllLabeling`] policy decides how labels evolve. The two stock
-//! policies instantiate Partial Reversal and Full Reversal, and the test
-//! suite verifies each against the direct implementation step-by-step.
+//! policies instantiate Partial Reversal and Full Reversal, and the
+//! lockstep suite verifies each against the paper's automaton for its
+//! target step by step.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use lr_graph::{CsrGraph, CsrInstance, NodeId, Orientation, ReversalInstance};
+use lr_graph::{CsrGraph, CsrInstance, NodeId, Orientation};
 
 use crate::alg::frontier::{count_bits_in_range, set_bits_in_range};
 use crate::alg::{FrontierEngine, ReversalEngine};
 use crate::{EnabledTracker, MirroredDirs, PlanAux, StepOutcome, StepScratch};
 
-/// A label-update policy for [`BllEngine`].
+/// A label-update policy for [`FrontierBllEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BllLabeling {
     /// Partial Reversal labels: `μ_u(v) = 1` iff `v` has **not** reversed
@@ -35,175 +35,13 @@ pub enum BllLabeling {
     FullReversal,
 }
 
-/// BLL state: edge directions plus one bit per ordered adjacent pair.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct BllState {
-    /// The `dir[u, v]` variables.
-    pub dirs: MirroredDirs,
-    /// `μ_u(v)` for each ordered adjacent pair `(u, v)`.
-    pub labels: BTreeMap<(NodeId, NodeId), bool>,
-}
-
-impl BllState {
-    /// The initial state: all labels 1 under either policy (the PR list
-    /// starts empty; FR labels are constantly 1).
-    pub fn initial(inst: &ReversalInstance) -> Self {
-        let mut labels = BTreeMap::new();
-        for (u, v) in inst.graph.edges() {
-            labels.insert((u, v), true);
-            labels.insert((v, u), true);
-        }
-        BllState {
-            dirs: MirroredDirs::from_instance(inst),
-            labels,
-        }
-    }
-
-    /// The label `μ_u(v)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `{u, v}` is not an edge.
-    pub fn label(&self, u: NodeId, v: NodeId) -> bool {
-        *self
-            .labels
-            .get(&(u, v))
-            .unwrap_or_else(|| panic!("no edge between {u} and {v}"))
-    }
-}
-
-/// The labeled-reversal engine.
-#[derive(Debug, Clone)]
-pub struct BllEngine<'a> {
-    inst: &'a ReversalInstance,
-    labeling: BllLabeling,
-    state: BllState,
-    tracker: EnabledTracker,
-}
-
-impl<'a> BllEngine<'a> {
-    /// Creates the engine with the given labeling policy.
-    pub fn new(inst: &'a ReversalInstance, labeling: BllLabeling) -> Self {
-        let state = BllState::initial(inst);
-        let tracker = EnabledTracker::from_dirs(&state.dirs, inst.dest);
-        BllEngine {
-            inst,
-            labeling,
-            state,
-            tracker,
-        }
-    }
-
-    /// Read access to the current state.
-    pub fn state(&self) -> &BllState {
-        &self.state
-    }
-
-    /// The labeling policy.
-    pub fn labeling(&self) -> BllLabeling {
-        self.labeling
-    }
-}
-
-impl ReversalEngine for BllEngine<'_> {
-    fn instance(&self) -> Option<&ReversalInstance> {
-        Some(self.inst)
-    }
-
-    fn dest(&self) -> NodeId {
-        self.inst.dest
-    }
-
-    fn csr(&self) -> &Arc<CsrGraph> {
-        self.state.dirs.csr()
-    }
-
-    fn algorithm_name(&self) -> &'static str {
-        match self.labeling {
-            BllLabeling::PartialReversal => "BLL[PR]",
-            BllLabeling::FullReversal => "BLL[FR]",
-        }
-    }
-
-    fn is_sink(&self, u: NodeId) -> bool {
-        self.state.dirs.is_sink(u)
-    }
-
-    fn enabled(&self) -> &[NodeId] {
-        self.tracker.enabled()
-    }
-
-    fn plan_step(&self, u: NodeId, scratch: &mut StepScratch) -> StepOutcome {
-        assert_ne!(u, self.inst.dest, "destination {u} never takes steps");
-        assert!(
-            self.is_sink(u),
-            "reverse({u}) precondition: {u} must be a sink"
-        );
-        let csr = self.state.dirs.csr();
-        let ui = csr.index_of(u).expect("sink is a node");
-        // A stepping sink reverses exactly its 1-labeled links — all
-        // links if none is labeled 1. Two label passes instead of an
-        // intermediate `one_labeled` vector.
-        let any_one = csr
-            .slots(ui)
-            .any(|slot| self.state.label(u, csr.node(csr.target(slot))));
-        scratch.clear();
-        for slot in csr.slots(ui) {
-            let v = csr.node(csr.target(slot));
-            if !any_one || self.state.label(u, v) {
-                scratch.reversed.push(v);
-            }
-        }
-        StepOutcome {
-            node_idx: ui,
-            reversal_count: scratch.reversed.len(),
-            dummy: false,
-        }
-    }
-
-    fn apply_planned(&mut self, u: NodeId, reversed: &[NodeId], _aux: PlanAux) {
-        let ui = self.state.dirs.csr().index_of(u).expect("planned node");
-        self.state.dirs.reverse_all_outward_at(ui, reversed);
-        if self.labeling == BllLabeling::PartialReversal {
-            for &v in reversed {
-                // v records that u reversed toward it.
-                self.state.labels.insert((v, u), false);
-            }
-            // u forgets its history (list[u] := ∅ ⇒ all labels 1). Every
-            // (u, v) key already exists, so these are in-place updates.
-            let inst = self.inst;
-            for v in inst.graph.neighbors(u) {
-                self.state.labels.insert((u, v), true);
-            }
-        }
-        self.tracker.record_step(self.state.dirs.csr(), u, reversed);
-    }
-
-    fn orientation(&self) -> Orientation {
-        self.state.dirs.orientation()
-    }
-
-    fn begin_round(&mut self) {
-        self.tracker.begin_batch();
-    }
-
-    fn end_round(&mut self) {
-        self.tracker.end_batch();
-    }
-
-    fn reset(&mut self) {
-        self.state = BllState::initial(self.inst);
-        self.tracker = EnabledTracker::from_dirs(&self.state.dirs, self.inst.dest);
-    }
-}
-
 /// BLL over a flat [`CsrInstance`]: the `μ_u(v)` labels are one bit per
-/// half-edge slot (the bit of slot `(u, v)` holds `μ_u(v)`), so the
-/// map engine's worst-offending `BTreeMap<(NodeId, NodeId), bool>` —
-/// one red-black-tree probe per label read and write — becomes masked
-/// word reads, and the "`u` forgets its history" reset is a ranged bit
-/// fill over `u`'s slot range. Step-for-step identical to [`BllEngine`]
-/// under both labeling policies (differential suite).
+/// half-edge slot (the bit of slot `(u, v)` holds `μ_u(v)`), so a label
+/// read or write is a masked word access, and the "`u` forgets its
+/// history" reset is a ranged bit fill over `u`'s slot range.
+/// Step-for-step identical to [`crate::alg::OneStepPrAutomaton`] under
+/// the PR labeling and to [`crate::alg::FullReversalAutomaton`] under the
+/// FR labeling (the lockstep suite).
 #[derive(Debug, Clone)]
 pub struct FrontierBllEngine {
     /// The initial configuration, retained for [`ReversalEngine::reset`].
@@ -250,8 +88,6 @@ impl FrontierBllEngine {
 }
 
 impl ReversalEngine for FrontierBllEngine {
-    // `instance()` stays the default `None`: no map-backed state exists.
-
     fn dest(&self) -> NodeId {
         self.init.dest()
     }
@@ -372,116 +208,37 @@ impl FrontierEngine for FrontierBllEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alg::{FullReversalEngine, PrEngine};
-    use lr_graph::{generate, DirectedView};
+    use lr_graph::{generate, stream, DirectedView};
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
     }
 
-    #[test]
-    fn initial_labels_all_one() {
-        let inst = generate::chain_away(4);
-        let s = BllState::initial(&inst);
-        for (u, v) in inst.graph.edges() {
-            assert!(s.label(u, v));
-            assert!(s.label(v, u));
-        }
+    fn all_labels_one(e: &FrontierBllEngine) -> bool {
+        (0..e.init.half_edge_count()).all(|slot| e.label_at(slot))
     }
 
     #[test]
-    fn pr_labeling_clears_neighbor_labels() {
-        let inst = generate::chain_away(3);
-        let mut e = BllEngine::new(&inst, BllLabeling::PartialReversal);
-        e.step(n(2));
-        // Node 1's label for 2 dropped: 2 reversed toward it.
-        assert!(!e.state().label(n(1), n(2)));
-        // Node 2's own labels reset to 1.
-        assert!(e.state().label(n(2), n(1)));
+    fn initial_labels_all_one() {
+        for labeling in [BllLabeling::PartialReversal, BllLabeling::FullReversal] {
+            assert!(all_labels_one(&FrontierBllEngine::new(
+                stream::chain_away(4),
+                labeling
+            )));
+        }
     }
 
     #[test]
     fn fr_labeling_never_changes() {
-        let inst = generate::chain_away(3);
-        let mut e = BllEngine::new(&inst, BllLabeling::FullReversal);
+        let mut e = FrontierBllEngine::new(stream::chain_away(3), BllLabeling::FullReversal);
         e.step(n(2));
-        for (u, v) in inst.graph.edges() {
-            assert!(e.state().label(u, v));
-            assert!(e.state().label(v, u));
-        }
+        assert!(all_labels_one(&e));
     }
 
     #[test]
-    fn bll_pr_equals_one_step_pr() {
-        for seed in 0..8 {
-            let inst = generate::random_connected(11, 8, 200 + seed);
-            let mut bll = BllEngine::new(&inst, BllLabeling::PartialReversal);
-            let mut pr = PrEngine::new(&inst);
-            let mut steps = 0;
-            loop {
-                assert_eq!(bll.enabled(), pr.enabled());
-                let Some(&u) = bll.enabled().first() else {
-                    break;
-                };
-                let a = bll.step(u);
-                let b = pr.step(u);
-                assert_eq!(a.reversed, b.reversed, "seed {seed} node {u}");
-                steps += 1;
-                assert!(steps < 100_000);
-            }
-            assert_eq!(bll.orientation(), pr.orientation());
-        }
-    }
-
-    #[test]
-    fn bll_fr_equals_full_reversal() {
-        for seed in 0..8 {
-            let inst = generate::random_connected(11, 8, 300 + seed);
-            let mut bll = BllEngine::new(&inst, BllLabeling::FullReversal);
-            let mut fr = FullReversalEngine::new(&inst);
-            let mut steps = 0;
-            loop {
-                assert_eq!(bll.enabled(), fr.enabled());
-                let Some(&u) = bll.enabled().last() else {
-                    break;
-                };
-                let a = bll.step(u);
-                let b = fr.step(u);
-                assert_eq!(a.reversed, b.reversed);
-                steps += 1;
-                assert!(steps < 100_000);
-            }
-            assert_eq!(bll.orientation(), fr.orientation());
-        }
-    }
-
-    #[test]
-    fn frontier_bll_matches_map_engine_step_for_step_under_both_policies() {
-        for labeling in [BllLabeling::PartialReversal, BllLabeling::FullReversal] {
-            for seed in 0..4 {
-                let inst = generate::random_connected(20, 15, 900 + seed);
-                let flat = lr_graph::stream::random_connected(20, 15, 900 + seed);
-                let mut a = FrontierBllEngine::new(flat, labeling);
-                let mut b = BllEngine::new(&inst, labeling);
-                let mut steps = 0;
-                loop {
-                    assert_eq!(a.enabled(), b.enabled(), "{labeling:?} seed {seed}");
-                    let Some(&u) = a.enabled().first() else { break };
-                    let sa = a.step(u);
-                    let sb = b.step(u);
-                    assert_eq!(sa, sb, "{labeling:?} seed {seed} step {steps}");
-                    steps += 1;
-                    assert!(steps < 100_000);
-                }
-                assert_eq!(a.orientation(), b.orientation());
-            }
-        }
-    }
-
-    #[test]
-    fn frontier_bll_pr_labeling_clears_and_resets_like_the_map_state() {
-        let flat = lr_graph::stream::chain_away(3);
-        let csr = std::sync::Arc::clone(flat.csr());
+    fn frontier_bll_pr_labeling_clears_and_resets_labels() {
+        let flat = stream::chain_away(3);
+        let csr = Arc::clone(flat.csr());
         let mut e = FrontierBllEngine::new(flat, BllLabeling::PartialReversal);
         e.step(n(2));
         // Node 1's label for 2 dropped: slot (1, 2) is the second slot of
@@ -498,10 +255,7 @@ mod tests {
 
     #[test]
     fn frontier_bll_reset_restores_initial() {
-        let mut e = FrontierBllEngine::new(
-            lr_graph::stream::chain_away(5),
-            BllLabeling::PartialReversal,
-        );
+        let mut e = FrontierBllEngine::new(stream::chain_away(5), BllLabeling::PartialReversal);
         let fresh = e.clone();
         e.step(n(4));
         e.reset();
@@ -514,7 +268,7 @@ mod tests {
     fn bll_preserves_acyclicity_under_both_policies() {
         let inst = generate::random_connected(10, 10, 77);
         for labeling in [BllLabeling::PartialReversal, BllLabeling::FullReversal] {
-            let mut e = BllEngine::new(&inst, labeling);
+            let mut e = FrontierBllEngine::new(CsrInstance::from_instance(&inst), labeling);
             let mut steps = 0;
             while let Some(&u) = e.enabled().first() {
                 e.step(u);

@@ -5,9 +5,9 @@
 //! and bit-packed per-slot words, the enabled set is the incremental
 //! [`EnabledTracker`] worklist, and no map-backed
 //! [`lr_graph::ReversalInstance`] is ever materialized. One such engine
-//! exists per algorithm family; [`FrontierFamily`] is the dispatch
-//! enum that constructs them (and their map-backed differential
-//! references) uniformly:
+//! exists per algorithm family, and it is the only engine of its family;
+//! [`FrontierFamily`] is the dispatch enum that constructs them
+//! uniformly:
 //!
 //! | family | engine | flat per-node/per-slot state |
 //! |---|---|---|
@@ -36,28 +36,30 @@
 //! Nothing in any engine's steady state is proportional to anything but
 //! the CSR arrays (≈ 8 bytes/half-edge) and a few bitsets and per-node
 //! words (≈ 0.4 bytes/half-edge + ~8–24 bytes/node), so a
-//! 1,000,000-node instance runs in tens of megabytes where the
-//! map-backed frontend would need gigabytes. The differential suite
-//! (`tests/frontier_differential.rs`) pins every family step-for-step
-//! to its map engine on every tested size and schedule.
+//! 1,000,000-node instance runs in tens of megabytes. The oracle is the
+//! paper's own automata: the lockstep suite (`tests/end_to_end.rs` at
+//! the workspace root) runs FR, GB-pair and BLL\[FR\] beside
+//! [`super::FullReversalAutomaton`], PR, GB-triple and BLL\[PR\] beside
+//! [`super::OneStepPrAutomaton`], and NewPR beside
+//! [`super::NewPrAutomaton`], comparing enabled sets and orientations
+//! at every step.
 
 use std::sync::Arc;
 
 use lr_graph::{CsrGraph, CsrInstance, NodeId, Orientation};
 
 use crate::alg::{
-    AlgorithmKind, BllEngine, BllLabeling, FrontierBllEngine, FrontierFrEngine,
-    FrontierNewPrEngine, FrontierPairHeightsEngine, FrontierTripleHeightsEngine, ReversalEngine,
+    AlgorithmKind, BllLabeling, FrontierBllEngine, FrontierFrEngine, FrontierNewPrEngine,
+    FrontierPairHeightsEngine, FrontierTripleHeightsEngine, ReversalEngine,
 };
 use crate::{EnabledTracker, MirroredDirs, PlanAux, StepOutcome, StepScratch};
 
 /// A [`ReversalEngine`] whose entire steady state is flat: CSR-indexed
 /// arrays and bit-packed per-slot words, with the incremental
 /// [`EnabledTracker`] as its worklist. Implementors never materialize a
-/// map-backed instance ([`ReversalEngine::instance`] stays `None`), so
-/// they are the only engines that run at million-node scale; construct
-/// them through [`FrontierFamily::engine`] (or
-/// [`AlgorithmKind::frontier_engine`]) to get the fast path by default.
+/// map-backed instance, which is what lets them run at million-node
+/// scale; construct them through [`FrontierFamily::engine`] (or
+/// [`AlgorithmKind::engine`] from a map-backed instance).
 pub trait FrontierEngine: ReversalEngine {
     /// The retained initial configuration (shared CSR + one direction
     /// bit per half-edge) the engine was built from and resets to.
@@ -74,10 +76,7 @@ pub trait FrontierEngine: ReversalEngine {
 /// [`AlgorithmKind`] extended with the BLL automaton (which the kind
 /// enum excludes because one BLL engine exists per labeling rule).
 ///
-/// [`FrontierFamily::engine`] builds the flat engine,
-/// [`FrontierFamily::map_engine`] the map-backed differential
-/// reference; the two are step-for-step identical by the frontier
-/// differential suite.
+/// [`FrontierFamily::engine`] builds the family's flat engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum FrontierFamily {
@@ -99,7 +98,7 @@ pub enum FrontierFamily {
 impl FrontierFamily {
     /// Every family, with `BLL[PR]` as the canonical BLL entry (the
     /// `BLL[FR]` labeling shares the engine type and is covered by the
-    /// differential suite separately).
+    /// lockstep suite separately).
     pub const ALL: [FrontierFamily; 6] = [
         FrontierFamily::FullReversal,
         FrontierFamily::PartialReversal,
@@ -125,9 +124,7 @@ impl FrontierFamily {
     }
 
     /// Constructs this family's flat engine in the initial state of
-    /// `inst`. This is the default execution substrate: every caller
-    /// that has (or can stream) a [`CsrInstance`] should come through
-    /// here.
+    /// `inst` — the one execution substrate every run goes through.
     pub fn engine(self, inst: CsrInstance) -> Box<dyn FrontierEngine> {
         let engine: Box<dyn FrontierEngine> = match self {
             FrontierFamily::FullReversal => Box::new(FrontierFrEngine::new(inst)),
@@ -139,23 +136,6 @@ impl FrontierFamily {
         };
         observe_engine_build(self.name(), engine.as_ref());
         engine
-    }
-
-    /// Constructs the map-backed reference engine for this family —
-    /// the slow, `BTreeMap`-heavy frontend the differential suite pins
-    /// the flat engine against.
-    pub fn map_engine<'a>(
-        self,
-        inst: &'a lr_graph::ReversalInstance,
-    ) -> Box<dyn ReversalEngine + 'a> {
-        match self {
-            FrontierFamily::FullReversal => AlgorithmKind::FullReversal.engine(inst),
-            FrontierFamily::PartialReversal => AlgorithmKind::PartialReversal.engine(inst),
-            FrontierFamily::NewPr => AlgorithmKind::NewPr.engine(inst),
-            FrontierFamily::PairHeights => AlgorithmKind::PairHeights.engine(inst),
-            FrontierFamily::TripleHeights => AlgorithmKind::TripleHeights.engine(inst),
-            FrontierFamily::Bll(labeling) => Box::new(BllEngine::new(inst, labeling)),
-        }
     }
 }
 
@@ -310,9 +290,6 @@ impl FrontierPrEngine {
 }
 
 impl ReversalEngine for FrontierPrEngine {
-    // `instance()` stays the default `None`: this engine exists so the
-    // map-backed representation never materializes.
-
     fn dest(&self) -> NodeId {
         self.init.dest()
     }
@@ -420,9 +397,8 @@ impl FrontierEngine for FrontierPrEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alg::PrEngine;
     use crate::engine::{run_engine, run_engine_frontier, SchedulePolicy, DEFAULT_MAX_STEPS};
-    use lr_graph::{generate, stream};
+    use lr_graph::stream;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -482,7 +458,6 @@ mod tests {
         for family in FrontierFamily::ALL {
             let e = family.engine(stream::chain_away(4));
             assert_eq!(e.algorithm_name(), family.name());
-            assert!(e.instance().is_none(), "{} must stay flat", family.name());
             assert_eq!(e.csr_instance().node_count(), 4);
             assert!(FrontierEngine::resident_bytes(e.as_ref()) > 0);
         }
@@ -492,21 +467,6 @@ mod tests {
         );
         for kind in AlgorithmKind::ALL {
             assert_eq!(FrontierFamily::from(kind).name(), kind.name());
-        }
-    }
-
-    #[test]
-    fn map_engine_reference_agrees_with_the_flat_engine() {
-        let inst = generate::random_connected(12, 6, 42);
-        let flat = stream::random_connected(12, 6, 42);
-        for family in FrontierFamily::ALL {
-            let mut a = family.engine(flat.clone());
-            let mut b = family.map_engine(&inst);
-            let sa =
-                run_engine_frontier(a.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
-            let sb = run_engine(b.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
-            assert_eq!(sa, sb, "{}", family.name());
-            assert_eq!(a.orientation(), b.orientation(), "{}", family.name());
         }
     }
 
@@ -524,27 +484,6 @@ mod tests {
         e.step(n(3)); // list[2] = {3}
         let step = e.step(n(2)); // spares 3
         assert_eq!(step.reversed, vec![n(1)]);
-    }
-
-    #[test]
-    fn matches_map_backed_pr_engine_step_for_step() {
-        for seed in 0..8 {
-            let inst = generate::random_connected(24, 20, 300 + seed);
-            let flat = stream::random_connected(24, 20, 300 + seed);
-            let mut a = FrontierPrEngine::new(flat);
-            let mut b = PrEngine::new(&inst);
-            let mut steps = 0;
-            loop {
-                assert_eq!(a.enabled(), b.enabled(), "seed {seed}");
-                let Some(&u) = a.enabled().first() else { break };
-                let sa = a.step(u);
-                let sb = b.step(u);
-                assert_eq!(sa, sb, "seed {seed} step {steps}");
-                steps += 1;
-                assert!(steps < 100_000);
-            }
-            assert_eq!(a.orientation(), b.orientation());
-        }
     }
 
     #[test]

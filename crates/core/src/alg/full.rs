@@ -58,105 +58,11 @@ pub(crate) fn full_reversal_step(
     }
 }
 
-/// FR as an in-place engine.
-#[derive(Debug, Clone)]
-pub struct FullReversalEngine<'a> {
-    inst: &'a ReversalInstance,
-    state: FullReversalState,
-    tracker: EnabledTracker,
-}
-
-impl<'a> FullReversalEngine<'a> {
-    /// Creates the engine in the initial state.
-    pub fn new(inst: &'a ReversalInstance) -> Self {
-        let state = FullReversalState::initial(inst);
-        let tracker = EnabledTracker::from_dirs(&state.dirs, inst.dest);
-        FullReversalEngine {
-            inst,
-            state,
-            tracker,
-        }
-    }
-
-    /// Read access to the current state.
-    pub fn state(&self) -> &FullReversalState {
-        &self.state
-    }
-}
-
-impl ReversalEngine for FullReversalEngine<'_> {
-    fn instance(&self) -> Option<&ReversalInstance> {
-        Some(self.inst)
-    }
-
-    fn dest(&self) -> NodeId {
-        self.inst.dest
-    }
-
-    fn csr(&self) -> &Arc<CsrGraph> {
-        self.state.dirs.csr()
-    }
-
-    fn algorithm_name(&self) -> &'static str {
-        "FR"
-    }
-
-    fn is_sink(&self, u: NodeId) -> bool {
-        self.state.dirs.is_sink(u)
-    }
-
-    fn enabled(&self) -> &[NodeId] {
-        self.tracker.enabled()
-    }
-
-    fn plan_step(&self, u: NodeId, scratch: &mut StepScratch) -> StepOutcome {
-        assert_ne!(u, self.inst.dest, "destination {u} never takes steps");
-        let csr = self.state.dirs.csr();
-        let ui = csr.index_of(u).expect("stepping node exists");
-        assert!(
-            self.state.dirs.is_sink_at(ui),
-            "reverse({u}) precondition: {u} must be a sink"
-        );
-        scratch.clear();
-        for slot in csr.slots(ui) {
-            scratch.reversed.push(csr.node(csr.target(slot)));
-        }
-        StepOutcome {
-            node_idx: ui,
-            reversal_count: scratch.reversed.len(),
-            dummy: false,
-        }
-    }
-
-    fn apply_planned(&mut self, u: NodeId, reversed: &[NodeId], _aux: PlanAux) {
-        let ui = self.state.dirs.csr().index_of(u).expect("planned node");
-        self.state.dirs.reverse_all_outward_at(ui, reversed);
-        self.tracker.record_step(self.state.dirs.csr(), u, reversed);
-    }
-
-    fn orientation(&self) -> Orientation {
-        self.state.dirs.orientation()
-    }
-
-    fn begin_round(&mut self) {
-        self.tracker.begin_batch();
-    }
-
-    fn end_round(&mut self) {
-        self.tracker.end_batch();
-    }
-
-    fn reset(&mut self) {
-        self.state = FullReversalState::initial(self.inst);
-        self.tracker = EnabledTracker::from_dirs(&self.state.dirs, self.inst.dest);
-    }
-}
-
 /// FR over a flat [`CsrInstance`]: the simplest frontier engine — its
 /// only mutable state is the bit-packed [`MirroredDirs`] and the
 /// incremental enabled worklist, so a step is one masked word flip per
-/// incident edge. Step-for-step identical to [`FullReversalEngine`]
-/// (differential suite).
+/// incident edge. Step-for-step identical to [`FullReversalAutomaton`]
+/// (the lockstep suite).
 #[derive(Debug, Clone)]
 pub struct FrontierFrEngine {
     /// The initial configuration, retained for [`ReversalEngine::reset`].
@@ -184,8 +90,6 @@ impl FrontierFrEngine {
 }
 
 impl ReversalEngine for FrontierFrEngine {
-    // `instance()` stays the default `None`: no map-backed state exists.
-
     fn dest(&self) -> NodeId {
         self.init.dest()
     }
@@ -301,8 +205,8 @@ impl Automaton for FullReversalAutomaton<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::{generate, DirectedView};
-    use lr_ioa::{run, schedulers::FirstEnabled};
+    use lr_graph::{generate, stream, DirectedView};
+    use lr_ioa::run;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -310,8 +214,7 @@ mod tests {
 
     #[test]
     fn fr_step_reverses_all_edges() {
-        let inst = generate::star_away(3); // leaves 1,2,3 are sinks
-        let mut e = FullReversalEngine::new(&inst);
+        let mut e = FrontierFrEngine::new(stream::star_away(3)); // leaves 1,2,3 are sinks
         let step = e.step(n(1));
         assert_eq!(step.reversed, vec![n(0)]);
         assert!(!step.dummy);
@@ -321,23 +224,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "must be a sink")]
     fn fr_step_requires_sink() {
-        let inst = generate::chain_away(3);
-        let mut e = FullReversalEngine::new(&inst);
+        let mut e = FrontierFrEngine::new(stream::chain_away(3));
         e.step(n(1)); // node 1 has an outgoing edge
     }
 
     #[test]
     #[should_panic(expected = "never takes steps")]
     fn destination_never_steps() {
-        let inst = generate::chain_toward(2); // dest 0 is a sink here
-        let mut e = FullReversalEngine::new(&inst);
+        let mut e = FrontierFrEngine::new(stream::chain_toward(2)); // dest 0 is a sink here
         e.step(n(0));
     }
 
     #[test]
     fn fr_terminates_destination_oriented_on_chain() {
         let inst = generate::chain_away(5);
-        let mut e = FullReversalEngine::new(&inst);
+        let mut e = FrontierFrEngine::new(CsrInstance::from_instance(&inst));
         let mut total = 0usize;
         while let Some(&u) = e.enabled().first() {
             total += e.step(u).reversal_count();
@@ -351,53 +252,8 @@ mod tests {
     }
 
     #[test]
-    fn fr_engine_reset_restores_initial() {
-        let inst = generate::chain_away(4);
-        let mut e = FullReversalEngine::new(&inst);
-        let before = e.orientation();
-        e.step(n(3));
-        assert_ne!(e.orientation(), before);
-        e.reset();
-        assert_eq!(e.orientation(), before);
-    }
-
-    #[test]
-    fn fr_automaton_agrees_with_engine() {
-        let inst = generate::chain_away(4);
-        let aut = FullReversalAutomaton { inst: &inst };
-        let exec = run(&aut, &mut FirstEnabled, 1_000);
-        assert!(exec.validate(&aut).is_ok());
-        assert!(aut.is_quiescent(exec.last_state()));
-
-        let mut eng = FullReversalEngine::new(&inst);
-        for &u in exec.actions() {
-            eng.step(u);
-        }
-        assert_eq!(eng.orientation(), exec.last_state().dirs.orientation());
-    }
-
-    #[test]
-    fn frontier_fr_matches_map_engine_step_for_step() {
-        for seed in 0..4 {
-            let inst = generate::random_connected(20, 15, 700 + seed);
-            let flat = lr_graph::stream::random_connected(20, 15, 700 + seed);
-            let mut a = FrontierFrEngine::new(flat);
-            let mut b = FullReversalEngine::new(&inst);
-            let mut steps = 0;
-            loop {
-                assert_eq!(a.enabled(), b.enabled(), "seed {seed}");
-                let Some(&u) = a.enabled().first() else { break };
-                assert_eq!(a.step(u), b.step(u), "seed {seed} step {steps}");
-                steps += 1;
-                assert!(steps < 100_000);
-            }
-            assert_eq!(a.orientation(), b.orientation());
-        }
-    }
-
-    #[test]
     fn frontier_fr_reset_restores_initial() {
-        let mut e = FrontierFrEngine::new(lr_graph::stream::chain_away(5));
+        let mut e = FrontierFrEngine::new(stream::chain_away(5));
         let fresh = e.clone();
         e.step(n(4));
         assert_ne!(e.orientation(), fresh.orientation());
@@ -415,6 +271,7 @@ mod tests {
             &mut lr_ioa::schedulers::UniformRandom::seeded(1),
             10_000,
         );
+        assert!(exec.validate(&aut).is_ok());
         for s in exec.states() {
             let o = s.dirs.orientation();
             assert!(DirectedView::new(&inst.graph, &o).is_acyclic());

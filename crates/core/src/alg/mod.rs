@@ -2,16 +2,25 @@
 //! automata, Full Reversal, the Gafni–Bertsekas height formulations, and a
 //! labeled-reversal generalization.
 //!
-//! Every algorithm is available in two forms:
+//! The algorithms come in two forms:
 //!
-//! * an **engine** ([`ReversalEngine`]) — an imperative, in-place state
-//!   machine used by the run loops and benchmarks; and
-//! * an **automaton** ([`lr_ioa::Automaton`]) — a pure transition system
-//!   with cloneable states, used by the model checker and the simulation
-//!   relation machinery.
+//! * the paper's **automata** ([`lr_ioa::Automaton`]) — pure transition
+//!   systems with cloneable, map-backed states:
+//!   [`FullReversalAutomaton`], [`OneStepPrAutomaton`] /
+//!   [`PrSetAutomaton`] (Algorithms 3 and 1) and [`NewPrAutomaton`]
+//!   (Algorithm 2). The model checker verifies the paper's theorems on
+//!   them exhaustively, and they are the oracle for the engines;
+//! * one flat **engine** per family ([`FrontierEngine`], built through
+//!   [`FrontierFamily::engine`] or [`AlgorithmKind::engine`]) — an
+//!   imperative, in-place state machine over CSR arrays and bit-packed
+//!   per-slot words, used by every run loop, trace, and benchmark.
 //!
-//! Both forms share the same transition functions, so what is model-checked
-//! is what is benchmarked.
+//! The three automata cover all six engine families: GB-pair and
+//! BLL\[FR\] reverse exactly Full Reversal's sets, and GB-triple and
+//! BLL\[PR\] exactly Partial Reversal's. The lockstep suite
+//! (`tests/end_to_end.rs` at the workspace root) runs every engine beside
+//! its automaton and compares enabled sets and orientations at every
+//! step, so what is model-checked is what is benchmarked.
 
 mod bll;
 mod frontier;
@@ -20,17 +29,15 @@ mod heights;
 mod newpr;
 mod pr;
 
-pub use bll::{BllEngine, BllLabeling, BllState, FrontierBllEngine};
+pub use bll::{BllLabeling, FrontierBllEngine};
 pub use frontier::{FrontierEngine, FrontierFamily, FrontierPrEngine};
-pub use full::{FrontierFrEngine, FullReversalAutomaton, FullReversalEngine, FullReversalState};
+pub use full::{FrontierFrEngine, FullReversalAutomaton, FullReversalState};
 pub use heights::{
-    FrontierPairHeightsEngine, FrontierTripleHeightsEngine, PairHeight, PairHeightsEngine,
-    TripleHeight, TripleHeightsEngine,
+    FrontierPairHeightsEngine, FrontierTripleHeightsEngine, PairHeight, TripleHeight,
 };
-pub use newpr::{newpr_step, FrontierNewPrEngine, NewPrAutomaton, NewPrEngine, NewPrState, Parity};
+pub use newpr::{newpr_step, FrontierNewPrEngine, NewPrAutomaton, NewPrState, Parity};
 pub use pr::{
-    onestep_pr_step, pr_reverse_set, OneStepPrAutomaton, PrEngine, PrSetAutomaton, PrState,
-    ReverseSet,
+    onestep_pr_step, pr_reverse_set, OneStepPrAutomaton, PrSetAutomaton, PrState, ReverseSet,
 };
 
 use std::sync::Arc;
@@ -67,7 +74,7 @@ use crate::{PlanAux, ReversalStep, StepOutcome, StepScratch};
 ///   scratch per run);
 /// * [`ReversalEngine::step`] is the allocating compatibility wrapper
 ///   (fresh buffer per call, owned [`ReversalStep`] result) retained
-///   for traces, tests, and the automaton cross-checks.
+///   for traces, tests, and the lockstep suite.
 ///
 /// Because the sinks of one greedy round are pairwise non-adjacent, a
 /// plan computed against the pre-round state equals the plan a
@@ -79,17 +86,6 @@ use crate::{PlanAux, ReversalStep, StepOutcome, StepScratch};
 /// those plan workers; engines hold only plain data and are naturally
 /// `Sync`.
 pub trait ReversalEngine: Sync {
-    /// The map-backed instance this engine runs on, when it was built
-    /// from a [`ReversalInstance`] frontend. Flat CSR-native engines
-    /// (built from a streaming [`lr_graph::CsrInstance`], whose whole
-    /// point is to never materialize the map representation) return
-    /// `None`; callers that genuinely need the map form — trace
-    /// recording, the invariant checkers — must request a map-backed
-    /// engine.
-    fn instance(&self) -> Option<&ReversalInstance> {
-        None
-    }
-
     /// The destination node of the instance (never takes steps).
     fn dest(&self) -> NodeId;
 
@@ -111,19 +107,6 @@ pub trait ReversalEngine: Sync {
     /// destination, ascending — as an incrementally maintained view.
     /// O(1); no allocation.
     fn enabled(&self) -> &[NodeId];
-
-    /// The enabled nodes as an owned vector.
-    ///
-    /// Compatibility wrapper over [`ReversalEngine::enabled`] that
-    /// allocates a fresh `Vec` on every call. **Prefer the borrowed
-    /// [`ReversalEngine::enabled`] slice** (and `.to_vec()` it yourself
-    /// on the rare occasion an owned snapshot is genuinely needed); this
-    /// wrapper only survives for source compatibility with pre-PR-2
-    /// callers.
-    #[doc(hidden)]
-    fn enabled_nodes(&self) -> Vec<NodeId> {
-        self.enabled().to_vec()
-    }
 
     /// Plans node `u`'s reversal step against the **current** state
     /// without mutating it: writes the reversed neighbors (ascending)
@@ -240,25 +223,12 @@ impl AlgorithmKind {
         }
     }
 
-    /// Builds a fresh **map-backed** engine of this kind over `inst` —
-    /// the differential reference path. Callers that have (or can
-    /// stream) a flat [`CsrInstance`] should prefer
-    /// [`AlgorithmKind::frontier_engine`], the default fast path.
-    pub fn engine<'a>(self, inst: &'a ReversalInstance) -> Box<dyn ReversalEngine + 'a> {
-        match self {
-            AlgorithmKind::FullReversal => Box::new(FullReversalEngine::new(inst)),
-            AlgorithmKind::PartialReversal => Box::new(PrEngine::new(inst)),
-            AlgorithmKind::NewPr => Box::new(NewPrEngine::new(inst)),
-            AlgorithmKind::PairHeights => Box::new(PairHeightsEngine::new(inst)),
-            AlgorithmKind::TripleHeights => Box::new(TripleHeightsEngine::new(inst)),
-        }
-    }
-
-    /// Builds this kind's flat CSR-native [`FrontierEngine`] — the
-    /// default execution substrate since PR 8, step-for-step identical
-    /// to [`AlgorithmKind::engine`] by the frontier differential suite.
-    pub fn frontier_engine(self, inst: CsrInstance) -> Box<dyn FrontierEngine> {
-        FrontierFamily::from(self).engine(inst)
+    /// Builds this kind's flat [`FrontierEngine`] in the initial state of
+    /// `inst`, flattened through [`CsrInstance::from_instance`]. Callers
+    /// that already hold (or stream) a [`CsrInstance`] go through
+    /// [`FrontierFamily::engine`] directly.
+    pub fn engine(self, inst: &ReversalInstance) -> Box<dyn FrontierEngine> {
+        FrontierFamily::from(self).engine(CsrInstance::from_instance(inst))
     }
 }
 
@@ -280,23 +250,9 @@ mod tests {
         for kind in AlgorithmKind::ALL {
             let e = kind.engine(&inst);
             assert_eq!(e.dest(), inst.dest);
-            assert_eq!(e.instance().expect("map-backed engine").dest, inst.dest);
-            assert!(!e.is_terminated(), "{} should have work", kind.name());
-            assert_eq!(e.enabled(), &[lr_graph::NodeId::new(3)][..]);
-            // The allocating compat wrapper must mirror the borrowed view.
-            assert_eq!(e.enabled_nodes(), e.enabled().to_vec());
-        }
-    }
-
-    #[test]
-    fn frontier_engines_constructed_for_all_kinds() {
-        let inst = generate::chain_away(4);
-        let flat = lr_graph::CsrInstance::from_instance(&inst);
-        for kind in AlgorithmKind::ALL {
-            let e = kind.frontier_engine(flat.clone());
-            assert_eq!(e.dest(), inst.dest);
             assert_eq!(e.algorithm_name(), kind.name());
-            assert!(e.instance().is_none(), "{} must stay flat", kind.name());
+            assert_eq!(e.csr_instance(), &CsrInstance::from_instance(&inst));
+            assert!(!e.is_terminated(), "{} should have work", kind.name());
             assert_eq!(e.enabled(), &[lr_graph::NodeId::new(3)][..]);
         }
     }

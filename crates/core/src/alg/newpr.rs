@@ -98,124 +98,12 @@ pub fn newpr_step(inst: &ReversalInstance, state: &mut NewPrState, u: NodeId) ->
     }
 }
 
-/// `NewPR` as an in-place engine.
-#[derive(Debug, Clone)]
-pub struct NewPrEngine<'a> {
-    inst: &'a ReversalInstance,
-    state: NewPrState,
-    tracker: EnabledTracker,
-    /// `init_in[slot of (u, v)]` ⇔ `dir[u, v] = in` **initially** — the
-    /// frozen `in-nbrs_u` / `out-nbrs_u` partition of §2, laid out by
-    /// half-edge slot so the plan phase selects targets without touching
-    /// the allocating [`ReversalInstance::initial_in_nbrs`] lists.
-    init_in: Vec<bool>,
-}
-
-impl<'a> NewPrEngine<'a> {
-    /// Creates the engine in the initial state.
-    pub fn new(inst: &'a ReversalInstance) -> Self {
-        let state = NewPrState::initial(inst);
-        let tracker = EnabledTracker::from_dirs(&state.dirs, inst.dest);
-        // The direction state *is* the initial orientation right now, so
-        // snapshotting it per slot captures exactly `in-nbrs`/`out-nbrs`.
-        let init_in = (0..state.dirs.len())
-            .map(|slot| state.dirs.dir_at(slot) == EdgeDir::In)
-            .collect();
-        NewPrEngine {
-            inst,
-            state,
-            tracker,
-            init_in,
-        }
-    }
-
-    /// Read access to the current state.
-    pub fn state(&self) -> &NewPrState {
-        &self.state
-    }
-}
-
-impl ReversalEngine for NewPrEngine<'_> {
-    fn instance(&self) -> Option<&ReversalInstance> {
-        Some(self.inst)
-    }
-
-    fn dest(&self) -> NodeId {
-        self.inst.dest
-    }
-
-    fn csr(&self) -> &Arc<CsrGraph> {
-        self.state.dirs.csr()
-    }
-
-    fn algorithm_name(&self) -> &'static str {
-        "NewPR"
-    }
-
-    fn is_sink(&self, u: NodeId) -> bool {
-        self.state.dirs.is_sink(u)
-    }
-
-    fn enabled(&self) -> &[NodeId] {
-        self.tracker.enabled()
-    }
-
-    fn plan_step(&self, u: NodeId, scratch: &mut StepScratch) -> StepOutcome {
-        assert_ne!(u, self.inst.dest, "destination {u} never takes steps");
-        assert!(
-            self.state.dirs.is_sink(u),
-            "reverse({u}) precondition: {u} must be a sink"
-        );
-        let csr = self.state.dirs.csr();
-        let ui = csr.index_of(u).expect("sink is a node");
-        // Even parity reverses the initial in-neighbors, odd parity the
-        // initial out-neighbors (Algorithm 2) — read straight off the
-        // frozen per-slot partition, ascending like the lists were.
-        let want_initial_in = self.state.parity(u) == Parity::Even;
-        scratch.clear();
-        for slot in csr.slots(ui) {
-            if self.init_in[slot] == want_initial_in {
-                scratch.reversed.push(csr.node(csr.target(slot)));
-            }
-        }
-        StepOutcome {
-            node_idx: ui,
-            reversal_count: scratch.reversed.len(),
-            dummy: scratch.reversed.is_empty(),
-        }
-    }
-
-    fn apply_planned(&mut self, u: NodeId, reversed: &[NodeId], _aux: PlanAux) {
-        let ui = self.state.dirs.csr().index_of(u).expect("planned node");
-        self.state.dirs.reverse_all_outward_at(ui, reversed);
-        *self.state.counts.get_mut(&u).expect("u has a count") += 1;
-        self.tracker.record_step(self.state.dirs.csr(), u, reversed);
-    }
-
-    fn orientation(&self) -> Orientation {
-        self.state.dirs.orientation()
-    }
-
-    fn begin_round(&mut self) {
-        self.tracker.begin_batch();
-    }
-
-    fn end_round(&mut self) {
-        self.tracker.end_batch();
-    }
-
-    fn reset(&mut self) {
-        self.state = NewPrState::initial(self.inst);
-        self.tracker = EnabledTracker::from_dirs(&self.state.dirs, self.inst.dest);
-    }
-}
-
 /// `NewPR` over a flat [`CsrInstance`]: the frozen
 /// `in-nbrs`/`out-nbrs` partition of §2 is read straight off the
 /// retained initial direction bits (one masked read per slot), and the
 /// `count[u]` history variable is a dense `Vec<u64>` by CSR index
-/// instead of a `BTreeMap`. Step-for-step identical to [`NewPrEngine`]
-/// (differential suite), dummy steps included.
+/// instead of a `BTreeMap`. Step-for-step identical to
+/// [`NewPrAutomaton`] (the lockstep suite), dummy steps included.
 #[derive(Debug, Clone)]
 pub struct FrontierNewPrEngine {
     /// The initial configuration — also the frozen §2 partition.
@@ -256,8 +144,6 @@ impl FrontierNewPrEngine {
 }
 
 impl ReversalEngine for FrontierNewPrEngine {
-    // `instance()` stays the default `None`: no map-backed state exists.
-
     fn dest(&self) -> NodeId {
         self.init.dest()
     }
@@ -509,25 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn frontier_newpr_matches_map_engine_step_for_step() {
-        for seed in 0..4 {
-            let inst = generate::random_connected(20, 15, 800 + seed);
-            let flat = lr_graph::stream::random_connected(20, 15, 800 + seed);
-            let mut a = FrontierNewPrEngine::new(flat);
-            let mut b = NewPrEngine::new(&inst);
-            let mut steps = 0;
-            loop {
-                assert_eq!(a.enabled(), b.enabled(), "seed {seed}");
-                let Some(&u) = a.enabled().first() else { break };
-                assert_eq!(a.step(u), b.step(u), "seed {seed} step {steps}");
-                steps += 1;
-                assert!(steps < 100_000);
-            }
-            assert_eq!(a.orientation(), b.orientation());
-        }
-    }
-
-    #[test]
     fn frontier_newpr_dummy_steps_keep_the_node_enabled() {
         // Same topology as `initial_source_performs_dummy_step…`: after
         // the center steps, leaf 1 dummy-steps and must stay enabled.
@@ -540,17 +407,5 @@ mod tests {
         assert!(e.enabled().contains(&n(1)), "dummy step keeps 1 enabled");
         let real = e.step(n(1));
         assert_eq!(real.reversed, vec![n(0)]);
-    }
-
-    #[test]
-    fn engine_and_automaton_agree() {
-        let inst = generate::random_connected(8, 6, 4);
-        let aut = NewPrAutomaton { inst: &inst };
-        let exec = run(&aut, &mut schedulers::RoundRobin::default(), 100_000);
-        let mut eng = NewPrEngine::new(&inst);
-        for &u in exec.actions() {
-            eng.step(u);
-        }
-        assert_eq!(eng.state(), exec.last_state());
     }
 }

@@ -12,11 +12,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use lr_graph::{CsrGraph, NodeId, Orientation, ReversalInstance};
+use lr_graph::{NodeId, ReversalInstance};
 use lr_ioa::Automaton;
 
-use crate::alg::ReversalEngine;
-use crate::{EnabledTracker, MirroredDirs, PlanAux, ReversalStep, StepOutcome, StepScratch};
+use crate::{MirroredDirs, ReversalStep};
 
 /// Shared state of `PR` and `OneStepPR`: edge directions plus `list[u]`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -48,37 +47,6 @@ impl PrState {
     }
 }
 
-/// The target-selection rule of Algorithm 1/3 — the **single** shared
-/// transition function both the allocating [`onestep_pr_step`] and the
-/// zero-allocation engine plan use: `reverse(u)` targets the neighbors
-/// not in `list[u]` — unless the list holds *all* neighbors, in which
-/// case everything reverses. Neighbor slots are ascending by id,
-/// matching the old BTreeSet iteration.
-fn pr_select_targets(csr: &CsrGraph, list_u: &BTreeSet<NodeId>, ui: usize, out: &mut Vec<NodeId>) {
-    let list_is_full = list_u.len() == csr.degree(ui);
-    for slot in csr.slots(ui) {
-        let v = csr.node(csr.target(slot));
-        if list_is_full || !list_u.contains(&v) {
-            out.push(v);
-        }
-    }
-}
-
-/// The effect half of Algorithm 1/3 shared by engine and automaton:
-/// reverse the selected edges outward, record `u` in each reversed
-/// neighbor's list, empty `list[u]`.
-fn pr_apply_targets(state: &mut PrState, u: NodeId, ui: usize, targets: &[NodeId]) {
-    state.dirs.reverse_all_outward_at(ui, targets);
-    for &v in targets {
-        state
-            .lists
-            .get_mut(&v)
-            .expect("neighbor has a list")
-            .insert(u);
-    }
-    state.lists.get_mut(&u).expect("u has a list").clear();
-}
-
 /// Applies the effect of `reverse(u)` exactly as written in Algorithm 1/3
 /// for a single node `u`.
 ///
@@ -94,9 +62,29 @@ pub fn onestep_pr_step(inst: &ReversalInstance, state: &mut PrState, u: NodeId) 
     );
     let csr = Arc::clone(state.dirs.csr());
     let ui = csr.index_of(u).expect("sink is a node");
+    // Reverse the neighbors not in `list[u]` — unless the list holds
+    // *all* neighbors, in which case everything reverses. Neighbor slots
+    // are ascending by id.
+    let list_u = &state.lists[&u];
+    let list_is_full = list_u.len() == csr.degree(ui);
     let mut targets = Vec::with_capacity(csr.degree(ui));
-    pr_select_targets(&csr, &state.lists[&u], ui, &mut targets);
-    pr_apply_targets(state, u, ui, &targets);
+    for slot in csr.slots(ui) {
+        let v = csr.node(csr.target(slot));
+        if list_is_full || !list_u.contains(&v) {
+            targets.push(v);
+        }
+    }
+    // Reverse the selected edges outward, record `u` in each reversed
+    // neighbor's list, empty `list[u]`.
+    state.dirs.reverse_all_outward_at(ui, &targets);
+    for &v in &targets {
+        state
+            .lists
+            .get_mut(&v)
+            .expect("neighbor has a list")
+            .insert(u);
+    }
+    state.lists.get_mut(&u).expect("u has a list").clear();
     ReversalStep {
         node: u,
         reversed: targets,
@@ -132,98 +120,6 @@ pub fn pr_reverse_set(
     set.iter()
         .map(|&u| onestep_pr_step(inst, state, u))
         .collect()
-}
-
-/// `OneStepPR` (Algorithm 3) as an in-place engine.
-#[derive(Debug, Clone)]
-pub struct PrEngine<'a> {
-    inst: &'a ReversalInstance,
-    state: PrState,
-    tracker: EnabledTracker,
-}
-
-impl<'a> PrEngine<'a> {
-    /// Creates the engine in the initial state.
-    pub fn new(inst: &'a ReversalInstance) -> Self {
-        let state = PrState::initial(inst);
-        let tracker = EnabledTracker::from_dirs(&state.dirs, inst.dest);
-        PrEngine {
-            inst,
-            state,
-            tracker,
-        }
-    }
-
-    /// Read access to the current state.
-    pub fn state(&self) -> &PrState {
-        &self.state
-    }
-}
-
-impl ReversalEngine for PrEngine<'_> {
-    fn instance(&self) -> Option<&ReversalInstance> {
-        Some(self.inst)
-    }
-
-    fn dest(&self) -> NodeId {
-        self.inst.dest
-    }
-
-    fn csr(&self) -> &Arc<CsrGraph> {
-        self.state.dirs.csr()
-    }
-
-    fn algorithm_name(&self) -> &'static str {
-        "PR"
-    }
-
-    fn is_sink(&self, u: NodeId) -> bool {
-        self.state.dirs.is_sink(u)
-    }
-
-    fn enabled(&self) -> &[NodeId] {
-        self.tracker.enabled()
-    }
-
-    fn plan_step(&self, u: NodeId, scratch: &mut StepScratch) -> StepOutcome {
-        assert_ne!(u, self.inst.dest, "destination {u} never takes steps");
-        assert!(
-            self.state.dirs.is_sink(u),
-            "reverse({u}) precondition: {u} must be a sink"
-        );
-        let csr = self.state.dirs.csr();
-        let ui = csr.index_of(u).expect("sink is a node");
-        scratch.clear();
-        pr_select_targets(csr, &self.state.lists[&u], ui, &mut scratch.reversed);
-        StepOutcome {
-            node_idx: ui,
-            reversal_count: scratch.reversed.len(),
-            dummy: false,
-        }
-    }
-
-    fn apply_planned(&mut self, u: NodeId, reversed: &[NodeId], _aux: PlanAux) {
-        let ui = self.state.dirs.csr().index_of(u).expect("planned node");
-        pr_apply_targets(&mut self.state, u, ui, reversed);
-        self.tracker.record_step(self.state.dirs.csr(), u, reversed);
-    }
-
-    fn orientation(&self) -> Orientation {
-        self.state.dirs.orientation()
-    }
-
-    fn begin_round(&mut self) {
-        self.tracker.begin_batch();
-    }
-
-    fn end_round(&mut self) {
-        self.tracker.end_batch();
-    }
-
-    fn reset(&mut self) {
-        self.state = PrState::initial(self.inst);
-        self.tracker = EnabledTracker::from_dirs(&self.state.dirs, self.inst.dest);
-    }
 }
 
 /// `OneStepPR` (Algorithm 3) as an I/O automaton with `reverse(u)`
@@ -271,7 +167,8 @@ pub struct ReverseSet(pub BTreeSet<NodeId>);
 /// `enabled_actions` enumerates every nonempty subset of the current
 /// non-destination sinks, which is exponential in the sink count — this
 /// automaton exists for model checking small instances and for the R′
-/// simulation relation; large-scale runs use [`PrEngine`].
+/// simulation relation; large-scale runs use
+/// [`crate::alg::FrontierPrEngine`].
 #[derive(Debug, Clone, Copy)]
 pub struct PrSetAutomaton<'a> {
     /// The fixed instance.
@@ -295,7 +192,7 @@ impl Automaton for PrSetAutomaton<'_> {
             .collect();
         assert!(
             sinks.len() <= 16,
-            "PrSetAutomaton enumerates 2^sinks actions; use PrEngine for large instances"
+            "PrSetAutomaton enumerates 2^sinks actions; use FrontierPrEngine for large instances"
         );
         let mut out = Vec::new();
         for mask in 1u32..(1 << sinks.len()) {
@@ -338,81 +235,54 @@ mod tests {
     #[test]
     fn first_step_with_empty_list_reverses_everything() {
         let inst = generate::chain_away(3);
-        let mut e = PrEngine::new(&inst);
+        let mut s = PrState::initial(&inst);
         // Node 2 is a sink with an empty list: list ≠ nbrs, so it
         // reverses nbrs \ ∅ = all incident edges.
-        let step = e.step(n(2));
+        let step = onestep_pr_step(&inst, &mut s, n(2));
         assert_eq!(step.reversed, vec![n(1)]);
         // Node 1's list now records that 2 reversed.
-        assert_eq!(e.state().list(n(1)), &BTreeSet::from([n(2)]));
-        assert!(e.state().list(n(2)).is_empty());
+        assert_eq!(s.list(n(1)), &BTreeSet::from([n(2)]));
+        assert!(s.list(n(2)).is_empty());
     }
 
     #[test]
     fn list_members_are_spared() {
-        // Chain 0 <- 1 -> 2, dest 0: wait, use chain_away(4): 0->1->2->3.
+        // chain_away(4): 0 -> 1 -> 2 -> 3, dest 0.
         let inst = generate::chain_away(4);
-        let mut e = PrEngine::new(&inst);
-        e.step(n(3)); // 3 reverses {2,3}; list[2] = {3}
-        e.step(n(2)); // 2 is now a sink; list[2]={3} ≠ nbrs{1,3}: reverse only 1
-        let step_edges = e.state();
-        assert!(!step_edges.dirs.is_sink(n(3)));
+        let mut s = PrState::initial(&inst);
+        onestep_pr_step(&inst, &mut s, n(3)); // 3 reverses {2,3}; list[2] = {3}
+        onestep_pr_step(&inst, &mut s, n(2)); // list[2]={3} ≠ nbrs{1,3}: reverse only 1
+        assert!(!s.dirs.is_sink(n(3)));
         // Edge {2,3} still points 3 -> 2 (2 spared it).
         assert_eq!(
-            e.orientation().tail(n(2), n(3)),
+            s.dirs.orientation().tail(n(2), n(3)),
             Some(n(3)),
             "edge to list member must not be reversed"
         );
         // list[2] emptied after its step.
-        assert!(e.state().list(n(2)).is_empty());
+        assert!(s.list(n(2)).is_empty());
     }
 
     #[test]
     fn full_list_reverses_all() {
-        // Star with center 1 (dest is a leaf): build manually.
         // 0 is dest; edges 1-0, 1-2 both pointing away from 1.
         let inst = lr_graph::parse::parse_instance("dest 0\n1 > 0\n1 > 2").unwrap();
-        let mut e = PrEngine::new(&inst);
-        // 0 is dest (sink, never steps); 2 is a sink.
-        e.step(n(2)); // reverses {1,2}; list[1] = {2}
-                      // Now 1 is NOT a sink (edge to 0 outgoing). Make it one: 0 is dest
-                      // and cannot step. So drive: nothing else enabled... check state.
-        assert!(e.enabled().is_empty());
+        let aut = OneStepPrAutomaton { inst: &inst };
+        // 0 is dest (sink, never steps); 2 is the only enabled sink. It
+        // reverses {1,2}, so list[1] = {2}.
+        let s = aut.apply(&aut.initial_state(), &n(2));
         // 1 -> 0 still; 2 -> 1 now: 1 has in from 2, out to 0. Terminated.
-        let view_o = e.orientation();
-        let view = DirectedView::new(&inst.graph, &view_o);
-        assert!(view.is_destination_oriented(inst.dest));
-    }
-
-    #[test]
-    fn pr_terminates_on_chain_with_fewer_reversals_than_fr() {
-        let inst = generate::chain_away(8);
-        let mut pr = PrEngine::new(&inst);
-        let mut pr_total = 0usize;
-        while let Some(&u) = pr.enabled().first() {
-            pr_total += pr.step(u).reversal_count();
-            assert!(pr_total < 100_000);
-        }
-        let o = pr.orientation();
+        assert!(aut.is_quiescent(&s));
+        let o = s.dirs.orientation();
         assert!(DirectedView::new(&inst.graph, &o).is_destination_oriented(inst.dest));
-
-        let mut fr = crate::alg::FullReversalEngine::new(&inst);
-        let mut fr_total = 0usize;
-        while let Some(&u) = fr.enabled().first() {
-            fr_total += fr.step(u).reversal_count();
-            assert!(fr_total < 100_000);
-        }
-        // On the away-chain the two coincide asymptotically; sanity-check
-        // both terminated with positive work.
-        assert!(pr_total > 0 && fr_total > 0);
     }
 
     #[test]
     #[should_panic(expected = "must be a sink")]
     fn step_requires_sink() {
         let inst = generate::chain_away(3);
-        let mut e = PrEngine::new(&inst);
-        e.step(n(1));
+        let mut s = PrState::initial(&inst);
+        onestep_pr_step(&inst, &mut s, n(1));
     }
 
     #[test]

@@ -20,22 +20,20 @@
 //!   phase **fanned out** across worker threads, sharded by contiguous
 //!   node ranges (each worker owns a fixed slice of the id space and
 //!   plans the enabled nodes that fall in it); bit-identical to the
-//!   sequential greedy run at every thread count, on map-backed and
-//!   flat engines alike.
+//!   sequential greedy run at every thread count.
 //! * [`run_engine_scan`] — retained naive-rescan reference (pre-PR-2
 //!   behavior).
 //! * [`run_engine_alloc`] — retained allocating-step reference
 //!   (pre-PR-3 behavior: one owned [`crate::ReversalStep`] per step).
 //!
 //! The reference loops exist so the fast paths stay falsifiable: the
-//! differential suites (`tests/csr_differential.rs`,
-//! `tests/frontier_differential.rs`) check all of them produce
-//! identical [`RunStats`] on every engine configuration.
+//! differential suite (`tests/csr_differential.rs`) checks the fast loop
+//! produces identical [`RunStats`] to them on every engine configuration.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use lr_graph::{CsrGraph, DirectedView, NodeId};
+use lr_graph::{CsrGraph, NodeId};
 use lr_obs::MetricsShard;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -208,9 +206,7 @@ enum StepMode {
 fn scan_enabled(buf: &mut Vec<NodeId>, engine: &dyn ReversalEngine) {
     buf.clear();
     let dest = engine.dest();
-    // CSR nodes are in the same ascending order the map frontend
-    // produces, so the scan is usable for map-backed and flat engines
-    // alike.
+    // CSR nodes are ascending by id, the order the enabled view keeps.
     buf.extend(
         engine
             .csr()
@@ -337,10 +333,9 @@ fn drive(
         }
         // Frontier occupancy at the start of the iteration: the
         // enabled-set size every scheduling arm is about to draw from.
-        // Identical for `Incremental` and `Scan` (same set), for map
-        // and flat engines, and for serial and sharded rounds (same
-        // snapshot) — so the differential suites keep comparing whole
-        // `RunStats` values.
+        // Identical for `Incremental` and `Scan` (same set) and for
+        // serial and sharded rounds (same snapshot) — so the
+        // differential suites keep comparing whole `RunStats` values.
         let frontier_len = match source {
             EnabledSource::Scan => snapshot.len(),
             EnabledSource::Incremental => engine.enabled().len(),
@@ -512,17 +507,14 @@ pub fn run_engine_alloc(
 /// pipeline, and closes the round on [`crate::EnabledTracker`]'s batch
 /// merge — so per-round work is O(frontier + reversed edges), never
 /// O(n). Single-step policies treat the policy's chosen node as a
-/// one-element frontier. The loop never touches the map-backed instance,
+/// one-element frontier. The loop never touches a map-backed instance,
 /// which is what lets a flat engine like
 /// [`crate::alg::FrontierPrEngine`] run million-node instances without
 /// ever materializing one.
 ///
 /// Scheduling, bookkeeping, and round counting are [`run_engine`]'s —
-/// since PR 8 the two names share the driver **by construction** (one
-/// `drive` configuration) rather than by duplicated loops held in
-/// lockstep; the differential suite (`tests/frontier_differential.rs`)
-/// still pins them to identical [`RunStats`] and final orientations on
-/// every tested engine, size, and policy.
+/// the two names share the driver **by construction** (one `drive`
+/// configuration) rather than by duplicated loops held in lockstep.
 pub fn run_engine_frontier(
     engine: &mut dyn ReversalEngine,
     policy: SchedulePolicy,
@@ -700,9 +692,8 @@ pub fn run_engine_frontier_sharded(
 /// freeze/shard/fold discipline is PRs 3/5/6's; the resulting
 /// [`RunStats`], final state, and enabled sets are **bit-identical** to
 /// [`run_engine`] / [`run_engine_frontier`] under
-/// [`SchedulePolicy::GreedyRounds`] at every thread count, for map-backed
-/// and flat engines alike (`tests/csr_differential.rs`,
-/// `tests/frontier_differential.rs`).
+/// [`SchedulePolicy::GreedyRounds`] at every thread count
+/// (`tests/frontier_differential.rs`).
 ///
 /// Range sharding gives each worker a stable slice of the id space
 /// across rounds — its CSR and direction-bit reads for planning stay
@@ -745,63 +736,53 @@ pub fn run_to_destination_oriented(
         "{} did not terminate within {max_steps} steps",
         stats.algorithm
     );
+    // Check the postcondition over the CSR snapshot. For a connected
+    // graph, destination-oriented is equivalent to acyclic with the
+    // destination as the unique sink.
     let o = engine.orientation();
-    if let Some(inst) = engine.instance() {
-        let view = DirectedView::new(&inst.graph, &o);
-        assert!(view.is_acyclic(), "{} broke acyclicity", stats.algorithm);
+    let csr = engine.csr();
+    let dest = engine.dest();
+    let mut outdeg = vec![0u32; csr.node_count()];
+    for (src, deg) in outdeg.iter_mut().enumerate() {
+        let u = csr.node(src);
+        for slot in csr.slots(src) {
+            let v = csr.node(csr.target(slot));
+            if o.dir(u, v).expect("orientation covers every edge") == lr_graph::EdgeDir::Out {
+                *deg += 1;
+            }
+        }
+    }
+    // Kahn's algorithm on the reverse graph: repeatedly peel sinks.
+    let mut queue: Vec<usize> = (0..csr.node_count()).filter(|&i| outdeg[i] == 0).collect();
+    for &i in &queue {
         assert!(
-            view.is_destination_oriented(inst.dest),
-            "{} terminated non-destination-oriented",
-            stats.algorithm
-        );
-    } else {
-        // Flat CSR-native engine: check the postcondition over the CSR
-        // snapshot. For a connected graph, destination-oriented is
-        // equivalent to acyclic with the destination as the unique sink.
-        let csr = engine.csr();
-        let dest = engine.dest();
-        let mut outdeg = vec![0u32; csr.node_count()];
-        for (src, deg) in outdeg.iter_mut().enumerate() {
-            let u = csr.node(src);
-            for slot in csr.slots(src) {
-                let v = csr.node(csr.target(slot));
-                if o.dir(u, v).expect("orientation covers every edge") == lr_graph::EdgeDir::Out {
-                    *deg += 1;
-                }
-            }
-        }
-        // Kahn's algorithm on the reverse graph: repeatedly peel sinks.
-        let mut queue: Vec<usize> = (0..csr.node_count()).filter(|&i| outdeg[i] == 0).collect();
-        for &i in &queue {
-            assert!(
-                csr.node(i) == dest || csr.degree(i) == 0,
-                "{} terminated non-destination-oriented: {} is a sink",
-                stats.algorithm,
-                csr.node(i)
-            );
-        }
-        let mut peeled = 0usize;
-        while let Some(i) = queue.pop() {
-            peeled += 1;
-            let u = csr.node(i);
-            for slot in csr.slots(i) {
-                let src = csr.target(slot);
-                let v = csr.node(src);
-                if o.dir(v, u).expect("orientation covers every edge") == lr_graph::EdgeDir::Out {
-                    outdeg[src] -= 1;
-                    if outdeg[src] == 0 {
-                        queue.push(src);
-                    }
-                }
-            }
-        }
-        assert_eq!(
-            peeled,
-            csr.node_count(),
-            "{} broke acyclicity",
-            stats.algorithm
+            csr.node(i) == dest || csr.degree(i) == 0,
+            "{} terminated non-destination-oriented: {} is a sink",
+            stats.algorithm,
+            csr.node(i)
         );
     }
+    let mut peeled = 0usize;
+    while let Some(i) = queue.pop() {
+        peeled += 1;
+        let u = csr.node(i);
+        for slot in csr.slots(i) {
+            let src = csr.target(slot);
+            let v = csr.node(src);
+            if o.dir(v, u).expect("orientation covers every edge") == lr_graph::EdgeDir::Out {
+                outdeg[src] -= 1;
+                if outdeg[src] == 0 {
+                    queue.push(src);
+                }
+            }
+        }
+    }
+    assert_eq!(
+        peeled,
+        csr.node_count(),
+        "{} broke acyclicity",
+        stats.algorithm
+    );
     stats
 }
 
@@ -826,8 +807,12 @@ pub fn advance_randomly(engine: &mut dyn ReversalEngine, steps: usize, seed: u64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alg::{AlgorithmKind, NewPrEngine, PrEngine};
-    use lr_graph::generate;
+    use crate::alg::{AlgorithmKind, FrontierPrEngine};
+    use lr_graph::{generate, stream, CsrInstance};
+
+    fn pr(inst: &lr_graph::ReversalInstance) -> FrontierPrEngine {
+        FrontierPrEngine::new(CsrInstance::from_instance(inst))
+    }
 
     #[test]
     fn all_algorithms_terminate_on_chain_under_all_policies() {
@@ -855,8 +840,7 @@ mod tests {
 
     #[test]
     fn greedy_rounds_counts_rounds_not_steps() {
-        let inst = generate::star_away(6); // 6 sinks step in round 1
-        let mut e = PrEngine::new(&inst);
+        let mut e = FrontierPrEngine::new(stream::star_away(6)); // 6 sinks step in round 1
         let stats = run_engine(&mut e, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
         assert!(stats.terminated);
         assert!(stats.rounds < stats.steps || stats.steps <= 1);
@@ -865,9 +849,9 @@ mod tests {
     #[test]
     fn random_runs_reproducible_by_seed() {
         let inst = generate::random_connected(14, 10, 5);
-        let mut a = PrEngine::new(&inst);
+        let mut a = pr(&inst);
         let sa = run_engine(&mut a, SchedulePolicy::RandomSingle { seed: 9 }, 100_000);
-        let mut b = PrEngine::new(&inst);
+        let mut b = pr(&inst);
         let sb = run_engine(&mut b, SchedulePolicy::RandomSingle { seed: 9 }, 100_000);
         assert_eq!(sa, sb);
         assert_eq!(a.orientation(), b.orientation());
@@ -878,18 +862,17 @@ mod tests {
         // Star centered on an initial sink with the destination at a leaf
         // forces dummy steps for the other leaves (initial sources).
         let inst = lr_graph::parse::parse_instance("dest 3\n1 > 0\n2 > 0\n3 > 0").unwrap();
-        let mut e = NewPrEngine::new(&inst);
+        let mut e = AlgorithmKind::NewPr.engine(&inst);
         let stats =
-            run_to_destination_oriented(&mut e, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
+            run_to_destination_oriented(e.as_mut(), SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
         assert!(stats.dummy_steps > 0, "expected dummy steps, got none");
         assert!(stats.steps > stats.dummy_steps);
     }
 
     #[test]
     fn step_budget_is_respected() {
-        let inst = generate::chain_away(64);
-        let mut e = crate::alg::FullReversalEngine::new(&inst);
-        let stats = run_engine(&mut e, SchedulePolicy::FirstSingle, 10);
+        let mut e = AlgorithmKind::FullReversal.engine(&generate::chain_away(64));
+        let stats = run_engine(e.as_mut(), SchedulePolicy::FirstSingle, 10);
         assert!(!stats.terminated);
         assert_eq!(stats.steps, 10);
     }
@@ -897,7 +880,7 @@ mod tests {
     #[test]
     fn advance_randomly_stops_at_termination() {
         let inst = generate::chain_away(4);
-        let mut e = PrEngine::new(&inst);
+        let mut e = pr(&inst);
         let taken = advance_randomly(&mut e, 10_000, 1);
         assert!(taken < 10_000);
         assert!(e.is_terminated());
@@ -906,7 +889,7 @@ mod tests {
     #[test]
     fn social_cost_and_max_work_accessors() {
         let inst = generate::chain_away(6);
-        let mut e = PrEngine::new(&inst);
+        let mut e = pr(&inst);
         let stats = run_engine(&mut e, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
         assert_eq!(stats.social_cost(), stats.steps);
         assert!(stats.max_node_work() >= 1);
@@ -915,7 +898,7 @@ mod tests {
     #[test]
     fn work_per_node_map_mirrors_dense_vector() {
         let inst = generate::alternating_chain(9);
-        let mut e = PrEngine::new(&inst);
+        let mut e = pr(&inst);
         let stats = run_engine(&mut e, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
         let map = stats.work_per_node(e.csr());
         assert_eq!(map.len(), stats.work.len());
@@ -933,9 +916,9 @@ mod tests {
             SchedulePolicy::FirstSingle,
             SchedulePolicy::LastSingle,
         ] {
-            let mut fast = PrEngine::new(&inst);
+            let mut fast = pr(&inst);
             let fast_stats = run_engine(&mut fast, policy, DEFAULT_MAX_STEPS);
-            let mut slow = PrEngine::new(&inst);
+            let mut slow = pr(&inst);
             let slow_stats = run_engine_alloc(&mut slow, policy, DEFAULT_MAX_STEPS);
             assert_eq!(fast_stats, slow_stats);
             assert_eq!(fast.orientation(), slow.orientation());
@@ -943,52 +926,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_greedy_is_bit_identical_to_sequential() {
-        let inst = generate::alternating_chain(65);
-        for kind in AlgorithmKind::ALL {
-            let mut seq = kind.engine(&inst);
-            let seq_stats = run_engine(
-                seq.as_mut(),
-                SchedulePolicy::GreedyRounds,
-                DEFAULT_MAX_STEPS,
-            );
-            for threads in [1usize, 2, 4, 8] {
-                let mut par = kind.engine(&inst);
-                // min_parallel_round: 0 forces the parallel path even on
-                // this small instance.
-                let cfg = ParallelConfig {
-                    threads,
-                    min_parallel_round: 0,
-                };
-                let par_stats =
-                    run_engine_frontier_sharded_with(par.as_mut(), cfg, DEFAULT_MAX_STEPS);
-                assert_eq!(par_stats, seq_stats, "{} × {threads} threads", kind.name());
-                assert_eq!(par.orientation(), seq.orientation());
-                assert_eq!(par.enabled(), seq.enabled());
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_respects_step_budget() {
-        let inst = generate::alternating_chain(65);
-        let mut seq = PrEngine::new(&inst);
-        let seq_stats = run_engine(&mut seq, SchedulePolicy::GreedyRounds, 100);
-        let mut par = PrEngine::new(&inst);
-        let cfg = ParallelConfig {
-            threads: 4,
-            min_parallel_round: 0,
-        };
-        let par_stats = run_engine_frontier_sharded_with(&mut par, cfg, 100);
-        assert!(!par_stats.terminated);
-        assert_eq!(par_stats, seq_stats);
-    }
-
-    #[test]
     fn sharded_greedy_is_bit_identical_to_sequential_for_every_family() {
         use crate::alg::FrontierFamily;
-        let inst = generate::alternating_chain(65);
-        let flat = lr_graph::CsrInstance::from_instance(&inst);
+        let flat = stream::alternating_chain(65);
         for family in FrontierFamily::ALL {
             let mut seq = family.engine(flat.clone());
             let seq_stats = run_engine_frontier(
@@ -1020,10 +960,10 @@ mod tests {
 
     #[test]
     fn sharded_respects_step_budget() {
-        let flat = lr_graph::stream::alternating_chain(65);
-        let mut seq = crate::alg::FrontierPrEngine::new(flat.clone());
+        let flat = stream::alternating_chain(65);
+        let mut seq = FrontierPrEngine::new(flat.clone());
         let seq_stats = run_engine_frontier(&mut seq, SchedulePolicy::GreedyRounds, 100);
-        let mut par = crate::alg::FrontierPrEngine::new(flat);
+        let mut par = FrontierPrEngine::new(flat);
         let cfg = ParallelConfig {
             threads: 4,
             min_parallel_round: 0,
@@ -1035,8 +975,7 @@ mod tests {
 
     #[test]
     fn sharded_handles_more_threads_than_nodes() {
-        let flat = lr_graph::stream::chain_away(4);
-        let mut e = crate::alg::FrontierPrEngine::new(flat);
+        let mut e = FrontierPrEngine::new(stream::chain_away(4));
         let cfg = ParallelConfig {
             threads: 16,
             min_parallel_round: 0,

@@ -5,26 +5,24 @@
 //!
 //! # What's here
 //!
-//! * [`alg`] — the algorithms, each as an in-place engine **and** an I/O
-//!   automaton sharing one transition function:
+//! * [`alg`] — the algorithms, as the paper's I/O automata and as one
+//!   flat engine per family:
 //!   * [`alg::PrSetAutomaton`] / [`alg::OneStepPrAutomaton`] — the paper's
 //!     Algorithms 1 and 3 (list-based Partial Reversal),
 //!   * [`alg::NewPrAutomaton`] — the paper's Algorithm 2 (`NewPR`),
-//!   * [`alg::FullReversalEngine`] — Full Reversal,
-//!   * [`alg::PairHeightsEngine`] / [`alg::TripleHeightsEngine`] — the
-//!     Gafni–Bertsekas height formulations,
-//!   * [`alg::BllEngine`] — a labeled-reversal generalization (Binary
-//!     Link Labels).
+//!   * [`alg::FullReversalAutomaton`] — Full Reversal.
 //!
-//!   Every family also has a flat, CSR-native [`alg::FrontierEngine`]
-//!   — [`alg::FrontierFrEngine`], [`alg::FrontierPrEngine`],
-//!   [`alg::FrontierNewPrEngine`], [`alg::FrontierPairHeightsEngine`],
-//!   [`alg::FrontierTripleHeightsEngine`], [`alg::FrontierBllEngine`] —
+//!   Every family runs on a flat, CSR-native [`alg::FrontierEngine`] —
+//!   [`alg::FrontierFrEngine`], [`alg::FrontierPrEngine`],
+//!   [`alg::FrontierNewPrEngine`], the Gafni–Bertsekas height
+//!   formulations [`alg::FrontierPairHeightsEngine`] /
+//!   [`alg::FrontierTripleHeightsEngine`], and the labeled-reversal
+//!   generalization [`alg::FrontierBllEngine`] (Binary Link Labels) —
 //!   constructed uniformly through [`alg::FrontierFamily`] (or
-//!   [`alg::AlgorithmKind::frontier_engine`]). These are the default
-//!   execution substrate: bit-packed per-slot state, no map-backed
-//!   instance, million-node capable, each proven step-for-step
-//!   identical to its map engine by the frontier differential suite.
+//!   [`alg::AlgorithmKind::engine`]): bit-packed per-slot state, no
+//!   map-backed instance, million-node capable. The automata are the
+//!   oracle: every engine runs in lockstep beside the automaton whose
+//!   reversal sets it reproduces.
 //! * [`invariants`] — Invariants 3.1, 3.2, Corollaries 3.3/3.4,
 //!   Invariants 4.1, 4.2(a–d) and the acyclicity theorems 4.3/5.5 as
 //!   named predicates with rich counterexample messages.
@@ -57,14 +55,14 @@
 //! # Quickstart
 //!
 //! ```
-//! use lr_core::alg::{NewPrEngine, ReversalEngine};
+//! use lr_core::alg::AlgorithmKind;
 //! use lr_core::engine::{run_to_destination_oriented, SchedulePolicy, DEFAULT_MAX_STEPS};
 //! use lr_graph::generate;
 //!
 //! let inst = generate::chain_away(16);
-//! let mut engine = NewPrEngine::new(&inst);
+//! let mut engine = AlgorithmKind::NewPr.engine(&inst);
 //! let stats = run_to_destination_oriented(
-//!     &mut engine,
+//!     engine.as_mut(),
 //!     SchedulePolicy::GreedyRounds,
 //!     DEFAULT_MAX_STEPS,
 //! );

@@ -1,5 +1,5 @@
-//! Execution tracing: drive any engine while recording each step, then
-//! render the trace as text or as a sequence of Graphviz DOT frames.
+//! Execution tracing: drive a family's engine while recording each step,
+//! then render the trace as text or as a sequence of Graphviz DOT frames.
 //!
 //! Used by the examples for demonstration and by tests for debugging —
 //! and itself a small reproduction artifact: the rendered trace shows the
@@ -7,9 +7,9 @@
 
 use std::fmt::Write as _;
 
-use lr_graph::{dot, DirectedView, NodeId, Orientation, ReversalInstance};
+use lr_graph::{dot, CsrInstance, DirectedView, NodeId, Orientation, ReversalInstance};
 
-use crate::alg::ReversalEngine;
+use crate::alg::{FrontierFamily, ReversalEngine};
 use crate::engine::SchedulePolicy;
 use crate::ReversalStep;
 
@@ -38,13 +38,15 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Runs `engine` to termination under `policy`, recording every step.
+    /// Builds `family`'s engine on `inst` and runs it to termination
+    /// under `policy`, recording every step.
     ///
     /// # Panics
     ///
     /// Panics if the engine does not terminate within `max_steps`.
     pub fn record(
-        engine: &mut dyn ReversalEngine,
+        inst: &ReversalInstance,
+        family: FrontierFamily,
         policy: SchedulePolicy,
         max_steps: usize,
     ) -> Self {
@@ -52,10 +54,8 @@ impl Trace {
         use rand::seq::SliceRandom;
         use rand::SeedableRng;
 
-        let instance = engine
-            .instance()
-            .expect("trace recording needs a map-backed engine")
-            .clone();
+        let mut engine = family.engine(CsrInstance::from_instance(inst));
+        let engine = engine.as_mut();
         let algorithm = engine.algorithm_name();
         let initial = engine.orientation();
         let mut frames = Vec::new();
@@ -110,7 +110,7 @@ impl Trace {
         }
         Trace {
             algorithm,
-            instance,
+            instance: inst.clone(),
             initial,
             frames,
         }
@@ -232,15 +232,19 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alg::{NewPrEngine, PrEngine};
-    use crate::engine::DEFAULT_MAX_STEPS;
+    use crate::alg::FrontierFamily::{NewPr, PartialReversal};
+    use crate::engine::{run_engine, DEFAULT_MAX_STEPS};
     use lr_graph::generate;
 
     #[test]
     fn trace_records_and_validates() {
         let inst = generate::chain_away(6);
-        let mut e = PrEngine::new(&inst);
-        let trace = Trace::record(&mut e, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
+        let trace = Trace::record(
+            &inst,
+            PartialReversal,
+            SchedulePolicy::FirstSingle,
+            DEFAULT_MAX_STEPS,
+        );
         assert_eq!(trace.len(), 5);
         assert_eq!(trace.total_reversals(), 5);
         assert_eq!(trace.dummy_steps(), 0);
@@ -250,8 +254,12 @@ mod tests {
     #[test]
     fn text_rendering_mentions_every_step() {
         let inst = generate::chain_away(4);
-        let mut e = PrEngine::new(&inst);
-        let trace = Trace::record(&mut e, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
+        let trace = Trace::record(
+            &inst,
+            PartialReversal,
+            SchedulePolicy::FirstSingle,
+            DEFAULT_MAX_STEPS,
+        );
         let text = trace.render_text();
         assert!(text.contains("step   1"));
         assert!(text.contains("n3 reverses {n2}"));
@@ -261,8 +269,7 @@ mod tests {
     #[test]
     fn dummy_steps_are_flagged_in_text() {
         let inst = lr_graph::parse::parse_instance("dest 3\n1 > 0\n2 > 0\n3 > 0").unwrap();
-        let mut e = NewPrEngine::new(&inst);
-        let trace = Trace::record(&mut e, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
+        let trace = Trace::record(&inst, NewPr, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
         assert!(trace.dummy_steps() > 0);
         assert!(trace.render_text().contains("(dummy)"));
         trace.validate().expect("dummy steps replay as no-ops");
@@ -271,8 +278,12 @@ mod tests {
     #[test]
     fn dot_frames_cover_initial_plus_steps() {
         let inst = generate::chain_away(4);
-        let mut e = PrEngine::new(&inst);
-        let trace = Trace::record(&mut e, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
+        let trace = Trace::record(
+            &inst,
+            PartialReversal,
+            SchedulePolicy::FirstSingle,
+            DEFAULT_MAX_STEPS,
+        );
         let frames = trace.render_dot_frames();
         assert_eq!(frames.len(), trace.len() + 1);
         assert!(frames[0].contains("digraph initial"));
@@ -282,8 +293,12 @@ mod tests {
     #[test]
     fn empty_trace_on_oriented_instance() {
         let inst = generate::chain_toward(5);
-        let mut e = PrEngine::new(&inst);
-        let trace = Trace::record(&mut e, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
+        let trace = Trace::record(
+            &inst,
+            PartialReversal,
+            SchedulePolicy::GreedyRounds,
+            DEFAULT_MAX_STEPS,
+        );
         assert!(trace.is_empty());
         trace.validate().expect("empty trace is valid");
     }
@@ -291,10 +306,27 @@ mod tests {
     #[test]
     fn traces_are_reproducible_for_random_policy() {
         let inst = generate::random_connected(10, 8, 60);
-        let mut a = PrEngine::new(&inst);
-        let ta = Trace::record(&mut a, SchedulePolicy::RandomSingle { seed: 4 }, 100_000);
-        let mut b = PrEngine::new(&inst);
-        let tb = Trace::record(&mut b, SchedulePolicy::RandomSingle { seed: 4 }, 100_000);
+        let policy = SchedulePolicy::RandomSingle { seed: 4 };
+        let ta = Trace::record(&inst, PartialReversal, policy, 100_000);
+        let tb = Trace::record(&inst, PartialReversal, policy, 100_000);
         assert_eq!(ta.frames, tb.frames);
+    }
+
+    /// A recorded trace replays to the same totals the run loop reports.
+    #[test]
+    fn traces_agree_with_run_stats() {
+        for seed in 0..6 {
+            let inst = generate::random_connected(14, 12, 9100 + seed);
+            let policy = SchedulePolicy::RandomSingle { seed };
+            for family in FrontierFamily::ALL {
+                let mut e = family.engine(CsrInstance::from_instance(&inst));
+                let stats = run_engine(e.as_mut(), policy, DEFAULT_MAX_STEPS);
+                let trace = Trace::record(&inst, family, policy, DEFAULT_MAX_STEPS);
+                assert_eq!(trace.len(), stats.steps, "{}", family.name());
+                assert_eq!(trace.total_reversals(), stats.total_reversals);
+                assert_eq!(trace.dummy_steps(), stats.dummy_steps);
+                trace.validate().expect("trace replays");
+            }
+        }
     }
 }

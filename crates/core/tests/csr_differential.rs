@@ -1,8 +1,8 @@
-//! Differential properties of the PR-2 representation refactor: the
-//! CSR/incremental engines must be observably identical to the retained
-//! naive-scan reference on random connected instances, across **all
-//! seven engine configurations (five algorithms plus both BLL labelings)
-//! × all four schedule policies**.
+//! Differential properties of the flat engines' incremental machinery:
+//! they must be observably identical to the retained naive-scan and
+//! allocating reference loops on random connected instances, across
+//! **all seven engine configurations (five algorithms plus both BLL
+//! labelings) × all four schedule policies**.
 //!
 //! The incremental enabled set ([`lr_core::EnabledTracker`]) is redundant
 //! state mirroring what a full `is_sink` scan computes; these tests are
@@ -10,14 +10,13 @@
 //! paper's invariants (3.1, acyclicity, destination-orientedness) on the
 //! flat slot-indexed representation.
 
-use lr_core::alg::{AlgorithmKind, BllEngine, BllLabeling, PrEngine, ReversalEngine};
+use lr_core::alg::{BllLabeling, FrontierFamily, FrontierPrEngine, ReversalEngine};
 use lr_core::engine::{
-    run_engine, run_engine_alloc, run_engine_frontier_sharded_with, run_engine_scan,
-    ParallelConfig, RunStats, SchedulePolicy, DEFAULT_MAX_STEPS,
+    run_engine, run_engine_alloc, run_engine_scan, RunStats, SchedulePolicy, DEFAULT_MAX_STEPS,
 };
 use lr_core::invariants::{check_acyclic, check_inv_3_1};
 use lr_core::StepScratch;
-use lr_graph::{generate, DirectedView, NodeId, ReversalInstance};
+use lr_graph::{generate, CsrInstance, DirectedView, NodeId, ReversalInstance};
 use proptest::prelude::*;
 
 fn instance_strategy() -> impl Strategy<Value = ReversalInstance> {
@@ -25,32 +24,12 @@ fn instance_strategy() -> impl Strategy<Value = ReversalInstance> {
         .prop_map(|(n, extra, seed)| generate::random_connected(n, extra, seed))
 }
 
-/// One factory per engine configuration under test: the five
-/// `AlgorithmKind`s plus both BLL labelings (which `AlgorithmKind::ALL`
-/// does not cover).
-type EngineFactory<'a> = Box<dyn Fn() -> Box<dyn ReversalEngine + 'a> + 'a>;
-
-fn all_engines(inst: &ReversalInstance) -> Vec<(&'static str, EngineFactory<'_>)> {
-    let mut factories: Vec<(&'static str, EngineFactory<'_>)> = AlgorithmKind::ALL
-        .iter()
-        .map(|&kind| {
-            (
-                kind.name(),
-                Box::new(move || kind.engine(inst)) as EngineFactory<'_>,
-            )
-        })
-        .collect();
-    for labeling in [BllLabeling::PartialReversal, BllLabeling::FullReversal] {
-        let name = match labeling {
-            BllLabeling::PartialReversal => "BLL[PR]",
-            BllLabeling::FullReversal => "BLL[FR]",
-        };
-        factories.push((
-            name,
-            Box::new(move || Box::new(BllEngine::new(inst, labeling))),
-        ));
-    }
-    factories
+/// Every engine configuration under test: the six families plus the
+/// FR-labeled BLL variant (which `FrontierFamily::ALL` does not cover).
+fn families() -> impl Iterator<Item = FrontierFamily> {
+    FrontierFamily::ALL
+        .into_iter()
+        .chain([FrontierFamily::Bll(BllLabeling::FullReversal)])
 }
 
 fn policies(seed: u64) -> [SchedulePolicy; 4] {
@@ -81,7 +60,10 @@ proptest! {
         inst in instance_strategy(),
         seed in any::<u64>(),
     ) {
-        for (name, factory) in all_engines(&inst) {
+        let flat = CsrInstance::from_instance(&inst);
+        for family in families() {
+            let name = family.name();
+            let factory = || family.engine(flat.clone());
             for policy in policies(seed) {
                 let mut fast = factory();
                 let fast_stats = run_engine(fast.as_mut(), policy, DEFAULT_MAX_STEPS);
@@ -114,8 +96,10 @@ proptest! {
         inst in instance_strategy(),
         seed in any::<u64>(),
     ) {
-        for (name, factory) in all_engines(&inst) {
-            let mut engine = factory();
+        let flat = CsrInstance::from_instance(&inst);
+        for family in families() {
+            let name = family.name();
+            let mut engine = family.engine(flat.clone());
             let mut steps = 0usize;
             loop {
                 let scanned = rescan(&inst, engine.as_ref());
@@ -149,7 +133,10 @@ proptest! {
         inst in instance_strategy(),
         seed in any::<u64>(),
     ) {
-        for (name, factory) in all_engines(&inst) {
+        let flat = CsrInstance::from_instance(&inst);
+        for family in families() {
+            let name = family.name();
+            let factory = || family.engine(flat.clone());
             let mut via_step = factory();
             let mut via_step_into = factory();
             let mut scratch = StepScratch::new();
@@ -193,7 +180,10 @@ proptest! {
         inst in instance_strategy(),
         seed in any::<u64>(),
     ) {
-        for (name, factory) in all_engines(&inst) {
+        let flat = CsrInstance::from_instance(&inst);
+        for family in families() {
+            let name = family.name();
+            let factory = || family.engine(flat.clone());
             for policy in policies(seed) {
                 let mut fast = factory();
                 let fast_stats = run_engine(fast.as_mut(), policy, DEFAULT_MAX_STEPS);
@@ -201,30 +191,6 @@ proptest! {
                 let slow_stats = run_engine_alloc(slow.as_mut(), policy, DEFAULT_MAX_STEPS);
                 prop_assert_eq!(&fast_stats, &slow_stats, "{} under {:?}", name, policy);
                 prop_assert_eq!(fast.orientation(), slow.orientation(), "{}", name);
-            }
-        }
-    }
-
-    /// `run_engine_frontier_sharded` is bit-identical to sequential
-    /// `GreedyRounds`: same `RunStats` (work vectors included), final
-    /// orientations, and enabled sets across thread counts {1, 2, 4, 8}
-    /// — with the round-size cutoff forced to 0 so the parallel
-    /// plan/apply path actually runs on these small instances.
-    #[test]
-    fn parallel_rounds_bit_identical_to_sequential(
-        inst in instance_strategy(),
-        _seed in any::<u64>(),
-    ) {
-        for (name, factory) in all_engines(&inst) {
-            let mut seq = factory();
-            let seq_stats = run_engine(seq.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
-            for threads in [1usize, 2, 4, 8] {
-                let cfg = ParallelConfig { threads, min_parallel_round: 0 };
-                let mut par = factory();
-                let par_stats = run_engine_frontier_sharded_with(par.as_mut(), cfg, DEFAULT_MAX_STEPS);
-                prop_assert_eq!(&par_stats, &seq_stats, "{} × {} threads", name, threads);
-                prop_assert_eq!(par.orientation(), seq.orientation(), "{}", name);
-                prop_assert_eq!(par.enabled(), seq.enabled(), "{}", name);
             }
         }
     }
@@ -237,31 +203,38 @@ proptest! {
         inst in instance_strategy(),
         seed in any::<u64>(),
     ) {
-        let mut e = PrEngine::new(&inst);
+        let mut e = FrontierPrEngine::new(CsrInstance::from_instance(&inst));
         let stats = run_engine(
             &mut e,
             SchedulePolicy::RandomSingle { seed },
             DEFAULT_MAX_STEPS,
         );
         prop_assert!(stats.terminated);
-        prop_assert!(check_inv_3_1(&e.state().dirs).is_ok());
-        prop_assert!(check_acyclic(&inst, &e.state().dirs).is_ok());
+        prop_assert!(check_inv_3_1(e.dirs()).is_ok());
+        prop_assert!(check_acyclic(&inst, e.dirs()).is_ok());
         let o = e.orientation();
         prop_assert!(DirectedView::new(&inst.graph, &o).is_destination_oriented(inst.dest));
     }
 }
 
-/// Engine `reset` also resets the incremental enabled set.
+/// Engine `reset` restores the initial state, incremental enabled set
+/// included: run, reset, run again — both runs identical.
 #[test]
-fn reset_restores_initial_enabled_set() {
+fn reset_restores_initial_state() {
     let inst = generate::random_connected(12, 8, 99);
-    for (name, factory) in all_engines(&inst) {
-        let mut e = factory();
+    let flat = CsrInstance::from_instance(&inst);
+    let policy = SchedulePolicy::RandomSingle { seed: 1 };
+    for family in families() {
+        let name = family.name();
+        let mut e = family.engine(flat.clone());
         let initial = e.enabled().to_vec();
-        let u = *e.enabled().first().expect("instance has work");
-        e.step(u);
+        let first = run_engine(e.as_mut(), policy, DEFAULT_MAX_STEPS);
+        let o_first = e.orientation();
         e.reset();
         assert_eq!(e.enabled(), initial, "{name}");
+        let second = run_engine(e.as_mut(), policy, DEFAULT_MAX_STEPS);
+        assert_eq!(first, second, "{name} runs differ after reset");
+        assert_eq!(o_first, e.orientation(), "{name}");
     }
 }
 
@@ -277,22 +250,22 @@ fn assert_stats_match(a: &RunStats, b: &RunStats) {
 #[ignore = "multi-second in release; runs in the CI --ignored tier"]
 fn alternating_chain_4096_terminates_within_default_budget() {
     let inst = generate::alternating_chain(4097);
-    let mut e = PrEngine::new(&inst);
+    let mut e = FrontierPrEngine::new(CsrInstance::from_instance(&inst));
     let stats = run_engine(&mut e, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
     assert!(
         stats.terminated,
         "n = 4096 must finish within {DEFAULT_MAX_STEPS} steps (took {})",
         stats.steps
     );
-    assert!(check_inv_3_1(&e.state().dirs).is_ok());
-    assert!(check_acyclic(&inst, &e.state().dirs).is_ok());
+    assert!(check_inv_3_1(e.dirs()).is_ok());
+    assert!(check_acyclic(&inst, e.dirs()).is_ok());
     let o = e.orientation();
     assert!(DirectedView::new(&inst.graph, &o).is_destination_oriented(inst.dest));
 
-    let inst = generate::alternating_chain(257);
-    let mut fast = PrEngine::new(&inst);
+    let flat = lr_graph::stream::alternating_chain(257);
+    let mut fast = FrontierPrEngine::new(flat.clone());
     let fast_stats = run_engine(&mut fast, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
-    let mut slow = PrEngine::new(&inst);
+    let mut slow = FrontierPrEngine::new(flat);
     let slow_stats = run_engine_scan(&mut slow, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
     assert_stats_match(&fast_stats, &slow_stats);
 }

@@ -1,33 +1,28 @@
-//! Differential properties of the PR-7 million-node machinery: the
-//! bit-packed direction words, the flat CSR-native
-//! [`FrontierPrEngine`], and the frontier-driven run loop must be
-//! observably identical to the map-backed engines and the established
-//! loops on random connected instances.
+//! Differential properties of the million-node machinery: the
+//! bit-packed direction words and the node-range-sharded run loop must
+//! be observably identical to their retained references on random
+//! connected instances.
 //!
-//! Four redundancies are falsified here:
+//! Two redundancies are falsified here:
 //!
 //! * the **bit-packed [`MirroredDirs`]** against a retained
 //!   `Vec<EdgeDir>` slot model across random mutation sequences
 //!   (including one-sided desyncs);
-//! * **[`run_engine_frontier`]** against [`run_engine`] for every engine
-//!   configuration × schedule policy;
-//! * **[`FrontierPrEngine`]** against the map-backed [`PrEngine`] —
-//!   lockstep per step, whole-run `RunStats`, and through the parallel
-//!   plan/apply path at thread counts {1, 2, 4, 8};
-//! * **every [`FrontierFamily`] flat engine** (PR 8) against its
-//!   map-backed reference — whole-run under every policy, lockstep per
-//!   step, and through the node-range-sharded parallel loop
-//!   [`run_engine_frontier_sharded_with`] at thread counts {1, 2, 4, 8}.
+//! * **every [`FrontierFamily`] flat engine** through the
+//!   node-range-sharded parallel loop [`run_engine_frontier_sharded_with`]
+//!   at thread counts {1, 2, 4, 8} against the sequential frontier loop.
+//!
+//! Each flat engine's step-for-step agreement with the paper's automata
+//! is the lockstep suite's job (`tests/end_to_end.rs` at the workspace
+//! root).
 
-use lr_core::alg::{
-    AlgorithmKind, BllLabeling, FrontierFamily, FrontierPrEngine, PrEngine, ReversalEngine,
-};
+use lr_core::alg::{BllLabeling, FrontierFamily, FrontierPrEngine};
 use lr_core::engine::{
-    run_engine, run_engine_frontier, run_engine_frontier_sharded_with, ParallelConfig,
-    SchedulePolicy, DEFAULT_MAX_STEPS,
+    run_engine_frontier, run_engine_frontier_sharded_with, ParallelConfig, SchedulePolicy,
+    DEFAULT_MAX_STEPS,
 };
 use lr_core::MirroredDirs;
-use lr_graph::{generate, stream, CsrInstance, EdgeDir, NodeId, ReversalInstance};
+use lr_graph::{generate, stream, EdgeDir, NodeId, ReversalInstance};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -37,8 +32,8 @@ fn instance_strategy() -> impl Strategy<Value = ReversalInstance> {
         .prop_map(|(n, extra, seed)| generate::random_connected(n, extra, seed))
 }
 
-/// Every frontier family under differential test: the six canonical
-/// families plus the FR-labeled BLL variant.
+/// Every frontier family: the six canonical families plus the
+/// FR-labeled BLL variant.
 fn all_families() -> [FrontierFamily; 7] {
     [
         FrontierFamily::FullReversal,
@@ -48,15 +43,6 @@ fn all_families() -> [FrontierFamily; 7] {
         FrontierFamily::TripleHeights,
         FrontierFamily::Bll(BllLabeling::PartialReversal),
         FrontierFamily::Bll(BllLabeling::FullReversal),
-    ]
-}
-
-fn policies(seed: u64) -> [SchedulePolicy; 4] {
-    [
-        SchedulePolicy::GreedyRounds,
-        SchedulePolicy::RandomSingle { seed },
-        SchedulePolicy::FirstSingle,
-        SchedulePolicy::LastSingle,
     ]
 }
 
@@ -138,190 +124,6 @@ proptest! {
         }
     }
 
-    /// `run_engine_frontier` produces identical `RunStats` and final
-    /// orientations to `run_engine` for every algorithm × policy.
-    #[test]
-    fn frontier_loop_matches_run_engine(
-        inst in instance_strategy(),
-        seed in any::<u64>(),
-    ) {
-        for kind in AlgorithmKind::ALL {
-            for policy in policies(seed) {
-                let mut base = kind.engine(&inst);
-                let base_stats = run_engine(base.as_mut(), policy, DEFAULT_MAX_STEPS);
-                let mut frontier = kind.engine(&inst);
-                let frontier_stats =
-                    run_engine_frontier(frontier.as_mut(), policy, DEFAULT_MAX_STEPS);
-                prop_assert_eq!(
-                    &frontier_stats,
-                    &base_stats,
-                    "{} under {:?}: loops diverged",
-                    kind.name(),
-                    policy
-                );
-                prop_assert!(frontier_stats.terminated, "{} must terminate", kind.name());
-                prop_assert_eq!(frontier.orientation(), base.orientation(), "{}", kind.name());
-                prop_assert_eq!(frontier.enabled(), base.enabled(), "{}", kind.name());
-            }
-        }
-    }
-
-    /// The flat `FrontierPrEngine` equals the map-backed `PrEngine` in
-    /// whole-run statistics and final orientation on every policy and
-    /// both run loops.
-    #[test]
-    fn frontier_engine_matches_pr_engine(
-        n in 4usize..=16,
-        extra in 0usize..=20,
-        seed in any::<u64>(),
-    ) {
-        let inst = generate::random_connected(n, extra, seed);
-        let flat = stream::random_connected(n, extra, seed);
-        prop_assert_eq!(&flat, &CsrInstance::from_instance(&inst));
-        for policy in policies(seed) {
-            let mut map_engine = PrEngine::new(&inst);
-            let map_stats = run_engine(&mut map_engine, policy, DEFAULT_MAX_STEPS);
-            let mut flat_engine = FrontierPrEngine::new(flat.clone());
-            let flat_stats =
-                run_engine_frontier(&mut flat_engine, policy, DEFAULT_MAX_STEPS);
-            prop_assert_eq!(&flat_stats, &map_stats, "policy {:?}", policy);
-            prop_assert_eq!(flat_engine.orientation(), map_engine.orientation());
-            prop_assert_eq!(flat_engine.enabled(), map_engine.enabled());
-            prop_assert!(flat_engine.dirs().check_consistency().is_ok());
-        }
-    }
-
-    /// The flat engine stays in lockstep with the map-backed engine
-    /// step-for-step: same enabled sets before every step, same reversed
-    /// lists from every step.
-    #[test]
-    fn frontier_engine_lockstep_with_pr_engine(
-        n in 4usize..=16,
-        extra in 0usize..=20,
-        seed in any::<u64>(),
-    ) {
-        let inst = generate::random_connected(n, extra, seed);
-        let mut a = FrontierPrEngine::new(stream::random_connected(n, extra, seed));
-        let mut b = PrEngine::new(&inst);
-        let mut k = 0usize;
-        loop {
-            prop_assert_eq!(a.enabled(), b.enabled(), "diverged after {} steps", k);
-            if a.is_terminated() {
-                break;
-            }
-            let enabled = a.enabled();
-            let u = enabled[(seed as usize + k) % enabled.len()];
-            prop_assert_eq!(a.step(u), b.step(u), "step {}", k);
-            k += 1;
-            prop_assert!(k < 1_000_000, "runaway execution");
-        }
-        prop_assert_eq!(a.orientation(), b.orientation());
-    }
-
-    /// The parallel plan/apply path over the flat engine is bit-identical
-    /// to sequential greedy rounds at thread counts {1, 2, 4, 8}, and to
-    /// the map-backed engine's parallel runs.
-    #[test]
-    fn frontier_engine_parallel_bit_identical(
-        n in 4usize..=16,
-        extra in 0usize..=20,
-        seed in any::<u64>(),
-    ) {
-        let inst = generate::random_connected(n, extra, seed);
-        let flat = stream::random_connected(n, extra, seed);
-        let mut seq = FrontierPrEngine::new(flat.clone());
-        let seq_stats = run_engine(&mut seq, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
-        let mut map_engine = PrEngine::new(&inst);
-        let map_stats = run_engine(&mut map_engine, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
-        prop_assert_eq!(&seq_stats, &map_stats);
-        for threads in [1usize, 2, 4, 8] {
-            let cfg = ParallelConfig { threads, min_parallel_round: 0 };
-            let mut par = FrontierPrEngine::new(flat.clone());
-            let par_stats = run_engine_frontier_sharded_with(&mut par, cfg, DEFAULT_MAX_STEPS);
-            prop_assert_eq!(&par_stats, &seq_stats, "{} threads", threads);
-            prop_assert_eq!(par.orientation(), seq.orientation());
-            prop_assert_eq!(par.enabled(), seq.enabled());
-        }
-    }
-
-    /// Every family's flat engine produces identical whole-run
-    /// `RunStats`, final orientation, and final enabled set to its
-    /// map-backed reference, under every schedule policy.
-    #[test]
-    fn every_family_matches_its_map_engine_under_every_policy(
-        n in 4usize..=16,
-        extra in 0usize..=20,
-        seed in any::<u64>(),
-    ) {
-        let inst = generate::random_connected(n, extra, seed);
-        let flat = stream::random_connected(n, extra, seed);
-        for family in all_families() {
-            for policy in policies(seed) {
-                let mut map_engine = family.map_engine(&inst);
-                let map_stats = run_engine(map_engine.as_mut(), policy, DEFAULT_MAX_STEPS);
-                let mut flat_engine = family.engine(flat.clone());
-                let flat_stats =
-                    run_engine_frontier(flat_engine.as_mut(), policy, DEFAULT_MAX_STEPS);
-                prop_assert_eq!(
-                    &flat_stats,
-                    &map_stats,
-                    "{} under {:?}",
-                    family.name(),
-                    policy
-                );
-                prop_assert!(flat_stats.terminated, "{} must terminate", family.name());
-                prop_assert_eq!(
-                    flat_engine.orientation(),
-                    map_engine.orientation(),
-                    "{}",
-                    family.name()
-                );
-                prop_assert_eq!(
-                    flat_engine.enabled(),
-                    map_engine.enabled(),
-                    "{}",
-                    family.name()
-                );
-            }
-        }
-    }
-
-    /// Every family's flat engine stays in lockstep with its map-backed
-    /// reference: same enabled set before every step, same reversed list
-    /// from every step, under a pseudo-random pick of the enabled node.
-    #[test]
-    fn every_family_lockstep_with_its_map_engine(
-        n in 4usize..=16,
-        extra in 0usize..=20,
-        seed in any::<u64>(),
-    ) {
-        let inst = generate::random_connected(n, extra, seed);
-        let flat = stream::random_connected(n, extra, seed);
-        for family in all_families() {
-            let mut a = family.engine(flat.clone());
-            let mut b = family.map_engine(&inst);
-            let mut k = 0usize;
-            loop {
-                prop_assert_eq!(
-                    a.enabled(),
-                    b.enabled(),
-                    "{}: diverged after {} steps",
-                    family.name(),
-                    k
-                );
-                if a.is_terminated() {
-                    break;
-                }
-                let enabled = a.enabled();
-                let u = enabled[(seed as usize + k) % enabled.len()];
-                prop_assert_eq!(a.step(u), b.step(u), "{}: step {}", family.name(), k);
-                k += 1;
-                prop_assert!(k < 1_000_000, "{}: runaway execution", family.name());
-            }
-            prop_assert_eq!(a.orientation(), b.orientation(), "{}", family.name());
-        }
-    }
-
     /// The node-range-sharded parallel loop is bit-identical to the
     /// sequential frontier loop for every family at thread counts
     /// {1, 2, 4, 8}.
@@ -356,7 +158,7 @@ proptest! {
 }
 
 /// The CSR-native postcondition check in `run_to_destination_oriented`
-/// accepts a correct flat run (no map-backed instance involved).
+/// accepts a correct flat run.
 #[test]
 fn run_to_destination_oriented_on_flat_engine() {
     let mut e = FrontierPrEngine::new(stream::grid_away(8, 9));

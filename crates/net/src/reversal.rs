@@ -59,7 +59,7 @@ pub struct ReversalNode {
 pub struct DistributedPr;
 
 /// Computes the initial heights exactly as
-/// [`lr_core::alg::TripleHeightsEngine`] does: `α = 0`,
+/// [`lr_core::alg::FrontierTripleHeightsEngine`] does: `α = 0`,
 /// `β = −x` from the plane embedding of the initial DAG.
 pub fn initial_heights(inst: &ReversalInstance) -> BTreeMap<NodeId, TripleHeight> {
     let emb = PlaneEmbedding::of_initial(&inst.graph, &inst.init)

@@ -60,6 +60,15 @@ pub struct RouteNode {
     pub revisits: u64,
 }
 
+/// The hop limit for a walk over a graph of `node_count` nodes: four
+/// times the node count, at least 16, saturating at `u32::MAX` instead of
+/// wrapping once `4 · node_count` leaves `u32` (from 2³⁰ nodes up).
+pub fn probe_hop_limit(node_count: usize) -> u32 {
+    u32::try_from(node_count.saturating_mul(4))
+        .unwrap_or(u32::MAX)
+        .max(16)
+}
+
 /// The routing protocol. Forwarding uses a hop limit to cut transient
 /// loops during reconvergence.
 #[derive(Debug, Clone, Copy)]
@@ -198,7 +207,7 @@ impl RoutingHarness {
                 )
             })
             .collect();
-        let hop_limit = (4 * inst.node_count() as u32).max(16);
+        let hop_limit = probe_hop_limit(inst.node_count());
         let mut sim = EventSim::new(
             TorarRouting { hop_limit },
             inst.graph.clone(),
@@ -287,6 +296,16 @@ mod tests {
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
+    }
+
+    #[test]
+    fn probe_hop_limit_floors_at_16_and_saturates_at_u32_max() {
+        assert_eq!(probe_hop_limit(3), 16);
+        assert_eq!(probe_hop_limit(5), 20);
+        // 4 · 2³⁰ = 2³² no longer fits a u32: the limit saturates instead
+        // of wrapping to 0 (and flooring to 16).
+        assert_eq!(probe_hop_limit(1 << 30), u32::MAX);
+        assert_eq!(probe_hop_limit(usize::MAX), u32::MAX);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use lr_graph::{DirectedView, NodeId, ReversalInstance, UndirectedGraph};
 use lr_net::election::ElectionHarness;
 use lr_net::mutex::{MutexHarness, MutexMsg};
 use lr_net::reversal::{initial_nodes, orientation_from_heights, DistributedPr, ReversalMsg};
-use lr_net::routing::{Packet, RouteMsg, RouteNode, TorarRouting};
+use lr_net::routing::{probe_hop_limit, Packet, RouteMsg, RouteNode, TorarRouting};
 use lr_net::sim::{EventSim, LinkConfig, Protocol, SimStats};
 use lr_net::tora::{ToraHarness, ToraMsg};
 use rand::rngs::SmallRng;
@@ -236,7 +236,7 @@ where
     K: Fn(&P::Node) -> &BTreeMap<NodeId, TripleHeight>,
     S: Fn(NodeId, &P::Node) -> bool,
 {
-    let limit = u64::from((4 * sim.graph().node_count() as u32).max(16));
+    let limit = u64::from(probe_hop_limit(sim.graph().node_count()));
     let mut cur = src;
     let mut hops = 0u64;
     let mut path_delay = 0u64;
@@ -345,7 +345,7 @@ impl RoutingDriver {
                 )
             })
             .collect();
-        let hop_limit = (4 * inst.node_count() as u32).max(16);
+        let hop_limit = probe_hop_limit(inst.node_count());
         let mut sim = EventSim::new(
             TorarRouting { hop_limit },
             inst.graph.clone(),
@@ -644,7 +644,7 @@ impl Driver for ToraDriver {
         // the walk descends the neighbor-height table exactly like the
         // triple-height protocols.
         let sim = self.harness.sim();
-        let limit = u64::from((4 * sim.graph().node_count() as u32).max(16));
+        let limit = u64::from(probe_hop_limit(sim.graph().node_count()));
         let mut cur = src;
         let mut hops = 0u64;
         let mut path_delay = 0u64;

@@ -30,14 +30,14 @@
 //! Each served tick drains the simulator to the tick boundary
 //! (`run_until_capped` then `advance_to`), applies the feed's churn
 //! for that tick, enqueues the tick's arrivals, then admits up to
-//! `batch` queued requests and answers them via
-//! [`Driver::route_probe`] — a pure read of the current node states. A
-//! request's latency is its queue wait in ticks plus the probed path's
-//! summed link delay; its stretch is the probed hop count over the
-//! live BFS distance at answer time. Probes are fanned out over worker
-//! threads but **folded in admission order**, so the report — and its
-//! rendering — is byte-identical for a fixed `(spec, seed, flags)`
-//! across runs *and across `--threads` values*. Wall-clock time lives
+//! `batch` queued requests and answers them via the protocol driver's
+//! `route_probe` — a pure read of the current node states. A request's
+//! latency is its queue wait in ticks plus the probed path's summed link
+//! delay; its stretch is the probed hop count over the live BFS distance
+//! at answer time. Probes are fanned out over worker threads but
+//! **folded in admission order**, so the report — and its rendering — is
+//! byte-identical for a fixed `(spec, seed, flags)` across runs *and
+//! across `--threads` values*. Wall-clock time lives
 //! only in [`ServeReport::elapsed_ns`], which the rendering leaves out.
 
 use std::collections::{BTreeMap, VecDeque};

@@ -388,10 +388,23 @@ impl TopologySpec {
         edges.checked_mul(2)
     }
 
+    /// Checks that the family's instance fits the CSR's u32 slot index,
+    /// so an oversize topology is an error before anything is built.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the family, its size, and the capacity,
+    /// e.g. `chain-away(n=…) is too large: … half-edges exceed the u32
+    /// slot-index capacity (4294967295)`.
+    pub fn check_capacity(&self) -> Result<(), String> {
+        check_slot_capacity(self.half_edges().unwrap_or(usize::MAX))
+            .map_err(|e| format!("{} is too large: {e}", self.describe()))
+    }
+
     fn parse(v: &Value, path: &str) -> Result<Self, SpecError> {
         let spec = Self::parse_family(v, path)?;
-        check_slot_capacity(spec.half_edges().unwrap_or(usize::MAX))
-            .map_err(|e| SpecError::new(path, format!("{} is too large: {e}", spec.describe())))?;
+        spec.check_capacity()
+            .map_err(|msg| SpecError::new(path, msg))?;
         Ok(spec)
     }
 

@@ -3,7 +3,6 @@
 //! consumers — streaming it into a flat [`CsrInstance`] without ever
 //! building the map representation.
 
-use lr_core::alg::{FrontierEngine, FrontierFamily};
 use lr_graph::{
     generate, stream, CsrInstance, NodeId, Orientation, ReversalInstance, UndirectedGraph,
 };
@@ -85,25 +84,6 @@ pub fn build_csr_instance(spec: &TopologySpec, run_seed: u64) -> Result<CsrInsta
         }
     };
     Ok(inst)
-}
-
-/// Builds a ready-to-run flat reversal engine for one run: the
-/// topology streams through [`build_csr_instance`] (no map
-/// representation is ever materialized for the streaming families) and
-/// the family's CSR-native frontier engine takes ownership of the
-/// result. This is the engine-construction route scenario-level
-/// consumers use; a differential test pins it per family against the
-/// map route (`family.map_engine(&build_instance(..))`).
-///
-/// # Errors
-///
-/// Same as [`build_instance`].
-pub fn build_frontier_engine(
-    spec: &TopologySpec,
-    family: FrontierFamily,
-    run_seed: u64,
-) -> Result<Box<dyn FrontierEngine>, SpecError> {
-    build_csr_instance(spec, run_seed).map(|inst| family.engine(inst))
 }
 
 /// An inline edge list becomes an instance oriented from the higher
@@ -193,27 +173,6 @@ mod tests {
             let flat = build_csr_instance(&spec, 11).unwrap();
             let map = build_instance(&spec, 11).unwrap();
             assert_eq!(flat, CsrInstance::from_instance(&map), "{spec:?}");
-        }
-    }
-
-    #[test]
-    fn frontier_engine_route_matches_the_map_route_for_every_family() {
-        use lr_core::engine::{run_engine, run_engine_frontier, SchedulePolicy};
-
-        let spec = TopologySpec::Random {
-            n: 10,
-            extra_edges: 6,
-            seed: Some(3),
-        };
-        let map_inst = build_instance(&spec, 5).unwrap();
-        for family in FrontierFamily::ALL {
-            let mut flat = build_frontier_engine(&spec, family, 5).unwrap();
-            let flat_stats =
-                run_engine_frontier(flat.as_mut(), SchedulePolicy::GreedyRounds, 1_000_000);
-            let mut map = family.map_engine(&map_inst);
-            let map_stats = run_engine(map.as_mut(), SchedulePolicy::GreedyRounds, 1_000_000);
-            assert_eq!(flat_stats, map_stats, "{}", family.name());
-            assert_eq!(flat.orientation(), map.orientation(), "{}", family.name());
         }
     }
 

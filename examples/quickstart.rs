@@ -43,8 +43,12 @@ fn main() {
     }
 
     // Render the final NewPR graph as DOT for the curious.
-    let mut engine = NewPrEngine::new(&inst);
-    run_to_destination_oriented(&mut engine, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
+    let mut engine = AlgorithmKind::NewPr.engine(&inst);
+    run_to_destination_oriented(
+        engine.as_mut(),
+        SchedulePolicy::GreedyRounds,
+        DEFAULT_MAX_STEPS,
+    );
     let o = engine.orientation();
     let view = DirectedView::new(&inst.graph, &o);
     println!(

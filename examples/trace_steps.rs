@@ -27,9 +27,9 @@ fn main() {
         AlgorithmKind::PartialReversal,
         AlgorithmKind::NewPr,
     ] {
-        let mut engine = kind.engine(&inst);
         let trace = Trace::record(
-            engine.as_mut(),
+            &inst,
+            kind.into(),
             SchedulePolicy::FirstSingle,
             DEFAULT_MAX_STEPS,
         );
@@ -38,8 +38,12 @@ fn main() {
     }
 
     // Dump the NewPR run as DOT frames for visualization.
-    let mut engine = NewPrEngine::new(&inst);
-    let trace = Trace::record(&mut engine, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
+    let trace = Trace::record(
+        &inst,
+        FrontierFamily::NewPr,
+        SchedulePolicy::FirstSingle,
+        DEFAULT_MAX_STEPS,
+    );
     let frames = trace.render_dot_frames();
     println!(
         "NewPR produced {} DOT frames; first frame:\n{}",

@@ -16,7 +16,7 @@
 
 use std::fmt::Write as _;
 
-use lr_core::alg::{AlgorithmKind, ReversalEngine};
+use lr_core::alg::AlgorithmKind;
 use lr_core::engine::{
     run_engine_frontier, run_engine_frontier_sharded, SchedulePolicy, DEFAULT_MAX_STEPS,
 };
@@ -25,7 +25,7 @@ use lr_core::invariants::{
     check_inv_4_2,
 };
 use lr_core::trace::Trace;
-use lr_graph::{dot, generate, parse, CsrInstance, DirectedView, ReversalInstance};
+use lr_graph::{dot, parse, DirectedView, ReversalInstance};
 use lr_obs::{ObsMode, ObsSession};
 
 /// A CLI-level error: message for the user, non-zero exit.
@@ -74,11 +74,9 @@ USAGE:
     lr run <alg> [policy]             run on the instance from stdin
                                       (algs: FR, PR, NewPR, GB-pair, GB-triple;
                                        policies: greedy, first, last, random:<seed>;
-                                       --engine map|frontier: execution substrate,
-                                       default frontier — flat CSR engines,
-                                       bit-identical stats to map; --threads N:
-                                       node-range-sharded parallel greedy rounds,
-                                       greedy policy only, bit-identical at any N)
+                                       --threads N: node-range-sharded parallel
+                                       greedy rounds, greedy policy only,
+                                       bit-identical at any N)
     lr trace <alg> [policy]           step-by-step trace of the run
     lr check                          verify the paper's invariants along
                                       PR and NewPR executions on the instance
@@ -337,6 +335,8 @@ fn cmd_obs(args: &[&str]) -> Result<String, CliError> {
 }
 
 fn cmd_generate(args: &[&str]) -> Result<String, CliError> {
+    use lr_scenario::spec::TopologySpec;
+
     let (family, rest) = args
         .split_first()
         .ok_or_else(|| err(format!("generate needs a family\n\n{USAGE}")))?;
@@ -349,40 +349,32 @@ fn cmd_generate(args: &[&str]) -> Result<String, CliError> {
     let seed = rest
         .get(1)
         .map_or(Ok(0u64), |s| parse_flag_u64("seed", s, 0))?;
-    let inst = match *family {
-        "chain-away" => generate::chain_away(size(2)?),
-        "chain-toward" => generate::chain_toward(size(2)?),
-        "alternating" => generate::alternating_chain(size(2)?),
-        "star" => generate::star_away(size(1)?),
+    let spec = match *family {
+        "chain-away" => TopologySpec::ChainAway { n: size(2)? },
+        "chain-toward" => TopologySpec::ChainToward { n: size(2)? },
+        "alternating" => TopologySpec::Alternating { n: size(2)? },
+        "star" => TopologySpec::Star { leaves: size(1)? },
         "grid" => {
             let n = size(2)?;
-            generate::grid_away(n, n)
+            TopologySpec::Grid { rows: n, cols: n }
         }
-        "complete" => generate::complete_away(size(2)?),
+        "complete" => TopologySpec::Complete { n: size(2)? },
         "random" => {
             let n = size(2)?;
-            generate::random_connected(n, n, seed)
+            TopologySpec::Random {
+                n,
+                extra_edges: n,
+                seed: Some(seed),
+            }
         }
         other => return Err(err(format!("unknown family {other:?}"))),
     };
+    // The scenario parser's slot-capacity check: an oversize family is an
+    // error here instead of a build that runs until it is killed.
+    spec.check_capacity().map_err(err)?;
+    let inst =
+        lr_scenario::topology::build_instance(&spec, seed).map_err(|e| err(e.to_string()))?;
     Ok(parse::to_text(&inst))
-}
-
-/// Which execution substrate `lr run` drives: the map-backed reference
-/// engines or the flat CSR-native frontier engines (the default).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EngineChoice {
-    Map,
-    Frontier,
-}
-
-impl EngineChoice {
-    fn name(self) -> &'static str {
-        match self {
-            EngineChoice::Map => "map",
-            EngineChoice::Frontier => "frontier",
-        }
-    }
 }
 
 fn cmd_run(args: &[&str], stdin: &str) -> Result<String, CliError> {
@@ -390,28 +382,12 @@ fn cmd_run(args: &[&str], stdin: &str) -> Result<String, CliError> {
         .split_first()
         .ok_or_else(|| err(format!("run needs an algorithm\n\n{USAGE}")))?;
     let kind = parse_alg(alg)?;
-    let parse_engine = |value: &str| -> Result<EngineChoice, CliError> {
-        match value {
-            "map" => Ok(EngineChoice::Map),
-            "frontier" => Ok(EngineChoice::Frontier),
-            other => Err(err(format!(
-                "unknown engine {other:?}; expected map or frontier"
-            ))),
-        }
-    };
     let parse_threads = |value: &str| parse_flag_usize("--threads", value, 1);
-    let mut engine_choice = EngineChoice::Frontier;
     let mut threads = 1usize;
     let mut policy_arg: Option<&str> = None;
     let mut it = rest.iter();
     while let Some(&arg) = it.next() {
         match arg {
-            "--engine" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| err("--engine needs a value (map or frontier)"))?;
-                engine_choice = parse_engine(value)?;
-            }
             "--threads" => {
                 let value = it
                     .next()
@@ -419,9 +395,7 @@ fn cmd_run(args: &[&str], stdin: &str) -> Result<String, CliError> {
                 threads = parse_threads(value)?;
             }
             a => {
-                if let Some(value) = a.strip_prefix("--engine=") {
-                    engine_choice = parse_engine(value)?;
-                } else if let Some(value) = a.strip_prefix("--threads=") {
+                if let Some(value) = a.strip_prefix("--threads=") {
                     threads = parse_threads(value)?;
                 } else if a.starts_with("--") {
                     return Err(err(format!("unknown flag {a:?} for `lr run`")));
@@ -440,30 +414,19 @@ fn cmd_run(args: &[&str], stdin: &str) -> Result<String, CliError> {
         ));
     }
     let inst = parse_stdin_instance(stdin)?;
-    let run = |engine: &mut dyn ReversalEngine| {
-        if threads > 1 {
-            run_engine_frontier_sharded(engine, threads, DEFAULT_MAX_STEPS)
-        } else {
-            run_engine_frontier(engine, policy, DEFAULT_MAX_STEPS)
-        }
-    };
-    let (stats, orientation) = match engine_choice {
-        EngineChoice::Map => {
-            let mut engine = kind.engine(&inst);
-            (run(engine.as_mut()), engine.orientation())
-        }
-        EngineChoice::Frontier => {
-            let mut engine = kind.frontier_engine(CsrInstance::from_instance(&inst));
-            (run(engine.as_mut()), engine.orientation())
-        }
+    let mut engine = kind.engine(&inst);
+    let stats = if threads > 1 {
+        run_engine_frontier_sharded(engine.as_mut(), threads, DEFAULT_MAX_STEPS)
+    } else {
+        run_engine_frontier(engine.as_mut(), policy, DEFAULT_MAX_STEPS)
     };
     if !stats.terminated {
         return Err(err("execution did not terminate within the step budget"));
     }
+    let orientation = engine.orientation();
     let view = DirectedView::new(&inst.graph, &orientation);
     let mut out = String::new();
     let _ = writeln!(out, "algorithm:        {}", stats.algorithm);
-    let _ = writeln!(out, "engine:           {}", engine_choice.name());
     let _ = writeln!(out, "threads:          {threads}");
     let _ = writeln!(out, "nodes:            {}", inst.node_count());
     let _ = writeln!(out, "initial bad:      {}", inst.initial_bad_nodes());
@@ -487,8 +450,7 @@ fn cmd_trace(args: &[&str], stdin: &str) -> Result<String, CliError> {
     let kind = parse_alg(alg)?;
     let policy = parse_policy(rest.first().copied())?;
     let inst = parse_stdin_instance(stdin)?;
-    let mut engine = kind.engine(&inst);
-    let trace = Trace::record(engine.as_mut(), policy, DEFAULT_MAX_STEPS);
+    let trace = Trace::record(&inst, kind.into(), policy, DEFAULT_MAX_STEPS);
     trace
         .validate()
         .map_err(|e| err(format!("internal trace inconsistency: {e}")))?;
@@ -995,23 +957,6 @@ mod tests {
     }
 
     #[test]
-    fn run_engine_flag_selects_the_substrate() {
-        let inst = run_cli(&["generate", "chain-away", "6"], "").unwrap();
-        let frontier = run_cli(&["run", "PR"], &inst).unwrap();
-        assert!(
-            frontier.contains("engine:           frontier"),
-            "{frontier}"
-        );
-        let map = run_cli(&["run", "PR", "--engine", "map"], &inst).unwrap();
-        assert!(map.contains("engine:           map"), "{map}");
-        // Both substrates are bit-identical apart from the engine line.
-        assert_eq!(frontier.replace("frontier", "map"), map);
-        // `--engine=frontier` is the same as the default.
-        let explicit = run_cli(&["run", "PR", "--engine=frontier"], &inst).unwrap();
-        assert_eq!(explicit, frontier);
-    }
-
-    #[test]
     fn run_threads_flag_is_bit_identical_and_greedy_only() {
         let inst = run_cli(&["generate", "random", "12", "5"], "").unwrap();
         let seq = run_cli(&["run", "NewPR"], &inst).unwrap();
@@ -1026,14 +971,6 @@ mod tests {
                 seq
             );
         }
-        // Sharding also works on the map substrate (node ranges).
-        let map_par = run_cli(
-            &["run", "NewPR", "--engine", "map", "--threads", "2"],
-            &inst,
-        )
-        .unwrap();
-        assert!(map_par.contains("engine:           map"), "{map_par}");
-        assert!(map_par.contains("threads:          2"), "{map_par}");
         // Single-step policies cannot be sharded.
         let e = run_cli(&["run", "NewPR", "first", "--threads", "2"], &inst).unwrap_err();
         assert!(e.0.contains("greedy"), "{e}");
@@ -1042,10 +979,14 @@ mod tests {
     #[test]
     fn run_rejects_bad_engine_and_threads_flags() {
         let inst = run_cli(&["generate", "chain-away", "4"], "").unwrap();
-        let e = run_cli(&["run", "PR", "--engine", "warp"], &inst).unwrap_err();
-        assert!(e.0.contains("unknown engine"), "{e}");
-        let e = run_cli(&["run", "PR", "--engine"], &inst).unwrap_err();
-        assert!(e.0.contains("needs a value"), "{e}");
+        // The flat engine is the only substrate: `--engine` is gone.
+        for args in [
+            &["run", "PR", "--engine", "map"][..],
+            &["run", "PR", "--engine=frontier"],
+        ] {
+            let e = run_cli(args, &inst).unwrap_err();
+            assert!(e.0.contains("unknown flag \"--engine"), "{e}");
+        }
         // The shared flag parser names the flag and echoes the value.
         let e = run_cli(&["run", "PR", "--threads", "0"], &inst).unwrap_err();
         assert!(e.0.contains("--threads must be at least 1"), "{e}");

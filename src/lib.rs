@@ -32,9 +32,9 @@
 //! let inst = generate::chain_away(32);
 //!
 //! // Run the paper's NewPR to termination under greedy scheduling.
-//! let mut engine = NewPrEngine::new(&inst);
+//! let mut engine = AlgorithmKind::NewPr.engine(&inst);
 //! let stats = run_to_destination_oriented(
-//!     &mut engine, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
+//!     engine.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
 //!
 //! // The final graph is acyclic and destination-oriented.
 //! assert!(stats.terminated);
@@ -55,11 +55,10 @@ pub mod cli;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use lr_core::alg::{
-        AlgorithmKind, BllEngine, BllLabeling, FrontierBllEngine, FrontierEngine, FrontierFamily,
+        AlgorithmKind, BllLabeling, FrontierBllEngine, FrontierEngine, FrontierFamily,
         FrontierFrEngine, FrontierNewPrEngine, FrontierPairHeightsEngine, FrontierPrEngine,
-        FrontierTripleHeightsEngine, FullReversalAutomaton, FullReversalEngine, NewPrAutomaton,
-        NewPrEngine, OneStepPrAutomaton, PairHeightsEngine, PrEngine, PrSetAutomaton,
-        ReversalEngine, TripleHeightsEngine,
+        FrontierTripleHeightsEngine, FullReversalAutomaton, NewPrAutomaton, OneStepPrAutomaton,
+        PrSetAutomaton, ReversalEngine,
     };
     pub use lr_core::engine::{
         run_engine, run_engine_frontier, run_engine_frontier_sharded, run_to_destination_oriented,

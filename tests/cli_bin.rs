@@ -51,8 +51,6 @@ fn help_flags_match_help_command() {
     // observability plumbing — a flag the help doesn't mention is a flag
     // users can't find.
     for needle in [
-        "--engine map|frontier",
-        "default frontier",
         "--threads N",
         "--obs <off|summary|json|chrome>",
         "--obs-out <path>",
@@ -60,6 +58,10 @@ fn help_flags_match_help_command() {
     ] {
         assert!(reference.contains(needle), "help is missing {needle:?}");
     }
+    assert!(
+        !reference.contains("--engine"),
+        "`lr run` has one substrate"
+    );
 }
 
 /// The README's smoke-test pipeline: generate a worst-case chain, run
@@ -97,32 +99,6 @@ fn generate_then_run_pipeline() {
     assert!(stats.contains("dest oriented:    true"));
 }
 
-/// `--engine` end-to-end: the default frontier substrate and the
-/// map-backed reference produce the same statistics through a real
-/// process, differing only in the reported engine line.
-#[test]
-fn run_engine_flag_switches_substrate_with_identical_stats() {
-    let (instance, _, ok) = run_with_stdin(&["generate", "chain-away", "8"], "");
-    assert!(ok);
-    let (frontier, stderr, ok) = run_with_stdin(&["run", "PR"], &instance);
-    assert!(ok, "frontier run failed: {stderr}");
-    assert!(
-        frontier.contains("engine:           frontier"),
-        "{frontier}"
-    );
-    assert!(frontier.contains("total reversals:  7"), "{frontier}");
-    let (map, stderr, ok) = run_with_stdin(&["run", "PR", "--engine", "map"], &instance);
-    assert!(ok, "map run failed: {stderr}");
-    assert!(map.contains("engine:           map"), "{map}");
-    assert_eq!(frontier.replace("frontier", "map"), map);
-    let (_, stderr, ok) = run_with_stdin(&["run", "PR", "--engine", "warp"], &instance);
-    assert!(!ok);
-    assert!(stderr.contains("unknown engine"), "{stderr}");
-}
-
-/// `--threads` end-to-end: the node-range-sharded parallel loop is
-/// bit-identical to the sequential run through a real process, and
-/// single-step policies refuse to shard.
 #[test]
 fn run_threads_flag_is_bit_identical_through_the_binary() {
     let (instance, _, ok) = run_with_stdin(&["generate", "random", "24", "11"], "");
@@ -333,6 +309,17 @@ fn bad_input_fails_with_message_and_nonzero_exit() {
     let (_, stderr, ok) = run_with_stdin(&["run", "NOPE"], "dest 0\n0 > 1\n");
     assert!(!ok);
     assert!(stderr.contains("unknown algorithm"));
+
+    // The flat engine is the only substrate: `--engine` is an unknown flag.
+    let out = lr()
+        .args(["run", "PR", "--engine", "map"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr).trim_end(),
+        "error: unknown flag \"--engine\" for `lr run`"
+    );
 }
 
 /// Sizes a generator cannot build are a clean `error:` with exit 1, not
@@ -370,6 +357,34 @@ fn generate_rejects_sizes_below_the_family_minimum() {
     let out = lr().args(["generate", "star", "0"]).output().unwrap();
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("size must be at least 1"));
+}
+
+/// Sizes past the CSR's u32 slot capacity are an immediate error naming
+/// the family and size — the same check a scenario spec's topology gets —
+/// instead of a build that runs until it is killed.
+#[test]
+fn generate_rejects_sizes_over_the_slot_capacity() {
+    for (args, described) in [
+        (
+            ["generate", "chain-away", "18446744073709551615"],
+            "chain-away(n=18446744073709551615)",
+        ),
+        (
+            ["generate", "random", "5000000000"],
+            "random(n=5000000000,extra=5000000000,seed=0)",
+        ),
+        (["generate", "complete", "100000"], "complete(n=100000)"),
+    ] {
+        let out = lr().args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        assert!(
+            stderr.starts_with(&format!("error: {described} is too large: ")),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains("slot-index capacity"), "{args:?}: {stderr}");
+    }
 }
 
 /// Satellite contract of the shared numeric-flag parser, end-to-end:

@@ -1,8 +1,10 @@
 //! Cross-crate integration: every algorithm × every generator family ×
 //! every scheduling policy terminates in an acyclic, destination-oriented
-//! graph, and the automaton and engine forms of each algorithm agree.
+//! graph, and every flat engine runs in lockstep with the paper's
+//! automaton for its family — the automata are the engines' oracle.
 
 use link_reversal::prelude::*;
+use proptest::prelude::*;
 
 fn families() -> Vec<(&'static str, ReversalInstance)> {
     vec![
@@ -53,8 +55,8 @@ fn final_work_is_schedule_sensitive_but_bounded() {
         SchedulePolicy::RandomSingle { seed: 5 },
         SchedulePolicy::FirstSingle,
     ] {
-        let mut e = PrEngine::new(&inst);
-        let stats = run_engine(&mut e, policy, DEFAULT_MAX_STEPS);
+        let mut e = AlgorithmKind::PartialReversal.engine(&inst);
+        let stats = run_engine(e.as_mut(), policy, DEFAULT_MAX_STEPS);
         assert!(stats.terminated);
         assert!(
             stats.total_reversals <= nb * nb + nb,
@@ -88,25 +90,135 @@ fn acyclicity_holds_in_every_intermediate_state() {
     }
 }
 
+/// The paper's automaton a flat engine must track step for step.
+#[derive(Debug, Clone, Copy)]
+enum Oracle {
+    /// `FullReversalAutomaton`.
+    Fr,
+    /// `OneStepPrAutomaton` (Algorithm 3).
+    OneStepPr,
+    /// `NewPrAutomaton` (Algorithm 2).
+    NewPr,
+}
+
+/// One row per engine configuration. GB-pair and BLL[FR] reverse exactly
+/// Full Reversal's sets and GB-triple and BLL[PR] exactly Partial
+/// Reversal's, so three automata cover all seven.
+const LOCKSTEP: [(FrontierFamily, Oracle); 7] = [
+    (FrontierFamily::FullReversal, Oracle::Fr),
+    (FrontierFamily::PairHeights, Oracle::Fr),
+    (FrontierFamily::Bll(BllLabeling::FullReversal), Oracle::Fr),
+    (FrontierFamily::PartialReversal, Oracle::OneStepPr),
+    (FrontierFamily::TripleHeights, Oracle::OneStepPr),
+    (
+        FrontierFamily::Bll(BllLabeling::PartialReversal),
+        Oracle::OneStepPr,
+    ),
+    (FrontierFamily::NewPr, Oracle::NewPr),
+];
+
+/// Runs `family`'s flat engine beside `oracle` on `inst`, stepping the
+/// node `pick(enabled, k)` chooses at step `k`: equal enabled sets before
+/// every step, equal orientations after it.
+fn lockstep(
+    label: &str,
+    inst: &ReversalInstance,
+    (family, oracle): (FrontierFamily, Oracle),
+    pick: impl Fn(&[NodeId], usize) -> NodeId,
+) {
+    let label = format!("{label}/{}", family.name());
+    match oracle {
+        Oracle::Fr => {
+            let aut = FullReversalAutomaton { inst };
+            track(&label, inst, family, &aut, |s| s.dirs.orientation(), pick);
+        }
+        Oracle::OneStepPr => {
+            let aut = OneStepPrAutomaton { inst };
+            track(&label, inst, family, &aut, |s| s.dirs.orientation(), pick);
+        }
+        Oracle::NewPr => {
+            let aut = NewPrAutomaton { inst };
+            track(&label, inst, family, &aut, |s| s.dirs.orientation(), pick);
+        }
+    }
+}
+
+fn track<A: Automaton<Action = NodeId>>(
+    label: &str,
+    inst: &ReversalInstance,
+    family: FrontierFamily,
+    aut: &A,
+    orientation: impl Fn(&A::State) -> Orientation,
+    pick: impl Fn(&[NodeId], usize) -> NodeId,
+) {
+    let mut engine = family.engine(CsrInstance::from_instance(inst));
+    let mut state = aut.initial_state();
+    for k in 0.. {
+        let enabled = aut.enabled_actions(&state);
+        assert_eq!(engine.enabled(), enabled, "{label}: before step {k}");
+        if enabled.is_empty() {
+            return;
+        }
+        let u = pick(&enabled, k);
+        engine.step(u);
+        state = aut.apply(&state, &u);
+        assert_eq!(
+            engine.orientation(),
+            orientation(&state),
+            "{label}: after step {k} ({u})"
+        );
+        assert!(k < 1_000_000, "{label}: runaway execution");
+    }
+}
+
+/// Every engine configuration tracks its automaton on every generator
+/// family, and on the n = 30 and n = 40 random instances of the E11
+/// experiment, under first and last picks.
 #[test]
 fn automata_and_engines_trace_identically() {
-    let inst = generate::random_connected(10, 8, 44);
-    // NewPR
-    let aut = NewPrAutomaton { inst: &inst };
-    let exec = run(&aut, &mut schedulers::UniformRandom::seeded(9), 100_000);
-    let mut eng = NewPrEngine::new(&inst);
-    for &u in exec.actions() {
-        eng.step(u);
+    let mut instances = families();
+    instances.push(("random_30", generate::random_connected(30, 35, 555)));
+    for seed in 0..3 {
+        instances.push(("random_40", generate::random_connected(40, 50, 1234 + seed)));
     }
-    assert_eq!(eng.orientation(), exec.last_state().dirs.orientation());
-    // OneStepPR
-    let aut = OneStepPrAutomaton { inst: &inst };
-    let exec = run(&aut, &mut schedulers::UniformRandom::seeded(9), 100_000);
-    let mut eng = PrEngine::new(&inst);
-    for &u in exec.actions() {
-        eng.step(u);
+    for (name, inst) in &instances {
+        for row in LOCKSTEP {
+            lockstep(&format!("{name}/first"), inst, row, |e, _| e[0]);
+            lockstep(&format!("{name}/last"), inst, row, |e, _| e[e.len() - 1]);
+        }
     }
-    assert_eq!(eng.orientation(), exec.last_state().dirs.orientation());
+}
+
+/// Runs the flat engines of families `a` and `b` under one schedule
+/// (`pick` from their common enabled set): equal enabled sets and equal
+/// reversed sets at every step, equal orientations at the end.
+fn same_reversals(
+    inst: &ReversalInstance,
+    a: FrontierFamily,
+    b: FrontierFamily,
+    pick: impl Fn(&[NodeId]) -> NodeId,
+) {
+    let label = format!("{} vs {}", a.name(), b.name());
+    let mut a = a.engine(CsrInstance::from_instance(inst));
+    let mut b = b.engine(CsrInstance::from_instance(inst));
+    for k in 0.. {
+        assert_eq!(a.enabled(), b.enabled(), "{label}: before step {k}");
+        if a.enabled().is_empty() {
+            break;
+        }
+        let u = pick(a.enabled());
+        assert_eq!(
+            a.step(u).reversed,
+            b.step(u).reversed,
+            "{label}: step {k} ({u})"
+        );
+        assert!(k < 1_000_000, "{label}: runaway execution");
+    }
+    assert_eq!(
+        a.orientation(),
+        b.orientation(),
+        "{label}: final orientation"
+    );
 }
 
 #[test]
@@ -115,50 +227,55 @@ fn height_formulations_match_list_formulations_on_large_graphs() {
     // identical orientations at every step.
     for seed in 0..3 {
         let inst = generate::random_connected(40, 50, 1234 + seed);
-        let mut pr = PrEngine::new(&inst);
-        let mut gb = TripleHeightsEngine::new(&inst);
-        let mut fr = FullReversalEngine::new(&inst);
-        let mut gp = PairHeightsEngine::new(&inst);
-        let mut guard = 0;
-        loop {
-            assert_eq!(pr.enabled(), gb.enabled());
-            let Some(&u) = pr.enabled().first() else {
-                break;
-            };
-            assert_eq!(pr.step(u).reversed, gb.step(u).reversed);
-            guard += 1;
-            assert!(guard < 1_000_000);
-        }
-        loop {
-            assert_eq!(fr.enabled(), gp.enabled());
-            let Some(&u) = fr.enabled().first() else {
-                break;
-            };
-            assert_eq!(fr.step(u).reversed, gp.step(u).reversed);
-            guard += 1;
-            assert!(guard < 2_000_000);
-        }
-        assert_eq!(pr.orientation(), gb.orientation());
-        assert_eq!(fr.orientation(), gp.orientation());
+        let first = |e: &[NodeId]| e[0];
+        same_reversals(
+            &inst,
+            FrontierFamily::PartialReversal,
+            FrontierFamily::TripleHeights,
+            first,
+        );
+        same_reversals(
+            &inst,
+            FrontierFamily::FullReversal,
+            FrontierFamily::PairHeights,
+            first,
+        );
     }
 }
 
 #[test]
 fn bll_instantiations_match_their_targets_at_scale() {
     let inst = generate::random_connected(30, 35, 555);
-    let mut bll_pr = BllEngine::new(&inst, BllLabeling::PartialReversal);
-    let mut pr = PrEngine::new(&inst);
-    let mut guard = 0;
-    loop {
-        assert_eq!(bll_pr.enabled(), pr.enabled());
-        let Some(&u) = pr.enabled().last() else {
-            break;
-        };
-        assert_eq!(bll_pr.step(u).reversed, pr.step(u).reversed);
-        guard += 1;
-        assert!(guard < 1_000_000);
+    let last = |e: &[NodeId]| e[e.len() - 1];
+    for (labeling, target) in [
+        (
+            BllLabeling::PartialReversal,
+            FrontierFamily::PartialReversal,
+        ),
+        (BllLabeling::FullReversal, FrontierFamily::FullReversal),
+    ] {
+        same_reversals(&inst, FrontierFamily::Bll(labeling), target, last);
     }
-    assert_eq!(bll_pr.orientation(), pr.orientation());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The same lockstep on random connected instances under a seeded
+    /// rotation through the enabled set.
+    #[test]
+    fn automata_and_engines_trace_identically_on_random_instances(
+        n in 4usize..=16,
+        extra in 0usize..=20,
+        seed in any::<u64>(),
+    ) {
+        let inst = generate::random_connected(n, extra, seed);
+        for row in LOCKSTEP {
+            lockstep("random", &inst, row, |e, k| {
+                e[(seed as usize).wrapping_add(k) % e.len()]
+            });
+        }
+    }
 }
 
 #[test]

@@ -46,31 +46,6 @@ proptest! {
         prop_assert!(DirectedView::new(&inst.graph, &o).is_destination_oriented(inst.dest));
     }
 
-    /// The triple-heights formulation tracks list-based PR exactly under
-    /// identical schedules (the Gafni–Bertsekas correspondence, E11).
-    #[test]
-    fn heights_equal_lists_under_any_schedule(
-        inst in instance_strategy(),
-        pick_last in any::<bool>(),
-    ) {
-        let mut pr = PrEngine::new(&inst);
-        let mut gb = TripleHeightsEngine::new(&inst);
-        let mut guard = 0;
-        loop {
-            prop_assert_eq!(pr.enabled(), gb.enabled());
-            let pick = if pick_last {
-                pr.enabled().last()
-            } else {
-                pr.enabled().first()
-            };
-            let Some(&u) = pick else { break };
-            prop_assert_eq!(pr.step(u).reversed, gb.step(u).reversed);
-            guard += 1;
-            prop_assert!(guard < 500_000);
-        }
-        prop_assert_eq!(pr.orientation(), gb.orientation());
-    }
-
     /// R' and R hold along arbitrary PR executions (Lemmas 5.1/5.3,
     /// randomized).
     #[test]
