@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use lr_core::alg::{NewPrAutomaton, OneStepPrAutomaton, PrSetAutomaton};
 use lr_core::invariants::newpr_invariants;
-use lr_graph::generate;
+use lr_graph::stream;
 use lr_ioa::explore::{explore, ExploreOptions};
 use lr_simrel::model_check::{model_check_newpr, model_check_r, model_check_r_prime};
 use lr_simrel::{r_checker, r_prime_checker};
@@ -38,7 +38,7 @@ fn bench_exhaustive_sweeps(c: &mut Criterion) {
 
 fn bench_single_instance_exploration(c: &mut Criterion) {
     let mut group = c.benchmark_group("model_check/single_instance");
-    let inst = generate::random_connected(7, 5, 42);
+    let inst = stream::random_connected(7, 5, 42).to_instance();
     group.bench_function("explore_newpr_n7", |b| {
         let aut = NewPrAutomaton { inst: &inst };
         let invs = newpr_invariants(&inst);

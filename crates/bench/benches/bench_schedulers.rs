@@ -5,11 +5,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lr_core::alg::AlgorithmKind;
 use lr_core::engine::{run_engine, SchedulePolicy, DEFAULT_MAX_STEPS};
-use lr_graph::generate;
+use lr_graph::stream;
 
 fn bench_policies(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/scheduler");
-    let inst = generate::alternating_chain(129);
+    let inst = stream::alternating_chain(129).to_instance();
     let policies: [(&str, SchedulePolicy); 4] = [
         ("greedy_rounds", SchedulePolicy::GreedyRounds),
         ("random_single", SchedulePolicy::RandomSingle { seed: 11 }),

@@ -4,12 +4,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lr_core::alg::AlgorithmKind;
 use lr_core::engine::{run_engine, SchedulePolicy, DEFAULT_MAX_STEPS};
-use lr_graph::generate;
+use lr_graph::stream;
 
 fn bench_chain_away(c: &mut Criterion) {
     let mut group = c.benchmark_group("work/chain_away");
     for n in [32usize, 128] {
-        let inst = generate::chain_away(n);
+        let inst = stream::chain_away(n).to_instance();
         for kind in [AlgorithmKind::FullReversal, AlgorithmKind::PartialReversal] {
             group.bench_with_input(BenchmarkId::new(kind.name(), n), &inst, |b, inst| {
                 b.iter(|| {
@@ -25,7 +25,7 @@ fn bench_chain_away(c: &mut Criterion) {
 fn bench_alternating_chain(c: &mut Criterion) {
     let mut group = c.benchmark_group("work/alternating_chain");
     for n in [32usize, 128] {
-        let inst = generate::alternating_chain(n);
+        let inst = stream::alternating_chain(n).to_instance();
         for kind in [AlgorithmKind::FullReversal, AlgorithmKind::PartialReversal] {
             group.bench_with_input(BenchmarkId::new(kind.name(), n), &inst, |b, inst| {
                 b.iter(|| {
@@ -41,7 +41,7 @@ fn bench_alternating_chain(c: &mut Criterion) {
 fn bench_random(c: &mut Criterion) {
     let mut group = c.benchmark_group("work/random_connected");
     for n in [64usize, 256] {
-        let inst = generate::random_connected(n, 2 * n, 77);
+        let inst = stream::random_connected(n, 2 * n, 77).to_instance();
         for kind in AlgorithmKind::ALL {
             group.bench_with_input(BenchmarkId::new(kind.name(), n), &inst, |b, inst| {
                 b.iter(|| {

@@ -9,7 +9,7 @@
 //! ```
 
 use lr_core::alg::PrSetAutomaton;
-use lr_graph::generate;
+use lr_graph::stream;
 use lr_ioa::{run, schedulers, Automaton};
 use lr_simrel::model_check::{model_check_newpr, model_check_termination};
 use lr_simrel::refinement::refine_and_check;
@@ -90,7 +90,7 @@ fn main() {
     let mut total_insts = 0usize;
     for seed in 0..100u64 {
         let n = 4 + (seed % 9) as usize;
-        let inst = generate::random_connected(n, n, 10_000 + seed);
+        let inst = stream::random_connected(n, n, 10_000 + seed).to_instance();
         let pr = PrSetAutomaton { inst: &inst };
         let exec = run(&pr, &mut schedulers::UniformRandom::seeded(seed), 100_000);
         assert!(pr.is_quiescent(exec.last_state()));

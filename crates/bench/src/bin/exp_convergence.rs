@@ -10,7 +10,7 @@
 
 use lr_core::alg::AlgorithmKind;
 use lr_core::engine::{run_engine, SchedulePolicy, DEFAULT_MAX_STEPS};
-use lr_graph::{generate, ReversalInstance};
+use lr_graph::{stream, CsrInstance, ReversalInstance};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -35,15 +35,16 @@ fn main() {
     lr_bench::print_header(&widths, &["family", "n", "FR", "PR", "NewPR"]);
     let mut rows = Vec::new();
     for &n in &[16usize, 32, 64, 128, 256] {
-        let families: Vec<(String, ReversalInstance)> = vec![
-            ("chain_away".into(), generate::chain_away(n)),
-            ("alternating_chain".into(), generate::alternating_chain(n)),
+        let families: Vec<(String, CsrInstance)> = vec![
+            ("chain_away".into(), stream::chain_away(n)),
+            ("alternating_chain".into(), stream::alternating_chain(n)),
             (
                 "random_connected".into(),
-                generate::random_connected(n, 2 * n, 70_000 + n as u64),
+                stream::random_connected(n, 2 * n, 70_000 + n as u64),
             ),
         ];
-        for (family, inst) in families {
+        for (family, flat) in families {
+            let inst = flat.to_instance();
             let fr = rounds(AlgorithmKind::FullReversal, &inst);
             let pr = rounds(AlgorithmKind::PartialReversal, &inst);
             let np = rounds(AlgorithmKind::NewPr, &inst);

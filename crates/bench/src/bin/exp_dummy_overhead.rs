@@ -10,7 +10,7 @@
 
 use lr_core::alg::AlgorithmKind;
 use lr_core::work::measure_work;
-use lr_graph::{generate, parse, ReversalInstance};
+use lr_graph::{parse, stream, ReversalInstance};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -50,11 +50,17 @@ fn main() {
     );
     let mut rows = Vec::new();
     let families: Vec<(String, ReversalInstance)> = vec![
-        ("alternating_chain".into(), generate::alternating_chain(65)),
-        ("chain_away".into(), generate::chain_away(65)),
+        (
+            "alternating_chain".into(),
+            stream::alternating_chain(65).to_instance(),
+        ),
+        ("chain_away".into(), stream::chain_away(65).to_instance()),
         ("inward_star".into(), inward_star(64)),
-        ("grid_away".into(), generate::grid_away(8, 8)),
-        ("random n=64".into(), generate::random_connected(64, 64, 42)),
+        ("grid_away".into(), stream::grid_away(8, 8).to_instance()),
+        (
+            "random n=64".into(),
+            stream::random_connected(64, 64, 42).to_instance(),
+        ),
     ];
     for (family, inst) in families {
         let pr = measure_work(AlgorithmKind::PartialReversal, &inst);

@@ -13,7 +13,7 @@ use lr_core::alg::AlgorithmKind;
 use lr_core::game::{
     analyze_profiles, compare_social_costs, dominates, work_vector, CostComparison,
 };
-use lr_graph::{generate, ReversalInstance};
+use lr_graph::{stream, CsrInstance};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -41,24 +41,19 @@ fn main() {
         ],
     );
     let mut rows = Vec::new();
-    let families: Vec<(String, ReversalInstance)> = vec![
-        ("chain_away".into(), generate::chain_away(64)),
-        ("alternating_chain".into(), generate::alternating_chain(64)),
-        ("grid_away".into(), generate::grid_away(8, 8)),
-        ("complete_away".into(), generate::complete_away(32)),
-        ("star_away".into(), generate::star_away(63)),
-        (
-            "random sparse".into(),
-            generate::random_connected(64, 16, 3),
-        ),
-        (
-            "random dense".into(),
-            generate::random_connected(64, 192, 3),
-        ),
+    let families: Vec<(String, CsrInstance)> = vec![
+        ("chain_away".into(), stream::chain_away(64)),
+        ("alternating_chain".into(), stream::alternating_chain(64)),
+        ("grid_away".into(), stream::grid_away(8, 8)),
+        ("complete_away".into(), stream::complete_away(32)),
+        ("star_away".into(), stream::star_away(63)),
+        ("random sparse".into(), stream::random_connected(64, 16, 3)),
+        ("random dense".into(), stream::random_connected(64, 192, 3)),
     ];
     let mut structured_gap = 0.0f64;
     let mut max_pr_regression = 0.0f64;
-    for (family, inst) in families {
+    for (family, flat) in families {
+        let inst = flat.to_instance();
         let c = compare_social_costs(&inst);
         let pr_v = work_vector(AlgorithmKind::PartialReversal, &inst);
         let fr_v = work_vector(AlgorithmKind::FullReversal, &inst);
@@ -105,14 +100,14 @@ fn main() {
             "instance", "profiles", "FR", "PR", "min", "max", "FR NE?", "PR NE?",
         ],
     );
-    for (name, inst) in [
-        ("chain_away(9)", generate::chain_away(9)),
-        ("alternating_chain(9)", generate::alternating_chain(9)),
-        ("star_away(8)", generate::star_away(8)),
-        ("random(9, seed 3)", generate::random_connected(9, 7, 3)),
-        ("random(9, seed 4)", generate::random_connected(9, 12, 4)),
+    for (name, flat) in [
+        ("chain_away(9)", stream::chain_away(9)),
+        ("alternating_chain(9)", stream::alternating_chain(9)),
+        ("star_away(8)", stream::star_away(8)),
+        ("random(9, seed 3)", stream::random_connected(9, 7, 3)),
+        ("random(9, seed 4)", stream::random_connected(9, 12, 4)),
     ] {
-        let a = analyze_profiles(&inst);
+        let a = analyze_profiles(&flat.to_instance());
         lr_bench::print_row(
             &widths2,
             &[

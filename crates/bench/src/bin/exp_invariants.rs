@@ -11,7 +11,7 @@ use lr_core::invariants::{
     check_acyclic, check_cor_3_3, check_cor_3_4, check_inv_3_1, check_inv_3_2, check_inv_4_1,
     check_inv_4_2,
 };
-use lr_graph::generate;
+use lr_graph::stream;
 use lr_ioa::{run, schedulers};
 use lr_simrel::model_check::{model_check_newpr, model_check_onestep_pr, model_check_pr_set};
 use serde::Serialize;
@@ -74,7 +74,7 @@ fn main() {
     let mut states = 0usize;
     for seed in 0..100u64 {
         let n = 6 + (seed % 15) as usize;
-        let inst = generate::random_connected(n, n + 4, 20_000 + seed);
+        let inst = stream::random_connected(n, n + 4, 20_000 + seed).to_instance();
         let emb = inst.embedding();
         // OneStepPR execution.
         let aut = OneStepPrAutomaton { inst: &inst };

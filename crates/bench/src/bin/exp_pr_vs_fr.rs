@@ -8,7 +8,7 @@
 
 use lr_core::alg::AlgorithmKind;
 use lr_core::work::measure_work;
-use lr_graph::generate;
+use lr_graph::stream;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -36,7 +36,8 @@ fn main() {
             let trials = 10;
             let (mut fr, mut pr, mut np, mut nb) = (0.0, 0.0, 0.0, 0.0);
             for seed in 0..trials {
-                let inst = generate::random_connected(n, extra, seed as u64 * 7919 + n as u64);
+                let inst =
+                    stream::random_connected(n, extra, seed as u64 * 7919 + n as u64).to_instance();
                 nb += inst.initial_bad_nodes() as f64;
                 fr += measure_work(AlgorithmKind::FullReversal, &inst).total_reversals as f64;
                 pr += measure_work(AlgorithmKind::PartialReversal, &inst).total_reversals as f64;

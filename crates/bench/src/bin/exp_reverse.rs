@@ -13,7 +13,7 @@
 //! cargo run --release -p lr-bench --bin exp_reverse [max_exhaustive_n]
 //! ```
 
-use lr_graph::generate;
+use lr_graph::stream;
 use lr_ioa::schedulers;
 use lr_simrel::equivalence_round_trip;
 use lr_simrel::model_check::{model_check_rev_r, model_check_rev_r_prime};
@@ -73,7 +73,7 @@ fn main() {
     let mut total_pr = 0usize;
     for seed in 0..100u64 {
         let n = 4 + (seed % 9) as usize;
-        let inst = generate::random_connected(n, n, 60_000 + seed);
+        let inst = stream::random_connected(n, n, 60_000 + seed).to_instance();
         let report =
             equivalence_round_trip(&inst, &mut schedulers::UniformRandom::seeded(seed), 100_000)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));

@@ -6,7 +6,7 @@
 //! cargo run --release -p lr-bench --bin exp_routing
 //! ```
 
-use lr_graph::{generate, NodeId, UndirectedGraph};
+use lr_graph::{stream, NodeId, UndirectedGraph};
 use lr_net::routing::RoutingHarness;
 use lr_net::sim::LinkConfig;
 use serde::Serialize;
@@ -68,7 +68,7 @@ fn main() {
     let mut rows = Vec::new();
     for &n in &[16usize, 32, 64, 128] {
         for failures in [0usize, 2, 4, 8] {
-            let inst = generate::random_connected(n, 2 * n, 50_000 + n as u64);
+            let inst = stream::random_connected(n, 2 * n, 50_000 + n as u64).to_instance();
             let mut h = RoutingHarness::converged(&inst, LinkConfig::default(), n as u64);
             for (u, v) in removable_links(&inst.graph, failures) {
                 h.fail_link(u, v);

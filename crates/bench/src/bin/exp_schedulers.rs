@@ -11,7 +11,7 @@
 
 use lr_core::alg::AlgorithmKind;
 use lr_core::engine::{run_engine, SchedulePolicy, DEFAULT_MAX_STEPS};
-use lr_graph::{generate, ReversalInstance};
+use lr_graph::{stream, CsrInstance, ReversalInstance};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -48,17 +48,15 @@ fn main() {
         ],
     );
     let mut rows = Vec::new();
-    let families: Vec<(String, ReversalInstance)> = vec![
-        ("chain_away (tree)".into(), generate::chain_away(65)),
-        ("alternating (tree)".into(), generate::alternating_chain(65)),
-        ("binary_tree (tree)".into(), generate::binary_tree_away(4)),
-        ("grid 8x8 (cycles)".into(), generate::grid_away(8, 8)),
-        (
-            "random dense".into(),
-            generate::random_connected(64, 128, 9),
-        ),
+    let families: Vec<(String, CsrInstance)> = vec![
+        ("chain_away (tree)".into(), stream::chain_away(65)),
+        ("alternating (tree)".into(), stream::alternating_chain(65)),
+        ("binary_tree (tree)".into(), stream::binary_tree_away(4)),
+        ("grid 8x8 (cycles)".into(), stream::grid_away(8, 8)),
+        ("random dense".into(), stream::random_connected(64, 128, 9)),
     ];
-    for (family, inst) in families {
+    for (family, flat) in families {
+        let inst = flat.to_instance();
         for kind in [AlgorithmKind::FullReversal, AlgorithmKind::PartialReversal] {
             let greedy = work(kind, &inst, SchedulePolicy::GreedyRounds);
             let random = work(kind, &inst, SchedulePolicy::RandomSingle { seed: 5 });

@@ -7,7 +7,7 @@
 //! ```
 
 use lr_core::alg::{NewPrAutomaton, OneStepPrAutomaton, PrSetAutomaton};
-use lr_graph::generate;
+use lr_graph::stream;
 use lr_ioa::{run, schedulers};
 use lr_simrel::model_check::{model_check_r, model_check_r_prime};
 use lr_simrel::{r_checker, r_prime_checker};
@@ -63,7 +63,7 @@ fn main() {
     let mut matched_steps = 0usize;
     for seed in 0..100u64 {
         let n = 5 + (seed % 10) as usize;
-        let inst = generate::random_connected(n, n, 30_000 + seed);
+        let inst = stream::random_connected(n, n, 30_000 + seed).to_instance();
         let pr = PrSetAutomaton { inst: &inst };
         let os = OneStepPrAutomaton { inst: &inst };
         let np = NewPrAutomaton { inst: &inst };

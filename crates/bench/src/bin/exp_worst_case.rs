@@ -9,7 +9,7 @@
 
 use lr_core::alg::AlgorithmKind;
 use lr_core::work::{fit_growth_exponent, measure_work, WorkRow};
-use lr_graph::{generate, ReversalInstance};
+use lr_graph::{stream, CsrInstance};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -19,7 +19,7 @@ struct FamilyResult {
     exponents: Vec<(String, f64)>,
 }
 
-fn sweep(family: &str, gen: fn(usize) -> ReversalInstance) -> FamilyResult {
+fn sweep(family: &str, gen: fn(usize) -> CsrInstance) -> FamilyResult {
     let kinds = [
         AlgorithmKind::FullReversal,
         AlgorithmKind::PartialReversal,
@@ -31,7 +31,7 @@ fn sweep(family: &str, gen: fn(usize) -> ReversalInstance) -> FamilyResult {
     let mut rows = Vec::new();
     let mut series: Vec<Vec<(f64, f64)>> = vec![Vec::new(); kinds.len()];
     for &n in &lr_bench::WORK_SIZES {
-        let inst = gen(n);
+        let inst = gen(n).to_instance();
         let mut cells = vec![n.to_string(), inst.initial_bad_nodes().to_string()];
         for (i, &kind) in kinds.iter().enumerate() {
             let row = measure_work(kind, &inst);
@@ -66,13 +66,13 @@ fn main() {
     let results = vec![
         sweep(
             "chain away from destination (FR worst case)",
-            generate::chain_away,
+            stream::chain_away,
         ),
         sweep(
             "alternating chain (PR worst case)",
-            generate::alternating_chain,
+            stream::alternating_chain,
         ),
-        sweep("outward star (both linear)", |n| generate::star_away(n - 1)),
+        sweep("outward star (both linear)", |n| stream::star_away(n - 1)),
     ];
 
     println!("paper expectation: both FR and PR have Θ(n_b²) worst cases, but on");

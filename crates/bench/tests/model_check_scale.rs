@@ -10,7 +10,7 @@ use lr_simrel::model_check::{model_check_newpr_sampled_opts, McOptions};
 #[test]
 #[ignore = "n = 5 sweeps take seconds; run with --ignored"]
 fn newpr_holds_exhaustively_at_n5() {
-    let opts = McOptions::from_env();
+    let opts = McOptions::default();
 
     let exhaustive = model_check_newpr_sampled_opts(5, 1, &opts);
     assert!(

@@ -208,7 +208,7 @@ impl FrontierEngine for FrontierBllEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::{generate, stream, DirectedView};
+    use lr_graph::{stream, DirectedView};
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -266,7 +266,7 @@ mod tests {
 
     #[test]
     fn bll_preserves_acyclicity_under_both_policies() {
-        let inst = generate::random_connected(10, 10, 77);
+        let inst = stream::random_connected(10, 10, 77).to_instance();
         for labeling in [BllLabeling::PartialReversal, BllLabeling::FullReversal] {
             let mut e = FrontierBllEngine::new(CsrInstance::from_instance(&inst), labeling);
             let mut steps = 0;

@@ -205,7 +205,7 @@ impl Automaton for FullReversalAutomaton<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::{generate, stream, DirectedView};
+    use lr_graph::{stream, DirectedView};
     use lr_ioa::run;
 
     fn n(i: u32) -> NodeId {
@@ -237,7 +237,7 @@ mod tests {
 
     #[test]
     fn fr_terminates_destination_oriented_on_chain() {
-        let inst = generate::chain_away(5);
+        let inst = stream::chain_away(5).to_instance();
         let mut e = FrontierFrEngine::new(CsrInstance::from_instance(&inst));
         let mut total = 0usize;
         while let Some(&u) = e.enabled().first() {
@@ -264,7 +264,7 @@ mod tests {
 
     #[test]
     fn fr_preserves_acyclicity_along_random_runs() {
-        let inst = generate::random_connected(10, 8, 42);
+        let inst = stream::random_connected(10, 8, 42).to_instance();
         let aut = FullReversalAutomaton { inst: &inst };
         let exec = run(
             &aut,

@@ -410,7 +410,7 @@ impl FrontierEngine for FrontierTripleHeightsEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::{generate, stream, DirectedView, PlaneEmbedding};
+    use lr_graph::{stream, DirectedView, PlaneEmbedding};
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -418,7 +418,7 @@ mod tests {
 
     #[test]
     fn heights_initially_match_orientation() {
-        let inst = generate::random_connected(10, 8, 21);
+        let inst = stream::random_connected(10, 8, 21).to_instance();
         let flat = CsrInstance::from_instance(&inst);
         let pair = FrontierPairHeightsEngine::new(flat.clone());
         assert_eq!(pair.orientation(), inst.init);
@@ -464,7 +464,7 @@ mod tests {
 
     #[test]
     fn heights_terminate_destination_oriented() {
-        let inst = generate::grid_away(4, 5);
+        let inst = stream::grid_away(4, 5).to_instance();
         let flat = CsrInstance::from_instance(&inst);
         let engines: [Box<dyn ReversalEngine>; 2] = [
             Box::new(FrontierPairHeightsEngine::new(flat.clone())),
@@ -489,7 +489,7 @@ mod tests {
     #[test]
     fn initial_positions_match_the_plane_embedding() {
         for seed in 0..6 {
-            let inst = generate::random_connected(18, 14, 500 + seed);
+            let inst = stream::random_connected(18, 14, 500 + seed).to_instance();
             let flat = stream::random_connected(18, 14, 500 + seed);
             let emb = PlaneEmbedding::of_initial(&inst.graph, &inst.init).unwrap();
             let expect: Vec<usize> = flat

@@ -235,7 +235,7 @@ impl AlgorithmKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::generate;
+    use lr_graph::stream;
 
     #[test]
     fn kind_names_are_distinct() {
@@ -246,7 +246,7 @@ mod tests {
 
     #[test]
     fn engines_constructed_for_all_kinds() {
-        let inst = generate::chain_away(4);
+        let inst = stream::chain_away(4).to_instance();
         for kind in AlgorithmKind::ALL {
             let e = kind.engine(&inst);
             assert_eq!(e.dest(), inst.dest);
@@ -259,7 +259,7 @@ mod tests {
 
     #[test]
     fn default_step_wrapper_matches_step_into() {
-        let inst = generate::chain_away(5);
+        let inst = stream::chain_away(5).to_instance();
         for kind in AlgorithmKind::ALL {
             let mut a = kind.engine(&inst);
             let mut b = kind.engine(&inst);

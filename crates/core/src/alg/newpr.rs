@@ -268,7 +268,7 @@ impl Automaton for NewPrAutomaton<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::{generate, DirectedView};
+    use lr_graph::{stream, DirectedView};
     use lr_ioa::{run, schedulers, Automaton};
 
     fn n(i: u32) -> NodeId {
@@ -277,7 +277,7 @@ mod tests {
 
     #[test]
     fn even_parity_reverses_initial_in_nbrs() {
-        let inst = generate::chain_away(3);
+        let inst = stream::chain_away(3).to_instance();
         let mut s = NewPrState::initial(&inst);
         assert_eq!(s.parity(n(2)), Parity::Even);
         // in-nbrs of node 2 = {1}; node 2 is a sink.
@@ -339,7 +339,7 @@ mod tests {
     #[test]
     fn newpr_terminates_on_random_graphs() {
         for seed in 0..5 {
-            let inst = generate::random_connected(12, 10, seed);
+            let inst = stream::random_connected(12, 10, seed).to_instance();
             let aut = NewPrAutomaton { inst: &inst };
             let exec = run(
                 &aut,
@@ -357,7 +357,7 @@ mod tests {
 
     #[test]
     fn acyclic_in_every_state_on_random_run() {
-        let inst = generate::random_connected(10, 8, 99);
+        let inst = stream::random_connected(10, 8, 99).to_instance();
         let aut = NewPrAutomaton { inst: &inst };
         let exec = run(&aut, &mut schedulers::UniformRandom::seeded(2), 100_000);
         for s in exec.states() {
@@ -368,7 +368,7 @@ mod tests {
 
     #[test]
     fn count_only_increments_for_stepping_node() {
-        let inst = generate::chain_away(4);
+        let inst = stream::chain_away(4).to_instance();
         let aut = NewPrAutomaton { inst: &inst };
         let s0 = aut.initial_state();
         let s1 = aut.apply(&s0, &n(3));
@@ -381,7 +381,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "must be a sink")]
     fn step_requires_sink() {
-        let inst = generate::chain_away(3);
+        let inst = stream::chain_away(3).to_instance();
         let mut s = NewPrState::initial(&inst);
         newpr_step(&inst, &mut s, n(1)); // node 1 has an outgoing edge
     }
@@ -389,7 +389,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "never takes steps")]
     fn destination_never_steps() {
-        let inst = generate::chain_toward(3); // dest 0 is a sink here
+        let inst = stream::chain_toward(3).to_instance(); // dest 0 is a sink here
         let mut s = NewPrState::initial(&inst);
         newpr_step(&inst, &mut s, n(0));
     }

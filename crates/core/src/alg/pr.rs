@@ -225,7 +225,7 @@ impl Automaton for PrSetAutomaton<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::{generate, DirectedView};
+    use lr_graph::{stream, DirectedView};
     use lr_ioa::{run, schedulers, Automaton};
 
     fn n(i: u32) -> NodeId {
@@ -234,7 +234,7 @@ mod tests {
 
     #[test]
     fn first_step_with_empty_list_reverses_everything() {
-        let inst = generate::chain_away(3);
+        let inst = stream::chain_away(3).to_instance();
         let mut s = PrState::initial(&inst);
         // Node 2 is a sink with an empty list: list ≠ nbrs, so it
         // reverses nbrs \ ∅ = all incident edges.
@@ -248,7 +248,7 @@ mod tests {
     #[test]
     fn list_members_are_spared() {
         // chain_away(4): 0 -> 1 -> 2 -> 3, dest 0.
-        let inst = generate::chain_away(4);
+        let inst = stream::chain_away(4).to_instance();
         let mut s = PrState::initial(&inst);
         onestep_pr_step(&inst, &mut s, n(3)); // 3 reverses {2,3}; list[2] = {3}
         onestep_pr_step(&inst, &mut s, n(2)); // list[2]={3} ≠ nbrs{1,3}: reverse only 1
@@ -280,7 +280,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "must be a sink")]
     fn step_requires_sink() {
-        let inst = generate::chain_away(3);
+        let inst = stream::chain_away(3).to_instance();
         let mut s = PrState::initial(&inst);
         onestep_pr_step(&inst, &mut s, n(1));
     }
@@ -288,14 +288,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "S ≠ ∅")]
     fn set_action_requires_nonempty() {
-        let inst = generate::chain_away(3);
+        let inst = stream::chain_away(3).to_instance();
         let mut s = PrState::initial(&inst);
         pr_reverse_set(&inst, &mut s, &BTreeSet::new());
     }
 
     #[test]
     fn set_action_equals_sequential_singletons() {
-        let inst = generate::star_away(4); // sinks: 1,2,3,4 (dest is center 0)
+        let inst = stream::star_away(4).to_instance(); // sinks: 1,2,3,4 (dest is center 0)
         let set: BTreeSet<NodeId> = [n(1), n(3)].into();
         let mut a = PrState::initial(&inst);
         pr_reverse_set(&inst, &mut a, &set);
@@ -312,7 +312,7 @@ mod tests {
 
     #[test]
     fn set_automaton_enumerates_all_nonempty_subsets() {
-        let inst = generate::star_away(3); // 3 sinks
+        let inst = stream::star_away(3).to_instance(); // 3 sinks
         let aut = PrSetAutomaton { inst: &inst };
         let actions = aut.enabled_actions(&aut.initial_state());
         assert_eq!(actions.len(), 7); // 2^3 - 1
@@ -323,7 +323,7 @@ mod tests {
 
     #[test]
     fn onestep_automaton_runs_to_quiescence() {
-        let inst = generate::random_connected(9, 6, 17);
+        let inst = stream::random_connected(9, 6, 17).to_instance();
         let aut = OneStepPrAutomaton { inst: &inst };
         let exec = run(&aut, &mut schedulers::UniformRandom::seeded(5), 100_000);
         assert!(aut.is_quiescent(exec.last_state()), "PR must terminate");
@@ -334,7 +334,7 @@ mod tests {
 
     #[test]
     fn lists_only_contain_neighbors_that_stepped() {
-        let inst = generate::chain_away(5);
+        let inst = stream::chain_away(5).to_instance();
         let aut = OneStepPrAutomaton { inst: &inst };
         let exec = run(&aut, &mut schedulers::FirstEnabled, 10_000);
         for s in exec.states() {

@@ -344,7 +344,7 @@ impl ReversalStep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::generate;
+    use lr_graph::stream;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -352,7 +352,7 @@ mod tests {
 
     #[test]
     fn from_instance_matches_initial_orientation() {
-        let inst = generate::chain_away(3);
+        let inst = stream::chain_away(3).to_instance();
         let d = MirroredDirs::from_instance(&inst);
         assert_eq!(d.dir(n(0), n(1)), EdgeDir::Out);
         assert_eq!(d.dir(n(1), n(0)), EdgeDir::In);
@@ -363,7 +363,7 @@ mod tests {
 
     #[test]
     fn from_csr_instance_matches_from_instance() {
-        let inst = generate::random_connected(14, 12, 9);
+        let inst = stream::random_connected(14, 12, 9).to_instance();
         let via_map = MirroredDirs::from_instance(&inst);
         let via_flat = MirroredDirs::from_csr_instance(&CsrInstance::from_instance(&inst));
         assert_eq!(via_map, via_flat);
@@ -372,7 +372,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no edge")]
     fn dir_of_non_edge_panics() {
-        let inst = generate::chain_away(3);
+        let inst = stream::chain_away(3).to_instance();
         let d = MirroredDirs::from_instance(&inst);
         let _ = d.dir(n(0), n(2));
     }
@@ -380,14 +380,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn dir_at_rejects_out_of_range_slots() {
-        let inst = generate::chain_away(3);
+        let inst = stream::chain_away(3).to_instance();
         let d = MirroredDirs::from_instance(&inst);
         let _ = d.dir_at(4); // 4 half-edges: valid slots are 0..4
     }
 
     #[test]
     fn reverse_outward_updates_both_sides() {
-        let inst = generate::chain_away(3);
+        let inst = stream::chain_away(3).to_instance();
         let mut d = MirroredDirs::from_instance(&inst);
         // Node 2 is the sink; it reverses its edge to 1.
         d.reverse_outward(n(2), n(1));
@@ -398,7 +398,7 @@ mod tests {
 
     #[test]
     fn consistency_violation_is_reported() {
-        let inst = generate::chain_away(3);
+        let inst = stream::chain_away(3).to_instance();
         let mut d = MirroredDirs::from_instance(&inst);
         d.set_one_sided(n(1), n(0), EdgeDir::Out); // dir[0,1] is also Out now
         let err = d.check_consistency().unwrap_err();
@@ -410,7 +410,7 @@ mod tests {
     fn both_copies_are_distinct_storage() {
         // The falsifiability guarantee: writing one ordered pair must not
         // implicitly write the other — one bit flips, its twin does not.
-        let inst = generate::chain_away(3);
+        let inst = stream::chain_away(3).to_instance();
         let mut d = MirroredDirs::from_instance(&inst);
         d.set_one_sided(n(2), n(1), EdgeDir::Out);
         assert_eq!(d.dir(n(2), n(1)), EdgeDir::Out);
@@ -420,7 +420,7 @@ mod tests {
 
     #[test]
     fn sink_detection_from_own_perspective() {
-        let inst = generate::chain_away(4);
+        let inst = stream::chain_away(4).to_instance();
         let d = MirroredDirs::from_instance(&inst);
         assert!(d.is_sink(n(3)));
         assert!(!d.is_sink(n(0)));
@@ -433,7 +433,7 @@ mod tests {
         // A star with 100 leaves gives the center a 100-slot range
         // spanning two and a half words; after every leaf reverses, the
         // center's whole range reads `in`.
-        let inst = generate::star_away(100);
+        let inst = stream::star_away(100).to_instance();
         let mut d = MirroredDirs::from_instance(&inst);
         assert!(!d.is_sink(n(0)));
         for leaf in 1..=100u32 {
@@ -446,7 +446,7 @@ mod tests {
 
     #[test]
     fn orientation_round_trip() {
-        let inst = generate::random_connected(12, 10, 3);
+        let inst = stream::random_connected(12, 10, 3).to_instance();
         let d = MirroredDirs::from_instance(&inst);
         assert_eq!(d.orientation(), inst.init);
     }
@@ -454,7 +454,7 @@ mod tests {
     #[test]
     fn equality_and_hash_follow_direction_values() {
         use std::collections::hash_map::DefaultHasher;
-        let inst = generate::chain_away(4);
+        let inst = stream::chain_away(4).to_instance();
         let a = MirroredDirs::from_instance(&inst);
         let b = MirroredDirs::from_instance(&inst); // separate CSR build
         assert_eq!(a, b);
@@ -471,7 +471,7 @@ mod tests {
 
     #[test]
     fn reverse_all_outward_matches_per_edge_reversal() {
-        let inst = generate::random_connected(10, 12, 5);
+        let inst = stream::random_connected(10, 12, 5).to_instance();
         let mut a = MirroredDirs::from_instance(&inst);
         let mut b = a.clone();
         // Pick a node with degree ≥ 2 and reverse a subset of neighbors.

@@ -208,7 +208,7 @@ impl EnabledTracker {
 mod tests {
     use super::*;
     use crate::MirroredDirs;
-    use lr_graph::generate;
+    use lr_graph::stream;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -216,7 +216,7 @@ mod tests {
 
     #[test]
     fn initial_enabled_set_matches_scan() {
-        let inst = generate::chain_away(5);
+        let inst = stream::chain_away(5).to_instance();
         let dirs = MirroredDirs::from_instance(&inst);
         let t = EnabledTracker::from_dirs(&dirs, inst.dest);
         assert_eq!(t.enabled(), &[n(4)]);
@@ -224,7 +224,7 @@ mod tests {
 
     #[test]
     fn destination_is_never_enabled() {
-        let inst = generate::chain_toward(4); // dest 0 is the unique sink
+        let inst = stream::chain_toward(4).to_instance(); // dest 0 is the unique sink
         let dirs = MirroredDirs::from_instance(&inst);
         let t = EnabledTracker::from_dirs(&dirs, inst.dest);
         assert!(t.enabled().is_empty());
@@ -232,7 +232,7 @@ mod tests {
 
     #[test]
     fn step_delta_tracks_full_rescan() {
-        let inst = generate::random_connected(14, 12, 77);
+        let inst = stream::random_connected(14, 12, 77).to_instance();
         let mut dirs = MirroredDirs::from_instance(&inst);
         let mut t = EnabledTracker::from_dirs(&dirs, inst.dest);
         let mut guard = 0;
@@ -258,7 +258,7 @@ mod tests {
     fn batched_round_matches_immediate_updates() {
         // Drive identical full-reversal greedy rounds through both
         // update modes; every round boundary must agree exactly.
-        let inst = generate::random_connected(16, 14, 3);
+        let inst = stream::random_connected(16, 14, 3).to_instance();
         let mut dirs_a = MirroredDirs::from_instance(&inst);
         let mut dirs_b = dirs_a.clone();
         let mut a = EnabledTracker::from_dirs(&dirs_a, inst.dest); // immediate
@@ -287,7 +287,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "batch already open")]
     fn nested_batches_are_rejected() {
-        let inst = generate::chain_away(3);
+        let inst = stream::chain_away(3).to_instance();
         let dirs = MirroredDirs::from_instance(&inst);
         let mut t = EnabledTracker::from_dirs(&dirs, inst.dest);
         t.begin_batch();
@@ -296,7 +296,7 @@ mod tests {
 
     #[test]
     fn empty_reversal_keeps_node_enabled() {
-        let inst = generate::chain_away(3);
+        let inst = stream::chain_away(3).to_instance();
         let dirs = MirroredDirs::from_instance(&inst);
         let mut t = EnabledTracker::from_dirs(&dirs, inst.dest);
         assert_eq!(t.enabled(), &[n(2)]);

@@ -807,16 +807,16 @@ pub fn advance_randomly(engine: &mut dyn ReversalEngine, steps: usize, seed: u64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alg::{AlgorithmKind, FrontierPrEngine};
-    use lr_graph::{generate, stream, CsrInstance};
+    use crate::alg::{AlgorithmKind, FrontierFamily, FrontierPrEngine};
+    use lr_graph::{stream, CsrInstance};
 
-    fn pr(inst: &lr_graph::ReversalInstance) -> FrontierPrEngine {
-        FrontierPrEngine::new(CsrInstance::from_instance(inst))
+    fn pr(inst: &CsrInstance) -> FrontierPrEngine {
+        FrontierPrEngine::new(inst.clone())
     }
 
     #[test]
     fn all_algorithms_terminate_on_chain_under_all_policies() {
-        let inst = generate::chain_away(9);
+        let inst = stream::chain_away(9).to_instance();
         let policies = [
             SchedulePolicy::GreedyRounds,
             SchedulePolicy::RandomSingle { seed: 3 },
@@ -848,7 +848,7 @@ mod tests {
 
     #[test]
     fn random_runs_reproducible_by_seed() {
-        let inst = generate::random_connected(14, 10, 5);
+        let inst = stream::random_connected(14, 10, 5);
         let mut a = pr(&inst);
         let sa = run_engine(&mut a, SchedulePolicy::RandomSingle { seed: 9 }, 100_000);
         let mut b = pr(&inst);
@@ -871,7 +871,7 @@ mod tests {
 
     #[test]
     fn step_budget_is_respected() {
-        let mut e = AlgorithmKind::FullReversal.engine(&generate::chain_away(64));
+        let mut e = FrontierFamily::FullReversal.engine(stream::chain_away(64));
         let stats = run_engine(e.as_mut(), SchedulePolicy::FirstSingle, 10);
         assert!(!stats.terminated);
         assert_eq!(stats.steps, 10);
@@ -879,7 +879,7 @@ mod tests {
 
     #[test]
     fn advance_randomly_stops_at_termination() {
-        let inst = generate::chain_away(4);
+        let inst = stream::chain_away(4);
         let mut e = pr(&inst);
         let taken = advance_randomly(&mut e, 10_000, 1);
         assert!(taken < 10_000);
@@ -888,7 +888,7 @@ mod tests {
 
     #[test]
     fn social_cost_and_max_work_accessors() {
-        let inst = generate::chain_away(6);
+        let inst = stream::chain_away(6);
         let mut e = pr(&inst);
         let stats = run_engine(&mut e, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
         assert_eq!(stats.social_cost(), stats.steps);
@@ -897,7 +897,7 @@ mod tests {
 
     #[test]
     fn work_per_node_map_mirrors_dense_vector() {
-        let inst = generate::alternating_chain(9);
+        let inst = stream::alternating_chain(9);
         let mut e = pr(&inst);
         let stats = run_engine(&mut e, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
         let map = stats.work_per_node(e.csr());
@@ -909,7 +909,7 @@ mod tests {
 
     #[test]
     fn alloc_reference_loop_matches_zero_alloc_loop() {
-        let inst = generate::alternating_chain(17);
+        let inst = stream::alternating_chain(17);
         for policy in [
             SchedulePolicy::GreedyRounds,
             SchedulePolicy::RandomSingle { seed: 11 },
@@ -927,7 +927,6 @@ mod tests {
 
     #[test]
     fn sharded_greedy_is_bit_identical_to_sequential_for_every_family() {
-        use crate::alg::FrontierFamily;
         let flat = stream::alternating_chain(65);
         for family in FrontierFamily::ALL {
             let mut seq = family.engine(flat.clone());

@@ -297,7 +297,7 @@ pub fn dominates(a: &WorkVector, b: &WorkVector) -> Option<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::generate;
+    use lr_graph::stream;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -305,7 +305,7 @@ mod tests {
 
     #[test]
     fn pr_strictly_beats_fr_on_away_chain() {
-        let inst = generate::chain_away(32);
+        let inst = stream::chain_away(32).to_instance();
         let c = compare_social_costs(&inst);
         assert!(
             c.pr_cost < c.fr_cost,
@@ -320,7 +320,7 @@ mod tests {
     fn costs_match_on_star() {
         // On the outward star every leaf steps exactly once under both
         // algorithms.
-        let inst = generate::star_away(8);
+        let inst = stream::star_away(8).to_instance();
         let c = compare_social_costs(&inst);
         assert_eq!(c.fr_cost, 8);
         assert_eq!(c.pr_cost, 8);
@@ -328,7 +328,7 @@ mod tests {
 
     #[test]
     fn destination_oriented_instance_costs_zero() {
-        let inst = generate::chain_toward(10);
+        let inst = stream::chain_toward(10).to_instance();
         let c = compare_social_costs(&inst);
         assert_eq!((c.fr_cost, c.pr_cost, c.newpr_cost), (0, 0, 0));
         assert_eq!(c.fr_over_pr(), None);
@@ -339,7 +339,7 @@ mod tests {
         // NewPR takes the same real steps as PR plus dummy steps, so its
         // greedy social cost is ≥ PR's.
         for seed in 0..10 {
-            let inst = generate::random_connected(12, 8, 400 + seed);
+            let inst = stream::random_connected(12, 8, 400 + seed).to_instance();
             let c = compare_social_costs(&inst);
             assert!(
                 c.newpr_cost >= c.pr_cost,
@@ -352,7 +352,7 @@ mod tests {
 
     #[test]
     fn work_vectors_sum_to_social_cost() {
-        let inst = generate::chain_away(16);
+        let inst = stream::chain_away(16).to_instance();
         let c = compare_social_costs(&inst);
         let v = work_vector(AlgorithmKind::PartialReversal, &inst);
         assert_eq!(v.values().sum::<usize>(), c.pr_cost);
@@ -372,7 +372,7 @@ mod tests {
     #[test]
     fn uniform_profiles_reproduce_the_pure_algorithms() {
         for seed in 0..5 {
-            let inst = generate::random_connected(10, 8, 700 + seed);
+            let inst = stream::random_connected(10, 8, 700 + seed).to_instance();
             let fr_profile = profile_costs(&inst, &uniform_profile(&inst, Strategy::Full));
             let fr_direct = work_vector(AlgorithmKind::FullReversal, &inst);
             assert_eq!(fr_profile, fr_direct, "all-Full must equal FR");
@@ -388,11 +388,11 @@ mod tests {
         // equilibrium — verified here on the projected {Full, Partial}
         // strategy space.
         for inst in [
-            generate::chain_away(7),
-            generate::alternating_chain(7),
-            generate::star_away(5),
-            generate::random_connected(8, 6, 31),
-            generate::random_connected(8, 12, 32),
+            stream::chain_away(7).to_instance(),
+            stream::alternating_chain(7).to_instance(),
+            stream::star_away(5).to_instance(),
+            stream::random_connected(8, 6, 31).to_instance(),
+            stream::random_connected(8, 12, 32).to_instance(),
         ] {
             let fr = uniform_profile(&inst, Strategy::Full);
             assert_eq!(
@@ -408,10 +408,10 @@ mod tests {
         // The cited optimality claim, projected: whenever all-Partial is
         // an equilibrium, no profile at all has lower social cost.
         for inst in [
-            generate::chain_away(8),
-            generate::alternating_chain(8),
-            generate::random_connected(9, 6, 41),
-            generate::random_connected(9, 12, 42),
+            stream::chain_away(8).to_instance(),
+            stream::alternating_chain(8).to_instance(),
+            stream::random_connected(9, 6, 41).to_instance(),
+            stream::random_connected(9, 12, 42).to_instance(),
         ] {
             let a = analyze_profiles(&inst);
             assert!(a.profiles >= 2);
@@ -433,7 +433,7 @@ mod tests {
         // node to Partial cannot help (it has one neighbor, both
         // strategies coincide), so verify instead via analyze_profiles
         // that min < max (the game is non-trivial).
-        let inst = generate::chain_away(7);
+        let inst = stream::chain_away(7).to_instance();
         let a = analyze_profiles(&inst);
         assert!(
             a.min_cost < a.max_cost,
@@ -444,7 +444,7 @@ mod tests {
 
     #[test]
     fn pr_work_vector_dominates_fr_on_away_chain() {
-        let inst = generate::chain_away(24);
+        let inst = stream::chain_away(24).to_instance();
         let pr = work_vector(AlgorithmKind::PartialReversal, &inst);
         let fr = work_vector(AlgorithmKind::FullReversal, &inst);
         // PR should be no worse at every node here.

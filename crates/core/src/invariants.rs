@@ -329,7 +329,7 @@ pub fn pr_set_invariants(inst: &ReversalInstance) -> Vec<Invariant<PrSetAutomato
 mod tests {
     use super::*;
     use crate::alg::{newpr_step, onestep_pr_step};
-    use lr_graph::generate;
+    use lr_graph::stream;
     use lr_ioa::{explore::ExploreOptions, run, schedulers, Automaton};
 
     fn n(i: u32) -> NodeId {
@@ -338,7 +338,7 @@ mod tests {
 
     #[test]
     fn all_invariants_hold_initially() {
-        let inst = generate::random_connected(10, 8, 1);
+        let inst = stream::random_connected(10, 8, 1).to_instance();
         let emb = inst.embedding();
         let pr = PrState::initial(&inst);
         let np = NewPrState::initial(&inst);
@@ -353,7 +353,7 @@ mod tests {
 
     #[test]
     fn invariants_hold_along_random_pr_execution() {
-        let inst = generate::random_connected(9, 7, 2);
+        let inst = stream::random_connected(9, 7, 2).to_instance();
         let mut s = PrState::initial(&inst);
         let mut guard = 0;
         loop {
@@ -373,7 +373,7 @@ mod tests {
 
     #[test]
     fn invariants_hold_along_random_newpr_execution() {
-        let inst = generate::random_connected(9, 7, 3);
+        let inst = stream::random_connected(9, 7, 3).to_instance();
         let emb = inst.embedding();
         let mut s = NewPrState::initial(&inst);
         let mut guard = 0;
@@ -393,7 +393,7 @@ mod tests {
 
     #[test]
     fn inv_3_1_violation_detected() {
-        let inst = generate::chain_away(3);
+        let inst = stream::chain_away(3).to_instance();
         let mut s = PrState::initial(&inst);
         // Edge {0,1} is initially 0 → 1, so dir[1,0] = In; claiming Out
         // from node 1's perspective makes the two copies disagree.
@@ -404,7 +404,7 @@ mod tests {
 
     #[test]
     fn inv_3_2_violation_detected_on_corrupted_list() {
-        let inst = generate::chain_away(3);
+        let inst = stream::chain_away(3).to_instance();
         let mut s = PrState::initial(&inst);
         // Claim node 1's neighbor 0 reversed when it did not.
         s.lists.get_mut(&n(1)).unwrap().insert(n(0));
@@ -413,7 +413,7 @@ mod tests {
 
     #[test]
     fn cor_3_3_violation_detected_on_straddling_list() {
-        let inst = generate::chain_away(3);
+        let inst = stream::chain_away(3).to_instance();
         let mut s = PrState::initial(&inst);
         // Node 1 has in-nbr {0} and out-nbr {2}; a list containing both
         // straddles the two sets.
@@ -433,7 +433,7 @@ mod tests {
 
     #[test]
     fn inv_4_1_violation_detected() {
-        let inst = generate::chain_away(3);
+        let inst = stream::chain_away(3).to_instance();
         let emb = inst.embedding();
         let mut s = NewPrState::initial(&inst);
         // Reverse edge {1,2} without incrementing any count: both ends
@@ -445,7 +445,7 @@ mod tests {
 
     #[test]
     fn inv_4_2a_violation_detected() {
-        let inst = generate::chain_away(3);
+        let inst = stream::chain_away(3).to_instance();
         let emb = inst.embedding();
         let mut s = NewPrState::initial(&inst);
         s.counts.insert(n(2), 5); // neighbor 1 still has count 0
@@ -455,7 +455,7 @@ mod tests {
 
     #[test]
     fn inv_4_2d_violation_detected() {
-        let inst = generate::chain_away(3);
+        let inst = stream::chain_away(3).to_instance();
         let emb = inst.embedding();
         let mut s = NewPrState::initial(&inst);
         // count[2] = 1 > count[1] = 0, but the edge {1,2} still points
@@ -477,7 +477,7 @@ mod tests {
 
     #[test]
     fn model_check_newpr_on_small_instance() {
-        let inst = generate::chain_away(4);
+        let inst = stream::chain_away(4).to_instance();
         let aut = NewPrAutomaton { inst: &inst };
         let invs = newpr_invariants(&inst);
         let report = lr_ioa::explore::explore(&aut, &invs, &ExploreOptions::default());
@@ -487,7 +487,7 @@ mod tests {
 
     #[test]
     fn model_check_onestep_pr_on_small_instance() {
-        let inst = generate::chain_away(4);
+        let inst = stream::chain_away(4).to_instance();
         let aut = OneStepPrAutomaton { inst: &inst };
         let invs = onestep_pr_invariants(&inst);
         let report = lr_ioa::explore::explore(&aut, &invs, &ExploreOptions::default());
@@ -496,7 +496,7 @@ mod tests {
 
     #[test]
     fn model_check_pr_set_on_small_instance() {
-        let inst = generate::star_away(3);
+        let inst = stream::star_away(3).to_instance();
         let aut = PrSetAutomaton { inst: &inst };
         let invs = pr_set_invariants(&inst);
         let report = lr_ioa::explore::explore(&aut, &invs, &ExploreOptions::default());
@@ -505,7 +505,7 @@ mod tests {
 
     #[test]
     fn explorer_and_executions_agree_on_terminal_states() {
-        let inst = generate::random_connected(7, 4, 10);
+        let inst = stream::random_connected(7, 4, 10).to_instance();
         let aut = NewPrAutomaton { inst: &inst };
         let exec = run(&aut, &mut schedulers::UniformRandom::seeded(7), 100_000);
         assert!(aut.is_quiescent(exec.last_state()));

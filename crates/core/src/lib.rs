@@ -57,9 +57,9 @@
 //! ```
 //! use lr_core::alg::AlgorithmKind;
 //! use lr_core::engine::{run_to_destination_oriented, SchedulePolicy, DEFAULT_MAX_STEPS};
-//! use lr_graph::generate;
+//! use lr_graph::stream;
 //!
-//! let inst = generate::chain_away(16);
+//! let inst = stream::chain_away(16).to_instance();
 //! let mut engine = AlgorithmKind::NewPr.engine(&inst);
 //! let stats = run_to_destination_oriented(
 //!     engine.as_mut(),

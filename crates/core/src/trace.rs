@@ -234,11 +234,11 @@ mod tests {
     use super::*;
     use crate::alg::FrontierFamily::{NewPr, PartialReversal};
     use crate::engine::{run_engine, DEFAULT_MAX_STEPS};
-    use lr_graph::generate;
+    use lr_graph::stream;
 
     #[test]
     fn trace_records_and_validates() {
-        let inst = generate::chain_away(6);
+        let inst = stream::chain_away(6).to_instance();
         let trace = Trace::record(
             &inst,
             PartialReversal,
@@ -253,7 +253,7 @@ mod tests {
 
     #[test]
     fn text_rendering_mentions_every_step() {
-        let inst = generate::chain_away(4);
+        let inst = stream::chain_away(4).to_instance();
         let trace = Trace::record(
             &inst,
             PartialReversal,
@@ -277,7 +277,7 @@ mod tests {
 
     #[test]
     fn dot_frames_cover_initial_plus_steps() {
-        let inst = generate::chain_away(4);
+        let inst = stream::chain_away(4).to_instance();
         let trace = Trace::record(
             &inst,
             PartialReversal,
@@ -292,7 +292,7 @@ mod tests {
 
     #[test]
     fn empty_trace_on_oriented_instance() {
-        let inst = generate::chain_toward(5);
+        let inst = stream::chain_toward(5).to_instance();
         let trace = Trace::record(
             &inst,
             PartialReversal,
@@ -305,7 +305,7 @@ mod tests {
 
     #[test]
     fn traces_are_reproducible_for_random_policy() {
-        let inst = generate::random_connected(10, 8, 60);
+        let inst = stream::random_connected(10, 8, 60).to_instance();
         let policy = SchedulePolicy::RandomSingle { seed: 4 };
         let ta = Trace::record(&inst, PartialReversal, policy, 100_000);
         let tb = Trace::record(&inst, PartialReversal, policy, 100_000);
@@ -316,7 +316,7 @@ mod tests {
     #[test]
     fn traces_agree_with_run_stats() {
         for seed in 0..6 {
-            let inst = generate::random_connected(14, 12, 9100 + seed);
+            let inst = stream::random_connected(14, 12, 9100 + seed).to_instance();
             let policy = SchedulePolicy::RandomSingle { seed };
             for family in FrontierFamily::ALL {
                 let mut e = family.engine(CsrInstance::from_instance(&inst));

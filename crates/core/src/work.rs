@@ -83,9 +83,9 @@ fn row_from_stats(inst: &ReversalInstance, stats: &RunStats) -> WorkRow {
 /// tests (`closed_forms_match_measurement`). They instantiate the Θ(n_b²)
 /// worst-case bound of §1 with exact constants:
 ///
-/// * FR on [`lr_graph::generate::chain_away`]`(n)`: `(n − 1)²`,
+/// * FR on [`lr_graph::stream::chain_away`]`(n)`: `(n − 1)²`,
 /// * PR on the same chain: `n − 1` (each bad node reverses once),
-/// * both FR and PR on [`lr_graph::generate::alternating_chain`]`(n)`:
+/// * both FR and PR on [`lr_graph::stream::alternating_chain`]`(n)`:
 ///   `n_b (n_b + 1) / 2` with `n_b = n − 2`.
 pub mod closed_forms {
     /// Total FR reversals on `chain_away(n)` under any schedule.
@@ -141,7 +141,7 @@ pub fn doubling_ratios(ys: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::generate;
+    use lr_graph::stream;
 
     #[test]
     fn exact_quadratic_fits_exponent_two() {
@@ -182,7 +182,7 @@ mod tests {
         let pts: Vec<(f64, f64)> = sizes
             .iter()
             .map(|&n| {
-                let inst = generate::chain_away(n);
+                let inst = stream::chain_away(n).to_instance();
                 let row = measure_work(AlgorithmKind::FullReversal, &inst);
                 assert_eq!(row.n_b, n - 1);
                 (row.n_b as f64, row.total_reversals as f64)
@@ -201,7 +201,7 @@ mod tests {
         let pts: Vec<(f64, f64)> = sizes
             .iter()
             .map(|&n| {
-                let inst = generate::chain_away(n);
+                let inst = stream::chain_away(n).to_instance();
                 let row = measure_work(AlgorithmKind::PartialReversal, &inst);
                 (row.n_b as f64, row.total_reversals as f64)
             })
@@ -213,7 +213,7 @@ mod tests {
     #[test]
     fn closed_forms_match_measurement() {
         for n in [4usize, 8, 16, 33, 64, 100] {
-            let away = generate::chain_away(n);
+            let away = stream::chain_away(n).to_instance();
             assert_eq!(
                 measure_work(AlgorithmKind::FullReversal, &away).total_reversals,
                 closed_forms::fr_chain_away(n),
@@ -224,7 +224,7 @@ mod tests {
                 closed_forms::pr_chain_away(n),
                 "PR on chain_away({n})"
             );
-            let alt = generate::alternating_chain(n);
+            let alt = stream::alternating_chain(n).to_instance();
             for kind in [AlgorithmKind::FullReversal, AlgorithmKind::PartialReversal] {
                 assert_eq!(
                     measure_work(kind, &alt).total_reversals,
@@ -248,10 +248,10 @@ mod tests {
             SchedulePolicy::FirstSingle,
             SchedulePolicy::LastSingle,
         ] {
-            let away = generate::chain_away(n);
+            let away = stream::chain_away(n).to_instance();
             let row = measure_work_with_policy(AlgorithmKind::FullReversal, &away, policy);
             assert_eq!(row.total_reversals, closed_forms::fr_chain_away(n));
-            let alt = generate::alternating_chain(n);
+            let alt = stream::alternating_chain(n).to_instance();
             let row = measure_work_with_policy(AlgorithmKind::PartialReversal, &alt, policy);
             assert_eq!(row.total_reversals, closed_forms::alternating_chain(n));
         }
@@ -259,7 +259,7 @@ mod tests {
 
     #[test]
     fn measure_rows_are_consistent() {
-        let inst = generate::grid_away(3, 3);
+        let inst = stream::grid_away(3, 3).to_instance();
         for kind in AlgorithmKind::ALL {
             let row = measure_work(kind, &inst);
             assert_eq!(row.n, 9);

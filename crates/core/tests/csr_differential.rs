@@ -16,12 +16,12 @@ use lr_core::engine::{
 };
 use lr_core::invariants::{check_acyclic, check_inv_3_1};
 use lr_core::StepScratch;
-use lr_graph::{generate, CsrInstance, DirectedView, NodeId, ReversalInstance};
+use lr_graph::{stream, CsrInstance, DirectedView, NodeId, ReversalInstance};
 use proptest::prelude::*;
 
 fn instance_strategy() -> impl Strategy<Value = ReversalInstance> {
     (4usize..=16, 0usize..=20, any::<u64>())
-        .prop_map(|(n, extra, seed)| generate::random_connected(n, extra, seed))
+        .prop_map(|(n, extra, seed)| stream::random_connected(n, extra, seed).to_instance())
 }
 
 /// Every engine configuration under test: the six families plus the
@@ -221,8 +221,7 @@ proptest! {
 /// included: run, reset, run again — both runs identical.
 #[test]
 fn reset_restores_initial_state() {
-    let inst = generate::random_connected(12, 8, 99);
-    let flat = CsrInstance::from_instance(&inst);
+    let flat = stream::random_connected(12, 8, 99);
     let policy = SchedulePolicy::RandomSingle { seed: 1 };
     for family in families() {
         let name = family.name();
@@ -249,7 +248,7 @@ fn assert_stats_match(a: &RunStats, b: &RunStats) {
 #[test]
 #[ignore = "multi-second in release; runs in the CI --ignored tier"]
 fn alternating_chain_4096_terminates_within_default_budget() {
-    let inst = generate::alternating_chain(4097);
+    let inst = stream::alternating_chain(4097).to_instance();
     let mut e = FrontierPrEngine::new(CsrInstance::from_instance(&inst));
     let stats = run_engine(&mut e, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
     assert!(

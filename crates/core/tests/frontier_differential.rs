@@ -22,14 +22,14 @@ use lr_core::engine::{
     DEFAULT_MAX_STEPS,
 };
 use lr_core::MirroredDirs;
-use lr_graph::{generate, stream, EdgeDir, NodeId, ReversalInstance};
+use lr_graph::{stream, EdgeDir, NodeId, ReversalInstance};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 fn instance_strategy() -> impl Strategy<Value = ReversalInstance> {
     (4usize..=16, 0usize..=20, any::<u64>())
-        .prop_map(|(n, extra, seed)| generate::random_connected(n, extra, seed))
+        .prop_map(|(n, extra, seed)| stream::random_connected(n, extra, seed).to_instance())
 }
 
 /// Every frontier family: the six canonical families plus the

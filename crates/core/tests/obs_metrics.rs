@@ -9,7 +9,7 @@ use lr_core::alg::{BllLabeling, FrontierFamily};
 use lr_core::engine::{
     run_engine_frontier, run_engine_frontier_sharded, RunStats, SchedulePolicy, DEFAULT_MAX_STEPS,
 };
-use lr_graph::{generate, CsrInstance, ReversalInstance};
+use lr_graph::{stream, CsrInstance};
 use lr_obs::MetricsShard;
 
 fn all_families() -> [FrontierFamily; 7] {
@@ -33,8 +33,8 @@ fn policies() -> [SchedulePolicy; 4] {
     ]
 }
 
-fn instance() -> ReversalInstance {
-    generate::random_connected(24, 30, 97)
+fn instance() -> CsrInstance {
+    stream::random_connected(24, 30, 97)
 }
 
 /// The shard `RunStats::metrics()` must equal, rebuilt here field by
@@ -86,8 +86,7 @@ fn assert_single_booked(family: FrontierFamily, policy: SchedulePolicy, stats: &
 
 #[test]
 fn metrics_agree_with_run_stats_for_every_family_and_policy() {
-    let inst = instance();
-    let csr_inst = CsrInstance::from_instance(&inst);
+    let csr_inst = instance();
     for family in all_families() {
         for policy in policies() {
             let mut engine = family.engine(csr_inst.clone());
@@ -99,8 +98,7 @@ fn metrics_agree_with_run_stats_for_every_family_and_policy() {
 
 #[test]
 fn sharded_runs_stay_single_booked_and_render_identically() {
-    let inst = instance();
-    let csr_inst = CsrInstance::from_instance(&inst);
+    let csr_inst = instance();
     for family in all_families() {
         let mut engine = family.engine(csr_inst.clone());
         let serial = run_engine_frontier(
@@ -132,8 +130,7 @@ fn sharded_runs_stay_single_booked_and_render_identically() {
 /// integral only counts iterations that were actually scheduled.
 #[test]
 fn budget_cut_runs_stay_single_booked() {
-    let inst = instance();
-    let csr_inst = CsrInstance::from_instance(&inst);
+    let csr_inst = instance();
     let mut engine = FrontierFamily::PartialReversal.engine(csr_inst);
     let stats = run_engine_frontier(engine.as_mut(), SchedulePolicy::GreedyRounds, 3);
     assert!(!stats.terminated);

@@ -252,17 +252,6 @@ impl CsrGraph {
         }
     }
 
-    /// The dense index of `u`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::UnknownNode`] if `u` is not a node — the
-    /// checked counterpart of [`CsrGraph::index_of`] for public
-    /// boundaries that want a diagnosable error instead of an `Option`.
-    pub fn require_index_of(&self, u: NodeId) -> Result<usize, GraphError> {
-        self.index_of(u).ok_or(GraphError::UnknownNode(u))
-    }
-
     /// Degree of the node at dense index `idx`.
     pub fn degree(&self, idx: usize) -> usize {
         (self.offsets[idx + 1] - self.offsets[idx]) as usize
@@ -510,11 +499,6 @@ mod tests {
         assert_eq!(csr.index_of(n(9)), Some(1));
         assert_eq!(csr.index_of(n(200)), Some(2));
         assert_eq!(csr.index_of(n(6)), None);
-        assert_eq!(csr.require_index_of(n(9)), Ok(1));
-        assert_eq!(
-            csr.require_index_of(n(6)),
-            Err(GraphError::UnknownNode(n(6)))
-        );
         assert_eq!(csr.degree(2), 2);
         let s = csr.slot_of(0, 2).unwrap();
         assert_eq!(csr.node(csr.target(s)), n(200));

@@ -11,9 +11,9 @@ use crate::{NodeId, Orientation, UndirectedGraph};
 /// establish (every node has a directed path to the destination).
 ///
 /// ```
-/// use lr_graph::{generate, NodeId};
+/// use lr_graph::{stream, NodeId};
 ///
-/// let inst = generate::chain_away(4); // D ← everything points away from D
+/// let inst = stream::chain_away(4).to_instance(); // D ← everything points away from D
 /// let view = inst.view();
 /// assert!(view.is_acyclic());
 /// assert_eq!(view.sinks(), vec![NodeId::new(3)]);

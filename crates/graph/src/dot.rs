@@ -19,8 +19,8 @@ pub struct DotOptions {
 /// Renders a directed view as a Graphviz `digraph`.
 ///
 /// ```
-/// use lr_graph::{dot, generate};
-/// let inst = lr_graph::generate::chain_away(3);
+/// use lr_graph::{dot, stream};
+/// let inst = stream::chain_away(3).to_instance();
 /// let s = dot::to_dot(&inst.view(), &dot::DotOptions {
 ///     destination: Some(inst.dest),
 ///     highlight_sinks: true,
@@ -28,7 +28,6 @@ pub struct DotOptions {
 /// });
 /// assert!(s.contains("digraph chain"));
 /// assert!(s.contains("n0 -> n1"));
-/// # let _ = generate::chain_away(3);
 /// ```
 pub fn to_dot(view: &DirectedView<'_>, opts: &DotOptions) -> String {
     let mut out = String::new();
@@ -60,11 +59,11 @@ pub fn to_dot(view: &DirectedView<'_>, opts: &DotOptions) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate;
+    use crate::stream;
 
     #[test]
     fn renders_nodes_edges_and_destination() {
-        let inst = generate::chain_away(3);
+        let inst = stream::chain_away(3).to_instance();
         let s = to_dot(
             &inst.view(),
             &DotOptions {
@@ -83,7 +82,7 @@ mod tests {
 
     #[test]
     fn default_options_render_plain_nodes() {
-        let inst = generate::chain_away(3);
+        let inst = stream::chain_away(3).to_instance();
         let s = to_dot(&inst.view(), &DotOptions::default());
         assert!(s.contains("digraph G {"));
         assert!(s.contains("    n1;"));

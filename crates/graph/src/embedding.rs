@@ -18,9 +18,9 @@ use crate::{DirectedView, GraphError, NodeId, Orientation, UndirectedGraph};
 /// relation.
 ///
 /// ```
-/// use lr_graph::{generate, PlaneEmbedding};
+/// use lr_graph::{stream, PlaneEmbedding};
 ///
-/// let inst = generate::chain_away(4);
+/// let inst = stream::chain_away(4).to_instance();
 /// let emb = PlaneEmbedding::of_initial(&inst.graph, &inst.init).unwrap();
 /// // In chain_away the destination n0 is leftmost and ids increase rightward.
 /// for w in [(0, 1), (1, 2), (2, 3)] {

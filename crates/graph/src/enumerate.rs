@@ -160,29 +160,6 @@ pub fn acyclic_orientation_count(graph: &UndirectedGraph) -> u64 {
     u64::try_from(total).expect("T_G(2, 0) is a count")
 }
 
-/// Like [`all_instances`] but with a caller-supplied filter on the graph,
-/// letting harnesses restrict to e.g. trees or bounded edge counts.
-pub fn instances_where<F>(n: usize, mut keep: F) -> Vec<ReversalInstance>
-where
-    F: FnMut(&UndirectedGraph) -> bool,
-{
-    let mut out = Vec::new();
-    for g in connected_graphs(n) {
-        if !keep(&g) {
-            continue;
-        }
-        for o in acyclic_orientations(&g) {
-            for dest in g.nodes() {
-                out.push(
-                    ReversalInstance::new(g.clone(), o.clone(), dest)
-                        .expect("enumerated instance is valid"),
-                );
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,15 +240,5 @@ mod tests {
     fn all_instances_matches_the_independent_count_at_n5() {
         assert_eq!(independent_instance_count(5), 132_150);
         assert_eq!(all_instances(5).len(), 132_150);
-    }
-
-    #[test]
-    fn instances_where_filters() {
-        // Keep only trees (edge_count == n - 1).
-        let trees = instances_where(4, |g| g.edge_count() == 3);
-        assert!(!trees.is_empty());
-        for t in &trees {
-            assert_eq!(t.graph.edge_count(), 3);
-        }
     }
 }

@@ -18,20 +18,22 @@
 //!   DAG used by Invariants 4.1 and 4.2 of the paper.
 //! * [`ReversalInstance`] — a ready-to-run initial configuration
 //!   (graph, initial orientation, destination).
-//! * [`generate`] — workload generators: chains, trees, grids, layered DAGs,
-//!   random connected DAGs, and the worst-case families used in the
-//!   benchmark harness.
+//! * [`stream`] — workload generators: chains, trees, grids, layered DAGs,
+//!   bipartite and random connected DAGs, and the worst-case families used
+//!   in the benchmark harness. Each streams straight into a flat
+//!   [`CsrInstance`]; [`CsrInstance::to_instance`] materializes the map
+//!   form.
 //! * [`enumerate`] — exhaustive enumeration of small graphs and of all
 //!   acyclic orientations, used by the model-checking harness.
 //!
 //! # Quick example
 //!
 //! ```
-//! use lr_graph::{generate, NodeId};
+//! use lr_graph::{stream, NodeId};
 //!
 //! // A 5-node chain with every edge initially directed away from the
 //! // destination: the classic worst case for link reversal.
-//! let inst = generate::chain_away(5);
+//! let inst = stream::chain_away(5).to_instance();
 //! let view = inst.view();
 //! assert!(view.is_acyclic());
 //! assert!(!view.is_destination_oriented(inst.dest));
@@ -53,8 +55,6 @@ mod undirected;
 
 pub mod dot;
 pub mod enumerate;
-pub mod generate;
-pub mod metrics;
 pub mod parse;
 pub mod stream;
 

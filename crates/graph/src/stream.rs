@@ -1,20 +1,21 @@
-//! Streaming instance construction: generators that emit neighbor runs
-//! directly into CSR arrays, never materializing a `BTreeMap` graph or
-//! an intermediate edge list.
+//! Instance generators: the graph families used by the examples, the
+//! tests, the scenario specs, and the benchmark. Each one emits neighbor
+//! runs directly into CSR arrays, never materializing a `BTreeMap` graph
+//! or an intermediate edge list.
 //!
-//! The [`crate::generate`] module builds [`ReversalInstance`]s through the
-//! `UndirectedGraph`/`Orientation` frontend — ideal for validation and
-//! serialization, but its pointer-heavy maps cost hundreds of bytes per
-//! edge, which caps it at tens of thousands of nodes. The streaming
-//! counterparts in this module produce a [`CsrInstance`] — the flat CSR
-//! graph plus a bit-packed initial orientation (1 bit per half-edge) —
-//! at roughly 8 bytes per half-edge plus 8 per node, so million-node
-//! instances fit comfortably in memory.
+//! Every generator returns a [`CsrInstance`] — the flat CSR graph plus a
+//! bit-packed initial orientation (1 bit per half-edge) — at roughly 8
+//! bytes per half-edge plus 8 per node, so million-node instances fit
+//! comfortably in memory. [`CsrInstance::to_instance`] materializes the
+//! validated [`ReversalInstance`] (graph, acyclic initial orientation,
+//! destination — the model of §2) for the callers that need the map
+//! form: traces, invariant checks, model checking, the protocols, and
+//! serve setup. Unless documented otherwise the destination is node `0`.
 //!
-//! Every streaming generator is pinned to its materializing counterpart
-//! by the differential suite: `stream::f(args)` must equal
-//! `CsrInstance::from_instance(&generate::f(args))` bit for bit,
-//! including the RNG draws of the random families.
+//! The **`*_away` families direct every edge away from the destination**,
+//! which makes *every* other node a "bad node" (no initial path to `D`) —
+//! the configuration that exhibits the Θ(n_b²) worst-case total work cited
+//! in §1 of the paper.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -24,7 +25,9 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::csr::check_slot_capacity;
-use crate::{CsrBuilder, CsrGraph, EdgeDir, NodeId, ReversalInstance};
+use crate::{
+    CsrBuilder, CsrGraph, EdgeDir, NodeId, Orientation, ReversalInstance, UndirectedGraph,
+};
 
 /// Reads bit `i` of a packed word array.
 fn bit_get(words: &[u64], i: usize) -> bool {
@@ -42,9 +45,8 @@ fn bit_set(words: &mut [u64], i: usize) {
 /// destination.
 ///
 /// This is the large-scale counterpart of [`ReversalInstance`]; the two
-/// are interconvertible via [`CsrInstance::from_instance`], and a
-/// streaming generator's output equals the conversion of its
-/// materializing twin.
+/// are interconvertible via [`CsrInstance::from_instance`] and
+/// [`CsrInstance::to_instance`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrInstance {
     csr: Arc<CsrGraph>,
@@ -73,6 +75,40 @@ impl CsrInstance {
         }
     }
 
+    /// Materializes the map form — the inverse of
+    /// [`CsrInstance::from_instance`] — validated through
+    /// [`ReversalInstance::new`].
+    ///
+    /// # Panics
+    ///
+    /// Never in practice: every `CsrInstance` comes from a generator of
+    /// this module or from a validated [`ReversalInstance`], so it is
+    /// connected and its initial orientation acyclic.
+    pub fn to_instance(&self) -> ReversalInstance {
+        let csr = &self.csr;
+        let mut graph = UndirectedGraph::new();
+        for u in csr.nodes() {
+            graph.ensure_node(u);
+        }
+        let mut init = Orientation::new();
+        for ui in 0..csr.node_count() {
+            let u = csr.node(ui);
+            for slot in csr.slots(ui) {
+                let vi = csr.target(slot);
+                if vi < ui {
+                    continue;
+                }
+                let v = csr.node(vi);
+                graph.add_edge(u, v).expect("CSR runs hold each edge once");
+                match self.init_dir_at(slot) {
+                    EdgeDir::Out => init.set_from_to(u, v),
+                    EdgeDir::In => init.set_from_to(v, u),
+                }
+            }
+        }
+        ReversalInstance::new(graph, init, self.dest).expect("CSR instance is valid")
+    }
+
     /// The CSR graph.
     pub fn csr(&self) -> &Arc<CsrGraph> {
         &self.csr
@@ -81,13 +117,6 @@ impl CsrInstance {
     /// The destination node.
     pub fn dest(&self) -> NodeId {
         self.dest
-    }
-
-    /// The destination's dense index.
-    pub fn dest_index(&self) -> usize {
-        self.csr
-            .index_of(self.dest)
-            .expect("destination is a node of the instance")
     }
 
     /// The initial direction of a half-edge slot from its owner's
@@ -171,20 +200,28 @@ impl InstanceBuilder {
 /// # Panics
 ///
 /// Panics with the [`crate::GraphError::SlotCapacity`] message on
-/// overflow — generators are infallible APIs, mirroring the panicking
-/// contracts of [`crate::generate`].
+/// overflow — generators are infallible APIs that panic on bad sizes.
 fn assert_capacity(half_edges: usize) {
     if let Err(e) = check_slot_capacity(half_edges) {
         panic!("{e}");
     }
 }
 
-/// Streaming [`crate::generate::chain_away`]: the chain `D = v0 — … — v(n-1)`
-/// with every edge directed away from destination `v0`.
+/// A chain `D = v0 — v1 — … — v(n-1)` with every edge directed **away**
+/// from the destination `v0`.
+///
+/// Only `v(n-1)` is a sink; reversals ripple back and forth along the
+/// chain, producing the classic quadratic worst case.
 ///
 /// # Panics
 ///
 /// Panics if `n < 2`.
+///
+/// ```
+/// use lr_graph::stream;
+/// let inst = stream::chain_away(5).to_instance();
+/// assert_eq!(inst.initial_bad_nodes(), 4);
+/// ```
 pub fn chain_away(n: usize) -> CsrInstance {
     assert!(n >= 2, "chain needs at least 2 nodes");
     assert_capacity(2 * (n - 1));
@@ -201,8 +238,8 @@ pub fn chain_away(n: usize) -> CsrInstance {
     ib.finish(NodeId::new(0))
 }
 
-/// Streaming [`crate::generate::chain_toward`]: the chain with every edge
-/// directed toward destination `v0`.
+/// A chain with every edge directed **toward** the destination `v0`:
+/// already destination-oriented, so no algorithm performs any work on it.
 ///
 /// # Panics
 ///
@@ -223,12 +260,24 @@ pub fn chain_toward(n: usize) -> CsrInstance {
     ib.finish(NodeId::new(0))
 }
 
-/// Streaming [`crate::generate::alternating_chain`]: edge `{vi, vi+1}` directed
-/// `vi → vi+1` when `i` is odd, `vi+1 → vi` when `i` is even.
+/// An *alternating* chain `D = v0 — v1 — … — v(n-1)`: edge `{vi, vi+1}`
+/// is directed `vi → vi+1` when `i` is odd and `vi+1 → vi` when `i` is
+/// even. Odd-indexed interior nodes are initial sources, even-indexed
+/// ones initial sinks — the dense-sink configuration on which Partial
+/// Reversal exhibits its Θ(n_b²) worst-case behaviour (FR's worst case is
+/// [`chain_away`]; both bounds are cited in §1 of the paper from Busch et
+/// al.).
 ///
 /// # Panics
 ///
 /// Panics if `n < 2`.
+///
+/// ```
+/// use lr_graph::stream;
+/// let inst = stream::alternating_chain(5).to_instance();
+/// // 1 → 0, 1 → 2, 3 → 2, 3 → 4
+/// assert_eq!(inst.view().sinks().len(), 3); // nodes 0 (dest), 2, 4
+/// ```
 pub fn alternating_chain(n: usize) -> CsrInstance {
     assert!(n >= 2, "chain needs at least 2 nodes");
     assert_capacity(2 * (n - 1));
@@ -250,8 +299,8 @@ pub fn alternating_chain(n: usize) -> CsrInstance {
     ib.finish(NodeId::new(0))
 }
 
-/// Streaming [`crate::generate::star_away`]: destination at the center, every
-/// edge directed center → leaf.
+/// A star with the destination at the center and every edge directed from
+/// the center to the leaves. Every leaf is initially a sink and a bad node.
 ///
 /// # Panics
 ///
@@ -269,8 +318,9 @@ pub fn star_away(leaves: usize) -> CsrInstance {
     ib.finish(NodeId::new(0))
 }
 
-/// Streaming [`crate::generate::binary_tree_away`]: a complete binary tree
-/// rooted at the destination, every edge directed away from the root.
+/// A complete binary tree rooted at the destination, every edge directed
+/// away from the root. Depth 0 is the root with two children, and each
+/// further level doubles the leaves: `2^(depth + 2) − 1` nodes.
 pub fn binary_tree_away(depth: usize) -> CsrInstance {
     let levels = depth + 2;
     let n = (1usize << levels) - 1;
@@ -296,9 +346,8 @@ pub fn binary_tree_away(depth: usize) -> CsrInstance {
     ib.finish(NodeId::new(0))
 }
 
-/// Streaming [`crate::generate::grid_away`]: an `rows × cols` grid (row-major
-/// ids) with right and down edges, all directed away from the
-/// destination in the top-left corner.
+/// An `rows × cols` grid (row-major ids) with right and down edges, all
+/// directed away from the destination in the top-left corner.
 ///
 /// # Panics
 ///
@@ -339,8 +388,9 @@ pub fn grid_away(rows: usize, cols: usize) -> CsrInstance {
     ib.finish(NodeId::new(0))
 }
 
-/// Streaming [`crate::generate::complete_away`]: the complete DAG oriented from
-/// smaller to larger id, destination node 0.
+/// The complete DAG on `n` nodes: every pair connected, oriented from the
+/// smaller to the larger id, destination node 0 (so every edge points away
+/// from the destination).
 ///
 /// # Panics
 ///
@@ -365,13 +415,13 @@ pub fn complete_away(n: usize) -> CsrInstance {
     ib.finish(NodeId::new(0))
 }
 
-/// Streaming [`crate::generate::layered`]: `depth` layers of `width` nodes over
-/// the destination, every node wired to a random non-empty subset of the
-/// previous layer, all edges directed away from the destination.
+/// A layered DAG: `depth` layers of `width` nodes plus the destination in
+/// its own layer 0. Each node connects to a random non-empty subset of the
+/// previous layer (edge probability `p`, at least one forced link for
+/// connectivity), all edges directed away from the destination.
 ///
 /// Runs the RNG twice with the same seed — one pass to count degrees,
-/// one to scatter the edges — so the draws match the materializing
-/// generator exactly.
+/// one to scatter the edges — so both passes see the same draws.
 ///
 /// # Panics
 ///
@@ -383,8 +433,8 @@ pub fn layered(width: usize, depth: usize, p: f64, seed: u64) -> CsrInstance {
     );
     assert!((0.0..=1.0).contains(&p), "p must be a probability");
     let n = 1 + width * depth;
-    // Replays the frontend's generation loop, feeding each `u → v` edge
-    // (with `u` in the earlier layer) to `sink` in draw order.
+    // The generation loop, feeding each `u → v` edge (with `u` in the
+    // earlier layer) to `sink` in draw order.
     fn emit_edges<F: FnMut(usize, usize)>(
         width: usize,
         depth: usize,
@@ -461,13 +511,73 @@ pub fn layered(width: usize, depth: usize, p: f64, seed: u64) -> CsrInstance {
     }
 }
 
-/// Streaming [`crate::generate::random_connected`]: a random attachment
-/// spanning tree plus `extra_edges` random edges, oriented by a random
-/// topological order, destination node 0.
+/// A random connected **bipartite** instance with every edge initially
+/// oriented from side A (`0..width`, containing the destination node 0)
+/// to side B (`width..2·width`): side B starts as one maximal sink set
+/// of `width` pairwise non-adjacent nodes, and a greedy round that steps
+/// all of B hands the whole sink set to A — the "ping-pong" family whose
+/// rounds stay ~`width` wide for a long prefix of the execution.
+///
+/// Built for throughput benchmarking of round-parallel executors: wide
+/// rounds with tunable degree (each B node gets `degree` distinct A
+/// neighbors — two deterministic for connectivity, the rest random).
+///
+/// # Panics
+///
+/// Panics if `width < 2` or `degree` is outside `2..=width` (two
+/// deterministic edges per B node form the connecting ring).
+pub fn bipartite_away(width: usize, degree: usize, seed: u64) -> CsrInstance {
+    assert!(width >= 2, "bipartite sides need at least 2 nodes");
+    assert!(
+        degree >= 2 && degree <= width,
+        "degree must be in 2..=width"
+    );
+    assert_capacity(width.saturating_mul(degree).saturating_mul(2));
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut b_runs: Vec<Vec<u32>> = Vec::with_capacity(width);
+    for i in 0..width {
+        // Deterministic ring A_i — B_i — A_{i+1}: guarantees
+        // connectivity and coverage of both sides regardless of the
+        // random draws below.
+        let mut run = vec![i as u32, ((i + 1) % width) as u32];
+        let mut attempts = 0;
+        while run.len() < degree && attempts < 50 * degree {
+            attempts += 1;
+            let a = rng.gen_range(0..width) as u32;
+            if !run.contains(&a) {
+                run.push(a);
+            }
+        }
+        run.sort_unstable();
+        b_runs.push(run);
+    }
+    // B ids ascend with `i`, so every A run comes out sorted.
+    let mut a_runs: Vec<Vec<u32>> = vec![Vec::new(); width];
+    for (i, run) in b_runs.iter().enumerate() {
+        for &a in run {
+            a_runs[a as usize].push((width + i) as u32);
+        }
+    }
+    let half_edges = 2 * b_runs.iter().map(Vec::len).sum::<usize>();
+    let mut ib = InstanceBuilder::with_capacity(2 * width, half_edges);
+    for run in &a_runs {
+        ib.push_node(run, &vec![true; run.len()]);
+    }
+    for run in &b_runs {
+        ib.push_node(run, &vec![false; run.len()]);
+    }
+    ib.finish(NodeId::new(0))
+}
+
+/// A random connected graph: a random attachment spanning tree over `n`
+/// nodes plus `extra_edges` additional random edges (capped at the
+/// complete graph), oriented by a uniformly random topological order.
+/// The destination is node 0; some nodes typically have no initial path
+/// to it, giving the algorithms real work to do.
 ///
 /// Keeps only a flat `(u, v)` edge buffer and a hash set for the
-/// duplicate checks while generating — both freed before the instance
-/// is returned — instead of the frontend's per-node B-tree adjacency.
+/// duplicate checks while generating, both freed before the instance is
+/// returned.
 ///
 /// # Panics
 ///
@@ -480,7 +590,7 @@ pub fn random_connected(n: usize, extra_edges: usize, seed: u64) -> CsrInstance 
     assert_capacity(2 * target);
     let mut edges: Vec<(u32, u32)> = Vec::with_capacity(target);
     let mut seen: HashSet<(u32, u32)> = HashSet::with_capacity(target);
-    // Random attachment spanning tree — same draws as the frontend.
+    // Random attachment spanning tree.
     for i in 1..n {
         let parent = rng.gen_range(0..i);
         let key = (parent as u32, i as u32);
@@ -560,67 +670,159 @@ pub fn random_connected(n: usize, extra_edges: usize, seed: u64) -> CsrInstance 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate;
+    use crate::parse::to_text;
 
-    /// Every streaming family must equal the conversion of its
-    /// materializing counterpart — same CSR, same packed orientation,
-    /// same destination. (The differential proptest in
-    /// `tests/proptest_graph.rs` covers randomized parameters.)
     #[test]
-    fn streaming_families_match_materializing_counterparts() {
-        for n in [2usize, 3, 5, 9] {
-            assert_eq!(
-                chain_away(n),
-                CsrInstance::from_instance(&generate::chain_away(n)),
-                "chain_away({n})"
-            );
-            assert_eq!(
-                chain_toward(n),
-                CsrInstance::from_instance(&generate::chain_toward(n)),
-                "chain_toward({n})"
-            );
-            assert_eq!(
-                alternating_chain(n),
-                CsrInstance::from_instance(&generate::alternating_chain(n)),
-                "alternating_chain({n})"
-            );
-            assert_eq!(
-                star_away(n),
-                CsrInstance::from_instance(&generate::star_away(n)),
-                "star_away({n})"
-            );
-            assert_eq!(
-                complete_away(n),
-                CsrInstance::from_instance(&generate::complete_away(n)),
-                "complete_away({n})"
-            );
+    fn bipartite_away_has_one_wide_sink_side() {
+        let inst = bipartite_away(8, 3, 7).to_instance();
+        assert_eq!(inst.node_count(), 16);
+        // Side B (ids 8..16) is exactly the initial sink set.
+        let sinks = inst.view().sinks();
+        assert_eq!(sinks.len(), 8);
+        assert!(sinks.iter().all(|u| u.raw() >= 8));
+        // Every B node carries the requested degree.
+        for i in 8..16 {
+            assert_eq!(inst.graph.degree(NodeId::new(i)), 3);
         }
-        for depth in 0..3 {
-            assert_eq!(
-                binary_tree_away(depth),
-                CsrInstance::from_instance(&generate::binary_tree_away(depth)),
-                "binary_tree_away({depth})"
-            );
+        // Deterministic per seed.
+        assert_eq!(inst, bipartite_away(8, 3, 7).to_instance());
+    }
+
+    #[test]
+    #[should_panic(expected = "degree must be in 2..=width")]
+    fn bipartite_away_rejects_sub_ring_degree() {
+        let _ = bipartite_away(4, 1, 1);
+    }
+
+    #[test]
+    fn bipartite_away_is_connected_at_minimum_degree_for_any_seed() {
+        // Degree 2 builds exactly the deterministic ring — connectivity
+        // must not depend on the random draws.
+        for seed in 0..20 {
+            let inst = bipartite_away(5, 2, seed).to_instance();
+            assert!(inst.graph.is_connected(), "seed {seed}");
         }
-        for (rows, cols) in [(1, 2), (2, 2), (3, 4), (5, 1)] {
-            assert_eq!(
-                grid_away(rows, cols),
-                CsrInstance::from_instance(&generate::grid_away(rows, cols)),
-                "grid_away({rows}, {cols})"
-            );
+    }
+
+    #[test]
+    fn chain_away_all_nodes_bad() {
+        let inst = chain_away(6).to_instance();
+        assert_eq!(inst.node_count(), 6);
+        assert_eq!(inst.initial_bad_nodes(), 5);
+        assert_eq!(inst.view().sinks(), vec![NodeId::new(5)]);
+    }
+
+    #[test]
+    fn chain_toward_is_destination_oriented() {
+        let inst = chain_toward(6).to_instance();
+        assert!(inst.view().is_destination_oriented(inst.dest));
+        assert_eq!(inst.initial_bad_nodes(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 2")]
+    fn chain_requires_two_nodes() {
+        let _ = chain_away(1);
+    }
+
+    #[test]
+    fn star_leaves_are_sinks() {
+        let inst = star_away(4).to_instance();
+        assert_eq!(inst.view().sinks().len(), 4);
+        assert_eq!(inst.initial_bad_nodes(), 4);
+    }
+
+    #[test]
+    fn binary_tree_structure() {
+        let inst = binary_tree_away(1).to_instance(); // 7 nodes
+        assert_eq!(inst.node_count(), 7);
+        assert_eq!(inst.graph.edge_count(), 6);
+        assert!(inst.view().is_acyclic());
+        // Leaves are the 4 deepest nodes, all sinks.
+        assert_eq!(inst.view().sinks().len(), 4);
+    }
+
+    #[test]
+    fn grid_shape_and_acyclicity() {
+        let flat = grid_away(3, 4);
+        // Edges: 3*(4-1) horizontal + (3-1)*4 vertical = 9 + 8 = 17.
+        assert_eq!((flat.node_count(), flat.half_edge_count()), (12, 34));
+        let inst = flat.to_instance();
+        assert!(inst.view().is_acyclic());
+        // Bottom-right corner is the unique sink.
+        assert_eq!(inst.view().sinks(), vec![NodeId::new(11)]);
+    }
+
+    #[test]
+    fn complete_away_is_total_order() {
+        let inst = complete_away(5).to_instance();
+        assert_eq!(inst.graph.edge_count(), 10);
+        assert!(inst.view().is_acyclic());
+        assert_eq!(inst.view().sinks(), vec![NodeId::new(4)]);
+    }
+
+    #[test]
+    fn layered_is_connected_dag() {
+        for seed in 0..5 {
+            let inst = layered(4, 3, 0.4, seed).to_instance();
+            assert!(inst.graph.is_connected());
+            assert!(inst.view().is_acyclic());
+            assert_eq!(inst.node_count(), 13);
         }
-        for seed in 0..4 {
-            assert_eq!(
-                layered(3, 2, 0.4, seed),
-                CsrInstance::from_instance(&generate::layered(3, 2, 0.4, seed)),
-                "layered(3, 2, 0.4, {seed})"
-            );
-            assert_eq!(
-                random_connected(9, 6, seed),
-                CsrInstance::from_instance(&generate::random_connected(9, 6, seed)),
-                "random_connected(9, 6, {seed})"
-            );
+    }
+
+    #[test]
+    fn random_connected_is_valid_and_deterministic() {
+        let a = random_connected(20, 15, 7).to_instance();
+        assert_eq!(a, random_connected(20, 15, 7).to_instance());
+        assert!(a.graph.is_connected());
+        assert!(a.view().is_acyclic());
+        assert!(a.graph.edge_count() >= 19);
+        let c = random_connected(20, 15, 8).to_instance();
+        assert_ne!(a, c, "different seeds should differ");
+    }
+
+    #[test]
+    fn random_connected_extra_edges_capped_at_complete() {
+        assert_eq!(random_connected(4, 1000, 3).half_edge_count(), 12);
+    }
+
+    /// `to_instance` is the inverse of `from_instance` on every family.
+    #[test]
+    fn every_family_round_trips_through_the_map_form() {
+        for flat in [
+            chain_away(7),
+            chain_toward(6),
+            alternating_chain(9),
+            star_away(1),
+            star_away(5),
+            binary_tree_away(2),
+            grid_away(3, 4),
+            grid_away(5, 1),
+            complete_away(5),
+            layered(3, 3, 0.4, 5),
+            bipartite_away(4, 3, 2),
+            random_connected(12, 8, 3),
+        ] {
+            assert_eq!(CsrInstance::from_instance(&flat.to_instance()), flat);
         }
+    }
+
+    /// Golden values: pins the RNG draws of every random family, which
+    /// name the topology of every seeded spec. If this test fails, a
+    /// change altered a draw or its order — fix the change, do not
+    /// re-pin the texts.
+    #[test]
+    fn random_families_match_their_golden_text() {
+        let random = "dest 0\n1 > 0\n2 > 0\n3 > 0\n5 > 0\n4 > 1\n1 > 5\n2 > 6\n\
+                      3 > 6\n4 > 5\n4 > 6\n";
+        assert_eq!(to_text(&random_connected(7, 4, 3).to_instance()), random);
+        let bipartite = "dest 0\n0 > 4\n0 > 7\n1 > 4\n1 > 5\n1 > 6\n2 > 5\n2 > 6\n\
+                         2 > 7\n3 > 4\n3 > 5\n3 > 6\n3 > 7\n";
+        assert_eq!(to_text(&bipartite_away(4, 3, 5).to_instance()), bipartite);
+        let layered_text = "dest 0\n0 > 1\n0 > 2\n0 > 3\n1 > 5\n1 > 6\n2 > 5\n3 > 4\n\
+                            3 > 6\n4 > 7\n5 > 7\n5 > 8\n5 > 9\n6 > 9\n";
+        assert_eq!(to_text(&layered(3, 3, 0.5, 2).to_instance()), layered_text);
     }
 
     #[test]
@@ -647,14 +849,5 @@ mod tests {
             per_half_edge <= 16.0,
             "chain_away(64) costs {per_half_edge:.2} B/half-edge"
         );
-    }
-
-    #[test]
-    fn dest_index_resolves() {
-        let inst = grid_away(2, 3);
-        assert_eq!(inst.dest(), NodeId::new(0));
-        assert_eq!(inst.dest_index(), 0);
-        assert_eq!(inst.node_count(), 6);
-        assert_eq!(inst.half_edge_count(), 2 * 7);
     }
 }

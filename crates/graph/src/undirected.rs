@@ -31,7 +31,6 @@ use crate::{GraphError, NodeId};
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct UndirectedGraph {
     adj: BTreeMap<NodeId, BTreeSet<NodeId>>,
-    next_id: u32,
 }
 
 impl UndirectedGraph {
@@ -72,10 +71,19 @@ impl UndirectedGraph {
         Ok(g)
     }
 
-    /// Adds a fresh node and returns its identifier.
+    /// Adds a fresh node, one past the largest id so far, and returns its
+    /// identifier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if node `u32::MAX` already exists (the id space is
+    /// exhausted).
     pub fn add_node(&mut self) -> NodeId {
-        let id = NodeId::new(self.next_id);
-        self.next_id += 1;
+        let id = match self.adj.last_key_value() {
+            None => 0,
+            Some((last, _)) => last.raw().checked_add(1).expect("node ids exhausted"),
+        };
+        let id = NodeId::new(id);
         self.adj.insert(id, BTreeSet::new());
         id
     }
@@ -83,9 +91,6 @@ impl UndirectedGraph {
     /// Ensures a node with the given identifier exists.
     pub fn ensure_node(&mut self, id: NodeId) {
         self.adj.entry(id).or_default();
-        if id.raw() >= self.next_id {
-            self.next_id = id.raw() + 1;
-        }
     }
 
     /// Adds the undirected edge `{u, v}`.
@@ -182,49 +187,6 @@ impl UndirectedGraph {
         }
         seen.len() == self.adj.len()
     }
-
-    /// Returns the connected component containing `u`.
-    pub fn component_of(&self, u: NodeId) -> BTreeSet<NodeId> {
-        let mut seen = BTreeSet::new();
-        if !self.contains_node(u) {
-            return seen;
-        }
-        let mut queue = VecDeque::new();
-        seen.insert(u);
-        queue.push_back(u);
-        while let Some(x) = queue.pop_front() {
-            for v in self.neighbors(x) {
-                if seen.insert(v) {
-                    queue.push_back(v);
-                }
-            }
-        }
-        seen
-    }
-
-    /// Undirected BFS distance from `u` to `v`, if any path exists.
-    pub fn distance(&self, u: NodeId, v: NodeId) -> Option<usize> {
-        if !self.contains_node(u) || !self.contains_node(v) {
-            return None;
-        }
-        let mut dist = BTreeMap::new();
-        let mut queue = VecDeque::new();
-        dist.insert(u, 0usize);
-        queue.push_back(u);
-        while let Some(x) = queue.pop_front() {
-            let d = dist[&x];
-            if x == v {
-                return Some(d);
-            }
-            for w in self.neighbors(x) {
-                if let std::collections::btree_map::Entry::Vacant(e) = dist.entry(w) {
-                    e.insert(d + 1);
-                    queue.push_back(w);
-                }
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -304,24 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn component_of_isolated_island() {
-        let g = UndirectedGraph::from_edges(&[(0, 1), (2, 3)]).unwrap();
-        let comp = g.component_of(NodeId::new(0));
-        assert_eq!(comp.len(), 2);
-        assert!(comp.contains(&NodeId::new(1)));
-        assert!(!comp.contains(&NodeId::new(2)));
-    }
-
-    #[test]
-    fn bfs_distance() {
-        let g = path(5);
-        assert_eq!(g.distance(NodeId::new(0), NodeId::new(4)), Some(4));
-        assert_eq!(g.distance(NodeId::new(2), NodeId::new(2)), Some(0));
-        let g2 = UndirectedGraph::from_edges(&[(0, 1), (2, 3)]).unwrap();
-        assert_eq!(g2.distance(NodeId::new(0), NodeId::new(3)), None);
-    }
-
-    #[test]
     fn ensure_node_is_idempotent_and_bumps_ids() {
         let mut g = UndirectedGraph::new();
         g.ensure_node(NodeId::new(5));
@@ -329,6 +273,17 @@ mod tests {
         assert_eq!(g.node_count(), 1);
         let fresh = g.add_node();
         assert_eq!(fresh.raw(), 6);
+        // The largest id is a node like any other.
+        g.ensure_node(NodeId::new(u32::MAX));
+        assert_eq!(g.node_count(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "node ids exhausted")]
+    fn add_node_after_the_largest_id_panics() {
+        let mut g = UndirectedGraph::new();
+        g.ensure_node(NodeId::new(u32::MAX));
+        g.add_node();
     }
 
     #[test]

@@ -1,12 +1,24 @@
 //! Property-based tests for the graph substrate: structural invariants
 //! that must hold for every generated graph, orientation, and embedding.
 
-use lr_graph::{generate, DirectedView, NodeId, Orientation, UndirectedGraph};
+use lr_graph::{stream, DirectedView, NodeId, Orientation, UndirectedGraph};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 
 fn graph_strategy() -> impl Strategy<Value = UndirectedGraph> {
     (2usize..=14, 0usize..=30, any::<u64>())
-        .prop_map(|(n, extra, seed)| generate::random_connected(n, extra, seed).graph)
+        .prop_map(|(n, extra, seed)| stream::random_connected(n, extra, seed).to_instance().graph)
+}
+
+/// A uniformly random acyclic orientation of `graph` (orient by a random
+/// permutation of the nodes).
+fn random_orientation(graph: &UndirectedGraph, seed: u64) -> Orientation {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut order: Vec<NodeId> = graph.nodes().collect();
+    order.shuffle(&mut rng);
+    Orientation::from_order(graph, &order)
 }
 
 proptest! {
@@ -37,7 +49,7 @@ proptest! {
     /// one edge twice restores it.
     #[test]
     fn order_orientations_are_acyclic(g in graph_strategy(), seed in any::<u64>()) {
-        let o = generate::random_orientation(&g, seed);
+        let o = random_orientation(&g, seed);
         prop_assert!(DirectedView::new(&g, &o).is_acyclic());
         prop_assert!(o.covers(&g));
         if let Some((u, v)) = g.edges().next() {
@@ -52,7 +64,7 @@ proptest! {
     /// In-degree plus out-degree equals degree at every node.
     #[test]
     fn degree_split(g in graph_strategy(), seed in any::<u64>()) {
-        let o = generate::random_orientation(&g, seed);
+        let o = random_orientation(&g, seed);
         let view = DirectedView::new(&g, &o);
         for u in g.nodes() {
             prop_assert_eq!(view.in_degree(u) + view.out_degree(u), g.degree(u));
@@ -62,7 +74,7 @@ proptest! {
     /// Topological order respects every directed edge.
     #[test]
     fn topological_order_is_consistent(g in graph_strategy(), seed in any::<u64>()) {
-        let o = generate::random_orientation(&g, seed);
+        let o = random_orientation(&g, seed);
         let view = DirectedView::new(&g, &o);
         let order = view.topological_sort().expect("acyclic");
         let pos: std::collections::BTreeMap<NodeId, usize> =
@@ -76,7 +88,7 @@ proptest! {
     /// unless isolated (excluded by connectivity, n ≥ 2).
     #[test]
     fn sinks_and_sources_exist(g in graph_strategy(), seed in any::<u64>()) {
-        let o = generate::random_orientation(&g, seed);
+        let o = random_orientation(&g, seed);
         let view = DirectedView::new(&g, &o);
         prop_assert!(!view.sinks().is_empty());
         prop_assert!(!view.sources().is_empty());
@@ -89,7 +101,7 @@ proptest! {
     /// every node with an edge into the reaching set is itself reaching.
     #[test]
     fn reaching_set_is_closed(g in graph_strategy(), seed in any::<u64>()) {
-        let o = generate::random_orientation(&g, seed);
+        let o = random_orientation(&g, seed);
         let view = DirectedView::new(&g, &o);
         let dest = g.nodes().next().unwrap();
         let reach = view.nodes_reaching(dest);
@@ -109,7 +121,7 @@ proptest! {
     /// "every node reaches dest".
     #[test]
     fn embedding_and_reachability(n in 2usize..=12, extra in 0usize..=20, seed in any::<u64>()) {
-        let inst = generate::random_connected(n, extra, seed);
+        let inst = stream::random_connected(n, extra, seed).to_instance();
         let emb = inst.embedding();
         for (t, h) in inst.init.directed_edges() {
             prop_assert!(emb.is_left_of(t, h));
@@ -124,7 +136,7 @@ proptest! {
     /// Parse/serialize round trip through the text format.
     #[test]
     fn text_round_trip(n in 2usize..=10, extra in 0usize..=12, seed in any::<u64>()) {
-        let inst = generate::random_connected(n, extra, seed);
+        let inst = stream::random_connected(n, extra, seed).to_instance();
         let text = lr_graph::parse::to_text(&inst);
         let back = lr_graph::parse::parse_instance(&text).unwrap();
         prop_assert_eq!(back, inst);
@@ -133,70 +145,9 @@ proptest! {
     /// Orientation serde rebuilds the same direction assignment.
     #[test]
     fn orientation_serde(g in graph_strategy(), seed in any::<u64>()) {
-        let o = generate::random_orientation(&g, seed);
+        let o = random_orientation(&g, seed);
         let json = serde_json::to_string(&o).unwrap();
         let back: Orientation = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(back, o);
-    }
-
-    /// Each deterministic streaming generator emits exactly the flat
-    /// form of its materializing counterpart, at every size.
-    #[test]
-    fn streaming_deterministic_families_match(n in 2usize..=24, rows in 1usize..=6, cols in 1usize..=6, depth in 0usize..=4) {
-        use lr_graph::{stream, CsrInstance};
-        prop_assert_eq!(
-            stream::chain_away(n),
-            CsrInstance::from_instance(&generate::chain_away(n))
-        );
-        prop_assert_eq!(
-            stream::chain_toward(n),
-            CsrInstance::from_instance(&generate::chain_toward(n))
-        );
-        prop_assert_eq!(
-            stream::alternating_chain(n),
-            CsrInstance::from_instance(&generate::alternating_chain(n))
-        );
-        prop_assert_eq!(
-            stream::star_away(n),
-            CsrInstance::from_instance(&generate::star_away(n))
-        );
-        prop_assert_eq!(
-            stream::complete_away(n),
-            CsrInstance::from_instance(&generate::complete_away(n))
-        );
-        prop_assert_eq!(
-            stream::binary_tree_away(depth),
-            CsrInstance::from_instance(&generate::binary_tree_away(depth))
-        );
-        if rows * cols >= 2 {
-            prop_assert_eq!(
-                stream::grid_away(rows, cols),
-                CsrInstance::from_instance(&generate::grid_away(rows, cols))
-            );
-        }
-    }
-
-    /// The randomized streaming generators replay the exact RNG draws of
-    /// their materializing counterparts, so the flat forms coincide for
-    /// every seed.
-    #[test]
-    fn streaming_random_families_match(
-        n in 2usize..=20,
-        extra in 0usize..=24,
-        depth in 1usize..=4,
-        p_percent in 0u64..=100,
-        seed in any::<u64>(),
-    ) {
-        use lr_graph::{stream, CsrInstance};
-        let width = extra % 5 + 1;
-        let p = p_percent as f64 / 100.0;
-        prop_assert_eq!(
-            stream::random_connected(n, extra, seed),
-            CsrInstance::from_instance(&generate::random_connected(n, extra, seed))
-        );
-        prop_assert_eq!(
-            stream::layered(width, depth, p, seed),
-            CsrInstance::from_instance(&generate::layered(width, depth, p, seed))
-        );
     }
 }

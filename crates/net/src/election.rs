@@ -264,7 +264,7 @@ impl ElectionHarness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::generate;
+    use lr_graph::stream;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -275,7 +275,7 @@ mod tests {
         // Random connected graph with destination 0; after 0 crashes the
         // highest-id neighbor of 0 must win (only 0's neighbors propose).
         for seed in 0..5 {
-            let inst = generate::random_connected(12, 14, 900 + seed);
+            let inst = stream::random_connected(12, 14, 900 + seed).to_instance();
             let mut h = ElectionHarness::converged(&inst, LinkConfig::default(), seed);
             let expected: NodeId = inst
                 .graph
@@ -291,7 +291,7 @@ mod tests {
 
     #[test]
     fn election_on_chain_picks_the_sole_neighbor() {
-        let inst = generate::chain_away(6);
+        let inst = stream::chain_away(6).to_instance();
         let mut h = ElectionHarness::converged(&inst, LinkConfig::default(), 0);
         h.crash_leader(); // node 0 dies; only neighbor is 1
         let report = h.run(1_000_000);
@@ -301,7 +301,7 @@ mod tests {
 
     #[test]
     fn no_crash_means_no_new_epoch() {
-        let inst = generate::grid_away(3, 3);
+        let inst = stream::grid_away(3, 3).to_instance();
         let mut h = ElectionHarness::converged(&inst, LinkConfig::default(), 1);
         let report_messages = h.sim.stats().sent;
         // Run again without crashing: nothing new happens.
@@ -314,7 +314,7 @@ mod tests {
 
     #[test]
     fn election_tolerates_jitter() {
-        let inst = generate::random_connected(10, 12, 42);
+        let inst = stream::random_connected(10, 12, 42).to_instance();
         let mut h = ElectionHarness::converged(
             &inst,
             LinkConfig {

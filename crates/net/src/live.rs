@@ -166,11 +166,11 @@ pub fn run_threaded(inst: &ReversalInstance) -> LiveReport {
 mod tests {
     use super::*;
     use crate::reversal::orientation_from_heights;
-    use lr_graph::{generate, DirectedView};
+    use lr_graph::{stream, DirectedView};
 
     #[test]
     fn threads_converge_on_chain() {
-        let inst = generate::chain_away(10);
+        let inst = stream::chain_away(10).to_instance();
         let report = run_threaded(&inst);
         let o = orientation_from_heights(&inst.graph, &report.heights);
         let view = DirectedView::new(&inst.graph, &o);
@@ -182,7 +182,7 @@ mod tests {
     #[test]
     fn threads_converge_on_random_graphs() {
         for seed in 0..3 {
-            let inst = generate::random_connected(20, 20, 1000 + seed);
+            let inst = stream::random_connected(20, 20, 1000 + seed).to_instance();
             let report = run_threaded(&inst);
             let o = orientation_from_heights(&inst.graph, &report.heights);
             let view = DirectedView::new(&inst.graph, &o);
@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn oriented_instance_needs_no_reversals() {
-        let inst = generate::chain_toward(8);
+        let inst = stream::chain_toward(8).to_instance();
         let report = run_threaded(&inst);
         assert_eq!(report.reversals, 0);
         // Exactly the initial announcements: 2 per edge.

@@ -234,7 +234,7 @@ impl MutexHarness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::generate;
+    use lr_graph::stream;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -259,7 +259,7 @@ mod tests {
 
     #[test]
     fn every_request_is_served_exactly_once() {
-        let inst = generate::random_connected(12, 10, 6);
+        let inst = stream::random_connected(12, 10, 6).to_instance();
         let mut h = MutexHarness::new(&inst.graph, inst.dest, LinkConfig::default(), 1);
         for u in inst.graph.nodes() {
             h.request(u);
@@ -306,7 +306,7 @@ mod tests {
     fn pointer_tree_validates_after_token_moves() {
         // The run() postcondition asserts destination-orientation; make
         // sure it holds after multiple token migrations.
-        let inst = generate::random_connected(10, 8, 11);
+        let inst = stream::random_connected(10, 8, 11).to_instance();
         let mut h = MutexHarness::new(&inst.graph, inst.dest, LinkConfig::default(), 4);
         h.request(n(7));
         h.run(100_000);

@@ -436,7 +436,7 @@ impl MwvHarness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::generate;
+    use lr_graph::stream;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -449,7 +449,7 @@ mod tests {
 
     #[test]
     fn stable_network_keeps_its_leader() {
-        let inst = generate::random_connected(12, 10, 100);
+        let inst = stream::random_connected(12, 10, 100).to_instance();
         let h = MwvHarness::new(&inst.graph, inst.dest, LinkConfig::default(), 1);
         let all: Vec<NodeId> = inst.graph.nodes().collect();
         assert_eq!(h.assert_component_converged(&all), inst.dest);
@@ -476,7 +476,7 @@ mod tests {
     #[test]
     fn leader_crash_triggers_election_among_survivors() {
         for seed in 0..5 {
-            let inst = generate::random_connected(10, 12, 200 + seed);
+            let inst = stream::random_connected(10, 12, 200 + seed).to_instance();
             let mut h = MwvHarness::new(&inst.graph, inst.dest, LinkConfig::default(), seed);
             h.crash(inst.dest);
             let survivors: Vec<NodeId> = inst.graph.nodes().filter(|&u| u != inst.dest).collect();

@@ -270,12 +270,12 @@ pub fn height_snapshot(sim: &EventSim<DistributedPr>) -> BTreeMap<NodeId, Triple
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::{generate, DirectedView};
+    use lr_graph::{stream, DirectedView};
 
     #[test]
     fn converges_to_destination_oriented_dag() {
         for seed in 0..5 {
-            let inst = generate::random_connected(16, 12, 800 + seed);
+            let inst = stream::random_connected(16, 12, 800 + seed).to_instance();
             let sim = converge(&inst, LinkConfig::default(), seed, 1_000_000);
             let heights = height_snapshot(&sim);
             let o = orientation_from_heights(&inst.graph, &heights);
@@ -290,7 +290,7 @@ mod tests {
 
     #[test]
     fn already_oriented_instance_performs_no_reversals() {
-        let inst = generate::chain_toward(10);
+        let inst = stream::chain_toward(10).to_instance();
         let sim = converge(&inst, LinkConfig::default(), 0, 100_000);
         let total: u64 = sim.nodes().map(|(_, n)| n.reversals).sum();
         assert_eq!(total, 0);
@@ -303,7 +303,7 @@ mod tests {
         // The distributed schedule is one of the admissible global PR
         // schedules, so its total reversal count must be bounded by the
         // Θ(n_b²) worst case and must do real work on the away-chain.
-        let inst = generate::chain_away(16);
+        let inst = stream::chain_away(16).to_instance();
         let sim = converge(&inst, LinkConfig::default(), 0, 1_000_000);
         let total: u64 = sim.nodes().map(|(_, n)| n.reversals).sum();
         assert!(total >= 15, "every bad node must step at least once");
@@ -313,7 +313,7 @@ mod tests {
 
     #[test]
     fn convergence_is_robust_to_jitter_and_delay() {
-        let inst = generate::grid_away(4, 4);
+        let inst = stream::grid_away(4, 4).to_instance();
         for seed in 0..5 {
             let sim = converge(
                 &inst,
@@ -336,7 +336,7 @@ mod tests {
         // 30% loss deadlocks the plain protocol but not the beaconing
         // variant: after enough virtual time the heights must orient the
         // graph toward the destination.
-        let inst = generate::random_connected(12, 10, 4242);
+        let inst = stream::random_connected(12, 10, 4242).to_instance();
         let mut sim = EventSim::new(
             BeaconPr { interval: 10 },
             inst.graph.clone(),
@@ -369,7 +369,7 @@ mod tests {
         // The event-driven protocol with no retransmission can stall
         // under loss: messages stop flowing while a non-destination sink
         // remains. This pins down the limitation that motivates BeaconPr.
-        let inst = generate::chain_away(8);
+        let inst = stream::chain_away(8).to_instance();
         let mut sim = EventSim::new(
             DistributedPr,
             inst.graph.clone(),
@@ -398,7 +398,7 @@ mod tests {
     fn heights_only_increase() {
         // Monotonicity is the correctness linchpin of the distributed
         // argument; verify it along a run by instrumenting snapshots.
-        let inst = generate::random_connected(12, 10, 5);
+        let inst = stream::random_connected(12, 10, 5).to_instance();
         let mut sim = EventSim::new(
             DistributedPr,
             inst.graph.clone(),

@@ -292,7 +292,7 @@ impl RoutingHarness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::generate;
+    use lr_graph::stream;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -310,7 +310,7 @@ mod tests {
 
     #[test]
     fn all_packets_delivered_on_stable_network() {
-        let inst = generate::random_connected(20, 15, 3);
+        let inst = stream::random_connected(20, 15, 3).to_instance();
         let mut h = RoutingHarness::converged(&inst, LinkConfig::default(), 1);
         for u in inst.graph.nodes() {
             if u != inst.dest {
@@ -333,7 +333,7 @@ mod tests {
         // Chain 0 ← 1 ← … ← 7 converged toward 0; fail a middle link and
         // route from the far end: the graph becomes disconnected, so add
         // a bypass edge first. Use a ladder-ish random graph instead.
-        let inst = generate::random_connected(16, 14, 9);
+        let inst = stream::random_connected(16, 14, 9).to_instance();
         let mut h = RoutingHarness::converged(&inst, LinkConfig::default(), 2);
 
         // Rebuilds the graph without a set of edges, to test connectivity
@@ -388,7 +388,7 @@ mod tests {
 
     #[test]
     fn hop_counts_are_minimal_on_a_converged_chain() {
-        let inst = generate::chain_away(8);
+        let inst = stream::chain_away(8).to_instance();
         let mut h = RoutingHarness::converged(&inst, LinkConfig::default(), 0);
         h.send_packet(n(7));
         let report = h.run(100_000);
@@ -400,7 +400,7 @@ mod tests {
     #[test]
     fn packets_buffer_while_disconnected_from_downhill() {
         // Star with destination at the center: leaves forward in one hop.
-        let inst = generate::star_away(5);
+        let inst = stream::star_away(5).to_instance();
         let mut h = RoutingHarness::converged(&inst, LinkConfig::default(), 4);
         h.send_packet(n(3));
         let report = h.run(100_000);
@@ -413,7 +413,7 @@ mod tests {
         // The observable form of the acyclicity theorem: greedy-downhill
         // forwarding on a converged DAG never revisits a node.
         for seed in 0..5 {
-            let inst = generate::random_connected(24, 30, 1200 + seed);
+            let inst = stream::random_connected(24, 30, 1200 + seed).to_instance();
             let mut h = RoutingHarness::converged(&inst, LinkConfig::default(), seed);
             for u in inst.graph.nodes().filter(|&u| u != inst.dest) {
                 h.send_packet(u);
@@ -426,7 +426,7 @@ mod tests {
 
     #[test]
     fn reports_are_internally_consistent() {
-        let inst = generate::grid_away(3, 4);
+        let inst = stream::grid_away(3, 4).to_instance();
         let mut h = RoutingHarness::converged(&inst, LinkConfig::default(), 5);
         for u in inst.graph.nodes().filter(|&u| u != inst.dest).take(5) {
             h.send_packet(u);

@@ -459,7 +459,10 @@ impl<P: Protocol> EventSim<P> {
     fn enqueue_timer(&mut self, u: NodeId, delay: u64, msg: P::Msg) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse((self.now + delay, seq)));
+        // Saturating: a timer past the end of time fires at the end of
+        // time instead of wrapping into the past.
+        self.queue
+            .push(Reverse((self.now.saturating_add(delay), seq)));
         self.in_flight.insert(
             seq,
             InFlight {
@@ -490,7 +493,10 @@ impl<P: Protocol> EventSim<P> {
         } else {
             0
         };
-        let earliest = self.now + config.delay.max(1) + jitter;
+        let earliest = self
+            .now
+            .saturating_add(config.delay.max(1))
+            .saturating_add(jitter);
         // FIFO per directed link: never deliver before the previous
         // message on the same link.
         let clock = self.link_clock.entry((from, to)).or_insert(0);

@@ -459,7 +459,7 @@ impl ToraHarness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::generate;
+    use lr_graph::stream;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -488,7 +488,7 @@ mod tests {
     #[test]
     fn routes_form_destination_oriented_dag_on_random_graphs() {
         for seed in 0..5 {
-            let inst = generate::random_connected(16, 16, 90_000 + seed);
+            let inst = stream::random_connected(16, 16, 90_000 + seed).to_instance();
             let mut h = ToraHarness::new(&inst.graph, inst.dest, LinkConfig::default(), seed);
             // One node asks; the flood routes (at least) a path.
             for u in inst.graph.nodes() {

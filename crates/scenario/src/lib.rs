@@ -5,7 +5,7 @@
 //! workload instead of hand-written driver code. A JSON spec describes
 //! one experiment:
 //!
-//! * a **topology** — any `lr_graph::generate` family or an inline edge
+//! * a **topology** — any `lr_graph::stream` family or an inline edge
 //!   list ([`spec::TopologySpec`]);
 //! * **heterogeneous links** — global delay/jitter/loss defaults plus
 //!   per-link overrides ([`spec::LinksSpec`], carried onto

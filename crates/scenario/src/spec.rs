@@ -210,49 +210,49 @@ impl ProtocolKind {
 
 /// The communication graph and initial orientation of the experiment.
 ///
-/// Families map onto the `lr_graph::generate` constructors; `Inline` is
+/// Families map onto the `lr_graph::stream` generators; `Inline` is
 /// a literal edge list oriented from the higher node id to the lower
 /// (which is always acyclic), with a caller-chosen destination.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TopologySpec {
-    /// `generate::chain_away(n)`.
+    /// `stream::chain_away(n).to_instance()`.
     ChainAway {
         /// Node count (≥ 2).
         n: usize,
     },
-    /// `generate::chain_toward(n)`.
+    /// `stream::chain_toward(n).to_instance()`.
     ChainToward {
         /// Node count (≥ 2).
         n: usize,
     },
-    /// `generate::alternating_chain(n)`.
+    /// `stream::alternating_chain(n).to_instance()`.
     Alternating {
         /// Node count (≥ 2).
         n: usize,
     },
-    /// `generate::star_away(leaves)`.
+    /// `stream::star_away(leaves).to_instance()`.
     Star {
         /// Leaf count (≥ 1).
         leaves: usize,
     },
-    /// `generate::binary_tree_away(depth)`.
+    /// `stream::binary_tree_away(depth).to_instance()`.
     Tree {
         /// Tree depth (≥ 1).
         depth: usize,
     },
-    /// `generate::grid_away(rows, cols)`.
+    /// `stream::grid_away(rows, cols).to_instance()`.
     Grid {
         /// Row count.
         rows: usize,
         /// Column count (`rows × cols ≥ 2`).
         cols: usize,
     },
-    /// `generate::complete_away(n)`.
+    /// `stream::complete_away(n).to_instance()`.
     Complete {
         /// Node count (≥ 2).
         n: usize,
     },
-    /// `generate::random_connected(n, extra_edges, seed)`.
+    /// `stream::random_connected(n, extra_edges, seed).to_instance()`.
     Random {
         /// Node count (≥ 2).
         n: usize,
@@ -262,7 +262,7 @@ pub enum TopologySpec {
         /// sweep run sees a different random topology.
         seed: Option<u64>,
     },
-    /// `generate::bipartite_away(width, degree, seed)`.
+    /// `stream::bipartite_away(width, degree, seed).to_instance()`.
     Bipartite {
         /// Nodes per side (≥ 2).
         width: usize,
@@ -271,7 +271,7 @@ pub enum TopologySpec {
         /// Topology seed (run seed when absent).
         seed: Option<u64>,
     },
-    /// `generate::layered(width, depth, p, seed)`.
+    /// `stream::layered(width, depth, p, seed).to_instance()`.
     Layered {
         /// Nodes per layer (≥ 1).
         width: usize,
@@ -1945,5 +1945,45 @@ mod capacity_tests {
         }
         let e = topology(r#"{"family": "grid", "rows": 1, "cols": 1}"#).unwrap_err();
         assert!(e.msg.contains("at least 2 nodes"), "{e}");
+    }
+
+    /// The closed-form slot counts behind the capacity check, against
+    /// the instances the generators actually build: exact for the
+    /// deterministic families, an upper bound for the random ones.
+    #[test]
+    fn half_edge_counts_match_the_built_instances() {
+        for json in [
+            r#"{"family": "chain-away", "n": 2}"#,
+            r#"{"family": "chain-away", "n": 9}"#,
+            r#"{"family": "chain-toward", "n": 6}"#,
+            r#"{"family": "alternating", "n": 11}"#,
+            r#"{"family": "star", "leaves": 1}"#,
+            r#"{"family": "star", "leaves": 7}"#,
+            r#"{"family": "tree", "depth": 1}"#,
+            r#"{"family": "tree", "depth": 4}"#,
+            r#"{"family": "grid", "rows": 1, "cols": 5}"#,
+            r#"{"family": "grid", "rows": 4, "cols": 6}"#,
+            r#"{"family": "complete", "n": 7}"#,
+            r#"{"family": "random", "n": 12, "extra_edges": 9}"#,
+            r#"{"family": "random", "n": 6, "extra_edges": 100}"#,
+            r#"{"family": "bipartite", "width": 6, "degree": 4}"#,
+            r#"{"family": "bipartite", "width": 5, "degree": 5}"#,
+            r#"{"family": "layered", "width": 4, "depth": 3, "p": 0.3}"#,
+            r#"{"family": "layered", "width": 3, "depth": 4, "p": 1.0}"#,
+        ] {
+            let spec = topology(json).unwrap();
+            let closed_form = spec.half_edges().unwrap();
+            for run_seed in 0..4 {
+                let built = crate::topology::build_csr_instance(&spec, run_seed)
+                    .unwrap()
+                    .half_edge_count();
+                match spec {
+                    TopologySpec::Random { .. }
+                    | TopologySpec::Bipartite { .. }
+                    | TopologySpec::Layered { .. } => assert!(built <= closed_form, "{json}"),
+                    _ => assert_eq!(built, closed_form, "{json}"),
+                }
+            }
+        }
     }
 }

@@ -1,16 +1,15 @@
-//! Materializing a [`TopologySpec`] into a validated
-//! [`ReversalInstance`], or — for validation and other structure-only
-//! consumers — streaming it into a flat [`CsrInstance`] without ever
-//! building the map representation.
+//! Building a [`TopologySpec`] into a flat [`CsrInstance`] through the
+//! streaming generators of [`lr_graph::stream`], or into the validated
+//! map-backed [`ReversalInstance`] that the protocols run on.
 
-use lr_graph::{
-    generate, stream, CsrInstance, NodeId, Orientation, ReversalInstance, UndirectedGraph,
-};
+use lr_graph::{stream, CsrInstance, NodeId, Orientation, ReversalInstance, UndirectedGraph};
 
 use crate::spec::{SpecError, TopologySpec};
 
 /// Builds the instance for one run. `run_seed` is used by the random
-/// families when the spec pins no topology seed.
+/// families when the spec pins no topology seed. Generator families are
+/// built by [`build_csr_instance`] and materialized with
+/// [`CsrInstance::to_instance`].
 ///
 /// # Errors
 ///
@@ -18,43 +17,18 @@ use crate::spec::{SpecError, TopologySpec};
 /// valid instance (duplicate edges, disconnected graph, destination not
 /// a node).
 pub fn build_instance(spec: &TopologySpec, run_seed: u64) -> Result<ReversalInstance, SpecError> {
-    let inst = match *spec {
-        TopologySpec::ChainAway { n } => generate::chain_away(n),
-        TopologySpec::ChainToward { n } => generate::chain_toward(n),
-        TopologySpec::Alternating { n } => generate::alternating_chain(n),
-        TopologySpec::Star { leaves } => generate::star_away(leaves),
-        TopologySpec::Tree { depth } => generate::binary_tree_away(depth),
-        TopologySpec::Grid { rows, cols } => generate::grid_away(rows, cols),
-        TopologySpec::Complete { n } => generate::complete_away(n),
-        TopologySpec::Random {
-            n,
-            extra_edges,
-            seed,
-        } => generate::random_connected(n, extra_edges, seed.unwrap_or(run_seed)),
-        TopologySpec::Bipartite {
-            width,
-            degree,
-            seed,
-        } => generate::bipartite_away(width, degree, seed.unwrap_or(run_seed)),
-        TopologySpec::Layered {
-            width,
-            depth,
-            p,
-            seed,
-        } => generate::layered(width, depth, p, seed.unwrap_or(run_seed)),
-        TopologySpec::Inline { ref edges, dest } => return build_inline(edges, dest),
-    };
-    Ok(inst)
+    match spec {
+        TopologySpec::Inline { edges, dest } => build_inline(edges, *dest),
+        _ => Ok(build_csr_instance(spec, run_seed)?.to_instance()),
+    }
 }
 
-/// Builds the **flat** CSR instance for one run, routing every family
-/// with a streaming generator through it so no intermediate edge list
-/// or adjacency map is materialized — this is what lets spec validation
+/// Builds the **flat** CSR instance for one run. Every generator family
+/// streams straight into CSR arrays, so no intermediate edge list or
+/// adjacency map is materialized — this is what lets spec validation
 /// touch million-node topologies without paying the map
-/// representation's footprint. Families without a streaming counterpart
-/// (bipartite, inline edge lists) fall back to materializing and
-/// flattening; a differential test pins both routes to
-/// `CsrInstance::from_instance(build_instance(..))` for every family.
+/// representation's footprint. Inline edge lists are built as map
+/// instances and flattened.
 ///
 /// # Errors
 ///
@@ -73,14 +47,19 @@ pub fn build_csr_instance(spec: &TopologySpec, run_seed: u64) -> Result<CsrInsta
             extra_edges,
             seed,
         } => stream::random_connected(n, extra_edges, seed.unwrap_or(run_seed)),
+        TopologySpec::Bipartite {
+            width,
+            degree,
+            seed,
+        } => stream::bipartite_away(width, degree, seed.unwrap_or(run_seed)),
         TopologySpec::Layered {
             width,
             depth,
             p,
             seed,
         } => stream::layered(width, depth, p, seed.unwrap_or(run_seed)),
-        TopologySpec::Bipartite { .. } | TopologySpec::Inline { .. } => {
-            return build_instance(spec, run_seed).map(|i| CsrInstance::from_instance(&i))
+        TopologySpec::Inline { ref edges, dest } => {
+            return build_inline(edges, dest).map(|i| CsrInstance::from_instance(&i))
         }
     };
     Ok(inst)
@@ -144,39 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_route_matches_map_route_for_every_family() {
-        for spec in [
-            TopologySpec::ChainAway { n: 7 },
-            TopologySpec::ChainToward { n: 6 },
-            TopologySpec::Alternating { n: 9 },
-            TopologySpec::Star { leaves: 5 },
-            TopologySpec::Tree { depth: 3 },
-            TopologySpec::Grid { rows: 3, cols: 4 },
-            TopologySpec::Complete { n: 5 },
-            TopologySpec::Random {
-                n: 12,
-                extra_edges: 8,
-                seed: None,
-            },
-            TopologySpec::Bipartite {
-                width: 4,
-                degree: 3,
-                seed: Some(2),
-            },
-            TopologySpec::Layered {
-                width: 3,
-                depth: 3,
-                p: 0.4,
-                seed: None,
-            },
-        ] {
-            let flat = build_csr_instance(&spec, 11).unwrap();
-            let map = build_instance(&spec, 11).unwrap();
-            assert_eq!(flat, CsrInstance::from_instance(&map), "{spec:?}");
-        }
-    }
-
-    #[test]
     fn random_extra_edges_saturate_at_the_complete_graph() {
         let spec = TopologySpec::Random {
             n: 6,
@@ -185,8 +131,6 @@ mod tests {
         };
         let map = build_instance(&spec, 0).unwrap();
         assert_eq!(map.graph.edge_count(), 15, "K6");
-        let flat = build_csr_instance(&spec, 0).unwrap();
-        assert_eq!(flat, CsrInstance::from_instance(&map));
     }
 
     #[test]

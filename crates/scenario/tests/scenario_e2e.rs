@@ -266,3 +266,23 @@ fn sweep_shapes_match_seeds_times_trials() {
         assert!(!r.smoke);
     }
 }
+
+/// Traffic at the end of virtual time: injections and deliveries
+/// saturate at `u64::MAX` instead of overflowing (a debug panic) or
+/// wrapping into the past, and every packet still arrives.
+#[test]
+fn traffic_at_the_end_of_time_saturates_instead_of_wrapping() {
+    for traffic in [
+        r#"{"packets_per_source": 2, "start": 18446744073709551615}"#,
+        r#"{"packets_per_source": 2, "interval": 18446744073709551615}"#,
+    ] {
+        let run = run_one(&format!(
+            r#"{{"name": "end-of-time", "topology": {{"family": "chain-away", "n": 4}},
+                "traffic": {traffic}}}"#
+        ));
+        let summary = run.records.last().unwrap();
+        assert_eq!(summary.at, u64::MAX, "{traffic}");
+        assert_eq!(summary.injected, 6, "3 sources × 2 waves: {traffic}");
+        assert_eq!(summary.delivered, summary.injected, "{traffic}");
+    }
+}

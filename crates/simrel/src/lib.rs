@@ -21,11 +21,11 @@
 //! terminating check.
 //!
 //! ```
-//! use lr_graph::generate;
+//! use lr_graph::stream;
 //! use lr_simrel::{r_checker, r_prime_checker};
 //! use lr_core::alg::{NewPrAutomaton, OneStepPrAutomaton, PrSetAutomaton};
 //!
-//! let inst = generate::chain_away(4);
+//! let inst = stream::chain_away(4).to_instance();
 //! // Lemma 5.1(b): every PR set-step is matched by OneStepPR steps.
 //! let rp = r_prime_checker(&inst);
 //! let report = rp

@@ -18,8 +18,7 @@
 //! strictly in enumeration order through the same reorder-buffer
 //! discipline as the explorer, so the summary — counts, first violation,
 //! truncation — is **bit-identical at every thread count**. The
-//! `LR_MC_THREADS` environment variable (see [`McOptions::from_env`])
-//! and the `lr modelcheck --threads` flag feed the outer knob.
+//! `lr modelcheck --threads` flag feeds the outer knob.
 //!
 //! ## Truncation is a hard error
 //!
@@ -103,24 +102,7 @@ impl Default for McOptions {
     }
 }
 
-/// Parses an `LR_MC_THREADS`-style value: a positive integer, anything
-/// else (absent, empty, garbage, zero) falling back to 1.
-pub fn parse_mc_threads(raw: Option<&str>) -> usize {
-    raw.and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or(1)
-}
-
 impl McOptions {
-    /// Default options with the outer thread count taken from the
-    /// `LR_MC_THREADS` environment variable (invalid or absent → 1).
-    pub fn from_env() -> Self {
-        McOptions {
-            threads: parse_mc_threads(std::env::var("LR_MC_THREADS").ok().as_deref()),
-            ..McOptions::default()
-        }
-    }
-
     /// These options with a different outer thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -713,16 +695,6 @@ mod tests {
     }
 
     #[test]
-    fn mc_threads_env_parsing() {
-        assert_eq!(parse_mc_threads(None), 1);
-        assert_eq!(parse_mc_threads(Some("")), 1);
-        assert_eq!(parse_mc_threads(Some("0")), 1);
-        assert_eq!(parse_mc_threads(Some("banana")), 1);
-        assert_eq!(parse_mc_threads(Some("4")), 4);
-        assert_eq!(parse_mc_threads(Some(" 8 ")), 8);
-    }
-
-    #[test]
     fn check_kind_keys_round_trip() {
         for kind in CheckKind::ALL {
             assert_eq!(CheckKind::from_key(kind.key()), Some(kind));
@@ -743,7 +715,7 @@ mod tests {
     #[test]
     #[ignore = "several seconds; run with --ignored or via the experiment binary"]
     fn everything_holds_on_all_4_node_instances() {
-        let opts = McOptions::from_env();
+        let opts = McOptions::default();
         for kind in CheckKind::ALL {
             let s = kind.run(4, &opts);
             assert!(

@@ -128,13 +128,13 @@ pub fn refine_and_check<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::generate;
+    use lr_graph::stream;
     use lr_ioa::{run, schedulers, Automaton};
 
     #[test]
     fn refinement_chain_on_random_executions() {
         for seed in 0..10 {
-            let inst = generate::random_connected(8, 6, 700 + seed);
+            let inst = stream::random_connected(8, 6, 700 + seed).to_instance();
             let pr = PrSetAutomaton { inst: &inst };
             let exec = run(&pr, &mut schedulers::UniformRandom::seeded(seed), 10_000);
             assert!(pr.is_quiescent(exec.last_state()), "seed {seed}");
@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn empty_execution_refines_trivially() {
-        let inst = generate::chain_toward(5); // destination-oriented: no steps
+        let inst = stream::chain_toward(5).to_instance(); // destination-oriented: no steps
         let pr = PrSetAutomaton { inst: &inst };
         let exec = lr_ioa::Execution::<PrSetAutomaton>::new(pr.initial_state());
         let report = refine_and_check(&inst, &exec).expect("trivial chain");
@@ -173,7 +173,7 @@ mod tests {
     fn greedy_set_executions_refine() {
         // Exercise genuinely set-valued actions: the greedy schedule fires
         // all sinks at once.
-        let inst = generate::star_away(5);
+        let inst = stream::star_away(5).to_instance();
         let pr = PrSetAutomaton { inst: &inst };
         // LastEnabled picks the largest subset (all sinks) because the
         // subsets are enumerated in mask order — last = full set.

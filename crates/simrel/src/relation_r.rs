@@ -63,7 +63,7 @@ pub fn r_checker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::generate;
+    use lr_graph::stream;
     use lr_ioa::{run, schedulers, Automaton};
 
     fn n(i: u32) -> NodeId {
@@ -72,7 +72,7 @@ mod tests {
 
     #[test]
     fn initial_states_are_related() {
-        let inst = generate::random_connected(8, 5, 2);
+        let inst = stream::random_connected(8, 5, 2).to_instance();
         let os = OneStepPrAutomaton { inst: &inst };
         let np = NewPrAutomaton { inst: &inst };
         assert!(r_holds(&inst, &os.initial_state(), &np.initial_state()));
@@ -80,7 +80,7 @@ mod tests {
 
     #[test]
     fn relation_rejects_diverged_orientations() {
-        let inst = generate::chain_away(4);
+        let inst = stream::chain_away(4).to_instance();
         let s = PrState::initial(&inst);
         let mut t = NewPrState::initial(&inst);
         t.dirs.reverse_outward(n(3), n(2));
@@ -89,7 +89,7 @@ mod tests {
 
     #[test]
     fn relation_rejects_list_outside_parity_set() {
-        let inst = generate::chain_away(4);
+        let inst = stream::chain_away(4).to_instance();
         let mut s = PrState::initial(&inst);
         // parity[1] is even, so list[1] must be ⊆ out-nbrs(1) = {2};
         // insert the in-neighbor 0 instead.
@@ -100,7 +100,7 @@ mod tests {
 
     #[test]
     fn correspondence_is_single_step_for_partial_list() {
-        let inst = generate::chain_away(4);
+        let inst = stream::chain_away(4).to_instance();
         let checker = r_checker(&inst);
         let s = PrState::initial(&inst);
         let t = NewPrState::initial(&inst);
@@ -110,7 +110,7 @@ mod tests {
 
     #[test]
     fn correspondence_is_double_step_for_full_list() {
-        let inst = generate::chain_away(4);
+        let inst = stream::chain_away(4).to_instance();
         let checker = r_checker(&inst);
         let mut s = PrState::initial(&inst);
         s.lists.get_mut(&n(3)).unwrap().insert(n(2)); // list = nbrs
@@ -121,7 +121,7 @@ mod tests {
     #[test]
     fn lemma_5_3_along_random_executions() {
         for seed in 0..10 {
-            let inst = generate::random_connected(9, 6, 600 + seed);
+            let inst = stream::random_connected(9, 6, 600 + seed).to_instance();
             let os = OneStepPrAutomaton { inst: &inst };
             let np = NewPrAutomaton { inst: &inst };
             let exec = run(&os, &mut schedulers::UniformRandom::seeded(seed), 10_000);
@@ -143,10 +143,10 @@ mod tests {
     #[test]
     fn theorem_5_4_exhaustive_on_small_instances() {
         for inst in [
-            generate::chain_away(4),
-            generate::star_away(3),
+            stream::chain_away(4).to_instance(),
+            stream::star_away(3).to_instance(),
             lr_graph::parse::parse_instance("dest 3\n1 > 0\n2 > 0\n3 > 0").unwrap(),
-            generate::random_connected(5, 3, 8),
+            stream::random_connected(5, 3, 8).to_instance(),
         ] {
             let os = OneStepPrAutomaton { inst: &inst };
             let np = NewPrAutomaton { inst: &inst };

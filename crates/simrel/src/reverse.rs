@@ -146,12 +146,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::generate;
+    use lr_graph::stream;
     use lr_ioa::{schedulers, Automaton};
 
     #[test]
     fn initial_states_are_related() {
-        let inst = generate::random_connected(8, 6, 1);
+        let inst = stream::random_connected(8, 6, 1).to_instance();
         let np = NewPrAutomaton { inst: &inst };
         let os = OneStepPrAutomaton { inst: &inst };
         assert!(rev_r_holds(&inst, &np.initial_state(), &os.initial_state()));
@@ -173,7 +173,7 @@ mod tests {
     #[test]
     fn reverse_r_along_random_newpr_executions() {
         for seed in 0..10 {
-            let inst = generate::random_connected(9, 7, 7000 + seed);
+            let inst = stream::random_connected(9, 7, 7000 + seed).to_instance();
             let np = NewPrAutomaton { inst: &inst };
             let os = OneStepPrAutomaton { inst: &inst };
             let exec = run(&np, &mut schedulers::UniformRandom::seeded(seed), 100_000);
@@ -193,10 +193,10 @@ mod tests {
     #[test]
     fn reverse_r_exhaustive_on_small_instances() {
         for inst in [
-            generate::chain_away(4),
-            generate::star_away(3),
+            stream::chain_away(4).to_instance(),
+            stream::star_away(3).to_instance(),
             lr_graph::parse::parse_instance("dest 3\n1 > 0\n2 > 0\n3 > 0").unwrap(),
-            generate::random_connected(5, 3, 77),
+            stream::random_connected(5, 3, 77).to_instance(),
         ] {
             let np = NewPrAutomaton { inst: &inst };
             let os = OneStepPrAutomaton { inst: &inst };
@@ -209,7 +209,10 @@ mod tests {
 
     #[test]
     fn reverse_r_prime_exhaustive_on_small_instances() {
-        for inst in [generate::chain_away(4), generate::star_away(3)] {
+        for inst in [
+            stream::chain_away(4).to_instance(),
+            stream::star_away(3).to_instance(),
+        ] {
             let os = OneStepPrAutomaton { inst: &inst };
             let pr = PrSetAutomaton { inst: &inst };
             let report = rev_r_prime_checker(&inst)
@@ -222,7 +225,7 @@ mod tests {
     #[test]
     fn equivalence_round_trip_on_random_instances() {
         for seed in 0..10 {
-            let inst = generate::random_connected(8, 8, 8000 + seed);
+            let inst = stream::random_connected(8, 8, 8000 + seed).to_instance();
             let report = equivalence_round_trip(
                 &inst,
                 &mut schedulers::UniformRandom::seeded(seed),

@@ -11,11 +11,11 @@
 use link_reversal::core::game::{
     analyze_profiles, find_profitable_deviation, uniform_profile, Strategy,
 };
-use link_reversal::graph::generate;
+use link_reversal::graph::stream;
 
 fn main() {
     println!("the reversal game on chain_away(9): 8 players, 256 profiles\n");
-    let inst = generate::chain_away(9);
+    let inst = stream::chain_away(9).to_instance();
     let analysis = analyze_profiles(&inst);
 
     println!("social cost of all-Full (FR):     {}", analysis.fr_cost);

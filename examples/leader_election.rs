@@ -5,12 +5,12 @@
 //! cargo run --example leader_election
 //! ```
 
-use link_reversal::graph::generate;
+use link_reversal::graph::stream;
 use link_reversal::net::election::ElectionHarness;
 use link_reversal::net::sim::LinkConfig;
 
 fn main() {
-    let inst = generate::random_connected(16, 18, 99);
+    let inst = stream::random_connected(16, 18, 99).to_instance();
     println!(
         "network: {} nodes, {} links; initial leader = destination {}",
         inst.node_count(),

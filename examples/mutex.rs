@@ -7,12 +7,12 @@
 //! cargo run --example mutex
 //! ```
 
-use link_reversal::graph::{generate, NodeId};
+use link_reversal::graph::{stream, NodeId};
 use link_reversal::net::mutex::MutexHarness;
 use link_reversal::net::sim::LinkConfig;
 
 fn main() {
-    let inst = generate::random_connected(14, 12, 7);
+    let inst = stream::random_connected(14, 12, 7).to_instance();
     let root = inst.dest;
     println!(
         "network: {} nodes; token starts at {}",

@@ -9,7 +9,7 @@ use link_reversal::prelude::*;
 fn main() {
     // A 12-node chain with every edge directed away from the destination:
     // node 0 is the destination, node 11 the only sink.
-    let inst = generate::chain_away(12);
+    let inst = stream::chain_away(12).to_instance();
     println!(
         "instance: {} nodes, {} edges, destination {}, {} bad nodes\n",
         inst.node_count(),

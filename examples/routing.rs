@@ -6,12 +6,12 @@
 //! cargo run --example routing
 //! ```
 
-use link_reversal::graph::{generate, NodeId};
+use link_reversal::graph::{stream, NodeId};
 use link_reversal::net::routing::RoutingHarness;
 use link_reversal::net::sim::LinkConfig;
 
 fn main() {
-    let inst = generate::random_connected(24, 24, 2024);
+    let inst = stream::random_connected(24, 24, 2024).to_instance();
     println!(
         "ad-hoc network: {} nodes, {} links, destination {}",
         inst.node_count(),

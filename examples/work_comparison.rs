@@ -9,9 +9,9 @@
 
 use link_reversal::core::alg::AlgorithmKind;
 use link_reversal::core::work::{fit_growth_exponent, measure_work};
-use link_reversal::graph::{generate, ReversalInstance};
+use link_reversal::graph::{stream, CsrInstance};
 
-fn family(name: &str, gen: fn(usize) -> ReversalInstance, sizes: &[usize]) {
+fn family(name: &str, gen: fn(usize) -> CsrInstance, sizes: &[usize]) {
     println!("--- {name} ---");
     println!("{:>6} {:>10} {:>10} {:>10}", "n", "FR", "PR", "NewPR");
     let mut pts: Vec<(AlgorithmKind, Vec<(f64, f64)>)> = [
@@ -23,7 +23,7 @@ fn family(name: &str, gen: fn(usize) -> ReversalInstance, sizes: &[usize]) {
     .map(|k| (k, Vec::new()))
     .collect();
     for &n in sizes {
-        let inst = gen(n);
+        let inst = gen(n).to_instance();
         let mut row = format!("{n:>6}");
         for (kind, series) in pts.iter_mut() {
             let w = measure_work(*kind, &inst);
@@ -47,17 +47,17 @@ fn main() {
     let sizes = [16, 32, 64, 128, 256];
     family(
         "chain away from destination (FR's worst case)",
-        generate::chain_away,
+        stream::chain_away,
         &sizes,
     );
     family(
         "alternating chain (PR's worst case)",
-        generate::alternating_chain,
+        stream::alternating_chain,
         &sizes,
     );
     family(
         "random connected graphs (seed 1)",
-        |n| generate::random_connected(n, n, 1),
+        |n| stream::random_connected(n, n, 1),
         &sizes,
     );
     println!("Takeaway (paper §1): PR is linear where FR is quadratic on the away-chain,");

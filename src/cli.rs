@@ -91,8 +91,7 @@ USAGE:
     lr modelcheck <n>                 exhaustively model-check the paper's
                                       theorems on every instance of size n
                                       (--threads N: instance fan-out, summaries
-                                      bit-identical at any N, LR_MC_THREADS
-                                      honored when the flag is absent;
+                                      bit-identical at any N, default 1;
                                       --checks a,b,..: subset by key)
     lr serve <spec>                   resident service mode: settle the spec's
                                       instance once, keep it live, and serve an
@@ -749,18 +748,12 @@ fn cmd_serve(args: &[&str], stdin: &str) -> Result<String, CliError> {
     Ok(report.render())
 }
 
-/// Resolves the outer thread count for `lr modelcheck`: the `--threads`
-/// flag wins, then the `LR_MC_THREADS` environment value, then 1.
-fn resolve_mc_threads(flag: Option<usize>, env: Option<&str>) -> usize {
-    flag.unwrap_or_else(|| lr_simrel::model_check::parse_mc_threads(env))
-}
-
 fn cmd_modelcheck(args: &[&str]) -> Result<String, CliError> {
     use lr_bench::mc::run_battery;
     use lr_simrel::model_check::{CheckKind, McOptions};
 
     let mut n: Option<usize> = None;
-    let mut threads_flag: Option<usize> = None;
+    let mut threads = 1;
     let mut checks: Vec<CheckKind> = CheckKind::ALL.to_vec();
     let parse_threads = |value: &str| parse_flag_usize("--threads", value, 1);
     let parse_checks = |value: &str| -> Result<Vec<CheckKind>, CliError> {
@@ -789,7 +782,7 @@ fn cmd_modelcheck(args: &[&str]) -> Result<String, CliError> {
                 let value = it
                     .next()
                     .ok_or_else(|| err("--threads needs a value (worker thread count)"))?;
-                threads_flag = Some(parse_threads(value)?);
+                threads = parse_threads(value)?;
             }
             "--checks" => {
                 let value = it
@@ -799,7 +792,7 @@ fn cmd_modelcheck(args: &[&str]) -> Result<String, CliError> {
             }
             a => {
                 if let Some(value) = a.strip_prefix("--threads=") {
-                    threads_flag = Some(parse_threads(value)?);
+                    threads = parse_threads(value)?;
                 } else if let Some(value) = a.strip_prefix("--checks=") {
                     checks = parse_checks(value)?;
                 } else if a.starts_with("--") {
@@ -820,10 +813,7 @@ fn cmd_modelcheck(args: &[&str]) -> Result<String, CliError> {
         }
     }
     let n = n.ok_or_else(|| err(format!("modelcheck needs a size argument\n\n{USAGE}")))?;
-    let opts = McOptions::default().with_threads(resolve_mc_threads(
-        threads_flag,
-        std::env::var("LR_MC_THREADS").ok().as_deref(),
-    ));
+    let opts = McOptions::default().with_threads(threads);
 
     let battery = run_battery(n, &checks, &opts);
     let mut out = String::new();
@@ -1163,6 +1153,10 @@ mod tests {
         }
         let out = run_cli(&["modelcheck", "3", "--checks=prset"], "").unwrap();
         assert!(out.contains("set actions"), "{out}");
+        assert!(
+            out.contains("(1 thread(s))"),
+            "one thread by default: {out}"
+        );
     }
 
     #[test]
@@ -1186,15 +1180,6 @@ mod tests {
             let e = run_cli(&["modelcheck", "3", flag], "").unwrap_err();
             assert!(e.0.contains("unknown flag"), "{e}");
         }
-    }
-
-    #[test]
-    fn modelcheck_thread_resolution_precedence() {
-        // Flag wins over environment; environment over the default of 1.
-        assert_eq!(resolve_mc_threads(Some(4), Some("8")), 4);
-        assert_eq!(resolve_mc_threads(None, Some("8")), 8);
-        assert_eq!(resolve_mc_threads(None, Some("garbage")), 1);
-        assert_eq!(resolve_mc_threads(None, None), 1);
     }
 
     #[test]

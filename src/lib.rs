@@ -29,7 +29,7 @@
 //!
 //! // The classic worst case: a chain with every edge pointing away from
 //! // the destination.
-//! let inst = generate::chain_away(32);
+//! let inst = stream::chain_away(32).to_instance();
 //!
 //! // Run the paper's NewPR to termination under greedy scheduling.
 //! let mut engine = AlgorithmKind::NewPr.engine(&inst);
@@ -67,8 +67,8 @@ pub mod prelude {
     pub use lr_core::invariants;
     pub use lr_core::{StepOutcome, StepScratch};
     pub use lr_graph::{
-        generate, stream, CsrInstance, DirectedView, NodeId, Orientation, PlaneEmbedding,
-        ReversalInstance, UndirectedGraph,
+        stream, CsrInstance, DirectedView, NodeId, Orientation, PlaneEmbedding, ReversalInstance,
+        UndirectedGraph,
     };
     pub use lr_ioa::{run, run_to_quiescence, schedulers, Automaton, Execution};
     pub use lr_simrel::{r_checker, r_prime_checker};

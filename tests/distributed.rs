@@ -3,7 +3,7 @@
 //! destination-orientation guarantee, work within the same bounds — and
 //! the applications must keep their invariants under churn.
 
-use link_reversal::graph::{generate, DirectedView, NodeId};
+use link_reversal::graph::{stream, DirectedView, NodeId};
 use link_reversal::net::election::ElectionHarness;
 use link_reversal::net::live::run_threaded;
 use link_reversal::net::mutex::MutexHarness;
@@ -14,7 +14,7 @@ use link_reversal::net::sim::LinkConfig;
 #[test]
 fn distributed_convergence_matches_theory_guarantees() {
     for seed in 0..4 {
-        let inst = generate::random_connected(25, 25, 6000 + seed);
+        let inst = stream::random_connected(25, 25, 6000 + seed).to_instance();
         let sim = converge(&inst, LinkConfig::default(), seed, 10_000_000);
         let o = orientation_from_heights(&inst.graph, &height_snapshot(&sim));
         let view = DirectedView::new(&inst.graph, &o);
@@ -32,7 +32,7 @@ fn distributed_convergence_matches_theory_guarantees() {
 fn distributed_work_is_invariant_to_message_timing_on_trees() {
     // On trees, PR reversal sets are schedule-independent, so any two
     // timing regimes must do identical total work.
-    let inst = generate::binary_tree_away(3);
+    let inst = stream::binary_tree_away(3).to_instance();
     let calm = converge(&inst, LinkConfig::default(), 1, 10_000_000);
     let wild = converge(
         &inst,
@@ -53,7 +53,7 @@ fn distributed_work_is_invariant_to_message_timing_on_trees() {
 
 #[test]
 fn threaded_and_simulated_modes_agree_on_final_structure() {
-    let inst = generate::grid_away(4, 4);
+    let inst = stream::grid_away(4, 4).to_instance();
     let sim = converge(&inst, LinkConfig::default(), 3, 10_000_000);
     let sim_o = orientation_from_heights(&inst.graph, &height_snapshot(&sim));
     let live = run_threaded(&inst);
@@ -69,7 +69,7 @@ fn threaded_and_simulated_modes_agree_on_final_structure() {
 
 #[test]
 fn routing_delivers_under_lossless_churn() {
-    let inst = generate::random_connected(18, 20, 7000);
+    let inst = stream::random_connected(18, 20, 7000).to_instance();
     let mut h = RoutingHarness::converged(&inst, LinkConfig::default(), 4);
     for u in inst.graph.nodes().filter(|&u| u != inst.dest) {
         h.send_packet(u);
@@ -82,7 +82,7 @@ fn routing_delivers_under_lossless_churn() {
 fn election_then_routing_composes() {
     // After a leader crash and re-election, the surviving DAG routes
     // toward the new leader — verified structurally by the harness.
-    let inst = generate::random_connected(14, 16, 8000);
+    let inst = stream::random_connected(14, 16, 8000).to_instance();
     let mut h = ElectionHarness::converged(&inst, LinkConfig::default(), 5);
     h.crash_leader();
     let report = h.run(10_000_000);
@@ -92,7 +92,7 @@ fn election_then_routing_composes() {
 
 #[test]
 fn mutex_serves_heavy_contention() {
-    let inst = generate::random_connected(16, 14, 9000);
+    let inst = stream::random_connected(16, 14, 9000).to_instance();
     let mut h = MutexHarness::new(&inst.graph, inst.dest, LinkConfig::default(), 6);
     let mut expected = 0;
     for round in 0..5 {

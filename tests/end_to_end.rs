@@ -7,18 +7,21 @@ use link_reversal::prelude::*;
 use proptest::prelude::*;
 
 fn families() -> Vec<(&'static str, ReversalInstance)> {
-    vec![
-        ("chain_away", generate::chain_away(17)),
-        ("chain_toward", generate::chain_toward(17)),
-        ("alternating_chain", generate::alternating_chain(17)),
-        ("star_away", generate::star_away(9)),
-        ("binary_tree_away", generate::binary_tree_away(2)),
-        ("grid_away", generate::grid_away(4, 5)),
-        ("complete_away", generate::complete_away(9)),
-        ("layered", generate::layered(4, 4, 0.5, 11)),
-        ("random_sparse", generate::random_connected(20, 5, 21)),
-        ("random_dense", generate::random_connected(20, 60, 22)),
+    [
+        ("chain_away", stream::chain_away(17)),
+        ("chain_toward", stream::chain_toward(17)),
+        ("alternating_chain", stream::alternating_chain(17)),
+        ("star_away", stream::star_away(9)),
+        ("binary_tree_away", stream::binary_tree_away(2)),
+        ("grid_away", stream::grid_away(4, 5)),
+        ("complete_away", stream::complete_away(9)),
+        ("layered", stream::layered(4, 4, 0.5, 11)),
+        ("random_sparse", stream::random_connected(20, 5, 21)),
+        ("random_dense", stream::random_connected(20, 60, 22)),
     ]
+    .into_iter()
+    .map(|(name, flat)| (name, flat.to_instance()))
+    .collect()
 }
 
 #[test]
@@ -48,7 +51,7 @@ fn every_algorithm_orients_every_family_under_every_policy() {
 fn final_work_is_schedule_sensitive_but_bounded() {
     // PR's total work varies across schedules but always stays within the
     // Θ(n_b²) bound family-wise.
-    let inst = generate::alternating_chain(33);
+    let inst = stream::alternating_chain(33).to_instance();
     let nb = inst.initial_bad_nodes();
     for policy in [
         SchedulePolicy::GreedyRounds,
@@ -70,7 +73,7 @@ fn final_work_is_schedule_sensitive_but_bounded() {
 fn acyclicity_holds_in_every_intermediate_state() {
     // Drive each algorithm one step at a time and check acyclicity and
     // mirror-consistency at every prefix.
-    let inst = generate::random_connected(14, 12, 33);
+    let inst = stream::random_connected(14, 12, 33).to_instance();
     for kind in AlgorithmKind::ALL {
         let mut engine = kind.engine(&inst);
         let mut guard = 0;
@@ -177,9 +180,15 @@ fn track<A: Automaton<Action = NodeId>>(
 #[test]
 fn automata_and_engines_trace_identically() {
     let mut instances = families();
-    instances.push(("random_30", generate::random_connected(30, 35, 555)));
+    instances.push((
+        "random_30",
+        stream::random_connected(30, 35, 555).to_instance(),
+    ));
     for seed in 0..3 {
-        instances.push(("random_40", generate::random_connected(40, 50, 1234 + seed)));
+        instances.push((
+            "random_40",
+            stream::random_connected(40, 50, 1234 + seed).to_instance(),
+        ));
     }
     for (name, inst) in &instances {
         for row in LOCKSTEP {
@@ -226,7 +235,7 @@ fn height_formulations_match_list_formulations_on_large_graphs() {
     // E11 at integration scale: identical schedules must produce
     // identical orientations at every step.
     for seed in 0..3 {
-        let inst = generate::random_connected(40, 50, 1234 + seed);
+        let inst = stream::random_connected(40, 50, 1234 + seed).to_instance();
         let first = |e: &[NodeId]| e[0];
         same_reversals(
             &inst,
@@ -245,7 +254,7 @@ fn height_formulations_match_list_formulations_on_large_graphs() {
 
 #[test]
 fn bll_instantiations_match_their_targets_at_scale() {
-    let inst = generate::random_connected(30, 35, 555);
+    let inst = stream::random_connected(30, 35, 555).to_instance();
     let last = |e: &[NodeId]| e[e.len() - 1];
     for (labeling, target) in [
         (
@@ -269,7 +278,7 @@ proptest! {
         extra in 0usize..=20,
         seed in any::<u64>(),
     ) {
-        let inst = generate::random_connected(n, extra, seed);
+        let inst = stream::random_connected(n, extra, seed).to_instance();
         for row in LOCKSTEP {
             lockstep("random", &inst, row, |e, k| {
                 e[(seed as usize).wrapping_add(k) % e.len()]

@@ -18,7 +18,7 @@ use link_reversal::simrel::refinement::refine_and_check;
 #[test]
 fn section_3_invariants_on_random_executions() {
     for seed in 0..5 {
-        let inst = generate::random_connected(15, 15, 2000 + seed);
+        let inst = stream::random_connected(15, 15, 2000 + seed).to_instance();
         let aut = OneStepPrAutomaton { inst: &inst };
         let exec = run(&aut, &mut schedulers::UniformRandom::seeded(seed), 100_000);
         assert!(aut.is_quiescent(exec.last_state()));
@@ -35,7 +35,7 @@ fn section_3_invariants_on_random_executions() {
 #[test]
 fn section_4_invariants_on_random_executions() {
     for seed in 0..5 {
-        let inst = generate::random_connected(15, 15, 3000 + seed);
+        let inst = stream::random_connected(15, 15, 3000 + seed).to_instance();
         let emb = inst.embedding();
         let aut = NewPrAutomaton { inst: &inst };
         let exec = run(&aut, &mut schedulers::UniformRandom::seeded(seed), 100_000);
@@ -65,7 +65,7 @@ fn theorems_exhaustive_on_all_three_node_instances() {
 #[test]
 fn theorem_5_5_refinement_chain() {
     for seed in 0..5 {
-        let inst = generate::random_connected(9, 8, 4000 + seed);
+        let inst = stream::random_connected(9, 8, 4000 + seed).to_instance();
         let pr = PrSetAutomaton { inst: &inst };
         let exec = run(&pr, &mut schedulers::UniformRandom::seeded(seed), 10_000);
         let report = refine_and_check(&inst, &exec).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
@@ -80,21 +80,21 @@ fn section_1_work_complexity_shapes() {
     use link_reversal::core::work::{fit_growth_exponent, measure_work};
     let sizes = [16usize, 32, 64, 128];
 
-    let fit = |kind: AlgorithmKind, gen: fn(usize) -> ReversalInstance| {
+    let fit = |kind: AlgorithmKind, gen: fn(usize) -> CsrInstance| {
         let pts: Vec<(f64, f64)> = sizes
             .iter()
             .map(|&n| {
-                let w = measure_work(kind, &gen(n));
+                let w = measure_work(kind, &gen(n).to_instance());
                 (n as f64, w.total_reversals as f64)
             })
             .collect();
         fit_growth_exponent(&pts)
     };
 
-    let fr_away = fit(AlgorithmKind::FullReversal, generate::chain_away);
-    let pr_away = fit(AlgorithmKind::PartialReversal, generate::chain_away);
-    let fr_alt = fit(AlgorithmKind::FullReversal, generate::alternating_chain);
-    let pr_alt = fit(AlgorithmKind::PartialReversal, generate::alternating_chain);
+    let fr_away = fit(AlgorithmKind::FullReversal, stream::chain_away);
+    let pr_away = fit(AlgorithmKind::PartialReversal, stream::chain_away);
+    let fr_alt = fit(AlgorithmKind::FullReversal, stream::alternating_chain);
+    let pr_alt = fit(AlgorithmKind::PartialReversal, stream::alternating_chain);
 
     assert!(
         fr_away > 1.8,
@@ -142,7 +142,7 @@ fn section_4_1_dummy_step_accounting() {
 #[test]
 fn matched_executions_reach_identical_graphs() {
     for seed in 0..5 {
-        let inst = generate::random_connected(10, 9, 5000 + seed);
+        let inst = stream::random_connected(10, 9, 5000 + seed).to_instance();
         let pr = PrSetAutomaton { inst: &inst };
         let os = OneStepPrAutomaton { inst: &inst };
         let np = NewPrAutomaton { inst: &inst };

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 /// Strategy: a random connected instance with 2..=12 nodes.
 fn instance_strategy() -> impl Strategy<Value = ReversalInstance> {
     (2usize..=12, 0usize..=20, any::<u64>())
-        .prop_map(|(n, extra, seed)| generate::random_connected(n, extra, seed))
+        .prop_map(|(n, extra, seed)| stream::random_connected(n, extra, seed).to_instance())
 }
 
 proptest! {
