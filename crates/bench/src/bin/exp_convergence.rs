@@ -8,9 +8,9 @@
 //! cargo run --release -p lr-bench --bin exp_convergence
 //! ```
 
-use lr_core::alg::AlgorithmKind;
-use lr_core::engine::{run_engine, SchedulePolicy, DEFAULT_MAX_STEPS};
-use lr_graph::{stream, CsrInstance, ReversalInstance};
+use lr_core::alg::FrontierFamily;
+use lr_core::engine::{run_engine_frontier, SchedulePolicy, DEFAULT_MAX_STEPS};
+use lr_graph::{stream, CsrInstance};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -22,9 +22,9 @@ struct Row {
     newpr_rounds: usize,
 }
 
-fn rounds(kind: AlgorithmKind, inst: &ReversalInstance) -> usize {
-    let mut e = kind.engine(inst);
-    let stats = run_engine(e.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
+fn rounds(family: FrontierFamily, inst: &CsrInstance) -> usize {
+    let mut e = family.engine(inst.clone());
+    let stats = run_engine_frontier(e.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
     assert!(stats.terminated);
     stats.rounds
 }
@@ -43,11 +43,10 @@ fn main() {
                 stream::random_connected(n, 2 * n, 70_000 + n as u64),
             ),
         ];
-        for (family, flat) in families {
-            let inst = flat.to_instance();
-            let fr = rounds(AlgorithmKind::FullReversal, &inst);
-            let pr = rounds(AlgorithmKind::PartialReversal, &inst);
-            let np = rounds(AlgorithmKind::NewPr, &inst);
+        for (family, inst) in families {
+            let fr = rounds(FrontierFamily::FullReversal, &inst);
+            let pr = rounds(FrontierFamily::PartialReversal, &inst);
+            let np = rounds(FrontierFamily::NewPr, &inst);
             lr_bench::print_row(
                 &widths,
                 &[

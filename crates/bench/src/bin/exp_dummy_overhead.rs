@@ -8,7 +8,7 @@
 //! cargo run --release -p lr-bench --bin exp_dummy_overhead
 //! ```
 
-use lr_core::alg::AlgorithmKind;
+use lr_core::alg::FrontierFamily;
 use lr_core::work::measure_work;
 use lr_graph::{parse, stream, ReversalInstance};
 use serde::Serialize;
@@ -63,8 +63,8 @@ fn main() {
         ),
     ];
     for (family, inst) in families {
-        let pr = measure_work(AlgorithmKind::PartialReversal, &inst);
-        let np = measure_work(AlgorithmKind::NewPr, &inst);
+        let pr = measure_work(FrontierFamily::PartialReversal, &inst);
+        let np = measure_work(FrontierFamily::NewPr, &inst);
         let overhead = if pr.steps > 0 {
             100.0 * (np.steps as f64 - pr.steps as f64) / pr.steps as f64
         } else {

@@ -9,7 +9,7 @@
 //! cargo run --release -p lr-bench --bin exp_game
 //! ```
 
-use lr_core::alg::AlgorithmKind;
+use lr_core::alg::FrontierFamily;
 use lr_core::game::{
     analyze_profiles, compare_social_costs, dominates, work_vector, CostComparison,
 };
@@ -55,8 +55,8 @@ fn main() {
     for (family, flat) in families {
         let inst = flat.to_instance();
         let c = compare_social_costs(&inst);
-        let pr_v = work_vector(AlgorithmKind::PartialReversal, &inst);
-        let fr_v = work_vector(AlgorithmKind::FullReversal, &inst);
+        let pr_v = work_vector(FrontierFamily::PartialReversal, &inst);
+        let fr_v = work_vector(FrontierFamily::FullReversal, &inst);
         let dom = dominates(&pr_v, &fr_v);
         if let Some(r) = c.fr_over_pr() {
             structured_gap = structured_gap.max(r);

@@ -6,7 +6,7 @@
 //! cargo run --release -p lr-bench --bin exp_pr_vs_fr
 //! ```
 
-use lr_core::alg::AlgorithmKind;
+use lr_core::alg::FrontierFamily;
 use lr_core::work::measure_work;
 use lr_graph::stream;
 use serde::Serialize;
@@ -39,9 +39,9 @@ fn main() {
                 let inst =
                     stream::random_connected(n, extra, seed as u64 * 7919 + n as u64).to_instance();
                 nb += inst.initial_bad_nodes() as f64;
-                fr += measure_work(AlgorithmKind::FullReversal, &inst).total_reversals as f64;
-                pr += measure_work(AlgorithmKind::PartialReversal, &inst).total_reversals as f64;
-                np += measure_work(AlgorithmKind::NewPr, &inst).total_reversals as f64;
+                fr += measure_work(FrontierFamily::FullReversal, &inst).total_reversals as f64;
+                pr += measure_work(FrontierFamily::PartialReversal, &inst).total_reversals as f64;
+                np += measure_work(FrontierFamily::NewPr, &inst).total_reversals as f64;
             }
             let t = trials as f64;
             let (fr, pr, np, nb) = (fr / t, pr / t, np / t, nb / t);

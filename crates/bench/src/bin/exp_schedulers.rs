@@ -9,9 +9,9 @@
 //! cargo run --release -p lr-bench --bin exp_schedulers
 //! ```
 
-use lr_core::alg::AlgorithmKind;
-use lr_core::engine::{run_engine, SchedulePolicy, DEFAULT_MAX_STEPS};
-use lr_graph::{stream, CsrInstance, ReversalInstance};
+use lr_core::alg::FrontierFamily;
+use lr_core::engine::{run_engine_frontier, SchedulePolicy, DEFAULT_MAX_STEPS};
+use lr_graph::{stream, CsrInstance};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -25,9 +25,9 @@ struct Row {
     schedule_independent: bool,
 }
 
-fn work(kind: AlgorithmKind, inst: &ReversalInstance, policy: SchedulePolicy) -> usize {
-    let mut e = kind.engine(inst);
-    let stats = run_engine(e.as_mut(), policy, DEFAULT_MAX_STEPS);
+fn work(family: FrontierFamily, inst: &CsrInstance, policy: SchedulePolicy) -> usize {
+    let mut e = family.engine(inst.clone());
+    let stats = run_engine_frontier(e.as_mut(), policy, DEFAULT_MAX_STEPS);
     assert!(stats.terminated);
     stats.total_reversals
 }
@@ -55,19 +55,21 @@ fn main() {
         ("grid 8x8 (cycles)".into(), stream::grid_away(8, 8)),
         ("random dense".into(), stream::random_connected(64, 128, 9)),
     ];
-    for (family, flat) in families {
-        let inst = flat.to_instance();
-        for kind in [AlgorithmKind::FullReversal, AlgorithmKind::PartialReversal] {
-            let greedy = work(kind, &inst, SchedulePolicy::GreedyRounds);
-            let random = work(kind, &inst, SchedulePolicy::RandomSingle { seed: 5 });
-            let first = work(kind, &inst, SchedulePolicy::FirstSingle);
-            let last = work(kind, &inst, SchedulePolicy::LastSingle);
+    for (family, inst) in families {
+        for alg in [
+            FrontierFamily::FullReversal,
+            FrontierFamily::PartialReversal,
+        ] {
+            let greedy = work(alg, &inst, SchedulePolicy::GreedyRounds);
+            let random = work(alg, &inst, SchedulePolicy::RandomSingle { seed: 5 });
+            let first = work(alg, &inst, SchedulePolicy::FirstSingle);
+            let last = work(alg, &inst, SchedulePolicy::LastSingle);
             let indep = greedy == random && random == first && first == last;
             lr_bench::print_row(
                 &widths,
                 &[
                     family.clone(),
-                    kind.name().to_string(),
+                    alg.name().to_string(),
                     greedy.to_string(),
                     random.to_string(),
                     first.to_string(),
@@ -81,7 +83,7 @@ fn main() {
             );
             rows.push(Row {
                 family: family.clone(),
-                algorithm: kind.name(),
+                algorithm: alg.name(),
                 greedy,
                 random,
                 first,

@@ -7,7 +7,7 @@
 //! cargo run --release -p lr-bench --bin exp_worst_case
 //! ```
 
-use lr_core::alg::AlgorithmKind;
+use lr_core::alg::FrontierFamily;
 use lr_core::work::{fit_growth_exponent, measure_work, WorkRow};
 use lr_graph::{stream, CsrInstance};
 use serde::Serialize;
@@ -21,9 +21,9 @@ struct FamilyResult {
 
 fn sweep(family: &str, gen: fn(usize) -> CsrInstance) -> FamilyResult {
     let kinds = [
-        AlgorithmKind::FullReversal,
-        AlgorithmKind::PartialReversal,
-        AlgorithmKind::NewPr,
+        FrontierFamily::FullReversal,
+        FrontierFamily::PartialReversal,
+        FrontierFamily::NewPr,
     ];
     println!("--- {family} ---");
     let widths = [6usize, 6, 12, 12, 12];

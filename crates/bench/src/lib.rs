@@ -1,16 +1,14 @@
-//! Shared plumbing for the experiment binaries and criterion benches.
+//! Shared plumbing for the experiment binaries.
 //!
-//! Every experiment in `EXPERIMENTS.md` is regenerated by one binary in
-//! `src/bin/` (tables to stdout, machine-readable JSON rows to
-//! `results/`). The criterion benches in `benches/` measure the same
-//! code paths for timing rather than counting.
+//! Every experiment in the README's experiment table is regenerated by
+//! one binary in `src/bin/` (tables to stdout, machine-readable JSON rows
+//! to `results/`). Timing lives in the repository benchmark
+//! (`perfbench/`), not here.
 
 use std::fs;
 use std::path::PathBuf;
 
 use serde::Serialize;
-
-pub mod mc;
 
 /// Prints a row of fixed-width columns.
 pub fn print_row(widths: &[usize], cells: &[String]) {

@@ -16,10 +16,10 @@
 
 use std::sync::Arc;
 
-use lr_graph::{CsrGraph, CsrInstance, NodeId, Orientation};
+use lr_graph::{CsrInstance, NodeId, Orientation};
 
 use crate::alg::frontier::{count_bits_in_range, set_bits_in_range};
-use crate::alg::{FrontierEngine, ReversalEngine};
+use crate::alg::FrontierEngine;
 use crate::{EnabledTracker, MirroredDirs, PlanAux, StepOutcome, StepScratch};
 
 /// A label-update policy for [`FrontierBllEngine`].
@@ -44,7 +44,7 @@ pub enum BllLabeling {
 /// FR labeling (the lockstep suite).
 #[derive(Debug, Clone)]
 pub struct FrontierBllEngine {
-    /// The initial configuration, retained for [`ReversalEngine::reset`].
+    /// The initial configuration, retained for [`FrontierEngine::reset`].
     init: CsrInstance,
     labeling: BllLabeling,
     dirs: MirroredDirs,
@@ -87,13 +87,9 @@ impl FrontierBllEngine {
     }
 }
 
-impl ReversalEngine for FrontierBllEngine {
-    fn dest(&self) -> NodeId {
-        self.init.dest()
-    }
-
-    fn csr(&self) -> &Arc<CsrGraph> {
-        self.init.csr()
+impl FrontierEngine for FrontierBllEngine {
+    fn csr_instance(&self) -> &CsrInstance {
+        &self.init
     }
 
     fn algorithm_name(&self) -> &'static str {
@@ -187,12 +183,6 @@ impl ReversalEngine for FrontierBllEngine {
         self.dirs = MirroredDirs::from_csr_instance(&self.init);
         self.labels.fill(!0);
         self.tracker = EnabledTracker::from_dirs(&self.dirs, self.init.dest());
-    }
-}
-
-impl FrontierEngine for FrontierBllEngine {
-    fn csr_instance(&self) -> &CsrInstance {
-        &self.init
     }
 
     fn resident_bytes(&self) -> usize {

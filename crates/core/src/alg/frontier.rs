@@ -1,13 +1,8 @@
-//! Flat, CSR-native ("frontier") engines for million-node scale.
+//! The family registry and the flat Partial Reversal engine.
 //!
-//! This module defines the [`FrontierEngine`] trait — the contract every
-//! flat engine satisfies: all steady state lives in CSR-indexed arrays
-//! and bit-packed per-slot words, the enabled set is the incremental
-//! [`EnabledTracker`] worklist, and no map-backed
-//! [`lr_graph::ReversalInstance`] is ever materialized. One such engine
-//! exists per algorithm family, and it is the only engine of its family;
-//! [`FrontierFamily`] is the dispatch enum that constructs them
-//! uniformly:
+//! [`FrontierFamily`] is the one enum naming the algorithm families;
+//! [`FrontierFamily::engine`] builds each family's
+//! [`FrontierEngine`], the only engine of its family:
 //!
 //! | family | engine | flat per-node/per-slot state |
 //! |---|---|---|
@@ -18,10 +13,10 @@
 //! | GB-triple | [`super::FrontierTripleHeightsEngine`] | dense `Vec<TripleHeight>` |
 //! | BLL | [`super::FrontierBllEngine`] | link labels as one bit per slot |
 //!
-//! [`FrontierPrEngine`], the PR 7 original, implements the exact
-//! transition function of Algorithm 3 (`OneStepPR`, see [`super::pr`]) —
-//! same target selection, same list bookkeeping, same `"PR"` name in
-//! reports — over a [`CsrInstance`]:
+//! [`FrontierPrEngine`] implements the exact transition function of
+//! Algorithm 3 (`OneStepPR`, see [`super::pr`]) — same target selection,
+//! same list bookkeeping, same `"PR"` name in reports — over a
+//! [`CsrInstance`]:
 //!
 //! * edge directions are the bit-packed [`MirroredDirs`] (1 bit per
 //!   half-edge slot, twin bit updated in the same pass);
@@ -46,37 +41,20 @@
 
 use std::sync::Arc;
 
-use lr_graph::{CsrGraph, CsrInstance, NodeId, Orientation};
+use lr_graph::{CsrInstance, NodeId, Orientation};
 
 use crate::alg::{
-    AlgorithmKind, BllLabeling, FrontierBllEngine, FrontierFrEngine, FrontierNewPrEngine,
-    FrontierPairHeightsEngine, FrontierTripleHeightsEngine, ReversalEngine,
+    BllLabeling, FrontierBllEngine, FrontierEngine, FrontierFrEngine, FrontierNewPrEngine,
+    FrontierPairHeightsEngine, FrontierTripleHeightsEngine,
 };
 use crate::{EnabledTracker, MirroredDirs, PlanAux, StepOutcome, StepScratch};
 
-/// A [`ReversalEngine`] whose entire steady state is flat: CSR-indexed
-/// arrays and bit-packed per-slot words, with the incremental
-/// [`EnabledTracker`] as its worklist. Implementors never materialize a
-/// map-backed instance, which is what lets them run at million-node
-/// scale; construct them through [`FrontierFamily::engine`] (or
-/// [`AlgorithmKind::engine`] from a map-backed instance).
-pub trait FrontierEngine: ReversalEngine {
-    /// The retained initial configuration (shared CSR + one direction
-    /// bit per half-edge) the engine was built from and resets to.
-    fn csr_instance(&self) -> &CsrInstance;
-
-    /// Total resident bytes of the engine's steady state — the shared
-    /// CSR arrays plus every per-node/per-slot array the engine owns.
-    /// This is the number the benchmark's bytes-per-half-edge metrics
-    /// report.
-    fn resident_bytes(&self) -> usize;
-}
-
-/// The six algorithm families of the frontier fast path, i.e.
-/// [`AlgorithmKind`] extended with the BLL automaton (which the kind
-/// enum excludes because one BLL engine exists per labeling rule).
+/// The algorithm families, one flat engine each: the paper's Full
+/// Reversal, Partial Reversal and NewPR, the two Gafni–Bertsekas height
+/// formulations, and Binary Link Labels under either labeling rule.
 ///
-/// [`FrontierFamily::engine`] builds the family's flat engine.
+/// [`FrontierFamily::engine`] builds the family's flat engine; the CLI
+/// and every report name a family by [`FrontierFamily::name`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum FrontierFamily {
@@ -109,7 +87,7 @@ impl FrontierFamily {
     ];
 
     /// The display name, identical to what the engines report via
-    /// [`ReversalEngine::algorithm_name`] (and so to what lands in
+    /// [`FrontierEngine::algorithm_name`] (and so to what lands in
     /// [`crate::engine::RunStats::algorithm`]).
     pub fn name(self) -> &'static str {
         match self {
@@ -161,18 +139,6 @@ fn observe_engine_build(family: &'static str, engine: &dyn FrontierEngine) {
             ("half_edges", csr.half_edge_count() as u64),
         ],
     );
-}
-
-impl From<AlgorithmKind> for FrontierFamily {
-    fn from(kind: AlgorithmKind) -> Self {
-        match kind {
-            AlgorithmKind::FullReversal => FrontierFamily::FullReversal,
-            AlgorithmKind::PartialReversal => FrontierFamily::PartialReversal,
-            AlgorithmKind::NewPr => FrontierFamily::NewPr,
-            AlgorithmKind::PairHeights => FrontierFamily::PairHeights,
-            AlgorithmKind::TripleHeights => FrontierFamily::TripleHeights,
-        }
-    }
 }
 
 /// Pops (counts) the set bits of `words` within slot range `start..end`.
@@ -237,7 +203,7 @@ pub(crate) fn set_bits_in_range(words: &mut [u64], start: usize, end: usize) {
 /// directions, bit-packed lists, incremental enabled set.
 #[derive(Debug, Clone)]
 pub struct FrontierPrEngine {
-    /// The initial configuration, retained for [`ReversalEngine::reset`]
+    /// The initial configuration, retained for [`FrontierEngine::reset`]
     /// (an `Arc`'d CSR plus one bit per half-edge — cheap to keep).
     init: CsrInstance,
     dirs: MirroredDirs,
@@ -266,18 +232,6 @@ impl FrontierPrEngine {
         &self.dirs
     }
 
-    /// Total resident bytes of the engine's steady state: the shared CSR
-    /// arrays, the direction and list bitsets, the retained initial
-    /// bitset, and the tracker's per-node out-counts.
-    pub fn resident_bytes(&self) -> usize {
-        let csr = self.init.csr();
-        csr.resident_bytes()
-            + self.dirs.resident_bytes()
-            + self.list.len() * 8
-            + self.init.half_edge_count().div_ceil(64) * 8
-            + csr.node_count() * 4 // tracker out-counts
-    }
-
     /// Whether `v` (a slot of `u`'s range) is in `list[u]`.
     #[inline]
     fn list_has(&self, slot: usize) -> bool {
@@ -289,13 +243,9 @@ impl FrontierPrEngine {
     }
 }
 
-impl ReversalEngine for FrontierPrEngine {
-    fn dest(&self) -> NodeId {
-        self.init.dest()
-    }
-
-    fn csr(&self) -> &Arc<CsrGraph> {
-        self.init.csr()
+impl FrontierEngine for FrontierPrEngine {
+    fn csr_instance(&self) -> &CsrInstance {
+        &self.init
     }
 
     fn algorithm_name(&self) -> &'static str {
@@ -382,22 +332,23 @@ impl ReversalEngine for FrontierPrEngine {
         self.list.fill(0);
         self.tracker = EnabledTracker::from_dirs(&self.dirs, self.init.dest());
     }
-}
 
-impl FrontierEngine for FrontierPrEngine {
-    fn csr_instance(&self) -> &CsrInstance {
-        &self.init
-    }
-
+    /// The shared CSR arrays, the direction and list bitsets, the
+    /// retained initial bitset, and the tracker's per-node out-counts.
     fn resident_bytes(&self) -> usize {
-        FrontierPrEngine::resident_bytes(self)
+        let csr = self.init.csr();
+        csr.resident_bytes()
+            + self.dirs.resident_bytes()
+            + self.list.len() * 8
+            + self.init.half_edge_count().div_ceil(64) * 8
+            + csr.node_count() * 4 // tracker out-counts
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{run_engine, run_engine_frontier, SchedulePolicy, DEFAULT_MAX_STEPS};
+    use crate::engine::{run_engine_frontier, SchedulePolicy, DEFAULT_MAX_STEPS};
     use lr_graph::stream;
 
     fn n(i: u32) -> NodeId {
@@ -454,20 +405,20 @@ mod tests {
     }
 
     #[test]
-    fn family_names_match_engine_reports_and_kinds_round_trip() {
+    fn family_names_are_distinct_and_match_engine_reports() {
         for family in FrontierFamily::ALL {
             let e = family.engine(stream::chain_away(4));
             assert_eq!(e.algorithm_name(), family.name());
             assert_eq!(e.csr_instance().node_count(), 4);
-            assert!(FrontierEngine::resident_bytes(e.as_ref()) > 0);
+            assert!(e.resident_bytes() > 0);
         }
         assert_eq!(
             FrontierFamily::Bll(BllLabeling::FullReversal).name(),
             "BLL[FR]"
         );
-        for kind in AlgorithmKind::ALL {
-            assert_eq!(FrontierFamily::from(kind).name(), kind.name());
-        }
+        let names: std::collections::BTreeSet<_> =
+            FrontierFamily::ALL.iter().map(|f| f.name()).collect();
+        assert_eq!(names.len(), FrontierFamily::ALL.len());
     }
 
     #[test]
@@ -484,16 +435,6 @@ mod tests {
         e.step(n(3)); // list[2] = {3}
         let step = e.step(n(2)); // spares 3
         assert_eq!(step.reversed, vec![n(1)]);
-    }
-
-    #[test]
-    fn run_engine_frontier_equals_run_engine_on_the_flat_engine() {
-        let mut a = FrontierPrEngine::new(stream::grid_away(9, 11));
-        let mut b = a.clone();
-        let sa = run_engine(&mut a, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
-        let sb = run_engine_frontier(&mut b, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
-        assert_eq!(sa, sb);
-        assert_eq!(a.orientation(), b.orientation());
     }
 
     #[test]

@@ -7,10 +7,10 @@
 
 use std::sync::Arc;
 
-use lr_graph::{CsrGraph, CsrInstance, NodeId, Orientation, ReversalInstance};
+use lr_graph::{CsrInstance, NodeId, Orientation, ReversalInstance};
 use lr_ioa::Automaton;
 
-use crate::alg::{FrontierEngine, ReversalEngine};
+use crate::alg::FrontierEngine;
 use crate::{EnabledTracker, MirroredDirs, PlanAux, ReversalStep, StepOutcome, StepScratch};
 
 /// FR state: just the mirrored edge directions.
@@ -65,7 +65,7 @@ pub(crate) fn full_reversal_step(
 /// (the lockstep suite).
 #[derive(Debug, Clone)]
 pub struct FrontierFrEngine {
-    /// The initial configuration, retained for [`ReversalEngine::reset`].
+    /// The initial configuration, retained for [`FrontierEngine::reset`].
     init: CsrInstance,
     dirs: MirroredDirs,
     tracker: EnabledTracker,
@@ -89,13 +89,9 @@ impl FrontierFrEngine {
     }
 }
 
-impl ReversalEngine for FrontierFrEngine {
-    fn dest(&self) -> NodeId {
-        self.init.dest()
-    }
-
-    fn csr(&self) -> &Arc<CsrGraph> {
-        self.init.csr()
+impl FrontierEngine for FrontierFrEngine {
+    fn csr_instance(&self) -> &CsrInstance {
+        &self.init
     }
 
     fn algorithm_name(&self) -> &'static str {
@@ -151,12 +147,6 @@ impl ReversalEngine for FrontierFrEngine {
     fn reset(&mut self) {
         self.dirs = MirroredDirs::from_csr_instance(&self.init);
         self.tracker = EnabledTracker::from_dirs(&self.dirs, self.init.dest());
-    }
-}
-
-impl FrontierEngine for FrontierFrEngine {
-    fn csr_instance(&self) -> &CsrInstance {
-        &self.init
     }
 
     fn resident_bytes(&self) -> usize {

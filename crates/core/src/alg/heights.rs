@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use lr_graph::{CsrGraph, CsrInstance, EdgeDir, NodeId, Orientation};
 
-use crate::alg::{FrontierEngine, ReversalEngine};
+use crate::alg::FrontierEngine;
 use crate::{EnabledTracker, PlanAux, StepOutcome, StepScratch};
 
 /// A Gafni–Bertsekas pair height `(α, id)`, ordered lexicographically.
@@ -156,7 +156,7 @@ fn initial_triple_heights(inst: &CsrInstance) -> Vec<TripleHeight> {
 /// [`crate::alg::FullReversalAutomaton`] (the lockstep suite).
 #[derive(Debug, Clone)]
 pub struct FrontierPairHeightsEngine {
-    /// The initial configuration, retained for [`ReversalEngine::reset`].
+    /// The initial configuration, retained for [`FrontierEngine::reset`].
     init: CsrInstance,
     /// Heights by dense CSR index.
     heights: Vec<PairHeight>,
@@ -185,13 +185,9 @@ impl FrontierPairHeightsEngine {
     }
 }
 
-impl ReversalEngine for FrontierPairHeightsEngine {
-    fn dest(&self) -> NodeId {
-        self.init.dest()
-    }
-
-    fn csr(&self) -> &Arc<CsrGraph> {
-        self.init.csr()
+impl FrontierEngine for FrontierPairHeightsEngine {
+    fn csr_instance(&self) -> &CsrInstance {
+        &self.init
     }
 
     fn algorithm_name(&self) -> &'static str {
@@ -257,12 +253,6 @@ impl ReversalEngine for FrontierPairHeightsEngine {
         self.heights = initial_pair_heights(&self.init);
         self.tracker = height_tracker(self.init.csr(), self.init.dest(), &self.heights);
     }
-}
-
-impl FrontierEngine for FrontierPairHeightsEngine {
-    fn csr_instance(&self) -> &CsrInstance {
-        &self.init
-    }
 
     fn resident_bytes(&self) -> usize {
         let csr = self.init.csr();
@@ -279,7 +269,7 @@ impl FrontierEngine for FrontierPairHeightsEngine {
 /// [`crate::alg::OneStepPrAutomaton`] (the lockstep suite).
 #[derive(Debug, Clone)]
 pub struct FrontierTripleHeightsEngine {
-    /// The initial configuration, retained for [`ReversalEngine::reset`].
+    /// The initial configuration, retained for [`FrontierEngine::reset`].
     init: CsrInstance,
     /// Heights by dense CSR index.
     heights: Vec<TripleHeight>,
@@ -308,13 +298,9 @@ impl FrontierTripleHeightsEngine {
     }
 }
 
-impl ReversalEngine for FrontierTripleHeightsEngine {
-    fn dest(&self) -> NodeId {
-        self.init.dest()
-    }
-
-    fn csr(&self) -> &Arc<CsrGraph> {
-        self.init.csr()
+impl FrontierEngine for FrontierTripleHeightsEngine {
+    fn csr_instance(&self) -> &CsrInstance {
+        &self.init
     }
 
     fn algorithm_name(&self) -> &'static str {
@@ -391,12 +377,6 @@ impl ReversalEngine for FrontierTripleHeightsEngine {
         self.heights = initial_triple_heights(&self.init);
         self.tracker = height_tracker(self.init.csr(), self.init.dest(), &self.heights);
     }
-}
-
-impl FrontierEngine for FrontierTripleHeightsEngine {
-    fn csr_instance(&self) -> &CsrInstance {
-        &self.init
-    }
 
     fn resident_bytes(&self) -> usize {
         let csr = self.init.csr();
@@ -466,7 +446,7 @@ mod tests {
     fn heights_terminate_destination_oriented() {
         let inst = stream::grid_away(4, 5).to_instance();
         let flat = CsrInstance::from_instance(&inst);
-        let engines: [Box<dyn ReversalEngine>; 2] = [
+        let engines: [Box<dyn FrontierEngine>; 2] = [
             Box::new(FrontierPairHeightsEngine::new(flat.clone())),
             Box::new(FrontierTripleHeightsEngine::new(flat)),
         ];

@@ -11,9 +11,11 @@
 //!   (Algorithm 2). The model checker verifies the paper's theorems on
 //!   them exhaustively, and they are the oracle for the engines;
 //! * one flat **engine** per family ([`FrontierEngine`], built through
-//!   [`FrontierFamily::engine`] or [`AlgorithmKind::engine`]) — an
-//!   imperative, in-place state machine over CSR arrays and bit-packed
-//!   per-slot words, used by every run loop, trace, and benchmark.
+//!   [`FrontierFamily::engine`]) — an imperative, in-place state machine
+//!   over CSR arrays and bit-packed per-slot words, used by every run
+//!   loop, trace, and benchmark. A map-backed
+//!   [`lr_graph::ReversalInstance`] enters through
+//!   [`CsrInstance::from_instance`].
 //!
 //! The three automata cover all six engine families: GB-pair and
 //! BLL\[FR\] reverse exactly Full Reversal's sets, and GB-triple and
@@ -30,7 +32,7 @@ mod newpr;
 mod pr;
 
 pub use bll::{BllLabeling, FrontierBllEngine};
-pub use frontier::{FrontierEngine, FrontierFamily, FrontierPrEngine};
+pub use frontier::{FrontierFamily, FrontierPrEngine};
 pub use full::{FrontierFrEngine, FullReversalAutomaton, FullReversalState};
 pub use heights::{
     FrontierPairHeightsEngine, FrontierTripleHeightsEngine, PairHeight, TripleHeight,
@@ -42,56 +44,64 @@ pub use pr::{
 
 use std::sync::Arc;
 
-use lr_graph::{CsrGraph, CsrInstance, NodeId, Orientation, ReversalInstance};
+use lr_graph::{CsrGraph, CsrInstance, NodeId, Orientation};
 
 use crate::{PlanAux, ReversalStep, StepOutcome, StepScratch};
 
-/// An imperative link-reversal state machine over a fixed instance.
+/// A flat, imperative link-reversal state machine over a fixed
+/// [`CsrInstance`]: all steady state lives in CSR-indexed arrays and
+/// bit-packed per-slot words, with the incremental
+/// [`crate::EnabledTracker`] as its worklist. Implementors never
+/// materialize a map-backed instance, which is what lets them run at
+/// million-node scale; construct them through [`FrontierFamily::engine`].
 ///
 /// A node may step when it is a sink and is not the destination. The
-/// greedy/random run loops in [`crate::engine`] drive engines to
-/// termination.
+/// run loop in [`crate::engine`] drives engines to termination.
 ///
-/// Every engine maintains its enabled set **incrementally** (via
-/// [`crate::EnabledTracker`]): [`ReversalEngine::enabled`] is an O(1)
-/// borrow of the current sorted sink set and
-/// [`ReversalEngine::is_terminated`] an O(1) emptiness check, instead of
-/// the O(n·Δ) whole-graph rescan the pre-PR-2 engines performed before
-/// every step.
+/// [`FrontierEngine::enabled`] is an O(1) borrow of the current sorted
+/// sink set and [`FrontierEngine::is_terminated`] an O(1) emptiness
+/// check; neither rescans the graph.
 ///
 /// # The step pipeline
 ///
-/// Since PR 3 a step is split into a read-only **plan** and a mutating
-/// **apply**:
+/// A step is split into a read-only **plan** and a mutating **apply**:
 ///
-/// * [`ReversalEngine::plan_step`] computes the step's reversal targets
+/// * [`FrontierEngine::plan_step`] computes the step's reversal targets
 ///   against the current state into a caller-owned [`StepScratch`]
 ///   without mutating anything;
-/// * [`ReversalEngine::apply_planned`] executes a previously planned
+/// * [`FrontierEngine::apply_planned`] executes a previously planned
 ///   step in place;
-/// * [`ReversalEngine::step_into`] is plan + apply — the
-///   **zero-allocation hot path** the run loops use (one reusable
+/// * [`FrontierEngine::step_into`] is plan + apply — the
+///   **zero-allocation hot path** the run loop uses (one reusable
 ///   scratch per run);
-/// * [`ReversalEngine::step`] is the allocating compatibility wrapper
-///   (fresh buffer per call, owned [`ReversalStep`] result) retained
-///   for traces, tests, and the lockstep suite.
+/// * [`FrontierEngine::step`] is the allocating wrapper (fresh buffer
+///   per call, owned [`ReversalStep`] result) for traces, tests, and the
+///   lockstep suite.
 ///
 /// Because the sinks of one greedy round are pairwise non-adjacent, a
 /// plan computed against the pre-round state equals the plan a
 /// sequential schedule would compute mid-round — which is what lets
-/// [`crate::engine::run_engine_frontier_sharded`] fan the plan phase out across
-/// worker threads and still produce bit-identical executions.
+/// [`crate::engine::run_engine_frontier_sharded`] fan the plan phase out
+/// across worker threads and still produce bit-identical executions.
 ///
-/// `Sync` is a supertrait so `&dyn ReversalEngine` can be shared with
+/// `Sync` is a supertrait so `&dyn FrontierEngine` can be shared with
 /// those plan workers; engines hold only plain data and are naturally
 /// `Sync`.
-pub trait ReversalEngine: Sync {
+pub trait FrontierEngine: Sync {
+    /// The retained initial configuration (shared CSR + one direction
+    /// bit per half-edge) the engine was built from and resets to.
+    fn csr_instance(&self) -> &CsrInstance;
+
     /// The destination node of the instance (never takes steps).
-    fn dest(&self) -> NodeId;
+    fn dest(&self) -> NodeId {
+        self.csr_instance().dest()
+    }
 
     /// The CSR snapshot of the instance's graph shared by this engine's
     /// state (dense `NodeId → usize` indexing for run-loop work vectors).
-    fn csr(&self) -> &Arc<CsrGraph>;
+    fn csr(&self) -> &Arc<CsrGraph> {
+        self.csr_instance().csr()
+    }
 
     /// A short algorithm name for reports ("FR", "PR", "NewPR", ...).
     fn algorithm_name(&self) -> &'static str;
@@ -118,7 +128,7 @@ pub trait ReversalEngine: Sync {
     /// that is a scheduling bug, not a runtime condition.
     fn plan_step(&self, u: NodeId, scratch: &mut StepScratch) -> StepOutcome;
 
-    /// Applies a step previously planned by [`ReversalEngine::plan_step`]
+    /// Applies a step previously planned by [`FrontierEngine::plan_step`]
     /// for `u`: `reversed` is the planned target list and `aux` the
     /// plan's payload. The state must not have changed in a way that
     /// affects `u`'s plan in between (the non-adjacency of a greedy
@@ -126,7 +136,7 @@ pub trait ReversalEngine: Sync {
     fn apply_planned(&mut self, u: NodeId, reversed: &[NodeId], aux: PlanAux);
 
     /// Performs node `u`'s reversal step through the caller-owned
-    /// `scratch`, reversing **no heap allocation** in steady state: the
+    /// `scratch`, with **no heap allocation** in steady state: the
     /// reversed-neighbor list is written into the reusable buffer and
     /// the returned [`StepOutcome`] is `Copy`. See [`StepScratch`] for
     /// the ownership contract.
@@ -143,10 +153,9 @@ pub trait ReversalEngine: Sync {
     /// Performs node `u`'s reversal step, returning an owned
     /// [`ReversalStep`].
     ///
-    /// Thin compatibility wrapper over [`ReversalEngine::step_into`]
-    /// that allocates a fresh buffer per call — exactly the pre-PR-3
-    /// behavior. Run loops use `step_into`; traces, tests, and one-shot
-    /// callers keep using this.
+    /// Thin wrapper over [`FrontierEngine::step_into`] that allocates a
+    /// fresh buffer per call. Run loops use `step_into`; traces, tests,
+    /// and one-shot callers use this.
     ///
     /// # Panics
     ///
@@ -168,8 +177,8 @@ pub trait ReversalEngine: Sync {
     /// edits collapse into one merge; the default is a no-op.
     fn begin_round(&mut self) {}
 
-    /// Closes a round opened by [`ReversalEngine::begin_round`],
-    /// bringing [`ReversalEngine::enabled`] current.
+    /// Closes a round opened by [`FrontierEngine::begin_round`],
+    /// bringing [`FrontierEngine::enabled`] current.
     fn end_round(&mut self) {}
 
     /// The current single-copy orientation of the graph.
@@ -183,53 +192,12 @@ pub trait ReversalEngine: Sync {
 
     /// Restores the initial state.
     fn reset(&mut self);
-}
 
-/// Identifies an algorithm for table rows and CLI flags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum AlgorithmKind {
-    /// Full Reversal (§1).
-    FullReversal,
-    /// Partial Reversal in its list-based form (Algorithm 1 / 3).
-    PartialReversal,
-    /// The paper's NewPR (Algorithm 2).
-    NewPr,
-    /// Gafni–Bertsekas pair heights (full reversal by lexicographic order).
-    PairHeights,
-    /// Gafni–Bertsekas triple heights (partial reversal by lexicographic
-    /// order).
-    TripleHeights,
-}
-
-impl AlgorithmKind {
-    /// All kinds, for iteration in experiments.
-    pub const ALL: [AlgorithmKind; 5] = [
-        AlgorithmKind::FullReversal,
-        AlgorithmKind::PartialReversal,
-        AlgorithmKind::NewPr,
-        AlgorithmKind::PairHeights,
-        AlgorithmKind::TripleHeights,
-    ];
-
-    /// A stable display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            AlgorithmKind::FullReversal => "FR",
-            AlgorithmKind::PartialReversal => "PR",
-            AlgorithmKind::NewPr => "NewPR",
-            AlgorithmKind::PairHeights => "GB-pair",
-            AlgorithmKind::TripleHeights => "GB-triple",
-        }
-    }
-
-    /// Builds this kind's flat [`FrontierEngine`] in the initial state of
-    /// `inst`, flattened through [`CsrInstance::from_instance`]. Callers
-    /// that already hold (or stream) a [`CsrInstance`] go through
-    /// [`FrontierFamily::engine`] directly.
-    pub fn engine(self, inst: &ReversalInstance) -> Box<dyn FrontierEngine> {
-        FrontierFamily::from(self).engine(CsrInstance::from_instance(inst))
-    }
+    /// Total resident bytes of the engine's steady state — the shared
+    /// CSR arrays plus every per-node/per-slot array the engine owns.
+    /// This is the number the benchmark's bytes-per-half-edge metrics
+    /// report.
+    fn resident_bytes(&self) -> usize;
 }
 
 #[cfg(test)]
@@ -238,31 +206,24 @@ mod tests {
     use lr_graph::stream;
 
     #[test]
-    fn kind_names_are_distinct() {
-        let names: std::collections::BTreeSet<_> =
-            AlgorithmKind::ALL.iter().map(|k| k.name()).collect();
-        assert_eq!(names.len(), AlgorithmKind::ALL.len());
-    }
-
-    #[test]
-    fn engines_constructed_for_all_kinds() {
+    fn engines_constructed_for_all_families() {
         let inst = stream::chain_away(4).to_instance();
-        for kind in AlgorithmKind::ALL {
-            let e = kind.engine(&inst);
+        for family in FrontierFamily::ALL {
+            let e = family.engine(CsrInstance::from_instance(&inst));
             assert_eq!(e.dest(), inst.dest);
-            assert_eq!(e.algorithm_name(), kind.name());
+            assert_eq!(e.algorithm_name(), family.name());
             assert_eq!(e.csr_instance(), &CsrInstance::from_instance(&inst));
-            assert!(!e.is_terminated(), "{} should have work", kind.name());
+            assert!(!e.is_terminated(), "{} should have work", family.name());
             assert_eq!(e.enabled(), &[lr_graph::NodeId::new(3)][..]);
         }
     }
 
     #[test]
     fn default_step_wrapper_matches_step_into() {
-        let inst = stream::chain_away(5).to_instance();
-        for kind in AlgorithmKind::ALL {
-            let mut a = kind.engine(&inst);
-            let mut b = kind.engine(&inst);
+        let inst = stream::chain_away(5);
+        for family in FrontierFamily::ALL {
+            let mut a = family.engine(inst.clone());
+            let mut b = family.engine(inst.clone());
             let mut scratch = crate::StepScratch::new();
             let u = lr_graph::NodeId::new(4);
             let step = a.step(u);

@@ -16,10 +16,10 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use lr_graph::{CsrGraph, CsrInstance, EdgeDir, NodeId, Orientation, ReversalInstance};
+use lr_graph::{CsrInstance, EdgeDir, NodeId, Orientation, ReversalInstance};
 use lr_ioa::Automaton;
 
-use crate::alg::{FrontierEngine, ReversalEngine};
+use crate::alg::FrontierEngine;
 use crate::{EnabledTracker, MirroredDirs, PlanAux, ReversalStep, StepOutcome, StepScratch};
 
 /// The parity of a node's step count — the derived variable `parity[u]`.
@@ -143,13 +143,9 @@ impl FrontierNewPrEngine {
     }
 }
 
-impl ReversalEngine for FrontierNewPrEngine {
-    fn dest(&self) -> NodeId {
-        self.init.dest()
-    }
-
-    fn csr(&self) -> &Arc<CsrGraph> {
-        self.init.csr()
+impl FrontierEngine for FrontierNewPrEngine {
+    fn csr_instance(&self) -> &CsrInstance {
+        &self.init
     }
 
     fn algorithm_name(&self) -> &'static str {
@@ -213,12 +209,6 @@ impl ReversalEngine for FrontierNewPrEngine {
         self.dirs = MirroredDirs::from_csr_instance(&self.init);
         self.counts.fill(0);
         self.tracker = EnabledTracker::from_dirs(&self.dirs, self.init.dest());
-    }
-}
-
-impl FrontierEngine for FrontierNewPrEngine {
-    fn csr_instance(&self) -> &CsrInstance {
-        &self.init
     }
 
     fn resident_bytes(&self) -> usize {

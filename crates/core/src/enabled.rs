@@ -16,9 +16,9 @@
 //!
 //! The tracker is deliberately redundant state: it mirrors what a scan
 //! of the underlying direction state would produce, and the differential
-//! test suite (`tests/csr_differential.rs`) checks that mirror against a
-//! retained naive-scan reference on every algorithm × schedule
-//! combination.
+//! test suite (`tests/csr_differential.rs`) checks that mirror against an
+//! `is_sink` rescan after every single step and at every greedy-round
+//! boundary, on every engine configuration.
 
 use lr_graph::{CsrGraph, NodeId};
 

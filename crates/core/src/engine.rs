@@ -1,34 +1,29 @@
-//! Run loops driving [`ReversalEngine`]s to termination under different
-//! scheduling policies, with work accounting.
+//! The run loop driving [`FrontierEngine`]s to termination under
+//! different scheduling policies, with work accounting.
 //!
 //! Link-reversal complexity results count **total reversals** (work) and
 //! **rounds** (greedy schedule depth). The run loop records both, plus the
 //! per-node work vector used by the game-theoretic comparison (E10) and
 //! NewPR's dummy-step count (E9).
 //!
-//! Every loop shares one driver (`drive`), so policy, budget, and
+//! Every entry point shares one driver (`drive`), so policy, budget, and
 //! stats logic exists once:
 //!
-//! * [`run_engine`] — the production path: incremental enabled view,
-//!   zero-allocation [`ReversalEngine::step_into`] pipeline (one
-//!   [`StepScratch`] per run), batched enabled-set merges per greedy
-//!   round.
-//! * [`run_engine_frontier`] — the same driver configuration, named for
-//!   the frontier engines it was built for; kept as the documented
-//!   entry point of the flat fast path.
+//! * [`run_engine_frontier`] — reads the engine's incrementally
+//!   maintained enabled view, steps through the zero-allocation
+//!   [`FrontierEngine::step_into`] pipeline (one [`StepScratch`] per
+//!   run), and batches each greedy round's enabled-set edits into one
+//!   merge;
 //! * [`run_engine_frontier_sharded`] — greedy rounds with the plan
 //!   phase **fanned out** across worker threads, sharded by contiguous
 //!   node ranges (each worker owns a fixed slice of the id space and
 //!   plans the enabled nodes that fall in it); bit-identical to the
 //!   sequential greedy run at every thread count.
-//! * [`run_engine_scan`] — retained naive-rescan reference (pre-PR-2
-//!   behavior).
-//! * [`run_engine_alloc`] — retained allocating-step reference
-//!   (pre-PR-3 behavior: one owned [`crate::ReversalStep`] per step).
 //!
-//! The reference loops exist so the fast paths stay falsifiable: the
-//! differential suite (`tests/csr_differential.rs`) checks the fast loop
-//! produces identical [`RunStats`] to them on every engine configuration.
+//! The incremental enabled view stays falsifiable from outside: the
+//! differential suite (`tests/csr_differential.rs`) compares it with an
+//! `is_sink` rescan after every single step and at every greedy-round
+//! boundary, on every engine configuration.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -39,10 +34,10 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use crate::alg::ReversalEngine;
+use crate::alg::FrontierEngine;
 use crate::{PlanAux, StepOutcome, StepScratch};
 
-/// Scheduling policy for [`run_engine`].
+/// Scheduling policy for [`run_engine_frontier`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulePolicy {
     /// Every current sink steps once per round (the paper's `reverse(S)`
@@ -132,7 +127,7 @@ impl RunStats {
 /// Default safety budget: generous for Θ(n²) workloads on benchmark sizes.
 pub const DEFAULT_MAX_STEPS: usize = 50_000_000;
 
-/// Per-step bookkeeping shared by every scheduling arm of the run loops:
+/// Per-step bookkeeping shared by every scheduling arm of the run loop:
 /// step/reversal/dummy counters plus a dense work vector indexed by the
 /// CSR node index carried in each [`StepOutcome`] (no per-step map or
 /// index lookups).
@@ -178,75 +173,13 @@ impl StepBook {
     }
 }
 
-/// How the run loop learns which nodes are enabled.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum EnabledSource {
-    /// Borrow the engine's incrementally maintained view (O(Δ) per step).
-    Incremental,
-    /// Rescan every node through `is_sink` before each step — the
-    /// pre-refactor behavior, retained as a falsification reference.
-    Scan,
-}
-
-/// How the run loop performs each step.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum StepMode {
-    /// The zero-allocation pipeline: one reusable [`StepScratch`] for
-    /// the whole run, [`ReversalEngine::step_into`] per step.
-    ZeroAlloc,
-    /// The pre-PR-3 behavior, retained as a measurement reference: every
-    /// step goes through the allocating [`ReversalEngine::step`] wrapper
-    /// (a fresh buffer and an owned `ReversalStep` per step), the
-    /// bookkeeping re-resolves the node index, and greedy rounds edit
-    /// the enabled set per step instead of batching the round — the
-    /// PR 2 loop, faithfully.
-    Alloc,
-}
-
-fn scan_enabled(buf: &mut Vec<NodeId>, engine: &dyn ReversalEngine) {
-    buf.clear();
-    let dest = engine.dest();
-    // CSR nodes are ascending by id, the order the enabled view keeps.
-    buf.extend(
-        engine
-            .csr()
-            .nodes()
-            .filter(|&u| u != dest && engine.is_sink(u)),
-    );
-}
-
-/// One step under the chosen [`StepMode`], recorded into `book`.
-fn take_step(
-    engine: &mut dyn ReversalEngine,
-    book: &mut StepBook,
-    csr: &CsrGraph,
-    scratch: &mut StepScratch,
-    mode: StepMode,
-    u: NodeId,
-) {
-    match mode {
-        StepMode::ZeroAlloc => {
-            let outcome = engine.step_into(u, scratch);
-            book.record(&outcome);
-        }
-        StepMode::Alloc => {
-            let step = engine.step(u);
-            book.record(&StepOutcome {
-                node_idx: csr.index_of(step.node).expect("node exists"),
-                reversal_count: step.reversal_count(),
-                dummy: step.dummy,
-            });
-        }
-    }
-}
-
 /// One greedy round through the zero-allocation pipeline with batched
 /// enabled-set edits: every sink in `snapshot` steps once (stopping at
 /// the budget). Shared by `drive`'s sequential rounds and the
 /// small-round fast path of its parallel rounds, so the loops stay in
 /// lockstep by construction — the bit-identical guarantee depends on it.
 fn greedy_round_zero_alloc(
-    engine: &mut dyn ReversalEngine,
+    engine: &mut dyn FrontierEngine,
     snapshot: &[NodeId],
     book: &mut StepBook,
     scratch: &mut StepScratch,
@@ -286,11 +219,9 @@ impl DriveObs {
 }
 
 fn drive(
-    engine: &mut dyn ReversalEngine,
+    engine: &mut dyn FrontierEngine,
     policy: SchedulePolicy,
     max_steps: usize,
-    source: EnabledSource,
-    mode: StepMode,
     parallel: Option<ParallelConfig>,
 ) -> RunStats {
     let algorithm = engine.algorithm_name();
@@ -304,27 +235,24 @@ fn drive(
         _ => None,
     };
     let mut scratch = StepScratch::new();
-    // Reusable buffer: the greedy-round snapshot, and under `Scan` the
-    // rescanned enabled set. The incremental single-step policies never
+    // Reusable greedy-round snapshot. The single-step policies never
     // touch it — they read the engine's view directly.
     let mut snapshot: Vec<NodeId> = Vec::new();
+    // A worker beyond one per node would own an empty slice of the id
+    // space, so the requested count is capped there; results are
+    // bit-identical at every count either way.
+    let parallel = parallel.map(|cfg| ParallelConfig {
+        threads: cfg.threads.clamp(1, csr.node_count().max(1)),
+        ..cfg
+    });
     // Per-worker plan shards, reused across rounds (empty when the run
     // is sequential).
     let mut shards: Vec<PlanShard> = match parallel {
-        Some(cfg) => (0..cfg.threads.max(1))
-            .map(|_| PlanShard::default())
-            .collect(),
+        Some(cfg) => (0..cfg.threads).map(|_| PlanShard::default()).collect(),
         None => Vec::new(),
     };
     loop {
-        let done = match source {
-            EnabledSource::Incremental => engine.is_terminated(),
-            EnabledSource::Scan => {
-                scan_enabled(&mut snapshot, engine);
-                snapshot.is_empty()
-            }
-        };
-        if done {
+        if engine.is_terminated() {
             terminated = true;
             break;
         }
@@ -333,13 +261,9 @@ fn drive(
         }
         // Frontier occupancy at the start of the iteration: the
         // enabled-set size every scheduling arm is about to draw from.
-        // Identical for `Incremental` and `Scan` (same set) and for
-        // serial and sharded rounds (same snapshot) — so the
-        // differential suites keep comparing whole `RunStats` values.
-        let frontier_len = match source {
-            EnabledSource::Scan => snapshot.len(),
-            EnabledSource::Incremental => engine.enabled().len(),
-        };
+        // Identical for serial and sharded rounds (same snapshot) — so
+        // the differential suites keep comparing whole `RunStats` values.
+        let frontier_len = engine.enabled().len();
         book.frontier_occupancy += frontier_len;
         let _round_span = obs.as_ref().map(|o| {
             o.frontier_hist.observe(frontier_len as u64);
@@ -347,74 +271,46 @@ fn drive(
             span.arg("frontier", frontier_len as u64);
             span
         });
-        match policy {
+        rounds += 1;
+        let u = match policy {
             SchedulePolicy::GreedyRounds => {
                 // A maximal simultaneous step: every sink in the snapshot
                 // steps once. Sinks are pairwise non-adjacent, so
                 // sequential application equals the set action — and no
                 // one reads the enabled view until the round ends, so the
                 // engine batches its enabled-set edits into one merge.
-                if source == EnabledSource::Incremental {
-                    snapshot.clear();
-                    snapshot.extend_from_slice(engine.enabled());
+                snapshot.clear();
+                snapshot.extend_from_slice(engine.enabled());
+                match parallel {
+                    Some(cfg) => planned_parallel_round(
+                        engine,
+                        &csr,
+                        &snapshot,
+                        &mut book,
+                        &mut scratch,
+                        &mut shards,
+                        cfg,
+                        max_steps,
+                    ),
+                    None => greedy_round_zero_alloc(
+                        engine,
+                        &snapshot,
+                        &mut book,
+                        &mut scratch,
+                        max_steps,
+                    ),
                 }
-                rounds += 1;
-                match mode {
-                    StepMode::ZeroAlloc => match parallel {
-                        Some(cfg) => planned_parallel_round(
-                            engine,
-                            &csr,
-                            &snapshot,
-                            &mut book,
-                            &mut scratch,
-                            &mut shards,
-                            cfg,
-                            max_steps,
-                        ),
-                        None => greedy_round_zero_alloc(
-                            engine,
-                            &snapshot,
-                            &mut book,
-                            &mut scratch,
-                            max_steps,
-                        ),
-                    },
-                    // The PR 2 reference mode keeps per-step enabled-set
-                    // edits (no round batching existed before PR 3).
-                    StepMode::Alloc => {
-                        for &u in &snapshot {
-                            take_step(engine, &mut book, &csr, &mut scratch, mode, u);
-                            if book.steps >= max_steps {
-                                break;
-                            }
-                        }
-                    }
-                }
+                continue;
             }
             SchedulePolicy::RandomSingle { .. } => {
                 let rng = rng.as_mut().expect("rng initialized for RandomSingle");
-                let u = *match source {
-                    EnabledSource::Incremental => engine.enabled().choose(rng),
-                    EnabledSource::Scan => snapshot.choose(rng),
-                }
-                .expect("enabled non-empty");
-                rounds += 1;
-                take_step(engine, &mut book, &csr, &mut scratch, mode, u);
+                *engine.enabled().choose(rng).expect("enabled non-empty")
             }
-            SchedulePolicy::FirstSingle | SchedulePolicy::LastSingle => {
-                let view = match source {
-                    EnabledSource::Incremental => engine.enabled(),
-                    EnabledSource::Scan => &snapshot,
-                };
-                let u = if policy == SchedulePolicy::FirstSingle {
-                    *view.first().expect("non-empty")
-                } else {
-                    *view.last().expect("non-empty")
-                };
-                rounds += 1;
-                take_step(engine, &mut book, &csr, &mut scratch, mode, u);
-            }
-        }
+            SchedulePolicy::FirstSingle => *engine.enabled().first().expect("non-empty"),
+            SchedulePolicy::LastSingle => *engine.enabled().last().expect("non-empty"),
+        };
+        let outcome = engine.step_into(u, &mut scratch);
+        book.record(&outcome);
     }
     let stats = book.into_stats(algorithm, rounds, terminated);
     if let Some(obs) = obs.as_mut() {
@@ -428,113 +324,36 @@ fn drive(
     stats
 }
 
-/// Drives `engine` until termination (no enabled node) or until
-/// `max_steps` node-steps have been taken, consuming the engine's
-/// incrementally maintained enabled view through the zero-allocation
-/// step pipeline: one [`StepScratch`] for the whole run, no per-step
-/// heap traffic after warm-up.
-///
-/// The engine is **not** reset first; callers compose runs on partially
-/// advanced engines when needed (the routing simulator does).
-pub fn run_engine(
-    engine: &mut dyn ReversalEngine,
-    policy: SchedulePolicy,
-    max_steps: usize,
-) -> RunStats {
-    drive(
-        engine,
-        policy,
-        max_steps,
-        EnabledSource::Incremental,
-        StepMode::ZeroAlloc,
-        None,
-    )
-}
-
-/// The retained **naive-scan reference loop**: identical scheduling and
-/// bookkeeping to [`run_engine`], but the enabled set is recomputed
-/// before every step by scanning all nodes through
-/// [`ReversalEngine::is_sink`] — the pre-PR-2 O(n·Δ)-per-step behavior.
-///
-/// Exists so the incremental machinery stays falsifiable: the
-/// differential suite (`tests/csr_differential.rs`) and the
-/// representation bench compare the two loops step-for-step.
-pub fn run_engine_scan(
-    engine: &mut dyn ReversalEngine,
-    policy: SchedulePolicy,
-    max_steps: usize,
-) -> RunStats {
-    drive(
-        engine,
-        policy,
-        max_steps,
-        EnabledSource::Scan,
-        StepMode::ZeroAlloc,
-        None,
-    )
-}
-
-/// The retained **PR 2 reference loop**: identical scheduling to
-/// [`run_engine`], but every step goes through the allocating
-/// [`ReversalEngine::step`] compatibility wrapper — a fresh buffer and
-/// an owned [`crate::ReversalStep`] per step, ~4.2 M allocations for
-/// one n = 4096 alternating-chain run — and greedy rounds pay the
-/// per-step sorted enabled-vector edits instead of the PR 3 batched
-/// round merge.
-///
-/// Exists as the differential reference for `step` vs `step_into`
-/// equivalence (`tests/csr_differential.rs`).
-pub fn run_engine_alloc(
-    engine: &mut dyn ReversalEngine,
-    policy: SchedulePolicy,
-    max_steps: usize,
-) -> RunStats {
-    drive(
-        engine,
-        policy,
-        max_steps,
-        EnabledSource::Incremental,
-        StepMode::Alloc,
-        None,
-    )
-}
-
-/// The **frontier-driven** run loop: drives `engine` keeping only the
-/// enabled frontier (and, inside the engine, its one-hop delta) hot.
+/// The **frontier-driven** run loop: drives `engine` until termination
+/// (no enabled node) or until `max_steps` node-steps have been taken,
+/// keeping only the enabled frontier (and, inside the engine, its
+/// one-hop delta) hot.
 ///
 /// Each greedy round snapshots the enabled frontier into a reusable
 /// buffer, steps every frontier node through the zero-allocation
-/// pipeline, and closes the round on [`crate::EnabledTracker`]'s batch
-/// merge — so per-round work is O(frontier + reversed edges), never
-/// O(n). Single-step policies treat the policy's chosen node as a
-/// one-element frontier. The loop never touches a map-backed instance,
-/// which is what lets a flat engine like
-/// [`crate::alg::FrontierPrEngine`] run million-node instances without
-/// ever materializing one.
+/// pipeline — one [`StepScratch`] for the whole run, no per-step heap
+/// traffic after warm-up — and closes the round on
+/// [`crate::EnabledTracker`]'s batch merge, so per-round work is
+/// O(frontier + reversed edges), never O(n). Single-step policies treat
+/// the policy's chosen node as a one-element frontier. The loop never
+/// touches a map-backed instance, which is what lets the flat engines
+/// run million-node instances without ever materializing one.
 ///
-/// Scheduling, bookkeeping, and round counting are [`run_engine`]'s —
-/// the two names share the driver **by construction** (one `drive`
-/// configuration) rather than by duplicated loops held in lockstep.
+/// The engine is **not** reset first; callers compose runs on partially
+/// advanced engines when needed.
 pub fn run_engine_frontier(
-    engine: &mut dyn ReversalEngine,
+    engine: &mut dyn FrontierEngine,
     policy: SchedulePolicy,
     max_steps: usize,
 ) -> RunStats {
-    drive(
-        engine,
-        policy,
-        max_steps,
-        EnabledSource::Incremental,
-        StepMode::ZeroAlloc,
-        None,
-    )
+    drive(engine, policy, max_steps, None)
 }
 
 /// Tuning for [`run_engine_frontier_sharded_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
-    /// Worker-thread count for the plan phase (clamped to ≥ 1; 1 means
-    /// fully sequential).
+    /// Worker-thread count for the plan phase (clamped to 1 ..= the
+    /// node count; 1 means fully sequential).
     pub threads: usize,
     /// Rounds with fewer enabled nodes than this run sequentially —
     /// spawning workers for a handful of sinks costs more than it saves.
@@ -543,11 +362,12 @@ pub struct ParallelConfig {
 
 impl ParallelConfig {
     /// `threads` workers with the default round-size cutoff
-    /// (`64 × threads`).
+    /// (`64 × threads`, saturating).
     pub fn new(threads: usize) -> Self {
+        let threads = threads.max(1);
         ParallelConfig {
-            threads: threads.max(1),
-            min_parallel_round: 64 * threads.max(1),
+            threads,
+            min_parallel_round: threads.saturating_mul(64),
         }
     }
 }
@@ -568,7 +388,7 @@ struct PlanShard {
 }
 
 /// Plans one shard of a round against the shared pre-round state.
-fn plan_shard(planner: &dyn ReversalEngine, shard: &mut PlanShard, nodes: &[NodeId]) {
+fn plan_shard(planner: &dyn FrontierEngine, shard: &mut PlanShard, nodes: &[NodeId]) {
     for &u in nodes {
         let outcome = planner.plan_step(u, &mut shard.scratch);
         shard.recs.push(PlanRec {
@@ -592,10 +412,10 @@ fn plan_shard(planner: &dyn ReversalEngine, shard: &mut PlanShard, nodes: &[Node
 /// half-edge and tracker delta in the deterministic sequential order.
 /// Rounds smaller than `cfg.min_parallel_round` (and everything when
 /// `cfg.threads == 1`) take the sequential fast path, which is exactly
-/// one [`run_engine`] round.
+/// one [`run_engine_frontier`] round.
 #[allow(clippy::too_many_arguments)]
 fn planned_parallel_round(
-    engine: &mut dyn ReversalEngine,
+    engine: &mut dyn FrontierEngine,
     csr: &CsrGraph,
     snapshot: &[NodeId],
     book: &mut StepBook,
@@ -604,9 +424,9 @@ fn planned_parallel_round(
     cfg: ParallelConfig,
     max_steps: usize,
 ) {
-    let threads = cfg.threads.max(1);
+    let threads = cfg.threads;
     if threads == 1 || snapshot.len() < cfg.min_parallel_round {
-        // Sequential fast path — exactly one `run_engine` round.
+        // Sequential fast path — exactly one `run_engine_frontier` round.
         greedy_round_zero_alloc(engine, snapshot, book, scratch, max_steps);
         return;
     }
@@ -635,7 +455,7 @@ fn planned_parallel_round(
         }
         lo = hi;
     }
-    let planner: &dyn ReversalEngine = engine;
+    let planner: &dyn FrontierEngine = engine;
     crossbeam::thread::scope(|s| {
         let mut work = shards.iter_mut().zip(slices.iter().copied());
         // The caller thread plans the first shard itself; only the
@@ -670,7 +490,7 @@ fn planned_parallel_round(
 /// plan phase **sharded by contiguous node ranges** across worker
 /// threads, default tuning. See [`run_engine_frontier_sharded_with`].
 pub fn run_engine_frontier_sharded(
-    engine: &mut dyn ReversalEngine,
+    engine: &mut dyn FrontierEngine,
     threads: usize,
     max_steps: usize,
 ) -> RunStats {
@@ -691,9 +511,8 @@ pub fn run_engine_frontier_sharded(
 /// deterministic order the sequential schedule would have used. The
 /// freeze/shard/fold discipline is PRs 3/5/6's; the resulting
 /// [`RunStats`], final state, and enabled sets are **bit-identical** to
-/// [`run_engine`] / [`run_engine_frontier`] under
-/// [`SchedulePolicy::GreedyRounds`] at every thread count
-/// (`tests/frontier_differential.rs`).
+/// [`run_engine_frontier`] under [`SchedulePolicy::GreedyRounds`] at
+/// every thread count (`tests/frontier_differential.rs`).
 ///
 /// Range sharding gives each worker a stable slice of the id space
 /// across rounds — its CSR and direction-bit reads for planning stay
@@ -701,20 +520,14 @@ pub fn run_engine_frontier_sharded(
 /// of the arrays would inherit.
 ///
 /// Rounds smaller than `cfg.min_parallel_round` (and everything when
-/// `cfg.threads == 1`) take the sequential fast path.
+/// `cfg.threads == 1`) take the sequential fast path. A thread count
+/// above the node count is capped there.
 pub fn run_engine_frontier_sharded_with(
-    engine: &mut dyn ReversalEngine,
+    engine: &mut dyn FrontierEngine,
     cfg: ParallelConfig,
     max_steps: usize,
 ) -> RunStats {
-    drive(
-        engine,
-        SchedulePolicy::GreedyRounds,
-        max_steps,
-        EnabledSource::Incremental,
-        StepMode::ZeroAlloc,
-        Some(cfg),
-    )
+    drive(engine, SchedulePolicy::GreedyRounds, max_steps, Some(cfg))
 }
 
 /// Runs and asserts the link-reversal postcondition: the final orientation
@@ -726,11 +539,11 @@ pub fn run_engine_frontier_sharded_with(
 /// postcondition fails — used by tests and experiments that require
 /// completed runs.
 pub fn run_to_destination_oriented(
-    engine: &mut dyn ReversalEngine,
+    engine: &mut dyn FrontierEngine,
     policy: SchedulePolicy,
     max_steps: usize,
 ) -> RunStats {
-    let stats = run_engine(engine, policy, max_steps);
+    let stats = run_engine_frontier(engine, policy, max_steps);
     assert!(
         stats.terminated,
         "{} did not terminate within {max_steps} steps",
@@ -790,7 +603,7 @@ pub fn run_to_destination_oriented(
 /// steps (or fewer if it terminates first). Returns the number of steps
 /// actually taken. Used to generate "mid-execution" states for invariant
 /// spot checks and failure-injection tests.
-pub fn advance_randomly(engine: &mut dyn ReversalEngine, steps: usize, seed: u64) -> usize {
+pub fn advance_randomly(engine: &mut dyn FrontierEngine, steps: usize, seed: u64) -> usize {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut scratch = StepScratch::new();
     for taken in 0..steps {
@@ -807,7 +620,7 @@ pub fn advance_randomly(engine: &mut dyn ReversalEngine, steps: usize, seed: u64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alg::{AlgorithmKind, FrontierFamily, FrontierPrEngine};
+    use crate::alg::{FrontierFamily, FrontierPrEngine};
     use lr_graph::{stream, CsrInstance};
 
     fn pr(inst: &CsrInstance) -> FrontierPrEngine {
@@ -816,16 +629,16 @@ mod tests {
 
     #[test]
     fn all_algorithms_terminate_on_chain_under_all_policies() {
-        let inst = stream::chain_away(9).to_instance();
+        let inst = stream::chain_away(9);
         let policies = [
             SchedulePolicy::GreedyRounds,
             SchedulePolicy::RandomSingle { seed: 3 },
             SchedulePolicy::FirstSingle,
             SchedulePolicy::LastSingle,
         ];
-        for kind in AlgorithmKind::ALL {
+        for family in FrontierFamily::ALL {
             for policy in policies {
-                let mut engine = kind.engine(&inst);
+                let mut engine = family.engine(inst.clone());
                 let stats = run_to_destination_oriented(engine.as_mut(), policy, DEFAULT_MAX_STEPS);
                 assert!(stats.terminated);
                 assert!(stats.steps > 0);
@@ -841,7 +654,7 @@ mod tests {
     #[test]
     fn greedy_rounds_counts_rounds_not_steps() {
         let mut e = FrontierPrEngine::new(stream::star_away(6)); // 6 sinks step in round 1
-        let stats = run_engine(&mut e, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
+        let stats = run_engine_frontier(&mut e, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
         assert!(stats.terminated);
         assert!(stats.rounds < stats.steps || stats.steps <= 1);
     }
@@ -850,9 +663,9 @@ mod tests {
     fn random_runs_reproducible_by_seed() {
         let inst = stream::random_connected(14, 10, 5);
         let mut a = pr(&inst);
-        let sa = run_engine(&mut a, SchedulePolicy::RandomSingle { seed: 9 }, 100_000);
+        let sa = run_engine_frontier(&mut a, SchedulePolicy::RandomSingle { seed: 9 }, 100_000);
         let mut b = pr(&inst);
-        let sb = run_engine(&mut b, SchedulePolicy::RandomSingle { seed: 9 }, 100_000);
+        let sb = run_engine_frontier(&mut b, SchedulePolicy::RandomSingle { seed: 9 }, 100_000);
         assert_eq!(sa, sb);
         assert_eq!(a.orientation(), b.orientation());
     }
@@ -862,7 +675,7 @@ mod tests {
         // Star centered on an initial sink with the destination at a leaf
         // forces dummy steps for the other leaves (initial sources).
         let inst = lr_graph::parse::parse_instance("dest 3\n1 > 0\n2 > 0\n3 > 0").unwrap();
-        let mut e = AlgorithmKind::NewPr.engine(&inst);
+        let mut e = FrontierFamily::NewPr.engine(CsrInstance::from_instance(&inst));
         let stats =
             run_to_destination_oriented(e.as_mut(), SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
         assert!(stats.dummy_steps > 0, "expected dummy steps, got none");
@@ -872,7 +685,7 @@ mod tests {
     #[test]
     fn step_budget_is_respected() {
         let mut e = FrontierFamily::FullReversal.engine(stream::chain_away(64));
-        let stats = run_engine(e.as_mut(), SchedulePolicy::FirstSingle, 10);
+        let stats = run_engine_frontier(e.as_mut(), SchedulePolicy::FirstSingle, 10);
         assert!(!stats.terminated);
         assert_eq!(stats.steps, 10);
     }
@@ -890,7 +703,7 @@ mod tests {
     fn social_cost_and_max_work_accessors() {
         let inst = stream::chain_away(6);
         let mut e = pr(&inst);
-        let stats = run_engine(&mut e, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
+        let stats = run_engine_frontier(&mut e, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
         assert_eq!(stats.social_cost(), stats.steps);
         assert!(stats.max_node_work() >= 1);
     }
@@ -899,29 +712,11 @@ mod tests {
     fn work_per_node_map_mirrors_dense_vector() {
         let inst = stream::alternating_chain(9);
         let mut e = pr(&inst);
-        let stats = run_engine(&mut e, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
+        let stats = run_engine_frontier(&mut e, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
         let map = stats.work_per_node(e.csr());
         assert_eq!(map.len(), stats.work.len());
         for (i, u) in e.csr().nodes().enumerate() {
             assert_eq!(map[&u], stats.work[i]);
-        }
-    }
-
-    #[test]
-    fn alloc_reference_loop_matches_zero_alloc_loop() {
-        let inst = stream::alternating_chain(17);
-        for policy in [
-            SchedulePolicy::GreedyRounds,
-            SchedulePolicy::RandomSingle { seed: 11 },
-            SchedulePolicy::FirstSingle,
-            SchedulePolicy::LastSingle,
-        ] {
-            let mut fast = pr(&inst);
-            let fast_stats = run_engine(&mut fast, policy, DEFAULT_MAX_STEPS);
-            let mut slow = pr(&inst);
-            let slow_stats = run_engine_alloc(&mut slow, policy, DEFAULT_MAX_STEPS);
-            assert_eq!(fast_stats, slow_stats);
-            assert_eq!(fast.orientation(), slow.orientation());
         }
     }
 
@@ -981,5 +776,24 @@ mod tests {
         };
         let stats = run_engine_frontier_sharded_with(&mut e, cfg, DEFAULT_MAX_STEPS);
         assert!(stats.terminated);
+    }
+
+    #[test]
+    fn absurd_thread_counts_are_capped_and_bit_identical() {
+        let flat = stream::star_away(5);
+        let mut one = FrontierPrEngine::new(flat.clone());
+        let want = run_engine_frontier_sharded(&mut one, 1, DEFAULT_MAX_STEPS);
+        let mut e = FrontierPrEngine::new(flat.clone());
+        let got = run_engine_frontier_sharded(&mut e, usize::MAX, DEFAULT_MAX_STEPS);
+        assert_eq!(got, want);
+        // Forced onto the sharded path: one worker per node at most.
+        let cfg = ParallelConfig {
+            threads: usize::MAX,
+            min_parallel_round: 0,
+        };
+        let mut e = FrontierPrEngine::new(flat);
+        let got = run_engine_frontier_sharded_with(&mut e, cfg, DEFAULT_MAX_STEPS);
+        assert_eq!(got, want);
+        assert_eq!(e.orientation(), one.orientation());
     }
 }

@@ -13,11 +13,11 @@
 
 use std::collections::BTreeMap;
 
-use lr_graph::{NodeId, ReversalInstance};
+use lr_graph::{CsrInstance, NodeId, ReversalInstance};
 use serde::Serialize;
 
-use crate::alg::AlgorithmKind;
-use crate::engine::{run_engine, SchedulePolicy, DEFAULT_MAX_STEPS};
+use crate::alg::FrontierFamily;
+use crate::engine::{run_engine_frontier, SchedulePolicy, DEFAULT_MAX_STEPS};
 
 /// Per-node step counts of one completed execution.
 pub type WorkVector = BTreeMap<NodeId, usize>;
@@ -54,18 +54,19 @@ impl CostComparison {
 ///
 /// Panics if any algorithm fails to terminate within the default budget.
 pub fn compare_social_costs(inst: &ReversalInstance) -> CostComparison {
-    let cost = |kind: AlgorithmKind| {
-        let mut e = kind.engine(inst);
-        let stats = run_engine(e.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
-        assert!(stats.terminated, "{} did not terminate", kind.name());
+    let cost = |family: FrontierFamily| {
+        let mut e = family.engine(CsrInstance::from_instance(inst));
+        let stats =
+            run_engine_frontier(e.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
+        assert!(stats.terminated, "{} did not terminate", family.name());
         stats.social_cost()
     };
     CostComparison {
         n: inst.node_count(),
         n_b: inst.initial_bad_nodes(),
-        fr_cost: cost(AlgorithmKind::FullReversal),
-        pr_cost: cost(AlgorithmKind::PartialReversal),
-        newpr_cost: cost(AlgorithmKind::NewPr),
+        fr_cost: cost(FrontierFamily::FullReversal),
+        pr_cost: cost(FrontierFamily::PartialReversal),
+        newpr_cost: cost(FrontierFamily::NewPr),
     }
 }
 
@@ -75,10 +76,10 @@ pub fn compare_social_costs(inst: &ReversalInstance) -> CostComparison {
 /// # Panics
 ///
 /// Panics if the algorithm fails to terminate within the default budget.
-pub fn work_vector(kind: AlgorithmKind, inst: &ReversalInstance) -> WorkVector {
-    let mut e = kind.engine(inst);
-    let stats = run_engine(e.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
-    assert!(stats.terminated, "{} did not terminate", kind.name());
+pub fn work_vector(family: FrontierFamily, inst: &ReversalInstance) -> WorkVector {
+    let mut e = family.engine(CsrInstance::from_instance(inst));
+    let stats = run_engine_frontier(e.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
+    assert!(stats.terminated, "{} did not terminate", family.name());
     // The node-keyed map is derived here, at the one consumer that needs
     // it — the run itself only fills the dense work vector.
     stats.work_per_node(e.csr())
@@ -354,7 +355,7 @@ mod tests {
     fn work_vectors_sum_to_social_cost() {
         let inst = stream::chain_away(16).to_instance();
         let c = compare_social_costs(&inst);
-        let v = work_vector(AlgorithmKind::PartialReversal, &inst);
+        let v = work_vector(FrontierFamily::PartialReversal, &inst);
         assert_eq!(v.values().sum::<usize>(), c.pr_cost);
     }
 
@@ -374,10 +375,10 @@ mod tests {
         for seed in 0..5 {
             let inst = stream::random_connected(10, 8, 700 + seed).to_instance();
             let fr_profile = profile_costs(&inst, &uniform_profile(&inst, Strategy::Full));
-            let fr_direct = work_vector(AlgorithmKind::FullReversal, &inst);
+            let fr_direct = work_vector(FrontierFamily::FullReversal, &inst);
             assert_eq!(fr_profile, fr_direct, "all-Full must equal FR");
             let pr_profile = profile_costs(&inst, &uniform_profile(&inst, Strategy::Partial));
-            let pr_direct = work_vector(AlgorithmKind::PartialReversal, &inst);
+            let pr_direct = work_vector(FrontierFamily::PartialReversal, &inst);
             assert_eq!(pr_profile, pr_direct, "all-Partial must equal PR");
         }
     }
@@ -445,8 +446,8 @@ mod tests {
     #[test]
     fn pr_work_vector_dominates_fr_on_away_chain() {
         let inst = stream::chain_away(24).to_instance();
-        let pr = work_vector(AlgorithmKind::PartialReversal, &inst);
-        let fr = work_vector(AlgorithmKind::FullReversal, &inst);
+        let pr = work_vector(FrontierFamily::PartialReversal, &inst);
+        let fr = work_vector(FrontierFamily::FullReversal, &inst);
         // PR should be no worse at every node here.
         assert_eq!(dominates(&pr, &fr), Some(true));
     }

@@ -18,27 +18,21 @@
 //!   formulations [`alg::FrontierPairHeightsEngine`] /
 //!   [`alg::FrontierTripleHeightsEngine`], and the labeled-reversal
 //!   generalization [`alg::FrontierBllEngine`] (Binary Link Labels) —
-//!   constructed uniformly through [`alg::FrontierFamily`] (or
-//!   [`alg::AlgorithmKind::engine`]): bit-packed per-slot state, no
-//!   map-backed instance, million-node capable. The automata are the
-//!   oracle: every engine runs in lockstep beside the automaton whose
-//!   reversal sets it reproduces.
+//!   constructed uniformly through [`alg::FrontierFamily`]: bit-packed
+//!   per-slot state, no map-backed instance, million-node capable. The
+//!   automata are the oracle: every engine runs in lockstep beside the
+//!   automaton whose reversal sets it reproduces.
 //! * [`invariants`] — Invariants 3.1, 3.2, Corollaries 3.3/3.4,
 //!   Invariants 4.1, 4.2(a–d) and the acyclicity theorems 4.3/5.5 as
 //!   named predicates with rich counterexample messages.
-//! * [`engine`] — run loops (greedy rounds, random, deterministic) with
-//!   work accounting: total reversals, per-node work vectors, rounds,
-//!   dummy steps. [`engine::run_engine`] consumes the engines'
-//!   incremental enabled view through the zero-allocation step pipeline;
-//!   [`engine::run_engine_frontier`] is the same driver configuration
-//!   named for the flat CSR-native engines that run million-node
-//!   instances through it; [`engine::run_engine_frontier_sharded`]
-//!   fans the plan phase of greedy rounds out across worker threads,
-//!   sharded by contiguous node ranges — bit-identical to the
-//!   sequential run at every thread count;
-//!   [`engine::run_engine_scan`] (naive rescans) and
-//!   [`engine::run_engine_alloc`] (per-step allocation) are the
-//!   retained reference loops they are differentially tested against.
+//! * [`engine`] — the run loop (greedy rounds, random, deterministic)
+//!   with work accounting: total reversals, per-node work vectors,
+//!   rounds, dummy steps. [`engine::run_engine_frontier`] consumes the
+//!   engines' incremental enabled view through the zero-allocation step
+//!   pipeline; [`engine::run_engine_frontier_sharded`] fans the plan
+//!   phase of greedy rounds out across worker threads, sharded by
+//!   contiguous node ranges — bit-identical to the sequential run at
+//!   every thread count.
 //! * [`step`] — the zero-allocation step pipeline: caller-owned
 //!   [`StepScratch`] buffers and lightweight [`StepOutcome`]s. The
 //!   **caller owns the scratch**: one buffer per run, overwritten by
@@ -55,12 +49,11 @@
 //! # Quickstart
 //!
 //! ```
-//! use lr_core::alg::AlgorithmKind;
+//! use lr_core::alg::FrontierFamily;
 //! use lr_core::engine::{run_to_destination_oriented, SchedulePolicy, DEFAULT_MAX_STEPS};
 //! use lr_graph::stream;
 //!
-//! let inst = stream::chain_away(16).to_instance();
-//! let mut engine = AlgorithmKind::NewPr.engine(&inst);
+//! let mut engine = FrontierFamily::NewPr.engine(stream::chain_away(16));
 //! let stats = run_to_destination_oriented(
 //!     engine.as_mut(),
 //!     SchedulePolicy::GreedyRounds,

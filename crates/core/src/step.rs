@@ -13,8 +13,8 @@
 //!   stepping node's dense CSR index, the reversal count, and the NewPR
 //!   dummy flag;
 //! * [`PlanAux`] — an opaque payload carried from
-//!   [`crate::alg::ReversalEngine::plan_step`] to
-//!   [`crate::alg::ReversalEngine::apply_planned`] (the height engines
+//!   [`crate::alg::FrontierEngine::plan_step`] to
+//!   [`crate::alg::FrontierEngine::apply_planned`] (the height engines
 //!   stash the new height here so apply never re-scans the
 //!   neighborhood).
 //!
@@ -27,8 +27,8 @@
 //! buffer's contents are only meaningful until the next `plan_step` /
 //! `step_into` call that receives the same scratch; callers that need to
 //! keep a step's reversal set must copy it out (or use the allocating
-//! [`crate::alg::ReversalEngine::step`] compatibility wrapper, which
-//! does exactly that).
+//! [`crate::alg::FrontierEngine::step`] wrapper, which does exactly
+//! that).
 
 use lr_graph::NodeId;
 
@@ -47,8 +47,8 @@ pub struct StepOutcome {
     pub dummy: bool,
 }
 
-/// Opaque payload a [`crate::alg::ReversalEngine::plan_step`] hands to
-/// the matching [`crate::alg::ReversalEngine::apply_planned`].
+/// Opaque payload a [`crate::alg::FrontierEngine::plan_step`] hands to
+/// the matching [`crate::alg::FrontierEngine::apply_planned`].
 ///
 /// Engines whose apply phase needs more than the reversed-neighbor list
 /// (the Gafni–Bertsekas height engines precompute the stepping node's
@@ -85,27 +85,27 @@ impl StepScratch {
     }
 
     /// The reversed neighbors written by the most recent
-    /// [`crate::alg::ReversalEngine::plan_step`] /
-    /// [`crate::alg::ReversalEngine::step_into`], ascending by node id.
+    /// [`crate::alg::FrontierEngine::plan_step`] /
+    /// [`crate::alg::FrontierEngine::step_into`], ascending by node id.
     pub fn reversed(&self) -> &[NodeId] {
         &self.reversed
     }
 
     /// The plan payload of the most recent planned step (pass to
-    /// [`crate::alg::ReversalEngine::apply_planned`]).
+    /// [`crate::alg::FrontierEngine::apply_planned`]).
     pub fn aux(&self) -> PlanAux {
         self.aux
     }
 
     /// Appends one reversed neighbor to the current plan. For
-    /// [`crate::alg::ReversalEngine::plan_step`] implementations
+    /// [`crate::alg::FrontierEngine::plan_step`] implementations
     /// outside this crate; call [`StepScratch::clear`] first.
     pub fn push(&mut self, v: NodeId) {
         self.reversed.push(v);
     }
 
     /// Stores the plan payload to hand to
-    /// [`crate::alg::ReversalEngine::apply_planned`]. [`PlanAux`] is
+    /// [`crate::alg::FrontierEngine::apply_planned`]. [`PlanAux`] is
     /// opaque, so external engines that need a richer plan payload
     /// should stash it in their own state keyed by the stepping node
     /// and leave this at the default.

@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 
 use lr_graph::{dot, CsrInstance, DirectedView, NodeId, Orientation, ReversalInstance};
 
-use crate::alg::{FrontierFamily, ReversalEngine};
+use crate::alg::{FrontierEngine, FrontierFamily};
 use crate::engine::SchedulePolicy;
 use crate::ReversalStep;
 
@@ -63,7 +63,7 @@ impl Trace {
             SchedulePolicy::RandomSingle { seed } => Some(SmallRng::seed_from_u64(seed)),
             _ => None,
         };
-        fn record_one(frames: &mut Vec<TraceFrame>, engine: &mut dyn ReversalEngine, u: NodeId) {
+        fn record_one(frames: &mut Vec<TraceFrame>, engine: &mut dyn FrontierEngine, u: NodeId) {
             let step = engine.step(u);
             let after = engine.orientation();
             // A trace frame keeps its own copy of the sink set, so the
@@ -233,7 +233,7 @@ impl Trace {
 mod tests {
     use super::*;
     use crate::alg::FrontierFamily::{NewPr, PartialReversal};
-    use crate::engine::{run_engine, DEFAULT_MAX_STEPS};
+    use crate::engine::{run_engine_frontier, DEFAULT_MAX_STEPS};
     use lr_graph::stream;
 
     #[test]
@@ -320,7 +320,7 @@ mod tests {
             let policy = SchedulePolicy::RandomSingle { seed };
             for family in FrontierFamily::ALL {
                 let mut e = family.engine(CsrInstance::from_instance(&inst));
-                let stats = run_engine(e.as_mut(), policy, DEFAULT_MAX_STEPS);
+                let stats = run_engine_frontier(e.as_mut(), policy, DEFAULT_MAX_STEPS);
                 let trace = Trace::record(&inst, family, policy, DEFAULT_MAX_STEPS);
                 assert_eq!(trace.len(), stats.steps, "{}", family.name());
                 assert_eq!(trace.total_reversals(), stats.total_reversals);

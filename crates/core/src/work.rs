@@ -8,11 +8,11 @@
 //! growing size and fits the growth exponent on a log–log scale; a
 //! quadratic family should fit an exponent near 2, a linear one near 1.
 
-use lr_graph::ReversalInstance;
+use lr_graph::{CsrInstance, ReversalInstance};
 use serde::Serialize;
 
-use crate::alg::AlgorithmKind;
-use crate::engine::{run_engine, RunStats, SchedulePolicy, DEFAULT_MAX_STEPS};
+use crate::alg::FrontierFamily;
+use crate::engine::{run_engine_frontier, RunStats, SchedulePolicy, DEFAULT_MAX_STEPS};
 
 /// One row of a work-measurement table.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -33,21 +33,14 @@ pub struct WorkRow {
     pub dummy_steps: usize,
 }
 
-/// Runs `kind` on `inst` under the greedy schedule and records a table
-/// row.
+/// Runs `family` on `inst` under the greedy schedule and records a
+/// table row.
 ///
 /// # Panics
 ///
 /// Panics if the run does not terminate within the default step budget.
-pub fn measure_work(kind: AlgorithmKind, inst: &ReversalInstance) -> WorkRow {
-    let mut engine = kind.engine(inst);
-    let stats = run_engine(
-        engine.as_mut(),
-        SchedulePolicy::GreedyRounds,
-        DEFAULT_MAX_STEPS,
-    );
-    assert!(stats.terminated, "{} did not terminate", kind.name());
-    row_from_stats(inst, &stats)
+pub fn measure_work(family: FrontierFamily, inst: &ReversalInstance) -> WorkRow {
+    measure_work_with_policy(family, inst, SchedulePolicy::GreedyRounds)
 }
 
 /// Like [`measure_work`] but under an arbitrary policy.
@@ -56,13 +49,13 @@ pub fn measure_work(kind: AlgorithmKind, inst: &ReversalInstance) -> WorkRow {
 ///
 /// Panics if the run does not terminate within the default step budget.
 pub fn measure_work_with_policy(
-    kind: AlgorithmKind,
+    family: FrontierFamily,
     inst: &ReversalInstance,
     policy: SchedulePolicy,
 ) -> WorkRow {
-    let mut engine = kind.engine(inst);
-    let stats = run_engine(engine.as_mut(), policy, DEFAULT_MAX_STEPS);
-    assert!(stats.terminated, "{} did not terminate", kind.name());
+    let mut engine = family.engine(CsrInstance::from_instance(inst));
+    let stats = run_engine_frontier(engine.as_mut(), policy, DEFAULT_MAX_STEPS);
+    assert!(stats.terminated, "{} did not terminate", family.name());
     row_from_stats(inst, &stats)
 }
 
@@ -183,7 +176,7 @@ mod tests {
             .iter()
             .map(|&n| {
                 let inst = stream::chain_away(n).to_instance();
-                let row = measure_work(AlgorithmKind::FullReversal, &inst);
+                let row = measure_work(FrontierFamily::FullReversal, &inst);
                 assert_eq!(row.n_b, n - 1);
                 (row.n_b as f64, row.total_reversals as f64)
             })
@@ -202,7 +195,7 @@ mod tests {
             .iter()
             .map(|&n| {
                 let inst = stream::chain_away(n).to_instance();
-                let row = measure_work(AlgorithmKind::PartialReversal, &inst);
+                let row = measure_work(FrontierFamily::PartialReversal, &inst);
                 (row.n_b as f64, row.total_reversals as f64)
             })
             .collect();
@@ -215,22 +208,25 @@ mod tests {
         for n in [4usize, 8, 16, 33, 64, 100] {
             let away = stream::chain_away(n).to_instance();
             assert_eq!(
-                measure_work(AlgorithmKind::FullReversal, &away).total_reversals,
+                measure_work(FrontierFamily::FullReversal, &away).total_reversals,
                 closed_forms::fr_chain_away(n),
                 "FR on chain_away({n})"
             );
             assert_eq!(
-                measure_work(AlgorithmKind::PartialReversal, &away).total_reversals,
+                measure_work(FrontierFamily::PartialReversal, &away).total_reversals,
                 closed_forms::pr_chain_away(n),
                 "PR on chain_away({n})"
             );
             let alt = stream::alternating_chain(n).to_instance();
-            for kind in [AlgorithmKind::FullReversal, AlgorithmKind::PartialReversal] {
+            for family in [
+                FrontierFamily::FullReversal,
+                FrontierFamily::PartialReversal,
+            ] {
                 assert_eq!(
-                    measure_work(kind, &alt).total_reversals,
+                    measure_work(family, &alt).total_reversals,
                     closed_forms::alternating_chain(n),
                     "{} on alternating_chain({n})",
-                    kind.name()
+                    family.name()
                 );
             }
         }
@@ -249,10 +245,10 @@ mod tests {
             SchedulePolicy::LastSingle,
         ] {
             let away = stream::chain_away(n).to_instance();
-            let row = measure_work_with_policy(AlgorithmKind::FullReversal, &away, policy);
+            let row = measure_work_with_policy(FrontierFamily::FullReversal, &away, policy);
             assert_eq!(row.total_reversals, closed_forms::fr_chain_away(n));
             let alt = stream::alternating_chain(n).to_instance();
-            let row = measure_work_with_policy(AlgorithmKind::PartialReversal, &alt, policy);
+            let row = measure_work_with_policy(FrontierFamily::PartialReversal, &alt, policy);
             assert_eq!(row.total_reversals, closed_forms::alternating_chain(n));
         }
     }
@@ -260,8 +256,8 @@ mod tests {
     #[test]
     fn measure_rows_are_consistent() {
         let inst = stream::grid_away(3, 3).to_instance();
-        for kind in AlgorithmKind::ALL {
-            let row = measure_work(kind, &inst);
+        for family in FrontierFamily::ALL {
+            let row = measure_work(family, &inst);
             assert_eq!(row.n, 9);
             assert!(row.steps >= row.rounds);
             assert!(row.total_reversals > 0);

@@ -1,19 +1,17 @@
-//! Differential properties of the flat engines' incremental machinery:
-//! they must be observably identical to the retained naive-scan and
-//! allocating reference loops on random connected instances, across
-//! **all seven engine configurations (five algorithms plus both BLL
-//! labelings) × all four schedule policies**.
+//! Differential properties of the flat engines' incremental machinery on
+//! random connected instances, across **all seven engine configurations
+//! (five algorithms plus both BLL labelings)**.
 //!
 //! The incremental enabled set ([`lr_core::EnabledTracker`]) is redundant
 //! state mirroring what a full `is_sink` scan computes; these tests are
-//! the falsification harness for that redundancy, and they re-check the
-//! paper's invariants (3.1, acyclicity, destination-orientedness) on the
-//! flat slot-indexed representation.
+//! the falsification harness for that redundancy — after every single
+//! step, and at every boundary of hand-driven greedy rounds, where the
+//! tracker merges a whole round's edits in one batch — and they re-check
+//! the paper's invariants (3.1, acyclicity, destination-orientedness) on
+//! the flat slot-indexed representation.
 
-use lr_core::alg::{BllLabeling, FrontierFamily, FrontierPrEngine, ReversalEngine};
-use lr_core::engine::{
-    run_engine, run_engine_alloc, run_engine_scan, RunStats, SchedulePolicy, DEFAULT_MAX_STEPS,
-};
+use lr_core::alg::{BllLabeling, FrontierEngine, FrontierFamily, FrontierPrEngine};
+use lr_core::engine::{run_engine_frontier, SchedulePolicy, DEFAULT_MAX_STEPS};
 use lr_core::invariants::{check_acyclic, check_inv_3_1};
 use lr_core::StepScratch;
 use lr_graph::{stream, CsrInstance, DirectedView, NodeId, ReversalInstance};
@@ -32,17 +30,8 @@ fn families() -> impl Iterator<Item = FrontierFamily> {
         .chain([FrontierFamily::Bll(BllLabeling::FullReversal)])
 }
 
-fn policies(seed: u64) -> [SchedulePolicy; 4] {
-    [
-        SchedulePolicy::GreedyRounds,
-        SchedulePolicy::RandomSingle { seed },
-        SchedulePolicy::FirstSingle,
-        SchedulePolicy::LastSingle,
-    ]
-}
-
 /// The enabled set a full rescan would produce, bypassing the tracker.
-fn rescan(inst: &ReversalInstance, engine: &dyn ReversalEngine) -> Vec<NodeId> {
+fn rescan(inst: &ReversalInstance, engine: &dyn FrontierEngine) -> Vec<NodeId> {
     inst.graph
         .nodes()
         .filter(|&u| u != inst.dest && engine.is_sink(u))
@@ -51,42 +40,6 @@ fn rescan(inst: &ReversalInstance, engine: &dyn ReversalEngine) -> Vec<NodeId> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Identical `RunStats` (steps, reversals, rounds, dummies, work
-    /// vector) and final orientations from the incremental loop and the
-    /// naive-scan reference loop, for every algorithm × policy.
-    #[test]
-    fn incremental_loop_matches_scan_reference(
-        inst in instance_strategy(),
-        seed in any::<u64>(),
-    ) {
-        let flat = CsrInstance::from_instance(&inst);
-        for family in families() {
-            let name = family.name();
-            let factory = || family.engine(flat.clone());
-            for policy in policies(seed) {
-                let mut fast = factory();
-                let fast_stats = run_engine(fast.as_mut(), policy, DEFAULT_MAX_STEPS);
-                let mut slow = factory();
-                let slow_stats = run_engine_scan(slow.as_mut(), policy, DEFAULT_MAX_STEPS);
-                prop_assert_eq!(
-                    &fast_stats,
-                    &slow_stats,
-                    "{} under {:?}: loops diverged",
-                    name,
-                    policy
-                );
-                prop_assert!(fast_stats.terminated, "{} must terminate", name);
-                prop_assert_eq!(
-                    fast.orientation(),
-                    slow.orientation(),
-                    "{} under {:?}: final orientations diverged",
-                    name,
-                    policy
-                );
-            }
-        }
-    }
 
     /// The incrementally maintained enabled view equals a fresh full
     /// rescan after **every single step** of a run (step-for-step, not
@@ -172,26 +125,45 @@ proptest! {
         }
     }
 
-    /// The allocating reference loop (`run_engine_alloc`, the pre-PR-3
-    /// per-step-allocation behavior) produces identical `RunStats` to
-    /// the zero-allocation loop on every configuration × policy.
+    /// Greedy rounds driven by hand — `begin_round`, `step_into` on
+    /// every sink a rescan finds, `end_round` — leave the tracker's
+    /// batched merge equal to a fresh rescan at every round boundary, and
+    /// the run loop's greedy schedule on a fresh engine reports the same
+    /// round count and final orientation.
     #[test]
-    fn alloc_reference_loop_matches_zero_alloc(
-        inst in instance_strategy(),
-        seed in any::<u64>(),
-    ) {
+    fn batched_rounds_match_rescan_at_every_boundary(inst in instance_strategy()) {
         let flat = CsrInstance::from_instance(&inst);
         for family in families() {
             let name = family.name();
-            let factory = || family.engine(flat.clone());
-            for policy in policies(seed) {
-                let mut fast = factory();
-                let fast_stats = run_engine(fast.as_mut(), policy, DEFAULT_MAX_STEPS);
-                let mut slow = factory();
-                let slow_stats = run_engine_alloc(slow.as_mut(), policy, DEFAULT_MAX_STEPS);
-                prop_assert_eq!(&fast_stats, &slow_stats, "{} under {:?}", name, policy);
-                prop_assert_eq!(fast.orientation(), slow.orientation(), "{}", name);
+            let mut engine = family.engine(flat.clone());
+            let mut scratch = StepScratch::new();
+            let mut rounds = 0usize;
+            loop {
+                let sinks = rescan(&inst, engine.as_ref());
+                prop_assert_eq!(
+                    engine.enabled(),
+                    &sinks[..],
+                    "{}: tracker diverged after {} rounds",
+                    name,
+                    rounds
+                );
+                if sinks.is_empty() {
+                    break;
+                }
+                engine.begin_round();
+                for &u in &sinks {
+                    engine.step_into(u, &mut scratch);
+                }
+                engine.end_round();
+                rounds += 1;
+                prop_assert!(rounds < 1_000_000, "runaway execution");
             }
+            let mut fresh = family.engine(flat.clone());
+            let greedy = SchedulePolicy::GreedyRounds;
+            let stats = run_engine_frontier(fresh.as_mut(), greedy, DEFAULT_MAX_STEPS);
+            prop_assert!(stats.terminated, "{} must terminate", name);
+            prop_assert_eq!(stats.rounds, rounds, "{}", name);
+            prop_assert_eq!(fresh.orientation(), engine.orientation(), "{}", name);
         }
     }
 
@@ -204,7 +176,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut e = FrontierPrEngine::new(CsrInstance::from_instance(&inst));
-        let stats = run_engine(
+        let stats = run_engine_frontier(
             &mut e,
             SchedulePolicy::RandomSingle { seed },
             DEFAULT_MAX_STEPS,
@@ -227,30 +199,26 @@ fn reset_restores_initial_state() {
         let name = family.name();
         let mut e = family.engine(flat.clone());
         let initial = e.enabled().to_vec();
-        let first = run_engine(e.as_mut(), policy, DEFAULT_MAX_STEPS);
+        let first = run_engine_frontier(e.as_mut(), policy, DEFAULT_MAX_STEPS);
         let o_first = e.orientation();
         e.reset();
         assert_eq!(e.enabled(), initial, "{name}");
-        let second = run_engine(e.as_mut(), policy, DEFAULT_MAX_STEPS);
+        let second = run_engine_frontier(e.as_mut(), policy, DEFAULT_MAX_STEPS);
         assert_eq!(first, second, "{name} runs differ after reset");
         assert_eq!(o_first, e.orientation(), "{name}");
     }
 }
 
-fn assert_stats_match(a: &RunStats, b: &RunStats) {
-    assert_eq!(a, b);
-}
-
 /// The acceptance-criteria scale check: an `exp_worst_case`-sized run at
 /// n = 4096 (the alternating chain, PR's Θ(n_b²) family) terminates
-/// within the default step budget, and the two loops agree at n = 256
-/// even on this adversarial family.
+/// within the default step budget, and at n = 256 the tracker equals a
+/// rescan after every step even on this adversarial family.
 #[test]
 #[ignore = "multi-second in release; runs in the CI --ignored tier"]
 fn alternating_chain_4096_terminates_within_default_budget() {
     let inst = stream::alternating_chain(4097).to_instance();
     let mut e = FrontierPrEngine::new(CsrInstance::from_instance(&inst));
-    let stats = run_engine(&mut e, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
+    let stats = run_engine_frontier(&mut e, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
     assert!(
         stats.terminated,
         "n = 4096 must finish within {DEFAULT_MAX_STEPS} steps (took {})",
@@ -261,10 +229,28 @@ fn alternating_chain_4096_terminates_within_default_budget() {
     let o = e.orientation();
     assert!(DirectedView::new(&inst.graph, &o).is_destination_oriented(inst.dest));
 
-    let flat = lr_graph::stream::alternating_chain(257);
-    let mut fast = FrontierPrEngine::new(flat.clone());
-    let fast_stats = run_engine(&mut fast, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
-    let mut slow = FrontierPrEngine::new(flat);
-    let slow_stats = run_engine_scan(&mut slow, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
-    assert_stats_match(&fast_stats, &slow_stats);
+    let inst = stream::alternating_chain(257).to_instance();
+    let flat = CsrInstance::from_instance(&inst);
+    let mut e = FrontierPrEngine::new(flat.clone());
+    let mut scratch = StepScratch::new();
+    let mut steps = 0usize;
+    loop {
+        let sinks = rescan(&inst, &e);
+        assert_eq!(
+            e.enabled(),
+            &sinks[..],
+            "tracker diverged after {steps} steps"
+        );
+        let Some(&u) = sinks.first() else {
+            break;
+        };
+        e.step_into(u, &mut scratch);
+        steps += 1;
+    }
+    let stats = run_engine_frontier(
+        &mut FrontierPrEngine::new(flat),
+        SchedulePolicy::FirstSingle,
+        DEFAULT_MAX_STEPS,
+    );
+    assert_eq!(stats.steps, steps);
 }

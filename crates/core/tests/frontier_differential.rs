@@ -16,7 +16,7 @@
 //! is the lockstep suite's job (`tests/end_to_end.rs` at the workspace
 //! root).
 
-use lr_core::alg::{BllLabeling, FrontierFamily, FrontierPrEngine};
+use lr_core::alg::{BllLabeling, FrontierEngine, FrontierFamily, FrontierPrEngine};
 use lr_core::engine::{
     run_engine_frontier, run_engine_frontier_sharded_with, ParallelConfig, SchedulePolicy,
     DEFAULT_MAX_STEPS,
@@ -193,10 +193,6 @@ fn frontier_engine_scale_smoke() {
     }
 }
 
-/// The million-node acceptance run: `chain_away(1_000_000)` and
-/// `grid_away(1000, 1000)` complete inside the default step budget with
-/// peak representation ≤ 16 bytes/half-edge. Multi-second in release —
-/// runs in the CI `--ignored` tier.
 /// The million-node acceptance run for **every** family: each flat
 /// engine completes a 1M-node instance inside the default step budget
 /// through the frontier loop. The instance family is chosen per
@@ -233,6 +229,10 @@ fn million_node_runs_complete_for_every_family() {
     }
 }
 
+/// The million-node acceptance run: `chain_away(1_000_000)` and
+/// `grid_away(1000, 1000)` complete inside the default step budget with
+/// peak representation ≤ 16 bytes/half-edge. Multi-second in release —
+/// runs in the CI `--ignored` tier.
 #[test]
 #[ignore = "million-node run; multi-second in release, runs in the CI --ignored tier"]
 fn million_node_chain_and_grid_complete_within_default_budget() {

@@ -183,8 +183,9 @@ pub fn run_matrix_sweep(
         })
         .collect();
 
-    let (point_stats, mut metrics) =
-        run_and_fold(&points, &cells, spec.settle, options.threads.max(1), smoke)?;
+    // A worker beyond one per cell would find the queue empty.
+    let threads = options.threads.clamp(1, cells.len().max(1));
+    let (point_stats, mut metrics) = run_and_fold(&points, &cells, spec.settle, threads, smoke)?;
     metrics.add("sweep.points", points.len() as u64);
     metrics.publish();
 
@@ -389,7 +390,7 @@ fn run_and_fold(
         // determinism is unaffected, because the in-order drain can
         // only record an error after every lower-indexed cell has
         // been folded.
-        let window = threads * 4;
+        let window = threads.saturating_mul(4);
         let ready = Condvar::new();
         crossbeam::thread::scope(|s| {
             for _ in 0..threads {

@@ -209,6 +209,34 @@ fn smoke_sweeps_are_thread_count_invariant_too() {
 }
 
 #[test]
+fn absurd_thread_counts_match_one_thread() {
+    let spec = ScenarioSpec::from_json(
+        r#"{
+            "name": "eq-huge-threads",
+            "topology": {"family": "chain-away", "n": 4},
+            "seeds": [1],
+            "settle": 100,
+            "matrix": {"churn_scale": [1]}
+        }"#,
+    )
+    .unwrap();
+    let run = |threads| {
+        run_matrix_sweep(
+            &spec,
+            MatrixOptions {
+                threads,
+                smoke: true,
+            },
+        )
+        .unwrap()
+    };
+    let serial = run(1);
+    let huge = run(usize::MAX);
+    assert_eq!(huge.records, serial.records);
+    assert_eq!(huge.metrics.render(), serial.metrics.render());
+}
+
+#[test]
 fn errors_are_deterministic_across_thread_counts() {
     // Point 1's topology lacks the churned link, so its cells fail at
     // runtime validation while point 0's succeed. The reported error

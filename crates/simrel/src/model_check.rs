@@ -30,6 +30,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 use lr_core::alg::{NewPrAutomaton, OneStepPrAutomaton, PrSetAutomaton};
 use lr_core::invariants::{newpr_invariants, onestep_pr_invariants, pr_set_invariants};
@@ -165,10 +166,11 @@ impl SweepFold {
 
 /// Runs `per` over every instance, folding outcomes **in enumeration
 /// order** into one summary: serial when `opts.threads <= 1`, otherwise
-/// fanned out over crossbeam-scoped workers pulling from a shared cursor
-/// with a reorder-buffer merge — bit-identical either way. Stops folding
-/// (and stops handing out instances) at the first violation or
-/// truncation, like the serial sweep's early return.
+/// fanned out over crossbeam-scoped workers (at most one per instance)
+/// pulling from a shared cursor with a reorder-buffer merge —
+/// bit-identical either way. Stops folding (and stops handing out
+/// instances) at the first violation or truncation, like the serial
+/// sweep's early return.
 fn sweep_instances<F>(
     instances: &[ReversalInstance],
     opts: &McOptions,
@@ -177,7 +179,7 @@ fn sweep_instances<F>(
 where
     F: Fn(&ReversalInstance) -> InstanceOutcome + Sync,
 {
-    let threads = opts.threads.max(1);
+    let threads = opts.threads.clamp(1, instances.len().max(1));
     if threads == 1 {
         let mut fold = SweepFold {
             summary: ModelCheckSummary::empty(),
@@ -563,6 +565,72 @@ impl CheckKind {
     }
 }
 
+/// One timed battery entry: a check, its summary, and its wall-clock.
+#[derive(Debug, Clone)]
+pub struct BatteryRow {
+    /// Which check ran.
+    pub kind: CheckKind,
+    /// The sweep's summary.
+    pub summary: ModelCheckSummary,
+    /// Wall-clock time of the sweep, nanoseconds.
+    pub elapsed_ns: u64,
+}
+
+/// The model-check battery behind `lr modelcheck`: runs `checks` at size
+/// `n` with the given options, timing each sweep.
+///
+/// When an `lr-obs` session is recording, each check gets a
+/// `modelcheck.check <key>` span, and the battery publishes
+/// `modelcheck.*` counters derived from the deterministic summaries —
+/// the sweeps themselves are bit-identical at every thread count, so
+/// the published metrics are too.
+pub fn run_battery(n: usize, checks: &[CheckKind], opts: &McOptions) -> Vec<BatteryRow> {
+    let rows: Vec<BatteryRow> = checks
+        .iter()
+        .map(|&kind| {
+            let mut span = lr_obs::enabled()
+                .then(|| lr_obs::span("modelcheck", format!("modelcheck.check {}", kind.key())));
+            let start = Instant::now();
+            let summary = kind.run(n, opts);
+            if let Some(span) = span.as_mut() {
+                span.arg("n", n as u64);
+                span.arg("instances", summary.instances as u64);
+                span.arg("states", summary.states_visited as u64);
+            }
+            BatteryRow {
+                kind,
+                summary,
+                elapsed_ns: start.elapsed().as_nanos() as u64,
+            }
+        })
+        .collect();
+    if lr_obs::enabled() {
+        battery_metrics(&rows).publish();
+    }
+    rows
+}
+
+/// Derives the battery's deterministic metrics shard from its rows —
+/// a projection of the summaries, never a second tally.
+pub fn battery_metrics(rows: &[BatteryRow]) -> lr_obs::MetricsShard {
+    let mut m = lr_obs::MetricsShard::new();
+    for row in rows {
+        m.add("modelcheck.checks", 1);
+        m.add("modelcheck.instances", row.summary.instances as u64);
+        m.add("modelcheck.states", row.summary.states_visited as u64);
+        m.add("modelcheck.transitions", row.summary.transitions as u64);
+        m.add(
+            "modelcheck.verified_checks",
+            u64::from(row.summary.verified()),
+        );
+        m.record_max(
+            "modelcheck.max_states_per_check",
+            row.summary.states_visited as u64,
+        );
+    }
+    m
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -673,6 +741,48 @@ mod tests {
             ..McOptions::default()
         };
         assert_eq!(model_check_newpr_opts(3, &inner), model_check_newpr(3));
+    }
+
+    #[test]
+    fn absurd_thread_counts_are_capped_at_the_instance_count() {
+        let serial = McOptions::default();
+        let huge = McOptions::default().with_threads(usize::MAX);
+        for kind in CheckKind::ALL {
+            assert_eq!(kind.run(2, &serial), kind.run(2, &huge), "{}", kind.key());
+        }
+    }
+
+    #[test]
+    fn battery_rows_verify_every_instance_in_check_order() {
+        let opts = McOptions::default().with_threads(2);
+        let checks = [CheckKind::NewPr, CheckKind::Termination];
+        let rows = run_battery(3, &checks, &opts);
+        assert_eq!(rows.len(), 2);
+        for (row, kind) in rows.iter().zip(checks) {
+            assert!(row.summary.verified(), "{:?}", row.summary);
+            assert_eq!(row.kind, kind);
+            assert_eq!(row.summary.instances, 54);
+        }
+    }
+
+    #[test]
+    fn battery_metrics_are_a_projection_of_the_summaries() {
+        let opts = McOptions::default();
+        let rows = run_battery(3, &[CheckKind::NewPr], &opts);
+        let m = battery_metrics(&rows);
+        assert_eq!(m.count("modelcheck.checks"), 1);
+        assert_eq!(
+            m.count("modelcheck.instances"),
+            rows[0].summary.instances as u64
+        );
+        assert_eq!(
+            m.count("modelcheck.states"),
+            rows[0].summary.states_visited as u64
+        );
+        assert_eq!(
+            m.max("modelcheck.max_states_per_check"),
+            rows[0].summary.states_visited as u64
+        );
     }
 
     #[test]

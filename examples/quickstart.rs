@@ -22,8 +22,8 @@ fn main() {
         "{:>10} {:>8} {:>10} {:>7} {:>7}",
         "algorithm", "steps", "reversals", "rounds", "dummy"
     );
-    for kind in AlgorithmKind::ALL {
-        let mut engine = kind.engine(&inst);
+    for family in FrontierFamily::ALL {
+        let mut engine = family.engine(CsrInstance::from_instance(&inst));
         let stats = run_to_destination_oriented(
             engine.as_mut(),
             SchedulePolicy::GreedyRounds,
@@ -43,7 +43,7 @@ fn main() {
     }
 
     // Render the final NewPR graph as DOT for the curious.
-    let mut engine = AlgorithmKind::NewPr.engine(&inst);
+    let mut engine = FrontierFamily::NewPr.engine(CsrInstance::from_instance(&inst));
     run_to_destination_oriented(
         engine.as_mut(),
         SchedulePolicy::GreedyRounds,

@@ -22,14 +22,14 @@ fn main() {
     .expect("valid instance");
 
     println!("instance: star, center n0 is an initial sink, destination n3\n");
-    for kind in [
-        AlgorithmKind::FullReversal,
-        AlgorithmKind::PartialReversal,
-        AlgorithmKind::NewPr,
+    for family in [
+        FrontierFamily::FullReversal,
+        FrontierFamily::PartialReversal,
+        FrontierFamily::NewPr,
     ] {
         let trace = Trace::record(
             &inst,
-            kind.into(),
+            family,
             SchedulePolicy::FirstSingle,
             DEFAULT_MAX_STEPS,
         );

@@ -7,37 +7,37 @@
 //! cargo run --release --example work_comparison
 //! ```
 
-use link_reversal::core::alg::AlgorithmKind;
+use link_reversal::core::alg::FrontierFamily;
 use link_reversal::core::work::{fit_growth_exponent, measure_work};
 use link_reversal::graph::{stream, CsrInstance};
 
 fn family(name: &str, gen: fn(usize) -> CsrInstance, sizes: &[usize]) {
     println!("--- {name} ---");
     println!("{:>6} {:>10} {:>10} {:>10}", "n", "FR", "PR", "NewPR");
-    let mut pts: Vec<(AlgorithmKind, Vec<(f64, f64)>)> = [
-        AlgorithmKind::FullReversal,
-        AlgorithmKind::PartialReversal,
-        AlgorithmKind::NewPr,
+    let mut pts: Vec<(FrontierFamily, Vec<(f64, f64)>)> = [
+        FrontierFamily::FullReversal,
+        FrontierFamily::PartialReversal,
+        FrontierFamily::NewPr,
     ]
     .into_iter()
-    .map(|k| (k, Vec::new()))
+    .map(|a| (a, Vec::new()))
     .collect();
     for &n in sizes {
         let inst = gen(n).to_instance();
         let mut row = format!("{n:>6}");
-        for (kind, series) in pts.iter_mut() {
-            let w = measure_work(*kind, &inst);
+        for (alg, series) in pts.iter_mut() {
+            let w = measure_work(*alg, &inst);
             series.push((n as f64, w.total_reversals as f64));
             row.push_str(&format!(" {:>10}", w.total_reversals));
         }
         println!("{row}");
     }
     print!("growth exponents: ");
-    for (kind, series) in &pts {
+    for (alg, series) in &pts {
         if series.iter().all(|&(_, y)| y > 0.0) {
-            print!("{} ≈ n^{:.2}  ", kind.name(), fit_growth_exponent(series));
+            print!("{} ≈ n^{:.2}  ", alg.name(), fit_growth_exponent(series));
         } else {
-            print!("{}: no work  ", kind.name());
+            print!("{}: no work  ", alg.name());
         }
     }
     println!("\n");

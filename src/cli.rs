@@ -16,7 +16,7 @@
 
 use std::fmt::Write as _;
 
-use lr_core::alg::AlgorithmKind;
+use lr_core::alg::FrontierFamily;
 use lr_core::engine::{
     run_engine_frontier, run_engine_frontier_sharded, SchedulePolicy, DEFAULT_MAX_STEPS,
 };
@@ -25,7 +25,7 @@ use lr_core::invariants::{
     check_inv_4_2,
 };
 use lr_core::trace::Trace;
-use lr_graph::{dot, parse, DirectedView, ReversalInstance};
+use lr_graph::{dot, parse, CsrInstance, DirectedView, ReversalInstance};
 use lr_obs::{ObsMode, ObsSession};
 
 /// A CLI-level error: message for the user, non-zero exit.
@@ -72,7 +72,8 @@ USAGE:
                                       chain-toward, alternating, star, grid,
                                       complete, random)
     lr run <alg> [policy]             run on the instance from stdin
-                                      (algs: FR, PR, NewPR, GB-pair, GB-triple;
+                                      (algs: FR, PR, NewPR, GB-pair, GB-triple,
+                                       BLL[PR];
                                        policies: greedy, first, last, random:<seed>;
                                        --threads N: node-range-sharded parallel
                                        greedy rounds, greedy policy only,
@@ -121,13 +122,15 @@ OBSERVABILITY (run | scenario | modelcheck | serve):
                                       to a file instead of stdout
 ";
 
-fn parse_alg(s: &str) -> Result<AlgorithmKind, CliError> {
-    AlgorithmKind::ALL
+fn parse_alg(s: &str) -> Result<FrontierFamily, CliError> {
+    FrontierFamily::ALL
         .into_iter()
-        .find(|k| k.name().eq_ignore_ascii_case(s))
+        .find(|f| f.name().eq_ignore_ascii_case(s))
         .ok_or_else(|| {
+            let names: Vec<&str> = FrontierFamily::ALL.iter().map(|f| f.name()).collect();
             err(format!(
-                "unknown algorithm {s:?}; expected one of FR, PR, NewPR, GB-pair, GB-triple"
+                "unknown algorithm {s:?}; expected one of {}",
+                names.join(", ")
             ))
         })
 }
@@ -380,7 +383,7 @@ fn cmd_run(args: &[&str], stdin: &str) -> Result<String, CliError> {
     let (alg, rest) = args
         .split_first()
         .ok_or_else(|| err(format!("run needs an algorithm\n\n{USAGE}")))?;
-    let kind = parse_alg(alg)?;
+    let family = parse_alg(alg)?;
     let parse_threads = |value: &str| parse_flag_usize("--threads", value, 1);
     let mut threads = 1usize;
     let mut policy_arg: Option<&str> = None;
@@ -413,7 +416,7 @@ fn cmd_run(args: &[&str], stdin: &str) -> Result<String, CliError> {
         ));
     }
     let inst = parse_stdin_instance(stdin)?;
-    let mut engine = kind.engine(&inst);
+    let mut engine = family.engine(CsrInstance::from_instance(&inst));
     let stats = if threads > 1 {
         run_engine_frontier_sharded(engine.as_mut(), threads, DEFAULT_MAX_STEPS)
     } else {
@@ -446,10 +449,10 @@ fn cmd_trace(args: &[&str], stdin: &str) -> Result<String, CliError> {
     let (alg, rest) = args
         .split_first()
         .ok_or_else(|| err(format!("trace needs an algorithm\n\n{USAGE}")))?;
-    let kind = parse_alg(alg)?;
+    let family = parse_alg(alg)?;
     let policy = parse_policy(rest.first().copied())?;
     let inst = parse_stdin_instance(stdin)?;
-    let trace = Trace::record(&inst, kind.into(), policy, DEFAULT_MAX_STEPS);
+    let trace = Trace::record(&inst, family, policy, DEFAULT_MAX_STEPS);
     trace
         .validate()
         .map_err(|e| err(format!("internal trace inconsistency: {e}")))?;
@@ -749,8 +752,7 @@ fn cmd_serve(args: &[&str], stdin: &str) -> Result<String, CliError> {
 }
 
 fn cmd_modelcheck(args: &[&str]) -> Result<String, CliError> {
-    use lr_bench::mc::run_battery;
-    use lr_simrel::model_check::{CheckKind, McOptions};
+    use lr_simrel::model_check::{run_battery, CheckKind, McOptions};
 
     let mut n: Option<usize> = None;
     let mut threads = 1;

@@ -29,10 +29,10 @@
 //!
 //! // The classic worst case: a chain with every edge pointing away from
 //! // the destination.
-//! let inst = stream::chain_away(32).to_instance();
+//! let inst = stream::chain_away(32);
 //!
 //! // Run the paper's NewPR to termination under greedy scheduling.
-//! let mut engine = AlgorithmKind::NewPr.engine(&inst);
+//! let mut engine = FrontierFamily::NewPr.engine(inst);
 //! let stats = run_to_destination_oriented(
 //!     engine.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
 //!
@@ -55,14 +55,14 @@ pub mod cli;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use lr_core::alg::{
-        AlgorithmKind, BllLabeling, FrontierBllEngine, FrontierEngine, FrontierFamily,
-        FrontierFrEngine, FrontierNewPrEngine, FrontierPairHeightsEngine, FrontierPrEngine,
+        BllLabeling, FrontierBllEngine, FrontierEngine, FrontierFamily, FrontierFrEngine,
+        FrontierNewPrEngine, FrontierPairHeightsEngine, FrontierPrEngine,
         FrontierTripleHeightsEngine, FullReversalAutomaton, NewPrAutomaton, OneStepPrAutomaton,
-        PrSetAutomaton, ReversalEngine,
+        PrSetAutomaton,
     };
     pub use lr_core::engine::{
-        run_engine, run_engine_frontier, run_engine_frontier_sharded, run_to_destination_oriented,
-        RunStats, SchedulePolicy, DEFAULT_MAX_STEPS,
+        run_engine_frontier, run_engine_frontier_sharded, run_to_destination_oriented, RunStats,
+        SchedulePolicy, DEFAULT_MAX_STEPS,
     };
     pub use lr_core::invariants;
     pub use lr_core::{StepOutcome, StepScratch};

@@ -118,6 +118,43 @@ fn run_threads_flag_is_bit_identical_through_the_binary() {
     assert!(stderr.contains("greedy"), "{stderr}");
 }
 
+/// `lr run` and `lr trace` take every `FrontierFamily` name, and the
+/// help text and the unknown-algorithm error list the same names.
+/// `BLL[PR]` reverses exactly Partial Reversal's sets, so it reports
+/// PR's counts.
+#[test]
+fn every_family_name_is_accepted_and_bll_pr_matches_pr() {
+    use link_reversal::core::alg::FrontierFamily;
+
+    let (help, _, _) = run_with_stdin(&["help"], "");
+    let (_, unknown, _) = run_with_stdin(&["run", "NOPE"], "dest 0\n0 > 1\n");
+    for family in FrontierFamily::ALL {
+        assert!(help.contains(family.name()), "help lacks {}", family.name());
+        assert!(unknown.contains(family.name()), "{unknown}");
+    }
+    let (instance, _, ok) = run_with_stdin(&["generate", "random", "60", "3"], "");
+    assert!(ok);
+    let counts = |alg: &str| -> Vec<String> {
+        let (stats, stderr, ok) = run_with_stdin(&["run", alg], &instance);
+        assert!(ok, "{alg}: {stderr}");
+        stats
+            .lines()
+            .filter(|l| {
+                ["steps:", "total reversals:", "rounds:", "dummy steps:"]
+                    .iter()
+                    .any(|key| l.starts_with(key))
+            })
+            .map(str::to_owned)
+            .collect()
+    };
+    let pr = counts("PR");
+    assert_eq!(pr.len(), 4, "{pr:?}");
+    assert_eq!(counts("BLL[PR]"), pr);
+    let (trace, stderr, ok) = run_with_stdin(&["trace", "BLL[PR]"], &instance);
+    assert!(ok, "{stderr}");
+    assert!(trace.starts_with("BLL[PR] on 60 nodes"), "{trace}");
+}
+
 /// `--obs` end-to-end: a traced run exports a Chrome trace through a
 /// real process, `lr obs validate` accepts it, and the run's own stats
 /// are unchanged by recording. This is the same pipeline the CI obs

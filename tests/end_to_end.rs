@@ -33,14 +33,14 @@ fn every_algorithm_orients_every_family_under_every_policy() {
         SchedulePolicy::LastSingle,
     ];
     for (name, inst) in families() {
-        for kind in AlgorithmKind::ALL {
+        for family in FrontierFamily::ALL {
             for policy in policies {
-                let mut engine = kind.engine(&inst);
+                let mut engine = family.engine(CsrInstance::from_instance(&inst));
                 let stats = run_to_destination_oriented(engine.as_mut(), policy, DEFAULT_MAX_STEPS);
                 assert!(
                     stats.terminated,
                     "{} did not terminate on {name} under {policy:?}",
-                    kind.name()
+                    family.name()
                 );
             }
         }
@@ -58,8 +58,8 @@ fn final_work_is_schedule_sensitive_but_bounded() {
         SchedulePolicy::RandomSingle { seed: 5 },
         SchedulePolicy::FirstSingle,
     ] {
-        let mut e = AlgorithmKind::PartialReversal.engine(&inst);
-        let stats = run_engine(e.as_mut(), policy, DEFAULT_MAX_STEPS);
+        let mut e = FrontierFamily::PartialReversal.engine(CsrInstance::from_instance(&inst));
+        let stats = run_engine_frontier(e.as_mut(), policy, DEFAULT_MAX_STEPS);
         assert!(stats.terminated);
         assert!(
             stats.total_reversals <= nb * nb + nb,
@@ -74,13 +74,13 @@ fn acyclicity_holds_in_every_intermediate_state() {
     // Drive each algorithm one step at a time and check acyclicity and
     // mirror-consistency at every prefix.
     let inst = stream::random_connected(14, 12, 33).to_instance();
-    for kind in AlgorithmKind::ALL {
-        let mut engine = kind.engine(&inst);
+    for family in FrontierFamily::ALL {
+        let mut engine = family.engine(CsrInstance::from_instance(&inst));
         let mut guard = 0;
         loop {
             let o = engine.orientation();
             let view = DirectedView::new(&inst.graph, &o);
-            assert!(view.is_acyclic(), "{} broke acyclicity", kind.name());
+            assert!(view.is_acyclic(), "{} broke acyclicity", family.name());
             let Some(&u) = engine.enabled().first() else {
                 break;
             };
@@ -290,9 +290,9 @@ proptest! {
 #[test]
 fn destination_never_steps_anywhere() {
     for (name, inst) in families() {
-        for kind in AlgorithmKind::ALL {
-            let mut engine = kind.engine(&inst);
-            let stats = run_engine(
+        for family in FrontierFamily::ALL {
+            let mut engine = family.engine(CsrInstance::from_instance(&inst));
+            let stats = run_engine_frontier(
                 engine.as_mut(),
                 SchedulePolicy::RandomSingle { seed: 1 },
                 DEFAULT_MAX_STEPS,
@@ -302,7 +302,7 @@ fn destination_never_steps_anywhere() {
                 stats.work[dest_idx],
                 0,
                 "destination stepped in {} on {name}",
-                kind.name()
+                family.name()
             );
         }
     }

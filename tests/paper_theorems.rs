@@ -80,21 +80,21 @@ fn section_1_work_complexity_shapes() {
     use link_reversal::core::work::{fit_growth_exponent, measure_work};
     let sizes = [16usize, 32, 64, 128];
 
-    let fit = |kind: AlgorithmKind, gen: fn(usize) -> CsrInstance| {
+    let fit = |family: FrontierFamily, gen: fn(usize) -> CsrInstance| {
         let pts: Vec<(f64, f64)> = sizes
             .iter()
             .map(|&n| {
-                let w = measure_work(kind, &gen(n).to_instance());
+                let w = measure_work(family, &gen(n).to_instance());
                 (n as f64, w.total_reversals as f64)
             })
             .collect();
         fit_growth_exponent(&pts)
     };
 
-    let fr_away = fit(AlgorithmKind::FullReversal, stream::chain_away);
-    let pr_away = fit(AlgorithmKind::PartialReversal, stream::chain_away);
-    let fr_alt = fit(AlgorithmKind::FullReversal, stream::alternating_chain);
-    let pr_alt = fit(AlgorithmKind::PartialReversal, stream::alternating_chain);
+    let fr_away = fit(FrontierFamily::FullReversal, stream::chain_away);
+    let pr_away = fit(FrontierFamily::PartialReversal, stream::chain_away);
+    let fr_alt = fit(FrontierFamily::FullReversal, stream::alternating_chain);
+    let pr_alt = fit(FrontierFamily::PartialReversal, stream::alternating_chain);
 
     assert!(
         fr_away > 1.8,

@@ -68,15 +68,16 @@ proptest! {
     fn work_is_quadratically_bounded(inst in instance_strategy(), seed in any::<u64>()) {
         let nb = inst.initial_bad_nodes();
         let n = inst.node_count();
-        for kind in AlgorithmKind::ALL {
-            let mut e = kind.engine(&inst);
-            let stats = run_engine(e.as_mut(), SchedulePolicy::RandomSingle { seed }, 10_000_000);
+        for family in FrontierFamily::ALL {
+            let mut e = family.engine(CsrInstance::from_instance(&inst));
+            let policy = SchedulePolicy::RandomSingle { seed };
+            let stats = run_engine_frontier(e.as_mut(), policy, 10_000_000);
             prop_assert!(stats.terminated);
             // Loose but universal sanity ceiling: (nb+1)² + n steps.
             prop_assert!(
                 stats.steps <= (nb + 1) * (nb + 1) + n,
                 "{} took {} steps with nb = {nb}",
-                kind.name(), stats.steps
+                family.name(), stats.steps
             );
         }
     }
@@ -86,7 +87,7 @@ proptest! {
     /// link reversal is an abelian process.
     #[test]
     fn work_is_schedule_independent(inst in instance_strategy(), seed in any::<u64>()) {
-        for kind in AlgorithmKind::ALL {
+        for family in FrontierFamily::ALL {
             let mut reference = None;
             for policy in [
                 SchedulePolicy::GreedyRounds,
@@ -94,8 +95,8 @@ proptest! {
                 SchedulePolicy::FirstSingle,
                 SchedulePolicy::LastSingle,
             ] {
-                let mut e = kind.engine(&inst);
-                let stats = run_engine(e.as_mut(), policy, 10_000_000);
+                let mut e = family.engine(CsrInstance::from_instance(&inst));
+                let stats = run_engine_frontier(e.as_mut(), policy, 10_000_000);
                 prop_assert!(stats.terminated);
                 // The dense work vector is comparable across runs on one
                 // instance: every engine shares the same CSR indexing.
@@ -104,7 +105,7 @@ proptest! {
                     None => reference = Some(work),
                     Some(r) => prop_assert_eq!(
                         &work, r,
-                        "{} work differs across schedules", kind.name()
+                        "{} work differs across schedules", family.name()
                     ),
                 }
             }
