@@ -11,7 +11,7 @@
 use lr_core::alg::PrSetAutomaton;
 use lr_graph::stream;
 use lr_ioa::{run, schedulers, Automaton};
-use lr_simrel::model_check::{model_check_newpr, model_check_termination};
+use lr_simrel::model_check::{CheckKind, McOptions};
 use lr_simrel::refinement::refine_and_check;
 use serde::Serialize;
 
@@ -25,16 +25,13 @@ struct Row {
 }
 
 fn main() {
-    let max_n: usize = std::env::args()
-        .nth(1)
-        .map(|a| a.parse().expect("size"))
-        .unwrap_or(4);
+    let max_n = lr_bench::max_n_arg(4);
     let mut rows = Vec::new();
 
     println!("E1: Theorem 4.3 — NewPR keeps G' acyclic in every reachable state");
     lr_bench::print_header(&[4, 12, 12, 10], &["n", "instances", "states", "verdict"]);
     for n in 2..=max_n {
-        let s = model_check_newpr(n);
+        let s = CheckKind::NewPr.run(n, &McOptions::default());
         let verdict = if s.verified() { "VERIFIED" } else { "VIOLATED" };
         lr_bench::print_row(
             &[4, 12, 12, 10],
@@ -63,7 +60,7 @@ fn main() {
         &["n", "instances", "states", "longest exec"],
     );
     for n in 2..=max_n.min(4) {
-        let (s, worst) = model_check_termination(n);
+        let s = CheckKind::Termination.run(n, &McOptions::default());
         assert!(s.verified(), "{:?}", s.first_violation);
         lr_bench::print_row(
             &[4, 12, 12, 14],
@@ -71,14 +68,14 @@ fn main() {
                 n.to_string(),
                 s.instances.to_string(),
                 s.states_visited.to_string(),
-                worst.to_string(),
+                s.longest_execution.to_string(),
             ],
         );
         rows.push(Row {
             check: "GB termination (state-graph acyclicity)".into(),
             scope: format!("all instances n={n}"),
             instances: s.instances,
-            states_or_steps: worst,
+            states_or_steps: s.longest_execution,
             verdict: "VERIFIED".into(),
         });
     }

@@ -13,7 +13,7 @@ use lr_core::invariants::{
 };
 use lr_graph::stream;
 use lr_ioa::{run, schedulers};
-use lr_simrel::model_check::{model_check_newpr, model_check_onestep_pr, model_check_pr_set};
+use lr_simrel::model_check::{CheckKind, McOptions};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -26,23 +26,21 @@ struct Row {
 }
 
 fn main() {
-    let max_n: usize = std::env::args()
-        .nth(1)
-        .map(|a| a.parse().expect("size"))
-        .unwrap_or(4);
+    let max_n = lr_bench::max_n_arg(4);
     let mut rows = Vec::new();
     let widths = [34usize, 4, 12, 12, 10];
     println!("E2/E3: the paper's invariants, exhaustively on all instances of size n\n");
     lr_bench::print_header(&widths, &["check", "n", "instances", "states", "verdict"]);
 
     for n in 2..=max_n {
+        let check = |kind: CheckKind| kind.run(n, &McOptions::default());
         for (name, summary) in [
             (
                 "Inv 3.1+3.2+Cor 3.3/3.4 (OneStepPR)",
-                model_check_onestep_pr(n),
+                check(CheckKind::OneStepPr),
             ),
-            ("Inv 3.1+3.2+Cor 3.3/3.4 (PR sets)", model_check_pr_set(n)),
-            ("Inv 3.1+4.1+4.2+Thm 4.3 (NewPR)", model_check_newpr(n)),
+            ("Inv 3.1+3.2+Cor 3.3/3.4 (PR sets)", check(CheckKind::PrSet)),
+            ("Inv 3.1+4.1+4.2+Thm 4.3 (NewPR)", check(CheckKind::NewPr)),
         ] {
             let verdict = if summary.verified() {
                 "VERIFIED"

@@ -16,7 +16,7 @@
 use lr_graph::stream;
 use lr_ioa::schedulers;
 use lr_simrel::equivalence_round_trip;
-use lr_simrel::model_check::{model_check_rev_r, model_check_rev_r_prime};
+use lr_simrel::model_check::{CheckKind, McOptions};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -29,21 +29,19 @@ struct Row {
 }
 
 fn main() {
-    let max_n: usize = std::env::args()
-        .nth(1)
-        .map(|a| a.parse().expect("size"))
-        .unwrap_or(4);
+    let max_n = lr_bench::max_n_arg(4);
     let mut rows = Vec::new();
     let widths = [34usize, 4, 12, 14, 10];
     println!("E13: reverse simulation relations (the paper's §6 conjecture)\n");
     lr_bench::print_header(&widths, &["relation", "n", "instances", "pairs", "verdict"]);
 
     for n in 2..=max_n {
+        let check = |kind: CheckKind| kind.run(n, &McOptions::default());
         for (name, s) in [
-            ("R⁻ : NewPR -> OneStepPR (dummy=ε)", model_check_rev_r(n)),
+            ("R⁻ : NewPR -> OneStepPR (dummy=ε)", check(CheckKind::RevR)),
             (
                 "R'⁻: OneStepPR -> PR (singletons)",
-                model_check_rev_r_prime(n),
+                check(CheckKind::RevRPrime),
             ),
         ] {
             let verdict = if s.verified() { "VERIFIED" } else { "VIOLATED" };

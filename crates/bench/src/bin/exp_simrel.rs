@@ -9,7 +9,7 @@
 use lr_core::alg::{NewPrAutomaton, OneStepPrAutomaton, PrSetAutomaton};
 use lr_graph::stream;
 use lr_ioa::{run, schedulers};
-use lr_simrel::model_check::{model_check_r, model_check_r_prime};
+use lr_simrel::model_check::{CheckKind, McOptions};
 use lr_simrel::{r_checker, r_prime_checker};
 use serde::Serialize;
 
@@ -23,19 +23,17 @@ struct Row {
 }
 
 fn main() {
-    let max_n: usize = std::env::args()
-        .nth(1)
-        .map(|a| a.parse().expect("size"))
-        .unwrap_or(4);
+    let max_n = lr_bench::max_n_arg(4);
     let mut rows = Vec::new();
     let widths = [30usize, 4, 12, 14, 10];
     println!("E4/E5: simulation relations, exhaustive over reachable pair spaces\n");
     lr_bench::print_header(&widths, &["relation", "n", "instances", "pairs", "verdict"]);
 
     for n in 2..=max_n {
+        let check = |kind: CheckKind| kind.run(n, &McOptions::default());
         for (name, s) in [
-            ("R' : PR -> OneStepPR (Thm 5.2)", model_check_r_prime(n)),
-            ("R  : OneStepPR -> NewPR (Thm 5.4)", model_check_r(n)),
+            ("R' : PR -> OneStepPR (Thm 5.2)", check(CheckKind::RPrime)),
+            ("R  : OneStepPR -> NewPR (Thm 5.4)", check(CheckKind::R)),
         ] {
             let verdict = if s.verified() { "VERIFIED" } else { "VIOLATED" };
             lr_bench::print_row(

@@ -8,6 +8,7 @@
 use std::fs;
 use std::path::PathBuf;
 
+use lr_simrel::model_check::parse_size;
 use serde::Serialize;
 
 /// Prints a row of fixed-width columns.
@@ -49,6 +50,19 @@ pub fn write_results<T: Serialize>(name: &str, rows: &T) {
         }
         Err(e) => eprintln!("warning: could not serialize results: {e}"),
     }
+}
+
+/// The largest exhaustive size of a model-checking experiment: `argv[1]`
+/// if given, else `default`. An argument [`parse_size`] refuses exits 1
+/// with an `error:` before anything runs.
+pub fn max_n_arg(default: usize) -> usize {
+    std::env::args()
+        .nth(1)
+        .map_or(Ok(default), |a| parse_size(&a))
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1)
+        })
 }
 
 /// Standard size sweep used by the work experiments.

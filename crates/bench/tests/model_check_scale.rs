@@ -1,43 +1,49 @@
-//! Scale tests for the parallel model checker: the n = 5 sweeps that are
-//! too slow for the default test pass but are the point of the parallel
-//! explorer — run with `--ignored` (or via CI's release `--ignored`
-//! step).
+//! Scale tests for the model checker: the size limit of the exhaustive
+//! experiment binaries, and the exhaustive n = 5 NewPR sweep, too slow
+//! for the default test pass — run that one with `--ignored` (or via CI's
+//! release `--ignored` step).
 
-use lr_simrel::model_check::{model_check_newpr_sampled_opts, McOptions};
+use std::process::Command;
 
-/// Exhaustive NewPR at n = 5 — all 132,150 instances, ~580k states —
-/// plus a stride-100 sample, both verified.
+use lr_simrel::model_check::{CheckKind, McOptions};
+
+/// A size above `MAX_N` (n = 6 would need about 18 GB) exits 1 with an
+/// `error:` before any output, in every exhaustive experiment.
 #[test]
-#[ignore = "n = 5 sweeps take seconds; run with --ignored"]
-fn newpr_holds_exhaustively_at_n5() {
-    let opts = McOptions::default();
-
-    let exhaustive = model_check_newpr_sampled_opts(5, 1, &opts);
-    assert!(
-        exhaustive.verified(),
-        "violation={:?} truncated={:?}",
-        exhaustive.first_violation,
-        exhaustive.truncated
-    );
-    assert_eq!(exhaustive.instances, 132_150);
-    assert!(exhaustive.states_visited > 500_000);
-
-    let sampled = model_check_newpr_sampled_opts(5, 100, &opts);
-    assert!(sampled.verified());
-    assert_eq!(sampled.instances, 132_150usize.div_ceil(100));
+fn exhaustive_experiments_reject_a_size_above_max_n() {
+    for exe in [
+        env!("CARGO_BIN_EXE_exp_acyclicity"),
+        env!("CARGO_BIN_EXE_exp_invariants"),
+        env!("CARGO_BIN_EXE_exp_reverse"),
+        env!("CARGO_BIN_EXE_exp_simrel"),
+    ] {
+        let out = Command::new(exe).arg("6").output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{exe}: {stderr}");
+        assert!(
+            stderr.contains("error: modelcheck needs a size n in 2..=5, got \"6\""),
+            "{exe}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{exe}");
+    }
 }
 
-/// The sampled sweep is bit-identical across outer thread counts at
-/// n = 5 too (the n = 3/4 differential suites cover the dense sizes;
-/// this extends the guarantee to the size the parallel axis exists for).
+/// Exhaustive NewPR at n = 5 — all 132,150 instances — with its state and
+/// transition counts pinned, and the same summary at 1 and 2 threads.
 #[test]
-#[ignore = "n = 5 sweeps take seconds; run with --ignored"]
-fn sampled_n5_sweep_bit_identical_across_threads() {
-    let serial = model_check_newpr_sampled_opts(5, 200, &McOptions::default());
-    assert!(serial.verified());
-    for threads in [2usize, 4] {
-        let par =
-            model_check_newpr_sampled_opts(5, 200, &McOptions::default().with_threads(threads));
-        assert_eq!(serial, par, "diverged at threads={threads}");
-    }
+#[ignore = "the n = 5 sweep takes seconds; run with --ignored"]
+fn newpr_holds_exhaustively_at_n5_at_1_and_2_threads() {
+    let serial = CheckKind::NewPr.run(5, &McOptions::default());
+    assert!(
+        serial.verified(),
+        "violation={:?} truncated={:?}",
+        serial.first_violation,
+        serial.truncated
+    );
+    assert_eq!(
+        (serial.instances, serial.states_visited, serial.transitions),
+        (132_150, 583_045, 551_280)
+    );
+    let parallel = CheckKind::NewPr.run(5, &McOptions::default().with_threads(2));
+    assert_eq!(serial, parallel);
 }

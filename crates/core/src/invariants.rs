@@ -330,7 +330,7 @@ mod tests {
     use super::*;
     use crate::alg::{newpr_step, onestep_pr_step};
     use lr_graph::stream;
-    use lr_ioa::{explore::ExploreOptions, run, schedulers, Automaton};
+    use lr_ioa::{run, schedulers, Automaton};
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -480,7 +480,7 @@ mod tests {
         let inst = stream::chain_away(4).to_instance();
         let aut = NewPrAutomaton { inst: &inst };
         let invs = newpr_invariants(&inst);
-        let report = lr_ioa::explore::explore(&aut, &invs, &ExploreOptions::default());
+        let report = lr_ioa::explore::explore(&aut, &invs, 1_000_000);
         assert!(report.verified(), "violation: {:?}", report.violation);
         assert!(report.states_visited > 1);
     }
@@ -490,7 +490,7 @@ mod tests {
         let inst = stream::chain_away(4).to_instance();
         let aut = OneStepPrAutomaton { inst: &inst };
         let invs = onestep_pr_invariants(&inst);
-        let report = lr_ioa::explore::explore(&aut, &invs, &ExploreOptions::default());
+        let report = lr_ioa::explore::explore(&aut, &invs, 1_000_000);
         assert!(report.verified(), "violation: {:?}", report.violation);
     }
 
@@ -499,7 +499,7 @@ mod tests {
         let inst = stream::star_away(3).to_instance();
         let aut = PrSetAutomaton { inst: &inst };
         let invs = pr_set_invariants(&inst);
-        let report = lr_ioa::explore::explore(&aut, &invs, &ExploreOptions::default());
+        let report = lr_ioa::explore::explore(&aut, &invs, 1_000_000);
         assert!(report.verified(), "violation: {:?}", report.violation);
     }
 

@@ -88,7 +88,7 @@ pub fn acyclic_orientations(graph: &UndirectedGraph) -> Vec<Orientation> {
 /// This is the full input space of the paper's model for size `n`. The
 /// counts grow quickly: `n = 3` yields 54 instances, `n = 4` yields
 /// 1,784 and `n = 5` yields 132,150 (checked against the independent
-/// [`acyclic_orientation_count`]).
+/// count `Σ_G n · T_G(2, 0)`, see [`tutte`]).
 pub fn all_instances(n: usize) -> Vec<ReversalInstance> {
     let mut out = Vec::new();
     for g in connected_graphs(n) {
@@ -104,28 +104,35 @@ pub fn all_instances(n: usize) -> Vec<ReversalInstance> {
     out
 }
 
-/// Counts the acyclic orientations of `graph` without enumerating any.
+/// The Tutte polynomial `T_G(x, y)`, by Whitney's subset expansion
+/// `Σ_{A ⊆ E} (x − 1)^{r(E) − r(A)} (y − 1)^{|A| − r(A)}`, where `r(A)` is
+/// the number of edges of a spanning forest of `(V, A)`.
 ///
-/// By Stanley's theorem the count is `|χ_G(−1)|`, the Tutte evaluation
-/// `T_G(2, 0) = Σ_{A ⊆ E} (−1)^{|A| − r(A)}` (Whitney's subset
-/// expansion), where `r(A)` is the number of edges of a spanning forest
-/// of `(V, A)`. It shares no code with [`acyclic_orientations`], which
-/// makes it the oracle for the model checker's claim to cover every
-/// instance.
+/// Two evaluations count what the model checker enumerates, sharing no
+/// code with [`acyclic_orientations`]:
+///
+/// * `T_G(2, 0)` is the number of acyclic orientations (Stanley's
+///   theorem: `|χ_G(−1)|`), the oracle for the claim to cover every
+///   instance;
+/// * `T_G(1, 0)` is the number of acyclic orientations whose only sink is
+///   a given node (Greene–Zaslavsky), i.e. the instances with that
+///   destination that start destination-oriented.
 ///
 /// # Panics
 ///
 /// Panics if the graph has more than 24 edges.
 ///
 /// ```
-/// use lr_graph::enumerate::acyclic_orientation_count;
+/// use lr_graph::enumerate::tutte;
 /// use lr_graph::UndirectedGraph;
-/// // K4: one acyclic orientation per ordering of its 4 nodes.
+/// // K4: one acyclic orientation per ordering of its 4 nodes; node 0 is
+/// // the only sink of the 3! orderings that end at it.
 /// let k4 =
 ///     UndirectedGraph::from_edges(&[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]).unwrap();
-/// assert_eq!(acyclic_orientation_count(&k4), 24);
+/// assert_eq!(tutte(&k4, 2, 0), 24);
+/// assert_eq!(tutte(&k4, 1, 0), 6);
 /// ```
-pub fn acyclic_orientation_count(graph: &UndirectedGraph) -> u64 {
+pub fn tutte(graph: &UndirectedGraph, x: i64, y: i64) -> i64 {
     let nodes: Vec<NodeId> = graph.nodes().collect();
     let index = |u: NodeId| nodes.binary_search(&u).expect("edge endpoints are nodes");
     let edges: Vec<(usize, usize)> = graph.edges().map(|(u, v)| (index(u), index(v))).collect();
@@ -139,8 +146,7 @@ pub fn acyclic_orientation_count(graph: &UndirectedGraph) -> u64 {
         u
     }
     let mut parent: Vec<usize> = Vec::with_capacity(nodes.len());
-    let mut total = 0i64;
-    for mask in 0..(1u64 << m) {
+    let mut rank_of = |mask: u64| -> u32 {
         parent.clear();
         parent.extend(0..nodes.len());
         let mut rank = 0u32;
@@ -153,11 +159,16 @@ pub fn acyclic_orientation_count(graph: &UndirectedGraph) -> u64 {
                 }
             }
         }
-        // (−1)^{|A| − r(A)}: the parity of A's cycle-space dimension.
-        let nullity = mask.count_ones() - rank;
-        total += if nullity.is_multiple_of(2) { 1 } else { -1 };
-    }
-    u64::try_from(total).expect("T_G(2, 0) is a count")
+        rank
+    };
+    let full = (1u64 << m) - 1;
+    let rank_e = rank_of(full);
+    (0..=full)
+        .map(|mask| {
+            let r = rank_of(mask);
+            (x - 1).pow(rank_e - r) * (y - 1).pow(mask.count_ones() - r)
+        })
+        .sum()
 }
 
 #[cfg(test)]
@@ -210,20 +221,20 @@ mod tests {
         for n in 1..=5 {
             for g in connected_graphs(n) {
                 assert_eq!(
-                    acyclic_orientation_count(&g),
-                    acyclic_orientations(&g).len() as u64,
+                    tutte(&g, 2, 0),
+                    acyclic_orientations(&g).len() as i64,
                     "{g:?}"
                 );
             }
         }
     }
 
-    /// Σ_G AO(G) · n over the connected graphs on `n` nodes: one
+    /// Σ_G n · T_G(2, 0) over the connected graphs on `n` nodes: one
     /// instance per graph, acyclic orientation, and destination.
     fn independent_instance_count(n: usize) -> u64 {
         connected_graphs(n)
             .iter()
-            .map(|g| acyclic_orientation_count(g) * n as u64)
+            .map(|g| u64::try_from(tutte(g, 2, 0)).expect("a count") * n as u64)
             .sum()
     }
 

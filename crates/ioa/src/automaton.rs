@@ -15,7 +15,7 @@ use std::hash::Hash;
 /// * [`apply`](Automaton::apply) — the *effect* of an action.
 ///
 /// States must be `Eq + Hash + Clone` so the explorer can memoize visited
-/// states and reconstruct counterexample traces.
+/// states.
 pub trait Automaton {
     /// State type. Equality/hash define state identity for exploration.
     type State: Clone + Eq + Hash + Debug;

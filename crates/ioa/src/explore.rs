@@ -1,70 +1,21 @@
 //! Breadth-first exploration of an automaton's reachable state space with
-//! per-state invariant checking — serial and parallel, with **bit-identical
-//! reports** at every thread count.
+//! per-state invariant checking, and a cycle check for termination.
 //!
 //! The paper proves its invariants by induction over reachable states. For
 //! a *fixed finite instance* (a given graph, orientation, and destination)
 //! the reachable state space is finite, so the same statement — "invariant
 //! I holds in every reachable state" — becomes a terminating breadth-first
-//! search. The model-checking experiments (E1–E3) run this search over
-//! every instance of bounded size.
-//!
-//! ## The layered engine
-//!
-//! Both [`explore`] and [`explore_parallel`] run the same **layered BFS**:
-//! the frontier of depth `d` is a vector of states in canonical order
-//! (admission order), split into contiguous shards. Each shard is expanded
-//! — enabled actions applied, transitions counted, candidate successors
-//! filtered against the shared [`ShardedVisited`] set and invariant-checked
-//! — and the shard outputs are folded through a [`ReorderBuffer`] strictly
-//! in shard order. The fold admits candidates into the next frontier in
-//! canonical order (first canonical discovery wins), applies the
-//! `max_states` budget, records predecessor links, and reports the
-//! **canonically first** invariant violation.
-//!
-//! Because expansion is a pure function of the frozen frontier, and every
-//! admission decision happens in the sequential canonical-order fold, the
-//! resulting [`ExplorationReport`] — counts, truncation, violation, and
-//! counterexample trace — is the same no matter how many worker threads
-//! expanded the shards. `crates/ioa/tests/explore_equivalence.rs` enforces
-//! this field-for-field against the serial reference at threads
-//! {1, 2, 4, 8}.
+//! search. The model checker (`lr_simrel::model_check`) runs this search
+//! over every instance of bounded size, fanning the instances out across
+//! threads; each search itself is serial.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::hash::{Hash, Hasher};
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::collections::{HashMap, HashSet};
 
-use crate::{Automaton, Execution, Invariant, InvariantViolation};
-
-/// Bounds for [`explore`].
-#[derive(Debug, Clone)]
-pub struct ExploreOptions {
-    /// Stop after visiting this many states (guards against state-space
-    /// blowup; exceeding it is reported as [`ExplorationReport::truncated`]).
-    pub max_states: usize,
-    /// Only explore to this BFS depth (`usize::MAX` = unbounded).
-    pub max_depth: usize,
-    /// Record predecessor links so violations carry a full counterexample
-    /// trace (costs memory proportional to the state count).
-    pub record_traces: bool,
-}
-
-impl Default for ExploreOptions {
-    fn default() -> Self {
-        ExploreOptions {
-            max_states: 1_000_000,
-            max_depth: usize::MAX,
-            record_traces: true,
-        }
-    }
-}
+use crate::{Automaton, Invariant, InvariantViolation};
 
 /// Result of a (possibly truncated) reachability exploration.
-#[derive(Clone)]
-pub struct ExplorationReport<A: Automaton> {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ExplorationReport {
     /// Number of distinct states visited.
     pub states_visited: usize,
     /// Number of transitions traversed.
@@ -74,54 +25,18 @@ pub struct ExplorationReport<A: Automaton> {
     /// Number of quiescent (terminal) states found.
     pub quiescent_states: usize,
     /// Sum of frontier widths over all expanded layers (the layer-width
-    /// integral). Layer contents are canonical, so this is identical
-    /// for serial and parallel exploration.
+    /// integral).
     pub frontier_sum: usize,
     /// Widest single layer expanded.
     pub frontier_max: usize,
-    /// First invariant violation found (canonically first in BFS admission
-    /// order), with a counterexample execution when trace recording was
-    /// enabled.
-    pub violation: Option<(InvariantViolation, Option<Execution<A>>)>,
-    /// Whether the exploration hit `max_states`/`max_depth` before
-    /// exhausting the reachable space.
+    /// First invariant violation found, in BFS admission order.
+    pub violation: Option<InvariantViolation>,
+    /// Whether a new state was found after `max_states` states had been
+    /// admitted, i.e. the reachable space was not exhausted.
     pub truncated: bool,
 }
 
-// Manual impls: derives would bound on `A` itself rather than on the
-// associated state/action types (which the `Automaton` trait already
-// requires to be `Eq` and `Debug`).
-impl<A: Automaton> std::fmt::Debug for ExplorationReport<A> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExplorationReport")
-            .field("states_visited", &self.states_visited)
-            .field("transitions", &self.transitions)
-            .field("max_depth_reached", &self.max_depth_reached)
-            .field("quiescent_states", &self.quiescent_states)
-            .field("frontier_sum", &self.frontier_sum)
-            .field("frontier_max", &self.frontier_max)
-            .field("violation", &self.violation)
-            .field("truncated", &self.truncated)
-            .finish()
-    }
-}
-
-impl<A: Automaton> PartialEq for ExplorationReport<A> {
-    fn eq(&self, other: &Self) -> bool {
-        self.states_visited == other.states_visited
-            && self.transitions == other.transitions
-            && self.max_depth_reached == other.max_depth_reached
-            && self.quiescent_states == other.quiescent_states
-            && self.frontier_sum == other.frontier_sum
-            && self.frontier_max == other.frontier_max
-            && self.violation == other.violation
-            && self.truncated == other.truncated
-    }
-}
-
-impl<A: Automaton> Eq for ExplorationReport<A> {}
-
-impl<A: Automaton> ExplorationReport<A> {
+impl ExplorationReport {
     /// `true` when the full reachable space was explored and no invariant
     /// was violated.
     pub fn verified(&self) -> bool {
@@ -129,11 +44,8 @@ impl<A: Automaton> ExplorationReport<A> {
     }
 
     /// The exploration's deterministic metrics, **derived** from the
-    /// report. Every input field is bit-identical between serial and
-    /// parallel exploration, so the shard (and its rendered bytes) is
-    /// too — worker-side quantities like [`ShardedVisited`] probe
-    /// counts are deliberately *not* included, because concurrent
-    /// admission makes them schedule-dependent.
+    /// report, so they (and their rendered bytes) are a projection of the
+    /// counts above, never a second tally.
     pub fn metrics(&self) -> lr_obs::MetricsShard {
         let mut m = lr_obs::MetricsShard::new();
         m.add("explore.states", self.states_visited as u64);
@@ -141,9 +53,9 @@ impl<A: Automaton> ExplorationReport<A> {
         m.add("explore.quiescent_states", self.quiescent_states as u64);
         m.add("explore.frontier_states", self.frontier_sum as u64);
         // Transitions whose successor was not admitted as a new state:
-        // duplicates caught by the visited set, plus budget/depth
-        // rejections (the initial state is admitted before any
-        // transition fires, hence the `- 1`).
+        // duplicates caught by the visited set, plus budget rejections
+        // (the initial state is admitted before any transition fires,
+        // hence the `- 1`).
         m.add(
             "explore.duplicate_hits",
             (self.transitions as u64)
@@ -155,153 +67,6 @@ impl<A: Automaton> ExplorationReport<A> {
         m.record_max("explore.max_depth", self.max_depth_reached as u64);
         m
     }
-}
-
-// ───────────────────── sharded visited set ─────────────────────
-
-/// Number of shards in a [`ShardedVisited`] set: enough that worker
-/// threads rarely contend on the same lock, small enough that an empty
-/// set stays cheap.
-const VISITED_SHARDS: usize = 64;
-
-/// A hash-sharded visited set: `VISITED_SHARDS` independent `HashSet`s,
-/// each behind its own lock, with the shard chosen by the state's hash.
-///
-/// Workers expanding a frontier query [`contains`](ShardedVisited::contains)
-/// concurrently while the canonical-order fold admits new states through
-/// [`insert`](ShardedVisited::insert). A worker-side `contains` may miss a
-/// state admitted concurrently from an earlier shard of the same layer —
-/// that is harmless, because the fold re-checks membership before
-/// admission; the worker-side filter only prunes candidate traffic.
-pub struct ShardedVisited<S> {
-    shards: Vec<Mutex<HashSet<S>>>,
-}
-
-impl<S: Eq + Hash> ShardedVisited<S> {
-    /// Creates an empty sharded set.
-    pub fn new() -> Self {
-        ShardedVisited {
-            shards: (0..VISITED_SHARDS)
-                .map(|_| Mutex::new(HashSet::new()))
-                .collect(),
-        }
-    }
-
-    fn shard_of(&self, state: &S) -> usize {
-        let mut h = DefaultHasher::new();
-        state.hash(&mut h);
-        (h.finish() as usize) % self.shards.len()
-    }
-
-    /// Whether `state` is in the set.
-    pub fn contains(&self, state: &S) -> bool {
-        self.shards[self.shard_of(state)]
-            .lock()
-            .expect("visited shard lock")
-            .contains(state)
-    }
-
-    /// Inserts `state`; returns `true` if it was not present before.
-    pub fn insert(&self, state: S) -> bool {
-        self.shards[self.shard_of(&state)]
-            .lock()
-            .expect("visited shard lock")
-            .insert(state)
-    }
-
-    /// Total number of states across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("visited shard lock").len())
-            .sum()
-    }
-
-    /// `true` when no state has been inserted.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<S: Eq + Hash> Default for ShardedVisited<S> {
-    fn default() -> Self {
-        ShardedVisited::new()
-    }
-}
-
-// ───────────────────── reorder buffer ─────────────────────
-
-/// An in-order reorder buffer: indexed items submitted in any order are
-/// delivered to a fold strictly in index order (0, 1, 2, …), with
-/// early arrivals parked until the gap fills.
-///
-/// This is the same merge discipline as the PR 5 matrix-sweep folder: it
-/// is what makes a parallel fan-out's fold sequence — and therefore its
-/// result — independent of worker scheduling.
-#[derive(Debug)]
-pub struct ReorderBuffer<T> {
-    next: usize,
-    parked: BTreeMap<usize, T>,
-}
-
-impl<T> Default for ReorderBuffer<T> {
-    fn default() -> Self {
-        ReorderBuffer::new()
-    }
-}
-
-impl<T> ReorderBuffer<T> {
-    /// Creates an empty buffer expecting index 0 first.
-    pub fn new() -> Self {
-        ReorderBuffer {
-            next: 0,
-            parked: BTreeMap::new(),
-        }
-    }
-
-    /// Submits the item for `index`, delivering it — and any parked
-    /// successors it unblocks — to `deliver` in index order.
-    pub fn submit(&mut self, index: usize, item: T, mut deliver: impl FnMut(T)) {
-        self.parked.insert(index, item);
-        while let Some(item) = self.parked.remove(&self.next) {
-            deliver(item);
-            self.next += 1;
-        }
-    }
-
-    /// The next index the buffer will deliver.
-    pub fn next_index(&self) -> usize {
-        self.next
-    }
-
-    /// Number of items parked out of order.
-    pub fn parked(&self) -> usize {
-        self.parked.len()
-    }
-}
-
-// ───────────────────── layer machinery ─────────────────────
-
-/// One candidate successor produced by shard expansion, pending canonical
-/// admission.
-struct Candidate<A: Automaton> {
-    state: A::State,
-    /// Index of the parent in the layer's frontier.
-    parent: usize,
-    action: A::Action,
-    /// Invariant-check result for `state` (checks are pure, so evaluating
-    /// them in the worker — possibly for candidates the fold later rejects
-    /// as within-layer duplicates — cannot change the report).
-    violation: Option<InvariantViolation>,
-}
-
-/// Everything one shard expansion produces.
-struct ShardOutput<A: Automaton> {
-    transitions: usize,
-    quiescent: usize,
-    /// A non-quiescent state at the depth limit was not expanded.
-    depth_truncated: bool,
-    candidates: Vec<Candidate<A>>,
 }
 
 fn check_invariants<A: Automaton>(
@@ -321,329 +86,77 @@ fn check_invariants<A: Automaton>(
     None
 }
 
-/// Expands `frontier[range]` at `depth`: counts quiescent states and
-/// transitions, honors the depth limit, filters successors against
-/// `visited`, and invariant-checks the surviving candidates.
-fn expand_shard<A: Automaton>(
-    automaton: &A,
-    invariants: &[Invariant<A>],
-    opts: &ExploreOptions,
-    depth: usize,
-    frontier: &[A::State],
-    range: Range<usize>,
-    visited: &ShardedVisited<A::State>,
-) -> ShardOutput<A> {
-    let mut out = ShardOutput {
-        transitions: 0,
-        quiescent: 0,
-        depth_truncated: false,
-        candidates: Vec::new(),
-    };
-    for parent in range {
-        let state = &frontier[parent];
-        let enabled = automaton.enabled_actions(state);
-        if enabled.is_empty() {
-            out.quiescent += 1;
-            continue;
-        }
-        if depth >= opts.max_depth {
-            out.depth_truncated = true;
-            continue;
-        }
-        for action in enabled {
-            let next = automaton.apply(state, &action);
-            out.transitions += 1;
-            if visited.contains(&next) {
-                continue;
-            }
-            let violation = check_invariants(invariants, &next, depth + 1);
-            out.candidates.push(Candidate {
-                state: next,
-                parent,
-                action,
-                violation,
-            });
-        }
-    }
-    out
-}
-
-/// Exploration state shared across layers: the running report and, when
-/// tracing, the predecessor links.
-struct ExploreState<A: Automaton> {
-    report: ExplorationReport<A>,
-    #[allow(clippy::type_complexity)]
-    pred: HashMap<A::State, (A::State, A::Action)>,
-}
-
-fn rebuild_trace<A: Automaton>(
-    pred: &HashMap<A::State, (A::State, A::Action)>,
-    target: &A::State,
-) -> Execution<A> {
-    // Walk parents back to the initial state, then replay forward.
-    let mut rev: Vec<(A::State, A::Action)> = Vec::new();
-    let mut cur = target.clone();
-    while let Some((parent, action)) = pred.get(&cur) {
-        rev.push((cur.clone(), action.clone()));
-        cur = parent.clone();
-    }
-    let mut exec = Execution::new(cur);
-    for (state, action) in rev.into_iter().rev() {
-        exec.push(action, state);
-    }
-    exec
-}
-
-/// The canonical-order fold of one layer's shard outputs: scalar counters
-/// merge commutatively, candidate admission runs strictly in shard order
-/// through a [`ReorderBuffer`], and the first admitted violation stops
-/// all further admissions (counters of later shards still fold, so the
-/// report is independent of which worker finished first).
-struct LayerFold<'a, A: Automaton> {
-    opts: &'a ExploreOptions,
-    frontier: &'a [A::State],
-    visited: &'a ShardedVisited<A::State>,
-    st: &'a mut ExploreState<A>,
-    next: Vec<A::State>,
-    buffer: ReorderBuffer<ShardOutput<A>>,
-}
-
-impl<'a, A: Automaton> LayerFold<'a, A> {
-    fn new(
-        opts: &'a ExploreOptions,
-        frontier: &'a [A::State],
-        visited: &'a ShardedVisited<A::State>,
-        st: &'a mut ExploreState<A>,
-    ) -> Self {
-        LayerFold {
-            opts,
-            frontier,
-            visited,
-            st,
-            next: Vec::new(),
-            buffer: ReorderBuffer::new(),
-        }
-    }
-
-    /// Submits shard `index`'s output; folds it (and any unblocked parked
-    /// shards) in canonical shard order.
-    fn submit(&mut self, index: usize, out: ShardOutput<A>) {
-        let mut buffer = std::mem::take(&mut self.buffer);
-        buffer.submit(index, out, |out| self.fold(out));
-        self.buffer = buffer;
-    }
-
-    fn fold(&mut self, out: ShardOutput<A>) {
-        let report = &mut self.st.report;
-        report.transitions += out.transitions;
-        report.quiescent_states += out.quiescent;
-        if out.depth_truncated {
-            report.truncated = true;
-        }
-        if report.violation.is_some() {
-            // A canonically earlier shard already violated: counters above
-            // still fold (the whole layer was expanded), admissions stop.
-            return;
-        }
-        for cand in out.candidates {
-            if self.visited.contains(&cand.state) {
-                // Duplicate of a previous layer or of a canonically earlier
-                // admission in this layer.
-                continue;
-            }
-            if self.st.report.states_visited >= self.opts.max_states {
-                self.st.report.truncated = true;
-                continue;
-            }
-            self.visited.insert(cand.state.clone());
-            self.st.report.states_visited += 1;
-            if self.opts.record_traces {
-                self.st.pred.insert(
-                    cand.state.clone(),
-                    (self.frontier[cand.parent].clone(), cand.action),
-                );
-            }
-            if let Some(v) = cand.violation {
-                let trace = self
-                    .opts
-                    .record_traces
-                    .then(|| rebuild_trace(&self.st.pred, &cand.state));
-                self.st.report.violation = Some((v, trace));
-                return;
-            }
-            self.next.push(cand.state);
-        }
-    }
-}
-
-/// Contiguous shard ranges for a frontier of `len` states: ~4 shards per
-/// worker so the cursor-based fan-out load-balances. The partition does
-/// not affect the result (candidate concatenation in shard order equals
-/// expansion in frontier order), only the parallel grain.
-fn shard_ranges(len: usize, threads: usize) -> Vec<Range<usize>> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let shards = (threads * 4).clamp(1, len);
-    let size = len.div_ceil(shards);
-    (0..len)
-        .step_by(size)
-        .map(|start| start..(start + size).min(len))
-        .collect()
-}
-
-/// Admits the initial state (membership, count, invariant check) and
-/// builds the depth-0 frontier.
-fn init_exploration<A: Automaton>(
-    automaton: &A,
-    invariants: &[Invariant<A>],
-    opts: &ExploreOptions,
-) -> (ExploreState<A>, ShardedVisited<A::State>, Vec<A::State>) {
-    let initial = automaton.initial_state();
-    let visited = ShardedVisited::new();
-    visited.insert(initial.clone());
-    let mut st = ExploreState {
-        report: ExplorationReport {
-            states_visited: 1,
-            transitions: 0,
-            max_depth_reached: 0,
-            quiescent_states: 0,
-            frontier_sum: 0,
-            frontier_max: 0,
-            violation: None,
-            truncated: false,
-        },
-        pred: HashMap::new(),
-    };
-    if let Some(v) = check_invariants(invariants, &initial, 0) {
-        let trace = opts.record_traces.then(|| Execution::new(initial.clone()));
-        st.report.violation = Some((v, trace));
-    }
-    (st, visited, vec![initial])
-}
-
-/// Explores all states reachable from the initial state, checking each
-/// invariant in each state — the serial reference implementation of the
-/// layered engine ([`explore_parallel`] is bit-identical to it at every
-/// thread count).
+/// Explores all states reachable from the initial state, layer by layer,
+/// checking each invariant in each newly admitted state.
 ///
-/// Stops at the canonically **first** violation, with a counterexample
-/// trace (a valid execution from the initial state to the violating
-/// state) if tracing is enabled.
+/// Layers are expanded in admission order. The initial state is always
+/// admitted; a new state found once `max_states` states are admitted is
+/// dropped and marks the report [`truncated`](ExplorationReport::truncated).
+/// The first violating admission stops all further admissions, but the
+/// rest of its layer is still expanded, so that layer's transitions and
+/// quiescent states are counted in full.
 pub fn explore<A: Automaton>(
     automaton: &A,
     invariants: &[Invariant<A>],
-    opts: &ExploreOptions,
-) -> ExplorationReport<A> {
-    let (mut st, visited, mut frontier) = init_exploration(automaton, invariants, opts);
+    max_states: usize,
+) -> ExplorationReport {
+    let initial = automaton.initial_state();
+    let mut report = ExplorationReport {
+        states_visited: 1,
+        transitions: 0,
+        max_depth_reached: 0,
+        quiescent_states: 0,
+        frontier_sum: 0,
+        frontier_max: 0,
+        violation: check_invariants(invariants, &initial, 0),
+        truncated: false,
+    };
+    let mut visited = HashSet::from([initial.clone()]);
+    let mut frontier = vec![initial];
     let mut depth = 0usize;
     // Resolved once per exploration, and only when a session records —
     // the disabled path costs one relaxed load per call.
     let layer_span = lr_obs::enabled().then(|| lr_obs::span_handle("explore", "explore.layer"));
-    while !frontier.is_empty() && st.report.violation.is_none() {
-        st.report.max_depth_reached = st.report.max_depth_reached.max(depth);
-        st.report.frontier_sum += frontier.len();
-        st.report.frontier_max = st.report.frontier_max.max(frontier.len());
+    while !frontier.is_empty() && report.violation.is_none() {
+        report.max_depth_reached = depth;
+        report.frontier_sum += frontier.len();
+        report.frontier_max = report.frontier_max.max(frontier.len());
         let _sp = layer_span.as_ref().map(|h| {
             let mut span = h.start();
             span.arg("depth", depth as u64);
             span.arg("frontier", frontier.len() as u64);
             span
         });
-        let ranges = shard_ranges(frontier.len(), 1);
-        let mut fold = LayerFold::new(opts, &frontier, &visited, &mut st);
-        for (i, range) in ranges.iter().enumerate() {
-            let out = expand_shard(
-                automaton,
-                invariants,
-                opts,
-                depth,
-                &frontier,
-                range.clone(),
-                &visited,
-            );
-            fold.submit(i, out);
-        }
-        let next = fold.next;
-        frontier = next;
-        depth += 1;
-    }
-    if layer_span.is_some() {
-        st.report.metrics().publish();
-    }
-    st.report
-}
-
-/// Parallel [`explore`]: each layer's frontier shards fan out over
-/// `threads` crossbeam-scoped workers pulling from a shared cursor,
-/// expansions run against the shared [`ShardedVisited`] set, and shard
-/// outputs fold through the canonical-order [`ReorderBuffer`].
-///
-/// The returned report is **bit-identical** to [`explore`]'s at every
-/// thread count — including the counterexample trace and truncation
-/// flags — because every admission decision happens in the sequential
-/// canonical-order fold (enforced by
-/// `crates/ioa/tests/explore_equivalence.rs`).
-pub fn explore_parallel<A>(
-    automaton: &A,
-    invariants: &[Invariant<A>],
-    opts: &ExploreOptions,
-    threads: usize,
-) -> ExplorationReport<A>
-where
-    A: Automaton + Sync,
-    A::State: Send + Sync,
-    A::Action: Send,
-{
-    let threads = threads.max(1);
-    if threads == 1 {
-        return explore(automaton, invariants, opts);
-    }
-    let (mut st, visited, mut frontier) = init_exploration(automaton, invariants, opts);
-    let mut depth = 0usize;
-    let layer_span = lr_obs::enabled().then(|| lr_obs::span_handle("explore", "explore.layer"));
-    while !frontier.is_empty() && st.report.violation.is_none() {
-        st.report.max_depth_reached = st.report.max_depth_reached.max(depth);
-        st.report.frontier_sum += frontier.len();
-        st.report.frontier_max = st.report.frontier_max.max(frontier.len());
-        let _sp = layer_span.as_ref().map(|h| {
-            let mut span = h.start();
-            span.arg("depth", depth as u64);
-            span.arg("frontier", frontier.len() as u64);
-            span
-        });
-        let ranges = shard_ranges(frontier.len(), threads);
-        let fold = Mutex::new(LayerFold::new(opts, &frontier, &visited, &mut st));
-        let cursor = AtomicUsize::new(0);
-        crossbeam::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|_| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= ranges.len() {
-                        break;
-                    }
-                    let out = expand_shard(
-                        automaton,
-                        invariants,
-                        opts,
-                        depth,
-                        &frontier,
-                        ranges[i].clone(),
-                        &visited,
-                    );
-                    fold.lock().expect("layer fold lock").submit(i, out);
-                });
+        let mut next = Vec::new();
+        for state in &frontier {
+            let enabled = automaton.enabled_actions(state);
+            if enabled.is_empty() {
+                report.quiescent_states += 1;
+                continue;
             }
-        })
-        .expect("scoped explore workers run");
-        let next = fold.into_inner().expect("workers joined").next;
+            for action in enabled {
+                let succ = automaton.apply(state, &action);
+                report.transitions += 1;
+                if report.violation.is_some() || visited.contains(&succ) {
+                    continue;
+                }
+                if report.states_visited >= max_states {
+                    report.truncated = true;
+                    continue;
+                }
+                visited.insert(succ.clone());
+                report.states_visited += 1;
+                report.violation = check_invariants(invariants, &succ, depth + 1);
+                next.push(succ);
+            }
+        }
         frontier = next;
         depth += 1;
     }
     if layer_span.is_some() {
-        st.report.metrics().publish();
+        report.metrics().publish();
     }
-    st.report
+    report
 }
 
 /// Result of [`check_termination`].
@@ -660,7 +173,8 @@ pub enum TerminationResult {
     },
     /// A cycle of states exists: some schedule runs forever.
     Diverges {
-        /// A state on the cycle.
+        /// DFS depth (steps from the initial state along the search path)
+        /// of the state whose successor closed the cycle.
         witness_depth: usize,
     },
     /// The exploration bound was hit before the answer was known.
@@ -747,7 +261,7 @@ mod tests {
     #[test]
     fn explores_full_counter_space() {
         let c = Counter { max: 9 };
-        let r = explore(&c, &[], &ExploreOptions::default());
+        let r = explore(&c, &[], 1_000_000);
         assert_eq!(r.states_visited, 10);
         assert_eq!(r.transitions, 9);
         assert_eq!(r.quiescent_states, 1);
@@ -758,115 +272,70 @@ mod tests {
     #[test]
     fn explores_product_space() {
         let t = TwoTokens { ring: 4 };
-        let r = explore(&t, &[], &ExploreOptions::default());
+        let r = explore(&t, &[], 1_000_000);
         assert_eq!(r.states_visited, 16);
         assert_eq!(r.quiescent_states, 0);
         assert!(r.verified());
     }
 
     #[test]
-    fn finds_violation_with_trace() {
+    fn finds_violation_at_its_depth() {
         let c = Counter { max: 100 };
         let inv = Invariant::holds("below-4", |s: &u32| *s < 4);
-        let r = explore(&c, &[inv], &ExploreOptions::default());
+        let r = explore(&c, &[inv], 1_000_000);
         assert!(!r.verified());
-        let (violation, trace) = r.violation.expect("must be violated");
+        let violation = r.violation.expect("must be violated");
         assert_eq!(violation.invariant, "below-4");
         assert_eq!(violation.depth, Some(4));
-        let trace = trace.expect("tracing enabled");
-        assert_eq!(*trace.last_state(), 4);
-        assert!(
-            trace.validate(&c).is_ok(),
-            "counterexample must be a real execution"
-        );
+        assert_eq!(r.states_visited, 5);
     }
 
     #[test]
     fn violation_in_initial_state_detected() {
         let c = Counter { max: 3 };
         let inv = Invariant::holds("nonzero", |s: &u32| *s != 0);
-        let r = explore(&c, &[inv], &ExploreOptions::default());
-        let (violation, trace) = r.violation.expect("violated at s0");
-        assert_eq!(violation.depth, Some(0));
-        assert_eq!(trace.expect("trace").len(), 0);
+        let r = explore(&c, &[inv], 1_000_000);
+        assert_eq!(r.violation.expect("violated at s0").depth, Some(0));
+        assert_eq!((r.states_visited, r.transitions), (1, 0));
+    }
+
+    #[test]
+    fn violation_stops_admission_but_finishes_its_layer() {
+        // Layer 0 is (0,0); layer 1 is (1,0), (0,1). Expanding (1,0)
+        // admits the violating (2,0). The remaining three transitions of
+        // layer 1 are still counted, but none of their successors is
+        // admitted, and layer 2 is never expanded.
+        let t = TwoTokens { ring: 4 };
+        let inv = Invariant::holds("not-(2,0)", |s: &(u32, u32)| *s != (2, 0));
+        let r = explore(&t, &[inv], 1_000_000);
+        assert_eq!(r.violation.expect("(2,0) is reachable").depth, Some(2));
+        assert_eq!(
+            (r.states_visited, r.transitions, r.max_depth_reached),
+            (4, 6, 1)
+        );
+        assert_eq!((r.frontier_sum, r.frontier_max), (3, 2));
+        assert!(!r.truncated);
     }
 
     #[test]
     fn max_states_truncates() {
         let c = Counter { max: 1_000 };
-        let r = explore(
-            &c,
-            &[],
-            &ExploreOptions {
-                max_states: 10,
-                ..ExploreOptions::default()
-            },
-        );
+        let r = explore(&c, &[], 10);
         assert!(r.truncated);
         assert!(!r.verified());
         assert_eq!(r.states_visited, 10);
     }
 
     #[test]
-    fn max_depth_truncates() {
-        let c = Counter { max: 1_000 };
-        let r = explore(
-            &c,
-            &[],
-            &ExploreOptions {
-                max_depth: 5,
-                ..ExploreOptions::default()
-            },
-        );
-        assert!(r.truncated);
-        assert_eq!(r.max_depth_reached, 5);
-    }
-
-    #[test]
-    fn max_depth_cutoff_still_counts_quiescent_states() {
-        // Counter quiesces exactly at the depth limit: the limited state
-        // is quiescent, so nothing was cut off and the report is clean.
-        let c = Counter { max: 5 };
-        let r = explore(
-            &c,
-            &[],
-            &ExploreOptions {
-                max_depth: 5,
-                ..ExploreOptions::default()
-            },
-        );
-        assert!(!r.truncated, "quiescent state at the limit is not a cutoff");
-        assert_eq!(r.quiescent_states, 1);
-        assert!(r.verified());
-    }
-
-    #[test]
     fn max_states_zero_and_one_do_not_panic() {
         let c = Counter { max: 100 };
         for max_states in [0usize, 1] {
-            let r = explore(
-                &c,
-                &[],
-                &ExploreOptions {
-                    max_states,
-                    ..ExploreOptions::default()
-                },
-            );
+            let r = explore(&c, &[], max_states);
             // The initial state is always admitted; the budget bites on
             // the first successor.
             assert_eq!(r.states_visited, 1);
             assert!(r.truncated);
             assert!(!r.verified());
-            let rp = explore_parallel(
-                &c,
-                &[],
-                &ExploreOptions {
-                    max_states,
-                    ..ExploreOptions::default()
-                },
-                4,
-            );
-            assert_eq!(r, rp, "parallel must agree at max_states={max_states}");
         }
     }
 
@@ -895,83 +364,5 @@ mod tests {
     fn termination_check_respects_bound() {
         let c = Counter { max: 1_000_000 };
         assert_eq!(check_termination(&c, 10), TerminationResult::Unknown);
-    }
-
-    #[test]
-    fn tracing_can_be_disabled() {
-        let c = Counter { max: 100 };
-        let inv = Invariant::holds("below-4", |s: &u32| *s < 4);
-        let r = explore(
-            &c,
-            &[inv],
-            &ExploreOptions {
-                record_traces: false,
-                ..ExploreOptions::default()
-            },
-        );
-        let (violation, trace) = r.violation.expect("violated");
-        assert_eq!(violation.invariant, "below-4", "violation still reported");
-        assert!(trace.is_none(), "no trace without recording");
-    }
-
-    #[test]
-    fn parallel_explore_matches_serial_on_test_automata() {
-        let c = Counter { max: 200 };
-        let t = TwoTokens { ring: 8 };
-        let serial_c = explore(&c, &[], &ExploreOptions::default());
-        let serial_t = explore(&t, &[], &ExploreOptions::default());
-        for threads in [1, 2, 4, 8] {
-            assert_eq!(
-                explore_parallel(&c, &[], &ExploreOptions::default(), threads),
-                serial_c
-            );
-            assert_eq!(
-                explore_parallel(&t, &[], &ExploreOptions::default(), threads),
-                serial_t
-            );
-        }
-    }
-
-    #[test]
-    fn reorder_buffer_delivers_in_index_order() {
-        let mut buf = ReorderBuffer::new();
-        let mut seen = Vec::new();
-        buf.submit(2, "c", |x| seen.push(x));
-        assert_eq!(buf.parked(), 1);
-        assert_eq!(buf.next_index(), 0);
-        buf.submit(0, "a", |x| seen.push(x));
-        assert_eq!(seen, vec!["a"]);
-        buf.submit(1, "b", |x| seen.push(x));
-        assert_eq!(seen, vec!["a", "b", "c"]);
-        assert_eq!(buf.parked(), 0);
-        assert_eq!(buf.next_index(), 3);
-    }
-
-    #[test]
-    fn sharded_visited_set_dedups() {
-        let v: ShardedVisited<u64> = ShardedVisited::new();
-        assert!(v.is_empty());
-        assert!(v.insert(7));
-        assert!(!v.insert(7));
-        assert!(v.insert(8));
-        assert!(v.contains(&7));
-        assert!(!v.contains(&9));
-        assert_eq!(v.len(), 2);
-    }
-
-    #[test]
-    fn shard_ranges_cover_exactly() {
-        for len in [0usize, 1, 2, 7, 64, 1000] {
-            for threads in [1usize, 2, 4, 8] {
-                let ranges = shard_ranges(len, threads);
-                let mut covered = 0usize;
-                for (i, r) in ranges.iter().enumerate() {
-                    assert_eq!(r.start, covered, "contiguous at shard {i}");
-                    assert!(r.end > r.start, "non-empty shard {i}");
-                    covered = r.end;
-                }
-                assert_eq!(covered, len, "len={len} threads={threads}");
-            }
-        }
     }
 }

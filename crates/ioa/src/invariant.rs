@@ -7,7 +7,7 @@ use crate::Automaton;
 ///
 /// A check returns `Ok(())` or a human-readable description of the
 /// violation, which the explorer wraps in an [`InvariantViolation`] with
-/// the offending trace.
+/// the depth of the offending state.
 pub struct Invariant<A: Automaton> {
     name: String,
     #[allow(clippy::type_complexity)]

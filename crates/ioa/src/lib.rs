@@ -15,8 +15,9 @@
 //!   random, round-robin, or caller-driven; plus [`run`] /
 //!   [`run_to_quiescence`] drivers.
 //! * [`explore`](explore::explore) — breadth-first reachability over the
-//!   full state space with per-state invariant checking and counterexample
-//!   traces, used to turn the paper's induction proofs into finite checks.
+//!   full state space with per-state invariant checking, used to turn the
+//!   paper's induction proofs into finite checks; a violation names the
+//!   invariant and the depth of the first state that breaks it.
 //! * [`SimulationChecker`] — mechanized forward-simulation obligations in
 //!   the exact shape of the paper's Lemma 5.1(b)/5.3(b): *for every step of
 //!   the concrete automaton and every related abstract state, a proposed

@@ -17,9 +17,9 @@
 //!   type of saturating counters and maxima with a commutative,
 //!   associative [`MetricsShard::merge`]. Per-worker shards folded in
 //!   canonical shard order (the reorder-buffer discipline used by the
-//!   sweep executor and the state-space explorer) render byte-identical
-//!   output at every thread count, which is what the equivalence suites
-//!   assert.
+//!   scenario sweep executor and the model checker's instance sweep)
+//!   render byte-identical output at every thread count, which is what
+//!   the equivalence suites assert.
 //!
 //! A process records into the global recorder only between
 //! [`ObsSession::start`] and [`ObsSession::finish`]. Sessions are

@@ -1,13 +1,14 @@
 //! Deterministic, mergeable metrics: the value-type side of the crate.
 //!
 //! A [`MetricsShard`] carries no atomics and touches no global state.
-//! Workers build one per unit of work (sweep cell, exploration layer,
-//! engine run); the executor folds them in canonical order — the same
-//! reorder-buffer discipline the sweep and exploration folds already
-//! use — and because [`MetricsShard::merge`] is commutative and
-//! associative over saturating adds and maxima, the folded shard (and
-//! therefore [`MetricsShard::render`] output) is bit-identical at every
-//! thread count. The equivalence suites assert exactly that.
+//! Workers build one per unit of work (sweep cell, exploration, engine
+//! run); the executor folds them in canonical order — the same
+//! reorder-buffer discipline the scenario sweep and the model checker's
+//! instance sweep already use — and because [`MetricsShard::merge`] is
+//! commutative and associative over saturating adds and maxima, the
+//! folded shard (and therefore [`MetricsShard::render`] output) is
+//! bit-identical at every thread count. The equivalence suites assert
+//! exactly that.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -4,21 +4,19 @@
 //! The paper's theorems are universally quantified over this input space
 //! (and then over all reachable states). For `n ≤ 4` the space is small
 //! enough to enumerate completely, turning each theorem into a finite
-//! check; `n = 5` is feasible for spot checks. Experiments E1–E6 run
-//! these harnesses and record the totals.
+//! check; `n = 5` takes seconds, and [`MAX_N`] = 5 is the largest size
+//! that fits in memory. [`CheckKind::run`] is the one entry point: it
+//! runs one check over every instance of size `n`.
 //!
-//! ## Parallelism — two axes, one answer
+//! ## Parallelism — one axis, one answer
 //!
-//! Every check accepts [`McOptions`] with two thread knobs: `threads`
-//! fans the *instances* of `all_instances(n)` out across crossbeam-scoped
-//! workers (outer axis), and `explore_threads` parallelizes the state
-//! space *within* each instance via
-//! [`lr_ioa::explore::explore_parallel`] (inner axis).
-//! Per-instance outcomes are folded into the [`ModelCheckSummary`]
-//! strictly in enumeration order through the same reorder-buffer
-//! discipline as the explorer, so the summary — counts, first violation,
-//! truncation — is **bit-identical at every thread count**. The
-//! `lr modelcheck --threads` flag feeds the outer knob.
+//! [`McOptions::threads`] fans the *instances* of `all_instances(n)` out
+//! across crossbeam-scoped workers; each instance's check runs serially
+//! on the worker that took it. Per-instance outcomes are folded into the
+//! [`ModelCheckSummary`] strictly in enumeration order through a reorder
+//! buffer, so the summary — counts, first violation, truncation — is
+//! **bit-identical at every thread count**. The `lr modelcheck --threads`
+//! flag sets it.
 //!
 //! ## Truncation is a hard error
 //!
@@ -28,6 +26,7 @@
 //! carried in [`ModelCheckSummary::truncated`] and fails
 //! [`ModelCheckSummary::verified`].
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -36,11 +35,10 @@ use lr_core::alg::{NewPrAutomaton, OneStepPrAutomaton, PrSetAutomaton};
 use lr_core::invariants::{newpr_invariants, onestep_pr_invariants, pr_set_invariants};
 use lr_graph::enumerate::all_instances;
 use lr_graph::ReversalInstance;
-use lr_ioa::explore::{
-    check_termination, explore_parallel, ExploreOptions, ReorderBuffer, TerminationResult,
-};
+use lr_ioa::explore::{check_termination, explore, ExplorationReport, TerminationResult};
+use lr_ioa::{ExhaustiveSimReport, SimulationError};
 
-use crate::{r_checker, r_prime_checker};
+use crate::{r_checker, r_prime_checker, rev_r_checker, rev_r_prime_checker};
 
 /// Aggregate result of a model-checking sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,6 +49,10 @@ pub struct ModelCheckSummary {
     pub states_visited: usize,
     /// Total transitions traversed.
     pub transitions: usize,
+    /// Worst-case execution length over all instances: the longest path
+    /// in any reachable state graph for [`CheckKind::Termination`], 0 for
+    /// every other check.
+    pub longest_execution: usize,
     /// Description of the first violation, if any.
     pub first_violation: Option<String>,
     /// Description of the first truncated (budget-limited, hence
@@ -60,16 +62,6 @@ pub struct ModelCheckSummary {
 }
 
 impl ModelCheckSummary {
-    fn empty() -> Self {
-        ModelCheckSummary {
-            instances: 0,
-            states_visited: 0,
-            transitions: 0,
-            first_violation: None,
-            truncated: None,
-        }
-    }
-
     /// `true` when every instance was checked to completion and no
     /// violation was found. Truncation means the check was inconclusive,
     /// so it also fails verification.
@@ -78,16 +70,12 @@ impl ModelCheckSummary {
     }
 }
 
-/// Parallelism and budget knobs for the `model_check_*` sweeps.
+/// Parallelism and budget knobs for [`CheckKind::run`].
 #[derive(Debug, Clone)]
 pub struct McOptions {
-    /// Worker threads for the **outer** axis: instances of
-    /// `all_instances(n)` fan out across this many crossbeam-scoped
-    /// workers. `1` = serial.
+    /// Worker threads: instances of `all_instances(n)` fan out across
+    /// this many crossbeam-scoped workers. `1` = serial.
     pub threads: usize,
-    /// Worker threads for the **inner** axis: each instance's state space
-    /// is explored with `explore_parallel(…, explore_threads)`.
-    pub explore_threads: usize,
     /// Per-instance state/pair budget; exhausting it is reported as
     /// truncation (a hard error), never silently ignored.
     pub max_states: usize,
@@ -97,46 +85,57 @@ impl Default for McOptions {
     fn default() -> Self {
         McOptions {
             threads: 1,
-            explore_threads: 1,
             max_states: 5_000_000,
         }
     }
 }
 
 impl McOptions {
-    /// These options with a different outer thread count.
+    /// These options with a different thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
     }
 }
 
-fn explore_opts(opts: &McOptions) -> ExploreOptions {
-    ExploreOptions {
-        max_states: opts.max_states,
-        max_depth: usize::MAX,
-        record_traces: false,
-    }
+/// The largest instance size the checker takes. Every check materializes
+/// `all_instances(n)` at about 850 B an instance: 132,150 instances
+/// (about 113 MB) at n = 5, but 21,580,572 (about 18 GB) at n = 6.
+pub const MAX_N: usize = 5;
+
+/// Parses a size argument: `Ok(n)` for an integer in `2..=MAX_N`,
+/// otherwise an error naming the argument and the range.
+pub fn parse_size(arg: &str) -> Result<usize, String> {
+    arg.parse::<usize>()
+        .ok()
+        .filter(|n| (2..=MAX_N).contains(n))
+        .ok_or_else(|| format!("modelcheck needs a size n in 2..={MAX_N}, got {arg:?}"))
 }
 
 // ───────────────────── the instance sweep driver ─────────────────────
 
 /// Everything one instance's check contributes to the summary.
+#[derive(Default)]
 struct InstanceOutcome {
     states: usize,
     transitions: usize,
     violation: Option<String>,
     truncation: Option<String>,
-    /// Worst-case execution length (termination sweeps; 0 elsewhere).
-    worst: usize,
+    /// Worst-case execution length (termination checks; 0 elsewhere).
+    longest_execution: usize,
 }
 
+/// The in-order fold: outcomes submitted in any order fold into the
+/// summary strictly in enumeration order (0, 1, 2, …), early arrivals
+/// parked until the gap fills. It makes the parallel sweep's fold
+/// sequence — and therefore its summary — independent of worker
+/// scheduling.
 struct SweepFold {
     summary: ModelCheckSummary,
-    worst: usize,
-    /// Enumeration index of the next outcome to fold (outcomes arrive
-    /// strictly in order, so the fold can count them itself).
+    /// Enumeration index of the next outcome to fold.
     next: usize,
+    /// Finished-but-out-of-order outcomes.
+    parked: BTreeMap<usize, InstanceOutcome>,
     /// Set once a violation or truncation folds; later instances (in
     /// enumeration order) are not folded, matching the serial early
     /// return.
@@ -144,22 +143,44 @@ struct SweepFold {
 }
 
 impl SweepFold {
-    fn fold(&mut self, out: InstanceOutcome) {
-        let index = self.next;
-        self.next += 1;
-        if self.stopped {
-            return;
+    fn new() -> Self {
+        SweepFold {
+            summary: ModelCheckSummary {
+                instances: 0,
+                states_visited: 0,
+                transitions: 0,
+                longest_execution: 0,
+                first_violation: None,
+                truncated: None,
+            },
+            next: 0,
+            parked: BTreeMap::new(),
+            stopped: false,
         }
-        self.summary.instances += 1;
-        self.summary.states_visited += out.states;
-        self.summary.transitions += out.transitions;
-        self.worst = self.worst.max(out.worst);
-        if let Some(v) = out.violation {
-            self.summary.first_violation = Some(v);
-            self.stopped = true;
-        } else if let Some(t) = out.truncation {
-            self.summary.truncated = Some(format!("instance #{index}: {t}"));
-            self.stopped = true;
+    }
+
+    /// Submits the outcome of instance `index`, folding it — and any
+    /// parked successors it unblocks — in index order.
+    fn submit(&mut self, index: usize, outcome: InstanceOutcome) {
+        self.parked.insert(index, outcome);
+        while let Some(out) = self.parked.remove(&self.next) {
+            let index = self.next;
+            self.next += 1;
+            if self.stopped {
+                continue;
+            }
+            let s = &mut self.summary;
+            s.instances += 1;
+            s.states_visited += out.states;
+            s.transitions += out.transitions;
+            s.longest_execution = s.longest_execution.max(out.longest_execution);
+            if let Some(v) = out.violation {
+                s.first_violation = Some(v);
+                self.stopped = true;
+            } else if let Some(t) = out.truncation {
+                s.truncated = Some(format!("instance #{index}: {t}"));
+                self.stopped = true;
+            }
         }
     }
 }
@@ -167,49 +188,31 @@ impl SweepFold {
 /// Runs `per` over every instance, folding outcomes **in enumeration
 /// order** into one summary: serial when `opts.threads <= 1`, otherwise
 /// fanned out over crossbeam-scoped workers (at most one per instance)
-/// pulling from a shared cursor with a reorder-buffer merge —
-/// bit-identical either way. Stops folding (and stops handing out
-/// instances) at the first violation or truncation, like the serial
-/// sweep's early return.
-fn sweep_instances<F>(
-    instances: &[ReversalInstance],
-    opts: &McOptions,
-    per: F,
-) -> (ModelCheckSummary, usize)
+/// pulling from a shared cursor into one [`SweepFold`] — bit-identical
+/// either way. Stops folding (and stops handing out instances) at the
+/// first violation or truncation, like the serial sweep's early return.
+fn sweep_instances<F>(instances: &[ReversalInstance], opts: &McOptions, per: F) -> ModelCheckSummary
 where
     F: Fn(&ReversalInstance) -> InstanceOutcome + Sync,
 {
     let threads = opts.threads.clamp(1, instances.len().max(1));
     if threads == 1 {
-        let mut fold = SweepFold {
-            summary: ModelCheckSummary::empty(),
-            worst: 0,
-            next: 0,
-            stopped: false,
-        };
-        for inst in instances {
+        let mut fold = SweepFold::new();
+        for (i, inst) in instances.iter().enumerate() {
             if fold.stopped {
                 break;
             }
-            fold.fold(per(inst));
+            fold.submit(i, per(inst));
         }
-        return (fold.summary, fold.worst);
+        return fold.summary;
     }
 
-    let fold = Mutex::new((
-        SweepFold {
-            summary: ModelCheckSummary::empty(),
-            worst: 0,
-            next: 0,
-            stopped: false,
-        },
-        ReorderBuffer::new(),
-    ));
+    let fold = Mutex::new(SweepFold::new());
     let cursor = AtomicUsize::new(0);
     crossbeam::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|_| loop {
-                if fold.lock().expect("sweep fold lock").0.stopped {
+                if fold.lock().expect("sweep fold lock").stopped {
                     break;
                 }
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -217,181 +220,63 @@ where
                     break;
                 }
                 let out = per(&instances[i]);
-                let (f, buffer) = &mut *fold.lock().expect("sweep fold lock");
-                buffer.submit(i, out, |out| f.fold(out));
+                fold.lock().expect("sweep fold lock").submit(i, out);
             });
         }
     })
     .expect("scoped sweep workers run");
-    let (f, _) = fold.into_inner().expect("workers joined");
-    (f.summary, f.worst)
+    fold.into_inner().expect("workers joined").summary
 }
 
-// ───────────────────── per-check sweeps ─────────────────────
+// ───────────────────── per-instance outcomes ─────────────────────
 
-/// E1/E2: checks Invariants 3.1, 4.1, 4.2 and Theorem 4.3 in **every
-/// reachable state of NewPR on every instance** of size `n`.
-pub fn model_check_newpr(n: usize) -> ModelCheckSummary {
-    model_check_newpr_opts(n, &McOptions::default())
-}
-
-/// [`model_check_newpr`] with explicit parallelism/budget knobs.
-pub fn model_check_newpr_opts(n: usize, opts: &McOptions) -> ModelCheckSummary {
-    let instances = all_instances(n);
-    let eopts = explore_opts(opts);
-    sweep_instances(&instances, opts, |inst| {
-        let aut = NewPrAutomaton { inst };
-        let invs = newpr_invariants(inst);
-        explore_outcome(explore_parallel(&aut, &invs, &eopts, opts.explore_threads))
-    })
-    .0
-}
-
-/// E3: checks Invariants 3.1, 3.2, Corollaries 3.3/3.4 and acyclicity in
-/// every reachable state of `OneStepPR` on every instance of size `n`.
-pub fn model_check_onestep_pr(n: usize) -> ModelCheckSummary {
-    model_check_onestep_pr_opts(n, &McOptions::default())
-}
-
-/// [`model_check_onestep_pr`] with explicit parallelism/budget knobs.
-pub fn model_check_onestep_pr_opts(n: usize, opts: &McOptions) -> ModelCheckSummary {
-    let instances = all_instances(n);
-    let eopts = explore_opts(opts);
-    sweep_instances(&instances, opts, |inst| {
-        let aut = OneStepPrAutomaton { inst };
-        let invs = onestep_pr_invariants(inst);
-        explore_outcome(explore_parallel(&aut, &invs, &eopts, opts.explore_threads))
-    })
-    .0
-}
-
-/// E3 (set actions): same checks for the original `PR` automaton with
-/// simultaneous `reverse(S)` actions.
-pub fn model_check_pr_set(n: usize) -> ModelCheckSummary {
-    model_check_pr_set_opts(n, &McOptions::default())
-}
-
-/// [`model_check_pr_set`] with explicit parallelism/budget knobs.
-pub fn model_check_pr_set_opts(n: usize, opts: &McOptions) -> ModelCheckSummary {
-    let instances = all_instances(n);
-    let eopts = explore_opts(opts);
-    sweep_instances(&instances, opts, |inst| {
-        let aut = PrSetAutomaton { inst };
-        let invs = pr_set_invariants(inst);
-        explore_outcome(explore_parallel(&aut, &invs, &eopts, opts.explore_threads))
-    })
-    .0
-}
-
-fn explore_outcome<A: lr_ioa::Automaton>(
-    report: lr_ioa::explore::ExplorationReport<A>,
-) -> InstanceOutcome {
+fn explore_outcome(report: ExplorationReport) -> InstanceOutcome {
     InstanceOutcome {
         states: report.states_visited,
         transitions: report.transitions,
-        violation: report.violation.map(|(v, _)| v.to_string()),
+        violation: report.violation.map(|v| v.to_string()),
         truncation: report.truncated.then(|| {
             format!(
                 "exploration truncated after {} states (budget exhausted)",
                 report.states_visited
             )
         }),
-        worst: 0,
+        longest_execution: 0,
     }
 }
 
-fn sim_outcome(
-    result: Result<lr_ioa::ExhaustiveSimReport, impl std::fmt::Display>,
-) -> InstanceOutcome {
+fn sim_outcome(result: Result<ExhaustiveSimReport, SimulationError>) -> InstanceOutcome {
     match result {
         Ok(report) => InstanceOutcome {
             states: report.pairs_visited,
             transitions: report.transitions_matched,
-            violation: None,
             truncation: (!report.complete).then(|| {
                 format!(
                     "simulation pair space truncated after {} pairs (budget exhausted)",
                     report.pairs_visited
                 )
             }),
-            worst: 0,
+            ..InstanceOutcome::default()
         },
         Err(e) => InstanceOutcome {
-            states: 0,
-            transitions: 0,
             violation: Some(e.to_string()),
-            truncation: None,
-            worst: 0,
+            ..InstanceOutcome::default()
         },
     }
 }
 
-/// E4 (Theorem 5.2): verifies the `R'` forward-simulation obligations over
-/// the full reachable pair space of every instance of size `n`.
-pub fn model_check_r_prime(n: usize) -> ModelCheckSummary {
-    model_check_r_prime_opts(n, &McOptions::default())
-}
-
-/// [`model_check_r_prime`] with explicit parallelism/budget knobs.
-pub fn model_check_r_prime_opts(n: usize, opts: &McOptions) -> ModelCheckSummary {
-    let instances = all_instances(n);
-    sweep_instances(&instances, opts, |inst| {
-        let pr = PrSetAutomaton { inst };
-        let os = OneStepPrAutomaton { inst };
-        sim_outcome(r_prime_checker(inst).check_exhaustive(&pr, &os, opts.max_states))
-    })
-    .0
-}
-
-/// E5 (Theorem 5.4): verifies the `R` forward-simulation obligations over
-/// the full reachable pair space of every instance of size `n`.
-pub fn model_check_r(n: usize) -> ModelCheckSummary {
-    model_check_r_opts(n, &McOptions::default())
-}
-
-/// [`model_check_r`] with explicit parallelism/budget knobs.
-pub fn model_check_r_opts(n: usize, opts: &McOptions) -> ModelCheckSummary {
-    let instances = all_instances(n);
-    sweep_instances(&instances, opts, |inst| {
-        let os = OneStepPrAutomaton { inst };
-        let np = NewPrAutomaton { inst };
-        sim_outcome(r_checker(inst).check_exhaustive(&os, &np, opts.max_states))
-    })
-    .0
-}
-
-/// The Gafni–Bertsekas **termination** guarantee, machine-checked: for
-/// every instance of size `n`, the reachable state graphs of NewPR and
-/// OneStepPR are acyclic — every execution under every schedule is
-/// finite. Also records the worst-case execution length over all
-/// instances (the exact finite-instance analogue of the Θ(n_b²) bound).
-pub fn model_check_termination(n: usize) -> (ModelCheckSummary, usize) {
-    model_check_termination_opts(n, &McOptions::default())
-}
-
-/// [`model_check_termination`] with explicit parallelism/budget knobs.
-pub fn model_check_termination_opts(n: usize, opts: &McOptions) -> (ModelCheckSummary, usize) {
-    let instances = all_instances(n);
-    sweep_instances(&instances, opts, |inst| {
-        let mut out = InstanceOutcome {
-            states: 0,
-            transitions: 0,
-            violation: None,
-            truncation: None,
-            worst: 0,
-        };
-        let np = NewPrAutomaton { inst };
-        if !fold_termination(&mut out, "NewPR", check_termination(&np, opts.max_states)) {
-            return out;
-        }
-        let os = OneStepPrAutomaton { inst };
-        fold_termination(
-            &mut out,
-            "OneStepPR",
-            check_termination(&os, opts.max_states),
-        );
-        out
-    })
+/// Termination of NewPR, then of OneStepPR, on one instance; the first
+/// divergence or exhausted budget ends the instance's check.
+fn termination_outcome(
+    np: &NewPrAutomaton<'_>,
+    os: &OneStepPrAutomaton<'_>,
+    max_states: usize,
+) -> InstanceOutcome {
+    let mut out = InstanceOutcome::default();
+    if fold_termination(&mut out, "NewPR", check_termination(np, max_states)) {
+        fold_termination(&mut out, "OneStepPR", check_termination(os, max_states));
+    }
+    out
 }
 
 /// Folds one automaton's termination verdict into the instance outcome;
@@ -403,7 +288,7 @@ fn fold_termination(out: &mut InstanceOutcome, who: &str, res: TerminationResult
             longest_execution,
         } => {
             out.states += states;
-            out.worst = out.worst.max(longest_execution);
+            out.longest_execution = out.longest_execution.max(longest_execution);
             true
         }
         TerminationResult::Diverges { witness_depth } => {
@@ -419,88 +304,38 @@ fn fold_termination(out: &mut InstanceOutcome, who: &str, res: TerminationResult
     }
 }
 
-/// Like [`model_check_newpr`] but over a deterministic **sample** of the
-/// instances of size `n` (every `stride`-th instance of the full
-/// enumeration). `n = 5` has ~1.5M instances; sampling keeps spot checks
-/// tractable while still drawing from the exact input space.
-pub fn model_check_newpr_sampled(n: usize, stride: usize) -> ModelCheckSummary {
-    model_check_newpr_sampled_opts(n, stride, &McOptions::default())
-}
-
-/// [`model_check_newpr_sampled`] with explicit parallelism/budget knobs.
-pub fn model_check_newpr_sampled_opts(
-    n: usize,
-    stride: usize,
-    opts: &McOptions,
-) -> ModelCheckSummary {
-    assert!(stride >= 1, "stride must be positive");
-    let instances: Vec<ReversalInstance> = all_instances(n).into_iter().step_by(stride).collect();
-    let eopts = explore_opts(opts);
-    sweep_instances(&instances, opts, |inst| {
-        let aut = NewPrAutomaton { inst };
-        let invs = newpr_invariants(inst);
-        explore_outcome(explore_parallel(&aut, &invs, &eopts, opts.explore_threads))
-    })
-    .0
-}
-
-/// §6 extension: verifies the **reverse** relation `R⁻` (NewPR →
-/// OneStepPR, dummy steps stuttering) over the full reachable pair space
-/// of every instance of size `n`.
-pub fn model_check_rev_r(n: usize) -> ModelCheckSummary {
-    model_check_rev_r_opts(n, &McOptions::default())
-}
-
-/// [`model_check_rev_r`] with explicit parallelism/budget knobs.
-pub fn model_check_rev_r_opts(n: usize, opts: &McOptions) -> ModelCheckSummary {
-    let instances = all_instances(n);
-    sweep_instances(&instances, opts, |inst| {
-        let np = NewPrAutomaton { inst };
-        let os = OneStepPrAutomaton { inst };
-        sim_outcome(crate::rev_r_checker(inst).check_exhaustive(&np, &os, opts.max_states))
-    })
-    .0
-}
-
-/// §6 extension: verifies the reverse of `R'` (OneStepPR → PR via
-/// singleton sets) over the full reachable pair space of every instance
-/// of size `n`.
-pub fn model_check_rev_r_prime(n: usize) -> ModelCheckSummary {
-    model_check_rev_r_prime_opts(n, &McOptions::default())
-}
-
-/// [`model_check_rev_r_prime`] with explicit parallelism/budget knobs.
-pub fn model_check_rev_r_prime_opts(n: usize, opts: &McOptions) -> ModelCheckSummary {
-    let instances = all_instances(n);
-    sweep_instances(&instances, opts, |inst| {
-        let os = OneStepPrAutomaton { inst };
-        let pr = PrSetAutomaton { inst };
-        sim_outcome(crate::rev_r_prime_checker(inst).check_exhaustive(&os, &pr, opts.max_states))
-    })
-    .0
-}
-
 // ───────────────────── the check battery ─────────────────────
 
-/// One of the eight model checks, for battery-style consumers (the
-/// `lr modelcheck` CLI, the benchmark, CI smoke steps).
+/// One of the eight model checks. [`CheckKind::run`] runs it over every
+/// instance of a given size; the `lr modelcheck` CLI, the experiment
+/// binaries and the benchmark all go through it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckKind {
-    /// [`model_check_newpr`] — E1/E2 invariants + Theorem 4.3.
+    /// E1/E2: Invariants 3.1, 4.1, 4.2 and Theorem 4.3 in every reachable
+    /// state of NewPR.
     NewPr,
-    /// [`model_check_onestep_pr`] — E3 invariants + acyclicity.
+    /// E3: Invariants 3.1, 3.2, Corollaries 3.3/3.4 and acyclicity in
+    /// every reachable state of `OneStepPR`.
     OneStepPr,
-    /// [`model_check_pr_set`] — E3 with set actions.
+    /// E3 (set actions): the same checks for the original `PR` automaton
+    /// with simultaneous `reverse(S)` actions.
     PrSet,
-    /// [`model_check_r_prime`] — E4, Theorem 5.2.
+    /// E4 (Theorem 5.2): the `R'` forward-simulation obligations
+    /// (PR → OneStepPR) over the full reachable pair space.
     RPrime,
-    /// [`model_check_r`] — E5, Theorem 5.4.
+    /// E5 (Theorem 5.4): the `R` forward-simulation obligations
+    /// (OneStepPR → NewPR) over the full reachable pair space.
     R,
-    /// [`model_check_rev_r`] — §6 reverse simulation `R⁻`.
+    /// §6 extension: the **reverse** relation `R⁻` (NewPR → OneStepPR,
+    /// dummy steps stuttering).
     RevR,
-    /// [`model_check_rev_r_prime`] — §6 reverse of `R'`.
+    /// §6 extension: the reverse of `R'` (OneStepPR → PR via singleton
+    /// sets).
     RevRPrime,
-    /// [`model_check_termination`] — Gafni–Bertsekas termination.
+    /// The Gafni–Bertsekas **termination** guarantee: the reachable state
+    /// graphs of NewPR and OneStepPR are acyclic, so every execution under
+    /// every schedule is finite. Records the worst-case execution length
+    /// in [`ModelCheckSummary::longest_execution`].
     Termination,
 }
 
@@ -550,18 +385,41 @@ impl CheckKind {
         CheckKind::ALL.iter().copied().find(|k| k.key() == key)
     }
 
-    /// Runs this check at size `n` with the given options.
+    /// Runs this check on every instance of size `n` with the given
+    /// options.
+    ///
+    /// # Panics
+    ///
+    /// If `n > MAX_N`, before any instance is enumerated.
     pub fn run(self, n: usize, opts: &McOptions) -> ModelCheckSummary {
-        match self {
-            CheckKind::NewPr => model_check_newpr_opts(n, opts),
-            CheckKind::OneStepPr => model_check_onestep_pr_opts(n, opts),
-            CheckKind::PrSet => model_check_pr_set_opts(n, opts),
-            CheckKind::RPrime => model_check_r_prime_opts(n, opts),
-            CheckKind::R => model_check_r_opts(n, opts),
-            CheckKind::RevR => model_check_rev_r_opts(n, opts),
-            CheckKind::RevRPrime => model_check_rev_r_prime_opts(n, opts),
-            CheckKind::Termination => model_check_termination_opts(n, opts).0,
-        }
+        assert!(
+            n <= MAX_N,
+            "model check size {n} is above MAX_N = {MAX_N}: all_instances({n}) does not fit in memory"
+        );
+        let budget = opts.max_states;
+        sweep_instances(&all_instances(n), opts, |inst| {
+            let np = NewPrAutomaton { inst };
+            let os = OneStepPrAutomaton { inst };
+            let pr = PrSetAutomaton { inst };
+            match self {
+                CheckKind::NewPr => explore_outcome(explore(&np, &newpr_invariants(inst), budget)),
+                CheckKind::OneStepPr => {
+                    explore_outcome(explore(&os, &onestep_pr_invariants(inst), budget))
+                }
+                CheckKind::PrSet => explore_outcome(explore(&pr, &pr_set_invariants(inst), budget)),
+                CheckKind::RPrime => {
+                    sim_outcome(r_prime_checker(inst).check_exhaustive(&pr, &os, budget))
+                }
+                CheckKind::R => sim_outcome(r_checker(inst).check_exhaustive(&os, &np, budget)),
+                CheckKind::RevR => {
+                    sim_outcome(rev_r_checker(inst).check_exhaustive(&np, &os, budget))
+                }
+                CheckKind::RevRPrime => {
+                    sim_outcome(rev_r_prime_checker(inst).check_exhaustive(&os, &pr, budget))
+                }
+                CheckKind::Termination => termination_outcome(&np, &os, budget),
+            }
+        })
     }
 }
 
@@ -634,91 +492,135 @@ pub fn battery_metrics(rows: &[BatteryRow]) -> lr_obs::MetricsShard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lr_graph::enumerate::{connected_graphs, tutte};
+    use lr_ioa::Automaton;
+    use proptest::prelude::*;
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
 
-    // n = 3 sweeps run in milliseconds; n = 4 in seconds (used by the
-    // experiment binaries rather than unit tests).
+    /// (instances, states, transitions, longest execution) of one check.
+    type Counts = (usize, usize, usize, usize);
+
+    /// Every check's counts in [`CheckKind::ALL`] order, as `lr modelcheck`
+    /// prints them.
+    const PINNED: [(usize, [Counts; 8]); 2] = [
+        (
+            3,
+            [
+                (54, 123, 72, 0),
+                (54, 117, 66, 0),
+                (54, 117, 69, 0),
+                (54, 117, 69, 0),
+                (54, 117, 66, 0),
+                (54, 123, 72, 0),
+                (54, 117, 66, 0),
+                (54, 240, 0, 3),
+            ],
+        ),
+        (
+            4,
+            [
+                (1_784, 5_868, 4_632, 0),
+                (1_784, 5_388, 4_044, 0),
+                (1_784, 5_388, 4_492, 0),
+                (1_784, 5_388, 4_492, 0),
+                (1_784, 5_388, 4_044, 0),
+                (1_784, 5_868, 4_632, 0),
+                (1_784, 5_388, 4_044, 0),
+                (1_784, 11_256, 0, 6),
+            ],
+        ),
+    ];
 
     #[test]
-    fn newpr_theorems_hold_on_all_3_node_instances() {
-        let s = model_check_newpr(3);
-        assert!(s.verified(), "{:?}", s.first_violation);
-        assert_eq!(s.instances, 54);
-        assert!(s.states_visited > s.instances);
+    fn every_check_verifies_with_pinned_counts_at_n3_and_n4() {
+        let opts = McOptions::default();
+        for (n, rows) in PINNED {
+            for (kind, want) in CheckKind::ALL.into_iter().zip(rows) {
+                let s = kind.run(n, &opts);
+                assert!(s.verified(), "{} at n={n}: {s:?}", kind.key());
+                assert_eq!(
+                    (
+                        s.instances,
+                        s.states_visited,
+                        s.transitions,
+                        s.longest_execution
+                    ),
+                    want,
+                    "{} at n={n}",
+                    kind.key()
+                );
+            }
+        }
+    }
+
+    /// Instances whose NewPR initial state is already quiescent, i.e.
+    /// whose destination is the orientation's only sink.
+    fn quiescent_initial_instances(n: usize) -> usize {
+        all_instances(n)
+            .iter()
+            .filter(|inst| {
+                let aut = NewPrAutomaton { inst };
+                aut.is_quiescent(&aut.initial_state())
+            })
+            .count()
+    }
+
+    /// Greene–Zaslavsky: for any node `d`, `T_G(1, 0)` acyclic
+    /// orientations of `G` have `d` as their unique sink. So the instances
+    /// that start quiescent number `Σ_G n · T_G(1, 0)`.
+    fn greene_zaslavsky_count(n: usize) -> usize {
+        connected_graphs(n)
+            .iter()
+            .map(|g| usize::try_from(tutte(g, 1, 0)).expect("a count") * n)
+            .sum()
     }
 
     #[test]
-    fn onestep_pr_invariants_hold_on_all_3_node_instances() {
-        let s = model_check_onestep_pr(3);
-        assert!(s.verified(), "{:?}", s.first_violation);
-        assert_eq!(s.instances, 54);
+    fn quiescent_initial_instances_match_greene_zaslavsky() {
+        for (n, count) in [(3, 15), (4, 316)] {
+            assert_eq!(greene_zaslavsky_count(n), count);
+            assert_eq!(quiescent_initial_instances(n), count);
+        }
     }
 
     #[test]
-    fn pr_set_invariants_hold_on_all_3_node_instances() {
-        let s = model_check_pr_set(3);
-        assert!(s.verified(), "{:?}", s.first_violation);
-    }
-
-    #[test]
-    fn r_prime_is_simulation_on_all_3_node_instances() {
-        let s = model_check_r_prime(3);
-        assert!(s.verified(), "{:?}", s.first_violation);
-        assert!(s.transitions > 0);
-    }
-
-    #[test]
-    fn r_is_simulation_on_all_3_node_instances() {
-        let s = model_check_r(3);
-        assert!(s.verified(), "{:?}", s.first_violation);
-    }
-
-    #[test]
-    fn termination_holds_on_all_3_node_instances() {
-        let (s, worst) = model_check_termination(3);
-        assert!(s.verified(), "{:?}", s.first_violation);
-        assert_eq!(s.instances, 54);
-        // On 3-node instances no execution is longer than a handful of
-        // steps; the exact worst case is pinned here as a regression
-        // anchor.
-        assert!((2..=10).contains(&worst), "worst execution length {worst}");
-    }
-
-    #[test]
-    fn reverse_relations_are_simulations_on_all_3_node_instances() {
-        let s = model_check_rev_r(3);
-        assert!(s.verified(), "R⁻: {:?}", s.first_violation);
-        let s = model_check_rev_r_prime(3);
-        assert!(s.verified(), "rev R': {:?}", s.first_violation);
+    #[ignore = "all_instances(5) takes seconds in a debug build; run with --ignored"]
+    fn quiescent_initial_instances_match_greene_zaslavsky_at_n5() {
+        assert_eq!(greene_zaslavsky_count(5), 16_885);
+        assert_eq!(quiescent_initial_instances(5), 16_885);
     }
 
     #[test]
     fn truncation_is_a_hard_error_not_a_debug_assert() {
         // Regression for the silent-truncation hazard: with a tiny state
         // budget the sweep must fail verification in *every* build
-        // profile, carrying the truncation reason — not a violation.
+        // profile, carrying the truncation reason — not a violation. The
+        // simulation checkers' pair budget and the termination bound are
+        // held to the same rule.
         let opts = McOptions {
             max_states: 2,
             ..McOptions::default()
         };
-        let s = model_check_newpr_opts(3, &opts);
-        assert!(!s.verified(), "truncated sweep must not verify");
-        assert!(s.truncated.is_some(), "truncation must be reported");
-        assert!(
-            s.first_violation.is_none(),
-            "truncation is not a violation: {:?}",
-            s.first_violation
-        );
-
-        // Same hazard existed for the simulation checkers' pair budget.
-        let s = model_check_r_prime_opts(3, &opts);
-        assert!(!s.verified());
-        assert!(s.truncated.is_some(), "pair truncation must be reported");
-
-        // And for the termination bound (previously folded into
-        // first_violation via TerminationResult::Unknown).
-        let (s, _) = model_check_termination_opts(3, &opts);
-        assert!(!s.verified());
-        assert!(s.truncated.is_some());
+        for kind in [CheckKind::NewPr, CheckKind::RPrime, CheckKind::Termination] {
+            let s = kind.run(3, &opts);
+            assert!(
+                !s.verified(),
+                "{}: truncated sweep must not verify",
+                kind.key()
+            );
+            assert!(
+                s.truncated.is_some(),
+                "{}: truncation must be reported",
+                kind.key()
+            );
+            assert!(
+                s.first_violation.is_none(),
+                "{}: truncation is not a violation: {:?}",
+                kind.key(),
+                s.first_violation
+            );
+        }
     }
 
     #[test]
@@ -735,12 +637,6 @@ mod tests {
                 );
             }
         }
-        // Inner-axis parallelism must not change summaries either.
-        let inner = McOptions {
-            explore_threads: 4,
-            ..McOptions::default()
-        };
-        assert_eq!(model_check_newpr_opts(3, &inner), model_check_newpr(3));
     }
 
     #[test]
@@ -793,15 +689,17 @@ mod tests {
             max_states: 2,
             ..McOptions::default()
         };
-        let serial = model_check_newpr_opts(3, &tiny);
+        let serial = CheckKind::NewPr.run(3, &tiny);
         for threads in [2usize, 4, 8] {
-            let par = McOptions {
-                max_states: 2,
-                threads,
-                ..McOptions::default()
-            };
-            assert_eq!(serial, model_check_newpr_opts(3, &par));
+            let par = tiny.clone().with_threads(threads);
+            assert_eq!(serial, CheckKind::NewPr.run(3, &par));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "above MAX_N")]
+    fn run_rejects_a_size_above_max_n_before_enumerating() {
+        CheckKind::NewPr.run(MAX_N + 1, &McOptions::default());
     }
 
     #[test]
@@ -813,28 +711,70 @@ mod tests {
         assert_eq!(CheckKind::from_key("nonsense"), None);
     }
 
-    #[test]
-    fn sampled_sweep_subsets_the_full_enumeration() {
-        let full = model_check_newpr(3);
-        let sampled = model_check_newpr_sampled(3, 10);
-        assert!(sampled.verified());
-        assert_eq!(sampled.instances, full.instances.div_ceil(10));
-        assert!(sampled.states_visited < full.states_visited);
+    /// The outcome of instance `i` in the fold tests: `i` states, one
+    /// transition, truncated when `i == stop`.
+    fn outcome(i: usize, stop: usize) -> InstanceOutcome {
+        InstanceOutcome {
+            states: i,
+            transitions: 1,
+            truncation: (i == stop).then(|| "budget".to_string()),
+            ..InstanceOutcome::default()
+        }
     }
 
     #[test]
-    #[ignore = "several seconds; run with --ignored or via the experiment binary"]
-    fn everything_holds_on_all_4_node_instances() {
-        let opts = McOptions::default();
-        for kind in CheckKind::ALL {
-            let s = kind.run(4, &opts);
-            assert!(
-                s.verified(),
-                "{} failed at n=4: violation={:?} truncated={:?}",
-                kind.key(),
-                s.first_violation,
-                s.truncated
+    fn sweep_fold_parks_early_arrivals_until_the_gap_fills() {
+        let mut fold = SweepFold::new();
+        fold.submit(2, outcome(2, usize::MAX));
+        assert_eq!(
+            (fold.parked.len(), fold.next, fold.summary.instances),
+            (1, 0, 0)
+        );
+        fold.submit(0, outcome(0, usize::MAX));
+        assert_eq!(
+            (fold.parked.len(), fold.next, fold.summary.instances),
+            (1, 1, 1)
+        );
+        fold.submit(1, outcome(1, usize::MAX));
+        assert_eq!(
+            (fold.parked.len(), fold.next, fold.summary.instances),
+            (0, 3, 3)
+        );
+        assert_eq!(fold.summary.states_visited, 3);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any submission order folds to the in-order summary, which stops
+        /// at the first truncated instance.
+        #[test]
+        fn sweep_fold_linearizes_any_permutation(
+            len in 0usize..64,
+            stop in 0usize..80,
+            seed in any::<u64>(),
+        ) {
+            // A seeded permutation of 0..len: sort the indices by a keyed
+            // hash.
+            let mut order: Vec<usize> = (0..len).collect();
+            order.sort_by_key(|&i| {
+                let mut h = DefaultHasher::new();
+                (seed, i).hash(&mut h);
+                h.finish()
+            });
+            let mut fold = SweepFold::new();
+            for &i in &order {
+                fold.submit(i, outcome(i, stop));
+            }
+            let folded = len.min(stop + 1);
+            prop_assert_eq!(fold.next, len);
+            prop_assert_eq!(fold.parked.len(), 0);
+            prop_assert_eq!(
+                (fold.summary.instances, fold.summary.states_visited, fold.summary.transitions),
+                (folded, folded * folded.saturating_sub(1) / 2, folded)
             );
+            let want = (stop < len).then(|| format!("instance #{stop}: budget"));
+            prop_assert_eq!(fold.summary.truncated, want);
         }
     }
 }

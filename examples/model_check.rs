@@ -7,12 +7,10 @@
 //! cargo run --release --example model_check -- 4   # n = 4 (seconds)
 //! ```
 
-use link_reversal::simrel::model_check::{
-    model_check_newpr, model_check_onestep_pr, model_check_pr_set, model_check_r,
-    model_check_r_prime, ModelCheckSummary,
-};
+use link_reversal::simrel::model_check::{CheckKind, McOptions};
 
-fn show(name: &str, what: &str, s: &ModelCheckSummary) {
+fn show(name: &str, what: &str, n: usize, kind: CheckKind) {
+    let s = kind.run(n, &McOptions::default());
     let verdict = if s.verified() {
         "VERIFIED".to_string()
     } else {
@@ -36,27 +34,32 @@ fn main() {
     show(
         "Thm 4.3 + Inv 3.1/4.1/4.2",
         "every reachable NewPR state, every instance",
-        &model_check_newpr(n),
+        n,
+        CheckKind::NewPr,
     );
     show(
         "Inv 3.1/3.2 + Cor 3.3/3.4",
         "every reachable OneStepPR state",
-        &model_check_onestep_pr(n),
+        n,
+        CheckKind::OneStepPr,
     );
     show(
         "same, set actions",
         "every reachable PR (Algorithm 1) state",
-        &model_check_pr_set(n),
+        n,
+        CheckKind::PrSet,
     );
     show(
         "Thm 5.2 (R' simulation)",
         "every PR step matched by OneStepPR",
-        &model_check_r_prime(n),
+        n,
+        CheckKind::RPrime,
     );
     show(
         "Thm 5.4 (R simulation)",
         "every OneStepPR step matched by NewPR",
-        &model_check_r(n),
+        n,
+        CheckKind::R,
     );
 
     println!("\nEvery universally-quantified statement in the paper, checked finitely.");

@@ -752,7 +752,7 @@ fn cmd_serve(args: &[&str], stdin: &str) -> Result<String, CliError> {
 }
 
 fn cmd_modelcheck(args: &[&str]) -> Result<String, CliError> {
-    use lr_simrel::model_check::{run_battery, CheckKind, McOptions};
+    use lr_simrel::model_check::{parse_size, run_battery, CheckKind, McOptions};
 
     let mut n: Option<usize> = None;
     let mut threads = 1;
@@ -802,14 +802,7 @@ fn cmd_modelcheck(args: &[&str]) -> Result<String, CliError> {
                 } else if n.is_some() {
                     return Err(err(format!("unexpected argument {a:?}")));
                 } else {
-                    n = Some(
-                        a.parse::<usize>()
-                            .ok()
-                            .filter(|&n| (2..=6).contains(&n))
-                            .ok_or_else(|| {
-                                err(format!("modelcheck needs a size n in 2..=6, got {a:?}"))
-                            })?,
-                    );
+                    n = Some(parse_size(a).map_err(err)?);
                 }
             }
         }
@@ -1164,7 +1157,11 @@ mod tests {
     #[test]
     fn modelcheck_rejects_bad_usage() {
         assert!(run_cli(&["modelcheck"], "").is_err());
+        assert!(run_cli(&["modelcheck", "1"], "").is_err());
         assert!(run_cli(&["modelcheck", "99"], "").is_err());
+        // Every size materializes all_instances(n); n = 6 would need ~18 GB.
+        let e = run_cli(&["modelcheck", "6"], "").unwrap_err();
+        assert!(e.0.contains("2..=5") && e.0.contains("\"6\""), "{e}");
         assert!(run_cli(&["modelcheck", "x"], "").is_err());
         assert!(run_cli(&["modelcheck", "3", "3"], "").is_err());
         let e = run_cli(&["modelcheck", "3", "--threads", "0"], "").unwrap_err();

@@ -6,10 +6,7 @@ use link_reversal::core::invariants::{
     check_inv_4_2,
 };
 use link_reversal::prelude::*;
-use link_reversal::simrel::model_check::{
-    model_check_newpr, model_check_onestep_pr, model_check_pr_set, model_check_r,
-    model_check_r_prime,
-};
+use link_reversal::simrel::model_check::{CheckKind, McOptions};
 use link_reversal::simrel::refinement::refine_and_check;
 
 /// Invariants 3.1/3.2 + Corollaries 3.3/3.4 along long random OneStepPR
@@ -53,11 +50,15 @@ fn section_4_invariants_on_random_executions() {
 /// 3-node instance (the 4-node sweep runs in the experiment binary).
 #[test]
 fn theorems_exhaustive_on_all_three_node_instances() {
-    assert!(model_check_newpr(3).verified());
-    assert!(model_check_onestep_pr(3).verified());
-    assert!(model_check_pr_set(3).verified());
-    assert!(model_check_r_prime(3).verified());
-    assert!(model_check_r(3).verified());
+    for kind in [
+        CheckKind::NewPr,
+        CheckKind::OneStepPr,
+        CheckKind::PrSet,
+        CheckKind::RPrime,
+        CheckKind::R,
+    ] {
+        assert!(kind.run(3, &McOptions::default()).verified(), "{kind:?}");
+    }
 }
 
 /// Theorem 5.5 via the full refinement chain PR → OneStepPR → NewPR on
