@@ -19,7 +19,10 @@
 //! new proof avoids. We implement both schemes to (a) cross-validate the
 //! list-based implementations step-by-step (experiment E11) and (b) serve
 //! as the local-state algorithm in the distributed simulator, where nodes
-//! only know their neighbors' heights.
+//! only know their neighbors' heights. The triple-height update lives
+//! once, in [`TripleHeight::raised_above`]: the flat engine below and
+//! every `lr-net` protocol (distributed PR, routing, election and the
+//! threaded mode) step through it.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -47,6 +50,40 @@ pub struct TripleHeight {
     pub beta: i64,
     /// Unique tie-breaker.
     pub id: NodeId,
+}
+
+impl TripleHeight {
+    /// The Partial Reversal step of a sink with neighbour heights
+    /// `nbrs`: `α := 1 + min α`, and when some neighbour then ties on
+    /// `α`, `β := min{β : α = new α} − 1`; otherwise `β` is kept. The
+    /// raised node sits above exactly the neighbours at `α − 1`, the
+    /// lowest ones, which are the edges the step reverses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nbrs` is empty (a sink has at least one neighbour).
+    pub fn raised_above<I>(self, nbrs: I) -> TripleHeight
+    where
+        I: IntoIterator<Item = TripleHeight>,
+        I::IntoIter: Clone,
+    {
+        let nbrs = nbrs.into_iter();
+        let alpha = 1 + nbrs
+            .clone()
+            .map(|h| h.alpha)
+            .min()
+            .expect("a sink has at least one neighbour");
+        let beta = nbrs
+            .filter(|h| h.alpha == alpha)
+            .map(|h| h.beta - 1)
+            .min()
+            .unwrap_or(self.beta);
+        TripleHeight {
+            alpha,
+            beta,
+            ..self
+        }
+    }
 }
 
 /// Plane-embedding x-coordinates by dense CSR index, computed without a
@@ -326,25 +363,14 @@ impl FrontierEngine for FrontierTripleHeightsEngine {
             "reverse({u}) precondition: {u} must be a sink"
         );
         let nbrs = csr.neighbor_indices(ui);
-        let min_alpha = nbrs
-            .iter()
-            .map(|&v| self.heights[v as usize].alpha)
-            .min()
-            .expect("sink has at least one neighbor");
-        let new_alpha = min_alpha + 1;
-        let new_beta = nbrs
-            .iter()
-            .filter(|&&v| self.heights[v as usize].alpha == new_alpha)
-            .map(|&v| self.heights[v as usize].beta)
-            .min()
-            .map_or(self.heights[ui].beta, |b| b - 1);
+        let raised = self.heights[ui].raised_above(nbrs.iter().map(|&v| self.heights[v as usize]));
         scratch.clear();
         for &v in nbrs {
-            if self.heights[v as usize].alpha == min_alpha {
+            if self.heights[v as usize].alpha == raised.alpha - 1 {
                 scratch.reversed.push(csr.node(v as usize));
             }
         }
-        scratch.aux = PlanAux(new_alpha, new_beta);
+        scratch.aux = PlanAux(raised.alpha, raised.beta);
         StepOutcome {
             node_idx: ui,
             reversal_count: scratch.reversed.len(),

@@ -7,16 +7,18 @@
 //! and flood the proposal; nodes adopt the lexicographically largest
 //! `(epoch, candidate)` they hear and re-flood. Meanwhile Partial
 //! Reversal keeps running with one twist: a node that currently believes
-//! itself the leader never reverses. Once proposals stabilize, exactly
-//! one node refuses to reverse, and reversal re-orients the surviving
-//! DAG toward it — the elected leader.
+//! itself the leader never reverses (the sink rule is the distributed
+//! protocol's, [`crate::reversal`], with this exemption in place of the
+//! destination's). Once proposals stabilize, exactly one node refuses
+//! to reverse, and reversal re-orients the surviving DAG toward it — the
+//! elected leader.
 
 use std::collections::BTreeMap;
 
 use lr_core::alg::TripleHeight;
 use lr_graph::{NodeId, ReversalInstance, UndirectedGraph};
 
-use crate::reversal::{initial_heights, orientation_from_heights};
+use crate::reversal::{initial_heights, orientation_from_heights, reverse_if_sink};
 use crate::sim::{Ctx, EventSim, LinkConfig, Protocol};
 
 /// Messages of the election protocol.
@@ -54,35 +56,6 @@ pub struct ElectNode {
 /// The election protocol.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Election;
-
-fn try_reverse_non_leader(node: &mut ElectNode, self_id: NodeId, live: &[NodeId]) -> bool {
-    if node.leader == self_id || live.is_empty() {
-        return false;
-    }
-    if !live.iter().all(|v| node.known.contains_key(v)) {
-        return false;
-    }
-    if !live.iter().all(|&v| node.known[&v] > node.height) {
-        return false;
-    }
-    let min_alpha = live
-        .iter()
-        .map(|v| node.known[v].alpha)
-        .min()
-        .expect("non-empty");
-    let new_alpha = min_alpha + 1;
-    let min_beta_tying = live
-        .iter()
-        .filter(|v| node.known[v].alpha == new_alpha)
-        .map(|v| node.known[v].beta)
-        .min();
-    node.height.alpha = new_alpha;
-    if let Some(b) = min_beta_tying {
-        node.height.beta = b - 1;
-    }
-    node.reversals += 1;
-    true
-}
 
 impl Protocol for Election {
     type Msg = ElectMsg;
@@ -123,7 +96,12 @@ impl Protocol for Election {
                 }
             }
         }
-        if try_reverse_non_leader(node, ctx.self_id, ctx.neighbors) {
+        // Partial Reversal, except that a node believing itself leader
+        // never reverses: it is the destination the DAG re-orients to.
+        if node.leader != ctx.self_id
+            && reverse_if_sink(&mut node.height, &node.known, ctx.neighbors)
+        {
+            node.reversals += 1;
             ctx.broadcast(ElectMsg::Height(node.height));
         }
     }

@@ -4,9 +4,9 @@
 //!
 //! This exists to demonstrate that the convergence and acyclicity
 //! guarantees verified on the deterministic simulator do not depend on
-//! the simulator: the same height-update rule, run under true
-//! nondeterministic interleaving, still converges to a
-//! destination-oriented DAG.
+//! the simulator: the same sink rule (the distributed protocol's
+//! `reverse_if_sink`), run under true nondeterministic interleaving,
+//! still converges to a destination-oriented DAG.
 //!
 //! Quiescence detection uses message counting: a shared counter is
 //! incremented before every send and decremented only after the receiving
@@ -24,7 +24,7 @@ use lr_core::alg::TripleHeight;
 use lr_graph::{NodeId, ReversalInstance};
 use parking_lot::Mutex;
 
-use crate::reversal::initial_heights;
+use crate::reversal::{initial_heights, reverse_if_sink};
 
 enum LiveMsg {
     Height(NodeId, TripleHeight),
@@ -101,27 +101,7 @@ pub fn run_threaded(inst: &ReversalInstance) -> LiveReport {
                             assert!(h >= *old, "height of {v} decreased");
                         }
                         known.insert(v, h);
-                        let is_sink = !is_dest
-                            && !nbr_ids.is_empty()
-                            && nbr_ids
-                                .iter()
-                                .all(|w| known.get(w).is_some_and(|hw| *hw > height));
-                        if is_sink {
-                            let min_alpha = nbr_ids
-                                .iter()
-                                .map(|w| known[w].alpha)
-                                .min()
-                                .expect("non-empty");
-                            let new_alpha = min_alpha + 1;
-                            let min_beta = nbr_ids
-                                .iter()
-                                .filter(|w| known[*w].alpha == new_alpha)
-                                .map(|w| known[w].beta)
-                                .min();
-                            height.alpha = new_alpha;
-                            if let Some(b) = min_beta {
-                                height.beta = b - 1;
-                            }
+                        if !is_dest && reverse_if_sink(&mut height, &known, &nbr_ids) {
                             reversals.fetch_add(1, Ordering::SeqCst);
                             published.lock().insert(u, height);
                             send_all(height);

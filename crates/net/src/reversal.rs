@@ -19,6 +19,14 @@
 //! Acyclicity and termination of the global execution then follow from
 //! the paper's theorems. The tests verify both on the simulator, and the
 //! [`crate::live`] module re-runs the same protocol on real threads.
+//!
+//! The sink test lives once, in this module's `reverse_if_sink`: the
+//! routing protocol, [`crate::election`] (which exempts the node that
+//! believes itself leader instead of the destination) and
+//! [`crate::live`] call it too, and the height update it applies is
+//! [`TripleHeight::raised_above`]. The protocol is event-driven and
+//! never retransmits, so it assumes reliable links: one lost
+//! announcement can leave a neighbor waiting forever.
 
 use std::collections::BTreeMap;
 
@@ -36,9 +44,6 @@ pub enum ReversalMsg {
     /// Link-layer notification injected by the harness: "your link to
     /// this neighbor is gone". Prompts a sink re-evaluation.
     LinkDown(NodeId),
-    /// Local beacon timer (only used by [`BeaconPr`]): re-announce the
-    /// current height to defeat message loss.
-    Tick,
 }
 
 /// Per-node state of the distributed reversal protocol.
@@ -97,34 +102,32 @@ pub fn initial_nodes(inst: &ReversalInstance) -> BTreeMap<NodeId, ReversalNode> 
         .collect()
 }
 
-/// The PR height update, shared with the routing/election protocols:
-/// if `node` (not the destination) can see that every live neighbor is
-/// above it, raise its height past the lowest neighbors and return `true`.
+/// The sink test and Partial Reversal step every protocol of this crate
+/// shares (distributed PR, routing, election and the threaded mode).
+/// When every live neighbor's height is known and above `height`, the
+/// node is a sink: raise `height` by [`TripleHeight::raised_above`] and
+/// return `true`. Callers add their own exemption (the destination, a
+/// node that believes itself leader) and count their own reversals.
+pub(crate) fn reverse_if_sink(
+    height: &mut TripleHeight,
+    known: &BTreeMap<NodeId, TripleHeight>,
+    live: &[NodeId],
+) -> bool {
+    let is_sink = !live.is_empty()
+        && live
+            .iter()
+            .all(|v| known.get(v).is_some_and(|h| *h > *height));
+    if is_sink {
+        *height = height.raised_above(live.iter().map(|v| known[v]));
+    }
+    is_sink
+}
+
+/// The distributed PR step of one node: every node but the destination
+/// reverses when [`reverse_if_sink`] finds it a sink.
 pub(crate) fn try_reverse(node: &mut ReversalNode, live: &[NodeId]) -> bool {
-    if node.is_dest || live.is_empty() {
+    if node.is_dest || !reverse_if_sink(&mut node.height, &node.known, live) {
         return false;
-    }
-    // Wait until every live neighbor's height is known.
-    if !live.iter().all(|v| node.known.contains_key(v)) {
-        return false;
-    }
-    if !live.iter().all(|&v| node.known[&v] > node.height) {
-        return false;
-    }
-    let min_alpha = live
-        .iter()
-        .map(|v| node.known[v].alpha)
-        .min()
-        .expect("live is non-empty");
-    let new_alpha = min_alpha + 1;
-    let min_beta_tying = live
-        .iter()
-        .filter(|v| node.known[v].alpha == new_alpha)
-        .map(|v| node.known[v].beta)
-        .min();
-    node.height.alpha = new_alpha;
-    if let Some(b) = min_beta_tying {
-        node.height.beta = b - 1;
     }
     node.reversals += 1;
     true
@@ -155,62 +158,9 @@ impl Protocol for DistributedPr {
                 // so nothing else to do — keep the entry as history).
                 let _ = v;
             }
-            ReversalMsg::Tick => {}
         }
         // A single update may suffice; if the node is still a sink after
         // more announcements arrive, those messages re-trigger this path.
-        if try_reverse(node, ctx.neighbors) {
-            ctx.broadcast(ReversalMsg::Height(node.height));
-        }
-    }
-}
-
-/// Loss-tolerant variant of [`DistributedPr`]: every node re-announces
-/// its height on a periodic local timer (a *beacon*), so a lost `Height`
-/// message is eventually compensated.
-///
-/// [`DistributedPr`] itself requires reliable links — one lost
-/// announcement can leave a neighbor waiting forever (the protocol is
-/// event-driven and never retransmits). Beacons restore liveness under
-/// any loss rate `< 1`: heights are monotone, so re-announcing the
-/// current height is always safe, and the first beacon that gets through
-/// unblocks the waiting neighbor.
-///
-/// Because the timer recurs forever the network never *quiesces*; drive
-/// it with [`EventSim::run_until`] and assess convergence from a height
-/// snapshot.
-#[derive(Debug, Clone, Copy)]
-pub struct BeaconPr {
-    /// Beacon period in ticks.
-    pub interval: u64,
-}
-
-impl Protocol for BeaconPr {
-    type Msg = ReversalMsg;
-    type Node = ReversalNode;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, ReversalMsg>, node: &mut ReversalNode) {
-        ctx.broadcast(ReversalMsg::Height(node.height));
-        ctx.schedule_self(self.interval, ReversalMsg::Tick);
-    }
-
-    fn on_message(
-        &mut self,
-        ctx: &mut Ctx<'_, ReversalMsg>,
-        node: &mut ReversalNode,
-        from: NodeId,
-        msg: ReversalMsg,
-    ) {
-        match msg {
-            ReversalMsg::Height(h) => {
-                node.known.insert(from, h);
-            }
-            ReversalMsg::LinkDown(_) => {}
-            ReversalMsg::Tick => {
-                ctx.broadcast(ReversalMsg::Height(node.height));
-                ctx.schedule_self(self.interval, ReversalMsg::Tick);
-            }
-        }
         if try_reverse(node, ctx.neighbors) {
             ctx.broadcast(ReversalMsg::Height(node.height));
         }
@@ -332,43 +282,10 @@ mod tests {
     }
 
     #[test]
-    fn beacons_defeat_message_loss() {
-        // 30% loss deadlocks the plain protocol but not the beaconing
-        // variant: after enough virtual time the heights must orient the
-        // graph toward the destination.
-        let inst = stream::random_connected(12, 10, 4242).to_instance();
-        let mut sim = EventSim::new(
-            BeaconPr { interval: 10 },
-            inst.graph.clone(),
-            initial_nodes(&inst),
-            LinkConfig {
-                delay: 1,
-                jitter: 2,
-                loss: 0.3,
-            },
-            7,
-        );
-        sim.start();
-        sim.run_until(5_000);
-        let heights = sim
-            .nodes()
-            .map(|(u, n)| (u, n.height))
-            .collect::<BTreeMap<_, _>>();
-        let o = orientation_from_heights(&inst.graph, &heights);
-        let view = lr_graph::DirectedView::new(&inst.graph, &o);
-        assert!(view.is_acyclic());
-        assert!(
-            view.is_destination_oriented(inst.dest),
-            "beaconing protocol should converge despite 30% loss"
-        );
-        assert!(sim.stats().dropped > 0, "loss must actually have occurred");
-    }
-
-    #[test]
     fn plain_protocol_documented_loss_limitation() {
-        // The event-driven protocol with no retransmission can stall
-        // under loss: messages stop flowing while a non-destination sink
-        // remains. This pins down the limitation that motivates BeaconPr.
+        // The event-driven protocol never retransmits, so it assumes
+        // reliable links: under loss, messages stop flowing while a
+        // non-destination sink remains. This pins that limitation down.
         let inst = stream::chain_away(8).to_instance();
         let mut sim = EventSim::new(
             DistributedPr,
@@ -387,7 +304,8 @@ mod tests {
         let heights = height_snapshot(&sim);
         let o = orientation_from_heights(&inst.graph, &heights);
         let view = lr_graph::DirectedView::new(&inst.graph, &o);
-        // Quiescent but NOT converged — the deadlock the beacons fix.
+        // Quiescent but NOT converged: a lost announcement is never
+        // resent, so a neighbor waits on it forever.
         assert!(
             !view.is_destination_oriented(inst.dest),
             "expected the lossy run to stall before converging"

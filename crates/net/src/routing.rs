@@ -69,6 +69,23 @@ pub fn probe_hop_limit(node_count: usize) -> u32 {
         .max(16)
 }
 
+/// The greedy downhill hop: the live neighbor with the lowest known
+/// height below `own`, or `None` when no live neighbor is known to sit
+/// lower. `known` looks up a neighbor's last announced height. Packet
+/// forwarding here and the scenario engine's route probes both step
+/// through it, over triple heights and TORA heights alike.
+pub fn downhill<H: Ord>(
+    own: H,
+    live: &[NodeId],
+    known: impl Fn(NodeId) -> Option<H>,
+) -> Option<NodeId> {
+    live.iter()
+        .filter_map(|&v| known(v).map(|h| (h, v)))
+        .filter(|(h, _)| *h < own)
+        .min()
+        .map(|(_, v)| v)
+}
+
 /// The routing protocol. Forwarding uses a hop limit to cut transient
 /// loops during reconvergence.
 #[derive(Debug, Clone, Copy)]
@@ -87,15 +104,9 @@ impl TorarRouting {
             node.dropped += 1;
             return;
         }
-        // Greedy downhill: lowest known live neighbor below our height.
-        let best = ctx
-            .neighbors
-            .iter()
-            .filter_map(|v| node.rev.known.get(v).map(|h| (*h, *v)))
-            .filter(|(h, _)| *h < node.rev.height)
-            .min();
-        match best {
-            Some((_, v)) => {
+        let known = |v| node.rev.known.get(&v).copied();
+        match downhill(node.rev.height, ctx.neighbors, known) {
+            Some(v) => {
                 packet.hops += 1;
                 node.forwarded += 1;
                 ctx.send(v, RouteMsg::Data(packet));
@@ -182,14 +193,10 @@ pub struct RoutingReport {
 }
 
 impl RoutingHarness {
-    /// Builds a harness over `inst` and runs the initial reversal to
-    /// quiescence so routing starts on a destination-oriented DAG.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the initial convergence does not finish within 10⁷
-    /// events.
-    pub fn converged(inst: &ReversalInstance, link: LinkConfig, seed: u64) -> Self {
+    /// Builds a harness over `inst` without starting the protocol, so a
+    /// caller can set per-link overrides through
+    /// [`RoutingHarness::sim_mut`] before the first height flood.
+    pub fn new(inst: &ReversalInstance, link: LinkConfig, seed: u64) -> Self {
         let nodes: BTreeMap<NodeId, RouteNode> = initial_nodes(inst)
             .into_iter()
             .map(|(u, rev)| {
@@ -208,17 +215,12 @@ impl RoutingHarness {
             })
             .collect();
         let hop_limit = probe_hop_limit(inst.node_count());
-        let mut sim = EventSim::new(
+        let sim = EventSim::new(
             TorarRouting { hop_limit },
             inst.graph.clone(),
             nodes,
             link,
             seed,
-        );
-        sim.start();
-        assert!(
-            sim.run_to_quiescence(10_000_000),
-            "initial reversal did not converge"
         );
         RoutingHarness {
             sim,
@@ -226,6 +228,28 @@ impl RoutingHarness {
             next_packet: 0,
             injected: 0,
         }
+    }
+
+    /// Builds a harness over `inst` and runs the initial reversal to
+    /// quiescence so routing starts on a destination-oriented DAG.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the initial convergence does not finish within 10⁷
+    /// events.
+    pub fn converged(inst: &ReversalInstance, link: LinkConfig, seed: u64) -> Self {
+        let mut harness = Self::new(inst, link, seed);
+        harness.sim.start();
+        assert!(
+            harness.sim.run_to_quiescence(10_000_000),
+            "initial reversal did not converge"
+        );
+        harness
+    }
+
+    /// The destination every packet is routed to.
+    pub fn dest(&self) -> NodeId {
+        self.dest
     }
 
     /// Hands a fresh packet to `src` for delivery to the destination.

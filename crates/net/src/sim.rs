@@ -8,7 +8,10 @@
 //! Protocols implement [`Protocol`]: a start hook and a message handler,
 //! both receiving a [`Ctx`] through which they send messages and read the
 //! clock. The driver loop pops the earliest event, dispatches it, and
-//! enqueues whatever the handler sent.
+//! enqueues whatever the handler sent. There are no timers: every event
+//! is a message delivery, so a run is quiescent once nothing is in
+//! flight, and an external driver moves the clock with
+//! [`EventSim::advance_to`].
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -69,7 +72,6 @@ pub struct Ctx<'a, M> {
     /// Live neighbors of `self_id` (failed links excluded).
     pub neighbors: &'a [NodeId],
     outbox: Vec<(NodeId, M)>,
-    timers: Vec<(u64, M)>,
 }
 
 impl<M> Ctx<'_, M> {
@@ -87,14 +89,6 @@ impl<M> Ctx<'_, M> {
         for &v in self.neighbors {
             self.outbox.push((v, msg.clone()));
         }
-    }
-
-    /// Schedules `msg` for local redelivery after `delay` ticks — a
-    /// timer. Timer messages bypass links entirely: they are never
-    /// dropped, delayed further, or lost to link failure, and arrive as
-    /// `on_message(…, from = self_id, msg)`.
-    pub fn schedule_self(&mut self, delay: u64, msg: M) {
-        self.timers.push((delay.max(1), msg));
     }
 }
 
@@ -394,17 +388,9 @@ impl<P: Protocol> EventSim<P> {
     }
 
     /// Runs until the next live event would land after `deadline` (or
-    /// nothing is in flight). For protocols with recurring timers,
-    /// which never quiesce, this is the natural driver. Returns the
-    /// number of events delivered.
-    pub fn run_until(&mut self, deadline: u64) -> u64 {
-        self.run_until_capped(deadline, u64::MAX).0
-    }
-
-    /// Like [`EventSim::run_until`], but delivers at most `max_events`
-    /// events. Returns `(delivered, capped)`: `capped` is `true` when
-    /// the budget ran out with live events still due at or before
-    /// `deadline`.
+    /// nothing is in flight), delivering at most `max_events` events.
+    /// Returns `(delivered, capped)`: `capped` is `true` when the budget
+    /// ran out with live events still due at or before `deadline`.
     pub fn run_until_capped(&mut self, deadline: u64, max_events: u64) -> (u64, bool) {
         let mut delivered = 0u64;
         loop {
@@ -440,37 +426,15 @@ impl<P: Protocol> EventSim<P> {
             now: self.now,
             neighbors: &self.live_nbrs[idx],
             outbox: Vec::new(),
-            timers: Vec::new(),
         };
         let node = self.nodes.get_mut(&u).expect("node exists");
         match incoming {
             None => self.protocol.on_start(&mut ctx, node),
             Some((from, msg)) => self.protocol.on_message(&mut ctx, node, from, msg),
         }
-        let (outbox, timers) = (ctx.outbox, ctx.timers);
-        for (to, msg) in outbox {
+        for (to, msg) in ctx.outbox {
             self.enqueue(u, to, msg);
         }
-        for (delay, msg) in timers {
-            self.enqueue_timer(u, delay, msg);
-        }
-    }
-
-    fn enqueue_timer(&mut self, u: NodeId, delay: u64, msg: P::Msg) {
-        let seq = self.seq;
-        self.seq += 1;
-        // Saturating: a timer past the end of time fires at the end of
-        // time instead of wrapping into the past.
-        self.queue
-            .push(Reverse((self.now.saturating_add(delay), seq)));
-        self.in_flight.insert(
-            seq,
-            InFlight {
-                from: u,
-                to: u,
-                msg,
-            },
-        );
     }
 
     fn enqueue(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
@@ -744,12 +708,19 @@ mod tests {
             },
         );
         sim.start();
-        assert_eq!(sim.run_until(1), 1, "node 1 hears the token");
+        assert_eq!(
+            sim.run_until_capped(1, u64::MAX),
+            (1, false),
+            "node 1 hears the token"
+        );
         sim.fail_link(n(0), n(1));
-        // The cancelled echo's stale entry (t = 101) must not make
-        // run_until(50) deliver the live t = 100 relay beyond its
-        // deadline…
-        assert_eq!(sim.run_until(50), 0, "nothing live is due by t = 50");
+        // The cancelled echo's stale entry (t = 101) must not make a run
+        // to t = 50 deliver the live t = 100 relay beyond its deadline…
+        assert_eq!(
+            sim.run_until_capped(50, u64::MAX),
+            (0, false),
+            "nothing live is due by t = 50"
+        );
         assert!(sim.now() <= 50, "clock must not overshoot the deadline");
         // …and once the relay is delivered and everything live drains,
         // leftover stale entries must not mask quiescence.
@@ -856,94 +827,10 @@ mod tests {
     }
 
     #[test]
-    fn timers_fire_at_the_scheduled_time() {
-        /// Node 0 schedules ticks at +5 and (from the first tick) +7,
-        /// recording arrival times.
-        struct Timed;
-        #[derive(Default)]
-        struct TimedNode {
-            fired_at: Vec<u64>,
-        }
-        impl Protocol for Timed {
-            type Msg = u8;
-            type Node = TimedNode;
-            fn on_start(&mut self, ctx: &mut Ctx<'_, u8>, _n: &mut TimedNode) {
-                if ctx.self_id == NodeId::new(0) {
-                    ctx.schedule_self(5, 1);
-                }
-            }
-            fn on_message(
-                &mut self,
-                ctx: &mut Ctx<'_, u8>,
-                node: &mut TimedNode,
-                from: NodeId,
-                msg: u8,
-            ) {
-                assert_eq!(from, ctx.self_id, "timers arrive from self");
-                node.fired_at.push(ctx.now);
-                if msg == 1 {
-                    ctx.schedule_self(7, 2);
-                }
-            }
-        }
-        let g = path_graph(2);
-        let nodes = g.nodes().map(|u| (u, TimedNode::default())).collect();
-        let mut sim = EventSim::new(Timed, g, nodes, LinkConfig::default(), 0);
-        sim.start();
-        assert!(sim.run_to_quiescence(100));
-        assert_eq!(sim.node(n(0)).fired_at, vec![5, 12]);
-    }
-
-    #[test]
-    fn timers_survive_lossy_and_failed_links() {
-        /// A recurring tick on a fully lossy network still fires.
-        struct Ticker;
-        #[derive(Default)]
-        struct TickNode {
-            ticks: u32,
-        }
-        impl Protocol for Ticker {
-            type Msg = ();
-            type Node = TickNode;
-            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>, _n: &mut TickNode) {
-                ctx.schedule_self(2, ());
-            }
-            fn on_message(
-                &mut self,
-                ctx: &mut Ctx<'_, ()>,
-                node: &mut TickNode,
-                _f: NodeId,
-                _m: (),
-            ) {
-                node.ticks += 1;
-                ctx.schedule_self(2, ());
-            }
-        }
-        let g = path_graph(2);
-        let nodes = g.nodes().map(|u| (u, TickNode::default())).collect();
-        let mut sim = EventSim::new(
-            Ticker,
-            g,
-            nodes,
-            LinkConfig {
-                delay: 1,
-                jitter: 0,
-                loss: 1.0,
-            },
-            0,
-        );
-        sim.start();
-        sim.fail_link(n(0), n(1));
-        let delivered = sim.run_until(20);
-        assert!(delivered >= 18, "both nodes tick every 2 ticks");
-        assert_eq!(sim.node(n(0)).ticks, 10);
-    }
-
-    #[test]
     fn run_until_respects_deadline() {
         let mut sim = flood_sim(6, LinkConfig::default(), 0);
         sim.start();
-        sim.run_until(2);
+        sim.run_until_capped(2, u64::MAX);
         assert!(sim.now() <= 2);
         // Remaining events still pending.
         assert!(!sim.run_to_quiescence(0));

@@ -25,7 +25,7 @@ use lr_graph::{DirectedView, NodeId, ReversalInstance, UndirectedGraph};
 use lr_net::election::ElectionHarness;
 use lr_net::mutex::{MutexHarness, MutexMsg};
 use lr_net::reversal::{initial_nodes, orientation_from_heights, DistributedPr, ReversalMsg};
-use lr_net::routing::{probe_hop_limit, Packet, RouteMsg, RouteNode, TorarRouting};
+use lr_net::routing::{downhill, probe_hop_limit, RouteMsg, RoutingHarness};
 use lr_net::sim::{EventSim, LinkConfig, Protocol, SimStats};
 use lr_net::tora::{ToraHarness, ToraMsg};
 use rand::rngs::SmallRng;
@@ -212,30 +212,28 @@ pub(crate) trait Driver: Sync {
     /// unanswerable right now — no known lower neighbor, a NULL TORA
     /// height, or a walk that exceeds its hop bound mid-convergence.
     fn route_probe(&self, src: NodeId) -> Option<RouteProbe>;
+    /// BFS distances from `from` over the simulator's live links.
+    fn live_distances(&self, from: NodeId) -> BTreeMap<NodeId, u64>;
     fn metrics(&self, live: &UndirectedGraph) -> Metrics;
     fn sim_stats(&self) -> SimStats;
 }
 
 /// Greedy height-descent walk shared by the routing / reversal /
-/// election probes: from `src`, repeatedly step to the live neighbor
-/// with the smallest *known* height below the current node's own,
-/// until `is_sink` accepts the current node. The hop bound mirrors the
-/// routing protocol's packet hop limit, so a probe mid-convergence
-/// (stale `known` entries can form transient loops) terminates with
-/// `None` instead of walking forever.
-fn descend_heights<P, H, K, S>(
+/// election / TORA probes: from `src`, repeatedly take the
+/// [`downhill`] hop over the live neighbors, until `is_sink` accepts
+/// the current node. `own(node)` reads a node's height (`None`, a NULL
+/// TORA height, means unrouted: no answer) and `known(node, v)` its
+/// last known height of neighbor `v`. The hop bound mirrors the routing
+/// protocol's packet hop limit, so a probe mid-convergence (stale
+/// `known` entries can form transient loops) terminates with `None`
+/// instead of walking forever.
+fn descend_heights<P: Protocol, H: Ord>(
     sim: &EventSim<P>,
     src: NodeId,
-    height: H,
-    known: K,
-    is_sink: S,
-) -> Option<RouteProbe>
-where
-    P: Protocol,
-    H: Fn(&P::Node) -> TripleHeight,
-    K: Fn(&P::Node) -> &BTreeMap<NodeId, TripleHeight>,
-    S: Fn(NodeId, &P::Node) -> bool,
-{
+    own: impl Fn(&P::Node) -> Option<H>,
+    known: impl Fn(&P::Node, NodeId) -> Option<H>,
+    is_sink: impl Fn(NodeId, &P::Node) -> bool,
+) -> Option<RouteProbe> {
     let limit = u64::from(probe_hop_limit(sim.graph().node_count()));
     let mut cur = src;
     let mut hops = 0u64;
@@ -245,14 +243,7 @@ where
             return None;
         }
         let node = sim.node(cur);
-        let h_cur = height(node);
-        let table = known(node);
-        let (_, next) = sim
-            .live_neighbors(cur)
-            .iter()
-            .filter_map(|&v| table.get(&v).map(|&h| (h, v)))
-            .filter(|&(h, _)| h < h_cur)
-            .min()?;
+        let next = downhill(own(node)?, sim.live_neighbors(cur), |v| known(node, v))?;
         path_delay += sim.link_config(cur, next).delay.max(1);
         hops += 1;
         cur = next;
@@ -261,10 +252,7 @@ where
 }
 
 /// BFS distances from `from` over the *live* links of the simulator.
-pub(crate) fn live_distances<P: Protocol>(
-    sim: &EventSim<P>,
-    from: NodeId,
-) -> BTreeMap<NodeId, u64> {
+fn live_distances<P: Protocol>(sim: &EventSim<P>, from: NodeId) -> BTreeMap<NodeId, u64> {
     let mut dist = BTreeMap::new();
     dist.insert(from, 0u64);
     let mut queue = VecDeque::from([from]);
@@ -309,16 +297,14 @@ fn rate(delivered: u64, injected: u64) -> f64 {
 
 // ───────────────────────── routing ─────────────────────────
 
-/// Full-metrics adapter: TORA-style greedy-downhill routing with
-/// per-packet origin and shortest-path-at-injection bookkeeping for
-/// route stretch.
+/// Full-metrics adapter: TORA-style greedy-downhill routing on a
+/// [`RoutingHarness`], plus the shortest-path-at-injection bookkeeping
+/// route stretch needs.
 struct RoutingDriver {
-    sim: EventSim<TorarRouting>,
-    dest: NodeId,
-    next_packet: u64,
-    injected: u64,
-    /// Packet id → (origin, live shortest path to dest at injection).
-    origins: BTreeMap<u64, (NodeId, Option<u64>)>,
+    harness: RoutingHarness,
+    /// Packet id → live shortest path from its origin to the destination
+    /// at injection (absent when the origin was cut off).
+    shortest: BTreeMap<u64, u64>,
 }
 
 impl RoutingDriver {
@@ -328,141 +314,110 @@ impl RoutingDriver {
         overrides: &[(NodeId, NodeId, LinkConfig)],
         seed: u64,
     ) -> Self {
-        let nodes: BTreeMap<NodeId, RouteNode> = initial_nodes(inst)
-            .into_iter()
-            .map(|(u, rev)| {
-                (
-                    u,
-                    RouteNode {
-                        rev,
-                        buffered: Vec::new(),
-                        delivered: Vec::new(),
-                        dropped: 0,
-                        forwarded: 0,
-                        seen: Default::default(),
-                        revisits: 0,
-                    },
-                )
-            })
-            .collect();
-        let hop_limit = probe_hop_limit(inst.node_count());
-        let mut sim = EventSim::new(
-            TorarRouting { hop_limit },
-            inst.graph.clone(),
-            nodes,
-            link,
-            seed,
-        );
+        let mut harness = RoutingHarness::new(inst, link, seed);
+        let sim = harness.sim_mut();
         for &(u, v, cfg) in overrides {
             sim.set_link_config(u, v, cfg);
         }
         sim.start();
         RoutingDriver {
-            sim,
-            dest: inst.dest,
-            next_packet: 0,
-            injected: 0,
-            origins: BTreeMap::new(),
+            harness,
+            shortest: BTreeMap::new(),
         }
     }
 }
 
 impl Driver for RoutingDriver {
     fn now(&self) -> u64 {
-        self.sim.now()
+        self.harness.sim().now()
     }
 
     fn run_until_capped(&mut self, deadline: u64, max_events: u64) -> (u64, bool) {
-        self.sim.run_until_capped(deadline, max_events)
+        self.harness
+            .sim_mut()
+            .run_until_capped(deadline, max_events)
     }
 
     fn advance_to(&mut self, t: u64) {
-        self.sim.advance_to(t);
+        self.harness.sim_mut().advance_to(t);
     }
 
     fn is_quiescent(&mut self) -> bool {
-        self.sim.run_to_quiescence(0)
+        self.harness.sim_mut().run_to_quiescence(0)
     }
 
     fn fail_link(&mut self, u: NodeId, v: NodeId) {
-        self.sim.fail_link(u, v);
-        self.sim.inject(v, u, RouteMsg::LinkDown(v));
-        self.sim.inject(u, v, RouteMsg::LinkDown(u));
+        self.harness.fail_link(u, v);
     }
 
     fn heal_link(&mut self, u: NodeId, v: NodeId) {
-        self.sim.heal_link(u, v);
+        let sim = self.harness.sim_mut();
+        sim.heal_link(u, v);
         // Re-announce across the healed link so it becomes usable
         // (heights are monotone, so re-announcing is always safe).
-        let hu = self.sim.node(u).rev.height;
-        let hv = self.sim.node(v).rev.height;
-        self.sim.inject(u, v, RouteMsg::Height(hu));
-        self.sim.inject(v, u, RouteMsg::Height(hv));
+        let hu = sim.node(u).rev.height;
+        let hv = sim.node(v).rev.height;
+        sim.inject(u, v, RouteMsg::Height(hu));
+        sim.inject(v, u, RouteMsg::Height(hv));
     }
 
     fn inject_wave(&mut self, sources: &[NodeId]) {
         // One BFS from the destination prices every source of the wave.
-        let dist = live_distances(&self.sim, self.dest);
+        let dist = self.live_distances(self.harness.dest());
         for &src in sources {
-            let id = self.next_packet;
-            self.next_packet += 1;
-            self.injected += 1;
-            self.origins.insert(id, (src, dist.get(&src).copied()));
-            self.sim
-                .inject(src, src, RouteMsg::Data(Packet { id, hops: 0 }));
+            let id = self.harness.send_packet(src);
+            if let Some(&d) = dist.get(&src) {
+                self.shortest.insert(id, d);
+            }
         }
     }
 
     fn route_probe(&self, src: NodeId) -> Option<RouteProbe> {
+        let dest = self.harness.dest();
         descend_heights(
-            &self.sim,
+            self.harness.sim(),
             src,
-            |n| n.rev.height,
-            |n| &n.rev.known,
-            |u, _| u == self.dest,
+            |n| Some(n.rev.height),
+            |n, v| n.rev.known.get(&v).copied(),
+            |u, _| u == dest,
         )
     }
 
+    fn live_distances(&self, from: NodeId) -> BTreeMap<NodeId, u64> {
+        live_distances(self.harness.sim(), from)
+    }
+
     fn metrics(&self, live: &UndirectedGraph) -> Metrics {
-        let delivered_pkts = &self.sim.node(self.dest).delivered;
-        let delivered = delivered_pkts.len() as u64;
-        let mean_hops = if delivered == 0 {
-            0.0
-        } else {
-            delivered_pkts
-                .iter()
-                .map(|p| f64::from(p.hops))
-                .sum::<f64>()
-                / delivered as f64
-        };
+        let report = self.harness.report();
+        let sim = self.harness.sim();
         // Stretch: hops over the live shortest path at injection time,
         // averaged over delivered packets whose origin was connected.
         let (mut stretch_sum, mut stretch_count) = (0.0, 0u64);
-        for p in delivered_pkts {
-            if let Some((_, Some(shortest))) = self.origins.get(&p.id) {
-                if *shortest > 0 {
-                    stretch_sum += f64::from(p.hops) / *shortest as f64;
+        for p in &sim.node(self.harness.dest()).delivered {
+            if let Some(&shortest) = self.shortest.get(&p.id) {
+                if shortest > 0 {
+                    stretch_sum += f64::from(p.hops) / shortest as f64;
                     stretch_count += 1;
                 }
             }
         }
-        let (total, max, mean) = work_stats(self.sim.nodes().map(|(_, n)| n.rev.reversals));
+        let (total, max, mean) = work_stats(sim.nodes().map(|(_, n)| n.rev.reversals));
         let heights: BTreeMap<NodeId, TripleHeight> =
-            self.sim.nodes().map(|(u, n)| (u, n.rev.height)).collect();
+            sim.nodes().map(|(u, n)| (u, n.rev.height)).collect();
         Metrics {
-            injected: self.injected,
-            delivered,
-            dropped: self.sim.nodes().map(|(_, n)| n.dropped).sum(),
-            stranded: self.sim.nodes().map(|(_, n)| n.buffered.len() as u64).sum(),
-            delivery_rate: rate(delivered, self.injected),
-            mean_hops,
+            injected: report.injected,
+            delivered: report.delivered,
+            dropped: report.dropped,
+            stranded: report.stranded,
+            delivery_rate: rate(report.delivered, report.injected),
+            mean_hops: report.mean_hops,
             stretch: if stretch_count == 0 {
                 0.0
             } else {
                 stretch_sum / stretch_count as f64
             },
-            revisits: self.sim.nodes().map(|(_, n)| n.revisits).sum(),
-            messages: self.sim.stats().sent,
+            revisits: report.revisits,
+            messages: report.messages,
             total_reversals: total,
             max_node_reversals: max,
             mean_node_reversals: mean,
@@ -471,7 +426,7 @@ impl Driver for RoutingDriver {
     }
 
     fn sim_stats(&self) -> SimStats {
-        self.sim.stats()
+        self.harness.sim().stats()
     }
 }
 
@@ -541,7 +496,17 @@ impl Driver for ReversalDriver {
     }
 
     fn route_probe(&self, src: NodeId) -> Option<RouteProbe> {
-        descend_heights(&self.sim, src, |n| n.height, |n| &n.known, |_, n| n.is_dest)
+        descend_heights(
+            &self.sim,
+            src,
+            |n| Some(n.height),
+            |n, v| n.known.get(&v).copied(),
+            |_, n| n.is_dest,
+        )
+    }
+
+    fn live_distances(&self, from: NodeId) -> BTreeMap<NodeId, u64> {
+        live_distances(&self.sim, from)
     }
 
     fn metrics(&self, live: &UndirectedGraph) -> Metrics {
@@ -640,34 +605,18 @@ impl Driver for ToraDriver {
 
     fn route_probe(&self, src: NodeId) -> Option<RouteProbe> {
         // TORA heights are optional: NULL (`None`) means unrouted — a
-        // probe from or through such a node has no answer. Otherwise
-        // the walk descends the neighbor-height table exactly like the
-        // triple-height protocols.
-        let sim = self.harness.sim();
-        let limit = u64::from(probe_hop_limit(sim.graph().node_count()));
-        let mut cur = src;
-        let mut hops = 0u64;
-        let mut path_delay = 0u64;
-        while !sim.node(cur).is_dest {
-            if hops >= limit {
-                return None;
-            }
-            let node = sim.node(cur);
-            let h_cur = node.height?;
-            let (_, next) = sim
-                .live_neighbors(cur)
-                .iter()
-                .filter_map(|&v| match node.nbr_heights.get(&v) {
-                    Some(&Some(h)) => Some((h, v)),
-                    _ => None,
-                })
-                .filter(|&(h, _)| h < h_cur)
-                .min()?;
-            path_delay += sim.link_config(cur, next).delay.max(1);
-            hops += 1;
-            cur = next;
-        }
-        Some(RouteProbe { hops, path_delay })
+        // probe from or through such a node has no answer.
+        descend_heights(
+            self.harness.sim(),
+            src,
+            |n| n.height,
+            |n, v| n.nbr_heights.get(&v).copied().flatten(),
+            |_, n| n.is_dest,
+        )
+    }
+
+    fn live_distances(&self, from: NodeId) -> BTreeMap<NodeId, u64> {
+        live_distances(self.harness.sim(), from)
     }
 
     fn metrics(&self, _live: &UndirectedGraph) -> Metrics {
@@ -772,6 +721,10 @@ impl Driver for MutexDriver {
         Some(RouteProbe { hops, path_delay })
     }
 
+    fn live_distances(&self, from: NodeId) -> BTreeMap<NodeId, u64> {
+        live_distances(self.harness.sim(), from)
+    }
+
     fn metrics(&self, _live: &UndirectedGraph) -> Metrics {
         let sim = self.harness.sim();
         let delivered: u64 = sim.nodes().map(|(_, n)| n.cs_entries).sum();
@@ -874,10 +827,14 @@ impl Driver for ElectionDriver {
         descend_heights(
             self.harness.sim(),
             src,
-            |n| n.height,
-            |n| &n.known,
+            |n| Some(n.height),
+            |n, v| n.known.get(&v).copied(),
             |u, n| n.leader == u,
         )
+    }
+
+    fn live_distances(&self, from: NodeId) -> BTreeMap<NodeId, u64> {
+        live_distances(self.harness.sim(), from)
     }
 
     fn metrics(&self, live: &UndirectedGraph) -> Metrics {

@@ -49,7 +49,7 @@ use rand::{Rng, SeedableRng};
 use serde_json::Value;
 
 use crate::engine::{make_driver, spec_link_config, Driver, LinkLedger, ScenarioError};
-use crate::spec::{derive_run_seed, ProtocolKind, ScenarioSpec};
+use crate::spec::{derive_run_seed, ProtocolKind, ScenarioSpec, TrafficSpec};
 use crate::stats::{MetricSketch, STRETCH_GRID_HI};
 use crate::topology::build_instance;
 
@@ -337,25 +337,6 @@ impl ServeReport {
     }
 }
 
-/// BFS distances over an undirected graph (serve keeps one from the
-/// destination over the *live* graph, refreshed after churn, to price
-/// stretch).
-fn bfs_distances(g: &UndirectedGraph, from: NodeId) -> BTreeMap<NodeId, u64> {
-    let mut dist = BTreeMap::new();
-    dist.insert(from, 0u64);
-    let mut queue = VecDeque::from([from]);
-    while let Some(u) = queue.pop_front() {
-        let d = dist[&u];
-        for v in g.neighbors(u) {
-            if let std::collections::btree_map::Entry::Vacant(e) = dist.entry(v) {
-                e.insert(d + 1);
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
 /// Answers one batch of probes: fans the reads out over `threads`
 /// workers in contiguous chunks but returns results **in request
 /// order** — the fold downstream is therefore independent of the
@@ -401,7 +382,7 @@ fn churn_allowed(protocol: ProtocolKind) -> bool {
 /// Semantic validation of a parsed feed against the instance and the
 /// protocol's churn rules (mirrors the spec-level parse-time rules:
 /// link churn only for routing/reversal/tora, `crash_leader` only for
-/// election).
+/// election and at most once).
 fn validate_feed(
     feed: &[FeedEvent],
     spec: &ScenarioSpec,
@@ -430,6 +411,7 @@ fn validate_feed(
             )))
         }
     };
+    let mut crashed_leader = false;
     for (i, e) in feed.iter().enumerate() {
         match e.action {
             FeedAction::Route(src) => {
@@ -464,10 +446,44 @@ fn validate_feed(
                         i + 1
                     )));
                 }
+                if crashed_leader {
+                    return Err(ServeError(format!(
+                        "feed event {}: at most one crash_leader event per feed (the \
+                         harness crashes the initial leader exactly once)",
+                        i + 1
+                    )));
+                }
+                crashed_leader = true;
             }
         }
     }
     Ok(())
+}
+
+/// Rejects the spec sections serve does not run: serve drives one
+/// instance, and its workload comes from the generator and the feed.
+/// The parser fills the default traffic workload in when a
+/// traffic-driven protocol's spec has no traffic section, so only a
+/// non-default one counts as declared.
+fn reject_unserved_sections(spec: &ScenarioSpec) -> Result<(), ServeError> {
+    let section = if spec.matrix.is_some() {
+        "a matrix".to_string()
+    } else if !spec.churn.is_empty() {
+        format!("{} churn event(s)", spec.churn.len())
+    } else if spec
+        .traffic
+        .as_ref()
+        .is_some_and(|t| *t != TrafficSpec::default())
+    {
+        "a traffic section".to_string()
+    } else {
+        return Ok(());
+    };
+    Err(ServeError(format!(
+        "spec declares {section}, which serve does not run; `lr serve` drives a single \
+         instance and takes its workload from --rate (generated route queries) and --feed \
+         (routes, link and node churn, crash_leader)"
+    )))
 }
 
 /// Runs the resident serve loop: settles the instance, then serves
@@ -476,13 +492,15 @@ fn validate_feed(
 ///
 /// # Errors
 ///
-/// Returns a [`ServeError`] for an unbuildable topology, an invalid
-/// feed, or an exhausted per-tick event budget (`spec.max_events`).
+/// Returns a [`ServeError`] for a spec with a matrix, churn events or a
+/// traffic section, an unbuildable topology, an invalid feed, or an
+/// exhausted per-tick event budget (`spec.max_events`).
 pub fn run_serve(
     spec: &ScenarioSpec,
     options: &ServeOptions,
     feed: &[FeedEvent],
 ) -> Result<ServeReport, ServeError> {
+    reject_unserved_sections(spec)?;
     let seed = options
         .seed
         .unwrap_or_else(|| spec.seeds.first().copied().unwrap_or(0));
@@ -504,6 +522,8 @@ pub fn run_serve(
 
     let link = spec_link_config(&spec.links.default);
     let mut driver = make_driver(spec, &inst, link, run_seed);
+    // Mirrors the driver's failed links: every fail or heal goes through
+    // it, so the simulator's live links are the ledger's.
     let mut ledger = LinkLedger::new(&inst.graph);
 
     // Initial convergence, exactly like the scenario engine's settle
@@ -543,14 +563,14 @@ pub fn run_serve(
     let base = spec.settle;
 
     // Stretch is priced against BFS distances from the destination
-    // over the live graph, recomputed only when churn changes it. Only
+    // over the live links, recomputed only when churn changes them. Only
     // protocols with a fixed destination sink get stretch (the mutex
     // token and an electable leader move).
     let priced = matches!(
         spec.protocol,
         ProtocolKind::Routing | ProtocolKind::Reversal | ProtocolKind::Tora
     );
-    let mut dist = bfs_distances(&ledger.live_graph(&inst.graph), inst.dest);
+    let mut dist = driver.live_distances(inst.dest);
 
     // Sketch grids are sized from the settled topology: the eccentricity
     // of the destination bounds the typical path, the spec's largest
@@ -679,7 +699,7 @@ pub fn run_serve(
             }
         }
         if churned && priced {
-            dist = bfs_distances(&ledger.live_graph(&inst.graph), inst.dest);
+            dist = driver.live_distances(inst.dest);
         }
 
         // Open-loop generator arrivals for this tick.
@@ -864,6 +884,20 @@ mod tests {
         assert_eq!(report.offered_feed, 2);
         assert_eq!(report.link_events, 2);
         assert_eq!(report.answered, 2, "both probed routes resolve");
+        // Pinned: the first probe walks 5 hops around the failed link,
+        // which is also the live shortest path then (stretch 1); the
+        // second walks 5 hops again against 3 once healed (stretch 5/3).
+        assert_eq!(
+            report.render(),
+            "serve serve-test: routing on grid (n = 16, edges = 24), seed 7\n\
+             workload: rate 0/tick × 14 ticks (after settle 10000), batch ≤ 256, queue ≤ 1024\n\
+             offered 2 (generator 0, feed 2)  admitted 2  answered 2  unroutable 0  dropped 0  \
+             leftover 0\n\
+             churn events applied 2  protocol messages 101\n\
+             latency (ticks): p50 5.000  p90 5.000  p99 5.000  mean 5.000  max 5.000  (2 obs)\n\
+             hops: p50 5.000  p90 5.000  p99 5.000  mean 5.000  max 5.000  (2 obs)\n\
+             stretch: p50 1.062  p90 1.667  p99 1.667  mean 1.333  max 1.667  (2 obs)\n"
+        );
     }
 
     #[test]
@@ -912,24 +946,37 @@ mod tests {
                 "{line:?} should fail with {needle:?}, got {err}"
             );
         }
+        // A second crash_leader fails validation, before anything is
+        // served, and names its event and the rule.
+        let election = ScenarioSpec::from_json(
+            r#"{"name": "serve-election", "protocol": "election",
+                "topology": {"family": "grid", "rows": 4, "cols": 4}}"#,
+        )
+        .unwrap();
+        let feed =
+            parse_feed("{\"at\": 2, \"crash_leader\": true}\n{\"at\": 9, \"crash_leader\": true}")
+                .unwrap();
+        let err = run_serve(&election, &opts(0, 12), &feed).unwrap_err();
+        assert!(
+            err.0
+                .starts_with("feed event 2: at most one crash_leader event per feed"),
+            "{err}"
+        );
     }
 
     #[test]
     fn every_protocol_family_serves_route_probes() {
         // 2×3 grid for the link-churn protocols; inline path for
-        // mutex/election (mutex requires a tree).
-        for (protocol, topology) in [
-            ("routing", r#"{"family": "grid", "rows": 2, "cols": 3}"#),
-            ("reversal", r#"{"family": "grid", "rows": 2, "cols": 3}"#),
-            ("tora", r#"{"family": "grid", "rows": 2, "cols": 3}"#),
-            (
-                "mutex",
-                r#"{"family": "inline", "edges": [[0,1],[1,2],[2,3]]}"#,
-            ),
-            (
-                "election",
-                r#"{"family": "inline", "edges": [[0,1],[1,2],[2,3]]}"#,
-            ),
+        // mutex/election (mutex requires a tree). Each protocol's
+        // `(answered, unroutable, messages)` is pinned.
+        let grid = r#"{"family": "grid", "rows": 2, "cols": 3}"#;
+        let path = r#"{"family": "inline", "edges": [[0,1],[1,2],[2,3]]}"#;
+        for (protocol, topology, pinned) in [
+            ("routing", grid, (30, 0, 26)),
+            ("reversal", grid, (30, 0, 26)),
+            ("tora", grid, (30, 0, 30)),
+            ("mutex", path, (30, 0, 0)),
+            ("election", path, (30, 0, 6)),
         ] {
             let s = spec(&format!(
                 r#"{{"name": "serve-{protocol}", "protocol": "{protocol}",
@@ -944,6 +991,8 @@ mod tests {
                 report.unroutable
             );
             assert_eq!(report.answered + report.unroutable, report.admitted);
+            let got = (report.answered, report.unroutable, report.messages);
+            assert_eq!(got, pinned, "{protocol}: (answered, unroutable, messages)");
         }
     }
 }

@@ -13,6 +13,31 @@ fn run_one(json: &str) -> RunOutcome {
     outcome.runs.into_iter().next().unwrap()
 }
 
+/// Pins a run's exact outputs: the simulator's `[sent, delivered,
+/// dropped, lost_to_failure, last_event_time]` and the summary row's
+/// `(messages, total_reversals, mean_hops, stretch)`. A refactor that
+/// shifts a protocol's behaviour fails here even when it shifts every
+/// run alike, which the determinism suites cannot see.
+fn assert_pinned(run: &RunOutcome, stats: [u64; 5], summary: (u64, u64, f64, f64)) {
+    let s = run.sim_stats;
+    let row = run.records.last().unwrap();
+    let got = [
+        s.sent,
+        s.delivered,
+        s.dropped,
+        s.lost_to_failure,
+        s.last_event_time,
+    ];
+    assert_eq!(got, stats, "sim stats");
+    let got = (
+        row.messages,
+        row.total_reversals,
+        row.mean_hops,
+        row.stretch,
+    );
+    assert_eq!(got, summary, "summary (messages, reversals, hops, stretch)");
+}
+
 #[test]
 fn routing_stable_network_delivers_everything_at_stretch_one() {
     let run = run_one(
@@ -36,6 +61,7 @@ fn routing_stable_network_delivers_everything_at_stretch_one() {
         summary.stretch
     );
     assert!(summary.mean_hops >= 1.0);
+    assert_pinned(&run, [82, 82, 0, 0, 9], (82, 8, 2.25, 1.0));
 }
 
 #[test]
@@ -81,6 +107,22 @@ fn routing_partition_livelocks_then_heal_delivers() {
     assert_eq!(summary.delivered, 1, "{summary:?}");
     assert_eq!(summary.stranded, 0);
     assert!(summary.acyclic, "acyclicity must survive the churn");
+    assert_pinned(&run, [311, 311, 0, 0, 603], (311, 302, 3.0, 1.0));
+}
+
+#[test]
+fn routing_through_the_shipped_churn_waves_is_pinned() {
+    // The random topology gives nodes several lower neighbours, and two
+    // of the three waves are priced while links are down, so both the
+    // downhill choice and the live-link BFS show in hops and stretch.
+    let text = include_str!("../../../examples/scenarios/churn_waves.json");
+    let spec = ScenarioSpec::from_json(text).expect("spec parses");
+    let run = lr_scenario::run_scenario(&spec, 1, 0, false).expect("first run");
+    assert_pinned(
+        &run,
+        [341, 341, 0, 0, 359],
+        (341, 24, 1.9710144927536233, 1.125),
+    );
 }
 
 #[test]
@@ -136,6 +178,7 @@ fn reversal_scenario_reports_convergence_and_work() {
     // it. Messages must have flowed in both churn phases.
     let summary = run.records.last().unwrap();
     assert!(summary.messages > start.messages);
+    assert_pinned(&run, [749, 749, 0, 0, 448], (749, 417, 0.0, 0.0));
 }
 
 #[test]
@@ -155,6 +198,7 @@ fn tora_queries_route_sources_under_churn() {
     assert_eq!(summary.delivered, 2, "both queries routed: {summary:?}");
     assert!(summary.acyclic, "TORA heights stay loop-free");
     assert!(summary.messages > 0);
+    assert_pinned(&run, [33, 33, 0, 0, 502], (33, 1, 0.0, 0.0));
 }
 
 #[test]
@@ -195,6 +239,7 @@ fn mutex_requests_all_enter_the_critical_section() {
         summary.acyclic,
         "token tree stays oriented toward the holder"
     );
+    assert_pinned(&run, [36, 36, 0, 0, 19], (36, 0, 0.0, 0.0));
 }
 
 #[test]
@@ -215,6 +260,7 @@ fn election_crash_leader_reorients_survivors() {
         "survivors must reverse toward the new leader"
     );
     assert!(run.records.iter().all(|r| r.acyclic));
+    assert_pinned(&run, [116, 116, 0, 0, 104], (116, 9, 0.0, 0.0));
 }
 
 #[test]

@@ -672,10 +672,10 @@ fn cmd_scenario(args: &[&str]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `lr serve <spec>`: the resident service mode. Loads a (non-matrix)
-/// scenario spec, settles its instance, and serves the open-loop
-/// workload — seeded generator plus optional `--feed` newline-JSON
-/// events (`-` reads stdin).
+/// `lr serve <spec>`: the resident service mode. Loads a scenario spec
+/// (no matrix, churn or traffic section), settles its instance, and
+/// serves the open-loop workload — seeded generator plus optional
+/// `--feed` newline-JSON events (`-` reads stdin).
 fn cmd_serve(args: &[&str], stdin: &str) -> Result<String, CliError> {
     use lr_scenario::serve::{parse_feed, run_serve, ServeOptions};
     use lr_scenario::spec::ScenarioSpec;
@@ -734,11 +734,6 @@ fn cmd_serve(args: &[&str], stdin: &str) -> Result<String, CliError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
     let spec = ScenarioSpec::from_json(&text).map_err(|e| err(format!("{path}: {e}")))?;
-    if spec.matrix.is_some() {
-        return Err(err(format!(
-            "{path}: spec declares a matrix; `lr serve` drives a single instance"
-        )));
-    }
     let feed = match feed_arg.as_deref() {
         None => Vec::new(),
         Some("-") => parse_feed(stdin).map_err(|e| err(format!("--feed -: {e}")))?,
@@ -1343,6 +1338,30 @@ mod tests {
         let e = run_cli(&["serve", "/nonexistent/spec.json"], "").unwrap_err();
         assert!(e.0.contains("cannot read"), "{e}");
         let _ = std::fs::remove_file(&path);
+        // Serve runs no matrix, churn or traffic section: each is an
+        // error naming the section and pointing at --rate and --feed.
+        let traffic =
+            std::env::temp_dir().join(format!("lr_cli_serve_tr_{}.json", std::process::id()));
+        std::fs::write(
+            &traffic,
+            r#"{"name": "t", "topology": {"family": "grid", "rows": 2, "cols": 2},
+                "traffic": {"packets_per_source": 2}}"#,
+        )
+        .unwrap();
+        let traffic_path = traffic.to_str().unwrap().to_string();
+        for (spec, section) in [
+            (example_spec("matrix_sweep.json"), "declares a matrix"),
+            (
+                example_spec("churn_waves.json"),
+                "declares 3 churn event(s)",
+            ),
+            (traffic_path, "declares a traffic section"),
+        ] {
+            let e = run_cli(&["serve", &spec, "--rate", "5"], "").unwrap_err();
+            assert!(e.0.starts_with(&format!("{spec}: spec {section}")), "{e}");
+            assert!(e.0.contains("--rate") && e.0.contains("--feed"), "{e}");
+        }
+        let _ = std::fs::remove_file(&traffic);
     }
 
     #[test]

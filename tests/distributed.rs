@@ -3,13 +3,17 @@
 //! destination-orientation guarantee, work within the same bounds — and
 //! the applications must keep their invariants under churn.
 
+use link_reversal::core::alg::FrontierFamily;
+use link_reversal::core::engine::{run_engine_frontier, SchedulePolicy, DEFAULT_MAX_STEPS};
 use link_reversal::graph::{stream, DirectedView, NodeId};
 use link_reversal::net::election::ElectionHarness;
 use link_reversal::net::live::run_threaded;
 use link_reversal::net::mutex::MutexHarness;
-use link_reversal::net::reversal::{converge, height_snapshot, orientation_from_heights};
+use link_reversal::net::reversal::{
+    converge, height_snapshot, orientation_from_heights, DistributedPr,
+};
 use link_reversal::net::routing::RoutingHarness;
-use link_reversal::net::sim::LinkConfig;
+use link_reversal::net::sim::{EventSim, LinkConfig};
 
 #[test]
 fn distributed_convergence_matches_theory_guarantees() {
@@ -31,24 +35,46 @@ fn distributed_convergence_matches_theory_guarantees() {
 #[test]
 fn distributed_work_is_invariant_to_message_timing_on_trees() {
     // On trees, PR reversal sets are schedule-independent, so any two
-    // timing regimes must do identical total work.
-    let inst = stream::binary_tree_away(3).to_instance();
-    let calm = converge(&inst, LinkConfig::default(), 1, 10_000_000);
-    let wild = converge(
-        &inst,
-        LinkConfig {
-            delay: 5,
-            jitter: 20,
-            loss: 0.0,
-        },
-        99,
-        10_000_000,
-    );
-    let work = |sim: &link_reversal::net::sim::EventSim<
-        link_reversal::net::reversal::DistributedPr,
-    >|
-     -> u64 { sim.nodes().map(|(_, n)| n.reversals).sum() };
-    assert_eq!(work(&calm), work(&wild));
+    // timing regimes must do identical total work — and so must the
+    // threaded mode and the flat engines. Four runs of the one height
+    // rule (two simulated timings, real threads, GB-triple) and PR's
+    // list formulation agree on every tree depth.
+    let work =
+        |sim: &EventSim<DistributedPr>| -> u64 { sim.nodes().map(|(_, n)| n.reversals).sum() };
+    let engine_steps = |family: FrontierFamily, d: usize| -> u64 {
+        let mut engine = family.engine(stream::binary_tree_away(d));
+        run_engine_frontier(
+            engine.as_mut(),
+            SchedulePolicy::GreedyRounds,
+            DEFAULT_MAX_STEPS,
+        )
+        .steps as u64
+    };
+    for (d, expected) in [(1, 6), (2, 14), (3, 30), (4, 62)] {
+        let inst = stream::binary_tree_away(d).to_instance();
+        let calm = converge(&inst, LinkConfig::default(), 1, 10_000_000);
+        let wild = converge(
+            &inst,
+            LinkConfig {
+                delay: 5,
+                jitter: 20,
+                loss: 0.0,
+            },
+            99,
+            10_000_000,
+        );
+        let all = [
+            work(&calm),
+            work(&wild),
+            run_threaded(&inst).reversals,
+            engine_steps(FrontierFamily::TripleHeights, d),
+            engine_steps(FrontierFamily::PartialReversal, d),
+        ];
+        assert_eq!(
+            all, [expected; 5],
+            "depth {d}: simulator ×2, threads, GB-triple, PR"
+        );
+    }
 }
 
 #[test]
