@@ -68,8 +68,9 @@ fn main() {
     let mut rows = Vec::new();
     for &n in &[16usize, 32, 64, 128] {
         for failures in [0usize, 2, 4, 8] {
-            let inst = stream::random_connected(n, 2 * n, 50_000 + n as u64).to_instance();
-            let mut h = RoutingHarness::converged(&inst, LinkConfig::default(), n as u64);
+            let flat = stream::random_connected(n, 2 * n, 50_000 + n as u64);
+            let inst = flat.to_instance();
+            let mut h = RoutingHarness::converged(&flat, LinkConfig::default(), n as u64);
             for (u, v) in removable_links(&inst.graph, failures) {
                 h.fail_link(u, v);
             }

@@ -172,8 +172,16 @@ fn initial_pair_heights(inst: &CsrInstance) -> Vec<PairHeight> {
         .collect()
 }
 
-/// The initial triple heights of a flat instance: `α = 0`, `β_u = −x(u)`.
-fn initial_triple_heights(inst: &CsrInstance) -> Vec<TripleHeight> {
+/// The initial triple heights of a flat instance, by dense CSR index:
+/// `α = 0`, `β_u = −x(u)`, with `x` the plane-embedding coordinate from
+/// the CSR-native Kahn peel. The GB-triple engine starts here, and so do
+/// the distributed protocols of `lr-net`.
+///
+/// # Panics
+///
+/// Panics if the initial orientation is not acyclic (no generator or
+/// validated instance produces one).
+pub fn initial_triple_heights(inst: &CsrInstance) -> Vec<TripleHeight> {
     let csr = inst.csr();
     initial_positions(inst)
         .into_iter()

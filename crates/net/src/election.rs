@@ -11,14 +11,15 @@
 //! protocol's, [`crate::reversal`], with this exemption in place of the
 //! destination's). Once proposals stabilize, exactly one node refuses
 //! to reverse, and reversal re-orients the surviving DAG toward it — the
-//! elected leader.
+//! elected leader. As in the reversal protocol, each node keeps its
+//! neighbors' last announced heights in its slots.
 
 use std::collections::BTreeMap;
 
-use lr_core::alg::TripleHeight;
-use lr_graph::{NodeId, ReversalInstance, UndirectedGraph};
+use lr_core::alg::{initial_triple_heights, TripleHeight};
+use lr_graph::{CsrInstance, NodeId, UndirectedGraph};
 
-use crate::reversal::{initial_heights, orientation_from_heights, reverse_if_sink};
+use crate::reversal::{orientation_from_heights, reverse_if_sink};
 use crate::sim::{Ctx, EventSim, LinkConfig, Protocol};
 
 /// Messages of the election protocol.
@@ -43,8 +44,6 @@ pub enum ElectMsg {
 pub struct ElectNode {
     /// This node's height (reversal layer).
     pub height: TripleHeight,
-    /// Last known neighbor heights.
-    pub known: BTreeMap<NodeId, TripleHeight>,
     /// Who this node currently believes leads.
     pub leader: NodeId,
     /// Current election epoch.
@@ -60,21 +59,24 @@ pub struct Election;
 impl Protocol for Election {
     type Msg = ElectMsg;
     type Node = ElectNode;
+    type Slot = Option<TripleHeight>;
 
-    fn on_start(&mut self, ctx: &mut Ctx<'_, ElectMsg>, node: &mut ElectNode) {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, ElectMsg, Self::Slot>, node: &mut ElectNode) {
         ctx.broadcast(ElectMsg::Height(node.height));
     }
 
     fn on_message(
         &mut self,
-        ctx: &mut Ctx<'_, ElectMsg>,
+        ctx: &mut Ctx<'_, ElectMsg, Self::Slot>,
         node: &mut ElectNode,
-        from: NodeId,
+        _from: NodeId,
         msg: ElectMsg,
     ) {
         match msg {
             ElectMsg::Height(h) => {
-                node.known.insert(from, h);
+                if let Some(known) = ctx.sender_slot_mut() {
+                    *known = Some(h);
+                }
             }
             ElectMsg::Elect { epoch, leader } => {
                 if (epoch, leader) > (node.epoch, node.leader) {
@@ -99,7 +101,7 @@ impl Protocol for Election {
         // Partial Reversal, except that a node believing itself leader
         // never reverses: it is the destination the DAG re-orients to.
         if node.leader != ctx.self_id
-            && reverse_if_sink(&mut node.height, &node.known, ctx.neighbors)
+            && reverse_if_sink(&mut node.height, ctx.live_slots().copied())
         {
             node.reversals += 1;
             ctx.broadcast(ElectMsg::Height(node.height));
@@ -133,23 +135,17 @@ impl ElectionHarness {
     /// # Panics
     ///
     /// Panics if initial convergence exceeds the event budget.
-    pub fn converged(inst: &ReversalInstance, link: LinkConfig, seed: u64) -> Self {
-        let nodes: BTreeMap<NodeId, ElectNode> = initial_heights(inst)
+    pub fn converged(inst: &CsrInstance, link: LinkConfig, seed: u64) -> Self {
+        let nodes = initial_triple_heights(inst)
             .into_iter()
-            .map(|(u, height)| {
-                (
-                    u,
-                    ElectNode {
-                        height,
-                        known: BTreeMap::new(),
-                        leader: inst.dest,
-                        epoch: 0,
-                        reversals: 0,
-                    },
-                )
+            .map(|height| ElectNode {
+                height,
+                leader: inst.dest(),
+                epoch: 0,
+                reversals: 0,
             })
             .collect();
-        let mut sim = EventSim::new(Election, inst.graph.clone(), nodes, link, seed);
+        let mut sim = EventSim::new(Election, inst.csr().clone(), nodes, link, seed);
         sim.start();
         assert!(
             sim.run_to_quiescence(10_000_000),
@@ -157,7 +153,7 @@ impl ElectionHarness {
         );
         ElectionHarness {
             sim,
-            original_leader: inst.dest,
+            original_leader: inst.dest(),
         }
     }
 
@@ -176,7 +172,7 @@ impl ElectionHarness {
     /// link-down notifications to its neighbors.
     pub fn crash_leader(&mut self) {
         let leader = self.original_leader;
-        let nbrs: Vec<NodeId> = self.sim.graph().neighbors(leader).collect();
+        let nbrs: Vec<NodeId> = self.sim.neighbors(leader).collect();
         for v in nbrs {
             self.sim.fail_link(leader, v);
             self.sim.inject(leader, v, ElectMsg::LinkDown(leader));
@@ -213,7 +209,7 @@ impl ElectionHarness {
         for &u in &survivors {
             surviving.ensure_node(u);
         }
-        for (a, b) in self.sim.graph().edges() {
+        for (a, b, _) in self.sim.links() {
             if a != self.original_leader && b != self.original_leader {
                 surviving.add_edge(a, b).expect("fresh edge");
             }
@@ -253,8 +249,9 @@ mod tests {
         // Random connected graph with destination 0; after 0 crashes the
         // highest-id neighbor of 0 must win (only 0's neighbors propose).
         for seed in 0..5 {
-            let inst = stream::random_connected(12, 14, 900 + seed).to_instance();
-            let mut h = ElectionHarness::converged(&inst, LinkConfig::default(), seed);
+            let flat = stream::random_connected(12, 14, 900 + seed);
+            let inst = flat.to_instance();
+            let mut h = ElectionHarness::converged(&flat, LinkConfig::default(), seed);
             let expected: NodeId = inst
                 .graph
                 .neighbors(inst.dest)
@@ -269,7 +266,7 @@ mod tests {
 
     #[test]
     fn election_on_chain_picks_the_sole_neighbor() {
-        let inst = stream::chain_away(6).to_instance();
+        let inst = stream::chain_away(6);
         let mut h = ElectionHarness::converged(&inst, LinkConfig::default(), 0);
         h.crash_leader(); // node 0 dies; only neighbor is 1
         let report = h.run(1_000_000);
@@ -279,7 +276,7 @@ mod tests {
 
     #[test]
     fn no_crash_means_no_new_epoch() {
-        let inst = stream::grid_away(3, 3).to_instance();
+        let inst = stream::grid_away(3, 3);
         let mut h = ElectionHarness::converged(&inst, LinkConfig::default(), 1);
         let report_messages = h.sim.stats().sent;
         // Run again without crashing: nothing new happens.
@@ -292,9 +289,10 @@ mod tests {
 
     #[test]
     fn election_tolerates_jitter() {
-        let inst = stream::random_connected(10, 12, 42).to_instance();
+        let flat = stream::random_connected(10, 12, 42);
+        let inst = flat.to_instance();
         let mut h = ElectionHarness::converged(
-            &inst,
+            &flat,
             LinkConfig {
                 delay: 2,
                 jitter: 9,

@@ -6,11 +6,15 @@
 //!
 //! * [`sim`] — a deterministic discrete-event network simulator: per-link
 //!   FIFO queues with configurable delay, jitter, and loss; virtual time;
-//!   reproducible seeded randomness.
+//!   reproducible seeded randomness. It runs on a [`lr_graph::CsrGraph`]:
+//!   node state by dense index, and per **half-edge slot** the link's
+//!   live bit, config, FIFO clock and the protocol's per-neighbor state
+//!   ([`sim::Protocol::Slot`]), which a handler sees as its node's
+//!   contiguous run of slots through [`sim::Ctx`].
 //! * [`reversal`] — the *distributed* Partial Reversal protocol: each node
 //!   knows only its own Gafni–Bertsekas triple height and its neighbors'
-//!   last announced heights, performs the PR height update when it finds
-//!   itself a sink, and gossips the new height. This is the
+//!   last announced heights (one per slot), performs the PR height update
+//!   when it finds itself a sink, and gossips the new height. This is the
 //!   local-knowledge formulation that actually runs in a network (the
 //!   list/parity automata of the paper assume a global scheduler). Its
 //!   sink rule is the one the routing, election and threaded modes use.

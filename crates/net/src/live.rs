@@ -19,12 +19,12 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::thread;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use lr_core::alg::TripleHeight;
-use lr_graph::{NodeId, ReversalInstance};
+use crossbeam::channel::{unbounded, Sender};
+use lr_core::alg::{initial_triple_heights, TripleHeight};
+use lr_graph::{CsrInstance, NodeId};
 use parking_lot::Mutex;
 
-use crate::reversal::{initial_heights, reverse_if_sink};
+use crate::reversal::reverse_if_sink;
 
 enum LiveMsg {
     Height(NodeId, TripleHeight),
@@ -49,43 +49,46 @@ pub struct LiveReport {
 ///
 /// Panics if any node thread panics (which would indicate a protocol
 /// bug — e.g. a height decrease).
-pub fn run_threaded(inst: &ReversalInstance) -> LiveReport {
-    let heights0 = initial_heights(inst);
+pub fn run_threaded(inst: &CsrInstance) -> LiveReport {
+    let csr = inst.csr();
+    let heights0 = initial_triple_heights(inst);
     let in_flight = Arc::new(AtomicI64::new(0));
     let reversals = Arc::new(AtomicI64::new(0));
     let messages = Arc::new(AtomicI64::new(0));
-    let published: Arc<Mutex<BTreeMap<NodeId, TripleHeight>>> =
-        Arc::new(Mutex::new(heights0.clone()));
+    let published: Arc<Mutex<BTreeMap<NodeId, TripleHeight>>> = Arc::new(Mutex::new(
+        csr.nodes().zip(heights0.iter().copied()).collect(),
+    ));
 
-    let mut senders: BTreeMap<NodeId, Sender<LiveMsg>> = BTreeMap::new();
-    let mut receivers: BTreeMap<NodeId, Receiver<LiveMsg>> = BTreeMap::new();
-    for u in inst.graph.nodes() {
-        let (tx, rx) = unbounded();
-        senders.insert(u, tx);
-        receivers.insert(u, rx);
-    }
+    let (senders, receivers): (Vec<Sender<LiveMsg>>, Vec<_>) =
+        (0..csr.node_count()).map(|_| unbounded()).unzip();
 
     let mut handles = Vec::new();
-    for u in inst.graph.nodes() {
-        let rx = receivers.remove(&u).expect("receiver exists");
-        let nbr_senders: BTreeMap<NodeId, Sender<LiveMsg>> = inst
-            .graph
-            .neighbors(u)
-            .map(|v| (v, senders[&v].clone()))
+    for (i, rx) in receivers.into_iter().enumerate() {
+        let u = csr.node(i);
+        // Neighbors ascending, with their channels; `known[k]` is the
+        // last height heard from `nbr_ids[k]`.
+        let nbr_ids: Vec<NodeId> = csr
+            .neighbor_indices(i)
+            .iter()
+            .map(|&j| csr.node(j as usize))
             .collect();
-        let my_height = heights0[&u];
-        let is_dest = u == inst.dest;
+        let nbr_senders: Vec<Sender<LiveMsg>> = csr
+            .neighbor_indices(i)
+            .iter()
+            .map(|&j| senders[j as usize].clone())
+            .collect();
+        let my_height = heights0[i];
+        let is_dest = u == inst.dest();
         let in_flight = Arc::clone(&in_flight);
         let reversals = Arc::clone(&reversals);
         let messages = Arc::clone(&messages);
         let published = Arc::clone(&published);
-        let nbr_ids: Vec<NodeId> = inst.graph.neighbors(u).collect();
 
         handles.push(thread::spawn(move || {
             let mut height = my_height;
-            let mut known: BTreeMap<NodeId, TripleHeight> = BTreeMap::new();
+            let mut known: Vec<Option<TripleHeight>> = vec![None; nbr_ids.len()];
             let send_all = |h: TripleHeight| {
-                for tx in nbr_senders.values() {
+                for tx in &nbr_senders {
                     in_flight.fetch_add(1, Ordering::SeqCst);
                     messages.fetch_add(1, Ordering::SeqCst);
                     tx.send(LiveMsg::Height(u, h)).expect("peer alive");
@@ -97,11 +100,13 @@ pub fn run_threaded(inst: &ReversalInstance) -> LiveReport {
                 match rx.recv().expect("channel open") {
                     LiveMsg::Stop => break,
                     LiveMsg::Height(v, h) => {
-                        if let Some(old) = known.get(&v) {
-                            assert!(h >= *old, "height of {v} decreased");
+                        let k = nbr_ids.binary_search(&v).expect("sender is a neighbor");
+                        if let Some(old) = known[k] {
+                            assert!(h >= old, "height of {v} decreased");
                         }
-                        known.insert(v, h);
-                        if !is_dest && reverse_if_sink(&mut height, &known, &nbr_ids) {
+                        known[k] = Some(h);
+                        // Every link is live in the threaded mode.
+                        if !is_dest && reverse_if_sink(&mut height, known.iter().copied()) {
                             reversals.fetch_add(1, Ordering::SeqCst);
                             published.lock().insert(u, height);
                             send_all(height);
@@ -127,7 +132,7 @@ pub fn run_threaded(inst: &ReversalInstance) -> LiveReport {
         }
         thread::yield_now();
     }
-    for tx in senders.values() {
+    for tx in &senders {
         tx.send(LiveMsg::Stop).expect("peer alive");
     }
     for h in handles {
@@ -150,8 +155,9 @@ mod tests {
 
     #[test]
     fn threads_converge_on_chain() {
-        let inst = stream::chain_away(10).to_instance();
-        let report = run_threaded(&inst);
+        let flat = stream::chain_away(10);
+        let inst = flat.to_instance();
+        let report = run_threaded(&flat);
         let o = orientation_from_heights(&inst.graph, &report.heights);
         let view = DirectedView::new(&inst.graph, &o);
         assert!(view.is_acyclic());
@@ -162,8 +168,9 @@ mod tests {
     #[test]
     fn threads_converge_on_random_graphs() {
         for seed in 0..3 {
-            let inst = stream::random_connected(20, 20, 1000 + seed).to_instance();
-            let report = run_threaded(&inst);
+            let flat = stream::random_connected(20, 20, 1000 + seed);
+            let inst = flat.to_instance();
+            let report = run_threaded(&flat);
             let o = orientation_from_heights(&inst.graph, &report.heights);
             let view = DirectedView::new(&inst.graph, &o);
             assert!(view.is_acyclic(), "seed {seed}");
@@ -176,8 +183,7 @@ mod tests {
 
     #[test]
     fn oriented_instance_needs_no_reversals() {
-        let inst = stream::chain_toward(8).to_instance();
-        let report = run_threaded(&inst);
+        let report = run_threaded(&stream::chain_toward(8));
         assert_eq!(report.reversals, 0);
         // Exactly the initial announcements: 2 per edge.
         assert_eq!(report.messages, 2 * 7);

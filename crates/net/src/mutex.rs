@@ -10,9 +10,10 @@
 //! destination-orientation invariant at quiescence, which is this module's
 //! connection to the paper's central property.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+use std::sync::Arc;
 
-use lr_graph::{NodeId, UndirectedGraph};
+use lr_graph::{CsrGraph, NodeId};
 
 use crate::sim::{Ctx, EventSim, LinkConfig, Protocol};
 
@@ -51,7 +52,7 @@ pub struct MutexNode {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RaymondMutex;
 
-fn assign_and_request(ctx: &mut Ctx<'_, MutexMsg>, node: &mut MutexNode) {
+fn assign_and_request(ctx: &mut Ctx<'_, MutexMsg, ()>, node: &mut MutexNode) {
     // assign_privilege
     if node.holder == ctx.self_id {
         if let Some(&head) = node.queue.front() {
@@ -80,12 +81,13 @@ fn assign_and_request(ctx: &mut Ctx<'_, MutexMsg>, node: &mut MutexNode) {
 impl Protocol for RaymondMutex {
     type Msg = MutexMsg;
     type Node = MutexNode;
+    type Slot = ();
 
-    fn on_start(&mut self, _ctx: &mut Ctx<'_, MutexMsg>, _node: &mut MutexNode) {}
+    fn on_start(&mut self, _ctx: &mut Ctx<'_, MutexMsg, ()>, _node: &mut MutexNode) {}
 
     fn on_message(
         &mut self,
-        ctx: &mut Ctx<'_, MutexMsg>,
+        ctx: &mut Ctx<'_, MutexMsg, ()>,
         node: &mut MutexNode,
         from: NodeId,
         msg: MutexMsg,
@@ -102,50 +104,53 @@ impl Protocol for RaymondMutex {
 }
 
 /// Builds the BFS spanning tree of `graph` rooted at `root` and the
-/// initial node states (token at the root, holder pointers toward it).
-pub fn initial_mutex_nodes(graph: &UndirectedGraph, root: NodeId) -> BTreeMap<NodeId, MutexNode> {
-    // BFS to get parents.
-    let mut parent: BTreeMap<NodeId, NodeId> = BTreeMap::new();
+/// initial node states by dense index (token at the root, holder
+/// pointers toward it).
+///
+/// # Panics
+///
+/// Panics if `root` is not a node or the graph is not connected.
+pub fn initial_mutex_nodes(graph: &CsrGraph, root: NodeId) -> Vec<MutexNode> {
+    let n = graph.node_count();
+    // BFS to get parents, by dense index.
+    let root = graph.index_of(root).expect("root is a node");
+    let mut parent: Vec<Option<usize>> = vec![None; n];
+    parent[root] = Some(root);
     let mut order = vec![root];
-    parent.insert(root, root);
     let mut i = 0;
     while i < order.len() {
         let u = order[i];
         i += 1;
-        for v in graph.neighbors(u) {
-            if let std::collections::btree_map::Entry::Vacant(e) = parent.entry(v) {
-                e.insert(u);
+        for &v in graph.neighbor_indices(u) {
+            let v = v as usize;
+            if parent[v].is_none() {
+                parent[v] = Some(u);
                 order.push(v);
             }
         }
     }
-    assert_eq!(parent.len(), graph.node_count(), "graph must be connected");
+    assert_eq!(order.len(), n, "graph must be connected");
+    let parent: Vec<usize> = parent.into_iter().flatten().collect();
     // Tree adjacency.
-    let mut tree_nbrs: BTreeMap<NodeId, Vec<NodeId>> =
-        graph.nodes().map(|u| (u, Vec::new())).collect();
-    for (&child, &par) in &parent {
+    let mut tree_nbrs: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+    for (child, &par) in parent.iter().enumerate() {
         if child != par {
-            tree_nbrs.get_mut(&child).expect("node").push(par);
-            tree_nbrs.get_mut(&par).expect("node").push(child);
+            tree_nbrs[child].push(graph.node(par));
+            tree_nbrs[par].push(graph.node(child));
         }
     }
-    graph
-        .nodes()
-        .map(|u| {
-            (
-                u,
-                MutexNode {
-                    holder: parent[&u],
-                    queue: VecDeque::new(),
-                    asked: false,
-                    cs_entries: 0,
-                    tree_nbrs: {
-                        let mut t = tree_nbrs[&u].clone();
-                        t.sort();
-                        t
-                    },
-                },
-            )
+    tree_nbrs
+        .into_iter()
+        .zip(parent)
+        .map(|(mut tree_nbrs, par)| {
+            tree_nbrs.sort();
+            MutexNode {
+                holder: graph.node(par),
+                queue: VecDeque::new(),
+                asked: false,
+                cs_entries: 0,
+                tree_nbrs,
+            }
         })
         .collect()
 }
@@ -168,9 +173,10 @@ pub struct MutexReport {
 
 impl MutexHarness {
     /// Creates the harness with the token at `root`.
-    pub fn new(graph: &UndirectedGraph, root: NodeId, link: LinkConfig, seed: u64) -> Self {
-        let nodes = initial_mutex_nodes(graph, root);
-        let mut sim = EventSim::new(RaymondMutex, graph.clone(), nodes, link, seed);
+    pub fn new(graph: impl Into<Arc<CsrGraph>>, root: NodeId, link: LinkConfig, seed: u64) -> Self {
+        let graph = graph.into();
+        let nodes = initial_mutex_nodes(&graph, root);
+        let mut sim = EventSim::new(RaymondMutex, graph, nodes, link, seed);
         sim.start();
         MutexHarness { sim }
     }
@@ -218,7 +224,7 @@ impl MutexHarness {
                 cur = self.sim.node(cur).holder;
                 hops += 1;
                 assert!(
-                    hops <= self.sim.graph().node_count(),
+                    hops <= self.sim.csr().node_count(),
                     "holder pointers contain a cycle at {u}"
                 );
             }
@@ -240,15 +246,15 @@ mod tests {
         NodeId::new(i)
     }
 
-    fn chain_graph(len: u32) -> UndirectedGraph {
+    fn chain_graph(len: u32) -> CsrGraph {
         let edges: Vec<(u32, u32)> = (0..len - 1).map(|i| (i, i + 1)).collect();
-        UndirectedGraph::from_edges(&edges).unwrap()
+        CsrGraph::from_graph(&lr_graph::UndirectedGraph::from_edges(&edges).unwrap())
     }
 
     #[test]
     fn single_request_moves_token_to_requester() {
         let g = chain_graph(5);
-        let mut h = MutexHarness::new(&g, n(0), LinkConfig::default(), 0);
+        let mut h = MutexHarness::new(g.clone(), n(0), LinkConfig::default(), 0);
         h.request(n(4));
         let r = h.run(10_000);
         assert_eq!(r.cs_entries, 1);
@@ -259,9 +265,9 @@ mod tests {
 
     #[test]
     fn every_request_is_served_exactly_once() {
-        let inst = stream::random_connected(12, 10, 6).to_instance();
-        let mut h = MutexHarness::new(&inst.graph, inst.dest, LinkConfig::default(), 1);
-        for u in inst.graph.nodes() {
+        let inst = stream::random_connected(12, 10, 6);
+        let mut h = MutexHarness::new(inst.csr().clone(), inst.dest(), LinkConfig::default(), 1);
+        for u in inst.csr().nodes() {
             h.request(u);
         }
         let r = h.run(1_000_000);
@@ -271,7 +277,7 @@ mod tests {
     #[test]
     fn holder_already_owning_enters_immediately() {
         let g = chain_graph(3);
-        let mut h = MutexHarness::new(&g, n(0), LinkConfig::default(), 2);
+        let mut h = MutexHarness::new(g.clone(), n(0), LinkConfig::default(), 2);
         h.request(n(0));
         let r = h.run(1_000);
         assert_eq!(r.cs_entries, 1);
@@ -283,7 +289,7 @@ mod tests {
     fn repeated_contention_is_fair_enough_to_serve_all() {
         let g = chain_graph(8);
         let mut h = MutexHarness::new(
-            &g,
+            g.clone(),
             n(3),
             LinkConfig {
                 delay: 2,
@@ -306,8 +312,8 @@ mod tests {
     fn pointer_tree_validates_after_token_moves() {
         // The run() postcondition asserts destination-orientation; make
         // sure it holds after multiple token migrations.
-        let inst = stream::random_connected(10, 8, 11).to_instance();
-        let mut h = MutexHarness::new(&inst.graph, inst.dest, LinkConfig::default(), 4);
+        let inst = stream::random_connected(10, 8, 11);
+        let mut h = MutexHarness::new(inst.csr().clone(), inst.dest(), LinkConfig::default(), 4);
         h.request(n(7));
         h.run(100_000);
         h.request(n(2));

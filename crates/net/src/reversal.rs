@@ -20,18 +20,22 @@
 //! the paper's theorems. The tests verify both on the simulator, and the
 //! [`crate::live`] module re-runs the same protocol on real threads.
 //!
-//! The sink test lives once, in this module's `reverse_if_sink`: the
-//! routing protocol, [`crate::election`] (which exempts the node that
-//! believes itself leader instead of the destination) and
+//! A node's cache is its run of simulator slots: [`DistributedPr`]'s
+//! [`Protocol::Slot`] is the neighbor's last announced height (`None`
+//! until one arrives). The sink test lives once, in this module's
+//! `reverse_if_sink`, which reads the cached heights of the live
+//! neighbors: the routing protocol, [`crate::election`] (which exempts
+//! the node that believes itself leader instead of the destination) and
 //! [`crate::live`] call it too, and the height update it applies is
-//! [`TripleHeight::raised_above`]. The protocol is event-driven and
-//! never retransmits, so it assumes reliable links: one lost
-//! announcement can leave a neighbor waiting forever.
+//! [`TripleHeight::raised_above`]. The initial heights are lr-core's,
+//! [`initial_triple_heights`]. The protocol is event-driven and never
+//! retransmits, so it assumes reliable links: one lost announcement can
+//! leave a neighbor waiting forever.
 
 use std::collections::BTreeMap;
 
-use lr_core::alg::TripleHeight;
-use lr_graph::{NodeId, Orientation, PlaneEmbedding, ReversalInstance, UndirectedGraph};
+use lr_core::alg::{initial_triple_heights, TripleHeight};
+use lr_graph::{CsrInstance, NodeId, Orientation, UndirectedGraph};
 
 use crate::sim::{Ctx, EventSim, LinkConfig, Protocol};
 
@@ -46,87 +50,71 @@ pub enum ReversalMsg {
     LinkDown(NodeId),
 }
 
-/// Per-node state of the distributed reversal protocol.
+/// Per-node state of the distributed reversal protocol. The neighbors'
+/// last announced heights live in the node's slots.
 #[derive(Debug, Clone)]
 pub struct ReversalNode {
     /// This node's current height.
     pub height: TripleHeight,
-    /// Last announced height of each neighbor.
-    pub known: BTreeMap<NodeId, TripleHeight>,
     /// Whether this node is the destination (never reverses).
     pub is_dest: bool,
     /// Number of reversals performed.
     pub reversals: u64,
 }
 
-/// The protocol implementation (stateless; all state is per-node).
+/// The protocol implementation (stateless; all state is per-node and
+/// per-slot).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DistributedPr;
 
-/// Computes the initial heights exactly as
-/// [`lr_core::alg::FrontierTripleHeightsEngine`] does: `α = 0`,
-/// `β = −x` from the plane embedding of the initial DAG.
-pub fn initial_heights(inst: &ReversalInstance) -> BTreeMap<NodeId, TripleHeight> {
-    let emb = PlaneEmbedding::of_initial(&inst.graph, &inst.init)
-        .expect("instance orientation is acyclic");
-    inst.graph
-        .nodes()
-        .map(|u| {
-            (
-                u,
-                TripleHeight {
-                    alpha: 0,
-                    beta: -(emb.x(u).expect("embedding covers nodes") as i64),
-                    id: u,
-                },
-            )
-        })
-        .collect()
-}
-
-/// Builds the per-node states for an instance.
-pub fn initial_nodes(inst: &ReversalInstance) -> BTreeMap<NodeId, ReversalNode> {
-    initial_heights(inst)
+/// Builds the per-node states for an instance, by dense index, with
+/// lr-core's initial triple heights.
+pub fn initial_nodes(inst: &CsrInstance) -> Vec<ReversalNode> {
+    initial_triple_heights(inst)
         .into_iter()
-        .map(|(u, height)| {
-            (
-                u,
-                ReversalNode {
-                    height,
-                    known: BTreeMap::new(),
-                    is_dest: u == inst.dest,
-                    reversals: 0,
-                },
-            )
+        .map(|height| ReversalNode {
+            height,
+            is_dest: height.id == inst.dest(),
+            reversals: 0,
         })
         .collect()
 }
 
 /// The sink test and Partial Reversal step every protocol of this crate
 /// shares (distributed PR, routing, election and the threaded mode).
-/// When every live neighbor's height is known and above `height`, the
-/// node is a sink: raise `height` by [`TripleHeight::raised_above`] and
-/// return `true`. Callers add their own exemption (the destination, a
-/// node that believes itself leader) and count their own reversals.
-pub(crate) fn reverse_if_sink(
-    height: &mut TripleHeight,
-    known: &BTreeMap<NodeId, TripleHeight>,
-    live: &[NodeId],
-) -> bool {
-    let is_sink = !live.is_empty()
-        && live
-            .iter()
-            .all(|v| known.get(v).is_some_and(|h| *h > *height));
-    if is_sink {
-        *height = height.raised_above(live.iter().map(|v| known[v]));
+/// `live_known` yields the cached height of each live neighbor (`None`
+/// when none has arrived yet). When every one is known and above
+/// `height`, the node is a sink: raise `height` by
+/// [`TripleHeight::raised_above`] and return `true`. Callers add their
+/// own exemption (the destination, a node that believes itself leader)
+/// and count their own reversals.
+pub(crate) fn reverse_if_sink<I>(height: &mut TripleHeight, live_known: I) -> bool
+where
+    I: IntoIterator<Item = Option<TripleHeight>>,
+    I::IntoIter: Clone,
+{
+    let live_known = live_known.into_iter();
+    let mut any = false;
+    for h in live_known.clone() {
+        match h {
+            Some(h) if h > *height => any = true,
+            _ => return false,
+        }
     }
-    is_sink
+    if any {
+        *height = height.raised_above(live_known.flatten());
+    }
+    any
 }
 
 /// The distributed PR step of one node: every node but the destination
 /// reverses when [`reverse_if_sink`] finds it a sink.
-pub(crate) fn try_reverse(node: &mut ReversalNode, live: &[NodeId]) -> bool {
-    if node.is_dest || !reverse_if_sink(&mut node.height, &node.known, live) {
+pub(crate) fn try_reverse<I>(node: &mut ReversalNode, live_known: I) -> bool
+where
+    I: IntoIterator<Item = Option<TripleHeight>>,
+    I::IntoIter: Clone,
+{
+    if node.is_dest || !reverse_if_sink(&mut node.height, live_known) {
         return false;
     }
     node.reversals += 1;
@@ -136,32 +124,33 @@ pub(crate) fn try_reverse(node: &mut ReversalNode, live: &[NodeId]) -> bool {
 impl Protocol for DistributedPr {
     type Msg = ReversalMsg;
     type Node = ReversalNode;
+    type Slot = Option<TripleHeight>;
 
-    fn on_start(&mut self, ctx: &mut Ctx<'_, ReversalMsg>, node: &mut ReversalNode) {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, ReversalMsg, Self::Slot>, node: &mut ReversalNode) {
         ctx.broadcast(ReversalMsg::Height(node.height));
     }
 
     fn on_message(
         &mut self,
-        ctx: &mut Ctx<'_, ReversalMsg>,
+        ctx: &mut Ctx<'_, ReversalMsg, Self::Slot>,
         node: &mut ReversalNode,
-        from: NodeId,
+        _from: NodeId,
         msg: ReversalMsg,
     ) {
         match msg {
             ReversalMsg::Height(h) => {
-                node.known.insert(from, h);
+                if let Some(known) = ctx.sender_slot_mut() {
+                    *known = Some(h);
+                }
             }
-            ReversalMsg::LinkDown(v) => {
-                // The neighbor is gone; its cached height must not gate
-                // future sink checks (`ctx.neighbors` already excludes it,
-                // so nothing else to do — keep the entry as history).
-                let _ = v;
-            }
+            // The neighbor is gone; its link is no longer live, so its
+            // cached height no longer gates the sink check (the slot
+            // keeps it as history).
+            ReversalMsg::LinkDown(_) => {}
         }
         // A single update may suffice; if the node is still a sink after
         // more announcements arrive, those messages re-trigger this path.
-        if try_reverse(node, ctx.neighbors) {
+        if try_reverse(node, ctx.live_slots().copied()) {
             ctx.broadcast(ReversalMsg::Height(node.height));
         }
     }
@@ -174,14 +163,14 @@ impl Protocol for DistributedPr {
 ///
 /// Panics if the network fails to go quiescent within `max_events`.
 pub fn converge(
-    inst: &ReversalInstance,
+    inst: &CsrInstance,
     link: LinkConfig,
     seed: u64,
     max_events: u64,
 ) -> EventSim<DistributedPr> {
     let mut sim = EventSim::new(
         DistributedPr,
-        inst.graph.clone(),
+        inst.csr().clone(),
         initial_nodes(inst),
         link,
         seed,
@@ -225,8 +214,9 @@ mod tests {
     #[test]
     fn converges_to_destination_oriented_dag() {
         for seed in 0..5 {
-            let inst = stream::random_connected(16, 12, 800 + seed).to_instance();
-            let sim = converge(&inst, LinkConfig::default(), seed, 1_000_000);
+            let flat = stream::random_connected(16, 12, 800 + seed);
+            let inst = flat.to_instance();
+            let sim = converge(&flat, LinkConfig::default(), seed, 1_000_000);
             let heights = height_snapshot(&sim);
             let o = orientation_from_heights(&inst.graph, &heights);
             let view = DirectedView::new(&inst.graph, &o);
@@ -240,7 +230,7 @@ mod tests {
 
     #[test]
     fn already_oriented_instance_performs_no_reversals() {
-        let inst = stream::chain_toward(10).to_instance();
+        let inst = stream::chain_toward(10);
         let sim = converge(&inst, LinkConfig::default(), 0, 100_000);
         let total: u64 = sim.nodes().map(|(_, n)| n.reversals).sum();
         assert_eq!(total, 0);
@@ -253,7 +243,7 @@ mod tests {
         // The distributed schedule is one of the admissible global PR
         // schedules, so its total reversal count must be bounded by the
         // Θ(n_b²) worst case and must do real work on the away-chain.
-        let inst = stream::chain_away(16).to_instance();
+        let inst = stream::chain_away(16);
         let sim = converge(&inst, LinkConfig::default(), 0, 1_000_000);
         let total: u64 = sim.nodes().map(|(_, n)| n.reversals).sum();
         assert!(total >= 15, "every bad node must step at least once");
@@ -263,10 +253,11 @@ mod tests {
 
     #[test]
     fn convergence_is_robust_to_jitter_and_delay() {
-        let inst = stream::grid_away(4, 4).to_instance();
+        let flat = stream::grid_away(4, 4);
+        let inst = flat.to_instance();
         for seed in 0..5 {
             let sim = converge(
-                &inst,
+                &flat,
                 LinkConfig {
                     delay: 3,
                     jitter: 10,
@@ -286,11 +277,12 @@ mod tests {
         // The event-driven protocol never retransmits, so it assumes
         // reliable links: under loss, messages stop flowing while a
         // non-destination sink remains. This pins that limitation down.
-        let inst = stream::chain_away(8).to_instance();
+        let flat = stream::chain_away(8);
+        let inst = flat.to_instance();
         let mut sim = EventSim::new(
             DistributedPr,
-            inst.graph.clone(),
-            initial_nodes(&inst),
+            flat.csr().clone(),
+            initial_nodes(&flat),
             LinkConfig {
                 delay: 1,
                 jitter: 0,
@@ -316,10 +308,10 @@ mod tests {
     fn heights_only_increase() {
         // Monotonicity is the correctness linchpin of the distributed
         // argument; verify it along a run by instrumenting snapshots.
-        let inst = stream::random_connected(12, 10, 5).to_instance();
+        let inst = stream::random_connected(12, 10, 5);
         let mut sim = EventSim::new(
             DistributedPr,
-            inst.graph.clone(),
+            inst.csr().clone(),
             initial_nodes(&inst),
             LinkConfig::default(),
             9,

@@ -12,9 +12,8 @@
 //! Transient staleness during reconvergence can bounce a packet uphill;
 //! a hop limit bounds the damage and the harness counts such drops.
 
-use std::collections::BTreeMap;
-
-use lr_graph::{NodeId, ReversalInstance};
+use lr_core::alg::TripleHeight;
+use lr_graph::{CsrInstance, NodeId};
 
 use crate::reversal::{initial_nodes, try_reverse, ReversalNode};
 use crate::sim::{Ctx, EventSim, LinkConfig, Protocol};
@@ -32,14 +31,15 @@ pub struct Packet {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteMsg {
     /// Height gossip (the reversal protocol).
-    Height(lr_core::alg::TripleHeight),
+    Height(TripleHeight),
     /// Link-layer failure notification.
     LinkDown(NodeId),
     /// A data packet addressed to the DAG's destination.
     Data(Packet),
 }
 
-/// Per-node routing state: the reversal state plus packet bookkeeping.
+/// Per-node routing state: the reversal state plus packet bookkeeping
+/// (the neighbors' heights live in the node's slots).
 #[derive(Debug, Clone)]
 pub struct RouteNode {
     /// Embedded distributed-reversal state.
@@ -69,21 +69,23 @@ pub fn probe_hop_limit(node_count: usize) -> u32 {
         .max(16)
 }
 
-/// The greedy downhill hop: the live neighbor with the lowest known
-/// height below `own`, or `None` when no live neighbor is known to sit
-/// lower. `known` looks up a neighbor's last announced height. Packet
-/// forwarding here and the scenario engine's route probes both step
-/// through it, over triple heights and TORA heights alike.
-pub fn downhill<H: Ord>(
-    own: H,
-    live: &[NodeId],
-    known: impl Fn(NodeId) -> Option<H>,
-) -> Option<NodeId> {
-    live.iter()
-        .filter_map(|&v| known(v).map(|h| (h, v)))
-        .filter(|(h, _)| *h < own)
-        .min()
-        .map(|(_, v)| v)
+/// The greedy downhill hop over a node's run of slots: the run position
+/// of the lowest known height below `own`, or `None` when no live
+/// neighbor is known to sit lower. `run` yields, in run order, each
+/// neighbor's last announced height, or `None` for a failed link or an
+/// unknown height. A run lists neighbors in ascending id, so a tie goes
+/// to the lower id. Packet forwarding here and the scenario engine's
+/// route probes both step through it, over triple heights and TORA
+/// heights alike.
+pub fn downhill<H: Ord>(own: H, run: impl IntoIterator<Item = Option<H>>) -> Option<usize> {
+    let mut best: Option<(usize, H)> = None;
+    for (k, h) in run.into_iter().enumerate() {
+        let Some(h) = h else { continue };
+        if h < own && best.as_ref().is_none_or(|(_, b)| h < *b) {
+            best = Some((k, h));
+        }
+    }
+    best.map(|(k, _)| k)
 }
 
 /// The routing protocol. Forwarding uses a hop limit to cut transient
@@ -95,7 +97,12 @@ pub struct TorarRouting {
 }
 
 impl TorarRouting {
-    fn forward(&self, ctx: &mut Ctx<'_, RouteMsg>, node: &mut RouteNode, mut packet: Packet) {
+    fn forward(
+        &self,
+        ctx: &mut Ctx<'_, RouteMsg, KnownHeight>,
+        node: &mut RouteNode,
+        mut packet: Packet,
+    ) {
         if node.rev.is_dest {
             node.delivered.push(packet);
             return;
@@ -104,18 +111,17 @@ impl TorarRouting {
             node.dropped += 1;
             return;
         }
-        let known = |v| node.rev.known.get(&v).copied();
-        match downhill(node.rev.height, ctx.neighbors, known) {
-            Some(v) => {
+        match downhill(node.rev.height, ctx.run().map(|s| s.copied().flatten())) {
+            Some(k) => {
                 packet.hops += 1;
                 node.forwarded += 1;
-                ctx.send(v, RouteMsg::Data(packet));
+                ctx.send_at(k, RouteMsg::Data(packet));
             }
             None => node.buffered.push(packet),
         }
     }
 
-    fn flush(&self, ctx: &mut Ctx<'_, RouteMsg>, node: &mut RouteNode) {
+    fn flush(&self, ctx: &mut Ctx<'_, RouteMsg, KnownHeight>, node: &mut RouteNode) {
         if node.buffered.is_empty() {
             return;
         }
@@ -126,24 +132,30 @@ impl TorarRouting {
     }
 }
 
+/// A routing node's slot: the neighbor's last announced height.
+type KnownHeight = Option<TripleHeight>;
+
 impl Protocol for TorarRouting {
     type Msg = RouteMsg;
     type Node = RouteNode;
+    type Slot = KnownHeight;
 
-    fn on_start(&mut self, ctx: &mut Ctx<'_, RouteMsg>, node: &mut RouteNode) {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, RouteMsg, KnownHeight>, node: &mut RouteNode) {
         ctx.broadcast(RouteMsg::Height(node.rev.height));
     }
 
     fn on_message(
         &mut self,
-        ctx: &mut Ctx<'_, RouteMsg>,
+        ctx: &mut Ctx<'_, RouteMsg, KnownHeight>,
         node: &mut RouteNode,
-        from: NodeId,
+        _from: NodeId,
         msg: RouteMsg,
     ) {
         match msg {
             RouteMsg::Height(h) => {
-                node.rev.known.insert(from, h);
+                if let Some(known) = ctx.sender_slot_mut() {
+                    *known = Some(h);
+                }
             }
             RouteMsg::LinkDown(_) => {}
             RouteMsg::Data(p) => {
@@ -153,7 +165,7 @@ impl Protocol for TorarRouting {
                 self.forward(ctx, node, p);
             }
         }
-        if try_reverse(&mut node.rev, ctx.neighbors) {
+        if try_reverse(&mut node.rev, ctx.live_slots().copied()) {
             ctx.broadcast(RouteMsg::Height(node.rev.height));
         }
         // Any event can open a downhill path (a first height heard, or
@@ -196,35 +208,30 @@ impl RoutingHarness {
     /// Builds a harness over `inst` without starting the protocol, so a
     /// caller can set per-link overrides through
     /// [`RoutingHarness::sim_mut`] before the first height flood.
-    pub fn new(inst: &ReversalInstance, link: LinkConfig, seed: u64) -> Self {
-        let nodes: BTreeMap<NodeId, RouteNode> = initial_nodes(inst)
+    pub fn new(inst: &CsrInstance, link: LinkConfig, seed: u64) -> Self {
+        let nodes = initial_nodes(inst)
             .into_iter()
-            .map(|(u, rev)| {
-                (
-                    u,
-                    RouteNode {
-                        rev,
-                        buffered: Vec::new(),
-                        delivered: Vec::new(),
-                        dropped: 0,
-                        forwarded: 0,
-                        seen: Default::default(),
-                        revisits: 0,
-                    },
-                )
+            .map(|rev| RouteNode {
+                rev,
+                buffered: Vec::new(),
+                delivered: Vec::new(),
+                dropped: 0,
+                forwarded: 0,
+                seen: Default::default(),
+                revisits: 0,
             })
             .collect();
         let hop_limit = probe_hop_limit(inst.node_count());
         let sim = EventSim::new(
             TorarRouting { hop_limit },
-            inst.graph.clone(),
+            inst.csr().clone(),
             nodes,
             link,
             seed,
         );
         RoutingHarness {
             sim,
-            dest: inst.dest,
+            dest: inst.dest(),
             next_packet: 0,
             injected: 0,
         }
@@ -237,7 +244,7 @@ impl RoutingHarness {
     ///
     /// Panics if the initial convergence does not finish within 10⁷
     /// events.
-    pub fn converged(inst: &ReversalInstance, link: LinkConfig, seed: u64) -> Self {
+    pub fn converged(inst: &CsrInstance, link: LinkConfig, seed: u64) -> Self {
         let mut harness = Self::new(inst, link, seed);
         harness.sim.start();
         assert!(
@@ -334,8 +341,9 @@ mod tests {
 
     #[test]
     fn all_packets_delivered_on_stable_network() {
-        let inst = stream::random_connected(20, 15, 3).to_instance();
-        let mut h = RoutingHarness::converged(&inst, LinkConfig::default(), 1);
+        let flat = stream::random_connected(20, 15, 3);
+        let inst = flat.to_instance();
+        let mut h = RoutingHarness::converged(&flat, LinkConfig::default(), 1);
         for u in inst.graph.nodes() {
             if u != inst.dest {
                 h.send_packet(u);
@@ -357,8 +365,9 @@ mod tests {
         // Chain 0 ← 1 ← … ← 7 converged toward 0; fail a middle link and
         // route from the far end: the graph becomes disconnected, so add
         // a bypass edge first. Use a ladder-ish random graph instead.
-        let inst = stream::random_connected(16, 14, 9).to_instance();
-        let mut h = RoutingHarness::converged(&inst, LinkConfig::default(), 2);
+        let flat = stream::random_connected(16, 14, 9);
+        let inst = flat.to_instance();
+        let mut h = RoutingHarness::converged(&flat, LinkConfig::default(), 2);
 
         // Rebuilds the graph without a set of edges, to test connectivity
         // before actually failing a link. Every node is materialized so a
@@ -412,7 +421,7 @@ mod tests {
 
     #[test]
     fn hop_counts_are_minimal_on_a_converged_chain() {
-        let inst = stream::chain_away(8).to_instance();
+        let inst = stream::chain_away(8);
         let mut h = RoutingHarness::converged(&inst, LinkConfig::default(), 0);
         h.send_packet(n(7));
         let report = h.run(100_000);
@@ -424,7 +433,7 @@ mod tests {
     #[test]
     fn packets_buffer_while_disconnected_from_downhill() {
         // Star with destination at the center: leaves forward in one hop.
-        let inst = stream::star_away(5).to_instance();
+        let inst = stream::star_away(5);
         let mut h = RoutingHarness::converged(&inst, LinkConfig::default(), 4);
         h.send_packet(n(3));
         let report = h.run(100_000);
@@ -437,8 +446,9 @@ mod tests {
         // The observable form of the acyclicity theorem: greedy-downhill
         // forwarding on a converged DAG never revisits a node.
         for seed in 0..5 {
-            let inst = stream::random_connected(24, 30, 1200 + seed).to_instance();
-            let mut h = RoutingHarness::converged(&inst, LinkConfig::default(), seed);
+            let flat = stream::random_connected(24, 30, 1200 + seed);
+            let inst = flat.to_instance();
+            let mut h = RoutingHarness::converged(&flat, LinkConfig::default(), seed);
             for u in inst.graph.nodes().filter(|&u| u != inst.dest) {
                 h.send_packet(u);
             }
@@ -450,8 +460,9 @@ mod tests {
 
     #[test]
     fn reports_are_internally_consistent() {
-        let inst = stream::grid_away(3, 4).to_instance();
-        let mut h = RoutingHarness::converged(&inst, LinkConfig::default(), 5);
+        let flat = stream::grid_away(3, 4);
+        let inst = flat.to_instance();
+        let mut h = RoutingHarness::converged(&flat, LinkConfig::default(), 5);
         for u in inst.graph.nodes().filter(|&u| u != inst.dest).take(5) {
             h.send_packet(u);
         }

@@ -1,4 +1,4 @@
-//! A deterministic discrete-event network simulator.
+//! A deterministic discrete-event network simulator over a CSR graph.
 //!
 //! Nodes exchange typed messages over per-link FIFO channels with
 //! configurable delay, jitter, and loss. Time is virtual (`u64` ticks).
@@ -6,23 +6,44 @@
 //! reproducible from its configuration.
 //!
 //! Protocols implement [`Protocol`]: a start hook and a message handler,
-//! both receiving a [`Ctx`] through which they send messages and read the
-//! clock. The driver loop pops the earliest event, dispatches it, and
-//! enqueues whatever the handler sent. There are no timers: every event
-//! is a message delivery, so a run is quiescent once nothing is in
-//! flight, and an external driver moves the clock with
-//! [`EventSim::advance_to`].
+//! both receiving a [`Ctx`] through which they send messages, read the
+//! clock and keep per-neighbor state. The driver loop pops the earliest
+//! event, dispatches it, and enqueues whatever the handler sent. There
+//! are no timers: every event is a message delivery, so a run is
+//! quiescent once nothing is in flight, and an external driver moves the
+//! clock with [`EventSim::advance_to`].
+//!
+//! ## Layout
+//!
+//! The simulator keeps no map-backed graph. Everything is indexed by the
+//! [`CsrGraph`] it is built on:
+//!
+//! * protocol state sits in a `Vec` by dense node index;
+//! * each **half-edge slot** — the slot of the ordered pair `(u, v)`, in
+//!   `u`'s contiguous run of slots — holds the link's live bit, its
+//!   [`LinkConfig`] (an index into the few distinct configs), the FIFO
+//!   clock of the directed link `u → v`, and the protocol's
+//!   [`Protocol::Slot`]: what `u` keeps about `v`, such as `v`'s last
+//!   announced height. A handler sees its node's run through [`Ctx`];
+//!   a reader outside the handlers, such as a route probe, scans the same
+//!   run with [`EventSim::slot`] and [`EventSim::is_live`];
+//! * messages in flight sit in a `Vec` slab tagged with their sequence
+//!   number. The event queue keeps one FIFO of queue entries per
+//!   delivery time, so events come out in `(deliver_at, seq)` order, and
+//!   a message cancelled by a link failure leaves only a stale queue
+//!   entry behind.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt::Debug;
+use std::sync::Arc;
 
-use lr_graph::{CsrGraph, NodeId, UndirectedGraph};
+use lr_graph::{CsrGraph, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Link timing/loss configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkConfig {
     /// Base one-way delay in ticks (≥ 1).
     pub delay: u64,
@@ -48,37 +69,101 @@ pub trait Protocol {
     type Msg: Clone + Debug;
     /// Per-node protocol state.
     type Node;
+    /// Per-neighbor protocol state, one per half-edge slot: what a node
+    /// keeps about one neighbor (e.g. its last announced height). Every
+    /// slot starts at `Default` and keeps its value while its link is
+    /// down.
+    type Slot: Default;
 
     /// Called once per node before any message flows.
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Self::Msg>, node: &mut Self::Node);
+    fn on_start(&mut self, ctx: &mut Ctx<'_, Self::Msg, Self::Slot>, node: &mut Self::Node);
 
     /// Called when a message from `from` arrives at `node`.
     fn on_message(
         &mut self,
-        ctx: &mut Ctx<'_, Self::Msg>,
+        ctx: &mut Ctx<'_, Self::Msg, Self::Slot>,
         node: &mut Self::Node,
         from: NodeId,
         msg: Self::Msg,
     );
 }
 
-/// Handler context: identity, clock, neighbor list, and an outbox.
+/// Handler context: identity, clock, the node's run of slots, and an
+/// outbox.
+///
+/// Run position `k` is the node's `k`-th neighbor in ascending id order;
+/// [`Ctx::slots_mut`] and [`Ctx::run`] are indexed by it.
 #[derive(Debug)]
-pub struct Ctx<'a, M> {
+pub struct Ctx<'a, M, S> {
     /// The node this handler runs on.
     pub self_id: NodeId,
     /// Current virtual time.
     pub now: u64,
-    /// Live neighbors of `self_id` (failed links excluded).
-    pub neighbors: &'a [NodeId],
-    outbox: Vec<(NodeId, M)>,
+    csr: &'a CsrGraph,
+    /// Dense index of `self_id`.
+    me: usize,
+    /// First slot of the node's run.
+    first: usize,
+    links: &'a [SlotLink],
+    slots: &'a mut [S],
+    /// Run position of the link the message arrived on.
+    arrival: Option<usize>,
+    /// `(slot, message)` pairs, enqueued in order once the handler
+    /// returns.
+    outbox: &'a mut Vec<(usize, M)>,
 }
 
-impl<M> Ctx<'_, M> {
-    /// Sends `msg` to `to` (must be a live neighbor; violations are
-    /// reported by the driver, not silently dropped).
+impl<M, S> Ctx<'_, M, S> {
+    /// The run position of neighbor `v`, or `None` if `v` is not a
+    /// neighbor.
+    pub fn position(&self, v: NodeId) -> Option<usize> {
+        let slot = self.csr.slot_of(self.me, self.csr.index_of(v)?)?;
+        Some(slot - self.first)
+    }
+
+    /// The per-neighbor states, by run position (failed links included).
+    pub fn slots_mut(&mut self) -> &mut [S] {
+        self.slots
+    }
+
+    /// The run in position order: `Some(state)` for a live link, `None`
+    /// for a failed one.
+    pub fn run(&self) -> impl Iterator<Item = Option<&S>> + Clone {
+        self.slots
+            .iter()
+            .zip(self.links)
+            .map(|(s, link)| link.live.then_some(s))
+    }
+
+    /// The states of the live links, in run order.
+    pub fn live_slots(&self) -> impl Iterator<Item = &S> + Clone {
+        self.run().flatten()
+    }
+
+    /// The state kept about the sender of the message being handled —
+    /// `None` in `on_start` and for a message injected from a node that
+    /// is not a neighbor (such as a local delivery).
+    pub fn sender_slot_mut(&mut self) -> Option<&mut S> {
+        self.arrival.map(|k| &mut self.slots[k])
+    }
+
+    /// Sends `msg` to the neighbor at run position `k`. A send over a
+    /// failed link counts as sent and lost to the failure.
+    pub fn send_at(&mut self, k: usize, msg: M) {
+        assert!(k < self.slots.len(), "run position {k} out of range");
+        self.outbox.push((self.first + k, msg));
+    }
+
+    /// Sends `msg` to the neighbor `to`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` is not a neighbor.
     pub fn send(&mut self, to: NodeId, msg: M) {
-        self.outbox.push((to, msg));
+        let Some(k) = self.position(to) else {
+            panic!("{} tried to send to non-neighbor {to}", self.self_id);
+        };
+        self.send_at(k, msg);
     }
 
     /// Sends `msg` to every live neighbor.
@@ -86,17 +171,92 @@ impl<M> Ctx<'_, M> {
     where
         M: Clone,
     {
-        for &v in self.neighbors {
-            self.outbox.push((v, msg.clone()));
+        for (k, link) in self.links.iter().enumerate() {
+            if link.live {
+                self.outbox.push((self.first + k, msg.clone()));
+            }
         }
     }
 }
 
+/// The simulator's record of one half-edge slot: what a route probe
+/// reads besides the protocol's state.
+#[derive(Debug, Clone, Copy)]
+struct SlotLink {
+    /// Index into [`EventSim::configs`].
+    config: u32,
+    /// Whether the link is up.
+    live: bool,
+}
+
+/// One slab entry: a message in flight, or a free entry (`msg` is
+/// `None`). `seq` tells a live queue entry from a stale one whose
+/// message was cancelled and whose entry may since have been reused.
 #[derive(Debug)]
-struct InFlight<M> {
-    from: NodeId,
-    to: NodeId,
-    msg: M,
+struct Parcel<M> {
+    seq: u64,
+    /// Dense index of the receiving node.
+    to: u32,
+    /// The receiver's slot of the link, `(to, from)`.
+    arrival: u32,
+    msg: Option<M>,
+}
+
+/// The event queue: queue entries `(seq, slab entry)` in one FIFO per
+/// delivery time. A time's entries are pushed in `seq` order, so taking
+/// the earliest time's FIFO front first yields events in
+/// `(deliver_at, seq)` order. The earliest FIFO is kept apart, so
+/// delivering from it needs no lookup; the later ones sit in a map, with
+/// a min-heap of their times.
+#[derive(Debug, Default)]
+struct EventQueue {
+    /// The earliest delivery time. Meaningless while `front` is empty.
+    front_time: u64,
+    /// The earliest time's FIFO; empty only when the whole queue is.
+    front: VecDeque<(u64, u32)>,
+    later: HashMap<u64, VecDeque<(u64, u32)>>,
+    later_times: BinaryHeap<Reverse<u64>>,
+}
+
+impl EventQueue {
+    fn push(&mut self, t: u64, seq: u64, entry: u32) {
+        if !self.front.is_empty() && t != self.front_time {
+            if t > self.front_time {
+                let times = &mut self.later_times;
+                let fifo = self.later.entry(t).or_insert_with(|| {
+                    times.push(Reverse(t));
+                    VecDeque::new()
+                });
+                fifo.push_back((seq, entry));
+                return;
+            }
+            // An earlier time takes the front; the old front joins the
+            // later ones.
+            let front = std::mem::take(&mut self.front);
+            self.later.insert(self.front_time, front);
+            self.later_times.push(Reverse(self.front_time));
+        }
+        self.front_time = t;
+        self.front.push_back((seq, entry));
+    }
+
+    /// The earliest entry as `(deliver_at, seq, slab entry)`.
+    fn peek(&self) -> Option<(u64, u64, u32)> {
+        let &(seq, entry) = self.front.front()?;
+        Some((self.front_time, seq, entry))
+    }
+
+    fn pop(&mut self) -> Option<(u64, u64, u32)> {
+        let (seq, entry) = self.front.pop_front()?;
+        let t = self.front_time;
+        if self.front.is_empty() {
+            if let Some(Reverse(next)) = self.later_times.pop() {
+                self.front = self.later.remove(&next).expect("a listed time has a FIFO");
+                self.front_time = next;
+            }
+        }
+        Some((t, seq, entry))
+    }
 }
 
 /// Statistics of a finished simulation run.
@@ -117,26 +277,24 @@ pub struct SimStats {
 /// The discrete-event simulator.
 pub struct EventSim<P: Protocol> {
     protocol: P,
-    graph: UndirectedGraph,
-    /// CSR snapshot of `graph` for dense node indexing.
-    csr: CsrGraph,
-    /// Per-node live-neighbor lists (dense index), maintained
-    /// incrementally: rebuilt only for the two endpoints of a failed or
-    /// healed link, so event dispatch never rescans adjacency or
-    /// allocates.
-    live_nbrs: Vec<Vec<NodeId>>,
-    nodes: BTreeMap<NodeId, P::Node>,
-    link_config: LinkConfig,
-    /// Per-link overrides of `link_config`, keyed by canonical edge.
-    /// Heterogeneous networks (the scenario engine's per-link specs) set
-    /// these; links without an entry use the global config.
-    link_overrides: BTreeMap<(NodeId, NodeId), LinkConfig>,
-    /// Links currently down (canonical order).
-    failed: std::collections::BTreeSet<(NodeId, NodeId)>,
-    queue: BinaryHeap<Reverse<(u64, u64)>>, // (deliver_at, seq)
-    in_flight: BTreeMap<u64, InFlight<P::Msg>>, // seq -> message
-    /// FIFO enforcement: earliest permissible delivery per directed link.
-    link_clock: BTreeMap<(NodeId, NodeId), u64>,
+    csr: Arc<CsrGraph>,
+    /// Protocol state by dense node index.
+    nodes: Vec<P::Node>,
+    /// Protocol neighbor state by slot.
+    slots: Vec<P::Slot>,
+    /// Live bit and config index by slot.
+    links: Vec<SlotLink>,
+    /// FIFO clock by slot: the delivery time of the last message sent
+    /// over the slot's directed link.
+    clocks: Vec<u64>,
+    /// The distinct link configs; entry 0 is the global one.
+    configs: Vec<LinkConfig>,
+    queue: EventQueue,
+    slab: Vec<Parcel<P::Msg>>,
+    /// Free slab entries; the others hold the messages in flight.
+    free: Vec<u32>,
+    /// The handlers' outbox, reused across dispatches.
+    outbox: Vec<(usize, P::Msg)>,
     rng: SmallRng,
     now: u64,
     seq: u64,
@@ -144,40 +302,44 @@ pub struct EventSim<P: Protocol> {
 }
 
 impl<P: Protocol> EventSim<P> {
-    /// Creates a simulator over `graph` with one protocol-state per node.
+    /// Creates a simulator over `graph` with one protocol state per node,
+    /// in dense-index (ascending id) order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` does not hold exactly one state per node.
     pub fn new(
         protocol: P,
-        graph: UndirectedGraph,
-        nodes: BTreeMap<NodeId, P::Node>,
+        graph: impl Into<Arc<CsrGraph>>,
+        nodes: Vec<P::Node>,
         link_config: LinkConfig,
         seed: u64,
     ) -> Self {
+        let csr = graph.into();
         assert_eq!(
             nodes.len(),
-            graph.node_count(),
+            csr.node_count(),
             "every node needs protocol state"
         );
-        let csr = CsrGraph::from_graph(&graph);
-        let live_nbrs = (0..csr.node_count())
-            .map(|i| {
-                csr.neighbor_indices(i)
-                    .iter()
-                    .map(|&j| csr.node(j as usize))
-                    .collect()
-            })
-            .collect();
+        let half_edges = csr.half_edge_count();
         EventSim {
             protocol,
-            graph,
+            slots: (0..half_edges).map(|_| P::Slot::default()).collect(),
+            links: vec![
+                SlotLink {
+                    config: 0,
+                    live: true,
+                };
+                half_edges
+            ],
+            clocks: vec![0; half_edges],
             csr,
-            live_nbrs,
             nodes,
-            link_config,
-            link_overrides: BTreeMap::new(),
-            failed: Default::default(),
-            queue: BinaryHeap::new(),
-            in_flight: BTreeMap::new(),
-            link_clock: BTreeMap::new(),
+            configs: vec![link_config],
+            queue: EventQueue::default(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            outbox: Vec::new(),
             rng: SmallRng::seed_from_u64(seed),
             now: 0,
             seq: 0,
@@ -223,42 +385,92 @@ impl<P: Protocol> EventSim<P> {
         self.stats
     }
 
+    /// The communication graph.
+    pub fn csr(&self) -> &CsrGraph {
+        &self.csr
+    }
+
+    /// Dense index of `u`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is not a node.
+    fn index(&self, u: NodeId) -> usize {
+        self.csr
+            .index_of(u)
+            .unwrap_or_else(|| panic!("{u} is not a node"))
+    }
+
     /// Immutable access to a node's protocol state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is not a node.
     pub fn node(&self, u: NodeId) -> &P::Node {
-        &self.nodes[&u]
+        &self.nodes[self.index(u)]
     }
 
-    /// Iterates over all `(id, state)` pairs.
+    /// The protocol state of the node at dense index `i`.
+    pub fn node_at(&self, i: usize) -> &P::Node {
+        &self.nodes[i]
+    }
+
+    /// Iterates over all `(id, state)` pairs in ascending id order.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &P::Node)> {
-        self.nodes.iter().map(|(&u, s)| (u, s))
+        self.csr.nodes().zip(&self.nodes)
     }
 
-    /// The underlying communication graph.
-    pub fn graph(&self) -> &UndirectedGraph {
-        &self.graph
+    /// The protocol's neighbor state at a slot.
+    pub fn slot(&self, slot: usize) -> &P::Slot {
+        &self.slots[slot]
     }
 
-    /// Live neighbors of `u` (failed links excluded), as a borrow of the
-    /// incrementally maintained cache — no allocation.
-    pub fn live_neighbors(&self, u: NodeId) -> &[NodeId] {
-        match self.csr.index_of(u) {
-            Some(i) => &self.live_nbrs[i],
-            None => &[],
-        }
+    /// Whether the link of a slot is up.
+    pub fn is_live(&self, slot: usize) -> bool {
+        self.links[slot].live
     }
 
-    /// Canonical (sorted) key for an undirected link — the one scheme
-    /// every per-link map in the simulator uses.
-    fn canon(u: NodeId, v: NodeId) -> (NodeId, NodeId) {
-        if u < v {
-            (u, v)
-        } else {
-            (v, u)
-        }
+    /// The configuration of the link of a slot.
+    pub fn link_config_at(&self, slot: usize) -> LinkConfig {
+        self.configs[self.links[slot].config as usize]
     }
 
-    fn is_failed(&self, u: NodeId, v: NodeId) -> bool {
-        self.failed.contains(&Self::canon(u, v))
+    /// All neighbors of `u`, failed links included, ascending.
+    pub fn neighbors(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let csr = &*self.csr;
+        csr.neighbor_indices(self.index(u))
+            .iter()
+            .map(move |&j| csr.node(j as usize))
+    }
+
+    /// Every link once as `(u, v, live)` with `u < v`, in lexicographic
+    /// order.
+    pub fn links(&self) -> impl Iterator<Item = (NodeId, NodeId, bool)> + '_ {
+        let csr = &*self.csr;
+        (0..csr.node_count()).flat_map(move |i| {
+            csr.slots(i)
+                .filter(move |&s| csr.target(s) > i)
+                .map(move |s| (csr.node(i), csr.node(csr.target(s)), self.links[s].live))
+        })
+    }
+
+    /// The two slots `(u, v)` and `(v, u)` of the link `{u, v}`, if it
+    /// is one.
+    fn find_link(&self, u: NodeId, v: NodeId) -> Option<(usize, usize)> {
+        let uv = self
+            .csr
+            .slot_of(self.csr.index_of(u)?, self.csr.index_of(v)?)?;
+        Some((uv, self.csr.twin(uv)))
+    }
+
+    /// [`Self::find_link`] for an operation that needs the link.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `{u, v}` is not an edge of the graph.
+    fn link(&self, u: NodeId, v: NodeId) -> (usize, usize) {
+        self.find_link(u, v)
+            .unwrap_or_else(|| panic!("no link {u}–{v}"))
     }
 
     /// Overrides the timing/loss configuration of the single link
@@ -269,31 +481,24 @@ impl<P: Protocol> EventSim<P> {
     ///
     /// Panics if `{u, v}` is not an edge of the graph.
     pub fn set_link_config(&mut self, u: NodeId, v: NodeId, config: LinkConfig) {
-        assert!(self.graph.contains_edge(u, v), "no link {u}–{v}");
-        self.link_overrides.insert(Self::canon(u, v), config);
+        let (uv, vu) = self.link(u, v);
+        let index = match self.configs.iter().position(|c| *c == config) {
+            Some(i) => i,
+            None => {
+                self.configs.push(config);
+                self.configs.len() - 1
+            }
+        };
+        let index = u32::try_from(index).expect("fewer than 2^32 distinct link configs");
+        self.links[uv].config = index;
+        self.links[vu].config = index;
     }
 
     /// The effective configuration of the link `{u, v}`: the per-link
     /// override when one was set, the global config otherwise.
     pub fn link_config(&self, u: NodeId, v: NodeId) -> LinkConfig {
-        self.link_overrides
-            .get(&Self::canon(u, v))
-            .copied()
-            .unwrap_or(self.link_config)
-    }
-
-    /// Recomputes the cached live-neighbor list of one node — called only
-    /// when a link incident to it fails or heals.
-    fn rebuild_live(&mut self, u: NodeId) {
-        let i = self.csr.index_of(u).expect("endpoint is a node");
-        let live: Vec<NodeId> = self
-            .csr
-            .neighbor_indices(i)
-            .iter()
-            .map(|&j| self.csr.node(j as usize))
-            .filter(|&v| !self.is_failed(u, v))
-            .collect();
-        self.live_nbrs[i] = live;
+        self.find_link(u, v)
+            .map_or(self.configs[0], |(uv, _)| self.link_config_at(uv))
     }
 
     /// Fails the link `{u, v}`: future sends are impossible and in-flight
@@ -303,59 +508,63 @@ impl<P: Protocol> EventSim<P> {
     ///
     /// Panics if `{u, v}` is not an edge of the graph.
     pub fn fail_link(&mut self, u: NodeId, v: NodeId) {
-        assert!(self.graph.contains_edge(u, v), "no link {u}–{v}");
-        self.failed.insert(Self::canon(u, v));
-        let doomed: Vec<u64> = self
-            .in_flight
-            .iter()
-            .filter(|(_, m)| (m.from == u && m.to == v) || (m.from == v && m.to == u))
-            .map(|(&s, _)| s)
-            .collect();
-        for s in doomed {
-            self.in_flight.remove(&s);
-            self.stats.lost_to_failure += 1;
+        let (uv, vu) = self.link(u, v);
+        self.links[uv].live = false;
+        self.links[vu].live = false;
+        let (uv, vu) = (uv as u32, vu as u32);
+        for (i, parcel) in self.slab.iter_mut().enumerate() {
+            if parcel.msg.is_some() && (parcel.arrival == uv || parcel.arrival == vu) {
+                parcel.msg = None;
+                self.free.push(i as u32);
+                self.stats.lost_to_failure += 1;
+            }
         }
-        self.rebuild_live(u);
-        self.rebuild_live(v);
     }
 
-    /// Restores a previously failed link.
+    /// Restores a previously failed link (a no-op for a pair that is not
+    /// an edge).
     pub fn heal_link(&mut self, u: NodeId, v: NodeId) {
-        self.failed.remove(&Self::canon(u, v));
-        if self.graph.contains_edge(u, v) {
-            self.rebuild_live(u);
-            self.rebuild_live(v);
+        if let Some((uv, vu)) = self.find_link(u, v) {
+            self.links[uv].live = true;
+            self.links[vu].live = true;
         }
     }
 
     /// Runs every node's `on_start` hook (call once, before stepping).
     pub fn start(&mut self) {
-        let ids: Vec<NodeId> = self.nodes.keys().copied().collect();
-        for u in ids {
-            self.dispatch(u, None);
+        for i in 0..self.nodes.len() {
+            self.dispatch(i, None);
         }
+    }
+
+    /// Whether the queue entry `(seq, entry)` still carries its message.
+    fn is_pending(&self, seq: u64, entry: u32) -> bool {
+        let parcel = &self.slab[entry as usize];
+        parcel.seq == seq && parcel.msg.is_some()
     }
 
     /// Delivers the next event, if any. Returns `false` when the network
     /// is quiescent (no messages in flight).
     pub fn step(&mut self) -> bool {
-        loop {
-            let Some(&Reverse((t, seq))) = self.queue.peek() else {
-                return false;
-            };
-            self.queue.pop();
-            // The in-flight entry may have been discarded by a link
-            // failure; skip stale queue entries.
-            let Some(m) = self.in_flight.remove(&seq) else {
+        while let Some((t, seq, entry)) = self.queue.pop() {
+            // The message may have been discarded by a link failure;
+            // skip stale queue entries.
+            if !self.is_pending(seq, entry) {
                 continue;
-            };
+            }
+            let parcel = &mut self.slab[entry as usize];
+            let msg = parcel.msg.take().expect("pending entry holds a message");
+            let (to, arrival) = (parcel.to as usize, parcel.arrival as usize);
+            self.free.push(entry);
             self.now = t;
             self.stats.delivered += 1;
             self.stats.last_event_time = t;
-            let (to, from, msg) = (m.to, m.from, m.msg);
-            self.dispatch_message(to, from, msg);
+            let from = self.csr.node(self.csr.target(arrival));
+            let k = arrival - self.csr.slots(to).start;
+            self.dispatch(to, Some((from, Some(k), msg)));
             return true;
         }
+        false
     }
 
     /// Runs until quiescence or until `max_events` deliveries.
@@ -370,7 +579,7 @@ impl<P: Protocol> EventSim<P> {
                 return true;
             }
         }
-        self.in_flight.is_empty()
+        self.free.len() == self.slab.len()
     }
 
     /// Virtual time of the next live event, dropping any stale queue
@@ -378,8 +587,8 @@ impl<P: Protocol> EventSim<P> {
     /// the way — a stale head must never satisfy a deadline check on
     /// behalf of a live event scheduled later.
     fn next_live_event_time(&mut self) -> Option<u64> {
-        while let Some(&Reverse((t, seq))) = self.queue.peek() {
-            if self.in_flight.contains_key(&seq) {
+        while let Some((t, seq, entry)) = self.queue.peek() {
+            if self.is_pending(seq, entry) {
                 return Some(t);
             }
             self.queue.pop();
@@ -411,43 +620,57 @@ impl<P: Protocol> EventSim<P> {
     /// Injects a message from outside the network (e.g. a client handing
     /// a packet to its local node). Delivered to `to` as if sent by
     /// `from` — `from == to` models local delivery.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` is not a node.
     pub fn inject(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
-        self.dispatch_message(to, from, msg);
+        let i = self.index(to);
+        let arrival = self
+            .csr
+            .index_of(from)
+            .and_then(|j| self.csr.slot_of(i, j))
+            .map(|slot| slot - self.csr.slots(i).start);
+        self.dispatch(i, Some((from, arrival, msg)));
     }
 
-    fn dispatch_message(&mut self, to: NodeId, from: NodeId, msg: P::Msg) {
-        self.dispatch(to, Some((from, msg)));
-    }
-
-    fn dispatch(&mut self, u: NodeId, incoming: Option<(NodeId, P::Msg)>) {
-        let idx = self.csr.index_of(u).expect("dispatch target is a node");
-        let mut ctx = Ctx {
-            self_id: u,
-            now: self.now,
-            neighbors: &self.live_nbrs[idx],
-            outbox: Vec::new(),
+    fn dispatch(&mut self, i: usize, incoming: Option<(NodeId, Option<usize>, P::Msg)>) {
+        let run = self.csr.slots(i);
+        let mut outbox = std::mem::take(&mut self.outbox);
+        let (arrival, incoming) = match incoming {
+            Some((from, arrival, msg)) => (arrival, Some((from, msg))),
+            None => (None, None),
         };
-        let node = self.nodes.get_mut(&u).expect("node exists");
+        let mut ctx = Ctx {
+            self_id: self.csr.node(i),
+            now: self.now,
+            csr: &self.csr,
+            me: i,
+            first: run.start,
+            links: &self.links[run.clone()],
+            slots: &mut self.slots[run],
+            arrival,
+            outbox: &mut outbox,
+        };
+        let node = &mut self.nodes[i];
         match incoming {
             None => self.protocol.on_start(&mut ctx, node),
             Some((from, msg)) => self.protocol.on_message(&mut ctx, node, from, msg),
         }
-        for (to, msg) in ctx.outbox {
-            self.enqueue(u, to, msg);
+        for (slot, msg) in outbox.drain(..) {
+            self.enqueue(slot, msg);
         }
+        self.outbox = outbox;
     }
 
-    fn enqueue(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
-        assert!(
-            self.graph.contains_edge(from, to),
-            "{from} tried to send to non-neighbor {to}"
-        );
+    fn enqueue(&mut self, slot: usize, msg: P::Msg) {
         self.stats.sent += 1;
-        if self.is_failed(from, to) {
+        let link = self.links[slot];
+        if !link.live {
             self.stats.lost_to_failure += 1;
             return;
         }
-        let config = self.link_config(from, to);
+        let config = self.configs[link.config as usize];
         if config.loss > 0.0 && self.rng.gen_bool(config.loss) {
             self.stats.dropped += 1;
             return;
@@ -463,19 +686,34 @@ impl<P: Protocol> EventSim<P> {
             .saturating_add(jitter);
         // FIFO per directed link: never deliver before the previous
         // message on the same link.
-        let clock = self.link_clock.entry((from, to)).or_insert(0);
-        let deliver_at = earliest.max(*clock);
-        *clock = deliver_at;
+        let deliver_at = earliest.max(self.clocks[slot]);
+        self.clocks[slot] = deliver_at;
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse((deliver_at, seq)));
-        self.in_flight.insert(seq, InFlight { from, to, msg });
+        let parcel = Parcel {
+            seq,
+            to: self.csr.target(slot) as u32,
+            arrival: self.csr.twin(slot) as u32,
+            msg: Some(msg),
+        };
+        let entry = match self.free.pop() {
+            Some(entry) => {
+                self.slab[entry as usize] = parcel;
+                entry
+            }
+            None => {
+                self.slab.push(parcel);
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 messages in flight")
+            }
+        };
+        self.queue.push(deliver_at, seq, entry);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lr_graph::UndirectedGraph;
 
     /// Flood: every node forwards the first token it sees to all
     /// neighbors; counts receptions.
@@ -492,8 +730,9 @@ mod tests {
     impl Protocol for Flood {
         type Msg = ();
         type Node = FloodNode;
+        type Slot = ();
 
-        fn on_start(&mut self, ctx: &mut Ctx<'_, ()>, node: &mut FloodNode) {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, (), ()>, node: &mut FloodNode) {
             if ctx.self_id == self.origin {
                 node.relayed = true;
                 ctx.broadcast(());
@@ -502,7 +741,7 @@ mod tests {
 
         fn on_message(
             &mut self,
-            ctx: &mut Ctx<'_, ()>,
+            ctx: &mut Ctx<'_, (), ()>,
             node: &mut FloodNode,
             _from: NodeId,
             _msg: (),
@@ -519,15 +758,14 @@ mod tests {
         NodeId::new(i)
     }
 
-    fn path_graph(len: u32) -> UndirectedGraph {
+    fn path_graph(len: u32) -> CsrGraph {
         let edges: Vec<(u32, u32)> = (0..len - 1).map(|i| (i, i + 1)).collect();
-        UndirectedGraph::from_edges(&edges).unwrap()
+        CsrGraph::from_graph(&UndirectedGraph::from_edges(&edges).unwrap())
     }
 
     fn flood_sim(len: u32, cfg: LinkConfig, seed: u64) -> EventSim<Flood> {
-        let g = path_graph(len);
-        let nodes = g.nodes().map(|u| (u, FloodNode::default())).collect();
-        EventSim::new(Flood { origin: n(0) }, g, nodes, cfg, seed)
+        let nodes = (0..len).map(|_| FloodNode::default()).collect();
+        EventSim::new(Flood { origin: n(0) }, path_graph(len), nodes, cfg, seed)
     }
 
     #[test]
@@ -558,7 +796,8 @@ mod tests {
         impl Protocol for Seq {
             type Msg = u32;
             type Node = SeqNode;
-            fn on_start(&mut self, ctx: &mut Ctx<'_, u32>, _n: &mut SeqNode) {
+            type Slot = ();
+            fn on_start(&mut self, ctx: &mut Ctx<'_, u32, ()>, _n: &mut SeqNode) {
                 if ctx.self_id == NodeId::new(0) {
                     for i in 0..10 {
                         ctx.send(NodeId::new(1), i);
@@ -567,7 +806,7 @@ mod tests {
             }
             fn on_message(
                 &mut self,
-                _ctx: &mut Ctx<'_, u32>,
+                _ctx: &mut Ctx<'_, u32, ()>,
                 node: &mut SeqNode,
                 _from: NodeId,
                 msg: u32,
@@ -576,11 +815,10 @@ mod tests {
                 node.next_expected += 1;
             }
         }
-        let g = path_graph(2);
-        let nodes = g.nodes().map(|u| (u, SeqNode::default())).collect();
+        let nodes = vec![SeqNode::default(), SeqNode::default()];
         let mut sim = EventSim::new(
             Seq,
-            g,
+            path_graph(2),
             nodes,
             LinkConfig {
                 delay: 1,
@@ -844,16 +1082,134 @@ mod tests {
         impl Protocol for Bad {
             type Msg = ();
             type Node = ();
-            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>, _n: &mut ()) {
+            type Slot = ();
+            fn on_start(&mut self, ctx: &mut Ctx<'_, (), ()>, _n: &mut ()) {
                 if ctx.self_id == NodeId::new(0) {
                     ctx.send(NodeId::new(2), ()); // 0–2 is not an edge
                 }
             }
-            fn on_message(&mut self, _c: &mut Ctx<'_, ()>, _n: &mut (), _f: NodeId, _m: ()) {}
+            fn on_message(&mut self, _c: &mut Ctx<'_, (), ()>, _n: &mut (), _f: NodeId, _m: ()) {}
         }
-        let g = path_graph(3);
-        let nodes = g.nodes().map(|u| (u, ())).collect();
-        let mut sim = EventSim::new(Bad, g, nodes, LinkConfig::default(), 0);
+        let mut sim = EventSim::new(Bad, path_graph(3), vec![(); 3], LinkConfig::default(), 0);
         sim.start();
+    }
+
+    /// Gossip: every node relays the first two messages it receives to
+    /// all live neighbors, and logs each delivery as `(time, from, to)`.
+    struct Gossip {
+        log: std::rc::Rc<std::cell::RefCell<Vec<(u64, u32, u32)>>>,
+    }
+
+    impl Protocol for Gossip {
+        type Msg = ();
+        type Node = u32;
+        type Slot = ();
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_, (), ()>, _node: &mut u32) {
+            if ctx.self_id == n(0) {
+                ctx.broadcast(());
+            }
+        }
+
+        fn on_message(
+            &mut self,
+            ctx: &mut Ctx<'_, (), ()>,
+            node: &mut u32,
+            from: NodeId,
+            _msg: (),
+        ) {
+            self.log
+                .borrow_mut()
+                .push((ctx.now, from.raw(), ctx.self_id.raw()));
+            *node += 1;
+            if *node <= 2 {
+                ctx.broadcast(());
+            }
+        }
+    }
+
+    /// FNV-1a over the delivered `(time, from, to)` sequence.
+    fn schedule_digest(log: &[(u64, u32, u32)]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &(t, from, to) in log {
+            for b in t
+                .to_le_bytes()
+                .into_iter()
+                .chain(from.to_le_bytes())
+                .chain(to.to_le_bytes())
+            {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Pins the exact schedule of a seeded run that exercises every
+    /// per-slot mechanism: jitter and loss draws, a per-link override,
+    /// the FIFO clocks, and a link that fails with a message in flight
+    /// and heals later. The values were recorded on the map-backed
+    /// simulator this one replaced; a slab or clock bug that reorders
+    /// deliveries the same way on every run changes the digest.
+    #[test]
+    fn seeded_schedule_is_pinned() {
+        // A 3 × 3 grid plus one diagonal.
+        let g = UndirectedGraph::from_edges(&[
+            (0, 1),
+            (1, 2),
+            (3, 4),
+            (4, 5),
+            (6, 7),
+            (7, 8),
+            (0, 3),
+            (3, 6),
+            (1, 4),
+            (4, 7),
+            (2, 5),
+            (5, 8),
+            (0, 4),
+        ])
+        .unwrap();
+        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let mut sim = EventSim::new(
+            Gossip { log: log.clone() },
+            CsrGraph::from_graph(&g),
+            vec![0u32; 9],
+            LinkConfig {
+                delay: 2,
+                jitter: 3,
+                loss: 0.1,
+            },
+            17,
+        );
+        sim.set_link_config(
+            n(4),
+            n(5),
+            LinkConfig {
+                delay: 5,
+                jitter: 0,
+                loss: 0.0,
+            },
+        );
+        sim.start();
+        sim.run_until_capped(4, u64::MAX);
+        sim.fail_link(n(1), n(4));
+        sim.run_until_capped(9, u64::MAX);
+        sim.heal_link(n(1), n(4));
+        sim.inject(n(1), n(4), ());
+        assert!(sim.run_to_quiescence(100_000));
+        assert_eq!(
+            sim.stats(),
+            SimStats {
+                sent: 52,
+                delivered: 46,
+                dropped: 5,
+                lost_to_failure: 1,
+                last_event_time: 19,
+            }
+        );
+        let log = log.borrow();
+        assert_eq!(log.len(), 47, "46 deliveries and the injection");
+        assert_eq!(schedule_digest(&log), 0x8ec7_e6bb_b836_7e15);
     }
 }

@@ -44,10 +44,14 @@
 //! dynamics are exactly height-based link reversal, and the acyclicity
 //! of the height order — the property the paper proves for PR — is what
 //! keeps TORA's routes loop-free at every instant.
+//!
+//! Each node keeps its neighbors' last heard heights in its simulator
+//! slots ([`Tora`]'s [`Protocol::Slot`] is `Option<ToraHeight>`, `None`
+//! for NULL or never heard).
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use lr_graph::{NodeId, Orientation, UndirectedGraph};
+use lr_graph::{CsrGraph, NodeId, Orientation, UndirectedGraph};
 
 use crate::sim::{Ctx, EventSim, LinkConfig, Protocol};
 
@@ -109,8 +113,6 @@ pub enum ToraMsg {
 pub struct ToraNode {
     /// This node's height (`None` = NULL, unrouted).
     pub height: Option<ToraHeight>,
-    /// Last heard neighbor heights.
-    pub nbr_heights: BTreeMap<NodeId, Option<ToraHeight>>,
     /// Route-required flag (a `QRY` is outstanding).
     pub route_required: bool,
     /// Whether this node is the destination.
@@ -132,40 +134,33 @@ enum Cause {
     Update,
 }
 
+/// A TORA node's slot: the neighbor's last heard height.
+type KnownHeight = Option<ToraHeight>;
+
 impl Tora {
-    /// Neighbors with known non-NULL heights.
-    fn routed_neighbors<'a>(
-        node: &'a ToraNode,
-        live: &'a [NodeId],
-    ) -> impl Iterator<Item = (NodeId, ToraHeight)> + 'a {
-        live.iter()
-            .filter_map(|v| node.nbr_heights.get(v).copied().flatten().map(|h| (*v, h)))
-    }
-
-    /// Does the node currently have a downstream (strictly lower routed
-    /// neighbor)?
-    fn has_downstream(node: &ToraNode, live: &[NodeId]) -> bool {
-        let Some(mine) = node.height else {
-            return false;
-        };
-        Self::routed_neighbors(node, live).any(|(_, h)| h < mine)
-    }
-
     /// The five-case maintenance reaction of a routed node that lost its
     /// last downstream link. Returns `true` if the height changed (an
     /// `UPD` must be broadcast) — case 4 broadcasts `CLR` itself.
-    fn maintain(&self, ctx: &mut Ctx<'_, ToraMsg>, node: &mut ToraNode, cause: Cause) -> bool {
-        let routed: Vec<(NodeId, ToraHeight)> =
-            Self::routed_neighbors(node, ctx.neighbors).collect();
-        if node.height.is_none() || node.is_dest || routed.is_empty() {
+    fn maintain(
+        &self,
+        ctx: &mut Ctx<'_, ToraMsg, KnownHeight>,
+        node: &mut ToraNode,
+        cause: Cause,
+    ) -> bool {
+        // The known non-NULL heights of the live neighbors.
+        let routed: Vec<ToraHeight> = ctx.live_slots().flatten().copied().collect();
+        let Some(me) = node.height else {
+            return false;
+        };
+        if node.is_dest || routed.is_empty() {
             // NULL nodes and the destination never react; a node with no
             // routed neighbors at all has nobody upstream to serve.
             return false;
         }
-        if Self::has_downstream(node, ctx.neighbors) {
+        if routed.iter().any(|&h| h < me) {
+            // A downstream neighbor remains.
             return false;
         }
-        let me = node.height.expect("checked non-null");
         match cause {
             Cause::LinkFailure => {
                 // Case 1: generate a new reference level.
@@ -181,7 +176,7 @@ impl Tora {
             }
             Cause::Update => {
                 let mut levels: Vec<(u64, NodeId, u8)> =
-                    routed.iter().map(|(_, h)| h.ref_level()).collect();
+                    routed.iter().map(|h| h.ref_level()).collect();
                 levels.sort();
                 levels.dedup();
                 if levels.len() > 1 {
@@ -189,8 +184,8 @@ impl Tora {
                     let top = *levels.last().expect("non-empty");
                     let min_delta = routed
                         .iter()
-                        .filter(|(_, h)| h.ref_level() == top)
-                        .map(|(_, h)| h.delta)
+                        .filter(|h| h.ref_level() == top)
+                        .map(|h| h.delta)
                         .min()
                         .expect("some neighbor carries the top level");
                     node.height = Some(ToraHeight {
@@ -225,7 +220,6 @@ impl Tora {
                     } else {
                         // Case 5: someone else's dead reflection — start
                         // a fresh reference level.
-                        let _ = me;
                         node.height = Some(ToraHeight {
                             tau: ctx.now,
                             oid: ctx.self_id,
@@ -245,8 +239,9 @@ impl Tora {
 impl Protocol for Tora {
     type Msg = ToraMsg;
     type Node = ToraNode;
+    type Slot = KnownHeight;
 
-    fn on_start(&mut self, ctx: &mut Ctx<'_, ToraMsg>, node: &mut ToraNode) {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, ToraMsg, KnownHeight>, node: &mut ToraNode) {
         if node.is_dest {
             ctx.broadcast(ToraMsg::Upd(node.height));
         }
@@ -254,9 +249,9 @@ impl Protocol for Tora {
 
     fn on_message(
         &mut self,
-        ctx: &mut Ctx<'_, ToraMsg>,
+        ctx: &mut Ctx<'_, ToraMsg, KnownHeight>,
         node: &mut ToraNode,
-        from: NodeId,
+        _from: NodeId,
         msg: ToraMsg,
     ) {
         match msg {
@@ -276,7 +271,9 @@ impl Protocol for Tora {
                 }
             }
             ToraMsg::Upd(h) => {
-                node.nbr_heights.insert(from, h);
+                if let Some(known) = ctx.sender_slot_mut() {
+                    *known = h;
+                }
                 if node.is_dest {
                     return;
                 }
@@ -302,7 +299,7 @@ impl Protocol for Tora {
             ToraMsg::Clr { tau, oid } => {
                 let mine_matches = node.height.is_some_and(|h| h.tau == tau && h.oid == oid);
                 // Drop neighbor entries built on the invalid level.
-                for (_, entry) in node.nbr_heights.iter_mut() {
+                for entry in ctx.slots_mut() {
                     if entry.is_some_and(|h| h.tau == tau && h.oid == oid) {
                         *entry = None;
                     }
@@ -315,7 +312,9 @@ impl Protocol for Tora {
                 }
             }
             ToraMsg::LinkDown(v) => {
-                node.nbr_heights.remove(&v);
+                if let Some(k) = ctx.position(v) {
+                    ctx.slots_mut()[k] = None;
+                }
                 if self.maintain(ctx, node, Cause::LinkFailure) {
                     ctx.broadcast(ToraMsg::Upd(node.height));
                 }
@@ -324,23 +323,17 @@ impl Protocol for Tora {
     }
 }
 
-/// Builds initial TORA node states: the destination holds the ZERO
-/// height, everyone else is NULL.
-pub fn initial_tora_nodes(graph: &UndirectedGraph, dest: NodeId) -> BTreeMap<NodeId, ToraNode> {
+/// Builds initial TORA node states, by dense index: the destination
+/// holds the ZERO height, everyone else is NULL.
+pub fn initial_tora_nodes(graph: &CsrGraph, dest: NodeId) -> Vec<ToraNode> {
     graph
         .nodes()
-        .map(|u| {
-            (
-                u,
-                ToraNode {
-                    height: (u == dest).then(|| ToraHeight::zero(dest)),
-                    nbr_heights: BTreeMap::new(),
-                    route_required: false,
-                    is_dest: u == dest,
-                    partition_detected_at: None,
-                    reference_levels_generated: 0,
-                },
-            )
+        .map(|u| ToraNode {
+            height: (u == dest).then(|| ToraHeight::zero(dest)),
+            route_required: false,
+            is_dest: u == dest,
+            partition_detected_at: None,
+            reference_levels_generated: 0,
         })
         .collect()
 }
@@ -353,9 +346,10 @@ pub struct ToraHarness {
 
 impl ToraHarness {
     /// Creates the harness; only the destination is routed initially.
-    pub fn new(graph: &UndirectedGraph, dest: NodeId, link: LinkConfig, seed: u64) -> Self {
-        let nodes = initial_tora_nodes(graph, dest);
-        let mut sim = EventSim::new(Tora, graph.clone(), nodes, link, seed);
+    pub fn new(graph: impl Into<Arc<CsrGraph>>, dest: NodeId, link: LinkConfig, seed: u64) -> Self {
+        let graph = graph.into();
+        let nodes = initial_tora_nodes(&graph, dest);
+        let mut sim = EventSim::new(Tora, graph, nodes, link, seed);
         sim.start();
         sim.run_to_quiescence(1_000_000);
         ToraHarness { sim, dest }
@@ -426,10 +420,10 @@ impl ToraHarness {
                 g.ensure_node(u);
             }
         }
-        for (u, v) in self.sim.graph().edges() {
+        for (u, v, live) in self.sim.links() {
             let (hu, hv) = (self.sim.node(u).height, self.sim.node(v).height);
             if let (Some(hu), Some(hv)) = (hu, hv) {
-                if self.sim.live_neighbors(u).contains(&v) {
+                if live {
                     g.add_edge(u, v).expect("fresh edge");
                     if hu > hv {
                         o.set_from_to(u, v);
@@ -465,15 +459,19 @@ mod tests {
         NodeId::new(i)
     }
 
-    fn path_graph(len: u32) -> UndirectedGraph {
+    fn graph(edges: &[(u32, u32)]) -> CsrGraph {
+        CsrGraph::from_graph(&UndirectedGraph::from_edges(edges).unwrap())
+    }
+
+    fn path_graph(len: u32) -> CsrGraph {
         let edges: Vec<(u32, u32)> = (0..len - 1).map(|i| (i, i + 1)).collect();
-        UndirectedGraph::from_edges(&edges).unwrap()
+        graph(&edges)
     }
 
     #[test]
     fn route_creation_floods_and_routes_everyone_on_a_path() {
         let g = path_graph(5);
-        let mut h = ToraHarness::new(&g, n(0), LinkConfig::default(), 1);
+        let mut h = ToraHarness::new(g, n(0), LinkConfig::default(), 1);
         assert_eq!(h.height(n(4)), None);
         h.create_route(n(4));
         // The QRY flood plus UPD responses route every node on the path.
@@ -488,11 +486,12 @@ mod tests {
     #[test]
     fn routes_form_destination_oriented_dag_on_random_graphs() {
         for seed in 0..5 {
-            let inst = stream::random_connected(16, 16, 90_000 + seed).to_instance();
-            let mut h = ToraHarness::new(&inst.graph, inst.dest, LinkConfig::default(), seed);
+            let inst = stream::random_connected(16, 16, 90_000 + seed);
+            let mut h =
+                ToraHarness::new(inst.csr().clone(), inst.dest(), LinkConfig::default(), seed);
             // One node asks; the flood routes (at least) a path.
-            for u in inst.graph.nodes() {
-                if u != inst.dest {
+            for u in inst.csr().nodes() {
+                if u != inst.dest() {
                     h.create_route(u);
                 }
             }
@@ -506,8 +505,8 @@ mod tests {
     fn link_failure_with_alternate_route_repairs_locally() {
         // A cycle: 0(D) - 1 - 2 - 3 - 0. Fail {0, 1}: node 1 generates a
         // new reference level (case 1) and routes via 2 -> 3 -> 0.
-        let g = UndirectedGraph::from_edges(&[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-        let mut h = ToraHarness::new(&g, n(0), LinkConfig::default(), 2);
+        let g = graph(&[(0, 1), (1, 2), (2, 3), (3, 0)]);
+        let mut h = ToraHarness::new(g, n(0), LinkConfig::default(), 2);
         h.create_route(n(2));
         assert!(h.routed_nodes_reach_destination());
         h.fail_link(n(0), n(1));
@@ -529,7 +528,7 @@ mod tests {
         // reference level generated at 1 reflects off 3 and returns to 1,
         // which detects the partition (case 4) and CLRs the region.
         let g = path_graph(4);
-        let mut h = ToraHarness::new(&g, n(0), LinkConfig::default(), 3);
+        let mut h = ToraHarness::new(g, n(0), LinkConfig::default(), 3);
         h.create_route(n(3));
         assert!(h.routed_nodes_reach_destination());
         h.fail_link(n(0), n(1));
@@ -549,7 +548,7 @@ mod tests {
     #[test]
     fn healed_partition_allows_re_routing() {
         let g = path_graph(4);
-        let mut h = ToraHarness::new(&g, n(0), LinkConfig::default(), 4);
+        let mut h = ToraHarness::new(g, n(0), LinkConfig::default(), 4);
         h.create_route(n(3));
         h.fail_link(n(0), n(1));
         assert!(h.partition_detected(n(1)));
@@ -564,8 +563,8 @@ mod tests {
         // After a repair, the new reference level (τ = now > 0) sits
         // above every creation-time height — the temporal ordering that
         // gives TORA its name.
-        let g = UndirectedGraph::from_edges(&[(0, 1), (1, 2), (2, 0)]).unwrap();
-        let mut h = ToraHarness::new(&g, n(0), LinkConfig::default(), 5);
+        let g = graph(&[(0, 1), (1, 2), (2, 0)]);
+        let mut h = ToraHarness::new(g, n(0), LinkConfig::default(), 5);
         h.create_route(n(1));
         h.create_route(n(2));
         h.fail_link(n(0), n(1));
@@ -578,7 +577,7 @@ mod tests {
     #[test]
     fn destination_never_reacts_to_maintenance() {
         let g = path_graph(3);
-        let mut h = ToraHarness::new(&g, n(0), LinkConfig::default(), 6);
+        let mut h = ToraHarness::new(g, n(0), LinkConfig::default(), 6);
         h.create_route(n(2));
         h.fail_link(n(1), n(2)); // strands node 2
         assert_eq!(

@@ -21,7 +21,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use lr_core::alg::TripleHeight;
-use lr_graph::{DirectedView, NodeId, ReversalInstance, UndirectedGraph};
+use lr_graph::{CsrGraph, CsrInstance, DirectedView, NodeId, ReversalInstance, UndirectedGraph};
 use lr_net::election::ElectionHarness;
 use lr_net::mutex::{MutexHarness, MutexMsg};
 use lr_net::reversal::{initial_nodes, orientation_from_heights, DistributedPr, ReversalMsg};
@@ -36,7 +36,7 @@ use crate::spec::{
     derive_churn_seed, derive_run_seed, ChurnKind, LinkSpec, ProtocolKind, ScenarioSpec, Sources,
     SpecError,
 };
-use crate::topology::build_instance;
+use crate::topology::build_csr_instance;
 
 /// A runtime failure of a structurally valid scenario (e.g. the
 /// network exhausted the `max_events` budget inside one settle
@@ -180,7 +180,8 @@ pub(crate) struct RouteProbe {
     /// Links crossed from the source to the sink.
     pub hops: u64,
     /// Sum of the configured per-link delays along the walk (each
-    /// clamped to ≥ 1 tick, matching the simulator's delivery clamp).
+    /// clamped to ≥ 1 tick, matching the simulator's delivery clamp),
+    /// saturating at `u64::MAX`.
     pub path_delay: u64,
 }
 
@@ -212,55 +213,84 @@ pub(crate) trait Driver: Sync {
     /// unanswerable right now — no known lower neighbor, a NULL TORA
     /// height, or a walk that exceeds its hop bound mid-convergence.
     fn route_probe(&self, src: NodeId) -> Option<RouteProbe>;
-    /// BFS distances from `from` over the simulator's live links.
-    fn live_distances(&self, from: NodeId) -> BTreeMap<NodeId, u64>;
+    /// BFS distances from `from` over the simulator's live links, by
+    /// dense node index (`None`: unreachable).
+    fn live_distances(&self, from: NodeId) -> Vec<Option<u64>>;
     fn metrics(&self, live: &UndirectedGraph) -> Metrics;
     fn sim_stats(&self) -> SimStats;
 }
 
 /// Greedy height-descent walk shared by the routing / reversal /
 /// election / TORA probes: from `src`, repeatedly take the
-/// [`downhill`] hop over the live neighbors, until `is_sink` accepts
-/// the current node. `own(node)` reads a node's height (`None`, a NULL
-/// TORA height, means unrouted: no answer) and `known(node, v)` its
-/// last known height of neighbor `v`. The hop bound mirrors the routing
-/// protocol's packet hop limit, so a probe mid-convergence (stale
-/// `known` entries can form transient loops) terminates with `None`
-/// instead of walking forever.
+/// [`downhill`] hop over the current node's run of slots, until
+/// `is_sink` accepts the current node. `own(node)` reads a node's height
+/// (`None`, a NULL TORA height, means unrouted: no answer) and
+/// `known(slot)` the height a slot holds for its neighbor.
+///
+/// The walk reads frozen state and picks each hop from the current node
+/// alone, so re-entering a node means it loops forever: Brent's cycle
+/// check stops it there with `None`, without per-probe memory. The hop
+/// bound mirrors the routing protocol's packet hop limit.
 fn descend_heights<P: Protocol, H: Ord>(
     sim: &EventSim<P>,
     src: NodeId,
     own: impl Fn(&P::Node) -> Option<H>,
-    known: impl Fn(&P::Node, NodeId) -> Option<H>,
+    known: impl Fn(&P::Slot) -> Option<H>,
     is_sink: impl Fn(NodeId, &P::Node) -> bool,
 ) -> Option<RouteProbe> {
-    let limit = u64::from(probe_hop_limit(sim.graph().node_count()));
-    let mut cur = src;
+    let csr = sim.csr();
+    let limit = u64::from(probe_hop_limit(csr.node_count()));
+    let mut cur = csr.index_of(src).expect("probe source is a node");
+    // Brent: `mark` is re-set to the current node whenever `since`, the
+    // hops since the last re-set, reaches `span`, which then doubles.
+    // Once `span` covers the loop, the walk comes back to its mark.
+    let (mut mark, mut span, mut since) = (cur, 1u64, 0u64);
     let mut hops = 0u64;
     let mut path_delay = 0u64;
-    while !is_sink(cur, sim.node(cur)) {
+    loop {
+        let node = sim.node_at(cur);
+        if is_sink(csr.node(cur), node) {
+            return Some(RouteProbe { hops, path_delay });
+        }
         if hops >= limit {
             return None;
         }
-        let node = sim.node(cur);
-        let next = downhill(own(node)?, sim.live_neighbors(cur), |v| known(node, v))?;
-        path_delay += sim.link_config(cur, next).delay.max(1);
+        let run = csr.slots(cur);
+        let heights = run.clone().map(|s| {
+            if sim.is_live(s) {
+                known(sim.slot(s))
+            } else {
+                None
+            }
+        });
+        let slot = run.start + downhill(own(node)?, heights)?;
+        path_delay = path_delay.saturating_add(sim.link_config_at(slot).delay.max(1));
         hops += 1;
-        cur = next;
+        cur = csr.target(slot);
+        if cur == mark {
+            return None;
+        }
+        since += 1;
+        if since == span {
+            (mark, span, since) = (cur, 2 * span, 0);
+        }
     }
-    Some(RouteProbe { hops, path_delay })
 }
 
-/// BFS distances from `from` over the *live* links of the simulator.
-fn live_distances<P: Protocol>(sim: &EventSim<P>, from: NodeId) -> BTreeMap<NodeId, u64> {
-    let mut dist = BTreeMap::new();
-    dist.insert(from, 0u64);
+/// BFS distances from `from` over the *live* links of the simulator, by
+/// dense node index.
+fn live_distances<P: Protocol>(sim: &EventSim<P>, from: NodeId) -> Vec<Option<u64>> {
+    let csr = sim.csr();
+    let mut dist = vec![None; csr.node_count()];
+    let from = csr.index_of(from).expect("BFS root is a node");
+    dist[from] = Some(0u64);
     let mut queue = VecDeque::from([from]);
     while let Some(u) = queue.pop_front() {
-        let d = dist[&u];
-        for &v in sim.live_neighbors(u) {
-            if let std::collections::btree_map::Entry::Vacant(e) = dist.entry(v) {
-                e.insert(d + 1);
+        let d = dist[u].map(|d| d + 1);
+        for slot in csr.slots(u) {
+            let v = csr.target(slot);
+            if sim.is_live(slot) && dist[v].is_none() {
+                dist[v] = d;
                 queue.push_back(v);
             }
         }
@@ -309,7 +339,7 @@ struct RoutingDriver {
 
 impl RoutingDriver {
     fn new(
-        inst: &ReversalInstance,
+        inst: &CsrInstance,
         link: LinkConfig,
         overrides: &[(NodeId, NodeId, LinkConfig)],
         seed: u64,
@@ -365,8 +395,9 @@ impl Driver for RoutingDriver {
         // One BFS from the destination prices every source of the wave.
         let dist = self.live_distances(self.harness.dest());
         for &src in sources {
+            let at = self.harness.sim().csr().index_of(src);
             let id = self.harness.send_packet(src);
-            if let Some(&d) = dist.get(&src) {
+            if let Some(d) = dist[at.expect("source is a node")] {
                 self.shortest.insert(id, d);
             }
         }
@@ -378,12 +409,12 @@ impl Driver for RoutingDriver {
             self.harness.sim(),
             src,
             |n| Some(n.rev.height),
-            |n, v| n.rev.known.get(&v).copied(),
+            |&known| known,
             |u, _| u == dest,
         )
     }
 
-    fn live_distances(&self, from: NodeId) -> BTreeMap<NodeId, u64> {
+    fn live_distances(&self, from: NodeId) -> Vec<Option<u64>> {
         live_distances(self.harness.sim(), from)
     }
 
@@ -440,14 +471,14 @@ struct ReversalDriver {
 
 impl ReversalDriver {
     fn new(
-        inst: &ReversalInstance,
+        inst: &CsrInstance,
         link: LinkConfig,
         overrides: &[(NodeId, NodeId, LinkConfig)],
         seed: u64,
     ) -> Self {
         let mut sim = EventSim::new(
             DistributedPr,
-            inst.graph.clone(),
+            inst.csr().clone(),
             initial_nodes(inst),
             link,
             seed,
@@ -500,12 +531,12 @@ impl Driver for ReversalDriver {
             &self.sim,
             src,
             |n| Some(n.height),
-            |n, v| n.known.get(&v).copied(),
+            |&known| known,
             |_, n| n.is_dest,
         )
     }
 
-    fn live_distances(&self, from: NodeId) -> BTreeMap<NodeId, u64> {
+    fn live_distances(&self, from: NodeId) -> Vec<Option<u64>> {
         live_distances(&self.sim, from)
     }
 
@@ -610,12 +641,12 @@ impl Driver for ToraDriver {
             self.harness.sim(),
             src,
             |n| n.height,
-            |n, v| n.nbr_heights.get(&v).copied().flatten(),
+            |&known| known,
             |_, n| n.is_dest,
         )
     }
 
-    fn live_distances(&self, from: NodeId) -> BTreeMap<NodeId, u64> {
+    fn live_distances(&self, from: NodeId) -> Vec<Option<u64>> {
         live_distances(self.harness.sim(), from)
     }
 
@@ -705,7 +736,7 @@ impl Driver for MutexDriver {
         // holds the token (holder == itself); a chain longer than the
         // node count means the pointers cycle mid-handoff — no answer.
         let sim = self.harness.sim();
-        let bound = sim.graph().node_count() as u64;
+        let bound = sim.csr().node_count() as u64;
         let mut cur = src;
         let mut hops = 0u64;
         let mut path_delay = 0u64;
@@ -714,14 +745,14 @@ impl Driver for MutexDriver {
                 return None;
             }
             let next = sim.node(cur).holder;
-            path_delay += sim.link_config(cur, next).delay.max(1);
+            path_delay = path_delay.saturating_add(sim.link_config(cur, next).delay.max(1));
             hops += 1;
             cur = next;
         }
         Some(RouteProbe { hops, path_delay })
     }
 
-    fn live_distances(&self, from: NodeId) -> BTreeMap<NodeId, u64> {
+    fn live_distances(&self, from: NodeId) -> Vec<Option<u64>> {
         live_distances(self.harness.sim(), from)
     }
 
@@ -737,7 +768,7 @@ impl Driver for MutexDriver {
             .collect();
         let acyclic = holders.len() == 1 && {
             let holder = holders[0];
-            let bound = sim.graph().node_count();
+            let bound = sim.csr().node_count();
             sim.nodes().all(|(u, _)| {
                 let mut cur = u;
                 let mut hops = 0;
@@ -828,12 +859,12 @@ impl Driver for ElectionDriver {
             self.harness.sim(),
             src,
             |n| Some(n.height),
-            |n, v| n.known.get(&v).copied(),
+            |&known| known,
             |u, n| n.leader == u,
         )
     }
 
-    fn live_distances(&self, from: NodeId) -> BTreeMap<NodeId, u64> {
+    fn live_distances(&self, from: NodeId) -> Vec<Option<u64>> {
         live_distances(self.harness.sim(), from)
     }
 
@@ -912,7 +943,7 @@ fn resolve_sources(spec: &ScenarioSpec, inst: &ReversalInstance) -> Vec<NodeId> 
 /// the first scenario action onward.
 pub(crate) fn make_driver(
     spec: &ScenarioSpec,
-    inst: &ReversalInstance,
+    inst: &CsrInstance,
     link: LinkConfig,
     run_seed: u64,
 ) -> Box<dyn Driver> {
@@ -932,7 +963,7 @@ pub(crate) fn make_driver(
         ProtocolKind::Routing => Box::new(RoutingDriver::new(inst, link, &overrides, run_seed)),
         ProtocolKind::Reversal => Box::new(ReversalDriver::new(inst, link, &overrides, run_seed)),
         ProtocolKind::Tora => {
-            let mut harness = ToraHarness::new(&inst.graph, inst.dest, link, run_seed);
+            let mut harness = ToraHarness::new(inst.csr().clone(), inst.dest(), link, run_seed);
             for &(u, v, cfg) in &overrides {
                 harness.sim_mut().set_link_config(u, v, cfg);
             }
@@ -943,7 +974,7 @@ pub(crate) fn make_driver(
             })
         }
         ProtocolKind::Mutex => {
-            let mut harness = MutexHarness::new(&inst.graph, inst.dest, link, run_seed);
+            let mut harness = MutexHarness::new(inst.csr().clone(), inst.dest(), link, run_seed);
             for &(u, v, cfg) in &overrides {
                 harness.sim_mut().set_link_config(u, v, cfg);
             }
@@ -981,9 +1012,20 @@ pub(crate) struct LinkLedger {
 }
 
 impl LinkLedger {
-    pub(crate) fn new(graph: &UndirectedGraph) -> Self {
+    /// Every edge of `graph` once, `(u, v)` with `u < v`, in
+    /// lexicographic order — the order random churn samples from.
+    pub(crate) fn new(graph: &CsrGraph) -> Self {
+        let edges = (0..graph.node_count())
+            .flat_map(|i| {
+                graph
+                    .neighbor_indices(i)
+                    .iter()
+                    .filter(move |&&j| j as usize > i)
+                    .map(move |&j| (graph.node(i), graph.node(j as usize)))
+            })
+            .collect();
         LinkLedger {
-            edges: graph.edges().collect(),
+            edges,
             failed: BTreeSet::new(),
         }
     }
@@ -1050,13 +1092,16 @@ pub fn run_scenario(
     run_span.arg("seed", seed);
     run_span.arg("trial", trial as u64);
     let run_seed = derive_run_seed(seed, trial);
-    let inst = build_instance(&spec.topology, run_seed)?;
+    let flat = build_csr_instance(&spec.topology, run_seed)?;
+    // The protocols run on the CSR; the spec checks and the metrics
+    // still read the map form.
+    let inst = flat.to_instance();
     spec.validate_against(&inst, seed, trial)
         .map_err(|e| ScenarioError(format!("invalid scenario: {e}")))?;
     let link = spec_link_config(&spec.links.default);
-    let mut driver = make_driver(spec, &inst, link, run_seed);
+    let mut driver = make_driver(spec, &flat, link, run_seed);
     let mut churn_rng = SmallRng::seed_from_u64(derive_churn_seed(run_seed));
-    let mut ledger = LinkLedger::new(&inst.graph);
+    let mut ledger = LinkLedger::new(flat.csr());
     let sources = resolve_sources(spec, &inst);
     let mut records: Vec<ScenarioRecord> = Vec::new();
 
@@ -1202,10 +1247,22 @@ pub fn run_scenario(
     );
     records.push(summary);
 
-    Ok(RunOutcome {
-        sim_stats: driver.sim_stats(),
-        records,
-    })
+    let sim_stats = driver.sim_stats();
+    record_sim_stats(&sim_stats);
+    Ok(RunOutcome { sim_stats, records })
+}
+
+/// Records a run's simulator statistics as `net.*` counters — a
+/// projection of [`SimStats`], inert without a recording session.
+pub(crate) fn record_sim_stats(stats: &SimStats) {
+    for (name, value) in [
+        ("net.sent", stats.sent),
+        ("net.delivered", stats.delivered),
+        ("net.dropped", stats.dropped),
+        ("net.lost_to_failure", stats.lost_to_failure),
+    ] {
+        lr_obs::counter(name).add(value);
+    }
 }
 
 fn apply_churn(
@@ -1256,4 +1313,70 @@ fn apply_churn(
         ChurnKind::CrashLeader => driver.crash_leader().map_err(ScenarioError)?,
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+
+    use lr_net::sim::Ctx;
+
+    use super::*;
+
+    /// Every node announces height 1 to its neighbors and holds height 5
+    /// itself, so each believes the other sits below it: a stale-height
+    /// loop.
+    struct Stale;
+
+    impl Protocol for Stale {
+        type Msg = u32;
+        type Node = u32;
+        type Slot = Option<u32>;
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32, Option<u32>>, _node: &mut u32) {
+            ctx.broadcast(1);
+        }
+
+        fn on_message(
+            &mut self,
+            ctx: &mut Ctx<'_, u32, Option<u32>>,
+            _node: &mut u32,
+            _from: NodeId,
+            msg: u32,
+        ) {
+            if let Some(known) = ctx.sender_slot_mut() {
+                *known = Some(msg);
+            }
+        }
+    }
+
+    #[test]
+    fn a_probe_stops_at_its_first_revisit() {
+        let graph = UndirectedGraph::from_edges(&[(0, 1)]).unwrap();
+        let mut sim = EventSim::new(
+            Stale,
+            CsrGraph::from_graph(&graph),
+            vec![5, 5],
+            LinkConfig::default(),
+            0,
+        );
+        sim.start();
+        assert!(sim.run_to_quiescence(10));
+        // Each hop reads the one slot of the current node.
+        let reads = Cell::new(0u32);
+        let probe = descend_heights(
+            &sim,
+            NodeId::new(0),
+            |&own| Some(own),
+            |&known| {
+                reads.set(reads.get() + 1);
+                known
+            },
+            |_, _| false,
+        );
+        assert_eq!(probe, None, "0 → 1 → 0 … never reaches a sink");
+        // The hop limit alone would allow 16 hops.
+        assert_eq!(probe_hop_limit(2), 16);
+        assert!(reads.get() <= 4, "walked {} hops", reads.get());
+    }
 }

@@ -43,15 +43,17 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
 
-use lr_graph::{NodeId, UndirectedGraph};
+use lr_graph::{CsrGraph, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde_json::Value;
 
-use crate::engine::{make_driver, spec_link_config, Driver, LinkLedger, ScenarioError};
+use crate::engine::{
+    make_driver, record_sim_stats, spec_link_config, Driver, LinkLedger, ScenarioError,
+};
 use crate::spec::{derive_run_seed, ProtocolKind, ScenarioSpec, TrafficSpec};
 use crate::stats::{MetricSketch, STRETCH_GRID_HI};
-use crate::topology::build_instance;
+use crate::topology::build_csr_instance;
 
 /// Mixer xored into the run seed to derive the workload generator's
 /// RNG stream (kept distinct from the engine's churn stream the same
@@ -386,12 +388,11 @@ fn churn_allowed(protocol: ProtocolKind) -> bool {
 fn validate_feed(
     feed: &[FeedEvent],
     spec: &ScenarioSpec,
-    graph: &UndirectedGraph,
+    graph: &CsrGraph,
     dest: NodeId,
 ) -> Result<(), ServeError> {
-    let check_node = |id: u32, i: usize| -> Result<NodeId, ServeError> {
-        let u = NodeId::new(id);
-        if graph.contains_node(u) {
+    let check_node = |id: u32, i: usize| -> Result<usize, ServeError> {
+        if let Some(u) = graph.index_of(NodeId::new(id)) {
             Ok(u)
         } else {
             Err(ServeError(format!(
@@ -415,8 +416,8 @@ fn validate_feed(
     for (i, e) in feed.iter().enumerate() {
         match e.action {
             FeedAction::Route(src) => {
-                let u = check_node(src, i)?;
-                if u == dest && spec.protocol != ProtocolKind::Mutex {
+                check_node(src, i)?;
+                if NodeId::new(src) == dest && spec.protocol != ProtocolKind::Mutex {
                     return Err(ServeError(format!(
                         "feed event {}: node {src} is the destination — it cannot be a \
                          route source",
@@ -427,7 +428,7 @@ fn validate_feed(
             FeedAction::Fail(u, v) | FeedAction::Heal(u, v) => {
                 check_churn(i)?;
                 let (a, b) = (check_node(u, i)?, check_node(v, i)?);
-                if !graph.contains_edge(a, b) {
+                if graph.slot_of(a, b).is_none() {
                     return Err(ServeError(format!(
                         "feed event {}: [{u}, {v}] is not an edge of the topology",
                         i + 1
@@ -493,22 +494,35 @@ fn reject_unserved_sections(spec: &ScenarioSpec) -> Result<(), ServeError> {
 /// # Errors
 ///
 /// Returns a [`ServeError`] for a spec with a matrix, churn events or a
-/// traffic section, an unbuildable topology, an invalid feed, or an
-/// exhausted per-tick event budget (`spec.max_events`).
+/// traffic section, a served window that ends past the virtual clock's
+/// range, an unbuildable topology, an invalid feed, or an exhausted
+/// per-tick event budget (`spec.max_events`).
 pub fn run_serve(
     spec: &ScenarioSpec,
     options: &ServeOptions,
     feed: &[FeedEvent],
 ) -> Result<ServeReport, ServeError> {
     reject_unserved_sections(spec)?;
+    if spec.settle.checked_add(options.duration).is_none() {
+        return Err(ServeError(format!(
+            "--duration {}: the served window ends past the virtual clock's range \
+             (settle {} + duration > {})",
+            options.duration,
+            spec.settle,
+            u64::MAX
+        )));
+    }
     let seed = options
         .seed
         .unwrap_or_else(|| spec.seeds.first().copied().unwrap_or(0));
     let run_seed = derive_run_seed(seed, 0);
-    let inst = build_instance(&spec.topology, run_seed).map_err(|e| ServeError(e.to_string()))?;
-    spec.validate_against(&inst, seed, 0)
+    let inst =
+        build_csr_instance(&spec.topology, run_seed).map_err(|e| ServeError(e.to_string()))?;
+    let csr = inst.csr();
+    let dest = inst.dest();
+    spec.validate_against_flat(&inst, seed, 0)
         .map_err(|e| ServeError(format!("invalid scenario: {e}")))?;
-    validate_feed(feed, spec, &inst.graph, inst.dest)?;
+    validate_feed(feed, spec, csr, dest)?;
     if options.batch == 0 || options.queue == 0 || options.threads == 0 {
         return Err(ServeError(
             "batch, queue, and threads must all be ≥ 1".into(),
@@ -521,10 +535,16 @@ pub fn run_serve(
     run_span.arg("duration", options.duration);
 
     let link = spec_link_config(&spec.links.default);
+    let build_span = lr_obs::span("serve", "serve.build");
     let mut driver = make_driver(spec, &inst, link, run_seed);
     // Mirrors the driver's failed links: every fail or heal goes through
     // it, so the simulator's live links are the ledger's.
-    let mut ledger = LinkLedger::new(&inst.graph);
+    let mut ledger = LinkLedger::new(csr);
+    // Stretch is priced against BFS distances from the destination
+    // over the live links, recomputed only when churn changes them (no
+    // link fails before serving starts).
+    let mut dist = driver.live_distances(dest);
+    drop(build_span);
 
     // Initial convergence, exactly like the scenario engine's settle
     // phase: drain up to the settle window, then pin the clock there so
@@ -547,7 +567,7 @@ pub fn run_serve(
         // for already-routed nodes) and drain it inside the settle
         // window.
         if spec.protocol == ProtocolKind::Tora {
-            let sources: Vec<NodeId> = inst.graph.nodes().filter(|&u| u != inst.dest).collect();
+            let sources: Vec<NodeId> = csr.nodes().filter(|&u| u != dest).collect();
             driver.inject_wave(&sources);
             let (delivered, capped) = driver.run_until_capped(spec.settle, spec.max_events);
             if capped {
@@ -562,21 +582,19 @@ pub fn run_serve(
     }
     let base = spec.settle;
 
-    // Stretch is priced against BFS distances from the destination
-    // over the live links, recomputed only when churn changes them. Only
-    // protocols with a fixed destination sink get stretch (the mutex
-    // token and an electable leader move).
+    // Only protocols with a fixed destination sink get stretch (the
+    // mutex token and an electable leader move).
     let priced = matches!(
         spec.protocol,
         ProtocolKind::Routing | ProtocolKind::Reversal | ProtocolKind::Tora
     );
-    let mut dist = driver.live_distances(inst.dest);
 
     // Sketch grids are sized from the settled topology: the eccentricity
     // of the destination bounds the typical path, the spec's largest
     // link delay scales it into ticks. Out-of-range observations clamp
-    // into the edge bins; the moments keep the exact mean/max.
-    let ecc = dist.values().copied().max().unwrap_or(0).max(1);
+    // into the edge bins; the moments keep the exact mean/max. The
+    // bounds saturate, so extreme delays and durations cannot overflow.
+    let ecc = dist.iter().flatten().copied().max().unwrap_or(0).max(1);
     let max_delay = spec
         .links
         .overrides
@@ -586,8 +604,11 @@ pub fn run_serve(
         .max()
         .unwrap_or(1)
         .max(1);
-    let lat_hi = (ecc * max_delay + options.duration + 1) as f64;
-    let hops_hi = (4 * ecc + 8) as f64;
+    let lat_hi = ecc
+        .saturating_mul(max_delay)
+        .saturating_add(options.duration)
+        .saturating_add(1) as f64;
+    let hops_hi = ecc.saturating_mul(4).saturating_add(8) as f64;
     let mut latency = MetricSketch::new(0.0, lat_hi);
     let mut hops = MetricSketch::new(0.0, hops_hi);
     let mut stretch = MetricSketch::new(0.0, STRETCH_GRID_HI);
@@ -595,10 +616,9 @@ pub fn run_serve(
     // The generator samples sources uniformly from the non-destination
     // nodes (every node for mutex, where the "destination" is just the
     // initial token holder and a legal requester).
-    let eligible: Vec<NodeId> = inst
-        .graph
+    let eligible: Vec<NodeId> = csr
         .nodes()
-        .filter(|&u| u != inst.dest || spec.protocol == ProtocolKind::Mutex)
+        .filter(|&u| u != dest || spec.protocol == ProtocolKind::Mutex)
         .collect();
     if eligible.is_empty() && options.rate > 0 {
         return Err(ServeError(
@@ -699,7 +719,8 @@ pub fn run_serve(
             }
         }
         if churned && priced {
-            dist = driver.live_distances(inst.dest);
+            let _sp = lr_obs::span("serve", "serve.reprice");
+            dist = driver.live_distances(dest);
         }
 
         // Open-loop generator arrivals for this tick.
@@ -728,13 +749,12 @@ pub fn run_serve(
                 Some(p) => {
                     answered += 1;
                     let wait = tick - arrival;
-                    latency.push((wait + p.path_delay) as f64);
+                    latency.push(wait.saturating_add(p.path_delay) as f64);
                     hops.push(p.hops as f64);
                     if priced {
-                        if let Some(&d) = dist.get(&src) {
-                            if d > 0 {
-                                stretch.push(p.hops as f64 / d as f64);
-                            }
+                        let d = dist[csr.index_of(src).expect("source is a node")];
+                        if let Some(d) = d.filter(|&d| d > 0) {
+                            stretch.push(p.hops as f64 / d as f64);
                         }
                     }
                 }
@@ -745,13 +765,15 @@ pub fn run_serve(
         drop(span);
     }
     let elapsed_ns = began.elapsed().as_nanos() as u64;
+    let sim_stats = driver.sim_stats();
+    record_sim_stats(&sim_stats);
 
     Ok(ServeReport {
         scenario: spec.name.clone(),
         protocol: spec.protocol.name().to_string(),
         family: spec.topology.family_name().to_string(),
         n: inst.node_count(),
-        edges: inst.graph.edge_count(),
+        edges: csr.edge_count(),
         seed,
         rate: options.rate,
         duration: options.duration,
@@ -768,7 +790,7 @@ pub fn run_serve(
         dropped,
         leftover: pending.len() as u64,
         link_events,
-        messages: driver.sim_stats().sent,
+        messages: sim_stats.sent,
         latency,
         hops,
         stretch,

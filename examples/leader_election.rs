@@ -10,7 +10,8 @@ use link_reversal::net::election::ElectionHarness;
 use link_reversal::net::sim::LinkConfig;
 
 fn main() {
-    let inst = stream::random_connected(16, 18, 99).to_instance();
+    let flat = stream::random_connected(16, 18, 99);
+    let inst = flat.to_instance();
     println!(
         "network: {} nodes, {} links; initial leader = destination {}",
         inst.node_count(),
@@ -18,7 +19,7 @@ fn main() {
         inst.dest
     );
 
-    let mut harness = ElectionHarness::converged(&inst, LinkConfig::default(), 3);
+    let mut harness = ElectionHarness::converged(&flat, LinkConfig::default(), 3);
     println!("DAG converged toward the initial leader.");
 
     println!("\n*** crash! leader {} goes down ***\n", inst.dest);

@@ -12,7 +12,8 @@ use link_reversal::net::mutex::MutexHarness;
 use link_reversal::net::sim::LinkConfig;
 
 fn main() {
-    let inst = stream::random_connected(14, 12, 7).to_instance();
+    let flat = stream::random_connected(14, 12, 7);
+    let inst = flat.to_instance();
     let root = inst.dest;
     println!(
         "network: {} nodes; token starts at {}",
@@ -20,7 +21,7 @@ fn main() {
         root
     );
 
-    let mut harness = MutexHarness::new(&inst.graph, root, LinkConfig::default(), 5);
+    let mut harness = MutexHarness::new(flat.csr().clone(), root, LinkConfig::default(), 5);
 
     // Three rounds of full contention: every node requests the critical
     // section each round.

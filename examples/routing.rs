@@ -11,7 +11,8 @@ use link_reversal::net::routing::RoutingHarness;
 use link_reversal::net::sim::LinkConfig;
 
 fn main() {
-    let inst = stream::random_connected(24, 24, 2024).to_instance();
+    let flat = stream::random_connected(24, 24, 2024);
+    let inst = flat.to_instance();
     println!(
         "ad-hoc network: {} nodes, {} links, destination {}",
         inst.node_count(),
@@ -24,7 +25,7 @@ fn main() {
         jitter: 3,
         loss: 0.0,
     };
-    let mut harness = RoutingHarness::converged(&inst, link, 7);
+    let mut harness = RoutingHarness::converged(&flat, link, 7);
     println!("initial reversal converged; sending one packet from every node…");
 
     for u in inst.graph.nodes() {

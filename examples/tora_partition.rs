@@ -6,7 +6,7 @@
 //! cargo run --example tora_partition
 //! ```
 
-use link_reversal::graph::{NodeId, UndirectedGraph};
+use link_reversal::graph::{CsrGraph, NodeId, UndirectedGraph};
 use link_reversal::net::sim::LinkConfig;
 use link_reversal::net::tora::ToraHarness;
 
@@ -17,7 +17,7 @@ fn n(i: u32) -> NodeId {
 fn main() {
     // A ring with a tail:   0(D) — 1 — 2 — 3 — 0   and   3 — 4 — 5
     let g = UndirectedGraph::from_edges(&[(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5)]).unwrap();
-    let mut tora = ToraHarness::new(&g, n(0), LinkConfig::default(), 7);
+    let mut tora = ToraHarness::new(CsrGraph::from_graph(&g), n(0), LinkConfig::default(), 7);
 
     println!("phase 1: route creation (QRY floods from nodes 1 and 5)");
     tora.create_route(n(1)); // routes 1 directly below the destination

@@ -1329,6 +1329,10 @@ mod tests {
         );
         let e = run_cli(&["serve", p, "--duration=0"], "").unwrap_err();
         assert!(e.0.contains("--duration must be at least 1"), "{e}");
+        // A served window past the virtual clock's range is an error
+        // naming the value, not an overflow.
+        let e = run_cli(&["serve", p, "--duration", "18446744073709551615"], "").unwrap_err();
+        assert!(e.0.contains("--duration 18446744073709551615: "), "{e}");
         for flag in ["--frob", "--smoke", "--no-append"] {
             let e = run_cli(&["serve", p, flag], "").unwrap_err();
             assert!(e.0.contains("unknown flag"), "{flag}: {e}");
@@ -1362,6 +1366,29 @@ mod tests {
             assert!(e.0.contains("--rate") && e.0.contains("--feed"), "{e}");
         }
         let _ = std::fs::remove_file(&traffic);
+        // The largest link delay saturates instead of overflowing.
+        let slow =
+            std::env::temp_dir().join(format!("lr_cli_serve_sl_{}.json", std::process::id()));
+        std::fs::write(
+            &slow,
+            r#"{"name": "slow", "topology": {"family": "grid", "rows": 2, "cols": 2},
+                "links": {"delay": 18446744073709551615}}"#,
+        )
+        .unwrap();
+        let out = run_cli(
+            &[
+                "serve",
+                slow.to_str().unwrap(),
+                "--rate",
+                "2",
+                "--duration",
+                "5",
+            ],
+            "",
+        )
+        .unwrap();
+        assert!(out.contains("answered 0  unroutable 10"), "{out}");
+        let _ = std::fs::remove_file(&slow);
     }
 
     #[test]

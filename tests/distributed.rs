@@ -18,8 +18,9 @@ use link_reversal::net::sim::{EventSim, LinkConfig};
 #[test]
 fn distributed_convergence_matches_theory_guarantees() {
     for seed in 0..4 {
-        let inst = stream::random_connected(25, 25, 6000 + seed).to_instance();
-        let sim = converge(&inst, LinkConfig::default(), seed, 10_000_000);
+        let flat = stream::random_connected(25, 25, 6000 + seed);
+        let inst = flat.to_instance();
+        let sim = converge(&flat, LinkConfig::default(), seed, 10_000_000);
         let o = orientation_from_heights(&inst.graph, &height_snapshot(&sim));
         let view = DirectedView::new(&inst.graph, &o);
         assert!(view.is_acyclic());
@@ -51,7 +52,7 @@ fn distributed_work_is_invariant_to_message_timing_on_trees() {
         .steps as u64
     };
     for (d, expected) in [(1, 6), (2, 14), (3, 30), (4, 62)] {
-        let inst = stream::binary_tree_away(d).to_instance();
+        let inst = stream::binary_tree_away(d);
         let calm = converge(&inst, LinkConfig::default(), 1, 10_000_000);
         let wild = converge(
             &inst,
@@ -79,10 +80,11 @@ fn distributed_work_is_invariant_to_message_timing_on_trees() {
 
 #[test]
 fn threaded_and_simulated_modes_agree_on_final_structure() {
-    let inst = stream::grid_away(4, 4).to_instance();
-    let sim = converge(&inst, LinkConfig::default(), 3, 10_000_000);
+    let flat = stream::grid_away(4, 4);
+    let inst = flat.to_instance();
+    let sim = converge(&flat, LinkConfig::default(), 3, 10_000_000);
     let sim_o = orientation_from_heights(&inst.graph, &height_snapshot(&sim));
-    let live = run_threaded(&inst);
+    let live = run_threaded(&flat);
     let live_o = orientation_from_heights(&inst.graph, &live.heights);
     // Different schedules may reach different DAGs, but both must be
     // acyclic and destination-oriented.
@@ -95,8 +97,9 @@ fn threaded_and_simulated_modes_agree_on_final_structure() {
 
 #[test]
 fn routing_delivers_under_lossless_churn() {
-    let inst = stream::random_connected(18, 20, 7000).to_instance();
-    let mut h = RoutingHarness::converged(&inst, LinkConfig::default(), 4);
+    let flat = stream::random_connected(18, 20, 7000);
+    let inst = flat.to_instance();
+    let mut h = RoutingHarness::converged(&flat, LinkConfig::default(), 4);
     for u in inst.graph.nodes().filter(|&u| u != inst.dest) {
         h.send_packet(u);
     }
@@ -108,8 +111,9 @@ fn routing_delivers_under_lossless_churn() {
 fn election_then_routing_composes() {
     // After a leader crash and re-election, the surviving DAG routes
     // toward the new leader — verified structurally by the harness.
-    let inst = stream::random_connected(14, 16, 8000).to_instance();
-    let mut h = ElectionHarness::converged(&inst, LinkConfig::default(), 5);
+    let flat = stream::random_connected(14, 16, 8000);
+    let inst = flat.to_instance();
+    let mut h = ElectionHarness::converged(&flat, LinkConfig::default(), 5);
     h.crash_leader();
     let report = h.run(10_000_000);
     let expected: NodeId = inst.graph.neighbors(inst.dest).max().unwrap();
@@ -118,11 +122,11 @@ fn election_then_routing_composes() {
 
 #[test]
 fn mutex_serves_heavy_contention() {
-    let inst = stream::random_connected(16, 14, 9000).to_instance();
-    let mut h = MutexHarness::new(&inst.graph, inst.dest, LinkConfig::default(), 6);
+    let inst = stream::random_connected(16, 14, 9000);
+    let mut h = MutexHarness::new(inst.csr().clone(), inst.dest(), LinkConfig::default(), 6);
     let mut expected = 0;
     for round in 0..5 {
-        for u in inst.graph.nodes() {
+        for u in inst.csr().nodes() {
             if (u.raw() + round) % 2 == 0 {
                 h.request(u);
                 expected += 1;
