@@ -23,8 +23,9 @@
 //!   in the benchmark harness. Each streams straight into a flat
 //!   [`CsrInstance`]; [`CsrInstance::to_instance`] materializes the map
 //!   form.
-//! * [`enumerate`] — exhaustive enumeration of small graphs and of all
-//!   acyclic orientations, used by the model-checking harness.
+//! * [`enumerate`] — exhaustive enumeration of small graphs, of all
+//!   acyclic orientations, and of one instance per isomorphism class,
+//!   used by the model-checking harness.
 //!
 //! # Quick example
 //!

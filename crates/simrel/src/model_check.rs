@@ -2,17 +2,46 @@
 //! connected graph, every acyclic orientation, every destination.
 //!
 //! The paper's theorems are universally quantified over this input space
-//! (and then over all reachable states). For `n ≤ 4` the space is small
-//! enough to enumerate completely, turning each theorem into a finite
-//! check; `n = 5` takes seconds, and [`MAX_N`] = 5 is the largest size
-//! that fits in memory. [`CheckKind::run`] is the one entry point: it
-//! runs one check over every instance of size `n`.
+//! (and then over all reachable states). For small `n` the space is finite,
+//! turning each theorem into a finite check. [`CheckKind::run`] is the one
+//! entry point: it runs one check over every instance of size `n ≤`
+//! [`MAX_N`] = 6.
+//!
+//! ## Symmetry — one instance per isomorphism class
+//!
+//! The automata (NewPR, OneStepPR, PR with set actions) and the relations
+//! R, R′ and their reverses use node ids only as names. Relabeling an
+//! instance's nodes therefore relabels its reachable state graph (or pair
+//! space) without changing its shape, so each check's per-instance
+//! outcome — states, transitions, longest execution, verdict — is the
+//! same on every instance of an isomorphism class. [`CheckKind::run`]
+//! checks one representative per class, from [`instance_orbits`], and
+//! weights its counts by the class's orbit size, so every summary is the
+//! one a sweep of all labeled instances would give. At n = 5 that is 1,225
+//! representatives for 132,150 labeled instances; at n = 6, 32,389 for
+//! 21,580,572.
+//!
+//! The one place an id order enters is the plane embedding behind
+//! Invariants 4.1 and 4.2, a topological order of the initial DAG with
+//! ties broken by id. Both invariants compare only neighbours, though,
+//! and for neighbours `u` lies left of `v` exactly when the initial
+//! orientation points `u → v`, whatever the tie-break.
+//!
+//! The argument's proof obligation is tested here: the seeded proptest
+//! `relabeling_preserves_every_per_instance_outcome` relabels random
+//! instances with up to 7 nodes and requires each check's outcome to be
+//! unchanged, and `orbit_sweep_equals_the_labeled_sweep_at_n3_and_n4`
+//! (n = 5 under `--ignored`) runs all eight checks over `all_instances(n)`
+//! with weight 1 and requires the same summaries. The representatives
+//! themselves are checked against two Tutte evaluations: their orbit sizes
+//! sum to `Σ_G n · T_G(2, 0)`, and those that start quiescent weigh
+//! `Σ_G n · T_G(1, 0)`.
 //!
 //! ## Parallelism — one axis, one answer
 //!
-//! [`McOptions::threads`] fans the *instances* of `all_instances(n)` out
-//! across crossbeam-scoped workers; each instance's check runs serially
-//! on the worker that took it. Per-instance outcomes are folded into the
+//! [`McOptions::threads`] fans the representatives out across
+//! crossbeam-scoped workers; each one's check runs serially on the worker
+//! that took it. Per-instance outcomes are folded into the
 //! [`ModelCheckSummary`] strictly in enumeration order through a reorder
 //! buffer, so the summary — counts, first violation, truncation — is
 //! **bit-identical at every thread count**. The `lr modelcheck --threads`
@@ -24,7 +53,9 @@
 //! tripped only a `debug_assert!`, which vanishes in release builds — a
 //! truncated sweep could silently count as verified. Truncation is now
 //! carried in [`ModelCheckSummary::truncated`] and fails
-//! [`ModelCheckSummary::verified`].
+//! [`ModelCheckSummary::verified`]. Both it and
+//! [`ModelCheckSummary::first_violation`] name the representative (in
+//! [`parse`] syntax) and its orbit size.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -33,8 +64,8 @@ use std::time::Instant;
 
 use lr_core::alg::{NewPrAutomaton, OneStepPrAutomaton, PrSetAutomaton};
 use lr_core::invariants::{newpr_invariants, onestep_pr_invariants, pr_set_invariants};
-use lr_graph::enumerate::all_instances;
-use lr_graph::ReversalInstance;
+use lr_graph::enumerate::instance_orbits;
+use lr_graph::{parse, ReversalInstance};
 use lr_ioa::explore::{check_termination, explore, ExplorationReport, TerminationResult};
 use lr_ioa::{ExhaustiveSimReport, SimulationError};
 
@@ -43,21 +74,26 @@ use crate::{r_checker, r_prime_checker, rev_r_checker, rev_r_prime_checker};
 /// Aggregate result of a model-checking sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelCheckSummary {
-    /// Instances (graph × orientation × destination) checked.
+    /// Labeled instances (graph × orientation × destination) covered: the
+    /// orbit sizes of the representatives checked.
     pub instances: usize,
-    /// Total distinct states visited across all instances.
+    /// Representatives checked, one per isomorphism class of instances.
+    pub orbits: usize,
+    /// Total distinct states visited across all labeled instances (each
+    /// representative's count times its orbit size).
     pub states_visited: usize,
-    /// Total transitions traversed.
+    /// Total transitions traversed, weighted the same way.
     pub transitions: usize,
     /// Worst-case execution length over all instances: the longest path
     /// in any reachable state graph for [`CheckKind::Termination`], 0 for
     /// every other check.
     pub longest_execution: usize,
-    /// Description of the first violation, if any.
+    /// Description of the first violation, if any, naming the
+    /// representative it was found on.
     pub first_violation: Option<String>,
     /// Description of the first truncated (budget-limited, hence
-    /// inconclusive) per-instance check, if any. A truncated sweep is
-    /// **not** verified.
+    /// inconclusive) per-instance check, if any, naming its
+    /// representative. A truncated sweep is **not** verified.
     pub truncated: Option<String>,
 }
 
@@ -73,8 +109,8 @@ impl ModelCheckSummary {
 /// Parallelism and budget knobs for [`CheckKind::run`].
 #[derive(Debug, Clone)]
 pub struct McOptions {
-    /// Worker threads: instances of `all_instances(n)` fan out across
-    /// this many crossbeam-scoped workers. `1` = serial.
+    /// Worker threads: the representatives of `instance_orbits(n)` fan
+    /// out across this many crossbeam-scoped workers. `1` = serial.
     pub threads: usize,
     /// Per-instance state/pair budget; exhausting it is reported as
     /// truncation (a hard error), never silently ignored.
@@ -99,9 +135,11 @@ impl McOptions {
 }
 
 /// The largest instance size the checker takes. Every check materializes
-/// `all_instances(n)` at about 850 B an instance: 132,150 instances
-/// (about 113 MB) at n = 5, but 21,580,572 (about 18 GB) at n = 6.
-pub const MAX_N: usize = 5;
+/// one representative per isomorphism class, `instance_orbits(n)`: 32,389
+/// at n = 6 (about 28 MB), standing for 21,580,572 labeled instances.
+/// n = 7 has more than 1.5 M classes, which filter-then-canonicalize
+/// cannot enumerate in reasonable time; it would need orderly generation.
+pub const MAX_N: usize = 6;
 
 /// Parses a size argument: `Ok(n)` for an integer in `2..=MAX_N`,
 /// otherwise an error naming the argument and the range.
@@ -134,8 +172,8 @@ struct SweepFold {
     summary: ModelCheckSummary,
     /// Enumeration index of the next outcome to fold.
     next: usize,
-    /// Finished-but-out-of-order outcomes.
-    parked: BTreeMap<usize, InstanceOutcome>,
+    /// Finished-but-out-of-order outcomes, with their orbit sizes.
+    parked: BTreeMap<usize, (usize, InstanceOutcome)>,
     /// Set once a violation or truncation folds; later instances (in
     /// enumeration order) are not folded, matching the serial early
     /// return.
@@ -147,6 +185,7 @@ impl SweepFold {
         SweepFold {
             summary: ModelCheckSummary {
                 instances: 0,
+                orbits: 0,
                 states_visited: 0,
                 transitions: 0,
                 longest_execution: 0,
@@ -159,50 +198,81 @@ impl SweepFold {
         }
     }
 
-    /// Submits the outcome of instance `index`, folding it — and any
-    /// parked successors it unblocks — in index order.
-    fn submit(&mut self, index: usize, outcome: InstanceOutcome) {
-        self.parked.insert(index, outcome);
-        while let Some(out) = self.parked.remove(&self.next) {
-            let index = self.next;
+    /// Submits the outcome of representative `index`, whose orbit holds
+    /// `orbit` labeled instances, folding it — and any parked successors
+    /// it unblocks — in index order. Instances, states and transitions
+    /// count once per labeled instance; the longest execution is a max.
+    fn submit(&mut self, index: usize, orbit: usize, outcome: InstanceOutcome) {
+        self.parked.insert(index, (orbit, outcome));
+        while let Some((orbit, out)) = self.parked.remove(&self.next) {
             self.next += 1;
             if self.stopped {
                 continue;
             }
             let s = &mut self.summary;
-            s.instances += 1;
-            s.states_visited += out.states;
-            s.transitions += out.transitions;
+            s.orbits += 1;
+            s.instances += orbit;
+            s.states_visited += orbit * out.states;
+            s.transitions += orbit * out.transitions;
             s.longest_execution = s.longest_execution.max(out.longest_execution);
             if let Some(v) = out.violation {
                 s.first_violation = Some(v);
                 self.stopped = true;
             } else if let Some(t) = out.truncation {
-                s.truncated = Some(format!("instance #{index}: {t}"));
+                s.truncated = Some(t);
                 self.stopped = true;
             }
         }
     }
 }
 
-/// Runs `per` over every instance, folding outcomes **in enumeration
-/// order** into one summary: serial when `opts.threads <= 1`, otherwise
-/// fanned out over crossbeam-scoped workers (at most one per instance)
-/// pulling from a shared cursor into one [`SweepFold`] — bit-identical
-/// either way. Stops folding (and stops handing out instances) at the
-/// first violation or truncation, like the serial sweep's early return.
-fn sweep_instances<F>(instances: &[ReversalInstance], opts: &McOptions, per: F) -> ModelCheckSummary
+/// Names a representative and its orbit in a violation or truncation
+/// message: its destination and directed edges in [`parse`] syntax, `;`
+/// for a line break.
+fn describe(inst: &ReversalInstance, orbit: u64) -> String {
+    let text = parse::to_text(inst).trim_end().replace('\n', "; ");
+    format!("instance [{text}] (representative of {orbit} labeled instance(s))")
+}
+
+/// Runs `per` over every representative, folding outcomes weighted by
+/// orbit size **in enumeration order** into one summary: serial when
+/// `opts.threads <= 1`, otherwise fanned out over crossbeam-scoped
+/// workers (at most one per representative) pulling from a shared cursor
+/// into one [`SweepFold`] — bit-identical either way. Stops folding (and
+/// stops handing out representatives) at the first violation or
+/// truncation, like the serial sweep's early return; its message is
+/// prefixed with the representative's [`describe`].
+fn sweep_instances<F>(
+    orbits: &[(ReversalInstance, u64)],
+    opts: &McOptions,
+    per: F,
+) -> ModelCheckSummary
 where
     F: Fn(&ReversalInstance) -> InstanceOutcome + Sync,
 {
-    let threads = opts.threads.clamp(1, instances.len().max(1));
+    let check = |i: usize| {
+        let (inst, orbit) = &orbits[i];
+        let mut out = per(inst);
+        for message in [&mut out.violation, &mut out.truncation]
+            .into_iter()
+            .flatten()
+        {
+            *message = format!("{}: {message}", describe(inst, *orbit));
+        }
+        (
+            usize::try_from(*orbit).expect("an orbit fits in usize"),
+            out,
+        )
+    };
+    let threads = opts.threads.clamp(1, orbits.len().max(1));
     if threads == 1 {
         let mut fold = SweepFold::new();
-        for (i, inst) in instances.iter().enumerate() {
+        for i in 0..orbits.len() {
             if fold.stopped {
                 break;
             }
-            fold.submit(i, per(inst));
+            let (orbit, out) = check(i);
+            fold.submit(i, orbit, out);
         }
         return fold.summary;
     }
@@ -216,11 +286,11 @@ where
                     break;
                 }
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= instances.len() {
+                if i >= orbits.len() {
                     break;
                 }
-                let out = per(&instances[i]);
-                fold.lock().expect("sweep fold lock").submit(i, out);
+                let (orbit, out) = check(i);
+                fold.lock().expect("sweep fold lock").submit(i, orbit, out);
             });
         }
     })
@@ -388,38 +458,52 @@ impl CheckKind {
     /// Runs this check on every instance of size `n` with the given
     /// options.
     ///
+    /// It checks one representative per isomorphism class, from
+    /// [`instance_orbits`], and counts each representative's states and
+    /// transitions once per labeled instance of its class (see the module
+    /// docs for why that is sound). The summary's
+    /// [`instances`](ModelCheckSummary::instances), states, transitions
+    /// and longest execution are therefore those of a sweep over all of
+    /// `all_instances(n)`; [`orbits`](ModelCheckSummary::orbits) counts
+    /// the representatives.
+    ///
     /// # Panics
     ///
     /// If `n > MAX_N`, before any instance is enumerated.
     pub fn run(self, n: usize, opts: &McOptions) -> ModelCheckSummary {
         assert!(
             n <= MAX_N,
-            "model check size {n} is above MAX_N = {MAX_N}: all_instances({n}) does not fit in memory"
+            "model check size {n} is above MAX_N = {MAX_N}: instance_orbits({n}) is out of reach"
         );
-        let budget = opts.max_states;
-        sweep_instances(&all_instances(n), opts, |inst| {
-            let np = NewPrAutomaton { inst };
-            let os = OneStepPrAutomaton { inst };
-            let pr = PrSetAutomaton { inst };
-            match self {
-                CheckKind::NewPr => explore_outcome(explore(&np, &newpr_invariants(inst), budget)),
-                CheckKind::OneStepPr => {
-                    explore_outcome(explore(&os, &onestep_pr_invariants(inst), budget))
-                }
-                CheckKind::PrSet => explore_outcome(explore(&pr, &pr_set_invariants(inst), budget)),
-                CheckKind::RPrime => {
-                    sim_outcome(r_prime_checker(inst).check_exhaustive(&pr, &os, budget))
-                }
-                CheckKind::R => sim_outcome(r_checker(inst).check_exhaustive(&os, &np, budget)),
-                CheckKind::RevR => {
-                    sim_outcome(rev_r_checker(inst).check_exhaustive(&np, &os, budget))
-                }
-                CheckKind::RevRPrime => {
-                    sim_outcome(rev_r_prime_checker(inst).check_exhaustive(&os, &pr, budget))
-                }
-                CheckKind::Termination => termination_outcome(&np, &os, budget),
+        self.sweep(&instance_orbits(n), opts)
+    }
+
+    /// Runs this check on each `(instance, orbit size)` in `orbits`.
+    fn sweep(self, orbits: &[(ReversalInstance, u64)], opts: &McOptions) -> ModelCheckSummary {
+        sweep_instances(orbits, opts, |inst| self.check(inst, opts.max_states))
+    }
+
+    /// This check's outcome on one instance.
+    fn check(self, inst: &ReversalInstance, budget: usize) -> InstanceOutcome {
+        let np = NewPrAutomaton { inst };
+        let os = OneStepPrAutomaton { inst };
+        let pr = PrSetAutomaton { inst };
+        match self {
+            CheckKind::NewPr => explore_outcome(explore(&np, &newpr_invariants(inst), budget)),
+            CheckKind::OneStepPr => {
+                explore_outcome(explore(&os, &onestep_pr_invariants(inst), budget))
             }
-        })
+            CheckKind::PrSet => explore_outcome(explore(&pr, &pr_set_invariants(inst), budget)),
+            CheckKind::RPrime => {
+                sim_outcome(r_prime_checker(inst).check_exhaustive(&pr, &os, budget))
+            }
+            CheckKind::R => sim_outcome(r_checker(inst).check_exhaustive(&os, &np, budget)),
+            CheckKind::RevR => sim_outcome(rev_r_checker(inst).check_exhaustive(&np, &os, budget)),
+            CheckKind::RevRPrime => {
+                sim_outcome(rev_r_prime_checker(inst).check_exhaustive(&os, &pr, budget))
+            }
+            CheckKind::Termination => termination_outcome(&np, &os, budget),
+        }
     }
 }
 
@@ -453,6 +537,7 @@ pub fn run_battery(n: usize, checks: &[CheckKind], opts: &McOptions) -> Vec<Batt
             if let Some(span) = span.as_mut() {
                 span.arg("n", n as u64);
                 span.arg("instances", summary.instances as u64);
+                span.arg("orbits", summary.orbits as u64);
                 span.arg("states", summary.states_visited as u64);
             }
             BatteryRow {
@@ -475,6 +560,7 @@ pub fn battery_metrics(rows: &[BatteryRow]) -> lr_obs::MetricsShard {
     for row in rows {
         m.add("modelcheck.checks", 1);
         m.add("modelcheck.instances", row.summary.instances as u64);
+        m.add("modelcheck.orbits", row.summary.orbits as u64);
         m.add("modelcheck.states", row.summary.states_visited as u64);
         m.add("modelcheck.transitions", row.summary.transitions as u64);
         m.add(
@@ -492,7 +578,8 @@ pub fn battery_metrics(rows: &[BatteryRow]) -> lr_obs::MetricsShard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::enumerate::{connected_graphs, tutte};
+    use lr_graph::enumerate::{all_instances, connected_graphs, tutte};
+    use lr_graph::{stream, NodeId, Orientation, UndirectedGraph};
     use lr_ioa::Automaton;
     use proptest::prelude::*;
     use std::collections::hash_map::DefaultHasher;
@@ -554,25 +641,33 @@ mod tests {
         }
     }
 
-    /// Instances whose NewPR initial state is already quiescent, i.e.
-    /// whose destination is the orientation's only sink.
-    fn quiescent_initial_instances(n: usize) -> usize {
-        all_instances(n)
+    /// Every labeled instance on `n` nodes as its own orbit: the reference
+    /// the representatives are checked against.
+    fn labeled(n: usize) -> Vec<(ReversalInstance, u64)> {
+        all_instances(n).into_iter().map(|inst| (inst, 1)).collect()
+    }
+
+    /// The labeled instances whose NewPR initial state is already
+    /// quiescent, i.e. whose destination is the orientation's only sink,
+    /// counted through the orbit sizes.
+    fn quiescent_starts(orbits: &[(ReversalInstance, u64)]) -> u64 {
+        orbits
             .iter()
-            .filter(|inst| {
+            .filter(|(inst, _)| {
                 let aut = NewPrAutomaton { inst };
                 aut.is_quiescent(&aut.initial_state())
             })
-            .count()
+            .map(|&(_, orbit)| orbit)
+            .sum()
     }
 
     /// Greene–Zaslavsky: for any node `d`, `T_G(1, 0)` acyclic
     /// orientations of `G` have `d` as their unique sink. So the instances
     /// that start quiescent number `Σ_G n · T_G(1, 0)`.
-    fn greene_zaslavsky_count(n: usize) -> usize {
+    fn greene_zaslavsky_count(n: usize) -> u64 {
         connected_graphs(n)
             .iter()
-            .map(|g| usize::try_from(tutte(g, 1, 0)).expect("a count") * n)
+            .map(|g| u64::try_from(tutte(g, 1, 0)).expect("a count") * n as u64)
             .sum()
     }
 
@@ -580,15 +675,69 @@ mod tests {
     fn quiescent_initial_instances_match_greene_zaslavsky() {
         for (n, count) in [(3, 15), (4, 316)] {
             assert_eq!(greene_zaslavsky_count(n), count);
-            assert_eq!(quiescent_initial_instances(n), count);
+            assert_eq!(quiescent_starts(&labeled(n)), count);
+            assert_eq!(quiescent_starts(&instance_orbits(n)), count);
         }
+        assert_eq!(greene_zaslavsky_count(5), 16_885);
+        assert_eq!(quiescent_starts(&instance_orbits(5)), 16_885);
     }
 
     #[test]
     #[ignore = "all_instances(5) takes seconds in a debug build; run with --ignored"]
     fn quiescent_initial_instances_match_greene_zaslavsky_at_n5() {
-        assert_eq!(greene_zaslavsky_count(5), 16_885);
-        assert_eq!(quiescent_initial_instances(5), 16_885);
+        assert_eq!(quiescent_starts(&labeled(5)), 16_885);
+    }
+
+    #[test]
+    fn quiescent_representatives_weigh_the_pinned_count_at_n6() {
+        // The labeled acyclic digraphs on 6 nodes with exactly one sink
+        // (OEIS A003025, by inclusion–exclusion over Robinson's
+        // recurrence); a unique sink makes the digraph connected.
+        assert_eq!(quiescent_starts(&instance_orbits(6)), 2_174_586);
+    }
+
+    /// `s` without its representative count, the one field in which an
+    /// orbit sweep and the labeled sweep differ.
+    fn without_orbits(s: ModelCheckSummary) -> ModelCheckSummary {
+        ModelCheckSummary { orbits: 0, ..s }
+    }
+
+    /// Every check over the representatives against the same check over
+    /// every labeled instance, at 1 and 2 threads.
+    fn assert_orbit_sweep_equals_labeled_sweep(n: usize, representatives: usize) {
+        let labeled = labeled(n);
+        for threads in [1, 2] {
+            let opts = McOptions::default().with_threads(threads);
+            for kind in CheckKind::ALL {
+                let reduced = kind.run(n, &opts);
+                let full = kind.sweep(&labeled, &opts);
+                assert!(full.verified(), "{} at n={n}: {full:?}", kind.key());
+                assert_eq!(
+                    (reduced.orbits, full.orbits),
+                    (representatives, labeled.len()),
+                    "{} at n={n}",
+                    kind.key()
+                );
+                assert_eq!(
+                    without_orbits(reduced),
+                    without_orbits(full),
+                    "{} at n={n}, {threads} thread(s)",
+                    kind.key()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn orbit_sweep_equals_the_labeled_sweep_at_n3_and_n4() {
+        assert_orbit_sweep_equals_labeled_sweep(3, 10);
+        assert_orbit_sweep_equals_labeled_sweep(4, 84);
+    }
+
+    #[test]
+    #[ignore = "the labeled n = 5 sweeps take seconds; run with --ignored"]
+    fn orbit_sweep_equals_the_labeled_sweep_at_n5() {
+        assert_orbit_sweep_equals_labeled_sweep(5, 1_225);
     }
 
     #[test]
@@ -602,6 +751,7 @@ mod tests {
             max_states: 2,
             ..McOptions::default()
         };
+        let orbits = instance_orbits(3);
         for kind in [CheckKind::NewPr, CheckKind::RPrime, CheckKind::Termination] {
             let s = kind.run(3, &opts);
             assert!(
@@ -610,15 +760,52 @@ mod tests {
                 kind.key()
             );
             assert!(
-                s.truncated.is_some(),
-                "{}: truncation must be reported",
-                kind.key()
-            );
-            assert!(
                 s.first_violation.is_none(),
                 "{}: truncation is not a violation: {:?}",
                 kind.key(),
                 s.first_violation
+            );
+            // The sweep stopped at the representative that truncated, and
+            // the message names it and its orbit.
+            let (rep, orbit) = &orbits[s.orbits - 1];
+            let truncated = s.truncated.expect("truncation must be reported");
+            assert!(
+                truncated.starts_with(&format!("{}: ", describe(rep, *orbit))),
+                "{}: {truncated}",
+                kind.key()
+            );
+        }
+    }
+
+    #[test]
+    fn a_violation_names_its_representative_and_orbit() {
+        let (edge, orbit) = &instance_orbits(2)[0];
+        assert_eq!(
+            describe(edge, *orbit),
+            "instance [dest 0; 1 > 0] (representative of 2 labeled instance(s))"
+        );
+        let orbits = instance_orbits(3);
+        let bad = 6;
+        for threads in [1, 2] {
+            let s = sweep_instances(
+                &orbits,
+                &McOptions::default().with_threads(threads),
+                |inst| InstanceOutcome {
+                    states: 1,
+                    violation: (*inst == orbits[bad].0).then(|| "boom".to_string()),
+                    ..InstanceOutcome::default()
+                },
+            );
+            let (rep, orbit) = &orbits[bad];
+            assert_eq!(s.orbits, bad + 1);
+            assert_eq!(
+                s.first_violation,
+                Some(format!("{}: boom", describe(rep, *orbit)))
+            );
+            let weight: u64 = orbits[..=bad].iter().map(|&(_, w)| w).sum();
+            assert_eq!(
+                (s.instances as u64, s.states_visited as u64),
+                (weight, weight)
             );
         }
     }
@@ -664,13 +851,32 @@ mod tests {
     #[test]
     fn battery_metrics_are_a_projection_of_the_summaries() {
         let opts = McOptions::default();
+        let session = lr_obs::ObsSession::start(lr_obs::ObsMode::Chrome);
         let rows = run_battery(3, &[CheckKind::NewPr], &opts);
+        let report = session.finish();
         let m = battery_metrics(&rows);
         assert_eq!(m.count("modelcheck.checks"), 1);
+        assert_eq!(
+            (rows[0].summary.instances, rows[0].summary.orbits),
+            (54, 10)
+        );
         assert_eq!(
             m.count("modelcheck.instances"),
             rows[0].summary.instances as u64
         );
+        assert_eq!(m.count("modelcheck.orbits"), rows[0].summary.orbits as u64);
+        let span = report
+            .events
+            .iter()
+            .find(|e| e.name == "modelcheck.check newpr")
+            .expect("the check's span");
+        for (key, value) in [
+            ("instances", rows[0].summary.instances),
+            ("orbits", rows[0].summary.orbits),
+            ("states", rows[0].summary.states_visited),
+        ] {
+            assert!(span.args.contains(&(key, value as u64)), "{key}: {span:?}");
+        }
         assert_eq!(
             m.count("modelcheck.states"),
             rows[0].summary.states_visited as u64
@@ -717,7 +923,8 @@ mod tests {
         InstanceOutcome {
             states: i,
             transitions: 1,
-            truncation: (i == stop).then(|| "budget".to_string()),
+            longest_execution: i % 5,
+            truncation: (i == stop).then(|| format!("budget at {i}")),
             ..InstanceOutcome::default()
         }
     }
@@ -725,22 +932,35 @@ mod tests {
     #[test]
     fn sweep_fold_parks_early_arrivals_until_the_gap_fills() {
         let mut fold = SweepFold::new();
-        fold.submit(2, outcome(2, usize::MAX));
+        fold.submit(2, 1, outcome(2, usize::MAX));
         assert_eq!(
             (fold.parked.len(), fold.next, fold.summary.instances),
             (1, 0, 0)
         );
-        fold.submit(0, outcome(0, usize::MAX));
+        fold.submit(0, 1, outcome(0, usize::MAX));
         assert_eq!(
             (fold.parked.len(), fold.next, fold.summary.instances),
             (1, 1, 1)
         );
-        fold.submit(1, outcome(1, usize::MAX));
+        fold.submit(1, 1, outcome(1, usize::MAX));
         assert_eq!(
             (fold.parked.len(), fold.next, fold.summary.instances),
             (0, 3, 3)
         );
         assert_eq!(fold.summary.states_visited, 3);
+    }
+
+    #[test]
+    fn sweep_fold_weights_counts_by_orbit_size_but_not_the_longest_execution() {
+        let mut fold = SweepFold::new();
+        fold.submit(0, 6, outcome(3, usize::MAX));
+        fold.submit(1, 2, outcome(4, usize::MAX));
+        let s = &fold.summary;
+        assert_eq!(
+            (s.orbits, s.instances, s.states_visited, s.transitions),
+            (2, 8, 6 * 3 + 2 * 4, 8)
+        );
+        assert_eq!(s.longest_execution, 4);
     }
 
     proptest! {
@@ -764,7 +984,7 @@ mod tests {
             });
             let mut fold = SweepFold::new();
             for &i in &order {
-                fold.submit(i, outcome(i, stop));
+                fold.submit(i, 1, outcome(i, stop));
             }
             let folded = len.min(stop + 1);
             prop_assert_eq!(fold.next, len);
@@ -773,8 +993,76 @@ mod tests {
                 (fold.summary.instances, fold.summary.states_visited, fold.summary.transitions),
                 (folded, folded * folded.saturating_sub(1) / 2, folded)
             );
-            let want = (stop < len).then(|| format!("instance #{stop}: budget"));
+            let want = (stop < len).then(|| format!("budget at {stop}"));
             prop_assert_eq!(fold.summary.truncated, want);
+        }
+    }
+
+    /// `inst` with every node `u` renamed `map[u]`.
+    fn relabel(inst: &ReversalInstance, map: &[u32]) -> ReversalInstance {
+        let name = |u: NodeId| NodeId::new(map[u.index()]);
+        let mut graph = UndirectedGraph::with_nodes(inst.node_count());
+        let mut init = Orientation::new();
+        for (u, v) in inst.init.directed_edges() {
+            graph
+                .add_edge(name(u), name(v))
+                .expect("a bijection keeps edges simple");
+            init.set_from_to(name(u), name(v));
+        }
+        ReversalInstance::new(graph, init, name(inst.dest)).expect("a relabeled instance")
+    }
+
+    /// The parts of a per-instance outcome the symmetry argument says a
+    /// relabeling cannot change.
+    fn invariant_part(out: &InstanceOutcome) -> (usize, usize, usize, bool) {
+        (
+            out.states,
+            out.transitions,
+            out.longest_execution,
+            out.violation.is_none() && out.truncation.is_none(),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The symmetry argument's proof obligation: relabeling an
+        /// instance's nodes leaves every check's per-instance counts and
+        /// verdict unchanged, so one representative per isomorphism class
+        /// stands for its whole orbit.
+        #[test]
+        fn relabeling_preserves_every_per_instance_outcome(
+            n in 2usize..8,
+            extra in 0usize..22,
+            dest in 0usize..7,
+            seed in any::<u64>(),
+        ) {
+            let random = stream::random_connected(n, extra, seed).to_instance();
+            let inst = ReversalInstance::new(
+                random.graph,
+                random.init,
+                NodeId::new((dest % n) as u32),
+            )
+            .expect("a random connected instance");
+            // A seeded permutation of the ids: sort them by a keyed hash.
+            let mut ids: Vec<u32> = (0..n as u32).collect();
+            ids.sort_by_key(|&i| {
+                let mut h = DefaultHasher::new();
+                (seed, i).hash(&mut h);
+                h.finish()
+            });
+            let relabeled = relabel(&inst, &ids);
+            let budget = McOptions::default().max_states;
+            for kind in CheckKind::ALL {
+                prop_assert_eq!(
+                    invariant_part(&kind.check(&inst, budget)),
+                    invariant_part(&kind.check(&relabeled, budget)),
+                    "{} on {:?} relabeled by {:?}",
+                    kind.key(),
+                    inst,
+                    ids
+                );
+            }
         }
     }
 }

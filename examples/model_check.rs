@@ -4,10 +4,10 @@
 //!
 //! ```sh
 //! cargo run --release --example model_check        # n = 3 (fast)
-//! cargo run --release --example model_check -- 4   # n = 4 (seconds)
+//! cargo run --release --example model_check -- 6   # n = 6 (seconds)
 //! ```
 
-use link_reversal::simrel::model_check::{CheckKind, McOptions};
+use link_reversal::simrel::model_check::{parse_size, CheckKind, McOptions};
 
 fn show(name: &str, what: &str, n: usize, kind: CheckKind) {
     let s = kind.run(n, &McOptions::default());
@@ -23,11 +23,10 @@ fn show(name: &str, what: &str, n: usize, kind: CheckKind) {
 }
 
 fn main() {
-    let n: usize = std::env::args()
+    let n = std::env::args()
         .nth(1)
-        .map(|a| a.parse().expect("size must be a small integer"))
-        .unwrap_or(3);
-    assert!((2..=5).contains(&n), "choose n between 2 and 5");
+        .map_or(Ok(3), |a| parse_size(&a))
+        .unwrap_or_else(|e| panic!("{e}"));
 
     println!("exhaustive model check over ALL instances with {n} nodes\n");
 

@@ -1154,9 +1154,9 @@ mod tests {
         assert!(run_cli(&["modelcheck"], "").is_err());
         assert!(run_cli(&["modelcheck", "1"], "").is_err());
         assert!(run_cli(&["modelcheck", "99"], "").is_err());
-        // Every size materializes all_instances(n); n = 6 would need ~18 GB.
-        let e = run_cli(&["modelcheck", "6"], "").unwrap_err();
-        assert!(e.0.contains("2..=5") && e.0.contains("\"6\""), "{e}");
+        // n = 7 has more than 1.5 M isomorphism classes to enumerate.
+        let e = run_cli(&["modelcheck", "7"], "").unwrap_err();
+        assert!(e.0.contains("2..=6") && e.0.contains("\"7\""), "{e}");
         assert!(run_cli(&["modelcheck", "x"], "").is_err());
         assert!(run_cli(&["modelcheck", "3", "3"], "").is_err());
         let e = run_cli(&["modelcheck", "3", "--threads", "0"], "").unwrap_err();
