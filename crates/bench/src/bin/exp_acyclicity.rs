@@ -87,7 +87,7 @@ fn main() {
     let mut total_insts = 0usize;
     for seed in 0..100u64 {
         let n = 4 + (seed % 9) as usize;
-        let inst = stream::random_connected(n, n, 10_000 + seed).to_instance();
+        let inst = stream::random_connected(n, n, 10_000 + seed);
         let pr = PrSetAutomaton { inst: &inst };
         let exec = run(&pr, &mut schedulers::UniformRandom::seeded(seed), 100_000);
         assert!(pr.is_quiescent(exec.last_state()));

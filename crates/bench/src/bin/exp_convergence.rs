@@ -10,7 +10,7 @@
 
 use lr_core::alg::FrontierFamily;
 use lr_core::engine::{run_engine_frontier, SchedulePolicy, DEFAULT_MAX_STEPS};
-use lr_graph::{stream, CsrInstance};
+use lr_graph::{stream, ReversalInstance};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -22,7 +22,7 @@ struct Row {
     newpr_rounds: usize,
 }
 
-fn rounds(family: FrontierFamily, inst: &CsrInstance) -> usize {
+fn rounds(family: FrontierFamily, inst: &ReversalInstance) -> usize {
     let mut e = family.engine(inst.clone());
     let stats = run_engine_frontier(e.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
     assert!(stats.terminated);
@@ -35,7 +35,7 @@ fn main() {
     lr_bench::print_header(&widths, &["family", "n", "FR", "PR", "NewPR"]);
     let mut rows = Vec::new();
     for &n in &[16usize, 32, 64, 128, 256] {
-        let families: Vec<(String, CsrInstance)> = vec![
+        let families: Vec<(String, ReversalInstance)> = vec![
             ("chain_away".into(), stream::chain_away(n)),
             ("alternating_chain".into(), stream::alternating_chain(n)),
             (

@@ -50,17 +50,11 @@ fn main() {
     );
     let mut rows = Vec::new();
     let families: Vec<(String, ReversalInstance)> = vec![
-        (
-            "alternating_chain".into(),
-            stream::alternating_chain(65).to_instance(),
-        ),
-        ("chain_away".into(), stream::chain_away(65).to_instance()),
+        ("alternating_chain".into(), stream::alternating_chain(65)),
+        ("chain_away".into(), stream::chain_away(65)),
         ("inward_star".into(), inward_star(64)),
-        ("grid_away".into(), stream::grid_away(8, 8).to_instance()),
-        (
-            "random n=64".into(),
-            stream::random_connected(64, 64, 42).to_instance(),
-        ),
+        ("grid_away".into(), stream::grid_away(8, 8)),
+        ("random n=64".into(), stream::random_connected(64, 64, 42)),
     ];
     for (family, inst) in families {
         let pr = measure_work(FrontierFamily::PartialReversal, &inst);

@@ -10,7 +10,7 @@
 //! ```
 
 use lr_core::alg::{BllLabeling, FrontierFamily};
-use lr_graph::{stream, CsrInstance};
+use lr_graph::{stream, ReversalInstance};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -21,7 +21,7 @@ struct Row {
     verdict: &'static str,
 }
 
-fn lockstep(inst: &CsrInstance, families: [FrontierFamily; 3], pick_last: bool) -> usize {
+fn lockstep(inst: &ReversalInstance, families: [FrontierFamily; 3], pick_last: bool) -> usize {
     let mut engines = families.map(|family| family.engine(inst.clone()));
     let mut steps = 0;
     loop {

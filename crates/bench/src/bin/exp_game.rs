@@ -13,7 +13,7 @@ use lr_core::alg::FrontierFamily;
 use lr_core::game::{
     analyze_profiles, compare_social_costs, dominates, work_vector, CostComparison,
 };
-use lr_graph::{stream, CsrInstance};
+use lr_graph::{stream, ReversalInstance};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -41,7 +41,7 @@ fn main() {
         ],
     );
     let mut rows = Vec::new();
-    let families: Vec<(String, CsrInstance)> = vec![
+    let families: Vec<(String, ReversalInstance)> = vec![
         ("chain_away".into(), stream::chain_away(64)),
         ("alternating_chain".into(), stream::alternating_chain(64)),
         ("grid_away".into(), stream::grid_away(8, 8)),
@@ -52,8 +52,7 @@ fn main() {
     ];
     let mut structured_gap = 0.0f64;
     let mut max_pr_regression = 0.0f64;
-    for (family, flat) in families {
-        let inst = flat.to_instance();
+    for (family, inst) in families {
         let c = compare_social_costs(&inst);
         let pr_v = work_vector(FrontierFamily::PartialReversal, &inst);
         let fr_v = work_vector(FrontierFamily::FullReversal, &inst);
@@ -100,14 +99,14 @@ fn main() {
             "instance", "profiles", "FR", "PR", "min", "max", "FR NE?", "PR NE?",
         ],
     );
-    for (name, flat) in [
+    for (name, inst) in [
         ("chain_away(9)", stream::chain_away(9)),
         ("alternating_chain(9)", stream::alternating_chain(9)),
         ("star_away(8)", stream::star_away(8)),
         ("random(9, seed 3)", stream::random_connected(9, 7, 3)),
         ("random(9, seed 4)", stream::random_connected(9, 12, 4)),
     ] {
-        let a = analyze_profiles(&flat.to_instance());
+        let a = analyze_profiles(&inst);
         lr_bench::print_row(
             &widths2,
             &[

@@ -72,8 +72,7 @@ fn main() {
     let mut states = 0usize;
     for seed in 0..100u64 {
         let n = 6 + (seed % 15) as usize;
-        let inst = stream::random_connected(n, n + 4, 20_000 + seed).to_instance();
-        let emb = inst.embedding();
+        let inst = stream::random_connected(n, n + 4, 20_000 + seed);
         // OneStepPR execution.
         let aut = OneStepPrAutomaton { inst: &inst };
         let exec = run(&aut, &mut schedulers::UniformRandom::seeded(seed), 500_000);
@@ -82,7 +81,7 @@ fn main() {
             check_inv_3_2(&inst, s).unwrap();
             check_cor_3_3(&inst, s).unwrap();
             check_cor_3_4(&inst, s).unwrap();
-            check_acyclic(&inst, &s.dirs).unwrap();
+            check_acyclic(&s.dirs).unwrap();
             states += 1;
         }
         // NewPR execution.
@@ -94,9 +93,9 @@ fn main() {
         );
         for s in exec.states() {
             check_inv_3_1(&s.dirs).unwrap();
-            check_inv_4_1(&inst, &emb, s).unwrap();
-            check_inv_4_2(&inst, &emb, s).unwrap();
-            check_acyclic(&inst, &s.dirs).unwrap();
+            check_inv_4_1(&inst, s).unwrap();
+            check_inv_4_2(&inst, s).unwrap();
+            check_acyclic(&s.dirs).unwrap();
             states += 1;
         }
     }

@@ -36,8 +36,7 @@ fn main() {
             let trials = 10;
             let (mut fr, mut pr, mut np, mut nb) = (0.0, 0.0, 0.0, 0.0);
             for seed in 0..trials {
-                let inst =
-                    stream::random_connected(n, extra, seed as u64 * 7919 + n as u64).to_instance();
+                let inst = stream::random_connected(n, extra, seed as u64 * 7919 + n as u64);
                 nb += inst.initial_bad_nodes() as f64;
                 fr += measure_work(FrontierFamily::FullReversal, &inst).total_reversals as f64;
                 pr += measure_work(FrontierFamily::PartialReversal, &inst).total_reversals as f64;

@@ -71,7 +71,7 @@ fn main() {
     let mut total_pr = 0usize;
     for seed in 0..100u64 {
         let n = 4 + (seed % 9) as usize;
-        let inst = stream::random_connected(n, n, 60_000 + seed).to_instance();
+        let inst = stream::random_connected(n, n, 60_000 + seed);
         let report =
             equivalence_round_trip(&inst, &mut schedulers::UniformRandom::seeded(seed), 100_000)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));

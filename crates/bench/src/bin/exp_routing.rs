@@ -6,7 +6,7 @@
 //! cargo run --release -p lr-bench --bin exp_routing
 //! ```
 
-use lr_graph::{stream, NodeId, UndirectedGraph};
+use lr_graph::{stream, NodeId, Orientation, ReversalInstance};
 use lr_net::routing::RoutingHarness;
 use lr_net::sim::LinkConfig;
 use serde::Serialize;
@@ -25,23 +25,24 @@ struct Row {
 }
 
 /// Picks up to `k` links whose removal keeps the graph connected.
-fn removable_links(g: &UndirectedGraph, k: usize) -> Vec<(NodeId, NodeId)> {
+fn removable_links(inst: &ReversalInstance, k: usize) -> Vec<(NodeId, NodeId)> {
+    let edges: Vec<(NodeId, NodeId)> = inst
+        .init()
+        .directed_edges()
+        .map(|(t, h)| (t.min(h), t.max(h)))
+        .collect();
     let mut removed: Vec<(NodeId, NodeId)> = Vec::new();
-    for (u, v) in g.edges() {
+    for &(u, v) in &edges {
         if removed.len() == k {
             break;
         }
-        let mut trial = UndirectedGraph::new();
-        for w in g.nodes() {
-            trial.ensure_node(w);
-        }
-        for (a, b) in g.edges() {
-            let gone = removed.iter().any(|&(x, y)| (a, b) == (x, y)) || (a, b) == (u, v);
-            if !gone {
-                trial.add_edge(a, b).expect("fresh");
-            }
-        }
-        if trial.is_connected() {
+        let kept: Vec<(u32, u32)> = edges
+            .iter()
+            .filter(|&&e| e != (u, v) && !removed.contains(&e))
+            .map(|&(a, b)| (a.raw(), b.raw()))
+            .collect();
+        let trial = Orientation::from_edges(&kept).expect("a simple graph");
+        if trial.csr().node_count() == inst.node_count() && trial.csr().is_connected() {
             removed.push((u, v));
         }
     }
@@ -68,13 +69,12 @@ fn main() {
     let mut rows = Vec::new();
     for &n in &[16usize, 32, 64, 128] {
         for failures in [0usize, 2, 4, 8] {
-            let flat = stream::random_connected(n, 2 * n, 50_000 + n as u64);
-            let inst = flat.to_instance();
-            let mut h = RoutingHarness::converged(&flat, LinkConfig::default(), n as u64);
-            for (u, v) in removable_links(&inst.graph, failures) {
+            let inst = stream::random_connected(n, 2 * n, 50_000 + n as u64);
+            let mut h = RoutingHarness::converged(&inst, LinkConfig::default(), n as u64);
+            for (u, v) in removable_links(&inst, failures) {
                 h.fail_link(u, v);
             }
-            for u in inst.graph.nodes().filter(|&u| u != inst.dest) {
+            for u in inst.csr().nodes().filter(|&u| u != inst.dest) {
                 h.send_packet(u);
             }
             let r = h.run(50_000_000);

@@ -11,7 +11,7 @@
 
 use lr_core::alg::FrontierFamily;
 use lr_core::engine::{run_engine_frontier, SchedulePolicy, DEFAULT_MAX_STEPS};
-use lr_graph::{stream, CsrInstance};
+use lr_graph::{stream, ReversalInstance};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -25,7 +25,7 @@ struct Row {
     schedule_independent: bool,
 }
 
-fn work(family: FrontierFamily, inst: &CsrInstance, policy: SchedulePolicy) -> usize {
+fn work(family: FrontierFamily, inst: &ReversalInstance, policy: SchedulePolicy) -> usize {
     let mut e = family.engine(inst.clone());
     let stats = run_engine_frontier(e.as_mut(), policy, DEFAULT_MAX_STEPS);
     assert!(stats.terminated);
@@ -48,7 +48,7 @@ fn main() {
         ],
     );
     let mut rows = Vec::new();
-    let families: Vec<(String, CsrInstance)> = vec![
+    let families: Vec<(String, ReversalInstance)> = vec![
         ("chain_away (tree)".into(), stream::chain_away(65)),
         ("alternating (tree)".into(), stream::alternating_chain(65)),
         ("binary_tree (tree)".into(), stream::binary_tree_away(4)),

@@ -61,7 +61,7 @@ fn main() {
     let mut matched_steps = 0usize;
     for seed in 0..100u64 {
         let n = 5 + (seed % 10) as usize;
-        let inst = stream::random_connected(n, n, 30_000 + seed).to_instance();
+        let inst = stream::random_connected(n, n, 30_000 + seed);
         let pr = PrSetAutomaton { inst: &inst };
         let os = OneStepPrAutomaton { inst: &inst };
         let np = NewPrAutomaton { inst: &inst };

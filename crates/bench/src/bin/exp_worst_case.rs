@@ -9,7 +9,7 @@
 
 use lr_core::alg::FrontierFamily;
 use lr_core::work::{fit_growth_exponent, measure_work, WorkRow};
-use lr_graph::{stream, CsrInstance};
+use lr_graph::{stream, ReversalInstance};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -19,7 +19,7 @@ struct FamilyResult {
     exponents: Vec<(String, f64)>,
 }
 
-fn sweep(family: &str, gen: fn(usize) -> CsrInstance) -> FamilyResult {
+fn sweep(family: &str, gen: fn(usize) -> ReversalInstance) -> FamilyResult {
     let kinds = [
         FrontierFamily::FullReversal,
         FrontierFamily::PartialReversal,
@@ -31,7 +31,7 @@ fn sweep(family: &str, gen: fn(usize) -> CsrInstance) -> FamilyResult {
     let mut rows = Vec::new();
     let mut series: Vec<Vec<(f64, f64)>> = vec![Vec::new(); kinds.len()];
     for &n in &lr_bench::WORK_SIZES {
-        let inst = gen(n).to_instance();
+        let inst = gen(n);
         let mut cells = vec![n.to_string(), inst.initial_bad_nodes().to_string()];
         for (i, &kind) in kinds.iter().enumerate() {
             let row = measure_work(kind, &inst);

@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use lr_graph::{CsrInstance, NodeId, Orientation};
+use lr_graph::{NodeId, Orientation, ReversalInstance};
 
 use crate::alg::frontier::{count_bits_in_range, set_bits_in_range};
 use crate::alg::FrontierEngine;
@@ -35,7 +35,7 @@ pub enum BllLabeling {
     FullReversal,
 }
 
-/// BLL over a flat [`CsrInstance`]: the `μ_u(v)` labels are one bit per
+/// BLL over a [`ReversalInstance`]: the `μ_u(v)` labels are one bit per
 /// half-edge slot (the bit of slot `(u, v)` holds `μ_u(v)`), so a label
 /// read or write is a masked word access, and the "`u` forgets its
 /// history" reset is a ranged bit fill over `u`'s slot range.
@@ -45,7 +45,7 @@ pub enum BllLabeling {
 #[derive(Debug, Clone)]
 pub struct FrontierBllEngine {
     /// The initial configuration, retained for [`FrontierEngine::reset`].
-    init: CsrInstance,
+    init: ReversalInstance,
     labeling: BllLabeling,
     dirs: MirroredDirs,
     /// `μ_u(v)` ⟺ the bit of slot `(u, v)`, initially all 1 under
@@ -57,10 +57,10 @@ pub struct FrontierBllEngine {
 
 impl FrontierBllEngine {
     /// Creates the engine with the given labeling policy.
-    pub fn new(inst: CsrInstance, labeling: BllLabeling) -> Self {
-        let dirs = MirroredDirs::from_csr_instance(&inst);
+    pub fn new(inst: ReversalInstance, labeling: BllLabeling) -> Self {
+        let dirs = MirroredDirs::from_instance(&inst);
         let labels = vec![!0u64; inst.half_edge_count().div_ceil(64)];
-        let tracker = EnabledTracker::from_dirs(&dirs, inst.dest());
+        let tracker = EnabledTracker::from_dirs(&dirs, inst.dest);
         FrontierBllEngine {
             init: inst,
             labeling,
@@ -88,7 +88,7 @@ impl FrontierBllEngine {
 }
 
 impl FrontierEngine for FrontierBllEngine {
-    fn csr_instance(&self) -> &CsrInstance {
+    fn instance(&self) -> &ReversalInstance {
         &self.init
     }
 
@@ -180,9 +180,9 @@ impl FrontierEngine for FrontierBllEngine {
     }
 
     fn reset(&mut self) {
-        self.dirs = MirroredDirs::from_csr_instance(&self.init);
+        self.dirs = MirroredDirs::from_instance(&self.init);
         self.labels.fill(!0);
-        self.tracker = EnabledTracker::from_dirs(&self.dirs, self.init.dest());
+        self.tracker = EnabledTracker::from_dirs(&self.dirs, self.init.dest);
     }
 
     fn resident_bytes(&self) -> usize {
@@ -198,7 +198,7 @@ impl FrontierEngine for FrontierBllEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::{stream, DirectedView};
+    use lr_graph::stream;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -256,18 +256,14 @@ mod tests {
 
     #[test]
     fn bll_preserves_acyclicity_under_both_policies() {
-        let inst = stream::random_connected(10, 10, 77).to_instance();
+        let inst = stream::random_connected(10, 10, 77);
         for labeling in [BllLabeling::PartialReversal, BllLabeling::FullReversal] {
-            let mut e = FrontierBllEngine::new(CsrInstance::from_instance(&inst), labeling);
+            let mut e = FrontierBllEngine::new(inst.clone(), labeling);
             let mut steps = 0;
             while let Some(&u) = e.enabled().first() {
                 e.step(u);
                 let o = e.orientation();
-                assert!(
-                    DirectedView::new(&inst.graph, &o).is_acyclic(),
-                    "{:?} broke acyclicity",
-                    labeling
-                );
+                assert!(o.is_acyclic(), "{:?} broke acyclicity", labeling);
                 steps += 1;
                 assert!(steps < 100_000);
             }

@@ -16,7 +16,7 @@
 //! [`FrontierPrEngine`] implements the exact transition function of
 //! Algorithm 3 (`OneStepPR`, see [`super::pr`]) — same target selection,
 //! same list bookkeeping, same `"PR"` name in reports — over a
-//! [`CsrInstance`]:
+//! [`ReversalInstance`]:
 //!
 //! * edge directions are the bit-packed [`MirroredDirs`] (1 bit per
 //!   half-edge slot, twin bit updated in the same pass);
@@ -41,7 +41,7 @@
 
 use std::sync::Arc;
 
-use lr_graph::{CsrInstance, NodeId, Orientation};
+use lr_graph::{NodeId, Orientation, ReversalInstance};
 
 use crate::alg::{
     BllLabeling, FrontierBllEngine, FrontierEngine, FrontierFrEngine, FrontierNewPrEngine,
@@ -103,7 +103,7 @@ impl FrontierFamily {
 
     /// Constructs this family's flat engine in the initial state of
     /// `inst` — the one execution substrate every run goes through.
-    pub fn engine(self, inst: CsrInstance) -> Box<dyn FrontierEngine> {
+    pub fn engine(self, inst: ReversalInstance) -> Box<dyn FrontierEngine> {
         let engine: Box<dyn FrontierEngine> = match self {
             FrontierFamily::FullReversal => Box::new(FrontierFrEngine::new(inst)),
             FrontierFamily::PartialReversal => Box::new(FrontierPrEngine::new(inst)),
@@ -125,7 +125,7 @@ fn observe_engine_build(family: &'static str, engine: &dyn FrontierEngine) {
     if !lr_obs::enabled() {
         return;
     }
-    let csr = engine.csr_instance().csr();
+    let csr = engine.instance().csr();
     let resident = engine.resident_bytes() as u64;
     lr_obs::gauge("engine.resident_bytes").record_max(resident);
     lr_obs::gauge("engine.nodes").record_max(csr.node_count() as u64);
@@ -199,13 +199,13 @@ pub(crate) fn set_bits_in_range(words: &mut [u64], start: usize, end: usize) {
     }
 }
 
-/// `OneStepPR` (Algorithm 3) over a flat [`CsrInstance`]: bit-packed
+/// `OneStepPR` (Algorithm 3) over a [`ReversalInstance`]: bit-packed
 /// directions, bit-packed lists, incremental enabled set.
 #[derive(Debug, Clone)]
 pub struct FrontierPrEngine {
     /// The initial configuration, retained for [`FrontierEngine::reset`]
     /// (an `Arc`'d CSR plus one bit per half-edge — cheap to keep).
-    init: CsrInstance,
+    init: ReversalInstance,
     dirs: MirroredDirs,
     /// `list[u] ∋ v` ⟺ the bit of slot `(u, v)` is set. Initially all
     /// clear (Algorithm 1/3 start with empty lists).
@@ -215,10 +215,10 @@ pub struct FrontierPrEngine {
 
 impl FrontierPrEngine {
     /// Creates the engine in the initial state of `inst`.
-    pub fn new(inst: CsrInstance) -> Self {
-        let dirs = MirroredDirs::from_csr_instance(&inst);
+    pub fn new(inst: ReversalInstance) -> Self {
+        let dirs = MirroredDirs::from_instance(&inst);
         let list = vec![0u64; inst.half_edge_count().div_ceil(64)];
-        let tracker = EnabledTracker::from_dirs(&dirs, inst.dest());
+        let tracker = EnabledTracker::from_dirs(&dirs, inst.dest);
         FrontierPrEngine {
             init: inst,
             dirs,
@@ -244,7 +244,7 @@ impl FrontierPrEngine {
 }
 
 impl FrontierEngine for FrontierPrEngine {
-    fn csr_instance(&self) -> &CsrInstance {
+    fn instance(&self) -> &ReversalInstance {
         &self.init
     }
 
@@ -328,9 +328,9 @@ impl FrontierEngine for FrontierPrEngine {
     }
 
     fn reset(&mut self) {
-        self.dirs = MirroredDirs::from_csr_instance(&self.init);
+        self.dirs = MirroredDirs::from_instance(&self.init);
         self.list.fill(0);
-        self.tracker = EnabledTracker::from_dirs(&self.dirs, self.init.dest());
+        self.tracker = EnabledTracker::from_dirs(&self.dirs, self.init.dest);
     }
 
     /// The shared CSR arrays, the direction and list bitsets, the
@@ -409,7 +409,7 @@ mod tests {
         for family in FrontierFamily::ALL {
             let e = family.engine(stream::chain_away(4));
             assert_eq!(e.algorithm_name(), family.name());
-            assert_eq!(e.csr_instance().node_count(), 4);
+            assert_eq!(e.instance().node_count(), 4);
             assert!(e.resident_bytes() > 0);
         }
         assert_eq!(

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use lr_graph::{CsrInstance, NodeId, Orientation, ReversalInstance};
+use lr_graph::{NodeId, Orientation, ReversalInstance};
 use lr_ioa::Automaton;
 
 use crate::alg::FrontierEngine;
@@ -58,7 +58,7 @@ pub(crate) fn full_reversal_step(
     }
 }
 
-/// FR over a flat [`CsrInstance`]: the simplest frontier engine — its
+/// FR over a [`ReversalInstance`]: the simplest frontier engine — its
 /// only mutable state is the bit-packed [`MirroredDirs`] and the
 /// incremental enabled worklist, so a step is one masked word flip per
 /// incident edge. Step-for-step identical to [`FullReversalAutomaton`]
@@ -66,16 +66,16 @@ pub(crate) fn full_reversal_step(
 #[derive(Debug, Clone)]
 pub struct FrontierFrEngine {
     /// The initial configuration, retained for [`FrontierEngine::reset`].
-    init: CsrInstance,
+    init: ReversalInstance,
     dirs: MirroredDirs,
     tracker: EnabledTracker,
 }
 
 impl FrontierFrEngine {
     /// Creates the engine in the initial state of `inst`.
-    pub fn new(inst: CsrInstance) -> Self {
-        let dirs = MirroredDirs::from_csr_instance(&inst);
-        let tracker = EnabledTracker::from_dirs(&dirs, inst.dest());
+    pub fn new(inst: ReversalInstance) -> Self {
+        let dirs = MirroredDirs::from_instance(&inst);
+        let tracker = EnabledTracker::from_dirs(&dirs, inst.dest);
         FrontierFrEngine {
             init: inst,
             dirs,
@@ -90,7 +90,7 @@ impl FrontierFrEngine {
 }
 
 impl FrontierEngine for FrontierFrEngine {
-    fn csr_instance(&self) -> &CsrInstance {
+    fn instance(&self) -> &ReversalInstance {
         &self.init
     }
 
@@ -145,8 +145,8 @@ impl FrontierEngine for FrontierFrEngine {
     }
 
     fn reset(&mut self) {
-        self.dirs = MirroredDirs::from_csr_instance(&self.init);
-        self.tracker = EnabledTracker::from_dirs(&self.dirs, self.init.dest());
+        self.dirs = MirroredDirs::from_instance(&self.init);
+        self.tracker = EnabledTracker::from_dirs(&self.dirs, self.init.dest);
     }
 
     fn resident_bytes(&self) -> usize {
@@ -175,7 +175,7 @@ impl Automaton for FullReversalAutomaton<'_> {
 
     fn enabled_actions(&self, state: &FullReversalState) -> Vec<NodeId> {
         self.inst
-            .graph
+            .csr()
             .nodes()
             .filter(|&u| u != self.inst.dest && state.dirs.is_sink(u))
             .collect()
@@ -195,7 +195,7 @@ impl Automaton for FullReversalAutomaton<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::{stream, DirectedView};
+    use lr_graph::stream;
     use lr_ioa::run;
 
     fn n(i: u32) -> NodeId {
@@ -227,17 +227,16 @@ mod tests {
 
     #[test]
     fn fr_terminates_destination_oriented_on_chain() {
-        let inst = stream::chain_away(5).to_instance();
-        let mut e = FrontierFrEngine::new(CsrInstance::from_instance(&inst));
+        let inst = stream::chain_away(5);
+        let mut e = FrontierFrEngine::new(inst.clone());
         let mut total = 0usize;
         while let Some(&u) = e.enabled().first() {
             total += e.step(u).reversal_count();
             assert!(total < 10_000, "runaway execution");
         }
         let o = e.orientation();
-        let view = DirectedView::new(&inst.graph, &o);
-        assert!(view.is_destination_oriented(inst.dest));
-        assert!(view.is_acyclic());
+        assert!(o.is_destination_oriented(inst.dest));
+        assert!(o.is_acyclic());
         assert!(total > 0);
     }
 
@@ -254,7 +253,7 @@ mod tests {
 
     #[test]
     fn fr_preserves_acyclicity_along_random_runs() {
-        let inst = stream::random_connected(10, 8, 42).to_instance();
+        let inst = stream::random_connected(10, 8, 42);
         let aut = FullReversalAutomaton { inst: &inst };
         let exec = run(
             &aut,
@@ -264,7 +263,7 @@ mod tests {
         assert!(exec.validate(&aut).is_ok());
         for s in exec.states() {
             let o = s.dirs.orientation();
-            assert!(DirectedView::new(&inst.graph, &o).is_acyclic());
+            assert!(o.is_acyclic());
             assert!(s.dirs.check_consistency().is_ok());
         }
         assert!(aut.is_quiescent(exec.last_state()), "FR must terminate");

@@ -24,10 +24,9 @@
 //! every `lr-net` protocol (distributed PR, routing, election and the
 //! threaded mode) step through it.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
-use lr_graph::{CsrGraph, CsrInstance, EdgeDir, NodeId, Orientation};
+use lr_graph::{CsrGraph, NodeId, Orientation, ReversalInstance};
 
 use crate::alg::FrontierEngine;
 use crate::{EnabledTracker, PlanAux, StepOutcome, StepScratch};
@@ -86,38 +85,19 @@ impl TripleHeight {
     }
 }
 
-/// Plane-embedding x-coordinates by dense CSR index, computed without a
-/// map-backed instance: a CSR-native Kahn peel of the retained initial
-/// orientation that visits nodes and out-neighbors in exactly the order
-/// [`lr_graph::PlaneEmbedding::of_initial`] does (ascending id seeds,
-/// FIFO queue, ascending out-slots), so the two routes assign identical
-/// coordinates.
-fn initial_positions(inst: &CsrInstance) -> Vec<usize> {
-    let csr = inst.csr();
-    let n = csr.node_count();
-    let mut indeg = vec![0u32; n];
-    for slot in 0..csr.half_edge_count() {
-        if inst.init_dir_at(slot) == EdgeDir::Out {
-            indeg[csr.target(slot)] += 1;
-        }
+/// Plane-embedding x-coordinates by dense CSR index: each node's place
+/// in the initial orientation's Kahn order
+/// ([`lr_graph::Orientation::topological_order`]), so every initial edge
+/// points from a smaller coordinate to a larger one.
+fn initial_positions(inst: &ReversalInstance) -> Vec<usize> {
+    let order = inst
+        .init()
+        .topological_order()
+        .expect("initial orientation must be acyclic");
+    let mut pos = vec![0; order.len()];
+    for (x, &u) in order.iter().enumerate() {
+        pos[u] = x;
     }
-    let mut ready: VecDeque<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut pos = vec![0usize; n];
-    let mut next = 0usize;
-    while let Some(u) = ready.pop_front() {
-        pos[u] = next;
-        next += 1;
-        for slot in csr.slots(u) {
-            if inst.init_dir_at(slot) == EdgeDir::Out {
-                let v = csr.target(slot);
-                indeg[v] -= 1;
-                if indeg[v] == 0 {
-                    ready.push_back(v);
-                }
-            }
-        }
-    }
-    assert_eq!(next, n, "initial orientation must be acyclic");
     pos
 }
 
@@ -140,26 +120,14 @@ fn height_is_sink_at<H: Ord>(csr: &CsrGraph, heights: &[H], idx: usize) -> bool 
 
 /// The orientation induced by total-order heights: each edge runs from
 /// the higher endpoint to the lower.
-fn height_orientation<H: Ord>(csr: &CsrGraph, heights: &[H]) -> Orientation {
-    let mut o = Orientation::new();
-    for src in 0..csr.node_count() {
-        for slot in csr.slots(src) {
-            let dst = csr.target(slot);
-            if src < dst {
-                let (u, v) = (csr.node(src), csr.node(dst));
-                if heights[src] > heights[dst] {
-                    o.set_from_to(u, v);
-                } else {
-                    o.set_from_to(v, u);
-                }
-            }
-        }
-    }
-    o
+fn height_orientation<H: Ord>(csr: &Arc<CsrGraph>, heights: &[H]) -> Orientation {
+    Orientation::from_fn(Arc::clone(csr), |src, slot| {
+        heights[src] > heights[csr.target(slot)]
+    })
 }
 
-/// The initial pair heights of a flat instance: `α_u = n − 1 − x(u)`.
-fn initial_pair_heights(inst: &CsrInstance) -> Vec<PairHeight> {
+/// The initial pair heights of an instance: `α_u = n − 1 − x(u)`.
+fn initial_pair_heights(inst: &ReversalInstance) -> Vec<PairHeight> {
     let csr = inst.csr();
     let n = csr.node_count() as i64;
     initial_positions(inst)
@@ -172,16 +140,16 @@ fn initial_pair_heights(inst: &CsrInstance) -> Vec<PairHeight> {
         .collect()
 }
 
-/// The initial triple heights of a flat instance, by dense CSR index:
+/// The initial triple heights of an instance, by dense CSR index:
 /// `α = 0`, `β_u = −x(u)`, with `x` the plane-embedding coordinate from
-/// the CSR-native Kahn peel. The GB-triple engine starts here, and so do
+/// the initial orientation's Kahn order. The GB-triple engine starts here, and so do
 /// the distributed protocols of `lr-net`.
 ///
 /// # Panics
 ///
 /// Panics if the initial orientation is not acyclic (no generator or
 /// validated instance produces one).
-pub fn initial_triple_heights(inst: &CsrInstance) -> Vec<TripleHeight> {
+pub fn initial_triple_heights(inst: &ReversalInstance) -> Vec<TripleHeight> {
     let csr = inst.csr();
     initial_positions(inst)
         .into_iter()
@@ -194,15 +162,15 @@ pub fn initial_triple_heights(inst: &CsrInstance) -> Vec<TripleHeight> {
         .collect()
 }
 
-/// Full Reversal via pair heights over a flat [`CsrInstance`]: heights
-/// by dense CSR index, initial coordinates from the CSR-native Kahn peel
+/// Full Reversal via pair heights over a [`ReversalInstance`]: heights
+/// by dense CSR index, initial coordinates from the Kahn order in
 /// `initial_positions`, `α_u = n − 1 − x(u)` so initial edges (left →
 /// right) run from higher to lower height. Step-for-step identical to
 /// [`crate::alg::FullReversalAutomaton`] (the lockstep suite).
 #[derive(Debug, Clone)]
 pub struct FrontierPairHeightsEngine {
     /// The initial configuration, retained for [`FrontierEngine::reset`].
-    init: CsrInstance,
+    init: ReversalInstance,
     /// Heights by dense CSR index.
     heights: Vec<PairHeight>,
     tracker: EnabledTracker,
@@ -210,9 +178,9 @@ pub struct FrontierPairHeightsEngine {
 
 impl FrontierPairHeightsEngine {
     /// Creates the engine in the initial state of `inst`.
-    pub fn new(inst: CsrInstance) -> Self {
+    pub fn new(inst: ReversalInstance) -> Self {
         let heights = initial_pair_heights(&inst);
-        let tracker = height_tracker(inst.csr(), inst.dest(), &heights);
+        let tracker = height_tracker(inst.csr(), inst.dest, &heights);
         FrontierPairHeightsEngine {
             init: inst,
             heights,
@@ -231,7 +199,7 @@ impl FrontierPairHeightsEngine {
 }
 
 impl FrontierEngine for FrontierPairHeightsEngine {
-    fn csr_instance(&self) -> &CsrInstance {
+    fn instance(&self) -> &ReversalInstance {
         &self.init
     }
 
@@ -296,7 +264,7 @@ impl FrontierEngine for FrontierPairHeightsEngine {
 
     fn reset(&mut self) {
         self.heights = initial_pair_heights(&self.init);
-        self.tracker = height_tracker(self.init.csr(), self.init.dest(), &self.heights);
+        self.tracker = height_tracker(self.init.csr(), self.init.dest, &self.heights);
     }
 
     fn resident_bytes(&self) -> usize {
@@ -308,14 +276,14 @@ impl FrontierEngine for FrontierPairHeightsEngine {
     }
 }
 
-/// Partial Reversal via triple heights over a flat [`CsrInstance`] —
+/// Partial Reversal via triple heights over a [`ReversalInstance`] —
 /// the triple-height twin of [`FrontierPairHeightsEngine`], starting from
 /// `α = 0` and `β_u = −x(u)`. Step-for-step identical to
 /// [`crate::alg::OneStepPrAutomaton`] (the lockstep suite).
 #[derive(Debug, Clone)]
 pub struct FrontierTripleHeightsEngine {
     /// The initial configuration, retained for [`FrontierEngine::reset`].
-    init: CsrInstance,
+    init: ReversalInstance,
     /// Heights by dense CSR index.
     heights: Vec<TripleHeight>,
     tracker: EnabledTracker,
@@ -323,9 +291,9 @@ pub struct FrontierTripleHeightsEngine {
 
 impl FrontierTripleHeightsEngine {
     /// Creates the engine in the initial state of `inst`.
-    pub fn new(inst: CsrInstance) -> Self {
+    pub fn new(inst: ReversalInstance) -> Self {
         let heights = initial_triple_heights(&inst);
-        let tracker = height_tracker(inst.csr(), inst.dest(), &heights);
+        let tracker = height_tracker(inst.csr(), inst.dest, &heights);
         FrontierTripleHeightsEngine {
             init: inst,
             heights,
@@ -344,7 +312,7 @@ impl FrontierTripleHeightsEngine {
 }
 
 impl FrontierEngine for FrontierTripleHeightsEngine {
-    fn csr_instance(&self) -> &CsrInstance {
+    fn instance(&self) -> &ReversalInstance {
         &self.init
     }
 
@@ -409,7 +377,7 @@ impl FrontierEngine for FrontierTripleHeightsEngine {
 
     fn reset(&mut self) {
         self.heights = initial_triple_heights(&self.init);
-        self.tracker = height_tracker(self.init.csr(), self.init.dest(), &self.heights);
+        self.tracker = height_tracker(self.init.csr(), self.init.dest, &self.heights);
     }
 
     fn resident_bytes(&self) -> usize {
@@ -424,7 +392,7 @@ impl FrontierEngine for FrontierTripleHeightsEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::{stream, DirectedView, PlaneEmbedding};
+    use lr_graph::stream;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -432,12 +400,11 @@ mod tests {
 
     #[test]
     fn heights_initially_match_orientation() {
-        let inst = stream::random_connected(10, 8, 21).to_instance();
-        let flat = CsrInstance::from_instance(&inst);
-        let pair = FrontierPairHeightsEngine::new(flat.clone());
-        assert_eq!(pair.orientation(), inst.init);
-        let triple = FrontierTripleHeightsEngine::new(flat);
-        assert_eq!(triple.orientation(), inst.init);
+        let inst = stream::random_connected(10, 8, 21);
+        let pair = FrontierPairHeightsEngine::new(inst.clone());
+        assert_eq!(&pair.orientation(), inst.init());
+        let triple = FrontierTripleHeightsEngine::new(inst.clone());
+        assert_eq!(&triple.orientation(), inst.init());
     }
 
     #[test]
@@ -454,7 +421,7 @@ mod tests {
         // Path 0(D) — 1 — 2 — 3 with edges 0 > 1, 1 > 2, 3 > 2: node 2 is
         // the initial sink, node 3 an initial source.
         let inst = lr_graph::parse::parse_instance("dest 0\n0 > 1\n1 > 2\n3 > 2").unwrap();
-        let mut e = FrontierTripleHeightsEngine::new(CsrInstance::from_instance(&inst));
+        let mut e = FrontierTripleHeightsEngine::new(inst.clone());
         // 2 steps: both neighbors have α = 0, so both edges flip.
         let s2 = e.step(n(2));
         assert_eq!(s2.reversed, vec![n(1), n(3)]);
@@ -478,11 +445,10 @@ mod tests {
 
     #[test]
     fn heights_terminate_destination_oriented() {
-        let inst = stream::grid_away(4, 5).to_instance();
-        let flat = CsrInstance::from_instance(&inst);
+        let inst = stream::grid_away(4, 5);
         let engines: [Box<dyn FrontierEngine>; 2] = [
-            Box::new(FrontierPairHeightsEngine::new(flat.clone())),
-            Box::new(FrontierTripleHeightsEngine::new(flat)),
+            Box::new(FrontierPairHeightsEngine::new(inst.clone())),
+            Box::new(FrontierTripleHeightsEngine::new(inst.clone())),
         ];
         for mut eng in engines {
             let mut steps = 0usize;
@@ -493,7 +459,7 @@ mod tests {
             }
             let o = eng.orientation();
             assert!(
-                DirectedView::new(&inst.graph, &o).is_destination_oriented(inst.dest),
+                o.is_destination_oriented(inst.dest),
                 "{} must orient the grid",
                 eng.algorithm_name()
             );
@@ -501,17 +467,18 @@ mod tests {
     }
 
     #[test]
-    fn initial_positions_match_the_plane_embedding() {
+    fn initial_positions_put_every_initial_edge_left_to_right() {
         for seed in 0..6 {
-            let inst = stream::random_connected(18, 14, 500 + seed).to_instance();
-            let flat = stream::random_connected(18, 14, 500 + seed);
-            let emb = PlaneEmbedding::of_initial(&inst.graph, &inst.init).unwrap();
-            let expect: Vec<usize> = flat
-                .csr()
-                .nodes()
-                .map(|u| emb.x(u).expect("embedding covers all nodes"))
-                .collect();
-            assert_eq!(initial_positions(&flat), expect, "seed {seed}");
+            let inst = stream::random_connected(18, 14, 500 + seed);
+            let pos = initial_positions(&inst);
+            let mut sorted = pos.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, (0..18).collect::<Vec<_>>(), "a permutation");
+            let csr = inst.csr();
+            for (t, h) in inst.init().directed_edges() {
+                let (t, h) = (csr.index_of(t).unwrap(), csr.index_of(h).unwrap());
+                assert!(pos[t] < pos[h], "seed {seed}: {t} → {h}");
+            }
         }
     }
 

@@ -5,7 +5,7 @@
 //! The algorithms come in two forms:
 //!
 //! * the paper's **automata** ([`lr_ioa::Automaton`]) — pure transition
-//!   systems with cloneable, map-backed states:
+//!   systems with cloneable states:
 //!   [`FullReversalAutomaton`], [`OneStepPrAutomaton`] /
 //!   [`PrSetAutomaton`] (Algorithms 3 and 1) and [`NewPrAutomaton`]
 //!   (Algorithm 2). The model checker verifies the paper's theorems on
@@ -13,9 +13,11 @@
 //! * one flat **engine** per family ([`FrontierEngine`], built through
 //!   [`FrontierFamily::engine`]) — an imperative, in-place state machine
 //!   over CSR arrays and bit-packed per-slot words, used by every run
-//!   loop, trace, and benchmark. A map-backed
-//!   [`lr_graph::ReversalInstance`] enters through
-//!   [`CsrInstance::from_instance`].
+//!   loop, trace, and benchmark.
+//!
+//! Both forms start from the same [`ReversalInstance`]: a shared CSR
+//! graph, the initial orientation as one bit per half-edge slot, and the
+//! destination.
 //!
 //! The three automata cover all six engine families: GB-pair and
 //! BLL\[FR\] reverse exactly Full Reversal's sets, and GB-triple and
@@ -45,16 +47,16 @@ pub use pr::{
 
 use std::sync::Arc;
 
-use lr_graph::{CsrGraph, CsrInstance, NodeId, Orientation};
+use lr_graph::{CsrGraph, NodeId, Orientation, ReversalInstance};
 
 use crate::{PlanAux, ReversalStep, StepOutcome, StepScratch};
 
 /// A flat, imperative link-reversal state machine over a fixed
-/// [`CsrInstance`]: all steady state lives in CSR-indexed arrays and
+/// [`ReversalInstance`]: all steady state lives in CSR-indexed arrays and
 /// bit-packed per-slot words, with the incremental
-/// [`crate::EnabledTracker`] as its worklist. Implementors never
-/// materialize a map-backed instance, which is what lets them run at
-/// million-node scale; construct them through [`FrontierFamily::engine`].
+/// [`crate::EnabledTracker`] as its worklist, which is what lets them run
+/// at million-node scale; construct them through
+/// [`FrontierFamily::engine`].
 ///
 /// A node may step when it is a sink and is not the destination. The
 /// run loop in [`crate::engine`] drives engines to termination.
@@ -91,17 +93,17 @@ use crate::{PlanAux, ReversalStep, StepOutcome, StepScratch};
 pub trait FrontierEngine: Sync {
     /// The retained initial configuration (shared CSR + one direction
     /// bit per half-edge) the engine was built from and resets to.
-    fn csr_instance(&self) -> &CsrInstance;
+    fn instance(&self) -> &ReversalInstance;
 
     /// The destination node of the instance (never takes steps).
     fn dest(&self) -> NodeId {
-        self.csr_instance().dest()
+        self.instance().dest
     }
 
     /// The CSR snapshot of the instance's graph shared by this engine's
     /// state (dense `NodeId → usize` indexing for run-loop work vectors).
     fn csr(&self) -> &Arc<CsrGraph> {
-        self.csr_instance().csr()
+        self.instance().csr()
     }
 
     /// A short algorithm name for reports ("FR", "PR", "NewPR", ...).
@@ -208,12 +210,12 @@ mod tests {
 
     #[test]
     fn engines_constructed_for_all_families() {
-        let inst = stream::chain_away(4).to_instance();
+        let inst = stream::chain_away(4);
         for family in FrontierFamily::ALL {
-            let e = family.engine(CsrInstance::from_instance(&inst));
+            let e = family.engine(inst.clone());
             assert_eq!(e.dest(), inst.dest);
             assert_eq!(e.algorithm_name(), family.name());
-            assert_eq!(e.csr_instance(), &CsrInstance::from_instance(&inst));
+            assert_eq!(e.instance(), &inst);
             assert!(!e.is_terminated(), "{} should have work", family.name());
             assert_eq!(e.enabled(), &[lr_graph::NodeId::new(3)][..]);
         }

@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use lr_graph::{CsrInstance, EdgeDir, NodeId, Orientation, ReversalInstance};
+use lr_graph::{EdgeDir, NodeId, Orientation, ReversalInstance};
 use lr_ioa::Automaton;
 
 use crate::alg::FrontierEngine;
@@ -45,7 +45,7 @@ impl NewPrState {
     pub fn initial(inst: &ReversalInstance) -> Self {
         NewPrState {
             dirs: MirroredDirs::from_instance(inst),
-            counts: inst.graph.nodes().map(|u| (u, 0)).collect(),
+            counts: inst.csr().nodes().map(|u| (u, 0)).collect(),
         }
     }
 
@@ -98,7 +98,7 @@ pub fn newpr_step(inst: &ReversalInstance, state: &mut NewPrState, u: NodeId) ->
     }
 }
 
-/// `NewPR` over a flat [`CsrInstance`]: the frozen
+/// `NewPR` over a [`ReversalInstance`]: the frozen
 /// `in-nbrs`/`out-nbrs` partition of §2 is read straight off the
 /// retained initial direction bits (one masked read per slot), and the
 /// `count[u]` history variable is a dense `Vec<u64>` by CSR index
@@ -107,7 +107,7 @@ pub fn newpr_step(inst: &ReversalInstance, state: &mut NewPrState, u: NodeId) ->
 #[derive(Debug, Clone)]
 pub struct FrontierNewPrEngine {
     /// The initial configuration — also the frozen §2 partition.
-    init: CsrInstance,
+    init: ReversalInstance,
     dirs: MirroredDirs,
     /// `count[u]` by dense CSR index, initially all zero.
     counts: Vec<u64>,
@@ -116,10 +116,10 @@ pub struct FrontierNewPrEngine {
 
 impl FrontierNewPrEngine {
     /// Creates the engine in the initial state of `inst`.
-    pub fn new(inst: CsrInstance) -> Self {
-        let dirs = MirroredDirs::from_csr_instance(&inst);
+    pub fn new(inst: ReversalInstance) -> Self {
+        let dirs = MirroredDirs::from_instance(&inst);
         let counts = vec![0u64; inst.node_count()];
-        let tracker = EnabledTracker::from_dirs(&dirs, inst.dest());
+        let tracker = EnabledTracker::from_dirs(&dirs, inst.dest);
         FrontierNewPrEngine {
             init: inst,
             dirs,
@@ -144,7 +144,7 @@ impl FrontierNewPrEngine {
 }
 
 impl FrontierEngine for FrontierNewPrEngine {
-    fn csr_instance(&self) -> &CsrInstance {
+    fn instance(&self) -> &ReversalInstance {
         &self.init
     }
 
@@ -174,7 +174,7 @@ impl FrontierEngine for FrontierNewPrEngine {
         let want_initial_in = self.parity_at(ui) == Parity::Even;
         scratch.clear();
         for slot in csr.slots(ui) {
-            if (self.init.init_dir_at(slot) == EdgeDir::In) == want_initial_in {
+            if (self.init.init().dir_at(slot) == EdgeDir::In) == want_initial_in {
                 scratch.reversed.push(csr.node(csr.target(slot)));
             }
         }
@@ -206,9 +206,9 @@ impl FrontierEngine for FrontierNewPrEngine {
     }
 
     fn reset(&mut self) {
-        self.dirs = MirroredDirs::from_csr_instance(&self.init);
+        self.dirs = MirroredDirs::from_instance(&self.init);
         self.counts.fill(0);
-        self.tracker = EnabledTracker::from_dirs(&self.dirs, self.init.dest());
+        self.tracker = EnabledTracker::from_dirs(&self.dirs, self.init.dest);
     }
 
     fn resident_bytes(&self) -> usize {
@@ -238,7 +238,7 @@ impl Automaton for NewPrAutomaton<'_> {
 
     fn enabled_actions(&self, state: &NewPrState) -> Vec<NodeId> {
         self.inst
-            .graph
+            .csr()
             .nodes()
             .filter(|&u| u != self.inst.dest && state.dirs.is_sink(u))
             .collect()
@@ -258,7 +258,7 @@ impl Automaton for NewPrAutomaton<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::{stream, DirectedView};
+    use lr_graph::stream;
     use lr_ioa::{run, schedulers, Automaton};
 
     fn n(i: u32) -> NodeId {
@@ -267,7 +267,7 @@ mod tests {
 
     #[test]
     fn even_parity_reverses_initial_in_nbrs() {
-        let inst = stream::chain_away(3).to_instance();
+        let inst = stream::chain_away(3);
         let mut s = NewPrState::initial(&inst);
         assert_eq!(s.parity(n(2)), Parity::Even);
         // in-nbrs of node 2 = {1}; node 2 is a sink.
@@ -329,7 +329,7 @@ mod tests {
     #[test]
     fn newpr_terminates_on_random_graphs() {
         for seed in 0..5 {
-            let inst = stream::random_connected(12, 10, seed).to_instance();
+            let inst = stream::random_connected(12, 10, seed);
             let aut = NewPrAutomaton { inst: &inst };
             let exec = run(
                 &aut,
@@ -341,24 +341,24 @@ mod tests {
                 "NewPR must terminate (seed {seed})"
             );
             let o = exec.last_state().dirs.orientation();
-            assert!(DirectedView::new(&inst.graph, &o).is_destination_oriented(inst.dest));
+            assert!(o.is_destination_oriented(inst.dest));
         }
     }
 
     #[test]
     fn acyclic_in_every_state_on_random_run() {
-        let inst = stream::random_connected(10, 8, 99).to_instance();
+        let inst = stream::random_connected(10, 8, 99);
         let aut = NewPrAutomaton { inst: &inst };
         let exec = run(&aut, &mut schedulers::UniformRandom::seeded(2), 100_000);
         for s in exec.states() {
             let o = s.dirs.orientation();
-            assert!(DirectedView::new(&inst.graph, &o).is_acyclic());
+            assert!(o.is_acyclic());
         }
     }
 
     #[test]
     fn count_only_increments_for_stepping_node() {
-        let inst = stream::chain_away(4).to_instance();
+        let inst = stream::chain_away(4);
         let aut = NewPrAutomaton { inst: &inst };
         let s0 = aut.initial_state();
         let s1 = aut.apply(&s0, &n(3));
@@ -371,7 +371,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "must be a sink")]
     fn step_requires_sink() {
-        let inst = stream::chain_away(3).to_instance();
+        let inst = stream::chain_away(3);
         let mut s = NewPrState::initial(&inst);
         newpr_step(&inst, &mut s, n(1)); // node 1 has an outgoing edge
     }
@@ -379,7 +379,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "never takes steps")]
     fn destination_never_steps() {
-        let inst = stream::chain_toward(3).to_instance(); // dest 0 is a sink here
+        let inst = stream::chain_toward(3); // dest 0 is a sink here
         let mut s = NewPrState::initial(&inst);
         newpr_step(&inst, &mut s, n(0));
     }
@@ -389,7 +389,7 @@ mod tests {
         // Same topology as `initial_source_performs_dummy_step…`: after
         // the center steps, leaf 1 dummy-steps and must stay enabled.
         let inst = lr_graph::parse::parse_instance("dest 3\n1 > 0\n2 > 0\n3 > 0").unwrap();
-        let mut e = FrontierNewPrEngine::new(CsrInstance::from_instance(&inst));
+        let mut e = FrontierNewPrEngine::new(inst.clone());
         e.step(n(0));
         assert!(e.enabled().contains(&n(1)));
         let dummy = e.step(n(1));

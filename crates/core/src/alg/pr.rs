@@ -31,7 +31,7 @@ impl PrState {
     pub fn initial(inst: &ReversalInstance) -> Self {
         PrState {
             dirs: MirroredDirs::from_instance(inst),
-            lists: inst.graph.nodes().map(|u| (u, BTreeSet::new())).collect(),
+            lists: inst.csr().nodes().map(|u| (u, BTreeSet::new())).collect(),
         }
     }
 
@@ -140,7 +140,7 @@ impl Automaton for OneStepPrAutomaton<'_> {
 
     fn enabled_actions(&self, state: &PrState) -> Vec<NodeId> {
         self.inst
-            .graph
+            .csr()
             .nodes()
             .filter(|&u| u != self.inst.dest && state.dirs.is_sink(u))
             .collect()
@@ -186,7 +186,7 @@ impl Automaton for PrSetAutomaton<'_> {
     fn enabled_actions(&self, state: &PrState) -> Vec<ReverseSet> {
         let sinks: Vec<NodeId> = self
             .inst
-            .graph
+            .csr()
             .nodes()
             .filter(|&u| u != self.inst.dest && state.dirs.is_sink(u))
             .collect();
@@ -225,7 +225,7 @@ impl Automaton for PrSetAutomaton<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::{stream, DirectedView};
+    use lr_graph::stream;
     use lr_ioa::{run, schedulers, Automaton};
 
     fn n(i: u32) -> NodeId {
@@ -234,7 +234,7 @@ mod tests {
 
     #[test]
     fn first_step_with_empty_list_reverses_everything() {
-        let inst = stream::chain_away(3).to_instance();
+        let inst = stream::chain_away(3);
         let mut s = PrState::initial(&inst);
         // Node 2 is a sink with an empty list: list ≠ nbrs, so it
         // reverses nbrs \ ∅ = all incident edges.
@@ -248,15 +248,14 @@ mod tests {
     #[test]
     fn list_members_are_spared() {
         // chain_away(4): 0 -> 1 -> 2 -> 3, dest 0.
-        let inst = stream::chain_away(4).to_instance();
+        let inst = stream::chain_away(4);
         let mut s = PrState::initial(&inst);
         onestep_pr_step(&inst, &mut s, n(3)); // 3 reverses {2,3}; list[2] = {3}
         onestep_pr_step(&inst, &mut s, n(2)); // list[2]={3} ≠ nbrs{1,3}: reverse only 1
         assert!(!s.dirs.is_sink(n(3)));
         // Edge {2,3} still points 3 -> 2 (2 spared it).
-        assert_eq!(
-            s.dirs.orientation().tail(n(2), n(3)),
-            Some(n(3)),
+        assert!(
+            s.dirs.orientation().points_from_to(n(3), n(2)),
             "edge to list member must not be reversed"
         );
         // list[2] emptied after its step.
@@ -274,13 +273,13 @@ mod tests {
         // 1 -> 0 still; 2 -> 1 now: 1 has in from 2, out to 0. Terminated.
         assert!(aut.is_quiescent(&s));
         let o = s.dirs.orientation();
-        assert!(DirectedView::new(&inst.graph, &o).is_destination_oriented(inst.dest));
+        assert!(o.is_destination_oriented(inst.dest));
     }
 
     #[test]
     #[should_panic(expected = "must be a sink")]
     fn step_requires_sink() {
-        let inst = stream::chain_away(3).to_instance();
+        let inst = stream::chain_away(3);
         let mut s = PrState::initial(&inst);
         onestep_pr_step(&inst, &mut s, n(1));
     }
@@ -288,14 +287,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "S ≠ ∅")]
     fn set_action_requires_nonempty() {
-        let inst = stream::chain_away(3).to_instance();
+        let inst = stream::chain_away(3);
         let mut s = PrState::initial(&inst);
         pr_reverse_set(&inst, &mut s, &BTreeSet::new());
     }
 
     #[test]
     fn set_action_equals_sequential_singletons() {
-        let inst = stream::star_away(4).to_instance(); // sinks: 1,2,3,4 (dest is center 0)
+        let inst = stream::star_away(4); // sinks: 1,2,3,4 (dest is center 0)
         let set: BTreeSet<NodeId> = [n(1), n(3)].into();
         let mut a = PrState::initial(&inst);
         pr_reverse_set(&inst, &mut a, &set);
@@ -312,7 +311,7 @@ mod tests {
 
     #[test]
     fn set_automaton_enumerates_all_nonempty_subsets() {
-        let inst = stream::star_away(3).to_instance(); // 3 sinks
+        let inst = stream::star_away(3); // 3 sinks
         let aut = PrSetAutomaton { inst: &inst };
         let actions = aut.enabled_actions(&aut.initial_state());
         assert_eq!(actions.len(), 7); // 2^3 - 1
@@ -323,25 +322,25 @@ mod tests {
 
     #[test]
     fn onestep_automaton_runs_to_quiescence() {
-        let inst = stream::random_connected(9, 6, 17).to_instance();
+        let inst = stream::random_connected(9, 6, 17);
         let aut = OneStepPrAutomaton { inst: &inst };
         let exec = run(&aut, &mut schedulers::UniformRandom::seeded(5), 100_000);
         assert!(aut.is_quiescent(exec.last_state()), "PR must terminate");
         assert!(exec.validate(&aut).is_ok());
         let o = exec.last_state().dirs.orientation();
-        assert!(DirectedView::new(&inst.graph, &o).is_destination_oriented(inst.dest));
+        assert!(o.is_destination_oriented(inst.dest));
     }
 
     #[test]
     fn lists_only_contain_neighbors_that_stepped() {
-        let inst = stream::chain_away(5).to_instance();
+        let inst = stream::chain_away(5);
         let aut = OneStepPrAutomaton { inst: &inst };
         let exec = run(&aut, &mut schedulers::FirstEnabled, 10_000);
         for s in exec.states() {
-            for u in inst.graph.nodes() {
+            for u in inst.csr().nodes() {
                 for &v in s.list(u) {
                     assert!(
-                        inst.graph.contains_edge(u, v),
+                        inst.init().dir(u, v).is_some(),
                         "list[{u}] contains non-neighbor {v}"
                     );
                 }

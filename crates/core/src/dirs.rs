@@ -8,22 +8,21 @@
 //! Invariant 3.1 is a falsifiable property of the implementation rather
 //! than true by construction.
 //!
-//! Since PR 2 the duplicated state lives in a flat array indexed by
-//! [`CsrGraph`] half-edge slot instead of a
-//! `BTreeMap<(NodeId, NodeId), EdgeDir>`, and since PR 7 that array is
-//! **bit-packed**: one bit per half-edge slot (set ⟺ `out`) in a `u64`
-//! word vector, an 8× shrink over the former `Vec<EdgeDir>`. The slot of
-//! `(u, v)` and the slot of `(v, u)` remain **distinct bits** (related by
-//! the twin table), so the representation is exactly as falsifiable as
-//! the map was — [`MirroredDirs::set_one_sided`] can still desynchronize
-//! the two copies and [`MirroredDirs::check_consistency`] still has a
-//! real property to check — while every lookup on the execution hot path
-//! is a masked word read.
+//! The duplicated state is **bit-packed** over the instance's
+//! [`CsrGraph`]: one bit per half-edge slot (set ⟺ `out`) in a `u64`
+//! word vector, initialized by copying the instance's own orientation
+//! words. The slot of `(u, v)` and the slot of `(v, u)` are **distinct
+//! bits** (related by the twin table), so the representation stays
+//! falsifiable — [`MirroredDirs::set_one_sided`] can desynchronize the
+//! two copies and [`MirroredDirs::check_consistency`] has a real property
+//! to check — while every lookup on the execution hot path is a masked
+//! word read. [`MirroredDirs::orientation`] reads one copy per edge back
+//! into the single-copy [`Orientation`] that every analysis runs on.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use lr_graph::{CsrGraph, CsrInstance, EdgeDir, NodeId, Orientation, ReversalInstance};
+use lr_graph::{CsrGraph, EdgeDir, NodeId, Orientation, ReversalInstance};
 
 /// The word index and bit mask of a half-edge slot.
 #[inline]
@@ -63,36 +62,14 @@ pub struct DirInconsistency {
 impl MirroredDirs {
     /// Initializes from an instance: `dir[u, v] = out` iff the initial
     /// orientation directs `u → v`, and symmetrically for `dir[v, u]`
-    /// (matching the `States` section of Algorithms 1–3). Builds the
-    /// instance's CSR snapshot; clones share it.
+    /// (matching the `States` section of Algorithms 1–3). Shares the
+    /// instance's CSR and copies its orientation words — O(m / 64), no
+    /// per-edge work, which is what makes million-node engine
+    /// construction cheap.
     pub fn from_instance(inst: &ReversalInstance) -> Self {
-        let csr = Arc::new(CsrGraph::from_graph(&inst.graph));
-        let len = csr.half_edge_count();
-        let mut words = vec![0u64; len.div_ceil(64)];
-        for ui in 0..csr.node_count() {
-            let u = csr.node(ui);
-            for slot in csr.slots(ui) {
-                let v = csr.node(csr.target(slot));
-                let d = inst
-                    .init
-                    .dir(u, v)
-                    .expect("instance orientation covers every edge");
-                if d == EdgeDir::Out {
-                    let (w, m) = word_bit(slot);
-                    words[w] |= m;
-                }
-            }
-        }
-        MirroredDirs { csr, words, len }
-    }
-
-    /// Initializes from a flat [`CsrInstance`]: shares its CSR and copies
-    /// its packed orientation words verbatim — O(m / 64), no per-edge
-    /// work, which is what makes million-node engine construction cheap.
-    pub fn from_csr_instance(inst: &CsrInstance) -> Self {
         MirroredDirs {
             csr: Arc::clone(inst.csr()),
-            words: inst.init_out_words().to_vec(),
+            words: inst.init().words().to_vec(),
             len: inst.half_edge_count(),
         }
     }
@@ -266,20 +243,9 @@ impl MirroredDirs {
     /// canonical-endpoint copy). When Invariant 3.1 holds this is *the*
     /// directed graph `G'` of the state.
     pub fn orientation(&self) -> Orientation {
-        let mut o = Orientation::new();
-        for src in 0..self.csr.node_count() {
-            for slot in self.csr.slots(src) {
-                let dst = self.csr.target(slot);
-                if src < dst {
-                    let (u, v) = (self.csr.node(src), self.csr.node(dst));
-                    match self.dir_at(slot) {
-                        EdgeDir::Out => o.set_from_to(u, v),
-                        EdgeDir::In => o.set_from_to(v, u),
-                    }
-                }
-            }
-        }
-        o
+        Orientation::from_fn(Arc::clone(&self.csr), |_, slot| {
+            self.dir_at(slot) == EdgeDir::Out
+        })
     }
 
     /// Number of ordered direction entries (= 2 × edge count).
@@ -352,7 +318,7 @@ mod tests {
 
     #[test]
     fn from_instance_matches_initial_orientation() {
-        let inst = stream::chain_away(3).to_instance();
+        let inst = stream::chain_away(3);
         let d = MirroredDirs::from_instance(&inst);
         assert_eq!(d.dir(n(0), n(1)), EdgeDir::Out);
         assert_eq!(d.dir(n(1), n(0)), EdgeDir::In);
@@ -362,17 +328,9 @@ mod tests {
     }
 
     #[test]
-    fn from_csr_instance_matches_from_instance() {
-        let inst = stream::random_connected(14, 12, 9).to_instance();
-        let via_map = MirroredDirs::from_instance(&inst);
-        let via_flat = MirroredDirs::from_csr_instance(&CsrInstance::from_instance(&inst));
-        assert_eq!(via_map, via_flat);
-    }
-
-    #[test]
     #[should_panic(expected = "no edge")]
     fn dir_of_non_edge_panics() {
-        let inst = stream::chain_away(3).to_instance();
+        let inst = stream::chain_away(3);
         let d = MirroredDirs::from_instance(&inst);
         let _ = d.dir(n(0), n(2));
     }
@@ -380,14 +338,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn dir_at_rejects_out_of_range_slots() {
-        let inst = stream::chain_away(3).to_instance();
+        let inst = stream::chain_away(3);
         let d = MirroredDirs::from_instance(&inst);
         let _ = d.dir_at(4); // 4 half-edges: valid slots are 0..4
     }
 
     #[test]
     fn reverse_outward_updates_both_sides() {
-        let inst = stream::chain_away(3).to_instance();
+        let inst = stream::chain_away(3);
         let mut d = MirroredDirs::from_instance(&inst);
         // Node 2 is the sink; it reverses its edge to 1.
         d.reverse_outward(n(2), n(1));
@@ -398,7 +356,7 @@ mod tests {
 
     #[test]
     fn consistency_violation_is_reported() {
-        let inst = stream::chain_away(3).to_instance();
+        let inst = stream::chain_away(3);
         let mut d = MirroredDirs::from_instance(&inst);
         d.set_one_sided(n(1), n(0), EdgeDir::Out); // dir[0,1] is also Out now
         let err = d.check_consistency().unwrap_err();
@@ -410,7 +368,7 @@ mod tests {
     fn both_copies_are_distinct_storage() {
         // The falsifiability guarantee: writing one ordered pair must not
         // implicitly write the other — one bit flips, its twin does not.
-        let inst = stream::chain_away(3).to_instance();
+        let inst = stream::chain_away(3);
         let mut d = MirroredDirs::from_instance(&inst);
         d.set_one_sided(n(2), n(1), EdgeDir::Out);
         assert_eq!(d.dir(n(2), n(1)), EdgeDir::Out);
@@ -420,7 +378,7 @@ mod tests {
 
     #[test]
     fn sink_detection_from_own_perspective() {
-        let inst = stream::chain_away(4).to_instance();
+        let inst = stream::chain_away(4);
         let d = MirroredDirs::from_instance(&inst);
         assert!(d.is_sink(n(3)));
         assert!(!d.is_sink(n(0)));
@@ -433,7 +391,7 @@ mod tests {
         // A star with 100 leaves gives the center a 100-slot range
         // spanning two and a half words; after every leaf reverses, the
         // center's whole range reads `in`.
-        let inst = stream::star_away(100).to_instance();
+        let inst = stream::star_away(100);
         let mut d = MirroredDirs::from_instance(&inst);
         assert!(!d.is_sink(n(0)));
         for leaf in 1..=100u32 {
@@ -446,17 +404,17 @@ mod tests {
 
     #[test]
     fn orientation_round_trip() {
-        let inst = stream::random_connected(12, 10, 3).to_instance();
+        let inst = stream::random_connected(12, 10, 3);
         let d = MirroredDirs::from_instance(&inst);
-        assert_eq!(d.orientation(), inst.init);
+        assert_eq!(&d.orientation(), inst.init());
     }
 
     #[test]
     fn equality_and_hash_follow_direction_values() {
         use std::collections::hash_map::DefaultHasher;
-        let inst = stream::chain_away(4).to_instance();
+        let inst = stream::chain_away(4);
         let a = MirroredDirs::from_instance(&inst);
-        let b = MirroredDirs::from_instance(&inst); // separate CSR build
+        let b = MirroredDirs::from_instance(&stream::chain_away(4)); // separate CSR build
         assert_eq!(a, b);
         let hash = |d: &MirroredDirs| {
             let mut h = DefaultHasher::new();
@@ -471,7 +429,7 @@ mod tests {
 
     #[test]
     fn reverse_all_outward_matches_per_edge_reversal() {
-        let inst = stream::random_connected(10, 12, 5).to_instance();
+        let inst = stream::random_connected(10, 12, 5);
         let mut a = MirroredDirs::from_instance(&inst);
         let mut b = a.clone();
         // Pick a node with degree ≥ 2 and reverse a subset of neighbors.

@@ -216,7 +216,7 @@ mod tests {
 
     #[test]
     fn initial_enabled_set_matches_scan() {
-        let inst = stream::chain_away(5).to_instance();
+        let inst = stream::chain_away(5);
         let dirs = MirroredDirs::from_instance(&inst);
         let t = EnabledTracker::from_dirs(&dirs, inst.dest);
         assert_eq!(t.enabled(), &[n(4)]);
@@ -224,7 +224,7 @@ mod tests {
 
     #[test]
     fn destination_is_never_enabled() {
-        let inst = stream::chain_toward(4).to_instance(); // dest 0 is the unique sink
+        let inst = stream::chain_toward(4); // dest 0 is the unique sink
         let dirs = MirroredDirs::from_instance(&inst);
         let t = EnabledTracker::from_dirs(&dirs, inst.dest);
         assert!(t.enabled().is_empty());
@@ -232,19 +232,19 @@ mod tests {
 
     #[test]
     fn step_delta_tracks_full_rescan() {
-        let inst = stream::random_connected(14, 12, 77).to_instance();
+        let inst = stream::random_connected(14, 12, 77);
         let mut dirs = MirroredDirs::from_instance(&inst);
         let mut t = EnabledTracker::from_dirs(&dirs, inst.dest);
         let mut guard = 0;
         while let Some(&u) = t.enabled().first() {
             // Full-reversal step: reverse every incident edge.
-            let reversed: Vec<NodeId> = inst.graph.neighbors(u).collect();
+            let reversed: Vec<NodeId> = inst.csr().neighbors(u).collect();
             for &v in &reversed {
                 dirs.reverse_outward(u, v);
             }
             t.record_step(dirs.csr(), u, &reversed);
             let rescan: Vec<NodeId> = inst
-                .graph
+                .csr()
                 .nodes()
                 .filter(|&w| w != inst.dest && dirs.is_sink(w))
                 .collect();
@@ -258,7 +258,7 @@ mod tests {
     fn batched_round_matches_immediate_updates() {
         // Drive identical full-reversal greedy rounds through both
         // update modes; every round boundary must agree exactly.
-        let inst = stream::random_connected(16, 14, 3).to_instance();
+        let inst = stream::random_connected(16, 14, 3);
         let mut dirs_a = MirroredDirs::from_instance(&inst);
         let mut dirs_b = dirs_a.clone();
         let mut a = EnabledTracker::from_dirs(&dirs_a, inst.dest); // immediate
@@ -268,7 +268,7 @@ mod tests {
             let round: Vec<NodeId> = a.enabled().to_vec();
             b.begin_batch();
             for &u in &round {
-                let reversed: Vec<NodeId> = inst.graph.neighbors(u).collect();
+                let reversed: Vec<NodeId> = inst.csr().neighbors(u).collect();
                 for &v in &reversed {
                     dirs_a.reverse_outward(u, v);
                     dirs_b.reverse_outward(u, v);
@@ -287,7 +287,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "batch already open")]
     fn nested_batches_are_rejected() {
-        let inst = stream::chain_away(3).to_instance();
+        let inst = stream::chain_away(3);
         let dirs = MirroredDirs::from_instance(&inst);
         let mut t = EnabledTracker::from_dirs(&dirs, inst.dest);
         t.begin_batch();
@@ -296,7 +296,7 @@ mod tests {
 
     #[test]
     fn empty_reversal_keeps_node_enabled() {
-        let inst = stream::chain_away(3).to_instance();
+        let inst = stream::chain_away(3);
         let dirs = MirroredDirs::from_instance(&inst);
         let mut t = EnabledTracker::from_dirs(&dirs, inst.dest);
         assert_eq!(t.enabled(), &[n(2)]);

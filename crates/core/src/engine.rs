@@ -335,9 +335,9 @@ fn drive(
 /// traffic after warm-up — and closes the round on
 /// [`crate::EnabledTracker`]'s batch merge, so per-round work is
 /// O(frontier + reversed edges), never O(n). Single-step policies treat
-/// the policy's chosen node as a one-element frontier. The loop never
-/// touches a map-backed instance, which is what lets the flat engines
-/// run million-node instances without ever materializing one.
+/// the policy's chosen node as a one-element frontier. The loop touches
+/// nothing but the engine's flat arrays, which is what lets the engines
+/// run million-node instances.
 ///
 /// The engine is **not** reset first; callers compose runs on partially
 /// advanced engines when needed.
@@ -549,53 +549,15 @@ pub fn run_to_destination_oriented(
         "{} did not terminate within {max_steps} steps",
         stats.algorithm
     );
-    // Check the postcondition over the CSR snapshot. For a connected
-    // graph, destination-oriented is equivalent to acyclic with the
-    // destination as the unique sink.
     let o = engine.orientation();
-    let csr = engine.csr();
     let dest = engine.dest();
-    let mut outdeg = vec![0u32; csr.node_count()];
-    for (src, deg) in outdeg.iter_mut().enumerate() {
-        let u = csr.node(src);
-        for slot in csr.slots(src) {
-            let v = csr.node(csr.target(slot));
-            if o.dir(u, v).expect("orientation covers every edge") == lr_graph::EdgeDir::Out {
-                *deg += 1;
-            }
-        }
-    }
-    // Kahn's algorithm on the reverse graph: repeatedly peel sinks.
-    let mut queue: Vec<usize> = (0..csr.node_count()).filter(|&i| outdeg[i] == 0).collect();
-    for &i in &queue {
-        assert!(
-            csr.node(i) == dest || csr.degree(i) == 0,
-            "{} terminated non-destination-oriented: {} is a sink",
-            stats.algorithm,
-            csr.node(i)
+    if let Some(&sink) = o.sinks().iter().find(|&&u| u != dest) {
+        panic!(
+            "{} terminated non-destination-oriented: {sink} is a sink",
+            stats.algorithm
         );
     }
-    let mut peeled = 0usize;
-    while let Some(i) = queue.pop() {
-        peeled += 1;
-        let u = csr.node(i);
-        for slot in csr.slots(i) {
-            let src = csr.target(slot);
-            let v = csr.node(src);
-            if o.dir(v, u).expect("orientation covers every edge") == lr_graph::EdgeDir::Out {
-                outdeg[src] -= 1;
-                if outdeg[src] == 0 {
-                    queue.push(src);
-                }
-            }
-        }
-    }
-    assert_eq!(
-        peeled,
-        csr.node_count(),
-        "{} broke acyclicity",
-        stats.algorithm
-    );
+    assert!(o.is_acyclic(), "{} broke acyclicity", stats.algorithm);
     stats
 }
 
@@ -621,9 +583,9 @@ pub fn advance_randomly(engine: &mut dyn FrontierEngine, steps: usize, seed: u64
 mod tests {
     use super::*;
     use crate::alg::{FrontierFamily, FrontierPrEngine};
-    use lr_graph::{stream, CsrInstance};
+    use lr_graph::{stream, ReversalInstance};
 
-    fn pr(inst: &CsrInstance) -> FrontierPrEngine {
+    fn pr(inst: &ReversalInstance) -> FrontierPrEngine {
         FrontierPrEngine::new(inst.clone())
     }
 
@@ -675,7 +637,7 @@ mod tests {
         // Star centered on an initial sink with the destination at a leaf
         // forces dummy steps for the other leaves (initial sources).
         let inst = lr_graph::parse::parse_instance("dest 3\n1 > 0\n2 > 0\n3 > 0").unwrap();
-        let mut e = FrontierFamily::NewPr.engine(CsrInstance::from_instance(&inst));
+        let mut e = FrontierFamily::NewPr.engine(inst.clone());
         let stats =
             run_to_destination_oriented(e.as_mut(), SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
         assert!(stats.dummy_steps > 0, "expected dummy steps, got none");

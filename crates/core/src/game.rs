@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use lr_graph::{CsrInstance, NodeId, ReversalInstance};
+use lr_graph::{NodeId, ReversalInstance};
 use serde::Serialize;
 
 use crate::alg::FrontierFamily;
@@ -55,7 +55,7 @@ impl CostComparison {
 /// Panics if any algorithm fails to terminate within the default budget.
 pub fn compare_social_costs(inst: &ReversalInstance) -> CostComparison {
     let cost = |family: FrontierFamily| {
-        let mut e = family.engine(CsrInstance::from_instance(inst));
+        let mut e = family.engine(inst.clone());
         let stats =
             run_engine_frontier(e.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
         assert!(stats.terminated, "{} did not terminate", family.name());
@@ -77,7 +77,7 @@ pub fn compare_social_costs(inst: &ReversalInstance) -> CostComparison {
 ///
 /// Panics if the algorithm fails to terminate within the default budget.
 pub fn work_vector(family: FrontierFamily, inst: &ReversalInstance) -> WorkVector {
-    let mut e = family.engine(CsrInstance::from_instance(inst));
+    let mut e = family.engine(inst.clone());
     let stats = run_engine_frontier(e.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
     assert!(stats.terminated, "{} did not terminate", family.name());
     // The node-keyed map is derived here, at the one consumer that needs
@@ -113,7 +113,7 @@ pub type Profile = BTreeMap<NodeId, Strategy>;
 
 /// The uniform profile where every node plays `s`.
 pub fn uniform_profile(inst: &ReversalInstance, s: Strategy) -> Profile {
-    inst.graph
+    inst.csr()
         .nodes()
         .filter(|&u| u != inst.dest)
         .map(|u| (u, s))
@@ -138,12 +138,12 @@ pub fn profile_costs(inst: &ReversalInstance, profile: &Profile) -> WorkVector {
 
     let mut dirs = crate::MirroredDirs::from_instance(inst);
     let mut lists: BTreeMap<NodeId, BTreeSet<NodeId>> =
-        inst.graph.nodes().map(|u| (u, BTreeSet::new())).collect();
-    let mut work: WorkVector = inst.graph.nodes().map(|u| (u, 0)).collect();
+        inst.csr().nodes().map(|u| (u, BTreeSet::new())).collect();
+    let mut work: WorkVector = inst.csr().nodes().map(|u| (u, 0)).collect();
     let mut steps = 0usize;
     loop {
         let sinks: Vec<NodeId> = inst
-            .graph
+            .csr()
             .nodes()
             .filter(|&u| u != inst.dest && dirs.is_sink(u))
             .collect();
@@ -154,7 +154,7 @@ pub fn profile_costs(inst: &ReversalInstance, profile: &Profile) -> WorkVector {
             let strategy = *profile
                 .get(&u)
                 .unwrap_or_else(|| panic!("profile is missing node {u}"));
-            let nbrs = inst.graph.neighbor_set(u);
+            let nbrs: BTreeSet<NodeId> = inst.csr().neighbors(u).collect();
             let targets: Vec<NodeId> = match strategy {
                 Strategy::Full => nbrs.iter().copied().collect(),
                 Strategy::Partial => {
@@ -228,7 +228,7 @@ pub struct ProfileAnalysis {
 ///
 /// Panics if there are more than 16 players.
 pub fn analyze_profiles(inst: &ReversalInstance) -> ProfileAnalysis {
-    let players: Vec<NodeId> = inst.graph.nodes().filter(|&u| u != inst.dest).collect();
+    let players: Vec<NodeId> = inst.csr().nodes().filter(|&u| u != inst.dest).collect();
     assert!(
         players.len() <= 16,
         "2^{} profiles is too many",
@@ -306,7 +306,7 @@ mod tests {
 
     #[test]
     fn pr_strictly_beats_fr_on_away_chain() {
-        let inst = stream::chain_away(32).to_instance();
+        let inst = stream::chain_away(32);
         let c = compare_social_costs(&inst);
         assert!(
             c.pr_cost < c.fr_cost,
@@ -321,7 +321,7 @@ mod tests {
     fn costs_match_on_star() {
         // On the outward star every leaf steps exactly once under both
         // algorithms.
-        let inst = stream::star_away(8).to_instance();
+        let inst = stream::star_away(8);
         let c = compare_social_costs(&inst);
         assert_eq!(c.fr_cost, 8);
         assert_eq!(c.pr_cost, 8);
@@ -329,7 +329,7 @@ mod tests {
 
     #[test]
     fn destination_oriented_instance_costs_zero() {
-        let inst = stream::chain_toward(10).to_instance();
+        let inst = stream::chain_toward(10);
         let c = compare_social_costs(&inst);
         assert_eq!((c.fr_cost, c.pr_cost, c.newpr_cost), (0, 0, 0));
         assert_eq!(c.fr_over_pr(), None);
@@ -340,7 +340,7 @@ mod tests {
         // NewPR takes the same real steps as PR plus dummy steps, so its
         // greedy social cost is ≥ PR's.
         for seed in 0..10 {
-            let inst = stream::random_connected(12, 8, 400 + seed).to_instance();
+            let inst = stream::random_connected(12, 8, 400 + seed);
             let c = compare_social_costs(&inst);
             assert!(
                 c.newpr_cost >= c.pr_cost,
@@ -353,7 +353,7 @@ mod tests {
 
     #[test]
     fn work_vectors_sum_to_social_cost() {
-        let inst = stream::chain_away(16).to_instance();
+        let inst = stream::chain_away(16);
         let c = compare_social_costs(&inst);
         let v = work_vector(FrontierFamily::PartialReversal, &inst);
         assert_eq!(v.values().sum::<usize>(), c.pr_cost);
@@ -373,7 +373,7 @@ mod tests {
     #[test]
     fn uniform_profiles_reproduce_the_pure_algorithms() {
         for seed in 0..5 {
-            let inst = stream::random_connected(10, 8, 700 + seed).to_instance();
+            let inst = stream::random_connected(10, 8, 700 + seed);
             let fr_profile = profile_costs(&inst, &uniform_profile(&inst, Strategy::Full));
             let fr_direct = work_vector(FrontierFamily::FullReversal, &inst);
             assert_eq!(fr_profile, fr_direct, "all-Full must equal FR");
@@ -389,11 +389,11 @@ mod tests {
         // equilibrium — verified here on the projected {Full, Partial}
         // strategy space.
         for inst in [
-            stream::chain_away(7).to_instance(),
-            stream::alternating_chain(7).to_instance(),
-            stream::star_away(5).to_instance(),
-            stream::random_connected(8, 6, 31).to_instance(),
-            stream::random_connected(8, 12, 32).to_instance(),
+            stream::chain_away(7),
+            stream::alternating_chain(7),
+            stream::star_away(5),
+            stream::random_connected(8, 6, 31),
+            stream::random_connected(8, 12, 32),
         ] {
             let fr = uniform_profile(&inst, Strategy::Full);
             assert_eq!(
@@ -409,10 +409,10 @@ mod tests {
         // The cited optimality claim, projected: whenever all-Partial is
         // an equilibrium, no profile at all has lower social cost.
         for inst in [
-            stream::chain_away(8).to_instance(),
-            stream::alternating_chain(8).to_instance(),
-            stream::random_connected(9, 6, 41).to_instance(),
-            stream::random_connected(9, 12, 42).to_instance(),
+            stream::chain_away(8),
+            stream::alternating_chain(8),
+            stream::random_connected(9, 6, 41),
+            stream::random_connected(9, 12, 42),
         ] {
             let a = analyze_profiles(&inst);
             assert!(a.profiles >= 2);
@@ -434,7 +434,7 @@ mod tests {
         // node to Partial cannot help (it has one neighbor, both
         // strategies coincide), so verify instead via analyze_profiles
         // that min < max (the game is non-trivial).
-        let inst = stream::chain_away(7).to_instance();
+        let inst = stream::chain_away(7);
         let a = analyze_profiles(&inst);
         assert!(
             a.min_cost < a.max_cost,
@@ -445,7 +445,7 @@ mod tests {
 
     #[test]
     fn pr_work_vector_dominates_fr_on_away_chain() {
-        let inst = stream::chain_away(24).to_instance();
+        let inst = stream::chain_away(24);
         let pr = work_vector(FrontierFamily::PartialReversal, &inst);
         let fr = work_vector(FrontierFamily::FullReversal, &inst);
         // PR should be no worse at every node here.

@@ -17,7 +17,7 @@
 
 use std::collections::BTreeSet;
 
-use lr_graph::{DirectedView, EdgeDir, NodeId, PlaneEmbedding, ReversalInstance};
+use lr_graph::{EdgeDir, NodeId, ReversalInstance};
 use lr_ioa::Invariant;
 
 use crate::alg::{NewPrAutomaton, NewPrState, OneStepPrAutomaton, Parity, PrSetAutomaton, PrState};
@@ -71,7 +71,7 @@ fn inv_3_2_part(state: &PrState, u: NodeId, all_in_side: &[NodeId], list_side: &
 ///
 /// Reports the node where zero or both parts hold.
 pub fn check_inv_3_2(inst: &ReversalInstance, state: &PrState) -> Result<(), String> {
-    for u in inst.graph.nodes() {
+    for u in inst.csr().nodes() {
         let in_nbrs = inst.initial_in_nbrs(u);
         let out_nbrs = inst.initial_out_nbrs(u);
         let part1 = inv_3_2_part(state, u, &out_nbrs, &in_nbrs);
@@ -94,7 +94,7 @@ pub fn check_inv_3_2(inst: &ReversalInstance, state: &PrState) -> Result<(), Str
 ///
 /// Reports the node whose list straddles both initial neighbor sets.
 pub fn check_cor_3_3(inst: &ReversalInstance, state: &PrState) -> Result<(), String> {
-    for u in inst.graph.nodes() {
+    for u in inst.csr().nodes() {
         let list = state.list(u);
         let in_nbrs: BTreeSet<NodeId> = inst.initial_in_nbrs(u).into_iter().collect();
         let out_nbrs: BTreeSet<NodeId> = inst.initial_out_nbrs(u).into_iter().collect();
@@ -115,7 +115,7 @@ pub fn check_cor_3_3(inst: &ReversalInstance, state: &PrState) -> Result<(), Str
 ///
 /// Reports the sink whose list equals neither set.
 pub fn check_cor_3_4(inst: &ReversalInstance, state: &PrState) -> Result<(), String> {
-    for u in inst.graph.nodes() {
+    for u in inst.csr().nodes() {
         if !state.dirs.is_sink(u) {
             continue;
         }
@@ -132,11 +132,30 @@ pub fn check_cor_3_4(inst: &ReversalInstance, state: &PrState) -> Result<(), Str
     Ok(())
 }
 
-/// Is the edge `{u, v}` directed from the left endpoint to the right
-/// endpoint of the plane embedding?
-fn left_to_right(emb: &PlaneEmbedding, dirs: &MirroredDirs, u: NodeId, v: NodeId) -> bool {
-    let (l, r) = if emb.is_left_of(u, v) { (u, v) } else { (v, u) };
+/// Whether neighbour `u` lies left of neighbour `v` in the paper's plane
+/// embedding of the initial DAG (§4.2), where every initial edge points
+/// left to right: exactly when the initial orientation directs `u → v`.
+fn is_left_of(inst: &ReversalInstance, u: NodeId, v: NodeId) -> bool {
+    inst.init().points_from_to(u, v)
+}
+
+/// Is the edge `{u, v}` directed from its left endpoint to its right
+/// endpoint?
+fn left_to_right(inst: &ReversalInstance, dirs: &MirroredDirs, u: NodeId, v: NodeId) -> bool {
+    let (l, r) = if is_left_of(inst, u, v) {
+        (u, v)
+    } else {
+        (v, u)
+    };
     dirs.dir(l, r) == EdgeDir::Out
+}
+
+/// Every edge `{u, v}` once, as `(u, v)` with `u < v`, in lexicographic
+/// order.
+fn edges(inst: &ReversalInstance) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+    inst.init()
+        .directed_edges()
+        .map(|(t, h)| (t.min(h), t.max(h)))
 }
 
 /// Invariant 4.1: for neighbors `u, v`,
@@ -147,17 +166,13 @@ fn left_to_right(emb: &PlaneEmbedding, dirs: &MirroredDirs, u: NodeId, v: NodeId
 /// # Errors
 ///
 /// Reports the offending edge and parities.
-pub fn check_inv_4_1(
-    inst: &ReversalInstance,
-    emb: &PlaneEmbedding,
-    state: &NewPrState,
-) -> Result<(), String> {
-    for (u, v) in inst.graph.edges() {
+pub fn check_inv_4_1(inst: &ReversalInstance, state: &NewPrState) -> Result<(), String> {
+    for (u, v) in edges(inst) {
         let (pu, pv) = (state.parity(u), state.parity(v));
         if pu != pv {
             continue;
         }
-        let ltr = left_to_right(emb, &state.dirs, u, v);
+        let ltr = left_to_right(inst, &state.dirs, u, v);
         match pu {
             Parity::Even if !ltr => {
                 return Err(format!(
@@ -187,12 +202,8 @@ pub fn check_inv_4_1(
 /// # Errors
 ///
 /// Reports the first violated clause with the counts involved.
-pub fn check_inv_4_2(
-    inst: &ReversalInstance,
-    emb: &PlaneEmbedding,
-    state: &NewPrState,
-) -> Result<(), String> {
-    for (u, v) in inst.graph.edges() {
+pub fn check_inv_4_2(inst: &ReversalInstance, state: &NewPrState) -> Result<(), String> {
+    for (u, v) in edges(inst) {
         // The statement is symmetric; check it from both endpoints.
         for (a, b) in [(u, v), (v, u)] {
             let ca = state.count(a);
@@ -205,14 +216,14 @@ pub fn check_inv_4_2(
                 ));
             }
             // (b)
-            if ca % 2 == 1 && emb.is_left_of(a, b) && cb != ca {
+            if ca % 2 == 1 && is_left_of(inst, a, b) && cb != ca {
                 return Err(format!(
                     "Invariant 4.2(b): count[{a}] = {ca} (odd), {b} is to the \
                      right of {a}, but count[{b}] = {cb} ≠ {ca}"
                 ));
             }
             // (c)
-            if ca.is_multiple_of(2) && emb.is_left_of(b, a) && cb != ca {
+            if ca.is_multiple_of(2) && is_left_of(inst, b, a) && cb != ca {
                 return Err(format!(
                     "Invariant 4.2(c): count[{a}] = {ca} (even), {b} is to the \
                      left of {a}, but count[{b}] = {cb} ≠ {ca}"
@@ -235,10 +246,8 @@ pub fn check_inv_4_2(
 /// # Errors
 ///
 /// Reports a concrete directed cycle.
-pub fn check_acyclic(inst: &ReversalInstance, dirs: &MirroredDirs) -> Result<(), String> {
-    let o = dirs.orientation();
-    let view = DirectedView::new(&inst.graph, &o);
-    match view.find_cycle() {
+pub fn check_acyclic(dirs: &MirroredDirs) -> Result<(), String> {
+    match dirs.orientation().find_cycle() {
         None => Ok(()),
         Some(cycle) => {
             let path: Vec<String> = cycle.iter().map(|n| n.to_string()).collect();
@@ -253,24 +262,20 @@ pub fn check_acyclic(inst: &ReversalInstance, dirs: &MirroredDirs) -> Result<(),
 /// All NewPR invariants (3.1 via the shared dirs, 4.1, 4.2, acyclicity) as
 /// explorer-ready [`Invariant`]s over [`NewPrState`].
 pub fn newpr_invariants(inst: &ReversalInstance) -> Vec<Invariant<NewPrAutomaton<'_>>> {
-    let emb = inst.embedding();
-    let i1 = inst.clone();
-    let (i2, e2) = (inst.clone(), emb.clone());
-    let (i3, e3) = (inst.clone(), emb);
-    let i4 = inst.clone();
+    let i2 = inst.clone();
+    let i3 = inst.clone();
     vec![
         Invariant::new("Inv 3.1 (dir consistency)", move |s: &NewPrState| {
-            let _ = &i1;
             check_inv_3_1(&s.dirs)
         }),
         Invariant::new("Inv 4.1 (parity fixes direction)", move |s: &NewPrState| {
-            check_inv_4_1(&i2, &e2, s)
+            check_inv_4_1(&i2, s)
         }),
         Invariant::new("Inv 4.2 (count relations)", move |s: &NewPrState| {
-            check_inv_4_2(&i3, &e3, s)
+            check_inv_4_2(&i3, s)
         }),
         Invariant::new("Thm 4.3 (acyclicity)", move |s: &NewPrState| {
-            check_acyclic(&i4, &s.dirs)
+            check_acyclic(&s.dirs)
         }),
     ]
 }
@@ -280,20 +285,17 @@ fn pr_state_checks(inst: &ReversalInstance, s: &PrState) -> Result<(), String> {
     check_inv_3_2(inst, s)?;
     check_cor_3_3(inst, s)?;
     check_cor_3_4(inst, s)?;
-    check_acyclic(inst, &s.dirs)
+    check_acyclic(&s.dirs)
 }
 
 /// All PR invariants (3.1, 3.2, 3.3, 3.4, acyclicity via Thm 5.5) for the
 /// single-step automaton.
 pub fn onestep_pr_invariants(inst: &ReversalInstance) -> Vec<Invariant<OneStepPrAutomaton<'_>>> {
-    let i1 = inst.clone();
     let i2 = inst.clone();
     let i3 = inst.clone();
     let i4 = inst.clone();
-    let i5 = inst.clone();
     vec![
         Invariant::new("Inv 3.1 (dir consistency)", move |s: &PrState| {
-            let _ = &i1;
             check_inv_3_1(&s.dirs)
         }),
         Invariant::new("Inv 3.2 (list structure)", move |s: &PrState| {
@@ -306,7 +308,7 @@ pub fn onestep_pr_invariants(inst: &ReversalInstance) -> Vec<Invariant<OneStepPr
             check_cor_3_4(&i4, s)
         }),
         Invariant::new("Thm 5.5 (acyclicity)", move |s: &PrState| {
-            check_acyclic(&i5, &s.dirs)
+            check_acyclic(&s.dirs)
         }),
     ]
 }
@@ -314,13 +316,12 @@ pub fn onestep_pr_invariants(inst: &ReversalInstance) -> Vec<Invariant<OneStepPr
 /// Same checks for the set-action automaton (Algorithm 1).
 pub fn pr_set_invariants(inst: &ReversalInstance) -> Vec<Invariant<PrSetAutomaton<'_>>> {
     let i1 = inst.clone();
-    let i2 = inst.clone();
     vec![
         Invariant::new("Inv 3.1–3.4 (PR state structure)", move |s: &PrState| {
             pr_state_checks(&i1, s)
         }),
         Invariant::new("Thm 5.5 (acyclicity)", move |s: &PrState| {
-            check_acyclic(&i2, &s.dirs)
+            check_acyclic(&s.dirs)
         }),
     ]
 }
@@ -338,22 +339,21 @@ mod tests {
 
     #[test]
     fn all_invariants_hold_initially() {
-        let inst = stream::random_connected(10, 8, 1).to_instance();
-        let emb = inst.embedding();
+        let inst = stream::random_connected(10, 8, 1);
         let pr = PrState::initial(&inst);
         let np = NewPrState::initial(&inst);
         assert!(check_inv_3_1(&pr.dirs).is_ok());
         assert!(check_inv_3_2(&inst, &pr).is_ok());
         assert!(check_cor_3_3(&inst, &pr).is_ok());
         assert!(check_cor_3_4(&inst, &pr).is_ok());
-        assert!(check_inv_4_1(&inst, &emb, &np).is_ok());
-        assert!(check_inv_4_2(&inst, &emb, &np).is_ok());
-        assert!(check_acyclic(&inst, &np.dirs).is_ok());
+        assert!(check_inv_4_1(&inst, &np).is_ok());
+        assert!(check_inv_4_2(&inst, &np).is_ok());
+        assert!(check_acyclic(&np.dirs).is_ok());
     }
 
     #[test]
     fn invariants_hold_along_random_pr_execution() {
-        let inst = stream::random_connected(9, 7, 2).to_instance();
+        let inst = stream::random_connected(9, 7, 2);
         let mut s = PrState::initial(&inst);
         let mut guard = 0;
         loop {
@@ -361,7 +361,7 @@ mod tests {
             assert!(check_inv_3_2(&inst, &s).is_ok());
             assert!(check_cor_3_3(&inst, &s).is_ok());
             assert!(check_cor_3_4(&inst, &s).is_ok());
-            assert!(check_acyclic(&inst, &s.dirs).is_ok());
+            assert!(check_acyclic(&s.dirs).is_ok());
             let Some(u) = s.dirs.sinks().find(|&u| u != inst.dest) else {
                 break;
             };
@@ -373,15 +373,14 @@ mod tests {
 
     #[test]
     fn invariants_hold_along_random_newpr_execution() {
-        let inst = stream::random_connected(9, 7, 3).to_instance();
-        let emb = inst.embedding();
+        let inst = stream::random_connected(9, 7, 3);
         let mut s = NewPrState::initial(&inst);
         let mut guard = 0;
         loop {
             assert!(check_inv_3_1(&s.dirs).is_ok());
-            assert!(check_inv_4_1(&inst, &emb, &s).is_ok());
-            assert!(check_inv_4_2(&inst, &emb, &s).is_ok());
-            assert!(check_acyclic(&inst, &s.dirs).is_ok());
+            assert!(check_inv_4_1(&inst, &s).is_ok());
+            assert!(check_inv_4_2(&inst, &s).is_ok());
+            assert!(check_acyclic(&s.dirs).is_ok());
             let Some(u) = s.dirs.sinks().find(|&u| u != inst.dest) else {
                 break;
             };
@@ -393,7 +392,7 @@ mod tests {
 
     #[test]
     fn inv_3_1_violation_detected() {
-        let inst = stream::chain_away(3).to_instance();
+        let inst = stream::chain_away(3);
         let mut s = PrState::initial(&inst);
         // Edge {0,1} is initially 0 → 1, so dir[1,0] = In; claiming Out
         // from node 1's perspective makes the two copies disagree.
@@ -404,7 +403,7 @@ mod tests {
 
     #[test]
     fn inv_3_2_violation_detected_on_corrupted_list() {
-        let inst = stream::chain_away(3).to_instance();
+        let inst = stream::chain_away(3);
         let mut s = PrState::initial(&inst);
         // Claim node 1's neighbor 0 reversed when it did not.
         s.lists.get_mut(&n(1)).unwrap().insert(n(0));
@@ -413,7 +412,7 @@ mod tests {
 
     #[test]
     fn cor_3_3_violation_detected_on_straddling_list() {
-        let inst = stream::chain_away(3).to_instance();
+        let inst = stream::chain_away(3);
         let mut s = PrState::initial(&inst);
         // Node 1 has in-nbr {0} and out-nbr {2}; a list containing both
         // straddles the two sets.
@@ -433,35 +432,32 @@ mod tests {
 
     #[test]
     fn inv_4_1_violation_detected() {
-        let inst = stream::chain_away(3).to_instance();
-        let emb = inst.embedding();
+        let inst = stream::chain_away(3);
         let mut s = NewPrState::initial(&inst);
         // Reverse edge {1,2} without incrementing any count: both ends
         // have even parity but the edge now runs right-to-left.
         s.dirs.reverse_outward(n(2), n(1));
-        let err = check_inv_4_1(&inst, &emb, &s).unwrap_err();
+        let err = check_inv_4_1(&inst, &s).unwrap_err();
         assert!(err.contains("4.1(a)"));
     }
 
     #[test]
     fn inv_4_2a_violation_detected() {
-        let inst = stream::chain_away(3).to_instance();
-        let emb = inst.embedding();
+        let inst = stream::chain_away(3);
         let mut s = NewPrState::initial(&inst);
         s.counts.insert(n(2), 5); // neighbor 1 still has count 0
-        let err = check_inv_4_2(&inst, &emb, &s).unwrap_err();
+        let err = check_inv_4_2(&inst, &s).unwrap_err();
         assert!(err.contains("4.2"));
     }
 
     #[test]
     fn inv_4_2d_violation_detected() {
-        let inst = stream::chain_away(3).to_instance();
-        let emb = inst.embedding();
+        let inst = stream::chain_away(3);
         let mut s = NewPrState::initial(&inst);
         // count[2] = 1 > count[1] = 0, but the edge {1,2} still points
         // 1 → 2 — (d) demands 2 → 1.
         s.counts.insert(n(2), 1);
-        let err = check_inv_4_2(&inst, &emb, &s).unwrap_err();
+        let err = check_inv_4_2(&inst, &s).unwrap_err();
         assert!(err.contains("4.2"));
     }
 
@@ -471,13 +467,13 @@ mod tests {
         let mut s = NewPrState::initial(&inst);
         // Manufacture 0 → 1 → 2 → 0 by hand.
         s.dirs.reverse_outward(n(2), n(0));
-        let err = check_acyclic(&inst, &s.dirs).unwrap_err();
+        let err = check_acyclic(&s.dirs).unwrap_err();
         assert!(err.contains("cycle"));
     }
 
     #[test]
     fn model_check_newpr_on_small_instance() {
-        let inst = stream::chain_away(4).to_instance();
+        let inst = stream::chain_away(4);
         let aut = NewPrAutomaton { inst: &inst };
         let invs = newpr_invariants(&inst);
         let report = lr_ioa::explore::explore(&aut, &invs, 1_000_000);
@@ -487,7 +483,7 @@ mod tests {
 
     #[test]
     fn model_check_onestep_pr_on_small_instance() {
-        let inst = stream::chain_away(4).to_instance();
+        let inst = stream::chain_away(4);
         let aut = OneStepPrAutomaton { inst: &inst };
         let invs = onestep_pr_invariants(&inst);
         let report = lr_ioa::explore::explore(&aut, &invs, 1_000_000);
@@ -496,7 +492,7 @@ mod tests {
 
     #[test]
     fn model_check_pr_set_on_small_instance() {
-        let inst = stream::star_away(3).to_instance();
+        let inst = stream::star_away(3);
         let aut = PrSetAutomaton { inst: &inst };
         let invs = pr_set_invariants(&inst);
         let report = lr_ioa::explore::explore(&aut, &invs, 1_000_000);
@@ -505,12 +501,11 @@ mod tests {
 
     #[test]
     fn explorer_and_executions_agree_on_terminal_states() {
-        let inst = stream::random_connected(7, 4, 10).to_instance();
+        let inst = stream::random_connected(7, 4, 10);
         let aut = NewPrAutomaton { inst: &inst };
         let exec = run(&aut, &mut schedulers::UniformRandom::seeded(7), 100_000);
         assert!(aut.is_quiescent(exec.last_state()));
         let o = exec.last_state().dirs.orientation();
-        let view = DirectedView::new(&inst.graph, &o);
-        assert!(view.is_destination_oriented(inst.dest));
+        assert!(o.is_destination_oriented(inst.dest));
     }
 }

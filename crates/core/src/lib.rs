@@ -19,7 +19,7 @@
 //!   [`alg::FrontierTripleHeightsEngine`], and the labeled-reversal
 //!   generalization [`alg::FrontierBllEngine`] (Binary Link Labels) —
 //!   constructed uniformly through [`alg::FrontierFamily`]: bit-packed
-//!   per-slot state, no map-backed instance, million-node capable. The
+//!   per-slot state over the instance's CSR, million-node capable. The
 //!   automata are the oracle: every engine runs in lockstep beside the
 //!   automaton whose reversal sets it reproduces.
 //! * [`invariants`] — Invariants 3.1, 3.2, Corollaries 3.3/3.4,

@@ -7,7 +7,7 @@
 
 use std::fmt::Write as _;
 
-use lr_graph::{dot, CsrInstance, DirectedView, NodeId, Orientation, ReversalInstance};
+use lr_graph::{dot, NodeId, Orientation, ReversalInstance};
 
 use crate::alg::{FrontierEngine, FrontierFamily};
 use crate::engine::SchedulePolicy;
@@ -31,7 +31,7 @@ pub struct Trace {
     pub algorithm: &'static str,
     /// The instance traced (cloned so the trace is self-contained).
     pub instance: ReversalInstance,
-    /// Initial orientation (== `instance.init`).
+    /// Initial orientation (== `instance.init()`).
     pub initial: Orientation,
     /// The recorded frames, in order.
     pub frames: Vec<TraceFrame>,
@@ -54,7 +54,7 @@ impl Trace {
         use rand::seq::SliceRandom;
         use rand::SeedableRng;
 
-        let mut engine = family.engine(CsrInstance::from_instance(inst));
+        let mut engine = family.engine(inst.clone());
         let engine = engine.as_mut();
         let algorithm = engine.algorithm_name();
         let initial = engine.orientation();
@@ -181,15 +181,9 @@ impl Trace {
             highlight_sinks: true,
             name: Some(name),
         };
-        frames.push(dot::to_dot(
-            &DirectedView::new(&self.instance.graph, &self.initial),
-            &opts("initial".into()),
-        ));
+        frames.push(dot::to_dot(&self.initial, &opts("initial".into())));
         for (i, f) in self.frames.iter().enumerate() {
-            frames.push(dot::to_dot(
-                &DirectedView::new(&self.instance.graph, &f.after),
-                &opts(format!("step_{}", i + 1)),
-            ));
+            frames.push(dot::to_dot(&f.after, &opts(format!("step_{}", i + 1))));
         }
         frames
     }
@@ -221,8 +215,7 @@ impl Trace {
                 ));
             }
         }
-        let view = DirectedView::new(&self.instance.graph, &current);
-        if !view.is_destination_oriented(self.instance.dest) {
+        if !current.is_destination_oriented(self.instance.dest) {
             return Err("trace does not end destination-oriented".into());
         }
         Ok(())
@@ -238,7 +231,7 @@ mod tests {
 
     #[test]
     fn trace_records_and_validates() {
-        let inst = stream::chain_away(6).to_instance();
+        let inst = stream::chain_away(6);
         let trace = Trace::record(
             &inst,
             PartialReversal,
@@ -253,7 +246,7 @@ mod tests {
 
     #[test]
     fn text_rendering_mentions_every_step() {
-        let inst = stream::chain_away(4).to_instance();
+        let inst = stream::chain_away(4);
         let trace = Trace::record(
             &inst,
             PartialReversal,
@@ -277,7 +270,7 @@ mod tests {
 
     #[test]
     fn dot_frames_cover_initial_plus_steps() {
-        let inst = stream::chain_away(4).to_instance();
+        let inst = stream::chain_away(4);
         let trace = Trace::record(
             &inst,
             PartialReversal,
@@ -292,7 +285,7 @@ mod tests {
 
     #[test]
     fn empty_trace_on_oriented_instance() {
-        let inst = stream::chain_toward(5).to_instance();
+        let inst = stream::chain_toward(5);
         let trace = Trace::record(
             &inst,
             PartialReversal,
@@ -305,7 +298,7 @@ mod tests {
 
     #[test]
     fn traces_are_reproducible_for_random_policy() {
-        let inst = stream::random_connected(10, 8, 60).to_instance();
+        let inst = stream::random_connected(10, 8, 60);
         let policy = SchedulePolicy::RandomSingle { seed: 4 };
         let ta = Trace::record(&inst, PartialReversal, policy, 100_000);
         let tb = Trace::record(&inst, PartialReversal, policy, 100_000);
@@ -316,10 +309,10 @@ mod tests {
     #[test]
     fn traces_agree_with_run_stats() {
         for seed in 0..6 {
-            let inst = stream::random_connected(14, 12, 9100 + seed).to_instance();
+            let inst = stream::random_connected(14, 12, 9100 + seed);
             let policy = SchedulePolicy::RandomSingle { seed };
             for family in FrontierFamily::ALL {
-                let mut e = family.engine(CsrInstance::from_instance(&inst));
+                let mut e = family.engine(inst.clone());
                 let stats = run_engine_frontier(e.as_mut(), policy, DEFAULT_MAX_STEPS);
                 let trace = Trace::record(&inst, family, policy, DEFAULT_MAX_STEPS);
                 assert_eq!(trace.len(), stats.steps, "{}", family.name());

@@ -8,7 +8,7 @@
 //! growing size and fits the growth exponent on a log–log scale; a
 //! quadratic family should fit an exponent near 2, a linear one near 1.
 
-use lr_graph::{CsrInstance, ReversalInstance};
+use lr_graph::ReversalInstance;
 use serde::Serialize;
 
 use crate::alg::FrontierFamily;
@@ -53,7 +53,7 @@ pub fn measure_work_with_policy(
     inst: &ReversalInstance,
     policy: SchedulePolicy,
 ) -> WorkRow {
-    let mut engine = family.engine(CsrInstance::from_instance(inst));
+    let mut engine = family.engine(inst.clone());
     let stats = run_engine_frontier(engine.as_mut(), policy, DEFAULT_MAX_STEPS);
     assert!(stats.terminated, "{} did not terminate", family.name());
     row_from_stats(inst, &stats)
@@ -175,7 +175,7 @@ mod tests {
         let pts: Vec<(f64, f64)> = sizes
             .iter()
             .map(|&n| {
-                let inst = stream::chain_away(n).to_instance();
+                let inst = stream::chain_away(n);
                 let row = measure_work(FrontierFamily::FullReversal, &inst);
                 assert_eq!(row.n_b, n - 1);
                 (row.n_b as f64, row.total_reversals as f64)
@@ -194,7 +194,7 @@ mod tests {
         let pts: Vec<(f64, f64)> = sizes
             .iter()
             .map(|&n| {
-                let inst = stream::chain_away(n).to_instance();
+                let inst = stream::chain_away(n);
                 let row = measure_work(FrontierFamily::PartialReversal, &inst);
                 (row.n_b as f64, row.total_reversals as f64)
             })
@@ -206,7 +206,7 @@ mod tests {
     #[test]
     fn closed_forms_match_measurement() {
         for n in [4usize, 8, 16, 33, 64, 100] {
-            let away = stream::chain_away(n).to_instance();
+            let away = stream::chain_away(n);
             assert_eq!(
                 measure_work(FrontierFamily::FullReversal, &away).total_reversals,
                 closed_forms::fr_chain_away(n),
@@ -217,7 +217,7 @@ mod tests {
                 closed_forms::pr_chain_away(n),
                 "PR on chain_away({n})"
             );
-            let alt = stream::alternating_chain(n).to_instance();
+            let alt = stream::alternating_chain(n);
             for family in [
                 FrontierFamily::FullReversal,
                 FrontierFamily::PartialReversal,
@@ -244,10 +244,10 @@ mod tests {
             SchedulePolicy::FirstSingle,
             SchedulePolicy::LastSingle,
         ] {
-            let away = stream::chain_away(n).to_instance();
+            let away = stream::chain_away(n);
             let row = measure_work_with_policy(FrontierFamily::FullReversal, &away, policy);
             assert_eq!(row.total_reversals, closed_forms::fr_chain_away(n));
-            let alt = stream::alternating_chain(n).to_instance();
+            let alt = stream::alternating_chain(n);
             let row = measure_work_with_policy(FrontierFamily::PartialReversal, &alt, policy);
             assert_eq!(row.total_reversals, closed_forms::alternating_chain(n));
         }
@@ -255,7 +255,7 @@ mod tests {
 
     #[test]
     fn measure_rows_are_consistent() {
-        let inst = stream::grid_away(3, 3).to_instance();
+        let inst = stream::grid_away(3, 3);
         for family in FrontierFamily::ALL {
             let row = measure_work(family, &inst);
             assert_eq!(row.n, 9);

@@ -14,12 +14,12 @@ use lr_core::alg::{BllLabeling, FrontierEngine, FrontierFamily, FrontierPrEngine
 use lr_core::engine::{run_engine_frontier, SchedulePolicy, DEFAULT_MAX_STEPS};
 use lr_core::invariants::{check_acyclic, check_inv_3_1};
 use lr_core::StepScratch;
-use lr_graph::{stream, CsrInstance, DirectedView, NodeId, ReversalInstance};
+use lr_graph::{stream, NodeId, ReversalInstance};
 use proptest::prelude::*;
 
 fn instance_strategy() -> impl Strategy<Value = ReversalInstance> {
     (4usize..=16, 0usize..=20, any::<u64>())
-        .prop_map(|(n, extra, seed)| stream::random_connected(n, extra, seed).to_instance())
+        .prop_map(|(n, extra, seed)| stream::random_connected(n, extra, seed))
 }
 
 /// Every engine configuration under test: the six families plus the
@@ -32,7 +32,7 @@ fn families() -> impl Iterator<Item = FrontierFamily> {
 
 /// The enabled set a full rescan would produce, bypassing the tracker.
 fn rescan(inst: &ReversalInstance, engine: &dyn FrontierEngine) -> Vec<NodeId> {
-    inst.graph
+    inst.csr()
         .nodes()
         .filter(|&u| u != inst.dest && engine.is_sink(u))
         .collect()
@@ -49,10 +49,9 @@ proptest! {
         inst in instance_strategy(),
         seed in any::<u64>(),
     ) {
-        let flat = CsrInstance::from_instance(&inst);
         for family in families() {
             let name = family.name();
-            let mut engine = family.engine(flat.clone());
+            let mut engine = family.engine(inst.clone());
             let mut steps = 0usize;
             loop {
                 let scanned = rescan(&inst, engine.as_ref());
@@ -86,10 +85,9 @@ proptest! {
         inst in instance_strategy(),
         seed in any::<u64>(),
     ) {
-        let flat = CsrInstance::from_instance(&inst);
         for family in families() {
             let name = family.name();
-            let factory = || family.engine(flat.clone());
+            let factory = || family.engine(inst.clone());
             let mut via_step = factory();
             let mut via_step_into = factory();
             let mut scratch = StepScratch::new();
@@ -132,10 +130,9 @@ proptest! {
     /// round count and final orientation.
     #[test]
     fn batched_rounds_match_rescan_at_every_boundary(inst in instance_strategy()) {
-        let flat = CsrInstance::from_instance(&inst);
         for family in families() {
             let name = family.name();
-            let mut engine = family.engine(flat.clone());
+            let mut engine = family.engine(inst.clone());
             let mut scratch = StepScratch::new();
             let mut rounds = 0usize;
             loop {
@@ -158,7 +155,7 @@ proptest! {
                 rounds += 1;
                 prop_assert!(rounds < 1_000_000, "runaway execution");
             }
-            let mut fresh = family.engine(flat.clone());
+            let mut fresh = family.engine(inst.clone());
             let greedy = SchedulePolicy::GreedyRounds;
             let stats = run_engine_frontier(fresh.as_mut(), greedy, DEFAULT_MAX_STEPS);
             prop_assert!(stats.terminated, "{} must terminate", name);
@@ -175,7 +172,7 @@ proptest! {
         inst in instance_strategy(),
         seed in any::<u64>(),
     ) {
-        let mut e = FrontierPrEngine::new(CsrInstance::from_instance(&inst));
+        let mut e = FrontierPrEngine::new(inst.clone());
         let stats = run_engine_frontier(
             &mut e,
             SchedulePolicy::RandomSingle { seed },
@@ -183,9 +180,9 @@ proptest! {
         );
         prop_assert!(stats.terminated);
         prop_assert!(check_inv_3_1(e.dirs()).is_ok());
-        prop_assert!(check_acyclic(&inst, e.dirs()).is_ok());
+        prop_assert!(check_acyclic(e.dirs()).is_ok());
         let o = e.orientation();
-        prop_assert!(DirectedView::new(&inst.graph, &o).is_destination_oriented(inst.dest));
+        prop_assert!(o.is_destination_oriented(inst.dest));
     }
 }
 
@@ -216,8 +213,8 @@ fn reset_restores_initial_state() {
 #[test]
 #[ignore = "multi-second in release; runs in the CI --ignored tier"]
 fn alternating_chain_4096_terminates_within_default_budget() {
-    let inst = stream::alternating_chain(4097).to_instance();
-    let mut e = FrontierPrEngine::new(CsrInstance::from_instance(&inst));
+    let inst = stream::alternating_chain(4097);
+    let mut e = FrontierPrEngine::new(inst.clone());
     let stats = run_engine_frontier(&mut e, SchedulePolicy::FirstSingle, DEFAULT_MAX_STEPS);
     assert!(
         stats.terminated,
@@ -225,13 +222,12 @@ fn alternating_chain_4096_terminates_within_default_budget() {
         stats.steps
     );
     assert!(check_inv_3_1(e.dirs()).is_ok());
-    assert!(check_acyclic(&inst, e.dirs()).is_ok());
+    assert!(check_acyclic(e.dirs()).is_ok());
     let o = e.orientation();
-    assert!(DirectedView::new(&inst.graph, &o).is_destination_oriented(inst.dest));
+    assert!(o.is_destination_oriented(inst.dest));
 
-    let inst = stream::alternating_chain(257).to_instance();
-    let flat = CsrInstance::from_instance(&inst);
-    let mut e = FrontierPrEngine::new(flat.clone());
+    let inst = stream::alternating_chain(257);
+    let mut e = FrontierPrEngine::new(inst.clone());
     let mut scratch = StepScratch::new();
     let mut steps = 0usize;
     loop {
@@ -248,7 +244,7 @@ fn alternating_chain_4096_terminates_within_default_budget() {
         steps += 1;
     }
     let stats = run_engine_frontier(
-        &mut FrontierPrEngine::new(flat),
+        &mut FrontierPrEngine::new(inst),
         SchedulePolicy::FirstSingle,
         DEFAULT_MAX_STEPS,
     );

@@ -29,7 +29,7 @@ use rand::{Rng, SeedableRng};
 
 fn instance_strategy() -> impl Strategy<Value = ReversalInstance> {
     (4usize..=16, 0usize..=20, any::<u64>())
-        .prop_map(|(n, extra, seed)| stream::random_connected(n, extra, seed).to_instance())
+        .prop_map(|(n, extra, seed)| stream::random_connected(n, extra, seed))
 }
 
 /// Every frontier family: the six canonical families plus the

@@ -9,7 +9,7 @@ use lr_core::alg::{BllLabeling, FrontierFamily};
 use lr_core::engine::{
     run_engine_frontier, run_engine_frontier_sharded, RunStats, SchedulePolicy, DEFAULT_MAX_STEPS,
 };
-use lr_graph::{stream, CsrInstance};
+use lr_graph::{stream, ReversalInstance};
 use lr_obs::MetricsShard;
 
 fn all_families() -> [FrontierFamily; 7] {
@@ -33,7 +33,7 @@ fn policies() -> [SchedulePolicy; 4] {
     ]
 }
 
-fn instance() -> CsrInstance {
+fn instance() -> ReversalInstance {
     stream::random_connected(24, 30, 97)
 }
 

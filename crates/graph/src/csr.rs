@@ -1,37 +1,23 @@
-//! Compressed-sparse-row view of an [`UndirectedGraph`] — the flat
-//! execution-side representation of the communication graph.
+//! The compressed-sparse-row communication graph `G = (V, E)` of §2,
+//! the one graph representation every instance, engine, simulator and
+//! analysis runs on. Executions only re-orient edges, so a graph is built
+//! **once** into flat arrays:
 //!
-//! The [`UndirectedGraph`] frontend stores adjacency in
-//! `BTreeMap`/`BTreeSet` for deterministic construction, parsing, and
-//! serialization, but every lookup on the run-loop hot path pays a
-//! pointer-chasing logarithmic cost. `CsrGraph` is built **once** per
-//! instance and never mutated afterwards (executions only re-orient
-//! edges, they never change the graph), so all of it fits in three flat
-//! arrays:
-//!
-//! * a sorted node table giving every [`NodeId`] a dense index in
-//!   `0..n`;
+//! * a sorted node table giving every [`NodeId`] a dense index in `0..n`;
 //! * CSR offsets + neighbor array: the neighbors of node `i` occupy the
 //!   contiguous **half-edge slots** `offsets[i]..offsets[i + 1]`, sorted
-//!   by neighbor id;
-//! * a twin table: the slot of the ordered pair `(u, v)` maps to the
-//!   slot of `(v, u)` in O(1), so per-endpoint edge state (the paper's
-//!   duplicated `dir[u, v]` variables) can live in one `Vec` indexed by
-//!   slot.
+//!   by neighbor id, so edges come in lexicographic `(min, max)` order;
+//! * a twin table mapping the slot of `(u, v)` to the slot of `(v, u)`,
+//!   so per-endpoint edge state (the paper's duplicated `dir[u, v]`) can
+//!   live in one `Vec` indexed by slot.
 //!
-//! A slot's *source* (the owning node) is not stored — it is recovered
-//! from `offsets` by binary search when needed, and the hot loops avoid
-//! even that by iterating per-node slot ranges. All slot indices are
-//! `u32`, so the representation costs 8 bytes per half-edge plus 8 bytes
-//! per node; construction is checked against the `u32` capacity limit.
-//!
-//! Iteration orders (nodes ascending, neighbors ascending, edges
-//! lexicographic) match the `BTreeMap` frontend exactly, so executions
-//! driven through either representation are step-for-step identical.
+//! All slot indices are `u32`: 8 bytes per half-edge plus 8 per node,
+//! with construction checked against the `u32` capacity limit.
 
-use crate::{GraphError, NodeId, UndirectedGraph};
+use crate::orientation::bit_set;
+use crate::{GraphError, NodeId};
 
-/// A compressed-sparse-row snapshot of an [`UndirectedGraph`] with
+/// An undirected simple graph in compressed-sparse-row form with
 /// half-edge/twin indexing.
 ///
 /// Each ordered pair of adjacent nodes `(u, v)` owns one **slot** — a
@@ -39,10 +25,10 @@ use crate::{GraphError, NodeId, UndirectedGraph};
 /// to the slot of `(v, u)`.
 ///
 /// ```
-/// use lr_graph::{CsrGraph, NodeId, UndirectedGraph};
+/// use lr_graph::{NodeId, ReversalInstance};
 ///
-/// let g = UndirectedGraph::from_edges(&[(0, 1), (1, 2)]).unwrap();
-/// let csr = CsrGraph::from_graph(&g);
+/// let inst = ReversalInstance::from_edges(&[(0, 1), (1, 2)], NodeId::new(0)).unwrap();
+/// let csr = inst.csr();
 /// assert_eq!(csr.node_count(), 3);
 /// assert_eq!(csr.half_edge_count(), 4);
 /// let one = csr.index_of(NodeId::new(1)).unwrap();
@@ -94,8 +80,8 @@ pub fn check_slot_capacity(half_edges: usize) -> Result<(), GraphError> {
 /// # Panics
 ///
 /// Panics if the adjacency is not symmetric (some `(u, v)` slot has no
-/// `(v, u)` counterpart) — impossible for [`UndirectedGraph`] input,
-/// and a generator bug when reached through [`CsrBuilder`].
+/// `(v, u)` counterpart) — impossible for an arc list, and a generator
+/// bug when reached through [`CsrBuilder`].
 fn twin_table(offsets: &[u32], targets: &[u32]) -> Vec<u32> {
     let n = offsets.len() - 1;
     let mut cursor: Vec<u32> = offsets[..n].to_vec();
@@ -118,70 +104,115 @@ fn twin_table(offsets: &[u32], targets: &[u32]) -> Vec<u32> {
     twins
 }
 
-impl CsrGraph {
-    /// Builds the CSR snapshot of `graph` in O(n + m).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph exceeds [`MAX_HALF_EDGES`] half-edges; use
-    /// [`CsrGraph::try_from_graph`] to handle that case as an error.
-    pub fn from_graph(graph: &UndirectedGraph) -> Self {
-        Self::try_from_graph(graph).expect("graph fits the u32 slot-index capacity")
-    }
-
-    /// Builds the CSR snapshot of `graph`, checking the `u32` slot-index
-    /// capacity. O(n + m).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::SlotCapacity`] if the graph has more than
-    /// [`MAX_HALF_EDGES`] half-edges, or [`GraphError::UnknownNode`] if
-    /// an adjacency list names a node missing from the node set (which
-    /// [`UndirectedGraph`] never produces).
-    pub fn try_from_graph(graph: &UndirectedGraph) -> Result<Self, GraphError> {
-        check_slot_capacity(2 * graph.edge_count())?;
-        let nodes: Vec<NodeId> = graph.nodes().collect();
-        let contiguous = nodes.iter().enumerate().all(|(i, u)| u.raw() as usize == i);
-        let mut offsets = Vec::with_capacity(nodes.len() + 1);
-        let mut targets = Vec::with_capacity(2 * graph.edge_count());
-        offsets.push(0u32);
-        for &u in &nodes {
-            for v in graph.neighbors(u) {
-                let vi = if contiguous {
-                    v.raw()
-                } else {
-                    nodes
-                        .binary_search(&v)
-                        .map_err(|_| GraphError::UnknownNode(v))? as u32
-                };
-                targets.push(vi);
-            }
-            offsets.push(targets.len() as u32);
+/// Builds the CSR of the graph whose edges are `arcs` (each `(tail,
+/// head)`, ids any `u32`), with every arc's direction as a slot bit (set
+/// ⟺ the slot's edge points out of its owner). The
+/// nodes are the arcs' endpoints, ascending. Each node's run is ordered
+/// by neighbour, which the scatter already produces for arcs listed in
+/// canonical edge order; other runs are sorted.
+///
+/// # Errors
+///
+/// [`GraphError::SlotCapacity`] for more than [`MAX_HALF_EDGES`]
+/// half-edges; otherwise, for the first arc in input order that is a
+/// self-loop or repeats an earlier edge (in either direction),
+/// [`GraphError::SelfLoop`] or [`GraphError::DuplicateEdge`] naming it
+/// as given.
+pub(crate) fn from_arcs(arcs: &[(u32, u32)]) -> Result<(CsrGraph, Vec<u64>), GraphError> {
+    check_slot_capacity(arcs.len().saturating_mul(2))?;
+    let mut nodes: Vec<u32> = arcs.iter().flat_map(|&(u, v)| [u, v]).collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    let n = nodes.len();
+    let contiguous = nodes.last().is_none_or(|&last| last as usize + 1 == n);
+    let index = |u: u32| -> usize {
+        if contiguous {
+            u as usize
+        } else {
+            nodes.binary_search(&u).expect("every endpoint is a node")
         }
-        let twins = twin_table(&offsets, &targets);
-        Ok(CsrGraph {
-            nodes,
-            contiguous,
-            offsets,
-            targets,
-            twins,
-        })
+    };
+    let mut offsets = vec![0u32; n + 1];
+    for &(u, v) in arcs {
+        offsets[index(u) + 1] += 1;
+        offsets[index(v) + 1] += 1;
     }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    // One key per half-edge: the target above the out bit (bit 31) and
+    // the arc's index (below 2^31, by the capacity check).
+    const OUT: u64 = 1 << 31;
+    let mut cursor: Vec<u32> = offsets[..n].to_vec();
+    let mut keys = vec![0u64; 2 * arcs.len()];
+    for (k, &(u, v)) in arcs.iter().enumerate() {
+        let (ui, vi) = (index(u), index(v));
+        keys[cursor[ui] as usize] = (vi as u64) << 32 | OUT | k as u64;
+        cursor[ui] += 1;
+        keys[cursor[vi] as usize] = (ui as u64) << 32 | k as u64;
+        cursor[vi] += 1;
+    }
+    drop(cursor);
+    // The first offending arc: a self-loop, or the second arc of some
+    // edge (the smallest arc index after a group's first).
+    let mut first_bad = arcs.iter().position(|&(u, v)| u == v);
+    for u in 0..n {
+        let run = &mut keys[offsets[u] as usize..offsets[u + 1] as usize];
+        if !run.is_sorted() {
+            run.sort_unstable();
+        }
+        for group in run.chunk_by(|a, b| a >> 32 == b >> 32) {
+            let arc = |key: &u64| (key & (OUT - 1)) as usize;
+            let first = group.iter().map(arc).min().expect("a nonempty group");
+            if let Some(second) = group.iter().map(arc).filter(|&k| k != first).min() {
+                first_bad = Some(first_bad.map_or(second, |b| b.min(second)));
+            }
+        }
+    }
+    if let Some(k) = first_bad {
+        let (u, v) = (NodeId::new(arcs[k].0), NodeId::new(arcs[k].1));
+        return Err(if u == v {
+            GraphError::SelfLoop(u)
+        } else {
+            GraphError::DuplicateEdge(u, v)
+        });
+    }
+    let mut out = vec![0u64; keys.len().div_ceil(64)];
+    let targets: Vec<u32> = keys
+        .iter()
+        .enumerate()
+        .map(|(slot, &key)| {
+            if key & OUT != 0 {
+                bit_set(&mut out, slot);
+            }
+            (key >> 32) as u32
+        })
+        .collect();
+    drop(keys);
+    let twins = twin_table(&offsets, &targets);
+    let csr = CsrGraph {
+        nodes: nodes.into_iter().map(NodeId::new).collect(),
+        contiguous,
+        offsets,
+        targets,
+        twins,
+    };
+    Ok((csr, out))
+}
 
-    /// Builds a contiguous-id CSR directly from prepared offset/target
-    /// arrays whose neighbor runs are already strictly ascending — the
-    /// scatter-pass back door for streaming generators that cannot emit
-    /// node-by-node (layered DAGs, random graphs).
+impl CsrGraph {
+    /// Builds a contiguous-id CSR from offset/target arrays whose
+    /// neighbor runs are already strictly ascending: the end of
+    /// [`CsrBuilder`] and of the scatter-pass generators.
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::SlotCapacity`] if `targets` exceeds
-    /// [`MAX_HALF_EDGES`] entries.
+    /// [`GraphError::SlotCapacity`] past [`MAX_HALF_EDGES`] entries.
     ///
     /// # Panics
     ///
-    /// Panics on malformed arrays (unsorted or out-of-range runs,
-    /// asymmetric adjacency) — generator bugs, not runtime conditions.
+    /// On malformed arrays (unsorted, out-of-range or asymmetric runs) —
+    /// generator bugs, not runtime conditions.
     pub(crate) fn from_sorted_adjacency(
         offsets: Vec<u32>,
         targets: Vec<u32>,
@@ -268,6 +299,14 @@ impl CsrGraph {
         &self.targets[self.slots(idx)]
     }
 
+    /// The neighbors of `u`, ascending (none if `u` is not a node).
+    pub fn neighbors(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let run = self
+            .index_of(u)
+            .map_or(&[][..], |i| self.neighbor_indices(i));
+        run.iter().map(|&v| self.node(v as usize))
+    }
+
     /// The dense index of the slot's target (the neighbor).
     pub fn target(&self, slot: usize) -> usize {
         self.targets[slot] as usize
@@ -300,6 +339,19 @@ impl CsrGraph {
             .binary_search(&(v_idx as u32))
             .ok()?;
         Some(range.start + rel)
+    }
+
+    /// Returns `true` if the graph is connected (the empty graph counts
+    /// as connected).
+    pub fn is_connected(&self) -> bool {
+        let mut seen = vec![false; self.node_count()];
+        let mut stack: Vec<usize> = (!seen.is_empty()).then_some(0).into_iter().collect();
+        while let Some(u) = stack.pop() {
+            if !std::mem::replace(&mut seen[u], true) {
+                stack.extend(self.neighbor_indices(u).iter().map(|&v| v as usize));
+            }
+        }
+        seen.iter().all(|&s| s)
     }
 
     /// Resident size of the CSR arrays in bytes — the representation
@@ -374,11 +426,6 @@ impl CsrBuilder {
         self.offsets.push(self.targets.len() as u32);
     }
 
-    /// Number of nodes pushed so far.
-    pub fn node_count(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
     /// Number of half-edge slots pushed so far.
     pub fn half_edge_count(&self) -> usize {
         self.targets.len()
@@ -400,18 +447,7 @@ impl CsrBuilder {
         if self.overflow {
             return Err(GraphError::SlotCapacity(MAX_HALF_EDGES + 1));
         }
-        let n = self.offsets.len() - 1;
-        if let Some(&bad) = self.targets.iter().find(|&&v| v as usize >= n) {
-            panic!("neighbor index {bad} out of range for {n} nodes");
-        }
-        let twins = twin_table(&self.offsets, &self.targets);
-        Ok(CsrGraph {
-            nodes: (0..n as u32).map(NodeId::new).collect(),
-            contiguous: true,
-            offsets: self.offsets,
-            targets: self.targets,
-            twins,
-        })
+        CsrGraph::from_sorted_adjacency(self.offsets, self.targets)
     }
 }
 
@@ -423,30 +459,51 @@ mod tests {
         NodeId::new(i)
     }
 
+    fn built(arcs: &[(u32, u32)]) -> CsrGraph {
+        from_arcs(arcs).unwrap().0
+    }
+
     #[test]
-    fn mirrors_btreemap_adjacency_exactly() {
-        let g = UndirectedGraph::from_edges(&[(0, 1), (1, 2), (0, 2), (2, 3)]).unwrap();
-        let csr = CsrGraph::from_graph(&g);
-        assert_eq!(csr.node_count(), g.node_count());
-        assert_eq!(csr.half_edge_count(), 2 * g.edge_count());
-        for (i, u) in g.nodes().enumerate() {
-            assert_eq!(csr.node(i), u);
-            assert_eq!(csr.index_of(u), Some(i));
-            assert_eq!(csr.degree(i), g.degree(u));
-            let nbrs: Vec<NodeId> = csr
-                .neighbor_indices(i)
-                .iter()
-                .map(|&j| csr.node(j as usize))
-                .collect();
-            let expected: Vec<NodeId> = g.neighbors(u).collect();
-            assert_eq!(nbrs, expected, "neighbor order must match the frontend");
-        }
+    fn arcs_build_ascending_runs_and_slot_bits() {
+        // Arcs out of canonical order, so some runs need the sort.
+        let (csr, out) = from_arcs(&[(2, 1), (0, 2), (1, 0), (3, 2)]).unwrap();
+        assert_eq!(csr.node_count(), 4);
+        assert_eq!(csr.half_edge_count(), 8);
+        let runs: Vec<&[u32]> = (0..4).map(|i| csr.neighbor_indices(i)).collect();
+        assert_eq!(runs, [&[1, 2][..], &[0, 2], &[0, 1, 3], &[2]]);
+        // Slot bit set ⟺ the arc leaves the slot's owner.
+        let out_slots: Vec<(usize, usize)> = (0..8)
+            .filter(|&s| out[0] >> s & 1 == 1)
+            .map(|s| (csr.source(s), csr.target(s)))
+            .collect();
+        assert_eq!(out_slots, vec![(0, 2), (1, 0), (2, 1), (3, 2)]);
+    }
+
+    #[test]
+    fn arcs_report_the_first_offending_arc_in_input_order() {
+        let err = |arcs: &[(u32, u32)]| from_arcs(arcs).err();
+        assert_eq!(
+            err(&[(0, 1), (1, 0)]),
+            Some(GraphError::DuplicateEdge(n(1), n(0)))
+        );
+        assert_eq!(
+            err(&[(0, 1), (2, 2), (1, 0)]),
+            Some(GraphError::SelfLoop(n(2)))
+        );
+        assert_eq!(
+            err(&[(0, 1), (5, 6), (0, 1), (3, 3), (6, 5)]),
+            Some(GraphError::DuplicateEdge(n(0), n(1)))
+        );
+        assert_eq!(
+            err(&[(4, 9), (9, 4), (9, 4), (4, 9)]),
+            Some(GraphError::DuplicateEdge(n(9), n(4)))
+        );
+        assert_eq!(err(&[]), None);
     }
 
     #[test]
     fn twin_is_an_involution_crossing_the_edge() {
-        let g = UndirectedGraph::from_edges(&[(0, 1), (1, 2), (0, 2), (1, 3)]).unwrap();
-        let csr = CsrGraph::from_graph(&g);
+        let csr = built(&[(0, 1), (1, 2), (0, 2), (1, 3)]);
         for slot in 0..csr.half_edge_count() {
             let t = csr.twin(slot);
             assert_ne!(t, slot);
@@ -458,26 +515,29 @@ mod tests {
 
     #[test]
     fn source_recovers_the_owning_node_for_every_slot() {
-        // Includes a degree-0 node (index 3 in 0,1,2,3,4 with edges
-        // avoiding 3) so the offset tie-break is exercised.
-        let mut g = UndirectedGraph::with_nodes(5);
-        g.add_edge(n(0), n(1)).unwrap();
-        g.add_edge(n(1), n(2)).unwrap();
-        g.add_edge(n(2), n(4)).unwrap();
-        let csr = CsrGraph::from_graph(&g);
+        // A degree-0 node (index 3) exercises the offset tie-break.
+        let mut b = CsrBuilder::with_capacity(5, 6);
+        b.push_node(&[1]);
+        b.push_node(&[0, 2]);
+        b.push_node(&[1, 4]);
+        b.push_node(&[]);
+        b.push_node(&[2]);
+        let csr = b.finish().unwrap();
         for idx in 0..csr.node_count() {
             for slot in csr.slots(idx) {
                 assert_eq!(csr.source(slot), idx, "slot {slot}");
             }
         }
+        assert_eq!(csr.degree(3), 0);
+        assert!(csr.slots(3).is_empty());
+        assert!(csr.neighbor_indices(3).is_empty());
+        assert!(!csr.is_connected());
     }
 
     #[test]
     fn slot_of_finds_every_ordered_pair() {
-        let g = UndirectedGraph::from_edges(&[(0, 1), (1, 2)]).unwrap();
-        let csr = CsrGraph::from_graph(&g);
-        for (u, v) in g.edges() {
-            let (ui, vi) = (csr.index_of(u).unwrap(), csr.index_of(v).unwrap());
+        let csr = built(&[(0, 1), (1, 2)]);
+        for (ui, vi) in [(0, 1), (1, 2)] {
             let s = csr.slot_of(ui, vi).expect("edge has a slot");
             assert_eq!(csr.source(s), ui);
             assert_eq!(csr.target(s), vi);
@@ -488,50 +548,28 @@ mod tests {
 
     #[test]
     fn non_contiguous_ids_fall_back_to_binary_search() {
-        let mut g = UndirectedGraph::new();
-        g.ensure_node(n(5));
-        g.ensure_node(n(9));
-        g.ensure_node(n(200));
-        g.add_edge(n(5), n(200)).unwrap();
-        g.add_edge(n(9), n(200)).unwrap();
-        let csr = CsrGraph::from_graph(&g);
+        let csr = built(&[(5, 200), (9, 200), (u32::MAX, 9)]);
         assert_eq!(csr.index_of(n(5)), Some(0));
         assert_eq!(csr.index_of(n(9)), Some(1));
         assert_eq!(csr.index_of(n(200)), Some(2));
+        assert_eq!(csr.index_of(n(u32::MAX)), Some(3));
         assert_eq!(csr.index_of(n(6)), None);
         assert_eq!(csr.degree(2), 2);
         let s = csr.slot_of(0, 2).unwrap();
         assert_eq!(csr.node(csr.target(s)), n(200));
-        for idx in 0..csr.node_count() {
-            for slot in csr.slots(idx) {
-                assert_eq!(csr.source(slot), idx);
-            }
-        }
+        assert!(csr.is_connected());
     }
 
     #[test]
-    fn isolated_nodes_have_empty_slot_ranges() {
-        let mut g = UndirectedGraph::with_nodes(3);
-        g.add_edge(n(0), n(1)).unwrap();
-        let csr = CsrGraph::from_graph(&g);
-        assert_eq!(csr.degree(2), 0);
-        assert!(csr.slots(2).is_empty());
-        assert!(csr.neighbor_indices(2).is_empty());
-    }
-
-    #[test]
-    fn builder_matches_from_graph_on_a_small_graph() {
-        let g = UndirectedGraph::from_edges(&[(0, 1), (1, 2), (0, 2), (2, 3)]).unwrap();
-        let reference = CsrGraph::from_graph(&g);
+    fn builder_matches_the_arc_list_build() {
+        let reference = built(&[(0, 1), (1, 2), (0, 2), (2, 3)]);
         let mut b = CsrBuilder::with_capacity(4, 8);
         b.push_node(&[1, 2]);
         b.push_node(&[0, 2]);
         b.push_node(&[0, 1, 3]);
         b.push_node(&[2]);
-        assert_eq!(b.node_count(), 4);
         assert_eq!(b.half_edge_count(), 8);
-        let built = b.finish().unwrap();
-        assert_eq!(built, reference);
+        assert_eq!(b.finish().unwrap(), reference);
     }
 
     #[test]
@@ -561,8 +599,7 @@ mod tests {
 
     #[test]
     fn resident_bytes_counts_the_flat_arrays() {
-        let g = UndirectedGraph::from_edges(&[(0, 1), (1, 2)]).unwrap();
-        let csr = CsrGraph::from_graph(&g);
+        let csr = built(&[(0, 1), (1, 2)]);
         // 3 nodes × 4 + 4 offsets × 4 + 4 targets × 4 + 4 twins × 4.
         assert_eq!(csr.resident_bytes(), 12 + 16 + 16 + 16);
     }

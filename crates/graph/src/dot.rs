@@ -1,9 +1,9 @@
-//! Graphviz DOT export for directed views, handy for debugging executions
+//! Graphviz DOT export for orientations, handy for debugging executions
 //! and for the examples' visual output.
 
 use std::fmt::Write as _;
 
-use crate::{DirectedView, NodeId};
+use crate::{NodeId, Orientation};
 
 /// Options controlling [`to_dot`] output.
 #[derive(Debug, Clone, Default)]
@@ -16,12 +16,12 @@ pub struct DotOptions {
     pub name: Option<String>,
 }
 
-/// Renders a directed view as a Graphviz `digraph`.
+/// Renders an orientation as a Graphviz `digraph`.
 ///
 /// ```
 /// use lr_graph::{dot, stream};
-/// let inst = stream::chain_away(3).to_instance();
-/// let s = dot::to_dot(&inst.view(), &dot::DotOptions {
+/// let inst = stream::chain_away(3);
+/// let s = dot::to_dot(inst.init(), &dot::DotOptions {
 ///     destination: Some(inst.dest),
 ///     highlight_sinks: true,
 ///     name: Some("chain".into()),
@@ -29,17 +29,17 @@ pub struct DotOptions {
 /// assert!(s.contains("digraph chain"));
 /// assert!(s.contains("n0 -> n1"));
 /// ```
-pub fn to_dot(view: &DirectedView<'_>, opts: &DotOptions) -> String {
+pub fn to_dot(orientation: &Orientation, opts: &DotOptions) -> String {
     let mut out = String::new();
     let name = opts.name.as_deref().unwrap_or("G");
     writeln!(out, "digraph {name} {{").expect("write to String cannot fail");
     writeln!(out, "    rankdir=LR;").expect("write to String cannot fail");
-    for u in view.graph().nodes() {
+    for (i, u) in orientation.csr().nodes().enumerate() {
         let mut attrs: Vec<String> = Vec::new();
         if opts.destination == Some(u) {
             attrs.push("shape=doublecircle".to_string());
         }
-        if opts.highlight_sinks && view.is_sink(u) {
+        if opts.highlight_sinks && orientation.is_sink_at(i) {
             attrs.push("style=filled".to_string());
             attrs.push("fillcolor=lightcoral".to_string());
         }
@@ -49,7 +49,7 @@ pub fn to_dot(view: &DirectedView<'_>, opts: &DotOptions) -> String {
             writeln!(out, "    {u} [{}];", attrs.join(", ")).expect("write to String cannot fail");
         }
     }
-    for (t, h) in view.orientation().directed_edges() {
+    for (t, h) in orientation.directed_edges() {
         writeln!(out, "    {t} -> {h};").expect("write to String cannot fail");
     }
     writeln!(out, "}}").expect("write to String cannot fail");
@@ -63,9 +63,9 @@ mod tests {
 
     #[test]
     fn renders_nodes_edges_and_destination() {
-        let inst = stream::chain_away(3).to_instance();
+        let inst = stream::chain_away(3);
         let s = to_dot(
-            &inst.view(),
+            inst.init(),
             &DotOptions {
                 destination: Some(inst.dest),
                 highlight_sinks: true,
@@ -82,8 +82,7 @@ mod tests {
 
     #[test]
     fn default_options_render_plain_nodes() {
-        let inst = stream::chain_away(3).to_instance();
-        let s = to_dot(&inst.view(), &DotOptions::default());
+        let s = to_dot(stream::chain_away(3).init(), &DotOptions::default());
         assert!(s.contains("digraph G {"));
         assert!(s.contains("    n1;"));
         assert!(!s.contains("doublecircle"));

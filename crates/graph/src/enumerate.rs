@@ -9,7 +9,9 @@
 //! labeled instance; [`instance_orbits`] lists one per isomorphism class,
 //! weighted by the size of its class.
 
-use crate::{DirectedView, NodeId, Orientation, ReversalInstance, UndirectedGraph};
+use std::sync::Arc;
+
+use crate::{CsrBuilder, CsrGraph, NodeId, Orientation, ReversalInstance};
 
 /// Enumerates all labeled connected simple graphs on `n` nodes.
 ///
@@ -26,60 +28,75 @@ use crate::{DirectedView, NodeId, Orientation, ReversalInstance, UndirectedGraph
 /// assert_eq!(connected_graphs(3).len(), 4);
 /// assert_eq!(connected_graphs(4).len(), 38);
 /// ```
-pub fn connected_graphs(n: usize) -> Vec<UndirectedGraph> {
+pub fn connected_graphs(n: usize) -> Vec<Arc<CsrGraph>> {
     assert!((1..=7).contains(&n), "connected_graphs is for 1 ≤ n ≤ 7");
     let pairs = node_pairs(n);
-    let m = pairs.len();
-    let mut out = Vec::new();
-    for mask in 0..(1u64 << m) {
-        let mut g = UndirectedGraph::with_nodes(n);
-        for (bit, &(i, j)) in pairs.iter().enumerate() {
-            if mask >> bit & 1 == 1 {
-                g.add_edge(node(i), node(j)).expect("fresh");
-            }
-        }
-        if g.is_connected() {
-            out.push(g);
-        }
-    }
-    out
+    (0..1u32 << pairs.len())
+        .filter(|&mask| mask_is_connected(n, &pairs, mask))
+        .map(|mask| graph_of(n, &masked_pairs(&pairs, mask)))
+        .collect()
 }
 
 /// Enumerates all acyclic orientations of `graph`.
 ///
 /// Tries all `2^m` direction assignments and keeps the acyclic ones; meant
-/// for graphs with at most ~20 edges.
+/// for graphs with at most ~20 edges. Bit `k` of an assignment directs the
+/// `k`-th edge in canonical order from its smaller endpoint, and the
+/// orientations come in assignment order.
 ///
 /// # Panics
 ///
 /// Panics if the graph has more than 24 edges.
 ///
 /// ```
-/// use lr_graph::enumerate::acyclic_orientations;
-/// use lr_graph::UndirectedGraph;
-/// // A triangle has 6 orientations, 2 of which are cyclic.
-/// let g = UndirectedGraph::from_edges(&[(0, 1), (1, 2), (0, 2)]).unwrap();
-/// assert_eq!(acyclic_orientations(&g).len(), 6);
+/// use lr_graph::enumerate::{acyclic_orientations, connected_graphs};
+/// // The triangle (the last connected graph on 3 nodes) has 8
+/// // orientations, 2 of which are cyclic.
+/// let triangle = connected_graphs(3).pop().unwrap();
+/// assert_eq!(acyclic_orientations(&triangle).len(), 6);
 /// ```
-pub fn acyclic_orientations(graph: &UndirectedGraph) -> Vec<Orientation> {
-    let edges: Vec<(NodeId, NodeId)> = graph.edges().collect();
-    let m = edges.len();
+pub fn acyclic_orientations(graph: &Arc<CsrGraph>) -> Vec<Orientation> {
+    let m = graph.edge_count();
     assert!(m <= 24, "too many edges for exhaustive orientation");
-    let mut out = Vec::new();
-    for mask in 0..(1u64 << m) {
-        let mut o = Orientation::new();
-        for (bit, &(u, v)) in edges.iter().enumerate() {
-            if mask >> bit & 1 == 1 {
-                o.set_from_to(u, v);
-            } else {
-                o.set_from_to(v, u);
-            }
-        }
-        if DirectedView::new(graph, &o).is_acyclic() {
-            out.push(o);
-        }
+    (0..1u64 << m)
+        .map(|mask| oriented(graph, mask))
+        .filter(Orientation::is_acyclic)
+        .collect()
+}
+
+/// The orientation of `graph` whose `k`-th canonical edge points from its
+/// smaller endpoint iff bit `k` of `mask` is set.
+fn oriented(graph: &Arc<CsrGraph>, mask: u64) -> Orientation {
+    let mut k = 0;
+    Orientation::from_fn(Arc::clone(graph), |_, _| {
+        k += 1;
+        mask >> (k - 1) & 1 == 1
+    })
+}
+
+/// The graph on nodes `0..n` with the given edges `(i, j)`, `i < j`, in
+/// lexicographic order.
+fn graph_of(n: usize, edges: &[(usize, usize)]) -> Arc<CsrGraph> {
+    let mut adjacency = vec![Vec::new(); n];
+    for &(i, j) in edges {
+        adjacency[i].push(j as u32);
+        adjacency[j].push(i as u32);
     }
-    out
+    let mut b = CsrBuilder::with_capacity(n, 2 * edges.len());
+    for run in &adjacency {
+        b.push_node(run);
+    }
+    Arc::new(b.finish().expect("a small graph"))
+}
+
+/// The pairs whose bit is set in `mask`.
+fn masked_pairs(pairs: &[(usize, usize)], mask: u32) -> Vec<(usize, usize)> {
+    pairs
+        .iter()
+        .enumerate()
+        .filter(|&(k, _)| mask >> k & 1 == 1)
+        .map(|(_, &e)| e)
+        .collect()
 }
 
 /// Enumerates every [`ReversalInstance`] on `n` nodes: all connected
@@ -98,8 +115,7 @@ pub fn all_instances(n: usize) -> Vec<ReversalInstance> {
         for o in acyclic_orientations(&g) {
             for dest in g.nodes() {
                 out.push(
-                    ReversalInstance::new(g.clone(), o.clone(), dest)
-                        .expect("enumerated instance is valid"),
+                    ReversalInstance::new(o.clone(), dest).expect("enumerated instance is valid"),
                 );
             }
         }
@@ -144,12 +160,8 @@ pub fn instance_orbits(n: usize) -> Vec<(ReversalInstance, u64)> {
     let orders = permutations(n);
     let mut out = Vec::new();
     for class in connected_graph_classes(n) {
-        let edges: Vec<(usize, usize)> = pairs
-            .iter()
-            .enumerate()
-            .filter(|&(k, _)| class.mask >> k & 1 == 1)
-            .map(|(_, &e)| e)
-            .collect();
+        let edges = masked_pairs(&pairs, class.mask);
+        let graph = graph_of(n, &edges);
         // Orientation bit k is set when edges[k] = (i, j), i < j, points
         // i → j. Every acyclic orientation is the one some node order
         // induces (each edge points from the earlier node to the later),
@@ -200,28 +212,14 @@ pub fn instance_orbits(n: usize) -> Vec<(ReversalInstance, u64)> {
                     moved >= (o, dest)
                 });
                 if smallest {
-                    out.push((orbit_instance(n, &edges, o, dest), n_factorial / stabilizer));
+                    let inst = ReversalInstance::new(oriented(&graph, o.into()), node(dest))
+                        .expect("enumerated instance is valid");
+                    out.push((inst, n_factorial / stabilizer));
                 }
             }
         }
     }
     out
-}
-
-/// The instance on nodes `0..n` with the given edges, orientation bits
-/// (as in [`instance_orbits`]) and destination.
-fn orbit_instance(n: usize, edges: &[(usize, usize)], o: u32, dest: usize) -> ReversalInstance {
-    let mut graph = UndirectedGraph::with_nodes(n);
-    let mut init = Orientation::new();
-    for (k, &(i, j)) in edges.iter().enumerate() {
-        graph.add_edge(node(i), node(j)).expect("fresh");
-        if o >> k & 1 == 1 {
-            init.set_from_to(node(i), node(j));
-        } else {
-            init.set_from_to(node(j), node(i));
-        }
-    }
-    ReversalInstance::new(graph, init, node(dest)).expect("enumerated instance is valid")
 }
 
 /// One isomorphism class of connected graphs: its canonical member and
@@ -345,19 +343,25 @@ fn node(i: usize) -> NodeId {
 /// Panics if the graph has more than 24 edges.
 ///
 /// ```
-/// use lr_graph::enumerate::tutte;
-/// use lr_graph::UndirectedGraph;
-/// // K4: one acyclic orientation per ordering of its 4 nodes; node 0 is
-/// // the only sink of the 3! orderings that end at it.
-/// let k4 =
-///     UndirectedGraph::from_edges(&[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]).unwrap();
+/// use lr_graph::enumerate::{connected_graphs, tutte};
+/// // K4 (the last connected graph on 4 nodes): one acyclic orientation
+/// // per ordering of its 4 nodes; node 0 is the only sink of the 3!
+/// // orderings that end at it.
+/// let k4 = connected_graphs(4).pop().unwrap();
 /// assert_eq!(tutte(&k4, 2, 0), 24);
 /// assert_eq!(tutte(&k4, 1, 0), 6);
 /// ```
-pub fn tutte(graph: &UndirectedGraph, x: i64, y: i64) -> i64 {
-    let nodes: Vec<NodeId> = graph.nodes().collect();
-    let index = |u: NodeId| nodes.binary_search(&u).expect("edge endpoints are nodes");
-    let edges: Vec<(usize, usize)> = graph.edges().map(|(u, v)| (index(u), index(v))).collect();
+pub fn tutte(graph: &CsrGraph, x: i64, y: i64) -> i64 {
+    let n = graph.node_count();
+    let edges: Vec<(usize, usize)> = (0..n)
+        .flat_map(|u| {
+            graph
+                .neighbor_indices(u)
+                .iter()
+                .map(move |&v| (u, v as usize))
+        })
+        .filter(|&(u, v)| u < v)
+        .collect();
     let m = edges.len();
     assert!(m <= 24, "too many edges for the subset expansion");
     fn root(parent: &mut [usize], mut u: usize) -> usize {
@@ -367,10 +371,10 @@ pub fn tutte(graph: &UndirectedGraph, x: i64, y: i64) -> i64 {
         }
         u
     }
-    let mut parent: Vec<usize> = Vec::with_capacity(nodes.len());
+    let mut parent: Vec<usize> = Vec::with_capacity(n);
     let mut rank_of = |mask: u64| -> u32 {
         parent.clear();
-        parent.extend(0..nodes.len());
+        parent.extend(0..n);
         let mut rank = 0u32;
         for (bit, &(u, v)) in edges.iter().enumerate() {
             if mask >> bit & 1 == 1 {
@@ -396,33 +400,47 @@ pub fn tutte(graph: &UndirectedGraph, x: i64, y: i64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
-
-    #[test]
-    fn connected_graph_counts_match_oeis_a001187() {
-        // OEIS A001187: 1, 1, 1, 4, 38, 728 labeled connected graphs.
-        assert_eq!(connected_graphs(1).len(), 1);
-        assert_eq!(connected_graphs(2).len(), 1);
-        assert_eq!(connected_graphs(3).len(), 4);
-        assert_eq!(connected_graphs(4).len(), 38);
-    }
+    use std::collections::HashMap;
 
     #[test]
     fn acyclic_orientation_count_of_path() {
         // Every orientation of a tree is acyclic: 2^(n-1).
-        let g = UndirectedGraph::from_edges(&[(0, 1), (1, 2), (2, 3)]).unwrap();
-        assert_eq!(acyclic_orientations(&g).len(), 8);
+        let path = graph_of(4, &[(0, 1), (1, 2), (2, 3)]);
+        assert_eq!(acyclic_orientations(&path).len(), 8);
     }
 
     #[test]
     fn acyclic_orientation_count_of_triangle_and_k4() {
         // Acyclic orientations are counted by |chi(-1)| where chi is the
         // chromatic polynomial: triangle -> 6, K4 -> 24.
-        let tri = UndirectedGraph::from_edges(&[(0, 1), (1, 2), (0, 2)]).unwrap();
+        let tri = graph_of(3, &node_pairs(3));
         assert_eq!(acyclic_orientations(&tri).len(), 6);
-        let k4 =
-            UndirectedGraph::from_edges(&[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]).unwrap();
+        let k4 = graph_of(4, &node_pairs(4));
         assert_eq!(acyclic_orientations(&k4).len(), 24);
+    }
+
+    #[test]
+    fn orientations_come_in_mask_order() {
+        // Bit k directs the k-th canonical edge of the path 0 — 1 — 2 from
+        // its smaller end.
+        let path = graph_of(3, &[(0, 1), (1, 2)]);
+        let arcs: Vec<Vec<(u32, u32)>> = acyclic_orientations(&path)
+            .iter()
+            .map(|o| {
+                o.directed_edges()
+                    .map(|(t, h)| (t.raw(), h.raw()))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(
+            arcs,
+            vec![
+                vec![(1, 0), (2, 1)],
+                vec![(0, 1), (2, 1)],
+                vec![(1, 0), (1, 2)],
+                vec![(0, 1), (1, 2)],
+            ]
+        );
     }
 
     #[test]
@@ -434,8 +452,8 @@ mod tests {
         let insts = all_instances(3);
         assert_eq!(insts.len(), 54);
         for inst in &insts {
-            assert!(inst.view().is_acyclic());
-            assert!(inst.graph.is_connected());
+            assert!(inst.init().is_acyclic());
+            assert!(inst.csr().is_connected());
         }
     }
 
@@ -512,8 +530,8 @@ mod tests {
                 .sum();
             assert_eq!(members, labeled, "n = {n}");
         }
-        for n in 3..=4 {
-            assert_eq!(connected_graphs(n).len(), [4, 38][n - 3]);
+        for (n, labeled) in [(1, 1), (2, 1), (3, 4), (4, 38)] {
+            assert_eq!(connected_graphs(n).len(), labeled);
         }
     }
 
@@ -552,7 +570,7 @@ mod tests {
             .iter()
             .map(|p| {
                 let mut arcs: Vec<(usize, usize)> = inst
-                    .init
+                    .init()
                     .directed_edges()
                     .map(|(u, v)| (p[u.index()], p[v.index()]))
                     .collect();
@@ -570,7 +588,7 @@ mod tests {
         // found are the representatives' classes, one each, and each holds
         // its representative's orbit size of labeled instances.
         for n in 2..=4 {
-            let mut class_sizes: BTreeMap<_, u64> = BTreeMap::new();
+            let mut class_sizes: HashMap<_, u64> = HashMap::new();
             for inst in all_instances(n) {
                 *class_sizes
                     .entry(brute_force_canonical_form(&inst))

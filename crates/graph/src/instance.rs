@@ -1,101 +1,125 @@
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
-use crate::{DirectedView, GraphError, NodeId, Orientation, PlaneEmbedding, UndirectedGraph};
+use crate::{CsrGraph, GraphError, NodeId, Orientation};
 
-/// A ready-to-run link-reversal problem instance: the undirected graph `G`,
-/// the initial acyclic orientation `G'_init`, and the destination node `D`.
+/// A link-reversal problem instance: the communication graph `G`, the
+/// initial acyclic orientation `G'_init`, and the destination node `D` —
+/// exactly the inputs assumed by §2 of the paper.
 ///
-/// This bundles exactly the inputs assumed by §2 of the paper. All
-/// algorithm states are constructed from a `ReversalInstance`, and the
-/// instance itself never changes during an execution.
+/// The graph is a shared [`CsrGraph`] and the initial orientation one bit
+/// per half-edge slot, so an instance costs about 8 bytes per half-edge
+/// plus 8 per node, and every engine, automaton and protocol builds its
+/// state from it without copying the graph. Instances never change during
+/// an execution.
 ///
 /// ```
-/// use lr_graph::{NodeId, Orientation, ReversalInstance, UndirectedGraph};
+/// use lr_graph::{NodeId, ReversalInstance};
 ///
-/// let g = UndirectedGraph::from_edges(&[(0, 1), (1, 2)]).unwrap();
-/// let o = Orientation::from_order(&g, &[NodeId::new(0), NodeId::new(1), NodeId::new(2)]);
-/// let inst = ReversalInstance::new(g, o, NodeId::new(0)).unwrap();
-/// assert_eq!(inst.dest, NodeId::new(0));
+/// // 0 → 1 → 2 with the destination at the far end.
+/// let inst = ReversalInstance::from_edges(&[(0, 1), (1, 2)], NodeId::new(2)).unwrap();
+/// assert_eq!(inst.node_count(), 3);
+/// assert_eq!(inst.initial_bad_nodes(), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReversalInstance {
-    /// The fixed undirected communication graph `G`.
-    pub graph: UndirectedGraph,
-    /// The initial orientation `G'_init` (must be acyclic).
-    pub init: Orientation,
+    init: Orientation,
     /// The destination node `D`, which never takes steps.
     pub dest: NodeId,
 }
 
 impl ReversalInstance {
-    /// Validates and creates an instance.
+    /// Builds and validates an instance from its directed edges `(tail,
+    /// head)`; the nodes are the edges' endpoints, and any `u32` is a
+    /// valid id.
     ///
     /// # Errors
     ///
-    /// * [`GraphError::UnknownNode`] — `dest` is not a node of `graph`.
-    /// * [`GraphError::UnknownEdge`] — `init` does not orient every edge.
-    /// * [`GraphError::ContainsCycle`] — `init` is not acyclic.
-    /// * [`GraphError::Disconnected`] — `graph` is not connected (required
-    ///   for termination in a destination-oriented state).
-    pub fn new(
-        graph: UndirectedGraph,
-        init: Orientation,
-        dest: NodeId,
-    ) -> Result<Self, GraphError> {
-        if !graph.contains_node(dest) {
+    /// In this order:
+    ///
+    /// * [`GraphError::SelfLoop`] or [`GraphError::DuplicateEdge`] — for
+    ///   the first arc that is a self-loop or repeats an earlier edge in
+    ///   either direction;
+    /// * [`GraphError::UnknownNode`] — `dest` is not an endpoint;
+    /// * [`GraphError::Disconnected`] — the graph is not connected
+    ///   (required for termination in a destination-oriented state);
+    /// * [`GraphError::ContainsCycle`] — the orientation is not acyclic.
+    pub fn from_edges(arcs: &[(u32, u32)], dest: NodeId) -> Result<Self, GraphError> {
+        Self::new(Orientation::from_edges(arcs)?, dest)
+    }
+
+    /// Validates an orientation and destination as
+    /// [`ReversalInstance::from_edges`] does after its arc checks.
+    pub(crate) fn new(init: Orientation, dest: NodeId) -> Result<Self, GraphError> {
+        if init.csr().index_of(dest).is_none() {
             return Err(GraphError::UnknownNode(dest));
         }
-        if !init.covers(&graph) {
-            // Report the first uncovered edge for a useful message.
-            let missing = graph
-                .edges()
-                .find(|&(u, v)| init.dir(u, v).is_none())
-                .expect("covers() failed so an edge is missing");
-            return Err(GraphError::UnknownEdge(missing.0, missing.1));
-        }
-        if !graph.is_connected() {
+        if !init.csr().is_connected() {
             return Err(GraphError::Disconnected);
         }
-        if !DirectedView::new(&graph, &init).is_acyclic() {
+        if !init.is_acyclic() {
             return Err(GraphError::ContainsCycle);
         }
-        Ok(ReversalInstance { graph, init, dest })
+        Ok(ReversalInstance { init, dest })
     }
 
-    /// A directed view of the **initial** orientation.
-    pub fn view(&self) -> DirectedView<'_> {
-        DirectedView::new(&self.graph, &self.init)
+    /// Wraps an orientation a generator built valid by construction
+    /// (connected, acyclic, `dest` a node).
+    pub(crate) fn from_valid(init: Orientation, dest: NodeId) -> Self {
+        debug_assert!(init.csr().index_of(dest).is_some());
+        ReversalInstance { init, dest }
     }
 
-    /// The plane embedding of the initial DAG (§4.2), used by Invariants
-    /// 4.1/4.2.
-    ///
-    /// Always succeeds because the constructor validated acyclicity.
-    pub fn embedding(&self) -> PlaneEmbedding {
-        PlaneEmbedding::of_initial(&self.graph, &self.init)
-            .expect("instance constructor validated acyclicity")
+    /// The graph `G`.
+    pub fn csr(&self) -> &Arc<CsrGraph> {
+        self.init.csr()
     }
 
-    /// The initial in-neighbors `in-nbrs_u` of a node (fixed for the whole
-    /// execution, per §2).
-    pub fn initial_in_nbrs(&self, u: NodeId) -> Vec<NodeId> {
-        self.view().in_neighbors(u).collect()
-    }
-
-    /// The initial out-neighbors `out-nbrs_u` of a node.
-    pub fn initial_out_nbrs(&self, u: NodeId) -> Vec<NodeId> {
-        self.view().out_neighbors(u).collect()
+    /// The initial orientation `G'_init`.
+    pub fn init(&self) -> &Orientation {
+        &self.init
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.graph.node_count()
+        self.csr().node_count()
+    }
+
+    /// Number of half-edge slots (2 × the edge count).
+    pub fn half_edge_count(&self) -> usize {
+        self.csr().half_edge_count()
+    }
+
+    /// The initial in-neighbors `in-nbrs_u` of a node, ascending (fixed
+    /// for the whole execution, per §2).
+    pub fn initial_in_nbrs(&self, u: NodeId) -> Vec<NodeId> {
+        self.initial_nbrs(u, false)
+    }
+
+    /// The initial out-neighbors `out-nbrs_u` of a node, ascending.
+    pub fn initial_out_nbrs(&self, u: NodeId) -> Vec<NodeId> {
+        self.initial_nbrs(u, true)
+    }
+
+    fn initial_nbrs(&self, u: NodeId, out: bool) -> Vec<NodeId> {
+        let csr = self.csr();
+        csr.index_of(u).map_or_else(Vec::new, |i| {
+            csr.slots(i)
+                .filter(|&slot| self.init.is_out(slot) == out)
+                .map(|slot| csr.node(csr.target(slot)))
+                .collect()
+        })
     }
 
     /// Nodes that initially have no directed path to the destination
     /// (`n_b`, the "bad node" count of the Θ(n_b²) bound).
     pub fn initial_bad_nodes(&self) -> usize {
-        self.view().bad_node_count(self.dest)
+        self.init.bad_node_count(self.dest)
+    }
+
+    /// Resident size of the instance in bytes: the CSR arrays plus the
+    /// packed orientation words.
+    pub fn resident_bytes(&self) -> usize {
+        self.csr().resident_bytes() + self.init.words().len() * 8
     }
 }
 
@@ -108,62 +132,37 @@ mod tests {
     }
 
     fn valid_instance() -> ReversalInstance {
-        let g = UndirectedGraph::from_edges(&[(0, 1), (1, 2), (0, 2)]).unwrap();
-        let o = Orientation::from_order(&g, &[n(0), n(1), n(2)]);
-        ReversalInstance::new(g, o, n(2)).unwrap()
+        ReversalInstance::from_edges(&[(0, 1), (1, 2), (0, 2)], n(2)).unwrap()
     }
 
     #[test]
     fn valid_instance_constructs() {
         let inst = valid_instance();
         assert_eq!(inst.node_count(), 3);
+        assert_eq!(inst.half_edge_count(), 6);
         assert_eq!(inst.initial_bad_nodes(), 0);
     }
 
     #[test]
-    fn unknown_destination_is_rejected() {
-        let g = UndirectedGraph::from_edges(&[(0, 1)]).unwrap();
-        let o = Orientation::from_order(&g, &[n(0), n(1)]);
+    fn validation_errors_come_in_order() {
+        let from = |arcs: &[(u32, u32)], dest| ReversalInstance::from_edges(arcs, n(dest));
+        // A duplicate beats an unknown destination, which beats
+        // disconnection, which beats a cycle.
         assert_eq!(
-            ReversalInstance::new(g, o, n(9)),
+            from(&[(0, 1), (2, 3), (1, 0)], 9),
+            Err(GraphError::DuplicateEdge(n(1), n(0)))
+        );
+        assert_eq!(
+            from(&[(0, 1), (2, 3)], 9),
             Err(GraphError::UnknownNode(n(9)))
         );
-    }
-
-    #[test]
-    fn partial_orientation_is_rejected() {
-        let g = UndirectedGraph::from_edges(&[(0, 1), (1, 2)]).unwrap();
-        let mut o = Orientation::new();
-        o.set_from_to(n(0), n(1));
+        let cyclic_and_split = [(0, 1), (1, 2), (2, 0), (3, 4)];
+        assert_eq!(from(&cyclic_and_split, 0), Err(GraphError::Disconnected));
         assert_eq!(
-            ReversalInstance::new(g, o, n(0)),
-            Err(GraphError::UnknownEdge(n(1), n(2)))
-        );
-    }
-
-    #[test]
-    fn cyclic_initial_orientation_is_rejected() {
-        let g = UndirectedGraph::from_edges(&[(0, 1), (1, 2), (0, 2)]).unwrap();
-        let mut o = Orientation::new();
-        o.set_from_to(n(0), n(1));
-        o.set_from_to(n(1), n(2));
-        o.set_from_to(n(2), n(0));
-        assert_eq!(
-            ReversalInstance::new(g, o, n(0)),
+            from(&cyclic_and_split[..3], 0),
             Err(GraphError::ContainsCycle)
         );
-    }
-
-    #[test]
-    fn disconnected_graph_is_rejected() {
-        let g = UndirectedGraph::from_edges(&[(0, 1), (2, 3)]).unwrap();
-        let mut o = Orientation::new();
-        o.set_from_to(n(0), n(1));
-        o.set_from_to(n(2), n(3));
-        assert_eq!(
-            ReversalInstance::new(g, o, n(0)),
-            Err(GraphError::Disconnected)
-        );
+        assert_eq!(from(&[], 0), Err(GraphError::UnknownNode(n(0))));
     }
 
     #[test]
@@ -172,28 +171,22 @@ mod tests {
         assert_eq!(inst.initial_in_nbrs(n(2)), vec![n(0), n(1)]);
         assert_eq!(inst.initial_out_nbrs(n(0)), vec![n(1), n(2)]);
         assert_eq!(inst.initial_in_nbrs(n(0)), vec![]);
+        assert_eq!(inst.initial_out_nbrs(n(9)), vec![]);
     }
 
     #[test]
     fn bad_node_count_counts_unreachable() {
-        // 0 <- 1 <- 2 with dest 2: everything points AWAY from 2's
-        // perspective... orient 1->0, 2->1 and pick dest 0: all reach 0.
-        let g = UndirectedGraph::from_edges(&[(0, 1), (1, 2)]).unwrap();
-        let mut o = Orientation::new();
-        o.set_from_to(n(1), n(0));
-        o.set_from_to(n(2), n(1));
-        let inst = ReversalInstance::new(g.clone(), o.clone(), n(0)).unwrap();
+        // 2 → 1 → 0: every node reaches 0, and only 2 reaches itself.
+        let arcs = [(1, 0), (2, 1)];
+        let inst = ReversalInstance::from_edges(&arcs, n(0)).unwrap();
         assert_eq!(inst.initial_bad_nodes(), 0);
-        // Same orientation, dest 2: nodes 0 and 1 cannot reach it.
-        let inst2 = ReversalInstance::new(g, o, n(2)).unwrap();
-        assert_eq!(inst2.initial_bad_nodes(), 2);
+        let inst = ReversalInstance::from_edges(&arcs, n(2)).unwrap();
+        assert_eq!(inst.initial_bad_nodes(), 2);
     }
 
     #[test]
-    fn serde_round_trip() {
+    fn resident_bytes_adds_the_orientation_words() {
         let inst = valid_instance();
-        let json = serde_json::to_string(&inst).unwrap();
-        let back: ReversalInstance = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, inst);
+        assert_eq!(inst.resident_bytes(), inst.csr().resident_bytes() + 8);
     }
 }

@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a node in a graph.
 ///
 /// `NodeId` is a lightweight copyable newtype over `u32`. Identifiers are
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(d.index(), 0);
 /// assert_eq!(format!("{d}"), "n0");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -81,14 +79,5 @@ mod tests {
     fn display_and_debug() {
         assert_eq!(format!("{}", NodeId::new(5)), "n5");
         assert_eq!(format!("{:?}", NodeId::new(5)), "n5");
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let n = NodeId::new(42);
-        let json = serde_json::to_string(&n).unwrap();
-        assert_eq!(json, "42");
-        let back: NodeId = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, n);
     }
 }

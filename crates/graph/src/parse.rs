@@ -16,67 +16,69 @@
 //! assert_eq!(inst.node_count(), 3);
 //! ```
 
-use crate::{GraphError, NodeId, Orientation, ReversalInstance, UndirectedGraph};
+use crate::{GraphError, NodeId, ReversalInstance};
 
 /// Parses the textual instance format described at module level.
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::Parse`] for malformed lines, and the underlying
-/// validation error (cycle, disconnection, ...) for structurally invalid
-/// instances. A missing `dest` line defaults the destination to node 0.
+/// The first malformed line ([`GraphError::Parse`]), self-loop or
+/// repeated edge wins; after those come the validation errors of
+/// [`ReversalInstance::from_edges`] (unknown destination, disconnection,
+/// cycle). A missing `dest` line defaults the destination to node 0.
 pub fn parse_instance(text: &str) -> Result<ReversalInstance, GraphError> {
-    let mut g = UndirectedGraph::new();
-    let mut o = Orientation::new();
-    let mut dest = None;
+    let (mut arcs, mut dest) = (Vec::new(), 0);
+    let read = read_lines(text, &mut arcs, &mut dest);
+    match (read, ReversalInstance::from_edges(&arcs, NodeId::new(dest))) {
+        // A self-loop or repeated edge before the malformed line wins.
+        (Err(_), Err(early @ (GraphError::SelfLoop(_) | GraphError::DuplicateEdge(..)))) => {
+            Err(early)
+        }
+        (Err(malformed), _) => Err(malformed),
+        (Ok(()), built) => built,
+    }
+}
+
+/// Collects the arcs and the destination up to the first malformed line.
+fn read_lines(text: &str, arcs: &mut Vec<(u32, u32)>, dest: &mut u32) -> Result<(), GraphError> {
     for (idx, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let lineno = idx + 1;
+        let error = |message: String| GraphError::Parse {
+            line: idx + 1,
+            message,
+        };
         if let Some(rest) = line.strip_prefix("dest") {
-            let id: u32 = rest.trim().parse().map_err(|_| GraphError::Parse {
-                line: lineno,
-                message: format!("invalid destination id {rest:?}"),
-            })?;
-            dest = Some(NodeId::new(id));
+            *dest = rest
+                .trim()
+                .parse()
+                .map_err(|_| error(format!("invalid destination id {rest:?}")))?;
             continue;
         }
         let mut parts = line.split('>');
-        let (a, b) = match (parts.next(), parts.next(), parts.next()) {
-            (Some(a), Some(b), None) => (a.trim(), b.trim()),
-            _ => {
-                return Err(GraphError::Parse {
-                    line: lineno,
-                    message: format!("expected `u > v`, got {line:?}"),
-                })
-            }
+        let (Some(a), Some(b), None) = (parts.next(), parts.next(), parts.next()) else {
+            return Err(error(format!("expected `u > v`, got {line:?}")));
         };
-        let parse_id = |s: &str| -> Result<NodeId, GraphError> {
+        let id = |s: &str| {
+            let s = s.trim();
             s.parse::<u32>()
-                .map(NodeId::new)
-                .map_err(|_| GraphError::Parse {
-                    line: lineno,
-                    message: format!("invalid node id {s:?}"),
-                })
+                .map_err(|_| error(format!("invalid node id {s:?}")))
         };
-        let (u, v) = (parse_id(a)?, parse_id(b)?);
-        g.ensure_node(u);
-        g.ensure_node(v);
-        g.add_edge(u, v)?;
-        o.set_from_to(u, v);
+        arcs.push((id(a)?, id(b)?));
     }
-    let dest = dest.unwrap_or(NodeId::new(0));
-    ReversalInstance::new(g, o, dest)
+    Ok(())
 }
 
 /// Serializes an instance back to the textual format (inverse of
-/// [`parse_instance`] up to comments and whitespace).
+/// [`parse_instance`] up to comments and whitespace): the destination,
+/// then every edge in canonical `(min, max)` order.
 pub fn to_text(inst: &ReversalInstance) -> String {
+    use std::fmt::Write as _;
     let mut out = format!("dest {}\n", inst.dest.raw());
-    for (t, h) in inst.init.directed_edges() {
-        out.push_str(&format!("{} > {}\n", t.raw(), h.raw()));
+    for (t, h) in inst.init().directed_edges() {
+        let _ = writeln!(out, "{} > {}", t.raw(), h.raw());
     }
     out
 }
@@ -89,8 +91,8 @@ mod tests {
     fn parses_chain_with_comments_and_blanks() {
         let inst = parse_instance("# comment\n\ndest 2\n0 > 1\n1 > 2\n").unwrap();
         assert_eq!(inst.dest, NodeId::new(2));
-        assert_eq!(inst.graph.edge_count(), 2);
-        assert!(inst.init.points_from_to(NodeId::new(0), NodeId::new(1)));
+        assert_eq!(inst.csr().edge_count(), 2);
+        assert!(inst.init().points_from_to(NodeId::new(0), NodeId::new(1)));
     }
 
     #[test]
@@ -125,6 +127,27 @@ mod tests {
         // A directed cycle parses but fails validation.
         let err = parse_instance("0 > 1\n1 > 2\n2 > 0").unwrap_err();
         assert_eq!(err, GraphError::ContainsCycle);
+    }
+
+    #[test]
+    fn the_first_offending_line_wins() {
+        let err = |text: &str| parse_instance(text).unwrap_err().to_string();
+        assert_eq!(err("0 > 1\n1 > 0\n"), "edge {n1, n0} already exists");
+        assert_eq!(err("0 > 1\n1 > 0\nbogus\n"), "edge {n1, n0} already exists");
+        assert_eq!(
+            err("0 > 1\nbogus\n1 > 0\n2 > 2\n"),
+            "parse error on line 2: expected `u > v`, got \"bogus\""
+        );
+        assert_eq!(err("3 > 3\n0 > x\n"), "self-loop at node n3 is not allowed");
+        assert_eq!(err("dest 7\n0 > 1\n"), "node n7 is not in the graph");
+        assert_eq!(err("0 > 1\n2 > 3\n"), "graph is not connected");
+        assert_eq!(err(""), "node n0 is not in the graph");
+    }
+
+    #[test]
+    fn any_u32_is_a_node_id() {
+        let inst = parse_instance("dest 4294967295\n4294967295 > 0\n").unwrap();
+        assert_eq!(to_text(&inst), "dest 4294967295\n4294967295 > 0\n");
     }
 
     #[test]

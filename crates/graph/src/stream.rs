@@ -1,16 +1,14 @@
 //! Instance generators: the graph families used by the examples, the
 //! tests, the scenario specs, and the benchmark. Each one emits neighbor
-//! runs directly into CSR arrays, never materializing a `BTreeMap` graph
-//! or an intermediate edge list.
+//! runs directly into CSR arrays, never materializing an intermediate
+//! edge list where it can avoid one.
 //!
-//! Every generator returns a [`CsrInstance`] — the flat CSR graph plus a
-//! bit-packed initial orientation (1 bit per half-edge) — at roughly 8
+//! Every generator returns a [`ReversalInstance`] — the CSR graph plus
+//! the initial orientation at one bit per half-edge slot — at roughly 8
 //! bytes per half-edge plus 8 per node, so million-node instances fit
-//! comfortably in memory. [`CsrInstance::to_instance`] materializes the
-//! validated [`ReversalInstance`] (graph, acyclic initial orientation,
-//! destination — the model of §2) for the callers that need the map
-//! form: traces, invariant checks, model checking, the protocols, and
-//! serve setup. Unless documented otherwise the destination is node `0`.
+//! comfortably in memory. The families are connected and acyclic by
+//! construction. Unless documented otherwise the destination is node
+//! `0`.
 //!
 //! The **`*_away` families direct every edge away from the destination**,
 //! which makes *every* other node a "bad node" (no initial path to `D`) —
@@ -25,130 +23,12 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::csr::check_slot_capacity;
-use crate::{
-    CsrBuilder, CsrGraph, EdgeDir, NodeId, Orientation, ReversalInstance, UndirectedGraph,
-};
+use crate::orientation::bit_set;
+use crate::{CsrBuilder, CsrGraph, NodeId, Orientation, ReversalInstance};
 
-/// Reads bit `i` of a packed word array.
-fn bit_get(words: &[u64], i: usize) -> bool {
-    (words[i >> 6] >> (i & 63)) & 1 == 1
-}
-
-/// Sets bit `i` of a packed word array.
-fn bit_set(words: &mut [u64], i: usize) {
-    words[i >> 6] |= 1u64 << (i & 63);
-}
-
-/// A flat, memory-lean problem instance: the CSR communication graph,
-/// the initial orientation packed to one bit per half-edge slot (bit set
-/// ⟺ the slot's edge points **out** of the owning node), and the
-/// destination.
-///
-/// This is the large-scale counterpart of [`ReversalInstance`]; the two
-/// are interconvertible via [`CsrInstance::from_instance`] and
-/// [`CsrInstance::to_instance`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CsrInstance {
-    csr: Arc<CsrGraph>,
-    init_out: Vec<u64>,
-    dest: NodeId,
-}
-
-impl CsrInstance {
-    /// Converts a materialized instance to the flat representation.
-    pub fn from_instance(inst: &ReversalInstance) -> Self {
-        let csr = Arc::new(CsrGraph::from_graph(&inst.graph));
-        let mut init_out = vec![0u64; csr.half_edge_count().div_ceil(64)];
-        for ui in 0..csr.node_count() {
-            let u = csr.node(ui);
-            for slot in csr.slots(ui) {
-                let v = csr.node(csr.target(slot));
-                if inst.init.dir(u, v) == Some(EdgeDir::Out) {
-                    bit_set(&mut init_out, slot);
-                }
-            }
-        }
-        CsrInstance {
-            csr,
-            init_out,
-            dest: inst.dest,
-        }
-    }
-
-    /// Materializes the map form — the inverse of
-    /// [`CsrInstance::from_instance`] — validated through
-    /// [`ReversalInstance::new`].
-    ///
-    /// # Panics
-    ///
-    /// Never in practice: every `CsrInstance` comes from a generator of
-    /// this module or from a validated [`ReversalInstance`], so it is
-    /// connected and its initial orientation acyclic.
-    pub fn to_instance(&self) -> ReversalInstance {
-        let csr = &self.csr;
-        let mut graph = UndirectedGraph::new();
-        for u in csr.nodes() {
-            graph.ensure_node(u);
-        }
-        let mut init = Orientation::new();
-        for ui in 0..csr.node_count() {
-            let u = csr.node(ui);
-            for slot in csr.slots(ui) {
-                let vi = csr.target(slot);
-                if vi < ui {
-                    continue;
-                }
-                let v = csr.node(vi);
-                graph.add_edge(u, v).expect("CSR runs hold each edge once");
-                match self.init_dir_at(slot) {
-                    EdgeDir::Out => init.set_from_to(u, v),
-                    EdgeDir::In => init.set_from_to(v, u),
-                }
-            }
-        }
-        ReversalInstance::new(graph, init, self.dest).expect("CSR instance is valid")
-    }
-
-    /// The CSR graph.
-    pub fn csr(&self) -> &Arc<CsrGraph> {
-        &self.csr
-    }
-
-    /// The destination node.
-    pub fn dest(&self) -> NodeId {
-        self.dest
-    }
-
-    /// The initial direction of a half-edge slot from its owner's
-    /// perspective.
-    pub fn init_dir_at(&self, slot: usize) -> EdgeDir {
-        if bit_get(&self.init_out, slot) {
-            EdgeDir::Out
-        } else {
-            EdgeDir::In
-        }
-    }
-
-    /// The packed initial-orientation words (bit set ⟺ slot is out).
-    pub fn init_out_words(&self) -> &[u64] {
-        &self.init_out
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.csr.node_count()
-    }
-
-    /// Number of half-edge slots.
-    pub fn half_edge_count(&self) -> usize {
-        self.csr.half_edge_count()
-    }
-
-    /// Resident size of the instance in bytes: the CSR arrays plus the
-    /// packed orientation words.
-    pub fn resident_bytes(&self) -> usize {
-        self.csr.resident_bytes() + self.init_out.len() * 8
-    }
+/// Wraps a generator's CSR and slot bits as an instance.
+fn instance(csr: CsrGraph, init_out: Vec<u64>, dest: NodeId) -> ReversalInstance {
+    ReversalInstance::from_valid(Orientation::from_words(Arc::new(csr), init_out), dest)
 }
 
 /// Internal accumulator pairing a [`CsrBuilder`] with the packed
@@ -181,26 +61,19 @@ impl InstanceBuilder {
         self.b.push_node(neighbors);
     }
 
-    fn finish(self, dest: NodeId) -> CsrInstance {
+    fn finish(self, dest: NodeId) -> ReversalInstance {
         let csr = self
             .b
             .finish()
             .expect("streaming generators check capacity up front");
-        CsrInstance {
-            csr: Arc::new(csr),
-            init_out: self.init_out,
-            dest,
-        }
+        instance(csr, self.init_out, dest)
     }
 }
 
 /// Asserts the half-edge count of a family fits the slot-index space
-/// before any allocation happens.
-///
-/// # Panics
-///
-/// Panics with the [`crate::GraphError::SlotCapacity`] message on
-/// overflow — generators are infallible APIs that panic on bad sizes.
+/// before any allocation happens: generators are infallible APIs that
+/// panic, with the [`crate::GraphError::SlotCapacity`] message, on bad
+/// sizes.
 fn assert_capacity(half_edges: usize) {
     if let Err(e) = check_slot_capacity(half_edges) {
         panic!("{e}");
@@ -219,23 +92,11 @@ fn assert_capacity(half_edges: usize) {
 ///
 /// ```
 /// use lr_graph::stream;
-/// let inst = stream::chain_away(5).to_instance();
+/// let inst = stream::chain_away(5);
 /// assert_eq!(inst.initial_bad_nodes(), 4);
 /// ```
-pub fn chain_away(n: usize) -> CsrInstance {
-    assert!(n >= 2, "chain needs at least 2 nodes");
-    assert_capacity(2 * (n - 1));
-    let mut ib = InstanceBuilder::with_capacity(n, 2 * (n - 1));
-    for i in 0..n as u32 {
-        if i == 0 {
-            ib.push_node(&[1], &[true]);
-        } else if i as usize == n - 1 {
-            ib.push_node(&[i - 1], &[false]);
-        } else {
-            ib.push_node(&[i - 1, i + 1], &[false, true]);
-        }
-    }
-    ib.finish(NodeId::new(0))
+pub fn chain_away(n: usize) -> ReversalInstance {
+    chain(n, |_| true)
 }
 
 /// A chain with every edge directed **toward** the destination `v0`:
@@ -244,20 +105,8 @@ pub fn chain_away(n: usize) -> CsrInstance {
 /// # Panics
 ///
 /// Panics if `n < 2`.
-pub fn chain_toward(n: usize) -> CsrInstance {
-    assert!(n >= 2, "chain needs at least 2 nodes");
-    assert_capacity(2 * (n - 1));
-    let mut ib = InstanceBuilder::with_capacity(n, 2 * (n - 1));
-    for i in 0..n as u32 {
-        if i == 0 {
-            ib.push_node(&[1], &[false]);
-        } else if i as usize == n - 1 {
-            ib.push_node(&[i - 1], &[true]);
-        } else {
-            ib.push_node(&[i - 1, i + 1], &[true, false]);
-        }
-    }
-    ib.finish(NodeId::new(0))
+pub fn chain_toward(n: usize) -> ReversalInstance {
+    chain(n, |_| false)
 }
 
 /// An *alternating* chain `D = v0 — v1 — … — v(n-1)`: edge `{vi, vi+1}`
@@ -274,26 +123,26 @@ pub fn chain_toward(n: usize) -> CsrInstance {
 ///
 /// ```
 /// use lr_graph::stream;
-/// let inst = stream::alternating_chain(5).to_instance();
+/// let inst = stream::alternating_chain(5);
 /// // 1 → 0, 1 → 2, 3 → 2, 3 → 4
-/// assert_eq!(inst.view().sinks().len(), 3); // nodes 0 (dest), 2, 4
+/// assert_eq!(inst.init().sinks().len(), 3); // nodes 0 (dest), 2, 4
 /// ```
-pub fn alternating_chain(n: usize) -> CsrInstance {
+pub fn alternating_chain(n: usize) -> ReversalInstance {
+    chain(n, |i| i % 2 == 1)
+}
+
+/// The chain `v0 — v1 — … — v(n-1)`, destination `v0`, with edge
+/// `{vi, vi+1}` directed `vi → vi+1` exactly when `up(i)`.
+fn chain(n: usize, up: impl Fn(u32) -> bool) -> ReversalInstance {
     assert!(n >= 2, "chain needs at least 2 nodes");
     assert_capacity(2 * (n - 1));
     let mut ib = InstanceBuilder::with_capacity(n, 2 * (n - 1));
-    // Edge i—i+1 points i → i+1 iff i is odd, so from node k's
-    // perspective: the left edge (index k-1) is In iff k-1 is odd, and
-    // the right edge (index k) is Out iff k is odd.
-    let left_out = |k: u32| (k - 1).is_multiple_of(2);
-    let right_out = |k: u32| k % 2 == 1;
-    for k in 0..n as u32 {
-        if k == 0 {
-            ib.push_node(&[1], &[right_out(0)]);
-        } else if k as usize == n - 1 {
-            ib.push_node(&[k - 1], &[left_out(k)]);
-        } else {
-            ib.push_node(&[k - 1, k + 1], &[left_out(k), right_out(k)]);
+    let last = n as u32 - 1;
+    for i in 0..=last {
+        match i {
+            0 => ib.push_node(&[1], &[up(0)]),
+            _ if i == last => ib.push_node(&[i - 1], &[!up(i - 1)]),
+            _ => ib.push_node(&[i - 1, i + 1], &[!up(i - 1), up(i)]),
         }
     }
     ib.finish(NodeId::new(0))
@@ -305,7 +154,7 @@ pub fn alternating_chain(n: usize) -> CsrInstance {
 /// # Panics
 ///
 /// Panics if `leaves == 0`.
-pub fn star_away(leaves: usize) -> CsrInstance {
+pub fn star_away(leaves: usize) -> ReversalInstance {
     assert!(leaves >= 1, "star needs at least 1 leaf");
     assert_capacity(2 * leaves);
     let mut ib = InstanceBuilder::with_capacity(leaves + 1, 2 * leaves);
@@ -321,7 +170,7 @@ pub fn star_away(leaves: usize) -> CsrInstance {
 /// A complete binary tree rooted at the destination, every edge directed
 /// away from the root. Depth 0 is the root with two children, and each
 /// further level doubles the leaves: `2^(depth + 2) − 1` nodes.
-pub fn binary_tree_away(depth: usize) -> CsrInstance {
+pub fn binary_tree_away(depth: usize) -> ReversalInstance {
     let levels = depth + 2;
     let n = (1usize << levels) - 1;
     assert_capacity(2 * (n - 1));
@@ -352,7 +201,7 @@ pub fn binary_tree_away(depth: usize) -> CsrInstance {
 /// # Panics
 ///
 /// Panics if `rows * cols < 2`.
-pub fn grid_away(rows: usize, cols: usize) -> CsrInstance {
+pub fn grid_away(rows: usize, cols: usize) -> ReversalInstance {
     assert!(rows * cols >= 2, "grid needs at least 2 nodes");
     let half_edges = 2 * (rows * (cols - 1) + (rows - 1) * cols);
     assert_capacity(half_edges);
@@ -395,7 +244,7 @@ pub fn grid_away(rows: usize, cols: usize) -> CsrInstance {
 /// # Panics
 ///
 /// Panics if `n < 2`.
-pub fn complete_away(n: usize) -> CsrInstance {
+pub fn complete_away(n: usize) -> ReversalInstance {
     assert!(n >= 2, "complete graph needs at least 2 nodes");
     assert_capacity(n * (n - 1));
     let mut ib = InstanceBuilder::with_capacity(n, n * (n - 1));
@@ -426,7 +275,7 @@ pub fn complete_away(n: usize) -> CsrInstance {
 /// # Panics
 ///
 /// Panics if `width == 0` or `depth == 0`, or if `p` is not in `[0, 1]`.
-pub fn layered(width: usize, depth: usize, p: f64, seed: u64) -> CsrInstance {
+pub fn layered(width: usize, depth: usize, p: f64, seed: u64) -> ReversalInstance {
     assert!(
         width > 0 && depth > 0,
         "layered graph needs width, depth > 0"
@@ -504,11 +353,7 @@ pub fn layered(width: usize, depth: usize, p: f64, seed: u64) -> CsrInstance {
     });
     let csr = CsrGraph::from_sorted_adjacency(offsets, targets)
         .expect("capacity checked before allocation");
-    CsrInstance {
-        csr: Arc::new(csr),
-        init_out,
-        dest: NodeId::new(0),
-    }
+    instance(csr, init_out, NodeId::new(0))
 }
 
 /// A random connected **bipartite** instance with every edge initially
@@ -526,7 +371,7 @@ pub fn layered(width: usize, depth: usize, p: f64, seed: u64) -> CsrInstance {
 ///
 /// Panics if `width < 2` or `degree` is outside `2..=width` (two
 /// deterministic edges per B node form the connecting ring).
-pub fn bipartite_away(width: usize, degree: usize, seed: u64) -> CsrInstance {
+pub fn bipartite_away(width: usize, degree: usize, seed: u64) -> ReversalInstance {
     assert!(width >= 2, "bipartite sides need at least 2 nodes");
     assert!(
         degree >= 2 && degree <= width,
@@ -582,7 +427,7 @@ pub fn bipartite_away(width: usize, degree: usize, seed: u64) -> CsrInstance {
 /// # Panics
 ///
 /// Panics if `n < 2`.
-pub fn random_connected(n: usize, extra_edges: usize, seed: u64) -> CsrInstance {
+pub fn random_connected(n: usize, extra_edges: usize, seed: u64) -> ReversalInstance {
     assert!(n >= 2, "graph needs at least 2 nodes");
     let mut rng = SmallRng::seed_from_u64(seed);
     let max_edges = n * (n - 1) / 2;
@@ -660,11 +505,7 @@ pub fn random_connected(n: usize, extra_edges: usize, seed: u64) -> CsrInstance 
     }
     let csr = CsrGraph::from_sorted_adjacency(offsets, targets)
         .expect("capacity checked before allocation");
-    CsrInstance {
-        csr: Arc::new(csr),
-        init_out,
-        dest: NodeId::new(0),
-    }
+    instance(csr, init_out, NodeId::new(0))
 }
 
 #[cfg(test)]
@@ -674,18 +515,18 @@ mod tests {
 
     #[test]
     fn bipartite_away_has_one_wide_sink_side() {
-        let inst = bipartite_away(8, 3, 7).to_instance();
+        let inst = bipartite_away(8, 3, 7);
         assert_eq!(inst.node_count(), 16);
         // Side B (ids 8..16) is exactly the initial sink set.
-        let sinks = inst.view().sinks();
+        let sinks = inst.init().sinks();
         assert_eq!(sinks.len(), 8);
         assert!(sinks.iter().all(|u| u.raw() >= 8));
         // Every B node carries the requested degree.
         for i in 8..16 {
-            assert_eq!(inst.graph.degree(NodeId::new(i)), 3);
+            assert_eq!(inst.csr().degree(i), 3);
         }
         // Deterministic per seed.
-        assert_eq!(inst, bipartite_away(8, 3, 7).to_instance());
+        assert_eq!(inst, bipartite_away(8, 3, 7));
     }
 
     #[test]
@@ -699,23 +540,23 @@ mod tests {
         // Degree 2 builds exactly the deterministic ring — connectivity
         // must not depend on the random draws.
         for seed in 0..20 {
-            let inst = bipartite_away(5, 2, seed).to_instance();
-            assert!(inst.graph.is_connected(), "seed {seed}");
+            let inst = bipartite_away(5, 2, seed);
+            assert!(inst.csr().is_connected(), "seed {seed}");
         }
     }
 
     #[test]
     fn chain_away_all_nodes_bad() {
-        let inst = chain_away(6).to_instance();
+        let inst = chain_away(6);
         assert_eq!(inst.node_count(), 6);
         assert_eq!(inst.initial_bad_nodes(), 5);
-        assert_eq!(inst.view().sinks(), vec![NodeId::new(5)]);
+        assert_eq!(inst.init().sinks(), vec![NodeId::new(5)]);
     }
 
     #[test]
     fn chain_toward_is_destination_oriented() {
-        let inst = chain_toward(6).to_instance();
-        assert!(inst.view().is_destination_oriented(inst.dest));
+        let inst = chain_toward(6);
+        assert!(inst.init().is_destination_oriented(inst.dest));
         assert_eq!(inst.initial_bad_nodes(), 0);
     }
 
@@ -727,58 +568,57 @@ mod tests {
 
     #[test]
     fn star_leaves_are_sinks() {
-        let inst = star_away(4).to_instance();
-        assert_eq!(inst.view().sinks().len(), 4);
+        let inst = star_away(4);
+        assert_eq!(inst.init().sinks().len(), 4);
         assert_eq!(inst.initial_bad_nodes(), 4);
     }
 
     #[test]
     fn binary_tree_structure() {
-        let inst = binary_tree_away(1).to_instance(); // 7 nodes
+        let inst = binary_tree_away(1); // 7 nodes
         assert_eq!(inst.node_count(), 7);
-        assert_eq!(inst.graph.edge_count(), 6);
-        assert!(inst.view().is_acyclic());
+        assert_eq!(inst.csr().edge_count(), 6);
+        assert!(inst.init().is_acyclic());
         // Leaves are the 4 deepest nodes, all sinks.
-        assert_eq!(inst.view().sinks().len(), 4);
+        assert_eq!(inst.init().sinks().len(), 4);
     }
 
     #[test]
     fn grid_shape_and_acyclicity() {
-        let flat = grid_away(3, 4);
+        let inst = grid_away(3, 4);
         // Edges: 3*(4-1) horizontal + (3-1)*4 vertical = 9 + 8 = 17.
-        assert_eq!((flat.node_count(), flat.half_edge_count()), (12, 34));
-        let inst = flat.to_instance();
-        assert!(inst.view().is_acyclic());
+        assert_eq!((inst.node_count(), inst.half_edge_count()), (12, 34));
+        assert!(inst.init().is_acyclic());
         // Bottom-right corner is the unique sink.
-        assert_eq!(inst.view().sinks(), vec![NodeId::new(11)]);
+        assert_eq!(inst.init().sinks(), vec![NodeId::new(11)]);
     }
 
     #[test]
     fn complete_away_is_total_order() {
-        let inst = complete_away(5).to_instance();
-        assert_eq!(inst.graph.edge_count(), 10);
-        assert!(inst.view().is_acyclic());
-        assert_eq!(inst.view().sinks(), vec![NodeId::new(4)]);
+        let inst = complete_away(5);
+        assert_eq!(inst.csr().edge_count(), 10);
+        assert!(inst.init().is_acyclic());
+        assert_eq!(inst.init().sinks(), vec![NodeId::new(4)]);
     }
 
     #[test]
     fn layered_is_connected_dag() {
         for seed in 0..5 {
-            let inst = layered(4, 3, 0.4, seed).to_instance();
-            assert!(inst.graph.is_connected());
-            assert!(inst.view().is_acyclic());
+            let inst = layered(4, 3, 0.4, seed);
+            assert!(inst.csr().is_connected());
+            assert!(inst.init().is_acyclic());
             assert_eq!(inst.node_count(), 13);
         }
     }
 
     #[test]
     fn random_connected_is_valid_and_deterministic() {
-        let a = random_connected(20, 15, 7).to_instance();
-        assert_eq!(a, random_connected(20, 15, 7).to_instance());
-        assert!(a.graph.is_connected());
-        assert!(a.view().is_acyclic());
-        assert!(a.graph.edge_count() >= 19);
-        let c = random_connected(20, 15, 8).to_instance();
+        let a = random_connected(20, 15, 7);
+        assert_eq!(a, random_connected(20, 15, 7));
+        assert!(a.csr().is_connected());
+        assert!(a.init().is_acyclic());
+        assert!(a.csr().edge_count() >= 19);
+        let c = random_connected(20, 15, 8);
         assert_ne!(a, c, "different seeds should differ");
     }
 
@@ -787,9 +627,10 @@ mod tests {
         assert_eq!(random_connected(4, 1000, 3).half_edge_count(), 12);
     }
 
-    /// `to_instance` is the inverse of `from_instance` on every family.
+    /// Every family is a valid instance: the validating builder, given
+    /// its directed edges, rebuilds it exactly.
     #[test]
-    fn every_family_round_trips_through_the_map_form() {
+    fn every_family_rebuilds_through_the_validating_builder() {
         for flat in [
             chain_away(7),
             chain_toward(6),
@@ -804,7 +645,12 @@ mod tests {
             bipartite_away(4, 3, 2),
             random_connected(12, 8, 3),
         ] {
-            assert_eq!(CsrInstance::from_instance(&flat.to_instance()), flat);
+            let arcs: Vec<(u32, u32)> = flat
+                .init()
+                .directed_edges()
+                .map(|(t, h)| (t.raw(), h.raw()))
+                .collect();
+            assert_eq!(ReversalInstance::from_edges(&arcs, flat.dest), Ok(flat));
         }
     }
 
@@ -816,13 +662,13 @@ mod tests {
     fn random_families_match_their_golden_text() {
         let random = "dest 0\n1 > 0\n2 > 0\n3 > 0\n5 > 0\n4 > 1\n1 > 5\n2 > 6\n\
                       3 > 6\n4 > 5\n4 > 6\n";
-        assert_eq!(to_text(&random_connected(7, 4, 3).to_instance()), random);
+        assert_eq!(to_text(&random_connected(7, 4, 3)), random);
         let bipartite = "dest 0\n0 > 4\n0 > 7\n1 > 4\n1 > 5\n1 > 6\n2 > 5\n2 > 6\n\
                          2 > 7\n3 > 4\n3 > 5\n3 > 6\n3 > 7\n";
-        assert_eq!(to_text(&bipartite_away(4, 3, 5).to_instance()), bipartite);
+        assert_eq!(to_text(&bipartite_away(4, 3, 5)), bipartite);
         let layered_text = "dest 0\n0 > 1\n0 > 2\n0 > 3\n1 > 5\n1 > 6\n2 > 5\n3 > 4\n\
                             3 > 6\n4 > 7\n5 > 7\n5 > 8\n5 > 9\n6 > 9\n";
-        assert_eq!(to_text(&layered(3, 3, 0.5, 2).to_instance()), layered_text);
+        assert_eq!(to_text(&layered(3, 3, 0.5, 2)), layered_text);
     }
 
     #[test]
@@ -831,8 +677,8 @@ mod tests {
         let csr = inst.csr();
         for slot in 0..csr.half_edge_count() {
             assert_eq!(
-                inst.init_dir_at(slot),
-                inst.init_dir_at(csr.twin(slot)).flipped(),
+                inst.init().dir_at(slot),
+                inst.init().dir_at(csr.twin(slot)).flipped(),
                 "slot {slot}"
             );
         }

@@ -1,24 +1,35 @@
 //! Property-based tests for the graph substrate: structural invariants
-//! that must hold for every generated graph, orientation, and embedding.
+//! that must hold for every generated graph and orientation.
 
-use lr_graph::{stream, DirectedView, NodeId, Orientation, UndirectedGraph};
+use std::sync::Arc;
+
+use lr_graph::{stream, CsrGraph, EdgeDir, NodeId, Orientation, ReversalInstance};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
-fn graph_strategy() -> impl Strategy<Value = UndirectedGraph> {
+fn graph_strategy() -> impl Strategy<Value = Arc<CsrGraph>> {
     (2usize..=14, 0usize..=30, any::<u64>())
-        .prop_map(|(n, extra, seed)| stream::random_connected(n, extra, seed).to_instance().graph)
+        .prop_map(|(n, extra, seed)| Arc::clone(stream::random_connected(n, extra, seed).csr()))
 }
 
 /// A uniformly random acyclic orientation of `graph` (orient by a random
 /// permutation of the nodes).
-fn random_orientation(graph: &UndirectedGraph, seed: u64) -> Orientation {
+fn random_orientation(graph: &Arc<CsrGraph>, seed: u64) -> Orientation {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut order: Vec<NodeId> = graph.nodes().collect();
-    order.shuffle(&mut rng);
-    Orientation::from_order(graph, &order)
+    let mut rank: Vec<usize> = (0..graph.node_count()).collect();
+    rank.shuffle(&mut rng);
+    Orientation::from_fn(Arc::clone(graph), |src, slot| {
+        rank[src] < rank[graph.target(slot)]
+    })
+}
+
+/// A random orientation with each edge directed by a coin flip, cycles
+/// included.
+fn coin_orientation(graph: &Arc<CsrGraph>, seed: u64) -> Orientation {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    Orientation::from_fn(Arc::clone(graph), |_, _| rng.gen_bool(0.5))
 }
 
 proptest! {
@@ -27,22 +38,24 @@ proptest! {
     /// Degrees sum to twice the edge count (handshake lemma).
     #[test]
     fn handshake_lemma(g in graph_strategy()) {
-        let sum: usize = g.nodes().map(|u| g.degree(u)).sum();
+        let sum: usize = (0..g.node_count()).map(|u| g.degree(u)).sum();
         prop_assert_eq!(sum, 2 * g.edge_count());
     }
 
-    /// `edges()` yields each edge once, canonically ordered.
+    /// `directed_edges()` yields each edge once, canonically ordered,
+    /// and agrees with both slots' bits.
     #[test]
-    fn edges_are_canonical(g in graph_strategy()) {
-        let edges: Vec<(NodeId, NodeId)> = g.edges().collect();
-        for &(u, v) in &edges {
-            prop_assert!(u < v);
-            prop_assert!(g.contains_edge(u, v));
-            prop_assert!(g.contains_edge(v, u));
+    fn directed_edges_are_canonical(g in graph_strategy(), seed in any::<u64>()) {
+        let o = coin_orientation(&g, seed);
+        let edges: Vec<(NodeId, NodeId)> = o.directed_edges().collect();
+        prop_assert_eq!(edges.len(), g.edge_count());
+        let canonical: Vec<(NodeId, NodeId)> =
+            edges.iter().map(|&(t, h)| (t.min(h), t.max(h))).collect();
+        prop_assert!(canonical.windows(2).all(|w| w[0] < w[1]));
+        for &(t, h) in &edges {
+            prop_assert_eq!(o.dir(t, h), Some(EdgeDir::Out));
+            prop_assert_eq!(o.dir(h, t), Some(EdgeDir::In));
         }
-        let mut dedup = edges.clone();
-        dedup.dedup();
-        prop_assert_eq!(dedup.len(), g.edge_count());
     }
 
     /// Any orientation built from a node order is acyclic, and reversing
@@ -50,104 +63,83 @@ proptest! {
     #[test]
     fn order_orientations_are_acyclic(g in graph_strategy(), seed in any::<u64>()) {
         let o = random_orientation(&g, seed);
-        prop_assert!(DirectedView::new(&g, &o).is_acyclic());
-        prop_assert!(o.covers(&g));
-        if let Some((u, v)) = g.edges().next() {
-            let mut o2 = o.clone();
-            o2.reverse(u, v).unwrap();
-            prop_assert_ne!(o2.dir(u, v), o.dir(u, v));
-            o2.reverse(u, v).unwrap();
-            prop_assert_eq!(&o2, &o);
-        }
+        prop_assert!(o.is_acyclic());
+        prop_assert_eq!(o.find_cycle(), None);
+        let (u, v) = o.directed_edges().next().expect("a connected graph has an edge");
+        let mut o2 = o.clone();
+        o2.reverse(u, v).unwrap();
+        prop_assert_ne!(o2.dir(u, v), o.dir(u, v));
+        o2.reverse(u, v).unwrap();
+        prop_assert_eq!(&o2, &o);
     }
 
-    /// In-degree plus out-degree equals degree at every node.
+    /// The topological order respects every directed edge, and a cycle
+    /// is found exactly when there is none.
     #[test]
-    fn degree_split(g in graph_strategy(), seed in any::<u64>()) {
-        let o = random_orientation(&g, seed);
-        let view = DirectedView::new(&g, &o);
-        for u in g.nodes() {
-            prop_assert_eq!(view.in_degree(u) + view.out_degree(u), g.degree(u));
+    fn topological_order_and_find_cycle_agree(g in graph_strategy(), seed in any::<u64>()) {
+        let o = coin_orientation(&g, seed);
+        match (o.topological_order(), o.find_cycle()) {
+            (Some(order), None) => {
+                let mut pos = vec![0; g.node_count()];
+                for (i, &u) in order.iter().enumerate() {
+                    pos[u] = i;
+                }
+                for (t, h) in o.directed_edges() {
+                    let (t, h) = (g.index_of(t).unwrap(), g.index_of(h).unwrap());
+                    prop_assert!(pos[t] < pos[h]);
+                }
+            }
+            (None, Some(cycle)) => {
+                for (i, &a) in cycle.iter().enumerate() {
+                    prop_assert!(o.points_from_to(a, cycle[(i + 1) % cycle.len()]));
+                }
+            }
+            (order, cycle) => prop_assert!(false, "order {:?} beside cycle {:?}", order, cycle),
         }
     }
 
-    /// Topological order respects every directed edge.
+    /// Every DAG has a sink; in-neighbours and out-neighbours split each
+    /// node's degree.
     #[test]
-    fn topological_order_is_consistent(g in graph_strategy(), seed in any::<u64>()) {
-        let o = random_orientation(&g, seed);
-        let view = DirectedView::new(&g, &o);
-        let order = view.topological_sort().expect("acyclic");
-        let pos: std::collections::BTreeMap<NodeId, usize> =
-            order.iter().enumerate().map(|(i, &u)| (u, i)).collect();
-        for (t, h) in o.directed_edges() {
-            prop_assert!(pos[&t] < pos[&h]);
+    fn sinks_exist_and_degrees_split(n in 2usize..=14, extra in 0usize..=30, seed in any::<u64>()) {
+        let inst = stream::random_connected(n, extra, seed);
+        prop_assert!(!inst.init().sinks().is_empty());
+        for (i, u) in inst.csr().nodes().enumerate() {
+            let (ins, outs) = (inst.initial_in_nbrs(u), inst.initial_out_nbrs(u));
+            prop_assert_eq!(ins.len() + outs.len(), inst.csr().degree(i));
+            prop_assert_eq!(inst.init().is_sink(u), outs.is_empty());
         }
     }
 
-    /// Every DAG has at least one sink and one source; no node is both
-    /// unless isolated (excluded by connectivity, n ≥ 2).
-    #[test]
-    fn sinks_and_sources_exist(g in graph_strategy(), seed in any::<u64>()) {
-        let o = random_orientation(&g, seed);
-        let view = DirectedView::new(&g, &o);
-        prop_assert!(!view.sinks().is_empty());
-        prop_assert!(!view.sources().is_empty());
-        for u in g.nodes() {
-            prop_assert!(!(view.is_sink(u) && view.is_source(u)));
-        }
-    }
-
-    /// `nodes_reaching(dest)` is closed under taking in-neighbors... i.e.
-    /// every node with an edge into the reaching set is itself reaching.
+    /// The nodes reaching the destination are closed under taking
+    /// in-neighbours, and destination-orientation means all reach it.
     #[test]
     fn reaching_set_is_closed(g in graph_strategy(), seed in any::<u64>()) {
-        let o = random_orientation(&g, seed);
-        let view = DirectedView::new(&g, &o);
-        let dest = g.nodes().next().unwrap();
-        let reach = view.nodes_reaching(dest);
-        for &r in &reach {
-            for v in view.in_neighbors(r) {
-                prop_assert!(reach.contains(&v));
+        let o = coin_orientation(&g, seed);
+        let dest = g.node(0);
+        let reach = o.nodes_reaching(dest);
+        for (slot_owner, &reaches) in reach.iter().enumerate() {
+            for slot in g.slots(slot_owner) {
+                if reaches && !o.is_out(slot) {
+                    prop_assert!(reach[g.target(slot)]);
+                }
             }
         }
-        // And each reaching node has an actual directed path.
-        for &r in &reach {
-            prop_assert!(view.directed_path(r, dest).is_some());
-        }
+        let bad = reach.iter().filter(|&&r| !r).count();
+        prop_assert_eq!(o.bad_node_count(dest), bad);
+        prop_assert_eq!(o.is_destination_oriented(dest), bad == 0);
     }
 
-    /// The plane embedding of an acyclic orientation puts every edge
-    /// left-to-right, and destination-orientation is equivalent to
-    /// "every node reaches dest".
-    #[test]
-    fn embedding_and_reachability(n in 2usize..=12, extra in 0usize..=20, seed in any::<u64>()) {
-        let inst = stream::random_connected(n, extra, seed).to_instance();
-        let emb = inst.embedding();
-        for (t, h) in inst.init.directed_edges() {
-            prop_assert!(emb.is_left_of(t, h));
-            prop_assert!(emb.left_to_right(&inst.init, t, h));
-        }
-        let view = inst.view();
-        let oriented = view.is_destination_oriented(inst.dest);
-        let all_reach = inst.graph.nodes().all(|u| view.can_reach(u, inst.dest));
-        prop_assert_eq!(oriented, all_reach);
-    }
-
-    /// Parse/serialize round trip through the text format.
+    /// Parse/serialize round trip through the text format, and the
+    /// validating builder rebuilds every generated instance.
     #[test]
     fn text_round_trip(n in 2usize..=10, extra in 0usize..=12, seed in any::<u64>()) {
-        let inst = stream::random_connected(n, extra, seed).to_instance();
+        let inst = stream::random_connected(n, extra, seed);
         let text = lr_graph::parse::to_text(&inst);
         let back = lr_graph::parse::parse_instance(&text).unwrap();
-        prop_assert_eq!(back, inst);
-    }
-
-    /// Orientation serde rebuilds the same direction assignment.
-    #[test]
-    fn orientation_serde(g in graph_strategy(), seed in any::<u64>()) {
-        let o = random_orientation(&g, seed);
-        let json = serde_json::to_string(&o).unwrap();
-        let back: Orientation = serde_json::from_str(&json).unwrap();
-        prop_assert_eq!(back, o);
+        prop_assert_eq!(&back, &inst);
+        let arcs: Vec<(u32, u32)> =
+            inst.init().directed_edges().map(|(t, h)| (t.raw(), h.raw())).collect();
+        prop_assert_eq!(ReversalInstance::from_edges(&arcs, inst.dest), Ok(inst));
     }
 }

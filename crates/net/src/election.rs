@@ -17,7 +17,7 @@
 use std::collections::BTreeMap;
 
 use lr_core::alg::{initial_triple_heights, TripleHeight};
-use lr_graph::{CsrInstance, NodeId, UndirectedGraph};
+use lr_graph::{NodeId, ReversalInstance};
 
 use crate::reversal::{orientation_from_heights, reverse_if_sink};
 use crate::sim::{Ctx, EventSim, LinkConfig, Protocol};
@@ -135,12 +135,12 @@ impl ElectionHarness {
     /// # Panics
     ///
     /// Panics if initial convergence exceeds the event budget.
-    pub fn converged(inst: &CsrInstance, link: LinkConfig, seed: u64) -> Self {
+    pub fn converged(inst: &ReversalInstance, link: LinkConfig, seed: u64) -> Self {
         let nodes = initial_triple_heights(inst)
             .into_iter()
             .map(|height| ElectNode {
                 height,
-                leader: inst.dest(),
+                leader: inst.dest,
                 epoch: 0,
                 reversals: 0,
             })
@@ -153,7 +153,7 @@ impl ElectionHarness {
         );
         ElectionHarness {
             sim,
-            original_leader: inst.dest(),
+            original_leader: inst.dest,
         }
     }
 
@@ -205,24 +205,21 @@ impl ElectionHarness {
         }
         // Verify the surviving graph is destination-oriented toward the
         // new leader.
-        let mut surviving = UndirectedGraph::new();
-        for &u in &survivors {
-            surviving.ensure_node(u);
-        }
-        for (a, b, _) in self.sim.links() {
-            if a != self.original_leader && b != self.original_leader {
-                surviving.add_edge(a, b).expect("fresh edge");
-            }
-        }
+        let surviving = self
+            .sim
+            .links()
+            .filter(|&(a, b, _)| a != self.original_leader && b != self.original_leader)
+            .map(|(a, b, _)| (a, b));
         let heights: BTreeMap<NodeId, TripleHeight> = survivors
             .iter()
             .map(|&u| (u, self.sim.node(u).height))
             .collect();
-        if surviving.is_connected() && surviving.node_count() > 1 {
-            let o = orientation_from_heights(&surviving, &heights);
-            let view = lr_graph::DirectedView::new(&surviving, &o);
+        let o = orientation_from_heights(surviving, &heights);
+        // Connected survivors: every one of them is an endpoint.
+        if survivors.len() > 1 && o.csr().node_count() == survivors.len() && o.csr().is_connected()
+        {
             assert!(
-                view.is_destination_oriented(leader),
+                o.is_destination_oriented(leader),
                 "surviving DAG is not oriented toward the new leader"
             );
         }
@@ -249,11 +246,10 @@ mod tests {
         // Random connected graph with destination 0; after 0 crashes the
         // highest-id neighbor of 0 must win (only 0's neighbors propose).
         for seed in 0..5 {
-            let flat = stream::random_connected(12, 14, 900 + seed);
-            let inst = flat.to_instance();
-            let mut h = ElectionHarness::converged(&flat, LinkConfig::default(), seed);
+            let inst = stream::random_connected(12, 14, 900 + seed);
+            let mut h = ElectionHarness::converged(&inst, LinkConfig::default(), seed);
             let expected: NodeId = inst
-                .graph
+                .csr()
                 .neighbors(inst.dest)
                 .max()
                 .expect("destination has neighbors");
@@ -289,10 +285,9 @@ mod tests {
 
     #[test]
     fn election_tolerates_jitter() {
-        let flat = stream::random_connected(10, 12, 42);
-        let inst = flat.to_instance();
+        let inst = stream::random_connected(10, 12, 42);
         let mut h = ElectionHarness::converged(
-            &flat,
+            &inst,
             LinkConfig {
                 delay: 2,
                 jitter: 9,
@@ -302,7 +297,7 @@ mod tests {
         );
         h.crash_leader();
         let report = h.run(10_000_000);
-        let expected: NodeId = inst.graph.neighbors(inst.dest).max().unwrap();
+        let expected: NodeId = inst.csr().neighbors(inst.dest).max().unwrap();
         assert_eq!(report.leader, expected);
     }
 }

@@ -21,7 +21,7 @@ use std::thread;
 
 use crossbeam::channel::{unbounded, Sender};
 use lr_core::alg::{initial_triple_heights, TripleHeight};
-use lr_graph::{CsrInstance, NodeId};
+use lr_graph::{NodeId, ReversalInstance};
 use parking_lot::Mutex;
 
 use crate::reversal::reverse_if_sink;
@@ -49,7 +49,7 @@ pub struct LiveReport {
 ///
 /// Panics if any node thread panics (which would indicate a protocol
 /// bug — e.g. a height decrease).
-pub fn run_threaded(inst: &CsrInstance) -> LiveReport {
+pub fn run_threaded(inst: &ReversalInstance) -> LiveReport {
     let csr = inst.csr();
     let heights0 = initial_triple_heights(inst);
     let in_flight = Arc::new(AtomicI64::new(0));
@@ -78,7 +78,7 @@ pub fn run_threaded(inst: &CsrInstance) -> LiveReport {
             .map(|&j| senders[j as usize].clone())
             .collect();
         let my_height = heights0[i];
-        let is_dest = u == inst.dest();
+        let is_dest = u == inst.dest;
         let in_flight = Arc::clone(&in_flight);
         let reversals = Arc::clone(&reversals);
         let messages = Arc::clone(&messages);
@@ -151,31 +151,27 @@ pub fn run_threaded(inst: &CsrInstance) -> LiveReport {
 mod tests {
     use super::*;
     use crate::reversal::orientation_from_heights;
-    use lr_graph::{stream, DirectedView};
+    use lr_graph::stream;
 
     #[test]
     fn threads_converge_on_chain() {
-        let flat = stream::chain_away(10);
-        let inst = flat.to_instance();
-        let report = run_threaded(&flat);
-        let o = orientation_from_heights(&inst.graph, &report.heights);
-        let view = DirectedView::new(&inst.graph, &o);
-        assert!(view.is_acyclic());
-        assert!(view.is_destination_oriented(inst.dest));
+        let inst = stream::chain_away(10);
+        let report = run_threaded(&inst);
+        let o = orientation_from_heights(inst.init().directed_edges(), &report.heights);
+        assert!(o.is_acyclic());
+        assert!(o.is_destination_oriented(inst.dest));
         assert!(report.reversals >= 9);
     }
 
     #[test]
     fn threads_converge_on_random_graphs() {
         for seed in 0..3 {
-            let flat = stream::random_connected(20, 20, 1000 + seed);
-            let inst = flat.to_instance();
-            let report = run_threaded(&flat);
-            let o = orientation_from_heights(&inst.graph, &report.heights);
-            let view = DirectedView::new(&inst.graph, &o);
-            assert!(view.is_acyclic(), "seed {seed}");
+            let inst = stream::random_connected(20, 20, 1000 + seed);
+            let report = run_threaded(&inst);
+            let o = orientation_from_heights(inst.init().directed_edges(), &report.heights);
+            assert!(o.is_acyclic(), "seed {seed}");
             assert!(
-                view.is_destination_oriented(inst.dest),
+                o.is_destination_oriented(inst.dest),
                 "seed {seed}: not destination-oriented"
             );
         }

@@ -248,7 +248,11 @@ mod tests {
 
     fn chain_graph(len: u32) -> CsrGraph {
         let edges: Vec<(u32, u32)> = (0..len - 1).map(|i| (i, i + 1)).collect();
-        CsrGraph::from_graph(&lr_graph::UndirectedGraph::from_edges(&edges).unwrap())
+        lr_graph::Orientation::from_edges(&edges)
+            .unwrap()
+            .csr()
+            .as_ref()
+            .clone()
     }
 
     #[test]
@@ -266,7 +270,7 @@ mod tests {
     #[test]
     fn every_request_is_served_exactly_once() {
         let inst = stream::random_connected(12, 10, 6);
-        let mut h = MutexHarness::new(inst.csr().clone(), inst.dest(), LinkConfig::default(), 1);
+        let mut h = MutexHarness::new(inst.csr().clone(), inst.dest, LinkConfig::default(), 1);
         for u in inst.csr().nodes() {
             h.request(u);
         }
@@ -313,7 +317,7 @@ mod tests {
         // The run() postcondition asserts destination-orientation; make
         // sure it holds after multiple token migrations.
         let inst = stream::random_connected(10, 8, 11);
-        let mut h = MutexHarness::new(inst.csr().clone(), inst.dest(), LinkConfig::default(), 4);
+        let mut h = MutexHarness::new(inst.csr().clone(), inst.dest, LinkConfig::default(), 4);
         h.request(n(7));
         h.run(100_000);
         h.request(n(2));

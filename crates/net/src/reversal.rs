@@ -35,7 +35,7 @@
 use std::collections::BTreeMap;
 
 use lr_core::alg::{initial_triple_heights, TripleHeight};
-use lr_graph::{CsrInstance, NodeId, Orientation, UndirectedGraph};
+use lr_graph::{NodeId, Orientation, ReversalInstance};
 
 use crate::sim::{Ctx, EventSim, LinkConfig, Protocol};
 
@@ -69,12 +69,12 @@ pub struct DistributedPr;
 
 /// Builds the per-node states for an instance, by dense index, with
 /// lr-core's initial triple heights.
-pub fn initial_nodes(inst: &CsrInstance) -> Vec<ReversalNode> {
+pub fn initial_nodes(inst: &ReversalInstance) -> Vec<ReversalNode> {
     initial_triple_heights(inst)
         .into_iter()
         .map(|height| ReversalNode {
             height,
-            is_dest: height.id == inst.dest(),
+            is_dest: height.id == inst.dest,
             reversals: 0,
         })
         .collect()
@@ -163,7 +163,7 @@ impl Protocol for DistributedPr {
 ///
 /// Panics if the network fails to go quiescent within `max_events`.
 pub fn converge(
-    inst: &CsrInstance,
+    inst: &ReversalInstance,
     link: LinkConfig,
     seed: u64,
     max_events: u64,
@@ -183,22 +183,29 @@ pub fn converge(
     sim
 }
 
-/// Extracts the orientation implied by the current heights over the
-/// **live** links of the simulator's graph. Edges whose links failed are
-/// skipped (the caller compares against the surviving graph).
+/// The orientation the heights imply on the given edges (the whole graph,
+/// or only its live links): each edge points from its higher endpoint to
+/// its lower one.
+///
+/// # Panics
+///
+/// Panics if `edges` repeats an edge or holds a self-loop.
 pub fn orientation_from_heights(
-    graph: &UndirectedGraph,
+    edges: impl IntoIterator<Item = (NodeId, NodeId)>,
     heights: &BTreeMap<NodeId, TripleHeight>,
 ) -> Orientation {
-    let mut o = Orientation::new();
-    for (u, v) in graph.edges() {
-        if heights[&u] > heights[&v] {
-            o.set_from_to(u, v);
-        } else {
-            o.set_from_to(v, u);
-        }
-    }
-    o
+    let arcs: Vec<(u32, u32)> = edges
+        .into_iter()
+        .map(|(u, v)| {
+            let (tail, head) = if heights[&u] > heights[&v] {
+                (u, v)
+            } else {
+                (v, u)
+            };
+            (tail.raw(), head.raw())
+        })
+        .collect();
+    Orientation::from_edges(&arcs).expect("the edges of a simple graph")
 }
 
 /// Snapshot of all node heights in a converged simulator.
@@ -209,20 +216,18 @@ pub fn height_snapshot(sim: &EventSim<DistributedPr>) -> BTreeMap<NodeId, Triple
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::{stream, DirectedView};
+    use lr_graph::stream;
 
     #[test]
     fn converges_to_destination_oriented_dag() {
         for seed in 0..5 {
-            let flat = stream::random_connected(16, 12, 800 + seed);
-            let inst = flat.to_instance();
-            let sim = converge(&flat, LinkConfig::default(), seed, 1_000_000);
+            let inst = stream::random_connected(16, 12, 800 + seed);
+            let sim = converge(&inst, LinkConfig::default(), seed, 1_000_000);
             let heights = height_snapshot(&sim);
-            let o = orientation_from_heights(&inst.graph, &heights);
-            let view = DirectedView::new(&inst.graph, &o);
-            assert!(view.is_acyclic(), "seed {seed}: cycle after convergence");
+            let o = orientation_from_heights(inst.init().directed_edges(), &heights);
+            assert!(o.is_acyclic(), "seed {seed}: cycle after convergence");
             assert!(
-                view.is_destination_oriented(inst.dest),
+                o.is_destination_oriented(inst.dest),
                 "seed {seed}: not destination-oriented"
             );
         }
@@ -253,11 +258,10 @@ mod tests {
 
     #[test]
     fn convergence_is_robust_to_jitter_and_delay() {
-        let flat = stream::grid_away(4, 4);
-        let inst = flat.to_instance();
+        let inst = stream::grid_away(4, 4);
         for seed in 0..5 {
             let sim = converge(
-                &flat,
+                &inst,
                 LinkConfig {
                     delay: 3,
                     jitter: 10,
@@ -267,8 +271,8 @@ mod tests {
                 5_000_000,
             );
             let heights = height_snapshot(&sim);
-            let o = orientation_from_heights(&inst.graph, &heights);
-            assert!(DirectedView::new(&inst.graph, &o).is_destination_oriented(inst.dest));
+            let o = orientation_from_heights(inst.init().directed_edges(), &heights);
+            assert!(o.is_destination_oriented(inst.dest));
         }
     }
 
@@ -277,12 +281,11 @@ mod tests {
         // The event-driven protocol never retransmits, so it assumes
         // reliable links: under loss, messages stop flowing while a
         // non-destination sink remains. This pins that limitation down.
-        let flat = stream::chain_away(8);
-        let inst = flat.to_instance();
+        let inst = stream::chain_away(8);
         let mut sim = EventSim::new(
             DistributedPr,
-            flat.csr().clone(),
-            initial_nodes(&flat),
+            inst.csr().clone(),
+            initial_nodes(&inst),
             LinkConfig {
                 delay: 1,
                 jitter: 0,
@@ -294,12 +297,11 @@ mod tests {
         let quiescent = sim.run_to_quiescence(1_000_000);
         assert!(quiescent, "with 90% loss the network just goes silent");
         let heights = height_snapshot(&sim);
-        let o = orientation_from_heights(&inst.graph, &heights);
-        let view = lr_graph::DirectedView::new(&inst.graph, &o);
+        let o = orientation_from_heights(inst.init().directed_edges(), &heights);
         // Quiescent but NOT converged: a lost announcement is never
         // resent, so a neighbor waits on it forever.
         assert!(
-            !view.is_destination_oriented(inst.dest),
+            !o.is_destination_oriented(inst.dest),
             "expected the lossy run to stall before converging"
         );
     }

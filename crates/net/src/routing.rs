@@ -13,7 +13,7 @@
 //! a hop limit bounds the damage and the harness counts such drops.
 
 use lr_core::alg::TripleHeight;
-use lr_graph::{CsrInstance, NodeId};
+use lr_graph::{NodeId, ReversalInstance};
 
 use crate::reversal::{initial_nodes, try_reverse, ReversalNode};
 use crate::sim::{Ctx, EventSim, LinkConfig, Protocol};
@@ -208,7 +208,7 @@ impl RoutingHarness {
     /// Builds a harness over `inst` without starting the protocol, so a
     /// caller can set per-link overrides through
     /// [`RoutingHarness::sim_mut`] before the first height flood.
-    pub fn new(inst: &CsrInstance, link: LinkConfig, seed: u64) -> Self {
+    pub fn new(inst: &ReversalInstance, link: LinkConfig, seed: u64) -> Self {
         let nodes = initial_nodes(inst)
             .into_iter()
             .map(|rev| RouteNode {
@@ -231,7 +231,7 @@ impl RoutingHarness {
         );
         RoutingHarness {
             sim,
-            dest: inst.dest(),
+            dest: inst.dest,
             next_packet: 0,
             injected: 0,
         }
@@ -244,7 +244,7 @@ impl RoutingHarness {
     ///
     /// Panics if the initial convergence does not finish within 10⁷
     /// events.
-    pub fn converged(inst: &CsrInstance, link: LinkConfig, seed: u64) -> Self {
+    pub fn converged(inst: &ReversalInstance, link: LinkConfig, seed: u64) -> Self {
         let mut harness = Self::new(inst, link, seed);
         harness.sim.start();
         assert!(
@@ -341,10 +341,9 @@ mod tests {
 
     #[test]
     fn all_packets_delivered_on_stable_network() {
-        let flat = stream::random_connected(20, 15, 3);
-        let inst = flat.to_instance();
-        let mut h = RoutingHarness::converged(&flat, LinkConfig::default(), 1);
-        for u in inst.graph.nodes() {
+        let inst = stream::random_connected(20, 15, 3);
+        let mut h = RoutingHarness::converged(&inst, LinkConfig::default(), 1);
+        for u in inst.csr().nodes() {
             if u != inst.dest {
                 h.send_packet(u);
             }
@@ -365,44 +364,42 @@ mod tests {
         // Chain 0 ← 1 ← … ← 7 converged toward 0; fail a middle link and
         // route from the far end: the graph becomes disconnected, so add
         // a bypass edge first. Use a ladder-ish random graph instead.
-        let flat = stream::random_connected(16, 14, 9);
-        let inst = flat.to_instance();
-        let mut h = RoutingHarness::converged(&flat, LinkConfig::default(), 2);
+        let inst = stream::random_connected(16, 14, 9);
+        let mut h = RoutingHarness::converged(&inst, LinkConfig::default(), 2);
 
         // Rebuilds the graph without a set of edges, to test connectivity
-        // before actually failing a link. Every node is materialized so a
-        // fully isolated node counts as a disconnection.
-        let without = |skip: &[(NodeId, NodeId)]| {
-            let mut g = lr_graph::UndirectedGraph::new();
-            for u in inst.graph.nodes() {
-                g.ensure_node(u);
-            }
-            for (a, b) in inst.graph.edges() {
-                let skipped = skip
-                    .iter()
-                    .any(|&(u, v)| (a, b) == (u, v) || (a, b) == (v, u));
-                if !skipped {
-                    g.add_edge(a, b).expect("fresh edge");
-                }
-            }
-            g
+        // before actually failing a link. A node left without edges drops
+        // out of the node count, so it counts as a disconnection.
+        let edges: Vec<(NodeId, NodeId)> = inst
+            .init()
+            .directed_edges()
+            .map(|(t, h)| (t.min(h), t.max(h)))
+            .collect();
+        let connected_without = |skip: &[(NodeId, NodeId)]| {
+            let arcs: Vec<(u32, u32)> = edges
+                .iter()
+                .filter(|e| !skip.contains(e))
+                .map(|&(a, b)| (a.raw(), b.raw()))
+                .collect();
+            let g = lr_graph::Orientation::from_edges(&arcs).unwrap();
+            g.csr().node_count() == inst.node_count() && g.csr().is_connected()
         };
 
         // Fail up to three links whose removal keeps the graph connected.
         let mut failed: Vec<(NodeId, NodeId)> = Vec::new();
-        for (u, v) in inst.graph.edges() {
+        for &(u, v) in &edges {
             if failed.len() == 3 {
                 break;
             }
             let mut candidate = failed.clone();
             candidate.push((u, v));
-            if without(&candidate).is_connected() {
+            if connected_without(&candidate) {
                 h.fail_link(u, v);
                 failed = candidate;
             }
         }
         assert_eq!(failed.len(), 3, "fixture should find 3 removable links");
-        for u in inst.graph.nodes() {
+        for u in inst.csr().nodes() {
             if u != inst.dest {
                 h.send_packet(u);
             }
@@ -446,10 +443,9 @@ mod tests {
         // The observable form of the acyclicity theorem: greedy-downhill
         // forwarding on a converged DAG never revisits a node.
         for seed in 0..5 {
-            let flat = stream::random_connected(24, 30, 1200 + seed);
-            let inst = flat.to_instance();
-            let mut h = RoutingHarness::converged(&flat, LinkConfig::default(), seed);
-            for u in inst.graph.nodes().filter(|&u| u != inst.dest) {
+            let inst = stream::random_connected(24, 30, 1200 + seed);
+            let mut h = RoutingHarness::converged(&inst, LinkConfig::default(), seed);
+            for u in inst.csr().nodes().filter(|&u| u != inst.dest) {
                 h.send_packet(u);
             }
             let r = h.run(5_000_000);
@@ -460,10 +456,9 @@ mod tests {
 
     #[test]
     fn reports_are_internally_consistent() {
-        let flat = stream::grid_away(3, 4);
-        let inst = flat.to_instance();
-        let mut h = RoutingHarness::converged(&flat, LinkConfig::default(), 5);
-        for u in inst.graph.nodes().filter(|&u| u != inst.dest).take(5) {
+        let inst = stream::grid_away(3, 4);
+        let mut h = RoutingHarness::converged(&inst, LinkConfig::default(), 5);
+        for u in inst.csr().nodes().filter(|&u| u != inst.dest).take(5) {
             h.send_packet(u);
         }
         let r = h.run(1_000_000);

@@ -713,7 +713,7 @@ impl<P: Protocol> EventSim<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::UndirectedGraph;
+    use lr_graph::Orientation;
 
     /// Flood: every node forwards the first token it sees to all
     /// neighbors; counts receptions.
@@ -760,7 +760,11 @@ mod tests {
 
     fn path_graph(len: u32) -> CsrGraph {
         let edges: Vec<(u32, u32)> = (0..len - 1).map(|i| (i, i + 1)).collect();
-        CsrGraph::from_graph(&UndirectedGraph::from_edges(&edges).unwrap())
+        Orientation::from_edges(&edges)
+            .unwrap()
+            .csr()
+            .as_ref()
+            .clone()
     }
 
     fn flood_sim(len: u32, cfg: LinkConfig, seed: u64) -> EventSim<Flood> {
@@ -1154,7 +1158,7 @@ mod tests {
     #[test]
     fn seeded_schedule_is_pinned() {
         // A 3 × 3 grid plus one diagonal.
-        let g = UndirectedGraph::from_edges(&[
+        let g = Orientation::from_edges(&[
             (0, 1),
             (1, 2),
             (3, 4),
@@ -1173,7 +1177,7 @@ mod tests {
         let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
         let mut sim = EventSim::new(
             Gossip { log: log.clone() },
-            CsrGraph::from_graph(&g),
+            g.csr().as_ref().clone(),
             vec![0u32; 9],
             LinkConfig {
                 delay: 2,

@@ -51,7 +51,7 @@
 
 use std::sync::Arc;
 
-use lr_graph::{CsrGraph, NodeId, Orientation, UndirectedGraph};
+use lr_graph::{CsrGraph, NodeId, Orientation};
 
 use crate::sim::{Ctx, EventSim, LinkConfig, Protocol};
 
@@ -411,42 +411,31 @@ impl ToraHarness {
     }
 
     /// The orientation implied by the current heights over live links
-    /// between *routed* nodes (NULL-height nodes contribute no edges).
-    pub fn routed_orientation(&self) -> (UndirectedGraph, Orientation) {
-        let mut g = UndirectedGraph::new();
-        let mut o = Orientation::new();
-        for (u, n) in self.sim.nodes() {
-            if n.height.is_some() {
-                g.ensure_node(u);
-            }
-        }
+    /// between *routed* nodes (NULL-height nodes contribute no edges, and
+    /// a routed node without a live link to another is not in it).
+    pub fn routed_orientation(&self) -> Orientation {
+        let mut arcs = Vec::new();
         for (u, v, live) in self.sim.links() {
             let (hu, hv) = (self.sim.node(u).height, self.sim.node(v).height);
-            if let (Some(hu), Some(hv)) = (hu, hv) {
-                if live {
-                    g.add_edge(u, v).expect("fresh edge");
-                    if hu > hv {
-                        o.set_from_to(u, v);
-                    } else {
-                        o.set_from_to(v, u);
-                    }
-                }
+            if let (Some(hu), Some(hv), true) = (hu, hv, live) {
+                let (tail, head) = if hu > hv { (u, v) } else { (v, u) };
+                arcs.push((tail.raw(), head.raw()));
             }
         }
-        (g, o)
+        Orientation::from_edges(&arcs).expect("each live link once")
     }
 
     /// Checks that every routed node has a directed path to the
     /// destination within the routed subgraph.
     pub fn routed_nodes_reach_destination(&self) -> bool {
-        let (g, o) = self.routed_orientation();
-        if !g.contains_node(self.dest) {
+        if self.sim.node(self.dest).height.is_none() {
             return false;
         }
-        let view = lr_graph::DirectedView::new(&g, &o);
-        let reaching = view.nodes_reaching(self.dest);
-        let all_reach = g.nodes().all(|u| reaching.contains(&u));
-        all_reach
+        let o = self.routed_orientation();
+        let reaching = o.nodes_reaching(self.dest);
+        self.sim.nodes().all(|(u, n)| {
+            n.height.is_none() || u == self.dest || o.csr().index_of(u).is_some_and(|i| reaching[i])
+        })
     }
 }
 
@@ -460,7 +449,11 @@ mod tests {
     }
 
     fn graph(edges: &[(u32, u32)]) -> CsrGraph {
-        CsrGraph::from_graph(&UndirectedGraph::from_edges(edges).unwrap())
+        Orientation::from_edges(edges)
+            .unwrap()
+            .csr()
+            .as_ref()
+            .clone()
     }
 
     fn path_graph(len: u32) -> CsrGraph {
@@ -488,16 +481,15 @@ mod tests {
         for seed in 0..5 {
             let inst = stream::random_connected(16, 16, 90_000 + seed);
             let mut h =
-                ToraHarness::new(inst.csr().clone(), inst.dest(), LinkConfig::default(), seed);
+                ToraHarness::new(inst.csr().clone(), inst.dest, LinkConfig::default(), seed);
             // One node asks; the flood routes (at least) a path.
             for u in inst.csr().nodes() {
-                if u != inst.dest() {
+                if u != inst.dest {
                     h.create_route(u);
                 }
             }
             assert!(h.routed_nodes_reach_destination(), "seed {seed}");
-            let (g, o) = h.routed_orientation();
-            assert!(lr_graph::DirectedView::new(&g, &o).is_acyclic());
+            assert!(h.routed_orientation().is_acyclic());
         }
     }
 

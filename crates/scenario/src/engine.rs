@@ -21,7 +21,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use lr_core::alg::TripleHeight;
-use lr_graph::{CsrGraph, CsrInstance, DirectedView, NodeId, ReversalInstance, UndirectedGraph};
+use lr_graph::{CsrGraph, NodeId, ReversalInstance};
 use lr_net::election::ElectionHarness;
 use lr_net::mutex::{MutexHarness, MutexMsg};
 use lr_net::reversal::{initial_nodes, orientation_from_heights, DistributedPr, ReversalMsg};
@@ -36,7 +36,7 @@ use crate::spec::{
     derive_churn_seed, derive_run_seed, ChurnKind, LinkSpec, ProtocolKind, ScenarioSpec, Sources,
     SpecError,
 };
-use crate::topology::build_csr_instance;
+use crate::topology::build_instance;
 
 /// A runtime failure of a structurally valid scenario (e.g. the
 /// network exhausted the `max_events` budget inside one settle
@@ -216,7 +216,7 @@ pub(crate) trait Driver: Sync {
     /// BFS distances from `from` over the simulator's live links, by
     /// dense node index (`None`: unreachable).
     fn live_distances(&self, from: NodeId) -> Vec<Option<u64>>;
-    fn metrics(&self, live: &UndirectedGraph) -> Metrics;
+    fn metrics(&self, live: &[(NodeId, NodeId)]) -> Metrics;
     fn sim_stats(&self) -> SimStats;
 }
 
@@ -300,9 +300,8 @@ fn live_distances<P: Protocol>(sim: &EventSim<P>, from: NodeId) -> Vec<Option<u6
 
 /// Checks that the orientation implied by `heights` over the live
 /// graph is acyclic — the paper's theorem, observed under churn.
-fn heights_acyclic(live: &UndirectedGraph, heights: &BTreeMap<NodeId, TripleHeight>) -> bool {
-    let o = orientation_from_heights(live, heights);
-    DirectedView::new(live, &o).is_acyclic()
+fn heights_acyclic(live: &[(NodeId, NodeId)], heights: &BTreeMap<NodeId, TripleHeight>) -> bool {
+    orientation_from_heights(live.iter().copied(), heights).is_acyclic()
 }
 
 fn work_stats(per_node: impl Iterator<Item = u64>) -> (u64, u64, f64) {
@@ -339,7 +338,7 @@ struct RoutingDriver {
 
 impl RoutingDriver {
     fn new(
-        inst: &CsrInstance,
+        inst: &ReversalInstance,
         link: LinkConfig,
         overrides: &[(NodeId, NodeId, LinkConfig)],
         seed: u64,
@@ -418,7 +417,7 @@ impl Driver for RoutingDriver {
         live_distances(self.harness.sim(), from)
     }
 
-    fn metrics(&self, live: &UndirectedGraph) -> Metrics {
+    fn metrics(&self, live: &[(NodeId, NodeId)]) -> Metrics {
         let report = self.harness.report();
         let sim = self.harness.sim();
         // Stretch: hops over the live shortest path at injection time,
@@ -471,7 +470,7 @@ struct ReversalDriver {
 
 impl ReversalDriver {
     fn new(
-        inst: &CsrInstance,
+        inst: &ReversalInstance,
         link: LinkConfig,
         overrides: &[(NodeId, NodeId, LinkConfig)],
         seed: u64,
@@ -540,7 +539,7 @@ impl Driver for ReversalDriver {
         live_distances(&self.sim, from)
     }
 
-    fn metrics(&self, live: &UndirectedGraph) -> Metrics {
+    fn metrics(&self, live: &[(NodeId, NodeId)]) -> Metrics {
         let (total, max, mean) = work_stats(self.sim.nodes().map(|(_, n)| n.reversals));
         let heights: BTreeMap<NodeId, TripleHeight> =
             self.sim.nodes().map(|(u, n)| (u, n.height)).collect();
@@ -650,10 +649,8 @@ impl Driver for ToraDriver {
         live_distances(self.harness.sim(), from)
     }
 
-    fn metrics(&self, _live: &UndirectedGraph) -> Metrics {
-        let (routed_graph, o) = self.harness.routed_orientation();
-        let acyclic =
-            routed_graph.edge_count() == 0 || DirectedView::new(&routed_graph, &o).is_acyclic();
+    fn metrics(&self, _live: &[(NodeId, NodeId)]) -> Metrics {
+        let acyclic = self.harness.routed_orientation().is_acyclic();
         let (total, max, mean) = work_stats(
             self.harness
                 .sim()
@@ -756,7 +753,7 @@ impl Driver for MutexDriver {
         live_distances(self.harness.sim(), from)
     }
 
-    fn metrics(&self, _live: &UndirectedGraph) -> Metrics {
+    fn metrics(&self, _live: &[(NodeId, NodeId)]) -> Metrics {
         let sim = self.harness.sim();
         let delivered: u64 = sim.nodes().map(|(_, n)| n.cs_entries).sum();
         // Structural invariant at a quiescent point: exactly one token
@@ -868,7 +865,7 @@ impl Driver for ElectionDriver {
         live_distances(self.harness.sim(), from)
     }
 
-    fn metrics(&self, live: &UndirectedGraph) -> Metrics {
+    fn metrics(&self, live: &[(NodeId, NodeId)]) -> Metrics {
         let sim = self.harness.sim();
         let (total, max, mean) = work_stats(sim.nodes().map(|(_, n)| n.reversals));
         let heights: BTreeMap<NodeId, TripleHeight> =
@@ -926,7 +923,7 @@ fn timeline(spec: &ScenarioSpec) -> Vec<(u64, ActionKind)> {
 fn resolve_sources(spec: &ScenarioSpec, inst: &ReversalInstance) -> Vec<NodeId> {
     match spec.traffic.as_ref().map(|t| &t.sources) {
         Some(Sources::All) | None => inst
-            .graph
+            .csr()
             .nodes()
             .filter(|&u| u != inst.dest || spec.protocol == ProtocolKind::Mutex)
             .collect(),
@@ -943,7 +940,7 @@ fn resolve_sources(spec: &ScenarioSpec, inst: &ReversalInstance) -> Vec<NodeId> 
 /// the first scenario action onward.
 pub(crate) fn make_driver(
     spec: &ScenarioSpec,
-    inst: &CsrInstance,
+    inst: &ReversalInstance,
     link: LinkConfig,
     run_seed: u64,
 ) -> Box<dyn Driver> {
@@ -963,7 +960,7 @@ pub(crate) fn make_driver(
         ProtocolKind::Routing => Box::new(RoutingDriver::new(inst, link, &overrides, run_seed)),
         ProtocolKind::Reversal => Box::new(ReversalDriver::new(inst, link, &overrides, run_seed)),
         ProtocolKind::Tora => {
-            let mut harness = ToraHarness::new(inst.csr().clone(), inst.dest(), link, run_seed);
+            let mut harness = ToraHarness::new(inst.csr().clone(), inst.dest, link, run_seed);
             for &(u, v, cfg) in &overrides {
                 harness.sim_mut().set_link_config(u, v, cfg);
             }
@@ -974,7 +971,7 @@ pub(crate) fn make_driver(
             })
         }
         ProtocolKind::Mutex => {
-            let mut harness = MutexHarness::new(inst.csr().clone(), inst.dest(), link, run_seed);
+            let mut harness = MutexHarness::new(inst.csr().clone(), inst.dest, link, run_seed);
             for &(u, v, cfg) in &overrides {
                 harness.sim_mut().set_link_config(u, v, cfg);
             }
@@ -1057,18 +1054,6 @@ impl LinkLedger {
             .filter(|e| !self.failed.contains(e))
             .collect()
     }
-
-    /// The graph restricted to live links (every node kept).
-    pub(crate) fn live_graph(&self, full: &UndirectedGraph) -> UndirectedGraph {
-        let mut g = UndirectedGraph::new();
-        for u in full.nodes() {
-            g.ensure_node(u);
-        }
-        for (u, v) in self.live_edges() {
-            g.add_edge(u, v).expect("live edge is fresh");
-        }
-        g
-    }
 }
 
 /// Executes one `(seed, trial)` run of a parsed, validated spec.
@@ -1092,16 +1077,13 @@ pub fn run_scenario(
     run_span.arg("seed", seed);
     run_span.arg("trial", trial as u64);
     let run_seed = derive_run_seed(seed, trial);
-    let flat = build_csr_instance(&spec.topology, run_seed)?;
-    // The protocols run on the CSR; the spec checks and the metrics
-    // still read the map form.
-    let inst = flat.to_instance();
+    let inst = build_instance(&spec.topology, run_seed)?;
     spec.validate_against(&inst, seed, trial)
         .map_err(|e| ScenarioError(format!("invalid scenario: {e}")))?;
     let link = spec_link_config(&spec.links.default);
-    let mut driver = make_driver(spec, &flat, link, run_seed);
+    let mut driver = make_driver(spec, &inst, link, run_seed);
     let mut churn_rng = SmallRng::seed_from_u64(derive_churn_seed(run_seed));
-    let mut ledger = LinkLedger::new(flat.csr());
+    let mut ledger = LinkLedger::new(inst.csr());
     let sources = resolve_sources(spec, &inst);
     let mut records: Vec<ScenarioRecord> = Vec::new();
 
@@ -1110,7 +1092,7 @@ pub fn run_scenario(
         protocol: spec.protocol.name().to_string(),
         family: spec.topology.family_name().to_string(),
         n: inst.node_count(),
-        edges: inst.graph.edge_count(),
+        edges: inst.csr().edge_count(),
         seed,
         trial,
         row: row.to_string(),
@@ -1186,7 +1168,7 @@ pub fn run_scenario(
     let mut rec = base_record("event", 0, "start", 0);
     rec.convergence_ticks = if quiesced { driver.now() } else { spec.settle };
     rec.quiesced = quiesced;
-    fill(&mut rec, &driver.metrics(&ledger.live_graph(&inst.graph)));
+    fill(&mut rec, &driver.metrics(&ledger.live_edges()));
     records.push(rec);
 
     for (at, action) in timeline(spec) {
@@ -1227,7 +1209,7 @@ pub fn run_scenario(
                 let mut rec = base_record("event", i + 1, &spec.churn[i].kind.describe(), fired_at);
                 rec.convergence_ticks = ticks;
                 rec.quiesced = quiesced;
-                fill(&mut rec, &driver.metrics(&ledger.live_graph(&inst.graph)));
+                fill(&mut rec, &driver.metrics(&ledger.live_edges()));
                 records.push(rec);
             }
         }
@@ -1241,10 +1223,7 @@ pub fn run_scenario(
     let mut summary = base_record("summary", spec.churn.len(), "summary", driver.now());
     summary.convergence_ticks = driver.now();
     summary.quiesced = quiesced;
-    fill(
-        &mut summary,
-        &driver.metrics(&ledger.live_graph(&inst.graph)),
-    );
+    fill(&mut summary, &driver.metrics(&ledger.live_edges()));
     records.push(summary);
 
     let sim_stats = driver.sim_stats();
@@ -1352,10 +1331,10 @@ mod tests {
 
     #[test]
     fn a_probe_stops_at_its_first_revisit() {
-        let graph = UndirectedGraph::from_edges(&[(0, 1)]).unwrap();
+        let graph = lr_graph::Orientation::from_edges(&[(0, 1)]).unwrap();
         let mut sim = EventSim::new(
             Stale,
-            CsrGraph::from_graph(&graph),
+            graph.csr().as_ref().clone(),
             vec![5, 5],
             LinkConfig::default(),
             0,

@@ -53,7 +53,7 @@ use crate::engine::{
 };
 use crate::spec::{derive_run_seed, ProtocolKind, ScenarioSpec, TrafficSpec};
 use crate::stats::{MetricSketch, STRETCH_GRID_HI};
-use crate::topology::build_csr_instance;
+use crate::topology::build_instance;
 
 /// Mixer xored into the run seed to derive the workload generator's
 /// RNG stream (kept distinct from the engine's churn stream the same
@@ -516,11 +516,10 @@ pub fn run_serve(
         .seed
         .unwrap_or_else(|| spec.seeds.first().copied().unwrap_or(0));
     let run_seed = derive_run_seed(seed, 0);
-    let inst =
-        build_csr_instance(&spec.topology, run_seed).map_err(|e| ServeError(e.to_string()))?;
+    let inst = build_instance(&spec.topology, run_seed).map_err(|e| ServeError(e.to_string()))?;
     let csr = inst.csr();
-    let dest = inst.dest();
-    spec.validate_against_flat(&inst, seed, 0)
+    let dest = inst.dest;
+    spec.validate_against(&inst, seed, 0)
         .map_err(|e| ServeError(format!("invalid scenario: {e}")))?;
     validate_feed(feed, spec, csr, dest)?;
     if options.batch == 0 || options.queue == 0 || options.threads == 0 {

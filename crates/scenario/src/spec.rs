@@ -215,44 +215,44 @@ impl ProtocolKind {
 /// (which is always acyclic), with a caller-chosen destination.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TopologySpec {
-    /// `stream::chain_away(n).to_instance()`.
+    /// `stream::chain_away(n)`.
     ChainAway {
         /// Node count (≥ 2).
         n: usize,
     },
-    /// `stream::chain_toward(n).to_instance()`.
+    /// `stream::chain_toward(n)`.
     ChainToward {
         /// Node count (≥ 2).
         n: usize,
     },
-    /// `stream::alternating_chain(n).to_instance()`.
+    /// `stream::alternating_chain(n)`.
     Alternating {
         /// Node count (≥ 2).
         n: usize,
     },
-    /// `stream::star_away(leaves).to_instance()`.
+    /// `stream::star_away(leaves)`.
     Star {
         /// Leaf count (≥ 1).
         leaves: usize,
     },
-    /// `stream::binary_tree_away(depth).to_instance()`.
+    /// `stream::binary_tree_away(depth)`.
     Tree {
         /// Tree depth (≥ 1).
         depth: usize,
     },
-    /// `stream::grid_away(rows, cols).to_instance()`.
+    /// `stream::grid_away(rows, cols)`.
     Grid {
         /// Row count.
         rows: usize,
         /// Column count (`rows × cols ≥ 2`).
         cols: usize,
     },
-    /// `stream::complete_away(n).to_instance()`.
+    /// `stream::complete_away(n)`.
     Complete {
         /// Node count (≥ 2).
         n: usize,
     },
-    /// `stream::random_connected(n, extra_edges, seed).to_instance()`.
+    /// `stream::random_connected(n, extra_edges, seed)`.
     Random {
         /// Node count (≥ 2).
         n: usize,
@@ -262,7 +262,7 @@ pub enum TopologySpec {
         /// sweep run sees a different random topology.
         seed: Option<u64>,
     },
-    /// `stream::bipartite_away(width, degree, seed).to_instance()`.
+    /// `stream::bipartite_away(width, degree, seed)`.
     Bipartite {
         /// Nodes per side (≥ 2).
         width: usize,
@@ -271,7 +271,7 @@ pub enum TopologySpec {
         /// Topology seed (run seed when absent).
         seed: Option<u64>,
     },
-    /// `stream::layered(width, depth, p, seed).to_instance()`.
+    /// `stream::layered(width, depth, p, seed)`.
     Layered {
         /// Nodes per layer (≥ 1).
         width: usize,
@@ -1712,81 +1712,30 @@ impl ScenarioSpec {
         }
         if !self.topology_varies_per_run() {
             let seed = self.seeds[0];
-            let inst =
-                crate::topology::build_csr_instance(&self.topology, derive_run_seed(seed, 0))?;
-            return self.validate_against_flat(&inst, seed, 0);
+            let inst = crate::topology::build_instance(&self.topology, derive_run_seed(seed, 0))?;
+            return self.validate_against(&inst, seed, 0);
         }
         for &(seed, trial) in &self.sweep_runs(false) {
             let run_seed = derive_run_seed(seed, trial);
-            let inst = crate::topology::build_csr_instance(&self.topology, run_seed)?;
-            self.validate_against_flat(&inst, seed, trial)?;
+            let inst = crate::topology::build_instance(&self.topology, run_seed)?;
+            self.validate_against(&inst, seed, trial)?;
         }
         Ok(())
     }
 
-    /// The topology cross-checks against a map-backed instance — the
-    /// route [`crate::engine::run_scenario`] takes, since it has the
-    /// map instance in hand anyway.
+    /// The topology cross-checks against a built instance, by CSR
+    /// lookups alone (a million-node grid spec validates in the CSR
+    /// footprint).
     pub(crate) fn validate_against(
         &self,
         inst: &lr_graph::ReversalInstance,
         seed: u64,
         trial: usize,
     ) -> Result<(), SpecError> {
-        self.validate_with(
-            &|id| inst.graph.contains_node(lr_graph::NodeId::new(id)),
-            &|u, v| {
-                inst.graph
-                    .contains_edge(lr_graph::NodeId::new(u), lr_graph::NodeId::new(v))
-            },
-            inst.node_count(),
-            u32::from(inst.dest),
-            seed,
-            trial,
-        )
-    }
-
-    /// The same cross-checks against a flat CSR instance — the
-    /// [`Self::validate`] route, which never materializes the map
-    /// representation (a million-node grid spec validates in the CSR
-    /// footprint alone).
-    pub(crate) fn validate_against_flat(
-        &self,
-        inst: &lr_graph::CsrInstance,
-        seed: u64,
-        trial: usize,
-    ) -> Result<(), SpecError> {
-        let csr = inst.csr();
-        self.validate_with(
-            &|id| csr.index_of(lr_graph::NodeId::new(id)).is_some(),
-            &|u, v| {
-                let (Some(ui), Some(vi)) = (
-                    csr.index_of(lr_graph::NodeId::new(u)),
-                    csr.index_of(lr_graph::NodeId::new(v)),
-                ) else {
-                    return false;
-                };
-                csr.slot_of(ui, vi).is_some()
-            },
-            inst.node_count(),
-            u32::from(inst.dest()),
-            seed,
-            trial,
-        )
-    }
-
-    /// The shared body of the topology cross-checks, parameterized over
-    /// node/edge membership so the map-backed and flat routes cannot
-    /// drift apart.
-    fn validate_with(
-        &self,
-        node_ok: &dyn Fn(u32) -> bool,
-        edge_ok: &dyn Fn(u32, u32) -> bool,
-        node_count: usize,
-        dest: u32,
-        seed: u64,
-        trial: usize,
-    ) -> Result<(), SpecError> {
+        let node = lr_graph::NodeId::new;
+        let node_ok = |u: u32| inst.csr().index_of(node(u)).is_some();
+        let edge_ok = |u: u32, v: u32| inst.init().dir(node(u), node(v)).is_some();
+        let (node_count, dest) = (inst.node_count(), inst.dest.raw());
         let ctx = |path: &str| format!("{path} (seed {seed}, trial {trial})");
         for (i, o) in self.links.overrides.iter().enumerate() {
             if !edge_ok(o.u, o.v) {
@@ -1974,7 +1923,7 @@ mod capacity_tests {
             let spec = topology(json).unwrap();
             let closed_form = spec.half_edges().unwrap();
             for run_seed in 0..4 {
-                let built = crate::topology::build_csr_instance(&spec, run_seed)
+                let built = crate::topology::build_instance(&spec, run_seed)
                     .unwrap()
                     .half_edge_count();
                 match spec {

@@ -1,15 +1,16 @@
-//! Building a [`TopologySpec`] into a flat [`CsrInstance`] through the
-//! streaming generators of [`lr_graph::stream`], or into the validated
-//! map-backed [`ReversalInstance`] that the protocols run on.
+//! Building a [`TopologySpec`] into a [`ReversalInstance`]: generator
+//! families stream straight into CSR arrays through [`lr_graph::stream`],
+//! and inline edge lists go through the validating
+//! [`ReversalInstance::from_edges`].
 
-use lr_graph::{stream, CsrInstance, NodeId, Orientation, ReversalInstance, UndirectedGraph};
+use lr_graph::{stream, NodeId, Orientation, ReversalInstance};
 
 use crate::spec::{SpecError, TopologySpec};
 
 /// Builds the instance for one run. `run_seed` is used by the random
-/// families when the spec pins no topology seed. Generator families are
-/// built by [`build_csr_instance`] and materialized with
-/// [`CsrInstance::to_instance`].
+/// families when the spec pins no topology seed. No family materializes
+/// an intermediate edge list or adjacency map, which is what lets spec
+/// validation touch million-node topologies in the CSR footprint alone.
 ///
 /// # Errors
 ///
@@ -17,24 +18,7 @@ use crate::spec::{SpecError, TopologySpec};
 /// valid instance (duplicate edges, disconnected graph, destination not
 /// a node).
 pub fn build_instance(spec: &TopologySpec, run_seed: u64) -> Result<ReversalInstance, SpecError> {
-    match spec {
-        TopologySpec::Inline { edges, dest } => build_inline(edges, *dest),
-        _ => Ok(build_csr_instance(spec, run_seed)?.to_instance()),
-    }
-}
-
-/// Builds the **flat** CSR instance for one run. Every generator family
-/// streams straight into CSR arrays, so no intermediate edge list or
-/// adjacency map is materialized — this is what lets spec validation
-/// touch million-node topologies without paying the map
-/// representation's footprint. Inline edge lists are built as map
-/// instances and flattened.
-///
-/// # Errors
-///
-/// Same as [`build_instance`].
-pub fn build_csr_instance(spec: &TopologySpec, run_seed: u64) -> Result<CsrInstance, SpecError> {
-    let inst = match *spec {
+    Ok(match *spec {
         TopologySpec::ChainAway { n } => stream::chain_away(n),
         TopologySpec::ChainToward { n } => stream::chain_toward(n),
         TopologySpec::Alternating { n } => stream::alternating_chain(n),
@@ -58,11 +42,8 @@ pub fn build_csr_instance(spec: &TopologySpec, run_seed: u64) -> Result<CsrInsta
             p,
             seed,
         } => stream::layered(width, depth, p, seed.unwrap_or(run_seed)),
-        TopologySpec::Inline { ref edges, dest } => {
-            return build_inline(edges, dest).map(|i| CsrInstance::from_instance(&i))
-        }
-    };
-    Ok(inst)
+        TopologySpec::Inline { ref edges, dest } => build_inline(edges, dest)?,
+    })
 }
 
 /// An inline edge list becomes an instance oriented from the higher
@@ -70,32 +51,25 @@ pub fn build_csr_instance(spec: &TopologySpec, run_seed: u64) -> Result<CsrInsta
 /// whenever the destination is the minimum id on every path (node ids
 /// pick the initial DAG, churn and the protocols do the rest).
 fn build_inline(edges: &[(u32, u32)], dest: u32) -> Result<ReversalInstance, SpecError> {
-    let mut graph = UndirectedGraph::new();
-    let mut orientation = Orientation::new();
-    for &(u, v) in edges {
-        let (a, b) = (NodeId::new(u), NodeId::new(v));
-        graph.ensure_node(a);
-        graph.ensure_node(b);
-        graph.add_edge(a, b).map_err(|e| {
-            SpecError::new("topology.edges", format!("edge {u}-{v} is invalid: {e}"))
-        })?;
-        // Higher id points at lower id: a strict total order, hence
-        // acyclic.
-        if u > v {
-            orientation.set_from_to(a, b);
-        } else {
-            orientation.set_from_to(b, a);
-        }
-    }
-    let dest_id = NodeId::new(dest);
-    if !graph.contains_node(dest_id) {
-        return Err(SpecError::new(
+    // A self-loop or repeated edge is named as the spec writes it.
+    Orientation::from_edges(edges).map_err(|e| {
+        let (u, v) = match e {
+            lr_graph::GraphError::SelfLoop(u) => (u, u),
+            lr_graph::GraphError::DuplicateEdge(u, v) => (u, v),
+            _ => (NodeId::new(0), NodeId::new(0)),
+        };
+        let (u, v) = (u.raw(), v.raw());
+        SpecError::new("topology.edges", format!("edge {u}-{v} is invalid: {e}"))
+    })?;
+    // Higher id points at lower id: a strict total order, hence acyclic.
+    let arcs: Vec<(u32, u32)> = edges.iter().map(|&(u, v)| (u.max(v), u.min(v))).collect();
+    ReversalInstance::from_edges(&arcs, NodeId::new(dest)).map_err(|e| match e {
+        lr_graph::GraphError::UnknownNode(_) => SpecError::new(
             "topology.dest",
             format!("destination {dest} does not appear in the edge list"),
-        ));
-    }
-    ReversalInstance::new(graph, orientation, dest_id)
-        .map_err(|e| SpecError::new("topology", format!("inline topology is invalid: {e}")))
+        ),
+        e => SpecError::new("topology", format!("inline topology is invalid: {e}")),
+    })
 }
 
 #[cfg(test)]
@@ -130,7 +104,7 @@ mod tests {
             seed: Some(1),
         };
         let map = build_instance(&spec, 0).unwrap();
-        assert_eq!(map.graph.edge_count(), 15, "K6");
+        assert_eq!(map.csr().edge_count(), 15, "K6");
     }
 
     #[test]
@@ -151,10 +125,17 @@ mod tests {
     fn inline_topologies_are_acyclic_and_validated() {
         let inst = build_inline(&[(0, 1), (1, 2), (2, 3), (3, 0)], 0).unwrap();
         assert_eq!(inst.node_count(), 4);
-        assert!(inst.view().is_acyclic());
+        assert!(inst.init().is_acyclic());
 
-        let dup = build_inline(&[(0, 1), (1, 0)], 0);
-        assert!(dup.is_err(), "duplicate edge must be an error");
+        let dup = build_inline(&[(0, 1), (1, 0)], 0).unwrap_err();
+        assert_eq!(dup.path, "topology.edges");
+        assert!(dup.msg.contains("edge 1-0 is invalid"), "{}", dup.msg);
+        let self_loop = build_inline(&[(0, 1), (2, 2)], 0).unwrap_err();
+        assert!(
+            self_loop.msg.contains("edge 2-2 is invalid"),
+            "{}",
+            self_loop.msg
+        );
         let missing_dest = build_inline(&[(0, 1)], 9);
         assert!(missing_dest.unwrap_err().msg.contains("destination 9"));
         let disconnected = build_inline(&[(0, 1), (2, 3)], 0);

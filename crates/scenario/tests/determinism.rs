@@ -31,10 +31,10 @@ fn spec_edges(seed: u64) -> Vec<(u32, u32)> {
     // must contain it for the spec to validate. This helper documents
     // the dependency: if the generator changes, the test fails here
     // with a clear message instead of deep in the engine.
-    let inst = lr_graph::stream::random_connected(14, 12, seed).to_instance();
-    inst.graph
-        .edges()
-        .map(|(u, v)| (u.raw(), v.raw()))
+    let inst = lr_graph::stream::random_connected(14, 12, seed);
+    inst.init()
+        .directed_edges()
+        .map(|(u, v)| (u.raw().min(v.raw()), u.raw().max(v.raw())))
         .collect()
 }
 

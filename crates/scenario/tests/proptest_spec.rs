@@ -349,10 +349,9 @@ fn validation_catches_dangling_references() {
     assert!(err.msg.contains("destination"), "{err}");
 }
 
-/// `validate` goes through the flat CSR route (PR 7), so cross-checking
-/// a spec over a six-figure topology never materializes the map
-/// representation — this completes in the CSR footprint even in a debug
-/// build.
+/// `validate` builds the streamed CSR instance and checks the spec by
+/// CSR lookups, so cross-checking a spec over a six-figure topology
+/// completes in the CSR footprint even in a debug build.
 #[test]
 fn validation_scales_through_the_flat_route() {
     let spec = ScenarioSpec::from_json(

@@ -25,7 +25,7 @@
 //! use lr_simrel::{r_checker, r_prime_checker};
 //! use lr_core::alg::{NewPrAutomaton, OneStepPrAutomaton, PrSetAutomaton};
 //!
-//! let inst = stream::chain_away(4).to_instance();
+//! let inst = stream::chain_away(4);
 //! // Lemma 5.1(b): every PR set-step is matched by OneStepPR steps.
 //! let rp = r_prime_checker(&inst);
 //! let report = rp

@@ -471,14 +471,11 @@ impl CheckKind {
     ///
     /// If `n > MAX_N`, before any instance is enumerated.
     pub fn run(self, n: usize, opts: &McOptions) -> ModelCheckSummary {
-        assert!(
-            n <= MAX_N,
-            "model check size {n} is above MAX_N = {MAX_N}: instance_orbits({n}) is out of reach"
-        );
-        self.sweep(&instance_orbits(n), opts)
+        self.sweep(&orbits(n), opts)
     }
 
-    /// Runs this check on each `(instance, orbit size)` in `orbits`.
+    /// Runs this check on each `(instance, orbit size)` in `orbits`: the
+    /// one enumeration a battery shares, or a labeled sweep in tests.
     fn sweep(self, orbits: &[(ReversalInstance, u64)], opts: &McOptions) -> ModelCheckSummary {
         sweep_instances(orbits, opts, |inst| self.check(inst, opts.max_states))
     }
@@ -518,22 +515,40 @@ pub struct BatteryRow {
     pub elapsed_ns: u64,
 }
 
-/// The model-check battery behind `lr modelcheck`: runs `checks` at size
-/// `n` with the given options, timing each sweep.
+/// The representatives `instance_orbits(n)` with their orbit sizes.
 ///
-/// When an `lr-obs` session is recording, each check gets a
+/// # Panics
+///
+/// If `n > MAX_N`, before any instance is enumerated.
+fn orbits(n: usize) -> Vec<(ReversalInstance, u64)> {
+    assert!(
+        n <= MAX_N,
+        "model check size {n} is above MAX_N = {MAX_N}: instance_orbits({n}) is out of reach"
+    );
+    instance_orbits(n)
+}
+
+/// The model-check battery behind `lr modelcheck`: enumerates the
+/// representatives at size `n` once, then runs `checks` over them with
+/// the given options, timing each sweep.
+///
+/// When an `lr-obs` session is recording, the enumeration gets a
+/// `modelcheck.enumerate` span and each check a
 /// `modelcheck.check <key>` span, and the battery publishes
 /// `modelcheck.*` counters derived from the deterministic summaries —
 /// the sweeps themselves are bit-identical at every thread count, so
 /// the published metrics are too.
 pub fn run_battery(n: usize, checks: &[CheckKind], opts: &McOptions) -> Vec<BatteryRow> {
+    let span = lr_obs::span("modelcheck", "modelcheck.enumerate");
+    let orbits = orbits(n);
+    drop(span);
     let rows: Vec<BatteryRow> = checks
         .iter()
         .map(|&kind| {
             let mut span = lr_obs::enabled()
                 .then(|| lr_obs::span("modelcheck", format!("modelcheck.check {}", kind.key())));
             let start = Instant::now();
-            let summary = kind.run(n, opts);
+            let summary = kind.sweep(&orbits, opts);
             if let Some(span) = span.as_mut() {
                 span.arg("n", n as u64);
                 span.arg("instances", summary.instances as u64);
@@ -579,7 +594,7 @@ pub fn battery_metrics(rows: &[BatteryRow]) -> lr_obs::MetricsShard {
 mod tests {
     use super::*;
     use lr_graph::enumerate::{all_instances, connected_graphs, tutte};
-    use lr_graph::{stream, NodeId, Orientation, UndirectedGraph};
+    use lr_graph::{stream, NodeId};
     use lr_ioa::Automaton;
     use proptest::prelude::*;
     use std::collections::hash_map::DefaultHasher;
@@ -1000,16 +1015,13 @@ mod tests {
 
     /// `inst` with every node `u` renamed `map[u]`.
     fn relabel(inst: &ReversalInstance, map: &[u32]) -> ReversalInstance {
-        let name = |u: NodeId| NodeId::new(map[u.index()]);
-        let mut graph = UndirectedGraph::with_nodes(inst.node_count());
-        let mut init = Orientation::new();
-        for (u, v) in inst.init.directed_edges() {
-            graph
-                .add_edge(name(u), name(v))
-                .expect("a bijection keeps edges simple");
-            init.set_from_to(name(u), name(v));
-        }
-        ReversalInstance::new(graph, init, name(inst.dest)).expect("a relabeled instance")
+        let arcs: Vec<(u32, u32)> = inst
+            .init()
+            .directed_edges()
+            .map(|(u, v)| (map[u.index()], map[v.index()]))
+            .collect();
+        ReversalInstance::from_edges(&arcs, NodeId::new(map[inst.dest.index()]))
+            .expect("a relabeled instance")
     }
 
     /// The parts of a per-instance outcome the symmetry argument says a
@@ -1037,13 +1049,8 @@ mod tests {
             dest in 0usize..7,
             seed in any::<u64>(),
         ) {
-            let random = stream::random_connected(n, extra, seed).to_instance();
-            let inst = ReversalInstance::new(
-                random.graph,
-                random.init,
-                NodeId::new((dest % n) as u32),
-            )
-            .expect("a random connected instance");
+            let mut inst = stream::random_connected(n, extra, seed);
+            inst.dest = NodeId::new((dest % n) as u32);
             // A seeded permutation of the ids: sort them by a keyed hash.
             let mut ids: Vec<u32> = (0..n as u32).collect();
             ids.sort_by_key(|&i| {

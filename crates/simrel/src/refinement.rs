@@ -89,21 +89,21 @@ pub fn refine_and_check<'a>(
 
     let mut states_checked = 0;
     for s in pr_exec.states() {
-        check_acyclic(inst, &s.dirs).map_err(|detail| RefinementError::Cycle {
+        check_acyclic(&s.dirs).map_err(|detail| RefinementError::Cycle {
             stage: "PR",
             detail,
         })?;
         states_checked += 1;
     }
     for s in onestep_exec.states() {
-        check_acyclic(inst, &s.dirs).map_err(|detail| RefinementError::Cycle {
+        check_acyclic(&s.dirs).map_err(|detail| RefinementError::Cycle {
             stage: "OneStepPR",
             detail,
         })?;
         states_checked += 1;
     }
     for s in newpr_exec.states() {
-        check_acyclic(inst, &s.dirs).map_err(|detail| RefinementError::Cycle {
+        check_acyclic(&s.dirs).map_err(|detail| RefinementError::Cycle {
             stage: "NewPR",
             detail,
         })?;
@@ -134,7 +134,7 @@ mod tests {
     #[test]
     fn refinement_chain_on_random_executions() {
         for seed in 0..10 {
-            let inst = stream::random_connected(8, 6, 700 + seed).to_instance();
+            let inst = stream::random_connected(8, 6, 700 + seed);
             let pr = PrSetAutomaton { inst: &inst };
             let exec = run(&pr, &mut schedulers::UniformRandom::seeded(seed), 10_000);
             assert!(pr.is_quiescent(exec.last_state()), "seed {seed}");
@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn empty_execution_refines_trivially() {
-        let inst = stream::chain_toward(5).to_instance(); // destination-oriented: no steps
+        let inst = stream::chain_toward(5); // destination-oriented: no steps
         let pr = PrSetAutomaton { inst: &inst };
         let exec = lr_ioa::Execution::<PrSetAutomaton>::new(pr.initial_state());
         let report = refine_and_check(&inst, &exec).expect("trivial chain");
@@ -173,7 +173,7 @@ mod tests {
     fn greedy_set_executions_refine() {
         // Exercise genuinely set-valued actions: the greedy schedule fires
         // all sinks at once.
-        let inst = stream::star_away(5).to_instance();
+        let inst = stream::star_away(5);
         let pr = PrSetAutomaton { inst: &inst };
         // LastEnabled picks the largest subset (all sinks) because the
         // subsets are enumerated in mask order — last = full set.

@@ -25,7 +25,7 @@ pub fn r_holds(inst: &ReversalInstance, s: &PrState, t: &NewPrState) -> bool {
     if s.dirs.orientation() != t.dirs.orientation() {
         return false;
     }
-    for u in inst.graph.nodes() {
+    for u in inst.csr().nodes() {
         let list = s.list(u);
         let allowed: BTreeSet<NodeId> = match t.parity(u) {
             Parity::Even => inst.initial_out_nbrs(u).into_iter().collect(),
@@ -48,7 +48,7 @@ pub fn r_checker(
     SimulationChecker::new(
         move |s: &PrState, t: &NewPrState| r_holds(&rel_inst, s, t),
         move |s: &PrState, &w: &NodeId, _t: &NewPrState| -> Vec<NodeId> {
-            let nbrs = corr_inst.graph.neighbor_set(w);
+            let nbrs: BTreeSet<NodeId> = corr_inst.csr().neighbors(w).collect();
             if *s.list(w) == nbrs {
                 // The dummy step re-aligns parity, then the real step
                 // reverses the same set OneStepPR reverses.
@@ -72,7 +72,7 @@ mod tests {
 
     #[test]
     fn initial_states_are_related() {
-        let inst = stream::random_connected(8, 5, 2).to_instance();
+        let inst = stream::random_connected(8, 5, 2);
         let os = OneStepPrAutomaton { inst: &inst };
         let np = NewPrAutomaton { inst: &inst };
         assert!(r_holds(&inst, &os.initial_state(), &np.initial_state()));
@@ -80,7 +80,7 @@ mod tests {
 
     #[test]
     fn relation_rejects_diverged_orientations() {
-        let inst = stream::chain_away(4).to_instance();
+        let inst = stream::chain_away(4);
         let s = PrState::initial(&inst);
         let mut t = NewPrState::initial(&inst);
         t.dirs.reverse_outward(n(3), n(2));
@@ -89,7 +89,7 @@ mod tests {
 
     #[test]
     fn relation_rejects_list_outside_parity_set() {
-        let inst = stream::chain_away(4).to_instance();
+        let inst = stream::chain_away(4);
         let mut s = PrState::initial(&inst);
         // parity[1] is even, so list[1] must be ⊆ out-nbrs(1) = {2};
         // insert the in-neighbor 0 instead.
@@ -100,7 +100,7 @@ mod tests {
 
     #[test]
     fn correspondence_is_single_step_for_partial_list() {
-        let inst = stream::chain_away(4).to_instance();
+        let inst = stream::chain_away(4);
         let checker = r_checker(&inst);
         let s = PrState::initial(&inst);
         let t = NewPrState::initial(&inst);
@@ -110,7 +110,7 @@ mod tests {
 
     #[test]
     fn correspondence_is_double_step_for_full_list() {
-        let inst = stream::chain_away(4).to_instance();
+        let inst = stream::chain_away(4);
         let checker = r_checker(&inst);
         let mut s = PrState::initial(&inst);
         s.lists.get_mut(&n(3)).unwrap().insert(n(2)); // list = nbrs
@@ -121,7 +121,7 @@ mod tests {
     #[test]
     fn lemma_5_3_along_random_executions() {
         for seed in 0..10 {
-            let inst = stream::random_connected(9, 6, 600 + seed).to_instance();
+            let inst = stream::random_connected(9, 6, 600 + seed);
             let os = OneStepPrAutomaton { inst: &inst };
             let np = NewPrAutomaton { inst: &inst };
             let exec = run(&os, &mut schedulers::UniformRandom::seeded(seed), 10_000);
@@ -143,10 +143,10 @@ mod tests {
     #[test]
     fn theorem_5_4_exhaustive_on_small_instances() {
         for inst in [
-            stream::chain_away(4).to_instance(),
-            stream::star_away(3).to_instance(),
+            stream::chain_away(4),
+            stream::star_away(3),
             lr_graph::parse::parse_instance("dest 3\n1 > 0\n2 > 0\n3 > 0").unwrap(),
-            stream::random_connected(5, 3, 8).to_instance(),
+            stream::random_connected(5, 3, 8),
         ] {
             let os = OneStepPrAutomaton { inst: &inst };
             let np = NewPrAutomaton { inst: &inst };

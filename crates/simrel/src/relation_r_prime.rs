@@ -52,7 +52,7 @@ mod tests {
 
     #[test]
     fn initial_states_are_related() {
-        let inst = stream::random_connected(8, 5, 1).to_instance();
+        let inst = stream::random_connected(8, 5, 1);
         let pr = PrSetAutomaton { inst: &inst };
         let os = OneStepPrAutomaton { inst: &inst };
         assert!(r_prime_holds(&pr.initial_state(), &os.initial_state()));
@@ -60,7 +60,7 @@ mod tests {
 
     #[test]
     fn relation_distinguishes_diverged_lists() {
-        let inst = stream::chain_away(4).to_instance();
+        let inst = stream::chain_away(4);
         let s = PrState::initial(&inst);
         let mut t = PrState::initial(&inst);
         t.lists.get_mut(&n(1)).unwrap().insert(n(2));
@@ -69,7 +69,7 @@ mod tests {
 
     #[test]
     fn relation_distinguishes_diverged_orientations() {
-        let inst = stream::chain_away(4).to_instance();
+        let inst = stream::chain_away(4);
         let s = PrState::initial(&inst);
         let mut t = PrState::initial(&inst);
         t.dirs.reverse_outward(n(3), n(2));
@@ -78,7 +78,7 @@ mod tests {
 
     #[test]
     fn set_step_matched_by_singleton_sequence() {
-        let inst = stream::star_away(4).to_instance();
+        let inst = stream::star_away(4);
         let checker = r_prime_checker(&inst);
         let s = PrState::initial(&inst);
         let action = ReverseSet(BTreeSet::from([n(1), n(3), n(4)]));
@@ -89,7 +89,7 @@ mod tests {
     #[test]
     fn lemma_5_1_along_random_executions() {
         for seed in 0..10 {
-            let inst = stream::random_connected(9, 6, 500 + seed).to_instance();
+            let inst = stream::random_connected(9, 6, 500 + seed);
             let pr = PrSetAutomaton { inst: &inst };
             let os = OneStepPrAutomaton { inst: &inst };
             let exec = run(&pr, &mut schedulers::UniformRandom::seeded(seed), 10_000);
@@ -109,9 +109,9 @@ mod tests {
     #[test]
     fn theorem_5_2_exhaustive_on_small_instances() {
         for inst in [
-            stream::chain_away(4).to_instance(),
-            stream::star_away(3).to_instance(),
-            stream::random_connected(5, 3, 7).to_instance(),
+            stream::chain_away(4),
+            stream::star_away(3),
+            stream::random_connected(5, 3, 7),
         ] {
             let pr = PrSetAutomaton { inst: &inst };
             let os = OneStepPrAutomaton { inst: &inst };
@@ -127,7 +127,7 @@ mod tests {
     fn wrong_correspondence_is_rejected() {
         // A correspondence that drops one member of S must break the
         // relation (the dropped node's reversal is missing).
-        let inst = stream::star_away(3).to_instance();
+        let inst = stream::star_away(3);
         let pr = PrSetAutomaton { inst: &inst };
         let os = OneStepPrAutomaton { inst: &inst };
         let broken: SimulationChecker<PrSetAutomaton, OneStepPrAutomaton> =

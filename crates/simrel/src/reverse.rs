@@ -46,7 +46,7 @@ pub fn rev_r_holds(inst: &ReversalInstance, t: &NewPrState, s: &PrState) -> bool
     if t.dirs.orientation() != s.dirs.orientation() {
         return false;
     }
-    for u in inst.graph.nodes() {
+    for u in inst.csr().nodes() {
         let list = s.list(u);
         let in_nbrs: BTreeSet<NodeId> = inst.initial_in_nbrs(u).into_iter().collect();
         let out_nbrs: BTreeSet<NodeId> = inst.initial_out_nbrs(u).into_iter().collect();
@@ -151,7 +151,7 @@ mod tests {
 
     #[test]
     fn initial_states_are_related() {
-        let inst = stream::random_connected(8, 6, 1).to_instance();
+        let inst = stream::random_connected(8, 6, 1);
         let np = NewPrAutomaton { inst: &inst };
         let os = OneStepPrAutomaton { inst: &inst };
         assert!(rev_r_holds(&inst, &np.initial_state(), &os.initial_state()));
@@ -173,7 +173,7 @@ mod tests {
     #[test]
     fn reverse_r_along_random_newpr_executions() {
         for seed in 0..10 {
-            let inst = stream::random_connected(9, 7, 7000 + seed).to_instance();
+            let inst = stream::random_connected(9, 7, 7000 + seed);
             let np = NewPrAutomaton { inst: &inst };
             let os = OneStepPrAutomaton { inst: &inst };
             let exec = run(&np, &mut schedulers::UniformRandom::seeded(seed), 100_000);
@@ -193,10 +193,10 @@ mod tests {
     #[test]
     fn reverse_r_exhaustive_on_small_instances() {
         for inst in [
-            stream::chain_away(4).to_instance(),
-            stream::star_away(3).to_instance(),
+            stream::chain_away(4),
+            stream::star_away(3),
             lr_graph::parse::parse_instance("dest 3\n1 > 0\n2 > 0\n3 > 0").unwrap(),
-            stream::random_connected(5, 3, 77).to_instance(),
+            stream::random_connected(5, 3, 77),
         ] {
             let np = NewPrAutomaton { inst: &inst };
             let os = OneStepPrAutomaton { inst: &inst };
@@ -209,10 +209,7 @@ mod tests {
 
     #[test]
     fn reverse_r_prime_exhaustive_on_small_instances() {
-        for inst in [
-            stream::chain_away(4).to_instance(),
-            stream::star_away(3).to_instance(),
-        ] {
+        for inst in [stream::chain_away(4), stream::star_away(3)] {
             let os = OneStepPrAutomaton { inst: &inst };
             let pr = PrSetAutomaton { inst: &inst };
             let report = rev_r_prime_checker(&inst)
@@ -225,7 +222,7 @@ mod tests {
     #[test]
     fn equivalence_round_trip_on_random_instances() {
         for seed in 0..10 {
-            let inst = stream::random_connected(8, 8, 8000 + seed).to_instance();
+            let inst = stream::random_connected(8, 8, 8000 + seed);
             let report = equivalence_round_trip(
                 &inst,
                 &mut schedulers::UniformRandom::seeded(seed),
@@ -235,8 +232,7 @@ mod tests {
             assert!(report.onestep_steps <= report.newpr_steps);
             assert_eq!(report.onestep_steps, report.pr_steps);
             // The round trip ends destination-oriented.
-            let view = lr_graph::DirectedView::new(&inst.graph, &report.final_orientation);
-            assert!(view.is_destination_oriented(inst.dest));
+            assert!(report.final_orientation.is_destination_oriented(inst.dest));
         }
     }
 }

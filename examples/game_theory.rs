@@ -15,7 +15,7 @@ use link_reversal::graph::stream;
 
 fn main() {
     println!("the reversal game on chain_away(9): 8 players, 256 profiles\n");
-    let inst = stream::chain_away(9).to_instance();
+    let inst = stream::chain_away(9);
     let analysis = analyze_profiles(&inst);
 
     println!("social cost of all-Full (FR):     {}", analysis.fr_cost);

@@ -10,16 +10,15 @@ use link_reversal::net::election::ElectionHarness;
 use link_reversal::net::sim::LinkConfig;
 
 fn main() {
-    let flat = stream::random_connected(16, 18, 99);
-    let inst = flat.to_instance();
+    let inst = stream::random_connected(16, 18, 99);
     println!(
         "network: {} nodes, {} links; initial leader = destination {}",
         inst.node_count(),
-        inst.graph.edge_count(),
+        inst.csr().edge_count(),
         inst.dest
     );
 
-    let mut harness = ElectionHarness::converged(&flat, LinkConfig::default(), 3);
+    let mut harness = ElectionHarness::converged(&inst, LinkConfig::default(), 3);
     println!("DAG converged toward the initial leader.");
 
     println!("\n*** crash! leader {} goes down ***\n", inst.dest);

@@ -12,8 +12,7 @@ use link_reversal::net::mutex::MutexHarness;
 use link_reversal::net::sim::LinkConfig;
 
 fn main() {
-    let flat = stream::random_connected(14, 12, 7);
-    let inst = flat.to_instance();
+    let inst = stream::random_connected(14, 12, 7);
     let root = inst.dest;
     println!(
         "network: {} nodes; token starts at {}",
@@ -21,13 +20,13 @@ fn main() {
         root
     );
 
-    let mut harness = MutexHarness::new(flat.csr().clone(), root, LinkConfig::default(), 5);
+    let mut harness = MutexHarness::new(inst.csr().clone(), root, LinkConfig::default(), 5);
 
     // Three rounds of full contention: every node requests the critical
     // section each round.
     let mut total_requests = 0u64;
     for round in 1..=3 {
-        for u in inst.graph.nodes() {
+        for u in inst.csr().nodes() {
             harness.request(u);
             total_requests += 1;
         }

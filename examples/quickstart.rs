@@ -9,11 +9,11 @@ use link_reversal::prelude::*;
 fn main() {
     // A 12-node chain with every edge directed away from the destination:
     // node 0 is the destination, node 11 the only sink.
-    let inst = stream::chain_away(12).to_instance();
+    let inst = stream::chain_away(12);
     println!(
         "instance: {} nodes, {} edges, destination {}, {} bad nodes\n",
         inst.node_count(),
-        inst.graph.edge_count(),
+        inst.csr().edge_count(),
         inst.dest,
         inst.initial_bad_nodes()
     );
@@ -23,7 +23,7 @@ fn main() {
         "algorithm", "steps", "reversals", "rounds", "dummy"
     );
     for family in FrontierFamily::ALL {
-        let mut engine = family.engine(CsrInstance::from_instance(&inst));
+        let mut engine = family.engine(inst.clone());
         let stats = run_to_destination_oriented(
             engine.as_mut(),
             SchedulePolicy::GreedyRounds,
@@ -37,24 +37,22 @@ fn main() {
         // Every algorithm ends acyclic and destination-oriented — the
         // paper's Theorem 4.3 / 5.5 territory.
         let o = engine.orientation();
-        let view = DirectedView::new(&inst.graph, &o);
-        assert!(view.is_acyclic());
-        assert!(view.is_destination_oriented(inst.dest));
+        assert!(o.is_acyclic());
+        assert!(o.is_destination_oriented(inst.dest));
     }
 
     // Render the final NewPR graph as DOT for the curious.
-    let mut engine = FrontierFamily::NewPr.engine(CsrInstance::from_instance(&inst));
+    let mut engine = FrontierFamily::NewPr.engine(inst.clone());
     run_to_destination_oriented(
         engine.as_mut(),
         SchedulePolicy::GreedyRounds,
         DEFAULT_MAX_STEPS,
     );
     let o = engine.orientation();
-    let view = DirectedView::new(&inst.graph, &o);
     println!(
         "\nfinal NewPR orientation (DOT):\n{}",
         link_reversal::graph::dot::to_dot(
-            &view,
+            &o,
             &link_reversal::graph::dot::DotOptions {
                 destination: Some(inst.dest),
                 highlight_sinks: true,

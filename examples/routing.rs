@@ -6,17 +6,16 @@
 //! cargo run --example routing
 //! ```
 
-use link_reversal::graph::{stream, NodeId};
+use link_reversal::graph::{stream, NodeId, Orientation};
 use link_reversal::net::routing::RoutingHarness;
 use link_reversal::net::sim::LinkConfig;
 
 fn main() {
-    let flat = stream::random_connected(24, 24, 2024);
-    let inst = flat.to_instance();
+    let inst = stream::random_connected(24, 24, 2024);
     println!(
         "ad-hoc network: {} nodes, {} links, destination {}",
         inst.node_count(),
-        inst.graph.edge_count(),
+        inst.csr().edge_count(),
         inst.dest
     );
 
@@ -25,10 +24,10 @@ fn main() {
         jitter: 3,
         loss: 0.0,
     };
-    let mut harness = RoutingHarness::converged(&flat, link, 7);
+    let mut harness = RoutingHarness::converged(&inst, link, 7);
     println!("initial reversal converged; sending one packet from every node…");
 
-    for u in inst.graph.nodes() {
+    for u in inst.csr().nodes() {
         if u != inst.dest {
             harness.send_packet(u);
         }
@@ -43,28 +42,29 @@ fn main() {
     // connected, so the destination stays reachable and the reversal
     // protocol can reconverge (handling true partitions is TORA's
     // partition-detection extension, out of scope here).
+    let edges: Vec<(NodeId, NodeId)> = inst
+        .init()
+        .directed_edges()
+        .map(|(t, h)| (t.min(h), t.max(h)))
+        .collect();
     let mut failed: Vec<(NodeId, NodeId)> = Vec::new();
-    for (u, v) in inst.graph.edges() {
+    for &(u, v) in &edges {
         if failed.len() == 2 {
             break;
         }
-        let mut g = link_reversal::graph::UndirectedGraph::new();
-        for w in inst.graph.nodes() {
-            g.ensure_node(w);
-        }
-        for (a, b) in inst.graph.edges() {
-            let gone = failed.iter().any(|&(x, y)| (a, b) == (x, y)) || (a, b) == (u, v);
-            if !gone {
-                g.add_edge(a, b).expect("fresh edge");
-            }
-        }
-        if g.is_connected() {
+        let kept: Vec<(u32, u32)> = edges
+            .iter()
+            .filter(|&&e| e != (u, v) && !failed.contains(&e))
+            .map(|&(a, b)| (a.raw(), b.raw()))
+            .collect();
+        let g = Orientation::from_edges(&kept).expect("a simple graph");
+        if g.csr().node_count() == inst.node_count() && g.csr().is_connected() {
             println!("failing link {u} – {v}");
             harness.fail_link(u, v);
             failed.push((u, v));
         }
     }
-    for u in inst.graph.nodes() {
+    for u in inst.csr().nodes() {
         if u != inst.dest {
             harness.send_packet(u);
         }

@@ -6,7 +6,7 @@
 //! cargo run --example tora_partition
 //! ```
 
-use link_reversal::graph::{CsrGraph, NodeId, UndirectedGraph};
+use link_reversal::graph::{NodeId, Orientation};
 use link_reversal::net::sim::LinkConfig;
 use link_reversal::net::tora::ToraHarness;
 
@@ -16,13 +16,13 @@ fn n(i: u32) -> NodeId {
 
 fn main() {
     // A ring with a tail:   0(D) — 1 — 2 — 3 — 0   and   3 — 4 — 5
-    let g = UndirectedGraph::from_edges(&[(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5)]).unwrap();
-    let mut tora = ToraHarness::new(CsrGraph::from_graph(&g), n(0), LinkConfig::default(), 7);
+    let g = Orientation::from_edges(&[(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5)]).unwrap();
+    let mut tora = ToraHarness::new(g.csr().as_ref().clone(), n(0), LinkConfig::default(), 7);
 
     println!("phase 1: route creation (QRY floods from nodes 1 and 5)");
     tora.create_route(n(1)); // routes 1 directly below the destination
     tora.create_route(n(5));
-    for u in g.nodes() {
+    for u in g.csr().nodes() {
         println!("  height[{u}] = {:?}", tora.height(u));
     }
     assert!(tora.routed_nodes_reach_destination());

@@ -9,9 +9,9 @@
 
 use link_reversal::core::alg::FrontierFamily;
 use link_reversal::core::work::{fit_growth_exponent, measure_work};
-use link_reversal::graph::{stream, CsrInstance};
+use link_reversal::graph::{stream, ReversalInstance};
 
-fn family(name: &str, gen: fn(usize) -> CsrInstance, sizes: &[usize]) {
+fn family(name: &str, gen: fn(usize) -> ReversalInstance, sizes: &[usize]) {
     println!("--- {name} ---");
     println!("{:>6} {:>10} {:>10} {:>10}", "n", "FR", "PR", "NewPR");
     let mut pts: Vec<(FrontierFamily, Vec<(f64, f64)>)> = [
@@ -23,7 +23,7 @@ fn family(name: &str, gen: fn(usize) -> CsrInstance, sizes: &[usize]) {
     .map(|a| (a, Vec::new()))
     .collect();
     for &n in sizes {
-        let inst = gen(n).to_instance();
+        let inst = gen(n);
         let mut row = format!("{n:>6}");
         for (alg, series) in pts.iter_mut() {
             let w = measure_work(*alg, &inst);

@@ -25,7 +25,7 @@ use lr_core::invariants::{
     check_inv_4_2,
 };
 use lr_core::trace::Trace;
-use lr_graph::{dot, parse, CsrInstance, DirectedView, ReversalInstance};
+use lr_graph::{dot, parse, ReversalInstance};
 use lr_obs::{ObsMode, ObsSession};
 
 /// A CLI-level error: message for the user, non-zero exit.
@@ -156,6 +156,14 @@ fn parse_stdin_instance(input: &str) -> Result<ReversalInstance, CliError> {
     parse::parse_instance(input).map_err(|e| err(format!("invalid instance: {e}")))
 }
 
+/// The error for arguments past the ones a command takes.
+fn no_more_arguments(rest: &[&str]) -> Result<(), CliError> {
+    match rest.first() {
+        Some(extra) => Err(err(format!("unexpected argument {extra:?}"))),
+        None => Ok(()),
+    }
+}
+
 /// Runs one CLI invocation: `args` excludes the program name; `stdin` is
 /// the piped input (used by run/trace/check/dot).
 ///
@@ -173,8 +181,8 @@ pub fn run_cli(args: &[&str], stdin: &str) -> Result<String, CliError> {
             run_with_obs(&inner, stdin, mode, obs_out.as_deref())
         }
         ["trace", rest @ ..] => cmd_trace(rest, stdin),
-        ["check"] => cmd_check(stdin),
-        ["dot"] => cmd_dot(stdin),
+        ["check", rest @ ..] => no_more_arguments(rest).and_then(|()| cmd_check(stdin)),
+        ["dot", rest @ ..] => no_more_arguments(rest).and_then(|()| cmd_dot(stdin)),
         ["obs", rest @ ..] => cmd_obs(rest),
         [other, ..] => Err(err(format!("unknown command {other:?}\n\n{USAGE}"))),
     }
@@ -351,6 +359,7 @@ fn cmd_generate(args: &[&str]) -> Result<String, CliError> {
     let seed = rest
         .get(1)
         .map_or(Ok(0u64), |s| parse_flag_u64("seed", s, 0))?;
+    no_more_arguments(rest.get(2..).unwrap_or_default())?;
     let spec = match *family {
         "chain-away" => TopologySpec::ChainAway { n: size(2)? },
         "chain-toward" => TopologySpec::ChainToward { n: size(2)? },
@@ -415,8 +424,14 @@ fn cmd_run(args: &[&str], stdin: &str) -> Result<String, CliError> {
             "--threads above 1 requires the greedy policy (parallel rounds plan greedily)",
         ));
     }
+    let span = lr_obs::span("cli", "cli.parse");
     let inst = parse_stdin_instance(stdin)?;
-    let mut engine = family.engine(CsrInstance::from_instance(&inst));
+    drop(span);
+    let span = lr_obs::span("cli", "cli.build");
+    let (nodes, dest) = (inst.node_count(), inst.dest);
+    let initial_bad = inst.initial_bad_nodes();
+    let mut engine = family.engine(inst);
+    drop(span);
     let stats = if threads > 1 {
         run_engine_frontier_sharded(engine.as_mut(), threads, DEFAULT_MAX_STEPS)
     } else {
@@ -425,23 +440,24 @@ fn cmd_run(args: &[&str], stdin: &str) -> Result<String, CliError> {
     if !stats.terminated {
         return Err(err("execution did not terminate within the step budget"));
     }
+    let span = lr_obs::span("cli", "cli.check");
     let orientation = engine.orientation();
-    let view = DirectedView::new(&inst.graph, &orientation);
+    let (acyclic, dest_oriented) = (
+        orientation.is_acyclic(),
+        orientation.is_destination_oriented(dest),
+    );
+    drop(span);
     let mut out = String::new();
     let _ = writeln!(out, "algorithm:        {}", stats.algorithm);
     let _ = writeln!(out, "threads:          {threads}");
-    let _ = writeln!(out, "nodes:            {}", inst.node_count());
-    let _ = writeln!(out, "initial bad:      {}", inst.initial_bad_nodes());
+    let _ = writeln!(out, "nodes:            {nodes}");
+    let _ = writeln!(out, "initial bad:      {initial_bad}");
     let _ = writeln!(out, "steps:            {}", stats.steps);
     let _ = writeln!(out, "total reversals:  {}", stats.total_reversals);
     let _ = writeln!(out, "rounds:           {}", stats.rounds);
     let _ = writeln!(out, "dummy steps:      {}", stats.dummy_steps);
-    let _ = writeln!(out, "acyclic:          {}", view.is_acyclic());
-    let _ = writeln!(
-        out,
-        "dest oriented:    {}",
-        view.is_destination_oriented(inst.dest)
-    );
+    let _ = writeln!(out, "acyclic:          {acyclic}");
+    let _ = writeln!(out, "dest oriented:    {dest_oriented}");
     Ok(out)
 }
 
@@ -451,6 +467,7 @@ fn cmd_trace(args: &[&str], stdin: &str) -> Result<String, CliError> {
         .ok_or_else(|| err(format!("trace needs an algorithm\n\n{USAGE}")))?;
     let family = parse_alg(alg)?;
     let policy = parse_policy(rest.first().copied())?;
+    no_more_arguments(rest.get(1..).unwrap_or_default())?;
     let inst = parse_stdin_instance(stdin)?;
     let trace = Trace::record(&inst, family, policy, DEFAULT_MAX_STEPS);
     trace
@@ -463,7 +480,6 @@ fn cmd_check(stdin: &str) -> Result<String, CliError> {
     use lr_core::alg::{newpr_step, onestep_pr_step, NewPrState, PrState};
 
     let inst = parse_stdin_instance(stdin)?;
-    let emb = inst.embedding();
     let mut out = String::new();
     let mut states = 0usize;
 
@@ -474,7 +490,7 @@ fn cmd_check(stdin: &str) -> Result<String, CliError> {
         check_inv_3_2(&inst, &pr).map_err(err)?;
         check_cor_3_3(&inst, &pr).map_err(err)?;
         check_cor_3_4(&inst, &pr).map_err(err)?;
-        check_acyclic(&inst, &pr.dirs).map_err(err)?;
+        check_acyclic(&pr.dirs).map_err(err)?;
         states += 1;
         let Some(u) = pr.dirs.sinks().find(|&u| u != inst.dest) else {
             break;
@@ -491,9 +507,9 @@ fn cmd_check(stdin: &str) -> Result<String, CliError> {
     let mut states = 0usize;
     loop {
         check_inv_3_1(&np.dirs).map_err(err)?;
-        check_inv_4_1(&inst, &emb, &np).map_err(err)?;
-        check_inv_4_2(&inst, &emb, &np).map_err(err)?;
-        check_acyclic(&inst, &np.dirs).map_err(err)?;
+        check_inv_4_1(&inst, &np).map_err(err)?;
+        check_inv_4_2(&inst, &np).map_err(err)?;
+        check_acyclic(&np.dirs).map_err(err)?;
         states += 1;
         let Some(u) = np.dirs.sinks().find(|&u| u != inst.dest) else {
             break;
@@ -864,7 +880,7 @@ fn cmd_modelcheck(args: &[&str]) -> Result<String, CliError> {
 fn cmd_dot(stdin: &str) -> Result<String, CliError> {
     let inst = parse_stdin_instance(stdin)?;
     Ok(dot::to_dot(
-        &inst.view(),
+        inst.init(),
         &dot::DotOptions {
             destination: Some(inst.dest),
             highlight_sinks: true,
@@ -1413,6 +1429,29 @@ mod tests {
         assert!(out.contains("serve.batch"), "{out}");
         assert!(out.contains("serve.settle"), "{out}");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn stray_arguments_on_the_instance_commands_are_errors() {
+        let inst = run_cli(&["generate", "chain-away", "4"], "").unwrap();
+        for (args, extra) in [
+            (&["check", "extra"][..], "extra"),
+            (&["dot", "extra"], "extra"),
+            (&["trace", "PR", "first", "extra"], "extra"),
+            (&["generate", "grid", "2", "5", "9", "foo"], "9"),
+        ] {
+            let e = run_cli(args, &inst).unwrap_err();
+            assert_eq!(e.0, format!("unexpected argument {extra:?}"), "{args:?}");
+        }
+    }
+
+    #[test]
+    fn run_spans_cover_every_stage() {
+        let inst = run_cli(&["generate", "grid", "30"], "").unwrap();
+        let out = run_cli(&["run", "PR", "--obs", "summary"], &inst).unwrap();
+        for span in ["cli.parse", "cli.build", "engine.run PR", "cli.check"] {
+            assert!(out.contains(span), "{span} missing from\n{out}");
+        }
     }
 
     #[test]

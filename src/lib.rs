@@ -15,7 +15,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`graph`] | `lr-graph` | graphs, orientations, DAG analysis, embeddings, generators |
+//! | [`graph`] | `lr-graph` | CSR graphs, orientations and their analyses, instances, generators |
 //! | [`ioa`] | `lr-ioa` | I/O automata, schedulers, explorer, simulation checking |
 //! | [`core`] | `lr-core` | PR / OneStepPR / NewPR / FR / heights / BLL + invariants |
 //! | [`simrel`] | `lr-simrel` | relations R′ and R, refinement, model checking |
@@ -66,10 +66,7 @@ pub mod prelude {
     };
     pub use lr_core::invariants;
     pub use lr_core::{StepOutcome, StepScratch};
-    pub use lr_graph::{
-        stream, CsrInstance, DirectedView, NodeId, Orientation, PlaneEmbedding, ReversalInstance,
-        UndirectedGraph,
-    };
+    pub use lr_graph::{stream, NodeId, Orientation, ReversalInstance};
     pub use lr_ioa::{run, run_to_quiescence, schedulers, Automaton, Execution};
     pub use lr_simrel::{r_checker, r_prime_checker};
 }

@@ -5,7 +5,7 @@
 
 use link_reversal::core::alg::FrontierFamily;
 use link_reversal::core::engine::{run_engine_frontier, SchedulePolicy, DEFAULT_MAX_STEPS};
-use link_reversal::graph::{stream, DirectedView, NodeId};
+use link_reversal::graph::{stream, NodeId};
 use link_reversal::net::election::ElectionHarness;
 use link_reversal::net::live::run_threaded;
 use link_reversal::net::mutex::MutexHarness;
@@ -18,13 +18,11 @@ use link_reversal::net::sim::{EventSim, LinkConfig};
 #[test]
 fn distributed_convergence_matches_theory_guarantees() {
     for seed in 0..4 {
-        let flat = stream::random_connected(25, 25, 6000 + seed);
-        let inst = flat.to_instance();
-        let sim = converge(&flat, LinkConfig::default(), seed, 10_000_000);
-        let o = orientation_from_heights(&inst.graph, &height_snapshot(&sim));
-        let view = DirectedView::new(&inst.graph, &o);
-        assert!(view.is_acyclic());
-        assert!(view.is_destination_oriented(inst.dest));
+        let inst = stream::random_connected(25, 25, 6000 + seed);
+        let sim = converge(&inst, LinkConfig::default(), seed, 10_000_000);
+        let o = orientation_from_heights(inst.init().directed_edges(), &height_snapshot(&sim));
+        assert!(o.is_acyclic());
+        assert!(o.is_destination_oriented(inst.dest));
         // Work bound: the distributed schedule is an admissible PR
         // schedule, so the Θ(n_b²) ceiling applies.
         let nb = inst.initial_bad_nodes() as u64;
@@ -80,27 +78,24 @@ fn distributed_work_is_invariant_to_message_timing_on_trees() {
 
 #[test]
 fn threaded_and_simulated_modes_agree_on_final_structure() {
-    let flat = stream::grid_away(4, 4);
-    let inst = flat.to_instance();
-    let sim = converge(&flat, LinkConfig::default(), 3, 10_000_000);
-    let sim_o = orientation_from_heights(&inst.graph, &height_snapshot(&sim));
-    let live = run_threaded(&flat);
-    let live_o = orientation_from_heights(&inst.graph, &live.heights);
+    let inst = stream::grid_away(4, 4);
+    let sim = converge(&inst, LinkConfig::default(), 3, 10_000_000);
+    let sim_o = orientation_from_heights(inst.init().directed_edges(), &height_snapshot(&sim));
+    let live = run_threaded(&inst);
+    let live_o = orientation_from_heights(inst.init().directed_edges(), &live.heights);
     // Different schedules may reach different DAGs, but both must be
     // acyclic and destination-oriented.
     for o in [sim_o, live_o] {
-        let view = DirectedView::new(&inst.graph, &o);
-        assert!(view.is_acyclic());
-        assert!(view.is_destination_oriented(inst.dest));
+        assert!(o.is_acyclic());
+        assert!(o.is_destination_oriented(inst.dest));
     }
 }
 
 #[test]
 fn routing_delivers_under_lossless_churn() {
-    let flat = stream::random_connected(18, 20, 7000);
-    let inst = flat.to_instance();
-    let mut h = RoutingHarness::converged(&flat, LinkConfig::default(), 4);
-    for u in inst.graph.nodes().filter(|&u| u != inst.dest) {
+    let inst = stream::random_connected(18, 20, 7000);
+    let mut h = RoutingHarness::converged(&inst, LinkConfig::default(), 4);
+    for u in inst.csr().nodes().filter(|&u| u != inst.dest) {
         h.send_packet(u);
     }
     let r = h.run(10_000_000);
@@ -111,19 +106,18 @@ fn routing_delivers_under_lossless_churn() {
 fn election_then_routing_composes() {
     // After a leader crash and re-election, the surviving DAG routes
     // toward the new leader — verified structurally by the harness.
-    let flat = stream::random_connected(14, 16, 8000);
-    let inst = flat.to_instance();
-    let mut h = ElectionHarness::converged(&flat, LinkConfig::default(), 5);
+    let inst = stream::random_connected(14, 16, 8000);
+    let mut h = ElectionHarness::converged(&inst, LinkConfig::default(), 5);
     h.crash_leader();
     let report = h.run(10_000_000);
-    let expected: NodeId = inst.graph.neighbors(inst.dest).max().unwrap();
+    let expected: NodeId = inst.csr().neighbors(inst.dest).max().unwrap();
     assert_eq!(report.leader, expected);
 }
 
 #[test]
 fn mutex_serves_heavy_contention() {
     let inst = stream::random_connected(16, 14, 9000);
-    let mut h = MutexHarness::new(inst.csr().clone(), inst.dest(), LinkConfig::default(), 6);
+    let mut h = MutexHarness::new(inst.csr().clone(), inst.dest, LinkConfig::default(), 6);
     let mut expected = 0;
     for round in 0..5 {
         for u in inst.csr().nodes() {

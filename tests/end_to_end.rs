@@ -7,7 +7,7 @@ use link_reversal::prelude::*;
 use proptest::prelude::*;
 
 fn families() -> Vec<(&'static str, ReversalInstance)> {
-    [
+    vec![
         ("chain_away", stream::chain_away(17)),
         ("chain_toward", stream::chain_toward(17)),
         ("alternating_chain", stream::alternating_chain(17)),
@@ -19,9 +19,6 @@ fn families() -> Vec<(&'static str, ReversalInstance)> {
         ("random_sparse", stream::random_connected(20, 5, 21)),
         ("random_dense", stream::random_connected(20, 60, 22)),
     ]
-    .into_iter()
-    .map(|(name, flat)| (name, flat.to_instance()))
-    .collect()
 }
 
 #[test]
@@ -35,7 +32,7 @@ fn every_algorithm_orients_every_family_under_every_policy() {
     for (name, inst) in families() {
         for family in FrontierFamily::ALL {
             for policy in policies {
-                let mut engine = family.engine(CsrInstance::from_instance(&inst));
+                let mut engine = family.engine(inst.clone());
                 let stats = run_to_destination_oriented(engine.as_mut(), policy, DEFAULT_MAX_STEPS);
                 assert!(
                     stats.terminated,
@@ -51,14 +48,14 @@ fn every_algorithm_orients_every_family_under_every_policy() {
 fn final_work_is_schedule_sensitive_but_bounded() {
     // PR's total work varies across schedules but always stays within the
     // Θ(n_b²) bound family-wise.
-    let inst = stream::alternating_chain(33).to_instance();
+    let inst = stream::alternating_chain(33);
     let nb = inst.initial_bad_nodes();
     for policy in [
         SchedulePolicy::GreedyRounds,
         SchedulePolicy::RandomSingle { seed: 5 },
         SchedulePolicy::FirstSingle,
     ] {
-        let mut e = FrontierFamily::PartialReversal.engine(CsrInstance::from_instance(&inst));
+        let mut e = FrontierFamily::PartialReversal.engine(inst.clone());
         let stats = run_engine_frontier(e.as_mut(), policy, DEFAULT_MAX_STEPS);
         assert!(stats.terminated);
         assert!(
@@ -73,14 +70,13 @@ fn final_work_is_schedule_sensitive_but_bounded() {
 fn acyclicity_holds_in_every_intermediate_state() {
     // Drive each algorithm one step at a time and check acyclicity and
     // mirror-consistency at every prefix.
-    let inst = stream::random_connected(14, 12, 33).to_instance();
+    let inst = stream::random_connected(14, 12, 33);
     for family in FrontierFamily::ALL {
-        let mut engine = family.engine(CsrInstance::from_instance(&inst));
+        let mut engine = family.engine(inst.clone());
         let mut guard = 0;
         loop {
             let o = engine.orientation();
-            let view = DirectedView::new(&inst.graph, &o);
-            assert!(view.is_acyclic(), "{} broke acyclicity", family.name());
+            assert!(o.is_acyclic(), "{} broke acyclicity", family.name());
             let Some(&u) = engine.enabled().first() else {
                 break;
             };
@@ -89,7 +85,7 @@ fn acyclicity_holds_in_every_intermediate_state() {
             assert!(guard < 1_000_000);
         }
         let o = engine.orientation();
-        assert!(DirectedView::new(&inst.graph, &o).is_destination_oriented(inst.dest));
+        assert!(o.is_destination_oriented(inst.dest));
     }
 }
 
@@ -154,7 +150,7 @@ fn track<A: Automaton<Action = NodeId>>(
     orientation: impl Fn(&A::State) -> Orientation,
     pick: impl Fn(&[NodeId], usize) -> NodeId,
 ) {
-    let mut engine = family.engine(CsrInstance::from_instance(inst));
+    let mut engine = family.engine(inst.clone());
     let mut state = aut.initial_state();
     for k in 0.. {
         let enabled = aut.enabled_actions(&state);
@@ -180,15 +176,9 @@ fn track<A: Automaton<Action = NodeId>>(
 #[test]
 fn automata_and_engines_trace_identically() {
     let mut instances = families();
-    instances.push((
-        "random_30",
-        stream::random_connected(30, 35, 555).to_instance(),
-    ));
+    instances.push(("random_30", stream::random_connected(30, 35, 555)));
     for seed in 0..3 {
-        instances.push((
-            "random_40",
-            stream::random_connected(40, 50, 1234 + seed).to_instance(),
-        ));
+        instances.push(("random_40", stream::random_connected(40, 50, 1234 + seed)));
     }
     for (name, inst) in &instances {
         for row in LOCKSTEP {
@@ -208,8 +198,8 @@ fn same_reversals(
     pick: impl Fn(&[NodeId]) -> NodeId,
 ) {
     let label = format!("{} vs {}", a.name(), b.name());
-    let mut a = a.engine(CsrInstance::from_instance(inst));
-    let mut b = b.engine(CsrInstance::from_instance(inst));
+    let mut a = a.engine(inst.clone());
+    let mut b = b.engine(inst.clone());
     for k in 0.. {
         assert_eq!(a.enabled(), b.enabled(), "{label}: before step {k}");
         if a.enabled().is_empty() {
@@ -235,7 +225,7 @@ fn height_formulations_match_list_formulations_on_large_graphs() {
     // E11 at integration scale: identical schedules must produce
     // identical orientations at every step.
     for seed in 0..3 {
-        let inst = stream::random_connected(40, 50, 1234 + seed).to_instance();
+        let inst = stream::random_connected(40, 50, 1234 + seed);
         let first = |e: &[NodeId]| e[0];
         same_reversals(
             &inst,
@@ -254,7 +244,7 @@ fn height_formulations_match_list_formulations_on_large_graphs() {
 
 #[test]
 fn bll_instantiations_match_their_targets_at_scale() {
-    let inst = stream::random_connected(30, 35, 555).to_instance();
+    let inst = stream::random_connected(30, 35, 555);
     let last = |e: &[NodeId]| e[e.len() - 1];
     for (labeling, target) in [
         (
@@ -278,7 +268,7 @@ proptest! {
         extra in 0usize..=20,
         seed in any::<u64>(),
     ) {
-        let inst = stream::random_connected(n, extra, seed).to_instance();
+        let inst = stream::random_connected(n, extra, seed);
         for row in LOCKSTEP {
             lockstep("random", &inst, row, |e, k| {
                 e[(seed as usize).wrapping_add(k) % e.len()]
@@ -291,7 +281,7 @@ proptest! {
 fn destination_never_steps_anywhere() {
     for (name, inst) in families() {
         for family in FrontierFamily::ALL {
-            let mut engine = family.engine(CsrInstance::from_instance(&inst));
+            let mut engine = family.engine(inst.clone());
             let stats = run_engine_frontier(
                 engine.as_mut(),
                 SchedulePolicy::RandomSingle { seed: 1 },

@@ -15,7 +15,7 @@ use link_reversal::simrel::refinement::refine_and_check;
 #[test]
 fn section_3_invariants_on_random_executions() {
     for seed in 0..5 {
-        let inst = stream::random_connected(15, 15, 2000 + seed).to_instance();
+        let inst = stream::random_connected(15, 15, 2000 + seed);
         let aut = OneStepPrAutomaton { inst: &inst };
         let exec = run(&aut, &mut schedulers::UniformRandom::seeded(seed), 100_000);
         assert!(aut.is_quiescent(exec.last_state()));
@@ -32,16 +32,15 @@ fn section_3_invariants_on_random_executions() {
 #[test]
 fn section_4_invariants_on_random_executions() {
     for seed in 0..5 {
-        let inst = stream::random_connected(15, 15, 3000 + seed).to_instance();
-        let emb = inst.embedding();
+        let inst = stream::random_connected(15, 15, 3000 + seed);
         let aut = NewPrAutomaton { inst: &inst };
         let exec = run(&aut, &mut schedulers::UniformRandom::seeded(seed), 100_000);
         assert!(aut.is_quiescent(exec.last_state()));
         for s in exec.states() {
             check_inv_3_1(&s.dirs).unwrap();
-            check_inv_4_1(&inst, &emb, s).unwrap();
-            check_inv_4_2(&inst, &emb, s).unwrap();
-            check_acyclic(&inst, &s.dirs).unwrap();
+            check_inv_4_1(&inst, s).unwrap();
+            check_inv_4_2(&inst, s).unwrap();
+            check_acyclic(&s.dirs).unwrap();
         }
     }
 }
@@ -66,7 +65,7 @@ fn theorems_exhaustive_on_all_three_node_instances() {
 #[test]
 fn theorem_5_5_refinement_chain() {
     for seed in 0..5 {
-        let inst = stream::random_connected(9, 8, 4000 + seed).to_instance();
+        let inst = stream::random_connected(9, 8, 4000 + seed);
         let pr = PrSetAutomaton { inst: &inst };
         let exec = run(&pr, &mut schedulers::UniformRandom::seeded(seed), 10_000);
         let report = refine_and_check(&inst, &exec).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
@@ -81,11 +80,11 @@ fn section_1_work_complexity_shapes() {
     use link_reversal::core::work::{fit_growth_exponent, measure_work};
     let sizes = [16usize, 32, 64, 128];
 
-    let fit = |family: FrontierFamily, gen: fn(usize) -> CsrInstance| {
+    let fit = |family: FrontierFamily, gen: fn(usize) -> ReversalInstance| {
         let pts: Vec<(f64, f64)> = sizes
             .iter()
             .map(|&n| {
-                let w = measure_work(family, &gen(n).to_instance());
+                let w = measure_work(family, &gen(n));
                 (n as f64, w.total_reversals as f64)
             })
             .collect();
@@ -143,7 +142,7 @@ fn section_4_1_dummy_step_accounting() {
 #[test]
 fn matched_executions_reach_identical_graphs() {
     for seed in 0..5 {
-        let inst = stream::random_connected(10, 9, 5000 + seed).to_instance();
+        let inst = stream::random_connected(10, 9, 5000 + seed);
         let pr = PrSetAutomaton { inst: &inst };
         let os = OneStepPrAutomaton { inst: &inst };
         let np = NewPrAutomaton { inst: &inst };

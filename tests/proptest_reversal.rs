@@ -10,7 +10,7 @@ use proptest::prelude::*;
 /// Strategy: a random connected instance with 2..=12 nodes.
 fn instance_strategy() -> impl Strategy<Value = ReversalInstance> {
     (2usize..=12, 0usize..=20, any::<u64>())
-        .prop_map(|(n, extra, seed)| stream::random_connected(n, extra, seed).to_instance())
+        .prop_map(|(n, extra, seed)| stream::random_connected(n, extra, seed))
 }
 
 proptest! {
@@ -20,15 +20,14 @@ proptest! {
     /// (Theorem 4.3, randomized far beyond the exhaustive sizes).
     #[test]
     fn newpr_acyclic_everywhere(inst in instance_strategy(), sched_seed in any::<u64>()) {
-        let emb = inst.embedding();
         let aut = NewPrAutomaton { inst: &inst };
         let exec = run(&aut, &mut schedulers::UniformRandom::seeded(sched_seed), 200_000);
         prop_assert!(aut.is_quiescent(exec.last_state()), "NewPR must terminate");
         for s in exec.states() {
-            prop_assert!(check_acyclic(&inst, &s.dirs).is_ok());
+            prop_assert!(check_acyclic(&s.dirs).is_ok());
             prop_assert!(check_inv_3_1(&s.dirs).is_ok());
-            prop_assert!(check_inv_4_1(&inst, &emb, s).is_ok());
-            prop_assert!(check_inv_4_2(&inst, &emb, s).is_ok());
+            prop_assert!(check_inv_4_1(&inst, s).is_ok());
+            prop_assert!(check_inv_4_2(&inst, s).is_ok());
         }
     }
 
@@ -40,10 +39,10 @@ proptest! {
         let exec = run(&aut, &mut schedulers::UniformRandom::seeded(sched_seed), 200_000);
         prop_assert!(aut.is_quiescent(exec.last_state()));
         for s in exec.states() {
-            prop_assert!(check_acyclic(&inst, &s.dirs).is_ok());
+            prop_assert!(check_acyclic(&s.dirs).is_ok());
         }
         let o = exec.last_state().dirs.orientation();
-        prop_assert!(DirectedView::new(&inst.graph, &o).is_destination_oriented(inst.dest));
+        prop_assert!(o.is_destination_oriented(inst.dest));
     }
 
     /// R' and R hold along arbitrary PR executions (Lemmas 5.1/5.3,
@@ -69,7 +68,7 @@ proptest! {
         let nb = inst.initial_bad_nodes();
         let n = inst.node_count();
         for family in FrontierFamily::ALL {
-            let mut e = family.engine(CsrInstance::from_instance(&inst));
+            let mut e = family.engine(inst.clone());
             let policy = SchedulePolicy::RandomSingle { seed };
             let stats = run_engine_frontier(e.as_mut(), policy, 10_000_000);
             prop_assert!(stats.terminated);
@@ -95,7 +94,7 @@ proptest! {
                 SchedulePolicy::FirstSingle,
                 SchedulePolicy::LastSingle,
             ] {
-                let mut e = family.engine(CsrInstance::from_instance(&inst));
+                let mut e = family.engine(inst.clone());
                 let stats = run_engine_frontier(e.as_mut(), policy, 10_000_000);
                 prop_assert!(stats.terminated);
                 // The dense work vector is comparable across runs on one
@@ -112,22 +111,27 @@ proptest! {
         }
     }
 
-    /// Orientation reversal is an involution and serde round-trips
-    /// preserve instances.
+    /// The text format round-trips every instance.
     #[test]
-    fn instance_serde_round_trip(inst in instance_strategy()) {
-        let json = serde_json::to_string(&inst).unwrap();
-        let back: ReversalInstance = serde_json::from_str(&json).unwrap();
+    fn instance_text_round_trip(inst in instance_strategy()) {
+        let text = link_reversal::graph::parse::to_text(&inst);
+        let back = link_reversal::graph::parse::parse_instance(&text).unwrap();
         prop_assert_eq!(back, inst);
     }
 
-    /// The plane embedding orients every initial edge left-to-right —
-    /// the premise of §4.2's proof setup.
+    /// The plane embedding — x-coordinates from the initial orientation's
+    /// topological order — orients every initial edge left-to-right, the
+    /// premise of §4.2's proof setup.
     #[test]
     fn embedding_orients_initial_edges_ltr(inst in instance_strategy()) {
-        let emb = inst.embedding();
-        for (t, h) in inst.init.directed_edges() {
-            prop_assert!(emb.is_left_of(t, h));
+        let order = inst.init().topological_order().expect("the initial DAG");
+        let mut x = vec![0; order.len()];
+        for (pos, &u) in order.iter().enumerate() {
+            x[u] = pos;
+        }
+        let csr = inst.csr();
+        for (t, h) in inst.init().directed_edges() {
+            prop_assert!(x[csr.index_of(t).unwrap()] < x[csr.index_of(h).unwrap()]);
         }
     }
 }
