@@ -101,14 +101,6 @@ fn initial_positions(inst: &ReversalInstance) -> Vec<usize> {
     pos
 }
 
-/// Builds the enabled tracker for a height vector: the slot's edge points
-/// out of its source iff the source's height is the larger one.
-fn height_tracker<H: Ord>(csr: &CsrGraph, dest: NodeId, heights: &[H]) -> EnabledTracker {
-    EnabledTracker::new(csr, dest, |slot, src| {
-        heights[src] > heights[csr.target(slot)]
-    })
-}
-
 /// Sink test shared by both height engines: every neighbor sits above.
 fn height_is_sink_at<H: Ord>(csr: &CsrGraph, heights: &[H], idx: usize) -> bool {
     csr.degree(idx) > 0
@@ -180,7 +172,9 @@ impl FrontierPairHeightsEngine {
     /// Creates the engine in the initial state of `inst`.
     pub fn new(inst: ReversalInstance) -> Self {
         let heights = initial_pair_heights(&inst);
-        let tracker = height_tracker(inst.csr(), inst.dest, &heights);
+        // The initial heights induce the initial orientation, so its bits
+        // seed the tracker without a height comparison per slot.
+        let tracker = EnabledTracker::from_orientation(inst.init(), inst.dest);
         FrontierPairHeightsEngine {
             init: inst,
             heights,
@@ -264,7 +258,7 @@ impl FrontierEngine for FrontierPairHeightsEngine {
 
     fn reset(&mut self) {
         self.heights = initial_pair_heights(&self.init);
-        self.tracker = height_tracker(self.init.csr(), self.init.dest, &self.heights);
+        self.tracker = EnabledTracker::from_orientation(self.init.init(), self.init.dest);
     }
 
     fn resident_bytes(&self) -> usize {
@@ -293,7 +287,7 @@ impl FrontierTripleHeightsEngine {
     /// Creates the engine in the initial state of `inst`.
     pub fn new(inst: ReversalInstance) -> Self {
         let heights = initial_triple_heights(&inst);
-        let tracker = height_tracker(inst.csr(), inst.dest, &heights);
+        let tracker = EnabledTracker::from_orientation(inst.init(), inst.dest);
         FrontierTripleHeightsEngine {
             init: inst,
             heights,
@@ -377,7 +371,7 @@ impl FrontierEngine for FrontierTripleHeightsEngine {
 
     fn reset(&mut self) {
         self.heights = initial_triple_heights(&self.init);
-        self.tracker = height_tracker(self.init.csr(), self.init.dest, &self.heights);
+        self.tracker = EnabledTracker::from_orientation(self.init.init(), self.init.dest);
     }
 
     fn resident_bytes(&self) -> usize {
@@ -400,11 +394,27 @@ mod tests {
 
     #[test]
     fn heights_initially_match_orientation() {
-        let inst = stream::random_connected(10, 8, 21);
-        let pair = FrontierPairHeightsEngine::new(inst.clone());
-        assert_eq!(&pair.orientation(), inst.init());
-        let triple = FrontierTripleHeightsEngine::new(inst.clone());
-        assert_eq!(&triple.orientation(), inst.init());
+        // The engines seed their trackers from the initial bits, which is
+        // sound only because the initial heights induce the same
+        // orientation.
+        for inst in [
+            stream::random_connected(10, 8, 21),
+            stream::random_connected(200, 300, 4),
+            stream::grid_away(5, 7),
+        ] {
+            let sinks: Vec<NodeId> = inst
+                .init()
+                .sinks()
+                .into_iter()
+                .filter(|&u| u != inst.dest)
+                .collect();
+            let pair = FrontierPairHeightsEngine::new(inst.clone());
+            assert_eq!(&pair.orientation(), inst.init());
+            assert_eq!(pair.enabled(), sinks);
+            let triple = FrontierTripleHeightsEngine::new(inst.clone());
+            assert_eq!(&triple.orientation(), inst.init());
+            assert_eq!(triple.enabled(), sinks);
+        }
     }
 
     #[test]

@@ -92,6 +92,14 @@ impl EnabledTracker {
         }
     }
 
+    /// Builds the tracker from an orientation's slot bits, such as an
+    /// instance's initial ones.
+    pub fn from_orientation(orientation: &lr_graph::Orientation, dest: NodeId) -> Self {
+        EnabledTracker::new(orientation.csr(), dest, |slot, _src| {
+            orientation.is_out(slot)
+        })
+    }
+
     /// Builds the tracker from a [`crate::MirroredDirs`] state.
     pub fn from_dirs(dirs: &crate::MirroredDirs, dest: NodeId) -> Self {
         EnabledTracker::new(dirs.csr(), dest, |slot, _src| {

@@ -256,3 +256,32 @@ fn million_node_chain_and_grid_complete_within_default_budget() {
         assert!(e.dirs().check_consistency().is_ok(), "{label}");
     }
 }
+
+/// The instance of the benchmark's `engine-1m` workload,
+/// `random_connected(1_000_000, 1_000_000, 3)`, run by every family under
+/// greedy rounds. Each run's `(steps, reversals, dummy steps, rounds)` is
+/// pinned, so a change to the generator, an engine or the run loop shows
+/// here rather than only as a benchmark digest that has to agree with
+/// itself. The pairs the paper relates agree: FR with GB-pair, PR with
+/// GB-triple and BLL[PR], and NewPR reverses PR's edges in more steps.
+#[test]
+#[ignore = "million-node runs; seconds in release, runs in the CI --ignored tier"]
+fn the_engine_1m_instance_runs_are_pinned() {
+    for family in FrontierFamily::ALL {
+        let pinned = match family.name() {
+            "FR" | "GB-pair" => (2_541_005, 9_825_084, 0, 34),
+            "PR" | "GB-triple" | "BLL[PR]" => (2_346_049, 6_169_149, 0, 53),
+            "NewPR" => (2_947_847, 6_169_149, 601_798, 57),
+            other => panic!("no pinned run for {other}"),
+        };
+        let mut e = family.engine(stream::random_connected(1_000_000, 1_000_000, 3));
+        let s = run_engine_frontier(e.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
+        assert!(s.terminated, "{}", family.name());
+        assert_eq!(
+            (s.steps, s.total_reversals, s.dummy_steps, s.rounds),
+            pinned,
+            "{}: (steps, reversals, dummy, rounds)",
+            family.name()
+        );
+    }
+}

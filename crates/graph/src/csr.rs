@@ -264,13 +264,23 @@ impl CsrGraph {
         self.nodes.iter().copied()
     }
 
-    /// The node at dense index `idx`.
+    /// The node at dense index `idx`: on a contiguous graph the index
+    /// itself, without reading the node table.
     ///
     /// # Panics
     ///
     /// Panics if `idx >= node_count()`.
     pub fn node(&self, idx: usize) -> NodeId {
-        self.nodes[idx]
+        if self.contiguous {
+            assert!(
+                idx < self.nodes.len(),
+                "node index {idx} out of range for {} nodes",
+                self.nodes.len()
+            );
+            NodeId::new(idx as u32)
+        } else {
+            self.nodes[idx]
+        }
     }
 
     /// The dense index of `u`, or `None` if `u` is not a node.
@@ -558,6 +568,35 @@ mod tests {
         let s = csr.slot_of(0, 2).unwrap();
         assert_eq!(csr.node(csr.target(s)), n(200));
         assert!(csr.is_connected());
+    }
+
+    #[test]
+    fn node_nodes_and_index_of_round_trip() {
+        for csr in [
+            built(&[(0, 1), (1, 2), (3, 2)]),
+            built(&[(5, 200), (9, 200), (u32::MAX, 9)]),
+        ] {
+            let nodes: Vec<NodeId> = csr.nodes().collect();
+            assert_eq!(nodes.len(), csr.node_count());
+            for (i, &u) in nodes.iter().enumerate() {
+                assert_eq!(csr.node(i), u);
+                assert_eq!(csr.index_of(u), Some(i));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn node_past_the_end_panics_on_a_contiguous_graph() {
+        let csr = built(&[(0, 1), (1, 2)]);
+        let _ = csr.node(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn node_past_the_end_panics_on_a_gapped_graph() {
+        let csr = built(&[(5, 200), (9, 200)]);
+        let _ = csr.node(3);
     }
 
     #[test]

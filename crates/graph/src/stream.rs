@@ -15,7 +15,6 @@
 //! the configuration that exhibits the Θ(n_b²) worst-case total work cited
 //! in §1 of the paper.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
@@ -420,8 +419,8 @@ pub fn bipartite_away(width: usize, degree: usize, seed: u64) -> ReversalInstanc
 /// The destination is node 0; some nodes typically have no initial path
 /// to it, giving the algorithms real work to do.
 ///
-/// Keeps only a flat `(u, v)` edge buffer and a hash set for the
-/// duplicate checks while generating, both freed before the instance is
+/// Keeps only a flat `(u, v)` edge buffer and an open-addressing table of
+/// the extra edges while generating, both freed before the instance is
 /// returned.
 ///
 /// # Panics
@@ -430,19 +429,61 @@ pub fn bipartite_away(width: usize, degree: usize, seed: u64) -> ReversalInstanc
 pub fn random_connected(n: usize, extra_edges: usize, seed: u64) -> ReversalInstance {
     assert!(n >= 2, "graph needs at least 2 nodes");
     let mut rng = SmallRng::seed_from_u64(seed);
+    let edges = random_edges(n, extra_edges, &mut rng);
+    orient_randomly(n, edges, &mut rng)
+}
+
+/// A set of nonzero `u64` keys: open addressing with linear probing and
+/// a multiplicative hash, sized so it is at most half full.
+struct KeySet {
+    slots: Vec<u64>,
+    /// `64 − log2(slots.len())`: the hash is the product's top bits.
+    shift: u32,
+}
+
+impl KeySet {
+    fn with_capacity(keys: usize) -> Self {
+        let len = keys.saturating_mul(2).next_power_of_two().max(2);
+        KeySet {
+            slots: vec![0; len],
+            shift: 64 - len.trailing_zeros(),
+        }
+    }
+
+    /// Inserts `key` (nonzero); returns whether it was absent.
+    fn insert(&mut self, key: u64) -> bool {
+        let mask = self.slots.len() - 1;
+        let mut i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        loop {
+            match self.slots[i] {
+                0 => {
+                    self.slots[i] = key;
+                    return true;
+                }
+                k if k == key => return false,
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+}
+
+/// The edges of [`random_connected`], each `(min, max)`: the tree edge
+/// `(parent, i)` of every node `i ≥ 1` at position `i − 1`, then the
+/// extra edges in the order drawn.
+fn random_edges(n: usize, extra_edges: usize, rng: &mut SmallRng) -> Vec<(u32, u32)> {
     let max_edges = n * (n - 1) / 2;
     let target = (n - 1).saturating_add(extra_edges).min(max_edges);
     assert_capacity(2 * target);
     let mut edges: Vec<(u32, u32)> = Vec::with_capacity(target);
-    let mut seen: HashSet<(u32, u32)> = HashSet::with_capacity(target);
     // Random attachment spanning tree.
     for i in 1..n {
         let parent = rng.gen_range(0..i);
-        let key = (parent as u32, i as u32);
-        edges.push(key);
-        seen.insert(key);
+        edges.push((parent as u32, i as u32));
     }
-    // Extra edges, skipping duplicates; cap attempts to stay total.
+    // Extra edges, skipping duplicates; cap attempts to stay total. An
+    // edge `(a, b)` repeats a tree edge iff `a` is the parent of `b`;
+    // repeats among the extra edges show up in `extras`.
+    let mut extras = KeySet::with_capacity(target - (n - 1));
     let mut attempts = 0;
     while edges.len() < target && attempts < 50 * target {
         attempts += 1;
@@ -451,14 +492,19 @@ pub fn random_connected(n: usize, extra_edges: usize, seed: u64) -> ReversalInst
         if u == v {
             continue;
         }
-        let key = (u.min(v) as u32, u.max(v) as u32);
-        if seen.insert(key) {
-            edges.push(key);
+        let (a, b) = (u.min(v) as u32, u.max(v) as u32);
+        if edges[b as usize - 1].0 != a && extras.insert(u64::from(a) << 32 | u64::from(b)) {
+            edges.push((a, b));
         }
     }
-    drop(seen);
+    edges
+}
+
+/// Orients `edges` over `n` nodes by a shuffled node order drawn from
+/// `rng` and builds the instance, destination node 0.
+fn orient_randomly(n: usize, edges: Vec<(u32, u32)>, rng: &mut SmallRng) -> ReversalInstance {
     let mut order: Vec<NodeId> = (0..n as u32).map(NodeId::new).collect();
-    order.shuffle(&mut rng);
+    order.shuffle(rng);
     let mut rank = vec![0u32; n];
     for (pos, &u) in order.iter().enumerate() {
         rank[u.index()] = pos as u32;
@@ -620,6 +666,74 @@ mod tests {
         assert!(a.csr().edge_count() >= 19);
         let c = random_connected(20, 15, 8);
         assert_ne!(a, c, "different seeds should differ");
+    }
+
+    /// [`random_edges`] with a `HashSet` for every duplicate check: the
+    /// reference the flat key set must match draw for draw.
+    fn hash_set_edges(n: usize, extra_edges: usize, rng: &mut SmallRng) -> Vec<(u32, u32)> {
+        use std::collections::HashSet;
+
+        let target = (n - 1).saturating_add(extra_edges).min(n * (n - 1) / 2);
+        let mut edges = Vec::with_capacity(target);
+        let mut seen = HashSet::with_capacity(target);
+        for i in 1..n {
+            let key = (rng.gen_range(0..i) as u32, i as u32);
+            edges.push(key);
+            seen.insert(key);
+        }
+        let mut attempts = 0;
+        while edges.len() < target && attempts < 50 * target {
+            attempts += 1;
+            let u = rng.gen_range(0..n);
+            let v = rng.gen_range(0..n);
+            if u == v {
+                continue;
+            }
+            let key = (u.min(v) as u32, u.max(v) as u32);
+            if seen.insert(key) {
+                edges.push(key);
+            }
+        }
+        edges
+    }
+
+    #[test]
+    fn random_connected_matches_the_hash_set_reference() {
+        // Sparse to complete: 1,000 extra edges complete every n here.
+        let extras = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 1000];
+        let mut cases = 0;
+        for n in 2..16 {
+            for extra in extras {
+                for seed in 0..14 {
+                    let mut rng = SmallRng::seed_from_u64(seed);
+                    let edges = hash_set_edges(n, extra, &mut rng);
+                    let reference = orient_randomly(n, edges, &mut rng);
+                    assert_eq!(
+                        random_connected(n, extra, seed),
+                        reference,
+                        "n {n}, extra {extra}, seed {seed}"
+                    );
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 2352);
+        // Sizes where the table's probe runs get long.
+        for (n, extra, seed) in [(1_000, 1_000, 1), (3_000, 10_000, 2)] {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let edges = hash_set_edges(n, extra, &mut rng);
+            let reference = orient_randomly(n, edges, &mut rng);
+            assert_eq!(random_connected(n, extra, seed), reference, "n {n}");
+        }
+    }
+
+    #[test]
+    fn key_set_reports_repeats() {
+        let mut set = KeySet::with_capacity(4);
+        for key in [1, 7, u64::MAX, 7 << 32 | 9] {
+            assert!(set.insert(key), "{key} is new");
+            assert!(!set.insert(key), "{key} repeats");
+        }
     }
 
     #[test]

@@ -298,6 +298,9 @@ pub struct EventSim<P: Protocol> {
     rng: SmallRng,
     now: u64,
     seq: u64,
+    /// Bumped by every call that can change what a reader outside the
+    /// handlers sees; see [`EventSim::epoch`].
+    epoch: u64,
     stats: SimStats,
 }
 
@@ -343,8 +346,25 @@ impl<P: Protocol> EventSim<P> {
             rng: SmallRng::seed_from_u64(seed),
             now: 0,
             seq: 0,
+            epoch: 0,
             stats: SimStats::default(),
         }
+    }
+
+    /// The mutation epoch: a counter bumped by every call that can change
+    /// a node's state, a slot's state, a link's live bit or its config —
+    /// each handler dispatch (start, delivery, [`EventSim::inject`]),
+    /// [`EventSim::fail_link`], [`EventSim::heal_link`] and
+    /// [`EventSim::set_link_config`]. [`EventSim::advance_to`] moves only
+    /// the clock and leaves it alone. Anything computed from those reads
+    /// therefore stays valid while the epoch is unchanged, which is what
+    /// a route cache keys on. It wraps only after 2^64 mutations.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    fn bump_epoch(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
     }
 
     /// Current virtual time.
@@ -492,6 +512,7 @@ impl<P: Protocol> EventSim<P> {
         let index = u32::try_from(index).expect("fewer than 2^32 distinct link configs");
         self.links[uv].config = index;
         self.links[vu].config = index;
+        self.bump_epoch();
     }
 
     /// The effective configuration of the link `{u, v}`: the per-link
@@ -511,6 +532,7 @@ impl<P: Protocol> EventSim<P> {
         let (uv, vu) = self.link(u, v);
         self.links[uv].live = false;
         self.links[vu].live = false;
+        self.bump_epoch();
         let (uv, vu) = (uv as u32, vu as u32);
         for (i, parcel) in self.slab.iter_mut().enumerate() {
             if parcel.msg.is_some() && (parcel.arrival == uv || parcel.arrival == vu) {
@@ -527,6 +549,7 @@ impl<P: Protocol> EventSim<P> {
         if let Some((uv, vu)) = self.find_link(u, v) {
             self.links[uv].live = true;
             self.links[vu].live = true;
+            self.bump_epoch();
         }
     }
 
@@ -635,6 +658,7 @@ impl<P: Protocol> EventSim<P> {
     }
 
     fn dispatch(&mut self, i: usize, incoming: Option<(NodeId, Option<usize>, P::Msg)>) {
+        self.bump_epoch();
         let run = self.csr.slots(i);
         let mut outbox = std::mem::take(&mut self.outbox);
         let (arrival, incoming) = match incoming {
@@ -786,6 +810,40 @@ mod tests {
         // token at t = 5, and its relay back to node 4 lands at t = 6 —
         // the final event.
         assert_eq!(sim.stats().last_event_time, 6);
+    }
+
+    #[test]
+    fn every_mutation_bumps_the_epoch_and_the_clock_does_not() {
+        let mut sim = flood_sim(4, LinkConfig::default(), 0);
+        let mut last = sim.epoch();
+        let mut bumped = |sim: &EventSim<Flood>, what: &str| {
+            assert_ne!(sim.epoch(), last, "{what} must bump the epoch");
+            last = sim.epoch();
+        };
+        sim.start();
+        bumped(&sim, "start (one dispatch per node)");
+        assert!(sim.step());
+        bumped(&sim, "a delivery");
+        sim.inject(n(3), n(3), ());
+        bumped(&sim, "inject");
+        sim.fail_link(n(1), n(2));
+        bumped(&sim, "fail_link");
+        sim.heal_link(n(1), n(2));
+        bumped(&sim, "heal_link");
+        let slow = LinkConfig {
+            delay: 5,
+            ..LinkConfig::default()
+        };
+        sim.set_link_config(n(2), n(3), slow);
+        bumped(&sim, "set_link_config");
+
+        // Only the clock moves: drain first so nothing bounds the advance.
+        assert!(sim.run_to_quiescence(1_000));
+        let before = sim.epoch();
+        let t = sim.now() + 100;
+        sim.advance_to(t);
+        assert_eq!(sim.now(), t);
+        assert_eq!(sim.epoch(), before, "advance_to must not bump the epoch");
     }
 
     #[test]

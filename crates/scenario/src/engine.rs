@@ -185,6 +185,79 @@ pub(crate) struct RouteProbe {
     pub path_delay: u64,
 }
 
+/// Why a route probe has no answer right now.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum NoRoute {
+    /// The walk reached a node with a NULL TORA height.
+    Unrouted,
+    /// The walk reached a node that is not the sink and knows no live
+    /// neighbor below it.
+    DeadEnd,
+    /// The walk re-entered a node, so it would loop forever.
+    Revisit,
+    /// The walk passed its hop bound.
+    HopLimit,
+}
+
+/// One node's memoized probe answer: the route length and summed delay
+/// from the node to its sink, current while `stamp` is the memo's stamp.
+#[derive(Debug, Clone, Copy, Default)]
+struct MemoEntry {
+    stamp: u32,
+    hops: u32,
+    path_delay: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<MemoEntry>() == 16);
+
+/// A route cache for [`Driver::route_probe`]: each dense node's answer
+/// under one mutation epoch of the driver's simulator
+/// ([`EventSim::epoch`]). Between mutations a node's downhill route is a
+/// fixed function of the simulator state, so an answer stays exact until
+/// the epoch moves.
+///
+/// A new epoch retires every entry at once by moving the memo's stamp on,
+/// without touching the entries. When the `u32` stamp would wrap, every
+/// entry is cleared first, so a stale entry can never carry the current
+/// stamp. A memo belongs to one driver; keep one per probing thread.
+#[derive(Debug, Default)]
+pub(crate) struct RouteMemo {
+    entries: Vec<MemoEntry>,
+    /// The epoch the current stamp stands for (`None` before first use).
+    epoch: Option<u64>,
+    /// The stamp of current entries; 0 is never current.
+    stamp: u32,
+    /// The walked prefix of the probe in progress: each node, by dense
+    /// index, and the delay of the hop out of it.
+    path: Vec<(u32, u64)>,
+    /// Hops walked over the memo's life; answered suffixes are not
+    /// walked.
+    pub(crate) walked: u64,
+}
+
+impl RouteMemo {
+    /// Brings the memo to `epoch` of a simulator over `n` nodes.
+    fn sync(&mut self, epoch: u64, n: usize) {
+        if self.entries.len() != n {
+            self.entries = vec![MemoEntry::default(); n];
+            self.epoch = None;
+        }
+        if self.epoch != Some(epoch) {
+            self.epoch = Some(epoch);
+            self.stamp = self.stamp.checked_add(1).unwrap_or_else(|| {
+                self.entries.fill(MemoEntry::default());
+                1
+            });
+        }
+    }
+
+    /// The current answer `(hops, path_delay)` from node `i`, if known.
+    fn get(&self, i: usize) -> Option<(u64, u64)> {
+        let e = self.entries[i];
+        (e.stamp == self.stamp).then_some((u64::from(e.hops), e.path_delay))
+    }
+}
+
 /// What every protocol adapter exposes to the shared timeline executor
 /// (and, since the resident serve loop, to [`crate::serve`]).
 pub(crate) trait Driver: Sync {
@@ -209,10 +282,11 @@ pub(crate) trait Driver: Sync {
     /// Answers one route query from `src` against the *current* node
     /// states, without sending a message or moving the clock: walks
     /// greedily downhill (holder pointers for mutex) until the
-    /// protocol's sink is reached. `None` means the query is
-    /// unanswerable right now — no known lower neighbor, a NULL TORA
-    /// height, or a walk that exceeds its hop bound mid-convergence.
-    fn route_probe(&self, src: NodeId) -> Option<RouteProbe>;
+    /// protocol's sink is reached. An error says why the query is
+    /// unanswerable right now, typically mid-convergence. `memo` caches
+    /// answers across calls and never changes one (the mutex walk
+    /// ignores it).
+    fn route_probe(&self, src: NodeId, memo: &mut RouteMemo) -> Result<RouteProbe, NoRoute>;
     /// BFS distances from `from` over the simulator's live links, by
     /// dense node index (`None`: unreachable).
     fn live_distances(&self, from: NodeId) -> Vec<Option<u64>>;
@@ -229,31 +303,44 @@ pub(crate) trait Driver: Sync {
 ///
 /// The walk reads frozen state and picks each hop from the current node
 /// alone, so re-entering a node means it loops forever: Brent's cycle
-/// check stops it there with `None`, without per-probe memory. The hop
-/// bound mirrors the routing protocol's packet hop limit.
+/// check stops it there, without per-probe memory. The hop bound mirrors
+/// the routing protocol's packet hop limit: the probe is answered iff
+/// the route reaches the sink within it.
+///
+/// The walk also stops at a node whose answer `memo` holds for the
+/// simulator's current epoch and adds that answer's hops and delay to
+/// its own. An answered walk then stores the answer of every node it
+/// walked through; a walk that ends in a revisit, a dead end or a NULL
+/// height stores nothing. Either way the result is the plain walk's.
 fn descend_heights<P: Protocol, H: Ord>(
     sim: &EventSim<P>,
     src: NodeId,
+    memo: &mut RouteMemo,
     own: impl Fn(&P::Node) -> Option<H>,
     known: impl Fn(&P::Slot) -> Option<H>,
     is_sink: impl Fn(NodeId, &P::Node) -> bool,
-) -> Option<RouteProbe> {
+) -> Result<RouteProbe, NoRoute> {
     let csr = sim.csr();
     let limit = u64::from(probe_hop_limit(csr.node_count()));
+    memo.sync(sim.epoch(), csr.node_count());
+    memo.path.clear();
     let mut cur = csr.index_of(src).expect("probe source is a node");
     // Brent: `mark` is re-set to the current node whenever `since`, the
     // hops since the last re-set, reaches `span`, which then doubles.
     // Once `span` covers the loop, the walk comes back to its mark.
     let (mut mark, mut span, mut since) = (cur, 1u64, 0u64);
-    let mut hops = 0u64;
-    let mut path_delay = 0u64;
-    loop {
+    // The rest of the route from where the walk stops: nothing at the
+    // sink, the memoized answer at a memo hit.
+    let (mut hops, mut path_delay) = loop {
+        if let Some(rest) = memo.get(cur) {
+            break rest;
+        }
         let node = sim.node_at(cur);
         if is_sink(csr.node(cur), node) {
-            return Some(RouteProbe { hops, path_delay });
+            break (0, 0);
         }
-        if hops >= limit {
-            return None;
+        if memo.path.len() as u64 >= limit {
+            return Err(NoRoute::HopLimit);
         }
         let run = csr.slots(cur);
         let heights = run.clone().map(|s| {
@@ -263,18 +350,37 @@ fn descend_heights<P: Protocol, H: Ord>(
                 None
             }
         });
-        let slot = run.start + downhill(own(node)?, heights)?;
-        path_delay = path_delay.saturating_add(sim.link_config_at(slot).delay.max(1));
-        hops += 1;
+        let own = own(node).ok_or(NoRoute::Unrouted)?;
+        let slot = run.start + downhill(own, heights).ok_or(NoRoute::DeadEnd)?;
+        memo.path
+            .push((cur as u32, sim.link_config_at(slot).delay.max(1)));
+        memo.walked += 1;
         cur = csr.target(slot);
         if cur == mark {
-            return None;
+            return Err(NoRoute::Revisit);
         }
         since += 1;
         if since == span {
             (mark, span, since) = (cur, 2 * span, 0);
         }
+    };
+    if hops + memo.path.len() as u64 > limit {
+        return Err(NoRoute::HopLimit);
     }
+    // Suffix sums, last hop first. Saturating addition of non-negative
+    // terms is associative, so the delay equals the plain walk's sum.
+    let stamp = memo.stamp;
+    for &(node, delay) in memo.path.iter().rev() {
+        hops += 1;
+        path_delay = delay.saturating_add(path_delay);
+        memo.entries[node as usize] = MemoEntry {
+            stamp,
+            // At most the hop limit, itself a `u32`.
+            hops: hops as u32,
+            path_delay,
+        };
+    }
+    Ok(RouteProbe { hops, path_delay })
 }
 
 /// BFS distances from `from` over the *live* links of the simulator, by
@@ -402,11 +508,12 @@ impl Driver for RoutingDriver {
         }
     }
 
-    fn route_probe(&self, src: NodeId) -> Option<RouteProbe> {
+    fn route_probe(&self, src: NodeId, memo: &mut RouteMemo) -> Result<RouteProbe, NoRoute> {
         let dest = self.harness.dest();
         descend_heights(
             self.harness.sim(),
             src,
+            memo,
             |n| Some(n.rev.height),
             |&known| known,
             |u, _| u == dest,
@@ -525,10 +632,11 @@ impl Driver for ReversalDriver {
         unreachable!("reversal scenarios carry no traffic (rejected at parse time)")
     }
 
-    fn route_probe(&self, src: NodeId) -> Option<RouteProbe> {
+    fn route_probe(&self, src: NodeId, memo: &mut RouteMemo) -> Result<RouteProbe, NoRoute> {
         descend_heights(
             &self.sim,
             src,
+            memo,
             |n| Some(n.height),
             |&known| known,
             |_, n| n.is_dest,
@@ -633,12 +741,13 @@ impl Driver for ToraDriver {
         }
     }
 
-    fn route_probe(&self, src: NodeId) -> Option<RouteProbe> {
+    fn route_probe(&self, src: NodeId, memo: &mut RouteMemo) -> Result<RouteProbe, NoRoute> {
         // TORA heights are optional: NULL (`None`) means unrouted — a
         // probe from or through such a node has no answer.
         descend_heights(
             self.harness.sim(),
             src,
+            memo,
             |n| n.height,
             |&known| known,
             |_, n| n.is_dest,
@@ -727,7 +836,7 @@ impl Driver for MutexDriver {
         }
     }
 
-    fn route_probe(&self, src: NodeId) -> Option<RouteProbe> {
+    fn route_probe(&self, src: NodeId, _memo: &mut RouteMemo) -> Result<RouteProbe, NoRoute> {
         // Raymond's tree: each node's `holder` pointer leads toward
         // the token. The walk follows holder pointers to the node that
         // holds the token (holder == itself); a chain longer than the
@@ -739,14 +848,14 @@ impl Driver for MutexDriver {
         let mut path_delay = 0u64;
         while sim.node(cur).holder != cur {
             if hops >= bound {
-                return None;
+                return Err(NoRoute::HopLimit);
             }
             let next = sim.node(cur).holder;
             path_delay = path_delay.saturating_add(sim.link_config(cur, next).delay.max(1));
             hops += 1;
             cur = next;
         }
-        Some(RouteProbe { hops, path_delay })
+        Ok(RouteProbe { hops, path_delay })
     }
 
     fn live_distances(&self, from: NodeId) -> Vec<Option<u64>> {
@@ -848,13 +957,14 @@ impl Driver for ElectionDriver {
         unreachable!("election scenarios carry no traffic (rejected at parse time)")
     }
 
-    fn route_probe(&self, src: NodeId) -> Option<RouteProbe> {
+    fn route_probe(&self, src: NodeId, memo: &mut RouteMemo) -> Result<RouteProbe, NoRoute> {
         // The elected leader is the orientation's sink: a node that
         // believes itself leader. Heights descend toward it exactly as
         // in the reversal protocol.
         descend_heights(
             self.harness.sim(),
             src,
+            memo,
             |n| Some(n.height),
             |&known| known,
             |u, n| n.leader == u,
@@ -1329,6 +1439,98 @@ mod tests {
         }
     }
 
+    /// Every node holds its id as its height and learns its neighbors'
+    /// only from injected messages, so a test sets the heights it reads.
+    struct Learn;
+
+    impl Protocol for Learn {
+        type Msg = u32;
+        type Node = u32;
+        type Slot = Option<u32>;
+
+        fn on_start(&mut self, _ctx: &mut Ctx<'_, u32, Option<u32>>, _node: &mut u32) {}
+
+        fn on_message(
+            &mut self,
+            ctx: &mut Ctx<'_, u32, Option<u32>>,
+            _node: &mut u32,
+            _from: NodeId,
+            msg: u32,
+        ) {
+            if let Some(known) = ctx.sender_slot_mut() {
+                *known = Some(msg);
+            }
+        }
+    }
+
+    #[test]
+    fn memoized_delays_saturate_like_the_plain_walk() {
+        let n = NodeId::new;
+        let path = [(0, 1), (1, 2), (2, 3)];
+        let graph = lr_graph::Orientation::from_edges(&path).unwrap();
+        let mut sim = EventSim::new(
+            Learn,
+            graph.csr().as_ref().clone(),
+            vec![0, 1, 2, 3],
+            LinkConfig::default(),
+            0,
+        );
+        for (u, v) in path {
+            sim.inject(n(u), n(v), u);
+            sim.inject(n(v), n(u), v);
+        }
+        let delay = |delay| LinkConfig {
+            delay,
+            ..LinkConfig::default()
+        };
+        sim.set_link_config(n(0), n(1), delay(5));
+        sim.set_link_config(n(1), n(2), delay(1 << 63));
+        sim.set_link_config(n(2), n(3), delay(1 << 63));
+        let probe = |src, memo: &mut RouteMemo| {
+            descend_heights(&sim, n(src), memo, |&h| Some(h), |&k| k, |u, _| u == n(0))
+        };
+        let mut memo = RouteMemo::default();
+        // 2 first, so that 3's walk stops at a memo hit.
+        for src in [2, 3, 1, 3] {
+            assert_eq!(
+                probe(src, &mut memo),
+                probe(src, &mut RouteMemo::default()),
+                "from {src}"
+            );
+        }
+        assert_eq!(memo.walked, 2 + 1, "3 and the second 1 are memo hits");
+        let answer = |src, memo: &mut RouteMemo| probe(src, memo).map(|p| (p.hops, p.path_delay));
+        assert_eq!(answer(2, &mut memo), Ok((2, (1 << 63) + 5)));
+        assert_eq!(answer(3, &mut memo), Ok((3, u64::MAX)));
+    }
+
+    #[test]
+    fn a_new_epoch_retires_every_entry_and_a_stamp_wrap_clears_them() {
+        let mut memo = RouteMemo::default();
+        memo.sync(7, 3);
+        let entry = |stamp| MemoEntry {
+            stamp,
+            hops: 2,
+            path_delay: 9,
+        };
+        memo.entries[1] = entry(memo.stamp);
+        assert_eq!(memo.get(1), Some((2, 9)));
+        memo.sync(7, 3);
+        assert_eq!(memo.get(1), Some((2, 9)), "the same epoch keeps entries");
+        memo.sync(8, 3);
+        assert_eq!(memo.get(1), None, "a new epoch retires them");
+
+        // The last stamp before a wrap, next to an entry left from the
+        // first stamp: after the wrap it would read as current.
+        memo.stamp = u32::MAX;
+        memo.entries[0] = entry(1);
+        memo.entries[2] = entry(u32::MAX);
+        assert_eq!(memo.get(2), Some((2, 9)));
+        memo.sync(9, 3);
+        assert_eq!(memo.stamp, 1);
+        assert!((0..3).all(|i| memo.get(i).is_none()), "{memo:?}");
+    }
+
     #[test]
     fn a_probe_stops_at_its_first_revisit() {
         let graph = lr_graph::Orientation::from_edges(&[(0, 1)]).unwrap();
@@ -1346,6 +1548,7 @@ mod tests {
         let probe = descend_heights(
             &sim,
             NodeId::new(0),
+            &mut RouteMemo::default(),
             |&own| Some(own),
             |&known| {
                 reads.set(reads.get() + 1);
@@ -1353,7 +1556,11 @@ mod tests {
             },
             |_, _| false,
         );
-        assert_eq!(probe, None, "0 → 1 → 0 … never reaches a sink");
+        assert_eq!(
+            probe,
+            Err(NoRoute::Revisit),
+            "0 → 1 → 0 … never reaches a sink"
+        );
         // The hop limit alone would allow 16 hops.
         assert_eq!(probe_hop_limit(2), 16);
         assert!(reads.get() <= 4, "walked {} hops", reads.get());

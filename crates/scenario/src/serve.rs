@@ -39,6 +39,28 @@
 //! byte-identical for a fixed `(spec, seed, flags)` across runs *and
 //! across `--threads` values*. Wall-clock time lives
 //! only in [`ServeReport::elapsed_ns`], which the rendering leaves out.
+//!
+//! ## Route cache
+//!
+//! A settled Partial Reversal orientation is acyclic and
+//! destination-oriented, and until the next delivery or link change each
+//! node's downhill route is a fixed function of the simulator state. So
+//! every probe worker keeps a route memo across ticks: each node's
+//! `(hops, path_delay)` answer, stamped with the simulator's mutation
+//! epoch, which every dispatch, link failure, heal or link-config change
+//! bumps. A walk stops at the sink or at a node the memo answers for the
+//! current epoch, and an answered walk stores the answer of every node it
+//! passed. An answer is therefore the plain walk's, and a quiet tick
+//! answers each probe with one memo read instead of a walk of the whole
+//! route. The serve loop tracks no invalidation itself.
+//!
+//! Each `serve.batch` span carries a `walked` arg, the hops its probes
+//! actually walked; the hops it answered are the report's. The two differ
+//! by what the memo saved, and `walked` depends on `--threads` (each
+//! worker fills its own memo), so it is a span arg and not a folded
+//! counter. For the same reason the benchmark's `serve.hops_per_s`, the
+//! answered hops per second of `serve.batch`, counts answered hops, not
+//! walked ones.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
@@ -49,7 +71,8 @@ use rand::{Rng, SeedableRng};
 use serde_json::Value;
 
 use crate::engine::{
-    make_driver, record_sim_stats, spec_link_config, Driver, LinkLedger, ScenarioError,
+    make_driver, record_sim_stats, spec_link_config, Driver, LinkLedger, NoRoute, RouteMemo,
+    RouteProbe, ScenarioError,
 };
 use crate::spec::{derive_run_seed, ProtocolKind, ScenarioSpec, TrafficSpec};
 use crate::stats::{MetricSketch, STRETCH_GRID_HI};
@@ -339,29 +362,37 @@ impl ServeReport {
     }
 }
 
-/// Answers one batch of probes: fans the reads out over `threads`
+/// Answers one batch of probes: fans the reads out over up to `threads`
 /// workers in contiguous chunks but returns results **in request
 /// order** — the fold downstream is therefore independent of the
-/// thread count.
+/// thread count. Worker `k` reads and fills `memos[k]`, which is added
+/// the first time a batch has a `k`-th chunk.
 fn probe_batch(
     driver: &dyn Driver,
     batch: &[(NodeId, u64)],
     threads: usize,
-) -> Vec<Option<crate::engine::RouteProbe>> {
-    if threads <= 1 || batch.len() <= 1 {
+    memos: &mut Vec<RouteMemo>,
+) -> Vec<Result<RouteProbe, NoRoute>> {
+    let chunk = batch.len().div_ceil(threads).max(1);
+    let workers = batch.len().div_ceil(chunk).max(1);
+    if memos.len() < workers {
+        memos.resize_with(workers, RouteMemo::default);
+    }
+    if workers == 1 {
+        let memo = &mut memos[0];
         return batch
             .iter()
-            .map(|&(src, _)| driver.route_probe(src))
+            .map(|&(src, _)| driver.route_probe(src, memo))
             .collect();
     }
-    let chunk = batch.len().div_ceil(threads);
     crossbeam::thread::scope(|s| {
         let handles: Vec<_> = batch
             .chunks(chunk)
-            .map(|part| {
+            .zip(memos.iter_mut())
+            .map(|(part, memo)| {
                 s.spawn(move |_| {
                     part.iter()
-                        .map(|&(src, _)| driver.route_probe(src))
+                        .map(|&(src, _)| driver.route_probe(src, memo))
                         .collect::<Vec<_>>()
                 })
             })
@@ -457,6 +488,42 @@ fn validate_feed(
                 crashed_leader = true;
             }
         }
+    }
+    Ok(())
+}
+
+/// Applies one churn action of the feed. Link changes go through the
+/// ledger, which passes each real change on to the driver.
+fn apply_churn(
+    action: FeedAction,
+    driver: &mut dyn Driver,
+    ledger: &mut LinkLedger,
+) -> Result<(), ServeError> {
+    match action {
+        FeedAction::Route(_) => unreachable!("a route is a request, not churn"),
+        FeedAction::Fail(u, v) => ledger.fail(driver, NodeId::new(u), NodeId::new(v)),
+        FeedAction::Heal(u, v) => ledger.heal(driver, NodeId::new(u), NodeId::new(v)),
+        FeedAction::Crash(u) => {
+            let node = NodeId::new(u);
+            for (a, b) in ledger.live_edges() {
+                if a == node || b == node {
+                    ledger.fail(driver, a, b);
+                }
+            }
+        }
+        FeedAction::Restore(u) => {
+            let node = NodeId::new(u);
+            let incident: Vec<(NodeId, NodeId)> = ledger
+                .failed
+                .iter()
+                .copied()
+                .filter(|&(a, b)| a == node || b == node)
+                .collect();
+            for (a, b) in incident {
+                ledger.heal(driver, a, b);
+            }
+        }
+        FeedAction::CrashLeader => driver.crash_leader().map_err(ServeError)?,
     }
     Ok(())
 }
@@ -642,6 +709,9 @@ pub fn run_serve(
     let (mut admitted, mut answered, mut unroutable) = (0u64, 0u64, 0u64);
     let (mut dropped, mut link_events) = (0u64, 0u64);
     let batch_span = lr_obs::span_handle("serve", "serve.batch");
+    // One route cache per probe worker, kept across ticks: each checks
+    // the simulator's epoch itself, so the loop tracks no invalidation.
+    let mut memos: Vec<RouteMemo> = Vec::new();
     let began = Instant::now();
 
     for tick in 1..=options.duration {
@@ -671,50 +741,14 @@ pub fn run_serve(
                 *dropped += 1;
             }
         };
-        for action in by_tick.get(&tick).map_or(&[][..], Vec::as_slice) {
-            match *action {
-                FeedAction::Route(src) => {
-                    offered_feed += 1;
-                    enqueue(NodeId::new(src), &mut pending, &mut dropped);
-                }
-                FeedAction::Fail(u, v) => {
-                    ledger.fail(driver.as_mut(), NodeId::new(u), NodeId::new(v));
-                    link_events += 1;
-                    churned = true;
-                }
-                FeedAction::Heal(u, v) => {
-                    ledger.heal(driver.as_mut(), NodeId::new(u), NodeId::new(v));
-                    link_events += 1;
-                    churned = true;
-                }
-                FeedAction::Crash(u) => {
-                    let node = NodeId::new(u);
-                    for (a, b) in ledger.live_edges() {
-                        if a == node || b == node {
-                            ledger.fail(driver.as_mut(), a, b);
-                        }
-                    }
-                    link_events += 1;
-                    churned = true;
-                }
-                FeedAction::Restore(u) => {
-                    let node = NodeId::new(u);
-                    let incident: Vec<(NodeId, NodeId)> = ledger
-                        .failed
-                        .iter()
-                        .copied()
-                        .filter(|&(a, b)| a == node || b == node)
-                        .collect();
-                    for (a, b) in incident {
-                        ledger.heal(driver.as_mut(), a, b);
-                    }
-                    link_events += 1;
-                    churned = true;
-                }
-                FeedAction::CrashLeader => {
-                    driver.crash_leader().map_err(ServeError)?;
-                    link_events += 1;
-                }
+        for &action in by_tick.get(&tick).map_or(&[][..], Vec::as_slice) {
+            if let FeedAction::Route(src) = action {
+                offered_feed += 1;
+                enqueue(NodeId::new(src), &mut pending, &mut dropped);
+            } else {
+                apply_churn(action, driver.as_mut(), &mut ledger)?;
+                link_events += 1;
+                churned |= action != FeedAction::CrashLeader;
             }
         }
         if churned && priced {
@@ -742,10 +776,17 @@ pub fn run_serve(
         span.arg("admitted", batch.len() as u64);
         span.arg("queued", pending.len() as u64);
         admitted += batch.len() as u64;
-        let probes = probe_batch(driver.as_ref(), &batch, options.threads);
+        let walked_before: u64 = memos.iter().map(|m| m.walked).sum();
+        let probes = probe_batch(driver.as_ref(), &batch, options.threads, &mut memos);
+        // The hops the batch walked rather than read from a memo: a
+        // function of the worker count, so a span arg only.
+        span.arg(
+            "walked",
+            memos.iter().map(|m| m.walked).sum::<u64>() - walked_before,
+        );
         for (&(src, arrival), probe) in batch.iter().zip(&probes) {
             match probe {
-                Some(p) => {
+                Ok(p) => {
                     answered += 1;
                     let wait = tick - arrival;
                     latency.push(wait.saturating_add(p.path_delay) as f64);
@@ -757,7 +798,7 @@ pub fn run_serve(
                         }
                     }
                 }
-                None => unroutable += 1,
+                Err(_) => unroutable += 1,
             }
         }
         span.arg("answered", answered);
@@ -842,7 +883,9 @@ mod tests {
     fn serve_reports_are_identical_across_thread_counts() {
         let spec = grid_spec();
         let base = run_serve(&spec, &opts(8, 25), &[]).unwrap();
-        for threads in [2usize, 4] {
+        // A batch of 8 runs at most 8 workers, and keeps a memo for each
+        // worker it runs, whatever the flag says.
+        for threads in [2usize, 4, usize::MAX] {
             let par = run_serve(
                 &spec,
                 &ServeOptions {
@@ -983,6 +1026,109 @@ mod tests {
                 .starts_with("feed event 2: at most one crash_leader event per feed"),
             "{err}"
         );
+    }
+
+    /// Drives `spec` like a churned serve run: from the start, each tick
+    /// applies `feed`'s churn at that tick (`None` primes TORA with a
+    /// query from every node), probes every node with one long-lived memo
+    /// and with a fresh memo each, then drains to the next tick. The two
+    /// must agree on every probe. Returns how many probes ended each way,
+    /// and the hops the long-lived memo walked against the fresh walks.
+    fn memo_agrees_with_fresh_walks(
+        spec: &ScenarioSpec,
+        feed: &[(u64, Option<FeedAction>)],
+        ticks: u64,
+    ) -> (BTreeMap<String, u64>, u64, u64) {
+        let run_seed = derive_run_seed(spec.seeds[0], 0);
+        let inst = build_instance(&spec.topology, run_seed).unwrap();
+        let link = spec_link_config(&spec.links.default);
+        let mut driver = make_driver(spec, &inst, link, run_seed);
+        let mut ledger = LinkLedger::new(inst.csr());
+        let nodes: Vec<NodeId> = inst.csr().nodes().collect();
+        let mut memo = RouteMemo::default();
+        let mut tally: BTreeMap<String, u64> = BTreeMap::new();
+        let mut fresh_walked = 0u64;
+        for tick in 0..=ticks {
+            for &(_, action) in feed.iter().filter(|&&(at, _)| at == tick) {
+                match action {
+                    Some(action) => apply_churn(action, driver.as_mut(), &mut ledger).unwrap(),
+                    None => driver.inject_wave(&nodes),
+                }
+            }
+            // Alternate the order so memo hits come from both ends of a
+            // route.
+            let mut order = nodes.clone();
+            if tick % 2 == 1 {
+                order.reverse();
+            }
+            for u in order {
+                let mut fresh = RouteMemo::default();
+                let want = driver.route_probe(u, &mut fresh);
+                fresh_walked += fresh.walked;
+                let got = driver.route_probe(u, &mut memo);
+                assert_eq!(got, want, "{}: tick {tick}, node {u}", spec.name);
+                let end = got.map_or_else(|e| format!("{e:?}"), |_| "answered".into());
+                *tally.entry(end).or_default() += 1;
+            }
+            let (_, capped) = driver.run_until_capped(tick + 1, spec.max_events);
+            assert!(!capped, "{}: tick {tick}", spec.name);
+            driver.advance_to(tick + 1);
+        }
+        (tally, memo.walked, fresh_walked)
+    }
+
+    #[test]
+    fn memoized_probes_equal_fresh_walks_through_churn() {
+        // Slow, jittery links stretch every cascade over several ticks;
+        // two odd delays make path delays differ from hop counts.
+        let spec_for = |protocol: &str| {
+            spec(&format!(
+                r#"{{"name": "memo-{protocol}", "protocol": "{protocol}",
+                     "topology": {{"family": "grid", "rows": 5, "cols": 5}},
+                     "links": {{"delay": 2, "jitter": 3, "overrides": [
+                         {{"u": 5, "v": 10, "delay": 3}}, {{"u": 6, "v": 7, "delay": 5}}]}},
+                     "seeds": [5]}}"#
+            ))
+        };
+        // A failed link, an interior crash, and the far corner (node 24)
+        // cut off and healed: the corner's component has no destination,
+        // so Partial Reversal keeps reversing there and TORA erases its
+        // height.
+        let link_churn = [
+            (40, Some(FeedAction::Fail(0, 1))),
+            (60, Some(FeedAction::Crash(12))),
+            (80, Some(FeedAction::Heal(0, 1))),
+            (100, Some(FeedAction::Fail(23, 24))),
+            (100, Some(FeedAction::Fail(19, 24))),
+            (130, Some(FeedAction::Restore(12))),
+            (150, Some(FeedAction::Heal(19, 24))),
+            (150, Some(FeedAction::Heal(23, 24))),
+        ];
+        let mut tora = vec![(20, None)];
+        tora.extend(link_churn);
+        for (protocol, feed, reasons) in [
+            ("routing", &link_churn[..], &["DeadEnd", "Revisit"][..]),
+            ("reversal", &link_churn[..], &["DeadEnd", "Revisit"][..]),
+            ("tora", &tora[..], &["DeadEnd", "Revisit", "Unrouted"][..]),
+            (
+                "election",
+                &[(30, Some(FeedAction::CrashLeader))][..],
+                &["Revisit"][..],
+            ),
+        ] {
+            let (tally, walked, fresh) =
+                memo_agrees_with_fresh_walks(&spec_for(protocol), feed, 200);
+            for end in ["answered"].iter().chain(reasons) {
+                assert!(
+                    tally.get(*end).is_some_and(|&n| n > 0),
+                    "{protocol}: no probe ended as {end}: {tally:?}"
+                );
+            }
+            assert!(
+                walked * 2 < fresh,
+                "{protocol}: the memo walked {walked} hops of the fresh walks' {fresh}"
+            );
+        }
     }
 
     #[test]

@@ -1,26 +1,12 @@
 //! The `lr` binary: thin I/O wrapper around [`link_reversal::cli`].
 
-use std::io::Read;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let arg_refs: Vec<&str> = args.iter().map(String::as_str).collect();
-    // Only the piped commands read stdin; don't block `generate`/`help`.
-    // `serve` reads it solely when the feed is `-`.
-    let needs_stdin = match arg_refs.first().copied() {
-        Some("run") | Some("trace") | Some("check") | Some("dot") => true,
-        Some("serve") => {
-            arg_refs.contains(&"--feed=-") || arg_refs.windows(2).any(|w| w == ["--feed", "-"])
-        }
-        _ => false,
-    };
-    let mut stdin = String::new();
-    if needs_stdin && std::io::stdin().read_to_string(&mut stdin).is_err() {
-        eprintln!("error: could not read stdin");
-        return ExitCode::FAILURE;
-    }
-    match link_reversal::cli::run_cli(&arg_refs, &stdin) {
+    // `run_cli` reads stdin only for the commands that consume it.
+    match link_reversal::cli::run_cli(&arg_refs, std::io::stdin().lock()) {
         Ok(out) => {
             print!("{out}");
             ExitCode::SUCCESS

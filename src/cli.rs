@@ -1,8 +1,8 @@
 //! The `lr` command-line interface: generate instances, run algorithms,
 //! trace executions, and verify invariants from the shell.
 //!
-//! The logic lives here (testable, pure: input strings → output string);
-//! `src/bin/lr.rs` is a thin wrapper doing I/O.
+//! The logic lives here (testable: arguments and a stdin reader → output
+//! string); `src/bin/lr.rs` is a thin wrapper doing I/O.
 //!
 //! ```text
 //! lr generate chain-away 8            # print an instance in text format
@@ -15,6 +15,7 @@
 //! ```
 
 use std::fmt::Write as _;
+use std::io::Read;
 
 use lr_core::alg::FrontierFamily;
 use lr_core::engine::{
@@ -152,6 +153,19 @@ fn parse_policy(s: Option<&str>) -> Result<SchedulePolicy, CliError> {
     }
 }
 
+/// Reads all of stdin under a `cli.read` span. Only the commands that
+/// consume stdin call it, so `generate` and friends never block on it.
+/// Run, trace, check and dot read it before checking their arguments,
+/// so a process piping in an instance never meets a closed pipe.
+fn read_stdin(stdin: &mut dyn Read) -> Result<String, CliError> {
+    let _span = lr_obs::span("cli", "cli.read");
+    let mut text = String::new();
+    stdin
+        .read_to_string(&mut text)
+        .map_err(|e| err(format!("could not read stdin: {e}")))?;
+    Ok(text)
+}
+
 fn parse_stdin_instance(input: &str) -> Result<ReversalInstance, CliError> {
     parse::parse_instance(input).map_err(|e| err(format!("invalid instance: {e}")))
 }
@@ -165,12 +179,16 @@ fn no_more_arguments(rest: &[&str]) -> Result<(), CliError> {
 }
 
 /// Runs one CLI invocation: `args` excludes the program name; `stdin` is
-/// the piped input (used by run/trace/check/dot).
+/// the piped input. It is read only by the commands that consume it —
+/// run, trace, check, dot, and serve with `--feed -` — under a
+/// `cli.read` span, inside the `--obs` session of run and serve.
 ///
 /// # Errors
 ///
-/// Returns a user-facing message for bad arguments or invalid input.
-pub fn run_cli(args: &[&str], stdin: &str) -> Result<String, CliError> {
+/// Returns a user-facing message for bad arguments, invalid input, or a
+/// failed read of `stdin`.
+pub fn run_cli(args: &[&str], mut stdin: impl Read) -> Result<String, CliError> {
+    let stdin: &mut dyn Read = &mut stdin;
     match args {
         [] | ["help"] | ["--help"] | ["-h"] => Ok(USAGE.to_string()),
         ["generate", rest @ ..] => cmd_generate(rest),
@@ -181,8 +199,8 @@ pub fn run_cli(args: &[&str], stdin: &str) -> Result<String, CliError> {
             run_with_obs(&inner, stdin, mode, obs_out.as_deref())
         }
         ["trace", rest @ ..] => cmd_trace(rest, stdin),
-        ["check", rest @ ..] => no_more_arguments(rest).and_then(|()| cmd_check(stdin)),
-        ["dot", rest @ ..] => no_more_arguments(rest).and_then(|()| cmd_dot(stdin)),
+        ["check", rest @ ..] => cmd_check(rest, stdin),
+        ["dot", rest @ ..] => cmd_dot(rest, stdin),
         ["obs", rest @ ..] => cmd_obs(rest),
         [other, ..] => Err(err(format!("unknown command {other:?}\n\n{USAGE}"))),
     }
@@ -241,11 +259,11 @@ fn parse_obs_flags<'a>(
 /// written — `lr obs validate` can never fail on a file this produced.
 fn run_with_obs(
     args: &[&str],
-    stdin: &str,
+    stdin: &mut dyn Read,
     mode: ObsMode,
     obs_out: Option<&str>,
 ) -> Result<String, CliError> {
-    fn dispatch(args: &[&str], stdin: &str) -> Result<String, CliError> {
+    fn dispatch(args: &[&str], stdin: &mut dyn Read) -> Result<String, CliError> {
         match args {
             ["run", rest @ ..] => cmd_run(rest, stdin),
             ["scenario", rest @ ..] => cmd_scenario(rest),
@@ -388,7 +406,8 @@ fn cmd_generate(args: &[&str]) -> Result<String, CliError> {
     Ok(parse::to_text(&inst))
 }
 
-fn cmd_run(args: &[&str], stdin: &str) -> Result<String, CliError> {
+fn cmd_run(args: &[&str], stdin: &mut dyn Read) -> Result<String, CliError> {
+    let text = read_stdin(stdin)?;
     let (alg, rest) = args
         .split_first()
         .ok_or_else(|| err(format!("run needs an algorithm\n\n{USAGE}")))?;
@@ -425,8 +444,8 @@ fn cmd_run(args: &[&str], stdin: &str) -> Result<String, CliError> {
         ));
     }
     let span = lr_obs::span("cli", "cli.parse");
-    let inst = parse_stdin_instance(stdin)?;
-    drop(span);
+    let inst = parse_stdin_instance(&text)?;
+    drop((span, text));
     let span = lr_obs::span("cli", "cli.build");
     let (nodes, dest) = (inst.node_count(), inst.dest);
     let initial_bad = inst.initial_bad_nodes();
@@ -461,14 +480,15 @@ fn cmd_run(args: &[&str], stdin: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_trace(args: &[&str], stdin: &str) -> Result<String, CliError> {
+fn cmd_trace(args: &[&str], stdin: &mut dyn Read) -> Result<String, CliError> {
+    let text = read_stdin(stdin)?;
     let (alg, rest) = args
         .split_first()
         .ok_or_else(|| err(format!("trace needs an algorithm\n\n{USAGE}")))?;
     let family = parse_alg(alg)?;
     let policy = parse_policy(rest.first().copied())?;
     no_more_arguments(rest.get(1..).unwrap_or_default())?;
-    let inst = parse_stdin_instance(stdin)?;
+    let inst = parse_stdin_instance(&text)?;
     let trace = Trace::record(&inst, family, policy, DEFAULT_MAX_STEPS);
     trace
         .validate()
@@ -476,10 +496,12 @@ fn cmd_trace(args: &[&str], stdin: &str) -> Result<String, CliError> {
     Ok(trace.render_text())
 }
 
-fn cmd_check(stdin: &str) -> Result<String, CliError> {
+fn cmd_check(args: &[&str], stdin: &mut dyn Read) -> Result<String, CliError> {
     use lr_core::alg::{newpr_step, onestep_pr_step, NewPrState, PrState};
 
-    let inst = parse_stdin_instance(stdin)?;
+    let text = read_stdin(stdin)?;
+    no_more_arguments(args)?;
+    let inst = parse_stdin_instance(&text)?;
     let mut out = String::new();
     let mut states = 0usize;
 
@@ -692,7 +714,7 @@ fn cmd_scenario(args: &[&str]) -> Result<String, CliError> {
 /// (no matrix, churn or traffic section), settles its instance, and
 /// serves the open-loop workload — seeded generator plus optional
 /// `--feed` newline-JSON events (`-` reads stdin).
-fn cmd_serve(args: &[&str], stdin: &str) -> Result<String, CliError> {
+fn cmd_serve(args: &[&str], stdin: &mut dyn Read) -> Result<String, CliError> {
     use lr_scenario::serve::{parse_feed, run_serve, ServeOptions};
     use lr_scenario::spec::ScenarioSpec;
 
@@ -746,14 +768,20 @@ fn cmd_serve(args: &[&str], stdin: &str) -> Result<String, CliError> {
             _ => path = Some(arg),
         }
     }
+    // A piped feed is read before the spec can fail, as a piped instance
+    // is read before its command's arguments are checked.
+    let piped = match feed_arg.as_deref() {
+        Some("-") => Some(read_stdin(stdin)?),
+        _ => None,
+    };
     let path = path.ok_or_else(|| err(format!("serve needs a scenario spec file\n\n{USAGE}")))?;
     let text =
         std::fs::read_to_string(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
     let spec = ScenarioSpec::from_json(&text).map_err(|e| err(format!("{path}: {e}")))?;
-    let feed = match feed_arg.as_deref() {
-        None => Vec::new(),
-        Some("-") => parse_feed(stdin).map_err(|e| err(format!("--feed -: {e}")))?,
-        Some(p) => {
+    let feed = match (feed_arg.as_deref(), piped) {
+        (None, _) => Vec::new(),
+        (Some(_), Some(t)) => parse_feed(&t).map_err(|e| err(format!("--feed -: {e}")))?,
+        (Some(p), None) => {
             let t = std::fs::read_to_string(p).map_err(|e| err(format!("cannot read {p}: {e}")))?;
             parse_feed(&t).map_err(|e| err(format!("{p}: {e}")))?
         }
@@ -877,8 +905,10 @@ fn cmd_modelcheck(args: &[&str]) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_dot(stdin: &str) -> Result<String, CliError> {
-    let inst = parse_stdin_instance(stdin)?;
+fn cmd_dot(args: &[&str], stdin: &mut dyn Read) -> Result<String, CliError> {
+    let text = read_stdin(stdin)?;
+    no_more_arguments(args)?;
+    let inst = parse_stdin_instance(&text)?;
     Ok(dot::to_dot(
         inst.init(),
         &dot::DotOptions {
@@ -895,16 +925,50 @@ mod tests {
 
     #[test]
     fn help_is_shown() {
-        let out = run_cli(&[], "").unwrap();
+        let out = run_cli(&[], "".as_bytes()).unwrap();
         assert!(out.contains("USAGE"));
-        assert_eq!(run_cli(&["help"], "").unwrap(), out);
+        assert_eq!(run_cli(&["help"], "".as_bytes()).unwrap(), out);
     }
 
     #[test]
     fn unknown_command_errors_with_usage() {
-        let e = run_cli(&["frobnicate"], "").unwrap_err();
+        let e = run_cli(&["frobnicate"], "".as_bytes()).unwrap_err();
         assert!(e.0.contains("unknown command"));
         assert!(e.0.contains("USAGE"));
+    }
+
+    /// A stdin whose every read fails.
+    struct BrokenStdin;
+
+    impl Read for BrokenStdin {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("stdin is closed"))
+        }
+    }
+
+    #[test]
+    fn only_the_commands_that_consume_stdin_read_it() {
+        for args in [
+            &["generate", "grid", "3"][..],
+            &["help"],
+            &["modelcheck", "3"],
+        ] {
+            assert!(run_cli(args, BrokenStdin).is_ok(), "{args:?} read stdin");
+        }
+        for args in [&["run", "PR"][..], &["trace", "PR"], &["check"], &["dot"]] {
+            let e = run_cli(args, BrokenStdin).unwrap_err();
+            assert_eq!(e.0, "could not read stdin: stdin is closed", "{args:?}");
+        }
+        // The read comes first, as for any piped instance.
+        let e = run_cli(&["run", "nope"], BrokenStdin).unwrap_err();
+        assert!(e.0.starts_with("could not read stdin"), "{e}");
+        // Serve reads stdin only for `--feed -`.
+        let path = serve_spec("stdin");
+        let p = path.to_str().unwrap();
+        assert!(run_cli(&["serve", p, "--duration", "2"], BrokenStdin).is_ok());
+        let e = run_cli(&["serve", p, "--feed", "-"], BrokenStdin).unwrap_err();
+        assert!(e.0.starts_with("could not read stdin"), "{e}");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -916,51 +980,51 @@ mod tests {
             "star",
             "complete",
         ] {
-            let out = run_cli(&["generate", family, "5"], "").unwrap();
+            let out = run_cli(&["generate", family, "5"], "".as_bytes()).unwrap();
             assert!(out.starts_with("dest "), "{family}: {out}");
         }
-        let grid = run_cli(&["generate", "grid", "3"], "").unwrap();
+        let grid = run_cli(&["generate", "grid", "3"], "".as_bytes()).unwrap();
         assert!(grid.lines().count() > 5);
-        let a = run_cli(&["generate", "random", "8", "7"], "").unwrap();
-        let b = run_cli(&["generate", "random", "8", "7"], "").unwrap();
+        let a = run_cli(&["generate", "random", "8", "7"], "".as_bytes()).unwrap();
+        let b = run_cli(&["generate", "random", "8", "7"], "".as_bytes()).unwrap();
         assert_eq!(a, b, "same seed, same instance");
     }
 
     #[test]
     fn generate_rejects_bad_input() {
-        assert!(run_cli(&["generate"], "").is_err());
-        assert!(run_cli(&["generate", "nope", "5"], "").is_err());
-        assert!(run_cli(&["generate", "chain-away"], "").is_err());
-        assert!(run_cli(&["generate", "chain-away", "x"], "").is_err());
+        assert!(run_cli(&["generate"], "".as_bytes()).is_err());
+        assert!(run_cli(&["generate", "nope", "5"], "".as_bytes()).is_err());
+        assert!(run_cli(&["generate", "chain-away"], "".as_bytes()).is_err());
+        assert!(run_cli(&["generate", "chain-away", "x"], "".as_bytes()).is_err());
     }
 
     #[test]
     fn run_pipes_generate_output() {
-        let inst = run_cli(&["generate", "chain-away", "6"], "").unwrap();
-        let out = run_cli(&["run", "PR"], &inst).unwrap();
+        let inst = run_cli(&["generate", "chain-away", "6"], "".as_bytes()).unwrap();
+        let out = run_cli(&["run", "PR"], inst.as_bytes()).unwrap();
         assert!(out.contains("total reversals:  5"));
         assert!(out.contains("dest oriented:    true"));
-        let out = run_cli(&["run", "FR", "random:9"], &inst).unwrap();
+        let out = run_cli(&["run", "FR", "random:9"], inst.as_bytes()).unwrap();
         assert!(out.contains("total reversals:  25"));
     }
 
     #[test]
     fn run_rejects_unknown_algorithm_and_policy() {
-        let inst = run_cli(&["generate", "chain-away", "4"], "").unwrap();
-        assert!(run_cli(&["run", "XYZ"], &inst).is_err());
-        assert!(run_cli(&["run", "PR", "bogus"], &inst).is_err());
-        assert!(run_cli(&["run", "PR", "random:abc"], &inst).is_err());
+        let inst = run_cli(&["generate", "chain-away", "4"], "".as_bytes()).unwrap();
+        assert!(run_cli(&["run", "XYZ"], inst.as_bytes()).is_err());
+        assert!(run_cli(&["run", "PR", "bogus"], inst.as_bytes()).is_err());
+        assert!(run_cli(&["run", "PR", "random:abc"], inst.as_bytes()).is_err());
     }
 
     #[test]
     fn run_threads_flag_is_bit_identical_and_greedy_only() {
-        let inst = run_cli(&["generate", "random", "12", "5"], "").unwrap();
-        let seq = run_cli(&["run", "NewPR"], &inst).unwrap();
+        let inst = run_cli(&["generate", "random", "12", "5"], "".as_bytes()).unwrap();
+        let seq = run_cli(&["run", "NewPR"], inst.as_bytes()).unwrap();
         for args in [
             &["run", "NewPR", "--threads", "4"][..],
             &["run", "NewPR", "--threads=4"][..],
         ] {
-            let par = run_cli(args, &inst).unwrap();
+            let par = run_cli(args, inst.as_bytes()).unwrap();
             assert!(par.contains("threads:          4"), "{par}");
             assert_eq!(
                 par.replace("threads:          4", "threads:          1"),
@@ -968,52 +1032,56 @@ mod tests {
             );
         }
         // Single-step policies cannot be sharded.
-        let e = run_cli(&["run", "NewPR", "first", "--threads", "2"], &inst).unwrap_err();
+        let e = run_cli(
+            &["run", "NewPR", "first", "--threads", "2"],
+            inst.as_bytes(),
+        )
+        .unwrap_err();
         assert!(e.0.contains("greedy"), "{e}");
     }
 
     #[test]
     fn run_rejects_bad_engine_and_threads_flags() {
-        let inst = run_cli(&["generate", "chain-away", "4"], "").unwrap();
+        let inst = run_cli(&["generate", "chain-away", "4"], "".as_bytes()).unwrap();
         // The flat engine is the only substrate: `--engine` is gone.
         for args in [
             &["run", "PR", "--engine", "map"][..],
             &["run", "PR", "--engine=frontier"],
         ] {
-            let e = run_cli(args, &inst).unwrap_err();
+            let e = run_cli(args, inst.as_bytes()).unwrap_err();
             assert!(e.0.contains("unknown flag \"--engine"), "{e}");
         }
         // The shared flag parser names the flag and echoes the value.
-        let e = run_cli(&["run", "PR", "--threads", "0"], &inst).unwrap_err();
+        let e = run_cli(&["run", "PR", "--threads", "0"], inst.as_bytes()).unwrap_err();
         assert!(e.0.contains("--threads must be at least 1"), "{e}");
         assert!(e.0.contains("\"0\""), "offending value echoed: {e}");
-        let e = run_cli(&["run", "PR", "--threads", "nope"], &inst).unwrap_err();
+        let e = run_cli(&["run", "PR", "--threads", "nope"], inst.as_bytes()).unwrap_err();
         assert!(e.0.contains("--threads needs a positive integer"), "{e}");
         assert!(e.0.contains("\"nope\""), "offending value echoed: {e}");
-        let e = run_cli(&["run", "PR", "--frob"], &inst).unwrap_err();
+        let e = run_cli(&["run", "PR", "--frob"], inst.as_bytes()).unwrap_err();
         assert!(e.0.contains("unknown flag"), "{e}");
-        let e = run_cli(&["run", "PR", "first", "second"], &inst).unwrap_err();
+        let e = run_cli(&["run", "PR", "first", "second"], inst.as_bytes()).unwrap_err();
         assert!(e.0.contains("unexpected argument"), "{e}");
     }
 
     #[test]
     fn trace_renders_steps() {
-        let inst = run_cli(&["generate", "chain-away", "4"], "").unwrap();
-        let out = run_cli(&["trace", "NewPR", "first"], &inst).unwrap();
+        let inst = run_cli(&["generate", "chain-away", "4"], "".as_bytes()).unwrap();
+        let out = run_cli(&["trace", "NewPR", "first"], inst.as_bytes()).unwrap();
         assert!(out.contains("step   1"));
         assert!(out.contains("reverses"));
     }
 
     #[test]
     fn check_verifies_instances() {
-        let inst = run_cli(&["generate", "random", "10", "3"], "").unwrap();
-        let out = run_cli(&["check"], &inst).unwrap();
+        let inst = run_cli(&["generate", "random", "10", "3"], "".as_bytes()).unwrap();
+        let out = run_cli(&["check"], inst.as_bytes()).unwrap();
         assert!(out.contains("all checks passed"));
     }
 
     #[test]
     fn check_rejects_garbage() {
-        let e = run_cli(&["check"], "this is not an instance").unwrap_err();
+        let e = run_cli(&["check"], "this is not an instance".as_bytes()).unwrap_err();
         assert!(e.0.contains("invalid instance"));
     }
 
@@ -1029,7 +1097,7 @@ mod tests {
             "lossy_reversal.json",
         ] {
             let path = example_spec(spec);
-            let out = run_cli(&["scenario", "validate", &path], "").unwrap();
+            let out = run_cli(&["scenario", "validate", &path], "".as_bytes()).unwrap();
             assert!(out.contains("OK"), "{spec}: {out}");
         }
     }
@@ -1037,7 +1105,7 @@ mod tests {
     #[test]
     fn scenario_run_smoke_produces_rows_without_appending() {
         let path = example_spec("partition_heal.json");
-        let out = run_cli(&["scenario", "run", "--smoke", &path], "").unwrap();
+        let out = run_cli(&["scenario", "run", "--smoke", &path], "".as_bytes()).unwrap();
         assert!(out.contains("partition-heal"), "{out}");
         assert!(out.contains("[0] start"), "{out}");
         assert!(out.contains("summary"), "{out}");
@@ -1049,15 +1117,24 @@ mod tests {
 
     #[test]
     fn scenario_rejects_bad_usage() {
-        assert!(run_cli(&["scenario"], "").is_err());
-        assert!(run_cli(&["scenario", "frobnicate", "x.json"], "").is_err());
-        assert!(run_cli(&["scenario", "validate"], "").is_err());
-        assert!(run_cli(&["scenario", "validate", "--smoke", "x.json"], "").is_err());
+        assert!(run_cli(&["scenario"], "".as_bytes()).is_err());
+        assert!(run_cli(&["scenario", "frobnicate", "x.json"], "".as_bytes()).is_err());
+        assert!(run_cli(&["scenario", "validate"], "".as_bytes()).is_err());
+        assert!(run_cli(
+            &["scenario", "validate", "--smoke", "x.json"],
+            "".as_bytes()
+        )
+        .is_err());
         for sub in ["run", "sweep"] {
-            let e = run_cli(&["scenario", sub, "--no-append", "x.json"], "").unwrap_err();
+            let e =
+                run_cli(&["scenario", sub, "--no-append", "x.json"], "".as_bytes()).unwrap_err();
             assert!(e.0.contains("unknown flag \"--no-append\""), "{e}");
         }
-        let e = run_cli(&["scenario", "run", "/nonexistent/spec.json"], "").unwrap_err();
+        let e = run_cli(
+            &["scenario", "run", "/nonexistent/spec.json"],
+            "".as_bytes(),
+        )
+        .unwrap_err();
         assert!(e.0.contains("cannot read"), "{e}");
     }
 
@@ -1068,7 +1145,7 @@ mod tests {
             let mut args = vec!["scenario", "sweep", "--smoke"];
             args.extend_from_slice(threads_args);
             args.push(&path);
-            let out = run_cli(&args, "").unwrap();
+            let out = run_cli(&args, "".as_bytes()).unwrap();
             assert!(
                 out.contains("matrix expanded to 24 point(s) = 24 cell(s)"),
                 "{out}"
@@ -1093,34 +1170,42 @@ mod tests {
     #[test]
     fn scenario_sweep_rejects_bad_threads() {
         let path = example_spec("matrix_sweep.json");
-        let e = run_cli(&["scenario", "sweep", "--threads", "0", &path], "").unwrap_err();
+        let e = run_cli(
+            &["scenario", "sweep", "--threads", "0", &path],
+            "".as_bytes(),
+        )
+        .unwrap_err();
         assert!(e.0.contains("at least 1") && e.0.contains("\"0\""), "{e}");
-        let e = run_cli(&["scenario", "sweep", "--threads", "nope", &path], "").unwrap_err();
+        let e = run_cli(
+            &["scenario", "sweep", "--threads", "nope", &path],
+            "".as_bytes(),
+        )
+        .unwrap_err();
         assert!(
             e.0.contains("positive integer") && e.0.contains("\"nope\""),
             "{e}"
         );
-        let e = run_cli(&["scenario", "sweep", &path, "--threads"], "").unwrap_err();
+        let e = run_cli(&["scenario", "sweep", &path, "--threads"], "".as_bytes()).unwrap_err();
         assert!(e.0.contains("needs a value"), "{e}");
         // --threads belongs to sweep, not run — both spellings, echoed
         // as typed.
-        let e = run_cli(&["scenario", "run", "--threads", "2", &path], "").unwrap_err();
+        let e = run_cli(&["scenario", "run", "--threads", "2", &path], "".as_bytes()).unwrap_err();
         assert!(e.0.contains("unknown flag"), "{e}");
-        let e = run_cli(&["scenario", "run", "--threads=2", &path], "").unwrap_err();
+        let e = run_cli(&["scenario", "run", "--threads=2", &path], "".as_bytes()).unwrap_err();
         assert!(e.0.contains("\"--threads=2\""), "{e}");
     }
 
     #[test]
     fn scenario_run_redirects_matrix_specs_to_sweep() {
         let path = example_spec("matrix_sweep.json");
-        let e = run_cli(&["scenario", "run", "--smoke", &path], "").unwrap_err();
+        let e = run_cli(&["scenario", "run", "--smoke", &path], "".as_bytes()).unwrap_err();
         assert!(e.0.contains("use `lr scenario sweep`"), "{e}");
     }
 
     #[test]
     fn scenario_validate_reports_the_matrix_point_count() {
         let path = example_spec("matrix_sweep.json");
-        let out = run_cli(&["scenario", "validate", &path], "").unwrap();
+        let out = run_cli(&["scenario", "validate", &path], "".as_bytes()).unwrap();
         assert!(out.contains("matrix of 24 point(s)"), "{out}");
     }
 
@@ -1129,7 +1214,11 @@ mod tests {
         let dir = std::env::temp_dir();
         let bad = dir.join(format!("lr_cli_bad_spec_{}.json", std::process::id()));
         std::fs::write(&bad, r#"{"name": "x", "topology": {"family": "warp"}}"#).unwrap();
-        let e = run_cli(&["scenario", "validate", bad.to_str().unwrap()], "").unwrap_err();
+        let e = run_cli(
+            &["scenario", "validate", bad.to_str().unwrap()],
+            "".as_bytes(),
+        )
+        .unwrap_err();
         assert!(e.0.contains("topology.family"), "{e}");
         assert!(e.0.contains("unknown family"), "{e}");
         let _ = std::fs::remove_file(&bad);
@@ -1137,7 +1226,7 @@ mod tests {
 
     #[test]
     fn modelcheck_verifies_all_3_node_instances() {
-        let out = run_cli(&["modelcheck", "3"], "").unwrap();
+        let out = run_cli(&["modelcheck", "3"], "".as_bytes()).unwrap();
         assert!(out.contains("n = 3"), "{out}");
         assert!(out.contains("54"), "all 54 instances: {out}");
         assert!(out.contains("NewPR invariants"), "{out}");
@@ -1151,13 +1240,13 @@ mod tests {
         for threads_args in [&["--threads", "2"][..], &["--threads=2"][..]] {
             let mut args = vec!["modelcheck", "3", "--checks", "newpr,r"];
             args.extend_from_slice(threads_args);
-            let out = run_cli(&args, "").unwrap();
+            let out = run_cli(&args, "".as_bytes()).unwrap();
             assert!(out.contains("2 thread(s)"), "{out}");
             assert!(out.contains("NewPR invariants"), "{out}");
             assert!(out.contains("R simulation"), "{out}");
             assert!(!out.contains("termination"), "--checks subset: {out}");
         }
-        let out = run_cli(&["modelcheck", "3", "--checks=prset"], "").unwrap();
+        let out = run_cli(&["modelcheck", "3", "--checks=prset"], "".as_bytes()).unwrap();
         assert!(out.contains("set actions"), "{out}");
         assert!(
             out.contains("(1 thread(s))"),
@@ -1167,27 +1256,27 @@ mod tests {
 
     #[test]
     fn modelcheck_rejects_bad_usage() {
-        assert!(run_cli(&["modelcheck"], "").is_err());
-        assert!(run_cli(&["modelcheck", "1"], "").is_err());
-        assert!(run_cli(&["modelcheck", "99"], "").is_err());
+        assert!(run_cli(&["modelcheck"], "".as_bytes()).is_err());
+        assert!(run_cli(&["modelcheck", "1"], "".as_bytes()).is_err());
+        assert!(run_cli(&["modelcheck", "99"], "".as_bytes()).is_err());
         // n = 7 has more than 1.5 M isomorphism classes to enumerate.
-        let e = run_cli(&["modelcheck", "7"], "").unwrap_err();
+        let e = run_cli(&["modelcheck", "7"], "".as_bytes()).unwrap_err();
         assert!(e.0.contains("2..=6") && e.0.contains("\"7\""), "{e}");
-        assert!(run_cli(&["modelcheck", "x"], "").is_err());
-        assert!(run_cli(&["modelcheck", "3", "3"], "").is_err());
-        let e = run_cli(&["modelcheck", "3", "--threads", "0"], "").unwrap_err();
+        assert!(run_cli(&["modelcheck", "x"], "".as_bytes()).is_err());
+        assert!(run_cli(&["modelcheck", "3", "3"], "".as_bytes()).is_err());
+        let e = run_cli(&["modelcheck", "3", "--threads", "0"], "".as_bytes()).unwrap_err();
         assert!(e.0.contains("at least 1") && e.0.contains("\"0\""), "{e}");
-        let e = run_cli(&["modelcheck", "3", "--threads", "abc"], "").unwrap_err();
+        let e = run_cli(&["modelcheck", "3", "--threads", "abc"], "".as_bytes()).unwrap_err();
         assert!(
             e.0.contains("positive integer") && e.0.contains("\"abc\""),
             "{e}"
         );
-        let e = run_cli(&["modelcheck", "3", "--threads"], "").unwrap_err();
+        let e = run_cli(&["modelcheck", "3", "--threads"], "".as_bytes()).unwrap_err();
         assert!(e.0.contains("needs a value"), "{e}");
-        let e = run_cli(&["modelcheck", "3", "--checks", "bogus"], "").unwrap_err();
+        let e = run_cli(&["modelcheck", "3", "--checks", "bogus"], "".as_bytes()).unwrap_err();
         assert!(e.0.contains("unknown check"), "{e}");
         for flag in ["--frob", "--no-append"] {
-            let e = run_cli(&["modelcheck", "3", flag], "").unwrap_err();
+            let e = run_cli(&["modelcheck", "3", flag], "".as_bytes()).unwrap_err();
             assert!(e.0.contains("unknown flag"), "{e}");
         }
     }
@@ -1215,14 +1304,14 @@ mod tests {
 
     #[test]
     fn run_with_obs_summary_appends_a_report() {
-        let inst = run_cli(&["generate", "chain-away", "6"], "").unwrap();
-        let out = run_cli(&["run", "PR", "--obs", "summary"], &inst).unwrap();
+        let inst = run_cli(&["generate", "chain-away", "6"], "".as_bytes()).unwrap();
+        let out = run_cli(&["run", "PR", "--obs", "summary"], inst.as_bytes()).unwrap();
         assert!(out.contains("total reversals:  5"), "{out}");
         assert!(out.contains("observability summary"), "{out}");
         assert!(out.contains("engine.round"), "{out}");
         assert!(out.contains("engine.steps"), "{out}");
         // The run's stats are unchanged by recording.
-        let quiet = run_cli(&["run", "PR"], &inst).unwrap();
+        let quiet = run_cli(&["run", "PR"], inst.as_bytes()).unwrap();
         assert!(out.starts_with(&quiet), "obs output must only append");
     }
 
@@ -1231,14 +1320,14 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("lr_cli_trace_{}.json", std::process::id()));
         let path_s = path.to_str().unwrap();
-        let inst = run_cli(&["generate", "chain-away", "8"], "").unwrap();
+        let inst = run_cli(&["generate", "chain-away", "8"], "".as_bytes()).unwrap();
         let out = run_cli(
             &["run", "PR", "--obs", "chrome", "--obs-out", path_s],
-            &inst,
+            inst.as_bytes(),
         )
         .unwrap();
         assert!(out.contains("chrome trace"), "{out}");
-        let validated = run_cli(&["obs", "validate", path_s], "").unwrap();
+        let validated = run_cli(&["obs", "validate", path_s], "".as_bytes()).unwrap();
         assert!(validated.contains("OK"), "{validated}");
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("traceEvents"), "{text}");
@@ -1248,28 +1337,28 @@ mod tests {
 
     #[test]
     fn obs_validate_rejects_garbage_and_bad_usage() {
-        let e = run_cli(&["obs"], "").unwrap_err();
+        let e = run_cli(&["obs"], "".as_bytes()).unwrap_err();
         assert!(e.0.contains("validate"), "{e}");
-        let e = run_cli(&["obs", "validate"], "").unwrap_err();
+        let e = run_cli(&["obs", "validate"], "".as_bytes()).unwrap_err();
         assert!(e.0.contains("validate"), "{e}");
         let dir = std::env::temp_dir();
         let bad = dir.join(format!("lr_cli_bad_trace_{}.json", std::process::id()));
         std::fs::write(&bad, "{\"traceEvents\": [{\"name\": 3}]}").unwrap();
-        let e = run_cli(&["obs", "validate", bad.to_str().unwrap()], "").unwrap_err();
+        let e = run_cli(&["obs", "validate", bad.to_str().unwrap()], "".as_bytes()).unwrap_err();
         assert!(e.0.contains("invalid Chrome trace"), "{e}");
         let _ = std::fs::remove_file(&bad);
     }
 
     #[test]
     fn obs_out_without_a_recording_mode_is_rejected() {
-        let inst = run_cli(&["generate", "chain-away", "4"], "").unwrap();
-        let e = run_cli(&["run", "PR", "--obs-out", "t.json"], &inst).unwrap_err();
+        let inst = run_cli(&["generate", "chain-away", "4"], "".as_bytes()).unwrap();
+        let e = run_cli(&["run", "PR", "--obs-out", "t.json"], inst.as_bytes()).unwrap_err();
         assert!(e.0.contains("--obs-out needs --obs"), "{e}");
     }
 
     #[test]
     fn modelcheck_with_obs_summary_reports_check_spans() {
-        let out = run_cli(&["modelcheck", "3", "--obs", "summary"], "").unwrap();
+        let out = run_cli(&["modelcheck", "3", "--obs", "summary"], "".as_bytes()).unwrap();
         assert!(
             out.contains("all checks passed") || out.contains("n = 3"),
             "{out}"
@@ -1299,15 +1388,15 @@ mod tests {
         let path = serve_spec("det");
         let p = path.to_str().unwrap();
         let base_args = ["serve", p, "--rate", "5", "--duration", "20"];
-        let a = run_cli(&base_args, "").unwrap();
-        let b = run_cli(&base_args, "").unwrap();
+        let a = run_cli(&base_args, "".as_bytes()).unwrap();
+        let b = run_cli(&base_args, "".as_bytes()).unwrap();
         assert_eq!(a, b, "fixed seed, byte-identical output");
         assert!(a.contains("serve cli-serve:"), "{a}");
         assert!(a.contains("latency (ticks): p50"), "{a}");
         for threads in ["2", "4"] {
             let mut args = base_args.to_vec();
             args.extend_from_slice(&["--threads", threads]);
-            let par = run_cli(&args, "").unwrap();
+            let par = run_cli(&args, "".as_bytes()).unwrap();
             assert_eq!(par, a, "--threads {threads} must not change the output");
         }
         let _ = std::fs::remove_file(&path);
@@ -1320,12 +1409,12 @@ mod tests {
         let feed = "{\"at\": 2, \"fail\": [0, 1]}\n{\"at\": 6, \"route\": 3}\n";
         let out = run_cli(
             &["serve", p, "--rate", "0", "--duration", "8", "--feed", "-"],
-            feed,
+            feed.as_bytes(),
         )
         .unwrap();
         assert!(out.contains("feed 1"), "one feed route offered: {out}");
         assert!(out.contains("churn events applied 1"), "{out}");
-        let bad = run_cli(&["serve", p, "--feed", "-"], "not json").unwrap_err();
+        let bad = run_cli(&["serve", p, "--feed", "-"], "not json".as_bytes()).unwrap_err();
         assert!(bad.0.contains("feed line 1"), "{bad}");
         let _ = std::fs::remove_file(&path);
     }
@@ -1334,28 +1423,32 @@ mod tests {
     fn serve_rejects_bad_usage() {
         let path = serve_spec("bad");
         let p = path.to_str().unwrap();
-        assert!(run_cli(&["serve"], "").is_err());
-        let e = run_cli(&["serve", p, "--threads", "0"], "").unwrap_err();
+        assert!(run_cli(&["serve"], "".as_bytes()).is_err());
+        let e = run_cli(&["serve", p, "--threads", "0"], "".as_bytes()).unwrap_err();
         assert!(e.0.contains("--threads must be at least 1"), "{e}");
         assert!(e.0.contains("\"0\""), "{e}");
-        let e = run_cli(&["serve", p, "--rate", "abc"], "").unwrap_err();
+        let e = run_cli(&["serve", p, "--rate", "abc"], "".as_bytes()).unwrap_err();
         assert!(
             e.0.contains("--rate needs a positive integer") && e.0.contains("\"abc\""),
             "{e}"
         );
-        let e = run_cli(&["serve", p, "--duration=0"], "").unwrap_err();
+        let e = run_cli(&["serve", p, "--duration=0"], "".as_bytes()).unwrap_err();
         assert!(e.0.contains("--duration must be at least 1"), "{e}");
         // A served window past the virtual clock's range is an error
         // naming the value, not an overflow.
-        let e = run_cli(&["serve", p, "--duration", "18446744073709551615"], "").unwrap_err();
+        let e = run_cli(
+            &["serve", p, "--duration", "18446744073709551615"],
+            "".as_bytes(),
+        )
+        .unwrap_err();
         assert!(e.0.contains("--duration 18446744073709551615: "), "{e}");
         for flag in ["--frob", "--smoke", "--no-append"] {
-            let e = run_cli(&["serve", p, flag], "").unwrap_err();
+            let e = run_cli(&["serve", p, flag], "".as_bytes()).unwrap_err();
             assert!(e.0.contains("unknown flag"), "{flag}: {e}");
         }
-        let e = run_cli(&["serve", p, p], "").unwrap_err();
+        let e = run_cli(&["serve", p, p], "".as_bytes()).unwrap_err();
         assert!(e.0.contains("unexpected argument"), "{e}");
-        let e = run_cli(&["serve", "/nonexistent/spec.json"], "").unwrap_err();
+        let e = run_cli(&["serve", "/nonexistent/spec.json"], "".as_bytes()).unwrap_err();
         assert!(e.0.contains("cannot read"), "{e}");
         let _ = std::fs::remove_file(&path);
         // Serve runs no matrix, churn or traffic section: each is an
@@ -1377,7 +1470,7 @@ mod tests {
             ),
             (traffic_path, "declares a traffic section"),
         ] {
-            let e = run_cli(&["serve", &spec, "--rate", "5"], "").unwrap_err();
+            let e = run_cli(&["serve", &spec, "--rate", "5"], "".as_bytes()).unwrap_err();
             assert!(e.0.starts_with(&format!("{spec}: spec {section}")), "{e}");
             assert!(e.0.contains("--rate") && e.0.contains("--feed"), "{e}");
         }
@@ -1400,7 +1493,7 @@ mod tests {
                 "--duration",
                 "5",
             ],
-            "",
+            "".as_bytes(),
         )
         .unwrap();
         assert!(out.contains("answered 0  unroutable 10"), "{out}");
@@ -1422,7 +1515,7 @@ mod tests {
                 "--obs",
                 "summary",
             ],
-            "",
+            "".as_bytes(),
         )
         .unwrap();
         assert!(out.contains("observability summary"), "{out}");
@@ -1433,31 +1526,37 @@ mod tests {
 
     #[test]
     fn stray_arguments_on_the_instance_commands_are_errors() {
-        let inst = run_cli(&["generate", "chain-away", "4"], "").unwrap();
+        let inst = run_cli(&["generate", "chain-away", "4"], "".as_bytes()).unwrap();
         for (args, extra) in [
             (&["check", "extra"][..], "extra"),
             (&["dot", "extra"], "extra"),
             (&["trace", "PR", "first", "extra"], "extra"),
             (&["generate", "grid", "2", "5", "9", "foo"], "9"),
         ] {
-            let e = run_cli(args, &inst).unwrap_err();
+            let e = run_cli(args, inst.as_bytes()).unwrap_err();
             assert_eq!(e.0, format!("unexpected argument {extra:?}"), "{args:?}");
         }
     }
 
     #[test]
     fn run_spans_cover_every_stage() {
-        let inst = run_cli(&["generate", "grid", "30"], "").unwrap();
-        let out = run_cli(&["run", "PR", "--obs", "summary"], &inst).unwrap();
-        for span in ["cli.parse", "cli.build", "engine.run PR", "cli.check"] {
+        let inst = run_cli(&["generate", "grid", "30"], "".as_bytes()).unwrap();
+        let out = run_cli(&["run", "PR", "--obs", "summary"], inst.as_bytes()).unwrap();
+        for span in [
+            "cli.read",
+            "cli.parse",
+            "cli.build",
+            "engine.run PR",
+            "cli.check",
+        ] {
             assert!(out.contains(span), "{span} missing from\n{out}");
         }
     }
 
     #[test]
     fn dot_renders() {
-        let inst = run_cli(&["generate", "star", "3"], "").unwrap();
-        let out = run_cli(&["dot"], &inst).unwrap();
+        let inst = run_cli(&["generate", "star", "3"], "".as_bytes()).unwrap();
+        let out = run_cli(&["dot"], inst.as_bytes()).unwrap();
         assert!(out.contains("digraph instance"));
         assert!(out.contains("doublecircle"));
     }

@@ -42,7 +42,7 @@ struct Golden {
 
 /// What `run_cli` prints, or its error as the binary would report it.
 fn cli(args: &[&str], stdin: &str) -> String {
-    match run_cli(args, stdin) {
+    match run_cli(args, stdin.as_bytes()) {
         Ok(out) => out,
         Err(e) => format!("error: {e}\n"),
     }
