@@ -31,7 +31,13 @@
 //!   number. The event queue keeps one FIFO of queue entries per
 //!   delivery time, so events come out in `(deliver_at, seq)` order, and
 //!   a message cancelled by a link failure leaves only a stale queue
-//!   entry behind.
+//!   entry behind. Delivering the last message in flight empties the
+//!   slab and the queue, so the slab holds only what was sent since the
+//!   network was last quiet;
+//! * a **touched log** lists, once each, the nodes whose state, slots,
+//!   live bits or link configs changed since the log was last drained
+//!   ([`EventSim::touched`]), so a reader that caches what it computed
+//!   from those can retire exactly the stale part.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -246,6 +252,12 @@ impl EventQueue {
         Some((self.front_time, seq, entry))
     }
 
+    fn clear(&mut self) {
+        self.front.clear();
+        self.later.clear();
+        self.later_times.clear();
+    }
+
     fn pop(&mut self) -> Option<(u64, u64, u32)> {
         let (seq, entry) = self.front.pop_front()?;
         let t = self.front_time;
@@ -298,9 +310,13 @@ pub struct EventSim<P: Protocol> {
     rng: SmallRng,
     now: u64,
     seq: u64,
-    /// Bumped by every call that can change what a reader outside the
-    /// handlers sees; see [`EventSim::epoch`].
-    epoch: u64,
+    /// The dense nodes touched since the last drain, each once, in the
+    /// order they were first touched; see [`EventSim::touched`].
+    touched: Vec<u32>,
+    /// One bit per node: set while the node is in `touched`.
+    touched_bits: Vec<u64>,
+    /// How many times the touched log was drained.
+    drains: u64,
     stats: SimStats,
 }
 
@@ -325,6 +341,7 @@ impl<P: Protocol> EventSim<P> {
             "every node needs protocol state"
         );
         let half_edges = csr.half_edge_count();
+        let n = csr.node_count();
         EventSim {
             protocol,
             slots: (0..half_edges).map(|_| P::Slot::default()).collect(),
@@ -346,25 +363,59 @@ impl<P: Protocol> EventSim<P> {
             rng: SmallRng::seed_from_u64(seed),
             now: 0,
             seq: 0,
-            epoch: 0,
+            touched: Vec::with_capacity(n),
+            touched_bits: vec![0; n.div_ceil(64)],
+            drains: 0,
             stats: SimStats::default(),
         }
     }
 
-    /// The mutation epoch: a counter bumped by every call that can change
-    /// a node's state, a slot's state, a link's live bit or its config —
-    /// each handler dispatch (start, delivery, [`EventSim::inject`]),
-    /// [`EventSim::fail_link`], [`EventSim::heal_link`] and
-    /// [`EventSim::set_link_config`]. [`EventSim::advance_to`] moves only
-    /// the clock and leaves it alone. Anything computed from those reads
-    /// therefore stays valid while the epoch is unchanged, which is what
-    /// a route cache keys on. It wraps only after 2^64 mutations.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
+    /// The dense nodes touched since the last [`EventSim::drain_touched`],
+    /// each once, in the order they were first touched.
+    ///
+    /// A call touches every node whose reads it can change. A handler
+    /// dispatch (start, delivery, [`EventSim::inject`]) touches its
+    /// receiver, since that node's state and run of slots are all a
+    /// handler writes. [`EventSim::fail_link`], [`EventSim::heal_link`]
+    /// and [`EventSim::set_link_config`] touch both endpoints, whose runs
+    /// hold the link's live bit and config. [`EventSim::advance_to`] moves
+    /// only the clock and touches nothing. So anything computed from one
+    /// node's state, slots, live bits and link configs stays valid until
+    /// that node is touched, which is what a route cache keys on.
+    pub fn touched(&self) -> &[u32] {
+        &self.touched
     }
 
-    fn bump_epoch(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
+    /// Moves the touched nodes into `into`, replacing what it held, and
+    /// starts an empty log. Returns the drain's number, counting from 1.
+    pub fn drain_touched(&mut self, into: &mut Vec<u32>) -> u64 {
+        for &i in &self.touched {
+            self.touched_bits[i as usize / 64] &= !(1 << (i % 64));
+        }
+        into.clear();
+        std::mem::swap(into, &mut self.touched);
+        self.drains += 1;
+        self.drains
+    }
+
+    /// How many times the touched log was drained.
+    pub fn drains(&self) -> u64 {
+        self.drains
+    }
+
+    fn touch(&mut self, i: usize) {
+        let (word, bit) = (i / 64, 1 << (i % 64));
+        if self.touched_bits[word] & bit == 0 {
+            self.touched_bits[word] |= bit;
+            self.touched.push(i as u32);
+        }
+    }
+
+    /// Touches both endpoints of the link of slot `uv`: its owner, then
+    /// its target.
+    fn touch_link(&mut self, uv: usize) {
+        self.touch(self.csr.target(self.csr.twin(uv)));
+        self.touch(self.csr.target(uv));
     }
 
     /// Current virtual time.
@@ -512,7 +563,7 @@ impl<P: Protocol> EventSim<P> {
         let index = u32::try_from(index).expect("fewer than 2^32 distinct link configs");
         self.links[uv].config = index;
         self.links[vu].config = index;
-        self.bump_epoch();
+        self.touch_link(uv);
     }
 
     /// The effective configuration of the link `{u, v}`: the per-link
@@ -532,7 +583,13 @@ impl<P: Protocol> EventSim<P> {
         let (uv, vu) = self.link(u, v);
         self.links[uv].live = false;
         self.links[vu].live = false;
-        self.bump_epoch();
+        self.touch_link(uv);
+        // A message in flight over a directed link is due no earlier than
+        // now and no later than the link's FIFO clock, so a link whose two
+        // clocks are behind now carries none and the slab needs no scan.
+        if self.clocks[uv] < self.now && self.clocks[vu] < self.now {
+            return;
+        }
         let (uv, vu) = (uv as u32, vu as u32);
         for (i, parcel) in self.slab.iter_mut().enumerate() {
             if parcel.msg.is_some() && (parcel.arrival == uv || parcel.arrival == vu) {
@@ -549,7 +606,7 @@ impl<P: Protocol> EventSim<P> {
         if let Some((uv, vu)) = self.find_link(u, v) {
             self.links[uv].live = true;
             self.links[vu].live = true;
-            self.bump_epoch();
+            self.touch_link(uv);
         }
     }
 
@@ -579,6 +636,14 @@ impl<P: Protocol> EventSim<P> {
             let msg = parcel.msg.take().expect("pending entry holds a message");
             let (to, arrival) = (parcel.to as usize, parcel.arrival as usize);
             self.free.push(entry);
+            if self.free.len() == self.slab.len() {
+                // The last message in flight is out, so every queue entry
+                // left is stale: start both over, and a link failure's
+                // scan of the slab walks only what was sent since.
+                self.slab.clear();
+                self.free.clear();
+                self.queue.clear();
+            }
             self.now = t;
             self.stats.delivered += 1;
             self.stats.last_event_time = t;
@@ -658,7 +723,7 @@ impl<P: Protocol> EventSim<P> {
     }
 
     fn dispatch(&mut self, i: usize, incoming: Option<(NodeId, Option<usize>, P::Msg)>) {
-        self.bump_epoch();
+        self.touch(i);
         let run = self.csr.slots(i);
         let mut outbox = std::mem::take(&mut self.outbox);
         let (arrival, incoming) = match incoming {
@@ -812,38 +877,70 @@ mod tests {
         assert_eq!(sim.stats().last_event_time, 6);
     }
 
+    fn drain(sim: &mut EventSim<Flood>) -> Vec<u32> {
+        let mut nodes = Vec::new();
+        sim.drain_touched(&mut nodes);
+        nodes
+    }
+
     #[test]
-    fn every_mutation_bumps_the_epoch_and_the_clock_does_not() {
+    fn each_mutation_touches_exactly_its_nodes_and_advance_to_none() {
         let mut sim = flood_sim(4, LinkConfig::default(), 0);
-        let mut last = sim.epoch();
-        let mut bumped = |sim: &EventSim<Flood>, what: &str| {
-            assert_ne!(sim.epoch(), last, "{what} must bump the epoch");
-            last = sim.epoch();
-        };
+        assert!(sim.touched().is_empty());
         sim.start();
-        bumped(&sim, "start (one dispatch per node)");
+        assert_eq!(drain(&mut sim), [0, 1, 2, 3], "start dispatches every node");
+        assert_eq!(sim.drains(), 1);
+        assert!(sim.touched().is_empty(), "a drain empties the log");
         assert!(sim.step());
-        bumped(&sim, "a delivery");
+        assert_eq!(drain(&mut sim), [1], "a delivery touches its receiver");
         sim.inject(n(3), n(3), ());
-        bumped(&sim, "inject");
-        sim.fail_link(n(1), n(2));
-        bumped(&sim, "fail_link");
+        sim.inject(n(2), n(3), ());
+        assert_eq!(drain(&mut sim), [3], "inject touches its receiver, once");
+        sim.fail_link(n(2), n(1));
+        assert_eq!(drain(&mut sim), [2, 1], "fail_link touches both ends");
         sim.heal_link(n(1), n(2));
-        bumped(&sim, "heal_link");
+        assert_eq!(drain(&mut sim), [1, 2], "heal_link touches both ends");
+        sim.heal_link(n(0), n(2));
+        assert_eq!(drain(&mut sim), [0u32; 0], "a pair that is no link");
         let slow = LinkConfig {
             delay: 5,
             ..LinkConfig::default()
         };
         sim.set_link_config(n(2), n(3), slow);
-        bumped(&sim, "set_link_config");
+        assert_eq!(drain(&mut sim), [2, 3], "set_link_config touches both ends");
+        assert_eq!(sim.drains(), 7);
 
         // Only the clock moves: drain first so nothing bounds the advance.
         assert!(sim.run_to_quiescence(1_000));
-        let before = sim.epoch();
+        drain(&mut sim);
         let t = sim.now() + 100;
         sim.advance_to(t);
         assert_eq!(sim.now(), t);
-        assert_eq!(sim.epoch(), before, "advance_to must not bump the epoch");
+        assert!(sim.touched().is_empty(), "advance_to touches nothing");
+    }
+
+    #[test]
+    fn failing_an_idle_link_changes_no_stats_and_a_busy_one_counts_its_loss() {
+        let mut sim = flood_sim(4, LinkConfig::default(), 0);
+        sim.start();
+        assert!(sim.run_to_quiescence(1_000));
+        let stats = sim.stats();
+        sim.fail_link(n(1), n(2));
+        assert_eq!(sim.stats(), stats, "nothing was in flight");
+
+        // Node 0's token to node 1 is due at t = 1, and the clock stands
+        // at t = 1 with the token still in flight. Named either way round,
+        // the link carries it.
+        for (u, v) in [(0, 1), (1, 0)] {
+            let mut sim = flood_sim(2, LinkConfig::default(), 0);
+            sim.start();
+            sim.advance_to(1);
+            assert_eq!(sim.now(), 1);
+            sim.fail_link(n(u), n(v));
+            assert_eq!(sim.stats().lost_to_failure, 1, "the token due now is lost");
+            assert!(sim.run_to_quiescence(100));
+            assert_eq!(sim.node(n(1)).received, 0);
+        }
     }
 
     #[test]

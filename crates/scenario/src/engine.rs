@@ -199,34 +199,50 @@ pub(crate) enum NoRoute {
     HopLimit,
 }
 
-/// One node's memoized probe answer: the route length and summed delay
-/// from the node to its sink, current while `stamp` is the memo's stamp.
-#[derive(Debug, Clone, Copy, Default)]
+/// One node's memoized probe answer: the next hop of its route, and the
+/// route length and summed delay from the node to its sink.
+#[derive(Debug, Clone, Copy)]
 struct MemoEntry {
-    stamp: u32,
+    /// Dense index of the route's next hop, or [`NO_ANSWER`].
+    next: u32,
     hops: u32,
     path_delay: u64,
 }
 
 const _: () = assert!(std::mem::size_of::<MemoEntry>() == 16);
 
+/// The `next` of an entry that holds no answer. Every node of a connected
+/// CSR graph owns one of its fewer than 2^32 half-edge slots, so no node
+/// has this dense index.
+const NO_ANSWER: u32 = u32::MAX;
+
+impl MemoEntry {
+    const EMPTY: MemoEntry = MemoEntry {
+        next: NO_ANSWER,
+        hops: 0,
+        path_delay: 0,
+    };
+}
+
 /// A route cache for [`Driver::route_probe`]: each dense node's answer
-/// under one mutation epoch of the driver's simulator
-/// ([`EventSim::epoch`]). Between mutations a node's downhill route is a
-/// fixed function of the simulator state, so an answer stays exact until
-/// the epoch moves.
+/// and the next hop of its route. A walk reads only the state, slots,
+/// live bits and link configs of the nodes on its route, so an answer
+/// stays exact until the simulator touches one of them
+/// ([`EventSim::touched`]).
 ///
-/// A new epoch retires every entry at once by moving the memo's stamp on,
-/// without touching the entries. When the `u32` stamp would wrap, every
-/// entry is cleared first, so a stale entry can never carry the current
-/// stamp. A memo belongs to one driver; keep one per probing thread.
+/// [`RouteMemo::retire`] takes each drain of the simulator's touched log
+/// and retires every touched node's answer, then every answer whose next
+/// hop was retired, transitively: the touched nodes' upstream cones. An
+/// answer whose route avoids them is kept. A memo that missed a drain,
+/// or is read while the log holds undrained nodes, retires every entry
+/// first, so no caller reads a stale answer. A memo belongs to one
+/// driver; keep one per probing thread.
 #[derive(Debug, Default)]
 pub(crate) struct RouteMemo {
     entries: Vec<MemoEntry>,
-    /// The epoch the current stamp stands for (`None` before first use).
-    epoch: Option<u64>,
-    /// The stamp of current entries; 0 is never current.
-    stamp: u32,
+    /// The last drain of the touched log the entries account for
+    /// (`None` before first use).
+    drain: Option<u64>,
     /// The walked prefix of the probe in progress: each node, by dense
     /// index, and the delay of the hop out of it.
     path: Vec<(u32, u64)>,
@@ -236,25 +252,55 @@ pub(crate) struct RouteMemo {
 }
 
 impl RouteMemo {
-    /// Brings the memo to `epoch` of a simulator over `n` nodes.
-    fn sync(&mut self, epoch: u64, n: usize) {
-        if self.entries.len() != n {
-            self.entries = vec![MemoEntry::default(); n];
-            self.epoch = None;
+    /// Retires every entry of a memo over `n` nodes.
+    fn clear(&mut self, n: usize) {
+        self.entries.clear();
+        self.entries.resize(n, MemoEntry::EMPTY);
+    }
+
+    /// Readies the memo for a walk over `sim`: a memo of another size, one
+    /// that missed a drain, or a read with undrained touches retires every
+    /// entry first.
+    fn sync<P: Protocol>(&mut self, sim: &EventSim<P>) {
+        let n = sim.csr().node_count();
+        if self.entries.len() != n || self.drain != Some(sim.drains()) || !sim.touched().is_empty()
+        {
+            self.clear(n);
+            self.drain = Some(sim.drains());
         }
-        if self.epoch != Some(epoch) {
-            self.epoch = Some(epoch);
-            self.stamp = self.stamp.checked_add(1).unwrap_or_else(|| {
-                self.entries.fill(MemoEntry::default());
-                1
-            });
+    }
+
+    /// Retires what drain number `drain` of the simulator's touched log,
+    /// `touched`, made stale: each touched node's answer and, found by
+    /// scanning a retired node's neighbours in `csr`, each answer whose
+    /// next hop was retired. A memo that did not see drain `drain − 1`
+    /// retires everything.
+    pub(crate) fn retire(&mut self, csr: &CsrGraph, touched: &[u32], drain: u64) {
+        if self.entries.len() != csr.node_count() || self.drain.map(|d| d + 1) != Some(drain) {
+            self.clear(csr.node_count());
+        } else {
+            let mut upstream = Vec::new();
+            for &t in touched {
+                self.entries[t as usize] = MemoEntry::EMPTY;
+                upstream.push(t);
+                while let Some(r) = upstream.pop() {
+                    for &w in csr.neighbor_indices(r as usize) {
+                        let entry = &mut self.entries[w as usize];
+                        if entry.next == r {
+                            *entry = MemoEntry::EMPTY;
+                            upstream.push(w);
+                        }
+                    }
+                }
+            }
         }
+        self.drain = Some(drain);
     }
 
     /// The current answer `(hops, path_delay)` from node `i`, if known.
     fn get(&self, i: usize) -> Option<(u64, u64)> {
         let e = self.entries[i];
-        (e.stamp == self.stamp).then_some((u64::from(e.hops), e.path_delay))
+        (e.next != NO_ANSWER).then_some((u64::from(e.hops), e.path_delay))
     }
 }
 
@@ -271,6 +317,9 @@ pub(crate) trait Driver: Sync {
     fn advance_to(&mut self, t: u64);
     /// Whether no events remain in flight.
     fn is_quiescent(&mut self) -> bool;
+    /// Drains the simulator's touched log into `into`
+    /// ([`EventSim::drain_touched`]) and returns the drain's number.
+    fn drain_touched(&mut self, into: &mut Vec<u32>) -> u64;
     fn fail_link(&mut self, u: NodeId, v: NodeId);
     fn heal_link(&mut self, u: NodeId, v: NodeId);
     fn crash_leader(&mut self) -> Result<(), String> {
@@ -307,11 +356,12 @@ pub(crate) trait Driver: Sync {
 /// the routing protocol's packet hop limit: the probe is answered iff
 /// the route reaches the sink within it.
 ///
-/// The walk also stops at a node whose answer `memo` holds for the
-/// simulator's current epoch and adds that answer's hops and delay to
-/// its own. An answered walk then stores the answer of every node it
-/// walked through; a walk that ends in a revisit, a dead end or a NULL
-/// height stores nothing. Either way the result is the plain walk's.
+/// The walk also stops at a node whose answer `memo` holds and adds that
+/// answer's hops and delay to its own. An answered walk then stores the
+/// answer and next hop of every node it walked through; a walk that ends
+/// in a revisit, a dead end or a NULL height stores nothing. Either way
+/// the result is the plain walk's, since a memo keeps an answer only
+/// while no node on its route is touched.
 fn descend_heights<P: Protocol, H: Ord>(
     sim: &EventSim<P>,
     src: NodeId,
@@ -322,7 +372,7 @@ fn descend_heights<P: Protocol, H: Ord>(
 ) -> Result<RouteProbe, NoRoute> {
     let csr = sim.csr();
     let limit = u64::from(probe_hop_limit(csr.node_count()));
-    memo.sync(sim.epoch(), csr.node_count());
+    memo.sync(sim);
     memo.path.clear();
     let mut cur = csr.index_of(src).expect("probe source is a node");
     // Brent: `mark` is re-set to the current node whenever `since`, the
@@ -369,16 +419,17 @@ fn descend_heights<P: Protocol, H: Ord>(
     }
     // Suffix sums, last hop first. Saturating addition of non-negative
     // terms is associative, so the delay equals the plain walk's sum.
-    let stamp = memo.stamp;
+    let mut next = cur as u32;
     for &(node, delay) in memo.path.iter().rev() {
         hops += 1;
         path_delay = delay.saturating_add(path_delay);
         memo.entries[node as usize] = MemoEntry {
-            stamp,
+            next,
             // At most the hop limit, itself a `u32`.
             hops: hops as u32,
             path_delay,
         };
+        next = node;
     }
     Ok(RouteProbe { hops, path_delay })
 }
@@ -479,6 +530,10 @@ impl Driver for RoutingDriver {
 
     fn is_quiescent(&mut self) -> bool {
         self.harness.sim_mut().run_to_quiescence(0)
+    }
+
+    fn drain_touched(&mut self, into: &mut Vec<u32>) -> u64 {
+        self.harness.sim_mut().drain_touched(into)
     }
 
     fn fail_link(&mut self, u: NodeId, v: NodeId) {
@@ -614,6 +669,10 @@ impl Driver for ReversalDriver {
         self.sim.run_to_quiescence(0)
     }
 
+    fn drain_touched(&mut self, into: &mut Vec<u32>) -> u64 {
+        self.sim.drain_touched(into)
+    }
+
     fn fail_link(&mut self, u: NodeId, v: NodeId) {
         self.sim.fail_link(u, v);
         self.sim.inject(v, u, ReversalMsg::LinkDown(v));
@@ -707,6 +766,10 @@ impl Driver for ToraDriver {
 
     fn is_quiescent(&mut self) -> bool {
         self.harness.sim_mut().run_to_quiescence(0)
+    }
+
+    fn drain_touched(&mut self, into: &mut Vec<u32>) -> u64 {
+        self.harness.sim_mut().drain_touched(into)
     }
 
     fn fail_link(&mut self, u: NodeId, v: NodeId) {
@@ -819,6 +882,10 @@ impl Driver for MutexDriver {
 
     fn is_quiescent(&mut self) -> bool {
         self.harness.sim_mut().run_to_quiescence(0)
+    }
+
+    fn drain_touched(&mut self, into: &mut Vec<u32>) -> u64 {
+        self.harness.sim_mut().drain_touched(into)
     }
 
     fn fail_link(&mut self, _u: NodeId, _v: NodeId) {
@@ -934,6 +1001,10 @@ impl Driver for ElectionDriver {
 
     fn is_quiescent(&mut self) -> bool {
         self.harness.sim_mut().run_to_quiescence(0)
+    }
+
+    fn drain_touched(&mut self, into: &mut Vec<u32>) -> u64 {
+        self.harness.sim_mut().drain_touched(into)
     }
 
     fn fail_link(&mut self, _u: NodeId, _v: NodeId) {
@@ -1486,6 +1557,7 @@ mod tests {
         sim.set_link_config(n(0), n(1), delay(5));
         sim.set_link_config(n(1), n(2), delay(1 << 63));
         sim.set_link_config(n(2), n(3), delay(1 << 63));
+        sim.drain_touched(&mut Vec::new());
         let probe = |src, memo: &mut RouteMemo| {
             descend_heights(&sim, n(src), memo, |&h| Some(h), |&k| k, |u, _| u == n(0))
         };
@@ -1504,31 +1576,122 @@ mod tests {
         assert_eq!(answer(3, &mut memo), Ok((3, u64::MAX)));
     }
 
-    #[test]
-    fn a_new_epoch_retires_every_entry_and_a_stamp_wrap_clears_them() {
-        let mut memo = RouteMemo::default();
-        memo.sync(7, 3);
-        let entry = |stamp| MemoEntry {
-            stamp,
-            hops: 2,
-            path_delay: 9,
-        };
-        memo.entries[1] = entry(memo.stamp);
-        assert_eq!(memo.get(1), Some((2, 9)));
-        memo.sync(7, 3);
-        assert_eq!(memo.get(1), Some((2, 9)), "the same epoch keeps entries");
-        memo.sync(8, 3);
-        assert_eq!(memo.get(1), None, "a new epoch retires them");
+    /// A `Learn` tree toward sink 0 in which every node has learned its
+    /// neighbours' heights (their ids): routes 1 → 0, 2 → 1 → 0,
+    /// 3 → 2 → 1 → 0, 4 → 1 → 0, 5 → 0 and 6 → 5 → 0.
+    fn learned_tree() -> EventSim<Learn> {
+        let n = NodeId::new;
+        let edges = [(0, 1), (1, 2), (2, 3), (1, 4), (0, 5), (5, 6)];
+        let graph = lr_graph::Orientation::from_edges(&edges).unwrap();
+        let mut sim = EventSim::new(
+            Learn,
+            graph.csr().as_ref().clone(),
+            (0..7).collect(),
+            LinkConfig::default(),
+            0,
+        );
+        for (u, v) in edges {
+            sim.inject(n(u), n(v), u);
+            sim.inject(n(v), n(u), v);
+        }
+        sim
+    }
 
-        // The last stamp before a wrap, next to an entry left from the
-        // first stamp: after the wrap it would read as current.
-        memo.stamp = u32::MAX;
-        memo.entries[0] = entry(1);
-        memo.entries[2] = entry(u32::MAX);
-        assert_eq!(memo.get(2), Some((2, 9)));
-        memo.sync(9, 3);
-        assert_eq!(memo.stamp, 1);
-        assert!((0..3).all(|i| memo.get(i).is_none()), "{memo:?}");
+    fn probe_tree(sim: &EventSim<Learn>, src: u32, memo: &mut RouteMemo) -> Option<(u64, u64)> {
+        let answer = descend_heights(
+            sim,
+            NodeId::new(src),
+            memo,
+            |&h| Some(h),
+            |&k| k,
+            |u, _| u == NodeId::new(0),
+        );
+        answer.ok().map(|p| (p.hops, p.path_delay))
+    }
+
+    /// Probes every node of the tree with `memo`, checking each answer
+    /// against a fresh walk.
+    fn probe_all(sim: &EventSim<Learn>, memo: &mut RouteMemo) {
+        for src in 1..7 {
+            let fresh = probe_tree(sim, src, &mut RouteMemo::default());
+            assert!(fresh.is_some(), "the tree routes {src}");
+            assert_eq!(probe_tree(sim, src, memo), fresh, "from {src}");
+        }
+    }
+
+    /// The nodes `memo` answers for.
+    fn answered(memo: &RouteMemo) -> Vec<usize> {
+        (0..memo.entries.len())
+            .filter(|&i| memo.get(i).is_some())
+            .collect()
+    }
+
+    /// Drains the simulator's touched log into `memo`.
+    fn retire(sim: &mut EventSim<Learn>, memo: &mut RouteMemo) {
+        let mut touched = Vec::new();
+        let drain = sim.drain_touched(&mut touched);
+        memo.retire(sim.csr(), &touched, drain);
+    }
+
+    #[test]
+    fn a_touched_node_retires_its_upstream_cone_and_keeps_the_routes_beside_it() {
+        let n = NodeId::new;
+        let mut sim = learned_tree();
+        let mut memo = RouteMemo::default();
+        retire(&mut sim, &mut memo);
+        probe_all(&sim, &mut memo);
+        assert_eq!(answered(&memo), [1, 2, 3, 4, 5, 6]);
+
+        // Node 2 hears 3's height again: nothing changes, but 2 is
+        // touched. Its cone is 2 and 3; 1's route does not pass 2.
+        sim.inject(n(3), n(2), 3);
+        retire(&mut sim, &mut memo);
+        assert_eq!(answered(&memo), [1, 4, 5, 6]);
+        let walked = memo.walked;
+        probe_all(&sim, &mut memo);
+        assert_eq!(memo.walked - walked, 2, "2 walks to 1, then 3 to 2");
+
+        // Touching 1 retires its whole upstream cone, two levels deep.
+        sim.inject(n(2), n(1), 2);
+        retire(&mut sim, &mut memo);
+        assert_eq!(answered(&memo), [5, 6]);
+        probe_all(&sim, &mut memo);
+
+        // Every route ends at the sink, so touching it retires them all.
+        sim.inject(n(5), n(0), 5);
+        retire(&mut sim, &mut memo);
+        assert_eq!(answered(&memo), [0usize; 0]);
+        probe_all(&sim, &mut memo);
+        assert_eq!(answered(&memo), [1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn a_missed_drain_or_an_undrained_touch_retires_every_entry() {
+        let n = NodeId::new;
+        let mut sim = learned_tree();
+        let mut memo = RouteMemo::default();
+        retire(&mut sim, &mut memo);
+        probe_all(&sim, &mut memo);
+
+        // Leaf 6's cone is 6 alone, but a read with 6 still undrained
+        // cannot know that: it retires everything before it walks.
+        sim.inject(n(5), n(6), 5);
+        assert_eq!(probe_tree(&sim, 3, &mut memo), Some((3, 3)));
+        assert_eq!(answered(&memo), [1, 2, 3], "the walk's own answers");
+        // The drain it read ahead of is then an ordinary one.
+        retire(&mut sim, &mut memo);
+        assert_eq!(answered(&memo), [1, 2, 3]);
+        probe_all(&sim, &mut memo);
+
+        // A memo that misses a drain cannot tell what it held: the next
+        // drain it sees retires everything.
+        sim.inject(n(5), n(6), 5);
+        sim.drain_touched(&mut Vec::new());
+        sim.inject(n(5), n(6), 5);
+        retire(&mut sim, &mut memo);
+        assert_eq!(answered(&memo), [0usize; 0]);
+        probe_all(&sim, &mut memo);
+        assert_eq!(answered(&memo), [1, 2, 3, 4, 5, 6]);
     }
 
     #[test]

@@ -42,17 +42,21 @@
 //!
 //! ## Route cache
 //!
-//! A settled Partial Reversal orientation is acyclic and
-//! destination-oriented, and until the next delivery or link change each
-//! node's downhill route is a fixed function of the simulator state. So
-//! every probe worker keeps a route memo across ticks: each node's
-//! `(hops, path_delay)` answer, stamped with the simulator's mutation
-//! epoch, which every dispatch, link failure, heal or link-config change
-//! bumps. A walk stops at the sink or at a node the memo answers for the
-//! current epoch, and an answered walk stores the answer of every node it
-//! passed. An answer is therefore the plain walk's, and a quiet tick
-//! answers each probe with one memo read instead of a walk of the whole
-//! route. The serve loop tracks no invalidation itself.
+//! Partial Reversal repairs locally: after a link change only the nodes
+//! that lost their way to the destination reverse, and a route that
+//! avoids them stays the same. A node's downhill route is a function of
+//! the state, slots, live bits and link configs of the nodes on it, and
+//! the simulator logs every node a dispatch, link failure, heal or
+//! link-config change touches. So every probe worker keeps a route memo
+//! across ticks: each node's `(hops, path_delay)` answer and the next hop
+//! of its route. Before each batch the serve loop drains the touched log
+//! once, and every memo retires the touched nodes' answers and,
+//! transitively, each answer whose next hop it retired: exactly the
+//! routes through a touched node. A walk stops at the sink or at a node
+//! the memo answers, and an answered walk stores the answer of every node
+//! it passed. An answer is therefore the plain walk's; a quiet tick
+//! answers each probe with one memo read, and a churn event re-walks only
+//! the routes it changed.
 //!
 //! Each `serve.batch` span carries a `walked` arg, the hops its probes
 //! actually walked; the hops it answered are the report's. The two differ
@@ -492,10 +496,12 @@ fn validate_feed(
     Ok(())
 }
 
-/// Applies one churn action of the feed. Link changes go through the
-/// ledger, which passes each real change on to the driver.
+/// Applies one churn action of the feed to the driver over `csr`. Link
+/// changes go through the ledger, which passes each real change on to the
+/// driver.
 fn apply_churn(
     action: FeedAction,
+    csr: &CsrGraph,
     driver: &mut dyn Driver,
     ledger: &mut LinkLedger,
 ) -> Result<(), ServeError> {
@@ -504,11 +510,13 @@ fn apply_churn(
         FeedAction::Fail(u, v) => ledger.fail(driver, NodeId::new(u), NodeId::new(v)),
         FeedAction::Heal(u, v) => ledger.heal(driver, NodeId::new(u), NodeId::new(v)),
         FeedAction::Crash(u) => {
+            // Neighbours ascending, each link as `(min, max)`: the order of
+            // the ledger's live edges, so the driver sees the same fails.
             let node = NodeId::new(u);
-            for (a, b) in ledger.live_edges() {
-                if a == node || b == node {
-                    ledger.fail(driver, a, b);
-                }
+            let i = csr.index_of(node).expect("a validated feed names nodes");
+            for &j in csr.neighbor_indices(i) {
+                let (a, b) = LinkLedger::canon(node, csr.node(j as usize));
+                ledger.fail(driver, a, b);
             }
         }
         FeedAction::Restore(u) => {
@@ -526,6 +534,20 @@ fn apply_churn(
         FeedAction::CrashLeader => driver.crash_leader().map_err(ServeError)?,
     }
     Ok(())
+}
+
+/// Drains the driver's touched log into `touched`, and has every memo
+/// retire the answers the drained nodes made stale.
+fn retire_touched(
+    driver: &mut dyn Driver,
+    csr: &CsrGraph,
+    memos: &mut [RouteMemo],
+    touched: &mut Vec<u32>,
+) {
+    let drain = driver.drain_touched(touched);
+    for memo in memos {
+        memo.retire(csr, touched, drain);
+    }
 }
 
 /// Rejects the spec sections serve does not run: serve drives one
@@ -709,9 +731,12 @@ pub fn run_serve(
     let (mut admitted, mut answered, mut unroutable) = (0u64, 0u64, 0u64);
     let (mut dropped, mut link_events) = (0u64, 0u64);
     let batch_span = lr_obs::span_handle("serve", "serve.batch");
-    // One route cache per probe worker, kept across ticks: each checks
-    // the simulator's epoch itself, so the loop tracks no invalidation.
+    let drain_span = lr_obs::span_handle("serve", "serve.drain");
+    let churn_span = lr_obs::span_handle("serve", "serve.churn");
+    // One route cache per probe worker, kept across ticks; before each
+    // batch every memo retires what the simulator touched since the last.
     let mut memos: Vec<RouteMemo> = Vec::new();
+    let mut touched: Vec<u32> = Vec::new();
     let began = Instant::now();
 
     for tick in 1..=options.duration {
@@ -719,6 +744,7 @@ pub fn run_serve(
         // Drain protocol traffic (height floods from earlier churn) to
         // the tick boundary, then pin the clock at it.
         if t > driver.now() {
+            let _sp = drain_span.start();
             let (delivered, capped) = driver.run_until_capped(t, spec.max_events);
             if capped {
                 return Err(ServeError(format!(
@@ -746,7 +772,8 @@ pub fn run_serve(
                 offered_feed += 1;
                 enqueue(NodeId::new(src), &mut pending, &mut dropped);
             } else {
-                apply_churn(action, driver.as_mut(), &mut ledger)?;
+                let _sp = churn_span.start();
+                apply_churn(action, csr, driver.as_mut(), &mut ledger)?;
                 link_events += 1;
                 churned |= action != FeedAction::CrashLeader;
             }
@@ -776,6 +803,7 @@ pub fn run_serve(
         span.arg("admitted", batch.len() as u64);
         span.arg("queued", pending.len() as u64);
         admitted += batch.len() as u64;
+        retire_touched(driver.as_mut(), csr, &mut memos, &mut touched);
         let walked_before: u64 = memos.iter().map(|m| m.walked).sum();
         let probes = probe_batch(driver.as_ref(), &batch, options.threads, &mut memos);
         // The hops the batch walked rather than read from a memo: a
@@ -1030,10 +1058,12 @@ mod tests {
 
     /// Drives `spec` like a churned serve run: from the start, each tick
     /// applies `feed`'s churn at that tick (`None` primes TORA with a
-    /// query from every node), probes every node with one long-lived memo
-    /// and with a fresh memo each, then drains to the next tick. The two
-    /// must agree on every probe. Returns how many probes ended each way,
-    /// and the hops the long-lived memo walked against the fresh walks.
+    /// query from every node), retires what the simulator touched from
+    /// one long-lived memo as the serve loop does, probes every node with
+    /// that memo and with a fresh memo each, then drains to the next tick.
+    /// The two must agree on every probe. Returns how many probes ended
+    /// each way, and the hops the long-lived memo walked against the
+    /// fresh walks.
     fn memo_agrees_with_fresh_walks(
         spec: &ScenarioSpec,
         feed: &[(u64, Option<FeedAction>)],
@@ -1045,16 +1075,21 @@ mod tests {
         let mut driver = make_driver(spec, &inst, link, run_seed);
         let mut ledger = LinkLedger::new(inst.csr());
         let nodes: Vec<NodeId> = inst.csr().nodes().collect();
-        let mut memo = RouteMemo::default();
+        let mut memos = [RouteMemo::default()];
+        let mut touched = Vec::new();
         let mut tally: BTreeMap<String, u64> = BTreeMap::new();
         let mut fresh_walked = 0u64;
         for tick in 0..=ticks {
             for &(_, action) in feed.iter().filter(|&&(at, _)| at == tick) {
                 match action {
-                    Some(action) => apply_churn(action, driver.as_mut(), &mut ledger).unwrap(),
+                    Some(action) => {
+                        apply_churn(action, inst.csr(), driver.as_mut(), &mut ledger).unwrap()
+                    }
                     None => driver.inject_wave(&nodes),
                 }
             }
+            retire_touched(driver.as_mut(), inst.csr(), &mut memos, &mut touched);
+            let memo = &mut memos[0];
             // Alternate the order so memo hits come from both ends of a
             // route.
             let mut order = nodes.clone();
@@ -1065,7 +1100,7 @@ mod tests {
                 let mut fresh = RouteMemo::default();
                 let want = driver.route_probe(u, &mut fresh);
                 fresh_walked += fresh.walked;
-                let got = driver.route_probe(u, &mut memo);
+                let got = driver.route_probe(u, memo);
                 assert_eq!(got, want, "{}: tick {tick}, node {u}", spec.name);
                 let end = got.map_or_else(|e| format!("{e:?}"), |_| "answered".into());
                 *tally.entry(end).or_default() += 1;
@@ -1074,7 +1109,7 @@ mod tests {
             assert!(!capped, "{}: tick {tick}", spec.name);
             driver.advance_to(tick + 1);
         }
-        (tally, memo.walked, fresh_walked)
+        (tally, memos[0].walked, fresh_walked)
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! `lr serve` under an observability session: driver construction and
-//! stretch repricing get their spans, and the simulator's statistics land
-//! as `net.*` counters.
+//! `lr serve` under an observability session: driver construction,
+//! each tick's drain, each churn action and stretch repricing get their
+//! spans, and the simulator's statistics land as `net.*` counters.
 //!
 //! This is the binary's only test, so no other serve run can record
 //! into the session's counters.
@@ -9,7 +9,7 @@ use lr_obs::{ObsMode, ObsSession};
 use lr_scenario::{parse_feed, run_serve, ScenarioSpec, ServeOptions};
 
 #[test]
-fn serve_records_build_and_reprice_spans_and_net_counters() {
+fn serve_records_build_drain_churn_and_reprice_spans_and_net_counters() {
     let spec = ScenarioSpec::from_json(
         r#"{"name": "serve-obs", "topology": {"family": "grid", "rows": 4, "cols": 4},
             "seeds": [7]}"#,
@@ -45,4 +45,15 @@ fn serve_records_build_and_reprice_spans_and_net_counters() {
     };
     assert_eq!(span("serve.build"), Some(1));
     assert_eq!(span("serve.reprice"), Some(2), "one BFS per churn tick");
+    assert_eq!(report.link_events, 2);
+    assert_eq!(
+        span("serve.churn"),
+        Some(report.link_events),
+        "one span per applied churn event"
+    );
+    assert_eq!(
+        span("serve.drain"),
+        Some(options.duration),
+        "one drain per served tick"
+    );
 }
