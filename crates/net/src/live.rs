@@ -10,9 +10,11 @@
 //!
 //! Quiescence detection uses message counting: a shared counter is
 //! incremented before every send and decremented only after the receiving
-//! handler (including any sends it performs) finishes. When the counter
-//! reads zero there is provably no work left in the system, at which
-//! point the supervisor broadcasts `Stop`.
+//! handler (including any sends it performs) finishes. It starts at one
+//! per node, each released once that node's initial announcement is
+//! sent, so a thread that has not started yet still counts. When the
+//! counter reads zero there is provably no work left in the system, at
+//! which point the supervisor broadcasts `Stop`.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -52,7 +54,8 @@ pub struct LiveReport {
 pub fn run_threaded(inst: &ReversalInstance) -> LiveReport {
     let csr = inst.csr();
     let heights0 = initial_triple_heights(inst);
-    let in_flight = Arc::new(AtomicI64::new(0));
+    // One count per node until its initial announcement is sent.
+    let in_flight = Arc::new(AtomicI64::new(csr.node_count() as i64));
     let reversals = Arc::new(AtomicI64::new(0));
     let messages = Arc::new(AtomicI64::new(0));
     let published: Arc<Mutex<BTreeMap<NodeId, TripleHeight>>> = Arc::new(Mutex::new(
@@ -94,8 +97,9 @@ pub fn run_threaded(inst: &ReversalInstance) -> LiveReport {
                     tx.send(LiveMsg::Height(u, h)).expect("peer alive");
                 }
             };
-            // Initial announcement.
+            // Initial announcement, then the node's start-up count.
             send_all(height);
+            in_flight.fetch_sub(1, Ordering::SeqCst);
             loop {
                 match rx.recv().expect("channel open") {
                     LiveMsg::Stop => break,
@@ -121,15 +125,7 @@ pub fn run_threaded(inst: &ReversalInstance) -> LiveReport {
     }
 
     // Supervisor: wait for quiescence, then stop everyone.
-    loop {
-        if in_flight.load(Ordering::SeqCst) == 0 {
-            // Double-check after a pause to dodge the window between a
-            // send being decided and the counter increment.
-            thread::sleep(std::time::Duration::from_millis(2));
-            if in_flight.load(Ordering::SeqCst) == 0 {
-                break;
-            }
-        }
+    while in_flight.load(Ordering::SeqCst) != 0 {
         thread::yield_now();
     }
     for tx in &senders {

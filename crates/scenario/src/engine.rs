@@ -19,6 +19,7 @@
 //! Every run stays bit-for-bit reproducible from `(spec, seed, trial)`.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use lr_core::alg::TripleHeight;
 use lr_graph::{CsrGraph, NodeId, ReversalInstance};
@@ -326,8 +327,9 @@ pub(crate) trait Driver: Sync {
         Err("crash_leader is only supported by election scenarios".into())
     }
     /// Injects one unit of traffic (packet / route query / CS request)
-    /// at each source.
-    fn inject_wave(&mut self, sources: &[NodeId]);
+    /// at each source. A routing packet is priced at the live-link
+    /// distance `ledger` holds for its source.
+    fn inject_wave(&mut self, sources: &[NodeId], ledger: &LinkLedger);
     /// Answers one route query from `src` against the *current* node
     /// states, without sending a message or moving the clock: walks
     /// greedily downhill (holder pointers for mutex) until the
@@ -336,9 +338,6 @@ pub(crate) trait Driver: Sync {
     /// answers across calls and never changes one (the mutex walk
     /// ignores it).
     fn route_probe(&self, src: NodeId, memo: &mut RouteMemo) -> Result<RouteProbe, NoRoute>;
-    /// BFS distances from `from` over the simulator's live links, by
-    /// dense node index (`None`: unreachable).
-    fn live_distances(&self, from: NodeId) -> Vec<Option<u64>>;
     fn metrics(&self, live: &[(NodeId, NodeId)]) -> Metrics;
     fn sim_stats(&self) -> SimStats;
 }
@@ -432,27 +431,6 @@ fn descend_heights<P: Protocol, H: Ord>(
         next = node;
     }
     Ok(RouteProbe { hops, path_delay })
-}
-
-/// BFS distances from `from` over the *live* links of the simulator, by
-/// dense node index.
-fn live_distances<P: Protocol>(sim: &EventSim<P>, from: NodeId) -> Vec<Option<u64>> {
-    let csr = sim.csr();
-    let mut dist = vec![None; csr.node_count()];
-    let from = csr.index_of(from).expect("BFS root is a node");
-    dist[from] = Some(0u64);
-    let mut queue = VecDeque::from([from]);
-    while let Some(u) = queue.pop_front() {
-        let d = dist[u].map(|d| d + 1);
-        for slot in csr.slots(u) {
-            let v = csr.target(slot);
-            if sim.is_live(slot) && dist[v].is_none() {
-                dist[v] = d;
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
 }
 
 /// Checks that the orientation implied by `heights` over the live
@@ -551,13 +529,11 @@ impl Driver for RoutingDriver {
         sim.inject(v, u, RouteMsg::Height(hv));
     }
 
-    fn inject_wave(&mut self, sources: &[NodeId]) {
-        // One BFS from the destination prices every source of the wave.
-        let dist = self.live_distances(self.harness.dest());
+    fn inject_wave(&mut self, sources: &[NodeId], ledger: &LinkLedger) {
         for &src in sources {
             let at = self.harness.sim().csr().index_of(src);
             let id = self.harness.send_packet(src);
-            if let Some(d) = dist[at.expect("source is a node")] {
+            if let Some(d) = ledger.distance(at.expect("source is a node")) {
                 self.shortest.insert(id, d);
             }
         }
@@ -573,10 +549,6 @@ impl Driver for RoutingDriver {
             |&known| known,
             |u, _| u == dest,
         )
-    }
-
-    fn live_distances(&self, from: NodeId) -> Vec<Option<u64>> {
-        live_distances(self.harness.sim(), from)
     }
 
     fn metrics(&self, live: &[(NodeId, NodeId)]) -> Metrics {
@@ -687,7 +659,7 @@ impl Driver for ReversalDriver {
         self.sim.inject(v, u, ReversalMsg::Height(hv));
     }
 
-    fn inject_wave(&mut self, _sources: &[NodeId]) {
+    fn inject_wave(&mut self, _sources: &[NodeId], _ledger: &LinkLedger) {
         unreachable!("reversal scenarios carry no traffic (rejected at parse time)")
     }
 
@@ -700,10 +672,6 @@ impl Driver for ReversalDriver {
             |&known| known,
             |_, n| n.is_dest,
         )
-    }
-
-    fn live_distances(&self, from: NodeId) -> Vec<Option<u64>> {
-        live_distances(&self.sim, from)
     }
 
     fn metrics(&self, live: &[(NodeId, NodeId)]) -> Metrics {
@@ -791,7 +759,7 @@ impl Driver for ToraDriver {
         sim.inject(u, v, ToraMsg::Upd(hu));
     }
 
-    fn inject_wave(&mut self, sources: &[NodeId]) {
+    fn inject_wave(&mut self, sources: &[NodeId], _ledger: &LinkLedger) {
         // `injected` counts *distinct* queried sources: a repeated
         // NeedRoute for an already-queried node is TORA-idempotent, and
         // counting it would cap the delivery rate below 1 for
@@ -815,10 +783,6 @@ impl Driver for ToraDriver {
             |&known| known,
             |_, n| n.is_dest,
         )
-    }
-
-    fn live_distances(&self, from: NodeId) -> Vec<Option<u64>> {
-        live_distances(self.harness.sim(), from)
     }
 
     fn metrics(&self, _live: &[(NodeId, NodeId)]) -> Metrics {
@@ -896,7 +860,7 @@ impl Driver for MutexDriver {
         unreachable!("mutex scenarios reject churn at parse time")
     }
 
-    fn inject_wave(&mut self, sources: &[NodeId]) {
+    fn inject_wave(&mut self, sources: &[NodeId], _ledger: &LinkLedger) {
         for &src in sources {
             self.injected += 1;
             self.harness.sim_mut().inject(src, src, MutexMsg::Local);
@@ -923,10 +887,6 @@ impl Driver for MutexDriver {
             cur = next;
         }
         Ok(RouteProbe { hops, path_delay })
-    }
-
-    fn live_distances(&self, from: NodeId) -> Vec<Option<u64>> {
-        live_distances(self.harness.sim(), from)
     }
 
     fn metrics(&self, _live: &[(NodeId, NodeId)]) -> Metrics {
@@ -1024,7 +984,7 @@ impl Driver for ElectionDriver {
         Ok(())
     }
 
-    fn inject_wave(&mut self, _sources: &[NodeId]) {
+    fn inject_wave(&mut self, _sources: &[NodeId], _ledger: &LinkLedger) {
         unreachable!("election scenarios carry no traffic (rejected at parse time)")
     }
 
@@ -1040,10 +1000,6 @@ impl Driver for ElectionDriver {
             |&known| known,
             |u, n| n.leader == u,
         )
-    }
-
-    fn live_distances(&self, from: NodeId) -> Vec<Option<u64>> {
-        live_distances(self.harness.sim(), from)
     }
 
     fn metrics(&self, live: &[(NodeId, NodeId)]) -> Metrics {
@@ -1182,30 +1138,65 @@ pub(crate) fn spec_link_config(l: &LinkSpec) -> LinkConfig {
     }
 }
 
-/// Shared churn bookkeeping: the engine mirrors the failed-link set so
-/// partitions cut only live links and random churn samples correctly.
+/// The distance of a node the destination cannot reach over live links.
+const UNREACHABLE: u32 = u32::MAX;
+
+/// Shared churn bookkeeping: the engine and the serve loop mirror the
+/// failed-link set so partitions cut only live links and random churn
+/// samples correctly, and keep the BFS distance of every node from the
+/// destination over the live links, which prices route stretch.
+///
+/// The distances are repaired, not recomputed. Each fail and heal is
+/// logged, and [`LinkLedger::repair`] applies the logged changes at once.
+/// It visits the changed links' endpoints, the nodes whose distance may
+/// rise or does fall, and their neighbours, never the whole graph (the
+/// unit-weight case of Ramalingam and Reps' dynamic shortest paths):
+///
+/// 1. **Orphans.** In order of old distance, starting from the endpoints
+///    of the failed links, mark each node none of whose live neighbours
+///    one closer to the destination is unmarked: it lost every live
+///    shortest-path parent. A marked node's neighbours one farther away
+///    become candidates in turn. Every unmarked node keeps a live path of
+///    its old length.
+/// 2. **Relaxation.** The marked nodes forget their distance and are
+///    re-priced from their unmarked neighbours, healed links offer each
+///    endpoint the other's distance plus one, and one monotone queue
+///    relaxes outward from there, so a heal also lowers the distances
+///    behind it.
 pub(crate) struct LinkLedger {
-    pub(crate) edges: Vec<(NodeId, NodeId)>,
+    csr: Arc<CsrGraph>,
+    dest: usize,
     pub(crate) failed: BTreeSet<(NodeId, NodeId)>,
+    /// BFS distance from the destination over the live links, by dense
+    /// node index, as of the last repair ([`UNREACHABLE`]: cut off).
+    dist: Vec<u32>,
+    /// Links failed and healed since the last repair, by dense index.
+    failed_since: Vec<(u32, u32)>,
+    healed_since: Vec<(u32, u32)>,
+    /// The orphans of the repair in progress, by dense index; all clear
+    /// between repairs.
+    orphan: Vec<bool>,
 }
 
 impl LinkLedger {
-    /// Every edge of `graph` once, `(u, v)` with `u < v`, in
-    /// lexicographic order — the order random churn samples from.
-    pub(crate) fn new(graph: &CsrGraph) -> Self {
-        let edges = (0..graph.node_count())
-            .flat_map(|i| {
-                graph
-                    .neighbor_indices(i)
-                    .iter()
-                    .filter(move |&&j| j as usize > i)
-                    .map(move |&j| (graph.node(i), graph.node(j as usize)))
-            })
-            .collect();
-        LinkLedger {
-            edges,
+    /// The ledger of `inst` with every link live: one BFS from the
+    /// destination prices every node.
+    pub(crate) fn new(inst: &ReversalInstance) -> Self {
+        let csr = Arc::clone(inst.csr());
+        let n = csr.node_count();
+        let dest = csr.index_of(inst.dest).expect("the destination is a node");
+        let mut ledger = LinkLedger {
+            csr,
+            dest,
             failed: BTreeSet::new(),
-        }
+            dist: vec![UNREACHABLE; n],
+            failed_since: Vec::new(),
+            healed_since: Vec::new(),
+            orphan: vec![false; n],
+        };
+        ledger.dist[dest] = 0;
+        ledger.relax(vec![(0, dest as u32)]);
+        ledger
     }
 
     pub(crate) fn canon(u: NodeId, v: NodeId) -> (NodeId, NodeId) {
@@ -1216,24 +1207,224 @@ impl LinkLedger {
         }
     }
 
+    /// Whether the link between dense nodes `i` and `j` is live.
+    fn is_live(&self, i: usize, j: usize) -> bool {
+        let (u, v) = (self.csr.node(i), self.csr.node(j));
+        !self.failed.contains(&Self::canon(u, v))
+    }
+
+    /// The dense indices of the link `{u, v}`.
+    fn dense(&self, u: NodeId, v: NodeId) -> (u32, u32) {
+        let index = |w| {
+            self.csr
+                .index_of(w)
+                .expect("a churned link joins two nodes") as u32
+        };
+        (index(u), index(v))
+    }
+
     pub(crate) fn fail(&mut self, driver: &mut dyn Driver, u: NodeId, v: NodeId) {
         if self.failed.insert(Self::canon(u, v)) {
+            self.failed_since.push(self.dense(u, v));
             driver.fail_link(u, v);
         }
     }
 
     pub(crate) fn heal(&mut self, driver: &mut dyn Driver, u: NodeId, v: NodeId) {
         if self.failed.remove(&Self::canon(u, v)) {
+            self.healed_since.push(self.dense(u, v));
             driver.heal_link(u, v);
         }
     }
 
-    pub(crate) fn live_edges(&self) -> Vec<(NodeId, NodeId)> {
-        self.edges
+    /// Node churn: fails every live link of `node`, neighbours ascending,
+    /// each as `(min, max)`: the order of [`LinkLedger::live_edges`].
+    pub(crate) fn crash(&mut self, driver: &mut dyn Driver, node: NodeId) {
+        let csr = Arc::clone(&self.csr);
+        let i = csr.index_of(node).expect("a crashed node is a node");
+        for &j in csr.neighbor_indices(i) {
+            let (a, b) = Self::canon(node, csr.node(j as usize));
+            self.fail(driver, a, b);
+        }
+    }
+
+    /// Node churn: heals every failed link of `node`, in the failed set's
+    /// order.
+    pub(crate) fn restore(&mut self, driver: &mut dyn Driver, node: NodeId) {
+        let incident: Vec<(NodeId, NodeId)> = self
+            .failed
             .iter()
             .copied()
+            .filter(|&(a, b)| a == node || b == node)
+            .collect();
+        for (a, b) in incident {
+            self.heal(driver, a, b);
+        }
+    }
+
+    /// Every live link once, `(u, v)` with `u < v`, in lexicographic order:
+    /// the order random churn samples from.
+    pub(crate) fn live_edges(&self) -> Vec<(NodeId, NodeId)> {
+        let csr = &self.csr;
+        (0..csr.node_count())
+            .flat_map(|i| {
+                csr.neighbor_indices(i)
+                    .iter()
+                    .filter(move |&&j| j as usize > i)
+                    .map(move |&j| (csr.node(i), csr.node(j as usize)))
+            })
             .filter(|e| !self.failed.contains(e))
             .collect()
+    }
+
+    /// The live-link distance of dense node `i` from the destination
+    /// (`None`: cut off). Call [`LinkLedger::repair`] after churn first.
+    pub(crate) fn distance(&self, i: usize) -> Option<u64> {
+        debug_assert!(
+            self.failed_since.is_empty() && self.healed_since.is_empty(),
+            "distances read with churn unrepaired"
+        );
+        let d = self.dist[i];
+        (d != UNREACHABLE).then_some(u64::from(d))
+    }
+
+    /// Brings the distances up to date with every fail and heal since the
+    /// last repair, and returns how many distances changed.
+    pub(crate) fn repair(&mut self) -> u64 {
+        // 1. Orphans, in order of old distance from the failed links'
+        // endpoints. A candidate's neighbours one closer were all decided
+        // before it.
+        let mut candidates = Vec::new();
+        for (a, b) in std::mem::take(&mut self.failed_since) {
+            for x in [a, b] {
+                if self.dist[x as usize] != UNREACHABLE {
+                    candidates.push((self.dist[x as usize], x));
+                }
+            }
+        }
+        let mut queue = LevelQueue::new(candidates);
+        let mut orphans: Vec<(u32, u32)> = Vec::new();
+        while let Some((d, v)) = queue.pop() {
+            let vi = v as usize;
+            if vi == self.dest || self.orphan[vi] {
+                continue;
+            }
+            let neighbours = self.csr.neighbor_indices(vi);
+            let has_parent = neighbours.iter().any(|&u| {
+                let ui = u as usize;
+                self.dist[ui] == d - 1 && !self.orphan[ui] && self.is_live(vi, ui)
+            });
+            if has_parent {
+                continue;
+            }
+            self.orphan[vi] = true;
+            orphans.push((v, d));
+            for &w in neighbours {
+                if self.dist[w as usize] == d + 1 {
+                    queue.push(d + 1, w);
+                }
+            }
+        }
+
+        // 2. Relaxation: each orphan from its best unmarked live neighbour,
+        // each healed link both ways, then outward.
+        for &(v, _) in &orphans {
+            self.dist[v as usize] = UNREACHABLE;
+        }
+        let mut seeds = Vec::new();
+        for &(v, _) in &orphans {
+            let vi = v as usize;
+            let best = self
+                .csr
+                .neighbor_indices(vi)
+                .iter()
+                .filter(|&&u| self.is_live(vi, u as usize))
+                .map(|&u| self.dist[u as usize])
+                .min()
+                .unwrap_or(UNREACHABLE)
+                .saturating_add(1);
+            if best < self.dist[vi] {
+                self.dist[vi] = best;
+                seeds.push((best, v));
+            }
+        }
+        for (a, b) in std::mem::take(&mut self.healed_since) {
+            if !self.is_live(a as usize, b as usize) {
+                continue;
+            }
+            for (x, y) in [(a, b), (b, a)] {
+                let offer = self.dist[x as usize].saturating_add(1);
+                if offer < self.dist[y as usize] {
+                    self.dist[y as usize] = offer;
+                    seeds.push((offer, y));
+                }
+            }
+        }
+        // Each node the relaxation settles outside the orphans is one whose
+        // distance fell.
+        let mut repaired = self.relax(seeds);
+        for (v, old) in orphans {
+            self.orphan[v as usize] = false;
+            repaired += u64::from(self.dist[v as usize] != old);
+        }
+        repaired
+    }
+
+    /// Relaxes outward from `seeds`, each `(distance, node)` with the
+    /// distance already stored, until every live link `{u, v}` has
+    /// `dist[v] ≤ dist[u] + 1`. Returns how many non-orphan nodes it
+    /// settled: each is a node whose distance fell.
+    fn relax(&mut self, seeds: Vec<(u32, u32)>) -> u64 {
+        let mut queue = LevelQueue::new(seeds);
+        let mut settled = 0;
+        while let Some((d, v)) = queue.pop() {
+            let vi = v as usize;
+            // A node settles once, at its final distance; later entries
+            // for it are stale.
+            if self.dist[vi] != d {
+                continue;
+            }
+            settled += u64::from(!self.orphan[vi]);
+            for &w in self.csr.neighbor_indices(vi) {
+                let wi = w as usize;
+                if d + 1 < self.dist[wi] && self.is_live(vi, wi) {
+                    self.dist[wi] = d + 1;
+                    queue.push(d + 1, w);
+                }
+            }
+        }
+        settled
+    }
+}
+
+/// A monotone priority queue of `(level, node)` for unit-weight
+/// relaxations: the seeds, sorted, merged with a FIFO of later pushes.
+/// Each push is one level above the entry popped last, so the FIFO stays
+/// sorted and entries leave in order of level.
+struct LevelQueue {
+    seeds: std::iter::Peekable<std::vec::IntoIter<(u32, u32)>>,
+    fifo: VecDeque<(u32, u32)>,
+}
+
+impl LevelQueue {
+    fn new(mut seeds: Vec<(u32, u32)>) -> Self {
+        seeds.sort_unstable();
+        LevelQueue {
+            seeds: seeds.into_iter().peekable(),
+            fifo: VecDeque::new(),
+        }
+    }
+
+    fn push(&mut self, level: u32, node: u32) {
+        self.fifo.push_back((level, node));
+    }
+
+    fn pop(&mut self) -> Option<(u32, u32)> {
+        match (self.seeds.peek(), self.fifo.front()) {
+            (Some(seed), Some(next)) if next < seed => self.fifo.pop_front(),
+            (Some(_), _) => self.seeds.next(),
+            (None, _) => self.fifo.pop_front(),
+        }
     }
 }
 
@@ -1264,7 +1455,7 @@ pub fn run_scenario(
     let link = spec_link_config(&spec.links.default);
     let mut driver = make_driver(spec, &inst, link, run_seed);
     let mut churn_rng = SmallRng::seed_from_u64(derive_churn_seed(run_seed));
-    let mut ledger = LinkLedger::new(inst.csr());
+    let mut ledger = LinkLedger::new(&inst);
     let sources = resolve_sources(spec, &inst);
     let mut records: Vec<ScenarioRecord> = Vec::new();
 
@@ -1365,7 +1556,10 @@ pub fn run_scenario(
             driver.advance_to(at);
         }
         match action {
-            ActionKind::Traffic(_) => driver.inject_wave(&sources),
+            ActionKind::Traffic(_) => {
+                ledger.repair();
+                driver.inject_wave(&sources, &ledger);
+            }
             ActionKind::Churn(i) => {
                 let fired_at = driver.now();
                 // Per-churn-event span: covers the mutation and the
@@ -1451,22 +1645,24 @@ fn apply_churn(
             }
         }
         ChurnKind::Random { fail, heal } => {
-            // Sample without replacement; if fewer links are available
-            // than requested, churn what exists.
+            // Sample without replacement from one list of each, built per
+            // event and kept in order: a drawn entry leaves its list as it
+            // leaves the ledger's set. If fewer links are available than
+            // requested, churn what exists.
+            let mut live = ledger.live_edges();
             for _ in 0..*fail {
-                let live = ledger.live_edges();
                 if live.is_empty() {
                     break;
                 }
-                let (u, v) = live[rng.gen_range(0..live.len())];
+                let (u, v) = live.remove(rng.gen_range(0..live.len()));
                 ledger.fail(driver, u, v);
             }
+            let mut failed: Vec<(NodeId, NodeId)> = ledger.failed.iter().copied().collect();
             for _ in 0..*heal {
-                let failed: Vec<(NodeId, NodeId)> = ledger.failed.iter().copied().collect();
                 if failed.is_empty() {
                     break;
                 }
-                let (u, v) = failed[rng.gen_range(0..failed.len())];
+                let (u, v) = failed.remove(rng.gen_range(0..failed.len()));
                 ledger.heal(driver, u, v);
             }
         }
@@ -1482,6 +1678,7 @@ mod tests {
     use lr_net::sim::Ctx;
 
     use super::*;
+    use crate::topology::build_instance;
 
     /// Every node announces height 1 to its neighbors and holds height 5
     /// itself, so each believes the other sits below it: a stale-height
@@ -1692,6 +1889,123 @@ mod tests {
         assert_eq!(answered(&memo), [0usize; 0]);
         probe_all(&sim, &mut memo);
         assert_eq!(answered(&memo), [1, 2, 3, 4, 5, 6]);
+    }
+
+    /// BFS distances from the destination over the links outside
+    /// `failed`, by dense index: the from-scratch reference.
+    fn fresh_bfs(inst: &ReversalInstance, failed: &BTreeSet<(NodeId, NodeId)>) -> Vec<Option<u64>> {
+        let csr = inst.csr();
+        let dest = csr.index_of(inst.dest).unwrap();
+        let mut dist = vec![None; csr.node_count()];
+        dist[dest] = Some(0);
+        let mut queue = VecDeque::from([dest]);
+        while let Some(u) = queue.pop_front() {
+            for &v in csr.neighbor_indices(u) {
+                let v = v as usize;
+                let link = LinkLedger::canon(csr.node(u), csr.node(v));
+                if dist[v].is_none() && !failed.contains(&link) {
+                    dist[v] = dist[u].map(|d| d + 1);
+                    queue.push_back(v);
+                }
+            }
+        }
+        dist
+    }
+
+    /// Drives seeded churn through a ledger over `topology` (a reversal
+    /// driver receives it) and repairs after every change: the distances
+    /// must equal a fresh BFS each time, and `repair` must count the ones
+    /// that moved. Starts with a cut that strands the nodes whose id is at
+    /// least `far` and the heal that reconnects them, then draws fails,
+    /// heals, crashes, restores, partitions and random churn, several
+    /// between some repairs. Returns the distances repaired in all.
+    fn repairs_match_fresh_bfs(topology: &str, far: u32, seed: u64) -> u64 {
+        let spec = ScenarioSpec::from_json(&format!(
+            r#"{{"name": "ledger", "protocol": "reversal", "topology": {topology}}}"#
+        ))
+        .unwrap();
+        let inst = build_instance(&spec.topology, seed).unwrap();
+        let mut driver = make_driver(&spec, &inst, LinkConfig::default(), seed);
+        let mut ledger = LinkLedger::new(&inst);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut want = fresh_bfs(&inst, &BTreeSet::new());
+        let n = inst.node_count();
+        let mut total = 0;
+        let mut check = |ledger: &mut LinkLedger, what: &str| {
+            let repaired = ledger.repair();
+            let fresh = fresh_bfs(&inst, &ledger.failed);
+            let got: Vec<Option<u64>> = (0..n).map(|i| ledger.distance(i)).collect();
+            assert_eq!(got, fresh, "{topology}, seed {seed}: after {what}");
+            let moved = (0..n).filter(|&i| fresh[i] != want[i]).count() as u64;
+            assert_eq!(repaired, moved, "{topology}, seed {seed}: after {what}");
+            want = fresh;
+            total += repaired;
+        };
+        check(&mut ledger, "nothing");
+
+        let side: Vec<u32> = (far..n as u32).collect();
+        let cut: Vec<(u32, u32)> = ledger
+            .live_edges()
+            .iter()
+            .map(|&(u, v)| (u.raw(), v.raw()))
+            .filter(|&(u, v)| (u >= far) != (v >= far))
+            .collect();
+        let driver = driver.as_mut();
+        let mut churn = |kind: ChurnKind, driver: &mut dyn Driver, ledger: &mut LinkLedger| {
+            apply_churn(&kind, driver, ledger, &mut rng).unwrap();
+        };
+        churn(ChurnKind::Partition(side), driver, &mut ledger);
+        check(&mut ledger, "the cut");
+        assert!(
+            (far as usize..n).all(|i| ledger.distance(i).is_none()),
+            "the cut strands the far nodes"
+        );
+        churn(ChurnKind::Heal(cut), driver, &mut ledger);
+        check(&mut ledger, "the heal");
+        assert!((0..n).all(|i| ledger.distance(i).is_some()));
+
+        // A second stream picks the changes, so the churn draws stay the
+        // engine's own. Past one failed link in ten, only heals and
+        // restores are drawn, so the destination keeps most of the graph.
+        let mut pick = SmallRng::seed_from_u64(!seed);
+        let budget = inst.csr().edge_count() / 10;
+        for step in 0..150 {
+            for _ in 0..pick.gen_range(1..4u32) {
+                let node = NodeId::new(pick.gen_range(0..n as u32));
+                let kinds = if ledger.failed.len() > budget {
+                    0..2
+                } else {
+                    0..6u32
+                };
+                match pick.gen_range(kinds) {
+                    0 => churn(ChurnKind::Random { fail: 0, heal: 1 }, driver, &mut ledger),
+                    1 => ledger.restore(driver, node),
+                    2 => churn(ChurnKind::Random { fail: 1, heal: 0 }, driver, &mut ledger),
+                    3 => ledger.crash(driver, node),
+                    4 => {
+                        let side = (0..n as u32).filter(|_| pick.gen_range(0..16u32) == 0);
+                        churn(ChurnKind::Partition(side.collect()), driver, &mut ledger);
+                    }
+                    _ => churn(ChurnKind::Random { fail: 2, heal: 1 }, driver, &mut ledger),
+                }
+            }
+            check(&mut ledger, &format!("step {step}"));
+        }
+        total
+    }
+
+    #[test]
+    fn repaired_distances_equal_a_fresh_bfs_through_churn() {
+        for seed in 1..=3 {
+            // Sparse random graphs: most nodes have one shortest-path
+            // parent, so a failure orphans whole subtrees.
+            let random = r#"{"family": "random", "n": 80, "extra_edges": 20}"#;
+            let grid = r#"{"family": "grid", "rows": 7, "cols": 9}"#;
+            for (topology, far) in [(random, 60), (grid, 45)] {
+                let repaired = repairs_match_fresh_bfs(topology, far, seed);
+                assert!(repaired > 300, "{topology}: {repaired} repaired");
+            }
+        }
     }
 
     #[test]

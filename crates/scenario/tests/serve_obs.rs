@@ -1,6 +1,7 @@
 //! `lr serve` under an observability session: driver construction,
 //! each tick's drain, each churn action and stretch repricing get their
-//! spans, and the simulator's statistics land as `net.*` counters.
+//! spans, each repricing names the distances it repaired, and the
+//! simulator's statistics land as `net.*` counters.
 //!
 //! This is the binary's only test, so no other serve run can record
 //! into the session's counters.
@@ -22,7 +23,8 @@ fn serve_records_build_drain_churn_and_reprice_spans_and_net_counters() {
         duration: 10,
         ..ServeOptions::default()
     };
-    let session = ObsSession::start(ObsMode::Summary);
+    // Json keeps each span's args beside the aggregates.
+    let session = ObsSession::start(ObsMode::Json);
     let report = run_serve(&spec, &options, &feed).unwrap();
     let obs = session.finish();
 
@@ -44,7 +46,28 @@ fn serve_records_build_drain_churn_and_reprice_spans_and_net_counters() {
             .map(|(_, s)| s.count)
     };
     assert_eq!(span("serve.build"), Some(1));
-    assert_eq!(span("serve.reprice"), Some(2), "one BFS per churn tick");
+    assert_eq!(span("serve.reprice"), Some(2), "one repair per churn tick");
+    // On the 4 × 4 grid toward node 0, failing the link 0–1 sends the rest
+    // of the top row, nodes 1, 2 and 3, round through the second row, two
+    // hops farther each; the heal brings them back.
+    let repaired: Vec<u64> = obs
+        .events
+        .iter()
+        .filter(|e| e.name == "serve.reprice")
+        .map(|e| {
+            e.args
+                .iter()
+                .find(|&&(k, _)| k == "repaired")
+                .map(|&(_, v)| v)
+                .expect("a repaired arg")
+        })
+        .collect();
+    assert_eq!(repaired, [3, 3]);
+    assert!(
+        repaired.iter().all(|&r| 0 < r && r < report.n as u64),
+        "repaired {repaired:?} of {} distances",
+        report.n
+    );
     assert_eq!(report.link_events, 2);
     assert_eq!(
         span("serve.churn"),

@@ -1,14 +1,19 @@
-//! Golden outputs of the instance commands: `lr generate` on nine recipe
-//! instances, and on each of them `lr run` (six families × four
-//! policies), `lr trace` (six families), `lr check` and `lr dot`, all
+//! Golden outputs of the instance commands and of `lr serve`, all run
 //! through [`run_cli`] in-process and compared byte for byte with the
-//! files under `tests/golden/<instance>/`.
+//! files under `tests/golden/`.
 //!
-//! The traces of `random 300 11` are stored as an FNV-1a digest plus a
-//! line count (`*.digest`); every other output is stored in full. On a
-//! mismatch the test writes each differing output to `target/golden/`
-//! (same layout), prints its first differing line, and fails. An
-//! intended output change copies those files over the corpus.
+//! The instance commands run on nine recipe instances: `lr generate`, and
+//! on each instance `lr run` (six families × four policies), `lr trace`
+//! (six families), `lr check` and `lr dot`, stored under
+//! `tests/golden/<instance>/`. The traces of `random 300 11` are stored as
+//! an FNV-1a digest plus a line count (`*.digest`); every other output is
+//! stored in full. `lr serve` runs `examples/serve/steady_grid.json` with
+//! and without the demo feed and, in the `--ignored` tier, the 100k-node
+//! grid under its churn feed, stored under `tests/golden/serve/`.
+//!
+//! On a mismatch a test writes each differing output to `target/golden/`
+//! (same layout), prints its first differing line, and fails. An intended
+//! output change copies those files over the corpus.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -107,46 +112,101 @@ fn outputs(generate: &[&str]) -> Vec<Golden> {
     out
 }
 
-#[test]
-fn instance_commands_match_the_golden_corpus() {
+/// Compares each output with its file under `tests/golden/<dir>/`. Every
+/// output that differs is written under `target/golden/<dir>/`, and the
+/// returned report names its first differing line; an empty report means
+/// every output matched.
+fn compare(outputs: &[(String, Golden)]) -> String {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let (corpus, actual) = (root.join("tests/golden"), root.join("target/golden"));
     let mut report = String::new();
-    let mut compared = 0;
-    for generate in INSTANCES {
-        let dir = generate.join("-");
-        for golden in outputs(generate) {
-            compared += 1;
-            let path: PathBuf = corpus.join(&dir).join(&golden.name);
-            let expected = std::fs::read_to_string(&path).ok();
-            if expected.as_deref() == Some(golden.text.as_str()) {
-                continue;
-            }
-            let expected = expected.unwrap_or_default();
-            let written = actual.join(&dir).join(&golden.name);
-            std::fs::create_dir_all(written.parent().expect("a directory"))
-                .and_then(|()| std::fs::write(&written, &golden.text))
-                .unwrap_or_else(|e| panic!("cannot write {}: {e}", written.display()));
-            let (want, got): (Vec<&str>, Vec<&str>) =
-                (expected.lines().collect(), golden.text.lines().collect());
-            let line = (0..want.len().max(got.len()))
-                .find(|&i| want.get(i) != got.get(i))
-                .unwrap_or(want.len().min(got.len()));
-            let (want, got) = (want.get(line), got.get(line));
-            let line = line + 1;
-            let _ = writeln!(
-                report,
-                "{dir}/{}: first difference on line {line}\n  expected: {want:?}\n  actual:   {got:?}",
-                golden.name
-            );
+    for (dir, golden) in outputs {
+        let path: PathBuf = corpus.join(dir).join(&golden.name);
+        let expected = std::fs::read_to_string(&path).ok();
+        if expected.as_deref() == Some(golden.text.as_str()) {
+            continue;
         }
+        let expected = expected.unwrap_or_default();
+        let written = actual.join(dir).join(&golden.name);
+        std::fs::create_dir_all(written.parent().expect("a directory"))
+            .and_then(|()| std::fs::write(&written, &golden.text))
+            .unwrap_or_else(|e| panic!("cannot write {}: {e}", written.display()));
+        let (want, got): (Vec<&str>, Vec<&str>) =
+            (expected.lines().collect(), golden.text.lines().collect());
+        let line = (0..want.len().max(got.len()))
+            .find(|&i| want.get(i) != got.get(i))
+            .unwrap_or(want.len().min(got.len()));
+        let (want, got) = (want.get(line), got.get(line));
+        let line = line + 1;
+        let _ = writeln!(
+            report,
+            "{dir}/{}: first difference on line {line}\n  expected: {want:?}\n  actual:   {got:?}",
+            golden.name
+        );
     }
-    assert!(
-        report.is_empty(),
-        "golden outputs differ; the actual outputs are under {}\n{report}",
-        actual.display()
-    );
-    assert_eq!(compared, 297);
+    if !report.is_empty() {
+        report.insert_str(
+            0,
+            &format!(
+                "golden outputs differ; the actual outputs are under {}\n",
+                actual.display()
+            ),
+        );
+    }
+    report
+}
+
+#[test]
+fn instance_commands_match_the_golden_corpus() {
+    let outputs: Vec<(String, Golden)> = INSTANCES
+        .iter()
+        .flat_map(|generate| {
+            let dir = generate.join("-");
+            outputs(generate).into_iter().map(move |g| (dir.clone(), g))
+        })
+        .collect();
+    let report = compare(&outputs);
+    assert!(report.is_empty(), "{report}");
+    assert_eq!(outputs.len(), 297);
+}
+
+/// `lr serve` of a shipped spec under `examples/serve/` with `flags`, and
+/// with the shipped feed `feed` when one is named; stored as
+/// `serve/<spec>[-<feed>].txt`.
+fn serve(spec: &str, flags: &[&str], feed: Option<&str>) -> (String, Golden) {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/serve");
+    let spec_path = dir.join(format!("{spec}.json"));
+    let feed_path = feed.map(|f| dir.join(format!("{f}.ndjson")));
+    let mut args = vec!["serve", spec_path.to_str().expect("a UTF-8 path")];
+    args.extend_from_slice(flags);
+    if let Some(path) = &feed_path {
+        args.extend_from_slice(&["--feed", path.to_str().expect("a UTF-8 path")]);
+    }
+    let name = match feed {
+        Some(feed) => format!("{spec}-{feed}.txt"),
+        None => format!("{spec}.txt"),
+    };
+    let text = cli(&args, "");
+    ("serve".into(), Golden { name, text })
+}
+
+#[test]
+fn serve_matches_the_golden_corpus() {
+    let flags = ["--rate", "10", "--duration", "100"];
+    let outputs = [
+        serve("steady_grid", &flags, None),
+        serve("steady_grid", &flags, Some("feed_demo")),
+    ];
+    let report = compare(&outputs);
+    assert!(report.is_empty(), "{report}");
+}
+
+#[test]
+#[ignore = "a 100,489-node serve under churn; under a second in a release build, run with --ignored"]
+fn the_100k_churn_serve_matches_the_golden_corpus() {
+    let flags = ["--rate", "100", "--duration", "200"];
+    let report = compare(&[serve("grid_100k", &flags, Some("feed_churn_100k"))]);
+    assert!(report.is_empty(), "{report}");
 }
 
 #[test]
