@@ -14,12 +14,10 @@
 //! lockstep suite verifies each against the paper's automaton for its
 //! target step by step.
 
-use std::sync::Arc;
-
 use lr_graph::{NodeId, Orientation, ReversalInstance};
 
 use crate::alg::frontier::{count_bits_in_range, set_bits_in_range};
-use crate::alg::FrontierEngine;
+use crate::alg::{debug_check_planned, FrontierEngine};
 use crate::{EnabledTracker, MirroredDirs, PlanAux, StepOutcome, StepScratch};
 
 /// A label-update policy for [`FrontierBllEngine`].
@@ -123,48 +121,36 @@ impl FrontierEngine for FrontierBllEngine {
         scratch.clear();
         for slot in r {
             if !any_one || self.label_at(slot) {
-                scratch.reversed.push(csr.node(csr.target(slot)));
+                scratch.push(slot);
             }
         }
         StepOutcome {
             node_idx: ui,
-            reversal_count: scratch.reversed.len(),
+            reversal_count: scratch.slots.len(),
             dummy: false,
         }
     }
 
-    fn apply_planned(&mut self, u: NodeId, reversed: &[NodeId], _aux: PlanAux) {
-        let csr = Arc::clone(self.init.csr());
-        let ui = csr.index_of(u).expect("planned node");
-        // One matched pass over u's slot range reverses each planned
-        // edge; under the PR labeling the reversed neighbor's label for
-        // u (the twin slot's bit) drops to 0.
+    fn apply_planned(&mut self, ui: usize, slots: &[u32], _aux: PlanAux) {
+        let csr = self.init.csr();
+        debug_check_planned(csr, ui, slots);
+        // Reverse each planned edge; under the PR labeling the reversed
+        // neighbor's label for u (the twin slot's bit) drops to 0.
         let pr_labels = self.labeling == BllLabeling::PartialReversal;
-        let mut k = 0;
-        for slot in csr.slots(ui) {
-            if k == reversed.len() {
-                break;
-            }
-            if csr.node(csr.target(slot)) == reversed[k] {
-                self.dirs.reverse_outward_at(slot);
-                if pr_labels {
-                    let twin = csr.twin(slot);
-                    self.labels[twin >> 6] &= !(1 << (twin & 63));
-                }
-                k += 1;
+        for &slot in slots {
+            let slot = slot as usize;
+            self.dirs.reverse_outward_at(slot);
+            if pr_labels {
+                let twin = csr.twin(slot);
+                self.labels[twin >> 6] &= !(1 << (twin & 63));
             }
         }
-        assert_eq!(
-            k,
-            reversed.len(),
-            "planned targets must be an ascending subset of the node's neighbors"
-        );
         if pr_labels {
             // u forgets its history (list[u] := ∅ ⇒ all labels 1).
             let r = csr.slots(ui);
             set_bits_in_range(&mut self.labels, r.start, r.end);
         }
-        self.tracker.record_step(&csr, u, reversed);
+        self.tracker.record_step(csr, ui, slots);
     }
 
     fn orientation(&self) -> Orientation {
@@ -176,7 +162,7 @@ impl FrontierEngine for FrontierBllEngine {
     }
 
     fn end_round(&mut self) {
-        self.tracker.end_batch();
+        self.tracker.end_batch(self.init.csr());
     }
 
     fn reset(&mut self) {
@@ -228,7 +214,7 @@ mod tests {
     #[test]
     fn frontier_bll_pr_labeling_clears_and_resets_labels() {
         let flat = stream::chain_away(3);
-        let csr = Arc::clone(flat.csr());
+        let csr = std::sync::Arc::clone(flat.csr());
         let mut e = FrontierBllEngine::new(flat, BllLabeling::PartialReversal);
         e.step(n(2));
         // Node 1's label for 2 dropped: slot (1, 2) is the second slot of

@@ -9,8 +9,8 @@
 //! | FR | [`super::FrontierFrEngine`] | directions only |
 //! | PR | [`FrontierPrEngine`] | `list[u]` as one bit per slot |
 //! | NewPR | [`super::FrontierNewPrEngine`] | reversal counts as `Vec<u64>` |
-//! | GB-pair | [`super::FrontierPairHeightsEngine`] | dense `Vec<PairHeight>` |
-//! | GB-triple | [`super::FrontierTripleHeightsEngine`] | dense `Vec<TripleHeight>` |
+//! | GB-pair | [`super::FrontierPairHeightsEngine`] | `α` by dense index as `Vec<i64>` |
+//! | GB-triple | [`super::FrontierTripleHeightsEngine`] | `(α, β)` by dense index as `Vec<(i64, i64)>` |
 //! | BLL | [`super::FrontierBllEngine`] | link labels as one bit per slot |
 //!
 //! [`FrontierPrEngine`] implements the exact transition function of
@@ -39,13 +39,11 @@
 //! [`super::NewPrAutomaton`], comparing enabled sets and orientations
 //! at every step.
 
-use std::sync::Arc;
-
 use lr_graph::{NodeId, Orientation, ReversalInstance};
 
 use crate::alg::{
-    BllLabeling, FrontierBllEngine, FrontierEngine, FrontierFrEngine, FrontierNewPrEngine,
-    FrontierPairHeightsEngine, FrontierTripleHeightsEngine,
+    debug_check_planned, BllLabeling, FrontierBllEngine, FrontierEngine, FrontierFrEngine,
+    FrontierNewPrEngine, FrontierPairHeightsEngine, FrontierTripleHeightsEngine,
 };
 use crate::{EnabledTracker, MirroredDirs, PlanAux, StepOutcome, StepScratch};
 
@@ -276,43 +274,31 @@ impl FrontierEngine for FrontierPrEngine {
         scratch.clear();
         for slot in r {
             if list_is_full || !self.list_has(slot) {
-                scratch.reversed.push(csr.node(csr.target(slot)));
+                scratch.push(slot);
             }
         }
         StepOutcome {
             node_idx: ui,
-            reversal_count: scratch.reversed.len(),
+            reversal_count: scratch.slots.len(),
             dummy: false,
         }
     }
 
-    fn apply_planned(&mut self, u: NodeId, reversed: &[NodeId], _aux: PlanAux) {
-        let csr = Arc::clone(self.init.csr());
-        let ui = csr.index_of(u).expect("planned node");
-        // One pass over u's slot range does all three effects of
-        // `pr_apply_targets`: reverse each planned edge (both copies),
-        // record u in the reversed neighbor's list (the twin slot's bit),
-        // and — afterwards — empty list[u].
-        let mut k = 0;
-        for slot in csr.slots(ui) {
-            if k == reversed.len() {
-                break;
-            }
-            if csr.node(csr.target(slot)) == reversed[k] {
-                self.dirs.reverse_outward_at(slot);
-                let twin = csr.twin(slot);
-                self.list[twin >> 6] |= 1 << (twin & 63);
-                k += 1;
-            }
+    fn apply_planned(&mut self, ui: usize, slots: &[u32], _aux: PlanAux) {
+        let csr = self.init.csr();
+        debug_check_planned(csr, ui, slots);
+        // The three effects of `pr_apply_targets`: reverse each planned
+        // edge (both copies), record u in the reversed neighbor's list
+        // (the twin slot's bit), and — afterwards — empty list[u].
+        for &slot in slots {
+            let slot = slot as usize;
+            self.dirs.reverse_outward_at(slot);
+            let twin = csr.twin(slot);
+            self.list[twin >> 6] |= 1 << (twin & 63);
         }
-        assert_eq!(
-            k,
-            reversed.len(),
-            "planned targets must be an ascending subset of the node's neighbors"
-        );
         let r = csr.slots(ui);
         clear_bits_in_range(&mut self.list, r.start, r.end);
-        self.tracker.record_step(&csr, u, reversed);
+        self.tracker.record_step(csr, ui, slots);
     }
 
     fn orientation(&self) -> Orientation {
@@ -324,7 +310,7 @@ impl FrontierEngine for FrontierPrEngine {
     }
 
     fn end_round(&mut self) {
-        self.tracker.end_batch();
+        self.tracker.end_batch(self.init.csr());
     }
 
     fn reset(&mut self) {

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use lr_graph::{NodeId, Orientation, ReversalInstance};
 use lr_ioa::Automaton;
 
-use crate::alg::FrontierEngine;
+use crate::alg::{debug_check_planned, FrontierEngine};
 use crate::{EnabledTracker, MirroredDirs, PlanAux, ReversalStep, StepOutcome, StepScratch};
 
 /// FR state: just the mirrored edge directions.
@@ -116,20 +116,22 @@ impl FrontierEngine for FrontierFrEngine {
         );
         scratch.clear();
         for slot in csr.slots(ui) {
-            scratch.reversed.push(csr.node(csr.target(slot)));
+            scratch.push(slot);
         }
         StepOutcome {
             node_idx: ui,
-            reversal_count: scratch.reversed.len(),
+            reversal_count: scratch.slots.len(),
             dummy: false,
         }
     }
 
-    fn apply_planned(&mut self, u: NodeId, reversed: &[NodeId], _aux: PlanAux) {
-        let csr = Arc::clone(self.init.csr());
-        let ui = csr.index_of(u).expect("planned node");
-        self.dirs.reverse_all_outward_at(ui, reversed);
-        self.tracker.record_step(&csr, u, reversed);
+    fn apply_planned(&mut self, ui: usize, slots: &[u32], _aux: PlanAux) {
+        let csr = self.init.csr();
+        debug_check_planned(csr, ui, slots);
+        for &slot in slots {
+            self.dirs.reverse_outward_at(slot as usize);
+        }
+        self.tracker.record_step(csr, ui, slots);
     }
 
     fn orientation(&self) -> Orientation {
@@ -141,7 +143,7 @@ impl FrontierEngine for FrontierFrEngine {
     }
 
     fn end_round(&mut self) {
-        self.tracker.end_batch();
+        self.tracker.end_batch(self.init.csr());
     }
 
     fn reset(&mut self) {

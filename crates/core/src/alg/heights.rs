@@ -20,15 +20,25 @@
 //! list-based implementations step-by-step (experiment E11) and (b) serve
 //! as the local-state algorithm in the distributed simulator, where nodes
 //! only know their neighbors' heights. The triple-height update lives
-//! once, in [`TripleHeight::raised_above`]: the flat engine below and
-//! every `lr-net` protocol (distributed PR, routing, election and the
-//! threaded mode) step through it.
+//! once, in the `(α, β)` core of [`TripleHeight::raised_above`]: the
+//! flat engine below steps through the core, and every `lr-net` protocol
+//! (distributed PR, routing, election and the threaded mode) through
+//! `raised_above`.
+//!
+//! The two flat engines store heights **by dense CSR index** and without
+//! the id: [`FrontierPairHeightsEngine`] keeps `α` (8 bytes per node) and
+//! [`FrontierTripleHeightsEngine`] `(α, β)` (16 bytes per node). The
+//! dense index is the tie-break. The CSR node table is sorted by id, so
+//! comparing `(α, index)` orders nodes exactly as `(α, id)` does, and
+//! every comparison, orientation and enabled set is the one the full
+//! heights give. A full [`PairHeight`] or [`TripleHeight`] is built only
+//! where one is asked for, by `height()`.
 
 use std::sync::Arc;
 
 use lr_graph::{CsrGraph, NodeId, Orientation, ReversalInstance};
 
-use crate::alg::FrontierEngine;
+use crate::alg::{debug_check_planned, FrontierEngine};
 use crate::{EnabledTracker, PlanAux, StepOutcome, StepScratch};
 
 /// A Gafni–Bertsekas pair height `(α, id)`, ordered lexicographically.
@@ -66,23 +76,39 @@ impl TripleHeight {
         I: IntoIterator<Item = TripleHeight>,
         I::IntoIter: Clone,
     {
-        let nbrs = nbrs.into_iter();
-        let alpha = 1 + nbrs
-            .clone()
-            .map(|h| h.alpha)
-            .min()
-            .expect("a sink has at least one neighbour");
-        let beta = nbrs
-            .filter(|h| h.alpha == alpha)
-            .map(|h| h.beta - 1)
-            .min()
-            .unwrap_or(self.beta);
+        let nbrs = nbrs.into_iter().map(|h| (h.alpha, h.beta));
+        let (alpha, beta) = raised_alpha_beta(self.beta, nbrs);
         TripleHeight {
             alpha,
             beta,
             ..self
         }
     }
+}
+
+/// The rule of [`TripleHeight::raised_above`] on the `(α, β)` parts
+/// alone, which is all it reads: the new `(α, β)` of a sink whose own
+/// `β` is `beta` and whose neighbours have the `(α, β)` parts `nbrs`.
+/// The GB-triple engine, which stores no ids, steps through it directly.
+///
+/// # Panics
+///
+/// Panics if `nbrs` is empty (a sink has at least one neighbour).
+fn raised_alpha_beta<I>(beta: i64, nbrs: I) -> (i64, i64)
+where
+    I: Iterator<Item = (i64, i64)> + Clone,
+{
+    let alpha = 1 + nbrs
+        .clone()
+        .map(|(a, _)| a)
+        .min()
+        .expect("a sink has at least one neighbour");
+    let beta = nbrs
+        .filter(|&(a, _)| a == alpha)
+        .map(|(_, b)| b - 1)
+        .min()
+        .unwrap_or(beta);
+    (alpha, beta)
 }
 
 /// Plane-embedding x-coordinates by dense CSR index: each node's place
@@ -102,33 +128,40 @@ fn initial_positions(inst: &ReversalInstance) -> Vec<usize> {
 }
 
 /// Sink test shared by both height engines: every neighbor sits above.
-fn height_is_sink_at<H: Ord>(csr: &CsrGraph, heights: &[H], idx: usize) -> bool {
+/// `keys[i]` is the stored height of the node at dense index `i`, whose
+/// tie-break is `i` itself.
+fn height_is_sink_at<K: Ord + Copy>(csr: &CsrGraph, keys: &[K], idx: usize) -> bool {
     csr.degree(idx) > 0
         && csr
             .neighbor_indices(idx)
             .iter()
-            .all(|&v| heights[v as usize] > heights[idx])
+            .all(|&v| (keys[v as usize], v as usize) > (keys[idx], idx))
 }
 
 /// The orientation induced by total-order heights: each edge runs from
 /// the higher endpoint to the lower.
-fn height_orientation<H: Ord>(csr: &Arc<CsrGraph>, heights: &[H]) -> Orientation {
+fn height_orientation<K: Ord + Copy>(csr: &Arc<CsrGraph>, keys: &[K]) -> Orientation {
     Orientation::from_fn(Arc::clone(csr), |src, slot| {
-        heights[src] > heights[csr.target(slot)]
+        let dst = csr.target(slot);
+        (keys[src], src) > (keys[dst], dst)
     })
 }
 
-/// The initial pair heights of an instance: `α_u = n − 1 − x(u)`.
-fn initial_pair_heights(inst: &ReversalInstance) -> Vec<PairHeight> {
-    let csr = inst.csr();
-    let n = csr.node_count() as i64;
+/// The initial pair heights' `α` by dense CSR index: `α_u = n − 1 − x(u)`.
+fn initial_pair_alphas(inst: &ReversalInstance) -> Vec<i64> {
+    let n = inst.node_count() as i64;
     initial_positions(inst)
         .into_iter()
-        .zip(csr.nodes())
-        .map(|(x, u)| PairHeight {
-            alpha: n - 1 - x as i64,
-            id: u,
-        })
+        .map(|x| n - 1 - x as i64)
+        .collect()
+}
+
+/// The initial triple heights' `(α, β)` by dense CSR index: `α = 0`,
+/// `β_u = −x(u)`.
+fn initial_alpha_betas(inst: &ReversalInstance) -> Vec<(i64, i64)> {
+    initial_positions(inst)
+        .into_iter()
+        .map(|x| (0, -(x as i64)))
         .collect()
 }
 
@@ -142,20 +175,16 @@ fn initial_pair_heights(inst: &ReversalInstance) -> Vec<PairHeight> {
 /// Panics if the initial orientation is not acyclic (no generator or
 /// validated instance produces one).
 pub fn initial_triple_heights(inst: &ReversalInstance) -> Vec<TripleHeight> {
-    let csr = inst.csr();
-    initial_positions(inst)
+    initial_alpha_betas(inst)
         .into_iter()
-        .zip(csr.nodes())
-        .map(|(x, u)| TripleHeight {
-            alpha: 0,
-            beta: -(x as i64),
-            id: u,
-        })
+        .zip(inst.csr().nodes())
+        .map(|((alpha, beta), id)| TripleHeight { alpha, beta, id })
         .collect()
 }
 
-/// Full Reversal via pair heights over a [`ReversalInstance`]: heights
-/// by dense CSR index, initial coordinates from the Kahn order in
+/// Full Reversal via pair heights over a [`ReversalInstance`]: `α` by
+/// dense CSR index, with the index as the tie-break (see the module
+/// docs), initial coordinates from the Kahn order in
 /// `initial_positions`, `α_u = n − 1 − x(u)` so initial edges (left →
 /// right) run from higher to lower height. Step-for-step identical to
 /// [`crate::alg::FullReversalAutomaton`] (the lockstep suite).
@@ -163,21 +192,21 @@ pub fn initial_triple_heights(inst: &ReversalInstance) -> Vec<TripleHeight> {
 pub struct FrontierPairHeightsEngine {
     /// The initial configuration, retained for [`FrontierEngine::reset`].
     init: ReversalInstance,
-    /// Heights by dense CSR index.
-    heights: Vec<PairHeight>,
+    /// `α` by dense CSR index.
+    alphas: Vec<i64>,
     tracker: EnabledTracker,
 }
 
 impl FrontierPairHeightsEngine {
     /// Creates the engine in the initial state of `inst`.
     pub fn new(inst: ReversalInstance) -> Self {
-        let heights = initial_pair_heights(&inst);
+        let alphas = initial_pair_alphas(&inst);
         // The initial heights induce the initial orientation, so its bits
         // seed the tracker without a height comparison per slot.
         let tracker = EnabledTracker::from_orientation(inst.init(), inst.dest);
         FrontierPairHeightsEngine {
             init: inst,
-            heights,
+            alphas,
             tracker,
         }
     }
@@ -188,7 +217,11 @@ impl FrontierPairHeightsEngine {
     ///
     /// Panics if `u` is not a node of the instance.
     pub fn height(&self, u: NodeId) -> PairHeight {
-        self.heights[self.init.csr().index_of(u).expect("known node")]
+        let i = self.init.csr().index_of(u).expect("known node");
+        PairHeight {
+            alpha: self.alphas[i],
+            id: u,
+        }
     }
 }
 
@@ -204,7 +237,7 @@ impl FrontierEngine for FrontierPairHeightsEngine {
     fn is_sink(&self, u: NodeId) -> bool {
         let csr = self.init.csr();
         csr.index_of(u)
-            .is_some_and(|i| height_is_sink_at(csr, &self.heights, i))
+            .is_some_and(|i| height_is_sink_at(csr, &self.alphas, i))
     }
 
     fn enabled(&self) -> &[NodeId] {
@@ -216,36 +249,36 @@ impl FrontierEngine for FrontierPairHeightsEngine {
         let csr = self.init.csr();
         let ui = csr.index_of(u).expect("stepping node exists");
         assert!(
-            height_is_sink_at(csr, &self.heights, ui),
+            height_is_sink_at(csr, &self.alphas, ui),
             "reverse({u}) precondition: {u} must be a sink"
         );
         let max_alpha = csr
             .neighbor_indices(ui)
             .iter()
-            .map(|&v| self.heights[v as usize].alpha)
+            .map(|&v| self.alphas[v as usize])
             .max()
             .expect("sink has at least one neighbor");
         scratch.clear();
-        for &v in csr.neighbor_indices(ui) {
-            scratch.reversed.push(csr.node(v as usize));
+        for slot in csr.slots(ui) {
+            scratch.push(slot);
         }
         scratch.aux = PlanAux(max_alpha + 1, 0);
         StepOutcome {
             node_idx: ui,
-            reversal_count: scratch.reversed.len(),
+            reversal_count: scratch.slots.len(),
             dummy: false,
         }
     }
 
-    fn apply_planned(&mut self, u: NodeId, reversed: &[NodeId], aux: PlanAux) {
-        let csr = Arc::clone(self.init.csr());
-        let ui = csr.index_of(u).expect("planned node");
-        self.heights[ui].alpha = aux.0;
-        self.tracker.record_step(&csr, u, reversed);
+    fn apply_planned(&mut self, ui: usize, slots: &[u32], aux: PlanAux) {
+        let csr = self.init.csr();
+        debug_check_planned(csr, ui, slots);
+        self.alphas[ui] = aux.0;
+        self.tracker.record_step(csr, ui, slots);
     }
 
     fn orientation(&self) -> Orientation {
-        height_orientation(self.init.csr(), &self.heights)
+        height_orientation(self.init.csr(), &self.alphas)
     }
 
     fn begin_round(&mut self) {
@@ -253,40 +286,41 @@ impl FrontierEngine for FrontierPairHeightsEngine {
     }
 
     fn end_round(&mut self) {
-        self.tracker.end_batch();
+        self.tracker.end_batch(self.init.csr());
     }
 
     fn reset(&mut self) {
-        self.heights = initial_pair_heights(&self.init);
+        self.alphas = initial_pair_alphas(&self.init);
         self.tracker = EnabledTracker::from_orientation(self.init.init(), self.init.dest);
     }
 
     fn resident_bytes(&self) -> usize {
         let csr = self.init.csr();
         csr.resident_bytes()
-            + self.heights.len() * std::mem::size_of::<PairHeight>()
+            + self.alphas.len() * std::mem::size_of::<i64>()
             + self.init.half_edge_count().div_ceil(64) * 8 // retained init bits
             + csr.node_count() * 4 // tracker out-counts
     }
 }
 
 /// Partial Reversal via triple heights over a [`ReversalInstance`] —
-/// the triple-height twin of [`FrontierPairHeightsEngine`], starting from
-/// `α = 0` and `β_u = −x(u)`. Step-for-step identical to
+/// the triple-height twin of [`FrontierPairHeightsEngine`], storing
+/// `(α, β)` by dense CSR index and starting from `α = 0` and
+/// `β_u = −x(u)`. Step-for-step identical to
 /// [`crate::alg::OneStepPrAutomaton`] (the lockstep suite).
 #[derive(Debug, Clone)]
 pub struct FrontierTripleHeightsEngine {
     /// The initial configuration, retained for [`FrontierEngine::reset`].
     init: ReversalInstance,
-    /// Heights by dense CSR index.
-    heights: Vec<TripleHeight>,
+    /// `(α, β)` by dense CSR index.
+    heights: Vec<(i64, i64)>,
     tracker: EnabledTracker,
 }
 
 impl FrontierTripleHeightsEngine {
     /// Creates the engine in the initial state of `inst`.
     pub fn new(inst: ReversalInstance) -> Self {
-        let heights = initial_triple_heights(&inst);
+        let heights = initial_alpha_betas(&inst);
         let tracker = EnabledTracker::from_orientation(inst.init(), inst.dest);
         FrontierTripleHeightsEngine {
             init: inst,
@@ -301,7 +335,8 @@ impl FrontierTripleHeightsEngine {
     ///
     /// Panics if `u` is not a node of the instance.
     pub fn height(&self, u: NodeId) -> TripleHeight {
-        self.heights[self.init.csr().index_of(u).expect("known node")]
+        let (alpha, beta) = self.heights[self.init.csr().index_of(u).expect("known node")];
+        TripleHeight { alpha, beta, id: u }
     }
 }
 
@@ -333,28 +368,29 @@ impl FrontierEngine for FrontierTripleHeightsEngine {
             "reverse({u}) precondition: {u} must be a sink"
         );
         let nbrs = csr.neighbor_indices(ui);
-        let raised = self.heights[ui].raised_above(nbrs.iter().map(|&v| self.heights[v as usize]));
+        let (alpha, beta) = raised_alpha_beta(
+            self.heights[ui].1,
+            nbrs.iter().map(|&v| self.heights[v as usize]),
+        );
         scratch.clear();
-        for &v in nbrs {
-            if self.heights[v as usize].alpha == raised.alpha - 1 {
-                scratch.reversed.push(csr.node(v as usize));
+        for (slot, &v) in csr.slots(ui).zip(nbrs) {
+            if self.heights[v as usize].0 == alpha - 1 {
+                scratch.push(slot);
             }
         }
-        scratch.aux = PlanAux(raised.alpha, raised.beta);
+        scratch.aux = PlanAux(alpha, beta);
         StepOutcome {
             node_idx: ui,
-            reversal_count: scratch.reversed.len(),
+            reversal_count: scratch.slots.len(),
             dummy: false,
         }
     }
 
-    fn apply_planned(&mut self, u: NodeId, reversed: &[NodeId], aux: PlanAux) {
-        let csr = Arc::clone(self.init.csr());
-        let ui = csr.index_of(u).expect("planned node");
-        let h = &mut self.heights[ui];
-        h.alpha = aux.0;
-        h.beta = aux.1;
-        self.tracker.record_step(&csr, u, reversed);
+    fn apply_planned(&mut self, ui: usize, slots: &[u32], aux: PlanAux) {
+        let csr = self.init.csr();
+        debug_check_planned(csr, ui, slots);
+        self.heights[ui] = (aux.0, aux.1);
+        self.tracker.record_step(csr, ui, slots);
     }
 
     fn orientation(&self) -> Orientation {
@@ -366,18 +402,18 @@ impl FrontierEngine for FrontierTripleHeightsEngine {
     }
 
     fn end_round(&mut self) {
-        self.tracker.end_batch();
+        self.tracker.end_batch(self.init.csr());
     }
 
     fn reset(&mut self) {
-        self.heights = initial_triple_heights(&self.init);
+        self.heights = initial_alpha_betas(&self.init);
         self.tracker = EnabledTracker::from_orientation(self.init.init(), self.init.dest);
     }
 
     fn resident_bytes(&self) -> usize {
         let csr = self.init.csr();
         csr.resident_bytes()
-            + self.heights.len() * std::mem::size_of::<TripleHeight>()
+            + self.heights.len() * std::mem::size_of::<(i64, i64)>()
             + self.init.half_edge_count().div_ceil(64) * 8 // retained init bits
             + csr.node_count() * 4 // tracker out-counts
     }

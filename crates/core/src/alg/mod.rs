@@ -67,19 +67,20 @@ use crate::{PlanAux, ReversalStep, StepOutcome, StepScratch};
 ///
 /// # The step pipeline
 ///
-/// A step is split into a read-only **plan** and a mutating **apply**:
+/// A step is split into a read-only **plan** and a mutating **apply**,
+/// both by half-edge slot (see [`crate::step`]):
 ///
-/// * [`FrontierEngine::plan_step`] computes the step's reversal targets
-///   against the current state into a caller-owned [`StepScratch`]
-///   without mutating anything;
-/// * [`FrontierEngine::apply_planned`] executes a previously planned
-///   step in place;
+/// * [`FrontierEngine::plan_step`] resolves the stepping node to its
+///   dense index and writes the slots it reverses into a caller-owned
+///   [`StepScratch`], without mutating anything;
+/// * [`FrontierEngine::apply_planned`] flips exactly those slots of the
+///   node at that index, in place;
 /// * [`FrontierEngine::step_into`] is plan + apply — the
 ///   **zero-allocation hot path** the run loop uses (one reusable
 ///   scratch per run);
 /// * [`FrontierEngine::step`] is the allocating wrapper (fresh buffer
-///   per call, owned [`ReversalStep`] result) for traces, tests, and the
-///   lockstep suite.
+///   per call, owned [`ReversalStep`] result with the neighbours' ids)
+///   for traces, tests, and the lockstep suite.
 ///
 /// Because the sinks of one greedy round are pairwise non-adjacent, a
 /// plan computed against the pre-round state equals the plan a
@@ -122,8 +123,9 @@ pub trait FrontierEngine: Sync {
     fn enabled(&self) -> &[NodeId];
 
     /// Plans node `u`'s reversal step against the **current** state
-    /// without mutating it: writes the reversed neighbors (ascending)
-    /// into `scratch` and returns the step's [`StepOutcome`].
+    /// without mutating it: writes the reversed half-edge slots
+    /// (ascending, all in `u`'s slot range) into `scratch` and returns
+    /// the step's [`StepOutcome`], which carries `u`'s dense index.
     ///
     /// # Panics
     ///
@@ -132,29 +134,30 @@ pub trait FrontierEngine: Sync {
     fn plan_step(&self, u: NodeId, scratch: &mut StepScratch) -> StepOutcome;
 
     /// Applies a step previously planned by [`FrontierEngine::plan_step`]
-    /// for `u`: `reversed` is the planned target list and `aux` the
-    /// plan's payload. The state must not have changed in a way that
-    /// affects `u`'s plan in between (the non-adjacency of a greedy
-    /// round's sinks guarantees this for whole-round batches).
-    fn apply_planned(&mut self, u: NodeId, reversed: &[NodeId], aux: PlanAux);
+    /// for the node at dense index `ui` (the plan's
+    /// [`StepOutcome::node_idx`]): `slots` are the planned slots and
+    /// `aux` the plan's payload. The state must not have changed in a
+    /// way that affects the plan in between (the non-adjacency of a
+    /// greedy round's sinks guarantees this for whole-round batches).
+    fn apply_planned(&mut self, ui: usize, slots: &[u32], aux: PlanAux);
 
     /// Performs node `u`'s reversal step through the caller-owned
     /// `scratch`, with **no heap allocation** in steady state: the
-    /// reversed-neighbor list is written into the reusable buffer and
-    /// the returned [`StepOutcome`] is `Copy`. See [`StepScratch`] for
-    /// the ownership contract.
+    /// reversed slots are written into the reusable buffer and the
+    /// returned [`StepOutcome`] is `Copy`. See [`StepScratch`] for the
+    /// ownership contract.
     ///
     /// # Panics
     ///
     /// Panics if `u` is not enabled.
     fn step_into(&mut self, u: NodeId, scratch: &mut StepScratch) -> StepOutcome {
         let outcome = self.plan_step(u, scratch);
-        self.apply_planned(u, &scratch.reversed, scratch.aux);
+        self.apply_planned(outcome.node_idx, &scratch.slots, scratch.aux);
         outcome
     }
 
     /// Performs node `u`'s reversal step, returning an owned
-    /// [`ReversalStep`].
+    /// [`ReversalStep`] that names the reversed neighbours by id.
     ///
     /// Thin wrapper over [`FrontierEngine::step_into`] that allocates a
     /// fresh buffer per call. Run loops use `step_into`; traces, tests,
@@ -169,7 +172,7 @@ pub trait FrontierEngine: Sync {
         let outcome = self.step_into(u, &mut scratch);
         ReversalStep {
             node: u,
-            reversed: scratch.reversed,
+            reversed: scratch.targets(self.csr()).collect(),
             dummy: outcome.dummy,
         }
     }
@@ -199,8 +202,22 @@ pub trait FrontierEngine: Sync {
     /// Total resident bytes of the engine's steady state — the shared
     /// CSR arrays plus every per-node/per-slot array the engine owns.
     /// This is the number the benchmark's bytes-per-half-edge metrics
-    /// report.
+    /// report. The enabled tracker's round buffers (the enabled list,
+    /// its merge buffer, and the bitmap of a round's newly enabled
+    /// nodes at one bit per node) are not counted.
     fn resident_bytes(&self) -> usize;
+}
+
+/// Debug-checks that `slots` ascend within the slot range of the node at
+/// dense index `ui`, as every [`FrontierEngine::plan_step`] writes them;
+/// each `apply_planned` flips exactly the slots it is given.
+#[inline]
+pub(crate) fn debug_check_planned(csr: &CsrGraph, ui: usize, slots: &[u32]) {
+    debug_assert!(
+        slots.is_sorted_by(|a, b| a < b)
+            && slots.iter().all(|&s| csr.slots(ui).contains(&(s as usize))),
+        "planned slots must ascend within the slot range of node index {ui}"
+    );
 }
 
 #[cfg(test)]
@@ -231,7 +248,8 @@ mod tests {
             let u = lr_graph::NodeId::new(4);
             let step = a.step(u);
             let outcome = b.step_into(u, &mut scratch);
-            assert_eq!(step.reversed, scratch.reversed().to_vec());
+            let targets: Vec<lr_graph::NodeId> = scratch.targets(b.csr()).collect();
+            assert_eq!(step.reversed, targets);
             assert_eq!(step.reversal_count(), outcome.reversal_count);
             assert_eq!(step.dummy, outcome.dummy);
             assert_eq!(b.csr().node(outcome.node_idx), u);

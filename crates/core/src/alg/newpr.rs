@@ -14,12 +14,11 @@
 //! uniform across all nodes.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use lr_graph::{EdgeDir, NodeId, Orientation, ReversalInstance};
 use lr_ioa::Automaton;
 
-use crate::alg::FrontierEngine;
+use crate::alg::{debug_check_planned, FrontierEngine};
 use crate::{EnabledTracker, MirroredDirs, PlanAux, ReversalStep, StepOutcome, StepScratch};
 
 /// The parity of a node's step count — the derived variable `parity[u]`.
@@ -175,22 +174,24 @@ impl FrontierEngine for FrontierNewPrEngine {
         scratch.clear();
         for slot in csr.slots(ui) {
             if (self.init.init().dir_at(slot) == EdgeDir::In) == want_initial_in {
-                scratch.reversed.push(csr.node(csr.target(slot)));
+                scratch.push(slot);
             }
         }
         StepOutcome {
             node_idx: ui,
-            reversal_count: scratch.reversed.len(),
-            dummy: scratch.reversed.is_empty(),
+            reversal_count: scratch.slots.len(),
+            dummy: scratch.slots.is_empty(),
         }
     }
 
-    fn apply_planned(&mut self, u: NodeId, reversed: &[NodeId], _aux: PlanAux) {
-        let csr = Arc::clone(self.init.csr());
-        let ui = csr.index_of(u).expect("planned node");
-        self.dirs.reverse_all_outward_at(ui, reversed);
+    fn apply_planned(&mut self, ui: usize, slots: &[u32], _aux: PlanAux) {
+        let csr = self.init.csr();
+        debug_check_planned(csr, ui, slots);
+        for &slot in slots {
+            self.dirs.reverse_outward_at(slot as usize);
+        }
         self.counts[ui] += 1;
-        self.tracker.record_step(&csr, u, reversed);
+        self.tracker.record_step(csr, ui, slots);
     }
 
     fn orientation(&self) -> Orientation {
@@ -202,7 +203,7 @@ impl FrontierEngine for FrontierNewPrEngine {
     }
 
     fn end_round(&mut self) {
-        self.tracker.end_batch();
+        self.tracker.end_batch(self.init.csr());
     }
 
     fn reset(&mut self) {

@@ -64,7 +64,8 @@ pub fn onestep_pr_step(inst: &ReversalInstance, state: &mut PrState, u: NodeId) 
     let ui = csr.index_of(u).expect("sink is a node");
     // Reverse the neighbors not in `list[u]` — unless the list holds
     // *all* neighbors, in which case everything reverses. Neighbor slots
-    // are ascending by id.
+    // are ascending by id. The selection reads only the lists, so each
+    // selected edge is reversed outward as it is selected.
     let list_u = &state.lists[&u];
     let list_is_full = list_u.len() == csr.degree(ui);
     let mut targets = Vec::with_capacity(csr.degree(ui));
@@ -72,11 +73,10 @@ pub fn onestep_pr_step(inst: &ReversalInstance, state: &mut PrState, u: NodeId) 
         let v = csr.node(csr.target(slot));
         if list_is_full || !list_u.contains(&v) {
             targets.push(v);
+            state.dirs.reverse_outward_at(slot);
         }
     }
-    // Reverse the selected edges outward, record `u` in each reversed
-    // neighbor's list, empty `list[u]`.
-    state.dirs.reverse_all_outward_at(ui, &targets);
+    // Record `u` in each reversed neighbor's list, empty `list[u]`.
     for &v in &targets {
         state
             .lists

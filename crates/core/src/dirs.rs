@@ -131,36 +131,6 @@ impl MirroredDirs {
         self.words[tw] &= !tm;
     }
 
-    /// Reverses the edges from the node at dense index `ui` to each of
-    /// `targets` outward in **one pass** over `ui`'s slot range.
-    ///
-    /// `targets` must be an ascending subset of `ui`'s neighbors — which
-    /// is exactly what every engine's `plan_step` produces — so the walk
-    /// is a linear two-pointer match with no per-target slot lookup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if some target is not adjacent to `ui` (or the slice is
-    /// not ascending) — silently skipping an edge would corrupt the
-    /// orientation, so the one-comparison check is a hard assert.
-    pub fn reverse_all_outward_at(&mut self, ui: usize, targets: &[NodeId]) {
-        let mut k = 0;
-        for slot in self.csr.slots(ui) {
-            if k == targets.len() {
-                break;
-            }
-            if self.csr.node(self.csr.target(slot)) == targets[k] {
-                self.reverse_outward_at(slot);
-                k += 1;
-            }
-        }
-        assert_eq!(
-            k,
-            targets.len(),
-            "planned targets must be an ascending subset of the node's neighbors"
-        );
-    }
-
     /// Sets a **single** side `dir[u, v]` without touching `dir[v, u]`.
     ///
     /// Only exists so tests can manufacture Invariant 3.1 violations; the
@@ -425,29 +395,6 @@ mod tests {
         let mut c = b.clone();
         c.reverse_outward(n(3), n(2));
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn reverse_all_outward_matches_per_edge_reversal() {
-        let inst = stream::random_connected(10, 12, 5);
-        let mut a = MirroredDirs::from_instance(&inst);
-        let mut b = a.clone();
-        // Pick a node with degree ≥ 2 and reverse a subset of neighbors.
-        let csr = std::sync::Arc::clone(a.csr());
-        let ui = (0..csr.node_count())
-            .find(|&i| csr.degree(i) >= 2)
-            .expect("graph has a node of degree 2");
-        let nbrs: Vec<NodeId> = csr
-            .neighbor_indices(ui)
-            .iter()
-            .map(|&v| csr.node(v as usize))
-            .collect();
-        let subset = [nbrs[0], nbrs[nbrs.len() - 1]];
-        a.reverse_all_outward_at(ui, &subset);
-        for &v in &subset {
-            b.reverse_outward(csr.node(ui), v);
-        }
-        assert_eq!(a, b);
     }
 
     #[test]

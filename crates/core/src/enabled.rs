@@ -14,11 +14,19 @@
 //! number and the shift is a cache-friendly memmove, so this term stays
 //! far below the O(n·Δ) rescan it replaces even on sink-heavy workloads.
 //!
+//! A step is recorded the way engines plan it: the stepping node's dense
+//! index and its reversed half-edge slots. Each slot's target is the
+//! neighbour whose out-count drops, so the tracker never resolves a
+//! node id. Dense indices ascend with node ids (the CSR node table is
+//! sorted), which is what lets a greedy round's newly enabled nodes be
+//! collected by index and still come out in id order.
+//!
 //! The tracker is deliberately redundant state: it mirrors what a scan
 //! of the underlying direction state would produce, and the differential
 //! test suite (`tests/csr_differential.rs`) checks that mirror against an
 //! `is_sink` rescan after every single step and at every greedy-round
-//! boundary, on every engine configuration.
+//! boundary, on every engine configuration, with contiguous and with
+//! gapped node ids.
 
 use lr_graph::{CsrGraph, NodeId};
 
@@ -34,28 +42,37 @@ use lr_graph::{CsrGraph, NodeId};
 ///   step. Single-step schedulers need this.
 /// * **batched** — between [`EnabledTracker::begin_batch`] and
 ///   [`EnabledTracker::end_batch`], `record_step` only accumulates
-///   out-count deltas plus removal/insertion lists; `end_batch` merges
-///   them into the sorted vector in **one linear pass**. Greedy rounds
-///   use this: a round applies many steps without reading `enabled()`,
-///   so the per-step O(s) shifts (s = current sink count) collapse into
-///   a single O(s + round) merge. Because the enabled *set* is a pure
-///   function of the out-counts, the merged result is bit-identical to
-///   what per-step editing produces.
+///   out-count deltas, the list of nodes that stepped, and a bitmap (one
+///   bit per dense index) of the nodes whose out-count reached zero,
+///   with the list of bitmap words it touched. `end_batch` drops the
+///   nodes that stepped from the sorted vector, sorts the touched words,
+///   and merges their bits in, read in index order, which is id order:
+///   O(s + edits + w·log w) for w touched words, with no comparison
+///   sort of nodes and nothing proportional to n. Greedy rounds use
+///   this: a round applies many steps without reading `enabled()`, so
+///   the per-step O(s) shifts collapse into one merge. Because the
+///   enabled *set* is a pure function of the out-counts, the merged
+///   result is bit-identical to what per-step editing produces.
 #[derive(Debug, Clone)]
 pub struct EnabledTracker {
     /// Dense index of the destination (never enabled).
     dest_idx: usize,
     /// Per-node count of outgoing half-edges; a sink has count 0.
     out_count: Vec<u32>,
-    /// Enabled nodes, ascending. Stale w.r.t. `removed`/`inserted` while
-    /// a batch is open.
+    /// Enabled nodes, ascending. Stale w.r.t. `removed`/`fresh` while a
+    /// batch is open.
     enabled: Vec<NodeId>,
     /// Whether a batch is open.
     batching: bool,
-    /// Batched: nodes that stepped and gained outgoing edges.
+    /// Batched: nodes that stepped and gained outgoing edges, in step
+    /// order.
     removed: Vec<NodeId>,
-    /// Batched: nodes whose out-count reached zero.
-    inserted: Vec<NodeId>,
+    /// Batched: bit `i` is set iff the node at dense index `i` reached
+    /// out-count zero. All clear outside a batch.
+    fresh: Vec<u64>,
+    /// Batched: the index of every word of `fresh` with a set bit, once
+    /// each.
+    touched: Vec<u32>,
     /// Reusable merge target, swapped with `enabled` in `end_batch`.
     merge_buf: Vec<NodeId>,
 }
@@ -87,7 +104,8 @@ impl EnabledTracker {
             enabled,
             batching: false,
             removed: Vec::new(),
-            inserted: Vec::new(),
+            fresh: vec![0; csr.node_count().div_ceil(64)],
+            touched: Vec::new(),
             merge_buf: Vec::new(),
         }
     }
@@ -126,74 +144,94 @@ impl EnabledTracker {
         assert!(!self.batching, "batch already open");
         self.batching = true;
         self.removed.clear();
-        self.inserted.clear();
     }
 
-    /// Closes the batch, merging the accumulated removals and
-    /// insertions into the sorted enabled vector in one linear pass.
+    /// Closes the batch: drops the nodes that stepped from the sorted
+    /// enabled vector and merges in the bitmap of newly enabled nodes.
+    /// `csr` must be the graph the steps were recorded on.
     ///
     /// # Panics
     ///
     /// Panics if no batch is open.
-    pub fn end_batch(&mut self) {
+    pub fn end_batch(&mut self, csr: &CsrGraph) {
         assert!(self.batching, "no batch open");
         self.batching = false;
-        // Steppers are recorded in schedule order, which greedy rounds
-        // take ascending — but sort defensively so the merge never
-        // depends on the caller's iteration order. Newly enabled nodes
-        // arrive in reversal order and genuinely need the sort.
-        self.removed.sort_unstable();
-        self.inserted.sort_unstable();
+        // Greedy rounds step their snapshot in ascending order, so this
+        // is one pass; only an out-of-order caller pays for a sort.
+        if !self.removed.is_sorted() {
+            self.removed.sort_unstable();
+        }
+        // Drop the nodes that stepped. Both lists ascend, so one cursor
+        // walks `removed`. A node that stepped and was re-enabled in the
+        // same batch comes back below, from the bitmap.
+        let removed = &self.removed;
+        let mut k = 0;
+        self.enabled.retain(|&u| {
+            let stepped = removed.get(k) == Some(&u);
+            k += usize::from(stepped);
+            !stepped
+        });
+        debug_assert_eq!(k, removed.len(), "removed node was not enabled");
+        // Merge in the newly enabled nodes in id order: the touched words
+        // in order, each word's bits low to high. Reading a word clears
+        // it.
+        self.touched.sort_unstable();
         self.merge_buf.clear();
-        let (mut i, mut j, mut k) = (0, 0, 0);
-        while i < self.enabled.len() || j < self.inserted.len() {
-            let take_inserted = j < self.inserted.len()
-                && (i >= self.enabled.len() || self.inserted[j] < self.enabled[i]);
-            if take_inserted {
-                self.merge_buf.push(self.inserted[j]);
-                j += 1;
-            } else {
-                let u = self.enabled[i];
-                i += 1;
-                if k < self.removed.len() && self.removed[k] == u {
-                    k += 1;
-                } else {
-                    self.merge_buf.push(u);
+        let mut i = 0;
+        for &w in &self.touched {
+            let base = (w as usize) << 6;
+            let mut bits = std::mem::take(&mut self.fresh[w as usize]);
+            while bits != 0 {
+                let v = csr.node(base | bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+                while i < self.enabled.len() && self.enabled[i] < v {
+                    self.merge_buf.push(self.enabled[i]);
+                    i += 1;
                 }
+                self.merge_buf.push(v);
             }
         }
-        debug_assert_eq!(k, self.removed.len(), "removed node was not enabled");
+        self.touched.clear();
+        self.merge_buf.extend_from_slice(&self.enabled[i..]);
         std::mem::swap(&mut self.enabled, &mut self.merge_buf);
     }
 
-    /// Applies the enabled-set delta of one step: `u` reversed the edges
-    /// to `reversed` outward. Only `u` and those neighbors are touched.
+    /// Applies the enabled-set delta of one step: the node at dense
+    /// index `ui` reversed the edges of `slots` (slots of its own range)
+    /// outward. Only `ui` and the slots' targets are touched.
     ///
     /// # Panics
     ///
-    /// Panics if `u` or a reversed neighbor is not a node of the graph.
-    pub fn record_step(&mut self, csr: &CsrGraph, u: NodeId, reversed: &[NodeId]) {
-        let ui = csr.index_of(u).expect("stepping node exists");
-        self.out_count[ui] += reversed.len() as u32;
-        if !reversed.is_empty() {
+    /// Panics if `ui` or a slot is out of range for `csr`.
+    pub fn record_step(&mut self, csr: &CsrGraph, ui: usize, slots: &[u32]) {
+        self.out_count[ui] += slots.len() as u32;
+        if !slots.is_empty() {
             // A dummy step (NewPR §4.1) reverses nothing: u stays a sink
             // and stays enabled. Otherwise it gained outgoing edges.
+            let u = csr.node(ui);
             if self.batching {
                 self.removed.push(u);
             } else {
                 self.remove(u);
             }
         }
-        for &v in reversed {
-            let vi = csr.index_of(v).expect("reversed neighbor exists");
-            debug_assert!(self.out_count[vi] > 0, "reversed edge was outgoing at {v}");
+        for &slot in slots {
+            let vi = csr.target(slot as usize);
+            debug_assert!(
+                self.out_count[vi] > 0,
+                "reversed edge was outgoing at node index {vi}"
+            );
             self.out_count[vi] -= 1;
             if self.out_count[vi] == 0 && vi != self.dest_idx {
                 // v had an outgoing edge, so degree(v) > 0 holds.
                 if self.batching {
-                    self.inserted.push(v);
+                    let word = &mut self.fresh[vi >> 6];
+                    if *word == 0 {
+                        self.touched.push((vi >> 6) as u32);
+                    }
+                    *word |= 1 << (vi & 63);
                 } else {
-                    self.insert(v);
+                    self.insert(csr.node(vi));
                 }
             }
         }
@@ -216,10 +254,20 @@ impl EnabledTracker {
 mod tests {
     use super::*;
     use crate::MirroredDirs;
-    use lr_graph::stream;
+    use lr_graph::{stream, ReversalInstance};
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
+    }
+
+    /// A full-reversal step of the node at dense index `ui` on `dirs`:
+    /// every slot of its range, reversed outward. Returns the slots.
+    fn reverse_all(dirs: &mut MirroredDirs, ui: usize) -> Vec<u32> {
+        let slots: Vec<u32> = dirs.csr().slots(ui).map(|s| s as u32).collect();
+        for &slot in &slots {
+            dirs.reverse_outward_at(slot as usize);
+        }
+        slots
     }
 
     #[test]
@@ -243,16 +291,13 @@ mod tests {
         let inst = stream::random_connected(14, 12, 77);
         let mut dirs = MirroredDirs::from_instance(&inst);
         let mut t = EnabledTracker::from_dirs(&dirs, inst.dest);
+        let csr = std::sync::Arc::clone(inst.csr());
         let mut guard = 0;
         while let Some(&u) = t.enabled().first() {
-            // Full-reversal step: reverse every incident edge.
-            let reversed: Vec<NodeId> = inst.csr().neighbors(u).collect();
-            for &v in &reversed {
-                dirs.reverse_outward(u, v);
-            }
-            t.record_step(dirs.csr(), u, &reversed);
-            let rescan: Vec<NodeId> = inst
-                .csr()
+            let ui = csr.index_of(u).unwrap();
+            let slots = reverse_all(&mut dirs, ui);
+            t.record_step(&csr, ui, &slots);
+            let rescan: Vec<NodeId> = csr
                 .nodes()
                 .filter(|&w| w != inst.dest && dirs.is_sink(w))
                 .collect();
@@ -262,34 +307,55 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batched_round_matches_immediate_updates() {
-        // Drive identical full-reversal greedy rounds through both
-        // update modes; every round boundary must agree exactly.
-        let inst = stream::random_connected(16, 14, 3);
-        let mut dirs_a = MirroredDirs::from_instance(&inst);
+    /// Drives identical full-reversal greedy rounds through both update
+    /// modes; every round boundary must agree exactly. Returns the
+    /// largest round.
+    fn batched_matches_immediate(inst: &ReversalInstance) -> usize {
+        let csr = std::sync::Arc::clone(inst.csr());
+        let mut dirs_a = MirroredDirs::from_instance(inst);
         let mut dirs_b = dirs_a.clone();
         let mut a = EnabledTracker::from_dirs(&dirs_a, inst.dest); // immediate
         let mut b = EnabledTracker::from_dirs(&dirs_b, inst.dest); // batched
-        let mut guard = 0;
+        let (mut rounds, mut largest) = (0, 0);
         while !a.enabled().is_empty() {
             let round: Vec<NodeId> = a.enabled().to_vec();
+            largest = largest.max(round.len());
             b.begin_batch();
             for &u in &round {
-                let reversed: Vec<NodeId> = inst.csr().neighbors(u).collect();
-                for &v in &reversed {
-                    dirs_a.reverse_outward(u, v);
-                    dirs_b.reverse_outward(u, v);
-                }
-                a.record_step(dirs_a.csr(), u, &reversed);
-                b.record_step(dirs_b.csr(), u, &reversed);
+                let ui = csr.index_of(u).unwrap();
+                let slots = reverse_all(&mut dirs_a, ui);
+                reverse_all(&mut dirs_b, ui);
+                a.record_step(&csr, ui, &slots);
+                b.record_step(&csr, ui, &slots);
             }
-            b.end_batch();
-            assert_eq!(a.enabled(), b.enabled(), "modes diverged");
-            guard += 1;
-            assert!(guard < 100_000);
+            b.end_batch(&csr);
+            assert_eq!(a.enabled(), b.enabled(), "modes diverged in round {rounds}");
+            rounds += 1;
+            assert!(rounds < 100_000);
         }
         assert!(b.enabled().is_empty());
+        assert!(b.fresh.iter().all(|&w| w == 0), "a batch leaves no bit set");
+        largest
+    }
+
+    #[test]
+    fn batched_round_matches_immediate_updates() {
+        batched_matches_immediate(&stream::random_connected(16, 14, 3));
+        // Gapped ids (i ↦ 3·i + 2): the bitmap is by dense index, the
+        // enabled view by id, and here the two differ.
+        let plain = stream::random_connected(40, 50, 8);
+        let arcs: Vec<(u32, u32)> = plain
+            .init()
+            .directed_edges()
+            .map(|(t, h)| (3 * t.raw() + 2, 3 * h.raw() + 2))
+            .collect();
+        let gapped = ReversalInstance::from_edges(&arcs, n(3 * plain.dest.raw() + 2)).unwrap();
+        assert_eq!(gapped.csr().node(1), n(5));
+        batched_matches_immediate(&gapped);
+        // Rounds that enable thousands of nodes spread over many words
+        // of the bitmap, so the touched-word order carries the merge.
+        let largest = batched_matches_immediate(&stream::random_connected(20_000, 20_000, 5));
+        assert!(largest >= 1_000, "largest round had only {largest} nodes");
     }
 
     #[test]
@@ -308,7 +374,7 @@ mod tests {
         let dirs = MirroredDirs::from_instance(&inst);
         let mut t = EnabledTracker::from_dirs(&dirs, inst.dest);
         assert_eq!(t.enabled(), &[n(2)]);
-        t.record_step(dirs.csr(), n(2), &[]); // NewPR dummy step
+        t.record_step(dirs.csr(), 2, &[]); // NewPR dummy step
         assert_eq!(t.enabled(), &[n(2)], "dummy step must not disable");
     }
 }

@@ -372,7 +372,7 @@ impl ParallelConfig {
     }
 }
 
-/// One planned step, pointing into a shard's concatenated target buffer.
+/// One planned step, pointing into a shard's concatenated slot buffer.
 struct PlanRec {
     outcome: StepOutcome,
     start: usize,
@@ -383,7 +383,8 @@ struct PlanRec {
 #[derive(Default)]
 struct PlanShard {
     recs: Vec<PlanRec>,
-    targets: Vec<NodeId>,
+    /// Every planned step's reversed slots, concatenated.
+    slots: Vec<u32>,
     scratch: StepScratch,
 }
 
@@ -393,10 +394,10 @@ fn plan_shard(planner: &dyn FrontierEngine, shard: &mut PlanShard, nodes: &[Node
         let outcome = planner.plan_step(u, &mut shard.scratch);
         shard.recs.push(PlanRec {
             outcome,
-            start: shard.targets.len(),
+            start: shard.slots.len(),
             aux: shard.scratch.aux(),
         });
-        shard.targets.extend_from_slice(shard.scratch.reversed());
+        shard.slots.extend_from_slice(shard.scratch.slots());
     }
 }
 
@@ -433,7 +434,7 @@ fn planned_parallel_round(
     // Plan phase: workers read the shared pre-round state.
     for shard in shards.iter_mut() {
         shard.recs.clear();
-        shard.targets.clear();
+        shard.slots.clear();
     }
     // Worker `k` owns dense indices `[k·⌈n/threads⌉, (k+1)·⌈n/threads⌉)`.
     // The snapshot is ascending by id, and dense CSR indices are
@@ -474,9 +475,8 @@ fn planned_parallel_round(
     engine.begin_round();
     'apply: for shard in shards.iter() {
         for rec in &shard.recs {
-            let u = csr.node(rec.outcome.node_idx);
-            let targets = &shard.targets[rec.start..rec.start + rec.outcome.reversal_count];
-            engine.apply_planned(u, targets, rec.aux);
+            let slots = &shard.slots[rec.start..rec.start + rec.outcome.reversal_count];
+            engine.apply_planned(rec.outcome.node_idx, slots, rec.aux);
             book.record(&rec.outcome);
             if book.steps >= max_steps {
                 break 'apply;

@@ -33,15 +33,16 @@
 //!   phase of greedy rounds out across worker threads, sharded by
 //!   contiguous node ranges — bit-identical to the sequential run at
 //!   every thread count.
-//! * [`step`] — the zero-allocation step pipeline: caller-owned
-//!   [`StepScratch`] buffers and lightweight [`StepOutcome`]s. The
-//!   **caller owns the scratch**: one buffer per run, overwritten by
-//!   every step, no per-step heap traffic after warm-up (see the module
-//!   docs for the full ownership contract).
+//! * [`step`] — the zero-allocation step pipeline, planned and applied
+//!   by half-edge slot: caller-owned [`StepScratch`] buffers and
+//!   lightweight [`StepOutcome`]s. The **caller owns the scratch**: one
+//!   buffer per run, overwritten by every step, no per-step heap
+//!   traffic after warm-up (see the module docs for the full ownership
+//!   contract).
 //! * [`enabled`] — incremental enabled-set maintenance
 //!   ([`EnabledTracker`]) shared by every engine, with per-step edits
-//!   for single-step schedulers and batched out-count-delta merges for
-//!   greedy rounds.
+//!   for single-step schedulers and, for greedy rounds, one merge per
+//!   round of a bitmap of the newly enabled nodes.
 //! * [`work`] — growth-rate fitting for the Θ(n_b²) worst-case work
 //!   experiments.
 //! * [`game`] — the Charron-Bost-style social-cost comparison of FR vs PR.

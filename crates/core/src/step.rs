@@ -1,13 +1,13 @@
 //! The zero-allocation step pipeline: caller-owned scratch buffers and
 //! lightweight step outcomes.
 //!
-//! Before PR 3 every [`crate::ReversalStep`] carried an owned
-//! `Vec<NodeId>` of reversed neighbors, so a 4.2 M-step run performed
-//! 4.2 M heap allocations just to report what each step did. The
-//! pipeline now splits a step into three pieces:
+//! A step is planned and applied by **slot**. Every rule of the paper
+//! reads and rewrites only the stepping node's own incident edges, and
+//! those are the node's half-edge slots (`csr.slots(ui)`), so the
+//! pipeline never turns a neighbour back into its node id:
 //!
 //! * [`StepScratch`] — a **caller-owned, reusable** buffer the engine
-//!   writes each step's reversed-neighbor list (and an opaque plan
+//!   writes each step's reversed half-edge slots (and an opaque plan
 //!   payload) into;
 //! * [`StepOutcome`] — the lightweight, `Copy` result of a step: the
 //!   stepping node's dense CSR index, the reversal count, and the NewPR
@@ -17,6 +17,13 @@
 //!   [`crate::alg::FrontierEngine::apply_planned`] (the height engines
 //!   stash the new height here so apply never re-scans the
 //!   neighborhood).
+//!
+//! `plan_step` resolves the stepping node's id to its dense index once;
+//! `apply_planned` takes that index and the planned slots and flips
+//! exactly those, and the enabled tracker decrements the out-count of
+//! each slot's target. Only the allocating
+//! [`crate::alg::FrontierEngine::step`] wrapper maps the slots back to
+//! neighbour ids, for its owned [`crate::ReversalStep`].
 //!
 //! # Ownership contract
 //!
@@ -30,7 +37,7 @@
 //! [`crate::alg::FrontierEngine::step`] wrapper, which does exactly
 //! that).
 
-use lr_graph::NodeId;
+use lr_graph::{CsrGraph, NodeId};
 
 /// The lightweight result of one engine step: everything the run-loop
 /// bookkeeping needs, nothing heap-allocated.
@@ -50,7 +57,7 @@ pub struct StepOutcome {
 /// Opaque payload a [`crate::alg::FrontierEngine::plan_step`] hands to
 /// the matching [`crate::alg::FrontierEngine::apply_planned`].
 ///
-/// Engines whose apply phase needs more than the reversed-neighbor list
+/// Engines whose apply phase needs more than the reversed slots
 /// (the Gafni–Bertsekas height engines precompute the stepping node's
 /// new height during planning) smuggle it through here; all other
 /// engines use [`PlanAux::default`]. The contents are meaningless to
@@ -62,9 +69,10 @@ pub struct PlanAux(pub(crate) i64, pub(crate) i64);
 /// pipeline. See the [module docs](self) for the ownership contract.
 #[derive(Debug, Clone, Default)]
 pub struct StepScratch {
-    /// Reversed neighbors of the most recent planned step, ascending by
-    /// node id (the order every engine reverses in).
-    pub(crate) reversed: Vec<NodeId>,
+    /// Reversed half-edge slots of the most recent planned step, all in
+    /// the stepping node's slot range and ascending (so their targets
+    /// ascend by node id, the order every engine reverses in).
+    pub(crate) slots: Vec<u32>,
     /// Plan payload of the most recent planned step.
     pub(crate) aux: PlanAux,
 }
@@ -79,16 +87,26 @@ impl StepScratch {
     /// avoiding even the warm-up growth.
     pub fn with_capacity(degree: usize) -> Self {
         StepScratch {
-            reversed: Vec::with_capacity(degree),
+            slots: Vec::with_capacity(degree),
             aux: PlanAux::default(),
         }
     }
 
-    /// The reversed neighbors written by the most recent
+    /// The reversed half-edge slots written by the most recent
     /// [`crate::alg::FrontierEngine::plan_step`] /
-    /// [`crate::alg::FrontierEngine::step_into`], ascending by node id.
-    pub fn reversed(&self) -> &[NodeId] {
-        &self.reversed
+    /// [`crate::alg::FrontierEngine::step_into`], ascending. The
+    /// neighbour a slot reverses toward is
+    /// `csr.node(csr.target(slot as usize))`.
+    pub fn slots(&self) -> &[u32] {
+        &self.slots
+    }
+
+    /// The neighbours the planned slots reverse toward, by id and
+    /// ascending: the target of each slot in `csr`, the engine's graph.
+    pub fn targets<'a>(&'a self, csr: &'a CsrGraph) -> impl Iterator<Item = NodeId> + 'a {
+        self.slots
+            .iter()
+            .map(|&slot| csr.node(csr.target(slot as usize)))
     }
 
     /// The plan payload of the most recent planned step (pass to
@@ -97,11 +115,14 @@ impl StepScratch {
         self.aux
     }
 
-    /// Appends one reversed neighbor to the current plan. For
+    /// Appends one reversed half-edge slot to the current plan. For
     /// [`crate::alg::FrontierEngine::plan_step`] implementations
-    /// outside this crate; call [`StepScratch::clear`] first.
-    pub fn push(&mut self, v: NodeId) {
-        self.reversed.push(v);
+    /// outside this crate: call [`StepScratch::clear`] first, then push
+    /// slots of the stepping node's own range (`csr.slots(ui)`) in
+    /// ascending order. `apply_planned` flips exactly the pushed slots.
+    pub fn push(&mut self, slot: usize) {
+        debug_assert!(u32::try_from(slot).is_ok(), "slot {slot} exceeds u32");
+        self.slots.push(slot as u32);
     }
 
     /// Stores the plan payload to hand to
@@ -117,7 +138,7 @@ impl StepScratch {
     /// implementation calls this first, so external callers normally
     /// never need to.
     pub fn clear(&mut self) {
-        self.reversed.clear();
+        self.slots.clear();
         self.aux = PlanAux::default();
     }
 }
@@ -129,13 +150,13 @@ mod tests {
     #[test]
     fn scratch_reuse_keeps_capacity() {
         let mut s = StepScratch::with_capacity(8);
-        let cap = s.reversed.capacity();
+        let cap = s.slots.capacity();
         assert!(cap >= 8);
-        s.reversed.push(NodeId::new(1));
+        s.push(1);
         s.aux = PlanAux(3, 4);
         s.clear();
-        assert!(s.reversed().is_empty());
+        assert!(s.slots().is_empty());
         assert_eq!(s.aux(), PlanAux::default());
-        assert_eq!(s.reversed.capacity(), cap, "clear must not shrink");
+        assert_eq!(s.slots.capacity(), cap, "clear must not shrink");
     }
 }

@@ -9,6 +9,12 @@
 //! tracker merges a whole round's edits in one batch — and they re-check
 //! the paper's invariants (3.1, acyclicity, destination-orientedness) on
 //! the flat slot-indexed representation.
+//!
+//! Each per-step property also runs on a **gapped** copy of its instance,
+//! every id `i` relabelled `3·i + 2`. The map is monotone, so dense
+//! indices and slots are unchanged and only the ids differ from the
+//! indices: a place that mixes the two up diverges there, where the
+//! generators' contiguous ids would hide it.
 
 use lr_core::alg::{BllLabeling, FrontierEngine, FrontierFamily, FrontierPrEngine};
 use lr_core::engine::{run_engine_frontier, SchedulePolicy, DEFAULT_MAX_STEPS};
@@ -16,6 +22,7 @@ use lr_core::invariants::{check_acyclic, check_inv_3_1};
 use lr_core::StepScratch;
 use lr_graph::{stream, NodeId, ReversalInstance};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn instance_strategy() -> impl Strategy<Value = ReversalInstance> {
     (4usize..=16, 0usize..=20, any::<u64>())
@@ -28,6 +35,41 @@ fn families() -> impl Iterator<Item = FrontierFamily> {
     FrontierFamily::ALL
         .into_iter()
         .chain([FrontierFamily::Bll(BllLabeling::FullReversal)])
+}
+
+/// The id map of the gapped relabelling.
+fn gap(u: NodeId) -> NodeId {
+    NodeId::new(3 * u.raw() + 2)
+}
+
+/// `inst` with every id relabelled by [`gap`], built through the
+/// validating constructor like any parsed instance.
+fn gapped(inst: &ReversalInstance) -> ReversalInstance {
+    let arcs: Vec<(u32, u32)> = inst
+        .init()
+        .directed_edges()
+        .map(|(t, h)| (gap(t).raw(), gap(h).raw()))
+        .collect();
+    ReversalInstance::from_edges(&arcs, gap(inst.dest)).expect("a relabelled instance is valid")
+}
+
+/// `twin`, an engine on `gapped(inst)`, mirrors `engine` on `inst` under
+/// the id map: equal enabled sets and orientations.
+fn mirrors(
+    engine: &dyn FrontierEngine,
+    twin: &dyn FrontierEngine,
+    label: &str,
+) -> Result<(), TestCaseError> {
+    let enabled: Vec<NodeId> = engine.enabled().iter().map(|&u| gap(u)).collect();
+    prop_assert_eq!(twin.enabled(), &enabled[..], "{}: enabled sets", label);
+    let edges: Vec<(NodeId, NodeId)> = engine
+        .orientation()
+        .directed_edges()
+        .map(|(t, h)| (gap(t), gap(h)))
+        .collect();
+    let twin_edges: Vec<(NodeId, NodeId)> = twin.orientation().directed_edges().collect();
+    prop_assert_eq!(twin_edges, edges, "{}: orientations", label);
+    Ok(())
 }
 
 /// The enabled set a full rescan would produce, bypassing the tracker.
@@ -43,15 +85,18 @@ proptest! {
 
     /// The incrementally maintained enabled view equals a fresh full
     /// rescan after **every single step** of a run (step-for-step, not
-    /// just at quiescence).
+    /// just at quiescence), on the instance and on its gapped copy, which
+    /// mirrors it under the id map throughout.
     #[test]
     fn enabled_view_matches_rescan_after_every_step(
         inst in instance_strategy(),
         seed in any::<u64>(),
     ) {
+        let spaced = gapped(&inst);
         for family in families() {
             let name = family.name();
             let mut engine = family.engine(inst.clone());
+            let mut twin = family.engine(spaced.clone());
             let mut steps = 0usize;
             loop {
                 let scanned = rescan(&inst, engine.as_ref());
@@ -62,13 +107,25 @@ proptest! {
                     name,
                     steps
                 );
+                let twin_scanned = rescan(&spaced, twin.as_ref());
+                prop_assert_eq!(
+                    twin.enabled(),
+                    &twin_scanned[..],
+                    "{} (gapped ids): tracker diverged after {} steps",
+                    name,
+                    steps
+                );
+                mirrors(engine.as_ref(), twin.as_ref(), name)?;
                 prop_assert_eq!(engine.is_terminated(), scanned.is_empty());
                 if scanned.is_empty() {
                     break;
                 }
                 // Rotate the pick so different schedules are exercised.
                 let u = scanned[(seed as usize + steps) % scanned.len()];
-                engine.step(u);
+                let step = engine.step(u);
+                let twin_step = twin.step(gap(u));
+                let reversed: Vec<NodeId> = step.reversed.iter().map(|&v| gap(v)).collect();
+                prop_assert_eq!(twin_step.reversed, reversed, "{}", name);
                 steps += 1;
                 prop_assert!(steps < 1_000_000, "runaway execution");
             }
@@ -77,20 +134,26 @@ proptest! {
 
     /// The zero-allocation `step_into` pipeline is observably identical
     /// to the allocating `step` compatibility wrapper, in lockstep after
-    /// **every** step: same reversed-neighbor lists, same outcome
-    /// fields, same enabled sets and final orientations — on every
-    /// engine configuration.
+    /// **every** step: the planned slots name the wrapper's reversed
+    /// neighbours, and the outcome fields, enabled sets and final
+    /// orientations agree — on every engine configuration. A third engine
+    /// steps the gapped copy through `step_into` and mirrors the other
+    /// two under the id map, with equal outcomes and equal slots: neither
+    /// the dense index in an outcome nor a plan depends on the ids.
     #[test]
     fn step_into_matches_step_lockstep(
         inst in instance_strategy(),
         seed in any::<u64>(),
     ) {
+        let spaced = gapped(&inst);
         for family in families() {
             let name = family.name();
             let factory = || family.engine(inst.clone());
             let mut via_step = factory();
             let mut via_step_into = factory();
+            let mut twin = family.engine(spaced.clone());
             let mut scratch = StepScratch::new();
+            let mut twin_scratch = StepScratch::new();
             let mut k = 0usize;
             loop {
                 prop_assert_eq!(
@@ -100,6 +163,7 @@ proptest! {
                     name,
                     k
                 );
+                mirrors(via_step_into.as_ref(), twin.as_ref(), name)?;
                 if via_step.is_terminated() {
                     break;
                 }
@@ -107,7 +171,9 @@ proptest! {
                 let u = enabled[(seed as usize + k) % enabled.len()];
                 let step = via_step.step(u);
                 let outcome = via_step_into.step_into(u, &mut scratch);
-                prop_assert_eq!(&step.reversed[..], scratch.reversed(), "{}", name);
+                let twin_outcome = twin.step_into(gap(u), &mut twin_scratch);
+                let targets: Vec<NodeId> = scratch.targets(via_step_into.csr()).collect();
+                prop_assert_eq!(&step.reversed, &targets, "{}", name);
                 prop_assert_eq!(step.reversal_count(), outcome.reversal_count, "{}", name);
                 prop_assert_eq!(step.dummy, outcome.dummy, "{}", name);
                 prop_assert_eq!(
@@ -116,6 +182,13 @@ proptest! {
                     "{}: outcome must carry the stepping node's dense index",
                     name
                 );
+                prop_assert_eq!(twin_outcome, outcome, "{} (gapped ids)", name);
+                // A monotone relabelling keeps every slot, so the plans
+                // agree slot for slot and name the mapped neighbours.
+                prop_assert_eq!(twin_scratch.slots(), scratch.slots(), "{} (gapped ids)", name);
+                let twin_targets: Vec<NodeId> = twin_scratch.targets(twin.csr()).collect();
+                let reversed: Vec<NodeId> = step.reversed.iter().map(|&v| gap(v)).collect();
+                prop_assert_eq!(twin_targets, reversed, "{} (gapped ids)", name);
                 k += 1;
                 prop_assert!(k < 1_000_000, "runaway execution");
             }
@@ -127,12 +200,16 @@ proptest! {
     /// every sink a rescan finds, `end_round` — leave the tracker's
     /// batched merge equal to a fresh rescan at every round boundary, and
     /// the run loop's greedy schedule on a fresh engine reports the same
-    /// round count and final orientation.
+    /// round count and final orientation. The gapped copy, driven the
+    /// same way, mirrors the instance at every boundary, and its greedy
+    /// run reports equal `RunStats`.
     #[test]
     fn batched_rounds_match_rescan_at_every_boundary(inst in instance_strategy()) {
+        let spaced = gapped(&inst);
         for family in families() {
             let name = family.name();
             let mut engine = family.engine(inst.clone());
+            let mut twin = family.engine(spaced.clone());
             let mut scratch = StepScratch::new();
             let mut rounds = 0usize;
             loop {
@@ -144,6 +221,15 @@ proptest! {
                     name,
                     rounds
                 );
+                let twin_sinks = rescan(&spaced, twin.as_ref());
+                prop_assert_eq!(
+                    twin.enabled(),
+                    &twin_sinks[..],
+                    "{} (gapped ids): tracker diverged after {} rounds",
+                    name,
+                    rounds
+                );
+                mirrors(engine.as_ref(), twin.as_ref(), name)?;
                 if sinks.is_empty() {
                     break;
                 }
@@ -152,6 +238,11 @@ proptest! {
                     engine.step_into(u, &mut scratch);
                 }
                 engine.end_round();
+                twin.begin_round();
+                for &u in &twin_sinks {
+                    twin.step_into(u, &mut scratch);
+                }
+                twin.end_round();
                 rounds += 1;
                 prop_assert!(rounds < 1_000_000, "runaway execution");
             }
@@ -161,6 +252,10 @@ proptest! {
             prop_assert!(stats.terminated, "{} must terminate", name);
             prop_assert_eq!(stats.rounds, rounds, "{}", name);
             prop_assert_eq!(fresh.orientation(), engine.orientation(), "{}", name);
+            let mut fresh_twin = family.engine(spaced.clone());
+            let twin_stats = run_engine_frontier(fresh_twin.as_mut(), greedy, DEFAULT_MAX_STEPS);
+            prop_assert_eq!(&twin_stats, &stats, "{} (gapped ids)", name);
+            mirrors(fresh.as_ref(), fresh_twin.as_ref(), name)?;
         }
     }
 

@@ -10,7 +10,10 @@
 //!   (including one-sided desyncs);
 //! * **every [`FrontierFamily`] flat engine** through the
 //!   node-range-sharded parallel loop [`run_engine_frontier_sharded_with`]
-//!   at thread counts {1, 2, 4, 8} against the sequential frontier loop.
+//!   at thread counts {1, 2, 4, 8} against the sequential frontier loop,
+//!   also on a copy of the instance with gapped ids (`i ↦ 3·i + 2`),
+//!   where a worker that mixed node ids with dense indices would plan
+//!   the wrong shard.
 //!
 //! Each flat engine's step-for-step agreement with the paper's automata
 //! is the lockstep suite's job (`tests/end_to_end.rs` at the workspace
@@ -44,6 +47,22 @@ fn all_families() -> [FrontierFamily; 7] {
         FrontierFamily::Bll(BllLabeling::PartialReversal),
         FrontierFamily::Bll(BllLabeling::FullReversal),
     ]
+}
+
+/// The id map of the gapped relabelling: monotone, so dense indices and
+/// slots are unchanged.
+fn gap(u: NodeId) -> NodeId {
+    NodeId::new(3 * u.raw() + 2)
+}
+
+/// `inst` with every id relabelled by [`gap`].
+fn gapped(inst: &ReversalInstance) -> ReversalInstance {
+    let arcs: Vec<(u32, u32)> = inst
+        .init()
+        .directed_edges()
+        .map(|(t, h)| (gap(t).raw(), gap(h).raw()))
+        .collect();
+    ReversalInstance::from_edges(&arcs, gap(inst.dest)).expect("a relabelled instance is valid")
 }
 
 /// The retained reference model for the packed words: one [`EdgeDir`]
@@ -126,7 +145,8 @@ proptest! {
 
     /// The node-range-sharded parallel loop is bit-identical to the
     /// sequential frontier loop for every family at thread counts
-    /// {1, 2, 4, 8}.
+    /// {1, 2, 4, 8}, and so is the sharded loop on the gapped copy, with
+    /// its enabled set and orientation mapped back through the ids.
     #[test]
     fn every_family_sharded_bit_identical(
         n in 4usize..=16,
@@ -134,6 +154,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let flat = stream::random_connected(n, extra, seed);
+        let spaced = gapped(&flat);
         for family in all_families() {
             let mut seq = family.engine(flat.clone());
             let seq_stats =
@@ -152,6 +173,22 @@ proptest! {
                 );
                 prop_assert_eq!(par.orientation(), seq.orientation(), "{}", family.name());
                 prop_assert_eq!(par.enabled(), seq.enabled(), "{}", family.name());
+
+                let mut twin = family.engine(spaced.clone());
+                let twin_stats =
+                    run_engine_frontier_sharded_with(twin.as_mut(), cfg, DEFAULT_MAX_STEPS);
+                let label = format!("{} (gapped ids) at {threads} threads", family.name());
+                prop_assert_eq!(&twin_stats, &seq_stats, "{}", label);
+                let enabled: Vec<NodeId> = seq.enabled().iter().map(|&u| gap(u)).collect();
+                prop_assert_eq!(twin.enabled(), &enabled[..], "{}", label);
+                let edges: Vec<(NodeId, NodeId)> = seq
+                    .orientation()
+                    .directed_edges()
+                    .map(|(t, h)| (gap(t), gap(h)))
+                    .collect();
+                let twin_edges: Vec<(NodeId, NodeId)> =
+                    twin.orientation().directed_edges().collect();
+                prop_assert_eq!(twin_edges, edges, "{}", label);
             }
         }
     }

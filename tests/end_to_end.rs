@@ -257,11 +257,31 @@ fn bll_instantiations_match_their_targets_at_scale() {
     }
 }
 
+/// The id map of the gapped relabelling: monotone, so dense indices,
+/// slots and every order are unchanged and only the ids have gaps.
+fn gap(u: NodeId) -> NodeId {
+    NodeId::new(3 * u.raw() + 2)
+}
+
+/// `inst` with every id relabelled by [`gap`], through the validating
+/// constructor a parsed instance goes through.
+fn gapped(inst: &ReversalInstance) -> ReversalInstance {
+    let arcs: Vec<(u32, u32)> = inst
+        .init()
+        .directed_edges()
+        .map(|(t, h)| (gap(t).raw(), gap(h).raw()))
+        .collect();
+    ReversalInstance::from_edges(&arcs, gap(inst.dest)).expect("a relabelled instance is valid")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The same lockstep on random connected instances under a seeded
-    /// rotation through the enabled set.
+    /// rotation through the enabled set, and on their gapped copies,
+    /// whose ids differ from the dense indices. Each family's runs on
+    /// the gapped copy report the unrelabelled run's `RunStats` and end
+    /// in its orientation under the id map.
     #[test]
     fn automata_and_engines_trace_identically_on_random_instances(
         n in 4usize..=16,
@@ -269,10 +289,30 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let inst = stream::random_connected(n, extra, seed);
+        let spaced = gapped(&inst);
+        let pick = |e: &[NodeId], k: usize| e[(seed as usize).wrapping_add(k) % e.len()];
         for row in LOCKSTEP {
-            lockstep("random", &inst, row, |e, k| {
-                e[(seed as usize).wrapping_add(k) % e.len()]
-            });
+            lockstep("random", &inst, row, pick);
+            lockstep("gapped", &spaced, row, pick);
+            for policy in [
+                SchedulePolicy::GreedyRounds,
+                SchedulePolicy::FirstSingle,
+                SchedulePolicy::RandomSingle { seed },
+            ] {
+                let mut plain = row.0.engine(inst.clone());
+                let mut twin = row.0.engine(spaced.clone());
+                let stats = run_engine_frontier(plain.as_mut(), policy, DEFAULT_MAX_STEPS);
+                let twin_stats = run_engine_frontier(twin.as_mut(), policy, DEFAULT_MAX_STEPS);
+                prop_assert_eq!(&twin_stats, &stats, "{} under {:?}", row.0.name(), policy);
+                let edges: Vec<(NodeId, NodeId)> = plain
+                    .orientation()
+                    .directed_edges()
+                    .map(|(t, h)| (gap(t), gap(h)))
+                    .collect();
+                let twin_edges: Vec<(NodeId, NodeId)> =
+                    twin.orientation().directed_edges().collect();
+                prop_assert_eq!(twin_edges, edges, "{} under {:?}", row.0.name(), policy);
+            }
         }
     }
 }
