@@ -401,8 +401,8 @@ fn plan_shard(planner: &dyn FrontierEngine, shard: &mut PlanShard, nodes: &[Node
     }
 }
 
-/// One greedy round with the plan phase fanned out across crossbeam-
-/// scoped workers and a sequential apply — `drive`'s parallel round.
+/// One greedy round with the plan phase fanned out across scoped `std`
+/// threads and a sequential apply — `drive`'s parallel round.
 ///
 /// Every worker plans its sub-worklist against the shared **frozen
 /// pre-round state** (read-only borrow; a round's sinks are pairwise
@@ -457,19 +457,18 @@ fn planned_parallel_round(
         lo = hi;
     }
     let planner: &dyn FrontierEngine = engine;
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let mut work = shards.iter_mut().zip(slices.iter().copied());
         // The caller thread plans the first shard itself; only the
         // remaining shards pay for a spawn.
         let first = work.next();
         for (shard, nodes) in work {
-            s.spawn(move |_| plan_shard(planner, shard, nodes));
+            s.spawn(move || plan_shard(planner, shard, nodes));
         }
         if let Some((shard, nodes)) = first {
             plan_shard(planner, shard, nodes);
         }
-    })
-    .expect("plan worker panicked");
+    });
     // Apply phase: shards cover the snapshot in order, so the tracker's
     // out-count deltas merge deterministically.
     engine.begin_round();
@@ -501,7 +500,7 @@ pub fn run_engine_frontier_sharded(
 /// planning, explicit tuning.
 ///
 /// The id space is partitioned once into `cfg.threads` contiguous dense-
-/// index ranges; each round, every crossbeam-scoped worker receives as
+/// index ranges; each round, every scoped worker thread receives as
 /// its sub-worklist the run of enabled nodes falling in its range (a
 /// consecutive subslice of the ascending round snapshot) and plans those
 /// steps against the frozen pre-round state. The caller thread then

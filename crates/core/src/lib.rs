@@ -39,6 +39,9 @@
 //!   buffer per run, overwritten by every step, no per-step heap
 //!   traffic after warm-up (see the module docs for the full ownership
 //!   contract).
+//! * [`par`] — the in-order parallel fold behind the exhaustive model
+//!   checker and the scenario matrix sweep: work items on scoped
+//!   threads, results folded strictly in index order.
 //! * [`enabled`] — incremental enabled-set maintenance
 //!   ([`EnabledTracker`]) shared by every engine, with per-step edits
 //!   for single-step schedulers and, for greedy rounds, one merge per
@@ -73,6 +76,7 @@ pub mod enabled;
 pub mod engine;
 pub mod game;
 pub mod invariants;
+pub mod par;
 pub mod step;
 pub mod trace;
 pub mod work;

@@ -30,9 +30,9 @@
 //! * [`mutex`] — Raymond's token-based mutual exclusion: the token
 //!   holder is the destination of a tree of holder pointers, which
 //!   reverse along the token's path.
-//! * [`live`] — a threaded mode on crossbeam channels: one OS thread per
-//!   node, no global scheduler at all, demonstrating that the protocol's
-//!   guarantees don't depend on the simulator's determinism.
+//! * [`live`] — a threaded mode on `std::sync::mpsc` channels: one OS
+//!   thread per node, no global scheduler at all, demonstrating that the
+//!   protocol's guarantees don't depend on the simulator's determinism.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

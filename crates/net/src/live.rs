@@ -1,6 +1,6 @@
 //! The distributed reversal protocol on **real threads**: one OS thread
-//! per node, crossbeam channels per link, no global scheduler, no virtual
-//! clock.
+//! per node, one `std::sync::mpsc` channel into each node, no global
+//! scheduler, no virtual clock.
 //!
 //! This exists to demonstrate that the convergence and acyclicity
 //! guarantees verified on the deterministic simulator do not depend on
@@ -18,13 +18,12 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread;
 
-use crossbeam::channel::{unbounded, Sender};
 use lr_core::alg::{initial_triple_heights, TripleHeight};
 use lr_graph::{NodeId, ReversalInstance};
-use parking_lot::Mutex;
 
 use crate::reversal::reverse_if_sink;
 
@@ -63,7 +62,7 @@ pub fn run_threaded(inst: &ReversalInstance) -> LiveReport {
     ));
 
     let (senders, receivers): (Vec<Sender<LiveMsg>>, Vec<_>) =
-        (0..csr.node_count()).map(|_| unbounded()).unzip();
+        (0..csr.node_count()).map(|_| channel()).unzip();
 
     let mut handles = Vec::new();
     for (i, rx) in receivers.into_iter().enumerate() {
@@ -112,7 +111,10 @@ pub fn run_threaded(inst: &ReversalInstance) -> LiveReport {
                         // Every link is live in the threaded mode.
                         if !is_dest && reverse_if_sink(&mut height, known.iter().copied()) {
                             reversals.fetch_add(1, Ordering::SeqCst);
-                            published.lock().insert(u, height);
+                            published
+                                .lock()
+                                .expect("no node thread panics while publishing")
+                                .insert(u, height);
                             send_all(height);
                         }
                         // The received message is fully processed only
@@ -135,7 +137,10 @@ pub fn run_threaded(inst: &ReversalInstance) -> LiveReport {
         h.join().expect("node thread panicked");
     }
 
-    let heights = published.lock().clone();
+    let heights = published
+        .lock()
+        .expect("every node thread exited cleanly")
+        .clone();
     LiveReport {
         heights,
         reversals: reversals.load(Ordering::SeqCst) as u64,

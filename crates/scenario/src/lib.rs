@@ -29,7 +29,7 @@
 //! topologies, link configurations, and churn intensities
 //! ([`spec::MatrixSpec`]). [`sweep::run_matrix_sweep`] expands the grid
 //! into independent cells (`points × seeds × trials`), fans them out
-//! over crossbeam-scoped worker threads, and folds results through the
+//! over scoped `std` threads, and folds results through the
 //! mergeable [`stats`] accumulators in canonical order, so a parallel
 //! sweep is bit-identical to a serial one. Each point, and the whole
 //! sweep, is summarized in one [`SweepRecord`] row.

@@ -404,12 +404,12 @@ fn probe_batch(
             .map(|&(src, _)| driver.route_probe(src, memo))
             .collect();
     }
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> = batch
             .chunks(chunk)
             .zip(memos.iter_mut())
             .map(|(part, memo)| {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     part.iter()
                         .map(|&(src, _)| driver.route_probe(src, memo))
                         .collect::<Vec<_>>()
@@ -421,7 +421,6 @@ fn probe_batch(
             .flat_map(|h| h.join().expect("probe worker panicked"))
             .collect()
     })
-    .expect("probe scope panicked")
 }
 
 fn churn_allowed(protocol: ProtocolKind) -> bool {

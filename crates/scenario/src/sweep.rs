@@ -6,17 +6,17 @@
 //!
 //! [`run_matrix_sweep`] expands a spec's `matrix` section into its
 //! [`MatrixPoint`]s ([`ScenarioSpec::expand_matrix`]), turns
-//! `points × seeds × trials` into a flat work queue of independent
-//! **cells**, and fans the cells out over crossbeam-scoped workers
-//! pulling from a shared atomic cursor. Each cell is one
-//! [`run_scenario`] call — a pure function of `(spec, seed, trial)` —
-//! so workers share nothing but the queue.
+//! `points × seeds × trials` into a flat list of independent **cells**,
+//! and fans the cells out over scoped `std` threads through
+//! [`fold_in_order`]. Each cell is one [`run_scenario`] call — a pure
+//! function of `(spec, seed, trial)` — so workers share nothing but the
+//! fold's queue.
 //!
 //! ## Determinism
 //!
 //! Completion order is scheduler-dependent; the *merge* is not. Every
-//! cell carries its canonical index (matrix index ≻ seed ≻ trial), and
-//! an in-order reorder-buffer folder merges cell summaries into the
+//! cell's position in the list is its canonical index (matrix index ≻
+//! seed ≻ trial), and [`fold_in_order`] merges cell summaries into the
 //! streaming statistics ([`crate::stats::PointStats`]) strictly in
 //! canonical index order — the serial and parallel paths execute the
 //! exact same reduce-and-merge operations in the exact same order.
@@ -28,15 +28,13 @@
 //!
 //! Memory stays O(metrics): each finished cell is reduced to a
 //! fixed-size summary *in the worker* (its record rows are dropped on
-//! the spot) and parked in the reorder buffer only until its canonical
-//! turn. A backpressure window keeps workers from running more than
-//! O(threads) cells ahead of the fold cursor, so the buffer is bounded
-//! and peak memory is O(points + threads), never O(cells × rows).
+//! the spot) and waits for its canonical turn only as long as the
+//! fold's window of O(threads) cells allows, so peak memory is
+//! O(points + threads), never O(cells × rows).
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::ops::ControlFlow;
 
+use lr_core::par::fold_in_order;
 use lr_obs::MetricsShard;
 use serde::Serialize;
 
@@ -140,8 +138,8 @@ pub struct MatrixOutcome {
     /// whole-sweep roll-up row.
     pub records: Vec<SweepRecord>,
     /// The folded deterministic metrics shard: per-cell shards merged
-    /// strictly in canonical cell order by the reorder-buffer folder,
-    /// so it is bit-identical at every thread count
+    /// strictly in canonical cell order by [`fold_in_order`], so it is
+    /// bit-identical at every thread count
     /// (`tests/equivalence.rs` asserts the rendered bytes).
     pub metrics: MetricsShard,
 }
@@ -156,7 +154,7 @@ struct Cell {
 }
 
 /// Expands the matrix and runs every cell, fanning out over
-/// `options.threads` crossbeam-scoped workers, then folds results in
+/// `options.threads` scoped `std` threads, then folds results in
 /// canonical order into per-point and whole-sweep streaming summaries.
 ///
 /// # Errors
@@ -183,9 +181,8 @@ pub fn run_matrix_sweep(
         })
         .collect();
 
-    // A worker beyond one per cell would find the queue empty.
-    let threads = options.threads.clamp(1, cells.len().max(1));
-    let (point_stats, mut metrics) = run_and_fold(&points, &cells, spec.settle, threads, smoke)?;
+    let (point_stats, mut metrics) =
+        run_and_fold(&points, &cells, spec.settle, options.threads, smoke)?;
     metrics.add("sweep.points", points.len() as u64);
     metrics.publish();
 
@@ -284,67 +281,11 @@ fn reduce_cell(settle: u64, outcome: &RunOutcome) -> PointStats {
     stats
 }
 
-/// The in-order streaming folder: cell summaries merge into their
-/// point's accumulator strictly in canonical index order, no matter
-/// which worker finishes first. Early arrivals park in a reorder
-/// buffer — bounded at O(threads) entries by the workers'
-/// backpressure window, each a fixed-size summary — until the gap
-/// fills. The drain is sequential, so the first error it meets is the
-/// lowest-indexed failing cell's.
-struct Folder {
-    /// Next cell index to fold.
-    next: usize,
-    /// Finished-but-out-of-order cells.
-    parked: BTreeMap<usize, Result<(PointStats, MetricsShard), ScenarioError>>,
-    /// Cell index → matrix point index.
-    cell_points: Vec<usize>,
-    /// Per-point accumulators (the fold target).
-    points: Vec<PointStats>,
-    /// The whole-sweep metrics accumulator, folded in the same
-    /// canonical order as the stats (shard merge is order-insensitive
-    /// by algebra — the obs proptests — but sharing the discipline
-    /// keeps the determinism argument one argument).
-    metrics: MetricsShard,
-    /// The lowest-indexed cell error, if any.
-    error: Option<ScenarioError>,
-}
-
-impl Folder {
-    fn new(settle: u64, point_count: usize, cell_points: Vec<usize>) -> Self {
-        Folder {
-            next: 0,
-            parked: BTreeMap::new(),
-            cell_points,
-            points: (0..point_count).map(|_| PointStats::new(settle)).collect(),
-            metrics: MetricsShard::new(),
-            error: None,
-        }
-    }
-
-    fn submit(&mut self, index: usize, result: Result<(PointStats, MetricsShard), ScenarioError>) {
-        self.parked.insert(index, result);
-        while let Some(result) = self.parked.remove(&self.next) {
-            match result {
-                Ok((stats, shard)) => {
-                    self.points[self.cell_points[self.next]].merge(&stats);
-                    self.metrics.merge(&shard);
-                }
-                Err(e) => {
-                    if self.error.is_none() {
-                        self.error = Some(e);
-                    }
-                }
-            }
-            self.next += 1;
-        }
-    }
-}
-
-/// Runs every cell and streams the results through the canonical-order
-/// [`Folder`]. With one thread the cells run inline on the caller's
-/// thread (a genuinely serial execution that stops at the first error);
-/// otherwise workers pull from a shared atomic cursor, reduce each cell
-/// on the spot, and submit the summary to the shared folder.
+/// Runs every cell on `threads` workers and merges each cell's summary
+/// into its point's accumulator and the sweep's metrics, strictly in
+/// canonical cell order ([`fold_in_order`]). The first error in that
+/// order ends the sweep and is returned, so it is the lowest-indexed
+/// failing cell's at every thread count.
 fn run_and_fold(
     points: &[MatrixPoint],
     cells: &[Cell],
@@ -352,7 +293,8 @@ fn run_and_fold(
     threads: usize,
     smoke: bool,
 ) -> Result<(Vec<PointStats>, MetricsShard), ScenarioError> {
-    let run_cell = |c: &Cell| {
+    let run_cell = |i: usize| {
+        let c = &cells[i];
         // Per-cell span: one RAII guard around the whole simulation
         // (inert without a recording session).
         let mut span = lr_obs::span("sweep", "sweep.cell");
@@ -361,70 +303,25 @@ fn run_and_fold(
         span.arg("trial", c.trial as u64);
         run_scenario(&points[c.point].spec, c.seed, c.trial, smoke).map(|outcome| {
             (
+                c.point,
                 reduce_cell(settle, &outcome),
                 cell_metrics(&outcome.records),
             )
         })
     };
-    let cell_points: Vec<usize> = cells.iter().map(|c| c.point).collect();
-    let mut folder = Mutex::new(Folder::new(settle, points.len(), cell_points));
-    if threads == 1 {
-        let folder = folder.get_mut().expect("unshared folder");
-        for (i, cell) in cells.iter().enumerate() {
-            folder.submit(i, run_cell(cell));
-            if folder.error.is_some() {
-                break;
-            }
+    let mut stats: Vec<PointStats> = points.iter().map(|_| PointStats::new(settle)).collect();
+    let mut metrics = MetricsShard::new();
+    let folded = fold_in_order(cells.len(), threads, run_cell, |cell| match cell {
+        Ok((point, cell_stats, shard)) => {
+            stats[point].merge(&cell_stats);
+            metrics.merge(&shard);
+            ControlFlow::Continue(())
         }
-    } else {
-        let next = AtomicUsize::new(0);
-        // A worker never runs a cell more than this far ahead of the
-        // fold cursor; without the bound, one straggler cell would let
-        // the other workers park O(cells) summaries in the reorder
-        // buffer. The worker holding the cursor's own cell is always
-        // within the window, so the fold can never deadlock. Waiters
-        // block on the condvar (cells are whole simulations — spinning
-        // would burn a core for seconds) and are woken by every
-        // submit. An error recorded by the folder also wakes and
-        // releases them — mirroring the serial early break; error
-        // determinism is unaffected, because the in-order drain can
-        // only record an error after every lower-indexed cell has
-        // been folded.
-        let window = threads.saturating_mul(4);
-        let ready = Condvar::new();
-        crossbeam::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= cells.len() {
-                        break;
-                    }
-                    {
-                        let guard = folder.lock().expect("no poisoned workers");
-                        let guard = ready
-                            .wait_while(guard, |f| f.error.is_none() && i > f.next + window)
-                            .expect("no poisoned waiters");
-                        if guard.error.is_some() {
-                            break;
-                        }
-                    }
-                    // Run and reduce outside the lock; the fold itself
-                    // is cheap (three sketch merges).
-                    let reduced = run_cell(&cells[i]);
-                    folder
-                        .lock()
-                        .expect("no poisoned workers")
-                        .submit(i, reduced);
-                    ready.notify_all();
-                });
-            }
-        })
-        .expect("scoped sweep workers run");
-    }
-    let folder = folder.into_inner().expect("workers joined");
-    match folder.error {
-        Some(e) => Err(e),
-        None => Ok((folder.points, folder.metrics)),
+        Err(e) => ControlFlow::Break(e),
+    });
+    match folded {
+        ControlFlow::Continue(()) => Ok((stats, metrics)),
+        ControlFlow::Break(e) => Err(e),
     }
 }
 

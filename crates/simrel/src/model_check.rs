@@ -39,13 +39,12 @@
 //!
 //! ## Parallelism — one axis, one answer
 //!
-//! [`McOptions::threads`] fans the representatives out across
-//! crossbeam-scoped workers; each one's check runs serially on the worker
-//! that took it. Per-instance outcomes are folded into the
-//! [`ModelCheckSummary`] strictly in enumeration order through a reorder
-//! buffer, so the summary — counts, first violation, truncation — is
-//! **bit-identical at every thread count**. The `lr modelcheck --threads`
-//! flag sets it.
+//! [`McOptions::threads`] fans the representatives out across scoped
+//! `std` threads; each one's check runs serially on the worker that took
+//! it. [`fold_in_order`] folds the per-instance outcomes into the
+//! [`ModelCheckSummary`] strictly in enumeration order, so the summary —
+//! counts, first violation, truncation — is **bit-identical at every
+//! thread count**. The `lr modelcheck --threads` flag sets it.
 //!
 //! ## Truncation is a hard error
 //!
@@ -57,13 +56,12 @@
 //! [`ModelCheckSummary::first_violation`] name the representative (in
 //! [`parse`] syntax) and its orbit size.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::ops::ControlFlow;
 use std::time::Instant;
 
 use lr_core::alg::{NewPrAutomaton, OneStepPrAutomaton, PrSetAutomaton};
 use lr_core::invariants::{newpr_invariants, onestep_pr_invariants, pr_set_invariants};
+use lr_core::par::fold_in_order;
 use lr_graph::enumerate::instance_orbits;
 use lr_graph::{parse, ReversalInstance};
 use lr_ioa::explore::{check_termination, explore, ExplorationReport, TerminationResult};
@@ -72,7 +70,7 @@ use lr_ioa::{ExhaustiveSimReport, SimulationError};
 use crate::{r_checker, r_prime_checker, rev_r_checker, rev_r_prime_checker};
 
 /// Aggregate result of a model-checking sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ModelCheckSummary {
     /// Labeled instances (graph × orientation × destination) covered: the
     /// orbit sizes of the representatives checked.
@@ -104,13 +102,36 @@ impl ModelCheckSummary {
     pub fn verified(&self) -> bool {
         self.first_violation.is_none() && self.truncated.is_none()
     }
+
+    /// Folds the outcome of the next representative in enumeration
+    /// order, whose orbit holds `orbit` labeled instances. Instances,
+    /// states and transitions count once per labeled instance; the
+    /// longest execution is a max. Breaks at a violation or truncation,
+    /// which ends the sweep.
+    fn add(&mut self, orbit: usize, out: InstanceOutcome) -> ControlFlow<()> {
+        self.orbits += 1;
+        self.instances += orbit;
+        self.states_visited += orbit * out.states;
+        self.transitions += orbit * out.transitions;
+        self.longest_execution = self.longest_execution.max(out.longest_execution);
+        if let Some(v) = out.violation {
+            self.first_violation = Some(v);
+            return ControlFlow::Break(());
+        }
+        if let Some(t) = out.truncation {
+            self.truncated = Some(t);
+            return ControlFlow::Break(());
+        }
+        ControlFlow::Continue(())
+    }
 }
 
 /// Parallelism and budget knobs for [`CheckKind::run`].
 #[derive(Debug, Clone)]
 pub struct McOptions {
     /// Worker threads: the representatives of `instance_orbits(n)` fan
-    /// out across this many crossbeam-scoped workers. `1` = serial.
+    /// out across this many scoped `std` threads, at most one per
+    /// representative. `1` = serial.
     pub threads: usize,
     /// Per-instance state/pair budget; exhausting it is reported as
     /// truncation (a hard error), never silently ignored.
@@ -163,69 +184,6 @@ struct InstanceOutcome {
     longest_execution: usize,
 }
 
-/// The in-order fold: outcomes submitted in any order fold into the
-/// summary strictly in enumeration order (0, 1, 2, …), early arrivals
-/// parked until the gap fills. It makes the parallel sweep's fold
-/// sequence — and therefore its summary — independent of worker
-/// scheduling.
-struct SweepFold {
-    summary: ModelCheckSummary,
-    /// Enumeration index of the next outcome to fold.
-    next: usize,
-    /// Finished-but-out-of-order outcomes, with their orbit sizes.
-    parked: BTreeMap<usize, (usize, InstanceOutcome)>,
-    /// Set once a violation or truncation folds; later instances (in
-    /// enumeration order) are not folded, matching the serial early
-    /// return.
-    stopped: bool,
-}
-
-impl SweepFold {
-    fn new() -> Self {
-        SweepFold {
-            summary: ModelCheckSummary {
-                instances: 0,
-                orbits: 0,
-                states_visited: 0,
-                transitions: 0,
-                longest_execution: 0,
-                first_violation: None,
-                truncated: None,
-            },
-            next: 0,
-            parked: BTreeMap::new(),
-            stopped: false,
-        }
-    }
-
-    /// Submits the outcome of representative `index`, whose orbit holds
-    /// `orbit` labeled instances, folding it — and any parked successors
-    /// it unblocks — in index order. Instances, states and transitions
-    /// count once per labeled instance; the longest execution is a max.
-    fn submit(&mut self, index: usize, orbit: usize, outcome: InstanceOutcome) {
-        self.parked.insert(index, (orbit, outcome));
-        while let Some((orbit, out)) = self.parked.remove(&self.next) {
-            self.next += 1;
-            if self.stopped {
-                continue;
-            }
-            let s = &mut self.summary;
-            s.orbits += 1;
-            s.instances += orbit;
-            s.states_visited += orbit * out.states;
-            s.transitions += orbit * out.transitions;
-            s.longest_execution = s.longest_execution.max(out.longest_execution);
-            if let Some(v) = out.violation {
-                s.first_violation = Some(v);
-                self.stopped = true;
-            } else if let Some(t) = out.truncation {
-                s.truncated = Some(t);
-                self.stopped = true;
-            }
-        }
-    }
-}
-
 /// Names a representative and its orbit in a violation or truncation
 /// message: its destination and directed edges in [`parse`] syntax, `;`
 /// for a line break.
@@ -234,14 +192,11 @@ fn describe(inst: &ReversalInstance, orbit: u64) -> String {
     format!("instance [{text}] (representative of {orbit} labeled instance(s))")
 }
 
-/// Runs `per` over every representative, folding outcomes weighted by
-/// orbit size **in enumeration order** into one summary: serial when
-/// `opts.threads <= 1`, otherwise fanned out over crossbeam-scoped
-/// workers (at most one per representative) pulling from a shared cursor
-/// into one [`SweepFold`] — bit-identical either way. Stops folding (and
-/// stops handing out representatives) at the first violation or
-/// truncation, like the serial sweep's early return; its message is
-/// prefixed with the representative's [`describe`].
+/// Runs `per` over every representative on `opts.threads` workers,
+/// folding outcomes weighted by orbit size **in enumeration order** into
+/// one summary through [`fold_in_order`], so it is bit-identical at
+/// every thread count. Stops at the first violation or truncation; its
+/// message is prefixed with the representative's [`describe`].
 fn sweep_instances<F>(
     orbits: &[(ReversalInstance, u64)],
     opts: &McOptions,
@@ -264,38 +219,12 @@ where
             out,
         )
     };
-    let threads = opts.threads.clamp(1, orbits.len().max(1));
-    if threads == 1 {
-        let mut fold = SweepFold::new();
-        for i in 0..orbits.len() {
-            if fold.stopped {
-                break;
-            }
-            let (orbit, out) = check(i);
-            fold.submit(i, orbit, out);
-        }
-        return fold.summary;
-    }
-
-    let fold = Mutex::new(SweepFold::new());
-    let cursor = AtomicUsize::new(0);
-    crossbeam::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|_| loop {
-                if fold.lock().expect("sweep fold lock").stopped {
-                    break;
-                }
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= orbits.len() {
-                    break;
-                }
-                let (orbit, out) = check(i);
-                fold.lock().expect("sweep fold lock").submit(i, orbit, out);
-            });
-        }
-    })
-    .expect("scoped sweep workers run");
-    fold.into_inner().expect("workers joined").summary
+    let mut summary = ModelCheckSummary::default();
+    // A break has already recorded its violation or truncation.
+    let _ = fold_in_order(orbits.len(), opts.threads, check, |(orbit, out)| {
+        summary.add(orbit, out)
+    });
+    summary
 }
 
 // ───────────────────── per-instance outcomes ─────────────────────
@@ -932,7 +861,7 @@ mod tests {
         assert_eq!(CheckKind::from_key("nonsense"), None);
     }
 
-    /// The outcome of instance `i` in the fold tests: `i` states, one
+    /// The outcome of instance `i` in the summary test: `i` states, one
     /// transition, truncated when `i == stop`.
     fn outcome(i: usize, stop: usize) -> InstanceOutcome {
         InstanceOutcome {
@@ -945,72 +874,16 @@ mod tests {
     }
 
     #[test]
-    fn sweep_fold_parks_early_arrivals_until_the_gap_fills() {
-        let mut fold = SweepFold::new();
-        fold.submit(2, 1, outcome(2, usize::MAX));
-        assert_eq!(
-            (fold.parked.len(), fold.next, fold.summary.instances),
-            (1, 0, 0)
-        );
-        fold.submit(0, 1, outcome(0, usize::MAX));
-        assert_eq!(
-            (fold.parked.len(), fold.next, fold.summary.instances),
-            (1, 1, 1)
-        );
-        fold.submit(1, 1, outcome(1, usize::MAX));
-        assert_eq!(
-            (fold.parked.len(), fold.next, fold.summary.instances),
-            (0, 3, 3)
-        );
-        assert_eq!(fold.summary.states_visited, 3);
-    }
-
-    #[test]
-    fn sweep_fold_weights_counts_by_orbit_size_but_not_the_longest_execution() {
-        let mut fold = SweepFold::new();
-        fold.submit(0, 6, outcome(3, usize::MAX));
-        fold.submit(1, 2, outcome(4, usize::MAX));
-        let s = &fold.summary;
+    fn summaries_weight_counts_by_orbit_size_but_not_the_longest_execution() {
+        let mut s = ModelCheckSummary::default();
+        assert_eq!(s.add(6, outcome(3, usize::MAX)), ControlFlow::Continue(()));
+        assert_eq!(s.add(2, outcome(4, 4)), ControlFlow::Break(()));
         assert_eq!(
             (s.orbits, s.instances, s.states_visited, s.transitions),
             (2, 8, 6 * 3 + 2 * 4, 8)
         );
         assert_eq!(s.longest_execution, 4);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// Any submission order folds to the in-order summary, which stops
-        /// at the first truncated instance.
-        #[test]
-        fn sweep_fold_linearizes_any_permutation(
-            len in 0usize..64,
-            stop in 0usize..80,
-            seed in any::<u64>(),
-        ) {
-            // A seeded permutation of 0..len: sort the indices by a keyed
-            // hash.
-            let mut order: Vec<usize> = (0..len).collect();
-            order.sort_by_key(|&i| {
-                let mut h = DefaultHasher::new();
-                (seed, i).hash(&mut h);
-                h.finish()
-            });
-            let mut fold = SweepFold::new();
-            for &i in &order {
-                fold.submit(i, 1, outcome(i, stop));
-            }
-            let folded = len.min(stop + 1);
-            prop_assert_eq!(fold.next, len);
-            prop_assert_eq!(fold.parked.len(), 0);
-            prop_assert_eq!(
-                (fold.summary.instances, fold.summary.states_visited, fold.summary.transitions),
-                (folded, folded * folded.saturating_sub(1) / 2, folded)
-            );
-            let want = (stop < len).then(|| format!("budget at {stop}"));
-            prop_assert_eq!(fold.summary.truncated, want);
-        }
+        assert_eq!(s.truncated.as_deref(), Some("budget at 4"));
     }
 
     /// `inst` with every node `u` renamed `map[u]`.

@@ -457,7 +457,12 @@ fn cmd_run(args: &[&str], stdin: &mut dyn Read) -> Result<String, CliError> {
         run_engine_frontier(engine.as_mut(), policy, DEFAULT_MAX_STEPS)
     };
     if !stats.terminated {
-        return Err(err("execution did not terminate within the step budget"));
+        return Err(err(format!(
+            "{} did not terminate within the {}-step budget: it ran {} rounds",
+            stats.algorithm,
+            grouped(DEFAULT_MAX_STEPS),
+            stats.rounds
+        )));
     }
     let span = lr_obs::span("cli", "cli.check");
     let orientation = engine.orientation();
@@ -478,6 +483,19 @@ fn cmd_run(args: &[&str], stdin: &mut dyn Read) -> Result<String, CliError> {
     let _ = writeln!(out, "acyclic:          {acyclic}");
     let _ = writeln!(out, "dest oriented:    {dest_oriented}");
     Ok(out)
+}
+
+/// `n` with its digits grouped in threes: `50,000,000`.
+fn grouped(n: usize) -> String {
+    let digits = n.to_string();
+    let mut out = String::new();
+    for (k, c) in digits.chars().enumerate() {
+        if k > 0 && (digits.len() - k).is_multiple_of(3) {
+            out.push(',');
+        }
+        out.push(c);
+    }
+    out
 }
 
 fn cmd_trace(args: &[&str], stdin: &mut dyn Read) -> Result<String, CliError> {
@@ -1062,6 +1080,19 @@ mod tests {
         assert!(e.0.contains("unknown flag"), "{e}");
         let e = run_cli(&["run", "PR", "first", "second"], inst.as_bytes()).unwrap_err();
         assert!(e.0.contains("unexpected argument"), "{e}");
+    }
+
+    #[test]
+    fn budget_numbers_are_grouped_in_threes() {
+        for (n, text) in [
+            (0, "0"),
+            (999, "999"),
+            (1_000, "1,000"),
+            (123_456, "123,456"),
+            (DEFAULT_MAX_STEPS, "50,000,000"),
+        ] {
+            assert_eq!(grouped(n), text);
+        }
     }
 
     #[test]

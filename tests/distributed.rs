@@ -77,6 +77,31 @@ fn distributed_work_is_invariant_to_message_timing_on_trees() {
 }
 
 #[test]
+fn threaded_work_equals_partial_reversal_steps_on_random_graphs() {
+    // Heights only rise and each channel is FIFO, so a node that sees
+    // every neighbour above it is a true sink: every threaded step is a
+    // Partial Reversal step, and a node's PR work is the same under every
+    // schedule. Real threads therefore do exactly the engine's work on
+    // any graph, not only on trees.
+    for n in [12usize, 20, 40, 60] {
+        for extra in [0, n / 2, 2 * n] {
+            for seed in 9000..9010 {
+                let inst = stream::random_connected(n, extra, seed);
+                let threaded = run_threaded(&inst).reversals;
+                let mut engine = FrontierFamily::PartialReversal.engine(inst);
+                let steps = run_engine_frontier(
+                    engine.as_mut(),
+                    SchedulePolicy::GreedyRounds,
+                    DEFAULT_MAX_STEPS,
+                )
+                .steps as u64;
+                assert_eq!(threaded, steps, "random_connected({n}, {extra}, {seed})");
+            }
+        }
+    }
+}
+
+#[test]
 fn threaded_and_simulated_modes_agree_on_final_structure() {
     let inst = stream::grid_away(4, 4);
     let sim = converge(&inst, LinkConfig::default(), 3, 10_000_000);

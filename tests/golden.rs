@@ -226,4 +226,10 @@ fn a_million_node_grid_runs_through_the_cli() {
          acyclic:          true\n\
          dest oriented:    true\n"
     );
+    // Full Reversal needs 999,000,000 steps here, so the CLI's budget
+    // ends it.
+    assert_eq!(
+        cli(&["run", "FR"], &inst),
+        "error: FR did not terminate within the 50,000,000-step budget: it ran 842 rounds\n"
+    );
 }
