@@ -129,13 +129,10 @@ pub struct ElectionReport {
 }
 
 impl ElectionHarness {
-    /// Builds the harness and converges the initial DAG toward the
-    /// instance's destination (the initial leader).
-    ///
-    /// # Panics
-    ///
-    /// Panics if initial convergence exceeds the event budget.
-    pub fn converged(inst: &ReversalInstance, link: LinkConfig, seed: u64) -> Self {
+    /// Builds the harness and starts the protocol; the initial DAG
+    /// converges toward the instance's destination (the initial leader)
+    /// as the simulator runs.
+    pub fn new(inst: &ReversalInstance, link: LinkConfig, seed: u64) -> Self {
         let nodes = initial_triple_heights(inst)
             .into_iter()
             .map(|height| ElectNode {
@@ -147,14 +144,25 @@ impl ElectionHarness {
             .collect();
         let mut sim = EventSim::new(Election, inst.csr().clone(), nodes, link, seed);
         sim.start();
-        assert!(
-            sim.run_to_quiescence(10_000_000),
-            "initial convergence failed"
-        );
         ElectionHarness {
             sim,
             original_leader: inst.dest,
         }
+    }
+
+    /// Builds the harness and converges the initial DAG toward the
+    /// instance's destination (the initial leader).
+    ///
+    /// # Panics
+    ///
+    /// Panics if initial convergence exceeds 10⁷ deliveries.
+    pub fn converged(inst: &ReversalInstance, link: LinkConfig, seed: u64) -> Self {
+        let mut harness = Self::new(inst, link, seed);
+        assert!(
+            harness.sim.run_to_quiescence(10_000_000),
+            "initial convergence failed"
+        );
+        harness
     }
 
     /// Direct access to the simulator.

@@ -364,29 +364,21 @@ impl ToraHarness {
         );
     }
 
-    /// Fails the link `{u, v}`, notifying both endpoints, and runs to
-    /// quiescence (maintenance cases fire as needed).
+    /// Fails the link `{u, v}` and notifies both endpoints; the
+    /// maintenance cases fire as the simulator runs on.
     pub fn fail_link(&mut self, u: NodeId, v: NodeId) {
         self.sim.fail_link(u, v);
         self.sim.inject(v, u, ToraMsg::LinkDown(v));
         self.sim.inject(u, v, ToraMsg::LinkDown(u));
-        assert!(
-            self.sim.run_to_quiescence(10_000_000),
-            "maintenance did not quiesce"
-        );
     }
 
-    /// Heals the link `{u, v}` and re-announces heights across it.
+    /// Heals the link `{u, v}` and re-announces both heights across it.
     pub fn heal_link(&mut self, u: NodeId, v: NodeId) {
         self.sim.heal_link(u, v);
         let hu = self.sim.node(u).height;
         let hv = self.sim.node(v).height;
         self.sim.inject(v, u, ToraMsg::Upd(hv));
         self.sim.inject(u, v, ToraMsg::Upd(hu));
-        assert!(
-            self.sim.run_to_quiescence(10_000_000),
-            "heal did not quiesce"
-        );
     }
 
     /// The current height of `u`.
@@ -456,6 +448,11 @@ mod tests {
             .clone()
     }
 
+    /// Runs the maintenance a link change set off to quiescence.
+    fn quiesce(h: &mut ToraHarness) {
+        assert!(h.sim_mut().run_to_quiescence(10_000_000), "did not quiesce");
+    }
+
     fn path_graph(len: u32) -> CsrGraph {
         let edges: Vec<(u32, u32)> = (0..len - 1).map(|i| (i, i + 1)).collect();
         graph(&edges)
@@ -502,6 +499,7 @@ mod tests {
         h.create_route(n(2));
         assert!(h.routed_nodes_reach_destination());
         h.fail_link(n(0), n(1));
+        quiesce(&mut h);
         assert!(
             h.routed_nodes_reach_destination(),
             "maintenance must restore routes on the surviving cycle"
@@ -524,6 +522,7 @@ mod tests {
         h.create_route(n(3));
         assert!(h.routed_nodes_reach_destination());
         h.fail_link(n(0), n(1));
+        quiesce(&mut h);
         assert!(
             h.partition_detected(n(1)),
             "node 1 must detect the partition"
@@ -543,8 +542,10 @@ mod tests {
         let mut h = ToraHarness::new(g, n(0), LinkConfig::default(), 4);
         h.create_route(n(3));
         h.fail_link(n(0), n(1));
+        quiesce(&mut h);
         assert!(h.partition_detected(n(1)));
         h.heal_link(n(0), n(1));
+        quiesce(&mut h);
         h.create_route(n(3));
         assert!(h.routed_nodes_reach_destination());
         assert_eq!(h.height(n(3)).unwrap().delta, 3);
@@ -560,6 +561,7 @@ mod tests {
         h.create_route(n(1));
         h.create_route(n(2));
         h.fail_link(n(0), n(1));
+        quiesce(&mut h);
         assert!(h.routed_nodes_reach_destination());
         let h1 = h.height(n(1)).unwrap();
         assert!(h1.tau > 0, "repair must use a temporal reference level");
@@ -572,6 +574,7 @@ mod tests {
         let mut h = ToraHarness::new(g, n(0), LinkConfig::default(), 6);
         h.create_route(n(2));
         h.fail_link(n(1), n(2)); // strands node 2
+        quiesce(&mut h);
         assert_eq!(
             h.height(n(0)),
             Some(ToraHeight::zero(n(0))),

@@ -17,6 +17,20 @@
 //! off from the destination — the partition behaviour TORA fixes) is
 //! recorded with `quiesced = false` and the censored convergence value.
 //! Every run stays bit-for-bit reproducible from `(spec, seed, trial)`.
+//!
+//! ## Protocol adapters
+//!
+//! Each protocol plugs in through one `Driver` that holds only what the
+//! protocol does differently: how it takes link churn, a leader crash and
+//! traffic (refusing what it does not take), its route probe, and the
+//! metrics it writes into a row. The simulator controls every protocol
+//! shares (the clock, budgeted delivery, quiescence, the touched log,
+//! link configs, start) are one `SimControl` implementation for every
+//! [`EventSim`], which `Driver::sim` hands out. `make_driver` applies
+//! the spec's link overrides in one loop.
+//!
+//! Instance and driver construction run under a `scenario.build` span,
+//! and each row's live-link scan and metrics under `scenario.metrics`.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -24,7 +38,7 @@ use std::sync::Arc;
 use lr_core::alg::TripleHeight;
 use lr_graph::{CsrGraph, NodeId, ReversalInstance};
 use lr_net::election::ElectionHarness;
-use lr_net::mutex::{MutexHarness, MutexMsg};
+use lr_net::mutex::MutexHarness;
 use lr_net::reversal::{initial_nodes, orientation_from_heights, DistributedPr, ReversalMsg};
 use lr_net::routing::{downhill, probe_hop_limit, RouteMsg, RoutingHarness};
 use lr_net::sim::{EventSim, LinkConfig, Protocol, SimStats};
@@ -151,24 +165,6 @@ pub struct RunOutcome {
     pub records: Vec<ScenarioRecord>,
     /// End-of-run simulator statistics.
     pub sim_stats: SimStats,
-}
-
-/// Cumulative metrics snapshot taken at a quiescent point.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Metrics {
-    injected: u64,
-    delivered: u64,
-    dropped: u64,
-    stranded: u64,
-    delivery_rate: f64,
-    mean_hops: f64,
-    stretch: f64,
-    revisits: u64,
-    messages: u64,
-    total_reversals: u64,
-    max_node_reversals: u64,
-    mean_node_reversals: f64,
-    acyclic: bool,
 }
 
 /// One synchronous route answer read off the live orientation (no
@@ -305,31 +301,114 @@ impl RouteMemo {
     }
 }
 
-/// What every protocol adapter exposes to the shared timeline executor
-/// (and, since the resident serve loop, to [`crate::serve`]).
-pub(crate) trait Driver: Sync {
+/// The simulator controls that do not depend on the protocol, written
+/// once for every [`EventSim`]: what the timeline executor and
+/// [`crate::serve`] drive through [`Driver::sim`].
+pub(crate) trait SimControl {
+    /// The virtual clock.
     fn now(&self) -> u64;
     /// Delivers live events due at or before `deadline`, at most
     /// `max_events` of them; returns `(delivered, capped)` where
     /// `capped` means the budget ran out with work still due.
     fn run_until_capped(&mut self, deadline: u64, max_events: u64) -> (u64, bool);
+    /// Runs [`SimControl::run_until_capped`]; a budget that runs out is
+    /// an error naming `what`.
+    fn run_until(
+        &mut self,
+        deadline: u64,
+        max_events: u64,
+        what: &dyn std::fmt::Display,
+    ) -> Result<(), ScenarioError> {
+        let (delivered, capped) = self.run_until_capped(deadline, max_events);
+        if capped {
+            return Err(ScenarioError(format!(
+                "{what}: event budget exhausted after {delivered} deliveries \
+                 (max_events = {max_events})"
+            )));
+        }
+        Ok(())
+    }
     /// Advances the virtual clock to `t` when the network is quiescent
     /// before then (actions honor their nominal `at` times).
     fn advance_to(&mut self, t: u64);
     /// Whether no events remain in flight.
     fn is_quiescent(&mut self) -> bool;
-    /// Drains the simulator's touched log into `into`
-    /// ([`EventSim::drain_touched`]) and returns the drain's number.
+    /// Drains the touched log into `into` ([`EventSim::drain_touched`])
+    /// and returns the drain's number.
     fn drain_touched(&mut self, into: &mut Vec<u32>) -> u64;
-    fn fail_link(&mut self, u: NodeId, v: NodeId);
-    fn heal_link(&mut self, u: NodeId, v: NodeId);
-    fn crash_leader(&mut self) -> Result<(), String> {
-        Err("crash_leader is only supported by election scenarios".into())
+    /// The simulator's statistics so far.
+    fn stats(&self) -> SimStats;
+    /// Overrides the config of the link `{u, v}`.
+    fn set_link_config(&mut self, u: NodeId, v: NodeId, config: LinkConfig);
+    /// Runs every node's start hook.
+    fn start(&mut self);
+}
+
+impl<P: Protocol> SimControl for EventSim<P> {
+    fn now(&self) -> u64 {
+        EventSim::now(self)
+    }
+
+    fn run_until_capped(&mut self, deadline: u64, max_events: u64) -> (u64, bool) {
+        EventSim::run_until_capped(self, deadline, max_events)
+    }
+
+    fn advance_to(&mut self, t: u64) {
+        EventSim::advance_to(self, t);
+    }
+
+    fn is_quiescent(&mut self) -> bool {
+        self.run_to_quiescence(0)
+    }
+
+    fn drain_touched(&mut self, into: &mut Vec<u32>) -> u64 {
+        EventSim::drain_touched(self, into)
+    }
+
+    fn stats(&self) -> SimStats {
+        EventSim::stats(self)
+    }
+
+    fn set_link_config(&mut self, u: NodeId, v: NodeId, config: LinkConfig) {
+        EventSim::set_link_config(self, u, v, config);
+    }
+
+    fn start(&mut self) {
+        EventSim::start(self);
+    }
+}
+
+/// What each protocol adapter does differently: its rules for link
+/// churn, leader crashes and traffic, its route probe and its row
+/// metrics. A protocol refuses the actions it does not take, as the
+/// spec parser and the serve feed validator already do.
+pub(crate) trait Driver: Sync {
+    /// The protocol's simulator.
+    fn sim(&mut self) -> &mut dyn SimControl;
+    /// Fails the link `{u, v}` and notifies both endpoints.
+    fn fail_link(&mut self, _u: NodeId, _v: NodeId) -> Result<(), ScenarioError> {
+        Err(ScenarioError("this protocol takes no link churn".into()))
+    }
+    /// Restores the link `{u, v}` and re-announces across it.
+    fn heal_link(&mut self, _u: NodeId, _v: NodeId) -> Result<(), ScenarioError> {
+        Err(ScenarioError("this protocol takes no link churn".into()))
+    }
+    /// Crashes the current leader.
+    fn crash_leader(&mut self) -> Result<(), ScenarioError> {
+        Err(ScenarioError(
+            "crash_leader is only supported by election scenarios".into(),
+        ))
     }
     /// Injects one unit of traffic (packet / route query / CS request)
     /// at each source. A routing packet is priced at the live-link
     /// distance `ledger` holds for its source.
-    fn inject_wave(&mut self, sources: &[NodeId], ledger: &LinkLedger);
+    fn inject_wave(
+        &mut self,
+        _sources: &[NodeId],
+        _ledger: &LinkLedger,
+    ) -> Result<(), ScenarioError> {
+        Err(ScenarioError("this protocol takes no traffic".into()))
+    }
     /// Answers one route query from `src` against the *current* node
     /// states, without sending a message or moving the clock: walks
     /// greedily downhill (holder pointers for mutex) until the
@@ -338,8 +417,10 @@ pub(crate) trait Driver: Sync {
     /// answers across calls and never changes one (the mutex walk
     /// ignores it).
     fn route_probe(&self, src: NodeId, memo: &mut RouteMemo) -> Result<RouteProbe, NoRoute>;
-    fn metrics(&self, live: &[(NodeId, NodeId)]) -> Metrics;
-    fn sim_stats(&self) -> SimStats;
+    /// Writes the protocol's metrics at a row's quiescent point into
+    /// `rec`, over the `live` links. A field the protocol does not
+    /// measure keeps the row's default.
+    fn metrics(&self, live: &[(NodeId, NodeId)], rec: &mut ScenarioRecord);
 }
 
 /// Greedy height-descent walk shared by the routing / reversal /
@@ -435,20 +516,25 @@ fn descend_heights<P: Protocol, H: Ord>(
 
 /// Checks that the orientation implied by `heights` over the live
 /// graph is acyclic — the paper's theorem, observed under churn.
-fn heights_acyclic(live: &[(NodeId, NodeId)], heights: &BTreeMap<NodeId, TripleHeight>) -> bool {
-    orientation_from_heights(live.iter().copied(), heights).is_acyclic()
+fn heights_acyclic(
+    live: &[(NodeId, NodeId)],
+    heights: impl Iterator<Item = (NodeId, TripleHeight)>,
+) -> bool {
+    let heights: BTreeMap<NodeId, TripleHeight> = heights.collect();
+    orientation_from_heights(live.iter().copied(), &heights).is_acyclic()
 }
 
-fn work_stats(per_node: impl Iterator<Item = u64>) -> (u64, u64, f64) {
+/// Writes the per-node work distribution into `rec`: its total, its
+/// largest count and its mean.
+fn record_work(rec: &mut ScenarioRecord, per_node: impl Iterator<Item = u64>) {
     let counts: Vec<u64> = per_node.collect();
-    let total: u64 = counts.iter().sum();
-    let max = counts.iter().copied().max().unwrap_or(0);
-    let mean = if counts.is_empty() {
+    rec.total_reversals = counts.iter().sum();
+    rec.max_node_reversals = counts.iter().copied().max().unwrap_or(0);
+    rec.mean_node_reversals = if counts.is_empty() {
         0.0
     } else {
-        total as f64 / counts.len() as f64
+        rec.total_reversals as f64 / counts.len() as f64
     };
-    (total, max, mean)
 }
 
 fn rate(delivered: u64, injected: u64) -> f64 {
@@ -471,54 +557,17 @@ struct RoutingDriver {
     shortest: BTreeMap<u64, u64>,
 }
 
-impl RoutingDriver {
-    fn new(
-        inst: &ReversalInstance,
-        link: LinkConfig,
-        overrides: &[(NodeId, NodeId, LinkConfig)],
-        seed: u64,
-    ) -> Self {
-        let mut harness = RoutingHarness::new(inst, link, seed);
-        let sim = harness.sim_mut();
-        for &(u, v, cfg) in overrides {
-            sim.set_link_config(u, v, cfg);
-        }
-        sim.start();
-        RoutingDriver {
-            harness,
-            shortest: BTreeMap::new(),
-        }
-    }
-}
-
 impl Driver for RoutingDriver {
-    fn now(&self) -> u64 {
-        self.harness.sim().now()
+    fn sim(&mut self) -> &mut dyn SimControl {
+        self.harness.sim_mut()
     }
 
-    fn run_until_capped(&mut self, deadline: u64, max_events: u64) -> (u64, bool) {
-        self.harness
-            .sim_mut()
-            .run_until_capped(deadline, max_events)
-    }
-
-    fn advance_to(&mut self, t: u64) {
-        self.harness.sim_mut().advance_to(t);
-    }
-
-    fn is_quiescent(&mut self) -> bool {
-        self.harness.sim_mut().run_to_quiescence(0)
-    }
-
-    fn drain_touched(&mut self, into: &mut Vec<u32>) -> u64 {
-        self.harness.sim_mut().drain_touched(into)
-    }
-
-    fn fail_link(&mut self, u: NodeId, v: NodeId) {
+    fn fail_link(&mut self, u: NodeId, v: NodeId) -> Result<(), ScenarioError> {
         self.harness.fail_link(u, v);
+        Ok(())
     }
 
-    fn heal_link(&mut self, u: NodeId, v: NodeId) {
+    fn heal_link(&mut self, u: NodeId, v: NodeId) -> Result<(), ScenarioError> {
         let sim = self.harness.sim_mut();
         sim.heal_link(u, v);
         // Re-announce across the healed link so it becomes usable
@@ -527,9 +576,14 @@ impl Driver for RoutingDriver {
         let hv = sim.node(v).rev.height;
         sim.inject(u, v, RouteMsg::Height(hu));
         sim.inject(v, u, RouteMsg::Height(hv));
+        Ok(())
     }
 
-    fn inject_wave(&mut self, sources: &[NodeId], ledger: &LinkLedger) {
+    fn inject_wave(
+        &mut self,
+        sources: &[NodeId],
+        ledger: &LinkLedger,
+    ) -> Result<(), ScenarioError> {
         for &src in sources {
             let at = self.harness.sim().csr().index_of(src);
             let id = self.harness.send_packet(src);
@@ -537,6 +591,7 @@ impl Driver for RoutingDriver {
                 self.shortest.insert(id, d);
             }
         }
+        Ok(())
     }
 
     fn route_probe(&self, src: NodeId, memo: &mut RouteMemo) -> Result<RouteProbe, NoRoute> {
@@ -551,7 +606,7 @@ impl Driver for RoutingDriver {
         )
     }
 
-    fn metrics(&self, live: &[(NodeId, NodeId)]) -> Metrics {
+    fn metrics(&self, live: &[(NodeId, NodeId)], rec: &mut ScenarioRecord) {
         let report = self.harness.report();
         let sim = self.harness.sim();
         // Stretch: hops over the live shortest path at injection time,
@@ -565,32 +620,17 @@ impl Driver for RoutingDriver {
                 }
             }
         }
-        let (total, max, mean) = work_stats(sim.nodes().map(|(_, n)| n.rev.reversals));
-        let heights: BTreeMap<NodeId, TripleHeight> =
-            sim.nodes().map(|(u, n)| (u, n.rev.height)).collect();
-        Metrics {
-            injected: report.injected,
-            delivered: report.delivered,
-            dropped: report.dropped,
-            stranded: report.stranded,
-            delivery_rate: rate(report.delivered, report.injected),
-            mean_hops: report.mean_hops,
-            stretch: if stretch_count == 0 {
-                0.0
-            } else {
-                stretch_sum / stretch_count as f64
-            },
-            revisits: report.revisits,
-            messages: report.messages,
-            total_reversals: total,
-            max_node_reversals: max,
-            mean_node_reversals: mean,
-            acyclic: heights_acyclic(live, &heights),
+        if stretch_count > 0 {
+            rec.stretch = stretch_sum / stretch_count as f64;
         }
-    }
-
-    fn sim_stats(&self) -> SimStats {
-        self.harness.sim().stats()
+        rec.injected = report.injected;
+        rec.delivered = report.delivered;
+        rec.dropped = report.dropped;
+        rec.stranded = report.stranded;
+        rec.mean_hops = report.mean_hops;
+        rec.revisits = report.revisits;
+        record_work(rec, sim.nodes().map(|(_, n)| n.rev.reversals));
+        rec.acyclic = heights_acyclic(live, sim.nodes().map(|(u, n)| (u, n.rev.height)));
     }
 }
 
@@ -602,65 +642,25 @@ struct ReversalDriver {
     sim: EventSim<DistributedPr>,
 }
 
-impl ReversalDriver {
-    fn new(
-        inst: &ReversalInstance,
-        link: LinkConfig,
-        overrides: &[(NodeId, NodeId, LinkConfig)],
-        seed: u64,
-    ) -> Self {
-        let mut sim = EventSim::new(
-            DistributedPr,
-            inst.csr().clone(),
-            initial_nodes(inst),
-            link,
-            seed,
-        );
-        for &(u, v, cfg) in overrides {
-            sim.set_link_config(u, v, cfg);
-        }
-        sim.start();
-        ReversalDriver { sim }
-    }
-}
-
 impl Driver for ReversalDriver {
-    fn now(&self) -> u64 {
-        self.sim.now()
+    fn sim(&mut self) -> &mut dyn SimControl {
+        &mut self.sim
     }
 
-    fn run_until_capped(&mut self, deadline: u64, max_events: u64) -> (u64, bool) {
-        self.sim.run_until_capped(deadline, max_events)
-    }
-
-    fn advance_to(&mut self, t: u64) {
-        self.sim.advance_to(t);
-    }
-
-    fn is_quiescent(&mut self) -> bool {
-        self.sim.run_to_quiescence(0)
-    }
-
-    fn drain_touched(&mut self, into: &mut Vec<u32>) -> u64 {
-        self.sim.drain_touched(into)
-    }
-
-    fn fail_link(&mut self, u: NodeId, v: NodeId) {
+    fn fail_link(&mut self, u: NodeId, v: NodeId) -> Result<(), ScenarioError> {
         self.sim.fail_link(u, v);
         self.sim.inject(v, u, ReversalMsg::LinkDown(v));
         self.sim.inject(u, v, ReversalMsg::LinkDown(u));
+        Ok(())
     }
 
-    fn heal_link(&mut self, u: NodeId, v: NodeId) {
+    fn heal_link(&mut self, u: NodeId, v: NodeId) -> Result<(), ScenarioError> {
         self.sim.heal_link(u, v);
         let hu = self.sim.node(u).height;
         let hv = self.sim.node(v).height;
         self.sim.inject(u, v, ReversalMsg::Height(hu));
         self.sim.inject(v, u, ReversalMsg::Height(hv));
-    }
-
-    fn inject_wave(&mut self, _sources: &[NodeId], _ledger: &LinkLedger) {
-        unreachable!("reversal scenarios carry no traffic (rejected at parse time)")
+        Ok(())
     }
 
     fn route_probe(&self, src: NodeId, memo: &mut RouteMemo) -> Result<RouteProbe, NoRoute> {
@@ -674,29 +674,9 @@ impl Driver for ReversalDriver {
         )
     }
 
-    fn metrics(&self, live: &[(NodeId, NodeId)]) -> Metrics {
-        let (total, max, mean) = work_stats(self.sim.nodes().map(|(_, n)| n.reversals));
-        let heights: BTreeMap<NodeId, TripleHeight> =
-            self.sim.nodes().map(|(u, n)| (u, n.height)).collect();
-        Metrics {
-            injected: 0,
-            delivered: 0,
-            dropped: 0,
-            stranded: 0,
-            delivery_rate: 1.0,
-            mean_hops: 0.0,
-            stretch: 0.0,
-            revisits: 0,
-            messages: self.sim.stats().sent,
-            total_reversals: total,
-            max_node_reversals: max,
-            mean_node_reversals: mean,
-            acyclic: heights_acyclic(live, &heights),
-        }
-    }
-
-    fn sim_stats(&self) -> SimStats {
-        self.sim.stats()
+    fn metrics(&self, live: &[(NodeId, NodeId)], rec: &mut ScenarioRecord) {
+        record_work(rec, self.sim.nodes().map(|(_, n)| n.reversals));
+        rec.acyclic = heights_acyclic(live, self.sim.nodes().map(|(u, n)| (u, n.height)));
     }
 }
 
@@ -707,69 +687,44 @@ impl Driver for ReversalDriver {
 /// measurement point (partition detection erases heights, un-counting
 /// the cut-off queries).
 ///
-/// Churn and queries go through `sim_mut()` directly — not the
-/// harness's `fail_link`/`create_route`, which assert-quiesce
-/// internally with their own budget — so the engine's settle window
-/// and `max_events` contract hold for TORA like every other protocol.
+/// Queries go through `sim_mut()` directly, not the harness's
+/// `create_route`, which assert-quiesces with its own budget, so the
+/// engine's settle window and `max_events` contract hold for TORA like
+/// every other protocol.
 struct ToraDriver {
     harness: ToraHarness,
+    /// The distinct queried sources: a repeated NeedRoute for an
+    /// already-queried node is TORA-idempotent, and counting it would cap
+    /// the delivery rate below 1 for multi-wave traffic (delivered counts
+    /// sources, not waves).
     queried: BTreeSet<NodeId>,
-    injected: u64,
 }
 
 impl Driver for ToraDriver {
-    fn now(&self) -> u64 {
-        self.harness.sim().now()
+    fn sim(&mut self) -> &mut dyn SimControl {
+        self.harness.sim_mut()
     }
 
-    fn run_until_capped(&mut self, deadline: u64, max_events: u64) -> (u64, bool) {
-        self.harness
-            .sim_mut()
-            .run_until_capped(deadline, max_events)
+    fn fail_link(&mut self, u: NodeId, v: NodeId) -> Result<(), ScenarioError> {
+        self.harness.fail_link(u, v);
+        Ok(())
     }
 
-    fn advance_to(&mut self, t: u64) {
-        self.harness.sim_mut().advance_to(t);
+    fn heal_link(&mut self, u: NodeId, v: NodeId) -> Result<(), ScenarioError> {
+        self.harness.heal_link(u, v);
+        Ok(())
     }
 
-    fn is_quiescent(&mut self) -> bool {
-        self.harness.sim_mut().run_to_quiescence(0)
-    }
-
-    fn drain_touched(&mut self, into: &mut Vec<u32>) -> u64 {
-        self.harness.sim_mut().drain_touched(into)
-    }
-
-    fn fail_link(&mut self, u: NodeId, v: NodeId) {
-        // Mirrors ToraHarness::fail_link minus its internal quiesce.
-        let sim = self.harness.sim_mut();
-        sim.fail_link(u, v);
-        sim.inject(v, u, ToraMsg::LinkDown(v));
-        sim.inject(u, v, ToraMsg::LinkDown(u));
-    }
-
-    fn heal_link(&mut self, u: NodeId, v: NodeId) {
-        // Mirrors ToraHarness::heal_link minus its internal quiesce:
-        // re-announce both heights across the restored link.
-        let sim = self.harness.sim_mut();
-        sim.heal_link(u, v);
-        let hu = sim.node(u).height;
-        let hv = sim.node(v).height;
-        sim.inject(v, u, ToraMsg::Upd(hv));
-        sim.inject(u, v, ToraMsg::Upd(hu));
-    }
-
-    fn inject_wave(&mut self, sources: &[NodeId], _ledger: &LinkLedger) {
-        // `injected` counts *distinct* queried sources: a repeated
-        // NeedRoute for an already-queried node is TORA-idempotent, and
-        // counting it would cap the delivery rate below 1 for
-        // multi-wave traffic (delivered counts sources, not waves).
+    fn inject_wave(
+        &mut self,
+        sources: &[NodeId],
+        _ledger: &LinkLedger,
+    ) -> Result<(), ScenarioError> {
         for &src in sources {
-            if self.queried.insert(src) {
-                self.injected += 1;
-            }
+            self.queried.insert(src);
             self.harness.sim_mut().inject(src, src, ToraMsg::NeedRoute);
         }
+        Ok(())
     }
 
     fn route_probe(&self, src: NodeId, memo: &mut RouteMemo) -> Result<RouteProbe, NoRoute> {
@@ -785,38 +740,16 @@ impl Driver for ToraDriver {
         )
     }
 
-    fn metrics(&self, _live: &[(NodeId, NodeId)]) -> Metrics {
-        let acyclic = self.harness.routed_orientation().is_acyclic();
-        let (total, max, mean) = work_stats(
-            self.harness
-                .sim()
-                .nodes()
-                .map(|(_, n)| n.reference_levels_generated),
-        );
-        let delivered = self
+    fn metrics(&self, _live: &[(NodeId, NodeId)], rec: &mut ScenarioRecord) {
+        let sim = self.harness.sim();
+        rec.injected = self.queried.len() as u64;
+        rec.delivered = self
             .queried
             .iter()
             .filter(|&&u| self.harness.height(u).is_some())
             .count() as u64;
-        Metrics {
-            injected: self.injected,
-            delivered,
-            dropped: 0,
-            stranded: 0,
-            delivery_rate: rate(delivered, self.injected),
-            mean_hops: 0.0,
-            stretch: 0.0,
-            revisits: 0,
-            messages: self.harness.sim().stats().sent,
-            total_reversals: total,
-            max_node_reversals: max,
-            mean_node_reversals: mean,
-            acyclic,
-        }
-    }
-
-    fn sim_stats(&self) -> SimStats {
-        self.harness.sim().stats()
+        record_work(rec, sim.nodes().map(|(_, n)| n.reference_levels_generated));
+        rec.acyclic = self.harness.routed_orientation().is_acyclic();
     }
 }
 
@@ -830,41 +763,20 @@ struct MutexDriver {
 }
 
 impl Driver for MutexDriver {
-    fn now(&self) -> u64 {
-        self.harness.sim().now()
+    fn sim(&mut self) -> &mut dyn SimControl {
+        self.harness.sim_mut()
     }
 
-    fn run_until_capped(&mut self, deadline: u64, max_events: u64) -> (u64, bool) {
-        self.harness
-            .sim_mut()
-            .run_until_capped(deadline, max_events)
-    }
-
-    fn advance_to(&mut self, t: u64) {
-        self.harness.sim_mut().advance_to(t);
-    }
-
-    fn is_quiescent(&mut self) -> bool {
-        self.harness.sim_mut().run_to_quiescence(0)
-    }
-
-    fn drain_touched(&mut self, into: &mut Vec<u32>) -> u64 {
-        self.harness.sim_mut().drain_touched(into)
-    }
-
-    fn fail_link(&mut self, _u: NodeId, _v: NodeId) {
-        unreachable!("mutex scenarios reject churn at parse time")
-    }
-
-    fn heal_link(&mut self, _u: NodeId, _v: NodeId) {
-        unreachable!("mutex scenarios reject churn at parse time")
-    }
-
-    fn inject_wave(&mut self, sources: &[NodeId], _ledger: &LinkLedger) {
+    fn inject_wave(
+        &mut self,
+        sources: &[NodeId],
+        _ledger: &LinkLedger,
+    ) -> Result<(), ScenarioError> {
+        self.injected += sources.len() as u64;
         for &src in sources {
-            self.injected += 1;
-            self.harness.sim_mut().inject(src, src, MutexMsg::Local);
+            self.harness.request(src);
         }
+        Ok(())
     }
 
     fn route_probe(&self, src: NodeId, _memo: &mut RouteMemo) -> Result<RouteProbe, NoRoute> {
@@ -889,9 +801,11 @@ impl Driver for MutexDriver {
         Ok(RouteProbe { hops, path_delay })
     }
 
-    fn metrics(&self, _live: &[(NodeId, NodeId)]) -> Metrics {
+    fn metrics(&self, _live: &[(NodeId, NodeId)], rec: &mut ScenarioRecord) {
         let sim = self.harness.sim();
-        let delivered: u64 = sim.nodes().map(|(_, n)| n.cs_entries).sum();
+        rec.injected = self.injected;
+        rec.delivered = sim.nodes().map(|(_, n)| n.cs_entries).sum();
+        rec.stranded = sim.nodes().map(|(_, n)| n.queue.len() as u64).sum();
         // Structural invariant at a quiescent point: exactly one token
         // holder, and holder pointers walk to it without cycling.
         let holders: Vec<NodeId> = sim
@@ -899,7 +813,7 @@ impl Driver for MutexDriver {
             .filter(|(u, n)| n.holder == *u)
             .map(|(u, _)| u)
             .collect();
-        let acyclic = holders.len() == 1 && {
+        rec.acyclic = holders.len() == 1 && {
             let holder = holders[0];
             let bound = sim.csr().node_count();
             sim.nodes().all(|(u, _)| {
@@ -912,26 +826,6 @@ impl Driver for MutexDriver {
                 cur == holder
             })
         };
-        let stranded: u64 = sim.nodes().map(|(_, n)| n.queue.len() as u64).sum();
-        Metrics {
-            injected: self.injected,
-            delivered,
-            dropped: 0,
-            stranded,
-            delivery_rate: rate(delivered, self.injected),
-            mean_hops: 0.0,
-            stretch: 0.0,
-            revisits: 0,
-            messages: sim.stats().sent,
-            total_reversals: 0,
-            max_node_reversals: 0,
-            mean_node_reversals: 0.0,
-            acyclic,
-        }
-    }
-
-    fn sim_stats(&self) -> SimStats {
-        self.harness.sim().stats()
     }
 }
 
@@ -945,47 +839,17 @@ struct ElectionDriver {
 }
 
 impl Driver for ElectionDriver {
-    fn now(&self) -> u64 {
-        self.harness.sim().now()
+    fn sim(&mut self) -> &mut dyn SimControl {
+        self.harness.sim_mut()
     }
 
-    fn run_until_capped(&mut self, deadline: u64, max_events: u64) -> (u64, bool) {
-        self.harness
-            .sim_mut()
-            .run_until_capped(deadline, max_events)
-    }
-
-    fn advance_to(&mut self, t: u64) {
-        self.harness.sim_mut().advance_to(t);
-    }
-
-    fn is_quiescent(&mut self) -> bool {
-        self.harness.sim_mut().run_to_quiescence(0)
-    }
-
-    fn drain_touched(&mut self, into: &mut Vec<u32>) -> u64 {
-        self.harness.sim_mut().drain_touched(into)
-    }
-
-    fn fail_link(&mut self, _u: NodeId, _v: NodeId) {
-        unreachable!("election scenarios accept only crash_leader churn (parse-time rule)")
-    }
-
-    fn heal_link(&mut self, _u: NodeId, _v: NodeId) {
-        unreachable!("election scenarios accept only crash_leader churn (parse-time rule)")
-    }
-
-    fn crash_leader(&mut self) -> Result<(), String> {
+    fn crash_leader(&mut self) -> Result<(), ScenarioError> {
         if self.crashed {
-            return Err("the leader is already crashed".into());
+            return Err(ScenarioError("the leader is already crashed".into()));
         }
         self.crashed = true;
         self.harness.crash_leader();
         Ok(())
-    }
-
-    fn inject_wave(&mut self, _sources: &[NodeId], _ledger: &LinkLedger) {
-        unreachable!("election scenarios carry no traffic (rejected at parse time)")
     }
 
     fn route_probe(&self, src: NodeId, memo: &mut RouteMemo) -> Result<RouteProbe, NoRoute> {
@@ -1002,30 +866,10 @@ impl Driver for ElectionDriver {
         )
     }
 
-    fn metrics(&self, live: &[(NodeId, NodeId)]) -> Metrics {
+    fn metrics(&self, live: &[(NodeId, NodeId)], rec: &mut ScenarioRecord) {
         let sim = self.harness.sim();
-        let (total, max, mean) = work_stats(sim.nodes().map(|(_, n)| n.reversals));
-        let heights: BTreeMap<NodeId, TripleHeight> =
-            sim.nodes().map(|(u, n)| (u, n.height)).collect();
-        Metrics {
-            injected: 0,
-            delivered: 0,
-            dropped: 0,
-            stranded: 0,
-            delivery_rate: 1.0,
-            mean_hops: 0.0,
-            stretch: 0.0,
-            revisits: 0,
-            messages: sim.stats().sent,
-            total_reversals: total,
-            max_node_reversals: max,
-            mean_node_reversals: mean,
-            acyclic: heights_acyclic(live, &heights),
-        }
-    }
-
-    fn sim_stats(&self) -> SimStats {
-        self.harness.sim().stats()
+        record_work(rec, sim.nodes().map(|(_, n)| n.reversals));
+        rec.acyclic = heights_acyclic(live, sim.nodes().map(|(u, n)| (u, n.height)));
     }
 }
 
@@ -1068,66 +912,63 @@ fn resolve_sources(spec: &ScenarioSpec, inst: &ReversalInstance) -> Vec<NodeId> 
     }
 }
 
-/// Builds the protocol adapter with heterogeneous links applied.
+/// Builds the protocol adapter with the spec's link overrides applied.
 ///
-/// For routing/reversal the overrides are set *before* the protocol
-/// starts, so even the initial convergence sees them. The
-/// tora/mutex/election harness constructors run their own start (and
-/// initial convergence) internally; their overrides take effect from
-/// the first scenario action onward.
+/// Routing and reversal take the overrides before the protocol starts,
+/// so even the initial convergence sees them. The TORA, mutex and
+/// election harness constructors start their protocol themselves
+/// (election also converges it, within the spec's `max_events`); their
+/// overrides take effect from the first scenario action onward.
+///
+/// # Errors
+///
+/// Returns a [`ScenarioError`] when election's initial convergence
+/// exhausts `max_events`.
 pub(crate) fn make_driver(
     spec: &ScenarioSpec,
     inst: &ReversalInstance,
     link: LinkConfig,
     run_seed: u64,
-) -> Box<dyn Driver> {
-    let overrides: Vec<(NodeId, NodeId, LinkConfig)> = spec
-        .links
-        .overrides
-        .iter()
-        .map(|o| {
-            (
-                NodeId::new(o.u),
-                NodeId::new(o.v),
-                spec_link_config(&o.link),
-            )
-        })
-        .collect();
-    match spec.protocol {
-        ProtocolKind::Routing => Box::new(RoutingDriver::new(inst, link, &overrides, run_seed)),
-        ProtocolKind::Reversal => Box::new(ReversalDriver::new(inst, link, &overrides, run_seed)),
-        ProtocolKind::Tora => {
-            let mut harness = ToraHarness::new(inst.csr().clone(), inst.dest, link, run_seed);
-            for &(u, v, cfg) in &overrides {
-                harness.sim_mut().set_link_config(u, v, cfg);
-            }
-            Box::new(ToraDriver {
-                harness,
-                queried: BTreeSet::new(),
-                injected: 0,
-            })
-        }
-        ProtocolKind::Mutex => {
-            let mut harness = MutexHarness::new(inst.csr().clone(), inst.dest, link, run_seed);
-            for &(u, v, cfg) in &overrides {
-                harness.sim_mut().set_link_config(u, v, cfg);
-            }
-            Box::new(MutexDriver {
-                harness,
-                injected: 0,
-            })
-        }
+) -> Result<Box<dyn Driver>, ScenarioError> {
+    let csr = inst.csr().clone();
+    let mut driver: Box<dyn Driver> = match spec.protocol {
+        ProtocolKind::Routing => Box::new(RoutingDriver {
+            harness: RoutingHarness::new(inst, link, run_seed),
+            shortest: BTreeMap::new(),
+        }),
+        ProtocolKind::Reversal => Box::new(ReversalDriver {
+            sim: EventSim::new(DistributedPr, csr, initial_nodes(inst), link, run_seed),
+        }),
+        ProtocolKind::Tora => Box::new(ToraDriver {
+            harness: ToraHarness::new(csr, inst.dest, link, run_seed),
+            queried: BTreeSet::new(),
+        }),
+        ProtocolKind::Mutex => Box::new(MutexDriver {
+            harness: MutexHarness::new(csr, inst.dest, link, run_seed),
+            injected: 0,
+        }),
         ProtocolKind::Election => {
-            let mut harness = ElectionHarness::converged(inst, link, run_seed);
-            for &(u, v, cfg) in &overrides {
-                harness.sim_mut().set_link_config(u, v, cfg);
-            }
+            let mut harness = ElectionHarness::new(inst, link, run_seed);
+            let start = harness.sim_mut();
+            start.run_until(u64::MAX, spec.max_events, &"initial convergence")?;
             Box::new(ElectionDriver {
                 harness,
                 crashed: false,
             })
         }
+    };
+    let sim = driver.sim();
+    for o in &spec.links.overrides {
+        let (u, v) = (NodeId::new(o.u), NodeId::new(o.v));
+        sim.set_link_config(u, v, spec_link_config(&o.link));
     }
+    if matches!(
+        spec.protocol,
+        ProtocolKind::Routing | ProtocolKind::Reversal
+    ) {
+        sim.start();
+    }
+    Ok(driver)
 }
 
 pub(crate) fn spec_link_config(l: &LinkSpec) -> LinkConfig {
@@ -1223,34 +1064,59 @@ impl LinkLedger {
         (index(u), index(v))
     }
 
-    pub(crate) fn fail(&mut self, driver: &mut dyn Driver, u: NodeId, v: NodeId) {
+    /// Fails the link `{u, v}` if it is live, and passes the change on to
+    /// `driver`.
+    pub(crate) fn fail(
+        &mut self,
+        driver: &mut dyn Driver,
+        u: NodeId,
+        v: NodeId,
+    ) -> Result<(), ScenarioError> {
         if self.failed.insert(Self::canon(u, v)) {
             self.failed_since.push(self.dense(u, v));
-            driver.fail_link(u, v);
+            driver.fail_link(u, v)?;
         }
+        Ok(())
     }
 
-    pub(crate) fn heal(&mut self, driver: &mut dyn Driver, u: NodeId, v: NodeId) {
+    /// Heals the link `{u, v}` if it is failed, and passes the change on
+    /// to `driver`.
+    pub(crate) fn heal(
+        &mut self,
+        driver: &mut dyn Driver,
+        u: NodeId,
+        v: NodeId,
+    ) -> Result<(), ScenarioError> {
         if self.failed.remove(&Self::canon(u, v)) {
             self.healed_since.push(self.dense(u, v));
-            driver.heal_link(u, v);
+            driver.heal_link(u, v)?;
         }
+        Ok(())
     }
 
     /// Node churn: fails every live link of `node`, neighbours ascending,
     /// each as `(min, max)`: the order of [`LinkLedger::live_edges`].
-    pub(crate) fn crash(&mut self, driver: &mut dyn Driver, node: NodeId) {
+    pub(crate) fn crash(
+        &mut self,
+        driver: &mut dyn Driver,
+        node: NodeId,
+    ) -> Result<(), ScenarioError> {
         let csr = Arc::clone(&self.csr);
         let i = csr.index_of(node).expect("a crashed node is a node");
         for &j in csr.neighbor_indices(i) {
             let (a, b) = Self::canon(node, csr.node(j as usize));
-            self.fail(driver, a, b);
+            self.fail(driver, a, b)?;
         }
+        Ok(())
     }
 
     /// Node churn: heals every failed link of `node`, in the failed set's
     /// order.
-    pub(crate) fn restore(&mut self, driver: &mut dyn Driver, node: NodeId) {
+    pub(crate) fn restore(
+        &mut self,
+        driver: &mut dyn Driver,
+        node: NodeId,
+    ) -> Result<(), ScenarioError> {
         let incident: Vec<(NodeId, NodeId)> = self
             .failed
             .iter()
@@ -1258,8 +1124,9 @@ impl LinkLedger {
             .filter(|&(a, b)| a == node || b == node)
             .collect();
         for (a, b) in incident {
-            self.heal(driver, a, b);
+            self.heal(driver, a, b)?;
         }
+        Ok(())
     }
 
     /// Every live link once, `(u, v)` with `u < v`, in lexicographic order:
@@ -1449,70 +1316,69 @@ pub fn run_scenario(
     run_span.arg("seed", seed);
     run_span.arg("trial", trial as u64);
     let run_seed = derive_run_seed(seed, trial);
+    let build_span = lr_obs::span("scenario", "scenario.build");
     let inst = build_instance(&spec.topology, run_seed)?;
     spec.validate_against(&inst, seed, trial)
         .map_err(|e| ScenarioError(format!("invalid scenario: {e}")))?;
     let link = spec_link_config(&spec.links.default);
-    let mut driver = make_driver(spec, &inst, link, run_seed);
-    let mut churn_rng = SmallRng::seed_from_u64(derive_churn_seed(run_seed));
+    let mut driver = make_driver(spec, &inst, link, run_seed)?;
     let mut ledger = LinkLedger::new(&inst);
+    drop(build_span);
+    let mut churn_rng = SmallRng::seed_from_u64(derive_churn_seed(run_seed));
     let sources = resolve_sources(spec, &inst);
     let mut records: Vec<ScenarioRecord> = Vec::new();
 
-    let base_record = |row: &str, event_index: usize, event: &str, at: u64| ScenarioRecord {
-        scenario: spec.name.clone(),
-        protocol: spec.protocol.name().to_string(),
-        family: spec.topology.family_name().to_string(),
-        n: inst.node_count(),
-        edges: inst.csr().edge_count(),
-        seed,
-        trial,
-        row: row.to_string(),
-        event_index,
-        event: event.to_string(),
-        at,
-        convergence_ticks: 0,
-        quiesced: true,
-        injected: 0,
-        delivered: 0,
-        dropped: 0,
-        stranded: 0,
-        delivery_rate: 1.0,
-        mean_hops: 0.0,
-        stretch: 0.0,
-        revisits: 0,
-        messages: 0,
-        total_reversals: 0,
-        max_node_reversals: 0,
-        mean_node_reversals: 0.0,
-        acyclic: true,
-        smoke,
-    };
-    let fill = |rec: &mut ScenarioRecord, m: &Metrics| {
-        rec.injected = m.injected;
-        rec.delivered = m.delivered;
-        rec.dropped = m.dropped;
-        rec.stranded = m.stranded;
-        rec.delivery_rate = m.delivery_rate;
-        rec.mean_hops = m.mean_hops;
-        rec.stretch = m.stretch;
-        rec.revisits = m.revisits;
-        rec.messages = m.messages;
-        rec.total_reversals = m.total_reversals;
-        rec.max_node_reversals = m.max_node_reversals;
-        rec.mean_node_reversals = m.mean_node_reversals;
-        rec.acyclic = m.acyclic;
+    // One row: the run's identity, the phase's `(convergence_ticks,
+    // quiesced)`, and the metrics the driver reports over the live links.
+    // Every metric the driver leaves alone keeps its default here.
+    let record = |driver: &mut dyn Driver,
+                  ledger: &LinkLedger,
+                  (row, event_index, event, at): (&str, usize, &str, u64),
+                  (convergence_ticks, quiesced): (u64, bool)| {
+        let _sp = lr_obs::span("scenario", "scenario.metrics");
+        let mut rec = ScenarioRecord {
+            scenario: spec.name.clone(),
+            protocol: spec.protocol.name().to_string(),
+            family: spec.topology.family_name().to_string(),
+            n: inst.node_count(),
+            edges: inst.csr().edge_count(),
+            seed,
+            trial,
+            row: row.to_string(),
+            event_index,
+            event: event.to_string(),
+            at,
+            convergence_ticks,
+            quiesced,
+            injected: 0,
+            delivered: 0,
+            dropped: 0,
+            stranded: 0,
+            delivery_rate: 1.0,
+            mean_hops: 0.0,
+            stretch: 0.0,
+            revisits: 0,
+            messages: driver.sim().stats().sent,
+            total_reversals: 0,
+            max_node_reversals: 0,
+            mean_node_reversals: 0.0,
+            acyclic: true,
+            smoke,
+        };
+        driver.metrics(&ledger.live_edges(), &mut rec);
+        rec.delivery_rate = rate(rec.delivered, rec.injected);
+        rec
     };
 
     // Waits up to the settle window for quiescence. Returns
-    // `(quiesced, convergence_ticks)` measured from `fired_at`; a
+    // `(convergence_ticks, quiesced)` measured from `fired_at`; a
     // non-quiescent phase reports the censored window instead.
-    let settle_phase = |driver: &mut dyn Driver,
+    let settle_phase = |sim: &mut dyn SimControl,
                         fired_at: u64,
                         what: &str|
-     -> Result<(bool, u64), ScenarioError> {
+     -> Result<(u64, bool), ScenarioError> {
         let deadline = fired_at.saturating_add(spec.settle);
-        let (delivered, capped) = driver.run_until_capped(deadline, spec.max_events);
+        let (delivered, capped) = sim.run_until_capped(deadline, spec.max_events);
         if capped {
             return Err(ScenarioError(format!(
                 "{what}: event budget exhausted after {delivered} deliveries within one \
@@ -1520,88 +1386,80 @@ pub fn run_scenario(
                 spec.max_events
             )));
         }
-        let quiesced = driver.is_quiescent();
+        let quiesced = sim.is_quiescent();
         let ticks = if quiesced {
-            driver.now().saturating_sub(fired_at)
+            sim.now().saturating_sub(fired_at)
         } else {
             spec.settle
         };
-        Ok((quiesced, ticks))
+        Ok((ticks, quiesced))
     };
 
     // Initial convergence: the index-0 "start" event row. (The
-    // tora/mutex/election harnesses converge in their constructors, so
-    // this phase is instantly quiescent for them and `now()` already
-    // carries their convergence time.)
-    let (quiesced, _) = {
+    // tora/mutex/election harnesses start in their constructors, and
+    // election converges there, so this phase is instantly quiescent for
+    // it and `now()` already carries its convergence time.)
+    let start = {
         let _sp = lr_obs::span("scenario", "scenario.settle start");
-        settle_phase(driver.as_mut(), 0, "initial convergence")?
+        settle_phase(driver.sim(), 0, "initial convergence")?
     };
-    let mut rec = base_record("event", 0, "start", 0);
-    rec.convergence_ticks = if quiesced { driver.now() } else { spec.settle };
-    rec.quiesced = quiesced;
-    fill(&mut rec, &driver.metrics(&ledger.live_edges()));
-    records.push(rec);
+    records.push(record(
+        driver.as_mut(),
+        &ledger,
+        ("event", 0, "start", 0),
+        start,
+    ));
 
     for (at, action) in timeline(spec) {
-        if at > driver.now() {
-            let (delivered, capped) = driver.run_until_capped(at, spec.max_events);
-            if capped {
-                return Err(ScenarioError(format!(
-                    "drain to t = {at}: event budget exhausted after {delivered} deliveries \
-                     (max_events = {})",
-                    spec.max_events
-                )));
-            }
-            driver.advance_to(at);
+        let sim = driver.sim();
+        if at > sim.now() {
+            sim.run_until(at, spec.max_events, &format_args!("drain to t = {at}"))?;
+            sim.advance_to(at);
         }
         match action {
             ActionKind::Traffic(_) => {
                 ledger.repair();
-                driver.inject_wave(&sources, &ledger);
+                driver.inject_wave(&sources, &ledger)?;
             }
             ActionKind::Churn(i) => {
-                let fired_at = driver.now();
+                let fired_at = driver.sim().now();
+                let kind = &spec.churn[i].kind;
                 // Per-churn-event span: covers the mutation and the
                 // settle phase that measures its convergence.
-                let mut churn_span = lr_obs::span(
-                    "scenario",
-                    format!("scenario.churn {}", spec.churn[i].kind.describe()),
-                );
-                apply_churn(
-                    &spec.churn[i].kind,
-                    driver.as_mut(),
-                    &mut ledger,
-                    &mut churn_rng,
-                )?;
-                let (quiesced, ticks) =
-                    settle_phase(driver.as_mut(), fired_at, &format!("churn[{i}]"))?;
+                let mut churn_span =
+                    lr_obs::span("scenario", format!("scenario.churn {}", kind.describe()));
+                apply_churn(kind, driver.as_mut(), &mut ledger, &mut churn_rng)?;
+                let (ticks, quiesced) =
+                    settle_phase(driver.sim(), fired_at, &format!("churn[{i}]"))?;
                 churn_span.arg("event", i as u64 + 1);
                 churn_span.arg("at", fired_at);
                 churn_span.arg("convergence_ticks", ticks);
                 churn_span.arg("quiesced", u64::from(quiesced));
                 drop(churn_span);
-                let mut rec = base_record("event", i + 1, &spec.churn[i].kind.describe(), fired_at);
-                rec.convergence_ticks = ticks;
-                rec.quiesced = quiesced;
-                fill(&mut rec, &driver.metrics(&ledger.live_edges()));
-                records.push(rec);
+                records.push(record(
+                    driver.as_mut(),
+                    &ledger,
+                    ("event", i + 1, &kind.describe(), fired_at),
+                    (ticks, quiesced),
+                ));
             }
         }
     }
 
-    let drain_from = driver.now();
-    let (quiesced, _) = {
+    let drain_from = driver.sim().now();
+    let (_, quiesced) = {
         let _sp = lr_obs::span("scenario", "scenario.settle drain");
-        settle_phase(driver.as_mut(), drain_from, "final drain")?
+        settle_phase(driver.sim(), drain_from, "final drain")?
     };
-    let mut summary = base_record("summary", spec.churn.len(), "summary", driver.now());
-    summary.convergence_ticks = driver.now();
-    summary.quiesced = quiesced;
-    fill(&mut summary, &driver.metrics(&ledger.live_edges()));
-    records.push(summary);
+    let end = driver.sim().now();
+    records.push(record(
+        driver.as_mut(),
+        &ledger,
+        ("summary", spec.churn.len(), "summary", end),
+        (end, quiesced),
+    ));
 
-    let sim_stats = driver.sim_stats();
+    let sim_stats = driver.sim().stats();
     record_sim_stats(&sim_stats);
     Ok(RunOutcome { sim_stats, records })
 }
@@ -1628,19 +1486,19 @@ fn apply_churn(
     match kind {
         ChurnKind::Fail(edges) => {
             for &(u, v) in edges {
-                ledger.fail(driver, NodeId::new(u), NodeId::new(v));
+                ledger.fail(driver, NodeId::new(u), NodeId::new(v))?;
             }
         }
         ChurnKind::Heal(edges) => {
             for &(u, v) in edges {
-                ledger.heal(driver, NodeId::new(u), NodeId::new(v));
+                ledger.heal(driver, NodeId::new(u), NodeId::new(v))?;
             }
         }
         ChurnKind::Partition(side) => {
             let side: BTreeSet<NodeId> = side.iter().map(|&u| NodeId::new(u)).collect();
             for (u, v) in ledger.live_edges() {
                 if side.contains(&u) != side.contains(&v) {
-                    ledger.fail(driver, u, v);
+                    ledger.fail(driver, u, v)?;
                 }
             }
         }
@@ -1655,7 +1513,7 @@ fn apply_churn(
                     break;
                 }
                 let (u, v) = live.remove(rng.gen_range(0..live.len()));
-                ledger.fail(driver, u, v);
+                ledger.fail(driver, u, v)?;
             }
             let mut failed: Vec<(NodeId, NodeId)> = ledger.failed.iter().copied().collect();
             for _ in 0..*heal {
@@ -1663,10 +1521,10 @@ fn apply_churn(
                     break;
                 }
                 let (u, v) = failed.remove(rng.gen_range(0..failed.len()));
-                ledger.heal(driver, u, v);
+                ledger.heal(driver, u, v)?;
             }
         }
-        ChurnKind::CrashLeader => driver.crash_leader().map_err(ScenarioError)?,
+        ChurnKind::CrashLeader => driver.crash_leader()?,
     }
     Ok(())
 }
@@ -1925,7 +1783,7 @@ mod tests {
         ))
         .unwrap();
         let inst = build_instance(&spec.topology, seed).unwrap();
-        let mut driver = make_driver(&spec, &inst, LinkConfig::default(), seed);
+        let mut driver = make_driver(&spec, &inst, LinkConfig::default(), seed).unwrap();
         let mut ledger = LinkLedger::new(&inst);
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut want = fresh_bfs(&inst, &BTreeSet::new());
@@ -1979,9 +1837,9 @@ mod tests {
                 };
                 match pick.gen_range(kinds) {
                     0 => churn(ChurnKind::Random { fail: 0, heal: 1 }, driver, &mut ledger),
-                    1 => ledger.restore(driver, node),
+                    1 => ledger.restore(driver, node).unwrap(),
                     2 => churn(ChurnKind::Random { fail: 1, heal: 0 }, driver, &mut ledger),
-                    3 => ledger.crash(driver, node),
+                    3 => ledger.crash(driver, node).unwrap(),
                     4 => {
                         let side = (0..n as u32).filter(|_| pick.gen_range(0..16u32) == 0);
                         churn(ChurnKind::Partition(side.collect()), driver, &mut ledger);
@@ -2006,6 +1864,54 @@ mod tests {
                 assert!(repaired > 300, "{topology}: {repaired} repaired");
             }
         }
+    }
+
+    #[test]
+    fn election_start_honors_max_events() {
+        let spec = ScenarioSpec::from_json(
+            r#"{"name": "tight-election", "protocol": "election", "max_events": 1,
+                "topology": {"family": "inline", "edges": [[0, 1], [1, 2], [2, 3]]}}"#,
+        )
+        .unwrap();
+        let want =
+            "initial convergence: event budget exhausted after 1 deliveries (max_events = 1)";
+        assert_eq!(run_scenario(&spec, 0, 0, false).unwrap_err().0, want);
+        let options = crate::serve::ServeOptions::default();
+        let served = crate::serve::run_serve(&spec, &options, &[]).unwrap_err();
+        assert_eq!(served.0, want);
+    }
+
+    #[test]
+    fn drivers_refuse_what_their_protocol_does_not_take() {
+        let driver = |protocol: &str| {
+            let spec = ScenarioSpec::from_json(&format!(
+                r#"{{"name": "refusals", "protocol": "{protocol}",
+                     "topology": {{"family": "inline", "edges": [[0, 1], [1, 2]]}}}}"#
+            ))
+            .unwrap();
+            let inst = build_instance(&spec.topology, 0).unwrap();
+            (
+                make_driver(&spec, &inst, LinkConfig::default(), 0).unwrap(),
+                LinkLedger::new(&inst),
+            )
+        };
+        let (u, v) = (NodeId::new(0), NodeId::new(1));
+        let churn = "this protocol takes no link churn";
+        let traffic = "this protocol takes no traffic";
+        let crash = "crash_leader is only supported by election scenarios";
+        let (mut mutex, ledger) = driver("mutex");
+        assert_eq!(mutex.fail_link(u, v).unwrap_err().0, churn);
+        assert_eq!(mutex.heal_link(u, v).unwrap_err().0, churn);
+        assert_eq!(mutex.crash_leader().unwrap_err().0, crash);
+        assert!(mutex.inject_wave(&[u], &ledger).is_ok());
+        let (mut election, ledger) = driver("election");
+        assert_eq!(election.fail_link(u, v).unwrap_err().0, churn);
+        assert_eq!(election.inject_wave(&[u], &ledger).unwrap_err().0, traffic);
+        assert!(election.crash_leader().is_ok());
+        let (mut reversal, ledger) = driver("reversal");
+        assert_eq!(reversal.inject_wave(&[u], &ledger).unwrap_err().0, traffic);
+        assert_eq!(reversal.crash_leader().unwrap_err().0, crash);
+        assert!(reversal.fail_link(u, v).is_ok());
     }
 
     #[test]

@@ -22,8 +22,11 @@
 //! churn event: convergence time, delivery rate, message counts, route
 //! stretch, per-node work distribution, and whether the height-implied
 //! orientation stayed acyclic (the paper's theorem, observed under
-//! perturbation). The [`sweep`] runner executes the full sweep and
-//! emits one [`ScenarioRecord`] row per churn event and run.
+//! perturbation). Each protocol plugs into it through one adapter that
+//! holds only the protocol's own rules: link churn, leader crashes,
+//! traffic, route probes and row metrics; the simulator controls are
+//! shared. The [`sweep`] runner executes the full sweep and emits one
+//! [`ScenarioRecord`] row per churn event and run.
 //!
 //! Specs may also declare a `matrix` section — a grid over protocols,
 //! topologies, link configurations, and churn intensities

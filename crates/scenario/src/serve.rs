@@ -91,7 +91,7 @@ use serde_json::Value;
 
 use crate::engine::{
     make_driver, record_sim_stats, spec_link_config, Driver, LinkLedger, NoRoute, RouteMemo,
-    RouteProbe, ScenarioError,
+    RouteProbe, ScenarioError, SimControl,
 };
 use crate::spec::{derive_run_seed, ProtocolKind, ScenarioSpec, TrafficSpec};
 use crate::stats::{MetricSketch, STRETCH_GRID_HI};
@@ -516,27 +516,26 @@ fn apply_churn(
     action: FeedAction,
     driver: &mut dyn Driver,
     ledger: &mut LinkLedger,
-) -> Result<(), ServeError> {
+) -> Result<(), ScenarioError> {
     match action {
         FeedAction::Route(_) => unreachable!("a route is a request, not churn"),
         FeedAction::Fail(u, v) => ledger.fail(driver, NodeId::new(u), NodeId::new(v)),
         FeedAction::Heal(u, v) => ledger.heal(driver, NodeId::new(u), NodeId::new(v)),
         FeedAction::Crash(u) => ledger.crash(driver, NodeId::new(u)),
         FeedAction::Restore(u) => ledger.restore(driver, NodeId::new(u)),
-        FeedAction::CrashLeader => driver.crash_leader().map_err(ServeError)?,
+        FeedAction::CrashLeader => driver.crash_leader(),
     }
-    Ok(())
 }
 
-/// Drains the driver's touched log into `touched`, and has every memo
+/// Drains the simulator's touched log into `touched`, and has every memo
 /// retire the answers the drained nodes made stale.
 fn retire_touched(
-    driver: &mut dyn Driver,
+    sim: &mut dyn SimControl,
     csr: &CsrGraph,
     memos: &mut [RouteMemo],
     touched: &mut Vec<u32>,
 ) {
-    let drain = driver.drain_touched(touched);
+    let drain = sim.drain_touched(touched);
     for memo in memos {
         memo.retire(csr, touched, drain);
     }
@@ -616,7 +615,7 @@ pub fn run_serve(
 
     let link = spec_link_config(&spec.links.default);
     let build_span = lr_obs::span("serve", "serve.build");
-    let mut driver = make_driver(spec, &inst, link, run_seed);
+    let mut driver = make_driver(spec, &inst, link, run_seed)?;
     // Mirrors the driver's failed links: every fail or heal goes through
     // it, so the simulator's live links are the ledger's. Stretch is
     // priced against its distances from the destination over the live
@@ -630,14 +629,9 @@ pub fn run_serve(
     // fast convergence went.
     {
         let _sp = lr_obs::span("serve", "serve.settle");
-        let (delivered, capped) = driver.run_until_capped(spec.settle, spec.max_events);
-        if capped {
-            return Err(ServeError(format!(
-                "initial convergence: event budget exhausted after {delivered} deliveries \
-                 (max_events = {})",
-                spec.max_events
-            )));
-        }
+        driver
+            .sim()
+            .run_until(spec.settle, spec.max_events, &"initial convergence")?;
         // TORA builds routes on demand: heights stay NULL until a node
         // issues a query, so a freshly converged instance would answer
         // every probe with "unroutable". Prime the DAG with one query
@@ -646,17 +640,12 @@ pub fn run_serve(
         // window.
         if spec.protocol == ProtocolKind::Tora {
             let sources: Vec<NodeId> = csr.nodes().filter(|&u| u != dest).collect();
-            driver.inject_wave(&sources, &ledger);
-            let (delivered, capped) = driver.run_until_capped(spec.settle, spec.max_events);
-            if capped {
-                return Err(ServeError(format!(
-                    "tora route priming: event budget exhausted after {delivered} \
-                     deliveries (max_events = {})",
-                    spec.max_events
-                )));
-            }
+            driver.inject_wave(&sources, &ledger)?;
+            driver
+                .sim()
+                .run_until(spec.settle, spec.max_events, &"tora route priming")?;
         }
-        driver.advance_to(spec.settle);
+        driver.sim().advance_to(spec.settle);
     }
     let base = spec.settle;
 
@@ -737,17 +726,11 @@ pub fn run_serve(
         let t = base + tick;
         // Drain protocol traffic (height floods from earlier churn) to
         // the tick boundary, then pin the clock at it.
-        if t > driver.now() {
+        let sim = driver.sim();
+        if t > sim.now() {
             let _sp = drain_span.start();
-            let (delivered, capped) = driver.run_until_capped(t, spec.max_events);
-            if capped {
-                return Err(ServeError(format!(
-                    "tick {tick}: event budget exhausted after {delivered} deliveries \
-                     (max_events = {})",
-                    spec.max_events
-                )));
-            }
-            driver.advance_to(t);
+            sim.run_until(t, spec.max_events, &format_args!("tick {tick}"))?;
+            sim.advance_to(t);
         }
 
         // Feed actions for this tick: churn mutates the instance (and
@@ -797,7 +780,7 @@ pub fn run_serve(
         span.arg("admitted", batch.len() as u64);
         span.arg("queued", pending.len() as u64);
         admitted += batch.len() as u64;
-        retire_touched(driver.as_mut(), csr, &mut memos, &mut touched);
+        retire_touched(driver.sim(), csr, &mut memos, &mut touched);
         let walked_before: u64 = memos.iter().map(|m| m.walked).sum();
         let probes = probe_batch(driver.as_ref(), &batch, options.threads, &mut memos);
         // The hops the batch walked rather than read from a memo: a
@@ -827,7 +810,7 @@ pub fn run_serve(
         drop(span);
     }
     let elapsed_ns = began.elapsed().as_nanos() as u64;
-    let sim_stats = driver.sim_stats();
+    let sim_stats = driver.sim().stats();
     record_sim_stats(&sim_stats);
 
     Ok(ServeReport {
@@ -903,28 +886,49 @@ mod tests {
 
     #[test]
     fn serve_reports_are_identical_across_thread_counts() {
-        let spec = grid_spec();
-        let base = run_serve(&spec, &opts(8, 25), &[]).unwrap();
-        // A batch of 8 runs at most 8 workers, and keeps a memo for each
-        // worker it runs, whatever the flag says.
-        for threads in [2usize, 4, usize::MAX] {
-            let par = run_serve(
-                &spec,
-                &ServeOptions {
-                    threads,
-                    ..opts(8, 25)
-                },
-                &[],
-            )
-            .unwrap();
-            assert_eq!(
-                par.render(),
-                base.render(),
-                "thread count must not change the rendered report"
-            );
-            assert_eq!(par.latency, base.latency);
-            assert_eq!(par.hops, base.hops);
-            assert_eq!(par.stretch, base.stretch);
+        // Every protocol under the churn it takes: the demo feed for the
+        // three with link churn, generated routes alone for mutex, and one
+        // crash_leader for election.
+        let demo = parse_feed(include_str!("../../../examples/serve/feed_demo.ndjson")).unwrap();
+        let crash = parse_feed("{\"at\": 30, \"crash_leader\": true}").unwrap();
+        let grid = r#"{"family": "grid", "rows": 8, "cols": 8}"#;
+        let tree = r#"{"family": "inline",
+                       "edges": [[0, 1], [0, 2], [1, 3], [1, 4], [2, 5], [2, 6], [5, 7]]}"#;
+        for (protocol, topology, feed, churn) in [
+            ("routing", grid, &demo[..], 4),
+            ("reversal", grid, &demo[..], 4),
+            ("tora", grid, &demo[..], 4),
+            ("mutex", tree, &[][..], 0),
+            ("election", grid, &crash[..], 1),
+        ] {
+            let spec = spec(&format!(
+                r#"{{"name": "threads-{protocol}", "protocol": "{protocol}",
+                     "topology": {topology}, "seeds": [42]}}"#
+            ));
+            let base = run_serve(&spec, &opts(8, 50), feed).unwrap();
+            assert_eq!(base.link_events, churn, "{protocol}: churn applied");
+            assert!(base.answered > 0, "{protocol}: answers its load");
+            // A batch of 8 runs at most 8 workers, and keeps a memo for
+            // each worker it runs, whatever the flag says.
+            for threads in [2usize, 4, usize::MAX] {
+                let par = run_serve(
+                    &spec,
+                    &ServeOptions {
+                        threads,
+                        ..opts(8, 50)
+                    },
+                    feed,
+                )
+                .unwrap();
+                assert_eq!(
+                    par.render(),
+                    base.render(),
+                    "{protocol}: thread count must not change the rendered report"
+                );
+                assert_eq!(par.latency, base.latency, "{protocol}");
+                assert_eq!(par.hops, base.hops, "{protocol}");
+                assert_eq!(par.stretch, base.stretch, "{protocol}");
+            }
         }
     }
 
@@ -1066,7 +1070,7 @@ mod tests {
         let run_seed = derive_run_seed(spec.seeds[0], 0);
         let inst = build_instance(&spec.topology, run_seed).unwrap();
         let link = spec_link_config(&spec.links.default);
-        let mut driver = make_driver(spec, &inst, link, run_seed);
+        let mut driver = make_driver(spec, &inst, link, run_seed).unwrap();
         let mut ledger = LinkLedger::new(&inst);
         let nodes: Vec<NodeId> = inst.csr().nodes().collect();
         let mut memos = [RouteMemo::default()];
@@ -1077,10 +1081,10 @@ mod tests {
             for &(_, action) in feed.iter().filter(|&&(at, _)| at == tick) {
                 match action {
                     Some(action) => apply_churn(action, driver.as_mut(), &mut ledger).unwrap(),
-                    None => driver.inject_wave(&nodes, &ledger),
+                    None => driver.inject_wave(&nodes, &ledger).unwrap(),
                 }
             }
-            retire_touched(driver.as_mut(), inst.csr(), &mut memos, &mut touched);
+            retire_touched(driver.sim(), inst.csr(), &mut memos, &mut touched);
             let memo = &mut memos[0];
             // Alternate the order so memo hits come from both ends of a
             // route.
@@ -1097,9 +1101,10 @@ mod tests {
                 let end = got.map_or_else(|e| format!("{e:?}"), |_| "answered".into());
                 *tally.entry(end).or_default() += 1;
             }
-            let (_, capped) = driver.run_until_capped(tick + 1, spec.max_events);
+            let sim = driver.sim();
+            let (_, capped) = sim.run_until_capped(tick + 1, spec.max_events);
             assert!(!capped, "{}: tick {tick}", spec.name);
-            driver.advance_to(tick + 1);
+            sim.advance_to(tick + 1);
         }
         (tally, memos[0].walked, fresh_walked)
     }

@@ -14,6 +14,11 @@ fn n(i: u32) -> NodeId {
     NodeId::new(i)
 }
 
+/// Runs the maintenance a link change set off to quiescence.
+fn quiesce(tora: &mut ToraHarness) {
+    assert!(tora.sim_mut().run_to_quiescence(10_000_000));
+}
+
 fn main() {
     // A ring with a tail:   0(D) — 1 — 2 — 3 — 0   and   3 — 4 — 5
     let g = Orientation::from_edges(&[(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5)]).unwrap();
@@ -30,6 +35,7 @@ fn main() {
     println!("\nphase 2: link failure {{0,1}} — node 1 loses its only downstream");
     let before = tora.height(n(1)).unwrap();
     tora.fail_link(n(0), n(1));
+    quiesce(&mut tora);
     assert!(tora.routed_nodes_reach_destination());
     let after = tora.height(n(1)).unwrap();
     if after.tau > before.tau {
@@ -44,6 +50,7 @@ fn main() {
 
     println!("\nphase 3: partition — fail {{3,4}}, stranding {{4,5}}");
     tora.fail_link(n(3), n(4));
+    quiesce(&mut tora);
     println!(
         "  node 4 detected the partition: {}",
         tora.partition_detected(n(4))
@@ -53,6 +60,7 @@ fn main() {
 
     println!("\nphase 4: the link heals; node 5 re-requests a route");
     tora.heal_link(n(3), n(4));
+    quiesce(&mut tora);
     tora.create_route(n(5));
     assert!(tora.routed_nodes_reach_destination());
     println!("  height[5] = {:?}", tora.height(n(5)));

@@ -9,7 +9,16 @@
 //! an FNV-1a digest plus a line count (`*.digest`); every other output is
 //! stored in full. `lr serve` runs `examples/serve/steady_grid.json` with
 //! and without the demo feed and, in the `--ignored` tier, the 100k-node
-//! grid under its churn feed, stored under `tests/golden/serve/`.
+//! grid under its churn feed, stored under `tests/golden/serve/`. The
+//! other four protocols' serve reports, from [`run_serve`], sit beside
+//! them: reversal and TORA on the same grid under the demo feed, mutex on
+//! a small tree, and election with one `crash_leader`.
+//!
+//! `lr scenario run` runs each plain shipped spec under
+//! `examples/scenarios/`, and `lr scenario sweep --threads 1` the matrix
+//! spec, stored under `tests/golden/scenario/`. The table leaves fields
+//! out, so each run's records also go there as pretty JSON: the
+//! [`run_sweep`] rows, and the [`run_matrix_sweep`] rows and metrics.
 //!
 //! On a mismatch a test writes each differing output to `target/golden/`
 //! (same layout), prints its first differing line, and fails. An intended
@@ -19,6 +28,10 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use link_reversal::cli::run_cli;
+use link_reversal::scenario::{
+    parse_feed, run_matrix_sweep, run_serve, run_sweep, MatrixOptions, ScenarioSpec, ServeOptions,
+    SweepOptions,
+};
 
 /// The recipe instances: `lr generate` arguments.
 const INSTANCES: [&[&str]; 9] = [
@@ -199,6 +212,123 @@ fn serve_matches_the_golden_corpus() {
     ];
     let report = compare(&outputs);
     assert!(report.is_empty(), "{report}");
+}
+
+/// The serve runs of the four protocols besides routing, each at rate 10
+/// for 100 ticks, as `(name, spec, feed)`.
+fn protocol_serves() -> [(&'static str, String, String); 4] {
+    let read = |path: &str| {
+        std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join(path))
+            .unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
+    };
+    let grid = read("examples/serve/steady_grid.json");
+    let on_grid = |protocol: &str| grid.replace("\"routing\"", &format!("\"{protocol}\""));
+    let demo = read("examples/serve/feed_demo.ndjson");
+    let tree = r#"{"name": "serve-mutex-tree", "protocol": "mutex", "seeds": [42],
+        "topology": {"family": "inline",
+                     "edges": [[0, 1], [0, 2], [1, 3], [1, 4], [2, 5], [2, 6], [5, 7]]}}"#;
+    [
+        (
+            "reversal-steady_grid-feed_demo",
+            on_grid("reversal"),
+            demo.clone(),
+        ),
+        ("tora-steady_grid-feed_demo", on_grid("tora"), demo),
+        ("mutex-tree", tree.to_string(), String::new()),
+        (
+            "election-steady_grid-crash_leader",
+            on_grid("election"),
+            "{\"at\": 30, \"crash_leader\": true}\n".to_string(),
+        ),
+    ]
+}
+
+#[test]
+fn every_protocol_serves_the_golden_corpus() {
+    let options = ServeOptions {
+        rate: 10,
+        duration: 100,
+        ..ServeOptions::default()
+    };
+    let outputs: Vec<(String, Golden)> = protocol_serves()
+        .into_iter()
+        .map(|(name, spec, feed)| {
+            let spec = ScenarioSpec::from_json(&spec).expect("a valid spec");
+            let feed = parse_feed(&feed).expect("a valid feed");
+            let text = match run_serve(&spec, &options, &feed) {
+                Ok(report) => report.render(),
+                Err(e) => format!("error: {e}\n"),
+            };
+            let name = format!("{name}.txt");
+            ("serve".to_string(), Golden { name, text })
+        })
+        .collect();
+    let report = compare(&outputs);
+    assert!(report.is_empty(), "{report}");
+}
+
+/// The plain shipped scenario specs under `examples/scenarios/`.
+const SCENARIOS: [&str; 6] = [
+    "churn_waves",
+    "election_crash",
+    "lossy_reversal",
+    "mutex_contention",
+    "partition_heal",
+    "tora_churn",
+];
+
+/// A shipped spec's path relative to the package root (the directory
+/// tests run in), so the path the table header echoes does not depend on
+/// where the tree is checked out.
+fn scenario_path(spec: &str) -> String {
+    format!("examples/scenarios/{spec}.json")
+}
+
+fn load_spec(spec: &str) -> ScenarioSpec {
+    let path = scenario_path(spec);
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    ScenarioSpec::from_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// Pretty JSON with a final newline.
+fn pretty<T: serde::Serialize>(value: &T) -> String {
+    serde_json::to_string_pretty(value).expect("records serialize") + "\n"
+}
+
+#[test]
+fn scenario_runs_match_the_golden_corpus() {
+    let mut outputs: Vec<(String, Golden)> = Vec::new();
+    let mut push = |name: String, text: String| {
+        outputs.push(("scenario".into(), Golden { name, text }));
+    };
+    for spec in SCENARIOS {
+        push(
+            format!("{spec}.txt"),
+            cli(&["scenario", "run", &scenario_path(spec)], ""),
+        );
+        let outcome = run_sweep(&load_spec(spec), SweepOptions::default()).expect("a run");
+        push(format!("{spec}.json"), pretty(&outcome.records));
+    }
+    let matrix = "matrix_sweep";
+    push(
+        format!("{matrix}.txt"),
+        cli(
+            &[
+                "scenario",
+                "sweep",
+                "--threads",
+                "1",
+                &scenario_path(matrix),
+            ],
+            "",
+        ),
+    );
+    let outcome = run_matrix_sweep(&load_spec(matrix), MatrixOptions::default()).expect("a sweep");
+    push(format!("{matrix}.json"), pretty(&outcome.records));
+    push(format!("{matrix}.metrics.txt"), outcome.metrics.render());
+    let report = compare(&outputs);
+    assert!(report.is_empty(), "{report}");
+    assert_eq!(outputs.len(), 15);
 }
 
 #[test]
