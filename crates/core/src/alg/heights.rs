@@ -20,10 +20,10 @@
 //! list-based implementations step-by-step (experiment E11) and (b) serve
 //! as the local-state algorithm in the distributed simulator, where nodes
 //! only know their neighbors' heights. The triple-height update lives
-//! once, in the `(α, β)` core of [`TripleHeight::raised_above`]: the
-//! flat engine below steps through the core, and every `lr-net` protocol
-//! (distributed PR, routing, election and the threaded mode) through
-//! `raised_above`.
+//! once, in [`raised_alpha_beta`], the `(α, β)` core of
+//! [`TripleHeight::raised_above`]: the flat engine below and every
+//! `lr-net` protocol (distributed PR, routing, election and the threaded
+//! mode) step through the core.
 //!
 //! The two flat engines store heights **by dense CSR index** and without
 //! the id: [`FrontierPairHeightsEngine`] keeps `α` (8 bytes per node) and
@@ -89,12 +89,13 @@ impl TripleHeight {
 /// The rule of [`TripleHeight::raised_above`] on the `(α, β)` parts
 /// alone, which is all it reads: the new `(α, β)` of a sink whose own
 /// `β` is `beta` and whose neighbours have the `(α, β)` parts `nbrs`.
-/// The GB-triple engine, which stores no ids, steps through it directly.
+/// The GB-triple engine and `lr-net`'s protocols, which store no ids,
+/// step through it directly.
 ///
 /// # Panics
 ///
 /// Panics if `nbrs` is empty (a sink has at least one neighbour).
-fn raised_alpha_beta<I>(beta: i64, nbrs: I) -> (i64, i64)
+pub fn raised_alpha_beta<I>(beta: i64, nbrs: I) -> (i64, i64)
 where
     I: Iterator<Item = (i64, i64)> + Clone,
 {

@@ -37,8 +37,8 @@ pub use bll::{BllLabeling, FrontierBllEngine};
 pub use frontier::{FrontierFamily, FrontierPrEngine};
 pub use full::{FrontierFrEngine, FullReversalAutomaton, FullReversalState};
 pub use heights::{
-    initial_triple_heights, FrontierPairHeightsEngine, FrontierTripleHeightsEngine, PairHeight,
-    TripleHeight,
+    initial_triple_heights, raised_alpha_beta, FrontierPairHeightsEngine,
+    FrontierTripleHeightsEngine, PairHeight, TripleHeight,
 };
 pub use newpr::{newpr_step, FrontierNewPrEngine, NewPrAutomaton, NewPrState, Parity};
 pub use pr::{

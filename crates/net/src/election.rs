@@ -12,14 +12,15 @@
 //! destination's). Once proposals stabilize, exactly one node refuses
 //! to reverse, and reversal re-orients the surviving DAG toward it — the
 //! elected leader. As in the reversal protocol, each node keeps its
-//! neighbors' last announced heights in its slots.
+//! neighbors' last announced `(α, β)` in its slots
+//! ([`crate::reversal::KnownHeight`]).
 
 use std::collections::BTreeMap;
 
 use lr_core::alg::{initial_triple_heights, TripleHeight};
 use lr_graph::{NodeId, ReversalInstance};
 
-use crate::reversal::{orientation_from_heights, reverse_if_sink};
+use crate::reversal::{orientation_from_heights, reverse_if_sink, KnownHeight};
 use crate::sim::{Ctx, EventSim, LinkConfig, Protocol};
 
 /// Messages of the election protocol.
@@ -59,7 +60,7 @@ pub struct Election;
 impl Protocol for Election {
     type Msg = ElectMsg;
     type Node = ElectNode;
-    type Slot = Option<TripleHeight>;
+    type Slot = KnownHeight;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, ElectMsg, Self::Slot>, node: &mut ElectNode) {
         ctx.broadcast(ElectMsg::Height(node.height));
@@ -75,7 +76,7 @@ impl Protocol for Election {
         match msg {
             ElectMsg::Height(h) => {
                 if let Some(known) = ctx.sender_slot_mut() {
-                    *known = Some(h);
+                    *known = KnownHeight::of(h);
                 }
             }
             ElectMsg::Elect { epoch, leader } => {
@@ -101,7 +102,9 @@ impl Protocol for Election {
         // Partial Reversal, except that a node believing itself leader
         // never reverses: it is the destination the DAG re-orients to.
         if node.leader != ctx.self_id
-            && reverse_if_sink(&mut node.height, ctx.live_slots().copied())
+            && reverse_if_sink(&mut node.height, ctx.run().map(|s| s.copied()), |k| {
+                ctx.neighbor(k)
+            })
         {
             node.reversals += 1;
             ctx.broadcast(ElectMsg::Height(node.height));

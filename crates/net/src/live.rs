@@ -25,7 +25,7 @@ use std::thread;
 use lr_core::alg::{initial_triple_heights, TripleHeight};
 use lr_graph::{NodeId, ReversalInstance};
 
-use crate::reversal::reverse_if_sink;
+use crate::reversal::{reverse_if_sink, KnownHeight};
 
 enum LiveMsg {
     Height(NodeId, TripleHeight),
@@ -68,7 +68,7 @@ pub fn run_threaded(inst: &ReversalInstance) -> LiveReport {
     for (i, rx) in receivers.into_iter().enumerate() {
         let u = csr.node(i);
         // Neighbors ascending, with their channels; `known[k]` is the
-        // last height heard from `nbr_ids[k]`.
+        // `(α, β)` last heard from `nbr_ids[k]`.
         let nbr_ids: Vec<NodeId> = csr
             .neighbor_indices(i)
             .iter()
@@ -88,7 +88,7 @@ pub fn run_threaded(inst: &ReversalInstance) -> LiveReport {
 
         handles.push(thread::spawn(move || {
             let mut height = my_height;
-            let mut known: Vec<Option<TripleHeight>> = vec![None; nbr_ids.len()];
+            let mut known = vec![KnownHeight::default(); nbr_ids.len()];
             let send_all = |h: TripleHeight| {
                 for tx in &nbr_senders {
                     in_flight.fetch_add(1, Ordering::SeqCst);
@@ -104,12 +104,13 @@ pub fn run_threaded(inst: &ReversalInstance) -> LiveReport {
                     LiveMsg::Stop => break,
                     LiveMsg::Height(v, h) => {
                         let k = nbr_ids.binary_search(&v).expect("sender is a neighbor");
-                        if let Some(old) = known[k] {
-                            assert!(h >= old, "height of {v} decreased");
+                        if let Some(old) = known[k].get() {
+                            assert!((h.alpha, h.beta) >= old, "height of {v} decreased");
                         }
-                        known[k] = Some(h);
+                        known[k] = KnownHeight::of(h);
                         // Every link is live in the threaded mode.
-                        if !is_dest && reverse_if_sink(&mut height, known.iter().copied()) {
+                        let run = known.iter().map(|&s| Some(s));
+                        if !is_dest && reverse_if_sink(&mut height, run, |k| nbr_ids[k]) {
                             reversals.fetch_add(1, Ordering::SeqCst);
                             published
                                 .lock()

@@ -21,20 +21,23 @@
 //! [`crate::live`] module re-runs the same protocol on real threads.
 //!
 //! A node's cache is its run of simulator slots: [`DistributedPr`]'s
-//! [`Protocol::Slot`] is the neighbor's last announced height (`None`
-//! until one arrives). The sink test lives once, in this module's
+//! [`Protocol::Slot`] is a [`KnownHeight`], the `(α, β)` of the
+//! neighbor's last announced height (unknown until one arrives). The
+//! slot keeps no id: the neighbor's id is the slot's target, which the
+//! sink test and [`crate::routing::downhill`] read only when the `(α, β)`
+//! parts tie. The sink test lives once, in this module's
 //! `reverse_if_sink`, which reads the cached heights of the live
 //! neighbors: the routing protocol, [`crate::election`] (which exempts
 //! the node that believes itself leader instead of the destination) and
 //! [`crate::live`] call it too, and the height update it applies is
-//! [`TripleHeight::raised_above`]. The initial heights are lr-core's,
+//! lr-core's [`raised_alpha_beta`]. The initial heights are lr-core's,
 //! [`initial_triple_heights`]. The protocol is event-driven and never
 //! retransmits, so it assumes reliable links: one lost announcement can
 //! leave a neighbor waiting forever.
 
 use std::collections::BTreeMap;
 
-use lr_core::alg::{initial_triple_heights, TripleHeight};
+use lr_core::alg::{initial_triple_heights, raised_alpha_beta, TripleHeight};
 use lr_graph::{NodeId, Orientation, ReversalInstance};
 
 use crate::sim::{Ctx, EventSim, LinkConfig, Protocol};
@@ -67,54 +70,110 @@ pub struct ReversalNode {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DistributedPr;
 
-/// Builds the per-node states for an instance, by dense index, with
-/// lr-core's initial triple heights.
-pub fn initial_nodes(inst: &ReversalInstance) -> Vec<ReversalNode> {
+/// The per-node states for an instance, by dense index, with lr-core's
+/// initial triple heights. An iterator, so a protocol that wraps them
+/// (routing) builds its nodes without an intermediate vector.
+pub fn initial_nodes(inst: &ReversalInstance) -> impl Iterator<Item = ReversalNode> {
+    let dest = inst.dest;
     initial_triple_heights(inst)
         .into_iter()
-        .map(|height| ReversalNode {
+        .map(move |height| ReversalNode {
             height,
-            is_dest: height.id == inst.dest,
+            is_dest: height.id == dest,
             reversals: 0,
         })
-        .collect()
+}
+
+/// What a node keeps about one neighbor, in the slot of their link: the
+/// `(α, β)` of the neighbor's last announced [`TripleHeight`], or nothing
+/// before the first announcement. The id is left out, since it is the
+/// slot's target, so a slot takes 16 bytes where an
+/// `Option<TripleHeight>` takes 32.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KnownHeight {
+    /// [`KnownHeight::UNKNOWN`] until a height is known.
+    alpha: i64,
+    beta: i64,
+}
+
+impl KnownHeight {
+    /// The `α` of an unknown height. Every height the protocols announce
+    /// has `α ≥ 0`: it starts at 0 and only rises.
+    const UNKNOWN: i64 = i64::MIN;
+
+    /// The `(α, β)` of `h`.
+    pub fn of(h: TripleHeight) -> Self {
+        debug_assert_ne!(h.alpha, Self::UNKNOWN, "an announced height has α ≥ 0");
+        KnownHeight {
+            alpha: h.alpha,
+            beta: h.beta,
+        }
+    }
+
+    /// The known `(α, β)`, if any.
+    pub fn get(self) -> Option<(i64, i64)> {
+        (self.alpha != Self::UNKNOWN).then_some((self.alpha, self.beta))
+    }
+}
+
+impl Default for KnownHeight {
+    /// No height known yet.
+    fn default() -> Self {
+        KnownHeight {
+            alpha: Self::UNKNOWN,
+            beta: 0,
+        }
+    }
 }
 
 /// The sink test and Partial Reversal step every protocol of this crate
 /// shares (distributed PR, routing, election and the threaded mode).
-/// `live_known` yields the cached height of each live neighbor (`None`
-/// when none has arrived yet). When every one is known and above
-/// `height`, the node is a sink: raise `height` by
-/// [`TripleHeight::raised_above`] and return `true`. Callers add their
-/// own exemption (the destination, a node that believes itself leader)
-/// and count their own reversals.
-pub(crate) fn reverse_if_sink<I>(height: &mut TripleHeight, live_known: I) -> bool
+/// `run` yields, in run order, each neighbor's slot, or `None` for a
+/// failed link, and `id_at(k)` is the id of the neighbor at run position
+/// `k`. When every live neighbor's height is known and above `height`,
+/// the node is a sink: raise `height` by [`raised_alpha_beta`] and return
+/// `true`. A neighbor is above when its `(α, β)` is, or when the two tie
+/// and its id is higher, which is the only case that calls `id_at`.
+/// Callers add their own exemption (the destination, a node that
+/// believes itself leader) and count their own reversals.
+pub(crate) fn reverse_if_sink<I>(
+    height: &mut TripleHeight,
+    run: I,
+    id_at: impl Fn(usize) -> NodeId,
+) -> bool
 where
-    I: IntoIterator<Item = Option<TripleHeight>>,
+    I: IntoIterator<Item = Option<KnownHeight>>,
     I::IntoIter: Clone,
 {
-    let live_known = live_known.into_iter();
+    let run = run.into_iter();
+    let own = (height.alpha, height.beta);
     let mut any = false;
-    for h in live_known.clone() {
-        match h {
-            Some(h) if h > *height => any = true,
-            _ => return false,
+    for (k, slot) in run.clone().enumerate() {
+        match slot.map(KnownHeight::get) {
+            None => {}
+            Some(Some(h)) if h > own || (h == own && id_at(k) > height.id) => any = true,
+            Some(_) => return false,
         }
     }
     if any {
-        *height = height.raised_above(live_known.flatten());
+        let live = run.flatten().filter_map(KnownHeight::get);
+        (height.alpha, height.beta) = raised_alpha_beta(height.beta, live);
     }
     any
 }
 
 /// The distributed PR step of one node: every node but the destination
 /// reverses when [`reverse_if_sink`] finds it a sink.
-pub(crate) fn try_reverse<I>(node: &mut ReversalNode, live_known: I) -> bool
+pub(crate) fn try_reverse<I>(
+    node: &mut ReversalNode,
+    run: I,
+    id_at: impl Fn(usize) -> NodeId,
+) -> bool
 where
-    I: IntoIterator<Item = Option<TripleHeight>>,
+    I: IntoIterator<Item = Option<KnownHeight>>,
     I::IntoIter: Clone,
 {
-    if node.is_dest || !reverse_if_sink(&mut node.height, live_known) {
+    if node.is_dest || !reverse_if_sink(&mut node.height, run, id_at) {
         return false;
     }
     node.reversals += 1;
@@ -124,7 +183,7 @@ where
 impl Protocol for DistributedPr {
     type Msg = ReversalMsg;
     type Node = ReversalNode;
-    type Slot = Option<TripleHeight>;
+    type Slot = KnownHeight;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, ReversalMsg, Self::Slot>, node: &mut ReversalNode) {
         ctx.broadcast(ReversalMsg::Height(node.height));
@@ -140,7 +199,7 @@ impl Protocol for DistributedPr {
         match msg {
             ReversalMsg::Height(h) => {
                 if let Some(known) = ctx.sender_slot_mut() {
-                    *known = Some(h);
+                    *known = KnownHeight::of(h);
                 }
             }
             // The neighbor is gone; its link is no longer live, so its
@@ -150,7 +209,7 @@ impl Protocol for DistributedPr {
         }
         // A single update may suffice; if the node is still a sink after
         // more announcements arrive, those messages re-trigger this path.
-        if try_reverse(node, ctx.live_slots().copied()) {
+        if try_reverse(node, ctx.run().map(|s| s.copied()), |k| ctx.neighbor(k)) {
             ctx.broadcast(ReversalMsg::Height(node.height));
         }
     }
@@ -171,7 +230,7 @@ pub fn converge(
     let mut sim = EventSim::new(
         DistributedPr,
         inst.csr().clone(),
-        initial_nodes(inst),
+        initial_nodes(inst).collect(),
         link,
         seed,
     );
@@ -216,7 +275,109 @@ pub fn height_snapshot(sim: &EventSim<DistributedPr>) -> BTreeMap<NodeId, Triple
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::downhill;
     use lr_graph::stream;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// One neighbor in a test run: `None` for a failed link, else its
+    /// height if one is known.
+    type FullSlot = Option<Option<TripleHeight>>;
+
+    /// The sink rule on full heights: every live neighbor known and
+    /// above, then `raised_above`.
+    fn full_sink_rule(height: &mut TripleHeight, run: &[FullSlot]) -> bool {
+        let live: Vec<Option<TripleHeight>> = run.iter().flatten().copied().collect();
+        if live.is_empty() || !live.iter().all(|h| h.is_some_and(|h| h > *height)) {
+            return false;
+        }
+        *height = height.raised_above(live.into_iter().flatten());
+        true
+    }
+
+    /// The downhill hop on full heights: the lowest known live neighbor
+    /// below `own`.
+    fn full_downhill(own: TripleHeight, run: &[FullSlot]) -> Option<usize> {
+        let known = run
+            .iter()
+            .enumerate()
+            .filter_map(|(k, s)| Some((k, (*s)??)));
+        known
+            .filter(|&(_, h)| h < own)
+            .min_by_key(|&(_, h)| h)
+            .map(|(k, _)| k)
+    }
+
+    #[test]
+    fn id_free_slots_decide_as_full_heights_do_under_forced_ties() {
+        let mut rng = SmallRng::seed_from_u64(29);
+        let (mut ties, mut sinks, mut hops) = (0, 0, 0);
+        for _ in 0..5_000 {
+            let ab = |rng: &mut SmallRng| {
+                let (alpha, beta) = (rng.gen_range(0..3u32), rng.gen_range(0..3u32));
+                (i64::from(alpha), -i64::from(beta))
+            };
+            let me = rng.gen_range(0..12u32);
+            let (alpha, beta) = ab(&mut rng);
+            let own = TripleHeight {
+                alpha,
+                beta,
+                id: NodeId::new(me),
+            };
+            // Up to five neighbors, ascending by id as a run lists them.
+            let mut ids: Vec<u32> = (0..12).filter(|&v| v != me && rng.gen_bool(0.4)).collect();
+            ids.truncate(5);
+            let run: Vec<FullSlot> = ids
+                .iter()
+                .map(|&v| {
+                    // Half the known neighbors tie `own` on (α, β).
+                    let (alpha, beta) = if rng.gen_bool(0.5) {
+                        (own.alpha, own.beta)
+                    } else {
+                        ab(&mut rng)
+                    };
+                    let h = TripleHeight {
+                        alpha,
+                        beta,
+                        id: NodeId::new(v),
+                    };
+                    match rng.gen_range(0..6u32) {
+                        0 => None,
+                        1 => Some(None),
+                        _ => Some(Some(h)),
+                    }
+                })
+                .collect();
+            ties += run
+                .iter()
+                .flatten()
+                .flatten()
+                .any(|h| (h.alpha, h.beta) == (own.alpha, own.beta)) as u32;
+            let slots: Vec<Option<KnownHeight>> = run
+                .iter()
+                .map(|s| s.map(|h| h.map_or_else(KnownHeight::default, KnownHeight::of)))
+                .collect();
+            let id_at = |k: usize| NodeId::new(ids[k]);
+
+            let (mut full, mut id_free) = (own, own);
+            let sink = full_sink_rule(&mut full, &run);
+            assert_eq!(
+                reverse_if_sink(&mut id_free, slots.iter().copied(), id_at),
+                sink
+            );
+            assert_eq!(id_free, full, "{own:?} over {run:?}");
+            sinks += sink as u32;
+
+            let known = slots.iter().map(|s| s.and_then(KnownHeight::get));
+            let hop = downhill((own.alpha, own.beta), known, |k| id_at(k) < own.id);
+            assert_eq!(hop, full_downhill(own, &run), "{own:?} over {run:?}");
+            hops += hop.is_some() as u32;
+        }
+        assert!(
+            ties > 1_000 && sinks > 100 && hops > 1_000,
+            "{ties} {sinks} {hops}"
+        );
+    }
 
     #[test]
     fn converges_to_destination_oriented_dag() {
@@ -285,7 +446,7 @@ mod tests {
         let mut sim = EventSim::new(
             DistributedPr,
             inst.csr().clone(),
-            initial_nodes(&inst),
+            initial_nodes(&inst).collect(),
             LinkConfig {
                 delay: 1,
                 jitter: 0,
@@ -314,7 +475,7 @@ mod tests {
         let mut sim = EventSim::new(
             DistributedPr,
             inst.csr().clone(),
-            initial_nodes(&inst),
+            initial_nodes(&inst).collect(),
             LinkConfig::default(),
             9,
         );

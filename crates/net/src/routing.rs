@@ -11,11 +11,17 @@
 //!
 //! Transient staleness during reconvergence can bounce a packet uphill;
 //! a hop limit bounds the damage and the harness counts such drops.
+//!
+//! A node keeps only its reversal state hot: a [`RouteNode`] is the
+//! [`ReversalNode`] plus a pointer to its [`PacketLog`], which is
+//! allocated on the node's first packet, so a delivery that only moves
+//! heights reads 48 bytes of node. Its slots are the reversal protocol's
+//! id-free [`KnownHeight`]s.
 
 use lr_core::alg::TripleHeight;
 use lr_graph::{NodeId, ReversalInstance};
 
-use crate::reversal::{initial_nodes, try_reverse, ReversalNode};
+use crate::reversal::{initial_nodes, try_reverse, KnownHeight, ReversalNode};
 use crate::sim::{Ctx, EventSim, LinkConfig, Protocol};
 
 /// A routed data packet.
@@ -38,12 +44,28 @@ pub enum RouteMsg {
     Data(Packet),
 }
 
-/// Per-node routing state: the reversal state plus packet bookkeeping
-/// (the neighbors' heights live in the node's slots).
+/// Per-node routing state: the reversal state, and the packet log once
+/// the node has seen a packet (the neighbors' heights live in the node's
+/// slots).
 #[derive(Debug, Clone)]
 pub struct RouteNode {
     /// Embedded distributed-reversal state.
     pub rev: ReversalNode,
+    /// The node's packet bookkeeping, `None` until its first packet.
+    pub packets: Option<Box<PacketLog>>,
+}
+
+impl RouteNode {
+    /// The packets delivered here (only the destination accumulates
+    /// these).
+    pub fn delivered(&self) -> &[Packet] {
+        self.packets.as_ref().map_or(&[], |log| &log.delivered)
+    }
+}
+
+/// A routing node's packet bookkeeping.
+#[derive(Debug, Clone, Default)]
+pub struct PacketLog {
     /// Packets waiting for a downhill neighbor.
     pub buffered: Vec<Packet>,
     /// Packets delivered here (only the destination accumulates these).
@@ -73,15 +95,27 @@ pub fn probe_hop_limit(node_count: usize) -> u32 {
 /// of the lowest known height below `own`, or `None` when no live
 /// neighbor is known to sit lower. `run` yields, in run order, each
 /// neighbor's last announced height, or `None` for a failed link or an
-/// unknown height. A run lists neighbors in ascending id, so a tie goes
-/// to the lower id. Packet forwarding here and the scenario engine's
-/// route probes both step through it, over triple heights and TORA
-/// heights alike.
-pub fn downhill<H: Ord>(own: H, run: impl IntoIterator<Item = Option<H>>) -> Option<usize> {
+/// unknown height. A height may leave out the id that breaks ties:
+/// `below_on_tie(k)` says whether the neighbor at run position `k` sits
+/// below when its height equals `own`, and is called only then. A run
+/// lists neighbors in ascending id, so between two equal heights the
+/// earlier is lower. Packet forwarding here and the scenario engine's
+/// route probes both step through it, over the `(α, β)` of triple
+/// heights and over TORA heights alike.
+pub fn downhill<H: Ord>(
+    own: H,
+    run: impl IntoIterator<Item = Option<H>>,
+    below_on_tie: impl Fn(usize) -> bool,
+) -> Option<usize> {
     let mut best: Option<(usize, H)> = None;
     for (k, h) in run.into_iter().enumerate() {
         let Some(h) = h else { continue };
-        if h < own && best.as_ref().is_none_or(|(_, b)| h < *b) {
+        let below = match h.cmp(&own) {
+            std::cmp::Ordering::Less => true,
+            std::cmp::Ordering::Equal => below_on_tie(k),
+            std::cmp::Ordering::Greater => false,
+        };
+        if below && best.as_ref().is_none_or(|(_, b)| h < *b) {
             best = Some((k, h));
         }
     }
@@ -100,40 +134,39 @@ impl TorarRouting {
     fn forward(
         &self,
         ctx: &mut Ctx<'_, RouteMsg, KnownHeight>,
-        node: &mut RouteNode,
+        rev: &ReversalNode,
+        log: &mut PacketLog,
         mut packet: Packet,
     ) {
-        if node.rev.is_dest {
-            node.delivered.push(packet);
+        if rev.is_dest {
+            log.delivered.push(packet);
             return;
         }
         if packet.hops >= self.hop_limit {
-            node.dropped += 1;
+            log.dropped += 1;
             return;
         }
-        match downhill(node.rev.height, ctx.run().map(|s| s.copied().flatten())) {
+        let own = (rev.height.alpha, rev.height.beta);
+        let run = ctx.run().map(|s| s.and_then(|k| k.get()));
+        match downhill(own, run, |k| ctx.neighbor(k) < rev.height.id) {
             Some(k) => {
                 packet.hops += 1;
-                node.forwarded += 1;
+                log.forwarded += 1;
                 ctx.send_at(k, RouteMsg::Data(packet));
             }
-            None => node.buffered.push(packet),
+            None => log.buffered.push(packet),
         }
     }
 
     fn flush(&self, ctx: &mut Ctx<'_, RouteMsg, KnownHeight>, node: &mut RouteNode) {
-        if node.buffered.is_empty() {
+        let Some(log) = node.packets.as_deref_mut() else {
             return;
-        }
-        let buffered = std::mem::take(&mut node.buffered);
-        for p in buffered {
-            self.forward(ctx, node, p);
+        };
+        for p in std::mem::take(&mut log.buffered) {
+            self.forward(ctx, &node.rev, log, p);
         }
     }
 }
-
-/// A routing node's slot: the neighbor's last announced height.
-type KnownHeight = Option<TripleHeight>;
 
 impl Protocol for TorarRouting {
     type Msg = RouteMsg;
@@ -154,18 +187,21 @@ impl Protocol for TorarRouting {
         match msg {
             RouteMsg::Height(h) => {
                 if let Some(known) = ctx.sender_slot_mut() {
-                    *known = Some(h);
+                    *known = KnownHeight::of(h);
                 }
             }
             RouteMsg::LinkDown(_) => {}
             RouteMsg::Data(p) => {
-                if !node.seen.insert(p.id) {
-                    node.revisits += 1;
+                let log = node.packets.get_or_insert_default();
+                if !log.seen.insert(p.id) {
+                    log.revisits += 1;
                 }
-                self.forward(ctx, node, p);
+                self.forward(ctx, &node.rev, log, p);
             }
         }
-        if try_reverse(&mut node.rev, ctx.live_slots().copied()) {
+        if try_reverse(&mut node.rev, ctx.run().map(|s| s.copied()), |k| {
+            ctx.neighbor(k)
+        }) {
             ctx.broadcast(RouteMsg::Height(node.rev.height));
         }
         // Any event can open a downhill path (a first height heard, or
@@ -210,16 +246,7 @@ impl RoutingHarness {
     /// [`RoutingHarness::sim_mut`] before the first height flood.
     pub fn new(inst: &ReversalInstance, link: LinkConfig, seed: u64) -> Self {
         let nodes = initial_nodes(inst)
-            .into_iter()
-            .map(|rev| RouteNode {
-                rev,
-                buffered: Vec::new(),
-                delivered: Vec::new(),
-                dropped: 0,
-                forwarded: 0,
-                seen: Default::default(),
-                revisits: 0,
-            })
+            .map(|rev| RouteNode { rev, packets: None })
             .collect();
         let hop_limit = probe_hop_limit(inst.node_count());
         let sim = EventSim::new(
@@ -297,16 +324,17 @@ impl RoutingHarness {
 
     /// Current metrics.
     pub fn report(&self) -> RoutingReport {
-        let delivered_pkts = &self.sim.node(self.dest).delivered;
+        let delivered_pkts = self.sim.node(self.dest).delivered();
         let delivered = delivered_pkts.len() as u64;
         let mean_hops = if delivered == 0 {
             0.0
         } else {
             delivered_pkts.iter().map(|p| p.hops as f64).sum::<f64>() / delivered as f64
         };
-        let dropped: u64 = self.sim.nodes().map(|(_, n)| n.dropped).sum();
-        let stranded: u64 = self.sim.nodes().map(|(_, n)| n.buffered.len() as u64).sum();
-        let revisits: u64 = self.sim.nodes().map(|(_, n)| n.revisits).sum();
+        let logs = || self.sim.nodes().filter_map(|(_, n)| n.packets.as_deref());
+        let dropped: u64 = logs().map(|log| log.dropped).sum();
+        let stranded: u64 = logs().map(|log| log.buffered.len() as u64).sum();
+        let revisits: u64 = logs().map(|log| log.revisits).sum();
         RoutingReport {
             injected: self.injected,
             delivered,
@@ -327,6 +355,12 @@ mod tests {
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
+    }
+
+    #[test]
+    fn the_hot_node_and_slot_stay_lean() {
+        assert!(std::mem::size_of::<RouteNode>() <= 48);
+        assert_eq!(std::mem::size_of::<KnownHeight>(), 16);
     }
 
     #[test]

@@ -27,20 +27,18 @@
 //!   announced height. A handler sees its node's run through [`Ctx`];
 //!   a reader outside the handlers, such as a route probe, scans the same
 //!   run with [`EventSim::slot`] and [`EventSim::is_live`];
-//! * messages in flight sit in a `Vec` slab tagged with their sequence
-//!   number. The event queue keeps one FIFO of queue entries per
-//!   delivery time, so events come out in `(deliver_at, seq)` order, and
-//!   a message cancelled by a link failure leaves only a stale queue
-//!   entry behind. Delivering the last message in flight empties the
-//!   slab and the queue, so the slab holds only what was sent since the
-//!   network was last quiet;
+//! * each message in flight sits in the event queue itself, in the FIFO
+//!   of its delivery time, so events come out in `(deliver_at, send
+//!   order)`. A link failure cancels the link's messages in place, and
+//!   a count of the live ones in flight decides quiescence. Delivering
+//!   the last live message empties the queue, cancelled messages and
+//!   all;
 //! * a **touched log** lists, once each, the nodes whose state, slots,
 //!   live bits or link configs changed since the log was last drained
 //!   ([`EventSim::touched`]), so a reader that caches what it computed
 //!   from those can retire exactly the stale part.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Debug;
 use std::sync::Arc;
 
@@ -127,6 +125,11 @@ impl<M, S> Ctx<'_, M, S> {
         Some(slot - self.first)
     }
 
+    /// The neighbor at run position `k`.
+    pub fn neighbor(&self, k: usize) -> NodeId {
+        self.csr.node(self.csr.target(self.first + k))
+    }
+
     /// The per-neighbor states, by run position (failed links included).
     pub fn slots_mut(&mut self) -> &mut [S] {
         self.slots
@@ -195,12 +198,10 @@ struct SlotLink {
     live: bool,
 }
 
-/// One slab entry: a message in flight, or a free entry (`msg` is
-/// `None`). `seq` tells a live queue entry from a stale one whose
-/// message was cancelled and whose entry may since have been reused.
+/// A message in flight; `msg` is `None` once a link failure cancelled
+/// it.
 #[derive(Debug)]
 struct Parcel<M> {
-    seq: u64,
     /// Dense index of the receiving node.
     to: u32,
     /// The receiver's slot of the link, `(to, from)`.
@@ -208,66 +209,55 @@ struct Parcel<M> {
     msg: Option<M>,
 }
 
-/// The event queue: queue entries `(seq, slab entry)` in one FIFO per
-/// delivery time. A time's entries are pushed in `seq` order, so taking
-/// the earliest time's FIFO front first yields events in
-/// `(deliver_at, seq)` order. The earliest FIFO is kept apart, so
-/// delivering from it needs no lookup; the later ones sit in a map, with
-/// a min-heap of their times.
-#[derive(Debug, Default)]
-struct EventQueue {
+/// The event queue: the messages in flight, in one FIFO per delivery
+/// time. A time's messages are pushed in send order, so taking the
+/// earliest time's FIFO front first yields events in `(deliver_at, send
+/// order)`. The earliest FIFO is kept apart, so delivering from it needs
+/// no lookup; the later ones sit in a map by time.
+#[derive(Debug)]
+struct EventQueue<M> {
     /// The earliest delivery time. Meaningless while `front` is empty.
     front_time: u64,
     /// The earliest time's FIFO; empty only when the whole queue is.
-    front: VecDeque<(u64, u32)>,
-    later: HashMap<u64, VecDeque<(u64, u32)>>,
-    later_times: BinaryHeap<Reverse<u64>>,
+    front: VecDeque<Parcel<M>>,
+    later: BTreeMap<u64, VecDeque<Parcel<M>>>,
 }
 
-impl EventQueue {
-    fn push(&mut self, t: u64, seq: u64, entry: u32) {
+impl<M> EventQueue<M> {
+    fn push(&mut self, t: u64, parcel: Parcel<M>) {
         if !self.front.is_empty() && t != self.front_time {
             if t > self.front_time {
-                let times = &mut self.later_times;
-                let fifo = self.later.entry(t).or_insert_with(|| {
-                    times.push(Reverse(t));
-                    VecDeque::new()
-                });
-                fifo.push_back((seq, entry));
+                self.later.entry(t).or_default().push_back(parcel);
                 return;
             }
             // An earlier time takes the front; the old front joins the
             // later ones.
             let front = std::mem::take(&mut self.front);
             self.later.insert(self.front_time, front);
-            self.later_times.push(Reverse(self.front_time));
         }
         self.front_time = t;
-        self.front.push_back((seq, entry));
+        self.front.push_back(parcel);
     }
 
-    /// The earliest entry as `(deliver_at, seq, slab entry)`.
-    fn peek(&self) -> Option<(u64, u64, u32)> {
-        let &(seq, entry) = self.front.front()?;
-        Some((self.front_time, seq, entry))
+    /// The earliest message and its delivery time.
+    fn peek(&self) -> Option<(u64, &Parcel<M>)> {
+        Some((self.front_time, self.front.front()?))
     }
 
     fn clear(&mut self) {
         self.front.clear();
         self.later.clear();
-        self.later_times.clear();
     }
 
-    fn pop(&mut self) -> Option<(u64, u64, u32)> {
-        let (seq, entry) = self.front.pop_front()?;
+    fn pop(&mut self) -> Option<(u64, Parcel<M>)> {
+        let parcel = self.front.pop_front()?;
         let t = self.front_time;
         if self.front.is_empty() {
-            if let Some(Reverse(next)) = self.later_times.pop() {
-                self.front = self.later.remove(&next).expect("a listed time has a FIFO");
-                self.front_time = next;
+            if let Some((next, fifo)) = self.later.pop_first() {
+                (self.front_time, self.front) = (next, fifo);
             }
         }
-        Some((t, seq, entry))
+        Some((t, parcel))
     }
 }
 
@@ -301,15 +291,13 @@ pub struct EventSim<P: Protocol> {
     clocks: Vec<u64>,
     /// The distinct link configs; entry 0 is the global one.
     configs: Vec<LinkConfig>,
-    queue: EventQueue,
-    slab: Vec<Parcel<P::Msg>>,
-    /// Free slab entries; the others hold the messages in flight.
-    free: Vec<u32>,
+    queue: EventQueue<P::Msg>,
+    /// The messages in the queue that no link failure cancelled.
+    in_flight: u64,
     /// The handlers' outbox, reused across dispatches.
     outbox: Vec<(usize, P::Msg)>,
     rng: SmallRng,
     now: u64,
-    seq: u64,
     /// The dense nodes touched since the last drain, each once, in the
     /// order they were first touched; see [`EventSim::touched`].
     touched: Vec<u32>,
@@ -356,13 +344,15 @@ impl<P: Protocol> EventSim<P> {
             csr,
             nodes,
             configs: vec![link_config],
-            queue: EventQueue::default(),
-            slab: Vec::new(),
-            free: Vec::new(),
+            queue: EventQueue {
+                front_time: 0,
+                front: VecDeque::new(),
+                later: BTreeMap::new(),
+            },
+            in_flight: 0,
             outbox: Vec::new(),
             rng: SmallRng::seed_from_u64(seed),
             now: 0,
-            seq: 0,
             touched: Vec::with_capacity(n),
             touched_bits: vec![0; n.div_ceil(64)],
             drains: 0,
@@ -586,15 +576,20 @@ impl<P: Protocol> EventSim<P> {
         self.touch_link(uv);
         // A message in flight over a directed link is due no earlier than
         // now and no later than the link's FIFO clock, so a link whose two
-        // clocks are behind now carries none and the slab needs no scan.
+        // clocks are behind now carries none and the queue needs no scan.
         if self.clocks[uv] < self.now && self.clocks[vu] < self.now {
             return;
         }
         let (uv, vu) = (uv as u32, vu as u32);
-        for (i, parcel) in self.slab.iter_mut().enumerate() {
+        let queue = &mut self.queue;
+        for parcel in queue
+            .front
+            .iter_mut()
+            .chain(queue.later.values_mut().flatten())
+        {
             if parcel.msg.is_some() && (parcel.arrival == uv || parcel.arrival == vu) {
                 parcel.msg = None;
-                self.free.push(i as u32);
+                self.in_flight -= 1;
                 self.stats.lost_to_failure += 1;
             }
         }
@@ -617,31 +612,18 @@ impl<P: Protocol> EventSim<P> {
         }
     }
 
-    /// Whether the queue entry `(seq, entry)` still carries its message.
-    fn is_pending(&self, seq: u64, entry: u32) -> bool {
-        let parcel = &self.slab[entry as usize];
-        parcel.seq == seq && parcel.msg.is_some()
-    }
-
     /// Delivers the next event, if any. Returns `false` when the network
     /// is quiescent (no messages in flight).
     pub fn step(&mut self) -> bool {
-        while let Some((t, seq, entry)) = self.queue.pop() {
-            // The message may have been discarded by a link failure;
-            // skip stale queue entries.
-            if !self.is_pending(seq, entry) {
-                continue;
-            }
-            let parcel = &mut self.slab[entry as usize];
-            let msg = parcel.msg.take().expect("pending entry holds a message");
+        while let Some((t, parcel)) = self.queue.pop() {
+            // Skip messages a link failure cancelled.
+            let Some(msg) = parcel.msg else { continue };
             let (to, arrival) = (parcel.to as usize, parcel.arrival as usize);
-            self.free.push(entry);
-            if self.free.len() == self.slab.len() {
-                // The last message in flight is out, so every queue entry
-                // left is stale: start both over, and a link failure's
-                // scan of the slab walks only what was sent since.
-                self.slab.clear();
-                self.free.clear();
+            self.in_flight -= 1;
+            if self.in_flight == 0 {
+                // The last live message is out, so everything left was
+                // cancelled: a link failure's scan walks only what is
+                // sent from here on.
                 self.queue.clear();
             }
             self.now = t;
@@ -658,25 +640,23 @@ impl<P: Protocol> EventSim<P> {
     /// Runs until quiescence or until `max_events` deliveries.
     ///
     /// Returns `true` if the network went quiescent within the budget.
-    /// Quiescence means no *live* message remains in flight — queue
-    /// entries whose message was discarded by a link failure do not
-    /// count.
+    /// Quiescence means no *live* message remains in flight — messages
+    /// cancelled by a link failure do not count.
     pub fn run_to_quiescence(&mut self, max_events: u64) -> bool {
         for _ in 0..max_events {
             if !self.step() {
                 return true;
             }
         }
-        self.free.len() == self.slab.len()
+        self.in_flight == 0
     }
 
-    /// Virtual time of the next live event, dropping any stale queue
-    /// entries (messages cancelled by a link failure) encountered on
-    /// the way — a stale head must never satisfy a deadline check on
-    /// behalf of a live event scheduled later.
+    /// Virtual time of the next live event, dropping any cancelled
+    /// messages met on the way — a cancelled head must never satisfy a
+    /// deadline check on behalf of a live event scheduled later.
     fn next_live_event_time(&mut self) -> Option<u64> {
-        while let Some((t, seq, entry)) = self.queue.peek() {
-            if self.is_pending(seq, entry) {
+        while let Some((t, parcel)) = self.queue.peek() {
+            if parcel.msg.is_some() {
                 return Some(t);
             }
             self.queue.pop();
@@ -777,25 +757,13 @@ impl<P: Protocol> EventSim<P> {
         // message on the same link.
         let deliver_at = earliest.max(self.clocks[slot]);
         self.clocks[slot] = deliver_at;
-        let seq = self.seq;
-        self.seq += 1;
         let parcel = Parcel {
-            seq,
             to: self.csr.target(slot) as u32,
             arrival: self.csr.twin(slot) as u32,
             msg: Some(msg),
         };
-        let entry = match self.free.pop() {
-            Some(entry) => {
-                self.slab[entry as usize] = parcel;
-                entry
-            }
-            None => {
-                self.slab.push(parcel);
-                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 messages in flight")
-            }
-        };
-        self.queue.push(deliver_at, seq, entry);
+        self.in_flight += 1;
+        self.queue.push(deliver_at, parcel);
     }
 }
 
@@ -1093,7 +1061,7 @@ mod tests {
         // Path 0 — 1 — 2 with a slow {1, 2} link: node 0's broadcast to
         // 1 is due at t = 1; node 1's relay to 2 at t = 100. Failing
         // {0, 1} *after* node 1 relayed cancels 1's echo back to 0
-        // (due t ≈ 101) but leaves its queue entry.
+        // (due t ≈ 101), which stays in the queue, cancelled.
         let mut sim = flood_sim(3, LinkConfig::default(), 0);
         sim.set_link_config(
             n(1),
@@ -1111,8 +1079,8 @@ mod tests {
             "node 1 hears the token"
         );
         sim.fail_link(n(0), n(1));
-        // The cancelled echo's stale entry (t = 101) must not make a run
-        // to t = 50 deliver the live t = 100 relay beyond its deadline…
+        // The cancelled echo (t = 101) must not make a run to t = 50
+        // deliver the live t = 100 relay beyond its deadline…
         assert_eq!(
             sim.run_until_capped(50, u64::MAX),
             (0, false),
@@ -1120,13 +1088,104 @@ mod tests {
         );
         assert!(sim.now() <= 50, "clock must not overshoot the deadline");
         // …and once the relay is delivered and everything live drains,
-        // leftover stale entries must not mask quiescence.
+        // leftover cancelled messages must not mask quiescence.
         assert!(sim.run_to_quiescence(100));
         assert!(
             sim.run_to_quiescence(0),
-            "stale entries are not in-flight work"
+            "cancelled messages are not in-flight work"
         );
         assert_eq!(sim.node(n(2)).received, 1);
+    }
+
+    /// A shared log of deliveries as `(time, from, to, number)`.
+    type DeliveryLog = std::rc::Rc<std::cell::RefCell<Vec<(u64, u32, u32, u32)>>>;
+
+    /// Burst: at start every node sends `0..4` to each neighbor, one
+    /// broadcast per number; a receiver logs each delivery and sends
+    /// nothing.
+    struct Burst {
+        log: DeliveryLog,
+    }
+
+    impl Protocol for Burst {
+        type Msg = u32;
+        type Node = ();
+        type Slot = ();
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32, ()>, _node: &mut ()) {
+            for i in 0..4 {
+                ctx.broadcast(i);
+            }
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_, u32, ()>, _node: &mut (), from: NodeId, i: u32) {
+            let entry = (ctx.now, from.raw(), ctx.self_id.raw(), i);
+            self.log.borrow_mut().push(entry);
+        }
+    }
+
+    #[test]
+    fn a_failure_cancels_messages_in_every_fifo_and_the_last_live_one_resets_the_queue() {
+        // Path 0 — 1 — 2: the jittered {0, 1} link carries four messages
+        // each way, due at t = 1..=5; the {1, 2} link four each way, all
+        // due at t = 3.
+        let log = DeliveryLog::default();
+        let slow = LinkConfig {
+            delay: 3,
+            ..LinkConfig::default()
+        };
+        let burst = Burst { log: log.clone() };
+        let mut sim = EventSim::new(burst, path_graph(3), vec![(); 3], slow, 12);
+        let jittered = LinkConfig {
+            delay: 1,
+            jitter: 4,
+            loss: 0.0,
+        };
+        sim.set_link_config(n(0), n(1), jittered);
+        sim.start();
+        assert!(!sim.run_to_quiescence(0), "16 messages in flight");
+        assert_eq!(sim.run_until_capped(2, u64::MAX), (3, false));
+        // The {0, 1} messages still in flight: 1 → 0 numbers 1 and 2, due
+        // at t = 3 in the front FIFO among the {1, 2} ones, and 0 → 1
+        // numbers 2 and 3 and 1 → 0 number 3 in the t = 5 FIFO.
+        sim.fail_link(n(1), n(0));
+        let stats = sim.stats();
+        assert_eq!(
+            (stats.sent, stats.delivered, stats.lost_to_failure),
+            (16, 3, 5)
+        );
+        assert!(!sim.run_to_quiescence(0), "the {{1, 2}} messages are live");
+        for _ in 0..8 {
+            assert!(sim.step());
+        }
+        assert_eq!(sim.in_flight, 0);
+        assert!(
+            sim.queue.front.is_empty() && sim.queue.later.is_empty(),
+            "the last live message out empties the queue, cancelled ones and all"
+        );
+        assert!(sim.run_to_quiescence(0));
+        assert_eq!(sim.stats().delivered, 11);
+        assert_eq!(
+            sim.stats().lost_to_failure,
+            5,
+            "no cancelled message arrives"
+        );
+        assert_eq!(
+            *log.borrow(),
+            [
+                (2, 0, 1, 0),
+                (2, 0, 1, 1),
+                (2, 1, 0, 0),
+                (3, 1, 2, 0),
+                (3, 1, 2, 1),
+                (3, 1, 2, 2),
+                (3, 1, 2, 3),
+                (3, 2, 1, 0),
+                (3, 2, 1, 1),
+                (3, 2, 1, 2),
+                (3, 2, 1, 3),
+            ]
+        );
     }
 
     /// `advance_to` with `t` at or before the clock is a documented

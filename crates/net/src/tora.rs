@@ -345,13 +345,15 @@ pub struct ToraHarness {
 }
 
 impl ToraHarness {
-    /// Creates the harness; only the destination is routed initially.
+    /// Creates the harness and starts the protocol without delivering its
+    /// start: only the destination is routed, and its ZERO height is in
+    /// flight to its neighbors. Run the simulator to quiescence, within a
+    /// budget of the caller's choosing, before the first action.
     pub fn new(graph: impl Into<Arc<CsrGraph>>, dest: NodeId, link: LinkConfig, seed: u64) -> Self {
         let graph = graph.into();
         let nodes = initial_tora_nodes(&graph, dest);
         let mut sim = EventSim::new(Tora, graph, nodes, link, seed);
         sim.start();
-        sim.run_to_quiescence(1_000_000);
         ToraHarness { sim, dest }
     }
 
@@ -448,7 +450,8 @@ mod tests {
             .clone()
     }
 
-    /// Runs the maintenance a link change set off to quiescence.
+    /// Runs the start, or the maintenance a link change set off, to
+    /// quiescence.
     fn quiesce(h: &mut ToraHarness) {
         assert!(h.sim_mut().run_to_quiescence(10_000_000), "did not quiesce");
     }
@@ -462,6 +465,7 @@ mod tests {
     fn route_creation_floods_and_routes_everyone_on_a_path() {
         let g = path_graph(5);
         let mut h = ToraHarness::new(g, n(0), LinkConfig::default(), 1);
+        quiesce(&mut h);
         assert_eq!(h.height(n(4)), None);
         h.create_route(n(4));
         // The QRY flood plus UPD responses route every node on the path.
@@ -479,6 +483,7 @@ mod tests {
             let inst = stream::random_connected(16, 16, 90_000 + seed);
             let mut h =
                 ToraHarness::new(inst.csr().clone(), inst.dest, LinkConfig::default(), seed);
+            quiesce(&mut h);
             // One node asks; the flood routes (at least) a path.
             for u in inst.csr().nodes() {
                 if u != inst.dest {
@@ -496,6 +501,7 @@ mod tests {
         // new reference level (case 1) and routes via 2 -> 3 -> 0.
         let g = graph(&[(0, 1), (1, 2), (2, 3), (3, 0)]);
         let mut h = ToraHarness::new(g, n(0), LinkConfig::default(), 2);
+        quiesce(&mut h);
         h.create_route(n(2));
         assert!(h.routed_nodes_reach_destination());
         h.fail_link(n(0), n(1));
@@ -519,6 +525,7 @@ mod tests {
         // which detects the partition (case 4) and CLRs the region.
         let g = path_graph(4);
         let mut h = ToraHarness::new(g, n(0), LinkConfig::default(), 3);
+        quiesce(&mut h);
         h.create_route(n(3));
         assert!(h.routed_nodes_reach_destination());
         h.fail_link(n(0), n(1));
@@ -540,6 +547,7 @@ mod tests {
     fn healed_partition_allows_re_routing() {
         let g = path_graph(4);
         let mut h = ToraHarness::new(g, n(0), LinkConfig::default(), 4);
+        quiesce(&mut h);
         h.create_route(n(3));
         h.fail_link(n(0), n(1));
         quiesce(&mut h);
@@ -558,6 +566,7 @@ mod tests {
         // gives TORA its name.
         let g = graph(&[(0, 1), (1, 2), (2, 0)]);
         let mut h = ToraHarness::new(g, n(0), LinkConfig::default(), 5);
+        quiesce(&mut h);
         h.create_route(n(1));
         h.create_route(n(2));
         h.fail_link(n(0), n(1));
@@ -572,6 +581,7 @@ mod tests {
     fn destination_never_reacts_to_maintenance() {
         let g = path_graph(3);
         let mut h = ToraHarness::new(g, n(0), LinkConfig::default(), 6);
+        quiesce(&mut h);
         h.create_route(n(2));
         h.fail_link(n(1), n(2)); // strands node 2
         quiesce(&mut h);

@@ -26,8 +26,9 @@
 //! metrics it writes into a row. The simulator controls every protocol
 //! shares (the clock, budgeted delivery, quiescence, the touched log,
 //! link configs, start) are one `SimControl` implementation for every
-//! [`EventSim`], which `Driver::sim` hands out. `make_driver` applies
-//! the spec's link overrides in one loop.
+//! [`EventSim`], which `Driver::sim` hands out. `make_driver` builds
+//! the adapter, and `start_driver` applies the spec's link overrides in
+//! one loop and starts the protocol.
 //!
 //! Instance and driver construction run under a `scenario.build` span,
 //! and each row's live-link scan and metrics under `scenario.metrics`.
@@ -428,7 +429,10 @@ pub(crate) trait Driver: Sync {
 /// [`downhill`] hop over the current node's run of slots, until
 /// `is_sink` accepts the current node. `own(node)` reads a node's height
 /// (`None`, a NULL TORA height, means unrouted: no answer) and
-/// `known(slot)` the height a slot holds for its neighbor.
+/// `known(slot)` the height a slot holds for its neighbor. Both may leave
+/// out the id that breaks ties, as the triple heights' `(α, β)` do: when
+/// a neighbor's height equals the node's, the lower dense index, which is
+/// the lower id, is below.
 ///
 /// The walk reads frozen state and picks each hop from the current node
 /// alone, so re-entering a node means it loops forever: Brent's cycle
@@ -481,7 +485,8 @@ fn descend_heights<P: Protocol, H: Ord>(
             }
         });
         let own = own(node).ok_or(NoRoute::Unrouted)?;
-        let slot = run.start + downhill(own, heights).ok_or(NoRoute::DeadEnd)?;
+        let below_on_tie = |k| csr.target(run.start + k) < cur;
+        let slot = run.start + downhill(own, heights, below_on_tie).ok_or(NoRoute::DeadEnd)?;
         memo.path
             .push((cur as u32, sim.link_config_at(slot).delay.max(1)));
         memo.walked += 1;
@@ -600,8 +605,8 @@ impl Driver for RoutingDriver {
             self.harness.sim(),
             src,
             memo,
-            |n| Some(n.rev.height),
-            |&known| known,
+            |n| Some((n.rev.height.alpha, n.rev.height.beta)),
+            |known| known.get(),
             |u, _| u == dest,
         )
     }
@@ -612,7 +617,7 @@ impl Driver for RoutingDriver {
         // Stretch: hops over the live shortest path at injection time,
         // averaged over delivered packets whose origin was connected.
         let (mut stretch_sum, mut stretch_count) = (0.0, 0u64);
-        for p in &sim.node(self.harness.dest()).delivered {
+        for p in sim.node(self.harness.dest()).delivered() {
             if let Some(&shortest) = self.shortest.get(&p.id) {
                 if shortest > 0 {
                     stretch_sum += f64::from(p.hops) / shortest as f64;
@@ -668,8 +673,8 @@ impl Driver for ReversalDriver {
             &self.sim,
             src,
             memo,
-            |n| Some(n.height),
-            |&known| known,
+            |n| Some((n.height.alpha, n.height.beta)),
+            |known| known.get(),
             |_, n| n.is_dest,
         )
     }
@@ -860,8 +865,8 @@ impl Driver for ElectionDriver {
             self.harness.sim(),
             src,
             memo,
-            |n| Some(n.height),
-            |&known| known,
+            |n| Some((n.height.alpha, n.height.beta)),
+            |known| known.get(),
             |u, n| n.leader == u,
         )
     }
@@ -912,32 +917,29 @@ fn resolve_sources(spec: &ScenarioSpec, inst: &ReversalInstance) -> Vec<NodeId> 
     }
 }
 
-/// Builds the protocol adapter with the spec's link overrides applied.
-///
-/// Routing and reversal take the overrides before the protocol starts,
-/// so even the initial convergence sees them. The TORA, mutex and
-/// election harness constructors start their protocol themselves
-/// (election also converges it, within the spec's `max_events`); their
-/// overrides take effect from the first scenario action onward.
-///
-/// # Errors
-///
-/// Returns a [`ScenarioError`] when election's initial convergence
-/// exhausts `max_events`.
+/// Builds the protocol adapter. The TORA, mutex and election harness
+/// constructors start their protocol without delivering anything;
+/// routing and reversal start in [`start_driver`].
 pub(crate) fn make_driver(
     spec: &ScenarioSpec,
     inst: &ReversalInstance,
     link: LinkConfig,
     run_seed: u64,
-) -> Result<Box<dyn Driver>, ScenarioError> {
+) -> Box<dyn Driver> {
     let csr = inst.csr().clone();
-    let mut driver: Box<dyn Driver> = match spec.protocol {
+    match spec.protocol {
         ProtocolKind::Routing => Box::new(RoutingDriver {
             harness: RoutingHarness::new(inst, link, run_seed),
             shortest: BTreeMap::new(),
         }),
         ProtocolKind::Reversal => Box::new(ReversalDriver {
-            sim: EventSim::new(DistributedPr, csr, initial_nodes(inst), link, run_seed),
+            sim: EventSim::new(
+                DistributedPr,
+                csr,
+                initial_nodes(inst).collect(),
+                link,
+                run_seed,
+            ),
         }),
         ProtocolKind::Tora => Box::new(ToraDriver {
             harness: ToraHarness::new(csr, inst.dest, link, run_seed),
@@ -947,17 +949,34 @@ pub(crate) fn make_driver(
             harness: MutexHarness::new(csr, inst.dest, link, run_seed),
             injected: 0,
         }),
-        ProtocolKind::Election => {
-            let mut harness = ElectionHarness::new(inst, link, run_seed);
-            let start = harness.sim_mut();
-            start.run_until(u64::MAX, spec.max_events, &"initial convergence")?;
-            Box::new(ElectionDriver {
-                harness,
-                crashed: false,
-            })
-        }
-    };
+        ProtocolKind::Election => Box::new(ElectionDriver {
+            harness: ElectionHarness::new(inst, link, run_seed),
+            crashed: false,
+        }),
+    }
+}
+
+/// Starts the protocol of a fresh driver with the spec's link overrides
+/// applied.
+///
+/// Routing and reversal take the overrides before their start flood, so
+/// even the initial convergence sees them. TORA and election first
+/// deliver the start their constructors sent, within the spec's
+/// `max_events`; their overrides, like mutex's, take effect from the
+/// first scenario action onward.
+///
+/// # Errors
+///
+/// Returns a [`ScenarioError`] when TORA's or election's initial
+/// convergence exhausts `max_events`.
+pub(crate) fn start_driver(
+    spec: &ScenarioSpec,
+    driver: &mut dyn Driver,
+) -> Result<(), ScenarioError> {
     let sim = driver.sim();
+    if matches!(spec.protocol, ProtocolKind::Tora | ProtocolKind::Election) {
+        sim.run_until(u64::MAX, spec.max_events, &"initial convergence")?;
+    }
     for o in &spec.links.overrides {
         let (u, v) = (NodeId::new(o.u), NodeId::new(o.v));
         sim.set_link_config(u, v, spec_link_config(&o.link));
@@ -968,7 +987,7 @@ pub(crate) fn make_driver(
     ) {
         sim.start();
     }
-    Ok(driver)
+    Ok(())
 }
 
 pub(crate) fn spec_link_config(l: &LinkSpec) -> LinkConfig {
@@ -1321,7 +1340,8 @@ pub fn run_scenario(
     spec.validate_against(&inst, seed, trial)
         .map_err(|e| ScenarioError(format!("invalid scenario: {e}")))?;
     let link = spec_link_config(&spec.links.default);
-    let mut driver = make_driver(spec, &inst, link, run_seed)?;
+    let mut driver = make_driver(spec, &inst, link, run_seed);
+    start_driver(spec, driver.as_mut())?;
     let mut ledger = LinkLedger::new(&inst);
     drop(build_span);
     let mut churn_rng = SmallRng::seed_from_u64(derive_churn_seed(run_seed));
@@ -1395,10 +1415,10 @@ pub fn run_scenario(
         Ok((ticks, quiesced))
     };
 
-    // Initial convergence: the index-0 "start" event row. (The
-    // tora/mutex/election harnesses start in their constructors, and
-    // election converges there, so this phase is instantly quiescent for
-    // it and `now()` already carries its convergence time.)
+    // Initial convergence: the index-0 "start" event row. (TORA and
+    // election converge in `start_driver`, so this phase is instantly
+    // quiescent for them and `now()` already carries their convergence
+    // time.)
     let start = {
         let _sp = lr_obs::span("scenario", "scenario.settle start");
         settle_phase(driver.sim(), 0, "initial convergence")?
@@ -1783,7 +1803,8 @@ mod tests {
         ))
         .unwrap();
         let inst = build_instance(&spec.topology, seed).unwrap();
-        let mut driver = make_driver(&spec, &inst, LinkConfig::default(), seed).unwrap();
+        let mut driver = make_driver(&spec, &inst, LinkConfig::default(), seed);
+        start_driver(&spec, driver.as_mut()).unwrap();
         let mut ledger = LinkLedger::new(&inst);
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut want = fresh_bfs(&inst, &BTreeSet::new());
@@ -1866,12 +1887,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn election_start_honors_max_events() {
-        let spec = ScenarioSpec::from_json(
-            r#"{"name": "tight-election", "protocol": "election", "max_events": 1,
-                "topology": {"family": "inline", "edges": [[0, 1], [1, 2], [2, 3]]}}"#,
-        )
+    /// Runs a `protocol` spec on the inline `edges` with `max_events: 1`:
+    /// `run_scenario` and `run_serve` must both refuse its start by name.
+    fn start_exhausts_a_budget_of_one(protocol: &str, edges: &str) {
+        let spec = ScenarioSpec::from_json(&format!(
+            r#"{{"name": "tight", "protocol": "{protocol}", "max_events": 1,
+                 "topology": {{"family": "inline", "edges": {edges}}}}}"#
+        ))
         .unwrap();
         let want =
             "initial convergence: event budget exhausted after 1 deliveries (max_events = 1)";
@@ -1879,6 +1901,18 @@ mod tests {
         let options = crate::serve::ServeOptions::default();
         let served = crate::serve::run_serve(&spec, &options, &[]).unwrap_err();
         assert_eq!(served.0, want);
+    }
+
+    #[test]
+    fn election_start_honors_max_events() {
+        start_exhausts_a_budget_of_one("election", "[[0, 1], [1, 2], [2, 3]]");
+    }
+
+    #[test]
+    fn tora_start_honors_max_events() {
+        // The destination, node 0, announces its ZERO height to its three
+        // neighbors: three deliveries against a budget of one.
+        start_exhausts_a_budget_of_one("tora", "[[0, 1], [0, 2], [0, 3]]");
     }
 
     #[test]
@@ -1890,10 +1924,9 @@ mod tests {
             ))
             .unwrap();
             let inst = build_instance(&spec.topology, 0).unwrap();
-            (
-                make_driver(&spec, &inst, LinkConfig::default(), 0).unwrap(),
-                LinkLedger::new(&inst),
-            )
+            let mut driver = make_driver(&spec, &inst, LinkConfig::default(), 0);
+            start_driver(&spec, driver.as_mut()).unwrap();
+            (driver, LinkLedger::new(&inst))
         };
         let (u, v) = (NodeId::new(0), NodeId::new(1));
         let churn = "this protocol takes no link churn";

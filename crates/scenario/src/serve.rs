@@ -90,8 +90,8 @@ use rand::{Rng, SeedableRng};
 use serde_json::Value;
 
 use crate::engine::{
-    make_driver, record_sim_stats, spec_link_config, Driver, LinkLedger, NoRoute, RouteMemo,
-    RouteProbe, ScenarioError, SimControl,
+    make_driver, record_sim_stats, spec_link_config, start_driver, Driver, LinkLedger, NoRoute,
+    RouteMemo, RouteProbe, ScenarioError, SimControl,
 };
 use crate::spec::{derive_run_seed, ProtocolKind, ScenarioSpec, TrafficSpec};
 use crate::stats::{MetricSketch, STRETCH_GRID_HI};
@@ -615,12 +615,22 @@ pub fn run_serve(
 
     let link = spec_link_config(&spec.links.default);
     let build_span = lr_obs::span("serve", "serve.build");
-    let mut driver = make_driver(spec, &inst, link, run_seed)?;
+    let mut driver = {
+        let _sp = lr_obs::span("serve", "serve.build driver");
+        make_driver(spec, &inst, link, run_seed)
+    };
+    {
+        let _sp = lr_obs::span("serve", "serve.build start");
+        start_driver(spec, driver.as_mut())?;
+    }
     // Mirrors the driver's failed links: every fail or heal goes through
     // it, so the simulator's live links are the ledger's. Stretch is
     // priced against its distances from the destination over the live
     // links, repaired after each churn tick.
-    let mut ledger = LinkLedger::new(&inst);
+    let mut ledger = {
+        let _sp = lr_obs::span("serve", "serve.build ledger");
+        LinkLedger::new(&inst)
+    };
     drop(build_span);
 
     // Initial convergence, exactly like the scenario engine's settle
@@ -1070,7 +1080,8 @@ mod tests {
         let run_seed = derive_run_seed(spec.seeds[0], 0);
         let inst = build_instance(&spec.topology, run_seed).unwrap();
         let link = spec_link_config(&spec.links.default);
-        let mut driver = make_driver(spec, &inst, link, run_seed).unwrap();
+        let mut driver = make_driver(spec, &inst, link, run_seed);
+        start_driver(spec, driver.as_mut()).unwrap();
         let mut ledger = LinkLedger::new(&inst);
         let nodes: Vec<NodeId> = inst.csr().nodes().collect();
         let mut memos = [RouteMemo::default()];

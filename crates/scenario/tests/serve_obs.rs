@@ -1,6 +1,7 @@
-//! `lr serve` under an observability session: driver construction,
-//! each tick's drain, each churn action and stretch repricing get their
-//! spans, each repricing names the distances it repaired, and the
+//! `lr serve` under an observability session: the build and its three
+//! parts (driver construction, the protocol's start, the ledger's first
+//! BFS), each tick's drain, each churn action and stretch repricing get
+//! their spans, each repricing names the distances it repaired, and the
 //! simulator's statistics land as `net.*` counters.
 //!
 //! This is the binary's only test, so no other serve run can record
@@ -46,6 +47,9 @@ fn serve_records_build_drain_churn_and_reprice_spans_and_net_counters() {
             .map(|(_, s)| s.count)
     };
     assert_eq!(span("serve.build"), Some(1));
+    for part in ["driver", "start", "ledger"] {
+        assert_eq!(span(&format!("serve.build {part}")), Some(1), "{part}");
+    }
     assert_eq!(span("serve.reprice"), Some(2), "one repair per churn tick");
     // On the 4 × 4 grid toward node 0, failing the link 0–1 sends the rest
     // of the top row, nodes 1, 2 and 3, round through the second row, two

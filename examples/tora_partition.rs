@@ -14,7 +14,8 @@ fn n(i: u32) -> NodeId {
     NodeId::new(i)
 }
 
-/// Runs the maintenance a link change set off to quiescence.
+/// Runs the start, or the maintenance a link change set off, to
+/// quiescence.
 fn quiesce(tora: &mut ToraHarness) {
     assert!(tora.sim_mut().run_to_quiescence(10_000_000));
 }
@@ -23,6 +24,7 @@ fn main() {
     // A ring with a tail:   0(D) — 1 — 2 — 3 — 0   and   3 — 4 — 5
     let g = Orientation::from_edges(&[(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5)]).unwrap();
     let mut tora = ToraHarness::new(g.csr().as_ref().clone(), n(0), LinkConfig::default(), 7);
+    quiesce(&mut tora);
 
     println!("phase 1: route creation (QRY floods from nodes 1 and 5)");
     tora.create_route(n(1)); // routes 1 directly below the destination

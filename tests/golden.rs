@@ -9,7 +9,8 @@
 //! an FNV-1a digest plus a line count (`*.digest`); every other output is
 //! stored in full. `lr serve` runs `examples/serve/steady_grid.json` with
 //! and without the demo feed and, in the `--ignored` tier, the 100k-node
-//! grid under its churn feed, stored under `tests/golden/serve/`. The
+//! grid under its churn feed and the 1000 × 1000 grid of
+//! `examples/serve/grid_1m.json`, stored under `tests/golden/serve/`. The
 //! other four protocols' serve reports, from [`run_serve`], sit beside
 //! them: reversal and TORA on the same grid under the demo feed, mutex on
 //! a small tree, and election with one `crash_leader`.
@@ -336,6 +337,14 @@ fn scenario_runs_match_the_golden_corpus() {
 fn the_100k_churn_serve_matches_the_golden_corpus() {
     let flags = ["--rate", "100", "--duration", "200"];
     let report = compare(&[serve("grid_100k", &flags, Some("feed_churn_100k"))]);
+    assert!(report.is_empty(), "{report}");
+}
+
+#[test]
+#[ignore = "a million-node serve; about two seconds in a release build, run with --ignored"]
+fn the_million_node_serve_matches_the_golden_corpus() {
+    let flags = ["--rate", "100", "--duration", "200"];
+    let report = compare(&[serve("grid_1m", &flags, None)]);
     assert!(report.is_empty(), "{report}");
 }
 
