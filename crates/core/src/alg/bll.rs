@@ -14,13 +14,17 @@
 //! lockstep suite verifies each against the paper's automaton for its
 //! target step by step.
 
-use lr_graph::{NodeId, Orientation, ReversalInstance};
+use lr_graph::{Orientation, ReversalInstance};
 
-use crate::alg::frontier::{count_bits_in_range, set_bits_in_range};
-use crate::alg::{debug_check_planned, FrontierEngine};
-use crate::{EnabledTracker, MirroredDirs, PlanAux, StepOutcome, StepScratch};
+use crate::alg::{Frontier, Rule};
+use crate::dirs::{all_word_masks, word_bit};
+use crate::{MirroredDirs, PlanAux, StepScratch};
 
-/// A label-update policy for [`FrontierBllEngine`].
+/// A label-update policy for [`FrontierBllEngine`], and BLL's rule: the
+/// `μ_u(v)` labels are one bit per half-edge slot (the bit of slot `(u,
+/// v)` holds `μ_u(v)`), so a label read or write is a masked word
+/// access, and the "`u` forgets its history" reset is a ranged bit fill
+/// over `u`'s slot range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BllLabeling {
     /// Partial Reversal labels: `μ_u(v) = 1` iff `v` has **not** reversed
@@ -33,165 +37,132 @@ pub enum BllLabeling {
     FullReversal,
 }
 
-/// BLL over a [`ReversalInstance`]: the `μ_u(v)` labels are one bit per
-/// half-edge slot (the bit of slot `(u, v)` holds `μ_u(v)`), so a label
-/// read or write is a masked word access, and the "`u` forgets its
-/// history" reset is a ranged bit fill over `u`'s slot range.
-/// Step-for-step identical to [`crate::alg::OneStepPrAutomaton`] under
-/// the PR labeling and to [`crate::alg::FullReversalAutomaton`] under the
-/// FR labeling (the lockstep suite).
-#[derive(Debug, Clone)]
-pub struct FrontierBllEngine {
-    /// The initial configuration, retained for [`FrontierEngine::reset`].
-    init: ReversalInstance,
-    labeling: BllLabeling,
-    dirs: MirroredDirs,
-    /// `μ_u(v)` ⟺ the bit of slot `(u, v)`, initially all 1 under
-    /// either policy. Bits past `half_edge_count` are padding and are
-    /// never read.
-    labels: Vec<u64>,
-    tracker: EnabledTracker,
-}
+/// BLL over a [`ReversalInstance`]: the engine shell around a
+/// [`BllLabeling`]. Step-for-step identical to
+/// [`crate::alg::OneStepPrAutomaton`] under the PR labeling and to
+/// [`crate::alg::FullReversalAutomaton`] under the FR labeling (the
+/// lockstep suite).
+pub type FrontierBllEngine = Frontier<BllLabeling>;
 
 impl FrontierBllEngine {
     /// Creates the engine with the given labeling policy.
     pub fn new(inst: ReversalInstance, labeling: BllLabeling) -> Self {
-        let dirs = MirroredDirs::from_instance(&inst);
-        let labels = vec![!0u64; inst.half_edge_count().div_ceil(64)];
-        let tracker = EnabledTracker::from_dirs(&dirs, inst.dest);
-        FrontierBllEngine {
-            init: inst,
-            labeling,
-            dirs,
-            labels,
-            tracker,
-        }
+        Frontier::with_rule(inst, labeling)
     }
 
     /// The current bit-packed direction state.
     pub fn dirs(&self) -> &MirroredDirs {
-        &self.dirs
+        &self.state.0
     }
 
     /// The labeling policy.
     pub fn labeling(&self) -> BllLabeling {
-        self.labeling
-    }
-
-    /// The label `μ_u(v)` of the ordered pair at `slot` = `(u, v)`.
-    #[inline]
-    fn label_at(&self, slot: usize) -> bool {
-        self.labels[slot >> 6] >> (slot & 63) & 1 == 1
+        self.rule
     }
 }
 
-impl FrontierEngine for FrontierBllEngine {
-    fn instance(&self) -> &ReversalInstance {
-        &self.init
-    }
+impl Rule for BllLabeling {
+    /// The directions, and the `μ_u(v)` label bits, initially all 1
+    /// under either policy. Bits past the half-edge count are padding
+    /// and are never read.
+    type State = (MirroredDirs, Vec<u64>);
 
-    fn algorithm_name(&self) -> &'static str {
-        match self.labeling {
+    fn name(&self) -> &'static str {
+        match self {
             BllLabeling::PartialReversal => "BLL[PR]",
             BllLabeling::FullReversal => "BLL[FR]",
         }
     }
 
-    fn is_sink(&self, u: NodeId) -> bool {
-        self.dirs.is_sink(u)
+    fn initial(&self, inst: &ReversalInstance) -> Self::State {
+        let labels = vec![!0; inst.half_edge_count().div_ceil(64)];
+        (MirroredDirs::from_instance(inst), labels)
     }
 
-    fn enabled(&self) -> &[NodeId] {
-        self.tracker.enabled()
+    #[inline]
+    fn is_sink_at(&self, _: &ReversalInstance, (dirs, _): &Self::State, ui: usize) -> bool {
+        dirs.is_sink_at(ui)
     }
 
-    fn plan_step(&self, u: NodeId, scratch: &mut StepScratch) -> StepOutcome {
-        assert_ne!(u, self.dest(), "destination {u} never takes steps");
-        let csr = self.init.csr();
-        let ui = csr.index_of(u).expect("stepping node exists");
-        assert!(
-            self.dirs.is_sink_at(ui),
-            "reverse({u}) precondition: {u} must be a sink"
-        );
+    #[inline]
+    fn plan(
+        &self,
+        inst: &ReversalInstance,
+        (_, labels): &Self::State,
+        ui: usize,
+        scratch: &mut StepScratch,
+    ) {
         // A stepping sink reverses exactly its 1-labeled links — all
-        // links if none is labeled 1. "Any 1-labeled?" is one popcount
-        // over u's slot range.
-        let r = csr.slots(ui);
-        let any_one = count_bits_in_range(&self.labels, r.start, r.end) > 0;
-        scratch.clear();
+        // links if none is labeled 1. "Any 1-labeled?" is one masked
+        // read of u's slot range.
+        let r = inst.csr().slots(ui);
+        let any_one = !all_word_masks(r.clone(), |w, m| labels[w] & m == 0);
         for slot in r {
-            if !any_one || self.label_at(slot) {
+            let (w, m) = word_bit(slot);
+            if !any_one || labels[w] & m != 0 {
                 scratch.push(slot);
             }
         }
-        StepOutcome {
-            node_idx: ui,
-            reversal_count: scratch.slots.len(),
-            dummy: false,
-        }
     }
 
-    fn apply_planned(&mut self, ui: usize, slots: &[u32], _aux: PlanAux) {
-        let csr = self.init.csr();
-        debug_check_planned(csr, ui, slots);
+    #[inline]
+    fn apply(
+        &self,
+        inst: &ReversalInstance,
+        (dirs, labels): &mut Self::State,
+        ui: usize,
+        slots: &[u32],
+        _: PlanAux,
+    ) {
         // Reverse each planned edge; under the PR labeling the reversed
-        // neighbor's label for u (the twin slot's bit) drops to 0.
-        let pr_labels = self.labeling == BllLabeling::PartialReversal;
+        // neighbor's label for u (the twin slot's bit) drops to 0, and u
+        // forgets its history (list[u] := ∅ ⇒ all labels 1).
+        let csr = inst.csr();
+        let pr_labels = *self == BllLabeling::PartialReversal;
         for &slot in slots {
-            let slot = slot as usize;
-            self.dirs.reverse_outward_at(slot);
+            dirs.reverse_outward_at(slot as usize);
             if pr_labels {
-                let twin = csr.twin(slot);
-                self.labels[twin >> 6] &= !(1 << (twin & 63));
+                let (w, m) = word_bit(csr.twin(slot as usize));
+                labels[w] &= !m;
             }
         }
         if pr_labels {
-            // u forgets its history (list[u] := ∅ ⇒ all labels 1).
-            let r = csr.slots(ui);
-            set_bits_in_range(&mut self.labels, r.start, r.end);
+            all_word_masks(csr.slots(ui), |w, m| {
+                labels[w] |= m;
+                true
+            });
         }
-        self.tracker.record_step(csr, ui, slots);
     }
 
-    fn orientation(&self) -> Orientation {
-        self.dirs.orientation()
+    fn orientation(&self, _: &ReversalInstance, (dirs, _): &Self::State) -> Orientation {
+        dirs.orientation()
     }
 
-    fn begin_round(&mut self) {
-        self.tracker.begin_batch();
-    }
-
-    fn end_round(&mut self) {
-        self.tracker.end_batch(self.init.csr());
-    }
-
-    fn reset(&mut self) {
-        self.dirs = MirroredDirs::from_instance(&self.init);
-        self.labels.fill(!0);
-        self.tracker = EnabledTracker::from_dirs(&self.dirs, self.init.dest);
-    }
-
-    fn resident_bytes(&self) -> usize {
-        let csr = self.init.csr();
-        csr.resident_bytes()
-            + self.dirs.resident_bytes()
-            + self.labels.len() * 8
-            + self.init.half_edge_count().div_ceil(64) * 8 // retained init bits
-            + csr.node_count() * 4 // tracker out-counts
+    fn state_bytes((dirs, labels): &Self::State) -> usize {
+        dirs.resident_bytes() + labels.len() * 8
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_graph::stream;
+    use crate::alg::FrontierEngine;
+    use lr_graph::{stream, NodeId};
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
     }
 
+    impl FrontierBllEngine {
+        /// The label `μ_u(v)` of the ordered pair at `slot` = `(u, v)`.
+        fn label_at(&self, slot: usize) -> bool {
+            let (w, m) = word_bit(slot);
+            self.state.1[w] & m != 0
+        }
+    }
+
     fn all_labels_one(e: &FrontierBllEngine) -> bool {
-        (0..e.init.half_edge_count()).all(|slot| e.label_at(slot))
+        (0..e.instance().half_edge_count()).all(|slot| e.label_at(slot))
     }
 
     #[test]
@@ -236,7 +207,7 @@ mod tests {
         e.step(n(4));
         e.reset();
         assert_eq!(e.dirs(), fresh.dirs());
-        assert_eq!(e.labels, fresh.labels);
+        assert_eq!(e.state.1, fresh.state.1);
         assert_eq!(e.enabled(), fresh.enabled());
     }
 

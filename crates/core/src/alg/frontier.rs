@@ -1,33 +1,27 @@
-//! The family registry and the flat Partial Reversal engine.
+//! The family registry and the one engine shell.
 //!
-//! [`FrontierFamily`] is the one enum naming the algorithm families;
-//! [`FrontierFamily::engine`] builds each family's
-//! [`FrontierEngine`], the only engine of its family:
+//! [`FrontierFamily`] is the one enum naming the algorithm families, and
+//! [`Frontier`] is the one [`FrontierEngine`]: a shell generic over a
+//! [`Rule`], the part in which the families differ.
+//! [`FrontierFamily::engine`] builds each family's shell:
 //!
-//! | family | engine | flat per-node/per-slot state |
+//! | family | rule | flat per-node/per-slot state |
 //! |---|---|---|
-//! | FR | [`super::FrontierFrEngine`] | directions only |
-//! | PR | [`FrontierPrEngine`] | `list[u]` as one bit per slot |
-//! | NewPR | [`super::FrontierNewPrEngine`] | reversal counts as `Vec<u64>` |
-//! | GB-pair | [`super::FrontierPairHeightsEngine`] | `α` by dense index as `Vec<i64>` |
-//! | GB-triple | [`super::FrontierTripleHeightsEngine`] | `(α, β)` by dense index as `Vec<(i64, i64)>` |
-//! | BLL | [`super::FrontierBllEngine`] | link labels as one bit per slot |
+//! | FR | [`super::FrRule`] | directions only |
+//! | PR | [`super::PrRule`] | directions, `list[u]` as one bit per slot |
+//! | NewPR | [`super::NewPrRule`] | directions, reversal counts as `Vec<u64>` |
+//! | GB-pair | [`super::PairHeightsRule`] | `α` by dense index as `Vec<i64>` |
+//! | GB-triple | [`super::TripleHeightsRule`] | `(α, β)` by dense index as `Vec<(i64, i64)>` |
+//! | BLL | [`BllLabeling`] | directions, link labels as one bit per slot |
 //!
-//! [`FrontierPrEngine`] implements the exact transition function of
-//! Algorithm 3 (`OneStepPR`, see [`super::pr`]) — same target selection,
-//! same list bookkeeping, same `"PR"` name in reports — over a
-//! [`ReversalInstance`]:
+//! The families share one model — a sink that is not the destination
+//! steps, the enabled set is the sinks, and a greedy round steps them
+//! all — and [`Frontier`] holds it once.
 //!
-//! * edge directions are the bit-packed [`MirroredDirs`] (1 bit per
-//!   half-edge slot, twin bit updated in the same pass);
-//! * the per-node `list[u]` sets are **also** one bit per half-edge
-//!   slot: the bit of slot `(u, v)` is set iff `v ∈ list[u]` — the paper
-//!   only ever asks "is neighbor `v` in `list[u]`?" and "is the list
-//!   full?", both of which are masked word reads over `u`'s slot range;
-//! * the enabled set is the incremental [`EnabledTracker`], whose batch
-//!   merge is the greedy-round boundary for
-//!   [`crate::engine::run_engine_frontier`].
-//!
+//! Directions are the bit-packed [`crate::MirroredDirs`] (1 bit per
+//! half-edge slot, twin bit updated in the same pass), and the per-slot
+//! sets of PR and BLL are one bit per slot too, so "is the list full?"
+//! or "is any label 1?" is a masked read of the node's slot range.
 //! Nothing in any engine's steady state is proportional to anything but
 //! the CSR arrays (≈ 8 bytes/half-edge) and a few bitsets and per-node
 //! words (≈ 0.4 bytes/half-edge + ~8–24 bytes/node), so a
@@ -39,41 +33,45 @@
 //! [`super::NewPrAutomaton`], comparing enabled sets and orientations
 //! at every step.
 
+use std::fmt::Debug;
+
 use lr_graph::{NodeId, Orientation, ReversalInstance};
 
 use crate::alg::{
-    debug_check_planned, BllLabeling, FrontierBllEngine, FrontierEngine, FrontierFrEngine,
-    FrontierNewPrEngine, FrontierPairHeightsEngine, FrontierTripleHeightsEngine,
+    BllLabeling, FrRule, FrontierBllEngine, FrontierEngine, FrontierFrEngine, FrontierNewPrEngine,
+    FrontierPairHeightsEngine, FrontierPrEngine, FrontierTripleHeightsEngine, NewPrRule,
+    PairHeightsRule, PrRule, TripleHeightsRule,
 };
-use crate::{EnabledTracker, MirroredDirs, PlanAux, StepOutcome, StepScratch};
+use crate::{EnabledTracker, PlanAux, StepOutcome, StepScratch};
 
-/// The algorithm families, one flat engine each: the paper's Full
+/// The algorithm families, one [`Rule`] each: the paper's Full
 /// Reversal, Partial Reversal and NewPR, the two Gafni–Bertsekas height
 /// formulations, and Binary Link Labels under either labeling rule.
 ///
-/// [`FrontierFamily::engine`] builds the family's flat engine; the CLI
-/// and every report name a family by [`FrontierFamily::name`].
+/// [`FrontierFamily::engine`] builds the family's engine, the shell
+/// around its rule; the CLI and every report name a family by
+/// [`FrontierFamily::name`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum FrontierFamily {
-    /// Full Reversal → [`super::FrontierFrEngine`].
+    /// Full Reversal → [`FrontierFrEngine`].
     FullReversal,
     /// Partial Reversal (Algorithm 1/3) → [`FrontierPrEngine`].
     PartialReversal,
-    /// NewPR (Algorithm 2) → [`super::FrontierNewPrEngine`].
+    /// NewPR (Algorithm 2) → [`FrontierNewPrEngine`].
     NewPr,
-    /// Gafni–Bertsekas pair heights → [`super::FrontierPairHeightsEngine`].
+    /// Gafni–Bertsekas pair heights → [`FrontierPairHeightsEngine`].
     PairHeights,
-    /// Gafni–Bertsekas triple heights → [`super::FrontierTripleHeightsEngine`].
+    /// Gafni–Bertsekas triple heights → [`FrontierTripleHeightsEngine`].
     TripleHeights,
     /// Binary link labels with the given labeling rule →
-    /// [`super::FrontierBllEngine`].
+    /// [`FrontierBllEngine`].
     Bll(BllLabeling),
 }
 
 impl FrontierFamily {
     /// Every family, with `BLL[PR]` as the canonical BLL entry (the
-    /// `BLL[FR]` labeling shares the engine type and is covered by the
+    /// `BLL[FR]` labeling shares the rule type and is covered by the
     /// lockstep suite separately).
     pub const ALL: [FrontierFamily; 6] = [
         FrontierFamily::FullReversal,
@@ -84,23 +82,22 @@ impl FrontierFamily {
         FrontierFamily::Bll(BllLabeling::PartialReversal),
     ];
 
-    /// The display name, identical to what the engines report via
-    /// [`FrontierEngine::algorithm_name`] (and so to what lands in
-    /// [`crate::engine::RunStats::algorithm`]).
+    /// The display name: its rule's [`Rule::name`], which the engine
+    /// reports via [`FrontierEngine::algorithm_name`] (and so what lands
+    /// in [`crate::engine::RunStats::algorithm`]).
     pub fn name(self) -> &'static str {
         match self {
-            FrontierFamily::FullReversal => "FR",
-            FrontierFamily::PartialReversal => "PR",
-            FrontierFamily::NewPr => "NewPR",
-            FrontierFamily::PairHeights => "GB-pair",
-            FrontierFamily::TripleHeights => "GB-triple",
-            FrontierFamily::Bll(BllLabeling::PartialReversal) => "BLL[PR]",
-            FrontierFamily::Bll(BllLabeling::FullReversal) => "BLL[FR]",
+            FrontierFamily::FullReversal => FrRule.name(),
+            FrontierFamily::PartialReversal => PrRule.name(),
+            FrontierFamily::NewPr => NewPrRule.name(),
+            FrontierFamily::PairHeights => PairHeightsRule.name(),
+            FrontierFamily::TripleHeights => TripleHeightsRule.name(),
+            FrontierFamily::Bll(labeling) => labeling.name(),
         }
     }
 
-    /// Constructs this family's flat engine in the initial state of
-    /// `inst` — the one execution substrate every run goes through.
+    /// Constructs this family's engine in the initial state of `inst` —
+    /// the one execution substrate every run goes through.
     pub fn engine(self, inst: ReversalInstance) -> Box<dyn FrontierEngine> {
         let engine: Box<dyn FrontierEngine> = match self {
             FrontierFamily::FullReversal => Box::new(FrontierFrEngine::new(inst)),
@@ -116,9 +113,9 @@ impl FrontierFamily {
 }
 
 /// Records build-time gauges (steady-state resident footprint, graph
-/// extent) and an instant trace marker for a freshly built flat
-/// engine. Costs one relaxed load when no obs session is recording;
-/// the engine's step path is untouched either way.
+/// extent) and an instant trace marker for a freshly built engine.
+/// Costs one relaxed load when no obs session is recording; the
+/// engine's step path is untouched either way.
 fn observe_engine_build(family: &'static str, engine: &dyn FrontierEngine) {
     if !lr_obs::enabled() {
         return;
@@ -139,119 +136,122 @@ fn observe_engine_build(family: &'static str, engine: &dyn FrontierEngine) {
     );
 }
 
-/// Pops (counts) the set bits of `words` within slot range `start..end`.
-pub(crate) fn count_bits_in_range(words: &[u64], start: usize, end: usize) -> usize {
-    if start >= end {
-        return 0;
-    }
-    let (w0, w1) = (start >> 6, (end - 1) >> 6);
-    let lo = !0u64 << (start & 63);
-    let hi = !0u64 >> (63 - ((end - 1) & 63));
-    if w0 == w1 {
-        (words[w0] & lo & hi).count_ones() as usize
-    } else {
-        (words[w0] & lo).count_ones() as usize
-            + (words[w1] & hi).count_ones() as usize
-            + words[w0 + 1..w1]
-                .iter()
-                .map(|&w| w.count_ones() as usize)
-                .sum::<usize>()
-    }
+/// What one family does differently: its state, its sink test, and the
+/// plan and apply of a step. [`Frontier`] does the rest.
+///
+/// Every method gets the engine's instance, so a rule reads the CSR and
+/// the initial bits from there and stores neither. The six families
+/// implement it in this crate, where a plan can write its slots, and
+/// mark their step methods (`is_sink_at`, `plan`, `apply`) `#[inline]`:
+/// the shell is generic and the rules are not, so without it the
+/// compiler may keep each as a call out of the shell's step path.
+pub trait Rule: Clone + Debug + Sync {
+    /// The family's per-node and per-slot state, by dense CSR index and
+    /// half-edge slot.
+    type State: Clone + Debug + Sync;
+
+    /// The short name reports use ("FR", "PR", ...), as
+    /// [`FrontierFamily::name`] gives it.
+    fn name(&self) -> &'static str;
+
+    /// The state in the initial configuration of `inst`.
+    fn initial(&self, inst: &ReversalInstance) -> Self::State;
+
+    /// Whether the node at dense index `ui` is a sink, read from the
+    /// state alone (never from the enabled set).
+    fn is_sink_at(&self, inst: &ReversalInstance, state: &Self::State, ui: usize) -> bool;
+
+    /// Plans the step of the sink at dense index `ui` without mutating
+    /// anything: pushes the slots it reverses, ascending and all in
+    /// `ui`'s slot range, into the cleared `scratch`, and sets
+    /// `scratch.aux` when the apply needs more than the slots.
+    fn plan(
+        &self,
+        inst: &ReversalInstance,
+        state: &Self::State,
+        ui: usize,
+        scratch: &mut StepScratch,
+    );
+
+    /// Applies a plan of the node at dense index `ui`: `slots` and `aux`
+    /// as [`Rule::plan`] wrote them.
+    fn apply(
+        &self,
+        inst: &ReversalInstance,
+        state: &mut Self::State,
+        ui: usize,
+        slots: &[u32],
+        aux: PlanAux,
+    );
+
+    /// The single-copy orientation the state describes.
+    fn orientation(&self, inst: &ReversalInstance, state: &Self::State) -> Orientation;
+
+    /// The resident bytes of the state's arrays.
+    fn state_bytes(state: &Self::State) -> usize;
 }
 
-/// Clears every bit of `words` within slot range `start..end`.
-pub(crate) fn clear_bits_in_range(words: &mut [u64], start: usize, end: usize) {
-    if start >= end {
-        return;
-    }
-    let (w0, w1) = (start >> 6, (end - 1) >> 6);
-    let lo = !0u64 << (start & 63);
-    let hi = !0u64 >> (63 - ((end - 1) & 63));
-    if w0 == w1 {
-        words[w0] &= !(lo & hi);
-    } else {
-        words[w0] &= !lo;
-        words[w1] &= !hi;
-        for w in &mut words[w0 + 1..w1] {
-            *w = 0;
-        }
-    }
-}
-
-/// Sets every bit of `words` within slot range `start..end`.
-pub(crate) fn set_bits_in_range(words: &mut [u64], start: usize, end: usize) {
-    if start >= end {
-        return;
-    }
-    let (w0, w1) = (start >> 6, (end - 1) >> 6);
-    let lo = !0u64 << (start & 63);
-    let hi = !0u64 >> (63 - ((end - 1) & 63));
-    if w0 == w1 {
-        words[w0] |= lo & hi;
-    } else {
-        words[w0] |= lo;
-        words[w1] |= hi;
-        for w in &mut words[w0 + 1..w1] {
-            *w = !0;
-        }
-    }
-}
-
-/// `OneStepPR` (Algorithm 3) over a [`ReversalInstance`]: bit-packed
-/// directions, bit-packed lists, incremental enabled set.
+/// The one [`FrontierEngine`]: a family's [`Rule`] and its state beside
+/// what every family shares, which is
+///
+/// * the retained [`ReversalInstance`], which [`FrontierEngine::reset`]
+///   returns to;
+/// * the incremental [`EnabledTracker`], seeded from the instance's
+///   initial bits (every rule's initial state describes the initial
+///   orientation), whose batch merge is the greedy-round boundary for
+///   [`crate::engine::run_engine_frontier`];
+/// * the step's precondition (the destination never steps, and the
+///   stepping node is a sink by its rule's test) and its
+///   [`StepOutcome`]: a step that plans no slot is a dummy step, which
+///   only NewPR takes, since every other rule reverses at least one
+///   edge of a sink;
+/// * the shared terms of [`FrontierEngine::resident_bytes`].
+///
+/// A rule keeps its state type and initial state, its sink test, its
+/// plan (the ascending slots it reverses, plus a [`PlanAux`]), its
+/// apply, and its orientation, name and state bytes. The rule is a type
+/// parameter, so the step path has no dynamic dispatch.
 #[derive(Debug, Clone)]
-pub struct FrontierPrEngine {
+pub struct Frontier<R: Rule> {
     /// The initial configuration, retained for [`FrontierEngine::reset`]
-    /// (an `Arc`'d CSR plus one bit per half-edge — cheap to keep).
+    /// (an `Arc`'d CSR plus one bit per half-edge, cheap to keep).
     init: ReversalInstance,
-    dirs: MirroredDirs,
-    /// `list[u] ∋ v` ⟺ the bit of slot `(u, v)` is set. Initially all
-    /// clear (Algorithm 1/3 start with empty lists).
-    list: Vec<u64>,
+    pub(super) rule: R,
+    pub(super) state: R::State,
     tracker: EnabledTracker,
 }
 
-impl FrontierPrEngine {
-    /// Creates the engine in the initial state of `inst`.
-    pub fn new(inst: ReversalInstance) -> Self {
-        let dirs = MirroredDirs::from_instance(&inst);
-        let list = vec![0u64; inst.half_edge_count().div_ceil(64)];
-        let tracker = EnabledTracker::from_dirs(&dirs, inst.dest);
-        FrontierPrEngine {
+impl<R: Rule> Frontier<R> {
+    /// Creates the engine of `rule` in the initial state of `inst`.
+    pub(crate) fn with_rule(inst: ReversalInstance, rule: R) -> Self {
+        Frontier {
+            state: rule.initial(&inst),
+            tracker: EnabledTracker::from_orientation(inst.init(), inst.dest),
             init: inst,
-            dirs,
-            list,
-            tracker,
+            rule,
         }
-    }
-
-    /// The current bit-packed direction state.
-    pub fn dirs(&self) -> &MirroredDirs {
-        &self.dirs
-    }
-
-    /// Whether `v` (a slot of `u`'s range) is in `list[u]`.
-    #[inline]
-    fn list_has(&self, slot: usize) -> bool {
-        self.list[slot >> 6] >> (slot & 63) & 1 == 1
-    }
-
-    fn is_sink_at(&self, idx: usize) -> bool {
-        self.dirs.is_sink_at(idx)
     }
 }
 
-impl FrontierEngine for FrontierPrEngine {
+impl<R: Rule + Default> Frontier<R> {
+    /// Creates the engine in the initial state of `inst`.
+    pub fn new(inst: ReversalInstance) -> Self {
+        Frontier::with_rule(inst, R::default())
+    }
+}
+
+impl<R: Rule> FrontierEngine for Frontier<R> {
     fn instance(&self) -> &ReversalInstance {
         &self.init
     }
 
     fn algorithm_name(&self) -> &'static str {
-        "PR"
+        self.rule.name()
     }
 
     fn is_sink(&self, u: NodeId) -> bool {
-        self.dirs.is_sink(u)
+        let ui = self.init.csr().index_of(u);
+        ui.is_some_and(|ui| self.rule.is_sink_at(&self.init, &self.state, ui))
     }
 
     fn enabled(&self) -> &[NodeId] {
@@ -259,50 +259,30 @@ impl FrontierEngine for FrontierPrEngine {
     }
 
     fn plan_step(&self, u: NodeId, scratch: &mut StepScratch) -> StepOutcome {
-        assert_ne!(u, self.dest(), "destination {u} never takes steps");
-        let csr = self.init.csr();
-        let ui = csr.index_of(u).expect("stepping node exists");
+        assert_ne!(u, self.init.dest, "destination {u} never takes steps");
+        let ui = self.init.csr().index_of(u).expect("stepping node exists");
         assert!(
-            self.is_sink_at(ui),
+            self.rule.is_sink_at(&self.init, &self.state, ui),
             "reverse({u}) precondition: {u} must be a sink"
         );
-        // The exact rule of `pr_select_targets`: reverse the neighbors
-        // not in `list[u]`, unless the list holds all of them, in which
-        // case reverse everything. Neighbor slots are ascending by id.
-        let r = csr.slots(ui);
-        let list_is_full = count_bits_in_range(&self.list, r.start, r.end) == csr.degree(ui);
         scratch.clear();
-        for slot in r {
-            if list_is_full || !self.list_has(slot) {
-                scratch.push(slot);
-            }
-        }
+        self.rule.plan(&self.init, &self.state, ui, scratch);
         StepOutcome {
             node_idx: ui,
             reversal_count: scratch.slots.len(),
-            dummy: false,
+            dummy: scratch.slots.is_empty(),
         }
     }
 
-    fn apply_planned(&mut self, ui: usize, slots: &[u32], _aux: PlanAux) {
+    fn apply_planned(&mut self, ui: usize, slots: &[u32], aux: PlanAux) {
         let csr = self.init.csr();
-        debug_check_planned(csr, ui, slots);
-        // The three effects of `pr_apply_targets`: reverse each planned
-        // edge (both copies), record u in the reversed neighbor's list
-        // (the twin slot's bit), and — afterwards — empty list[u].
-        for &slot in slots {
-            let slot = slot as usize;
-            self.dirs.reverse_outward_at(slot);
-            let twin = csr.twin(slot);
-            self.list[twin >> 6] |= 1 << (twin & 63);
-        }
-        let r = csr.slots(ui);
-        clear_bits_in_range(&mut self.list, r.start, r.end);
+        debug_assert!(
+            slots.is_sorted_by(|a, b| a < b)
+                && slots.iter().all(|&s| csr.slots(ui).contains(&(s as usize))),
+            "planned slots must ascend within the slot range of node index {ui}"
+        );
+        self.rule.apply(&self.init, &mut self.state, ui, slots, aux);
         self.tracker.record_step(csr, ui, slots);
-    }
-
-    fn orientation(&self) -> Orientation {
-        self.dirs.orientation()
     }
 
     fn begin_round(&mut self) {
@@ -313,21 +293,23 @@ impl FrontierEngine for FrontierPrEngine {
         self.tracker.end_batch(self.init.csr());
     }
 
-    fn reset(&mut self) {
-        self.dirs = MirroredDirs::from_instance(&self.init);
-        self.list.fill(0);
-        self.tracker = EnabledTracker::from_dirs(&self.dirs, self.init.dest);
+    fn orientation(&self) -> Orientation {
+        self.rule.orientation(&self.init, &self.state)
     }
 
-    /// The shared CSR arrays, the direction and list bitsets, the
-    /// retained initial bitset, and the tracker's per-node out-counts.
+    fn reset(&mut self) {
+        self.state = self.rule.initial(&self.init);
+        self.tracker = EnabledTracker::from_orientation(self.init.init(), self.init.dest);
+    }
+
+    /// The shared CSR arrays, the rule's state, the retained initial
+    /// bits and the tracker's per-node out-counts.
     fn resident_bytes(&self) -> usize {
         let csr = self.init.csr();
         csr.resident_bytes()
-            + self.dirs.resident_bytes()
-            + self.list.len() * 8
+            + R::state_bytes(&self.state)
             + self.init.half_edge_count().div_ceil(64) * 8
-            + csr.node_count() * 4 // tracker out-counts
+            + csr.node_count() * 4
     }
 }
 
@@ -337,57 +319,9 @@ mod tests {
     use crate::engine::{run_engine_frontier, SchedulePolicy, DEFAULT_MAX_STEPS};
     use lr_graph::stream;
 
-    fn n(i: u32) -> NodeId {
-        NodeId::new(i)
-    }
-
-    #[test]
-    fn bit_range_helpers_agree_with_naive_loops() {
-        let mut words = vec![0u64; 4];
-        for slot in [0usize, 3, 63, 64, 127, 128, 200, 255] {
-            words[slot >> 6] |= 1 << (slot & 63);
-        }
-        let naive = |w: &[u64], a: usize, b: usize| {
-            (a..b).filter(|&s| w[s >> 6] >> (s & 63) & 1 == 1).count()
-        };
-        for (a, b) in [
-            (0, 256),
-            (0, 1),
-            (3, 64),
-            (63, 65),
-            (64, 128),
-            (5, 200),
-            (10, 10),
-        ] {
-            assert_eq!(
-                count_bits_in_range(&words, a, b),
-                naive(&words, a, b),
-                "{a}..{b}"
-            );
-        }
-        let mut cleared = words.clone();
-        clear_bits_in_range(&mut cleared, 63, 129);
-        for s in 0..256 {
-            let expect = if (63..129).contains(&s) {
-                0
-            } else {
-                words[s >> 6] >> (s & 63) & 1
-            };
-            assert_eq!(cleared[s >> 6] >> (s & 63) & 1, expect, "slot {s}");
-        }
-        let mut set = words.clone();
-        set_bits_in_range(&mut set, 62, 130);
-        for s in 0..256 {
-            let expect = if (62..130).contains(&s) {
-                1
-            } else {
-                words[s >> 6] >> (s & 63) & 1
-            };
-            assert_eq!(set[s >> 6] >> (s & 63) & 1, expect, "slot {s}");
-        }
-        let mut one = words.clone();
-        set_bits_in_range(&mut one, 130, 131);
-        assert_eq!(one[2] >> 2 & 1, 1);
+    fn all_families() -> impl Iterator<Item = FrontierFamily> {
+        let bll_fr = FrontierFamily::Bll(BllLabeling::FullReversal);
+        FrontierFamily::ALL.into_iter().chain([bll_fr])
     }
 
     #[test]
@@ -408,41 +342,44 @@ mod tests {
     }
 
     #[test]
-    fn first_step_with_empty_list_reverses_everything() {
-        let mut e = FrontierPrEngine::new(stream::chain_away(3));
-        let step = e.step(n(2));
-        assert_eq!(step.reversed, vec![n(1)]);
-        assert!(!e.is_sink(n(2)));
+    fn reset_restores_every_family_mid_round_and_after_termination() {
+        let inst = stream::grid_away(4, 5);
+        for family in all_families() {
+            let fresh = family.engine(inst.clone());
+            let mut e = family.engine(inst.clone());
+            e.begin_round();
+            let u = fresh.enabled()[0];
+            e.step(u);
+            e.reset();
+            assert_eq!(e.orientation(), fresh.orientation(), "{}", family.name());
+            assert_eq!(e.enabled(), fresh.enabled(), "{}", family.name());
+            run_engine_frontier(e.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
+            assert!(e.is_terminated());
+            e.reset();
+            assert_eq!(e.orientation(), fresh.orientation(), "{}", family.name());
+            assert_eq!(e.enabled(), fresh.enabled(), "{}", family.name());
+            assert_eq!(e.resident_bytes(), fresh.resident_bytes());
+        }
     }
 
     #[test]
-    fn list_members_are_spared() {
-        let mut e = FrontierPrEngine::new(stream::chain_away(4));
-        e.step(n(3)); // list[2] = {3}
-        let step = e.step(n(2)); // spares 3
-        assert_eq!(step.reversed, vec![n(1)]);
-    }
-
-    #[test]
-    fn reset_restores_the_initial_state() {
-        let mut e = FrontierPrEngine::new(stream::grid_away(4, 5));
-        let fresh = e.clone();
-        run_engine_frontier(&mut e, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
-        assert!(e.is_terminated());
-        e.reset();
-        assert_eq!(e.dirs(), fresh.dirs());
-        assert_eq!(e.enabled(), fresh.enabled());
-    }
-
-    #[test]
-    fn resident_bytes_stays_within_the_scale_budget() {
-        let e = FrontierPrEngine::new(stream::grid_away(32, 32));
-        let he = 2 * (2 * 32 * 31); // grid edge count × 2
-        assert!(
-            e.resident_bytes() <= 16 * he,
-            "{} bytes for {} half-edges",
-            e.resident_bytes(),
-            he
-        );
+    fn a_step_that_plans_no_slot_is_the_only_dummy_step() {
+        // Only NewPR plans nothing: leaf 1, an initial source, dummy-steps
+        // once the centre has reversed toward it.
+        let inst = lr_graph::parse::parse_instance("dest 3\n1 > 0\n2 > 0\n3 > 0").unwrap();
+        for family in all_families() {
+            let mut e = family.engine(inst.clone());
+            let mut scratch = StepScratch::new();
+            let centre = e.step_into(NodeId::new(0), &mut scratch);
+            assert!(!centre.dummy && centre.reversal_count == 3);
+            let leaf = e.step_into(NodeId::new(1), &mut scratch);
+            assert_eq!(leaf.dummy, leaf.reversal_count == 0, "{}", family.name());
+            assert_eq!(
+                leaf.dummy,
+                family == FrontierFamily::NewPr,
+                "{}",
+                family.name()
+            );
+        }
     }
 }

@@ -10,8 +10,8 @@ use std::sync::Arc;
 use lr_graph::{NodeId, Orientation, ReversalInstance};
 use lr_ioa::Automaton;
 
-use crate::alg::{debug_check_planned, FrontierEngine};
-use crate::{EnabledTracker, MirroredDirs, PlanAux, ReversalStep, StepOutcome, StepScratch};
+use crate::alg::{assert_may_step, Frontier, Rule};
+use crate::{MirroredDirs, PlanAux, ReversalStep, StepScratch};
 
 /// FR state: just the mirrored edge directions.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -39,11 +39,7 @@ pub(crate) fn full_reversal_step(
     state: &mut FullReversalState,
     u: NodeId,
 ) -> ReversalStep {
-    assert_ne!(u, inst.dest, "destination {u} never takes steps");
-    assert!(
-        state.dirs.is_sink(u),
-        "reverse({u}) precondition: {u} must be a sink"
-    );
+    assert_may_step(inst, &state.dirs, u);
     let csr = Arc::clone(state.dirs.csr());
     let ui = csr.index_of(u).expect("sink is a node");
     let mut targets = Vec::with_capacity(csr.degree(ui));
@@ -58,105 +54,73 @@ pub(crate) fn full_reversal_step(
     }
 }
 
-/// FR over a [`ReversalInstance`]: the simplest frontier engine — its
-/// only mutable state is the bit-packed [`MirroredDirs`] and the
-/// incremental enabled worklist, so a step is one masked word flip per
-/// incident edge. Step-for-step identical to [`FullReversalAutomaton`]
-/// (the lockstep suite).
-#[derive(Debug, Clone)]
-pub struct FrontierFrEngine {
-    /// The initial configuration, retained for [`FrontierEngine::reset`].
-    init: ReversalInstance,
-    dirs: MirroredDirs,
-    tracker: EnabledTracker,
-}
+/// Full Reversal's rule: a sink reverses every incident edge. Its only
+/// state is the bit-packed [`MirroredDirs`], so a step is one masked
+/// word flip per incident edge.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FrRule;
+
+/// FR over a [`ReversalInstance`]: the engine shell around [`FrRule`].
+/// Step-for-step identical to [`FullReversalAutomaton`] (the lockstep
+/// suite).
+pub type FrontierFrEngine = Frontier<FrRule>;
 
 impl FrontierFrEngine {
-    /// Creates the engine in the initial state of `inst`.
-    pub fn new(inst: ReversalInstance) -> Self {
-        let dirs = MirroredDirs::from_instance(&inst);
-        let tracker = EnabledTracker::from_dirs(&dirs, inst.dest);
-        FrontierFrEngine {
-            init: inst,
-            dirs,
-            tracker,
-        }
-    }
-
     /// The current bit-packed direction state.
     pub fn dirs(&self) -> &MirroredDirs {
-        &self.dirs
+        &self.state
     }
 }
 
-impl FrontierEngine for FrontierFrEngine {
-    fn instance(&self) -> &ReversalInstance {
-        &self.init
-    }
+impl Rule for FrRule {
+    type State = MirroredDirs;
 
-    fn algorithm_name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         "FR"
     }
 
-    fn is_sink(&self, u: NodeId) -> bool {
-        self.dirs.is_sink(u)
+    fn initial(&self, inst: &ReversalInstance) -> MirroredDirs {
+        MirroredDirs::from_instance(inst)
     }
 
-    fn enabled(&self) -> &[NodeId] {
-        self.tracker.enabled()
+    #[inline]
+    fn is_sink_at(&self, _: &ReversalInstance, dirs: &MirroredDirs, ui: usize) -> bool {
+        dirs.is_sink_at(ui)
     }
 
-    fn plan_step(&self, u: NodeId, scratch: &mut StepScratch) -> StepOutcome {
-        assert_ne!(u, self.dest(), "destination {u} never takes steps");
-        let csr = self.init.csr();
-        let ui = csr.index_of(u).expect("stepping node exists");
-        assert!(
-            self.dirs.is_sink_at(ui),
-            "reverse({u}) precondition: {u} must be a sink"
-        );
-        scratch.clear();
-        for slot in csr.slots(ui) {
+    #[inline]
+    fn plan(
+        &self,
+        inst: &ReversalInstance,
+        _: &MirroredDirs,
+        ui: usize,
+        scratch: &mut StepScratch,
+    ) {
+        for slot in inst.csr().slots(ui) {
             scratch.push(slot);
         }
-        StepOutcome {
-            node_idx: ui,
-            reversal_count: scratch.slots.len(),
-            dummy: false,
-        }
     }
 
-    fn apply_planned(&mut self, ui: usize, slots: &[u32], _aux: PlanAux) {
-        let csr = self.init.csr();
-        debug_check_planned(csr, ui, slots);
+    #[inline]
+    fn apply(
+        &self,
+        _: &ReversalInstance,
+        dirs: &mut MirroredDirs,
+        _: usize,
+        slots: &[u32],
+        _: PlanAux,
+    ) {
         for &slot in slots {
-            self.dirs.reverse_outward_at(slot as usize);
+            dirs.reverse_outward_at(slot as usize);
         }
-        self.tracker.record_step(csr, ui, slots);
     }
 
-    fn orientation(&self) -> Orientation {
-        self.dirs.orientation()
+    fn orientation(&self, _: &ReversalInstance, dirs: &MirroredDirs) -> Orientation {
+        dirs.orientation()
     }
 
-    fn begin_round(&mut self) {
-        self.tracker.begin_batch();
-    }
-
-    fn end_round(&mut self) {
-        self.tracker.end_batch(self.init.csr());
-    }
-
-    fn reset(&mut self) {
-        self.dirs = MirroredDirs::from_instance(&self.init);
-        self.tracker = EnabledTracker::from_dirs(&self.dirs, self.init.dest);
-    }
-
-    fn resident_bytes(&self) -> usize {
-        let csr = self.init.csr();
-        csr.resident_bytes()
-            + self.dirs.resident_bytes()
-            + self.init.half_edge_count().div_ceil(64) * 8 // retained init bits
-            + csr.node_count() * 4 // tracker out-counts
+    fn state_bytes(dirs: &MirroredDirs) -> usize {
+        dirs.resident_bytes()
     }
 }
 
@@ -197,6 +161,7 @@ impl Automaton for FullReversalAutomaton<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alg::FrontierEngine;
     use lr_graph::stream;
     use lr_ioa::run;
 

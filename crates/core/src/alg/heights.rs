@@ -21,13 +21,13 @@
 //! as the local-state algorithm in the distributed simulator, where nodes
 //! only know their neighbors' heights. The triple-height update lives
 //! once, in [`raised_alpha_beta`], the `(α, β)` core of
-//! [`TripleHeight::raised_above`]: the flat engine below and every
+//! [`TripleHeight::raised_above`]: the GB-triple rule below and every
 //! `lr-net` protocol (distributed PR, routing, election and the threaded
 //! mode) step through the core.
 //!
-//! The two flat engines store heights **by dense CSR index** and without
-//! the id: [`FrontierPairHeightsEngine`] keeps `α` (8 bytes per node) and
-//! [`FrontierTripleHeightsEngine`] `(α, β)` (16 bytes per node). The
+//! The two rules store heights **by dense CSR index** and without the
+//! id: [`PairHeightsRule`] keeps `α` (8 bytes per node) and
+//! [`TripleHeightsRule`] `(α, β)` (16 bytes per node). The
 //! dense index is the tie-break. The CSR node table is sorted by id, so
 //! comparing `(α, index)` orders nodes exactly as `(α, id)` does, and
 //! every comparison, orientation and enabled set is the one the full
@@ -38,8 +38,8 @@ use std::sync::Arc;
 
 use lr_graph::{CsrGraph, NodeId, Orientation, ReversalInstance};
 
-use crate::alg::{debug_check_planned, FrontierEngine};
-use crate::{EnabledTracker, PlanAux, StepOutcome, StepScratch};
+use crate::alg::{Frontier, FrontierEngine, Rule};
+use crate::{PlanAux, StepScratch};
 
 /// A Gafni–Bertsekas pair height `(α, id)`, ordered lexicographically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -89,12 +89,13 @@ impl TripleHeight {
 /// The rule of [`TripleHeight::raised_above`] on the `(α, β)` parts
 /// alone, which is all it reads: the new `(α, β)` of a sink whose own
 /// `β` is `beta` and whose neighbours have the `(α, β)` parts `nbrs`.
-/// The GB-triple engine and `lr-net`'s protocols, which store no ids,
+/// The GB-triple rule and `lr-net`'s protocols, which store no ids,
 /// step through it directly.
 ///
 /// # Panics
 ///
 /// Panics if `nbrs` is empty (a sink has at least one neighbour).
+#[inline]
 pub fn raised_alpha_beta<I>(beta: i64, nbrs: I) -> (i64, i64)
 where
     I: Iterator<Item = (i64, i64)> + Clone,
@@ -148,15 +149,6 @@ fn height_orientation<K: Ord + Copy>(csr: &Arc<CsrGraph>, keys: &[K]) -> Orienta
     })
 }
 
-/// The initial pair heights' `α` by dense CSR index: `α_u = n − 1 − x(u)`.
-fn initial_pair_alphas(inst: &ReversalInstance) -> Vec<i64> {
-    let n = inst.node_count() as i64;
-    initial_positions(inst)
-        .into_iter()
-        .map(|x| n - 1 - x as i64)
-        .collect()
-}
-
 /// The initial triple heights' `(α, β)` by dense CSR index: `α = 0`,
 /// `β_u = −x(u)`.
 fn initial_alpha_betas(inst: &ReversalInstance) -> Vec<(i64, i64)> {
@@ -183,240 +175,178 @@ pub fn initial_triple_heights(inst: &ReversalInstance) -> Vec<TripleHeight> {
         .collect()
 }
 
-/// Full Reversal via pair heights over a [`ReversalInstance`]: `α` by
-/// dense CSR index, with the index as the tie-break (see the module
-/// docs), initial coordinates from the Kahn order in
-/// `initial_positions`, `α_u = n − 1 − x(u)` so initial edges (left →
-/// right) run from higher to lower height. Step-for-step identical to
+/// Full Reversal via pair heights: `α` by dense CSR index, with the
+/// index as the tie-break (see the module docs). The initial
+/// coordinates come from the Kahn order in `initial_positions`, with
+/// `α_u = n − 1 − x(u)`, so initial edges (left → right) run from higher
+/// to lower height. A sink sets `α := 1 + max α` of its neighbors and
+/// rises above all of them.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PairHeightsRule;
+
+/// Pair heights over a [`ReversalInstance`]: the engine shell around
+/// [`PairHeightsRule`]. Step-for-step identical to
 /// [`crate::alg::FullReversalAutomaton`] (the lockstep suite).
-#[derive(Debug, Clone)]
-pub struct FrontierPairHeightsEngine {
-    /// The initial configuration, retained for [`FrontierEngine::reset`].
-    init: ReversalInstance,
-    /// `α` by dense CSR index.
-    alphas: Vec<i64>,
-    tracker: EnabledTracker,
-}
+pub type FrontierPairHeightsEngine = Frontier<PairHeightsRule>;
 
 impl FrontierPairHeightsEngine {
-    /// Creates the engine in the initial state of `inst`.
-    pub fn new(inst: ReversalInstance) -> Self {
-        let alphas = initial_pair_alphas(&inst);
-        // The initial heights induce the initial orientation, so its bits
-        // seed the tracker without a height comparison per slot.
-        let tracker = EnabledTracker::from_orientation(inst.init(), inst.dest);
-        FrontierPairHeightsEngine {
-            init: inst,
-            alphas,
-            tracker,
-        }
-    }
-
     /// The current height of a node.
     ///
     /// # Panics
     ///
     /// Panics if `u` is not a node of the instance.
     pub fn height(&self, u: NodeId) -> PairHeight {
-        let i = self.init.csr().index_of(u).expect("known node");
+        let i = self.instance().csr().index_of(u).expect("known node");
         PairHeight {
-            alpha: self.alphas[i],
+            alpha: self.state[i],
             id: u,
         }
     }
 }
 
-impl FrontierEngine for FrontierPairHeightsEngine {
-    fn instance(&self) -> &ReversalInstance {
-        &self.init
-    }
+impl Rule for PairHeightsRule {
+    /// `α` by dense CSR index.
+    type State = Vec<i64>;
 
-    fn algorithm_name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         "GB-pair"
     }
 
-    fn is_sink(&self, u: NodeId) -> bool {
-        let csr = self.init.csr();
-        csr.index_of(u)
-            .is_some_and(|i| height_is_sink_at(csr, &self.alphas, i))
+    fn initial(&self, inst: &ReversalInstance) -> Vec<i64> {
+        let n = inst.node_count() as i64;
+        initial_positions(inst)
+            .into_iter()
+            .map(|x| n - 1 - x as i64)
+            .collect()
     }
 
-    fn enabled(&self) -> &[NodeId] {
-        self.tracker.enabled()
+    #[inline]
+    fn is_sink_at(&self, inst: &ReversalInstance, alphas: &Vec<i64>, ui: usize) -> bool {
+        height_is_sink_at(inst.csr(), alphas, ui)
     }
 
-    fn plan_step(&self, u: NodeId, scratch: &mut StepScratch) -> StepOutcome {
-        assert_ne!(u, self.dest(), "destination {u} never takes steps");
-        let csr = self.init.csr();
-        let ui = csr.index_of(u).expect("stepping node exists");
-        assert!(
-            height_is_sink_at(csr, &self.alphas, ui),
-            "reverse({u}) precondition: {u} must be a sink"
-        );
+    #[inline]
+    fn plan(
+        &self,
+        inst: &ReversalInstance,
+        alphas: &Vec<i64>,
+        ui: usize,
+        scratch: &mut StepScratch,
+    ) {
+        let csr = inst.csr();
         let max_alpha = csr
             .neighbor_indices(ui)
             .iter()
-            .map(|&v| self.alphas[v as usize])
+            .map(|&v| alphas[v as usize])
             .max()
             .expect("sink has at least one neighbor");
-        scratch.clear();
         for slot in csr.slots(ui) {
             scratch.push(slot);
         }
         scratch.aux = PlanAux(max_alpha + 1, 0);
-        StepOutcome {
-            node_idx: ui,
-            reversal_count: scratch.slots.len(),
-            dummy: false,
-        }
     }
 
-    fn apply_planned(&mut self, ui: usize, slots: &[u32], aux: PlanAux) {
-        let csr = self.init.csr();
-        debug_check_planned(csr, ui, slots);
-        self.alphas[ui] = aux.0;
-        self.tracker.record_step(csr, ui, slots);
+    #[inline]
+    fn apply(
+        &self,
+        _: &ReversalInstance,
+        alphas: &mut Vec<i64>,
+        ui: usize,
+        _: &[u32],
+        aux: PlanAux,
+    ) {
+        alphas[ui] = aux.0;
     }
 
-    fn orientation(&self) -> Orientation {
-        height_orientation(self.init.csr(), &self.alphas)
+    fn orientation(&self, inst: &ReversalInstance, alphas: &Vec<i64>) -> Orientation {
+        height_orientation(inst.csr(), alphas)
     }
 
-    fn begin_round(&mut self) {
-        self.tracker.begin_batch();
-    }
-
-    fn end_round(&mut self) {
-        self.tracker.end_batch(self.init.csr());
-    }
-
-    fn reset(&mut self) {
-        self.alphas = initial_pair_alphas(&self.init);
-        self.tracker = EnabledTracker::from_orientation(self.init.init(), self.init.dest);
-    }
-
-    fn resident_bytes(&self) -> usize {
-        let csr = self.init.csr();
-        csr.resident_bytes()
-            + self.alphas.len() * std::mem::size_of::<i64>()
-            + self.init.half_edge_count().div_ceil(64) * 8 // retained init bits
-            + csr.node_count() * 4 // tracker out-counts
+    fn state_bytes(alphas: &Vec<i64>) -> usize {
+        alphas.len() * std::mem::size_of::<i64>()
     }
 }
 
-/// Partial Reversal via triple heights over a [`ReversalInstance`] —
-/// the triple-height twin of [`FrontierPairHeightsEngine`], storing
-/// `(α, β)` by dense CSR index and starting from `α = 0` and
-/// `β_u = −x(u)`. Step-for-step identical to
+/// Partial Reversal via triple heights, the triple-height twin of
+/// [`PairHeightsRule`]: `(α, β)` by dense CSR index, starting from
+/// `α = 0` and `β_u = −x(u)`. A sink steps through
+/// [`raised_alpha_beta`] and reverses the edges to its neighbors at the
+/// new `α − 1`, the lowest ones.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TripleHeightsRule;
+
+/// Triple heights over a [`ReversalInstance`]: the engine shell around
+/// [`TripleHeightsRule`]. Step-for-step identical to
 /// [`crate::alg::OneStepPrAutomaton`] (the lockstep suite).
-#[derive(Debug, Clone)]
-pub struct FrontierTripleHeightsEngine {
-    /// The initial configuration, retained for [`FrontierEngine::reset`].
-    init: ReversalInstance,
-    /// `(α, β)` by dense CSR index.
-    heights: Vec<(i64, i64)>,
-    tracker: EnabledTracker,
-}
+pub type FrontierTripleHeightsEngine = Frontier<TripleHeightsRule>;
 
 impl FrontierTripleHeightsEngine {
-    /// Creates the engine in the initial state of `inst`.
-    pub fn new(inst: ReversalInstance) -> Self {
-        let heights = initial_alpha_betas(&inst);
-        let tracker = EnabledTracker::from_orientation(inst.init(), inst.dest);
-        FrontierTripleHeightsEngine {
-            init: inst,
-            heights,
-            tracker,
-        }
-    }
-
     /// The current height of a node.
     ///
     /// # Panics
     ///
     /// Panics if `u` is not a node of the instance.
     pub fn height(&self, u: NodeId) -> TripleHeight {
-        let (alpha, beta) = self.heights[self.init.csr().index_of(u).expect("known node")];
+        let (alpha, beta) = self.state[self.instance().csr().index_of(u).expect("known node")];
         TripleHeight { alpha, beta, id: u }
     }
 }
 
-impl FrontierEngine for FrontierTripleHeightsEngine {
-    fn instance(&self) -> &ReversalInstance {
-        &self.init
-    }
+impl Rule for TripleHeightsRule {
+    /// `(α, β)` by dense CSR index.
+    type State = Vec<(i64, i64)>;
 
-    fn algorithm_name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         "GB-triple"
     }
 
-    fn is_sink(&self, u: NodeId) -> bool {
-        let csr = self.init.csr();
-        csr.index_of(u)
-            .is_some_and(|i| height_is_sink_at(csr, &self.heights, i))
+    fn initial(&self, inst: &ReversalInstance) -> Vec<(i64, i64)> {
+        initial_alpha_betas(inst)
     }
 
-    fn enabled(&self) -> &[NodeId] {
-        self.tracker.enabled()
+    #[inline]
+    fn is_sink_at(&self, inst: &ReversalInstance, heights: &Vec<(i64, i64)>, ui: usize) -> bool {
+        height_is_sink_at(inst.csr(), heights, ui)
     }
 
-    fn plan_step(&self, u: NodeId, scratch: &mut StepScratch) -> StepOutcome {
-        assert_ne!(u, self.dest(), "destination {u} never takes steps");
-        let csr = self.init.csr();
-        let ui = csr.index_of(u).expect("stepping node exists");
-        assert!(
-            height_is_sink_at(csr, &self.heights, ui),
-            "reverse({u}) precondition: {u} must be a sink"
-        );
+    #[inline]
+    fn plan(
+        &self,
+        inst: &ReversalInstance,
+        heights: &Vec<(i64, i64)>,
+        ui: usize,
+        scratch: &mut StepScratch,
+    ) {
+        let csr = inst.csr();
         let nbrs = csr.neighbor_indices(ui);
-        let (alpha, beta) = raised_alpha_beta(
-            self.heights[ui].1,
-            nbrs.iter().map(|&v| self.heights[v as usize]),
-        );
-        scratch.clear();
+        let (alpha, beta) =
+            raised_alpha_beta(heights[ui].1, nbrs.iter().map(|&v| heights[v as usize]));
         for (slot, &v) in csr.slots(ui).zip(nbrs) {
-            if self.heights[v as usize].0 == alpha - 1 {
+            if heights[v as usize].0 == alpha - 1 {
                 scratch.push(slot);
             }
         }
         scratch.aux = PlanAux(alpha, beta);
-        StepOutcome {
-            node_idx: ui,
-            reversal_count: scratch.slots.len(),
-            dummy: false,
-        }
     }
 
-    fn apply_planned(&mut self, ui: usize, slots: &[u32], aux: PlanAux) {
-        let csr = self.init.csr();
-        debug_check_planned(csr, ui, slots);
-        self.heights[ui] = (aux.0, aux.1);
-        self.tracker.record_step(csr, ui, slots);
+    #[inline]
+    fn apply(
+        &self,
+        _: &ReversalInstance,
+        heights: &mut Vec<(i64, i64)>,
+        ui: usize,
+        _: &[u32],
+        aux: PlanAux,
+    ) {
+        heights[ui] = (aux.0, aux.1);
     }
 
-    fn orientation(&self) -> Orientation {
-        height_orientation(self.init.csr(), &self.heights)
+    fn orientation(&self, inst: &ReversalInstance, heights: &Vec<(i64, i64)>) -> Orientation {
+        height_orientation(inst.csr(), heights)
     }
 
-    fn begin_round(&mut self) {
-        self.tracker.begin_batch();
-    }
-
-    fn end_round(&mut self) {
-        self.tracker.end_batch(self.init.csr());
-    }
-
-    fn reset(&mut self) {
-        self.heights = initial_alpha_betas(&self.init);
-        self.tracker = EnabledTracker::from_orientation(self.init.init(), self.init.dest);
-    }
-
-    fn resident_bytes(&self) -> usize {
-        let csr = self.init.csr();
-        csr.resident_bytes()
-            + self.heights.len() * std::mem::size_of::<(i64, i64)>()
-            + self.init.half_edge_count().div_ceil(64) * 8 // retained init bits
-            + csr.node_count() * 4 // tracker out-counts
+    fn state_bytes(heights: &Vec<(i64, i64)>) -> usize {
+        heights.len() * std::mem::size_of::<(i64, i64)>()
     }
 }
 
@@ -536,7 +466,7 @@ mod tests {
         let u = *e.enabled().first().unwrap();
         e.step(u);
         e.reset();
-        assert_eq!(e.heights, fresh.heights);
+        assert_eq!(e.state, fresh.state);
         assert_eq!(e.enabled(), fresh.enabled());
     }
 

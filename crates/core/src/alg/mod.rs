@@ -10,10 +10,13 @@
 //!   [`PrSetAutomaton`] (Algorithms 3 and 1) and [`NewPrAutomaton`]
 //!   (Algorithm 2). The model checker verifies the paper's theorems on
 //!   them exhaustively, and they are the oracle for the engines;
-//! * one flat **engine** per family ([`FrontierEngine`], built through
-//!   [`FrontierFamily::engine`]) — an imperative, in-place state machine
-//!   over CSR arrays and bit-packed per-slot words, used by every run
-//!   loop, trace, and benchmark.
+//! * one flat **engine**, [`Frontier`], the one [`FrontierEngine`]: an
+//!   imperative, in-place state machine over CSR arrays and bit-packed
+//!   per-slot words, used by every run loop, trace, and benchmark. It is
+//!   generic over a [`Rule`], which is all a family adds: its state,
+//!   sink test, and the plan and apply of a step. Each family's engine
+//!   is a type alias (such as [`FrontierPrEngine`], `Frontier<PrRule>`)
+//!   built through [`FrontierFamily::engine`].
 //!
 //! Both forms start from the same [`ReversalInstance`]: a shared CSR
 //! graph, the initial orientation as one bit per half-edge slot, and the
@@ -34,29 +37,30 @@ mod newpr;
 mod pr;
 
 pub use bll::{BllLabeling, FrontierBllEngine};
-pub use frontier::{FrontierFamily, FrontierPrEngine};
-pub use full::{FrontierFrEngine, FullReversalAutomaton, FullReversalState};
+pub use frontier::{Frontier, FrontierFamily, Rule};
+pub use full::{FrRule, FrontierFrEngine, FullReversalAutomaton, FullReversalState};
 pub use heights::{
     initial_triple_heights, raised_alpha_beta, FrontierPairHeightsEngine,
-    FrontierTripleHeightsEngine, PairHeight, TripleHeight,
+    FrontierTripleHeightsEngine, PairHeight, PairHeightsRule, TripleHeight, TripleHeightsRule,
 };
-pub use newpr::{newpr_step, FrontierNewPrEngine, NewPrAutomaton, NewPrState, Parity};
+pub use newpr::{newpr_step, FrontierNewPrEngine, NewPrAutomaton, NewPrRule, NewPrState, Parity};
 pub use pr::{
-    onestep_pr_step, pr_reverse_set, OneStepPrAutomaton, PrSetAutomaton, PrState, ReverseSet,
+    onestep_pr_step, pr_reverse_set, FrontierPrEngine, OneStepPrAutomaton, PrRule, PrSetAutomaton,
+    PrState, ReverseSet,
 };
 
 use std::sync::Arc;
 
 use lr_graph::{CsrGraph, NodeId, Orientation, ReversalInstance};
 
-use crate::{PlanAux, ReversalStep, StepOutcome, StepScratch};
+use crate::{MirroredDirs, PlanAux, ReversalStep, StepOutcome, StepScratch};
 
 /// A flat, imperative link-reversal state machine over a fixed
 /// [`ReversalInstance`]: all steady state lives in CSR-indexed arrays and
 /// bit-packed per-slot words, with the incremental
-/// [`crate::EnabledTracker`] as its worklist, which is what lets them run
-/// at million-node scale; construct them through
-/// [`FrontierFamily::engine`].
+/// [`crate::EnabledTracker`] as its worklist, which is what lets it run
+/// at million-node scale. [`Frontier`] implements it once for every
+/// family's [`Rule`]; construct one through [`FrontierFamily::engine`].
 ///
 /// A node may step when it is a sink and is not the destination. The
 /// run loop in [`crate::engine`] drives engines to termination.
@@ -71,10 +75,12 @@ use crate::{PlanAux, ReversalStep, StepOutcome, StepScratch};
 /// both by half-edge slot (see [`crate::step`]):
 ///
 /// * [`FrontierEngine::plan_step`] resolves the stepping node to its
-///   dense index and writes the slots it reverses into a caller-owned
+///   dense index, checks the step's precondition, and has the rule
+///   ([`Rule::plan`]) write the slots it reverses into a caller-owned
 ///   [`StepScratch`], without mutating anything;
-/// * [`FrontierEngine::apply_planned`] flips exactly those slots of the
-///   node at that index, in place;
+/// * [`FrontierEngine::apply_planned`] has the rule ([`Rule::apply`])
+///   rewrite its state for exactly those slots of the node at that
+///   index, in place, and records the step in the enabled tracker;
 /// * [`FrontierEngine::step_into`] is plan + apply — the
 ///   **zero-allocation hot path** the run loop uses (one reusable
 ///   scratch per run);
@@ -89,8 +95,8 @@ use crate::{PlanAux, ReversalStep, StepOutcome, StepScratch};
 /// across worker threads and still produce bit-identical executions.
 ///
 /// `Sync` is a supertrait so `&dyn FrontierEngine` can be shared with
-/// those plan workers; engines hold only plain data and are naturally
-/// `Sync`.
+/// those plan workers; the shell and every rule's state hold only plain
+/// data and are naturally `Sync`.
 pub trait FrontierEngine: Sync {
     /// The retained initial configuration (shared CSR + one direction
     /// bit per half-edge) the engine was built from and resets to.
@@ -178,14 +184,14 @@ pub trait FrontierEngine: Sync {
     }
 
     /// Marks the start of a greedy round whose steps will all be applied
-    /// before the enabled view is read again. Engines forward this to
-    /// [`crate::EnabledTracker::begin_batch`] so the round's enabled-set
-    /// edits collapse into one merge; the default is a no-op.
-    fn begin_round(&mut self) {}
+    /// before the enabled view is read again: the round's enabled-set
+    /// edits collapse into one merge
+    /// ([`crate::EnabledTracker::begin_batch`]).
+    fn begin_round(&mut self);
 
     /// Closes a round opened by [`FrontierEngine::begin_round`],
     /// bringing [`FrontierEngine::enabled`] current.
-    fn end_round(&mut self) {}
+    fn end_round(&mut self);
 
     /// The current single-copy orientation of the graph.
     fn orientation(&self) -> Orientation;
@@ -208,15 +214,14 @@ pub trait FrontierEngine: Sync {
     fn resident_bytes(&self) -> usize;
 }
 
-/// Debug-checks that `slots` ascend within the slot range of the node at
-/// dense index `ui`, as every [`FrontierEngine::plan_step`] writes them;
-/// each `apply_planned` flips exactly the slots it is given.
-#[inline]
-pub(crate) fn debug_check_planned(csr: &CsrGraph, ui: usize, slots: &[u32]) {
-    debug_assert!(
-        slots.is_sorted_by(|a, b| a < b)
-            && slots.iter().all(|&s| csr.slots(ui).contains(&(s as usize))),
-        "planned slots must ascend within the slot range of node index {ui}"
+/// Asserts the precondition of the paper's `reverse(u)` on the
+/// automata's direction state: `u` is not the destination, and it is a
+/// sink.
+pub(crate) fn assert_may_step(inst: &ReversalInstance, dirs: &MirroredDirs, u: NodeId) {
+    assert_ne!(u, inst.dest, "destination {u} never takes steps");
+    assert!(
+        dirs.is_sink(u),
+        "reverse({u}) precondition: {u} must be a sink"
     );
 }
 

@@ -18,8 +18,8 @@ use std::collections::BTreeMap;
 use lr_graph::{EdgeDir, NodeId, Orientation, ReversalInstance};
 use lr_ioa::Automaton;
 
-use crate::alg::{debug_check_planned, FrontierEngine};
-use crate::{EnabledTracker, MirroredDirs, PlanAux, ReversalStep, StepOutcome, StepScratch};
+use crate::alg::{assert_may_step, Frontier, Rule};
+use crate::{MirroredDirs, PlanAux, ReversalStep, StepScratch};
 
 /// The parity of a node's step count — the derived variable `parity[u]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,11 +76,7 @@ impl NewPrState {
 ///
 /// Panics if `u` is the destination or not a sink.
 pub fn newpr_step(inst: &ReversalInstance, state: &mut NewPrState, u: NodeId) -> ReversalStep {
-    assert_ne!(u, inst.dest, "destination {u} never takes steps");
-    assert!(
-        state.dirs.is_sink(u),
-        "reverse({u}) precondition: {u} must be a sink"
-    );
+    assert_may_step(inst, &state.dirs, u);
     let targets: Vec<NodeId> = match state.parity(u) {
         Parity::Even => inst.initial_in_nbrs(u),
         Parity::Odd => inst.initial_out_nbrs(u),
@@ -97,128 +93,87 @@ pub fn newpr_step(inst: &ReversalInstance, state: &mut NewPrState, u: NodeId) ->
     }
 }
 
-/// `NewPR` over a [`ReversalInstance`]: the frozen
-/// `in-nbrs`/`out-nbrs` partition of §2 is read straight off the
-/// retained initial direction bits (one masked read per slot), and the
-/// `count[u]` history variable is a dense `Vec<u64>` by CSR index
-/// instead of a `BTreeMap`. Step-for-step identical to
-/// [`NewPrAutomaton`] (the lockstep suite), dummy steps included.
-#[derive(Debug, Clone)]
-pub struct FrontierNewPrEngine {
-    /// The initial configuration — also the frozen §2 partition.
-    init: ReversalInstance,
-    dirs: MirroredDirs,
-    /// `count[u]` by dense CSR index, initially all zero.
-    counts: Vec<u64>,
-    tracker: EnabledTracker,
-}
+/// `NewPR`'s rule: the frozen `in-nbrs`/`out-nbrs` partition of §2 is
+/// read straight off the instance's initial direction bits (one masked
+/// read per slot), and the `count[u]` history variable is a dense
+/// `Vec<u64>` by CSR index instead of a `BTreeMap`. A step whose
+/// relevant set is empty plans no slot: the §4.1 dummy step.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NewPrRule;
+
+/// `NewPR` over a [`ReversalInstance`]: the engine shell around
+/// [`NewPrRule`]. Step-for-step identical to [`NewPrAutomaton`] (the
+/// lockstep suite), dummy steps included.
+pub type FrontierNewPrEngine = Frontier<NewPrRule>;
 
 impl FrontierNewPrEngine {
-    /// Creates the engine in the initial state of `inst`.
-    pub fn new(inst: ReversalInstance) -> Self {
-        let dirs = MirroredDirs::from_instance(&inst);
-        let counts = vec![0u64; inst.node_count()];
-        let tracker = EnabledTracker::from_dirs(&dirs, inst.dest);
-        FrontierNewPrEngine {
-            init: inst,
-            dirs,
-            counts,
-            tracker,
-        }
-    }
-
     /// The current bit-packed direction state.
     pub fn dirs(&self) -> &MirroredDirs {
-        &self.dirs
-    }
-
-    /// The derived variable `parity[u]` for the node at dense index `ui`.
-    fn parity_at(&self, ui: usize) -> Parity {
-        if self.counts[ui].is_multiple_of(2) {
-            Parity::Even
-        } else {
-            Parity::Odd
-        }
+        &self.state.0
     }
 }
 
-impl FrontierEngine for FrontierNewPrEngine {
-    fn instance(&self) -> &ReversalInstance {
-        &self.init
-    }
+impl Rule for NewPrRule {
+    /// The directions, and `count[u]` by dense CSR index (initially all
+    /// zero).
+    type State = (MirroredDirs, Vec<u64>);
 
-    fn algorithm_name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         "NewPR"
     }
 
-    fn is_sink(&self, u: NodeId) -> bool {
-        self.dirs.is_sink(u)
+    fn initial(&self, inst: &ReversalInstance) -> Self::State {
+        (
+            MirroredDirs::from_instance(inst),
+            vec![0; inst.node_count()],
+        )
     }
 
-    fn enabled(&self) -> &[NodeId] {
-        self.tracker.enabled()
+    #[inline]
+    fn is_sink_at(&self, _: &ReversalInstance, (dirs, _): &Self::State, ui: usize) -> bool {
+        dirs.is_sink_at(ui)
     }
 
-    fn plan_step(&self, u: NodeId, scratch: &mut StepScratch) -> StepOutcome {
-        assert_ne!(u, self.dest(), "destination {u} never takes steps");
-        let csr = self.init.csr();
-        let ui = csr.index_of(u).expect("stepping node exists");
-        assert!(
-            self.dirs.is_sink_at(ui),
-            "reverse({u}) precondition: {u} must be a sink"
-        );
+    #[inline]
+    fn plan(
+        &self,
+        inst: &ReversalInstance,
+        (_, counts): &Self::State,
+        ui: usize,
+        scratch: &mut StepScratch,
+    ) {
         // Even parity reverses the initial in-neighbors, odd parity the
         // initial out-neighbors (Algorithm 2) — the retained initial
         // bitset *is* the frozen partition.
-        let want_initial_in = self.parity_at(ui) == Parity::Even;
-        scratch.clear();
-        for slot in csr.slots(ui) {
-            if (self.init.init().dir_at(slot) == EdgeDir::In) == want_initial_in {
+        let want_initial_in = counts[ui].is_multiple_of(2);
+        for slot in inst.csr().slots(ui) {
+            if (inst.init().dir_at(slot) == EdgeDir::In) == want_initial_in {
                 scratch.push(slot);
             }
         }
-        StepOutcome {
-            node_idx: ui,
-            reversal_count: scratch.slots.len(),
-            dummy: scratch.slots.is_empty(),
-        }
     }
 
-    fn apply_planned(&mut self, ui: usize, slots: &[u32], _aux: PlanAux) {
-        let csr = self.init.csr();
-        debug_check_planned(csr, ui, slots);
+    #[inline]
+    fn apply(
+        &self,
+        _: &ReversalInstance,
+        (dirs, counts): &mut Self::State,
+        ui: usize,
+        slots: &[u32],
+        _: PlanAux,
+    ) {
         for &slot in slots {
-            self.dirs.reverse_outward_at(slot as usize);
+            dirs.reverse_outward_at(slot as usize);
         }
-        self.counts[ui] += 1;
-        self.tracker.record_step(csr, ui, slots);
+        counts[ui] += 1;
     }
 
-    fn orientation(&self) -> Orientation {
-        self.dirs.orientation()
+    fn orientation(&self, _: &ReversalInstance, (dirs, _): &Self::State) -> Orientation {
+        dirs.orientation()
     }
 
-    fn begin_round(&mut self) {
-        self.tracker.begin_batch();
-    }
-
-    fn end_round(&mut self) {
-        self.tracker.end_batch(self.init.csr());
-    }
-
-    fn reset(&mut self) {
-        self.dirs = MirroredDirs::from_instance(&self.init);
-        self.counts.fill(0);
-        self.tracker = EnabledTracker::from_dirs(&self.dirs, self.init.dest);
-    }
-
-    fn resident_bytes(&self) -> usize {
-        let csr = self.init.csr();
-        csr.resident_bytes()
-            + self.dirs.resident_bytes()
-            + self.counts.len() * 8
-            + self.init.half_edge_count().div_ceil(64) * 8 // retained init bits
-            + csr.node_count() * 4 // tracker out-counts
+    fn state_bytes((dirs, counts): &Self::State) -> usize {
+        dirs.resident_bytes() + counts.len() * 8
     }
 }
 
@@ -259,6 +214,7 @@ impl Automaton for NewPrAutomaton<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alg::FrontierEngine;
     use lr_graph::stream;
     use lr_ioa::{run, schedulers, Automaton};
 

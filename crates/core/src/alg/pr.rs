@@ -12,10 +12,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use lr_graph::{NodeId, ReversalInstance};
+use lr_graph::{NodeId, Orientation, ReversalInstance};
 use lr_ioa::Automaton;
 
-use crate::{MirroredDirs, ReversalStep};
+use crate::alg::{assert_may_step, Frontier, Rule};
+use crate::dirs::{all_word_masks, word_bit};
+use crate::{MirroredDirs, PlanAux, ReversalStep, StepScratch};
 
 /// Shared state of `PR` and `OneStepPR`: edge directions plus `list[u]`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -55,11 +57,7 @@ impl PrState {
 /// Panics if `u` is the destination or not a sink (the action's
 /// precondition).
 pub fn onestep_pr_step(inst: &ReversalInstance, state: &mut PrState, u: NodeId) -> ReversalStep {
-    assert_ne!(u, inst.dest, "destination {u} never takes steps");
-    assert!(
-        state.dirs.is_sink(u),
-        "reverse({u}) precondition: {u} must be a sink"
-    );
+    assert_may_step(inst, &state.dirs, u);
     let csr = Arc::clone(state.dirs.csr());
     let ui = csr.index_of(u).expect("sink is a node");
     // Reverse the neighbors not in `list[u]` — unless the list holds
@@ -111,11 +109,7 @@ pub fn pr_reverse_set(
     // Check the whole precondition before mutating anything, so the
     // effect is all-or-nothing like an automaton transition.
     for &u in set {
-        assert_ne!(u, inst.dest, "destination {u} never takes steps");
-        assert!(
-            state.dirs.is_sink(u),
-            "reverse(S) precondition: {u} must be a sink"
-        );
+        assert_may_step(inst, &state.dirs, u);
     }
     set.iter()
         .map(|&u| onestep_pr_step(inst, state, u))
@@ -222,14 +216,150 @@ impl Automaton for PrSetAutomaton<'_> {
     }
 }
 
+/// `OneStepPR`'s rule (Algorithm 3) over bit-packed state: the
+/// `list[u]` sets are one bit per half-edge slot, set for slot `(u, v)`
+/// iff `v ∈ list[u]`. The paper only ever asks "is neighbor `v` in
+/// `list[u]`?" and "is the list full?", both masked word reads over
+/// `u`'s slot range. Same target selection and list bookkeeping as
+/// [`onestep_pr_step`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PrRule;
+
+/// `OneStepPR` over a [`ReversalInstance`]: the engine shell around
+/// [`PrRule`]. Step-for-step identical to [`OneStepPrAutomaton`] (the
+/// lockstep suite).
+pub type FrontierPrEngine = Frontier<PrRule>;
+
+impl FrontierPrEngine {
+    /// The current bit-packed direction state.
+    pub fn dirs(&self) -> &MirroredDirs {
+        &self.state.0
+    }
+}
+
+impl Rule for PrRule {
+    /// The directions, and the `list[u]` bits (initially all clear:
+    /// Algorithms 1 and 3 start with empty lists).
+    type State = (MirroredDirs, Vec<u64>);
+
+    fn name(&self) -> &'static str {
+        "PR"
+    }
+
+    fn initial(&self, inst: &ReversalInstance) -> Self::State {
+        let list = vec![0; inst.half_edge_count().div_ceil(64)];
+        (MirroredDirs::from_instance(inst), list)
+    }
+
+    #[inline]
+    fn is_sink_at(&self, _: &ReversalInstance, (dirs, _): &Self::State, ui: usize) -> bool {
+        dirs.is_sink_at(ui)
+    }
+
+    #[inline]
+    fn plan(
+        &self,
+        inst: &ReversalInstance,
+        (_, list): &Self::State,
+        ui: usize,
+        scratch: &mut StepScratch,
+    ) {
+        // The rule of `onestep_pr_step`: reverse the neighbors not in
+        // `list[u]`, unless the list holds all of them, in which case
+        // reverse everything. Neighbor slots are ascending by id.
+        let r = inst.csr().slots(ui);
+        let list_is_full = all_word_masks(r.clone(), |w, m| list[w] & m == m);
+        for slot in r {
+            let (w, m) = word_bit(slot);
+            if list_is_full || list[w] & m == 0 {
+                scratch.push(slot);
+            }
+        }
+    }
+
+    #[inline]
+    fn apply(
+        &self,
+        inst: &ReversalInstance,
+        (dirs, list): &mut Self::State,
+        ui: usize,
+        slots: &[u32],
+        _: PlanAux,
+    ) {
+        // The effects of `onestep_pr_step`: reverse each planned edge
+        // (both copies), record u in the reversed neighbor's list (the
+        // twin slot's bit), and afterwards empty list[u].
+        let csr = inst.csr();
+        for &slot in slots {
+            dirs.reverse_outward_at(slot as usize);
+            let (w, m) = word_bit(csr.twin(slot as usize));
+            list[w] |= m;
+        }
+        all_word_masks(csr.slots(ui), |w, m| {
+            list[w] &= !m;
+            true
+        });
+    }
+
+    fn orientation(&self, _: &ReversalInstance, (dirs, _): &Self::State) -> Orientation {
+        dirs.orientation()
+    }
+
+    fn state_bytes((dirs, list): &Self::State) -> usize {
+        dirs.resident_bytes() + list.len() * 8
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alg::FrontierEngine;
+    use crate::engine::{run_engine_frontier, SchedulePolicy, DEFAULT_MAX_STEPS};
     use lr_graph::stream;
     use lr_ioa::{run, schedulers, Automaton};
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
+    }
+
+    #[test]
+    fn engine_first_step_with_empty_list_reverses_everything() {
+        let mut e = FrontierPrEngine::new(stream::chain_away(3));
+        let step = e.step(n(2));
+        assert_eq!(step.reversed, vec![n(1)]);
+        assert!(!e.is_sink(n(2)));
+    }
+
+    #[test]
+    fn engine_spares_list_members() {
+        let mut e = FrontierPrEngine::new(stream::chain_away(4));
+        e.step(n(3)); // list[2] = {3}
+        let step = e.step(n(2)); // spares 3
+        assert_eq!(step.reversed, vec![n(1)]);
+    }
+
+    #[test]
+    fn engine_reset_restores_the_initial_state() {
+        let mut e = FrontierPrEngine::new(stream::grid_away(4, 5));
+        let fresh = e.clone();
+        run_engine_frontier(&mut e, SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
+        assert!(e.is_terminated());
+        e.reset();
+        assert_eq!(e.dirs(), fresh.dirs());
+        assert_eq!(e.state.1, fresh.state.1);
+        assert_eq!(e.enabled(), fresh.enabled());
+    }
+
+    #[test]
+    fn engine_resident_bytes_stays_within_the_scale_budget() {
+        let e = FrontierPrEngine::new(stream::grid_away(32, 32));
+        let he = 2 * (2 * 32 * 31); // grid edge count × 2
+        assert!(
+            e.resident_bytes() <= 16 * he,
+            "{} bytes for {} half-edges",
+            e.resident_bytes(),
+            he
+        );
     }
 
     #[test]

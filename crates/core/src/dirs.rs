@@ -20,14 +20,34 @@
 //! into the single-copy [`Orientation`] that every analysis runs on.
 
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 use lr_graph::{CsrGraph, EdgeDir, NodeId, Orientation, ReversalInstance};
 
 /// The word index and bit mask of a half-edge slot.
 #[inline]
-fn word_bit(slot: usize) -> (usize, u64) {
+pub(crate) fn word_bit(slot: usize) -> (usize, u64) {
     (slot >> 6, 1u64 << (slot & 63))
+}
+
+/// Walks the words of a bitset that hold the bits of the non-empty
+/// `range`, in order, calling `f(word, mask)` with each word's index and
+/// the mask of the range's bits in it until `f` returns `false`; returns
+/// whether it never did. The one masked word-range walk behind every
+/// ranged read and write of per-slot bits (a node's slot range is a
+/// `range`). A closure rather than an iterator, so the common one-word
+/// range compiles to one masked access.
+#[inline]
+pub(crate) fn all_word_masks(range: Range<usize>, mut f: impl FnMut(usize, u64) -> bool) -> bool {
+    debug_assert!(!range.is_empty(), "an empty range has no words");
+    let (first, last) = (range.start >> 6, (range.end - 1) >> 6);
+    let lo = !0u64 << (range.start & 63);
+    let hi = !0u64 >> (63 - ((range.end - 1) & 63));
+    if first == last {
+        return f(first, lo & hi);
+    }
+    f(first, lo) && (first + 1..last).all(|w| f(w, !0)) && f(last, hi)
 }
 
 /// Both-endpoint edge direction state: `dir[u, v]` for every ordered pair
@@ -178,19 +198,7 @@ impl MirroredDirs {
     /// allocation-free.
     pub fn is_sink_at(&self, idx: usize) -> bool {
         let r = self.csr.slots(idx);
-        if r.is_empty() {
-            return false;
-        }
-        let (w0, w1) = (r.start >> 6, (r.end - 1) >> 6);
-        let lo = !0u64 << (r.start & 63);
-        let hi = !0u64 >> (63 - ((r.end - 1) & 63));
-        if w0 == w1 {
-            self.words[w0] & lo & hi == 0
-        } else {
-            self.words[w0] & lo == 0
-                && self.words[w1] & hi == 0
-                && self.words[w0 + 1..w1].iter().all(|&w| w == 0)
-        }
+        !r.is_empty() && all_word_masks(r, |w, m| self.words[w] & m == 0)
     }
 
     /// Whether `u` is a sink *from `u`'s own perspective*: it has at least
@@ -395,6 +403,38 @@ mod tests {
         let mut c = b.clone();
         c.reverse_outward(n(3), n(2));
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn the_word_walk_covers_exactly_the_range_and_stops_early() {
+        for (a, b) in [
+            (0, 256),
+            (0, 1),
+            (3, 64),
+            (63, 65),
+            (64, 128),
+            (5, 200),
+            (130, 131),
+        ] {
+            let mut words = [0u64; 4];
+            let mut last = None;
+            assert!(all_word_masks(a..b, |w, m| {
+                assert!(last < Some(w), "{a}..{b}: word {w} out of order");
+                last = Some(w);
+                words[w] |= m;
+                true
+            }));
+            for s in 0..256 {
+                let (w, m) = word_bit(s);
+                assert_eq!(words[w] & m != 0, (a..b).contains(&s), "{a}..{b}: slot {s}");
+            }
+            let mut calls = 0;
+            assert!(!all_word_masks(a..b, |_, _| {
+                calls += 1;
+                false
+            }));
+            assert_eq!(calls, 1, "{a}..{b}: the walk goes on after a false");
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! boundary, on every engine configuration, with contiguous and with
 //! gapped node ids.
 
-use lr_graph::{CsrGraph, NodeId};
+use lr_graph::{CsrGraph, NodeId, Orientation};
 
 /// Incrementally maintained set of enabled nodes (sinks minus the
 /// destination), kept sorted ascending so scheduling policies see the
@@ -78,21 +78,18 @@ pub struct EnabledTracker {
 }
 
 impl EnabledTracker {
-    /// Builds the tracker by scanning every half-edge slot once:
-    /// `edge_out(slot, src)` reports whether the slot's edge currently
-    /// points *out of* its source node `src` (passed by dense index so
-    /// callers never resolve a slot back to its owner).
-    pub fn new(
-        csr: &CsrGraph,
-        dest: NodeId,
-        mut edge_out: impl FnMut(usize, usize) -> bool,
-    ) -> Self {
+    /// Builds the tracker from an orientation's slot bits, such as an
+    /// instance's initial ones, from which every engine starts: one
+    /// pass over every half-edge slot.
+    pub fn from_orientation(orientation: &Orientation, dest: NodeId) -> Self {
+        let csr = orientation.csr();
         let dest_idx = csr.index_of(dest).expect("destination is a node");
         let mut out_count = vec![0u32; csr.node_count()];
         for (src, count) in out_count.iter_mut().enumerate() {
-            // Per-node slot ranges instead of a per-slot `csr.source`
-            // lookup: the source is the loop variable.
-            *count = csr.slots(src).filter(|&slot| edge_out(slot, src)).count() as u32;
+            *count = csr
+                .slots(src)
+                .filter(|&slot| orientation.is_out(slot))
+                .count() as u32;
         }
         let enabled = (0..csr.node_count())
             .filter(|&i| i != dest_idx && csr.degree(i) > 0 && out_count[i] == 0)
@@ -108,21 +105,6 @@ impl EnabledTracker {
             touched: Vec::new(),
             merge_buf: Vec::new(),
         }
-    }
-
-    /// Builds the tracker from an orientation's slot bits, such as an
-    /// instance's initial ones.
-    pub fn from_orientation(orientation: &lr_graph::Orientation, dest: NodeId) -> Self {
-        EnabledTracker::new(orientation.csr(), dest, |slot, _src| {
-            orientation.is_out(slot)
-        })
-    }
-
-    /// Builds the tracker from a [`crate::MirroredDirs`] state.
-    pub fn from_dirs(dirs: &crate::MirroredDirs, dest: NodeId) -> Self {
-        EnabledTracker::new(dirs.csr(), dest, |slot, _src| {
-            dirs.dir_at(slot) == lr_graph::EdgeDir::Out
-        })
     }
 
     /// The currently enabled nodes, ascending. O(1).
@@ -273,16 +255,14 @@ mod tests {
     #[test]
     fn initial_enabled_set_matches_scan() {
         let inst = stream::chain_away(5);
-        let dirs = MirroredDirs::from_instance(&inst);
-        let t = EnabledTracker::from_dirs(&dirs, inst.dest);
+        let t = EnabledTracker::from_orientation(inst.init(), inst.dest);
         assert_eq!(t.enabled(), &[n(4)]);
     }
 
     #[test]
     fn destination_is_never_enabled() {
         let inst = stream::chain_toward(4); // dest 0 is the unique sink
-        let dirs = MirroredDirs::from_instance(&inst);
-        let t = EnabledTracker::from_dirs(&dirs, inst.dest);
+        let t = EnabledTracker::from_orientation(inst.init(), inst.dest);
         assert!(t.enabled().is_empty());
     }
 
@@ -290,7 +270,7 @@ mod tests {
     fn step_delta_tracks_full_rescan() {
         let inst = stream::random_connected(14, 12, 77);
         let mut dirs = MirroredDirs::from_instance(&inst);
-        let mut t = EnabledTracker::from_dirs(&dirs, inst.dest);
+        let mut t = EnabledTracker::from_orientation(inst.init(), inst.dest);
         let csr = std::sync::Arc::clone(inst.csr());
         let mut guard = 0;
         while let Some(&u) = t.enabled().first() {
@@ -314,8 +294,8 @@ mod tests {
         let csr = std::sync::Arc::clone(inst.csr());
         let mut dirs_a = MirroredDirs::from_instance(inst);
         let mut dirs_b = dirs_a.clone();
-        let mut a = EnabledTracker::from_dirs(&dirs_a, inst.dest); // immediate
-        let mut b = EnabledTracker::from_dirs(&dirs_b, inst.dest); // batched
+        let mut a = EnabledTracker::from_orientation(inst.init(), inst.dest); // immediate
+        let mut b = EnabledTracker::from_orientation(inst.init(), inst.dest); // batched
         let (mut rounds, mut largest) = (0, 0);
         while !a.enabled().is_empty() {
             let round: Vec<NodeId> = a.enabled().to_vec();
@@ -362,8 +342,7 @@ mod tests {
     #[should_panic(expected = "batch already open")]
     fn nested_batches_are_rejected() {
         let inst = stream::chain_away(3);
-        let dirs = MirroredDirs::from_instance(&inst);
-        let mut t = EnabledTracker::from_dirs(&dirs, inst.dest);
+        let mut t = EnabledTracker::from_orientation(inst.init(), inst.dest);
         t.begin_batch();
         t.begin_batch();
     }
@@ -371,10 +350,9 @@ mod tests {
     #[test]
     fn empty_reversal_keeps_node_enabled() {
         let inst = stream::chain_away(3);
-        let dirs = MirroredDirs::from_instance(&inst);
-        let mut t = EnabledTracker::from_dirs(&dirs, inst.dest);
+        let mut t = EnabledTracker::from_orientation(inst.init(), inst.dest);
         assert_eq!(t.enabled(), &[n(2)]);
-        t.record_step(dirs.csr(), 2, &[]); // NewPR dummy step
+        t.record_step(inst.csr(), 2, &[]); // NewPR dummy step
         assert_eq!(t.enabled(), &[n(2)], "dummy step must not disable");
     }
 }

@@ -32,7 +32,7 @@ use lr_graph::{CsrGraph, NodeId};
 use lr_obs::MetricsShard;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::alg::FrontierEngine;
 use crate::{PlanAux, StepOutcome, StepScratch};
@@ -560,24 +560,6 @@ pub fn run_to_destination_oriented(
     stats
 }
 
-/// A random schedule prefix: advances the engine `steps` single random
-/// steps (or fewer if it terminates first). Returns the number of steps
-/// actually taken. Used to generate "mid-execution" states for invariant
-/// spot checks and failure-injection tests.
-pub fn advance_randomly(engine: &mut dyn FrontierEngine, steps: usize, seed: u64) -> usize {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut scratch = StepScratch::new();
-    for taken in 0..steps {
-        let enabled = engine.enabled();
-        if enabled.is_empty() {
-            return taken;
-        }
-        let u = enabled[rng.gen_range(0..enabled.len())];
-        engine.step_into(u, &mut scratch);
-    }
-    steps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -649,15 +631,6 @@ mod tests {
         let stats = run_engine_frontier(e.as_mut(), SchedulePolicy::FirstSingle, 10);
         assert!(!stats.terminated);
         assert_eq!(stats.steps, 10);
-    }
-
-    #[test]
-    fn advance_randomly_stops_at_termination() {
-        let inst = stream::chain_away(4);
-        let mut e = pr(&inst);
-        let taken = advance_randomly(&mut e, 10_000, 1);
-        assert!(taken < 10_000);
-        assert!(e.is_terminated());
     }
 
     #[test]

@@ -6,22 +6,25 @@
 //! # What's here
 //!
 //! * [`alg`] — the algorithms, as the paper's I/O automata and as one
-//!   flat engine per family:
+//!   flat engine generic over each family's reversal rule:
 //!   * [`alg::PrSetAutomaton`] / [`alg::OneStepPrAutomaton`] — the paper's
 //!     Algorithms 1 and 3 (list-based Partial Reversal),
 //!   * [`alg::NewPrAutomaton`] — the paper's Algorithm 2 (`NewPR`),
 //!   * [`alg::FullReversalAutomaton`] — Full Reversal.
 //!
-//!   Every family runs on a flat, CSR-native [`alg::FrontierEngine`] —
-//!   [`alg::FrontierFrEngine`], [`alg::FrontierPrEngine`],
-//!   [`alg::FrontierNewPrEngine`], the Gafni–Bertsekas height
-//!   formulations [`alg::FrontierPairHeightsEngine`] /
-//!   [`alg::FrontierTripleHeightsEngine`], and the labeled-reversal
-//!   generalization [`alg::FrontierBllEngine`] (Binary Link Labels) —
-//!   constructed uniformly through [`alg::FrontierFamily`]: bit-packed
-//!   per-slot state over the instance's CSR, million-node capable. The
-//!   automata are the oracle: every engine runs in lockstep beside the
-//!   automaton whose reversal sets it reproduces.
+//!   Every family runs on one flat, CSR-native engine,
+//!   [`alg::Frontier`], the only [`alg::FrontierEngine`]: it holds the
+//!   enabled tracker, the step's precondition, the round batching and
+//!   reset once, and is generic over the family's [`alg::Rule`] —
+//!   [`alg::FrRule`], [`alg::PrRule`], [`alg::NewPrRule`], the
+//!   Gafni–Bertsekas height formulations [`alg::PairHeightsRule`] /
+//!   [`alg::TripleHeightsRule`], and the labeled-reversal
+//!   generalization's [`alg::BllLabeling`] (Binary Link Labels), each
+//!   just its state, sink test, plan and apply. Engines are built
+//!   uniformly through [`alg::FrontierFamily`]: bit-packed per-slot
+//!   state over the instance's CSR, million-node capable. The automata
+//!   are the oracle: every engine runs in lockstep beside the automaton
+//!   whose reversal sets it reproduces.
 //! * [`invariants`] — Invariants 3.1, 3.2, Corollaries 3.3/3.4,
 //!   Invariants 4.1, 4.2(a–d) and the acyclicity theorems 4.3/5.5 as
 //!   named predicates with rich counterexample messages.
@@ -43,7 +46,7 @@
 //!   checker and the scenario matrix sweep: work items on scoped
 //!   threads, results folded strictly in index order.
 //! * [`enabled`] — incremental enabled-set maintenance
-//!   ([`EnabledTracker`]) shared by every engine, with per-step edits
+//!   ([`EnabledTracker`]) held by the engine shell, with per-step edits
 //!   for single-step schedulers and, for greedy rounds, one merge per
 //!   round of a bitmap of the newly enabled nodes.
 //! * [`work`] — growth-rate fitting for the Θ(n_b²) worst-case work

@@ -14,7 +14,7 @@
 //!   dummy flag;
 //! * [`PlanAux`] — an opaque payload carried from
 //!   [`crate::alg::FrontierEngine::plan_step`] to
-//!   [`crate::alg::FrontierEngine::apply_planned`] (the height engines
+//!   [`crate::alg::FrontierEngine::apply_planned`] (the height rules
 //!   stash the new height here so apply never re-scans the
 //!   neighborhood).
 //!
@@ -57,11 +57,11 @@ pub struct StepOutcome {
 /// Opaque payload a [`crate::alg::FrontierEngine::plan_step`] hands to
 /// the matching [`crate::alg::FrontierEngine::apply_planned`].
 ///
-/// Engines whose apply phase needs more than the reversed slots
-/// (the Gafni–Bertsekas height engines precompute the stepping node's
-/// new height during planning) smuggle it through here; all other
-/// engines use [`PlanAux::default`]. The contents are meaningless to
-/// callers — they only shuttle the value between the two trait calls.
+/// A [`crate::alg::Rule`] whose apply needs more than the reversed
+/// slots (the Gafni–Bertsekas height rules compute the stepping node's
+/// new height during planning) passes it through here; all other rules
+/// leave [`PlanAux::default`]. The contents are meaningless to callers —
+/// they only shuttle the value between the two trait calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanAux(pub(crate) i64, pub(crate) i64);
 
@@ -71,7 +71,7 @@ pub struct PlanAux(pub(crate) i64, pub(crate) i64);
 pub struct StepScratch {
     /// Reversed half-edge slots of the most recent planned step, all in
     /// the stepping node's slot range and ascending (so their targets
-    /// ascend by node id, the order every engine reverses in).
+    /// ascend by node id, the order every rule reverses in).
     pub(crate) slots: Vec<u32>,
     /// Plan payload of the most recent planned step.
     pub(crate) aux: PlanAux,
@@ -81,15 +81,6 @@ impl StepScratch {
     /// An empty scratch; grows on first use and is then reused.
     pub fn new() -> Self {
         StepScratch::default()
-    }
-
-    /// A scratch pre-sized for steps reversing up to `degree` edges,
-    /// avoiding even the warm-up growth.
-    pub fn with_capacity(degree: usize) -> Self {
-        StepScratch {
-            slots: Vec::with_capacity(degree),
-            aux: PlanAux::default(),
-        }
     }
 
     /// The reversed half-edge slots written by the most recent
@@ -115,29 +106,18 @@ impl StepScratch {
         self.aux
     }
 
-    /// Appends one reversed half-edge slot to the current plan. For
-    /// [`crate::alg::FrontierEngine::plan_step`] implementations
-    /// outside this crate: call [`StepScratch::clear`] first, then push
-    /// slots of the stepping node's own range (`csr.slots(ui)`) in
-    /// ascending order. `apply_planned` flips exactly the pushed slots.
-    pub fn push(&mut self, slot: usize) {
+    /// Appends one reversed half-edge slot to the current plan: a
+    /// [`crate::alg::Rule::plan`] pushes slots of the stepping node's
+    /// own range (`csr.slots(ui)`) in ascending order, and the apply
+    /// flips exactly the pushed slots.
+    pub(crate) fn push(&mut self, slot: usize) {
         debug_assert!(u32::try_from(slot).is_ok(), "slot {slot} exceeds u32");
         self.slots.push(slot as u32);
     }
 
-    /// Stores the plan payload to hand to
-    /// [`crate::alg::FrontierEngine::apply_planned`]. [`PlanAux`] is
-    /// opaque, so external engines that need a richer plan payload
-    /// should stash it in their own state keyed by the stepping node
-    /// and leave this at the default.
-    pub fn set_aux(&mut self, aux: PlanAux) {
-        self.aux = aux;
-    }
-
-    /// Resets the buffer for a new plan. Every `plan_step`
-    /// implementation calls this first, so external callers normally
-    /// never need to.
-    pub fn clear(&mut self) {
+    /// Resets the buffer for a new plan; the engine does this before
+    /// every [`crate::alg::FrontierEngine::plan_step`].
+    pub(crate) fn clear(&mut self) {
         self.slots.clear();
         self.aux = PlanAux::default();
     }
@@ -149,10 +129,11 @@ mod tests {
 
     #[test]
     fn scratch_reuse_keeps_capacity() {
-        let mut s = StepScratch::with_capacity(8);
+        let mut s = StepScratch::new();
+        for slot in 0..8 {
+            s.push(slot);
+        }
         let cap = s.slots.capacity();
-        assert!(cap >= 8);
-        s.push(1);
         s.aux = PlanAux(3, 4);
         s.clear();
         assert!(s.slots().is_empty());

@@ -322,3 +322,29 @@ fn the_engine_1m_instance_runs_are_pinned() {
         );
     }
 }
+
+/// Every family's `resident_bytes()`, the number perfbench's
+/// `core.bytes_per_half_edge.*` layers project, pinned exactly on a grid
+/// and on a gapped random instance (whose CSR keeps its node table).
+/// The values were written by the build before the engines shared one
+/// shell, which moved the shared terms of the sum.
+#[test]
+fn resident_bytes_are_pinned_for_every_family() {
+    let grid = stream::grid_away(32, 32);
+    let random = gapped(&stream::random_connected(500, 700, 11));
+    for family in all_families() {
+        let pinned = match family.name() {
+            "FR" => (45_028, 25_796),
+            "PR" | "BLL[PR]" | "BLL[FR]" => (45_524, 26_100),
+            "NewPR" => (53_220, 29_796),
+            "GB-pair" => (52_724, 29_492),
+            "GB-triple" => (60_916, 33_492),
+            other => panic!("no pinned footprint for {other}"),
+        };
+        let got = (
+            family.engine(grid.clone()).resident_bytes(),
+            family.engine(random.clone()).resident_bytes(),
+        );
+        assert_eq!(got, pinned, "{}: (grid, gapped random)", family.name());
+    }
+}

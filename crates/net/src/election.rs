@@ -70,7 +70,6 @@ impl Protocol for Election {
         &mut self,
         ctx: &mut Ctx<'_, ElectMsg, Self::Slot>,
         node: &mut ElectNode,
-        _from: NodeId,
         msg: ElectMsg,
     ) {
         match msg {

@@ -85,16 +85,13 @@ impl Protocol for RaymondMutex {
 
     fn on_start(&mut self, _ctx: &mut Ctx<'_, MutexMsg, ()>, _node: &mut MutexNode) {}
 
-    fn on_message(
-        &mut self,
-        ctx: &mut Ctx<'_, MutexMsg, ()>,
-        node: &mut MutexNode,
-        from: NodeId,
-        msg: MutexMsg,
-    ) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, MutexMsg, ()>, node: &mut MutexNode, msg: MutexMsg) {
         match msg {
             MutexMsg::Local => node.queue.push_back(ctx.self_id),
-            MutexMsg::Request => node.queue.push_back(from),
+            MutexMsg::Request => {
+                let from = ctx.sender().expect("a request arrives over a tree link");
+                node.queue.push_back(from);
+            }
             MutexMsg::Token => {
                 node.holder = ctx.self_id;
             }

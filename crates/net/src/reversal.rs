@@ -193,7 +193,6 @@ impl Protocol for DistributedPr {
         &mut self,
         ctx: &mut Ctx<'_, ReversalMsg, Self::Slot>,
         node: &mut ReversalNode,
-        _from: NodeId,
         msg: ReversalMsg,
     ) {
         match msg {

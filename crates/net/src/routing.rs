@@ -181,7 +181,6 @@ impl Protocol for TorarRouting {
         &mut self,
         ctx: &mut Ctx<'_, RouteMsg, KnownHeight>,
         node: &mut RouteNode,
-        _from: NodeId,
         msg: RouteMsg,
     ) {
         match msg {

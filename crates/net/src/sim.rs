@@ -82,12 +82,12 @@ pub trait Protocol {
     /// Called once per node before any message flows.
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self::Msg, Self::Slot>, node: &mut Self::Node);
 
-    /// Called when a message from `from` arrives at `node`.
+    /// Called when a message arrives at `node`; [`Ctx::sender`] names
+    /// the neighbor it came from.
     fn on_message(
         &mut self,
         ctx: &mut Ctx<'_, Self::Msg, Self::Slot>,
         node: &mut Self::Node,
-        from: NodeId,
         msg: Self::Msg,
     );
 }
@@ -149,9 +149,16 @@ impl<M, S> Ctx<'_, M, S> {
         self.run().flatten()
     }
 
+    /// The neighbor the message being handled arrived from — `None` in
+    /// `on_start` and for a message injected from a node that is not a
+    /// neighbor (such as a local delivery). Resolved on demand: a
+    /// delivery pays for the id only when its handler asks.
+    pub fn sender(&self) -> Option<NodeId> {
+        self.arrival.map(|k| self.neighbor(k))
+    }
+
     /// The state kept about the sender of the message being handled —
-    /// `None` in `on_start` and for a message injected from a node that
-    /// is not a neighbor (such as a local delivery).
+    /// `None` where [`Ctx::sender`] is.
     pub fn sender_slot_mut(&mut self) -> Option<&mut S> {
         self.arrival.map(|k| &mut self.slots[k])
     }
@@ -629,9 +636,8 @@ impl<P: Protocol> EventSim<P> {
             self.now = t;
             self.stats.delivered += 1;
             self.stats.last_event_time = t;
-            let from = self.csr.node(self.csr.target(arrival));
             let k = arrival - self.csr.slots(to).start;
-            self.dispatch(to, Some((from, Some(k), msg)));
+            self.dispatch(to, Some((Some(k), msg)));
             return true;
         }
         false
@@ -687,7 +693,9 @@ impl<P: Protocol> EventSim<P> {
 
     /// Injects a message from outside the network (e.g. a client handing
     /// a packet to its local node). Delivered to `to` as if sent by
-    /// `from` — `from == to` models local delivery.
+    /// `from` over their link, so [`Ctx::sender`] reads `from`; when the
+    /// two are not neighbors (`from == to` models local delivery) it
+    /// reads `None`.
     ///
     /// # Panics
     ///
@@ -699,15 +707,17 @@ impl<P: Protocol> EventSim<P> {
             .index_of(from)
             .and_then(|j| self.csr.slot_of(i, j))
             .map(|slot| slot - self.csr.slots(i).start);
-        self.dispatch(i, Some((from, arrival, msg)));
+        self.dispatch(i, Some((arrival, msg)));
     }
 
-    fn dispatch(&mut self, i: usize, incoming: Option<(NodeId, Option<usize>, P::Msg)>) {
+    /// Runs `i`'s handler: `on_start`, or `on_message` for an incoming
+    /// `(arrival run position, message)`.
+    fn dispatch(&mut self, i: usize, incoming: Option<(Option<usize>, P::Msg)>) {
         self.touch(i);
         let run = self.csr.slots(i);
         let mut outbox = std::mem::take(&mut self.outbox);
-        let (arrival, incoming) = match incoming {
-            Some((from, arrival, msg)) => (arrival, Some((from, msg))),
+        let (arrival, msg) = match incoming {
+            Some((arrival, msg)) => (arrival, Some(msg)),
             None => (None, None),
         };
         let mut ctx = Ctx {
@@ -722,9 +732,9 @@ impl<P: Protocol> EventSim<P> {
             outbox: &mut outbox,
         };
         let node = &mut self.nodes[i];
-        match incoming {
+        match msg {
             None => self.protocol.on_start(&mut ctx, node),
-            Some((from, msg)) => self.protocol.on_message(&mut ctx, node, from, msg),
+            Some(msg) => self.protocol.on_message(&mut ctx, node, msg),
         }
         for (slot, msg) in outbox.drain(..) {
             self.enqueue(slot, msg);
@@ -796,13 +806,7 @@ mod tests {
             }
         }
 
-        fn on_message(
-            &mut self,
-            ctx: &mut Ctx<'_, (), ()>,
-            node: &mut FloodNode,
-            _from: NodeId,
-            _msg: (),
-        ) {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, (), ()>, node: &mut FloodNode, _msg: ()) {
             node.received += 1;
             if !node.relayed {
                 node.relayed = true;
@@ -931,13 +935,7 @@ mod tests {
                     }
                 }
             }
-            fn on_message(
-                &mut self,
-                _ctx: &mut Ctx<'_, u32, ()>,
-                node: &mut SeqNode,
-                _from: NodeId,
-                msg: u32,
-            ) {
+            fn on_message(&mut self, _ctx: &mut Ctx<'_, u32, ()>, node: &mut SeqNode, msg: u32) {
                 assert_eq!(msg, node.next_expected, "FIFO violated");
                 node.next_expected += 1;
             }
@@ -1118,7 +1116,10 @@ mod tests {
             }
         }
 
-        fn on_message(&mut self, ctx: &mut Ctx<'_, u32, ()>, _node: &mut (), from: NodeId, i: u32) {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, u32, ()>, _node: &mut (), i: u32) {
+            let from = ctx
+                .sender()
+                .expect("every burst message arrives over a link");
             let entry = (ctx.now, from.raw(), ctx.self_id.raw(), i);
             self.log.borrow_mut().push(entry);
         }
@@ -1306,7 +1307,7 @@ mod tests {
                     ctx.send(NodeId::new(2), ()); // 0–2 is not an edge
                 }
             }
-            fn on_message(&mut self, _c: &mut Ctx<'_, (), ()>, _n: &mut (), _f: NodeId, _m: ()) {}
+            fn on_message(&mut self, _c: &mut Ctx<'_, (), ()>, _n: &mut (), _m: ()) {}
         }
         let mut sim = EventSim::new(Bad, path_graph(3), vec![(); 3], LinkConfig::default(), 0);
         sim.start();
@@ -1329,13 +1330,8 @@ mod tests {
             }
         }
 
-        fn on_message(
-            &mut self,
-            ctx: &mut Ctx<'_, (), ()>,
-            node: &mut u32,
-            from: NodeId,
-            _msg: (),
-        ) {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, (), ()>, node: &mut u32, _msg: ()) {
+            let from = ctx.sender().expect("every gossip arrives over a link");
             self.log
                 .borrow_mut()
                 .push((ctx.now, from.raw(), ctx.self_id.raw()));
@@ -1429,5 +1425,55 @@ mod tests {
         let log = log.borrow();
         assert_eq!(log.len(), 47, "46 deliveries and the injection");
         assert_eq!(schedule_digest(&log), 0x8ec7_e6bb_b836_7e15);
+    }
+
+    type SenderLog = std::rc::Rc<std::cell::RefCell<Vec<(u32, Option<u32>)>>>;
+
+    /// Logs every handled message as `(receiver, sender)`, the sender as
+    /// [`Ctx::sender`] resolves it.
+    struct Senders {
+        log: SenderLog,
+    }
+
+    impl Protocol for Senders {
+        type Msg = ();
+        type Node = ();
+        type Slot = ();
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_, (), ()>, _node: &mut ()) {
+            assert_eq!(ctx.sender(), None, "a start has no sender");
+            if ctx.self_id == n(2) {
+                ctx.send(n(1), ());
+            }
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_, (), ()>, _node: &mut (), _msg: ()) {
+            let entry = (ctx.self_id.raw(), ctx.sender().map(NodeId::raw));
+            self.log.borrow_mut().push(entry);
+        }
+    }
+
+    #[test]
+    fn the_sender_is_the_arrival_links_neighbor_and_none_otherwise() {
+        let senders = Senders {
+            log: Default::default(),
+        };
+        let log = senders.log.clone();
+        let mut sim = EventSim::new(
+            senders,
+            path_graph(3),
+            vec![(); 3],
+            LinkConfig::default(),
+            0,
+        );
+        sim.start();
+        assert!(sim.run_to_quiescence(10));
+        sim.inject(n(0), n(1), ()); // as if sent over the link 0 — 1
+        sim.inject(n(1), n(1), ()); // a local delivery
+        sim.inject(n(0), n(2), ()); // 0 — 2 is no link
+        assert_eq!(
+            *log.borrow(),
+            [(1, Some(2)), (1, Some(0)), (1, None), (2, None)]
+        );
     }
 }

@@ -251,7 +251,6 @@ impl Protocol for Tora {
         &mut self,
         ctx: &mut Ctx<'_, ToraMsg, KnownHeight>,
         node: &mut ToraNode,
-        _from: NodeId,
         msg: ToraMsg,
     ) {
         match msg {

@@ -1572,13 +1572,7 @@ mod tests {
             ctx.broadcast(1);
         }
 
-        fn on_message(
-            &mut self,
-            ctx: &mut Ctx<'_, u32, Option<u32>>,
-            _node: &mut u32,
-            _from: NodeId,
-            msg: u32,
-        ) {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, u32, Option<u32>>, _node: &mut u32, msg: u32) {
             if let Some(known) = ctx.sender_slot_mut() {
                 *known = Some(msg);
             }
@@ -1596,13 +1590,7 @@ mod tests {
 
         fn on_start(&mut self, _ctx: &mut Ctx<'_, u32, Option<u32>>, _node: &mut u32) {}
 
-        fn on_message(
-            &mut self,
-            ctx: &mut Ctx<'_, u32, Option<u32>>,
-            _node: &mut u32,
-            _from: NodeId,
-            msg: u32,
-        ) {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, u32, Option<u32>>, _node: &mut u32, msg: u32) {
             if let Some(known) = ctx.sender_slot_mut() {
                 *known = Some(msg);
             }

@@ -408,14 +408,13 @@ fn cmd_generate(args: &[&str]) -> Result<String, CliError> {
 
 fn cmd_run(args: &[&str], stdin: &mut dyn Read) -> Result<String, CliError> {
     let text = read_stdin(stdin)?;
-    let (alg, rest) = args
-        .split_first()
-        .ok_or_else(|| err(format!("run needs an algorithm\n\n{USAGE}")))?;
-    let family = parse_alg(alg)?;
     let parse_threads = |value: &str| parse_flag_usize("--threads", value, 1);
     let mut threads = 1usize;
+    // The first positional argument is the algorithm and the second the
+    // policy, wherever the flags sit.
+    let mut family = None;
     let mut policy_arg: Option<&str> = None;
-    let mut it = rest.iter();
+    let mut it = args.iter();
     while let Some(&arg) = it.next() {
         match arg {
             "--threads" => {
@@ -429,14 +428,17 @@ fn cmd_run(args: &[&str], stdin: &mut dyn Read) -> Result<String, CliError> {
                     threads = parse_threads(value)?;
                 } else if a.starts_with("--") {
                     return Err(err(format!("unknown flag {a:?} for `lr run`")));
-                } else if policy_arg.is_some() {
-                    return Err(err(format!("unexpected argument {a:?}")));
-                } else {
+                } else if family.is_none() {
+                    family = Some(parse_alg(a)?);
+                } else if policy_arg.is_none() {
                     policy_arg = Some(a);
+                } else {
+                    return Err(err(format!("unexpected argument {a:?}")));
                 }
             }
         }
     }
+    let family = family.ok_or_else(|| err(format!("run needs an algorithm\n\n{USAGE}")))?;
     let policy = parse_policy(policy_arg)?;
     if threads > 1 && policy != SchedulePolicy::GreedyRounds {
         return Err(err(
@@ -1056,6 +1058,26 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.0.contains("greedy"), "{e}");
+    }
+
+    #[test]
+    fn run_takes_its_flags_before_or_after_the_positionals() {
+        let inst = run_cli(&["generate", "random", "12", "5"], "".as_bytes()).unwrap();
+        let after = run_cli(&["run", "PR", "greedy", "--threads", "2"], inst.as_bytes()).unwrap();
+        for args in [
+            &["run", "--threads", "2", "PR", "greedy"][..],
+            &["run", "--threads=2", "PR", "greedy"],
+            &["run", "PR", "--threads", "2", "greedy"],
+        ] {
+            assert_eq!(run_cli(args, inst.as_bytes()).unwrap(), after, "{args:?}");
+        }
+        let e = run_cli(&["run", "--threads", "2"], inst.as_bytes()).unwrap_err();
+        assert!(e.0.contains("run needs an algorithm"), "{e}");
+        let e = run_cli(
+            &["run", "--threads", "2", "PR", "greedy", "x"],
+            inst.as_bytes(),
+        );
+        assert!(e.unwrap_err().0.contains("unexpected argument \"x\""));
     }
 
     #[test]
