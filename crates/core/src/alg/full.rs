@@ -10,7 +10,7 @@ use std::sync::Arc;
 use lr_graph::{NodeId, Orientation, ReversalInstance};
 use lr_ioa::Automaton;
 
-use crate::alg::{assert_may_step, Frontier, Rule};
+use crate::alg::{assert_may_step, may_step, Frontier, Rule};
 use crate::{MirroredDirs, PlanAux, ReversalStep, StepScratch};
 
 /// FR state: just the mirrored edge directions.
@@ -143,12 +143,12 @@ impl Automaton for FullReversalAutomaton<'_> {
         self.inst
             .csr()
             .nodes()
-            .filter(|&u| u != self.inst.dest && state.dirs.is_sink(u))
+            .filter(|&u| may_step(self.inst, &state.dirs, u))
             .collect()
     }
 
     fn is_enabled(&self, state: &FullReversalState, &u: &NodeId) -> bool {
-        u != self.inst.dest && state.dirs.is_sink(u)
+        may_step(self.inst, &state.dirs, u)
     }
 
     fn apply(&self, state: &FullReversalState, &u: &NodeId) -> FullReversalState {

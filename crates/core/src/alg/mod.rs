@@ -214,9 +214,13 @@ pub trait FrontierEngine: Sync {
     fn resident_bytes(&self) -> usize;
 }
 
-/// Asserts the precondition of the paper's `reverse(u)` on the
-/// automata's direction state: `u` is not the destination, and it is a
-/// sink.
+/// The precondition of the paper's `reverse(u)` on the automata's
+/// direction state: `u` is not the destination, and it is a sink.
+pub(crate) fn may_step(inst: &ReversalInstance, dirs: &MirroredDirs, u: NodeId) -> bool {
+    u != inst.dest && dirs.is_sink(u)
+}
+
+/// Asserts [`may_step`], naming the half that fails.
 pub(crate) fn assert_may_step(inst: &ReversalInstance, dirs: &MirroredDirs, u: NodeId) {
     assert_ne!(u, inst.dest, "destination {u} never takes steps");
     assert!(

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use lr_graph::{EdgeDir, NodeId, Orientation, ReversalInstance};
 use lr_ioa::Automaton;
 
-use crate::alg::{assert_may_step, Frontier, Rule};
+use crate::alg::{assert_may_step, may_step, Frontier, Rule};
 use crate::{MirroredDirs, PlanAux, ReversalStep, StepScratch};
 
 /// The parity of a node's step count — the derived variable `parity[u]`.
@@ -196,12 +196,12 @@ impl Automaton for NewPrAutomaton<'_> {
         self.inst
             .csr()
             .nodes()
-            .filter(|&u| u != self.inst.dest && state.dirs.is_sink(u))
+            .filter(|&u| may_step(self.inst, &state.dirs, u))
             .collect()
     }
 
     fn is_enabled(&self, state: &NewPrState, &u: &NodeId) -> bool {
-        u != self.inst.dest && state.dirs.is_sink(u)
+        may_step(self.inst, &state.dirs, u)
     }
 
     fn apply(&self, state: &NewPrState, &u: &NodeId) -> NewPrState {

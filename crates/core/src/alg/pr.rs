@@ -15,7 +15,7 @@ use std::sync::Arc;
 use lr_graph::{NodeId, Orientation, ReversalInstance};
 use lr_ioa::Automaton;
 
-use crate::alg::{assert_may_step, Frontier, Rule};
+use crate::alg::{assert_may_step, may_step, Frontier, Rule};
 use crate::dirs::{all_word_masks, word_bit};
 use crate::{MirroredDirs, PlanAux, ReversalStep, StepScratch};
 
@@ -136,12 +136,12 @@ impl Automaton for OneStepPrAutomaton<'_> {
         self.inst
             .csr()
             .nodes()
-            .filter(|&u| u != self.inst.dest && state.dirs.is_sink(u))
+            .filter(|&u| may_step(self.inst, &state.dirs, u))
             .collect()
     }
 
     fn is_enabled(&self, state: &PrState, &u: &NodeId) -> bool {
-        u != self.inst.dest && state.dirs.is_sink(u)
+        may_step(self.inst, &state.dirs, u)
     }
 
     fn apply(&self, state: &PrState, &u: &NodeId) -> PrState {
@@ -182,7 +182,7 @@ impl Automaton for PrSetAutomaton<'_> {
             .inst
             .csr()
             .nodes()
-            .filter(|&u| u != self.inst.dest && state.dirs.is_sink(u))
+            .filter(|&u| may_step(self.inst, &state.dirs, u))
             .collect();
         assert!(
             sinks.len() <= 16,
@@ -206,7 +206,7 @@ impl Automaton for PrSetAutomaton<'_> {
             && action
                 .0
                 .iter()
-                .all(|&u| u != self.inst.dest && state.dirs.is_sink(u))
+                .all(|&u| may_step(self.inst, &state.dirs, u))
     }
 
     fn apply(&self, state: &PrState, action: &ReverseSet) -> PrState {

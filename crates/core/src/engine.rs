@@ -35,7 +35,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::alg::FrontierEngine;
-use crate::{PlanAux, StepOutcome, StepScratch};
+use crate::{par, PlanAux, StepOutcome, StepScratch};
 
 /// Scheduling policy for [`run_engine_frontier`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,10 +239,11 @@ fn drive(
     // touch it — they read the engine's view directly.
     let mut snapshot: Vec<NodeId> = Vec::new();
     // A worker beyond one per node would own an empty slice of the id
-    // space, so the requested count is capped there; results are
-    // bit-identical at every count either way.
+    // space, so the requested count is capped there and at the shared
+    // worker ceiling; results are bit-identical at every count either
+    // way.
     let parallel = parallel.map(|cfg| ParallelConfig {
-        threads: cfg.threads.clamp(1, csr.node_count().max(1)),
+        threads: par::worker_count(cfg.threads, csr.node_count()),
         ..cfg
     });
     // Per-worker plan shards, reused across rounds (empty when the run
@@ -353,7 +354,7 @@ pub fn run_engine_frontier(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Worker-thread count for the plan phase (clamped to 1 ..= the
-    /// node count; 1 means fully sequential).
+    /// node count and [`par::MAX_WORKERS`]; 1 means fully sequential).
     pub threads: usize,
     /// Rounds with fewer enabled nodes than this run sequentially —
     /// spawning workers for a handful of sinks costs more than it saves.
@@ -520,7 +521,7 @@ pub fn run_engine_frontier_sharded(
 ///
 /// Rounds smaller than `cfg.min_parallel_round` (and everything when
 /// `cfg.threads == 1`) take the sequential fast path. A thread count
-/// above the node count is capped there.
+/// above the node count or [`par::MAX_WORKERS`] is capped there.
 pub fn run_engine_frontier_sharded_with(
     engine: &mut dyn FrontierEngine,
     cfg: ParallelConfig,

@@ -145,7 +145,7 @@ pub fn profile_costs(inst: &ReversalInstance, profile: &Profile) -> WorkVector {
         let sinks: Vec<NodeId> = inst
             .csr()
             .nodes()
-            .filter(|&u| u != inst.dest && dirs.is_sink(u))
+            .filter(|&u| crate::alg::may_step(inst, &dirs, u))
             .collect();
         if sinks.is_empty() {
             return work;

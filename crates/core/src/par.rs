@@ -1,11 +1,16 @@
 //! The in-order parallel fold shared by the exhaustive model checker and
-//! the scenario matrix sweep.
+//! the scenario matrix sweep, and the worker ceiling every parallel path
+//! shares.
 //!
 //! [`fold_in_order`] runs independent work items on scoped worker
 //! threads but hands their results to one fold strictly in index order.
 //! Whatever the fold accumulates, and the first result it stops at, is
 //! therefore the same at every thread count: only which thread computed
 //! a result depends on scheduling.
+//!
+//! [`worker_count`] turns a requested `--threads` value into the workers
+//! a path spawns. Every parallel path is bit-identical at every count,
+//! so capping a request at [`MAX_WORKERS`] changes only wall-clock.
 
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
@@ -23,8 +28,19 @@ const WINDOW_PER_THREAD: usize = 64;
 
 const POISONED: &str = "a fold worker panicked while holding the queue";
 
-/// Runs `work(i)` for each `i` in `0..n` on at most `min(threads, n)`
-/// scoped workers and hands every result to `fold` in index order.
+/// The most worker threads one parallel path spawns, whatever count is
+/// requested.
+pub const MAX_WORKERS: usize = 64;
+
+/// The workers to spawn for `items` units of work at `threads`
+/// requested: at least one, at most one per item, and at most
+/// [`MAX_WORKERS`].
+pub fn worker_count(threads: usize, items: usize) -> usize {
+    threads.min(MAX_WORKERS).clamp(1, items.max(1))
+}
+
+/// Runs `work(i)` for each `i` in `0..n` on [`worker_count`]`(threads,
+/// n)` scoped workers and hands every result to `fold` in index order.
 ///
 /// - Once `fold` returns [`ControlFlow::Break`], no further `work`
 ///   starts and nothing more is folded; the break value is returned.
@@ -45,7 +61,7 @@ where
     W: Fn(usize) -> T + Sync,
     F: FnMut(T) -> ControlFlow<B> + Send,
 {
-    let workers = threads.clamp(1, n.max(1));
+    let workers = worker_count(threads, n);
     if workers == 1 {
         return (0..n).try_for_each(|i| fold(work(i)));
     }
@@ -267,6 +283,28 @@ mod tests {
             );
             assert_eq!(flow, ControlFlow::Continue(()));
             assert_eq!(lead.into_inner(), window, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn the_worker_count_is_capped_by_the_work_and_the_ceiling() {
+        for (threads, items, workers) in [
+            (0, 10, 1),
+            (1, 10, 1),
+            (3, 10, 3),
+            (3, 0, 1),
+            (3, 2, 2),
+            (64, 1000, 64),
+            (65, 1000, 64),
+            (100_000, 32_389, MAX_WORKERS),
+            (usize::MAX, usize::MAX, MAX_WORKERS),
+            (usize::MAX, 5, 5),
+        ] {
+            assert_eq!(
+                worker_count(threads, items),
+                workers,
+                "threads={threads} items={items}"
+            );
         }
     }
 

@@ -911,7 +911,7 @@ fn resolve_sources(spec: &ScenarioSpec, inst: &ReversalInstance) -> Vec<NodeId> 
         Some(Sources::All) | None => inst
             .csr()
             .nodes()
-            .filter(|&u| u != inst.dest || spec.protocol == ProtocolKind::Mutex)
+            .filter(|&u| u != inst.dest || spec.protocol.dest_may_request())
             .collect(),
         Some(Sources::List(list)) => list.iter().map(|&u| NodeId::new(u)).collect(),
     }

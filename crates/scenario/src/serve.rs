@@ -84,6 +84,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
 
+use lr_core::par::worker_count;
 use lr_graph::{CsrGraph, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -101,6 +102,14 @@ use crate::topology::build_instance;
 /// RNG stream (kept distinct from the engine's churn stream the same
 /// way [`crate::spec::derive_churn_seed`] is).
 const WORKLOAD_SEED_MIX: u64 = 0x5EBB_1E5E_ED00_C0DE;
+
+/// Hard ceiling on `--duration`: the serve loop runs one iteration per
+/// served tick.
+pub const MAX_SERVE_TICKS: u64 = 1_000_000;
+
+/// Hard ceiling on the generated requests, `--rate × --duration`: the
+/// generator draws one source per request.
+pub const MAX_SERVE_REQUESTS: u64 = 10_000_000;
 
 /// A failure while parsing the feed or running the serve loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -381,18 +390,22 @@ impl ServeReport {
     }
 }
 
-/// Answers one batch of probes: fans the reads out over up to `threads`
-/// workers in contiguous chunks but returns results **in request
-/// order** — the fold downstream is therefore independent of the
-/// thread count. Worker `k` reads and fills `memos[k]`, which is added
-/// the first time a batch has a `k`-th chunk.
+/// Answers one batch of probes: fans the reads out over up to
+/// [`worker_count`]`(threads, batch.len())` workers in contiguous chunks
+/// but returns results **in request order** — the fold downstream is
+/// therefore independent of the thread count. Worker `k` reads and
+/// fills `memos[k]`, which is added the first time a batch has a `k`-th
+/// chunk.
 fn probe_batch(
     driver: &dyn Driver,
     batch: &[(NodeId, u64)],
     threads: usize,
     memos: &mut Vec<RouteMemo>,
 ) -> Vec<Result<RouteProbe, NoRoute>> {
-    let chunk = batch.len().div_ceil(threads).max(1);
+    let chunk = batch
+        .len()
+        .div_ceil(worker_count(threads, batch.len()))
+        .max(1);
     let workers = batch.len().div_ceil(chunk).max(1);
     if memos.len() < workers {
         memos.resize_with(workers, RouteMemo::default);
@@ -423,13 +436,6 @@ fn probe_batch(
     })
 }
 
-fn churn_allowed(protocol: ProtocolKind) -> bool {
-    matches!(
-        protocol,
-        ProtocolKind::Routing | ProtocolKind::Reversal | ProtocolKind::Tora
-    )
-}
-
 /// Semantic validation of a parsed feed against the instance and the
 /// protocol's churn rules (mirrors the spec-level parse-time rules:
 /// link churn only for routing/reversal/tora, `crash_leader` only for
@@ -451,7 +457,7 @@ fn validate_feed(
         }
     };
     let check_churn = |i: usize| -> Result<(), ServeError> {
-        if churn_allowed(spec.protocol) {
+        if spec.protocol.keeps_dest_dag() {
             Ok(())
         } else {
             Err(ServeError(format!(
@@ -466,7 +472,7 @@ fn validate_feed(
         match e.action {
             FeedAction::Route(src) => {
                 check_node(src, i)?;
-                if NodeId::new(src) == dest && spec.protocol != ProtocolKind::Mutex {
+                if NodeId::new(src) == dest && !spec.protocol.dest_may_request() {
                     return Err(ServeError(format!(
                         "feed event {}: node {src} is the destination — it cannot be a \
                          route source",
@@ -575,8 +581,9 @@ fn reject_unserved_sections(spec: &ScenarioSpec) -> Result<(), ServeError> {
 ///
 /// Returns a [`ServeError`] for a spec with a matrix, churn events or a
 /// traffic section, a served window that ends past the virtual clock's
-/// range, an unbuildable topology, an invalid feed, or an exhausted
-/// per-tick event budget (`spec.max_events`).
+/// range, a workload past [`MAX_SERVE_TICKS`] or [`MAX_SERVE_REQUESTS`],
+/// an unbuildable topology, an invalid feed, or an exhausted per-tick
+/// event budget (`spec.max_events`).
 pub fn run_serve(
     spec: &ScenarioSpec,
     options: &ServeOptions,
@@ -590,6 +597,23 @@ pub fn run_serve(
             options.duration,
             spec.settle,
             u64::MAX
+        )));
+    }
+    if options.duration > MAX_SERVE_TICKS {
+        return Err(ServeError(format!(
+            "--duration {}: serve runs at most {MAX_SERVE_TICKS} ticks",
+            options.duration
+        )));
+    }
+    if options
+        .rate
+        .checked_mul(options.duration)
+        .is_none_or(|n| n > MAX_SERVE_REQUESTS)
+    {
+        return Err(ServeError(format!(
+            "--rate {0}: {0} requests per tick × {1} ticks exceed the ceiling of \
+             {MAX_SERVE_REQUESTS} generated requests",
+            options.rate, options.duration
         )));
     }
     let seed = options
@@ -661,10 +685,7 @@ pub fn run_serve(
 
     // Only protocols with a fixed destination sink get stretch (the
     // mutex token and an electable leader move).
-    let priced = matches!(
-        spec.protocol,
-        ProtocolKind::Routing | ProtocolKind::Reversal | ProtocolKind::Tora
-    );
+    let priced = spec.protocol.keeps_dest_dag();
 
     // Sketch grids are sized from the settled topology: the eccentricity
     // of the destination bounds the typical path, the spec's largest
@@ -699,7 +720,7 @@ pub fn run_serve(
     // initial token holder and a legal requester).
     let eligible: Vec<NodeId> = csr
         .nodes()
-        .filter(|&u| u != dest || spec.protocol == ProtocolKind::Mutex)
+        .filter(|&u| u != dest || spec.protocol.dest_may_request())
         .collect();
     if eligible.is_empty() && options.rate > 0 {
         return Err(ServeError(
@@ -892,6 +913,57 @@ mod tests {
             5 * 30,
             "open-loop generator offers rate × duration"
         );
+    }
+
+    #[test]
+    fn workloads_at_the_ceilings_run_and_past_them_error() {
+        // A two-node chain keeps a million served ticks cheap.
+        let tiny = spec(
+            r#"{"name": "ceiling", "topology": {"family": "chain-away", "n": 2},
+                "settle": 10}"#,
+        );
+        for (rate, duration) in [(0, MAX_SERVE_TICKS), (MAX_SERVE_REQUESTS, 1)] {
+            let report = run_serve(&tiny, &opts(rate, duration), &[]).unwrap();
+            assert_eq!(report.duration, duration);
+            assert_eq!(report.offered_generator, rate * duration);
+        }
+        // Past a ceiling is an error naming the flag and its value, before
+        // anything is built; the last two once ran until killed.
+        let grid =
+            spec(r#"{"name": "ceiling", "topology": {"family": "grid", "rows": 3, "cols": 3}}"#);
+        for (rate, duration, msg) in [
+            (
+                0,
+                MAX_SERVE_TICKS + 1,
+                "--duration 1000001: serve runs at most 1000000 ticks",
+            ),
+            (
+                MAX_SERVE_REQUESTS + 1,
+                1,
+                "--rate 10000001: 10000001 requests per tick × 1 ticks exceed the ceiling \
+                 of 10000000 generated requests",
+            ),
+            (
+                MAX_SERVE_REQUESTS / 2 + 1,
+                2,
+                "--rate 5000001: 5000001 requests per tick × 2 ticks exceed the ceiling of \
+                 10000000 generated requests",
+            ),
+            (
+                u64::MAX,
+                2,
+                "--rate 18446744073709551615: 18446744073709551615 requests per tick × 2 \
+                 ticks exceed the ceiling of 10000000 generated requests",
+            ),
+            (
+                0,
+                1_000_000_000_000_000,
+                "--duration 1000000000000000: serve runs at most 1000000 ticks",
+            ),
+        ] {
+            let err = run_serve(&grid, &opts(rate, duration), &[]).unwrap_err();
+            assert_eq!(err.0, msg, "rate {rate}, duration {duration}");
+        }
     }
 
     #[test]

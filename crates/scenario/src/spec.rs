@@ -1,5 +1,4 @@
-//! The declarative scenario specification: JSON in, validated spec out,
-//! canonical JSON back.
+//! The declarative scenario specification: JSON in, validated spec out.
 //!
 //! A spec describes one reproducible experiment: a topology (an
 //! `lr-graph` generator family or an inline edge list), link timing
@@ -12,10 +11,10 @@
 //! (`churn[2].at: expected a non-negative integer, found string`) —
 //! malformed specs must produce actionable errors, never panics.
 //!
-//! [`ScenarioSpec::to_value`] emits the *canonical* form: every
-//! resolved default is materialized and object keys are sorted, so
-//! `serialize → parse → re-serialize` is a fixed point (property-tested
-//! in `tests/proptest_spec.rs`).
+//! The parser is the one statement of the schema: defaults are resolved
+//! here and nowhere else. `tests/proptest_spec.rs` draws spec texts
+//! beside the specs they must parse to, with and without their
+//! defaulted keys.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -142,10 +141,6 @@ fn parse_edge_list(v: &Value, path: &str) -> Result<Vec<(u32, u32)>, SpecError> 
         .collect()
 }
 
-fn edge_value(&(u, v): &(u32, u32)) -> Value {
-    Value::Array(vec![Value::from(u), Value::from(v)])
-}
-
 // ───────────────────────── protocol ─────────────────────────
 
 /// Which `lr-net` protocol the scenario drives.
@@ -187,6 +182,33 @@ impl ProtocolKind {
             ProtocolKind::Mutex => "mutex",
             ProtocolKind::Election => "election",
         }
+    }
+
+    /// Whether the protocol is driven by a traffic workload (packets,
+    /// route queries or critical-section requests); reversal and
+    /// election are convergence-only.
+    pub(crate) fn takes_traffic(self) -> bool {
+        matches!(
+            self,
+            ProtocolKind::Routing | ProtocolKind::Tora | ProtocolKind::Mutex
+        )
+    }
+
+    /// Whether the protocol keeps a DAG toward a fixed destination, so
+    /// link churn applies to it and a route's stretch is priced against
+    /// the distance to that destination. The mutex token and an
+    /// electable leader move.
+    pub(crate) fn keeps_dest_dag(self) -> bool {
+        matches!(
+            self,
+            ProtocolKind::Routing | ProtocolKind::Reversal | ProtocolKind::Tora
+        )
+    }
+
+    /// Whether the destination may be a request source: under mutex it
+    /// is only the initial token holder, and a legal requester.
+    pub(crate) fn dest_may_request(self) -> bool {
+        self == ProtocolKind::Mutex
     }
 
     fn parse(s: &str, path: &str) -> Result<Self, SpecError> {
@@ -388,17 +410,27 @@ impl TopologySpec {
         edges.checked_mul(2)
     }
 
-    /// Checks that the family's instance fits the CSR's u32 slot index,
-    /// so an oversize topology is an error before anything is built.
+    /// Checks that the family's instance fits the CSR's u32 slot index
+    /// and the [`MAX_GENERATED_HALF_EDGES`] memory ceiling, so an
+    /// oversize topology is an error before anything is built.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the family, its size, and the capacity,
+    /// Returns a message naming the family, its size, and the limit,
     /// e.g. `chain-away(n=…) is too large: … half-edges exceed the u32
     /// slot-index capacity (4294967295)`.
     pub fn check_capacity(&self) -> Result<(), String> {
-        check_slot_capacity(self.half_edges().unwrap_or(usize::MAX))
-            .map_err(|e| format!("{} is too large: {e}", self.describe()))
+        let half_edges = self.half_edges().unwrap_or(usize::MAX);
+        check_slot_capacity(half_edges)
+            .map_err(|e| format!("{} is too large: {e}", self.describe()))?;
+        if half_edges > MAX_GENERATED_HALF_EDGES {
+            return Err(format!(
+                "{} is too large: {half_edges} half-edges exceed the 268,435,456-half-edge \
+                 memory ceiling",
+                self.describe()
+            ));
+        }
+        Ok(())
     }
 
     fn parse(v: &Value, path: &str) -> Result<Self, SpecError> {
@@ -560,71 +592,6 @@ impl TopologySpec {
             )),
         }
     }
-
-    fn to_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("family".into(), Value::from(self.family_name()));
-        let put_seed = |m: &mut Map<String, Value>, seed: &Option<u64>| {
-            if let Some(s) = seed {
-                m.insert("seed".into(), Value::from(*s));
-            }
-        };
-        match self {
-            TopologySpec::ChainAway { n }
-            | TopologySpec::ChainToward { n }
-            | TopologySpec::Alternating { n }
-            | TopologySpec::Complete { n } => {
-                m.insert("n".into(), Value::from(*n));
-            }
-            TopologySpec::Star { leaves } => {
-                m.insert("leaves".into(), Value::from(*leaves));
-            }
-            TopologySpec::Tree { depth } => {
-                m.insert("depth".into(), Value::from(*depth));
-            }
-            TopologySpec::Grid { rows, cols } => {
-                m.insert("rows".into(), Value::from(*rows));
-                m.insert("cols".into(), Value::from(*cols));
-            }
-            TopologySpec::Random {
-                n,
-                extra_edges,
-                seed,
-            } => {
-                m.insert("n".into(), Value::from(*n));
-                m.insert("extra_edges".into(), Value::from(*extra_edges));
-                put_seed(&mut m, seed);
-            }
-            TopologySpec::Bipartite {
-                width,
-                degree,
-                seed,
-            } => {
-                m.insert("width".into(), Value::from(*width));
-                m.insert("degree".into(), Value::from(*degree));
-                put_seed(&mut m, seed);
-            }
-            TopologySpec::Layered {
-                width,
-                depth,
-                p,
-                seed,
-            } => {
-                m.insert("width".into(), Value::from(*width));
-                m.insert("depth".into(), Value::from(*depth));
-                m.insert("p".into(), Value::from(*p));
-                put_seed(&mut m, seed);
-            }
-            TopologySpec::Inline { edges, dest } => {
-                m.insert(
-                    "edges".into(),
-                    Value::Array(edges.iter().map(edge_value).collect()),
-                );
-                m.insert("dest".into(), Value::from(*dest));
-            }
-        }
-        Value::Object(m)
-    }
 }
 
 // ───────────────────────── links ─────────────────────────
@@ -694,12 +661,6 @@ impl LinkSpec {
             loss,
         })
     }
-
-    fn put_fields(&self, m: &mut Map<String, Value>) {
-        m.insert("delay".into(), Value::from(self.delay));
-        m.insert("jitter".into(), Value::from(self.jitter));
-        m.insert("loss".into(), Value::from(self.loss));
-    }
 }
 
 /// One per-link override of the global link parameters.
@@ -753,29 +714,6 @@ impl LinksSpec {
             }
         }
         Ok(LinksSpec { default, overrides })
-    }
-
-    fn to_value(&self) -> Value {
-        let mut m = Map::new();
-        self.default.put_fields(&mut m);
-        if !self.overrides.is_empty() {
-            m.insert(
-                "overrides".into(),
-                Value::Array(
-                    self.overrides
-                        .iter()
-                        .map(|o| {
-                            let mut om = Map::new();
-                            om.insert("u".into(), Value::from(o.u));
-                            om.insert("v".into(), Value::from(o.v));
-                            o.link.put_fields(&mut om);
-                            Value::Object(om)
-                        })
-                        .collect(),
-                ),
-            );
-        }
-        Value::Object(m)
     }
 }
 
@@ -913,41 +851,6 @@ impl ChurnEvent {
         };
         Ok(ChurnEvent { at, kind })
     }
-
-    fn to_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("at".into(), Value::from(self.at));
-        match &self.kind {
-            ChurnKind::Fail(edges) => {
-                m.insert(
-                    "fail".into(),
-                    Value::Array(edges.iter().map(edge_value).collect()),
-                );
-            }
-            ChurnKind::Heal(edges) => {
-                m.insert(
-                    "heal".into(),
-                    Value::Array(edges.iter().map(edge_value).collect()),
-                );
-            }
-            ChurnKind::Partition(side) => {
-                m.insert(
-                    "partition".into(),
-                    Value::Array(side.iter().map(|&u| Value::from(u)).collect()),
-                );
-            }
-            ChurnKind::Random { fail, heal } => {
-                let mut o = Map::new();
-                o.insert("fail".into(), Value::from(*fail));
-                o.insert("heal".into(), Value::from(*heal));
-                m.insert("random".into(), Value::Object(o));
-            }
-            ChurnKind::CrashLeader => {
-                m.insert("crash_leader".into(), Value::from(true));
-            }
-        }
-        Value::Object(m)
-    }
 }
 
 // ───────────────────────── traffic ─────────────────────────
@@ -1053,28 +956,6 @@ impl TrafficSpec {
             interval: num("interval", 1, 1)?,
         })
     }
-
-    fn to_value(&self) -> Value {
-        let mut m = Map::new();
-        match &self.sources {
-            Sources::All => {
-                m.insert("sources".into(), Value::from("all"));
-            }
-            Sources::List(list) => {
-                m.insert(
-                    "sources".into(),
-                    Value::Array(list.iter().map(|&u| Value::from(u)).collect()),
-                );
-            }
-        }
-        m.insert(
-            "packets_per_source".into(),
-            Value::from(self.packets_per_source),
-        );
-        m.insert("start".into(), Value::from(self.start));
-        m.insert("interval".into(), Value::from(self.interval));
-        Value::Object(m)
-    }
 }
 
 // ───────────────────────── matrix ─────────────────────────
@@ -1171,49 +1052,6 @@ impl MatrixSpec {
         Ok(matrix)
     }
 
-    fn to_value(&self) -> Value {
-        let mut m = Map::new();
-        if !self.protocols.is_empty() {
-            m.insert(
-                "protocol".into(),
-                Value::Array(
-                    self.protocols
-                        .iter()
-                        .map(|p| Value::from(p.name()))
-                        .collect(),
-                ),
-            );
-        }
-        if !self.topologies.is_empty() {
-            m.insert(
-                "topology".into(),
-                Value::Array(self.topologies.iter().map(TopologySpec::to_value).collect()),
-            );
-        }
-        if !self.links.is_empty() {
-            m.insert(
-                "links".into(),
-                Value::Array(
-                    self.links
-                        .iter()
-                        .map(|l| {
-                            let mut lm = Map::new();
-                            l.put_fields(&mut lm);
-                            Value::Object(lm)
-                        })
-                        .collect(),
-                ),
-            );
-        }
-        if !self.churn_scales.is_empty() {
-            m.insert(
-                "churn_scale".into(),
-                Value::Array(self.churn_scales.iter().map(|&s| Value::from(s)).collect()),
-            );
-        }
-        Value::Object(m)
-    }
-
     /// Number of matrix points the grid expands to (axes of length 0
     /// count as 1: "use the base value"). Saturating, so an absurd
     /// grid cannot wrap past `usize::MAX` and sneak under the
@@ -1295,6 +1133,12 @@ pub const MAX_TRAFFIC_WAVES: u64 = 100_000;
 /// (every point clones the spec and runs `seeds × trials` cells).
 pub const MAX_MATRIX_POINTS: usize = 4096;
 
+/// Hard ceiling on a topology's half-edge slots, 2^28: 67× the
+/// 1000 × 1000 grid's 3,996,000, and about 2.1 GB of CSR targets and
+/// twins at 8 B per half-edge. Checked by
+/// [`TopologySpec::check_capacity`] after the u32 slot-index capacity.
+pub const MAX_GENERATED_HALF_EDGES: usize = 1 << 28;
+
 impl ScenarioSpec {
     /// Parses a spec from JSON text.
     ///
@@ -1305,16 +1149,7 @@ impl ScenarioSpec {
     pub fn from_json(text: &str) -> Result<Self, SpecError> {
         let value: Value = serde_json::from_str(text)
             .map_err(|e| SpecError::new("(json)", format!("malformed JSON: {e}")))?;
-        Self::from_value(&value)
-    }
-
-    /// Parses a spec from an already-parsed [`Value`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ScenarioSpec::from_json`].
-    pub fn from_value(value: &Value) -> Result<Self, SpecError> {
-        let obj = want_object(value, "(root)")?;
+        let obj = want_object(&value, "(root)")?;
         reject_unknown_keys(
             obj,
             &[
@@ -1370,12 +1205,7 @@ impl ScenarioSpec {
             Some(v) => Some(TrafficSpec::parse(v, "traffic")?),
             // Traffic-driven protocols get the default workload; the
             // convergence-only ones get none.
-            None => match protocol {
-                ProtocolKind::Routing | ProtocolKind::Tora | ProtocolKind::Mutex => {
-                    Some(TrafficSpec::default())
-                }
-                ProtocolKind::Reversal | ProtocolKind::Election => None,
-            },
+            None => protocol.takes_traffic().then(TrafficSpec::default),
         };
         let trials = match obj.get("trials") {
             Some(v) => {
@@ -1454,13 +1284,9 @@ impl ScenarioSpec {
     /// protocols drop the base traffic, traffic-driven ones without a
     /// base section gain the default workload.
     fn traffic_for_protocol(&self, protocol: ProtocolKind) -> Option<TrafficSpec> {
-        match protocol {
-            ProtocolKind::Reversal | ProtocolKind::Election => None,
-            ProtocolKind::Routing | ProtocolKind::Tora | ProtocolKind::Mutex => self
-                .traffic
-                .clone()
-                .or_else(|| Some(TrafficSpec::default())),
-        }
+        protocol
+            .takes_traffic()
+            .then(|| self.traffic.clone().unwrap_or_default())
     }
 
     /// Parse-time protocol-rule check over the matrix's protocol axis
@@ -1536,42 +1362,6 @@ impl ScenarioSpec {
             )),
             _ => Ok(()),
         }
-    }
-
-    /// The canonical [`Value`] form: every resolved default
-    /// materialized, keys sorted. `parse(to_value(s)) == s` for every
-    /// valid spec.
-    pub fn to_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("name".into(), Value::from(self.name.as_str()));
-        m.insert("protocol".into(), Value::from(self.protocol.name()));
-        m.insert("topology".into(), self.topology.to_value());
-        m.insert("links".into(), self.links.to_value());
-        if !self.churn.is_empty() {
-            m.insert(
-                "churn".into(),
-                Value::Array(self.churn.iter().map(ChurnEvent::to_value).collect()),
-            );
-        }
-        if let Some(t) = &self.traffic {
-            m.insert("traffic".into(), t.to_value());
-        }
-        m.insert("trials".into(), Value::from(self.trials));
-        m.insert(
-            "seeds".into(),
-            Value::Array(self.seeds.iter().map(|&s| Value::from(s)).collect()),
-        );
-        m.insert("max_events".into(), Value::from(self.max_events));
-        m.insert("settle".into(), Value::from(self.settle));
-        if let Some(matrix) = &self.matrix {
-            m.insert("matrix".into(), matrix.to_value());
-        }
-        Value::Object(m)
-    }
-
-    /// Canonical pretty JSON.
-    pub fn to_json_string(&self) -> String {
-        serde_json::to_string_pretty(&self.to_value()).expect("spec values serialize")
     }
 
     /// Whether the built topology depends on the run seed (a random
@@ -1787,7 +1577,7 @@ impl ScenarioSpec {
                             format!("source {u} is not a node of the topology"),
                         ));
                     }
-                    if dest == u && self.protocol != ProtocolKind::Mutex {
+                    if dest == u && !self.protocol.dest_may_request() {
                         return Err(SpecError::new(
                             ctx("traffic.sources"),
                             format!("source {u} is the destination; it has nothing to send"),
@@ -1881,12 +1671,42 @@ mod capacity_tests {
     }
 
     #[test]
-    fn topologies_at_the_slot_capacity_parse() {
-        // A star of 2^31 - 1 leaves needs 2^32 - 2 slots and a depth-29
-        // tree 2^32 - 4, both within the u32::MAX cap.
+    fn topologies_at_the_memory_ceiling_parse_and_one_past_it_errors() {
+        assert_eq!(MAX_GENERATED_HALF_EDGES, 268_435_456);
+        // A star of 2^27 leaves and a chain of 2^27 + 1 nodes need 2^28
+        // slots, a depth-25 tree 2^28 - 4; one leaf, node or level more
+        // passes the ceiling while staying within the u32 slot index.
+        for (at, past) in [
+            (
+                r#"{"family": "star", "leaves": 134217728}"#,
+                r#"{"family": "star", "leaves": 134217729}"#,
+            ),
+            (
+                r#"{"family": "chain-away", "n": 134217729}"#,
+                r#"{"family": "chain-away", "n": 134217730}"#,
+            ),
+            (
+                r#"{"family": "tree", "depth": 25}"#,
+                r#"{"family": "tree", "depth": 26}"#,
+            ),
+        ] {
+            assert!(topology(at).is_ok(), "{at}");
+            let e = topology(past).unwrap_err();
+            assert_eq!(e.path, "topology", "{past}: {e}");
+            assert!(
+                e.msg.contains(" is too large: ")
+                    && e.msg
+                        .ends_with("exceed the 268,435,456-half-edge memory ceiling"),
+                "{past}: {e}"
+            );
+        }
+        let e = topology(r#"{"family": "complete", "n": 46000}"#).unwrap_err();
+        assert_eq!(
+            e.msg,
+            "complete(n=46000) is too large: 2115954000 half-edges exceed the \
+             268,435,456-half-edge memory ceiling"
+        );
         for json in [
-            r#"{"family": "star", "leaves": 2147483647}"#,
-            r#"{"family": "tree", "depth": 29}"#,
             r#"{"family": "random", "n": 1000, "extra_edges": 18446744073709551615}"#,
             r#"{"family": "grid", "rows": 1, "cols": 2}"#,
         ] {

@@ -1018,6 +1018,61 @@ mod tests {
         assert!(run_cli(&["generate", "chain-away", "x"], "".as_bytes()).is_err());
     }
 
+    /// Sizes within the u32 slot index but past the half-edge memory
+    /// ceiling are an error naming the family, before anything is built.
+    #[test]
+    fn generate_and_scenario_reject_sizes_over_the_memory_ceiling() {
+        for (args, described, half_edges) in [
+            (
+                &["generate", "complete", "46000"][..],
+                "complete(n=46000)",
+                2_115_954_000u64,
+            ),
+            (
+                &["generate", "random", "1000000000", "1"],
+                "random(n=1000000000,extra=1000000000,seed=1)",
+                3_999_999_998,
+            ),
+            (
+                &["generate", "chain-away", "134217730"],
+                "chain-away(n=134217730)",
+                268_435_458,
+            ),
+        ] {
+            let e = run_cli(args, "".as_bytes()).unwrap_err();
+            assert_eq!(
+                e.0,
+                format!(
+                    "{described} is too large: {half_edges} half-edges exceed the \
+                     268,435,456-half-edge memory ceiling"
+                ),
+                "{args:?}"
+            );
+        }
+        let spec = std::env::temp_dir().join(format!("lr_cli_ceiling_{}.json", std::process::id()));
+        std::fs::write(
+            &spec,
+            r#"{"name": "too-big", "topology": {"family": "star", "leaves": 134217729}}"#,
+        )
+        .unwrap();
+        let spec_s = spec.to_str().unwrap();
+        for args in [
+            &["scenario", "validate", spec_s][..],
+            &["scenario", "run", spec_s],
+            &["serve", spec_s],
+        ] {
+            let e = run_cli(args, "".as_bytes()).unwrap_err();
+            assert!(
+                e.0.starts_with(&format!(
+                    "{spec_s}: topology: star(leaves=134217729) is too large"
+                )),
+                "{args:?}: {e}"
+            );
+            assert!(e.0.ends_with("memory ceiling"), "{args:?}: {e}");
+        }
+        let _ = std::fs::remove_file(&spec);
+    }
+
     #[test]
     fn run_pipes_generate_output() {
         let inst = run_cli(&["generate", "chain-away", "6"], "".as_bytes()).unwrap();
@@ -1551,6 +1606,52 @@ mod tests {
         .unwrap();
         assert!(out.contains("answered 0  unroutable 10"), "{out}");
         let _ = std::fs::remove_file(&slow);
+    }
+
+    #[test]
+    fn serve_workloads_at_the_ceilings_run_and_past_them_error() {
+        use lr_scenario::serve::{MAX_SERVE_REQUESTS, MAX_SERVE_TICKS};
+
+        let path = serve_spec("ceiling");
+        let p = path.to_str().unwrap();
+        let (ticks, requests) = (MAX_SERVE_TICKS.to_string(), MAX_SERVE_REQUESTS.to_string());
+        for (rate, duration) in [("0", ticks.as_str()), (requests.as_str(), "1")] {
+            let out = run_cli(
+                &["serve", p, "--rate", rate, "--duration", duration],
+                "".as_bytes(),
+            )
+            .unwrap();
+            assert!(
+                out.contains(&format!("rate {rate}/tick × {duration} ticks")),
+                "{out}"
+            );
+        }
+        for (args, msg) in [
+            (
+                &["--rate", "0", "--duration", "1000001"][..],
+                "--duration 1000001: serve runs at most 1000000 ticks",
+            ),
+            (
+                &["--rate=10000001", "--duration=1"],
+                "--rate 10000001: 10000001 requests per tick × 1 ticks exceed the ceiling of \
+                 10000000 generated requests",
+            ),
+            (
+                &["--rate", "18446744073709551615", "--duration", "2"],
+                "--rate 18446744073709551615: 18446744073709551615 requests per tick × 2 ticks \
+                 exceed the ceiling of 10000000 generated requests",
+            ),
+            (
+                &["--rate", "0", "--duration", "1000000000000000"],
+                "--duration 1000000000000000: serve runs at most 1000000 ticks",
+            ),
+        ] {
+            let mut argv = vec!["serve", p];
+            argv.extend_from_slice(args);
+            let e = run_cli(&argv, "".as_bytes()).unwrap_err();
+            assert_eq!(e.0, format!("{p}: {msg}"), "{args:?}");
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
