@@ -362,13 +362,14 @@ pub struct ParallelConfig {
 }
 
 impl ParallelConfig {
-    /// `threads` workers with the default round-size cutoff
-    /// (`64 × threads`, saturating).
+    /// `threads` workers, kept as requested, with the default round-size
+    /// cutoff: 64 × the most workers a round can get,
+    /// `threads.min(`[`par::MAX_WORKERS`]`)`.
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         ParallelConfig {
             threads,
-            min_parallel_round: threads.saturating_mul(64),
+            min_parallel_round: 64 * threads.min(par::MAX_WORKERS),
         }
     }
 }
@@ -711,6 +712,16 @@ mod tests {
         };
         let stats = run_engine_frontier_sharded_with(&mut e, cfg, DEFAULT_MAX_STEPS);
         assert!(stats.terminated);
+    }
+
+    #[test]
+    fn counts_past_the_worker_ceiling_take_the_ceilings_round_cut_off() {
+        let (ceiling, absurd) = (ParallelConfig::new(64), ParallelConfig::new(100_000));
+        assert_eq!(absurd.min_parallel_round, ceiling.min_parallel_round);
+        assert_eq!(ceiling.min_parallel_round, 4096);
+        assert_eq!(absurd.threads, 100_000, "the requested count is kept");
+        assert_eq!(ParallelConfig::new(usize::MAX).min_parallel_round, 4096);
+        assert_eq!(ParallelConfig::new(0), ParallelConfig::new(1));
     }
 
     #[test]

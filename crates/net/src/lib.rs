@@ -33,6 +33,8 @@
 //! * [`live`] — a threaded mode on `std::sync::mpsc` channels: one OS
 //!   thread per node, no global scheduler at all, demonstrating that the
 //!   protocol's guarantees don't depend on the simulator's determinism.
+//!   It refuses instances of more than [`live::MAX_THREADED_NODES`]
+//!   nodes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

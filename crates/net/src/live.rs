@@ -15,6 +15,10 @@
 //! sent, so a thread that has not started yet still counts. When the
 //! counter reads zero there is provably no work left in the system, at
 //! which point the supervisor broadcasts `Stop`.
+//!
+//! One thread per node caps the instance: [`run_threaded`] refuses more
+//! than [`MAX_THREADED_NODES`] nodes before it opens a channel or
+//! spawns a thread.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -32,13 +36,16 @@ enum LiveMsg {
     Stop,
 }
 
+/// The most nodes [`run_threaded`] runs, one OS thread each.
+pub const MAX_THREADED_NODES: usize = 256;
+
 /// Result of a threaded run.
 #[derive(Debug, Clone)]
 pub struct LiveReport {
     /// Final height of every node.
     pub heights: BTreeMap<NodeId, TripleHeight>,
-    /// Total reversals across all nodes.
-    pub reversals: u64,
+    /// The reversals of each node, by dense index.
+    pub node_reversals: Vec<u64>,
     /// Total height messages exchanged.
     pub messages: u64,
 }
@@ -46,16 +53,27 @@ pub struct LiveReport {
 /// Runs the distributed Partial Reversal protocol on one thread per node
 /// until global quiescence, returning the converged heights.
 ///
+/// # Errors
+///
+/// An instance of more than [`MAX_THREADED_NODES`] nodes is an error,
+/// returned before any channel or thread exists.
+///
 /// # Panics
 ///
 /// Panics if any node thread panics (which would indicate a protocol
 /// bug — e.g. a height decrease).
-pub fn run_threaded(inst: &ReversalInstance) -> LiveReport {
+pub fn run_threaded(inst: &ReversalInstance) -> Result<LiveReport, String> {
     let csr = inst.csr();
+    if csr.node_count() > MAX_THREADED_NODES {
+        return Err(format!(
+            "the threaded mode runs one thread per node, so at most {MAX_THREADED_NODES} nodes; \
+             this instance has {}",
+            csr.node_count()
+        ));
+    }
     let heights0 = initial_triple_heights(inst);
     // One count per node until its initial announcement is sent.
     let in_flight = Arc::new(AtomicI64::new(csr.node_count() as i64));
-    let reversals = Arc::new(AtomicI64::new(0));
     let messages = Arc::new(AtomicI64::new(0));
     let published: Arc<Mutex<BTreeMap<NodeId, TripleHeight>>> = Arc::new(Mutex::new(
         csr.nodes().zip(heights0.iter().copied()).collect(),
@@ -82,12 +100,12 @@ pub fn run_threaded(inst: &ReversalInstance) -> LiveReport {
         let my_height = heights0[i];
         let is_dest = u == inst.dest;
         let in_flight = Arc::clone(&in_flight);
-        let reversals = Arc::clone(&reversals);
         let messages = Arc::clone(&messages);
         let published = Arc::clone(&published);
 
         handles.push(thread::spawn(move || {
             let mut height = my_height;
+            let mut reversals = 0u64;
             let mut known = vec![KnownHeight::default(); nbr_ids.len()];
             let send_all = |h: TripleHeight| {
                 for tx in &nbr_senders {
@@ -111,7 +129,7 @@ pub fn run_threaded(inst: &ReversalInstance) -> LiveReport {
                         // Every link is live in the threaded mode.
                         let run = known.iter().map(|&s| Some(s));
                         if !is_dest && reverse_if_sink(&mut height, run, |k| nbr_ids[k]) {
-                            reversals.fetch_add(1, Ordering::SeqCst);
+                            reversals += 1;
                             published
                                 .lock()
                                 .expect("no node thread panics while publishing")
@@ -124,6 +142,7 @@ pub fn run_threaded(inst: &ReversalInstance) -> LiveReport {
                     }
                 }
             }
+            reversals
         }));
     }
 
@@ -134,19 +153,20 @@ pub fn run_threaded(inst: &ReversalInstance) -> LiveReport {
     for tx in &senders {
         tx.send(LiveMsg::Stop).expect("peer alive");
     }
-    for h in handles {
-        h.join().expect("node thread panicked");
-    }
+    let node_reversals = handles
+        .into_iter()
+        .map(|h| h.join().expect("node thread panicked"))
+        .collect();
 
     let heights = published
         .lock()
         .expect("every node thread exited cleanly")
         .clone();
-    LiveReport {
+    Ok(LiveReport {
         heights,
-        reversals: reversals.load(Ordering::SeqCst) as u64,
+        node_reversals,
         messages: messages.load(Ordering::SeqCst) as u64,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -158,18 +178,18 @@ mod tests {
     #[test]
     fn threads_converge_on_chain() {
         let inst = stream::chain_away(10);
-        let report = run_threaded(&inst);
+        let report = run_threaded(&inst).unwrap();
         let o = orientation_from_heights(inst.init().directed_edges(), &report.heights);
         assert!(o.is_acyclic());
         assert!(o.is_destination_oriented(inst.dest));
-        assert!(report.reversals >= 9);
+        assert!(report.node_reversals.iter().sum::<u64>() >= 9);
     }
 
     #[test]
     fn threads_converge_on_random_graphs() {
         for seed in 0..3 {
             let inst = stream::random_connected(20, 20, 1000 + seed);
-            let report = run_threaded(&inst);
+            let report = run_threaded(&inst).unwrap();
             let o = orientation_from_heights(inst.init().directed_edges(), &report.heights);
             assert!(o.is_acyclic(), "seed {seed}");
             assert!(
@@ -181,9 +201,21 @@ mod tests {
 
     #[test]
     fn oriented_instance_needs_no_reversals() {
-        let report = run_threaded(&stream::chain_toward(8));
-        assert_eq!(report.reversals, 0);
+        let report = run_threaded(&stream::chain_toward(8)).unwrap();
+        assert_eq!(report.node_reversals, [0; 8]);
         // Exactly the initial announcements: 2 per edge.
         assert_eq!(report.messages, 2 * 7);
+    }
+
+    #[test]
+    fn an_instance_past_the_node_ceiling_is_an_error() {
+        // One node past the ceiling: refused before any thread exists.
+        let inst = stream::chain_away(MAX_THREADED_NODES + 1);
+        let err = run_threaded(&inst).unwrap_err();
+        assert_eq!(
+            err,
+            "the threaded mode runs one thread per node, so at most 256 nodes; \
+             this instance has 257"
+        );
     }
 }

@@ -27,12 +27,19 @@
 //!   announced height. A handler sees its node's run through [`Ctx`];
 //!   a reader outside the handlers, such as a route probe, scans the same
 //!   run with [`EventSim::slot`] and [`EventSim::is_live`];
-//! * each message in flight sits in the event queue itself, in the FIFO
-//!   of its delivery time, so events come out in `(deliver_at, send
-//!   order)`. A link failure cancels the link's messages in place, and
-//!   a count of the live ones in flight decides quiescence. Delivering
-//!   the last live message empties the queue, cancelled messages and
-//!   all;
+//! * each send in flight sits in the event queue itself, in the FIFO of
+//!   its delivery time, so events come out in `(deliver_at, send
+//!   order)`. One queue entry carries one send over up to 32 consecutive
+//!   slots of its sender, a bit per copy still due, delivered lowest
+//!   slot first: a unicast is a one-bit entry, and a broadcast whose
+//!   copies share a delivery time (links of one delay, no jitter) is one
+//!   entry. A copy due at another time than the live copy before it
+//!   starts a new entry. Each copy draws its loss and jitter and moves
+//!   its link's FIFO clock as it would alone, so the schedule is the one
+//!   a queue of single copies gives. A link failure clears the link's
+//!   bits in place, and a count of the live copies in flight decides
+//!   quiescence. Delivering the last live copy empties the queue,
+//!   cancelled entries and all;
 //! * a **touched log** lists, once each, the nodes whose state, slots,
 //!   live bits or link configs changed since the log was last drained
 //!   ([`EventSim::touched`]), so a reader that caches what it computed
@@ -112,9 +119,8 @@ pub struct Ctx<'a, M, S> {
     slots: &'a mut [S],
     /// Run position of the link the message arrived on.
     arrival: Option<usize>,
-    /// `(slot, message)` pairs, enqueued in order once the handler
-    /// returns.
-    outbox: &'a mut Vec<(usize, M)>,
+    /// The sends, enqueued in order once the handler returns.
+    outbox: &'a mut Vec<Parcel<M>>,
 }
 
 impl<M, S> Ctx<'_, M, S> {
@@ -167,7 +173,11 @@ impl<M, S> Ctx<'_, M, S> {
     /// failed link counts as sent and lost to the failure.
     pub fn send_at(&mut self, k: usize, msg: M) {
         assert!(k < self.slots.len(), "run position {k} out of range");
-        self.outbox.push((self.first + k, msg));
+        self.outbox.push(Parcel {
+            base: (self.first + k) as u32,
+            mask: 1,
+            msg,
+        });
     }
 
     /// Sends `msg` to the neighbor `to`.
@@ -182,14 +192,21 @@ impl<M, S> Ctx<'_, M, S> {
         self.send_at(k, msg);
     }
 
-    /// Sends `msg` to every live neighbor.
+    /// Sends `msg` to every live neighbor: one send for each window of
+    /// 32 run positions that holds a live link.
     pub fn broadcast(&mut self, msg: M)
     where
         M: Clone,
     {
-        for (k, link) in self.links.iter().enumerate() {
-            if link.live {
-                self.outbox.push((self.first + k, msg.clone()));
+        for (w, window) in self.links.chunks(32).enumerate() {
+            let live = window.iter().enumerate();
+            let mask = live.fold(0, |mask, (b, link)| mask | u32::from(link.live) << b);
+            if mask != 0 {
+                self.outbox.push(Parcel {
+                    base: (self.first + 32 * w) as u32,
+                    mask,
+                    msg: msg.clone(),
+                });
             }
         }
     }
@@ -205,22 +222,23 @@ struct SlotLink {
     live: bool,
 }
 
-/// A message in flight; `msg` is `None` once a link failure cancelled
-/// it.
+/// One send over up to 32 consecutive slots of its sender: bit `b` of
+/// `mask` stands for the copy over slot `base + b`, to that slot's
+/// target. In the outbox the bits are the copies to send; in the queue,
+/// the copies still due, all at the entry's time. An entry whose mask a
+/// link failure emptied is skipped.
 #[derive(Debug)]
 struct Parcel<M> {
-    /// Dense index of the receiving node.
-    to: u32,
-    /// The receiver's slot of the link, `(to, from)`.
-    arrival: u32,
-    msg: Option<M>,
+    base: u32,
+    mask: u32,
+    msg: M,
 }
 
-/// The event queue: the messages in flight, in one FIFO per delivery
-/// time. A time's messages are pushed in send order, so taking the
-/// earliest time's FIFO front first yields events in `(deliver_at, send
-/// order)`. The earliest FIFO is kept apart, so delivering from it needs
-/// no lookup; the later ones sit in a map by time.
+/// The event queue: the sends in flight, in one FIFO per delivery time.
+/// A time's entries are pushed in send order, so taking the earliest
+/// time's FIFO front first yields events in `(deliver_at, send order)`.
+/// The earliest FIFO is kept apart, so delivering from it needs no
+/// lookup; the later ones sit in a map by time.
 #[derive(Debug)]
 struct EventQueue<M> {
     /// The earliest delivery time. Meaningless while `front` is empty.
@@ -246,9 +264,9 @@ impl<M> EventQueue<M> {
         self.front.push_back(parcel);
     }
 
-    /// The earliest message and its delivery time.
-    fn peek(&self) -> Option<(u64, &Parcel<M>)> {
-        Some((self.front_time, self.front.front()?))
+    /// The earliest entry and its delivery time.
+    fn front_mut(&mut self) -> Option<(u64, &mut Parcel<M>)> {
+        Some((self.front_time, self.front.front_mut()?))
     }
 
     fn clear(&mut self) {
@@ -299,10 +317,10 @@ pub struct EventSim<P: Protocol> {
     /// The distinct link configs; entry 0 is the global one.
     configs: Vec<LinkConfig>,
     queue: EventQueue<P::Msg>,
-    /// The messages in the queue that no link failure cancelled.
+    /// The copies in the queue that no link failure cancelled.
     in_flight: u64,
     /// The handlers' outbox, reused across dispatches.
-    outbox: Vec<(usize, P::Msg)>,
+    outbox: Vec<Parcel<P::Msg>>,
     rng: SmallRng,
     now: u64,
     /// The dense nodes touched since the last drain, each once, in the
@@ -587,18 +605,25 @@ impl<P: Protocol> EventSim<P> {
         if self.clocks[uv] < self.now && self.clocks[vu] < self.now {
             return;
         }
-        let (uv, vu) = (uv as u32, vu as u32);
         let queue = &mut self.queue;
         for parcel in queue
             .front
             .iter_mut()
             .chain(queue.later.values_mut().flatten())
         {
-            if parcel.msg.is_some() && (parcel.arrival == uv || parcel.arrival == vu) {
-                parcel.msg = None;
-                self.in_flight -= 1;
-                self.stats.lost_to_failure += 1;
-            }
+            let bit = |slot: usize| {
+                let b = slot.wrapping_sub(parcel.base as usize);
+                if b < 32 {
+                    1 << b
+                } else {
+                    0
+                }
+            };
+            let cancelled = parcel.mask & (bit(uv) | bit(vu));
+            parcel.mask &= !cancelled;
+            let lost = u64::from(cancelled.count_ones());
+            self.in_flight -= lost;
+            self.stats.lost_to_failure += lost;
         }
     }
 
@@ -619,16 +644,27 @@ impl<P: Protocol> EventSim<P> {
         }
     }
 
-    /// Delivers the next event, if any. Returns `false` when the network
-    /// is quiescent (no messages in flight).
+    /// Delivers the next event, if any: the lowest copy still due of the
+    /// earliest entry. Returns `false` when the network is quiescent (no
+    /// messages in flight).
     pub fn step(&mut self) -> bool {
-        while let Some((t, parcel)) = self.queue.pop() {
-            // Skip messages a link failure cancelled.
-            let Some(msg) = parcel.msg else { continue };
-            let (to, arrival) = (parcel.to as usize, parcel.arrival as usize);
+        while let Some((t, parcel)) = self.queue.front_mut() {
+            if parcel.mask == 0 {
+                // A link failure cancelled every copy left.
+                self.queue.pop();
+                continue;
+            }
+            let slot = parcel.base as usize + parcel.mask.trailing_zeros() as usize;
+            parcel.mask &= parcel.mask - 1;
+            let msg = if parcel.mask != 0 {
+                parcel.msg.clone()
+            } else {
+                self.queue.pop().expect("the entry just read").1.msg
+            };
+            let (to, arrival) = (self.csr.target(slot), self.csr.twin(slot));
             self.in_flight -= 1;
             if self.in_flight == 0 {
-                // The last live message is out, so everything left was
+                // The last live copy is out, so everything left was
                 // cancelled: a link failure's scan walks only what is
                 // sent from here on.
                 self.queue.clear();
@@ -658,11 +694,11 @@ impl<P: Protocol> EventSim<P> {
     }
 
     /// Virtual time of the next live event, dropping any cancelled
-    /// messages met on the way — a cancelled head must never satisfy a
+    /// entries met on the way — a cancelled head must never satisfy a
     /// deadline check on behalf of a live event scheduled later.
     fn next_live_event_time(&mut self) -> Option<u64> {
-        while let Some((t, parcel)) = self.queue.peek() {
-            if parcel.msg.is_some() {
+        while let Some((t, parcel)) = self.queue.front_mut() {
+            if parcel.mask != 0 {
                 return Some(t);
             }
             self.queue.pop();
@@ -736,44 +772,83 @@ impl<P: Protocol> EventSim<P> {
             None => self.protocol.on_start(&mut ctx, node),
             Some(msg) => self.protocol.on_message(&mut ctx, node, msg),
         }
-        for (slot, msg) in outbox.drain(..) {
-            self.enqueue(slot, msg);
+        for send in outbox.drain(..) {
+            self.enqueue(send);
         }
         self.outbox = outbox;
     }
 
-    fn enqueue(&mut self, slot: usize, msg: P::Msg) {
-        self.stats.sent += 1;
-        let link = self.links[slot];
-        if !link.live {
-            self.stats.lost_to_failure += 1;
-            return;
+    /// Hands one send to the network, copy by copy in run order: each
+    /// copy counts as sent, is lost over a failed link or dropped by its
+    /// link's loss draw, and is otherwise due after its delay and jitter
+    /// draw, never before the last copy over its link. A copy due when
+    /// the live copy before it is joins that copy's entry; any other
+    /// starts a new one. Entries are pushed in copy order, so the queue
+    /// yields exactly what one entry per copy would.
+    fn enqueue(&mut self, send: Parcel<P::Msg>) {
+        let Parcel {
+            base,
+            mut mask,
+            msg,
+        } = send;
+        // The entry being built: its delivery time and copies.
+        let mut built: Option<(u64, u32)> = None;
+        while mask != 0 {
+            let b = mask.trailing_zeros();
+            mask &= mask - 1;
+            let slot = base as usize + b as usize;
+            self.stats.sent += 1;
+            let link = self.links[slot];
+            if !link.live {
+                self.stats.lost_to_failure += 1;
+                continue;
+            }
+            let config = self.configs[link.config as usize];
+            if config.loss > 0.0 && self.rng.gen_bool(config.loss) {
+                self.stats.dropped += 1;
+                continue;
+            }
+            let jitter = if config.jitter > 0 {
+                self.rng.gen_range(0..=config.jitter)
+            } else {
+                0
+            };
+            let earliest = self
+                .now
+                .saturating_add(config.delay.max(1))
+                .saturating_add(jitter);
+            // FIFO per directed link: never deliver before the previous
+            // message on the same link.
+            let deliver_at = earliest.max(self.clocks[slot]);
+            self.clocks[slot] = deliver_at;
+            self.in_flight += 1;
+            match &mut built {
+                Some((t, copies)) if *t == deliver_at => *copies |= 1 << b,
+                _ => {
+                    if let Some((t, copies)) = built.replace((deliver_at, 1 << b)) {
+                        let msg = msg.clone();
+                        self.queue.push(
+                            t,
+                            Parcel {
+                                base,
+                                mask: copies,
+                                msg,
+                            },
+                        );
+                    }
+                }
+            }
         }
-        let config = self.configs[link.config as usize];
-        if config.loss > 0.0 && self.rng.gen_bool(config.loss) {
-            self.stats.dropped += 1;
-            return;
+        if let Some((t, copies)) = built {
+            self.queue.push(
+                t,
+                Parcel {
+                    base,
+                    mask: copies,
+                    msg,
+                },
+            );
         }
-        let jitter = if config.jitter > 0 {
-            self.rng.gen_range(0..=config.jitter)
-        } else {
-            0
-        };
-        let earliest = self
-            .now
-            .saturating_add(config.delay.max(1))
-            .saturating_add(jitter);
-        // FIFO per directed link: never deliver before the previous
-        // message on the same link.
-        let deliver_at = earliest.max(self.clocks[slot]);
-        self.clocks[slot] = deliver_at;
-        let parcel = Parcel {
-            to: self.csr.target(slot) as u32,
-            arrival: self.csr.twin(slot) as u32,
-            msg: Some(msg),
-        };
-        self.in_flight += 1;
-        self.queue.push(deliver_at, parcel);
     }
 }
 
@@ -1475,5 +1550,132 @@ mod tests {
             *log.borrow(),
             [(1, Some(2)), (1, Some(0)), (1, None), (2, None)]
         );
+    }
+
+    /// Mixer: a node answers the sender of its first delivery with a
+    /// unicast and broadcasts on its first two, so broadcasts and
+    /// unicasts share the FIFOs; at start node 0 broadcasts and every
+    /// fifth other node sends node 0 a unicast. Logs each delivery as
+    /// `(time, from, to)`.
+    struct Mixer {
+        log: std::rc::Rc<std::cell::RefCell<Vec<(u64, u32, u32)>>>,
+    }
+
+    impl Protocol for Mixer {
+        type Msg = ();
+        type Node = u32;
+        type Slot = ();
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_, (), ()>, _node: &mut u32) {
+            match ctx.self_id.raw() {
+                0 => ctx.broadcast(()),
+                id if id % 5 == 0 => ctx.send(n(0), ()),
+                _ => {}
+            }
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_, (), ()>, node: &mut u32, _msg: ()) {
+            let from = ctx
+                .sender()
+                .expect("every mixer message arrives over a link");
+            self.log
+                .borrow_mut()
+                .push((ctx.now, from.raw(), ctx.self_id.raw()));
+            *node += 1;
+            if *node == 1 {
+                ctx.send(from, ());
+            }
+            if *node <= 2 {
+                ctx.broadcast(());
+            }
+        }
+    }
+
+    /// Pins the schedule of a run on delay-only links, where a send over
+    /// several links shares queue entries: a star whose centre's 40
+    /// links span two 32-slot windows, a path among eight leaves, a
+    /// slower link in each window that splits it, and a link that
+    /// fails and heals while a partly delivered broadcast sits at the
+    /// front of the queue, so its remaining copy over that link stays
+    /// lost. The values were recorded on the simulator that queued one
+    /// entry per copy.
+    #[test]
+    fn delay_only_schedule_is_pinned() {
+        let edges: Vec<(u32, u32)> = (1..=40)
+            .map(|leaf| (0, leaf))
+            .chain((1..8).map(|i| (i, i + 1)))
+            .collect();
+        let g = Orientation::from_edges(&edges).unwrap();
+        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let calm = LinkConfig {
+            delay: 2,
+            ..LinkConfig::default()
+        };
+        let mut sim = EventSim::new(
+            Mixer { log: log.clone() },
+            g.csr().as_ref().clone(),
+            vec![0u32; 41],
+            calm,
+            5,
+        );
+        let slow = LinkConfig {
+            delay: 5,
+            ..LinkConfig::default()
+        };
+        sim.set_link_config(n(0), n(7), slow);
+        sim.set_link_config(n(0), n(35), slow);
+        sim.start();
+        // Node 0's copies to leaves 1, 2 and 3 are out; those to 4, 5 and
+        // 6 are due now, at t = 2.
+        assert_eq!(sim.run_until_capped(2, 3), (3, true));
+        sim.fail_link(n(0), n(5));
+        sim.heal_link(n(5), n(0));
+        assert!(sim.run_to_quiescence(100_000));
+        assert_eq!(
+            sim.stats(),
+            SimStats {
+                sent: 277,
+                delivered: 275,
+                dropped: 0,
+                lost_to_failure: 2,
+                last_event_time: 12,
+            }
+        );
+        let log = log.borrow();
+        assert!(
+            !log.contains(&(2, 0, 5)),
+            "the copy cancelled at the front stays lost after the heal"
+        );
+        assert_eq!(log.len(), 275);
+        assert_eq!(schedule_digest(&log), 0x26f2_1b16_5d45_f96c);
+    }
+
+    #[test]
+    fn a_broadcast_over_calm_links_is_one_queue_entry() {
+        use crate::reversal::{initial_nodes, DistributedPr};
+        let inst = lr_graph::stream::grid_away(10, 10);
+        let nodes = initial_nodes(&inst).collect();
+        let mut sim = EventSim::new(
+            DistributedPr,
+            inst.csr().clone(),
+            nodes,
+            LinkConfig::default(),
+            0,
+        );
+        sim.start();
+        let queue = &sim.queue;
+        let entries = || queue.front.iter().chain(queue.later.values().flatten());
+        assert_eq!(entries().count(), 100, "one entry per node");
+        let copies: u32 = entries().map(|p| p.mask.count_ones()).sum();
+        assert_eq!(
+            (copies, sim.in_flight),
+            (360, 360),
+            "one copy per half-edge"
+        );
+    }
+
+    #[test]
+    fn a_parcel_of_routing_messages_stays_40_bytes() {
+        assert_eq!(std::mem::size_of::<Parcel<crate::routing::RouteMsg>>(), 40);
     }
 }

@@ -9,7 +9,8 @@
 //! an FNV-1a digest plus a line count (`*.digest`); every other output is
 //! stored in full. `lr serve` runs `examples/serve/steady_grid.json` with
 //! and without the demo feed and, in the `--ignored` tier, the 100k-node
-//! grid under its churn feed and the 1000 × 1000 grid of
+//! grid at rate 10 for 100 ticks with and without the demo feed and
+//! under its churn feed, and the 1000 × 1000 grid of
 //! `examples/serve/grid_1m.json`, stored under `tests/golden/serve/`. The
 //! other four protocols' serve reports, from [`run_serve`], sit beside
 //! them: reversal and TORA on the same grid under the demo feed, mutex on
@@ -330,6 +331,17 @@ fn scenario_runs_match_the_golden_corpus() {
     let report = compare(&outputs);
     assert!(report.is_empty(), "{report}");
     assert_eq!(outputs.len(), 15);
+}
+
+#[test]
+#[ignore = "two 100,489-node serves; under half a second in a release build, run with --ignored"]
+fn the_100k_serves_match_the_golden_corpus() {
+    let flags = ["--rate", "10", "--duration", "100"];
+    let report = compare(&[
+        serve("grid_100k", &flags, None),
+        serve("grid_100k", &flags, Some("feed_demo")),
+    ]);
+    assert!(report.is_empty(), "{report}");
 }
 
 #[test]
