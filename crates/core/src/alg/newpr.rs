@@ -13,8 +13,6 @@
 //! (§4.1). Dummy steps are what make the step-count invariants (4.1/4.2)
 //! uniform across all nodes.
 
-use std::collections::BTreeMap;
-
 use lr_graph::{EdgeDir, NodeId, Orientation, ReversalInstance};
 use lr_ioa::Automaton;
 
@@ -31,12 +29,16 @@ pub enum Parity {
 }
 
 /// `NewPR` state: edge directions plus the per-node step counter.
+///
+/// The counters are kept the way [`NewPrRule`] keeps them: `count[u]` is
+/// entry `i` of a `Vec<u64>`, where `i` is `u`'s dense CSR index.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NewPrState {
     /// The `dir[u, v]` variables.
     pub dirs: MirroredDirs,
-    /// History variable `count[u]`: steps taken by `u`, initially 0.
-    pub counts: BTreeMap<NodeId, u64>,
+    /// History variable `count[u]`: steps taken by `u`, initially 0, by
+    /// dense index.
+    counts: Vec<u64>,
 }
 
 impl NewPrState {
@@ -44,8 +46,16 @@ impl NewPrState {
     pub fn initial(inst: &ReversalInstance) -> Self {
         NewPrState {
             dirs: MirroredDirs::from_instance(inst),
-            counts: inst.csr().nodes().map(|u| (u, 0)).collect(),
+            counts: vec![0; inst.node_count()],
         }
+    }
+
+    /// The dense index of `u`.
+    fn index(&self, u: NodeId) -> usize {
+        self.dirs
+            .csr()
+            .index_of(u)
+            .unwrap_or_else(|| panic!("no count for unknown node {u}"))
     }
 
     /// `count[u]`.
@@ -54,10 +64,21 @@ impl NewPrState {
     ///
     /// Panics if `u` is not a node of the instance.
     pub fn count(&self, u: NodeId) -> u64 {
-        *self
-            .counts
-            .get(&u)
-            .unwrap_or_else(|| panic!("no count for unknown node {u}"))
+        self.counts[self.index(u)]
+    }
+
+    /// Sets `count[u]` without a step.
+    ///
+    /// Only exists so tests can manufacture count corruptions; the
+    /// algorithms never call it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is not a node of the instance.
+    #[doc(hidden)]
+    pub fn set_count(&mut self, u: NodeId, count: u64) {
+        let ui = self.index(u);
+        self.counts[ui] = count;
     }
 
     /// The derived variable `parity[u]`.
@@ -84,7 +105,8 @@ pub fn newpr_step(inst: &ReversalInstance, state: &mut NewPrState, u: NodeId) ->
     for &v in &targets {
         state.dirs.reverse_outward(u, v);
     }
-    *state.counts.get_mut(&u).expect("u has a count") += 1;
+    let ui = state.index(u);
+    state.counts[ui] += 1;
     let dummy = targets.is_empty();
     ReversalStep {
         node: u,

@@ -9,7 +9,7 @@
 //! emptied, and `u` is appended to the list of every neighbor whose edge
 //! was reversed.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use lr_graph::{NodeId, Orientation, ReversalInstance};
@@ -20,12 +20,18 @@ use crate::dirs::{all_word_masks, word_bit};
 use crate::{MirroredDirs, PlanAux, ReversalStep, StepScratch};
 
 /// Shared state of `PR` and `OneStepPR`: edge directions plus `list[u]`.
+///
+/// The lists are kept the way [`PrRule`] keeps them: one bit per
+/// half-edge slot, set for the slot of `(u, v)` iff `v ∈ list[u]`, so
+/// `list[u]` is the bits of `u`'s slot range. Padding bits past the last
+/// slot stay zero, so the derived `Eq` and `Hash` compare exactly the
+/// directions and the lists.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PrState {
     /// The `dir[u, v]` variables.
     pub dirs: MirroredDirs,
-    /// `list[u]` for every node, initially empty.
-    pub lists: BTreeMap<NodeId, BTreeSet<NodeId>>,
+    /// `list[u]` for every node, one bit per slot; initially all clear.
+    lists: Vec<u64>,
 }
 
 impl PrState {
@@ -33,19 +39,63 @@ impl PrState {
     pub fn initial(inst: &ReversalInstance) -> Self {
         PrState {
             dirs: MirroredDirs::from_instance(inst),
-            lists: inst.csr().nodes().map(|u| (u, BTreeSet::new())).collect(),
+            lists: vec![0; inst.half_edge_count().div_ceil(64)],
         }
     }
 
-    /// `list[u]`.
+    /// The members of `list[u]`, ascending.
     ///
     /// # Panics
     ///
     /// Panics if `u` is not a node of the instance.
-    pub fn list(&self, u: NodeId) -> &BTreeSet<NodeId> {
-        self.lists
-            .get(&u)
-            .unwrap_or_else(|| panic!("no list for unknown node {u}"))
+    pub fn list(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let csr = self.dirs.csr();
+        let ui = csr
+            .index_of(u)
+            .unwrap_or_else(|| panic!("no list for unknown node {u}"));
+        csr.slots(ui)
+            .filter(|&slot| self.listed_at(slot))
+            .map(|slot| csr.node(csr.target(slot)))
+    }
+
+    /// Whether `list[u] = t.list[u]` for every node `u`, for two states
+    /// of one instance: their list bits agree word for word.
+    pub fn same_lists(&self, t: &PrState) -> bool {
+        self.lists == t.lists
+    }
+
+    /// Puts `v` into `list[u]` without a step.
+    ///
+    /// Only exists so tests can manufacture list corruptions; the
+    /// algorithms never call it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `{u, v}` is not an edge.
+    #[doc(hidden)]
+    pub fn insert_into_list(&mut self, u: NodeId, v: NodeId) {
+        let csr = self.dirs.csr();
+        let slot = csr
+            .index_of(u)
+            .zip(csr.index_of(v))
+            .and_then(|(ui, vi)| csr.slot_of(ui, vi))
+            .unwrap_or_else(|| panic!("no edge between {u} and {v}"));
+        self.set_listed_at(slot, true);
+    }
+
+    /// Whether the slot of `(u, v)` is listed: `v ∈ list[u]`.
+    fn listed_at(&self, slot: usize) -> bool {
+        let (w, m) = word_bit(slot);
+        self.lists[w] & m != 0
+    }
+
+    fn set_listed_at(&mut self, slot: usize, listed: bool) {
+        let (w, m) = word_bit(slot);
+        if listed {
+            self.lists[w] |= m;
+        } else {
+            self.lists[w] &= !m;
+        }
     }
 }
 
@@ -61,28 +111,24 @@ pub fn onestep_pr_step(inst: &ReversalInstance, state: &mut PrState, u: NodeId) 
     let csr = Arc::clone(state.dirs.csr());
     let ui = csr.index_of(u).expect("sink is a node");
     // Reverse the neighbors not in `list[u]` — unless the list holds
-    // *all* neighbors, in which case everything reverses. Neighbor slots
-    // are ascending by id. The selection reads only the lists, so each
-    // selected edge is reversed outward as it is selected.
-    let list_u = &state.lists[&u];
-    let list_is_full = list_u.len() == csr.degree(ui);
+    // *all* neighbors, in which case everything reverses — and add `u` to
+    // each reversed neighbor's list, the bit of the twin slot. Neighbor
+    // slots are ascending by id. The selection reads only `list[u]` and
+    // the additions write only other nodes' lists, so each selected edge
+    // is reversed outward and recorded as it is selected.
+    let list_is_full = csr.slots(ui).all(|slot| state.listed_at(slot));
     let mut targets = Vec::with_capacity(csr.degree(ui));
     for slot in csr.slots(ui) {
-        let v = csr.node(csr.target(slot));
-        if list_is_full || !list_u.contains(&v) {
-            targets.push(v);
+        if list_is_full || !state.listed_at(slot) {
+            targets.push(csr.node(csr.target(slot)));
             state.dirs.reverse_outward_at(slot);
+            state.set_listed_at(csr.twin(slot), true);
         }
     }
-    // Record `u` in each reversed neighbor's list, empty `list[u]`.
-    for &v in &targets {
-        state
-            .lists
-            .get_mut(&v)
-            .expect("neighbor has a list")
-            .insert(u);
+    // Empty `list[u]`.
+    for slot in csr.slots(ui) {
+        state.set_listed_at(slot, false);
     }
-    state.lists.get_mut(&u).expect("u has a list").clear();
     ReversalStep {
         node: u,
         reversed: targets,
@@ -316,7 +362,8 @@ mod tests {
     use crate::alg::FrontierEngine;
     use crate::engine::{run_engine_frontier, SchedulePolicy, DEFAULT_MAX_STEPS};
     use lr_graph::stream;
-    use lr_ioa::{run, schedulers, Automaton};
+    use lr_ioa::{run, schedulers, Automaton, Scheduler};
+    use std::collections::BTreeMap;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -371,8 +418,8 @@ mod tests {
         let step = onestep_pr_step(&inst, &mut s, n(2));
         assert_eq!(step.reversed, vec![n(1)]);
         // Node 1's list now records that 2 reversed.
-        assert_eq!(s.list(n(1)), &BTreeSet::from([n(2)]));
-        assert!(s.list(n(2)).is_empty());
+        assert_eq!(s.list(n(1)).collect::<Vec<_>>(), [n(2)]);
+        assert_eq!(s.list(n(2)).count(), 0);
     }
 
     #[test]
@@ -389,7 +436,7 @@ mod tests {
             "edge to list member must not be reversed"
         );
         // list[2] emptied after its step.
-        assert!(s.list(n(2)).is_empty());
+        assert_eq!(s.list(n(2)).count(), 0);
     }
 
     #[test]
@@ -462,18 +509,38 @@ mod tests {
     }
 
     #[test]
-    fn lists_only_contain_neighbors_that_stepped() {
-        let inst = stream::chain_away(5);
-        let aut = OneStepPrAutomaton { inst: &inst };
-        let exec = run(&aut, &mut schedulers::FirstEnabled, 10_000);
-        for s in exec.states() {
-            for u in inst.csr().nodes() {
-                for &v in s.list(u) {
+    fn lists_equal_the_lists_recomputed_from_the_steps() {
+        // The oracle replays each step's `ReversalStep`: reversing toward
+        // `v` adds the stepping node to `list[v]`, and a step empties the
+        // stepping node's list. After every step of seeded random
+        // executions it must equal every `list(u)`.
+        for seed in 0..60u64 {
+            let nodes = 2 + (seed % 19) as usize;
+            let inst = stream::random_connected(nodes, nodes, 3_000 + seed);
+            let aut = OneStepPrAutomaton { inst: &inst };
+            let mut sched = schedulers::UniformRandom::seeded(seed);
+            let mut s = aut.initial_state();
+            let mut oracle: BTreeMap<NodeId, BTreeSet<NodeId>> =
+                inst.csr().nodes().map(|u| (u, BTreeSet::new())).collect();
+            for steps in 0.. {
+                for (&u, list) in &oracle {
                     assert!(
-                        inst.init().dir(u, v).is_some(),
-                        "list[{u}] contains non-neighbor {v}"
+                        s.list(u).eq(list.iter().copied()),
+                        "seed {seed}, after {steps} steps: list[{u}] = {:?}, expected {list:?}",
+                        s.list(u).collect::<Vec<_>>()
                     );
                 }
+                let enabled = aut.enabled_actions(&s);
+                if enabled.is_empty() {
+                    break;
+                }
+                let i = Scheduler::<OneStepPrAutomaton>::choose(&mut sched, &s, &enabled)
+                    .expect("the scheduler never stops");
+                let step = onestep_pr_step(&inst, &mut s, enabled[i]);
+                for v in &step.reversed {
+                    oracle.get_mut(v).expect("a node").insert(step.node);
+                }
+                oracle.get_mut(&step.node).expect("a node").clear();
             }
         }
     }

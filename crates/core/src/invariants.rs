@@ -41,23 +41,21 @@ pub fn check_inv_3_1(dirs: &MirroredDirs) -> Result<(), String> {
     })
 }
 
-fn incoming_members(dirs: &MirroredDirs, u: NodeId, candidates: &[NodeId]) -> BTreeSet<NodeId> {
-    candidates
-        .iter()
-        .copied()
-        .filter(|&v| dirs.dir(u, v) == EdgeDir::In)
-        .collect()
+/// A node set as the violation messages print it: `{n0, n2}`.
+fn set(nodes: impl IntoIterator<Item = NodeId>) -> BTreeSet<NodeId> {
+    nodes.into_iter().collect()
 }
 
 /// One part of Invariant 3.2 for a single node: `all_in_side` plays the
 /// role of the "all incoming" set, `list_side` the set the list must
 /// match.
 fn inv_3_2_part(state: &PrState, u: NodeId, all_in_side: &[NodeId], list_side: &[NodeId]) -> bool {
-    let all_incoming = all_in_side
-        .iter()
-        .all(|&w| state.dirs.dir(u, w) == EdgeDir::In);
-    let expected_list = incoming_members(&state.dirs, u, list_side);
-    all_incoming && *state.list(u) == expected_list
+    let incoming = |&v: &NodeId| state.dirs.dir(u, v) == EdgeDir::In;
+    // Both sides of the list equation are ascending.
+    all_in_side.iter().all(incoming)
+        && state
+            .list(u)
+            .eq(list_side.iter().copied().filter(|v| incoming(v)))
 }
 
 /// Invariant 3.2: for each node `u`, **exactly one** of
@@ -80,7 +78,7 @@ pub fn check_inv_3_2(inst: &ReversalInstance, state: &PrState) -> Result<(), Str
             return Err(format!(
                 "Invariant 3.2: at node {u}, part1 = {part1} and part2 = {part2} \
                  (exactly one must hold); list[{u}] = {:?}",
-                state.list(u)
+                set(state.list(u))
             ));
         }
     }
@@ -95,13 +93,16 @@ pub fn check_inv_3_2(inst: &ReversalInstance, state: &PrState) -> Result<(), Str
 /// Reports the node whose list straddles both initial neighbor sets.
 pub fn check_cor_3_3(inst: &ReversalInstance, state: &PrState) -> Result<(), String> {
     for u in inst.csr().nodes() {
-        let list = state.list(u);
-        let in_nbrs: BTreeSet<NodeId> = inst.initial_in_nbrs(u).into_iter().collect();
-        let out_nbrs: BTreeSet<NodeId> = inst.initial_out_nbrs(u).into_iter().collect();
-        if !list.is_subset(&in_nbrs) && !list.is_subset(&out_nbrs) {
+        let in_nbrs = inst.initial_in_nbrs(u);
+        let out_nbrs = inst.initial_out_nbrs(u);
+        let list_within = |nbrs: &[NodeId]| state.list(u).all(|v| nbrs.contains(&v));
+        if !list_within(&in_nbrs) && !list_within(&out_nbrs) {
             return Err(format!(
-                "Corollary 3.3: list[{u}] = {list:?} is contained in neither \
-                 in-nbrs = {in_nbrs:?} nor out-nbrs = {out_nbrs:?}"
+                "Corollary 3.3: list[{u}] = {:?} is contained in neither \
+                 in-nbrs = {:?} nor out-nbrs = {:?}",
+                set(state.list(u)),
+                set(in_nbrs),
+                set(out_nbrs)
             ));
         }
     }
@@ -119,13 +120,17 @@ pub fn check_cor_3_4(inst: &ReversalInstance, state: &PrState) -> Result<(), Str
         if !state.dirs.is_sink(u) {
             continue;
         }
-        let list = state.list(u);
-        let in_nbrs: BTreeSet<NodeId> = inst.initial_in_nbrs(u).into_iter().collect();
-        let out_nbrs: BTreeSet<NodeId> = inst.initial_out_nbrs(u).into_iter().collect();
-        if *list != in_nbrs && *list != out_nbrs {
+        let in_nbrs = inst.initial_in_nbrs(u);
+        let out_nbrs = inst.initial_out_nbrs(u);
+        // The list and both neighbor sets are ascending.
+        let list_is = |nbrs: &[NodeId]| state.list(u).eq(nbrs.iter().copied());
+        if !list_is(&in_nbrs) && !list_is(&out_nbrs) {
             return Err(format!(
-                "Corollary 3.4: sink {u} has list[{u}] = {list:?}, equal to \
-                 neither in-nbrs = {in_nbrs:?} nor out-nbrs = {out_nbrs:?}"
+                "Corollary 3.4: sink {u} has list[{u}] = {:?}, equal to \
+                 neither in-nbrs = {:?} nor out-nbrs = {:?}",
+                set(state.list(u)),
+                set(in_nbrs),
+                set(out_nbrs)
             ));
         }
     }
@@ -406,8 +411,12 @@ mod tests {
         let inst = stream::chain_away(3);
         let mut s = PrState::initial(&inst);
         // Claim node 1's neighbor 0 reversed when it did not.
-        s.lists.get_mut(&n(1)).unwrap().insert(n(0));
-        assert!(check_inv_3_2(&inst, &s).is_err());
+        s.insert_into_list(n(1), n(0));
+        assert_eq!(
+            check_inv_3_2(&inst, &s).unwrap_err(),
+            "Invariant 3.2: at node n1, part1 = false and part2 = false \
+             (exactly one must hold); list[n1] = {n0}"
+        );
     }
 
     #[test]
@@ -416,8 +425,13 @@ mod tests {
         let mut s = PrState::initial(&inst);
         // Node 1 has in-nbr {0} and out-nbr {2}; a list containing both
         // straddles the two sets.
-        s.lists.get_mut(&n(1)).unwrap().extend([n(0), n(2)]);
-        assert!(check_cor_3_3(&inst, &s).is_err());
+        s.insert_into_list(n(1), n(0));
+        s.insert_into_list(n(1), n(2));
+        assert_eq!(
+            check_cor_3_3(&inst, &s).unwrap_err(),
+            "Corollary 3.3: list[n1] = {n0, n2} is contained in neither \
+             in-nbrs = {n0} nor out-nbrs = {n2}"
+        );
     }
 
     #[test]
@@ -426,8 +440,12 @@ mod tests {
         // list holding just one of its two in-nbrs equals neither set.
         let inst = lr_graph::parse::parse_instance("dest 0\n0 > 1\n1 > 2\n0 > 2").unwrap();
         let mut s = PrState::initial(&inst);
-        s.lists.get_mut(&n(2)).unwrap().insert(n(0));
-        assert!(check_cor_3_4(&inst, &s).is_err());
+        s.insert_into_list(n(2), n(0));
+        assert_eq!(
+            check_cor_3_4(&inst, &s).unwrap_err(),
+            "Corollary 3.4: sink n2 has list[n2] = {n0}, equal to neither \
+             in-nbrs = {n0, n1} nor out-nbrs = {}"
+        );
     }
 
     #[test]
@@ -445,9 +463,11 @@ mod tests {
     fn inv_4_2a_violation_detected() {
         let inst = stream::chain_away(3);
         let mut s = NewPrState::initial(&inst);
-        s.counts.insert(n(2), 5); // neighbor 1 still has count 0
-        let err = check_inv_4_2(&inst, &s).unwrap_err();
-        assert!(err.contains("4.2"));
+        s.set_count(n(2), 5); // neighbor 1 still has count 0
+        assert_eq!(
+            check_inv_4_2(&inst, &s).unwrap_err(),
+            "Invariant 4.2(a): count[n1] = 0 but neighbor n2 has count[n2] = 5"
+        );
     }
 
     #[test]
@@ -456,9 +476,12 @@ mod tests {
         let mut s = NewPrState::initial(&inst);
         // count[2] = 1 > count[1] = 0, but the edge {1,2} still points
         // 1 → 2 — (d) demands 2 → 1.
-        s.counts.insert(n(2), 1);
-        let err = check_inv_4_2(&inst, &s).unwrap_err();
-        assert!(err.contains("4.2"));
+        s.set_count(n(2), 1);
+        assert_eq!(
+            check_inv_4_2(&inst, &s).unwrap_err(),
+            "Invariant 4.2(d): count[n2] = 1 > count[n1] = 0 but edge \
+             {n2,n1} is not directed n2 → n1"
+        );
     }
 
     #[test]

@@ -189,64 +189,77 @@ pub enum TerminationResult {
 /// *state graph* being acyclic: a divergent execution in a finite state
 /// space must revisit a state. As a bonus, the longest path in the
 /// acyclic state graph is the exact worst-case execution length.
+///
+/// Each state is expanded once, when the search first meets it; a
+/// state's last-listed successor is searched first. One map holds every
+/// met state: grey while it is on the search path, black with the
+/// longest path from it once every successor is done. Each stack frame
+/// keeps a running maximum, folding in a successor's length when that
+/// successor finishes or when it is met already black, so a finished
+/// state's length is known without applying its actions again.
 pub fn check_termination<A: Automaton>(automaton: &A, max_states: usize) -> TerminationResult {
-    #[derive(Clone, Copy, PartialEq)]
     enum Color {
         Grey,
-        Black,
+        /// Finished, with the length of the longest path from the state.
+        Black(usize),
     }
 
-    fn successors<A: Automaton>(automaton: &A, s: &A::State) -> Vec<A::State> {
-        automaton
-            .enabled_actions(s)
+    /// A state on the search path.
+    struct Frame<S> {
+        state: S,
+        /// Successors not yet processed.
+        succs: Vec<S>,
+        /// Steps from the initial state along the search path.
+        depth: usize,
+        /// The longest path through the successors processed so far.
+        longest: usize,
+    }
+
+    let frame = |state: A::State, depth: usize| Frame {
+        succs: automaton
+            .enabled_actions(&state)
             .into_iter()
-            .map(|a| automaton.apply(s, &a))
-            .collect()
-    }
+            .map(|a| automaton.apply(&state, &a))
+            .collect(),
+        state,
+        depth,
+        longest: 0,
+    };
 
-    let mut color: HashMap<A::State, Color> = HashMap::new();
-    // Longest path from each finished (black) state.
-    let mut longest: HashMap<A::State, usize> = HashMap::new();
     let initial = automaton.initial_state();
-    // Stack frames: (state, successors not yet processed, depth).
-    let mut stack = vec![(initial.clone(), successors(automaton, &initial), 0usize)];
-    color.insert(initial, Color::Grey);
-
-    while let Some(top) = stack.len().checked_sub(1) {
-        match stack[top].1.pop() {
-            Some(next) => {
-                let depth = stack[top].2;
-                match color.get(&next) {
-                    Some(Color::Grey) => {
-                        return TerminationResult::Diverges {
-                            witness_depth: depth,
-                        };
-                    }
-                    Some(Color::Black) => {}
-                    None => {
-                        if color.len() >= max_states {
-                            return TerminationResult::Unknown;
-                        }
-                        color.insert(next.clone(), Color::Grey);
-                        let next_succs = successors(automaton, &next);
-                        stack.push((next, next_succs, depth + 1));
-                    }
+    let mut color: HashMap<A::State, Color> = HashMap::from([(initial.clone(), Color::Grey)]);
+    let mut stack = vec![frame(initial, 0)];
+    let mut longest_execution = 0;
+    while let Some(top) = stack.last_mut() {
+        match top.succs.pop() {
+            Some(next) => match color.get(&next) {
+                Some(Color::Grey) => {
+                    return TerminationResult::Diverges {
+                        witness_depth: top.depth,
+                    };
                 }
-            }
+                Some(&Color::Black(longest)) => top.longest = top.longest.max(longest + 1),
+                None => {
+                    if color.len() >= max_states {
+                        return TerminationResult::Unknown;
+                    }
+                    let depth = top.depth + 1;
+                    color.insert(next.clone(), Color::Grey);
+                    stack.push(frame(next, depth));
+                }
+            },
             None => {
-                // All successors done: longest path = 1 + max over them.
-                let (state, _, _) = stack.pop().expect("non-empty");
-                let l = successors(automaton, &state)
-                    .iter()
-                    .map(|s| longest.get(s).copied().unwrap_or(0) + 1)
-                    .max()
-                    .unwrap_or(0);
-                longest.insert(state.clone(), l);
-                color.insert(state, Color::Black);
+                let done = stack.pop().expect("non-empty");
+                match stack.last_mut() {
+                    Some(parent) => parent.longest = parent.longest.max(done.longest + 1),
+                    // Every state is reachable from the initial one, so
+                    // no path is longer than the initial state's.
+                    None => longest_execution = done.longest,
+                }
+                color.insert(done.state, Color::Black(done.longest));
             }
         }
     }
-    let longest_execution = longest.values().copied().max().unwrap_or(0);
     TerminationResult::Terminates {
         states: color.len(),
         longest_execution,
@@ -364,5 +377,63 @@ mod tests {
     fn termination_check_respects_bound() {
         let c = Counter { max: 1_000_000 };
         assert_eq!(check_termination(&c, 10), TerminationResult::Unknown);
+    }
+
+    /// An explicit state graph: state `s` steps to each state listed in
+    /// `self.0[s]`. The search takes a state's last-listed successor
+    /// first.
+    struct Graph(&'static [&'static [u32]]);
+
+    impl Automaton for Graph {
+        type State = u32;
+        type Action = u32;
+
+        fn initial_state(&self) -> u32 {
+            0
+        }
+
+        fn enabled_actions(&self, s: &u32) -> Vec<u32> {
+            self.0[*s as usize].to_vec()
+        }
+
+        fn apply(&self, _: &u32, next: &u32) -> u32 {
+            *next
+        }
+    }
+
+    #[test]
+    fn a_state_finished_through_a_short_branch_keeps_its_length_on_the_long_one() {
+        // 0 → 4 → 3 → 5 is searched first and finishes 3 with length 1;
+        // the longest path 0 → 1 → 2 → 3 → 5 then meets 3 already black,
+        // so its length must come from 3's finished entry.
+        let g = Graph(&[&[1, 4], &[2], &[3], &[5], &[3], &[]]);
+        assert_eq!(
+            check_termination(&g, 1_000_000),
+            TerminationResult::Terminates {
+                states: 6,
+                longest_execution: 4
+            }
+        );
+    }
+
+    #[test]
+    fn a_cross_edge_into_a_finished_state_is_not_a_cycle() {
+        // 0 → 2 → 3 → 4 finishes first; then 1's edge to 3 (and 0's
+        // edge to 1) reaches only finished states.
+        let g = Graph(&[&[1, 2], &[3], &[3], &[4], &[]]);
+        assert_eq!(
+            check_termination(&g, 1_000_000),
+            TerminationResult::Terminates {
+                states: 5,
+                longest_execution: 3
+            }
+        );
+        // A true back edge, 4 → 2, closes the cycle 2 → 3 → 4 → 2 at
+        // depth 3.
+        let g = Graph(&[&[1, 2], &[3], &[3], &[4], &[2]]);
+        assert_eq!(
+            check_termination(&g, 1_000_000),
+            TerminationResult::Diverges { witness_depth: 3 }
+        );
     }
 }

@@ -14,8 +14,6 @@
 //! exactly when `s.list[w] = nbrs_w`, in which case NewPR's first step is
 //! the dummy step that re-aligns `w`'s parity.
 
-use std::collections::BTreeSet;
-
 use lr_core::alg::{NewPrAutomaton, NewPrState, OneStepPrAutomaton, Parity, PrState};
 use lr_graph::{NodeId, ReversalInstance};
 use lr_ioa::SimulationChecker;
@@ -25,17 +23,14 @@ pub fn r_holds(inst: &ReversalInstance, s: &PrState, t: &NewPrState) -> bool {
     if s.dirs.orientation() != t.dirs.orientation() {
         return false;
     }
-    for u in inst.csr().nodes() {
-        let list = s.list(u);
-        let allowed: BTreeSet<NodeId> = match t.parity(u) {
-            Parity::Even => inst.initial_out_nbrs(u).into_iter().collect(),
-            Parity::Odd => inst.initial_in_nbrs(u).into_iter().collect(),
+    inst.csr().nodes().all(|u| {
+        let allowed = match t.parity(u) {
+            Parity::Even => inst.initial_out_nbrs(u),
+            Parity::Odd => inst.initial_in_nbrs(u),
         };
-        if !list.is_subset(&allowed) {
-            return false;
-        }
-    }
-    true
+        // list[u] ⊆ allowed.
+        s.list(u).all(|v| allowed.contains(&v))
+    })
 }
 
 /// Builds the Lemma 5.3 checker: relation `R` plus the constructive
@@ -48,8 +43,8 @@ pub fn r_checker(
     SimulationChecker::new(
         move |s: &PrState, t: &NewPrState| r_holds(&rel_inst, s, t),
         move |s: &PrState, &w: &NodeId, _t: &NewPrState| -> Vec<NodeId> {
-            let nbrs: BTreeSet<NodeId> = corr_inst.csr().neighbors(w).collect();
-            if *s.list(w) == nbrs {
+            // list[w] = nbrs_w, both ascending.
+            if s.list(w).eq(corr_inst.csr().neighbors(w)) {
                 // The dummy step re-aligns parity, then the real step
                 // reverses the same set OneStepPR reverses.
                 vec![w, w]
@@ -93,7 +88,7 @@ mod tests {
         let mut s = PrState::initial(&inst);
         // parity[1] is even, so list[1] must be ⊆ out-nbrs(1) = {2};
         // insert the in-neighbor 0 instead.
-        s.lists.get_mut(&n(1)).unwrap().insert(n(0));
+        s.insert_into_list(n(1), n(0));
         let t = NewPrState::initial(&inst);
         assert!(!r_holds(&inst, &s, &t));
     }
@@ -113,7 +108,7 @@ mod tests {
         let inst = stream::chain_away(4);
         let checker = r_checker(&inst);
         let mut s = PrState::initial(&inst);
-        s.lists.get_mut(&n(3)).unwrap().insert(n(2)); // list = nbrs
+        s.insert_into_list(n(3), n(2)); // list = nbrs
         let t = NewPrState::initial(&inst);
         assert_eq!(checker.matching_actions(&s, &n(3), &t), vec![n(3), n(3)]);
     }

@@ -22,7 +22,7 @@ use lr_ioa::SimulationChecker;
 /// paper's definition (not raw state equality, although the two coincide
 /// whenever Invariant 3.1 holds).
 pub fn r_prime_holds(s: &PrState, t: &PrState) -> bool {
-    s.dirs.orientation() == t.dirs.orientation() && s.lists == t.lists
+    s.dirs.orientation() == t.dirs.orientation() && s.same_lists(t)
 }
 
 /// Builds the Lemma 5.1 checker: relation `R'` plus the constructive step
@@ -63,7 +63,7 @@ mod tests {
         let inst = stream::chain_away(4);
         let s = PrState::initial(&inst);
         let mut t = PrState::initial(&inst);
-        t.lists.get_mut(&n(1)).unwrap().insert(n(2));
+        t.insert_into_list(n(1), n(2));
         assert!(!r_prime_holds(&s, &t));
     }
 

@@ -46,19 +46,14 @@ pub fn rev_r_holds(inst: &ReversalInstance, t: &NewPrState, s: &PrState) -> bool
     if t.dirs.orientation() != s.dirs.orientation() {
         return false;
     }
-    for u in inst.csr().nodes() {
-        let list = s.list(u);
-        let in_nbrs: BTreeSet<NodeId> = inst.initial_in_nbrs(u).into_iter().collect();
-        let out_nbrs: BTreeSet<NodeId> = inst.initial_out_nbrs(u).into_iter().collect();
-        let ok = match t.parity(u) {
-            Parity::Even => list.is_subset(&out_nbrs) || out_nbrs.is_empty(),
-            Parity::Odd => list.is_subset(&in_nbrs) || in_nbrs.is_empty(),
+    inst.csr().nodes().all(|u| {
+        let allowed = match t.parity(u) {
+            Parity::Even => inst.initial_out_nbrs(u),
+            Parity::Odd => inst.initial_in_nbrs(u),
         };
-        if !ok {
-            return false;
-        }
-    }
-    true
+        // list[u] ⊆ allowed, or allowed = ∅.
+        s.list(u).all(|v| allowed.contains(&v)) || allowed.is_empty()
+    })
 }
 
 /// Builds the `NewPR → OneStepPR` checker: relation `R⁻` plus the

@@ -22,6 +22,11 @@
 //! out, so each run's records also go there as pretty JSON: the
 //! [`run_sweep`] rows, and the [`run_matrix_sweep`] rows and metrics.
 //!
+//! `lr modelcheck 4` and, in the `--ignored` tier, `lr modelcheck 5` run
+//! all eight checks; each table is stored under `tests/golden/modelcheck/`
+//! with the header's thread count and the ms column masked, as CI's `sed`
+//! masks them.
+//!
 //! On a mismatch a test writes each differing output to `target/golden/`
 //! (same layout), prints its first differing line, and fails. An intended
 //! output change copies those files over the corpus.
@@ -357,6 +362,66 @@ fn the_100k_churn_serve_matches_the_golden_corpus() {
 fn the_million_node_serve_matches_the_golden_corpus() {
     let flags = ["--rate", "100", "--duration", "200"];
     let report = compare(&[serve("grid_1m", &flags, None)]);
+    assert!(report.is_empty(), "{report}");
+}
+
+/// Masks what varies between runs of `lr modelcheck`, as CI's `sed` does:
+/// the ` (N thread(s))` ending the header, and the ms column before each
+/// row's `yes` or `NO` (the column and its padding become ` <ms>`).
+fn mask_modelcheck(out: &str) -> String {
+    let mask = |line: &str| {
+        let header = line
+            .strip_suffix(" thread(s))")
+            .and_then(|head| head.rsplit_once(" ("))
+            .map(|(head, _)| head.to_string());
+        let row = || {
+            let (rest, verdict) = line.rsplit_once(' ')?;
+            let (head, ms) = rest.trim_end().rsplit_once(' ')?;
+            let is_ms = ms.contains('.') && ms.bytes().all(|b| b == b'.' || b.is_ascii_digit());
+            (matches!(verdict, "yes" | "NO") && is_ms)
+                .then(|| format!("{} <ms> {verdict}", head.trim_end()))
+        };
+        header.or_else(row).unwrap_or_else(|| line.to_string()) + "\n"
+    };
+    out.lines().map(mask).collect()
+}
+
+/// `lr modelcheck <n>`, all eight checks, masked; stored as
+/// `modelcheck/n<n>.txt`.
+fn modelcheck(n: &str) -> (String, Golden) {
+    let text = mask_modelcheck(&cli(&["modelcheck", n], ""));
+    let name = format!("n{n}.txt");
+    ("modelcheck".into(), Golden { name, text })
+}
+
+#[test]
+fn the_modelcheck_mask_matches_ci() {
+    assert_eq!(
+        mask_modelcheck(
+            "model check: ... at n = 4 (12 thread(s))\n\
+             \x20   check  instances  ms verified\n\
+             \x20  R' simulation (Thm 5.2)       1784    12.5       yes\n\
+             \x20           x      1        3 1234.0 NO\n\
+             \x20           y      1        3 1234 yes\n"
+        ),
+        "model check: ... at n = 4\n\
+         \x20   check  instances  ms verified\n\
+         \x20  R' simulation (Thm 5.2)       1784 <ms> yes\n\
+         \x20           x      1        3 <ms> NO\n\
+         \x20           y      1        3 1234 yes\n"
+    );
+}
+
+#[test]
+fn modelcheck_at_n4_matches_the_golden_corpus() {
+    let report = compare(&[modelcheck("4")]);
+    assert!(report.is_empty(), "{report}");
+}
+
+#[test]
+#[ignore = "the n = 5 battery, 132,150 instances; about a second in a release build, run with --ignored"]
+fn modelcheck_at_n5_matches_the_golden_corpus() {
+    let report = compare(&[modelcheck("5")]);
     assert!(report.is_empty(), "{report}");
 }
 
