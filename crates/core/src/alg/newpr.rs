@@ -67,6 +67,11 @@ impl NewPrState {
         self.counts[self.index(u)]
     }
 
+    /// `count[u]` for the node at dense index `ui`.
+    pub(crate) fn count_at(&self, ui: usize) -> u64 {
+        self.counts[ui]
+    }
+
     /// Sets `count[u]` without a step.
     ///
     /// Only exists so tests can manufacture count corruptions; the
@@ -98,19 +103,24 @@ impl NewPrState {
 /// Panics if `u` is the destination or not a sink.
 pub fn newpr_step(inst: &ReversalInstance, state: &mut NewPrState, u: NodeId) -> ReversalStep {
     assert_may_step(inst, &state.dirs, u);
-    let targets: Vec<NodeId> = match state.parity(u) {
-        Parity::Even => inst.initial_in_nbrs(u),
-        Parity::Odd => inst.initial_out_nbrs(u),
-    };
-    for &v in &targets {
-        state.dirs.reverse_outward(u, v);
-    }
+    let csr = inst.csr();
     let ui = state.index(u);
+    // Even parity reverses the edges to in-nbrs_u, odd parity those to
+    // out-nbrs_u: the slots whose initial bit reads in, or out. Neighbor
+    // slots are ascending by id.
+    let out_side = state.parity(u) == Parity::Odd;
+    let mut reversed = Vec::new();
+    for slot in csr.slots(ui) {
+        if inst.init().is_out(slot) == out_side {
+            reversed.push(csr.node(csr.target(slot)));
+            state.dirs.reverse_outward_at(slot);
+        }
+    }
     state.counts[ui] += 1;
-    let dummy = targets.is_empty();
+    let dummy = reversed.is_empty();
     ReversalStep {
         node: u,
-        reversed: targets,
+        reversed,
         dummy,
     }
 }

@@ -84,7 +84,7 @@ impl PrState {
     }
 
     /// Whether the slot of `(u, v)` is listed: `v ∈ list[u]`.
-    fn listed_at(&self, slot: usize) -> bool {
+    pub(crate) fn listed_at(&self, slot: usize) -> bool {
         let (w, m) = word_bit(slot);
         self.lists[w] & m != 0
     }

@@ -122,11 +122,30 @@ impl MirroredDirs {
     /// `dir` by half-edge slot — the allocation-free hot-path accessor.
     pub fn dir_at(&self, slot: usize) -> EdgeDir {
         assert!(slot < self.len, "slot {slot} out of range");
-        let (w, m) = word_bit(slot);
-        if self.words[w] & m != 0 {
+        if self.is_out_at(slot) {
             EdgeDir::Out
         } else {
             EdgeDir::In
+        }
+    }
+
+    /// Whether the slot's own copy reads `out`: [`MirroredDirs::dir_at`]
+    /// as a bit.
+    pub(crate) fn is_out_at(&self, slot: usize) -> bool {
+        let (w, m) = word_bit(slot);
+        self.words[w] & m != 0
+    }
+
+    /// Whether the slot's edge points out of the slot's owner by the
+    /// edge's canonical copy, the one held by its smaller endpoint, which
+    /// [`MirroredDirs::orientation`] reads. Slots run by owner, so the
+    /// canonical slot is the smaller of an edge's two.
+    fn canonical_out(&self, slot: usize) -> bool {
+        let twin = self.csr.twin(slot);
+        if slot < twin {
+            self.is_out_at(slot)
+        } else {
+            !self.is_out_at(twin)
         }
     }
 
@@ -224,6 +243,67 @@ impl MirroredDirs {
         Orientation::from_fn(Arc::clone(&self.csr), |_, slot| {
             self.dir_at(slot) == EdgeDir::Out
         })
+    }
+
+    /// Whether [`MirroredDirs::orientation`] is acyclic, decided on the
+    /// slot bits without building it: Kahn's peel, reading each edge's
+    /// canonical copy. One scratch buffer holds every node's count of
+    /// incoming edges not yet peeled and the stack of nodes left with
+    /// none; each node enters the stack once, when its count reaches 0.
+    pub(crate) fn is_acyclic(&self) -> bool {
+        let csr = &*self.csr;
+        let n = csr.node_count();
+        let mut scratch = vec![0u32; 2 * n];
+        let (indeg, ready) = scratch.split_at_mut(n);
+        let mut top = 0;
+        for (u, d) in indeg.iter_mut().enumerate() {
+            let incoming = csr.slots(u).filter(|&s| !self.canonical_out(s)).count();
+            *d = u32::try_from(incoming).expect("a degree fits the u32 slot space");
+            if incoming == 0 {
+                ready[top] = u as u32;
+                top += 1;
+            }
+        }
+        let mut peeled = 0;
+        while top > 0 {
+            top -= 1;
+            let u = ready[top] as usize;
+            peeled += 1;
+            for slot in csr.slots(u) {
+                if self.canonical_out(slot) {
+                    let v = csr.target(slot);
+                    indeg[v] -= 1;
+                    if indeg[v] == 0 {
+                        ready[top] = v as u32;
+                        top += 1;
+                    }
+                }
+            }
+        }
+        peeled == n
+    }
+
+    /// Whether `self.orientation() == other.orientation()`, decided on the
+    /// slot bits without building either: both direct one graph, and
+    /// every edge's canonical copy agrees. The other copies may differ.
+    pub fn same_orientation(&self, other: &MirroredDirs) -> bool {
+        (Arc::ptr_eq(&self.csr, &other.csr) || self.csr == other.csr)
+            && self
+                .words
+                .iter()
+                .zip(&other.words)
+                .enumerate()
+                .all(|(w, (a, b))| {
+                    let mut diff = a ^ b;
+                    while diff != 0 {
+                        let slot = w * 64 + diff.trailing_zeros() as usize;
+                        if slot < self.csr.twin(slot) {
+                            return false;
+                        }
+                        diff &= diff - 1;
+                    }
+                    true
+                })
     }
 
     /// Number of ordered direction entries (= 2 × edge count).
@@ -385,6 +465,99 @@ mod tests {
         let inst = stream::random_connected(12, 10, 3);
         let d = MirroredDirs::from_instance(&inst);
         assert_eq!(&d.orientation(), inst.init());
+    }
+
+    /// Sets one copy of the slot's edge, as a harness corrupting the
+    /// state would.
+    fn set_slot(d: &mut MirroredDirs, slot: usize, dir: EdgeDir) {
+        let csr = Arc::clone(d.csr());
+        let (u, v) = (csr.node(csr.source(slot)), csr.node(csr.target(slot)));
+        d.set_one_sided(u, v, dir);
+    }
+
+    /// `count` seeded direction states of `random_connected` instances
+    /// with 2–20 nodes. Each edge gets a random direction, so many states
+    /// are cyclic; in every third state one to three single copies are
+    /// overwritten through `set_one_sided`, breaking Invariant 3.1.
+    fn random_states(count: u64) -> Vec<MirroredDirs> {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        (0..count)
+            .map(|seed| {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let nodes = rng.gen_range(2..=20usize);
+                let inst = stream::random_connected(nodes, rng.gen_range(0..=2 * nodes), seed);
+                let mut d = MirroredDirs::from_instance(&inst);
+                for slot in 0..d.len() {
+                    if slot < d.csr().twin(slot) && rng.gen_bool(0.5) {
+                        d.reverse_outward_at(d.csr().twin(slot));
+                    }
+                }
+                if seed % 3 == 0 {
+                    for _ in 0..rng.gen_range(1..=3usize) {
+                        let slot = rng.gen_range(0..d.len());
+                        let dir = if rng.gen_bool(0.5) {
+                            EdgeDir::Out
+                        } else {
+                            EdgeDir::In
+                        };
+                        set_slot(&mut d, slot, dir);
+                    }
+                }
+                d
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_peel_agrees_with_the_orientation_on_random_states() {
+        let (mut cyclic, mut inconsistent) = (0, 0);
+        for (i, d) in random_states(600).iter().enumerate() {
+            let o = d.orientation();
+            assert_eq!(d.is_acyclic(), o.is_acyclic(), "state {i}");
+            assert_eq!(d.is_acyclic(), o.find_cycle().is_none(), "state {i}");
+            cyclic += usize::from(!o.is_acyclic());
+            inconsistent += usize::from(d.check_consistency().is_err());
+        }
+        // Both verdicts, and broken copies, are well represented.
+        assert!((100..500).contains(&cyclic), "{cyclic} cyclic states");
+        assert!(inconsistent > 100, "{inconsistent} inconsistent states");
+    }
+
+    #[test]
+    fn the_orientation_compare_agrees_with_the_orientation_on_random_states() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut same = 0;
+        let states = random_states(600);
+        for (i, a) in states.iter().enumerate() {
+            // A copy with up to two single copies flipped: a canonical
+            // copy changes the orientation, the other copy does not.
+            let mut b = a.clone();
+            for _ in 0..rng.gen_range(0..=2usize) {
+                let slot = rng.gen_range(0..b.len());
+                let dir = b.dir_at(slot).flipped();
+                set_slot(&mut b, slot, dir);
+            }
+            let want = a.orientation() == b.orientation();
+            assert_eq!(a.same_orientation(&b), want, "state {i}");
+            assert_eq!(b.same_orientation(a), want, "state {i}");
+            same += usize::from(want);
+            // A graph of its own never compares equal, however alike.
+            let other = &states[(i + 1) % states.len()];
+            assert_eq!(
+                a.same_orientation(other),
+                a.orientation() == other.orientation(),
+                "states {i} and next"
+            );
+        }
+        assert!((100..500).contains(&same), "{same} equal pairs");
+        // One graph built twice compares by content.
+        let inst = stream::random_connected(9, 6, 1);
+        let rebuilt = stream::random_connected(9, 6, 1);
+        let a = MirroredDirs::from_instance(&inst);
+        let b = MirroredDirs::from_instance(&rebuilt);
+        assert!(!Arc::ptr_eq(a.csr(), b.csr()));
+        assert!(a.same_orientation(&b));
     }
 
     #[test]

@@ -17,10 +17,10 @@
 
 use std::collections::BTreeSet;
 
-use lr_graph::{EdgeDir, NodeId, ReversalInstance};
+use lr_graph::{NodeId, ReversalInstance};
 use lr_ioa::Invariant;
 
-use crate::alg::{NewPrAutomaton, NewPrState, OneStepPrAutomaton, Parity, PrSetAutomaton, PrState};
+use crate::alg::{NewPrAutomaton, NewPrState, OneStepPrAutomaton, PrSetAutomaton, PrState};
 use crate::MirroredDirs;
 
 /// Invariant 3.1: for each edge `{u, v}`, `dir[u, v] = in` iff
@@ -46,16 +46,25 @@ fn set(nodes: impl IntoIterator<Item = NodeId>) -> BTreeSet<NodeId> {
     nodes.into_iter().collect()
 }
 
-/// One part of Invariant 3.2 for a single node: `all_in_side` plays the
-/// role of the "all incoming" set, `list_side` the set the list must
-/// match.
-fn inv_3_2_part(state: &PrState, u: NodeId, all_in_side: &[NodeId], list_side: &[NodeId]) -> bool {
-    let incoming = |&v: &NodeId| state.dirs.dir(u, v) == EdgeDir::In;
-    // Both sides of the list equation are ascending.
-    all_in_side.iter().all(incoming)
-        && state
-            .list(u)
-            .eq(list_side.iter().copied().filter(|v| incoming(v)))
+/// One part of Invariant 3.2 at the node of dense index `ui`, read slot
+/// by slot: every edge to an initial neighbour on the all-incoming side
+/// (the out-neighbours when `all_in_side_is_out`) is incoming and
+/// unlisted, and on the other side exactly the incoming edges are
+/// listed.
+fn inv_3_2_part(
+    inst: &ReversalInstance,
+    state: &PrState,
+    ui: usize,
+    all_in_side_is_out: bool,
+) -> bool {
+    inst.csr().slots(ui).all(|slot| {
+        let incoming = !state.dirs.is_out_at(slot);
+        if inst.init().is_out(slot) == all_in_side_is_out {
+            incoming && !state.listed_at(slot)
+        } else {
+            state.listed_at(slot) == incoming
+        }
+    })
 }
 
 /// Invariant 3.2: for each node `u`, **exactly one** of
@@ -69,12 +78,12 @@ fn inv_3_2_part(state: &PrState, u: NodeId, all_in_side: &[NodeId], list_side: &
 ///
 /// Reports the node where zero or both parts hold.
 pub fn check_inv_3_2(inst: &ReversalInstance, state: &PrState) -> Result<(), String> {
-    for u in inst.csr().nodes() {
-        let in_nbrs = inst.initial_in_nbrs(u);
-        let out_nbrs = inst.initial_out_nbrs(u);
-        let part1 = inv_3_2_part(state, u, &out_nbrs, &in_nbrs);
-        let part2 = inv_3_2_part(state, u, &in_nbrs, &out_nbrs);
+    let csr = inst.csr();
+    for ui in 0..csr.node_count() {
+        let part1 = inv_3_2_part(inst, state, ui, true);
+        let part2 = inv_3_2_part(inst, state, ui, false);
         if part1 == part2 {
+            let u = csr.node(ui);
             return Err(format!(
                 "Invariant 3.2: at node {u}, part1 = {part1} and part2 = {part2} \
                  (exactly one must hold); list[{u}] = {:?}",
@@ -85,6 +94,24 @@ pub fn check_inv_3_2(inst: &ReversalInstance, state: &PrState) -> Result<(), Str
     Ok(())
 }
 
+/// Whether every member of `list[u]`, for the node at dense index `ui`,
+/// is an initial neighbour on one side: the out-neighbours when `out`,
+/// else the in-neighbours.
+fn list_within(inst: &ReversalInstance, state: &PrState, ui: usize, out: bool) -> bool {
+    inst.csr()
+        .slots(ui)
+        .all(|slot| !state.listed_at(slot) || inst.init().is_out(slot) == out)
+}
+
+/// Whether `list[u]`, for the node at dense index `ui`, is exactly one
+/// side of its initial neighbours: the out-neighbours when `out`, else
+/// the in-neighbours.
+fn list_is(inst: &ReversalInstance, state: &PrState, ui: usize, out: bool) -> bool {
+    inst.csr()
+        .slots(ui)
+        .all(|slot| state.listed_at(slot) == (inst.init().is_out(slot) == out))
+}
+
 /// Corollary 3.3: `list[u] ⊆ in-nbrs_u` or `list[u] ⊆ out-nbrs_u` for all
 /// nodes.
 ///
@@ -92,17 +119,16 @@ pub fn check_inv_3_2(inst: &ReversalInstance, state: &PrState) -> Result<(), Str
 ///
 /// Reports the node whose list straddles both initial neighbor sets.
 pub fn check_cor_3_3(inst: &ReversalInstance, state: &PrState) -> Result<(), String> {
-    for u in inst.csr().nodes() {
-        let in_nbrs = inst.initial_in_nbrs(u);
-        let out_nbrs = inst.initial_out_nbrs(u);
-        let list_within = |nbrs: &[NodeId]| state.list(u).all(|v| nbrs.contains(&v));
-        if !list_within(&in_nbrs) && !list_within(&out_nbrs) {
+    let csr = inst.csr();
+    for ui in 0..csr.node_count() {
+        if !list_within(inst, state, ui, false) && !list_within(inst, state, ui, true) {
+            let u = csr.node(ui);
             return Err(format!(
                 "Corollary 3.3: list[{u}] = {:?} is contained in neither \
                  in-nbrs = {:?} nor out-nbrs = {:?}",
                 set(state.list(u)),
-                set(in_nbrs),
-                set(out_nbrs)
+                set(inst.initial_in_nbrs(u)),
+                set(inst.initial_out_nbrs(u))
             ));
         }
     }
@@ -116,51 +142,37 @@ pub fn check_cor_3_3(inst: &ReversalInstance, state: &PrState) -> Result<(), Str
 ///
 /// Reports the sink whose list equals neither set.
 pub fn check_cor_3_4(inst: &ReversalInstance, state: &PrState) -> Result<(), String> {
-    for u in inst.csr().nodes() {
-        if !state.dirs.is_sink(u) {
+    let csr = inst.csr();
+    for ui in 0..csr.node_count() {
+        if !state.dirs.is_sink_at(ui) {
             continue;
         }
-        let in_nbrs = inst.initial_in_nbrs(u);
-        let out_nbrs = inst.initial_out_nbrs(u);
-        // The list and both neighbor sets are ascending.
-        let list_is = |nbrs: &[NodeId]| state.list(u).eq(nbrs.iter().copied());
-        if !list_is(&in_nbrs) && !list_is(&out_nbrs) {
+        if !list_is(inst, state, ui, false) && !list_is(inst, state, ui, true) {
+            let u = csr.node(ui);
             return Err(format!(
                 "Corollary 3.4: sink {u} has list[{u}] = {:?}, equal to \
                  neither in-nbrs = {:?} nor out-nbrs = {:?}",
                 set(state.list(u)),
-                set(in_nbrs),
-                set(out_nbrs)
+                set(inst.initial_in_nbrs(u)),
+                set(inst.initial_out_nbrs(u))
             ));
         }
     }
     Ok(())
 }
 
-/// Whether neighbour `u` lies left of neighbour `v` in the paper's plane
-/// embedding of the initial DAG (§4.2), where every initial edge points
-/// left to right: exactly when the initial orientation directs `u → v`.
-fn is_left_of(inst: &ReversalInstance, u: NodeId, v: NodeId) -> bool {
-    inst.init().points_from_to(u, v)
-}
-
-/// Is the edge `{u, v}` directed from its left endpoint to its right
-/// endpoint?
-fn left_to_right(inst: &ReversalInstance, dirs: &MirroredDirs, u: NodeId, v: NodeId) -> bool {
-    let (l, r) = if is_left_of(inst, u, v) {
-        (u, v)
+/// Is the edge of `slot` directed from its left endpoint to its right
+/// endpoint, by the left endpoint's copy? In the paper's plane embedding
+/// of the initial DAG (§4.2) every initial edge points left to right, so
+/// the slot's owner lies left of its neighbour exactly when the slot is
+/// initially out.
+fn left_to_right(inst: &ReversalInstance, dirs: &MirroredDirs, slot: usize) -> bool {
+    let left = if inst.init().is_out(slot) {
+        slot
     } else {
-        (v, u)
+        inst.csr().twin(slot)
     };
-    dirs.dir(l, r) == EdgeDir::Out
-}
-
-/// Every edge `{u, v}` once, as `(u, v)` with `u < v`, in lexicographic
-/// order.
-fn edges(inst: &ReversalInstance) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-    inst.init()
-        .directed_edges()
-        .map(|(t, h)| (t.min(h), t.max(h)))
+    dirs.is_out_at(left)
 }
 
 /// Invariant 4.1: for neighbors `u, v`,
@@ -168,30 +180,38 @@ fn edges(inst: &ReversalInstance) -> impl Iterator<Item = (NodeId, NodeId)> + '_
 /// * (a) if `parity[u] = parity[v] = even`, the edge is directed left → right;
 /// * (b) if `parity[u] = parity[v] = odd`, the edge is directed right → left.
 ///
+/// Edges are checked in lexicographic order, each once from its smaller
+/// endpoint's slot.
+///
 /// # Errors
 ///
 /// Reports the offending edge and parities.
 pub fn check_inv_4_1(inst: &ReversalInstance, state: &NewPrState) -> Result<(), String> {
-    for (u, v) in edges(inst) {
-        let (pu, pv) = (state.parity(u), state.parity(v));
-        if pu != pv {
-            continue;
-        }
-        let ltr = left_to_right(inst, &state.dirs, u, v);
-        match pu {
-            Parity::Even if !ltr => {
+    let csr = inst.csr();
+    for ui in 0..csr.node_count() {
+        for slot in csr.slots(ui) {
+            let vi = csr.target(slot);
+            if ui > vi {
+                continue;
+            }
+            let (cu, cv) = (state.count_at(ui), state.count_at(vi));
+            if cu % 2 != cv % 2 {
+                continue;
+            }
+            let ltr = left_to_right(inst, &state.dirs, slot);
+            let (u, v) = (csr.node(ui), csr.node(vi));
+            if cu.is_multiple_of(2) && !ltr {
                 return Err(format!(
                     "Invariant 4.1(a): {u} and {v} both have even parity but \
                      edge {{{u},{v}}} is directed right-to-left"
                 ));
             }
-            Parity::Odd if ltr => {
+            if !cu.is_multiple_of(2) && ltr {
                 return Err(format!(
                     "Invariant 4.1(b): {u} and {v} both have odd parity but \
                      edge {{{u},{v}}} is directed left-to-right"
                 ));
             }
-            _ => {}
         }
     }
     Ok(())
@@ -204,42 +224,54 @@ pub fn check_inv_4_1(inst: &ReversalInstance, state: &NewPrState) -> Result<(), 
 /// * (c) if `n` is even and `v` is to the left of `u`, `count[v] = n`;
 /// * (d) if `count[u] > count[v]`, the edge is directed `u → v`.
 ///
+/// Edges are checked in lexicographic order, each from its smaller
+/// endpoint and then from its larger one.
+///
 /// # Errors
 ///
 /// Reports the first violated clause with the counts involved.
 pub fn check_inv_4_2(inst: &ReversalInstance, state: &NewPrState) -> Result<(), String> {
-    for (u, v) in edges(inst) {
-        // The statement is symmetric; check it from both endpoints.
-        for (a, b) in [(u, v), (v, u)] {
-            let ca = state.count(a);
-            let cb = state.count(b);
-            // (a)
-            if cb + 1 < ca || cb > ca + 1 {
-                return Err(format!(
-                    "Invariant 4.2(a): count[{a}] = {ca} but neighbor {b} has \
-                     count[{b}] = {cb}"
-                ));
+    let csr = inst.csr();
+    for ui in 0..csr.node_count() {
+        for slot in csr.slots(ui) {
+            let vi = csr.target(slot);
+            if ui > vi {
+                continue;
             }
-            // (b)
-            if ca % 2 == 1 && is_left_of(inst, a, b) && cb != ca {
-                return Err(format!(
-                    "Invariant 4.2(b): count[{a}] = {ca} (odd), {b} is to the \
-                     right of {a}, but count[{b}] = {cb} ≠ {ca}"
-                ));
-            }
-            // (c)
-            if ca.is_multiple_of(2) && is_left_of(inst, b, a) && cb != ca {
-                return Err(format!(
-                    "Invariant 4.2(c): count[{a}] = {ca} (even), {b} is to the \
-                     left of {a}, but count[{b}] = {cb} ≠ {ca}"
-                ));
-            }
-            // (d)
-            if ca > cb && state.dirs.dir(a, b) != EdgeDir::Out {
-                return Err(format!(
-                    "Invariant 4.2(d): count[{a}] = {ca} > count[{b}] = {cb} \
-                     but edge {{{a},{b}}} is not directed {a} → {b}"
-                ));
+            // The statement is symmetric; check it from both endpoints.
+            // `ab` is the slot of `(a, b)`, `ba` its twin.
+            let twin = csr.twin(slot);
+            for (ai, bi, ab, ba) in [(ui, vi, slot, twin), (vi, ui, twin, slot)] {
+                let (ca, cb) = (state.count_at(ai), state.count_at(bi));
+                let (a, b) = (csr.node(ai), csr.node(bi));
+                // (a)
+                if cb + 1 < ca || cb > ca + 1 {
+                    return Err(format!(
+                        "Invariant 4.2(a): count[{a}] = {ca} but neighbor {b} has \
+                         count[{b}] = {cb}"
+                    ));
+                }
+                // (b): `b` is right of `a` when `(a, b)` is initially out.
+                if ca % 2 == 1 && inst.init().is_out(ab) && cb != ca {
+                    return Err(format!(
+                        "Invariant 4.2(b): count[{a}] = {ca} (odd), {b} is to the \
+                         right of {a}, but count[{b}] = {cb} ≠ {ca}"
+                    ));
+                }
+                // (c)
+                if ca.is_multiple_of(2) && inst.init().is_out(ba) && cb != ca {
+                    return Err(format!(
+                        "Invariant 4.2(c): count[{a}] = {ca} (even), {b} is to the \
+                         left of {a}, but count[{b}] = {cb} ≠ {ca}"
+                    ));
+                }
+                // (d)
+                if ca > cb && !state.dirs.is_out_at(ab) {
+                    return Err(format!(
+                        "Invariant 4.2(d): count[{a}] = {ca} > count[{b}] = {cb} \
+                         but edge {{{a},{b}}} is not directed {a} → {b}"
+                    ));
+                }
             }
         }
     }
@@ -248,20 +280,25 @@ pub fn check_inv_4_2(inst: &ReversalInstance, state: &NewPrState) -> Result<(), 
 
 /// Theorem 4.3 / 5.5: the directed graph `G'` of the state is acyclic.
 ///
+/// The verdict comes from a peel of the slot bits; only a failing state
+/// builds the orientation, to name a cycle.
+///
 /// # Errors
 ///
 /// Reports a concrete directed cycle.
 pub fn check_acyclic(dirs: &MirroredDirs) -> Result<(), String> {
-    match dirs.orientation().find_cycle() {
-        None => Ok(()),
-        Some(cycle) => {
-            let path: Vec<String> = cycle.iter().map(|n| n.to_string()).collect();
-            Err(format!(
-                "acyclicity violated: directed cycle {} → (back to start)",
-                path.join(" → ")
-            ))
-        }
+    if dirs.is_acyclic() {
+        return Ok(());
     }
+    let cycle = dirs
+        .orientation()
+        .find_cycle()
+        .expect("the peel and the depth-first search agree on a cycle");
+    let path: Vec<String> = cycle.iter().map(|n| n.to_string()).collect();
+    Err(format!(
+        "acyclicity violated: directed cycle {} → (back to start)",
+        path.join(" → ")
+    ))
 }
 
 /// All NewPR invariants (3.1 via the shared dirs, 4.1, 4.2, acyclicity) as

@@ -6,7 +6,10 @@
 //! threads but hands their results to one fold strictly in index order.
 //! Whatever the fold accumulates, and the first result it stops at, is
 //! therefore the same at every thread count: only which thread computed
-//! a result depends on scheduling.
+//! a result depends on scheduling. A worker takes the shared queue's
+//! lock once per item, to submit one result and claim the next index,
+//! and workers that the fold's window holds back sleep until the fold
+//! advances: only they are woken, and only then.
 //!
 //! [`worker_count`] turns a requested `--threads` value into the workers
 //! a path spawns. Every parallel path is bit-identical at every count,
@@ -51,6 +54,14 @@ pub fn worker_count(threads: usize, items: usize) -> usize {
 /// - At one thread (or zero) everything runs inline on the caller, like
 ///   a plain loop that stops at the first break.
 ///
+/// A worker takes the queue's lock once per item: under it, it submits
+/// the result it finished, folds every result whose turn has come, and
+/// claims its next index. A worker that finds the window full sleeps on
+/// a condition variable until the fold advances or stops; the queue
+/// counts such sleepers, and a submission that advanced or stopped the
+/// fold wakes them all only when there is one, so the common case makes
+/// no wake-up call.
+///
 /// The sequence of `fold` calls, and so the return value, is identical
 /// at every thread count. A panic in `work` or `fold` stops the other
 /// workers and is propagated by the scope.
@@ -71,26 +82,33 @@ where
     thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| {
+                // Declared before the guard, so an unwinding worker
+                // releases the lock before this wakes the others.
                 let _wake = WakeOnPanic {
                     queue: &queue,
                     turn: &turn,
                 };
+                let mut q = queue.lock().expect(POISONED);
+                let mut finished = None;
                 loop {
-                    let mut q = turn
-                        .wait_while(queue.lock().expect(POISONED), |q| {
-                            !q.stopped && q.started < n && q.started > q.folded + window
-                        })
-                        .expect(POISONED);
+                    if let Some((i, result)) = finished.take() {
+                        if q.submit(i, result) && q.sleeping > 0 {
+                            turn.notify_all();
+                        }
+                    }
+                    while !q.stopped && q.started < n && q.started > q.folded + window {
+                        q.sleeping += 1;
+                        q = turn.wait(q).expect(POISONED);
+                        q.sleeping -= 1;
+                    }
                     if q.stopped || q.started == n {
                         break;
                     }
                     let i = q.started;
                     q.started += 1;
                     drop(q);
-                    let result = work(i);
-                    if queue.lock().expect(POISONED).submit(i, result) {
-                        turn.notify_all();
-                    }
+                    finished = Some((i, work(i)));
+                    q = queue.lock().expect(POISONED);
                 }
             });
         }
@@ -116,6 +134,9 @@ struct Queue<T, B, F> {
     stopped: bool,
     /// The fold's break value.
     broke: Option<B>,
+    /// Workers asleep at the window's edge, waiting for the fold to
+    /// advance.
+    sleeping: usize,
 }
 
 impl<T, B, F: FnMut(T) -> ControlFlow<B>> Queue<T, B, F> {
@@ -127,12 +148,13 @@ impl<T, B, F: FnMut(T) -> ControlFlow<B>> Queue<T, B, F> {
             fold,
             stopped: false,
             broke: None,
+            sleeping: 0,
         }
     }
 
     /// Parks the result of index `i`, then folds every parked result
     /// whose turn has come. Returns whether the fold advanced or
-    /// stopped, which is when a waiting worker may proceed.
+    /// stopped, which is when a sleeping worker may proceed.
     fn submit(&mut self, i: usize, result: T) -> bool {
         if self.stopped {
             return false;
@@ -152,9 +174,10 @@ impl<T, B, F: FnMut(T) -> ControlFlow<B>> Queue<T, B, F> {
     }
 }
 
-/// Stops the queue and wakes every waiting worker when its worker
+/// Stops the queue and wakes every sleeping worker when its worker
 /// unwinds, so that a panic reaches the scope instead of leaving the
-/// other workers waiting for a result that never comes.
+/// other workers waiting for a result that never comes. The wake-up is
+/// unconditional, so that it relies on nothing the panic interrupted.
 struct WakeOnPanic<'a, T, B, F> {
     queue: &'a Mutex<Queue<T, B, F>>,
     turn: &'a Condvar,
@@ -284,6 +307,65 @@ mod tests {
             assert_eq!(flow, ControlFlow::Continue(()));
             assert_eq!(lead.into_inner(), window, "threads={threads}");
         }
+    }
+
+    /// Runs `f` on its own thread and fails if it does not return
+    /// within `limit`, so a hang fails the test instead of stalling it.
+    fn within(limit: Duration, f: impl FnOnce() + Send + 'static) {
+        let (done, finished) = std::sync::mpsc::channel();
+        let run = thread::spawn(move || {
+            f();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(limit) {
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("still running after {limit:?}: a worker was never woken")
+            }
+            // Finished or panicked: joining returns or re-raises.
+            _ => {
+                if let Err(panic) = run.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn workers_parked_at_the_window_edge_are_always_woken() {
+        // Item 0 holds the fold until every other index the window allows
+        // has started, so the other workers run to the window's edge and
+        // go to sleep there; the rest of the items are instant. Most
+        // rounds end item 0 with a worker asleep, and a lost wake-up
+        // leaves it in the scope forever.
+        within(Duration::from_secs(60), || {
+            for threads in [2, 3, 8] {
+                let window = WINDOW_PER_THREAD * threads;
+                for round in 0..100 {
+                    let started = AtomicUsize::new(0);
+                    let mut folded = 0;
+                    let flow = fold_in_order(
+                        3 * window,
+                        threads,
+                        |i| {
+                            started.fetch_add(1, Ordering::SeqCst);
+                            if i == 0 {
+                                while started.load(Ordering::SeqCst) <= window {
+                                    thread::yield_now();
+                                }
+                            }
+                            i
+                        },
+                        |i| {
+                            assert_eq!(i, folded, "threads={threads} round={round}");
+                            folded += 1;
+                            ControlFlow::<()>::Continue(())
+                        },
+                    );
+                    assert_eq!(flow, ControlFlow::Continue(()));
+                    assert_eq!(folded, 3 * window, "threads={threads} round={round}");
+                }
+            }
+        });
     }
 
     #[test]

@@ -69,6 +69,19 @@ impl ReversalInstance {
         ReversalInstance { init, dest }
     }
 
+    /// A copy that shares no allocation with this instance: the graph is
+    /// copied into a fresh [`Arc`]. A clone shares the graph, so every
+    /// state built from either bumps one reference count; threads that
+    /// work on the same instance each take a copy so they never write
+    /// one count.
+    pub fn deep_copy(&self) -> Self {
+        let csr = Arc::new(CsrGraph::clone(self.csr()));
+        ReversalInstance {
+            init: Orientation::from_words(csr, self.init.words().to_vec()),
+            dest: self.dest,
+        }
+    }
+
     /// The graph `G`.
     pub fn csr(&self) -> &Arc<CsrGraph> {
         self.init.csr()
@@ -182,6 +195,18 @@ mod tests {
         assert_eq!(inst.initial_bad_nodes(), 0);
         let inst = ReversalInstance::from_edges(&arcs, n(2)).unwrap();
         assert_eq!(inst.initial_bad_nodes(), 2);
+    }
+
+    #[test]
+    fn a_deep_copy_equals_its_instance_and_shares_no_graph() {
+        let inst = crate::stream::random_connected(12, 9, 4);
+        let copy = inst.deep_copy();
+        assert_eq!(copy, inst);
+        assert_eq!(crate::parse::to_text(&copy), crate::parse::to_text(&inst));
+        assert!(!Arc::ptr_eq(copy.csr(), inst.csr()));
+        assert_ne!(copy.init().words().as_ptr(), inst.init().words().as_ptr());
+        // A clone, by contrast, shares the graph.
+        assert!(Arc::ptr_eq(inst.clone().csr(), inst.csr()));
     }
 
     #[test]

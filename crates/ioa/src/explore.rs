@@ -9,8 +9,7 @@
 //! over every instance of bounded size, fanning the instances out across
 //! threads; each search itself is serial.
 
-use std::collections::{HashMap, HashSet};
-
+use crate::store::StateStore;
 use crate::{Automaton, Invariant, InvariantViolation};
 
 /// Result of a (possibly truncated) reachability exploration.
@@ -89,9 +88,11 @@ fn check_invariants<A: Automaton>(
 /// Explores all states reachable from the initial state, layer by layer,
 /// checking each invariant in each newly admitted state.
 ///
-/// Layers are expanded in admission order. The initial state is always
-/// admitted; a new state found once `max_states` states are admitted is
-/// dropped and marks the report [`truncated`](ExplorationReport::truncated).
+/// Layers are expanded in admission order; each admitted state is
+/// stored once, and each successor is looked up with one hash. The
+/// initial state is always admitted; a new state found once
+/// `max_states` states are admitted is dropped and marks the report
+/// [`truncated`](ExplorationReport::truncated).
 /// The first violating admission stops all further admissions, but the
 /// rest of its layer is still expanded, so that layer's transitions and
 /// quiescent states are counted in full.
@@ -111,46 +112,49 @@ pub fn explore<A: Automaton>(
         violation: check_invariants(invariants, &initial, 0),
         truncated: false,
     };
-    let mut visited = HashSet::from([initial.clone()]);
-    let mut frontier = vec![initial];
+    // The states in admission order: each layer is the range of indices
+    // admitted while the previous one was expanded.
+    let mut store = StateStore::new(initial);
+    let mut layer = 0..1;
     let mut depth = 0usize;
     // Resolved once per exploration, and only when a session records —
     // the disabled path costs one relaxed load per call.
     let layer_span = lr_obs::enabled().then(|| lr_obs::span_handle("explore", "explore.layer"));
-    while !frontier.is_empty() && report.violation.is_none() {
+    while !layer.is_empty() && report.violation.is_none() {
         report.max_depth_reached = depth;
-        report.frontier_sum += frontier.len();
-        report.frontier_max = report.frontier_max.max(frontier.len());
+        report.frontier_sum += layer.len();
+        report.frontier_max = report.frontier_max.max(layer.len());
         let _sp = layer_span.as_ref().map(|h| {
             let mut span = h.start();
             span.arg("depth", depth as u64);
-            span.arg("frontier", frontier.len() as u64);
+            span.arg("frontier", layer.len() as u64);
             span
         });
-        let mut next = Vec::new();
-        for state in &frontier {
-            let enabled = automaton.enabled_actions(state);
+        for i in layer.clone() {
+            let enabled = automaton.enabled_actions(store.get(i));
             if enabled.is_empty() {
                 report.quiescent_states += 1;
                 continue;
             }
             for action in enabled {
-                let succ = automaton.apply(state, &action);
+                let succ = automaton.apply(store.get(i), &action);
                 report.transitions += 1;
-                if report.violation.is_some() || visited.contains(&succ) {
+                if report.violation.is_some() {
                     continue;
                 }
+                let Err(hash) = store.find(&succ) else {
+                    continue;
+                };
                 if report.states_visited >= max_states {
                     report.truncated = true;
                     continue;
                 }
-                visited.insert(succ.clone());
                 report.states_visited += 1;
                 report.violation = check_invariants(invariants, &succ, depth + 1);
-                next.push(succ);
+                store.admit(succ, hash);
             }
         }
-        frontier = next;
+        layer = layer.end..store.len();
         depth += 1;
     }
     if layer_span.is_some() {
@@ -191,12 +195,13 @@ pub enum TerminationResult {
 /// acyclic state graph is the exact worst-case execution length.
 ///
 /// Each state is expanded once, when the search first meets it; a
-/// state's last-listed successor is searched first. One map holds every
-/// met state: grey while it is on the search path, black with the
-/// longest path from it once every successor is done. Each stack frame
-/// keeps a running maximum, folding in a successor's length when that
-/// successor finishes or when it is met already black, so a finished
-/// state's length is known without applying its actions again.
+/// state's last-listed successor is searched first. One store holds
+/// every met state once, in the order met, each with a color: grey
+/// while it is on the search path, black with the longest path from it
+/// once every successor is done. Each stack frame keeps a running
+/// maximum, folding in a successor's length when that successor
+/// finishes or when it is met already black, so a finished state's
+/// length is known without applying its actions again.
 pub fn check_termination<A: Automaton>(automaton: &A, max_states: usize) -> TerminationResult {
     enum Color {
         Grey,
@@ -206,7 +211,8 @@ pub fn check_termination<A: Automaton>(automaton: &A, max_states: usize) -> Term
 
     /// A state on the search path.
     struct Frame<S> {
-        state: S,
+        /// The state's index in the store.
+        index: usize,
         /// Successors not yet processed.
         succs: Vec<S>,
         /// Steps from the initial state along the search path.
@@ -215,37 +221,49 @@ pub fn check_termination<A: Automaton>(automaton: &A, max_states: usize) -> Term
         longest: usize,
     }
 
-    let frame = |state: A::State, depth: usize| Frame {
-        succs: automaton
-            .enabled_actions(&state)
+    let successors = |state: &A::State| -> Vec<A::State> {
+        automaton
+            .enabled_actions(state)
             .into_iter()
-            .map(|a| automaton.apply(&state, &a))
-            .collect(),
-        state,
-        depth,
-        longest: 0,
+            .map(|a| automaton.apply(state, &a))
+            .collect()
     };
 
-    let initial = automaton.initial_state();
-    let mut color: HashMap<A::State, Color> = HashMap::from([(initial.clone(), Color::Grey)]);
-    let mut stack = vec![frame(initial, 0)];
+    // Every met state, in the order met, with its color by index.
+    let mut store = StateStore::new(automaton.initial_state());
+    let mut color = vec![Color::Grey];
+    let mut stack = vec![Frame {
+        index: 0,
+        succs: successors(store.get(0)),
+        depth: 0,
+        longest: 0,
+    }];
     let mut longest_execution = 0;
     while let Some(top) = stack.last_mut() {
         match top.succs.pop() {
-            Some(next) => match color.get(&next) {
-                Some(Color::Grey) => {
-                    return TerminationResult::Diverges {
-                        witness_depth: top.depth,
-                    };
-                }
-                Some(&Color::Black(longest)) => top.longest = top.longest.max(longest + 1),
-                None => {
-                    if color.len() >= max_states {
+            Some(next) => match store.find(&next) {
+                Ok(i) => match color[i] {
+                    Color::Grey => {
+                        return TerminationResult::Diverges {
+                            witness_depth: top.depth,
+                        };
+                    }
+                    Color::Black(longest) => top.longest = top.longest.max(longest + 1),
+                },
+                Err(hash) => {
+                    if store.len() >= max_states {
                         return TerminationResult::Unknown;
                     }
                     let depth = top.depth + 1;
-                    color.insert(next.clone(), Color::Grey);
-                    stack.push(frame(next, depth));
+                    let succs = successors(&next);
+                    let index = store.admit(next, hash);
+                    color.push(Color::Grey);
+                    stack.push(Frame {
+                        index,
+                        succs,
+                        depth,
+                        longest: 0,
+                    });
                 }
             },
             None => {
@@ -256,12 +274,12 @@ pub fn check_termination<A: Automaton>(automaton: &A, max_states: usize) -> Term
                     // no path is longer than the initial state's.
                     None => longest_execution = done.longest,
                 }
-                color.insert(done.state, Color::Black(done.longest));
+                color[done.index] = Color::Black(done.longest);
             }
         }
     }
     TerminationResult::Terminates {
-        states: color.len(),
+        states: store.len(),
         longest_execution,
     }
 }

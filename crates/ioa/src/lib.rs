@@ -53,6 +53,7 @@ mod execution;
 mod invariant;
 mod scheduler;
 mod simulation;
+mod store;
 
 pub mod explore;
 

@@ -1,5 +1,6 @@
 use std::fmt;
 
+use crate::store::StateStore;
 use crate::{Automaton, Execution};
 
 /// Mechanized forward-simulation checking, in exactly the shape of the
@@ -168,28 +169,29 @@ impl<C: Automaton, Abs: Automaton> SimulationChecker<C, Abs> {
         abstract_automaton: &Abs,
         max_pairs: usize,
     ) -> Result<ExhaustiveSimReport, SimulationError> {
-        use std::collections::{HashSet, VecDeque};
-
         let s0 = concrete_automaton.initial_state();
         let t0 = abstract_automaton.initial_state();
         if !self.related(&s0, &t0) {
             return Err(SimulationError::InitialStatesUnrelated);
         }
-        let mut seen: HashSet<(C::State, Abs::State)> = HashSet::new();
-        let mut queue: VecDeque<(C::State, Abs::State)> = VecDeque::new();
-        seen.insert((s0.clone(), t0.clone()));
-        queue.push_back((s0, t0));
+        // The pairs in admission order, each stored once: the FIFO queue
+        // is the range of indices from `next` on.
+        let mut store = StateStore::new((s0, t0));
+        let mut next = 0;
         let mut report = ExhaustiveSimReport {
             pairs_visited: 1,
             transitions_matched: 0,
             complete: true,
         };
-        while let Some((s, t)) = queue.pop_front() {
-            for a in concrete_automaton.enabled_actions(&s) {
-                let s_prime = concrete_automaton.apply(&s, &a);
+        while next < store.len() {
+            let i = next;
+            next += 1;
+            for a in concrete_automaton.enabled_actions(&store.get(i).0) {
+                let (s, t) = store.get(i);
+                let s_prime = concrete_automaton.apply(s, &a);
                 let mut t_cur = t.clone();
                 for (seq_index, abs_action) in
-                    self.matching_actions(&s, &a, &t).into_iter().enumerate()
+                    self.matching_actions(s, &a, t).into_iter().enumerate()
                 {
                     if !abstract_automaton.is_enabled(&t_cur, &abs_action) {
                         return Err(SimulationError::AbstractActionNotEnabled {
@@ -206,14 +208,13 @@ impl<C: Automaton, Abs: Automaton> SimulationChecker<C, Abs> {
                 }
                 report.transitions_matched += 1;
                 let pair = (s_prime, t_cur);
-                if !seen.contains(&pair) {
+                if let Err(hash) = store.find(&pair) {
                     if report.pairs_visited >= max_pairs {
                         report.complete = false;
                         continue;
                     }
-                    seen.insert(pair.clone());
                     report.pairs_visited += 1;
-                    queue.push_back(pair);
+                    store.admit(pair, hash);
                 }
             }
         }

@@ -46,6 +46,16 @@
 //! counts, first violation, truncation — is **bit-identical at every
 //! thread count**. The `lr modelcheck --threads` flag sets it.
 //!
+//! Each check runs on a private [`deep_copy`](ReversalInstance::deep_copy)
+//! of its representative, a few hundred bytes at n ≤ 6 that the check
+//! drops when it ends. Every automaton state holds the instance's graph
+//! through an `Arc`, so each state clone and drop writes the graph's
+//! reference count. [`instance_orbits`] shares one graph among all the
+//! representatives of a graph class, and consecutive representatives,
+//! mostly of one class, go to whichever worker is free; without the copy
+//! the workers would keep writing one shared count, and at n = 6 two
+//! threads ran slower than one.
+//!
 //! ## Truncation is a hard error
 //!
 //! A truncated exploration (state or pair budget exhausted) previously
@@ -133,16 +143,22 @@ pub struct McOptions {
     /// out across this many scoped `std` threads, at most one per
     /// representative. `1` = serial.
     pub threads: usize,
-    /// Per-instance state/pair budget; exhausting it is reported as
+    /// Per-search state/pair budget; exhausting it is reported as
     /// truncation (a hard error), never silently ignored.
     pub max_states: usize,
 }
+
+/// The default per-search budget: over 1,000 times the most states or
+/// pairs any search meets at n ≤ 6 (82, pinned by the unit tests), so
+/// a defective automaton that loops or grows its state is reported as
+/// truncated in seconds rather than after gigabytes.
+const DEFAULT_MAX_STATES: usize = 100_000;
 
 impl Default for McOptions {
     fn default() -> Self {
         McOptions {
             threads: 1,
-            max_states: 5_000_000,
+            max_states: DEFAULT_MAX_STATES,
         }
     }
 }
@@ -195,7 +211,9 @@ fn describe(inst: &ReversalInstance, orbit: u64) -> String {
 /// Runs `per` over every representative on `opts.threads` workers,
 /// folding outcomes weighted by orbit size **in enumeration order** into
 /// one summary through [`fold_in_order`], so it is bit-identical at
-/// every thread count. Stops at the first violation or truncation; its
+/// every thread count. Each check runs on the representative's
+/// [`deep_copy`](ReversalInstance::deep_copy), dropped when it ends (see
+/// the module docs). Stops at the first violation or truncation; its
 /// message is prefixed with the representative's [`describe`].
 fn sweep_instances<F>(
     orbits: &[(ReversalInstance, u64)],
@@ -206,13 +224,13 @@ where
     F: Fn(&ReversalInstance) -> InstanceOutcome + Sync,
 {
     let check = |i: usize| {
-        let (inst, orbit) = &orbits[i];
-        let mut out = per(inst);
+        let (rep, orbit) = &orbits[i];
+        let mut out = per(&rep.deep_copy());
         for message in [&mut out.violation, &mut out.truncation]
             .into_iter()
             .flatten()
         {
-            *message = format!("{}: {message}", describe(inst, *orbit));
+            *message = format!("{}: {message}", describe(rep, *orbit));
         }
         (
             usize::try_from(*orbit).expect("an orbit fits in usize"),
@@ -884,6 +902,67 @@ mod tests {
         );
         assert_eq!(s.longest_execution, 4);
         assert_eq!(s.truncated.as_deref(), Some("budget at 4"));
+    }
+
+    /// The most states (or pairs) one search meets on one representative
+    /// of size `n`: each check's in [`CheckKind::ALL`] order, with the
+    /// termination check's NewPR and OneStepPR searches apart, since the
+    /// budget bounds each search on its own.
+    fn most_states_per_search(n: usize) -> [usize; 9] {
+        let mut most = [0; 9];
+        for (inst, _) in instance_orbits(n) {
+            for (k, kind) in CheckKind::ALL[..7].iter().enumerate() {
+                let out = kind.check(&inst, DEFAULT_MAX_STATES);
+                assert!(out.violation.is_none() && out.truncation.is_none());
+                most[k] = most[k].max(out.states);
+            }
+            let np = check_termination(&NewPrAutomaton { inst: &inst }, DEFAULT_MAX_STATES);
+            let os = check_termination(&OneStepPrAutomaton { inst: &inst }, DEFAULT_MAX_STATES);
+            for (k, res) in [np, os].into_iter().enumerate() {
+                let TerminationResult::Terminates { states, .. } = res else {
+                    panic!("termination search {k} at n={n}: {res:?}");
+                };
+                most[7 + k] = most[7 + k].max(states);
+            }
+        }
+        most
+    }
+
+    /// The most states one search meets at each size, in the order of
+    /// [`most_states_per_search`]. NewPR, reverse R and NewPR's
+    /// termination search meet 3^(n−2) + 1 at these sizes, and every
+    /// other search 2^(n−1).
+    const MOST_STATES: [(usize, [usize; 9]); 5] = [
+        (2, [2, 2, 2, 2, 2, 2, 2, 2, 2]),
+        (3, [4, 4, 4, 4, 4, 4, 4, 4, 4]),
+        (4, [10, 8, 8, 8, 8, 10, 8, 10, 8]),
+        (5, [28, 16, 16, 16, 16, 28, 16, 28, 16]),
+        (6, [82, 32, 32, 32, 32, 82, 32, 82, 32]),
+    ];
+
+    /// Checks one size's maxima against [`MOST_STATES`] and the default
+    /// budget's margin.
+    fn assert_most_states_pinned(n: usize) {
+        let (_, want) = MOST_STATES[n - 2];
+        let most = most_states_per_search(n);
+        assert_eq!(most, want, "n={n}");
+        assert!(
+            most.iter().all(|&m| m * 1_000 < DEFAULT_MAX_STATES),
+            "n={n}"
+        );
+    }
+
+    #[test]
+    fn the_most_states_one_search_meets_are_pinned_up_to_n5() {
+        for n in 2..=5 {
+            assert_most_states_pinned(n);
+        }
+    }
+
+    #[test]
+    #[ignore = "one search per check on every n = 6 representative takes seconds; run with --ignored"]
+    fn the_most_states_one_search_meets_are_pinned_at_n6() {
+        assert_most_states_pinned(6);
     }
 
     /// `inst` with every node `u` renamed `map[u]`.

@@ -20,7 +20,7 @@ use lr_ioa::SimulationChecker;
 
 /// Does `R` relate an `OneStepPR` state and a `NewPR` state?
 pub fn r_holds(inst: &ReversalInstance, s: &PrState, t: &NewPrState) -> bool {
-    if s.dirs.orientation() != t.dirs.orientation() {
+    if !s.dirs.same_orientation(&t.dirs) {
         return false;
     }
     inst.csr().nodes().all(|u| {

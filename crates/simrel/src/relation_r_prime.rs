@@ -20,9 +20,11 @@ use lr_ioa::SimulationChecker;
 /// Both automata share the [`PrState`] type, so the relation compares the
 /// derived orientation and the lists — exactly parts (1) and (2) of the
 /// paper's definition (not raw state equality, although the two coincide
-/// whenever Invariant 3.1 holds).
+/// whenever Invariant 3.1 holds). The orientations are compared on the
+/// direction bits in place, through
+/// [`MirroredDirs::same_orientation`](lr_core::MirroredDirs::same_orientation).
 pub fn r_prime_holds(s: &PrState, t: &PrState) -> bool {
-    s.dirs.orientation() == t.dirs.orientation() && s.same_lists(t)
+    s.dirs.same_orientation(&t.dirs) && s.same_lists(t)
 }
 
 /// Builds the Lemma 5.1 checker: relation `R'` plus the constructive step

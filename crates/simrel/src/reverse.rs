@@ -43,7 +43,7 @@ use lr_ioa::{run, Execution, Scheduler, SimulationChecker, SimulationError};
 /// Does the weakened reverse relation `R⁻` relate a `NewPR` state (now
 /// the concrete side) and a `OneStepPR` state (now the abstract side)?
 pub fn rev_r_holds(inst: &ReversalInstance, t: &NewPrState, s: &PrState) -> bool {
-    if t.dirs.orientation() != s.dirs.orientation() {
+    if !t.dirs.same_orientation(&s.dirs) {
         return false;
     }
     inst.csr().nodes().all(|u| {
