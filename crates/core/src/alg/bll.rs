@@ -18,7 +18,7 @@ use lr_graph::{Orientation, ReversalInstance};
 
 use crate::alg::{Frontier, Rule};
 use crate::dirs::{all_word_masks, word_bit};
-use crate::{MirroredDirs, PlanAux, StepScratch};
+use crate::{MirroredDirs, StepScratch};
 
 /// A label-update policy for [`FrontierBllEngine`], and BLL's rule: the
 /// `μ_u(v)` labels are one bit per half-edge slot (the bit of slot `(u,
@@ -85,49 +85,36 @@ impl Rule for BllLabeling {
     }
 
     #[inline]
-    fn plan(
+    fn step(
         &self,
         inst: &ReversalInstance,
-        (_, labels): &Self::State,
+        (dirs, labels): &mut Self::State,
         ui: usize,
         scratch: &mut StepScratch,
     ) {
         // A stepping sink reverses exactly its 1-labeled links — all
         // links if none is labeled 1. "Any 1-labeled?" is one masked
-        // read of u's slot range.
-        let r = inst.csr().slots(ui);
+        // read of u's slot range. Under the PR labeling the reversed
+        // neighbor's label for u (the twin slot's bit, outside u's
+        // range) drops to 0, and u forgets its history (list[u] := ∅ ⇒
+        // all labels 1).
+        let csr = inst.csr();
+        let r = csr.slots(ui);
+        let pr_labels = *self == BllLabeling::PartialReversal;
         let any_one = !all_word_masks(r.clone(), |w, m| labels[w] & m == 0);
-        for slot in r {
+        for slot in r.clone() {
             let (w, m) = word_bit(slot);
             if !any_one || labels[w] & m != 0 {
                 scratch.push(slot);
-            }
-        }
-    }
-
-    #[inline]
-    fn apply(
-        &self,
-        inst: &ReversalInstance,
-        (dirs, labels): &mut Self::State,
-        ui: usize,
-        slots: &[u32],
-        _: PlanAux,
-    ) {
-        // Reverse each planned edge; under the PR labeling the reversed
-        // neighbor's label for u (the twin slot's bit) drops to 0, and u
-        // forgets its history (list[u] := ∅ ⇒ all labels 1).
-        let csr = inst.csr();
-        let pr_labels = *self == BllLabeling::PartialReversal;
-        for &slot in slots {
-            dirs.reverse_outward_at(slot as usize);
-            if pr_labels {
-                let (w, m) = word_bit(csr.twin(slot as usize));
-                labels[w] &= !m;
+                dirs.reverse_outward_at(slot);
+                if pr_labels {
+                    let (w, m) = word_bit(csr.twin(slot));
+                    labels[w] &= !m;
+                }
             }
         }
         if pr_labels {
-            all_word_masks(csr.slots(ui), |w, m| {
+            all_word_masks(r, |w, m| {
                 labels[w] |= m;
                 true
             });

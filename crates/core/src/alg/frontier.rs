@@ -42,7 +42,7 @@ use crate::alg::{
     FrontierPairHeightsEngine, FrontierPrEngine, FrontierTripleHeightsEngine, NewPrRule,
     PairHeightsRule, PrRule, TripleHeightsRule,
 };
-use crate::{EnabledTracker, PlanAux, StepOutcome, StepScratch};
+use crate::{EnabledTracker, StepOutcome, StepScratch};
 
 /// The algorithm families, one [`Rule`] each: the paper's Full
 /// Reversal, Partial Reversal and NewPR, the two Gafni–Bertsekas height
@@ -136,19 +136,19 @@ fn observe_engine_build(family: &'static str, engine: &dyn FrontierEngine) {
     );
 }
 
-/// What one family does differently: its state, its sink test, and the
-/// plan and apply of a step. [`Frontier`] does the rest.
+/// What one family does differently: its state, its sink test, and its
+/// step. [`Frontier`] does the rest.
 ///
 /// Every method gets the engine's instance, so a rule reads the CSR and
 /// the initial bits from there and stores neither. The six families
-/// implement it in this crate, where a plan can write its slots, and
-/// mark their step methods (`is_sink_at`, `plan`, `apply`) `#[inline]`:
-/// the shell is generic and the rules are not, so without it the
-/// compiler may keep each as a call out of the shell's step path.
-pub trait Rule: Clone + Debug + Sync {
+/// implement it in this crate, where a step can write its slots, and
+/// mark their step methods (`is_sink_at`, `step`) `#[inline]`: the shell
+/// is generic and the rules are not, so without it the compiler may keep
+/// each as a call out of the shell's step path.
+pub trait Rule: Clone + Debug {
     /// The family's per-node and per-slot state, by dense CSR index and
     /// half-edge slot.
-    type State: Clone + Debug + Sync;
+    type State: Clone + Debug;
 
     /// The short name reports use ("FR", "PR", ...), as
     /// [`FrontierFamily::name`] gives it.
@@ -161,27 +161,15 @@ pub trait Rule: Clone + Debug + Sync {
     /// state alone (never from the enabled set).
     fn is_sink_at(&self, inst: &ReversalInstance, state: &Self::State, ui: usize) -> bool;
 
-    /// Plans the step of the sink at dense index `ui` without mutating
-    /// anything: pushes the slots it reverses, ascending and all in
-    /// `ui`'s slot range, into the cleared `scratch`, and sets
-    /// `scratch.aux` when the apply needs more than the slots.
-    fn plan(
-        &self,
-        inst: &ReversalInstance,
-        state: &Self::State,
-        ui: usize,
-        scratch: &mut StepScratch,
-    );
-
-    /// Applies a plan of the node at dense index `ui`: `slots` and `aux`
-    /// as [`Rule::plan`] wrote them.
-    fn apply(
+    /// Steps the sink at dense index `ui`: pushes the slots it reverses,
+    /// ascending and all in `ui`'s slot range, into the cleared
+    /// `scratch`, and rewrites `state` for exactly those slots.
+    fn step(
         &self,
         inst: &ReversalInstance,
         state: &mut Self::State,
         ui: usize,
-        slots: &[u32],
-        aux: PlanAux,
+        scratch: &mut StepScratch,
     );
 
     /// The single-copy orientation the state describes.
@@ -202,14 +190,14 @@ pub trait Rule: Clone + Debug + Sync {
 ///   [`crate::engine::run_engine_frontier`];
 /// * the step's precondition (the destination never steps, and the
 ///   stepping node is a sink by its rule's test) and its
-///   [`StepOutcome`]: a step that plans no slot is a dummy step, which
-///   only NewPR takes, since every other rule reverses at least one
-///   edge of a sink;
+///   [`StepOutcome`]: a step that reverses no slot is a dummy step,
+///   which only NewPR takes, since every other rule reverses at least
+///   one edge of a sink;
 /// * the shared terms of [`FrontierEngine::resident_bytes`].
 ///
 /// A rule keeps its state type and initial state, its sink test, its
-/// plan (the ascending slots it reverses, plus a [`PlanAux`]), its
-/// apply, and its orientation, name and state bytes. The rule is a type
+/// step (the ascending slots it reverses, and the state it rewrites for
+/// them), and its orientation, name and state bytes. The rule is a type
 /// parameter, so the step path has no dynamic dispatch.
 #[derive(Debug, Clone)]
 pub struct Frontier<R: Rule> {
@@ -258,31 +246,28 @@ impl<R: Rule> FrontierEngine for Frontier<R> {
         self.tracker.enabled()
     }
 
-    fn plan_step(&self, u: NodeId, scratch: &mut StepScratch) -> StepOutcome {
+    fn step_into(&mut self, u: NodeId, scratch: &mut StepScratch) -> StepOutcome {
         assert_ne!(u, self.init.dest, "destination {u} never takes steps");
-        let ui = self.init.csr().index_of(u).expect("stepping node exists");
+        let csr = self.init.csr();
+        let ui = csr.index_of(u).expect("stepping node exists");
         assert!(
             self.rule.is_sink_at(&self.init, &self.state, ui),
             "reverse({u}) precondition: {u} must be a sink"
         );
         scratch.clear();
-        self.rule.plan(&self.init, &self.state, ui, scratch);
-        StepOutcome {
-            node_idx: ui,
-            reversal_count: scratch.slots.len(),
-            dummy: scratch.slots.is_empty(),
-        }
-    }
-
-    fn apply_planned(&mut self, ui: usize, slots: &[u32], aux: PlanAux) {
-        let csr = self.init.csr();
+        self.rule.step(&self.init, &mut self.state, ui, scratch);
+        let slots = scratch.slots();
         debug_assert!(
             slots.is_sorted_by(|a, b| a < b)
                 && slots.iter().all(|&s| csr.slots(ui).contains(&(s as usize))),
-            "planned slots must ascend within the slot range of node index {ui}"
+            "reversed slots must ascend within the slot range of node index {ui}"
         );
-        self.rule.apply(&self.init, &mut self.state, ui, slots, aux);
         self.tracker.record_step(csr, ui, slots);
+        StepOutcome {
+            node_idx: ui,
+            reversal_count: slots.len(),
+            dummy: slots.is_empty(),
+        }
     }
 
     fn begin_round(&mut self) {
@@ -363,8 +348,8 @@ mod tests {
     }
 
     #[test]
-    fn a_step_that_plans_no_slot_is_the_only_dummy_step() {
-        // Only NewPR plans nothing: leaf 1, an initial source, dummy-steps
+    fn a_step_that_reverses_no_slot_is_the_only_dummy_step() {
+        // Only NewPR reverses nothing: leaf 1, an initial source, dummy-steps
         // once the centre has reversed toward it.
         let inst = lr_graph::parse::parse_instance("dest 3\n1 > 0\n2 > 0\n3 > 0").unwrap();
         for family in all_families() {

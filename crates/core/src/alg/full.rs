@@ -11,7 +11,7 @@ use lr_graph::{NodeId, Orientation, ReversalInstance};
 use lr_ioa::Automaton;
 
 use crate::alg::{assert_may_step, may_step, Frontier, Rule};
-use crate::{MirroredDirs, PlanAux, ReversalStep, StepScratch};
+use crate::{MirroredDirs, ReversalStep, StepScratch};
 
 /// FR state: just the mirrored edge directions.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -89,29 +89,16 @@ impl Rule for FrRule {
     }
 
     #[inline]
-    fn plan(
+    fn step(
         &self,
         inst: &ReversalInstance,
-        _: &MirroredDirs,
+        dirs: &mut MirroredDirs,
         ui: usize,
         scratch: &mut StepScratch,
     ) {
         for slot in inst.csr().slots(ui) {
             scratch.push(slot);
-        }
-    }
-
-    #[inline]
-    fn apply(
-        &self,
-        _: &ReversalInstance,
-        dirs: &mut MirroredDirs,
-        _: usize,
-        slots: &[u32],
-        _: PlanAux,
-    ) {
-        for &slot in slots {
-            dirs.reverse_outward_at(slot as usize);
+            dirs.reverse_outward_at(slot);
         }
     }
 

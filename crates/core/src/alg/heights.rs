@@ -39,7 +39,7 @@ use std::sync::Arc;
 use lr_graph::{CsrGraph, NodeId, Orientation, ReversalInstance};
 
 use crate::alg::{Frontier, FrontierEngine, Rule};
-use crate::{PlanAux, StepScratch};
+use crate::StepScratch;
 
 /// A Gafni–Bertsekas pair height `(α, id)`, ordered lexicographically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -226,10 +226,10 @@ impl Rule for PairHeightsRule {
     }
 
     #[inline]
-    fn plan(
+    fn step(
         &self,
         inst: &ReversalInstance,
-        alphas: &Vec<i64>,
+        alphas: &mut Vec<i64>,
         ui: usize,
         scratch: &mut StepScratch,
     ) {
@@ -243,19 +243,7 @@ impl Rule for PairHeightsRule {
         for slot in csr.slots(ui) {
             scratch.push(slot);
         }
-        scratch.aux = PlanAux(max_alpha + 1, 0);
-    }
-
-    #[inline]
-    fn apply(
-        &self,
-        _: &ReversalInstance,
-        alphas: &mut Vec<i64>,
-        ui: usize,
-        _: &[u32],
-        aux: PlanAux,
-    ) {
-        alphas[ui] = aux.0;
+        alphas[ui] = max_alpha + 1;
     }
 
     fn orientation(&self, inst: &ReversalInstance, alphas: &Vec<i64>) -> Orientation {
@@ -310,10 +298,10 @@ impl Rule for TripleHeightsRule {
     }
 
     #[inline]
-    fn plan(
+    fn step(
         &self,
         inst: &ReversalInstance,
-        heights: &Vec<(i64, i64)>,
+        heights: &mut Vec<(i64, i64)>,
         ui: usize,
         scratch: &mut StepScratch,
     ) {
@@ -326,19 +314,7 @@ impl Rule for TripleHeightsRule {
                 scratch.push(slot);
             }
         }
-        scratch.aux = PlanAux(alpha, beta);
-    }
-
-    #[inline]
-    fn apply(
-        &self,
-        _: &ReversalInstance,
-        heights: &mut Vec<(i64, i64)>,
-        ui: usize,
-        _: &[u32],
-        aux: PlanAux,
-    ) {
-        heights[ui] = (aux.0, aux.1);
+        heights[ui] = (alpha, beta);
     }
 
     fn orientation(&self, inst: &ReversalInstance, heights: &Vec<(i64, i64)>) -> Orientation {

@@ -14,7 +14,7 @@
 //!   imperative, in-place state machine over CSR arrays and bit-packed
 //!   per-slot words, used by every run loop, trace, and benchmark. It is
 //!   generic over a [`Rule`], which is all a family adds: its state,
-//!   sink test, and the plan and apply of a step. Each family's engine
+//!   sink test, and step. Each family's engine
 //!   is a type alias (such as [`FrontierPrEngine`], `Frontier<PrRule>`)
 //!   built through [`FrontierFamily::engine`].
 //!
@@ -53,7 +53,7 @@ use std::sync::Arc;
 
 use lr_graph::{CsrGraph, NodeId, Orientation, ReversalInstance};
 
-use crate::{MirroredDirs, PlanAux, ReversalStep, StepOutcome, StepScratch};
+use crate::{MirroredDirs, ReversalStep, StepOutcome, StepScratch};
 
 /// A flat, imperative link-reversal state machine over a fixed
 /// [`ReversalInstance`]: all steady state lives in CSR-indexed arrays and
@@ -71,33 +71,18 @@ use crate::{MirroredDirs, PlanAux, ReversalStep, StepOutcome, StepScratch};
 ///
 /// # The step pipeline
 ///
-/// A step is split into a read-only **plan** and a mutating **apply**,
-/// both by half-edge slot (see [`crate::step`]):
+/// A step works by half-edge slot (see [`crate::step`]):
 ///
-/// * [`FrontierEngine::plan_step`] resolves the stepping node to its
-///   dense index, checks the step's precondition, and has the rule
-///   ([`Rule::plan`]) write the slots it reverses into a caller-owned
-///   [`StepScratch`], without mutating anything;
-/// * [`FrontierEngine::apply_planned`] has the rule ([`Rule::apply`])
-///   rewrite its state for exactly those slots of the node at that
-///   index, in place, and records the step in the enabled tracker;
-/// * [`FrontierEngine::step_into`] is plan + apply — the
-///   **zero-allocation hot path** the run loop uses (one reusable
-///   scratch per run);
+/// * [`FrontierEngine::step_into`] resolves the stepping node to its
+///   dense index, checks the step's precondition, has the rule
+///   ([`Rule::step`]) write the slots it reverses into a caller-owned
+///   [`StepScratch`] and rewrite its state for them in place, and
+///   records the step in the enabled tracker — the **zero-allocation
+///   hot path** the run loop uses (one reusable scratch per run);
 /// * [`FrontierEngine::step`] is the allocating wrapper (fresh buffer
 ///   per call, owned [`ReversalStep`] result with the neighbours' ids)
 ///   for traces, tests, and the lockstep suite.
-///
-/// Because the sinks of one greedy round are pairwise non-adjacent, a
-/// plan computed against the pre-round state equals the plan a
-/// sequential schedule would compute mid-round — which is what lets
-/// [`crate::engine::run_engine_frontier_sharded`] fan the plan phase out
-/// across worker threads and still produce bit-identical executions.
-///
-/// `Sync` is a supertrait so `&dyn FrontierEngine` can be shared with
-/// those plan workers; the shell and every rule's state hold only plain
-/// data and are naturally `Sync`.
-pub trait FrontierEngine: Sync {
+pub trait FrontierEngine {
     /// The retained initial configuration (shared CSR + one direction
     /// bit per half-edge) the engine was built from and resets to.
     fn instance(&self) -> &ReversalInstance;
@@ -128,39 +113,18 @@ pub trait FrontierEngine: Sync {
     /// O(1); no allocation.
     fn enabled(&self) -> &[NodeId];
 
-    /// Plans node `u`'s reversal step against the **current** state
-    /// without mutating it: writes the reversed half-edge slots
-    /// (ascending, all in `u`'s slot range) into `scratch` and returns
-    /// the step's [`StepOutcome`], which carries `u`'s dense index.
+    /// Performs node `u`'s reversal step through the caller-owned
+    /// `scratch`, with **no heap allocation** in steady state: the
+    /// reversed half-edge slots (ascending, all in `u`'s slot range) are
+    /// written into the reusable buffer and the returned
+    /// [`StepOutcome`], which carries `u`'s dense index, is `Copy`. See
+    /// [`StepScratch`] for the ownership contract.
     ///
     /// # Panics
     ///
     /// Panics if `u` is not enabled (not a sink, or is the destination) —
     /// that is a scheduling bug, not a runtime condition.
-    fn plan_step(&self, u: NodeId, scratch: &mut StepScratch) -> StepOutcome;
-
-    /// Applies a step previously planned by [`FrontierEngine::plan_step`]
-    /// for the node at dense index `ui` (the plan's
-    /// [`StepOutcome::node_idx`]): `slots` are the planned slots and
-    /// `aux` the plan's payload. The state must not have changed in a
-    /// way that affects the plan in between (the non-adjacency of a
-    /// greedy round's sinks guarantees this for whole-round batches).
-    fn apply_planned(&mut self, ui: usize, slots: &[u32], aux: PlanAux);
-
-    /// Performs node `u`'s reversal step through the caller-owned
-    /// `scratch`, with **no heap allocation** in steady state: the
-    /// reversed slots are written into the reusable buffer and the
-    /// returned [`StepOutcome`] is `Copy`. See [`StepScratch`] for the
-    /// ownership contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is not enabled.
-    fn step_into(&mut self, u: NodeId, scratch: &mut StepScratch) -> StepOutcome {
-        let outcome = self.plan_step(u, scratch);
-        self.apply_planned(outcome.node_idx, &scratch.slots, scratch.aux);
-        outcome
-    }
+    fn step_into(&mut self, u: NodeId, scratch: &mut StepScratch) -> StepOutcome;
 
     /// Performs node `u`'s reversal step, returning an owned
     /// [`ReversalStep`] that names the reversed neighbours by id.

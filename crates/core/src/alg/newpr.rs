@@ -17,7 +17,7 @@ use lr_graph::{EdgeDir, NodeId, Orientation, ReversalInstance};
 use lr_ioa::Automaton;
 
 use crate::alg::{assert_may_step, may_step, Frontier, Rule};
-use crate::{MirroredDirs, PlanAux, ReversalStep, StepScratch};
+use crate::{MirroredDirs, ReversalStep, StepScratch};
 
 /// The parity of a node's step count — the derived variable `parity[u]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -129,7 +129,7 @@ pub fn newpr_step(inst: &ReversalInstance, state: &mut NewPrState, u: NodeId) ->
 /// read straight off the instance's initial direction bits (one masked
 /// read per slot), and the `count[u]` history variable is a dense
 /// `Vec<u64>` by CSR index instead of a `BTreeMap`. A step whose
-/// relevant set is empty plans no slot: the §4.1 dummy step.
+/// relevant set is empty reverses no slot: the §4.1 dummy step.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NewPrRule;
 
@@ -167,10 +167,10 @@ impl Rule for NewPrRule {
     }
 
     #[inline]
-    fn plan(
+    fn step(
         &self,
         inst: &ReversalInstance,
-        (_, counts): &Self::State,
+        (dirs, counts): &mut Self::State,
         ui: usize,
         scratch: &mut StepScratch,
     ) {
@@ -181,21 +181,8 @@ impl Rule for NewPrRule {
         for slot in inst.csr().slots(ui) {
             if (inst.init().dir_at(slot) == EdgeDir::In) == want_initial_in {
                 scratch.push(slot);
+                dirs.reverse_outward_at(slot);
             }
-        }
-    }
-
-    #[inline]
-    fn apply(
-        &self,
-        _: &ReversalInstance,
-        (dirs, counts): &mut Self::State,
-        ui: usize,
-        slots: &[u32],
-        _: PlanAux,
-    ) {
-        for &slot in slots {
-            dirs.reverse_outward_at(slot as usize);
         }
         counts[ui] += 1;
     }

@@ -17,7 +17,7 @@ use lr_ioa::Automaton;
 
 use crate::alg::{assert_may_step, may_step, Frontier, Rule};
 use crate::dirs::{all_word_masks, word_bit};
-use crate::{MirroredDirs, PlanAux, ReversalStep, StepScratch};
+use crate::{MirroredDirs, ReversalStep, StepScratch};
 
 /// Shared state of `PR` and `OneStepPR`: edge directions plus `list[u]`.
 ///
@@ -50,12 +50,24 @@ impl PrState {
     /// Panics if `u` is not a node of the instance.
     pub fn list(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         let csr = self.dirs.csr();
-        let ui = csr
-            .index_of(u)
-            .unwrap_or_else(|| panic!("no list for unknown node {u}"));
-        csr.slots(ui)
+        csr.slots(self.index(u))
             .filter(|&slot| self.listed_at(slot))
             .map(|slot| csr.node(csr.target(slot)))
+    }
+
+    /// Whether `list[u]` lies within one side of `u`'s initial
+    /// neighbours: `list[u] ⊆ out-nbrs_u` when `out`, else `list[u] ⊆
+    /// in-nbrs_u`. Read off the slot bits: every listed slot of `u` has
+    /// the initial direction `out` in `inst`, this state's instance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is not a node of the instance.
+    pub fn list_within_initial(&self, inst: &ReversalInstance, u: NodeId, out: bool) -> bool {
+        self.dirs
+            .csr()
+            .slots(self.index(u))
+            .all(|slot| !self.listed_at(slot) || inst.init().is_out(slot) == out)
     }
 
     /// Whether `list[u] = t.list[u]` for every node `u`, for two states
@@ -81,6 +93,14 @@ impl PrState {
             .and_then(|(ui, vi)| csr.slot_of(ui, vi))
             .unwrap_or_else(|| panic!("no edge between {u} and {v}"));
         self.set_listed_at(slot, true);
+    }
+
+    /// The dense index of `u`.
+    fn index(&self, u: NodeId) -> usize {
+        self.dirs
+            .csr()
+            .index_of(u)
+            .unwrap_or_else(|| panic!("no list for unknown node {u}"))
     }
 
     /// Whether the slot of `(u, v)` is listed: `v ∈ list[u]`.
@@ -303,45 +323,31 @@ impl Rule for PrRule {
     }
 
     #[inline]
-    fn plan(
+    fn step(
         &self,
         inst: &ReversalInstance,
-        (_, list): &Self::State,
+        (dirs, list): &mut Self::State,
         ui: usize,
         scratch: &mut StepScratch,
     ) {
         // The rule of `onestep_pr_step`: reverse the neighbors not in
         // `list[u]`, unless the list holds all of them, in which case
-        // reverse everything. Neighbor slots are ascending by id.
-        let r = inst.csr().slots(ui);
+        // reverse everything; record u in each reversed neighbor's list
+        // (the twin slot's bit), and afterwards empty list[u]. Neighbor
+        // slots are ascending by id, and the twins lie outside u's range.
+        let csr = inst.csr();
+        let r = csr.slots(ui);
         let list_is_full = all_word_masks(r.clone(), |w, m| list[w] & m == m);
-        for slot in r {
+        for slot in r.clone() {
             let (w, m) = word_bit(slot);
             if list_is_full || list[w] & m == 0 {
                 scratch.push(slot);
+                dirs.reverse_outward_at(slot);
+                let (w, m) = word_bit(csr.twin(slot));
+                list[w] |= m;
             }
         }
-    }
-
-    #[inline]
-    fn apply(
-        &self,
-        inst: &ReversalInstance,
-        (dirs, list): &mut Self::State,
-        ui: usize,
-        slots: &[u32],
-        _: PlanAux,
-    ) {
-        // The effects of `onestep_pr_step`: reverse each planned edge
-        // (both copies), record u in the reversed neighbor's list (the
-        // twin slot's bit), and afterwards empty list[u].
-        let csr = inst.csr();
-        for &slot in slots {
-            dirs.reverse_outward_at(slot as usize);
-            let (w, m) = word_bit(csr.twin(slot as usize));
-            list[w] |= m;
-        }
-        all_word_masks(csr.slots(ui), |w, m| {
+        all_word_masks(r, |w, m| {
             list[w] &= !m;
             true
         });
@@ -543,5 +549,55 @@ mod tests {
                 oracle.get_mut(&step.node).expect("a node").clear();
             }
         }
+    }
+
+    #[test]
+    fn the_list_side_predicate_agrees_with_the_neighbour_sets() {
+        // Along seeded random executions, and on a copy of each state
+        // with one neighbour forced into a list, `list_within_initial`
+        // must equal `list[u] ⊆ out-nbrs_u` (or `⊆ in-nbrs_u`) computed
+        // from the id lists.
+        let (mut within, mut outside) = (0usize, 0usize);
+        for seed in 0..40u64 {
+            let nodes = 2 + (seed % 11) as usize;
+            let inst = stream::random_connected(nodes, nodes, 5_000 + seed);
+            let aut = OneStepPrAutomaton { inst: &inst };
+            let mut sched = schedulers::UniformRandom::seeded(seed);
+            let mut s = aut.initial_state();
+            for steps in 0usize.. {
+                let mut corrupt = s.clone();
+                let u = inst.csr().node(steps % nodes);
+                let v = inst.csr().neighbors(u).nth(steps % 3).unwrap_or(u);
+                if v != u {
+                    corrupt.insert_into_list(u, v);
+                }
+                for state in [&s, &corrupt] {
+                    for u in inst.csr().nodes() {
+                        for out in [false, true] {
+                            let side = if out {
+                                inst.initial_out_nbrs(u)
+                            } else {
+                                inst.initial_in_nbrs(u)
+                            };
+                            let want = state.list(u).all(|v| side.contains(&v));
+                            assert_eq!(
+                                state.list_within_initial(&inst, u, out),
+                                want,
+                                "seed {seed}, step {steps}, node {u}, out {out}"
+                            );
+                            *if want { &mut within } else { &mut outside } += 1;
+                        }
+                    }
+                }
+                let enabled = aut.enabled_actions(&s);
+                if enabled.is_empty() {
+                    break;
+                }
+                let i = Scheduler::<OneStepPrAutomaton>::choose(&mut sched, &s, &enabled)
+                    .expect("the scheduler never stops");
+                onestep_pr_step(&inst, &mut s, enabled[i]);
+            }
+        }
+        assert!(within > 1_000 && outside > 1_000, "{within} / {outside}");
     }
 }

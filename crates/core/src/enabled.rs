@@ -14,7 +14,7 @@
 //! number and the shift is a cache-friendly memmove, so this term stays
 //! far below the O(n·Δ) rescan it replaces even on sink-heavy workloads.
 //!
-//! A step is recorded the way engines plan it: the stepping node's dense
+//! A step is recorded the way engines take it: the stepping node's dense
 //! index and its reversed half-edge slots. Each slot's target is the
 //! neighbour whose out-count drops, so the tracker never resolves a
 //! node id. Dense indices ascend with node ids (the CSR node table is

@@ -6,19 +6,12 @@
 //! per-node work vector used by the game-theoretic comparison (E10) and
 //! NewPR's dummy-step count (E9).
 //!
-//! Every entry point shares one driver (`drive`), so policy, budget, and
-//! stats logic exists once:
-//!
-//! * [`run_engine_frontier`] — reads the engine's incrementally
-//!   maintained enabled view, steps through the zero-allocation
-//!   [`FrontierEngine::step_into`] pipeline (one [`StepScratch`] per
-//!   run), and batches each greedy round's enabled-set edits into one
-//!   merge;
-//! * [`run_engine_frontier_sharded`] — greedy rounds with the plan
-//!   phase **fanned out** across worker threads, sharded by contiguous
-//!   node ranges (each worker owns a fixed slice of the id space and
-//!   plans the enabled nodes that fall in it); bit-identical to the
-//!   sequential greedy run at every thread count.
+//! There is one run loop, [`run_engine_frontier`], so policy, budget, and
+//! stats logic exists once: it reads the engine's incrementally
+//! maintained enabled view, steps through the zero-allocation
+//! [`FrontierEngine::step_into`] pipeline (one [`StepScratch`] per run),
+//! and batches each greedy round's enabled-set edits into one merge.
+//! [`run_to_destination_oriented`] runs it and checks the postcondition.
 //!
 //! The incremental enabled view stays falsifiable from outside: the
 //! differential suite (`tests/csr_differential.rs`) compares it with an
@@ -26,7 +19,6 @@
 //! boundary, on every engine configuration.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use lr_graph::{CsrGraph, NodeId};
 use lr_obs::MetricsShard;
@@ -35,7 +27,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::alg::FrontierEngine;
-use crate::{par, PlanAux, StepOutcome, StepScratch};
+use crate::{StepOutcome, StepScratch};
 
 /// Scheduling policy for [`run_engine_frontier`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,7 +102,7 @@ impl RunStats {
     /// `RunStats`, never a second tally, so per-step work cannot be
     /// double-booked between the work vector and the observability
     /// layer (the agreement suite in `tests/obs_metrics.rs` pins this
-    /// for every family × policy, sharded runs included).
+    /// for every family × policy).
     pub fn metrics(&self) -> MetricsShard {
         let mut m = MetricsShard::new();
         m.add("engine.steps", self.steps as u64);
@@ -173,156 +165,24 @@ impl StepBook {
     }
 }
 
-/// One greedy round through the zero-allocation pipeline with batched
-/// enabled-set edits: every sink in `snapshot` steps once (stopping at
-/// the budget). Shared by `drive`'s sequential rounds and the
-/// small-round fast path of its parallel rounds, so the loops stay in
-/// lockstep by construction — the bit-identical guarantee depends on it.
-fn greedy_round_zero_alloc(
-    engine: &mut dyn FrontierEngine,
-    snapshot: &[NodeId],
-    book: &mut StepBook,
-    scratch: &mut StepScratch,
-    max_steps: usize,
-) {
-    engine.begin_round();
-    for &u in snapshot {
-        let outcome = engine.step_into(u, scratch);
-        book.record(&outcome);
-        if book.steps >= max_steps {
-            break;
-        }
-    }
-    engine.end_round();
-}
-
-/// Obs handles for one `drive` invocation, resolved once at run start
-/// and only when a session is recording. When no session records the
-/// `Option` is `None` and each scheduling iteration pays one
-/// predictable local branch — the per-step hot loops
-/// ([`greedy_round_zero_alloc`], the plan/apply phases) are not
-/// instrumented at all.
-struct DriveObs {
+/// Obs handles for one run, resolved once at run start and only when a
+/// session is recording. When no session records the `Option` is `None`
+/// and each scheduling iteration pays one predictable local branch — the
+/// per-step loop is not instrumented at all.
+struct RunObs {
     run_span: lr_obs::Span,
     round_span: lr_obs::SpanHandle,
     frontier_hist: lr_obs::Histogram,
 }
 
-impl DriveObs {
-    fn resolve(algorithm: &'static str) -> DriveObs {
-        DriveObs {
+impl RunObs {
+    fn resolve(algorithm: &'static str) -> RunObs {
+        RunObs {
             run_span: lr_obs::span("engine", format!("engine.run {algorithm}")),
             round_span: lr_obs::span_handle("engine", "engine.round"),
             frontier_hist: lr_obs::histogram("engine.round_frontier"),
         }
     }
-}
-
-fn drive(
-    engine: &mut dyn FrontierEngine,
-    policy: SchedulePolicy,
-    max_steps: usize,
-    parallel: Option<ParallelConfig>,
-) -> RunStats {
-    let algorithm = engine.algorithm_name();
-    let mut obs = lr_obs::enabled().then(|| DriveObs::resolve(algorithm));
-    let csr = Arc::clone(engine.csr());
-    let mut book = StepBook::new(csr.node_count());
-    let mut rounds = 0usize;
-    let mut terminated = false;
-    let mut rng = match policy {
-        SchedulePolicy::RandomSingle { seed } => Some(SmallRng::seed_from_u64(seed)),
-        _ => None,
-    };
-    let mut scratch = StepScratch::new();
-    // Reusable greedy-round snapshot. The single-step policies never
-    // touch it — they read the engine's view directly.
-    let mut snapshot: Vec<NodeId> = Vec::new();
-    // A worker beyond one per node would own an empty slice of the id
-    // space, so the requested count is capped there and at the shared
-    // worker ceiling; results are bit-identical at every count either
-    // way.
-    let parallel = parallel.map(|cfg| ParallelConfig {
-        threads: par::worker_count(cfg.threads, csr.node_count()),
-        ..cfg
-    });
-    // Per-worker plan shards, reused across rounds (empty when the run
-    // is sequential).
-    let mut shards: Vec<PlanShard> = match parallel {
-        Some(cfg) => (0..cfg.threads).map(|_| PlanShard::default()).collect(),
-        None => Vec::new(),
-    };
-    loop {
-        if engine.is_terminated() {
-            terminated = true;
-            break;
-        }
-        if book.steps >= max_steps {
-            break;
-        }
-        // Frontier occupancy at the start of the iteration: the
-        // enabled-set size every scheduling arm is about to draw from.
-        // Identical for serial and sharded rounds (same snapshot) — so
-        // the differential suites keep comparing whole `RunStats` values.
-        let frontier_len = engine.enabled().len();
-        book.frontier_occupancy += frontier_len;
-        let _round_span = obs.as_ref().map(|o| {
-            o.frontier_hist.observe(frontier_len as u64);
-            let mut span = o.round_span.start();
-            span.arg("frontier", frontier_len as u64);
-            span
-        });
-        rounds += 1;
-        let u = match policy {
-            SchedulePolicy::GreedyRounds => {
-                // A maximal simultaneous step: every sink in the snapshot
-                // steps once. Sinks are pairwise non-adjacent, so
-                // sequential application equals the set action — and no
-                // one reads the enabled view until the round ends, so the
-                // engine batches its enabled-set edits into one merge.
-                snapshot.clear();
-                snapshot.extend_from_slice(engine.enabled());
-                match parallel {
-                    Some(cfg) => planned_parallel_round(
-                        engine,
-                        &csr,
-                        &snapshot,
-                        &mut book,
-                        &mut scratch,
-                        &mut shards,
-                        cfg,
-                        max_steps,
-                    ),
-                    None => greedy_round_zero_alloc(
-                        engine,
-                        &snapshot,
-                        &mut book,
-                        &mut scratch,
-                        max_steps,
-                    ),
-                }
-                continue;
-            }
-            SchedulePolicy::RandomSingle { .. } => {
-                let rng = rng.as_mut().expect("rng initialized for RandomSingle");
-                *engine.enabled().choose(rng).expect("enabled non-empty")
-            }
-            SchedulePolicy::FirstSingle => *engine.enabled().first().expect("non-empty"),
-            SchedulePolicy::LastSingle => *engine.enabled().last().expect("non-empty"),
-        };
-        let outcome = engine.step_into(u, &mut scratch);
-        book.record(&outcome);
-    }
-    let stats = book.into_stats(algorithm, rounds, terminated);
-    if let Some(obs) = obs.as_mut() {
-        obs.run_span.arg("steps", stats.steps as u64);
-        obs.run_span.arg("rounds", stats.rounds as u64);
-        obs.run_span.arg("reversals", stats.total_reversals as u64);
-        // Publish the derived (never re-tallied) metrics shard into the
-        // global recorder so the sinks show them next to the timing.
-        stats.metrics().publish();
-    }
-    stats
 }
 
 /// The **frontier-driven** run loop: drives `engine` until termination
@@ -347,188 +207,79 @@ pub fn run_engine_frontier(
     policy: SchedulePolicy,
     max_steps: usize,
 ) -> RunStats {
-    drive(engine, policy, max_steps, None)
-}
-
-/// Tuning for [`run_engine_frontier_sharded_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelConfig {
-    /// Worker-thread count for the plan phase (clamped to 1 ..= the
-    /// node count and [`par::MAX_WORKERS`]; 1 means fully sequential).
-    pub threads: usize,
-    /// Rounds with fewer enabled nodes than this run sequentially —
-    /// spawning workers for a handful of sinks costs more than it saves.
-    pub min_parallel_round: usize,
-}
-
-impl ParallelConfig {
-    /// `threads` workers, kept as requested, with the default round-size
-    /// cutoff: 64 × the most workers a round can get,
-    /// `threads.min(`[`par::MAX_WORKERS`]`)`.
-    pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        ParallelConfig {
-            threads,
-            min_parallel_round: 64 * threads.min(par::MAX_WORKERS),
+    let algorithm = engine.algorithm_name();
+    let mut obs = lr_obs::enabled().then(|| RunObs::resolve(algorithm));
+    let mut book = StepBook::new(engine.csr().node_count());
+    let mut rounds = 0usize;
+    let mut terminated = false;
+    let mut rng = match policy {
+        SchedulePolicy::RandomSingle { seed } => Some(SmallRng::seed_from_u64(seed)),
+        _ => None,
+    };
+    let mut scratch = StepScratch::new();
+    // Reusable greedy-round snapshot. The single-step policies never
+    // touch it — they read the engine's view directly.
+    let mut snapshot: Vec<NodeId> = Vec::new();
+    loop {
+        if engine.is_terminated() {
+            terminated = true;
+            break;
         }
-    }
-}
-
-/// One planned step, pointing into a shard's concatenated slot buffer.
-struct PlanRec {
-    outcome: StepOutcome,
-    start: usize,
-    aux: PlanAux,
-}
-
-/// Per-worker plan output, reused across rounds.
-#[derive(Default)]
-struct PlanShard {
-    recs: Vec<PlanRec>,
-    /// Every planned step's reversed slots, concatenated.
-    slots: Vec<u32>,
-    scratch: StepScratch,
-}
-
-/// Plans one shard of a round against the shared pre-round state.
-fn plan_shard(planner: &dyn FrontierEngine, shard: &mut PlanShard, nodes: &[NodeId]) {
-    for &u in nodes {
-        let outcome = planner.plan_step(u, &mut shard.scratch);
-        shard.recs.push(PlanRec {
-            outcome,
-            start: shard.slots.len(),
-            aux: shard.scratch.aux(),
+        if book.steps >= max_steps {
+            break;
+        }
+        // Frontier occupancy at the start of the iteration: the
+        // enabled-set size every scheduling arm is about to draw from.
+        let frontier_len = engine.enabled().len();
+        book.frontier_occupancy += frontier_len;
+        let _round_span = obs.as_ref().map(|o| {
+            o.frontier_hist.observe(frontier_len as u64);
+            let mut span = o.round_span.start();
+            span.arg("frontier", frontier_len as u64);
+            span
         });
-        shard.slots.extend_from_slice(shard.scratch.slots());
-    }
-}
-
-/// One greedy round with the plan phase fanned out across scoped `std`
-/// threads and a sequential apply — `drive`'s parallel round.
-///
-/// Every worker plans its sub-worklist against the shared **frozen
-/// pre-round state** (read-only borrow; a round's sinks are pairwise
-/// non-adjacent, so pre-round plans equal mid-round sequential plans).
-/// The apply phase then replays all planned steps on the caller thread
-/// in snapshot order — each worker's node range is a consecutive
-/// subslice of the ascending snapshot — reconciling every boundary
-/// half-edge and tracker delta in the deterministic sequential order.
-/// Rounds smaller than `cfg.min_parallel_round` (and everything when
-/// `cfg.threads == 1`) take the sequential fast path, which is exactly
-/// one [`run_engine_frontier`] round.
-#[allow(clippy::too_many_arguments)]
-fn planned_parallel_round(
-    engine: &mut dyn FrontierEngine,
-    csr: &CsrGraph,
-    snapshot: &[NodeId],
-    book: &mut StepBook,
-    scratch: &mut StepScratch,
-    shards: &mut [PlanShard],
-    cfg: ParallelConfig,
-    max_steps: usize,
-) {
-    let threads = cfg.threads;
-    if threads == 1 || snapshot.len() < cfg.min_parallel_round {
-        // Sequential fast path — exactly one `run_engine_frontier` round.
-        greedy_round_zero_alloc(engine, snapshot, book, scratch, max_steps);
-        return;
-    }
-    // Plan phase: workers read the shared pre-round state.
-    for shard in shards.iter_mut() {
-        shard.recs.clear();
-        shard.slots.clear();
-    }
-    // Worker `k` owns dense indices `[k·⌈n/threads⌉, (k+1)·⌈n/threads⌉)`.
-    // The snapshot is ascending by id, and dense CSR indices are
-    // ascending by id too, so each worker's sub-worklist is the
-    // consecutive run of snapshot entries inside its index range.
-    let mut slices: Vec<&[NodeId]> = Vec::with_capacity(threads);
-    let chunk = csr.node_count().div_ceil(threads);
-    let mut lo = 0usize;
-    for k in 0..threads {
-        let hi = if k + 1 == threads {
-            snapshot.len()
-        } else {
-            let bound = (k + 1) * chunk;
-            lo + snapshot[lo..]
-                .partition_point(|&u| csr.index_of(u).expect("enabled node exists") < bound)
-        };
-        if hi > lo {
-            slices.push(&snapshot[lo..hi]);
-        }
-        lo = hi;
-    }
-    let planner: &dyn FrontierEngine = engine;
-    std::thread::scope(|s| {
-        let mut work = shards.iter_mut().zip(slices.iter().copied());
-        // The caller thread plans the first shard itself; only the
-        // remaining shards pay for a spawn.
-        let first = work.next();
-        for (shard, nodes) in work {
-            s.spawn(move || plan_shard(planner, shard, nodes));
-        }
-        if let Some((shard, nodes)) = first {
-            plan_shard(planner, shard, nodes);
-        }
-    });
-    // Apply phase: shards cover the snapshot in order, so the tracker's
-    // out-count deltas merge deterministically.
-    engine.begin_round();
-    'apply: for shard in shards.iter() {
-        for rec in &shard.recs {
-            let slots = &shard.slots[rec.start..rec.start + rec.outcome.reversal_count];
-            engine.apply_planned(rec.outcome.node_idx, slots, rec.aux);
-            book.record(&rec.outcome);
-            if book.steps >= max_steps {
-                break 'apply;
+        rounds += 1;
+        let u = match policy {
+            SchedulePolicy::GreedyRounds => {
+                // A maximal simultaneous step: every sink in the snapshot
+                // steps once (stopping at the budget). Sinks are pairwise
+                // non-adjacent, so sequential application equals the set
+                // action — and no one reads the enabled view until the
+                // round ends, so the engine batches its enabled-set edits
+                // into one merge.
+                snapshot.clear();
+                snapshot.extend_from_slice(engine.enabled());
+                engine.begin_round();
+                for &u in &snapshot {
+                    let outcome = engine.step_into(u, &mut scratch);
+                    book.record(&outcome);
+                    if book.steps >= max_steps {
+                        break;
+                    }
+                }
+                engine.end_round();
+                continue;
             }
-        }
+            SchedulePolicy::RandomSingle { .. } => {
+                let rng = rng.as_mut().expect("rng initialized for RandomSingle");
+                *engine.enabled().choose(rng).expect("enabled non-empty")
+            }
+            SchedulePolicy::FirstSingle => *engine.enabled().first().expect("non-empty"),
+            SchedulePolicy::LastSingle => *engine.enabled().last().expect("non-empty"),
+        };
+        let outcome = engine.step_into(u, &mut scratch);
+        book.record(&outcome);
     }
-    engine.end_round();
-}
-
-/// [`run_engine_frontier`] for [`SchedulePolicy::GreedyRounds`] with the
-/// plan phase **sharded by contiguous node ranges** across worker
-/// threads, default tuning. See [`run_engine_frontier_sharded_with`].
-pub fn run_engine_frontier_sharded(
-    engine: &mut dyn FrontierEngine,
-    threads: usize,
-    max_steps: usize,
-) -> RunStats {
-    run_engine_frontier_sharded_with(engine, ParallelConfig::new(threads), max_steps)
-}
-
-/// Greedy-rounds execution with **node-range-sharded** parallel
-/// planning, explicit tuning.
-///
-/// The id space is partitioned once into `cfg.threads` contiguous dense-
-/// index ranges; each round, every scoped worker thread receives as
-/// its sub-worklist the run of enabled nodes falling in its range (a
-/// consecutive subslice of the ascending round snapshot) and plans those
-/// steps against the frozen pre-round state. The caller thread then
-/// applies all planned steps sequentially in snapshot order, reconciling
-/// boundary half-edges — a planned reversal whose twin slot lives in
-/// another worker's range — and the enabled-tracker deltas in the same
-/// deterministic order the sequential schedule would have used. The
-/// freeze/shard/fold discipline is PRs 3/5/6's; the resulting
-/// [`RunStats`], final state, and enabled sets are **bit-identical** to
-/// [`run_engine_frontier`] under [`SchedulePolicy::GreedyRounds`] at
-/// every thread count (`tests/frontier_differential.rs`).
-///
-/// Range sharding gives each worker a stable slice of the id space
-/// across rounds — its CSR and direction-bit reads for planning stay
-/// within that slice, which is the layout a future multi-process split
-/// of the arrays would inherit.
-///
-/// Rounds smaller than `cfg.min_parallel_round` (and everything when
-/// `cfg.threads == 1`) take the sequential fast path. A thread count
-/// above the node count or [`par::MAX_WORKERS`] is capped there.
-pub fn run_engine_frontier_sharded_with(
-    engine: &mut dyn FrontierEngine,
-    cfg: ParallelConfig,
-    max_steps: usize,
-) -> RunStats {
-    drive(engine, SchedulePolicy::GreedyRounds, max_steps, Some(cfg))
+    let stats = book.into_stats(algorithm, rounds, terminated);
+    if let Some(obs) = obs.as_mut() {
+        obs.run_span.arg("steps", stats.steps as u64);
+        obs.run_span.arg("rounds", stats.rounds as u64);
+        obs.run_span.arg("reversals", stats.total_reversals as u64);
+        // Publish the derived (never re-tallied) metrics shard into the
+        // global recorder so the sinks show them next to the timing.
+        stats.metrics().publish();
+    }
+    stats
 }
 
 /// Runs and asserts the link-reversal postcondition: the final orientation
@@ -654,92 +405,5 @@ mod tests {
         for (i, u) in e.csr().nodes().enumerate() {
             assert_eq!(map[&u], stats.work[i]);
         }
-    }
-
-    #[test]
-    fn sharded_greedy_is_bit_identical_to_sequential_for_every_family() {
-        let flat = stream::alternating_chain(65);
-        for family in FrontierFamily::ALL {
-            let mut seq = family.engine(flat.clone());
-            let seq_stats = run_engine_frontier(
-                seq.as_mut(),
-                SchedulePolicy::GreedyRounds,
-                DEFAULT_MAX_STEPS,
-            );
-            for threads in [1usize, 2, 4, 8] {
-                let mut par = family.engine(flat.clone());
-                // min_parallel_round: 0 forces the sharded path even on
-                // this small instance.
-                let cfg = ParallelConfig {
-                    threads,
-                    min_parallel_round: 0,
-                };
-                let par_stats =
-                    run_engine_frontier_sharded_with(par.as_mut(), cfg, DEFAULT_MAX_STEPS);
-                assert_eq!(
-                    par_stats,
-                    seq_stats,
-                    "{} × {threads} threads",
-                    family.name()
-                );
-                assert_eq!(par.orientation(), seq.orientation());
-                assert_eq!(par.enabled(), seq.enabled());
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_respects_step_budget() {
-        let flat = stream::alternating_chain(65);
-        let mut seq = FrontierPrEngine::new(flat.clone());
-        let seq_stats = run_engine_frontier(&mut seq, SchedulePolicy::GreedyRounds, 100);
-        let mut par = FrontierPrEngine::new(flat);
-        let cfg = ParallelConfig {
-            threads: 4,
-            min_parallel_round: 0,
-        };
-        let par_stats = run_engine_frontier_sharded_with(&mut par, cfg, 100);
-        assert!(!par_stats.terminated);
-        assert_eq!(par_stats, seq_stats);
-    }
-
-    #[test]
-    fn sharded_handles_more_threads_than_nodes() {
-        let mut e = FrontierPrEngine::new(stream::chain_away(4));
-        let cfg = ParallelConfig {
-            threads: 16,
-            min_parallel_round: 0,
-        };
-        let stats = run_engine_frontier_sharded_with(&mut e, cfg, DEFAULT_MAX_STEPS);
-        assert!(stats.terminated);
-    }
-
-    #[test]
-    fn counts_past_the_worker_ceiling_take_the_ceilings_round_cut_off() {
-        let (ceiling, absurd) = (ParallelConfig::new(64), ParallelConfig::new(100_000));
-        assert_eq!(absurd.min_parallel_round, ceiling.min_parallel_round);
-        assert_eq!(ceiling.min_parallel_round, 4096);
-        assert_eq!(absurd.threads, 100_000, "the requested count is kept");
-        assert_eq!(ParallelConfig::new(usize::MAX).min_parallel_round, 4096);
-        assert_eq!(ParallelConfig::new(0), ParallelConfig::new(1));
-    }
-
-    #[test]
-    fn absurd_thread_counts_are_capped_and_bit_identical() {
-        let flat = stream::star_away(5);
-        let mut one = FrontierPrEngine::new(flat.clone());
-        let want = run_engine_frontier_sharded(&mut one, 1, DEFAULT_MAX_STEPS);
-        let mut e = FrontierPrEngine::new(flat.clone());
-        let got = run_engine_frontier_sharded(&mut e, usize::MAX, DEFAULT_MAX_STEPS);
-        assert_eq!(got, want);
-        // Forced onto the sharded path: one worker per node at most.
-        let cfg = ParallelConfig {
-            threads: usize::MAX,
-            min_parallel_round: 0,
-        };
-        let mut e = FrontierPrEngine::new(flat);
-        let got = run_engine_frontier_sharded_with(&mut e, cfg, DEFAULT_MAX_STEPS);
-        assert_eq!(got, want);
-        assert_eq!(e.orientation(), one.orientation());
     }
 }

@@ -20,7 +20,7 @@
 //!   Gafni–Bertsekas height formulations [`alg::PairHeightsRule`] /
 //!   [`alg::TripleHeightsRule`], and the labeled-reversal
 //!   generalization's [`alg::BllLabeling`] (Binary Link Labels), each
-//!   just its state, sink test, plan and apply. Engines are built
+//!   just its state, sink test and step. Engines are built
 //!   uniformly through [`alg::FrontierFamily`]: bit-packed per-slot
 //!   state over the instance's CSR, million-node capable. The automata
 //!   are the oracle: every engine runs in lockstep beside the automaton
@@ -28,20 +28,17 @@
 //! * [`invariants`] — Invariants 3.1, 3.2, Corollaries 3.3/3.4,
 //!   Invariants 4.1, 4.2(a–d) and the acyclicity theorems 4.3/5.5 as
 //!   named predicates with rich counterexample messages.
-//! * [`engine`] — the run loop (greedy rounds, random, deterministic)
-//!   with work accounting: total reversals, per-node work vectors,
-//!   rounds, dummy steps. [`engine::run_engine_frontier`] consumes the
-//!   engines' incremental enabled view through the zero-allocation step
-//!   pipeline; [`engine::run_engine_frontier_sharded`] fans the plan
-//!   phase of greedy rounds out across worker threads, sharded by
-//!   contiguous node ranges — bit-identical to the sequential run at
-//!   every thread count.
-//! * [`step`] — the zero-allocation step pipeline, planned and applied
-//!   by half-edge slot: caller-owned [`StepScratch`] buffers and
-//!   lightweight [`StepOutcome`]s. The **caller owns the scratch**: one
-//!   buffer per run, overwritten by every step, no per-step heap
-//!   traffic after warm-up (see the module docs for the full ownership
-//!   contract).
+//! * [`engine`] — the one run loop, [`engine::run_engine_frontier`]
+//!   (greedy rounds, random, deterministic), with work accounting:
+//!   total reversals, per-node work vectors, rounds, dummy steps. It
+//!   consumes the engines' incremental enabled view through the
+//!   zero-allocation step pipeline and batches each greedy round's
+//!   enabled-set edits into one merge.
+//! * [`step`] — the zero-allocation step pipeline, by half-edge slot:
+//!   caller-owned [`StepScratch`] buffers and lightweight
+//!   [`StepOutcome`]s. The **caller owns the scratch**: one buffer per
+//!   run, overwritten by every step, no per-step heap traffic after
+//!   warm-up (see the module docs for the full ownership contract).
 //! * [`par`] — the in-order parallel fold behind the exhaustive model
 //!   checker and the scenario matrix sweep: work items on scoped
 //!   threads, results folded strictly in index order.
@@ -86,4 +83,4 @@ pub mod work;
 
 pub use dirs::{DirInconsistency, MirroredDirs, ReversalStep};
 pub use enabled::EnabledTracker;
-pub use step::{PlanAux, StepOutcome, StepScratch};
+pub use step::{StepOutcome, StepScratch};

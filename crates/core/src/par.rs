@@ -12,8 +12,10 @@
 //! advances: only they are woken, and only then.
 //!
 //! [`worker_count`] turns a requested `--threads` value into the workers
-//! a path spawns. Every parallel path is bit-identical at every count,
-//! so capping a request at [`MAX_WORKERS`] changes only wall-clock.
+//! a path spawns: the fold's, and `lr serve`'s probe workers. (The run
+//! loop has no parallel path: `lr run` steps on one thread.) Every
+//! parallel path is bit-identical at every count, so capping a request
+//! at [`MAX_WORKERS`] changes only wall-clock.
 
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;

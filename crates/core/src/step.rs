@@ -1,29 +1,23 @@
 //! The zero-allocation step pipeline: caller-owned scratch buffers and
 //! lightweight step outcomes.
 //!
-//! A step is planned and applied by **slot**. Every rule of the paper
-//! reads and rewrites only the stepping node's own incident edges, and
-//! those are the node's half-edge slots (`csr.slots(ui)`), so the
-//! pipeline never turns a neighbour back into its node id:
+//! A step works by **slot**. Every rule of the paper reads and rewrites
+//! only the stepping node's own incident edges, and those are the node's
+//! half-edge slots (`csr.slots(ui)`), so the pipeline never turns a
+//! neighbour back into its node id:
 //!
 //! * [`StepScratch`] — a **caller-owned, reusable** buffer the engine
-//!   writes each step's reversed half-edge slots (and an opaque plan
-//!   payload) into;
+//!   writes each step's reversed half-edge slots into;
 //! * [`StepOutcome`] — the lightweight, `Copy` result of a step: the
 //!   stepping node's dense CSR index, the reversal count, and the NewPR
-//!   dummy flag;
-//! * [`PlanAux`] — an opaque payload carried from
-//!   [`crate::alg::FrontierEngine::plan_step`] to
-//!   [`crate::alg::FrontierEngine::apply_planned`] (the height rules
-//!   stash the new height here so apply never re-scans the
-//!   neighborhood).
+//!   dummy flag.
 //!
-//! `plan_step` resolves the stepping node's id to its dense index once;
-//! `apply_planned` takes that index and the planned slots and flips
-//! exactly those, and the enabled tracker decrements the out-count of
-//! each slot's target. Only the allocating
-//! [`crate::alg::FrontierEngine::step`] wrapper maps the slots back to
-//! neighbour ids, for its owned [`crate::ReversalStep`].
+//! [`crate::alg::FrontierEngine::step_into`] resolves the stepping node's
+//! id to its dense index once; the family's rule pushes the slots it
+//! reverses and rewrites its state for exactly those, and the enabled
+//! tracker decrements the out-count of each slot's target. Only the
+//! allocating [`crate::alg::FrontierEngine::step`] wrapper maps the slots
+//! back to neighbour ids, for its owned [`crate::ReversalStep`].
 //!
 //! # Ownership contract
 //!
@@ -31,9 +25,9 @@
 //! `StepScratch` for an entire run: `step_into` overwrites (never
 //! appends to) the buffer, so after the warm-up growth of the first few
 //! steps the pipeline performs no per-step allocation at all. The
-//! buffer's contents are only meaningful until the next `plan_step` /
-//! `step_into` call that receives the same scratch; callers that need to
-//! keep a step's reversal set must copy it out (or use the allocating
+//! buffer's contents are only meaningful until the next `step_into` call
+//! that receives the same scratch; callers that need to keep a step's
+//! reversal set must copy it out (or use the allocating
 //! [`crate::alg::FrontierEngine::step`] wrapper, which does exactly
 //! that).
 
@@ -54,27 +48,14 @@ pub struct StepOutcome {
     pub dummy: bool,
 }
 
-/// Opaque payload a [`crate::alg::FrontierEngine::plan_step`] hands to
-/// the matching [`crate::alg::FrontierEngine::apply_planned`].
-///
-/// A [`crate::alg::Rule`] whose apply needs more than the reversed
-/// slots (the Gafni–Bertsekas height rules compute the stepping node's
-/// new height during planning) passes it through here; all other rules
-/// leave [`PlanAux::default`]. The contents are meaningless to callers —
-/// they only shuttle the value between the two trait calls.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanAux(pub(crate) i64, pub(crate) i64);
-
 /// A caller-owned, reusable buffer for the zero-allocation step
 /// pipeline. See the [module docs](self) for the ownership contract.
 #[derive(Debug, Clone, Default)]
 pub struct StepScratch {
-    /// Reversed half-edge slots of the most recent planned step, all in
-    /// the stepping node's slot range and ascending (so their targets
-    /// ascend by node id, the order every rule reverses in).
-    pub(crate) slots: Vec<u32>,
-    /// Plan payload of the most recent planned step.
-    pub(crate) aux: PlanAux,
+    /// Reversed half-edge slots of the most recent step, all in the
+    /// stepping node's slot range and ascending (so their targets ascend
+    /// by node id, the order every rule reverses in).
+    slots: Vec<u32>,
 }
 
 impl StepScratch {
@@ -84,7 +65,6 @@ impl StepScratch {
     }
 
     /// The reversed half-edge slots written by the most recent
-    /// [`crate::alg::FrontierEngine::plan_step`] /
     /// [`crate::alg::FrontierEngine::step_into`], ascending. The
     /// neighbour a slot reverses toward is
     /// `csr.node(csr.target(slot as usize))`.
@@ -92,7 +72,7 @@ impl StepScratch {
         &self.slots
     }
 
-    /// The neighbours the planned slots reverse toward, by id and
+    /// The neighbours the reversed slots point to, by id and
     /// ascending: the target of each slot in `csr`, the engine's graph.
     pub fn targets<'a>(&'a self, csr: &'a CsrGraph) -> impl Iterator<Item = NodeId> + 'a {
         self.slots
@@ -100,26 +80,19 @@ impl StepScratch {
             .map(|&slot| csr.node(csr.target(slot as usize)))
     }
 
-    /// The plan payload of the most recent planned step (pass to
-    /// [`crate::alg::FrontierEngine::apply_planned`]).
-    pub fn aux(&self) -> PlanAux {
-        self.aux
-    }
-
-    /// Appends one reversed half-edge slot to the current plan: a
-    /// [`crate::alg::Rule::plan`] pushes slots of the stepping node's
-    /// own range (`csr.slots(ui)`) in ascending order, and the apply
-    /// flips exactly the pushed slots.
+    /// Appends one reversed half-edge slot to the current step: a
+    /// [`crate::alg::Rule::step`] pushes slots of the stepping node's
+    /// own range (`csr.slots(ui)`) in ascending order, and rewrites its
+    /// state for exactly the pushed slots.
     pub(crate) fn push(&mut self, slot: usize) {
         debug_assert!(u32::try_from(slot).is_ok(), "slot {slot} exceeds u32");
         self.slots.push(slot as u32);
     }
 
-    /// Resets the buffer for a new plan; the engine does this before
-    /// every [`crate::alg::FrontierEngine::plan_step`].
+    /// Resets the buffer for a new step; the engine does this before
+    /// every rule step.
     pub(crate) fn clear(&mut self) {
         self.slots.clear();
-        self.aux = PlanAux::default();
     }
 }
 
@@ -134,10 +107,8 @@ mod tests {
             s.push(slot);
         }
         let cap = s.slots.capacity();
-        s.aux = PlanAux(3, 4);
         s.clear();
         assert!(s.slots().is_empty());
-        assert_eq!(s.aux(), PlanAux::default());
         assert_eq!(s.slots.capacity(), cap, "clear must not shrink");
     }
 }

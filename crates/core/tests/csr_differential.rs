@@ -134,12 +134,12 @@ proptest! {
 
     /// The zero-allocation `step_into` pipeline is observably identical
     /// to the allocating `step` compatibility wrapper, in lockstep after
-    /// **every** step: the planned slots name the wrapper's reversed
+    /// **every** step: the reversed slots name the wrapper's reversed
     /// neighbours, and the outcome fields, enabled sets and final
     /// orientations agree — on every engine configuration. A third engine
     /// steps the gapped copy through `step_into` and mirrors the other
     /// two under the id map, with equal outcomes and equal slots: neither
-    /// the dense index in an outcome nor a plan depends on the ids.
+    /// the dense index in an outcome nor a step's slots depend on the ids.
     #[test]
     fn step_into_matches_step_lockstep(
         inst in instance_strategy(),
@@ -183,7 +183,7 @@ proptest! {
                     name
                 );
                 prop_assert_eq!(twin_outcome, outcome, "{} (gapped ids)", name);
-                // A monotone relabelling keeps every slot, so the plans
+                // A monotone relabelling keeps every slot, so the steps
                 // agree slot for slot and name the mapped neighbours.
                 prop_assert_eq!(twin_scratch.slots(), scratch.slots(), "{} (gapped ids)", name);
                 let twin_targets: Vec<NodeId> = twin_scratch.targets(twin.csr()).collect();

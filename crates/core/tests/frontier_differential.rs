@@ -1,29 +1,22 @@
 //! Differential properties of the million-node machinery: the
-//! bit-packed direction words and the node-range-sharded run loop must
-//! be observably identical to their retained references on random
-//! connected instances.
+//! bit-packed direction words must be observably identical to a retained
+//! reference on random connected instances, and every flat engine must
+//! finish the pinned large instances.
 //!
-//! Two redundancies are falsified here:
-//!
-//! * the **bit-packed [`MirroredDirs`]** against a retained
-//!   `Vec<EdgeDir>` slot model across random mutation sequences
-//!   (including one-sided desyncs);
-//! * **every [`FrontierFamily`] flat engine** through the
-//!   node-range-sharded parallel loop [`run_engine_frontier_sharded_with`]
-//!   at thread counts {1, 2, 4, 8} against the sequential frontier loop,
-//!   also on a copy of the instance with gapped ids (`i ↦ 3·i + 2`),
-//!   where a worker that mixed node ids with dense indices would plan
-//!   the wrong shard.
+//! The falsified redundancy is the **bit-packed [`MirroredDirs`]**
+//! against a retained `Vec<EdgeDir>` slot model across random mutation
+//! sequences (including one-sided desyncs). Beside it sit the
+//! million-node smokes, the engine-1m instance's pinned runs, and every
+//! family's pinned `resident_bytes()`, on a grid and on a random instance
+//! with gapped ids (`i ↦ 3·i + 2`).
 //!
 //! Each flat engine's step-for-step agreement with the paper's automata
 //! is the lockstep suite's job (`tests/end_to_end.rs` at the workspace
-//! root).
+//! root), and the one run loop's greedy rounds on gapped ids are
+//! checked against an `is_sink` rescan by `tests/csr_differential.rs`.
 
 use lr_core::alg::{BllLabeling, FrontierEngine, FrontierFamily, FrontierPrEngine};
-use lr_core::engine::{
-    run_engine_frontier, run_engine_frontier_sharded_with, ParallelConfig, SchedulePolicy,
-    DEFAULT_MAX_STEPS,
-};
+use lr_core::engine::{run_engine_frontier, SchedulePolicy, DEFAULT_MAX_STEPS};
 use lr_core::MirroredDirs;
 use lr_graph::{stream, EdgeDir, NodeId, ReversalInstance};
 use proptest::prelude::*;
@@ -140,56 +133,6 @@ proptest! {
             let model_consistent = (0..csr.half_edge_count())
                 .all(|s| model.dirs[s] == model.dirs[csr.twin(s)].flipped());
             prop_assert_eq!(d.check_consistency().is_ok(), model_consistent);
-        }
-    }
-
-    /// The node-range-sharded parallel loop is bit-identical to the
-    /// sequential frontier loop for every family at thread counts
-    /// {1, 2, 4, 8}, and so is the sharded loop on the gapped copy, with
-    /// its enabled set and orientation mapped back through the ids.
-    #[test]
-    fn every_family_sharded_bit_identical(
-        n in 4usize..=16,
-        extra in 0usize..=20,
-        seed in any::<u64>(),
-    ) {
-        let flat = stream::random_connected(n, extra, seed);
-        let spaced = gapped(&flat);
-        for family in all_families() {
-            let mut seq = family.engine(flat.clone());
-            let seq_stats =
-                run_engine_frontier(seq.as_mut(), SchedulePolicy::GreedyRounds, DEFAULT_MAX_STEPS);
-            for threads in [1usize, 2, 4, 8] {
-                let cfg = ParallelConfig { threads, min_parallel_round: 0 };
-                let mut par = family.engine(flat.clone());
-                let par_stats =
-                    run_engine_frontier_sharded_with(par.as_mut(), cfg, DEFAULT_MAX_STEPS);
-                prop_assert_eq!(
-                    &par_stats,
-                    &seq_stats,
-                    "{} at {} threads",
-                    family.name(),
-                    threads
-                );
-                prop_assert_eq!(par.orientation(), seq.orientation(), "{}", family.name());
-                prop_assert_eq!(par.enabled(), seq.enabled(), "{}", family.name());
-
-                let mut twin = family.engine(spaced.clone());
-                let twin_stats =
-                    run_engine_frontier_sharded_with(twin.as_mut(), cfg, DEFAULT_MAX_STEPS);
-                let label = format!("{} (gapped ids) at {threads} threads", family.name());
-                prop_assert_eq!(&twin_stats, &seq_stats, "{}", label);
-                let enabled: Vec<NodeId> = seq.enabled().iter().map(|&u| gap(u)).collect();
-                prop_assert_eq!(twin.enabled(), &enabled[..], "{}", label);
-                let edges: Vec<(NodeId, NodeId)> = seq
-                    .orientation()
-                    .directed_edges()
-                    .map(|(t, h)| (gap(t), gap(h)))
-                    .collect();
-                let twin_edges: Vec<(NodeId, NodeId)> =
-                    twin.orientation().directed_edges().collect();
-                prop_assert_eq!(twin_edges, edges, "{}", label);
-            }
         }
     }
 }

@@ -1,14 +1,11 @@
 //! Single-booking agreement between [`RunStats`] and the obs metrics
-//! layer (PR 9 satellite): the obs counters are a *projection* of the
-//! stats the run loop already books — `RunStats::metrics()` derives
-//! them — so the work vector and the observability counters cannot
-//! drift apart or double-count a step, on any family, any policy, and
-//! any thread count of the node-range-sharded loop.
+//! layer: the obs counters are a *projection* of the stats the run loop
+//! already books — `RunStats::metrics()` derives them — so the work
+//! vector and the observability counters cannot drift apart or
+//! double-count a step, on any family and any policy.
 
 use lr_core::alg::{BllLabeling, FrontierFamily};
-use lr_core::engine::{
-    run_engine_frontier, run_engine_frontier_sharded, RunStats, SchedulePolicy, DEFAULT_MAX_STEPS,
-};
+use lr_core::engine::{run_engine_frontier, RunStats, SchedulePolicy, DEFAULT_MAX_STEPS};
 use lr_graph::{stream, ReversalInstance};
 use lr_obs::MetricsShard;
 
@@ -92,36 +89,6 @@ fn metrics_agree_with_run_stats_for_every_family_and_policy() {
             let mut engine = family.engine(csr_inst.clone());
             let stats = run_engine_frontier(engine.as_mut(), policy, DEFAULT_MAX_STEPS);
             assert_single_booked(family, policy, &stats);
-        }
-    }
-}
-
-#[test]
-fn sharded_runs_stay_single_booked_and_render_identically() {
-    let csr_inst = instance();
-    for family in all_families() {
-        let mut engine = family.engine(csr_inst.clone());
-        let serial = run_engine_frontier(
-            engine.as_mut(),
-            SchedulePolicy::GreedyRounds,
-            DEFAULT_MAX_STEPS,
-        );
-        for threads in [1, 2, 4, 8] {
-            let mut engine = family.engine(csr_inst.clone());
-            let sharded = run_engine_frontier_sharded(engine.as_mut(), threads, DEFAULT_MAX_STEPS);
-            assert_single_booked(family, SchedulePolicy::GreedyRounds, &sharded);
-            assert_eq!(
-                sharded,
-                serial,
-                "{} at {threads} threads: stats must be bit-identical",
-                family.name()
-            );
-            assert_eq!(
-                sharded.metrics().render(),
-                serial.metrics().render(),
-                "{} at {threads} threads: metrics must render byte-identically",
-                family.name()
-            );
         }
     }
 }

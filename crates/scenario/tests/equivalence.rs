@@ -2,9 +2,7 @@
 //! that worker count never changes the result. For every protocol, the
 //! sweep at threads ∈ {2, 4, 8} must produce **bit-identical** merged
 //! rows — and byte-identical serialized JSON — to the serial sweep at
-//! threads = 1. This extends the sharded greedy rounds'
-//! (`run_engine_frontier_sharded`) and the scenario determinism
-//! patterns to the new executor.
+//! threads = 1, as the scenario determinism suite demands of one run.
 
 use lr_scenario::spec::ScenarioSpec;
 use lr_scenario::sweep::{run_matrix_sweep, MatrixOptions};

@@ -23,14 +23,10 @@ pub fn r_holds(inst: &ReversalInstance, s: &PrState, t: &NewPrState) -> bool {
     if !s.dirs.same_orientation(&t.dirs) {
         return false;
     }
-    inst.csr().nodes().all(|u| {
-        let allowed = match t.parity(u) {
-            Parity::Even => inst.initial_out_nbrs(u),
-            Parity::Odd => inst.initial_in_nbrs(u),
-        };
-        // list[u] ⊆ allowed.
-        s.list(u).all(|v| allowed.contains(&v))
-    })
+    // list[u] ⊆ out-nbrs_u at even parity, ⊆ in-nbrs_u at odd.
+    inst.csr()
+        .nodes()
+        .all(|u| s.list_within_initial(inst, u, t.parity(u) == Parity::Even))
 }
 
 /// Builds the Lemma 5.3 checker: relation `R` plus the constructive

@@ -47,13 +47,19 @@ pub fn rev_r_holds(inst: &ReversalInstance, t: &NewPrState, s: &PrState) -> bool
         return false;
     }
     inst.csr().nodes().all(|u| {
-        let allowed = match t.parity(u) {
-            Parity::Even => inst.initial_out_nbrs(u),
-            Parity::Odd => inst.initial_in_nbrs(u),
-        };
-        // list[u] ⊆ allowed, or allowed = ∅.
-        s.list(u).all(|v| allowed.contains(&v)) || allowed.is_empty()
+        // The allowed side is out-nbrs_u at even parity, in-nbrs_u at
+        // odd: list[u] ⊆ allowed, or allowed = ∅.
+        let out = t.parity(u) == Parity::Even;
+        s.list_within_initial(inst, u, out) || initial_side_is_empty(inst, u, out)
     })
+}
+
+/// Whether `u` has no initial neighbour on one side: `out-nbrs_u = ∅`
+/// when `out`, else `in-nbrs_u = ∅`. Read off the initial slot bits.
+fn initial_side_is_empty(inst: &ReversalInstance, u: NodeId, out: bool) -> bool {
+    let csr = inst.csr();
+    csr.index_of(u)
+        .is_none_or(|ui| csr.slots(ui).all(|slot| inst.init().is_out(slot) != out))
 }
 
 /// Builds the `NewPR → OneStepPR` checker: relation `R⁻` plus the
@@ -66,11 +72,9 @@ pub fn rev_r_checker(
     SimulationChecker::new(
         move |t: &NewPrState, s: &PrState| rev_r_holds(&rel_inst, t, s),
         move |t: &NewPrState, &u: &NodeId, _s: &PrState| -> Vec<NodeId> {
-            let targets = match t.parity(u) {
-                Parity::Even => corr_inst.initial_in_nbrs(u),
-                Parity::Odd => corr_inst.initial_out_nbrs(u),
-            };
-            if targets.is_empty() {
+            // NewPR reverses in-nbrs_u at even parity, out-nbrs_u at odd.
+            let out = t.parity(u) == Parity::Odd;
+            if initial_side_is_empty(&corr_inst, u, out) {
                 vec![] // dummy step: OneStepPR stutters
             } else {
                 vec![u]

@@ -18,9 +18,7 @@ use std::fmt::Write as _;
 use std::io::Read;
 
 use lr_core::alg::FrontierFamily;
-use lr_core::engine::{
-    run_engine_frontier, run_engine_frontier_sharded, SchedulePolicy, DEFAULT_MAX_STEPS,
-};
+use lr_core::engine::{run_engine_frontier, SchedulePolicy, DEFAULT_MAX_STEPS};
 use lr_core::invariants::{
     check_acyclic, check_cor_3_3, check_cor_3_4, check_inv_3_1, check_inv_3_2, check_inv_4_1,
     check_inv_4_2,
@@ -75,10 +73,7 @@ USAGE:
     lr run <alg> [policy]             run on the instance from stdin
                                       (algs: FR, PR, NewPR, GB-pair, GB-triple,
                                        BLL[PR];
-                                       policies: greedy, first, last, random:<seed>;
-                                       --threads N: node-range-sharded parallel
-                                       greedy rounds, greedy policy only,
-                                       bit-identical at any N)
+                                       policies: greedy, first, last, random:<seed>)
     lr trace <alg> [policy]           step-by-step trace of the run
     lr check                          verify the paper's invariants along
                                       PR and NewPR executions on the instance
@@ -168,6 +163,21 @@ fn read_stdin(stdin: &mut dyn Read) -> Result<String, CliError> {
 
 fn parse_stdin_instance(input: &str) -> Result<ReversalInstance, CliError> {
     parse::parse_instance(input).map_err(|e| err(format!("invalid instance: {e}")))
+}
+
+/// The `<alg> [policy]` arguments of `cmd` (run or trace): the family,
+/// the policy (greedy when absent), and nothing past them.
+fn parse_alg_and_policy(
+    cmd: &str,
+    args: &[&str],
+) -> Result<(FrontierFamily, SchedulePolicy), CliError> {
+    let (alg, rest) = args
+        .split_first()
+        .ok_or_else(|| err(format!("{cmd} needs an algorithm\n\n{USAGE}")))?;
+    let family = parse_alg(alg)?;
+    let policy = parse_policy(rest.first().copied())?;
+    no_more_arguments(rest.get(1..).unwrap_or_default())?;
+    Ok((family, policy))
 }
 
 /// The error for arguments past the ones a command takes.
@@ -408,43 +418,10 @@ fn cmd_generate(args: &[&str]) -> Result<String, CliError> {
 
 fn cmd_run(args: &[&str], stdin: &mut dyn Read) -> Result<String, CliError> {
     let text = read_stdin(stdin)?;
-    let parse_threads = |value: &str| parse_flag_usize("--threads", value, 1);
-    let mut threads = 1usize;
-    // The first positional argument is the algorithm and the second the
-    // policy, wherever the flags sit.
-    let mut family = None;
-    let mut policy_arg: Option<&str> = None;
-    let mut it = args.iter();
-    while let Some(&arg) = it.next() {
-        match arg {
-            "--threads" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| err("--threads needs a value (worker thread count)"))?;
-                threads = parse_threads(value)?;
-            }
-            a => {
-                if let Some(value) = a.strip_prefix("--threads=") {
-                    threads = parse_threads(value)?;
-                } else if a.starts_with("--") {
-                    return Err(err(format!("unknown flag {a:?} for `lr run`")));
-                } else if family.is_none() {
-                    family = Some(parse_alg(a)?);
-                } else if policy_arg.is_none() {
-                    policy_arg = Some(a);
-                } else {
-                    return Err(err(format!("unexpected argument {a:?}")));
-                }
-            }
-        }
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(err(format!("unknown flag {flag:?} for `lr run`")));
     }
-    let family = family.ok_or_else(|| err(format!("run needs an algorithm\n\n{USAGE}")))?;
-    let policy = parse_policy(policy_arg)?;
-    if threads > 1 && policy != SchedulePolicy::GreedyRounds {
-        return Err(err(
-            "--threads above 1 requires the greedy policy (parallel rounds plan greedily)",
-        ));
-    }
+    let (family, policy) = parse_alg_and_policy("run", args)?;
     let span = lr_obs::span("cli", "cli.parse");
     let inst = parse_stdin_instance(&text)?;
     drop((span, text));
@@ -453,11 +430,7 @@ fn cmd_run(args: &[&str], stdin: &mut dyn Read) -> Result<String, CliError> {
     let initial_bad = inst.initial_bad_nodes();
     let mut engine = family.engine(inst);
     drop(span);
-    let stats = if threads > 1 {
-        run_engine_frontier_sharded(engine.as_mut(), threads, DEFAULT_MAX_STEPS)
-    } else {
-        run_engine_frontier(engine.as_mut(), policy, DEFAULT_MAX_STEPS)
-    };
+    let stats = run_engine_frontier(engine.as_mut(), policy, DEFAULT_MAX_STEPS);
     if !stats.terminated {
         return Err(err(format!(
             "{} did not terminate within the {}-step budget: it ran {} rounds",
@@ -475,7 +448,6 @@ fn cmd_run(args: &[&str], stdin: &mut dyn Read) -> Result<String, CliError> {
     drop(span);
     let mut out = String::new();
     let _ = writeln!(out, "algorithm:        {}", stats.algorithm);
-    let _ = writeln!(out, "threads:          {threads}");
     let _ = writeln!(out, "nodes:            {nodes}");
     let _ = writeln!(out, "initial bad:      {initial_bad}");
     let _ = writeln!(out, "steps:            {}", stats.steps);
@@ -502,12 +474,7 @@ fn grouped(n: usize) -> String {
 
 fn cmd_trace(args: &[&str], stdin: &mut dyn Read) -> Result<String, CliError> {
     let text = read_stdin(stdin)?;
-    let (alg, rest) = args
-        .split_first()
-        .ok_or_else(|| err(format!("trace needs an algorithm\n\n{USAGE}")))?;
-    let family = parse_alg(alg)?;
-    let policy = parse_policy(rest.first().copied())?;
-    no_more_arguments(rest.get(1..).unwrap_or_default())?;
+    let (family, policy) = parse_alg_and_policy("trace", args)?;
     let inst = parse_stdin_instance(&text)?;
     let trace = Trace::record(&inst, family, policy, DEFAULT_MAX_STEPS);
     trace
@@ -1092,50 +1059,6 @@ mod tests {
     }
 
     #[test]
-    fn run_threads_flag_is_bit_identical_and_greedy_only() {
-        let inst = run_cli(&["generate", "random", "12", "5"], "".as_bytes()).unwrap();
-        let seq = run_cli(&["run", "NewPR"], inst.as_bytes()).unwrap();
-        for args in [
-            &["run", "NewPR", "--threads", "4"][..],
-            &["run", "NewPR", "--threads=4"][..],
-        ] {
-            let par = run_cli(args, inst.as_bytes()).unwrap();
-            assert!(par.contains("threads:          4"), "{par}");
-            assert_eq!(
-                par.replace("threads:          4", "threads:          1"),
-                seq
-            );
-        }
-        // Single-step policies cannot be sharded.
-        let e = run_cli(
-            &["run", "NewPR", "first", "--threads", "2"],
-            inst.as_bytes(),
-        )
-        .unwrap_err();
-        assert!(e.0.contains("greedy"), "{e}");
-    }
-
-    #[test]
-    fn run_takes_its_flags_before_or_after_the_positionals() {
-        let inst = run_cli(&["generate", "random", "12", "5"], "".as_bytes()).unwrap();
-        let after = run_cli(&["run", "PR", "greedy", "--threads", "2"], inst.as_bytes()).unwrap();
-        for args in [
-            &["run", "--threads", "2", "PR", "greedy"][..],
-            &["run", "--threads=2", "PR", "greedy"],
-            &["run", "PR", "--threads", "2", "greedy"],
-        ] {
-            assert_eq!(run_cli(args, inst.as_bytes()).unwrap(), after, "{args:?}");
-        }
-        let e = run_cli(&["run", "--threads", "2"], inst.as_bytes()).unwrap_err();
-        assert!(e.0.contains("run needs an algorithm"), "{e}");
-        let e = run_cli(
-            &["run", "--threads", "2", "PR", "greedy", "x"],
-            inst.as_bytes(),
-        );
-        assert!(e.unwrap_err().0.contains("unexpected argument \"x\""));
-    }
-
-    #[test]
     fn run_rejects_bad_engine_and_threads_flags() {
         let inst = run_cli(&["generate", "chain-away", "4"], "".as_bytes()).unwrap();
         // The flat engine is the only substrate: `--engine` is gone.
@@ -1146,13 +1069,14 @@ mod tests {
             let e = run_cli(args, inst.as_bytes()).unwrap_err();
             assert!(e.0.contains("unknown flag \"--engine"), "{e}");
         }
-        // The shared flag parser names the flag and echoes the value.
-        let e = run_cli(&["run", "PR", "--threads", "0"], inst.as_bytes()).unwrap_err();
-        assert!(e.0.contains("--threads must be at least 1"), "{e}");
-        assert!(e.0.contains("\"0\""), "offending value echoed: {e}");
-        let e = run_cli(&["run", "PR", "--threads", "nope"], inst.as_bytes()).unwrap_err();
-        assert!(e.0.contains("--threads needs a positive integer"), "{e}");
-        assert!(e.0.contains("\"nope\""), "offending value echoed: {e}");
+        // One run loop: `--threads` is gone too, in both spellings.
+        for args in [
+            &["run", "PR", "--threads", "2"][..],
+            &["run", "PR", "--threads=2"],
+        ] {
+            let e = run_cli(args, inst.as_bytes()).unwrap_err();
+            assert_eq!(e.0, format!("unknown flag {:?} for `lr run`", args[2]));
+        }
         let e = run_cli(&["run", "PR", "--frob"], inst.as_bytes()).unwrap_err();
         assert!(e.0.contains("unknown flag"), "{e}");
         let e = run_cli(&["run", "PR", "first", "second"], inst.as_bytes()).unwrap_err();

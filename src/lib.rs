@@ -61,8 +61,8 @@ pub mod prelude {
         PrSetAutomaton,
     };
     pub use lr_core::engine::{
-        run_engine_frontier, run_engine_frontier_sharded, run_to_destination_oriented, RunStats,
-        SchedulePolicy, DEFAULT_MAX_STEPS,
+        run_engine_frontier, run_to_destination_oriented, RunStats, SchedulePolicy,
+        DEFAULT_MAX_STEPS,
     };
     pub use lr_core::invariants;
     pub use lr_core::{StepOutcome, StepScratch};

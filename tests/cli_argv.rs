@@ -206,7 +206,7 @@ fn valid_vectors(file: impl Fn(&str) -> String) -> Vec<Vec<String>> {
     vec![
         own(&["generate", "grid", "3"]),
         own(&["generate", "random", "7", "2"]),
-        own(&["run", "PR", "greedy", "--threads", "2"]),
+        own(&["run", "PR", "greedy"]),
         own(&["run", "NewPR", "random:3"]),
         own(&["run", "FR", "--obs", "summary"]),
         own(&["trace", "GB-triple", "first"]),

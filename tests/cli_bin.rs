@@ -47,7 +47,7 @@ fn help_flags_match_help_command() {
         assert!(stderr.is_empty(), "`lr {flag}` must not write to stderr");
         assert_eq!(stdout, reference, "`lr {flag}` and `lr help` must agree");
     }
-    // The help text must document every `lr run` execution flag and the
+    // The help text must document the execution flags and the
     // observability plumbing — a flag the help doesn't mention is a flag
     // users can't find.
     for needle in [
@@ -97,25 +97,6 @@ fn generate_then_run_pipeline() {
     assert!(ok);
     assert!(stats.contains("total reversals:  7"));
     assert!(stats.contains("dest oriented:    true"));
-}
-
-#[test]
-fn run_threads_flag_is_bit_identical_through_the_binary() {
-    let (instance, _, ok) = run_with_stdin(&["generate", "random", "24", "11"], "");
-    assert!(ok);
-    let (seq, _, ok) = run_with_stdin(&["run", "GB-triple"], &instance);
-    assert!(ok);
-    let (par, stderr, ok) = run_with_stdin(&["run", "GB-triple", "--threads=2"], &instance);
-    assert!(ok, "sharded run failed: {stderr}");
-    assert!(par.contains("threads:          2"), "{par}");
-    assert_eq!(
-        par.replace("threads:          2", "threads:          1"),
-        seq
-    );
-    let (_, stderr, ok) =
-        run_with_stdin(&["run", "GB-triple", "first", "--threads", "2"], &instance);
-    assert!(!ok);
-    assert!(stderr.contains("greedy"), "{stderr}");
 }
 
 /// `lr run` and `lr trace` take every `FrontierFamily` name, and the
@@ -452,16 +433,14 @@ fn generate_rejects_sizes_over_the_slot_capacity() {
 /// zero-worker hang.
 #[test]
 fn numeric_flag_errors_name_the_flag_and_echo_the_value() {
-    let (instance, _, ok) = run_with_stdin(&["generate", "chain-away", "4"], "");
-    assert!(ok);
-    let (_, stderr, ok) = run_with_stdin(&["run", "PR", "--threads", "abc"], &instance);
+    let (_, stderr, ok) = run_with_stdin(&["modelcheck", "3", "--threads", "abc"], "");
     assert!(!ok, "non-numeric --threads must fail");
     assert!(
         stderr.contains("--threads needs a positive integer"),
         "{stderr}"
     );
     assert!(stderr.contains("\"abc\""), "value echoed: {stderr}");
-    let (_, stderr, ok) = run_with_stdin(&["run", "PR", "--threads", "0"], &instance);
+    let (_, stderr, ok) = run_with_stdin(&["modelcheck", "3", "--threads", "0"], "");
     assert!(!ok, "--threads 0 must be rejected, not hang");
     assert!(stderr.contains("--threads must be at least 1"), "{stderr}");
     assert!(stderr.contains("\"0\""), "value echoed: {stderr}");

@@ -432,7 +432,6 @@ fn a_million_node_grid_runs_through_the_cli() {
     assert_eq!(
         cli(&["run", "PR"], &inst),
         "algorithm:        PR\n\
-         threads:          1\n\
          nodes:            1000000\n\
          initial bad:      999999\n\
          steps:            999999\n\
