@@ -80,17 +80,14 @@ pub struct EnabledTracker {
 impl EnabledTracker {
     /// Builds the tracker from an orientation's slot bits, such as an
     /// instance's initial ones, from which every engine starts: one
-    /// pass over every half-edge slot.
+    /// popcount of each node's slot range
+    /// ([`Orientation::out_degree_at`]).
     pub fn from_orientation(orientation: &Orientation, dest: NodeId) -> Self {
         let csr = orientation.csr();
         let dest_idx = csr.index_of(dest).expect("destination is a node");
-        let mut out_count = vec![0u32; csr.node_count()];
-        for (src, count) in out_count.iter_mut().enumerate() {
-            *count = csr
-                .slots(src)
-                .filter(|&slot| orientation.is_out(slot))
-                .count() as u32;
-        }
+        let out_count: Vec<u32> = (0..csr.node_count())
+            .map(|i| orientation.out_degree_at(i) as u32)
+            .collect();
         let enabled = (0..csr.node_count())
             .filter(|&i| i != dest_idx && csr.degree(i) > 0 && out_count[i] == 0)
             .map(|i| csr.node(i))

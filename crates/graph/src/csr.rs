@@ -72,16 +72,21 @@ pub fn check_slot_capacity(half_edges: usize) -> Result<(), GraphError> {
 }
 
 /// Computes the twin table for a sorted, symmetric CSR adjacency in
-/// O(n + m): for a fixed node `v`, the slots targeting `v` appear in
-/// global slot order exactly when their sources ascend — the same order
-/// in which `v`'s own neighbor run lists them — so a single cursor per
-/// node pairs every half-edge with its reverse without any searching.
+/// O(n + m), pairing each edge once, from its lower endpoint. Node `v`'s
+/// lower neighbours open its run, ascending, and the nodes `u < v` that
+/// list `v` reach their slots of `(u, v)` in that same order, so a cursor
+/// per node, starting at its run's first slot, meets the slot of `(v, u)`
+/// just as `u` asks for it: both twins are written there, without any
+/// searching.
 ///
 /// # Panics
 ///
 /// Panics if the adjacency is not symmetric (some `(u, v)` slot has no
 /// `(v, u)` counterpart) — impossible for an arc list, and a generator
-/// bug when reached through [`CsrBuilder`].
+/// bug when reached through [`CsrBuilder`]. Every pairing checks that the
+/// reverse slot targets back, and afterwards every node's cursor must
+/// have stopped at its first higher neighbour or at its run's end, so no
+/// lower slot is left unpaired.
 fn twin_table(offsets: &[u32], targets: &[u32]) -> Vec<u32> {
     let n = offsets.len() - 1;
     let mut cursor: Vec<u32> = offsets[..n].to_vec();
@@ -89,19 +94,52 @@ fn twin_table(offsets: &[u32], targets: &[u32]) -> Vec<u32> {
     for u in 0..n {
         for slot in offsets[u] as usize..offsets[u + 1] as usize {
             let v = targets[slot] as usize;
+            if v < u {
+                continue;
+            }
             let t = cursor[v];
             cursor[v] += 1;
-            twins[slot] = t;
             // `t` must lie in v's slot range and target `u` — then it is
-            // the unique slot of (v, u) and the pairing is fully
-            // verified.
+            // the unique slot of (v, u).
             assert!(
                 t < offsets[v + 1] && targets[t as usize] as usize == u,
                 "adjacency is not symmetric: slot {slot} (node {u} -> {v}) has no reverse half-edge"
             );
+            twins[slot] = t;
+            twins[t as usize] = slot as u32;
         }
     }
+    for (v, &c) in cursor.iter().enumerate() {
+        let c = c as usize;
+        assert!(
+            c == offsets[v + 1] as usize || targets[c] as usize > v,
+            "adjacency is not symmetric: slot {c} (node {v} -> {}) has no reverse half-edge",
+            targets[c]
+        );
+    }
     twins
+}
+
+/// Asserts that every neighbour run is strictly ascending and names only
+/// other nodes in range: what [`twin_table`] and the other pairings
+/// assume.
+fn assert_ascending_runs(offsets: &[u32], targets: &[u32]) {
+    let n = offsets.len() - 1;
+    assert_eq!(
+        *offsets.last().expect("offsets nonempty") as usize,
+        targets.len()
+    );
+    for u in 0..n {
+        let run = &targets[offsets[u] as usize..offsets[u + 1] as usize];
+        assert!(
+            run.windows(2).all(|w| w[0] < w[1]),
+            "neighbors of node index {u} must be strictly ascending"
+        );
+        assert!(
+            run.iter().all(|&v| (v as usize) < n && v as usize != u),
+            "neighbor run of node index {u} is out of range or self-looping"
+        );
+    }
 }
 
 /// Builds the CSR of the graph whose edges are `arcs` (each `(tail,
@@ -218,30 +256,70 @@ impl CsrGraph {
         targets: Vec<u32>,
     ) -> Result<Self, GraphError> {
         check_slot_capacity(targets.len())?;
-        let n = offsets.len() - 1;
-        assert_eq!(
-            *offsets.last().expect("offsets nonempty") as usize,
-            targets.len()
-        );
-        for u in 0..n {
-            let run = &targets[offsets[u] as usize..offsets[u + 1] as usize];
-            assert!(
-                run.windows(2).all(|w| w[0] < w[1]),
-                "neighbors of node index {u} must be strictly ascending"
-            );
-            assert!(
-                run.iter().all(|&v| (v as usize) < n && v as usize != u),
-                "neighbor run of node index {u} is out of range or self-looping"
-            );
-        }
+        assert_ascending_runs(&offsets, &targets);
         let twins = twin_table(&offsets, &targets);
-        Ok(CsrGraph {
-            nodes: (0..n as u32).map(NodeId::new).collect(),
+        Ok(CsrGraph::contiguous(offsets, targets, twins))
+    }
+
+    /// Builds a contiguous-id CSR from runs whose higher parts alone are
+    /// filled, pairing every edge in one pass: the end of
+    /// [`crate::stream::random_connected`]. Node `u`'s run is
+    /// `offsets[u]..offsets[u + 1]`. Its higher neighbours sit ascending
+    /// from `lower_ends[u]` to the run's end; the slots before
+    /// `lower_ends[u]` are its lower part, still to be written. `twins`
+    /// has one entry per slot, whatever it holds.
+    ///
+    /// `u` walks descending. Each higher slot `s` of `u`, naming `v`,
+    /// takes the last free slot `t` of `v`'s lower part, so every lower
+    /// part fills from its end with descending ids and comes out
+    /// ascending. The pass writes `targets[t] = u` and both twins, and
+    /// calls `pair(u, s, v, t)` once per edge.
+    ///
+    /// # Panics
+    ///
+    /// If some lower part is not filled exactly, or on the asserts of
+    /// [`CsrGraph::from_sorted_adjacency`] (a run not strictly ascending,
+    /// out of range or self-looping) — generator bugs.
+    pub(crate) fn from_higher_runs(
+        offsets: Vec<u32>,
+        mut targets: Vec<u32>,
+        mut lower_ends: Vec<u32>,
+        mut twins: Vec<u32>,
+        mut pair: impl FnMut(usize, usize, usize, usize),
+    ) -> Self {
+        let n = offsets.len() - 1;
+        assert_eq!((lower_ends.len(), twins.len()), (n, targets.len()));
+        for u in (0..n).rev() {
+            for s in lower_ends[u] as usize..offsets[u + 1] as usize {
+                let v = targets[s] as usize;
+                lower_ends[v] -= 1;
+                let t = lower_ends[v] as usize;
+                targets[t] = u as u32;
+                twins[s] = t as u32;
+                twins[t] = s as u32;
+                pair(u, s, v, t);
+            }
+        }
+        assert!(
+            lower_ends == offsets[..n],
+            "every lower part must be filled exactly"
+        );
+        // Freed before the node table is allocated, so the build holds
+        // no more at once than the scatter-and-sort build did.
+        drop(lower_ends);
+        assert_ascending_runs(&offsets, &targets);
+        CsrGraph::contiguous(offsets, targets, twins)
+    }
+
+    /// Wraps checked CSR arrays with node ids `0..n`.
+    fn contiguous(offsets: Vec<u32>, targets: Vec<u32>, twins: Vec<u32>) -> Self {
+        CsrGraph {
+            nodes: (0..offsets.len() as u32 - 1).map(NodeId::new).collect(),
             contiguous: true,
             offsets,
             targets,
             twins,
-        })
+        }
     }
 
     /// Number of nodes.
@@ -352,16 +430,26 @@ impl CsrGraph {
     }
 
     /// Returns `true` if the graph is connected (the empty graph counts
-    /// as connected).
+    /// as connected): a depth-first search from node index 0 that marks
+    /// each node as it is pushed, so the stack holds every node at most
+    /// once.
     pub fn is_connected(&self) -> bool {
-        let mut seen = vec![false; self.node_count()];
-        let mut stack: Vec<usize> = (!seen.is_empty()).then_some(0).into_iter().collect();
+        let n = self.node_count();
+        if n == 0 {
+            return true;
+        }
+        let mut seen = vec![false; n];
+        seen[0] = true;
+        let (mut stack, mut reached) = (vec![0u32], 1);
         while let Some(u) = stack.pop() {
-            if !std::mem::replace(&mut seen[u], true) {
-                stack.extend(self.neighbor_indices(u).iter().map(|&v| v as usize));
+            for &v in self.neighbor_indices(u as usize) {
+                if !std::mem::replace(&mut seen[v as usize], true) {
+                    reached += 1;
+                    stack.push(v);
+                }
             }
         }
-        seen.iter().all(|&s| s)
+        reached == n
     }
 
     /// Resident size of the CSR arrays in bytes — the representation
@@ -625,6 +713,104 @@ mod tests {
         b.push_node(&[1]);
         b.push_node(&[]);
         let _ = b.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "not symmetric")]
+    fn builder_rejects_an_unmatched_lower_neighbor() {
+        // Node 2 lists node 0, which does not list it back: no pairing
+        // reaches that slot, so node 2's cursor stops on a lower
+        // neighbour.
+        let mut b = CsrBuilder::with_capacity(3, 3);
+        b.push_node(&[1]);
+        b.push_node(&[0]);
+        b.push_node(&[0]);
+        let _ = b.finish();
+    }
+
+    #[test]
+    fn higher_runs_pair_like_the_twin_table() {
+        // The triangle 0 — 1 — 2 plus 1 — 3: only each run's higher part
+        // is given, behind its lower part's end; 9 marks a slot the pass
+        // must write.
+        let offsets = vec![0, 2, 5, 7, 8];
+        let targets = vec![1, 2, 9, 2, 3, 9, 9, 9];
+        let lower_ends = vec![0, 3, 7, 8];
+        let mut paired = Vec::new();
+        let csr =
+            CsrGraph::from_higher_runs(offsets, targets, lower_ends, vec![9; 8], |u, s, v, t| {
+                paired.push((u, s, v, t));
+            });
+        assert_eq!(csr, built(&[(0, 1), (0, 2), (1, 2), (1, 3)]));
+        assert_eq!(
+            paired,
+            [(1, 3, 2, 6), (1, 4, 3, 7), (0, 0, 1, 2), (0, 1, 2, 5)]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "filled exactly")]
+    fn higher_runs_reject_a_lower_part_left_unfilled() {
+        // Node 1's lower part claims two slots; only node 0 names it.
+        let _ = CsrGraph::from_higher_runs(
+            vec![0, 1, 3],
+            vec![1, 0, 0],
+            vec![0, 3],
+            vec![0; 3],
+            |_, _, _, _| {},
+        );
+    }
+
+    #[test]
+    fn is_connected_agrees_with_union_find() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        fn root(parent: &mut [usize], mut u: usize) -> usize {
+            while parent[u] != u {
+                parent[u] = parent[parent[u]];
+                u = parent[u];
+            }
+            u
+        }
+        let mut rng = SmallRng::seed_from_u64(3);
+        let (mut connected, mut split) = (0, 0);
+        for n in 2..30u32 {
+            for p in [0.05, 0.1, 0.2, 0.5] {
+                // Runs come out ascending, and a node may be isolated:
+                // the builder keeps it.
+                let mut adjacency = vec![Vec::new(); n as usize];
+                let mut parent: Vec<usize> = (0..n as usize).collect();
+                for a in 0..n {
+                    for b in a + 1..n {
+                        if rng.gen_bool(p) {
+                            adjacency[a as usize].push(b);
+                            adjacency[b as usize].push(a);
+                            let ra = root(&mut parent, a as usize);
+                            let rb = root(&mut parent, b as usize);
+                            parent[ra] = rb;
+                        }
+                    }
+                }
+                let mut builder = CsrBuilder::with_capacity(n as usize, 0);
+                for run in &adjacency {
+                    builder.push_node(run);
+                }
+                let csr = builder.finish().unwrap();
+                let roots = (0..parent.len()).filter(|&u| root(&mut parent, u) == u);
+                let expected = roots.count() <= 1;
+                assert_eq!(csr.is_connected(), expected, "{adjacency:?}");
+                if expected {
+                    connected += 1;
+                } else {
+                    split += 1;
+                }
+            }
+        }
+        assert!(
+            connected > 20 && split > 20,
+            "{connected} connected, {split} split"
+        );
     }
 
     #[test]

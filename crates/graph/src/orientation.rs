@@ -1,6 +1,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::csr::from_arcs;
@@ -30,6 +31,22 @@ impl EdgeDir {
 /// Sets bit `i` of a packed word array.
 pub(crate) fn bit_set(words: &mut [u64], i: usize) {
     words[i >> 6] |= 1u64 << (i & 63);
+}
+
+/// The number of set bits of a packed word array in `range`: one masked
+/// popcount per word the range touches.
+fn ones_in(words: &[u64], range: Range<usize>) -> usize {
+    if range.is_empty() {
+        return 0;
+    }
+    let (first, last) = (range.start >> 6, (range.end - 1) >> 6);
+    let head = !0u64 << (range.start & 63);
+    let tail = !0u64 >> (63 - ((range.end - 1) & 63));
+    if first == last {
+        return (words[first] & head & tail).count_ones() as usize;
+    }
+    let middle: u32 = words[first + 1..last].iter().map(|w| w.count_ones()).sum();
+    ((words[first] & head).count_ones() + middle + (words[last] & tail).count_ones()) as usize
 }
 
 /// A direction for every edge of a [`CsrGraph`]: the directed graph
@@ -185,6 +202,12 @@ impl Orientation {
         })
     }
 
+    /// The number of edges pointing out of the node at dense index `idx`:
+    /// a popcount of its slot range.
+    pub fn out_degree_at(&self, idx: usize) -> usize {
+        ones_in(&self.out, self.csr.slots(idx))
+    }
+
     /// Whether the node at dense index `idx` is a sink: it has at least
     /// one incident edge and all of them are incoming (§1).
     pub fn is_sink_at(&self, idx: usize) -> bool {
@@ -208,23 +231,28 @@ impl Orientation {
     /// A topological order by dense index, or `None` if the orientation
     /// has a cycle. Kahn's algorithm: the nodes without incoming edges
     /// seed a FIFO queue in ascending order, and each dequeued node
-    /// releases its out-neighbours in ascending slot order.
+    /// releases its out-neighbours in ascending slot order. Each node's
+    /// in-degree is its degree less a popcount of its slot range
+    /// ([`Orientation::out_degree_at`]), and the order itself is the
+    /// queue: a node is appended when released and dequeued by a cursor
+    /// that walks the order from its front.
     pub fn topological_order(&self) -> Option<Vec<usize>> {
         let csr = &*self.csr;
         let n = csr.node_count();
         let mut indeg: Vec<u32> = (0..n)
-            .map(|i| csr.slots(i).filter(|&s| !self.is_out(s)).count() as u32)
+            .map(|i| (csr.degree(i) - self.out_degree_at(i)) as u32)
             .collect();
-        let mut ready: VecDeque<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
         let mut order = Vec::with_capacity(n);
-        while let Some(u) = ready.pop_front() {
-            order.push(u);
+        order.extend((0..n).filter(|&i| indeg[i] == 0));
+        let mut head = 0;
+        while let Some(&u) = order.get(head) {
+            head += 1;
             for slot in csr.slots(u) {
                 if self.is_out(slot) {
                     let v = csr.target(slot);
                     indeg[v] -= 1;
                     if indeg[v] == 0 {
-                        ready.push_back(v);
+                        order.push(v);
                     }
                 }
             }
@@ -425,6 +453,130 @@ mod tests {
             .init()
             .clone();
         assert_eq!(o.topological_order(), Some(vec![2, 3, 0, 1, 4]));
+    }
+
+    /// Kahn's algorithm with a separate `VecDeque` queue and per-slot
+    /// in-degree counts: the reference for
+    /// [`Orientation::topological_order`].
+    fn queue_kahn(o: &Orientation) -> Option<Vec<usize>> {
+        let csr = o.csr();
+        let n = csr.node_count();
+        let mut indeg: Vec<u32> = (0..n)
+            .map(|i| csr.slots(i).filter(|&s| !o.is_out(s)).count() as u32)
+            .collect();
+        let mut ready: VecDeque<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        let mut order = Vec::new();
+        while let Some(u) = ready.pop_front() {
+            order.push(u);
+            for slot in csr.slots(u).filter(|&s| o.is_out(s)) {
+                let v = csr.target(slot);
+                indeg[v] -= 1;
+                if indeg[v] == 0 {
+                    ready.push_back(v);
+                }
+            }
+        }
+        (order.len() == n).then_some(order)
+    }
+
+    /// Random orientations of random graphs: by a random rank (acyclic)
+    /// or by a coin per edge (mostly cyclic), with contiguous ids and with
+    /// ids spread out (`7u + 3`), so the node table is searched.
+    fn random_orientations() -> Vec<Orientation> {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = SmallRng::seed_from_u64(11);
+        let mut out = Vec::new();
+        for n in 2..40u32 {
+            for case in 0..12 {
+                let rank: Vec<u32> = (0..n).map(|_| rng.gen_range(0..1000)).collect();
+                let p = [0.1, 0.3, 0.8][case % 3];
+                let mut arcs = Vec::new();
+                for a in 0..n {
+                    for b in a + 1..n {
+                        if rng.gen_bool(p) {
+                            let forward = if case % 2 == 0 {
+                                (rank[a as usize], a) < (rank[b as usize], b)
+                            } else {
+                                rng.gen_bool(0.5)
+                            };
+                            arcs.push(if forward { (a, b) } else { (b, a) });
+                        }
+                    }
+                }
+                if case % 4 >= 2 {
+                    for arc in &mut arcs {
+                        *arc = (7 * arc.0 + 3, 7 * arc.1 + 3);
+                    }
+                }
+                out.push(Orientation::from_edges(&arcs).unwrap());
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn kahn_without_a_queue_matches_the_queue_reference() {
+        let (mut acyclic, mut cyclic, mut gapped) = (0, 0, 0);
+        for o in random_orientations() {
+            let order = o.topological_order();
+            assert_eq!(order, queue_kahn(&o), "{o:?}");
+            assert_eq!(order.is_some(), o.find_cycle().is_none(), "{o:?}");
+            match order {
+                Some(_) => acyclic += 1,
+                None => cyclic += 1,
+            }
+            if o.csr()
+                .nodes()
+                .enumerate()
+                .any(|(i, u)| u.raw() as usize != i)
+            {
+                gapped += 1;
+            }
+        }
+        assert!(
+            acyclic > 200 && cyclic > 100,
+            "{acyclic} acyclic, {cyclic} cyclic"
+        );
+        assert!(gapped > 200, "{gapped} gapped");
+    }
+
+    #[test]
+    fn out_degree_is_the_count_of_out_slots() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        // Node 0 owns 70 slots and node 2 owns 130: runs that start and
+        // end inside u64 words and span whole ones. Nodes 1 and 4 own
+        // none.
+        let mut b = crate::CsrBuilder::with_capacity(205, 402);
+        b.push_node(&(5..75).collect::<Vec<u32>>());
+        b.push_node(&[]);
+        b.push_node(&(75..205).collect::<Vec<u32>>());
+        b.push_node(&[204]);
+        b.push_node(&[]);
+        for _ in 5..75 {
+            b.push_node(&[0]);
+        }
+        for _ in 75..204 {
+            b.push_node(&[2]);
+        }
+        b.push_node(&[2, 3]);
+        let fan = Arc::new(b.finish().unwrap());
+        let degrees = [0, 1, 2, 4].map(|i| fan.degree(i));
+        assert_eq!(degrees, [70, 0, 130, 0]);
+        let dense = Arc::clone(crate::stream::random_connected(150, 20_000, 4).csr());
+        let mut rng = SmallRng::seed_from_u64(5);
+        for csr in [fan, dense] {
+            for p in [0.0, 0.05, 0.5, 0.95, 1.0] {
+                let o = Orientation::from_fn(Arc::clone(&csr), |_, _| rng.gen_bool(p));
+                for i in 0..csr.node_count() {
+                    let count = csr.slots(i).filter(|&s| o.is_out(s)).count();
+                    assert_eq!(o.out_degree_at(i), count, "node {i}, p {p}");
+                }
+            }
+        }
     }
 
     #[test]

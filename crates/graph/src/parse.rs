@@ -16,9 +16,10 @@
 //! assert_eq!(inst.node_count(), 3);
 //! ```
 
-use crate::{GraphError, NodeId, ReversalInstance};
+use crate::{GraphError, NodeId, Orientation, ReversalInstance};
 
-/// Parses the textual instance format described at module level.
+/// Parses the textual instance format described at module level:
+/// [`read_lines`], then [`InstanceLines::build`].
 ///
 /// # Errors
 ///
@@ -27,20 +28,54 @@ use crate::{GraphError, NodeId, ReversalInstance};
 /// [`ReversalInstance::from_edges`] (unknown destination, disconnection,
 /// cycle). A missing `dest` line defaults the destination to node 0.
 pub fn parse_instance(text: &str) -> Result<ReversalInstance, GraphError> {
-    let (mut arcs, mut dest) = (Vec::new(), 0);
-    let read = read_lines(text, &mut arcs, &mut dest);
-    match (read, ReversalInstance::from_edges(&arcs, NodeId::new(dest))) {
-        // A self-loop or repeated edge before the malformed line wins.
-        (Err(_), Err(early @ (GraphError::SelfLoop(_) | GraphError::DuplicateEdge(..)))) => {
-            Err(early)
+    read_lines(text).build()
+}
+
+/// An instance text read but not yet built: its arcs and destination up
+/// to the first malformed line, and that line's error.
+#[derive(Debug)]
+pub struct InstanceLines {
+    arcs: Vec<(u32, u32)>,
+    dest: u32,
+    malformed: Option<GraphError>,
+}
+
+impl InstanceLines {
+    /// Builds and validates the instance: the CSR with its duplicate
+    /// check, then the checks of [`ReversalInstance::from_edges`]
+    /// (destination, connectivity, acyclicity).
+    ///
+    /// # Errors
+    ///
+    /// As [`parse_instance`]: a self-loop or repeated edge among the arcs
+    /// before the first malformed line, else that line's
+    /// [`GraphError::Parse`], else the first validation error.
+    pub fn build(self) -> Result<ReversalInstance, GraphError> {
+        match (self.malformed, Orientation::from_edges(&self.arcs)) {
+            // A self-loop or repeated edge before the malformed line wins.
+            (Some(_), Err(early @ (GraphError::SelfLoop(_) | GraphError::DuplicateEdge(..)))) => {
+                Err(early)
+            }
+            (Some(malformed), _) => Err(malformed),
+            (None, init) => ReversalInstance::new(init?, NodeId::new(self.dest)),
         }
-        (Err(malformed), _) => Err(malformed),
-        (Ok(()), built) => built,
+    }
+}
+
+/// Reads an instance text line by line into its arcs and destination, up
+/// to the first malformed line; [`InstanceLines::build`] builds them.
+pub fn read_lines(text: &str) -> InstanceLines {
+    let (mut arcs, mut dest) = (Vec::new(), 0);
+    let malformed = read_arcs(text, &mut arcs, &mut dest).err();
+    InstanceLines {
+        arcs,
+        dest,
+        malformed,
     }
 }
 
 /// Collects the arcs and the destination up to the first malformed line.
-fn read_lines(text: &str, arcs: &mut Vec<(u32, u32)>, dest: &mut u32) -> Result<(), GraphError> {
+fn read_arcs(text: &str, arcs: &mut Vec<(u32, u32)>, dest: &mut u32) -> Result<(), GraphError> {
     for (idx, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {

@@ -14,6 +14,16 @@
 //! which makes *every* other node a "bad node" (no initial path to `D`) —
 //! the configuration that exhibits the Θ(n_b²) worst-case total work cited
 //! in §1 of the paper.
+//!
+//! [`random_connected`], the benchmark's million-node family, draws its
+//! edges before it knows any run, so it keeps them as a flat buffer of
+//! `(lower, higher)` endpoint pairs. Each edge's higher end is scattered
+//! into its lower end's run, from the run's end down, and only those
+//! higher parts are sorted. One descending pass then fills every lower
+//! part, writes both twins and sets each edge's initial out bit. The
+//! spent pair buffer becomes the twin table, so beside the instance's
+//! own arrays the build holds only the extra edges' key table and a few
+//! per-node arrays.
 
 use std::sync::Arc;
 
@@ -419,9 +429,11 @@ pub fn bipartite_away(width: usize, degree: usize, seed: u64) -> ReversalInstanc
 /// The destination is node 0; some nodes typically have no initial path
 /// to it, giving the algorithms real work to do.
 ///
-/// Keeps only a flat `(u, v)` edge buffer and an open-addressing table of
-/// the extra edges while generating, both freed before the instance is
-/// returned.
+/// Keeps a flat buffer of `(lower, higher)` endpoint pairs and an
+/// open-addressing table of the extra edges while generating. The CSR
+/// then comes from one pass that pairs every edge from its lower end,
+/// writing both twins and the edge's out bit, and the spent pair buffer
+/// becomes the twin table.
 ///
 /// # Panics
 ///
@@ -429,8 +441,8 @@ pub fn bipartite_away(width: usize, degree: usize, seed: u64) -> ReversalInstanc
 pub fn random_connected(n: usize, extra_edges: usize, seed: u64) -> ReversalInstance {
     assert!(n >= 2, "graph needs at least 2 nodes");
     let mut rng = SmallRng::seed_from_u64(seed);
-    let edges = random_edges(n, extra_edges, &mut rng);
-    orient_randomly(n, edges, &mut rng)
+    let pairs = random_edges(n, extra_edges, &mut rng);
+    orient_randomly(n, pairs, &mut rng)
 }
 
 /// A set of nonzero `u64` keys: open addressing with linear probing and
@@ -467,25 +479,25 @@ impl KeySet {
     }
 }
 
-/// The edges of [`random_connected`], each `(min, max)`: the tree edge
-/// `(parent, i)` of every node `i ≥ 1` at position `i − 1`, then the
+/// The edges of [`random_connected`] as flat `(min, max)` pairs: the tree
+/// edge `(parent, i)` of every node `i ≥ 1` at pair `i − 1`, then the
 /// extra edges in the order drawn.
-fn random_edges(n: usize, extra_edges: usize, rng: &mut SmallRng) -> Vec<(u32, u32)> {
+fn random_edges(n: usize, extra_edges: usize, rng: &mut SmallRng) -> Vec<u32> {
     let max_edges = n * (n - 1) / 2;
     let target = (n - 1).saturating_add(extra_edges).min(max_edges);
     assert_capacity(2 * target);
-    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(target);
+    let mut pairs: Vec<u32> = Vec::with_capacity(2 * target);
     // Random attachment spanning tree.
     for i in 1..n {
         let parent = rng.gen_range(0..i);
-        edges.push((parent as u32, i as u32));
+        pairs.extend([parent as u32, i as u32]);
     }
     // Extra edges, skipping duplicates; cap attempts to stay total. An
     // edge `(a, b)` repeats a tree edge iff `a` is the parent of `b`;
     // repeats among the extra edges show up in `extras`.
     let mut extras = KeySet::with_capacity(target - (n - 1));
     let mut attempts = 0;
-    while edges.len() < target && attempts < 50 * target {
+    while pairs.len() < 2 * target && attempts < 50 * target {
         attempts += 1;
         let u = rng.gen_range(0..n);
         let v = rng.gen_range(0..n);
@@ -493,64 +505,52 @@ fn random_edges(n: usize, extra_edges: usize, rng: &mut SmallRng) -> Vec<(u32, u
             continue;
         }
         let (a, b) = (u.min(v) as u32, u.max(v) as u32);
-        if edges[b as usize - 1].0 != a && extras.insert(u64::from(a) << 32 | u64::from(b)) {
-            edges.push((a, b));
+        if pairs[2 * (b as usize - 1)] != a && extras.insert(u64::from(a) << 32 | u64::from(b)) {
+            pairs.extend([a, b]);
         }
     }
-    edges
+    pairs
 }
 
-/// Orients `edges` over `n` nodes by a shuffled node order drawn from
-/// `rng` and builds the instance, destination node 0.
-fn orient_randomly(n: usize, edges: Vec<(u32, u32)>, rng: &mut SmallRng) -> ReversalInstance {
-    let mut order: Vec<NodeId> = (0..n as u32).map(NodeId::new).collect();
+/// Orients the edges of `pairs` (flat `(lower, higher)` endpoint pairs)
+/// over `n` nodes by a shuffled node order drawn from `rng`, and builds
+/// the instance, destination node 0.
+///
+/// Each edge's higher end is scattered into its lower end's run, from
+/// the run's end down, and only these higher parts are sorted. Then
+/// [`CsrGraph::from_higher_runs`] fills the lower parts, both twins and
+/// one out bit per edge in a single pass: the slot of `(u, v)`, `u < v`,
+/// if `u` comes first in the shuffled order, else the slot of `(v, u)`.
+/// The spent pair buffer becomes the twin table.
+fn orient_randomly(n: usize, pairs: Vec<u32>, rng: &mut SmallRng) -> ReversalInstance {
+    let mut order: Vec<u32> = (0..n as u32).collect();
     order.shuffle(rng);
     let mut rank = vec![0u32; n];
     for (pos, &u) in order.iter().enumerate() {
-        rank[u.index()] = pos as u32;
+        rank[u as usize] = pos as u32;
     }
     drop(order);
-    // Counting-scatter the edge buffer into CSR runs, then sort each
-    // run (edge order is random, unlike the layered family).
-    let mut deg = vec![0u32; n];
-    for &(a, b) in &edges {
-        deg[a as usize] += 1;
-        deg[b as usize] += 1;
+    let mut offsets = vec![0u32; n + 1];
+    for &u in &pairs {
+        offsets[u as usize + 1] += 1;
     }
-    let half_edges = 2 * edges.len();
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut acc = 0u32;
-    offsets.push(0u32);
-    for &d in &deg {
-        acc += d;
-        offsets.push(acc);
-    }
-    drop(deg);
-    let mut cursor: Vec<u32> = offsets[..n].to_vec();
-    let mut targets = vec![0u32; half_edges];
-    for &(a, b) in &edges {
-        targets[cursor[a as usize] as usize] = b;
-        cursor[a as usize] += 1;
-        targets[cursor[b as usize] as usize] = a;
-        cursor[b as usize] += 1;
-    }
-    drop(edges);
-    drop(cursor);
     for u in 0..n {
-        targets[offsets[u] as usize..offsets[u + 1] as usize].sort_unstable();
+        offsets[u + 1] += offsets[u];
     }
-    // Orient by the shuffled order: slot (u, v) is out iff u precedes v.
-    let mut init_out = vec![0u64; half_edges.div_ceil(64)];
+    let mut lower_ends: Vec<u32> = offsets[1..].to_vec();
+    let mut targets = vec![0u32; pairs.len()];
+    for pair in pairs.chunks_exact(2) {
+        let end = &mut lower_ends[pair[0] as usize];
+        *end -= 1;
+        targets[*end as usize] = pair[1];
+    }
     for u in 0..n {
-        let run = offsets[u] as usize..offsets[u + 1] as usize;
-        for (slot, &t) in targets[run.clone()].iter().enumerate() {
-            if rank[u] < rank[t as usize] {
-                bit_set(&mut init_out, run.start + slot);
-            }
-        }
+        targets[lower_ends[u] as usize..offsets[u + 1] as usize].sort_unstable();
     }
-    let csr = CsrGraph::from_sorted_adjacency(offsets, targets)
-        .expect("capacity checked before allocation");
+    let mut init_out = vec![0u64; pairs.len().div_ceil(64)];
+    let csr = CsrGraph::from_higher_runs(offsets, targets, lower_ends, pairs, |u, s, v, t| {
+        bit_set(&mut init_out, if rank[u] < rank[v] { s } else { t });
+    });
     instance(csr, init_out, NodeId::new(0))
 }
 
@@ -697,6 +697,61 @@ mod tests {
         edges
     }
 
+    /// The scatter-and-sort build, the reference for [`orient_randomly`]:
+    /// scatter both ends of every edge into CSR runs, sort each run, pair
+    /// the twins with `twin_table` and orient every slot by its rank.
+    fn scatter_sort_reference(
+        n: usize,
+        edges: Vec<(u32, u32)>,
+        rng: &mut SmallRng,
+    ) -> ReversalInstance {
+        let mut order: Vec<NodeId> = (0..n as u32).map(NodeId::new).collect();
+        order.shuffle(rng);
+        let mut rank = vec![0u32; n];
+        for (pos, &u) in order.iter().enumerate() {
+            rank[u.index()] = pos as u32;
+        }
+        let mut deg = vec![0u32; n];
+        for &(a, b) in &edges {
+            deg[a as usize] += 1;
+            deg[b as usize] += 1;
+        }
+        let mut offsets = vec![0u32];
+        for &d in &deg {
+            offsets.push(offsets.last().unwrap() + d);
+        }
+        let mut cursor: Vec<u32> = offsets[..n].to_vec();
+        let mut targets = vec![0u32; 2 * edges.len()];
+        for &(a, b) in &edges {
+            targets[cursor[a as usize] as usize] = b;
+            cursor[a as usize] += 1;
+            targets[cursor[b as usize] as usize] = a;
+            cursor[b as usize] += 1;
+        }
+        for u in 0..n {
+            targets[offsets[u] as usize..offsets[u + 1] as usize].sort_unstable();
+        }
+        let mut init_out = vec![0u64; targets.len().div_ceil(64)];
+        for u in 0..n {
+            let run = offsets[u] as usize..offsets[u + 1] as usize;
+            for (slot, &t) in targets[run.clone()].iter().enumerate() {
+                if rank[u] < rank[t as usize] {
+                    bit_set(&mut init_out, run.start + slot);
+                }
+            }
+        }
+        let csr = CsrGraph::from_sorted_adjacency(offsets, targets).unwrap();
+        instance(csr, init_out, NodeId::new(0))
+    }
+
+    /// `random_connected(n, extra, seed)` built the reference way: edges
+    /// drawn with a `HashSet`, CSR by scatter, sort and `twin_table`.
+    fn reference(n: usize, extra: usize, seed: u64) -> ReversalInstance {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let edges = hash_set_edges(n, extra, &mut rng);
+        scatter_sort_reference(n, edges, &mut rng)
+    }
+
     #[test]
     fn random_connected_matches_the_hash_set_reference() {
         // Sparse to complete: 1,000 extra edges complete every n here.
@@ -705,12 +760,9 @@ mod tests {
         for n in 2..16 {
             for extra in extras {
                 for seed in 0..14 {
-                    let mut rng = SmallRng::seed_from_u64(seed);
-                    let edges = hash_set_edges(n, extra, &mut rng);
-                    let reference = orient_randomly(n, edges, &mut rng);
                     assert_eq!(
                         random_connected(n, extra, seed),
-                        reference,
+                        reference(n, extra, seed),
                         "n {n}, extra {extra}, seed {seed}"
                     );
                     cases += 1;
@@ -718,13 +770,25 @@ mod tests {
             }
         }
         assert_eq!(cases, 2352);
-        // Sizes where the table's probe runs get long.
-        for (n, extra, seed) in [(1_000, 1_000, 1), (3_000, 10_000, 2)] {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let edges = hash_set_edges(n, extra, &mut rng);
-            let reference = orient_randomly(n, edges, &mut rng);
-            assert_eq!(random_connected(n, extra, seed), reference, "n {n}");
+        // Sizes where the table's probe runs get long, then runs longer
+        // than a u64 word of slot bits: dense graphs on 150 nodes, the
+        // complete one (149 slots a node) among them.
+        for (n, extra, seed) in [
+            (1_000, 1_000, 1),
+            (3_000, 10_000, 2),
+            (150, 10_000, 3),
+            (150, 20_000, 4),
+            (400, 9_000, 5),
+        ] {
+            let inst = random_connected(n, extra, seed);
+            assert_eq!(inst, reference(n, extra, seed), "n {n}, extra {extra}");
+            let max_degree = (0..n).map(|u| inst.csr().degree(u)).max();
+            assert!(n != 150 || max_degree > Some(64), "n {n}: {max_degree:?}");
         }
+        assert_eq!(
+            random_connected(150, 20_000, 4).half_edge_count(),
+            150 * 149
+        );
     }
 
     #[test]
@@ -783,6 +847,34 @@ mod tests {
         let layered_text = "dest 0\n0 > 1\n0 > 2\n0 > 3\n1 > 5\n1 > 6\n2 > 5\n3 > 4\n\
                             3 > 6\n4 > 7\n5 > 7\n5 > 8\n5 > 9\n6 > 9\n";
         assert_eq!(to_text(&layered(3, 3, 0.5, 2)), layered_text);
+    }
+
+    /// FNV-1a, 64-bit.
+    fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The benchmark's engine-1m instance, byte for byte: its text and
+    /// its Kahn order, which the GB engines' initial heights come from.
+    /// The digests were computed with the scatter-and-sort build of
+    /// `scatter_sort_reference` and the `VecDeque` Kahn pass.
+    #[test]
+    #[ignore = "a million-node build; about a second in release, runs in the CI --ignored tier"]
+    fn the_engine_1m_instance_and_its_kahn_order_are_pinned() {
+        let inst = random_connected(1_000_000, 1_000_000, 3);
+        let text = to_text(&inst);
+        assert_eq!(
+            (text.len(), fnv1a(text.bytes())),
+            (31_271_113, 0x0e32_d2c8_066a_de47)
+        );
+        let order = inst.init().topological_order().expect("acyclic");
+        let bytes = order.iter().flat_map(|&u| (u as u32).to_le_bytes());
+        assert_eq!(
+            (order.len(), fnv1a(bytes)),
+            (1_000_000, 0x821d_db9e_564a_b951)
+        );
     }
 
     #[test]

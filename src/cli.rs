@@ -24,7 +24,7 @@ use lr_core::invariants::{
     check_inv_4_2,
 };
 use lr_core::trace::Trace;
-use lr_graph::{dot, parse, ReversalInstance};
+use lr_graph::{dot, parse, GraphError, ReversalInstance};
 use lr_obs::{ObsMode, ObsSession};
 
 /// A CLI-level error: message for the user, non-zero exit.
@@ -162,7 +162,11 @@ fn read_stdin(stdin: &mut dyn Read) -> Result<String, CliError> {
 }
 
 fn parse_stdin_instance(input: &str) -> Result<ReversalInstance, CliError> {
-    parse::parse_instance(input).map_err(|e| err(format!("invalid instance: {e}")))
+    parse::parse_instance(input).map_err(invalid_instance)
+}
+
+fn invalid_instance(e: GraphError) -> CliError {
+    err(format!("invalid instance: {e}"))
 }
 
 /// The `<alg> [policy]` arguments of `cmd` (run or trace): the family,
@@ -423,8 +427,11 @@ fn cmd_run(args: &[&str], stdin: &mut dyn Read) -> Result<String, CliError> {
     }
     let (family, policy) = parse_alg_and_policy("run", args)?;
     let span = lr_obs::span("cli", "cli.parse");
-    let inst = parse_stdin_instance(&text)?;
+    let lines = parse::read_lines(&text);
     drop((span, text));
+    let span = lr_obs::span("cli", "cli.validate");
+    let inst = lines.build().map_err(invalid_instance)?;
+    drop(span);
     let span = lr_obs::span("cli", "cli.build");
     let (nodes, dest) = (inst.node_count(), inst.dest);
     let initial_bad = inst.initial_bad_nodes();
@@ -1623,6 +1630,7 @@ mod tests {
         for span in [
             "cli.read",
             "cli.parse",
+            "cli.validate",
             "cli.build",
             "engine.run PR",
             "cli.check",
